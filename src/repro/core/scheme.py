@@ -74,7 +74,7 @@ class ResultScheme(abc.ABC):
 
 
 def _xor16(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(KEY_SIZE, "big")
 
 
 class CrossAppScheme(ResultScheme):

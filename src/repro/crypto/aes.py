@@ -8,16 +8,27 @@ field definition rather than transcribed, which keeps the implementation
 auditable and removes transcription risk.  Correctness is pinned to the
 FIPS-197 vectors in the test suite.
 
-Two execution paths are offered:
+Encryption is the hot direction (CTR and GCM never decrypt a block), so
+its round is fused: SubBytes, ShiftRows and MixColumns collapse into four
+32-bit T-table lookups per state column, the tables again derived at
+import.  Two execution paths share those tables:
 
-* :meth:`AES128.encrypt_block` / :meth:`AES128.decrypt_block` — scalar,
-  single 16-byte block.
-* :meth:`AES128.encrypt_blocks` — numpy-vectorised encryption of ``N``
-  blocks at once, used by the CTR mode to reach usable throughput for the
-  megabyte-sized results the paper's Fig. 6 sweeps over.
+* :meth:`AES128.encrypt_block` — one 16-byte block in pure Python ints
+  (~13 us; a one-row numpy batch costs ~55 us in per-call overhead).
+* :meth:`AES128.encrypt_blocks` — ``N`` blocks at once.  Up to
+  ``_SCALAR_MAX_BLOCKS`` rows go through the scalar path; larger batches
+  run ~9 numpy calls per round over the state held as four column planes
+  of ``N`` words each, which makes ShiftRows a choice of rows and the
+  round key a broadcast along the contiguous axis (measured against an
+  ``(N, 4)`` word layout: equal at 65 blocks, 1.3x faster at 1024).
+
+Decryption (:meth:`AES128.decrypt_block` / :meth:`AES128.decrypt_blocks`)
+keeps the spec-literal inverse round; nothing on a request path uses it.
 """
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 
@@ -26,6 +37,15 @@ from ..errors import CryptoError
 BLOCK_SIZE = 16
 KEY_SIZE = 16
 _NUM_ROUNDS = 10
+
+# Batches of at most this many blocks are cheaper one block at a time in
+# pure ints than through numpy (measured: 13 us/block scalar against
+# ~70 us + 0.3 us/block vectorised; they cross between 5 and 6 blocks).
+_SCALAR_MAX_BLOCKS = 5
+
+# State columns are little-endian words: byte ``r`` of the word is row ``r``.
+_U32 = np.dtype("<u4")
+_UNPACK_COLUMNS = struct.Struct("<4I").unpack
 
 
 def _xtime(b: int) -> int:
@@ -74,15 +94,39 @@ _SBOX_LIST, _INV_SBOX_LIST, _MUL = _build_tables()
 
 SBOX = np.array(_SBOX_LIST, dtype=np.uint8)
 INV_SBOX = np.array(_INV_SBOX_LIST, dtype=np.uint8)
-_M2 = np.array(_MUL[2], dtype=np.uint8)
-_M3 = np.array(_MUL[3], dtype=np.uint8)
 _M9 = np.array(_MUL[9], dtype=np.uint8)
 _M11 = np.array(_MUL[11], dtype=np.uint8)
 _M13 = np.array(_MUL[13], dtype=np.uint8)
 _M14 = np.array(_MUL[14], dtype=np.uint8)
 
-# ShiftRows as a flat permutation of the 16-byte state.  Byte i of a block
-# holds state cell (row i % 4, column i // 4); row r rotates left by r.
+
+def _round_tables() -> tuple[list[list[int]], list[list[int]]]:
+    """The fused encryption round as word tables.
+
+    ``te[r][x]`` is the MixColumns image of ``SBOX[x]`` sitting in row
+    ``r`` of a column, so an output column is the XOR of one lookup per
+    row (the rows drawn from the columns ShiftRows pairs up).  The last
+    round has no MixColumns: ``last[r][x]`` is just ``SBOX[x]`` in row
+    ``r``.
+    """
+    mul = {1: list(range(256)), 2: _MUL[2], 3: _MUL[3]}
+    circulant = (2, 1, 1, 3)  # MixColumns: coefficient of input row r in output row o
+    te = [
+        [sum(mul[circulant[(o - r) % 4]][s] << (8 * o) for o in range(4))
+         for s in _SBOX_LIST]
+        for r in range(4)
+    ]
+    last = [[s << (8 * r) for s in _SBOX_LIST] for r in range(4)]
+    return te, last
+
+
+_TE_LIST, _LAST_LIST = _round_tables()
+_TE = tuple(np.array(t, dtype=_U32) for t in _TE_LIST)
+_LAST = tuple(np.array(t, dtype=_U32) for t in _LAST_LIST)
+
+# InvShiftRows as a flat permutation of the 16-byte state, derived by
+# inverting ShiftRows.  Byte i of a block holds state cell (row i % 4,
+# column i // 4); ShiftRows rotates row r left by r.
 _SHIFT_ROWS = np.array(
     [(i % 4) + 4 * (((i // 4) + (i % 4)) % 4) for i in range(16)], dtype=np.intp
 )
@@ -90,34 +134,21 @@ _INV_SHIFT_ROWS = np.empty(16, dtype=np.intp)
 _INV_SHIFT_ROWS[_SHIFT_ROWS] = np.arange(16, dtype=np.intp)
 
 
-def _expand_key(key: bytes) -> list[np.ndarray]:
-    """FIPS-197 key expansion for AES-128: 11 round keys of 16 bytes."""
-    rk = list(key)
+def _expand_key(key: bytes) -> list[int]:
+    """FIPS-197 key expansion for AES-128: 44 column words, 4 per round."""
+    words = list(_UNPACK_COLUMNS(key))
+    sbox = _SBOX_LIST
     rcon = 1
-    for i in range(4, 4 * (_NUM_ROUNDS + 1)):
-        t = rk[4 * (i - 1):4 * i]
-        if i % 4 == 0:
-            t = t[1:] + t[:1]
-            t = [_SBOX_LIST[b] for b in t]
-            t[0] ^= rcon
-            rcon = _xtime(rcon)
-        rk.extend(rk[4 * (i - 4) + j] ^ t[j] for j in range(4))
-    return [
-        np.array(rk[16 * r:16 * (r + 1)], dtype=np.uint8)
-        for r in range(_NUM_ROUNDS + 1)
-    ]
-
-
-def _mix_columns(state: np.ndarray) -> np.ndarray:
-    """MixColumns over an (N, 16) state array."""
-    v = state.reshape(-1, 4, 4)  # [block, column, row]
-    b0, b1, b2, b3 = v[:, :, 0], v[:, :, 1], v[:, :, 2], v[:, :, 3]
-    out = np.empty_like(v)
-    out[:, :, 0] = _M2[b0] ^ _M3[b1] ^ b2 ^ b3
-    out[:, :, 1] = b0 ^ _M2[b1] ^ _M3[b2] ^ b3
-    out[:, :, 2] = b0 ^ b1 ^ _M2[b2] ^ _M3[b3]
-    out[:, :, 3] = _M3[b0] ^ b1 ^ b2 ^ _M2[b3]
-    return out.reshape(-1, 16)
+    for i in range(4, 4 * (_NUM_ROUNDS + 1), 4):
+        t = words[i - 1]
+        # RotWord then SubWord, on a little-endian column word.
+        t = (sbox[(t >> 8) & 0xFF] | sbox[(t >> 16) & 0xFF] << 8
+             | sbox[t >> 24] << 16 | sbox[t & 0xFF] << 24) ^ rcon
+        rcon = _xtime(rcon)
+        for j in range(i, i + 4):
+            t ^= words[j - 4]
+            words.append(t)
+    return words
 
 
 def _inv_mix_columns(state: np.ndarray) -> np.ndarray:
@@ -142,46 +173,90 @@ class AES128:
     def __init__(self, key: bytes):
         if len(key) != KEY_SIZE:
             raise CryptoError(f"AES-128 requires a {KEY_SIZE}-byte key, got {len(key)}")
-        self._round_keys = _expand_key(bytes(key))
-
-    def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """Encrypt an (N, 16) uint8 array of blocks; returns a new array."""
-        if blocks.ndim != 2 or blocks.shape[1] != BLOCK_SIZE:
-            raise CryptoError("encrypt_blocks expects an (N, 16) array")
-        state = blocks.astype(np.uint8, copy=True)
-        state ^= self._round_keys[0]
-        for rnd in range(1, _NUM_ROUNDS):
-            state = SBOX[state]
-            state = state[:, _SHIFT_ROWS]
-            state = _mix_columns(state)
-            state ^= self._round_keys[rnd]
-        state = SBOX[state]
-        state = state[:, _SHIFT_ROWS]
-        state ^= self._round_keys[_NUM_ROUNDS]
-        return state
-
-    def decrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """Decrypt an (N, 16) uint8 array of blocks; returns a new array."""
-        if blocks.ndim != 2 or blocks.shape[1] != BLOCK_SIZE:
-            raise CryptoError("decrypt_blocks expects an (N, 16) array")
-        state = blocks.astype(np.uint8, copy=True)
-        state ^= self._round_keys[_NUM_ROUNDS]
-        state = state[:, _INV_SHIFT_ROWS]
-        state = INV_SBOX[state]
-        for rnd in range(_NUM_ROUNDS - 1, 0, -1):
-            state ^= self._round_keys[rnd]
-            state = _inv_mix_columns(state)
-            state = state[:, _INV_SHIFT_ROWS]
-            state = INV_SBOX[state]
-        state ^= self._round_keys[0]
-        return state
+        self._words = _expand_key(bytes(key))
+        # One (4, 1) column of words per round: broadcasts over the planes.
+        self._round_keys = np.array(self._words, dtype=_U32).reshape(_NUM_ROUNDS + 1, 4, 1)
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt one 16-byte block."""
         if len(block) != BLOCK_SIZE:
             raise CryptoError("block must be 16 bytes")
-        arr = np.frombuffer(block, dtype=np.uint8).reshape(1, BLOCK_SIZE)
-        return self.encrypt_blocks(arr).tobytes()
+        k = self._words
+        w0, w1, w2, w3 = _UNPACK_COLUMNS(block)
+        w0 ^= k[0]
+        w1 ^= k[1]
+        w2 ^= k[2]
+        w3 ^= k[3]
+        t0, t1, t2, t3 = _TE_LIST
+        for i in range(4, 4 * _NUM_ROUNDS, 4):
+            w0, w1, w2, w3 = (
+                t0[w0 & 255] ^ t1[(w1 >> 8) & 255] ^ t2[(w2 >> 16) & 255] ^ t3[w3 >> 24] ^ k[i],
+                t0[w1 & 255] ^ t1[(w2 >> 8) & 255] ^ t2[(w3 >> 16) & 255] ^ t3[w0 >> 24] ^ k[i + 1],
+                t0[w2 & 255] ^ t1[(w3 >> 8) & 255] ^ t2[(w0 >> 16) & 255] ^ t3[w1 >> 24] ^ k[i + 2],
+                t0[w3 & 255] ^ t1[(w0 >> 8) & 255] ^ t2[(w1 >> 16) & 255] ^ t3[w2 >> 24] ^ k[i + 3],
+            )
+        t0, t1, t2, t3 = _LAST_LIST
+        return (
+            (t0[w0 & 255] ^ t1[(w1 >> 8) & 255] ^ t2[(w2 >> 16) & 255] ^ t3[w3 >> 24] ^ k[40])
+            | (t0[w1 & 255] ^ t1[(w2 >> 8) & 255] ^ t2[(w3 >> 16) & 255] ^ t3[w0 >> 24] ^ k[41]) << 32
+            | (t0[w2 & 255] ^ t1[(w3 >> 8) & 255] ^ t2[(w0 >> 16) & 255] ^ t3[w1 >> 24] ^ k[42]) << 64
+            | (t0[w3 & 255] ^ t1[(w0 >> 8) & 255] ^ t2[(w1 >> 16) & 255] ^ t3[w2 >> 24] ^ k[43]) << 96
+        ).to_bytes(BLOCK_SIZE, "little")
+
+    def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """Encrypt an (N, 16) uint8 array of blocks; returns a new array."""
+        if blocks.ndim != 2 or blocks.shape[1] != BLOCK_SIZE:
+            raise CryptoError("encrypt_blocks expects an (N, 16) array")
+        blocks = np.ascontiguousarray(blocks, dtype=np.uint8)
+        n = len(blocks)
+        if n <= _SCALAR_MAX_BLOCKS:
+            raw = blocks.tobytes()
+            out = bytearray().join(
+                self.encrypt_block(raw[off:off + BLOCK_SIZE])
+                for off in range(0, len(raw), BLOCK_SIZE)
+            )
+            return np.frombuffer(out, dtype=np.uint8).reshape(n, BLOCK_SIZE)
+        # Four column planes of N words, plus planes 0-2 again as 4-6 so
+        # that "row r of column c + r" is the plain slice [r:r + 4].  Every
+        # index is a byte into a 256-entry table, so mode="wrap" never
+        # wraps; it only spares take() the bounds pass and the buffered
+        # write that mode="raise" forces on out= (1.2-1.4x at 1 Ki blocks).
+        rk = self._round_keys
+        xor = np.bitwise_xor
+        cur = np.empty((7, n), dtype=_U32)
+        nxt = np.empty((7, n), dtype=_U32)
+        term = np.empty((4, n), dtype=_U32)
+        xor(blocks.view(_U32).T, rk[0], out=cur[:4])
+        cur[4:] = cur[:3]
+        for rnd in range(1, _NUM_ROUNDS + 1):
+            t0, t1, t2, t3 = _TE if rnd < _NUM_ROUNDS else _LAST
+            rows = cur.view(np.uint8).reshape(7, n, 4)
+            acc = nxt[:4]
+            t0.take(rows[0:4, :, 0], out=acc, mode="wrap")
+            xor(acc, t1.take(rows[1:5, :, 1], out=term, mode="wrap"), out=acc)
+            xor(acc, t2.take(rows[2:6, :, 2], out=term, mode="wrap"), out=acc)
+            xor(acc, t3.take(rows[3:7, :, 3], out=term, mode="wrap"), out=acc)
+            xor(acc, rk[rnd], out=acc)
+            nxt[4:] = acc[:3]
+            cur, nxt = nxt, cur
+        return np.ascontiguousarray(cur[:4].T).view(np.uint8)
+
+    def decrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """Decrypt an (N, 16) uint8 array of blocks; returns a new array."""
+        if blocks.ndim != 2 or blocks.shape[1] != BLOCK_SIZE:
+            raise CryptoError("decrypt_blocks expects an (N, 16) array")
+        rk = self._round_keys.view(np.uint8).reshape(_NUM_ROUNDS + 1, BLOCK_SIZE)
+        state = blocks.astype(np.uint8, copy=True)
+        state ^= rk[_NUM_ROUNDS]
+        state = state[:, _INV_SHIFT_ROWS]
+        state = INV_SBOX[state]
+        for rnd in range(_NUM_ROUNDS - 1, 0, -1):
+            state ^= rk[rnd]
+            state = _inv_mix_columns(state)
+            state = state[:, _INV_SHIFT_ROWS]
+            state = INV_SBOX[state]
+        state ^= rk[0]
+        return state
 
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt one 16-byte block."""

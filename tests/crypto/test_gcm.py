@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.gcm import AesGcm, gf_mult, open_, seal, _build_ghash_table
+from repro.crypto import gcm
+from repro.crypto.gcm import AesGcm, gf_mult, open_, seal
 from repro.errors import CryptoError, IntegrityError
 
 
@@ -18,17 +19,55 @@ class TestNistVectors:
         assert ct.hex() == "0388dace60b6a392f328c2b971b2fe78"
         assert tag.hex() == "ab6e47d42cec13bdf53a67b21257bddf"
 
-    def test_case4_with_aad(self):
-        key = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
-        iv = bytes.fromhex("cafebabefacedbaddecaf888")
-        pt = bytes.fromhex(
-            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
-            "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39"
+    # Test cases 3-6 of the GCM specification share one key and plaintext.
+    KEY = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
+    PT = bytes.fromhex(
+        "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+        "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255"
+    )
+    AAD = bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2")
+
+    def _check(self, iv, pt, aad, ct_hex, tag_hex):
+        ct, tag = AesGcm(self.KEY).encrypt(iv, pt, aad)
+        assert ct.hex() == ct_hex
+        assert tag.hex() == tag_hex
+        assert AesGcm(self.KEY).decrypt(iv, ct, tag, aad) == pt
+
+    def test_case3_four_blocks(self):
+        self._check(
+            bytes.fromhex("cafebabefacedbaddecaf888"), self.PT, b"",
+            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+            "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985",
+            "4d5c2af327cd64a62cf35abd2ba6fab4",
         )
-        aad = bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2")
-        ct, tag = AesGcm(key).encrypt(iv, pt, aad)
-        assert tag.hex() == "5bc94fbc3221a5db94fae95ae7121a47"
-        assert AesGcm(key).decrypt(iv, ct, tag, aad) == pt
+
+    def test_case4_with_aad(self):
+        self._check(
+            bytes.fromhex("cafebabefacedbaddecaf888"), self.PT[:60], self.AAD,
+            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+            "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091",
+            "5bc94fbc3221a5db94fae95ae7121a47",
+        )
+
+    def test_case5_short_iv(self):
+        self._check(
+            bytes.fromhex("cafebabefacedbad"), self.PT[:60], self.AAD,
+            "61353b4c2806934a777ff51fa22a4755699b2a714fcdc6f83766e5f97b6c7423"
+            "73806900e49f24b22b097544d4896b424989b5e1ebac0f07c23f4598",
+            "3612d2e79e3b0785561be14aaca2fccb",
+        )
+
+    def test_case6_long_iv(self):
+        iv = bytes.fromhex(
+            "9313225df88406e555909c5aff5269aa6a7a9538534f7da1e4c303d2a318a728"
+            "c3c0c95156809539fcf0e2429a6b525416aedbf5a0de6a57a637b39b"
+        )
+        self._check(
+            iv, self.PT[:60], self.AAD,
+            "8ce24998625615b603a033aca13fb894be9112a5c3a211a8ba262a3cca7e2ca7"
+            "01e4a9a4fba43c90ccdcb281d48c7c6fd62875d2aca417034c34aee5",
+            "619cc5aefffe0bfa462af43c1699d050",
+        )
 
     def test_long_iv_path(self):
         # Non-12-byte IVs go through the GHASH J0 derivation.
@@ -52,13 +91,22 @@ class TestGhashAlgebra:
         a, b, c = (0x1111 << 100), (0x2222 << 50), 0x3333
         assert gf_mult(a ^ b, c) == gf_mult(a, c) ^ gf_mult(b, c)
 
+    OPERANDS = (1, 0xDEADBEEF, (1 << 127) | 0xABCD, (0x77 << 120) | (0x55 << 8))
+
     def test_table_agrees_with_bitwise_mult(self):
-        table = _build_ghash_table(self.H)
-        for x in (1, 0xDEADBEEF, (1 << 127) | 0xABCD, (0x77 << 120) | (0x55 << 8)):
-            via_table = 0
-            for i in range(16):
-                via_table ^= table[i][(x >> (8 * (15 - i))) & 0xFF]
-            assert via_table == gf_mult(x, self.H)
+        byte_table = gcm._byte_table(self.H)
+        lane_table = gcm._lane_table(self.H).view("u1").reshape(16, 256, 16)
+        for x in self.OPERANDS:
+            want = gf_mult(x, self.H)
+            assert gcm._ghash_blocks(byte_table, 0, x.to_bytes(16, "big")) == want
+            via_lanes = 0
+            for i, byte in enumerate(x.to_bytes(16, "big")):
+                via_lanes ^= int.from_bytes(lane_table[i, byte].tobytes(), "big")
+            assert via_lanes == want
+
+    def test_square_agrees_with_bitwise_mult(self):
+        for x in self.OPERANDS + (self.H, (1 << 128) - 1):
+            assert gcm._gf_square(x) == gf_mult(x, x)
 
 
 class TestTamperDetection:

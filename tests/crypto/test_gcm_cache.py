@@ -6,14 +6,25 @@ BENCH_batch.json attributed ~2.0 s of a 2.17 s wall-clock PUT run to
 record even though the channel keys never change.  These tests pin the
 fix: setup cost is paid once per key, not once per record, and the
 cached path is measurably faster than fresh per-record construction.
+
+The kernel's other performance properties are pinned by *counts*, which
+no host noise can move: one AES batch per record, each GHASH table built
+once per key, the cipher cache least-recently-used and bounded in bytes.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.crypto import gcm
+import pytest
+
+from repro.crypto import ctr, gcm
+from repro.crypto.aes import AES128
 from repro.crypto.gcm import AesGcm, open_, seal
+from repro.errors import CryptoError
+
+NARROW_BLOCKS = gcm._LANE_PASSES[-1][1]   # least blocks for one lane pass
+WIDE_BLOCKS = gcm._LANE_PASSES[0][1]      # least blocks for two
 
 
 def _iv(i: int) -> bytes:
@@ -63,25 +74,128 @@ def test_cached_seal_matches_fresh_cipher_and_rejects_tampering():
 
 def test_microbench_cached_setup_beats_per_record_setup():
     """Wall-clock micro-bench: N sealed records through the cached path
-    must beat N records each paying full setup.  The margin is lenient
-    (1.5x) so CI noise cannot flip it; the real ratio is far larger."""
+    must beat N records each paying full setup.  One-block records (a
+    wrapped key), because per-key set-up is now cheap enough to vanish
+    behind any larger payload; best of three rounds and a lenient margin
+    (1.3x, the real ratio is ~2x) so CI noise cannot flip it."""
     key = b"\x44" * 16
-    payload = b"p" * 256
+    payload = b"p" * 16
     n = 60
 
     seal(key, _iv(0), payload)  # warm the keyed cache
 
-    t0 = time.perf_counter()
-    for i in range(n):
-        seal(key, _iv(i), payload)
-    cached = time.perf_counter() - t0
+    cached = fresh = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        for i in range(n):
+            seal(key, _iv(i), payload)
+        cached = min(cached, time.perf_counter() - t0)
 
-    t0 = time.perf_counter()
-    for i in range(n):
-        cipher = AesGcm(key)
-        cipher.encrypt(_iv(i), payload)
-    fresh = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        for i in range(n):
+            cipher = AesGcm(key)
+            cipher.encrypt(_iv(i), payload)
+        fresh = min(fresh, time.perf_counter() - t0)
 
-    assert fresh > cached * 1.5, (
+    assert fresh > cached * 1.3, (
         f"expected cached GCM setup to win: fresh={fresh:.4f}s cached={cached:.4f}s"
     )
+
+
+# -- count-based regression tests for the kernel's perf properties -----------
+@pytest.fixture
+def aes_calls(monkeypatch):
+    """Counts every entry into the block cipher, batch or single block."""
+    calls = {"encrypt_blocks": 0, "encrypt_block": 0}
+    for name in calls:
+        real = getattr(AES128, name)
+
+        def spy(self, arg, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(self, arg)
+
+        monkeypatch.setattr(AES128, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("size", [0, 1, 16, 64, 80, 1024, 16 * (ctr._STRIPE_BLOCKS - 1)])
+def test_one_aes_batch_per_record(aes_calls, monkeypatch, size):
+    cipher = AesGcm(b"\x55" * 16)
+    # Small batches run block by block *inside* encrypt_blocks; count only
+    # what the record itself asks of the cipher.
+    monkeypatch.setattr("repro.crypto.aes._SCALAR_MAX_BLOCKS", 0)
+    aes_calls.update(encrypt_blocks=0, encrypt_block=0)  # drop the E(0) of set-up
+    before = ctr.aes_batches
+
+    ct, tag = cipher.encrypt(_iv(1), b"r" * size, b"aad")
+    assert aes_calls == {"encrypt_blocks": 1, "encrypt_block": 0}  # E(J0) rides in the batch
+    assert cipher.decrypt(_iv(1), ct, tag, b"aad") == b"r" * size
+    assert aes_calls == {"encrypt_blocks": 2, "encrypt_block": 0}
+    assert ctr.aes_batches - before == 2
+
+
+def test_aes_batches_grow_only_with_stripes(aes_calls):
+    cipher = AesGcm(b"\x56" * 16)
+    aes_calls.update(encrypt_blocks=0)
+    # J0 + 2.5 stripes of data = 3 batches, however many bytes that is.
+    cipher.encrypt(_iv(1), b"r" * (16 * (2 * ctr._STRIPE_BLOCKS + ctr._STRIPE_BLOCKS // 2)))
+    assert aes_calls["encrypt_blocks"] == 3
+
+
+def test_each_table_built_once_per_key_across_scalar_and_bulk_records():
+    cipher = AesGcm(b"\x66" * 16)
+    scalar, bulk, bulkier = b"s" * 100, b"b" * (16 * NARROW_BLOCKS), b"B" * (16 * WIDE_BLOCKS)
+
+    def roundtrips(payload, count):
+        before = gcm.table_builds
+        for i in range(count):
+            ct, tag = cipher.encrypt(_iv(i), payload, b"aad")
+            assert cipher.decrypt(_iv(i), ct, tag, b"aad") == payload
+        return gcm.table_builds - before
+
+    assert roundtrips(scalar, 10) == 1    # the byte table
+    assert roundtrips(bulk, 10) == 1      # + the narrow lane table
+    assert roundtrips(bulkier, 3) == 1    # + the wide one
+    assert roundtrips(scalar, 5) + roundtrips(bulk, 5) + roundtrips(bulkier, 2) == 0
+
+
+def test_cipher_cache_stays_within_its_byte_bound_and_evicts_lru_first():
+    gcm._CIPHER_CACHE.clear()
+    keys = [i.to_bytes(16, "big") for i in range(gcm._CIPHER_CACHE_MAX + 40)]
+    bulk = b"x" * (16 * NARROW_BLOCKS)  # every cipher grows a lane table
+    assert gcm._CIPHER_CACHE_MAX * gcm._CIPHER_FULL_BYTES > gcm._CIPHER_CACHE_BYTES, (
+        "the byte bound must be the one that binds here"
+    )
+    for n, key in enumerate(keys):
+        seal(key, _iv(0), bulk)
+        if n % 10 == 0:
+            seal(keys[0], _iv(n + 1), bulk)  # keep the oldest key in use
+        held = sum(c.footprint for c in gcm._CIPHER_CACHE.values())
+        assert held <= gcm._CIPHER_CACHE_BYTES
+        assert len(gcm._CIPHER_CACHE) <= gcm._CIPHER_CACHE_MAX
+
+    survivors = list(gcm._CIPHER_CACHE)
+    assert len(survivors) < len(keys)          # something was evicted ...
+    assert keys[0] in survivors                # ... but not the key kept in use,
+    assert keys[1] not in survivors            # while its idle neighbour went first
+    # and what remains is exactly the most recently used, oldest first.
+    recent = [k for k in keys[1:] if k in survivors]
+    assert recent == keys[-len(recent):]
+    gcm._CIPHER_CACHE.clear()
+
+
+def test_one_shot_helpers_accept_any_bytes_like_key():
+    key = bytes(range(16))
+    blob = seal(bytearray(key), _iv(3), b"value", aad=b"meta")
+    assert blob == seal(key, _iv(3), b"value", aad=b"meta")
+    assert open_(bytearray(key), blob, aad=b"meta") == b"value"
+    assert open_(memoryview(key), blob, aad=b"meta") == b"value"
+
+
+@pytest.mark.parametrize("key_len", [0, 15, 17, 32])
+def test_one_shot_helpers_reject_wrong_length_keys_with_a_coded_error(key_len):
+    with pytest.raises(CryptoError):
+        seal(bytearray(key_len), _iv(1), b"value")
+    with pytest.raises(CryptoError):
+        open_(bytearray(key_len), bytes(40))
+    assert bytes(key_len) not in gcm._CIPHER_CACHE
