@@ -55,6 +55,13 @@ echo "== sim smoke (seeds 3..5) =="
 PYTHONPATH=src python -m repro.simtest --runs 3 --start-seed 3 --steps 25 \
     || status=1
 
+# The smokes in this block only say "no invariant broke"; this says
+# "no trace moved": seeds 1..5 in each of the five modes against the
+# digests pinned in the test file (which says how to re-pin one).
+echo "== sim smoke, pinned trace digests (seeds 1..5 x 5 modes) =="
+PYTHONPATH=src python -m pytest -q tests/simtest/test_pinned_digests.py \
+    || status=1
+
 echo "== sim smoke, pipelined engine (seeds 3..5) =="
 PYTHONPATH=src python -m repro.simtest --runs 3 --start-seed 3 --steps 25 \
     --pipeline || status=1

@@ -1,38 +1,58 @@
 """Client-side routing across a sharded ResultStore cluster.
 
-A :class:`ClusterRouter` presents the exact call surface of
-:class:`~repro.net.rpc.RpcClient` — ``call``, ``call_batch``,
-``send_oneway``, ``send_oneway_batch``, ``drain_responses``,
-``records_sent`` — so a :class:`~repro.core.runtime.DedupRuntime` links
-against it unchanged.  Behind that surface every request is routed by
-the tag's position on the :class:`~repro.cluster.ring.ShardRing`:
+A :class:`ClusterRouter` stands where a :class:`~repro.net.rpc.RpcClient`
+would: a :class:`~repro.core.runtime.DedupRuntime` or a
+:class:`~repro.engine.PipelineEngine` links against either unchanged.
+Every request is routed by its tag's position on the
+:class:`~repro.cluster.ring.ShardRing`.
 
-* **GET** goes to the tag's owners in ring order.  A timed-out owner is
-  skipped (failover); a live owner's *miss* falls through to the next
-  replica; the first hit wins.  Live owners that missed before the hit
-  receive an asynchronous **read-repair** PUT rebuilt from the hit, so
-  a shard that lost or never received an entry converges back.  The
+One request path
+----------------
+Routing exists once, as *submit a group, settle a group*:
+
+* A **GET group** shares a primary shard and travels to it as one
+  record.  Settling takes the primary's answers and finishes each item
+  on its own: a hit is returned; a live owner's *miss* falls through to
+  the tag's remaining owners in ring order; an owner that did not answer
+  (dead, garbled, or refused by its circuit breaker) is passed over.
+  The first hit wins, counts one **failover** when any owner before it
+  failed, and queues a one-way **read-repair** PUT to every live owner
+  that missed, so a shard that lost or never received an entry converges
+  back.  When no owner answered at all the item is *unavailable*
+  (``found=False``, reason ``no_live_owner``), never a plain miss.  The
   repaired ciphertext is still the store-side ``(r, [k], [res])``
-  triple — the router never sees plaintext, and a tampered replica is
+  triple: the router never sees plaintext, and a tampered replica is
   caught by the runtime's Fig. 3 MAC/tag verification exactly as a
   tampered single store would be.
-* **PUT** is written to the primary and its ``replication_factor - 1``
-  distinct successors.  The primary's verdict is authoritative; replica
-  verdicts are absorbed into router counters.
-* **Batches** are split per shard, routed, and rejoined in the original
-  item order.  A sub-batch whose shard times out degrades to per-item
-  routing through the surviving replicas; items with no live owner at
-  all come back as per-item failures (``found=False`` /
-  ``accepted=False`` with a ``no live owner`` reason) without
-  disturbing their batch-mates' correlation.
+* A **PUT group** is fanned out as one record per owner shard (every
+  item goes to its primary and its ``replication_factor - 1`` distinct
+  successors).  Settling merges the shards' acks by one rule: an item's
+  primary is authoritative, another owner's ack stands in while the
+  primary is silent, and every further ack is absorbed into the replica
+  counters.  An item nobody answered is ``accepted=False`` with reason
+  ``no_live_owner``.
 
-One-way correlation: the router speaks to N per-shard clients, each
-with its own request-id space, so it assigns its own router-level ids
-and remaps shard acks onto them when draining.  For a replicated
-one-way PUT the first ack to arrive is forwarded to the runtime (the
-rest are absorbed), which keeps the runtime's strict PUT accounting
-(accepted/rejected/failed/unacknowledged) intact: a fully-dead owner
-set shows up as *unacknowledged*, never as a silent success.
+What differs between the public entry points is only how a shard send is
+made and when the group is settled:
+
+* ``call`` is a group of one, sent with a blocking shard call and
+  settled on the spot; ``call_batch`` does the same per shard group
+  (GETs, as :meth:`ClusterRouter.plan_gets` partitions them) or for the
+  whole batch at once (PUTs), and rejoins the answers in item order.
+* ``submit``/``wait`` and ``submit_gets``/``wait_gets``,
+  ``submit_puts``/``wait_puts`` send through the shard clients'
+  pipelined slots, so several groups are in flight together, and settle
+  when the caller waits.
+* ``send_oneway``/``send_oneway_batch`` send fire-and-forget; the
+  group is settled by :meth:`ClusterRouter.drain_responses` from
+  whatever acks have arrived, so a fully-dead owner set shows up as
+  *unacknowledged*, never as a silent success.
+
+Every shard exchange goes through one guarded helper, so a shard's
+circuit breaker is asked once per send and learns from every reply.
+The router speaks to N per-shard clients, each with its own request-id
+space, so it hands out router-level slot ids and maps shard-local ids
+back onto them.
 """
 
 from __future__ import annotations
@@ -42,7 +62,6 @@ from dataclasses import dataclass, field
 from .ring import ShardRing
 from ..errors import (
     ChannelError,
-    CircuitOpenError,
     NoLiveOwnerError,
     ProtocolError,
     TransportError,
@@ -71,6 +90,13 @@ NO_LIVE_OWNER = NoLiveOwnerError.code
 # vanished (dead shard), the reply never arrived, a record was mangled
 # on the wire, or the shard could not even parse the mangled record.
 _SHARD_FAILURES = (TransportError, ChannelError, ProtocolError)
+
+# How a group's shard sends are made: a blocking call answered on the
+# spot, a pipelined slot settled by a later wait, or fire-and-forget.
+_SYNC, _PIPELINED, _ONEWAY = "sync", "pipelined", "oneway"
+
+# Returned by a guarded exchange the shard's breaker refused.
+_REFUSED = object()
 
 
 @dataclass
@@ -124,54 +150,38 @@ class RouterStats:
 
 
 @dataclass
-class _PendingBatch:
-    """A one-way PUT batch awaiting acks from several shards."""
+class _GetGroup:
+    """A submitted GET group: requests bound for one primary shard."""
 
-    router_id: int
-    n_items: int
-    primaries: list[str]
-    verdicts: dict[int, PutResponse] = field(default_factory=dict)
-    primary_seen: set[int] = field(default_factory=set)
+    requests: list
+    mode: str
+    # True for a slot opened by submit() and settled by wait().
+    single: bool = False
+    # The primary the group was sent to; None when there was nobody to
+    # send to, in which case settling walks every owner from scratch.
+    shard: str | None = None
+    # What the send returned: the shard's responses (blocking send), its
+    # slot id (pipelined send), or None when the shard did not take it.
+    sent: object = None
+
+
+@dataclass
+class _PutGroup:
+    """A submitted PUT group: one record per owner shard of its items."""
+
+    requests: list
+    mode: str
+    single: bool = False
+    # Per item: its primary shard id, "" when it has no reachable owner.
+    primaries: list = field(default_factory=list)
+    # Per item: the verdict merged so far (None while nobody answered).
+    verdicts: list = field(default_factory=list)
+    # Blocking and pipelined sends, in wire order:
+    # (shard, responses or slot id, item positions).
+    subs: list = field(default_factory=list)
+    # One-way sends: the slot id the merged ack is emitted under, once.
+    router_id: int = 0
     emitted: bool = False
-
-
-@dataclass
-class _PendingCall:
-    """One pipelined (submitted, not yet waited) routed call."""
-
-    request: Message
-    kind: str  # "get" | "put"
-    # GET: the primary the request reached (None if nothing hit the wire,
-    # e.g. no owners or the breaker was open) and its shard-local slot id.
-    primary: str | None = None
-    local_id: int | None = None
-    # PUT: every (shard, shard-local slot id) submitted, in ring order.
-    subs: list = field(default_factory=list)
-
-
-@dataclass
-class _PendingGetGroup:
-    """One pipelined GET sub-batch bound for a single primary shard."""
-
-    requests: list
-    # None when nothing reached the wire (no live owners, open breaker,
-    # or the send itself failed): wait falls back to per-item routing.
-    primary: str | None = None
-    local_id: int | None = None
-
-
-@dataclass
-class _PendingPutGroup:
-    """One pipelined PUT sub-batch sharing a primary shard.
-
-    Replication spreads the group's copies over several shards, so the
-    group holds one submitted batch record per owner shard:
-    ``subs`` is ``(shard, shard-local slot id, item positions)``.
-    """
-
-    requests: list
-    primaries: list  # per item: its primary shard id, "" when none live
-    subs: list = field(default_factory=list)
 
 
 class ClusterRouter:
@@ -199,14 +209,11 @@ class ClusterRouter:
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.clock = clock
         self._next_router_id = 1
-        # (shard, local id) -> router id, for one-way singles and batches.
-        self._single_by_key: dict[tuple[str, int], int] = {}
-        self._single_keys: dict[int, set[tuple[str, int]]] = {}
-        self._single_done: set[int] = set()
-        self._batch_by_key: dict[tuple[str, int], tuple[int, list[int]]] = {}
-        self._batches: dict[int, _PendingBatch] = {}
-        # Pipelined calls: router id -> submitted-but-unwaited state.
-        self._pipeline: dict[int, _PendingCall] = {}
+        # Pipelined groups: router slot id -> submitted, not yet waited on.
+        self._pipeline: dict[int, _GetGroup | _PutGroup] = {}
+        # One-way sends awaiting their ack:
+        # (shard, shard-local id) -> (group, item positions).
+        self._oneway: dict[tuple[str, int], tuple[_PutGroup, list[int]]] = {}
         # Fire-and-forget sends whose acks are router-internal (read
         # repair): absorbed on drain, never surfaced to the runtime.
         self._absorb_keys: set[tuple[str, int]] = set()
@@ -266,46 +273,6 @@ class ClusterRouter:
             self._breakers[shard] = breaker
         return breaker
 
-    def _call_shard(self, shard: str, request: Message) -> Message:
-        """One synchronous shard call through that shard's breaker."""
-        breaker = self._breaker(shard)
-        if breaker is not None and not breaker.allow():
-            self.stats.circuit_skips += 1
-            raise CircuitOpenError(f"circuit open for shard {shard!r}")
-        try:
-            response = self._clients[shard].call(request)
-        except _SHARD_FAILURES:
-            if breaker is not None:
-                breaker.record_failure()
-            raise
-        if breaker is not None:
-            breaker.record_success()
-        return response
-
-    def _call_shard_batch(self, shard: str, requests: list) -> list[Message]:
-        breaker = self._breaker(shard)
-        if breaker is not None and not breaker.allow():
-            self.stats.circuit_skips += 1
-            raise CircuitOpenError(f"circuit open for shard {shard!r}")
-        try:
-            responses = self._clients[shard].call_batch(requests)
-        except _SHARD_FAILURES:
-            if breaker is not None:
-                breaker.record_failure()
-            raise
-        if breaker is not None:
-            breaker.record_success()
-        return responses
-
-    def _oneway_allowed(self, shard: str) -> bool:
-        """Breaker gate for fire-and-forget sends (no response to learn
-        from, so only the open/closed state is consulted)."""
-        breaker = self._breaker(shard)
-        if breaker is not None and not breaker.allow():
-            self.stats.circuit_skips += 1
-            return False
-        return True
-
     @property
     def records_sent(self) -> int:
         return sum(c.records_sent for c in self._clients.values())
@@ -335,67 +302,144 @@ class ClusterRouter:
         owners = self.ring.write_owners(tag, self.replication_factor)
         return [s for s in owners if s in self._clients]
 
-    def _fresh_router_id(self) -> int:
-        router_id = self._next_router_id
-        self._next_router_id += 1
-        return router_id
+    # -- the one guarded shard exchange ----------------------------------------
+    def _guarded(self, shard: str, exchange, answers: bool, gate: bool = True,
+                 span: str | None = None, **attrs):
+        """Run ``exchange(client)`` against one shard behind its breaker.
 
-    # -- synchronous single calls ---------------------------------------------
-    def call(self, request: Message) -> Message:
-        if isinstance(request, GetRequest):
-            return self._route_get(request)
-        if isinstance(request, PutRequest):
-            return self._route_put(request)
-        raise ProtocolError(
-            f"cluster router cannot route {type(request).__name__}"
+        ``gate`` asks the breaker first: a refusal costs one skip and no
+        wire traffic.  ``answers`` says the exchange returns the shard's
+        reply, which is what closes a breaker again.  Returns what the
+        exchange returned, ``_REFUSED``, or ``None`` when the shard
+        failed it.
+        """
+        breaker = self._breaker(shard)
+        tracer = self.tracer if span else NULL_TRACER
+        with tracer.span(span, clock=self.clock, shard=shard, **attrs) as open_span:
+            if gate and breaker is not None and not breaker.allow():
+                self.stats.circuit_skips += 1
+                open_span.mark("circuit_open")
+                return _REFUSED
+            try:
+                result = exchange(self._clients[shard])
+            except _SHARD_FAILURES:
+                if breaker is not None:
+                    breaker.record_failure()
+                open_span.mark("timeout")
+                return None
+        if answers and breaker is not None:
+            breaker.record_success()
+        return result
+
+    def _send(self, shard: str, kind: str, sub: list, mode: str):
+        """Put one shard's share of a group on the wire in the group's
+        send mode (a lone item travels as itself, not as a batch of one).
+        One-way sends are untraced: nothing waits on them."""
+        def exchange(client):
+            if mode is _PIPELINED:
+                return client.submit_gets(sub) if kind == "get" else client.submit_puts(sub)
+            if len(sub) > 1:
+                return client.call_batch(sub) if mode is _SYNC else client.send_oneway_batch(sub)
+            return [client.call(sub[0])] if mode is _SYNC else client.send_oneway(sub[0])
+
+        return self._guarded(
+            shard, exchange, answers=mode is _SYNC,
+            span=None if mode is _ONEWAY else f"router.shard_{kind}", items=len(sub),
         )
 
-    def _route_get(self, request: GetRequest, skip: set[str] | None = None) -> GetResponse:
-        self.stats.gets_routed += 1
-        owners = self._read_owners(request.tag)
-        if skip:
-            owners = [s for s in owners if s not in skip]
-        with self.tracer.span("router.get", clock=self.clock, owners=len(owners)) as span:
-            missed_live: list[str] = []
-            timeouts = 0
-            hit: GetResponse | None = None
-            for shard in owners:
-                with self.tracer.span(
-                    "router.shard_get", clock=self.clock, shard=shard
-                ) as shard_span:
-                    try:
-                        response = self._call_shard(shard, request)
-                    except _SHARD_FAILURES:
-                        self.stats.get_timeouts += 1
-                        timeouts += 1
-                        shard_span.mark("timeout")
-                        continue
-                if not isinstance(response, GetResponse):
-                    raise ProtocolError(
-                        f"shard {shard!r} answered GET with {type(response).__name__}"
-                    )
-                if response.found:
-                    hit = response
-                    break
+    def _collect(self, shard: str, kind: str, sent, n_items: int, mode: str):
+        """A sent share's per-item replies: already there after a
+        blocking send, waited for (behind the breaker's bookkeeping, but
+        not its gate: the request is already out) after a pipelined one."""
+        if mode is _SYNC:
+            return sent
+
+        def exchange(client):
+            if kind == "get":
+                return client.wait_gets(sent, n_items)
+            return client.wait_puts(sent, n_items)
+
+        return self._guarded(
+            shard, exchange, answers=True, gate=False,
+            span=f"router.shard_{kind}", items=n_items,
+        )
+
+    # -- GET: one group core -----------------------------------------------------
+    def _submit_get_group(
+        self, requests: list, mode: str, single: bool = False
+    ) -> _GetGroup:
+        """Send a GET group to its primary (the first request's: callers
+        group by :meth:`plan_gets`)."""
+        group = _GetGroup(requests=requests, mode=mode, single=single)
+        owners = self._read_owners(requests[0].tag) if requests else []
+        if owners:
+            sent = self._send(owners[0], "get", requests, mode)
+            if sent is _REFUSED and mode is _PIPELINED:
+                return group  # settle walks every owner, the primary included
+            group.shard = owners[0]
+            group.sent = None if sent is _REFUSED else sent
+        return group
+
+    def _settle_get_group(self, group: _GetGroup) -> list[Message]:
+        """Per-item answers of a submitted GET group, in request order."""
+        requests, shard = group.requests, group.shard
+        self.stats.gets_routed += len(requests)
+        replies = None
+        if group.sent is not None:
+            replies = self._collect(shard, "get", group.sent, len(requests), group.mode)
+        if shard is not None and replies is None:
+            self.stats.get_timeouts += 1
+        elif replies is not None and len(replies) != len(requests):
+            # Surface it rather than shift the caller's correlation.
+            raise ProtocolError(
+                f"shard {shard!r} answered {len(replies)} of {len(requests)} GETs"
+            )
+        return [
+            self._finish_get(request, shard, replies[i] if replies else None)
+            for i, request in enumerate(requests)
+        ]
+
+    def _finish_get(
+        self, request: GetRequest, asked: str | None, reply: Message | None
+    ) -> GetResponse:
+        """Walk one GET over its owners, starting from what the group's
+        primary ``asked`` replied (``None``: it did not answer)."""
+        owners = [s for s in self._read_owners(request.tag) if s != asked]
+        if asked is not None:
+            owners.insert(0, asked)
+        missed_live: list[str] = []
+        failed = 0
+        for shard in owners:
+            if shard != asked:
+                reply = self._guarded(
+                    shard, lambda client: client.call(request), answers=True,
+                    span="router.shard_get",
+                )
+                if reply is None or reply is _REFUSED:
+                    self.stats.get_timeouts += 1
+                    reply = None
+            if reply is None:
+                failed += 1
+                continue
+            if not isinstance(reply, GetResponse):
+                raise ProtocolError(
+                    f"shard {shard!r} answered GET with {type(reply).__name__}"
+                )
+            if not reply.found:
                 missed_live.append(shard)
-            if hit is None:
-                if not missed_live:
-                    # Every reachable owner timed out (or was skipped): the
-                    # item is unavailable, not absent.  Fail safe: the
-                    # caller recomputes, exactly like a miss.
-                    self.stats.unavailable += 1
-                    span.mark("unavailable")
-                    return GetResponse(found=False, reason=NO_LIVE_OWNER)
-                span.set("outcome", "miss")
-                return GetResponse(found=False)
-            if timeouts:
+                continue
+            if failed:
                 self.stats.failovers += 1
-                self.tracer.event("router.failover", clock=self.clock,
-                                  timeouts=timeouts)
-            span.set("outcome", "hit")
-            for shard in missed_live:
-                self._queue_read_repair(shard, request, hit)
-            return hit
+                self.tracer.event("router.failover", clock=self.clock, timeouts=failed)
+            for missed in missed_live:
+                self._queue_read_repair(missed, request, reply)
+            return reply
+        if missed_live:
+            return GetResponse(found=False)
+        # No owner answered: the item is unavailable, not absent.  Fail
+        # safe: the caller recomputes, exactly like a miss.
+        self.stats.unavailable += 1
+        return GetResponse(found=False, reason=NO_LIVE_OWNER)
 
     def _queue_read_repair(
         self, shard: str, request: GetRequest, hit: GetResponse
@@ -408,53 +452,181 @@ class ClusterRouter:
             sealed_result=hit.sealed_result,
             app_id=request.app_id,
         )
-        with self.tracer.span("router.read_repair", clock=self.clock, shard=shard) as span:
-            if not self._oneway_allowed(shard):
-                span.mark("circuit_open")
-                return
-            try:
-                local_id = self._clients[shard].send_oneway(repair)
-            except _SHARD_FAILURES:
-                span.mark("timeout")
-                return
-        self._absorb_keys.add((shard, local_id))
-        self.stats.read_repairs += 1
+        local_id = self._guarded(
+            shard, lambda client: client.send_oneway(repair), answers=False,
+            span="router.read_repair",
+        )
+        if local_id is not None and local_id is not _REFUSED:
+            self._absorb_keys.add((shard, local_id))
+            self.stats.read_repairs += 1
 
-    def _route_put(self, request: PutRequest) -> Message:
-        self.stats.puts_routed += 1
-        owners = self._write_owners(request.tag)
-        with self.tracer.span("router.put", clock=self.clock, owners=len(owners)) as span:
-            authoritative: Message | None = None
-            for index, shard in enumerate(owners):
-                if index:
+    # -- PUT: one fan-out, one verdict merger --------------------------------------
+    def _submit_put_group(
+        self, requests: list, mode: str, single: bool = False
+    ) -> _PutGroup:
+        """Fan a PUT group out: one record to every owner shard of its
+        items, carrying the items that shard owns."""
+        self.stats.puts_routed += len(requests)
+        owners_per_item = [self._write_owners(r.tag) for r in requests]
+        group = _PutGroup(
+            requests=requests, mode=mode, single=single,
+            primaries=[owners[0] if owners else "" for owners in owners_per_item],
+            verdicts=[None] * len(requests),
+        )
+        shares: dict[str, list[int]] = {}
+        for i, owners in enumerate(owners_per_item):
+            for k, shard in enumerate(owners):
+                shares.setdefault(shard, []).append(i)
+                if k:
                     self.stats.replica_puts += 1
-                with self.tracer.span(
-                    "router.shard_put", clock=self.clock, shard=shard
-                ) as shard_span:
-                    try:
-                        response = self._call_shard(shard, request)
-                    except _SHARD_FAILURES:
-                        self.stats.put_timeouts += 1
-                        shard_span.mark("timeout")
-                        continue
-                if authoritative is None:
-                    # The first *live* owner in ring order is authoritative —
-                    # the primary when it is up, else the first replica.
-                    authoritative = response
-                else:
-                    self._count_replica_ack(response)
-            if authoritative is None:
-                span.mark("unavailable")
-                raise NoLiveOwnerError(
-                    f"{NO_LIVE_OWNER} for tag {request.tag[:8].hex()}"
-                )
-            return authoritative
+        # A lone PUT goes out in ring order, primary first; a group's
+        # records go out in shard order.
+        for shard in (shares if len(requests) == 1 else sorted(shares)):
+            positions = shares[shard]
+            sent = self._send(shard, "put", [requests[p] for p in positions], mode)
+            if sent is None or sent is _REFUSED:
+                self.stats.put_timeouts += 1
+            elif mode is _ONEWAY:
+                self._oneway[(shard, sent)] = (group, positions)
+            else:
+                group.subs.append((shard, sent, positions))
+        return group
+
+    def _settle_put_group(self, group: _PutGroup) -> list[Message | None]:
+        """Per-item verdicts of a blocking or pipelined PUT group
+        (``None``: no owner answered for that item)."""
+        for shard, sent, positions in group.subs:
+            acks = self._collect(shard, "put", sent, len(positions), group.mode)
+            if acks is None:
+                self.stats.put_timeouts += 1
+            else:
+                self._merge_put_acks(group, shard, positions, acks)
+        return group.verdicts
+
+    def _merge_put_acks(
+        self, group: _PutGroup, shard: str, positions: list[int], acks: list
+    ) -> None:
+        """The one verdict rule: an item's primary is authoritative,
+        another owner's ack stands in while the primary is silent, and
+        every further ack is absorbed into the replica counters."""
+        for p, ack in zip(positions, acks):
+            held = group.verdicts[p]
+            if group.emitted or (held is not None and group.primaries[p] != shard):
+                self._count_replica_ack(ack)
+                continue
+            if held is not None:
+                self._count_replica_ack(held)  # a stand-in the primary displaces
+            group.verdicts[p] = ack
 
     def _count_replica_ack(self, response: Message) -> None:
         if isinstance(response, PutResponse) and response.accepted:
             self.stats.replica_put_acks += 1
         else:
             self.stats.replica_put_rejects += 1
+
+    # -- compositions: submitting ------------------------------------------------
+    def _submit_group(self, requests: list, mode: str, single: bool = False):
+        if requests and all(isinstance(r, GetRequest) for r in requests):
+            return self._submit_get_group(requests, mode, single)
+        if requests and all(isinstance(r, PutRequest) for r in requests):
+            return self._submit_put_group(requests, mode, single)
+        raise ProtocolError(
+            "cluster router routes a uniform list of GETs or PUTs, not "
+            + ", ".join(sorted({type(r).__name__ for r in requests}))
+        )
+
+    def _settle_group(self, group) -> list[Message]:
+        if isinstance(group, _GetGroup):
+            return self._settle_get_group(group)
+        return [
+            verdict if verdict is not None
+            else PutResponse(accepted=False, reason=NO_LIVE_OWNER)
+            for verdict in self._settle_put_group(group)
+        ]
+
+    def _settle_single(self, group) -> Message:
+        """A group of one settled as a call: a PUT nobody answered is an
+        error here, not an in-band verdict."""
+        (reply,) = self._settle_group(group)
+        if isinstance(group, _PutGroup) and group.verdicts[0] is None:
+            raise NoLiveOwnerError(
+                f"{NO_LIVE_OWNER} for tag {group.requests[0].tag[:8].hex()}"
+            )
+        return reply
+
+    def _park(self, group) -> int:
+        """Keep a pipelined group for its waiter; returns its slot id."""
+        router_id = self._fresh_router_id()
+        self._pipeline[router_id] = group
+        return router_id
+
+    def _claim(self, router_id: int, kinds, single: bool, n_items: int | None = None):
+        """Take a parked group out for settling.  A slot of another
+        shape, or a wrong item count, is refused and left in place."""
+        group = self._pipeline.get(router_id)
+        if not isinstance(group, kinds) or group.single != single:
+            raise ProtocolError(
+                f"router slot {router_id} was never submitted this way "
+                "(or already waited on)"
+            )
+        if n_items is not None and n_items != len(group.requests):
+            raise ProtocolError(
+                f"router slot {router_id} has {len(group.requests)} item(s), "
+                f"waiter expected {n_items}"
+            )
+        del self._pipeline[router_id]
+        return group
+
+    def _fresh_router_id(self) -> int:
+        router_id = self._next_router_id
+        self._next_router_id += 1
+        return router_id
+
+    def _plan(self, requests: list, owners_of) -> list[list[int]]:
+        groups: dict[str, list[int]] = {}
+        orphans: list[int] = []
+        for i, request in enumerate(requests):
+            owners = owners_of(request.tag)
+            if owners:
+                groups.setdefault(owners[0], []).append(i)
+            else:
+                orphans.append(i)
+        out = [indices for _, indices in sorted(groups.items())]
+        out.extend([i] for i in orphans)
+        return out
+
+    # -- synchronous calls -------------------------------------------------------
+    def call(self, request: Message) -> Message:
+        """Route one request and block on its answer: a group of one,
+        sent with a blocking shard call and settled on the spot."""
+        name = "router.get" if isinstance(request, GetRequest) else "router.put"
+        with self.tracer.span(name, clock=self.clock) as span:
+            reply = self._settle_single(self._submit_group([request], _SYNC, single=True))
+            if isinstance(reply, GetResponse):
+                if reply.reason == NO_LIVE_OWNER:
+                    span.mark("unavailable")
+                else:
+                    span.set("outcome", "hit" if reply.found else "miss")
+            return reply
+
+    def call_batch(self, requests: list[Message]) -> list[Message]:
+        """Route a uniform batch and block on every answer, rejoined in
+        item order.  GETs go one blocking group per primary shard, so a
+        shard that fails its sub-batch does not poison the other shards'
+        items; PUTs fan out as one group, one record per owner shard."""
+        requests = list(requests)
+        if not requests:
+            return []
+        if not all(isinstance(r, GetRequest) for r in requests):
+            with self.tracer.span("router.batch_put", clock=self.clock, items=len(requests)):
+                return self._settle_group(self._submit_group(requests, _SYNC))
+        results: list = [None] * len(requests)
+        with self.tracer.span("router.batch_get", clock=self.clock, items=len(requests)):
+            for positions in self.plan_gets(requests):
+                group = self._submit_get_group([requests[p] for p in positions], _SYNC)
+                for p, reply in zip(positions, self._settle_get_group(group)):
+                    results[p] = reply
+        return results
 
     # -- pipelined calls -------------------------------------------------------
     def submit(self, request: Message) -> int:
@@ -464,297 +636,7 @@ class ClusterRouter:
         submitted requests are served by the shards concurrently instead
         of one blocking round trip at a time.
         """
-        if isinstance(request, GetRequest):
-            pending = self._submit_get(request)
-        elif isinstance(request, PutRequest):
-            pending = self._submit_put(request)
-        else:
-            raise ProtocolError(
-                f"cluster router cannot route {type(request).__name__}"
-            )
-        router_id = self._fresh_router_id()
-        self._pipeline[router_id] = pending
-        return router_id
-
-    def _submit_get(self, request: GetRequest) -> _PendingCall:
-        self.stats.gets_routed += 1
-        pending = _PendingCall(request=request, kind="get")
-        owners = self._read_owners(request.tag)
-        if owners:
-            shard = owners[0]
-            breaker = self._breaker(shard)
-            if breaker is None or breaker.allow():
-                with self.tracer.span(
-                    "router.shard_get", clock=self.clock, shard=shard
-                ) as span:
-                    try:
-                        pending.local_id = self._clients[shard].submit(request)
-                        pending.primary = shard
-                    except _SHARD_FAILURES:
-                        if breaker is not None:
-                            breaker.record_failure()
-                        span.mark("timeout")
-            else:
-                self.stats.circuit_skips += 1
-        return pending
-
-    def _submit_put(self, request: PutRequest) -> _PendingCall:
-        self.stats.puts_routed += 1
-        pending = _PendingCall(request=request, kind="put")
-        for index, shard in enumerate(self._write_owners(request.tag)):
-            if index:
-                self.stats.replica_puts += 1
-            breaker = self._breaker(shard)
-            if breaker is not None and not breaker.allow():
-                self.stats.circuit_skips += 1
-                continue
-            with self.tracer.span(
-                "router.shard_put", clock=self.clock, shard=shard
-            ) as span:
-                try:
-                    local_id = self._clients[shard].submit(request)
-                except _SHARD_FAILURES:
-                    if breaker is not None:
-                        breaker.record_failure()
-                    self.stats.put_timeouts += 1
-                    span.mark("timeout")
-                    continue
-            pending.subs.append((shard, local_id))
-        return pending
-
-    # -- grouped pipelining (one record per shard sub-batch) -------------------
-    def plan_gets(self, requests: list[GetRequest]) -> list[list[int]]:
-        """Partition GET indices by primary owner shard.
-
-        Each group can ship as one channel record to one shard, so a
-        round of N GETs across S shards costs S records — and the S
-        shards serve their sub-batches concurrently.  Items with no live
-        owner form their own group (answered without touching the wire).
-        """
-        groups: dict[str, list[int]] = {}
-        orphans: list[int] = []
-        for i, request in enumerate(requests):
-            owners = self._read_owners(request.tag)
-            if owners:
-                groups.setdefault(owners[0], []).append(i)
-            else:
-                orphans.append(i)
-        out = [indices for _, indices in sorted(groups.items())]
-        out.extend([i] for i in orphans)
-        return out
-
-    def submit_gets(self, requests: list[GetRequest]) -> int:
-        """Submit one :meth:`plan_gets` group (a shared-primary GET
-        sub-batch) as a single record; returns a router slot id for
-        :meth:`wait_gets`."""
-        requests = list(requests)
-        pending = _PendingGetGroup(requests=requests)
-        owners = self._read_owners(requests[0].tag) if requests else []
-        if owners:
-            shard = owners[0]
-            breaker = self._breaker(shard)
-            if breaker is None or breaker.allow():
-                with self.tracer.span(
-                    "router.shard_get", clock=self.clock, shard=shard,
-                    items=len(requests),
-                ) as span:
-                    try:
-                        pending.local_id = self._clients[shard].submit_gets(requests)
-                        pending.primary = shard
-                    except _SHARD_FAILURES:
-                        if breaker is not None:
-                            breaker.record_failure()
-                        span.mark("timeout")
-            else:
-                self.stats.circuit_skips += 1
-        router_id = self._fresh_router_id()
-        self._pipeline[router_id] = pending
-        return router_id
-
-    def wait_gets(self, router_id: int, n_items: int | None = None) -> list[Message]:
-        """Settle one GET group; per-item semantics match ``call_batch``.
-
-        A group whose shard failed (at submit or in flight) falls back to
-        per-item routing through the surviving replicas; a live primary's
-        per-item miss consults the replicas and read-repairs the primary
-        on a replica hit.  Items with no live owner anywhere come back as
-        ``found=False`` / ``no live owner``.
-        """
-        pending = self._pipeline.pop(router_id, None)
-        if not isinstance(pending, _PendingGetGroup):
-            if pending is not None:  # a single-call slot: put it back
-                self._pipeline[router_id] = pending
-            raise ProtocolError(
-                f"router group {router_id} was never submitted (or already waited on)"
-            )
-        requests = pending.requests
-        if n_items is not None and n_items != len(requests):
-            self._pipeline[router_id] = pending
-            raise ProtocolError(
-                f"router group {router_id} has {len(requests)} item(s), "
-                f"waiter expected {n_items}"
-            )
-        if pending.primary is None:
-            return [self._route_get(r) for r in requests]
-        shard = pending.primary
-        breaker = self._breaker(shard)
-        responses: list[Message] | None = None
-        with self.tracer.span(
-            "router.shard_get", clock=self.clock, shard=shard,
-            items=len(requests),
-        ) as span:
-            try:
-                responses = self._clients[shard].wait_gets(
-                    pending.local_id, len(requests)
-                )
-            except _SHARD_FAILURES:
-                if breaker is not None:
-                    breaker.record_failure()
-                self.stats.get_timeouts += 1
-                span.mark("timeout")
-        if responses is None:
-            out: list[Message] = []
-            for request in requests:
-                response = self._route_get(request, skip={shard})
-                if response.found:
-                    self.stats.failovers += 1
-                    self.tracer.event("router.failover", clock=self.clock)
-                out.append(response)
-            return out
-        if breaker is not None:
-            breaker.record_success()
-        self.stats.gets_routed += len(requests)
-        out = []
-        for request, response in zip(requests, responses):
-            if not isinstance(response, GetResponse):
-                raise ProtocolError(
-                    f"shard {shard!r} answered GET with {type(response).__name__}"
-                )
-            if response.found:
-                out.append(response)
-            else:
-                self.stats.gets_routed -= 1  # _route_get_after_miss recounts
-                out.append(self._route_get_after_miss(request, shard))
-        return out
-
-    def plan_puts(self, requests: list[PutRequest]) -> list[list[int]]:
-        """Partition PUT indices by primary owner shard.
-
-        Like :meth:`plan_gets`, each group's copies ship as one channel
-        record per owner shard instead of one record per item, so a
-        round of N replicated PUTs costs O(shards) records.  Items with
-        no live owner form their own group (answered without touching
-        the wire)."""
-        groups: dict[str, list[int]] = {}
-        orphans: list[int] = []
-        for i, request in enumerate(requests):
-            owners = self._write_owners(request.tag)
-            if owners:
-                groups.setdefault(owners[0], []).append(i)
-            else:
-                orphans.append(i)
-        out = [indices for _, indices in sorted(groups.items())]
-        out.extend([i] for i in orphans)
-        return out
-
-    def submit_puts(self, requests: list[PutRequest]) -> int:
-        """Submit one :meth:`plan_puts` group: one batch record to every
-        owner shard of the group's items; returns a router slot id for
-        :meth:`wait_puts`."""
-        requests = list(requests)
-        self.stats.puts_routed += len(requests)
-        owners_per_item = [self._write_owners(r.tag) for r in requests]
-        pending = _PendingPutGroup(
-            requests=requests,
-            primaries=[owners[0] if owners else "" for owners in owners_per_item],
-        )
-        groups: dict[str, list[int]] = {}
-        for i, owners in enumerate(owners_per_item):
-            for k, shard in enumerate(owners):
-                groups.setdefault(shard, []).append(i)
-                if k:
-                    self.stats.replica_puts += 1
-        for shard, positions in sorted(groups.items()):
-            breaker = self._breaker(shard)
-            if breaker is not None and not breaker.allow():
-                self.stats.circuit_skips += 1
-                continue
-            sub = [requests[p] for p in positions]
-            with self.tracer.span(
-                "router.shard_put", clock=self.clock, shard=shard,
-                items=len(sub),
-            ) as span:
-                try:
-                    local_id = self._clients[shard].submit_puts(sub)
-                except _SHARD_FAILURES:
-                    if breaker is not None:
-                        breaker.record_failure()
-                    self.stats.put_timeouts += 1
-                    span.mark("timeout")
-                    continue
-            pending.subs.append((shard, local_id, positions))
-        router_id = self._fresh_router_id()
-        self._pipeline[router_id] = pending
-        return router_id
-
-    def wait_puts(self, router_id: int, n_items: int | None = None) -> list[Message]:
-        """Settle one PUT group; per-item semantics match
-        ``call_batch``: the primary's verdict is authoritative where it
-        is live, replica verdicts are absorbed into router counters, and
-        items no live owner answered come back ``accepted=False`` with a
-        ``no live owner`` reason."""
-        pending = self._pipeline.pop(router_id, None)
-        if not isinstance(pending, _PendingPutGroup):
-            if pending is not None:  # some other slot kind: put it back
-                self._pipeline[router_id] = pending
-            raise ProtocolError(
-                f"router PUT group {router_id} was never submitted "
-                "(or already waited on)"
-            )
-        requests = pending.requests
-        if n_items is not None and n_items != len(requests):
-            self._pipeline[router_id] = pending
-            raise ProtocolError(
-                f"router PUT group {router_id} has {len(requests)} item(s), "
-                f"waiter expected {n_items}"
-            )
-        verdicts: list[Message | None] = [None] * len(requests)
-        primary_seen = [False] * len(requests)
-        for shard, local_id, positions in pending.subs:
-            breaker = self._breaker(shard)
-            items: list[Message] | None = None
-            with self.tracer.span(
-                "router.shard_put", clock=self.clock, shard=shard,
-                items=len(positions),
-            ) as span:
-                try:
-                    items = self._clients[shard].wait_puts(
-                        local_id, len(positions)
-                    )
-                except _SHARD_FAILURES:
-                    if breaker is not None:
-                        breaker.record_failure()
-                    self.stats.put_timeouts += 1
-                    span.mark("timeout")
-            if items is None:
-                continue
-            if breaker is not None:
-                breaker.record_success()
-            for p, item in zip(positions, items):
-                if pending.primaries[p] == shard:
-                    if verdicts[p] is not None:
-                        self._count_replica_ack(verdicts[p])
-                    verdicts[p] = item
-                    primary_seen[p] = True
-                elif verdicts[p] is None and not primary_seen[p]:
-                    verdicts[p] = item
-                else:
-                    self._count_replica_ack(item)
-        return [
-            verdict if verdict is not None
-            else PutResponse(accepted=False, reason=NO_LIVE_OWNER)
-            for verdict in verdicts
-        ]
+        return self._park(self._submit_group([request], _PIPELINED, single=True))
 
     def wait(self, router_id: int) -> Message:
         """Settle one pipelined call; semantics match :meth:`call`.
@@ -765,394 +647,140 @@ class ClusterRouter:
         first live owner in ring order stays authoritative, the others'
         verdicts are absorbed as replica acks.
         """
-        pending = self._pipeline.pop(router_id, None)
-        if not isinstance(pending, _PendingCall):
-            if pending is not None:  # a group slot: put it back
-                self._pipeline[router_id] = pending
-            raise ProtocolError(
-                f"router call {router_id} was never submitted (or already waited on)"
-            )
-        if pending.kind == "get":
-            return self._wait_get(pending)
-        return self._wait_put(pending)
+        return self._settle_single(
+            self._claim(router_id, (_GetGroup, _PutGroup), single=True)
+        )
 
-    def _wait_get(self, pending: _PendingCall) -> GetResponse:
-        request = pending.request
-        if pending.primary is None:
-            # Nothing reached the wire at submit: route from scratch
-            # (which re-counts the GET, so undo the submit-time count).
-            self.stats.gets_routed -= 1
-            return self._route_get(request)
-        shard = pending.primary
-        breaker = self._breaker(shard)
-        response: Message | None = None
-        with self.tracer.span(
-            "router.shard_get", clock=self.clock, shard=shard
-        ) as span:
-            try:
-                response = self._clients[shard].wait(pending.local_id)
-            except _SHARD_FAILURES:
-                if breaker is not None:
-                    breaker.record_failure()
-                self.stats.get_timeouts += 1
-                span.mark("timeout")
-        if response is None:
-            self.stats.gets_routed -= 1
-            fallback = self._route_get(request, skip={shard})
-            if fallback.found:
-                self.stats.failovers += 1
-                self.tracer.event("router.failover", clock=self.clock)
-            return fallback
-        if breaker is not None:
-            breaker.record_success()
-        if not isinstance(response, GetResponse):
-            raise ProtocolError(
-                f"shard {shard!r} answered GET with {type(response).__name__}"
-            )
-        if response.found:
-            return response
-        # Primary live miss: consult the replicas, read-repairing the
-        # primary on a replica hit (same as the synchronous path).
-        self.stats.gets_routed -= 1
-        return self._route_get_after_miss(request, shard)
+    # -- grouped pipelining (one record per shard sub-batch) -------------------
+    def plan_gets(self, requests: list[GetRequest]) -> list[list[int]]:
+        """Partition GET indices by primary owner shard.
 
-    def _wait_put(self, pending: _PendingCall) -> Message:
-        authoritative: Message | None = None
-        for shard, local_id in pending.subs:
-            breaker = self._breaker(shard)
-            with self.tracer.span(
-                "router.shard_put", clock=self.clock, shard=shard
-            ) as span:
-                try:
-                    response = self._clients[shard].wait(local_id)
-                except _SHARD_FAILURES:
-                    if breaker is not None:
-                        breaker.record_failure()
-                    self.stats.put_timeouts += 1
-                    span.mark("timeout")
-                    continue
-            if breaker is not None:
-                breaker.record_success()
-            if authoritative is None:
-                # subs is in ring order: the first live owner is the
-                # primary when it is up, else the first replica.
-                authoritative = response
-            else:
-                self._count_replica_ack(response)
-        if authoritative is None:
-            raise NoLiveOwnerError(
-                f"{NO_LIVE_OWNER} for tag {pending.request.tag[:8].hex()}"
-            )
-        return authoritative
-
-    # -- batched calls ---------------------------------------------------------
-    def call_batch(self, requests: list[Message]) -> list[Message]:
-        requests = list(requests)
-        if not requests:
-            return []
-        if all(isinstance(r, GetRequest) for r in requests):
-            return self._route_batch_get(requests)
-        if all(isinstance(r, PutRequest) for r in requests):
-            return self._route_batch_put(requests)
-        raise ProtocolError("call_batch needs a uniform list of GETs or PUTs")
-
-    def _route_batch_get(self, requests: list[GetRequest]) -> list[Message]:
-        """Split a GET batch per primary shard; rejoin in item order.
-
-        A shard that fails its whole sub-batch does not poison the other
-        shards' items: its items retry individually through their
-        surviving replicas and, when none is live, come back as per-item
-        ``found=False`` failures in their original positions.
+        Each group can ship as one channel record to one shard, so a
+        round of N GETs across S shards costs S records — and the S
+        shards serve their sub-batches concurrently.  Items with no live
+        owner form their own group (answered without touching the wire).
         """
-        n = len(requests)
-        batch_span = self.tracer.span("router.batch_get", clock=self.clock, items=n)
-        with batch_span:
-            results: list[Message | None] = [None] * n
-            groups: dict[str, list[int]] = {}
-            for i, request in enumerate(requests):
-                owners = self._read_owners(request.tag)
-                if not owners:
-                    self.stats.gets_routed += 1
-                    self.stats.unavailable += 1
-                    results[i] = GetResponse(found=False, reason=NO_LIVE_OWNER)
-                    continue
-                groups.setdefault(owners[0], []).append(i)
-            for shard, indices in sorted(groups.items()):
-                sub = [requests[i] for i in indices]
-                with self.tracer.span(
-                    "router.shard_get", clock=self.clock, shard=shard, items=len(sub)
-                ) as shard_span:
-                    try:
-                        if len(sub) == 1:
-                            responses = [self._call_shard(shard, sub[0])]
-                        else:
-                            responses = self._call_shard_batch(shard, sub)
-                    except _SHARD_FAILURES:
-                        # Whole sub-batch lost: route each item through its
-                        # replicas (the primary is skipped — it just failed).
-                        self.stats.get_timeouts += 1
-                        shard_span.mark("timeout")
-                        for i in indices:
-                            response = self._route_get(requests[i], skip={shard})
-                            if response.found:
-                                # Served by a replica after the intended shard
-                                # failed — a failover, same as the single path.
-                                self.stats.failovers += 1
-                                self.tracer.event("router.failover", clock=self.clock)
-                            results[i] = response
-                        continue
-                self.stats.gets_routed += len(sub)
-                for i, response in zip(indices, responses):
-                    if not isinstance(response, GetResponse):
-                        raise ProtocolError(
-                            f"shard {shard!r} answered GET with {type(response).__name__}"
-                        )
-                    if response.found:
-                        results[i] = response
-                    else:
-                        # Primary miss: fall through to the replicas (and
-                        # read-repair the primary on a replica hit).
-                        self.stats.gets_routed -= 1  # _route_get recounts it
-                        results[i] = self._route_get_after_miss(requests[i], shard)
-        missing = [i for i, r in enumerate(results) if r is None]
-        if missing:
-            # A shard returned fewer responses than sub-batch items; the
-            # zip above left gaps.  Surface it rather than shifting the
-            # caller's correlation by silently dropping positions.
-            raise ProtocolError(
-                f"batch GET left {len(missing)} item(s) unanswered"
-            )
-        return results
+        return self._plan(requests, self._read_owners)
 
-    def _route_get_after_miss(
-        self, request: GetRequest, missed_primary: str
-    ) -> GetResponse:
-        """Continue a GET past a live primary's miss: consult replicas,
-        read-repair the primary if one of them hits."""
-        self.stats.gets_routed += 1
-        owners = [s for s in self._read_owners(request.tag) if s != missed_primary]
-        if not owners:
-            return GetResponse(found=False)
-        missed_live = [missed_primary]
-        timeouts = 0
-        for shard in owners:
-            with self.tracer.span(
-                "router.shard_get", clock=self.clock, shard=shard
-            ) as shard_span:
-                try:
-                    response = self._call_shard(shard, request)
-                except _SHARD_FAILURES:
-                    self.stats.get_timeouts += 1
-                    timeouts += 1
-                    shard_span.mark("timeout")
-                    continue
-            if not isinstance(response, GetResponse):
-                raise ProtocolError(
-                    f"shard {shard!r} answered GET with {type(response).__name__}"
-                )
-            if response.found:
-                if timeouts:
-                    self.stats.failovers += 1
-                    self.tracer.event("router.failover", clock=self.clock,
-                                      timeouts=timeouts)
-                for miss in missed_live:
-                    self._queue_read_repair(miss, request, response)
-                return response
-            missed_live.append(shard)
-        return GetResponse(found=False)
+    def submit_gets(self, requests: list[GetRequest]) -> int:
+        """Submit one :meth:`plan_gets` group (a shared-primary GET
+        sub-batch) as a single record; returns a router slot id for
+        :meth:`wait_gets`."""
+        return self._park(self._submit_get_group(list(requests), _PIPELINED))
 
-    def _route_batch_put(self, requests: list[PutRequest]) -> list[Message]:
-        """Write every item to all its owners; per-item verdicts rejoin
-        in order, the primary's verdict authoritative where it is live."""
-        n = len(requests)
-        self.stats.puts_routed += n
-        with self.tracer.span("router.batch_put", clock=self.clock, items=n):
-            owners_per_item = [self._write_owners(r.tag) for r in requests]
-            verdicts: list[Message | None] = [None] * n
-            primary_seen = [False] * n
-            groups: dict[str, list[int]] = {}
-            for i, owners in enumerate(owners_per_item):
-                for k, shard in enumerate(owners):
-                    groups.setdefault(shard, []).append(i)
-                    if k:
-                        self.stats.replica_puts += 1
-            for shard, indices in sorted(groups.items()):
-                sub = [requests[i] for i in indices]
-                with self.tracer.span(
-                    "router.shard_put", clock=self.clock, shard=shard, items=len(sub)
-                ) as shard_span:
-                    try:
-                        if len(sub) == 1:
-                            responses = [self._call_shard(shard, sub[0])]
-                        else:
-                            responses = self._call_shard_batch(shard, sub)
-                    except _SHARD_FAILURES:
-                        self.stats.put_timeouts += 1
-                        shard_span.mark("timeout")
-                        continue
-                for i, response in zip(indices, responses):
-                    is_primary = owners_per_item[i] and owners_per_item[i][0] == shard
-                    if is_primary:
-                        if verdicts[i] is not None:
-                            self._count_replica_ack(verdicts[i])
-                        verdicts[i] = response
-                        primary_seen[i] = True
-                    elif verdicts[i] is None:
-                        verdicts[i] = response
-                    else:
-                        self._count_replica_ack(response)
-            out: list[Message] = []
-            for i, verdict in enumerate(verdicts):
-                if verdict is None:
-                    out.append(PutResponse(accepted=False, reason=NO_LIVE_OWNER))
-                else:
-                    out.append(verdict)
-            return out
+    def wait_gets(self, router_id: int, n_items: int | None = None) -> list[Message]:
+        """Settle one GET group; per-item semantics match ``call_batch``.
 
-    # -- one-way sends ---------------------------------------------------------
+        A group whose shard failed (at submit or in flight) falls back to
+        per-item routing through the surviving replicas; a live primary's
+        per-item miss consults the replicas and read-repairs the primary
+        on a replica hit.  Items with no live owner anywhere come back as
+        ``found=False`` / ``no live owner``.
+        """
+        return self._settle_get_group(
+            self._claim(router_id, _GetGroup, single=False, n_items=n_items)
+        )
+
+    def plan_puts(self, requests: list[PutRequest]) -> list[list[int]]:
+        """Partition PUT indices by primary owner shard.
+
+        Like :meth:`plan_gets`, each group's copies ship as one channel
+        record per owner shard instead of one record per item, so a
+        round of N replicated PUTs costs O(shards) records.  Items with
+        no live owner form their own group (answered without touching
+        the wire)."""
+        return self._plan(requests, self._write_owners)
+
+    def submit_puts(self, requests: list[PutRequest]) -> int:
+        """Submit one :meth:`plan_puts` group: one batch record to every
+        owner shard of the group's items; returns a router slot id for
+        :meth:`wait_puts`."""
+        return self._park(self._submit_put_group(list(requests), _PIPELINED))
+
+    def wait_puts(self, router_id: int, n_items: int | None = None) -> list[Message]:
+        """Settle one PUT group; per-item semantics match
+        ``call_batch``: the primary's verdict is authoritative where it
+        is live, replica verdicts are absorbed into router counters, and
+        items no live owner answered come back ``accepted=False`` with a
+        ``no live owner`` reason."""
+        return self._settle_group(
+            self._claim(router_id, _PutGroup, single=False, n_items=n_items)
+        )
+
+    # -- one-way sends: settled by drain_responses -------------------------------
     def send_oneway(self, request: Message) -> int:
+        """Fire-and-forget one PUT to every owner; returns the router
+        slot id its ack will carry out of :meth:`drain_responses`."""
         if not isinstance(request, PutRequest):
             raise ProtocolError("one-way sends carry PUT requests")
-        self.stats.puts_routed += 1
-        router_id = self._fresh_router_id()
-        keys: set[tuple[str, int]] = set()
-        for index, shard in enumerate(self._write_owners(request.tag)):
-            if index:
-                self.stats.replica_puts += 1
-            if not self._oneway_allowed(shard):
-                continue  # breaker open: the PUT stays unacknowledged
-            local_id = self._clients[shard].send_oneway(request)
-            key = (shard, local_id)
-            keys.add(key)
-            self._single_by_key[key] = router_id
-        self._single_keys[router_id] = keys
-        return router_id
+        group = self._submit_put_group([request], _ONEWAY, single=True)
+        group.router_id = self._fresh_router_id()
+        return group.router_id
 
     def send_oneway_batch(self, requests: list[PutRequest]) -> int:
-        requests = list(requests)
-        router_id = self._fresh_router_id()
-        self.stats.puts_routed += len(requests)
-        owners_per_item = [self._write_owners(r.tag) for r in requests]
-        pending = _PendingBatch(
-            router_id=router_id,
-            n_items=len(requests),
-            primaries=[owners[0] if owners else "" for owners in owners_per_item],
-        )
-        groups: dict[str, list[int]] = {}
-        for i, owners in enumerate(owners_per_item):
-            for k, shard in enumerate(owners):
-                groups.setdefault(shard, []).append(i)
-                if k:
-                    self.stats.replica_puts += 1
-        for shard, indices in sorted(groups.items()):
-            if not self._oneway_allowed(shard):
-                continue  # breaker open: those items stay unacknowledged
-            sub = [requests[i] for i in indices]
-            if len(sub) == 1:
-                local_id = self._clients[shard].send_oneway(sub[0])
-            else:
-                local_id = self._clients[shard].send_oneway_batch(sub)
-            self._batch_by_key[(shard, local_id)] = (router_id, list(indices))
-        self._batches[router_id] = pending
-        return router_id
+        """Fire-and-forget a PUT batch, one record per owner shard; its
+        merged :class:`BatchPutResponse` comes out of
+        :meth:`drain_responses` under the returned slot id."""
+        group = self._submit_put_group(list(requests), _ONEWAY)
+        group.router_id = self._fresh_router_id()
+        return group.router_id
 
-    # -- drain / correlation ---------------------------------------------------
     def drain_responses(self) -> list[Message]:
-        """Drain every shard client, remap shard-local correlation ids to
-        router ids, and emit at most one response per router id.
+        """Settle one-way groups from the acks that have arrived: drain
+        every shard client, merge each ack into its group, and emit one
+        response per group, under its router slot id, once every item of
+        it has a verdict.
 
-        Replica acks beyond the first, read-repair acks, and stale
-        responses from revived shards are absorbed into router counters
-        instead of reaching the runtime, whose PUT accounting therefore
-        sees the cluster exactly as it would see one store.
+        Acks that arrive after a group was emitted, read-repair acks,
+        and stale responses from revived shards are absorbed into router
+        counters instead of reaching the runtime, whose PUT accounting
+        therefore sees the cluster exactly as it would see one store.
         """
-        out: list[Message] = []
+        touched: dict[int, _PutGroup] = {}
         for shard in sorted(self._clients):
             for response in self._clients[shard].drain_responses():
-                self._dispatch_drained(shard, response, out)
-        return out
-
-    def _dispatch_drained(
-        self, shard: str, response: Message, out: list[Message]
-    ) -> None:
-        key = (shard, response.request_id)
-        if key in self._absorb_keys:
-            self._absorb_keys.discard(key)
-            if isinstance(response, PutResponse) and response.accepted:
-                self.stats.repair_acks += 1
-            else:
-                self.stats.repair_rejects += 1
-            return
-        if key in self._single_by_key:
-            router_id = self._single_by_key.pop(key)
-            self._single_keys[router_id].discard(key)
-            if not self._single_keys[router_id]:
-                del self._single_keys[router_id]
-            if router_id in self._single_done:
-                self._count_replica_ack(response)
-                return
-            self._single_done.add(router_id)
-            out.append(with_request_id(response, router_id))
-            return
-        if key in self._batch_by_key:
-            router_id, indices = self._batch_by_key.pop(key)
-            pending = self._batches.get(router_id)
-            if pending is None:
-                return
-            self._merge_batch_acks(pending, shard, indices, response)
-            if (
-                not pending.emitted
-                and len(pending.verdicts) == pending.n_items
-            ):
-                pending.emitted = True
-                out.append(
-                    BatchPutResponse(
-                        items=tuple(
-                            pending.verdicts[i] for i in range(pending.n_items)
-                        ),
-                        request_id=router_id,
-                    )
-                )
-            return
-        # Unknown id: a stale response from a revived shard, or a reply
-        # to a send the router already accounted.  Dropped by design.
-
-    def _merge_batch_acks(
-        self,
-        pending: _PendingBatch,
-        shard: str,
-        indices: list[int],
-        response: Message,
-    ) -> None:
-        if isinstance(response, BatchPutResponse):
-            items: list[PutResponse | ErrorMessage] = list(response.items)
-        elif isinstance(response, (PutResponse, ErrorMessage)):
-            items = [response]
-        else:
-            return
-        if len(items) != len(indices):
-            return  # malformed: leave those items unacknowledged
-        for i, item in zip(indices, items):
-            if isinstance(item, ErrorMessage):
-                # A per-shard failure verdict; rejected is the closest
-                # per-item shape a merged batch response can carry.  The
-                # reason stays machine-readable: errors.StoreError's code
-                # plus the numeric wire code.
-                item = PutResponse(
-                    accepted=False, reason=f"store_error:{item.code}"
-                )
-            if pending.emitted or i in pending.primary_seen:
-                self._count_replica_ack(item)
+                key = (shard, response.request_id)
+                if key in self._absorb_keys:
+                    self._absorb_keys.discard(key)
+                    if isinstance(response, PutResponse) and response.accepted:
+                        self.stats.repair_acks += 1
+                    else:
+                        self.stats.repair_rejects += 1
+                    continue
+                # Unknown id: a stale response from a revived shard, or a
+                # reply to a send the router already accounted.  Dropped.
+                group, positions = self._oneway.pop(key, (None, ()))
+                if isinstance(response, BatchPutResponse):
+                    acks = list(response.items)
+                else:
+                    acks = [response]
+                if group is None or len(acks) != len(positions) or not all(
+                    isinstance(ack, (PutResponse, ErrorMessage)) for ack in acks
+                ):
+                    continue  # malformed: those items stay unacknowledged
+                self._merge_put_acks(group, shard, positions, acks)
+                touched[group.router_id] = group
+        out: list[Message] = []
+        for router_id, group in touched.items():
+            if group.emitted or None in group.verdicts:
                 continue
-            if pending.primaries[i] == shard:
-                if i in pending.verdicts:
-                    self._count_replica_ack(pending.verdicts[i])
-                pending.verdicts[i] = item
-                pending.primary_seen.add(i)
-            elif i in pending.verdicts:
-                self._count_replica_ack(item)
-            else:
-                pending.verdicts[i] = item
+            group.emitted = True
+            if group.single:
+                out.append(with_request_id(group.verdicts[0], router_id))
+                continue
+            # A shard's error verdict for its item: rejected is the closest
+            # per-item shape a merged batch response can carry.  The reason
+            # stays machine-readable: errors.StoreError's code plus the
+            # numeric wire code.
+            out.append(BatchPutResponse(
+                items=tuple(
+                    PutResponse(accepted=False, reason=f"store_error:{v.code}")
+                    if isinstance(v, ErrorMessage) else v
+                    for v in group.verdicts
+                ),
+                request_id=router_id,
+            ))
+        return out
 
     # -- observability ---------------------------------------------------------
     def snapshot(self) -> dict:

@@ -58,7 +58,6 @@ from ..errors import (
 )
 from ..net.messages import (
     BatchPutResponse,
-    ErrorMessage,
     GetRequest,
     GetResponse,
     Message,
@@ -207,16 +206,15 @@ class DedupRuntime:
         self._pending_puts: list[PutRequest] = []
         # Optional pipelined execution engine (see repro.engine); when
         # attached, stage-2 GETs and stage-4 PUTs of execute_many go
-        # through its concurrent submit/wait fan-out instead of the
-        # serial call_batch path.
+        # through its pipelined rounds of shard groups instead of the
+        # blocking call_batch path.
         self.engine = None
         self._closed = False
-        # Correlation id -> number of PUT items awaiting a response.
-        self._inflight_puts: dict[int, int] = {}
-        # Correlation id -> the tags those PUT items carried, in order,
-        # so acks can be attributed to tags (the simulation harness's
-        # durability invariant: an acknowledged tag must stay servable).
-        self._inflight_put_tags: dict[int, tuple[bytes, ...]] = {}
+        # Correlation id -> the tags of the PUT items awaiting a response,
+        # in order, so acks can be attributed to tags (the simulation
+        # harness's durability invariant: an acknowledged tag must stay
+        # servable).
+        self._inflight_puts: dict[int, tuple[bytes, ...]] = {}
         self.acked_put_tags: set[bytes] = set()
         self.l1_cache: L1ResultCache | None = None
         if self.config.l1_cache_entries > 0:
@@ -231,8 +229,8 @@ class DedupRuntime:
         """Attach a :class:`~repro.engine.PipelineEngine`.
 
         Once attached, :meth:`execute_many` fans its batched GETs and
-        synchronous PUTs out through the engine's pipelined
-        ``submit()/wait()`` surface (with single-flight tag coalescing),
+        synchronous PUTs out through the engine's pipelined rounds of
+        shard groups (with single-flight tag coalescing),
         and asynchronous PUT drains are accounted as the engine's
         background lane.  Per-item results, clock charges, and counters
         stay identical to the serial path; only the schedule — and hence
@@ -568,48 +566,9 @@ class DedupRuntime:
 
                 # Stage 4: ship all synchronous PUTs as one record/OCALL.
                 if sync_puts:
-                    payload = sum(len(p.sealed_result) + 128 for p in sync_puts)
-                    if self.engine is not None:
-                        with self.enclave.ocall("batch_put_request", in_bytes=payload):
-                            put_batch = self.engine.run_puts(sync_puts)
-                        if not self.config.degrade_on_store_failure:
-                            for response in put_batch.responses:
-                                if isinstance(response, Exception):
-                                    raise response
-                        self.stats.puts_sent += len(sync_puts)
-                        for put, response in zip(sync_puts, put_batch.responses):
-                            if isinstance(response, Exception):
-                                self.stats.puts_failed += 1
-                            elif (
-                                isinstance(response, PutResponse)
-                                and response.accepted
-                            ):
-                                self.stats.puts_accepted += 1
-                                self.acked_put_tags.add(put.tag)
-                            else:
-                                self.stats.puts_rejected += 1
-                    else:
-                        try:
-                            with self.enclave.ocall(
-                                "batch_put_request", in_bytes=payload
-                            ):
-                                responses = self.client.call_batch(sync_puts)
-                        except _STORE_FAILURES:
-                            if not self.config.degrade_on_store_failure:
-                                raise
-                            self.stats.puts_sent += len(sync_puts)
-                            self.stats.puts_failed += len(sync_puts)
-                        else:
-                            self.stats.puts_sent += len(sync_puts)
-                            for put, response in zip(sync_puts, responses):
-                                if (
-                                    isinstance(response, PutResponse)
-                                    and response.accepted
-                                ):
-                                    self.stats.puts_accepted += 1
-                                    self.acked_put_tags.add(put.tag)
-                                else:
-                                    self.stats.puts_rejected += 1
+                    self._send_puts_sync(
+                        "batch_put_request", sync_puts, self._batch_put_verdicts
+                    )
 
         total_wall = time.perf_counter() - wall_start
         total_sim = self.clock.since(sim_start) / self.clock.params.cpu_freq_hz
@@ -876,23 +835,48 @@ class DedupRuntime:
             if self.config.async_put:
                 self._enqueue_put(put)
             else:
-                self._send_put_sync(put)
+                self._send_puts_sync(
+                    "put_request", [put], lambda puts: [self.client.call(puts[0])]
+                )
         return result_value, len(result_bytes), compute_sim
 
-    def _send_put_sync(self, put: PutRequest) -> None:
+    def _batch_put_verdicts(self, puts: list[PutRequest]) -> Sequence:
+        if self.engine is not None:
+            return self.engine.run_puts(puts).responses
+        return self.client.call_batch(puts)
+
+    def _send_puts_sync(
+        self, ocall: str, puts: list[PutRequest], send: Callable[[list], Sequence]
+    ) -> None:
+        """Run ``send(puts)``, the PUTs' round trip, under one OCALL and
+        account every PUT's verdict.  ``send`` returns one verdict per
+        PUT (an exception instance for an op the store did not serve); a
+        round trip lost whole is every PUT's failure.  Failures surface
+        unless the runtime degrades on store failure."""
+        payload = sum(len(p.sealed_result) + 128 for p in puts)
         try:
-            with self.enclave.ocall("put_request", in_bytes=len(put.sealed_result) + 128):
-                response = self.client.call(put)
-        except _STORE_FAILURES:
-            if not self.config.degrade_on_store_failure:
-                raise
-            self.stats.puts_sent += 1
+            with self.enclave.ocall(ocall, in_bytes=payload):
+                verdicts = send(puts)
+        except _STORE_FAILURES as exc:
+            verdicts = [exc] * len(puts)
+        if not self.config.degrade_on_store_failure:
+            for verdict in verdicts:
+                if isinstance(verdict, Exception):
+                    raise verdict
+        self.stats.puts_sent += len(puts)
+        for put, verdict in zip(puts, verdicts):
+            self._account_put(put.tag, verdict)
+
+    def _account_put(self, tag: bytes, verdict) -> None:
+        """Land one sent PUT in exactly one of ``puts_accepted`` (its tag
+        joins :attr:`acked_put_tags`), ``puts_rejected`` (the store said
+        no) or ``puts_failed`` (no verdict: the round trip was lost, or
+        the store answered with an error)."""
+        if not isinstance(verdict, PutResponse):
             self.stats.puts_failed += 1
-            return
-        self.stats.puts_sent += 1
-        if isinstance(response, PutResponse) and response.accepted:
+        elif verdict.accepted:
             self.stats.puts_accepted += 1
-            self.acked_put_tags.add(put.tag)
+            self.acked_put_tags.add(tag)
         else:
             self.stats.puts_rejected += 1
 
@@ -946,8 +930,7 @@ class DedupRuntime:
             request_id = self.client.send_oneway(batch[0])
         else:
             request_id = self.client.send_oneway_batch(batch)
-        self._inflight_puts[request_id] = len(batch)
-        self._inflight_put_tags[request_id] = tuple(p.tag for p in batch)
+        self._inflight_puts[request_id] = tuple(p.tag for p in batch)
         self.stats.puts_sent += len(batch)
 
     def flush_puts(self) -> int:
@@ -977,32 +960,20 @@ class DedupRuntime:
 
     def _account_put_responses(self, responses: Sequence[Message]) -> None:
         for response in responses:
-            count = self._inflight_puts.pop(response.request_id, None)
-            if count is None:
+            tags = self._inflight_puts.pop(response.request_id, None)
+            if tags is None:
                 # Not a reply to any PUT we are waiting on (e.g. an
                 # uncorrelated decode error): the affected PUTs remain
                 # in puts_unacknowledged rather than being guessed at.
                 continue
-            tags = self._inflight_put_tags.pop(response.request_id, ())
-            if isinstance(response, PutResponse):
-                if response.accepted:
-                    self.stats.puts_accepted += 1
-                    if tags:
-                        self.acked_put_tags.add(tags[0])
-                else:
-                    self.stats.puts_rejected += 1
-            elif isinstance(response, BatchPutResponse):
-                for index, item in enumerate(response.items):
-                    if item.accepted:
-                        self.stats.puts_accepted += 1
-                        if index < len(tags):
-                            self.acked_put_tags.add(tags[index])
-                    else:
-                        self.stats.puts_rejected += 1
-            elif isinstance(response, ErrorMessage):
-                self.stats.puts_failed += count
+            if isinstance(response, BatchPutResponse):
+                verdicts: Sequence = response.items
             else:
-                self.stats.puts_failed += count
+                # A lone PUT's own verdict, or an error reply that fails
+                # every PUT of the send.
+                verdicts = [response] * len(tags)
+            for tag, verdict in zip(tags, verdicts):
+                self._account_put(tag, verdict)
 
     @property
     def pending_put_count(self) -> int:
@@ -1011,7 +982,7 @@ class DedupRuntime:
     @property
     def puts_unacknowledged(self) -> int:
         """Flushed PUTs whose response has not been drained (or was lost)."""
-        return sum(self._inflight_puts.values())
+        return sum(len(tags) for tags in self._inflight_puts.values())
 
     def snapshot(self) -> dict:
         """The runtime's full observability export: every RuntimeStats

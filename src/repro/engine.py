@@ -3,11 +3,11 @@
 Every layer below this one is synchronous: ``RpcClient.call`` blocks on
 its own response, so a GET to shard A serializes behind a GET to shard
 B even though distinct shards are distinct machines.  The engine drives
-the pipelined ``submit()/wait()`` surface instead — up to ``depth``
-correlated requests are put on the wire before the first response is
-consumed — and adds **single-flight tag coalescing**: identical
-in-flight tags share one store round trip, with followers handed the
-leader's response.
+the client's grouped ``plan_*``/``submit_*``/``wait_*`` surface instead:
+a round of up to ``depth`` requests is partitioned into shard groups,
+every group is put on the wire before the first response is consumed,
+and **single-flight tag coalescing** lets identical in-flight tags
+share one store round trip, with followers handed the leader's response.
 
 Simulated-time correctness
 --------------------------
@@ -322,9 +322,9 @@ class PipelineEngine:
     Parameters
     ----------
     client:
-        Anything with ``submit(request) -> id`` / ``wait(id) -> Message``
-        — an :class:`~repro.net.rpc.RpcClient` or a
-        :class:`~repro.cluster.router.ClusterRouter`.
+        An :class:`~repro.net.rpc.RpcClient` or a
+        :class:`~repro.cluster.router.ClusterRouter`: anything with
+        ``plan_gets``/``submit_gets``/``wait_gets`` and the PUT twins.
     clock:
         The application machine's SimClock (client-side costs land here).
     shard_clocks:
@@ -454,10 +454,10 @@ class PipelineEngine:
 
         Exactly one store round trip is performed per distinct tag; the
         followers of a tag receive the leader's response object without
-        touching the wire (and without charging any clock).  When the
-        client can plan shard groups (``plan_gets``), each round fans out
-        one sub-batch record per shard so the shards serve concurrently
-        and the channel's AEAD cost stays amortized across the group.
+        touching the wire (and without charging any clock).  Each round
+        fans out one sub-batch record per shard group the client plans
+        (``plan_gets``), so the shards serve concurrently and the
+        channel's AEAD cost stays amortized across the group.
         """
         requests = list(requests)
         responses: list = [None] * len(requests)
@@ -478,19 +478,15 @@ class PipelineEngine:
         else:
             wire = list(range(len(requests)))
         self.coalesced_total += len(leader_of)
-        grouped = hasattr(self.client, "plan_gets") and hasattr(
-            self.client, "submit_gets"
-        )
         start = 0
         while start < len(wire):
             depth = self.depth_current  # re-read: adaptive depth moves
             round_indices = wire[start:start + depth]
             start += depth
-            ops = [(i, requests[i]) for i in round_indices]
-            if grouped:
-                self._run_get_round(ops, responses)
-            else:
-                self._run_round(ops, responses)
+            self._run_round(
+                [(i, requests[i]) for i in round_indices], responses,
+                self.client.plan_gets, self.client.submit_gets, self.client.wait_gets,
+            )
         for follower, leader in leader_of.items():
             responses[follower] = responses[leader]
         return EngineBatch(responses=responses, leader_of=leader_of)
@@ -498,14 +494,11 @@ class PipelineEngine:
     def run_puts(self, requests: Sequence[Message]) -> EngineBatch:
         """Pipeline a list of PUTs (never coalesced: every PUT wants its
         own durability verdict, and the store dedups identical tags).
-        When the client can plan shard groups (``plan_puts``), each round
-        ships one grouped sub-batch record per owner shard instead of
-        per-item PUTs, so the shards absorb their copies concurrently."""
+        Each round ships one grouped sub-batch record per owner shard of
+        the groups the client plans (``plan_puts``) instead of per-item
+        PUTs, so the shards absorb their copies concurrently."""
         requests = list(requests)
         responses: list = [None] * len(requests)
-        grouped = hasattr(self.client, "plan_puts") and hasattr(
-            self.client, "submit_puts"
-        )
         start = 0
         while start < len(requests):
             depth = self.depth_current  # re-read: adaptive depth moves
@@ -514,39 +507,25 @@ class PipelineEngine:
                 for i in range(start, min(start + depth, len(requests)))
             ]
             start += depth
-            if grouped:
-                self._run_put_round(ops, responses)
-            else:
-                self._run_round(ops, responses)
+            self._run_round(
+                ops, responses,
+                self.client.plan_puts, self.client.submit_puts, self.client.wait_puts,
+            )
         return EngineBatch(responses=responses)
 
-    def _run_get_round(self, ops: list, responses: list) -> None:
-        """One pipelined GET round over the client's shard groups.
+    def _run_round(
+        self, ops: list, responses: list, plan, submit, wait
+    ) -> None:
+        """One pipelined round over the client's shard groups.
 
         The round's ops are partitioned by the client (one group per
         primary shard); each group ships as a single record, is served by
         its shard concurrently with the other groups, and its app-side
-        send/receive cost occupies one worker lane.  Clock charges stay
-        identical to the serial per-shard sub-batch path; only the
-        makespan accounting interprets them as overlapped.
+        send/receive cost occupies one worker lane (replicated PUT copies
+        are the client's concern and stay inside their group's slot).
+        Clock charges stay identical to the serial per-shard sub-batch
+        path; only the makespan accounting interprets them as overlapped.
         """
-        self._run_grouped_round(
-            ops, responses, self.client.plan_gets,
-            self.client.submit_gets, self.client.wait_gets,
-        )
-
-    def _run_put_round(self, ops: list, responses: list) -> None:
-        """One pipelined PUT round over the client's shard groups (same
-        schedule shape as :meth:`_run_get_round`; replicated copies are
-        the client's concern and stay inside each group's slot)."""
-        self._run_grouped_round(
-            ops, responses, self.client.plan_puts,
-            self.client.submit_puts, self.client.wait_puts,
-        )
-
-    def _run_grouped_round(
-        self, ops: list, responses: list, plan, submit, wait
-    ) -> None:
         remote = self._remote_clocks()
         migration = self._migration_active()
         failures0 = self.failures
@@ -608,82 +587,6 @@ class PipelineEngine:
             # The depth governor judges the *foreground* critical path:
             # background (flusher/migration) work folded into this round
             # is not evidence that the submit window is too deep.
-            fg_makespan = max(
-                max(lane_busy),
-                max(shard_fg, default=0.0),
-                max(chains, default=0.0),
-            )
-            serial = sum(lane_busy) + sum(shard_busy) + bg_app
-            span.set("makespan_cycles", makespan)
-            span.set("serial_cycles", serial)
-        self.makespan_cycles += makespan
-        self.serial_cycles += serial
-        self.rounds += 1
-        self.ops += len(ops)
-        self._observe_round(
-            len(ops), fg_makespan, self.failures - failures0, migration
-        )
-
-    def _run_round(self, ops: list, responses: list) -> None:
-        """Submit every op of the round, then settle them in order.
-
-        Clock charges are identical to the serial path; only the
-        makespan accounting interprets them as overlapped.
-        """
-        remote = self._remote_clocks()
-        migration = self._migration_active()
-        failures0 = self.failures
-        lanes = self._lanes(remote)
-        round_start = {sid: c.snapshot() for sid, c in remote.items()}
-        lane_busy = [0.0] * lanes
-        chains: list[float] = []
-        with self.tracer.span(
-            "engine.round", clock=self.clock, ops=len(ops), lanes=lanes
-        ) as span:
-            pending: list = []
-            for slot, (index, request) in enumerate(ops):
-                app0 = self.clock.snapshot()
-                shard0 = {sid: c.snapshot() for sid, c in remote.items()}
-                handle = error = None
-                try:
-                    handle = self.client.submit(request)
-                except _ENGINE_FAILURES as exc:
-                    error = exc
-                app_d = self.clock.since(app0)
-                shard_d = sum(c.since(shard0[sid]) for sid, c in remote.items())
-                pending.append((slot, index, handle, error, app_d, shard_d))
-            for slot, index, handle, error, app_d, shard_d in pending:
-                app0 = self.clock.snapshot()
-                shard0 = {sid: c.snapshot() for sid, c in remote.items()}
-                if error is None:
-                    try:
-                        response: object = self.client.wait(handle)
-                    except _ENGINE_FAILURES as exc:
-                        response = exc
-                        self.failures += 1
-                else:
-                    response = error
-                    self.failures += 1
-                app_d += self.clock.since(app0)
-                shard_d += sum(c.since(shard0[sid]) for sid, c in remote.items())
-                lane_busy[slot % lanes] += app_d
-                chains.append(app_d + shard_d)
-                responses[index] = response
-            shard_fg = [c.since(round_start[sid]) for sid, c in remote.items()]
-            shard_busy = [
-                fg + self._bg_shard.pop(sid, 0.0)
-                for fg, sid in zip(shard_fg, remote)
-            ]
-            bg_app = self._bg_app
-            self._bg_app = 0.0
-            makespan = max(
-                max(lane_busy),
-                max(shard_busy, default=0.0),
-                max(chains, default=0.0),
-                bg_app,
-            )
-            # Foreground-only critical path for the depth governor (see
-            # _run_grouped_round): background lanes are not depth evidence.
             fg_makespan = max(
                 max(lane_busy),
                 max(shard_fg, default=0.0),

@@ -4,32 +4,30 @@ DedupRuntime issues a synchronous ``GET_REQUEST`` (the OCALL "needs to
 wait until receiving corresponding GET_RESPONSE", §IV-B) and an
 asynchronous ``PUT_REQUEST``.  The server side is a reactor: the network
 invokes it as messages arrive, which models the ResultStore process
-draining its socket.
+draining its socket.  All payloads crossing this layer are channel
+*records*: plaintext messages only ever exist inside the two enclaves.
 
-All payloads crossing this layer are channel *records* — the plaintext
-messages only ever exist inside the two enclaves.
+One request path: every waited-for request is *started* (given a
+correlation id the server echoes, remembered whole, sent) and later
+*settled* (its own response taken from the inbox, under the retry
+schedule).  :meth:`RpcClient.call` is start+settle in one step,
+``submit``/``wait`` split the two so N requests are in flight at once,
+``call_batch`` and ``submit_gets``/``submit_puts`` do either with a
+uniform list shipped as one ``BATCH_*`` message: one channel record (one
+AEAD seal/open per direction) and one server-side ECALL instead of N of
+each.  A settle always receives *its own* response: replies to other
+started requests are parked for their waiters, replies to one-way sends
+are handed out by :meth:`RpcClient.drain_responses`.
 
-Correlation: every outgoing request carries a client-assigned
-``request_id`` which the server echoes.  A synchronous :meth:`RpcClient.call`
-therefore always receives *its own* response even when replies to earlier
-one-way sends are still sitting in the inbox — those are buffered and
-handed out by :meth:`RpcClient.drain_responses` instead of being
-mis-delivered to the next caller.
-
-Batching: :meth:`RpcClient.call_batch` ships a uniform list of GET or PUT
-requests as one ``BATCH_*`` message, so the whole batch costs one channel
-record (one AEAD seal/open per direction) and one server-side ECALL
-instead of N of each.
-
-Fault tolerance: an optional :class:`RetryPolicy` makes :meth:`RpcClient.call`
-retry transient failures with exponential backoff (charged to the
-SimClock) and *deterministic* jitter.  Retries reuse the original
-correlation id, so a retried PUT whose first copy actually arrived is a
-store-side duplicate ("already stored", accepted) rather than a double
-write — idempotency keyed by correlation id.  Wire-duplicated or
-replayed response records are rejected by the channel's sequence check
-(counted, not fatal), and duplicate response *ids* that survive an
-unsequenced channel are dropped before they can reach the wrong waiter.
+Fault tolerance: an optional :class:`RetryPolicy` makes a settle retry
+transient failures with exponential backoff (charged to the SimClock)
+and *deterministic* jitter.  Retries reuse the original correlation id,
+so a retried PUT whose first copy actually arrived is a store-side
+duplicate ("already stored", accepted) rather than a double write.
+Wire-duplicated or replayed response records are rejected by the
+channel's sequence check (counted, not fatal), and duplicate response
+*ids* that survive an unsequenced channel are dropped before they can
+reach the wrong waiter.
 """
 
 from __future__ import annotations
@@ -204,49 +202,53 @@ class RpcClient:
         _source, record = self._endpoint.recv()
         return decode_message(self._channel.unprotect(record))
 
-    def call(self, request: Message) -> Message:
-        """Send a request and block on the *matching* response.
+    # -- the one request path: start, then settle ------------------------------
+    def _start(self, request: Message) -> int:
+        """Assign a correlation id, remember the request whole (so
+        :meth:`_settle` can resend it under the same id) and send it.  A
+        send that fails outright is left to the settle's retry schedule."""
+        request_id = self._fresh_request_id()
+        request = with_request_id(request, request_id)
+        self._pipeline[request_id] = request
+        try:
+            self._send(request)
+        except TransportError:
+            pass  # _settle retries (or surfaces) under the same id
+        return request_id
 
-        Responses carrying other correlation ids (replies to earlier
-        one-way sends) are buffered for :meth:`drain_responses` rather
-        than returned here.  An uncorrelated ``ErrorMessage`` (the server
-        could not even parse the offending request, so it could not echo
-        an id) is surfaced to this caller.
-
-        With a :class:`RetryPolicy` attached, transient failures (no
-        response, and optionally server errors) are retried under the
-        *same* correlation id after a backoff charged to the SimClock —
-        a retried PUT whose first copy landed is deduplicated store-side.
-        """
-        with self.tracer.span(
-            "rpc.call", clock=self.clock,
-            message=type(request).__name__, server=self._server_address,
-        ):
-            request_id = self._fresh_request_id()
-            request = with_request_id(request, request_id)
-            policy = self.retry_policy
-            attempts = max(1, policy.max_attempts) if policy is not None else 1
-            last_error: Exception | None = None
+    def _settle(self, request_id: int) -> Message:
+        """Block on the response to a started request.  With a
+        :class:`RetryPolicy`, transient failures (no response, optionally
+        server errors) are retried under the *same* correlation id after
+        a backoff charged to the SimClock, so a retried PUT whose first
+        copy landed is deduplicated store-side."""
+        request = self._pipeline[request_id]
+        policy = self.retry_policy
+        attempts = max(1, policy.max_attempts) if policy is not None else 1
+        last_error: Exception | None = None
+        try:
             for attempt in range(attempts):
-                if attempt:
-                    self.retries += 1
-                    self._charge_backoff(policy, attempt - 1, request_id)
                 try:
-                    self._send(request)
-                    return self._await_response(request_id)
+                    if attempt:
+                        self.retries += 1
+                        self._charge_backoff(policy, attempt - 1, request_id)
+                        self._send(request)
+                    return self._take_response(request_id)
                 except TransportError as exc:
                     last_error = exc
                 except ProtocolError as exc:
                     if policy is None or not policy.retry_protocol_errors:
                         raise
                     last_error = exc
-            assert last_error is not None
-            if attempts > 1:
-                raise RetryExhaustedError(
-                    f"request {request_id} to {self._server_address!r} failed "
-                    f"after {attempts} attempts: {last_error}"
-                ) from last_error
-            raise last_error
+        finally:
+            self._pipeline.pop(request_id, None)
+        assert last_error is not None
+        if attempts > 1:
+            raise RetryExhaustedError(
+                f"request {request_id} to {self._server_address!r} failed "
+                f"after {attempts} attempts: {last_error}"
+            ) from last_error
+        raise last_error
 
     def _charge_backoff(self, policy: RetryPolicy, retry_index: int, request_id: int) -> None:
         salt = self._server_address.encode() + request_id.to_bytes(8, "big")
@@ -255,49 +257,82 @@ class RpcClient:
         if self.clock is not None:
             self.clock.charge_seconds(delay, "backoff")
 
-    def _await_response(self, request_id: int) -> Message:
-        """Scan the inbox for the response correlated with ``request_id``.
-
-        Records the channel rejects (duplicated/reordered/corrupted wire
-        records fail the sequence or AEAD check) are counted and skipped
-        rather than aborting the call; responses whose correlation id was
-        already answered are dropped so a replay can never be delivered
-        to a different waiter.
-        """
-        while self._endpoint.pending():
+    def _take_response(self, request_id: int) -> Message:
+        """One settle attempt: a response parked while another waiter was
+        scanning first, then the inbox.  Records the channel rejects
+        (duplicated/reordered/corrupted wire records fail the sequence or
+        AEAD check) are counted and skipped rather than aborting the call;
+        responses whose correlation id was already answered are dropped so
+        a replay can never be delivered to a different waiter."""
+        response = self._completed.pop(request_id, None)
+        while response is None:
+            if not self._endpoint.pending():
+                raise TransportError("no response arrived (server reactor not attached?)")
             try:
-                response = self._recv_one()
+                candidate = self._recv_one()
             except ChannelError:
                 self.records_rejected += 1
                 continue
-            rid = response.request_id
+            rid = candidate.request_id
             if rid == request_id:
-                self._seen_response_ids.add(rid)
-                if isinstance(response, ErrorMessage):
-                    raise ProtocolError(
-                        f"server error {response.code}: {response.detail}"
-                    )
-                return response
-            if isinstance(response, ErrorMessage) and rid == 0:
-                raise ProtocolError(
-                    f"server error {response.code}: {response.detail}"
-                )
-            if (
-                rid in self._seen_response_ids
-                or rid in self._stray_ids
-                or rid in self._completed
-            ):
+                response = candidate
+            elif isinstance(candidate, ErrorMessage) and rid == 0:
+                # The server could not even parse the offending request,
+                # so it could not echo an id: surfaced to this caller.
+                raise ProtocolError(f"server error {candidate.code}: {candidate.detail}")
+            elif rid in self._seen_response_ids or rid in self._stray_ids or rid in self._completed:
                 self.duplicates_dropped += 1
-                continue
-            if rid in self._pipeline:
-                # Another submitted slot's response: park it for its waiter.
-                self._completed[rid] = response
-                continue
-            self._stray_ids.add(rid)
-            self._stray_responses.append(response)
-        raise TransportError("no response arrived (server reactor not attached?)")
+            elif rid in self._pipeline:
+                # Another started request's response: park it for its waiter.
+                self._completed[rid] = candidate
+            else:
+                # A reply to an earlier one-way send: for drain_responses().
+                self._stray_ids.add(rid)
+                self._stray_responses.append(candidate)
+        self._seen_response_ids.add(request_id)
+        if isinstance(response, ErrorMessage):
+            raise ProtocolError(f"server error {response.code}: {response.detail}")
+        return response
 
-    # -- multi-slot pipelining ----------------------------------------------
+    @staticmethod
+    def _as_record(requests: Sequence[Message], batch_type: type) -> Message:
+        """A group's wire form: a lone item travels as itself."""
+        requests = tuple(requests)
+        return requests[0] if len(requests) == 1 else batch_type(items=requests)
+
+    @staticmethod
+    def _group_items(response: Message, n_items: int, batch_type: type | None) -> list[Message]:
+        """Per-item responses of a group the store must answer with
+        ``batch_type`` (``None``: a lone item, answered as itself)."""
+        if batch_type is None:
+            return [response]
+        if not isinstance(response, batch_type):
+            raise ProtocolError(f"store answered batch with {type(response).__name__}")
+        if len(response.items) != n_items:
+            raise ProtocolError(f"batch response has {len(response.items)} items, not {n_items}")
+        return list(response.items)
+
+    def _span(self, name: str, request: Message, **attrs):
+        return self.tracer.span(
+            name, clock=self.clock,
+            message=type(request).__name__, server=self._server_address, **attrs,
+        )
+
+    # -- public entry points: compositions of start/settle ---------------------
+    def call(self, request: Message) -> Message:
+        """Send a request and block on the *matching* response: start
+        and settle in one step.
+
+        Responses carrying other correlation ids (replies to earlier
+        one-way sends) are buffered for :meth:`drain_responses` rather
+        than returned here.  An uncorrelated ``ErrorMessage`` (the server
+        could not even parse the offending request, so it could not echo
+        an id) is surfaced to this caller.  Retries follow the attached
+        :class:`RetryPolicy` (see :meth:`_settle`).
+        """
+        with self._span("rpc.call", request):
+            return self._settle(self._start(request))
+
     def submit(self, request: Message) -> int:
         """Send a correlated request without waiting; returns its slot id.
 
@@ -308,20 +343,10 @@ class RpcClient:
         retry policy, preserving the idempotency guarantees of
         :meth:`call`.
         """
-        with self.tracer.span(
-            "rpc.submit", clock=self.clock,
-            message=type(request).__name__, server=self._server_address,
-        ):
-            request_id = self._fresh_request_id()
-            request = with_request_id(request, request_id)
-            self._pipeline[request_id] = request
+        with self._span("rpc.submit", request):
+            request_id = self._start(request)
             self.submits += 1
-            if len(self._pipeline) > self.max_inflight:
-                self.max_inflight = len(self._pipeline)
-            try:
-                self._send(request)
-            except TransportError:
-                pass  # wait() retries (or surfaces) under the same id
+            self.max_inflight = max(self.max_inflight, len(self._pipeline))
             return request_id
 
     def wait(self, request_id: int) -> Message:
@@ -338,52 +363,34 @@ class RpcClient:
             raise ProtocolError(
                 f"request {request_id} was never submitted (or already waited on)"
             )
-        with self.tracer.span(
-            "rpc.wait", clock=self.clock,
-            message=type(request).__name__, server=self._server_address,
-        ):
-            try:
-                policy = self.retry_policy
-                attempts = max(1, policy.max_attempts) if policy is not None else 1
-                last_error: Exception | None = None
-                for attempt in range(attempts):
-                    if attempt:
-                        self.retries += 1
-                        self._charge_backoff(policy, attempt - 1, request_id)
-                        try:
-                            self._send(request)
-                        except TransportError as exc:
-                            last_error = exc
-                            continue
-                    try:
-                        return self._take_response(request_id)
-                    except TransportError as exc:
-                        last_error = exc
-                    except ProtocolError as exc:
-                        if policy is None or not policy.retry_protocol_errors:
-                            raise
-                        last_error = exc
-                assert last_error is not None
-                if attempts > 1:
-                    raise RetryExhaustedError(
-                        f"request {request_id} to {self._server_address!r} failed "
-                        f"after {attempts} attempts: {last_error}"
-                    ) from last_error
-                raise last_error
-            finally:
-                self._pipeline.pop(request_id, None)
+        with self._span("rpc.wait", request):
+            return self._settle(request_id)
 
-    def _take_response(self, request_id: int) -> Message:
-        """One settle attempt: parked response first, then the inbox."""
-        response = self._completed.pop(request_id, None)
-        if response is not None:
-            self._seen_response_ids.add(request_id)
-            if isinstance(response, ErrorMessage):
-                raise ProtocolError(
-                    f"server error {response.code}: {response.detail}"
-                )
-            return response
-        return self._await_response(request_id)
+    # The batch and group entry points below run these three under private
+    # names, never the public ones, so a wrapper patched over a public name
+    # (benchmarks/e2e/tracing.py does that) sees each public call once.
+    _call, _submit, _wait = call, submit, wait
+
+    def call_batch(self, requests: Sequence[Message]) -> list[Message]:
+        """Issue a uniform batch of GETs or PUTs under one channel record.
+
+        Returns the per-item responses in request order.  The batch is
+        protected as a single record, so the AEAD and sequencing costs of
+        the secure channel — and the store's ECALL — are paid once for
+        the whole batch instead of once per item.
+        """
+        requests = tuple(requests)
+        if not requests:
+            return []
+        if all(isinstance(r, GetRequest) for r in requests):
+            batch: Message = BatchGetRequest(items=requests)
+            expected: type = BatchGetResponse
+        elif all(isinstance(r, PutRequest) for r in requests):
+            batch = BatchPutRequest(items=requests)
+            expected = BatchPutResponse
+        else:
+            raise ProtocolError("call_batch needs a uniform list of GETs or PUTs")
+        return self._group_items(self._call(batch), len(requests), expected)
 
     # -- grouped pipelining (one record per submitted group) -----------------
     def plan_gets(self, requests: Sequence[GetRequest]) -> list[list[int]]:
@@ -399,27 +406,13 @@ class RpcClient:
         :meth:`wait_gets` — so several groups, e.g. one per shard, can be
         in flight at once.
         """
-        requests = list(requests)
-        if len(requests) == 1:
-            return self.submit(requests[0])
-        return self.submit(BatchGetRequest(items=tuple(requests)))
+        return self._submit(self._as_record(requests, BatchGetRequest))
 
     def wait_gets(self, handle: int, n_items: int) -> list[Message]:
         """Settle a :meth:`submit_gets` slot into per-item responses."""
-        response = self.wait(handle)
-        if n_items == 1:
-            items = [response]
-        elif isinstance(response, BatchGetResponse):
-            items = list(response.items)
-        else:
-            raise ProtocolError(
-                f"store answered batch GET with {type(response).__name__}"
-            )
-        if len(items) != n_items:
-            raise ProtocolError(
-                f"batch GET response has {len(items)} items, expected {n_items}"
-            )
-        return items
+        return self._group_items(
+            self._wait(handle), n_items, BatchGetResponse if n_items != 1 else None
+        )
 
     def plan_puts(self, requests: Sequence[PutRequest]) -> list[list[int]]:
         """Partition PUT indices into groups that can share one wire
@@ -429,80 +422,32 @@ class RpcClient:
     def submit_puts(self, requests: Sequence[PutRequest]) -> int:
         """Submit a PUT group as a single channel record without waiting
         (the PUT twin of :meth:`submit_gets`)."""
-        requests = list(requests)
-        if len(requests) == 1:
-            return self.submit(requests[0])
-        return self.submit(BatchPutRequest(items=tuple(requests)))
+        return self._submit(self._as_record(requests, BatchPutRequest))
 
     def wait_puts(self, handle: int, n_items: int) -> list[Message]:
         """Settle a :meth:`submit_puts` slot into per-item verdicts."""
-        response = self.wait(handle)
-        if n_items == 1:
-            items = [response]
-        elif isinstance(response, BatchPutResponse):
-            items = list(response.items)
-        else:
-            raise ProtocolError(
-                f"store answered batch PUT with {type(response).__name__}"
-            )
-        if len(items) != n_items:
-            raise ProtocolError(
-                f"batch PUT response has {len(items)} items, expected {n_items}"
-            )
-        return items
+        return self._group_items(
+            self._wait(handle), n_items, BatchPutResponse if n_items != 1 else None
+        )
 
-    def call_batch(self, requests: Sequence[Message]) -> list[Message]:
-        """Issue a uniform batch of GETs or PUTs under one channel record.
-
-        Returns the per-item responses in request order.  The batch is
-        protected as a single record, so the AEAD and sequencing costs of
-        the secure channel — and the store's ECALL — are paid once for
-        the whole batch instead of once per item.
-        """
-        requests = list(requests)
-        if not requests:
-            return []
-        if all(isinstance(r, GetRequest) for r in requests):
-            batch: Message = BatchGetRequest(items=tuple(requests))
-            expected: type = BatchGetResponse
-        elif all(isinstance(r, PutRequest) for r in requests):
-            batch = BatchPutRequest(items=tuple(requests))
-            expected = BatchPutResponse
-        else:
-            raise ProtocolError("call_batch needs a uniform list of GETs or PUTs")
-        response = self.call(batch)
-        if not isinstance(response, expected):
-            raise ProtocolError(
-                f"store answered batch with {type(response).__name__}"
-            )
-        if len(response.items) != len(requests):
-            raise ProtocolError(
-                f"batch response has {len(response.items)} items, "
-                f"expected {len(requests)}"
-            )
-        return list(response.items)
+    # -- fire-and-forget --------------------------------------------------------
+    def _send_untracked(self, request: Message, **attrs) -> int:
+        with self._span("rpc.send", request, **attrs):
+            request_id = self._fresh_request_id()
+            self._send(with_request_id(request, request_id))
+            return request_id
 
     def send_oneway(self, request: Message) -> int:
         """Fire-and-forget (used by the asynchronous PUT path); returns the
         assigned correlation id so the caller can match the eventual
         response from :meth:`drain_responses`."""
-        with self.tracer.span(
-            "rpc.send", clock=self.clock,
-            message=type(request).__name__, server=self._server_address,
-        ):
-            request_id = self._fresh_request_id()
-            self._send(with_request_id(request, request_id))
-            return request_id
+        return self._send_untracked(request)
 
     def send_oneway_batch(self, requests: Sequence[PutRequest]) -> int:
         """Fire-and-forget an entire PUT batch as one channel record."""
-        with self.tracer.span(
-            "rpc.send", clock=self.clock,
-            message="BatchPutRequest", server=self._server_address, items=len(requests),
-        ):
-            request_id = self._fresh_request_id()
-            self._send(with_request_id(BatchPutRequest(items=tuple(requests)), request_id))
-            return request_id
+        return self._send_untracked(
+            BatchPutRequest(items=tuple(requests)), items=len(requests)
+        )
 
     def drain_responses(self) -> list[Message]:
         """Collect any responses to one-way sends (off the critical path).

@@ -159,7 +159,7 @@ class TestFlushAccounting:
     def test_correlated_error_counts_as_failed(self):
         _, app = batch_app(b"em-err")
         runtime = app.runtime
-        runtime._inflight_puts = {7: 3}
+        runtime._inflight_puts = {7: (b"t1", b"t2", b"t3")}
         runtime._account_put_responses(
             [ErrorMessage(code=500, detail="boom", request_id=7)]
         )
@@ -169,7 +169,7 @@ class TestFlushAccounting:
     def test_uncorrelated_error_leaves_puts_unacknowledged(self):
         _, app = batch_app(b"em-err0")
         runtime = app.runtime
-        runtime._inflight_puts = {7: 2}
+        runtime._inflight_puts = {7: (b"t1", b"t2")}
         runtime._account_put_responses([ErrorMessage(code=400, detail="garbage")])
         assert runtime.stats.puts_failed == 0
         assert runtime.stats.puts_rejected == 0

@@ -31,13 +31,14 @@ class FakeClock:
         self.cycles += cycles
 
 
-class FakeClient:
-    """submit()/wait() peer with deterministic per-op costs.
+class GroupedFakeClient:
+    """plan/submit/wait group peer with deterministic costs.
 
     ``shard_of`` maps a request tag to the shard clock that serves it
-    (defaults to the single shard).  Costs: submit charges the app clock
-    ``submit_cost``; wait charges the serving shard ``serve_cost`` and
-    the app clock ``wait_cost``.
+    (defaults to the single shard); a round's requests are planned into
+    one group per shard.  Costs: submitting a group charges the app
+    clock ``submit_cost``; waiting on it charges the serving shard
+    ``serve_cost`` per item and the app clock ``wait_cost``.
     """
 
     def __init__(self, app_clock, shard_clocks, shard_of=None,
@@ -48,38 +49,13 @@ class FakeClient:
         self.submit_cost = submit_cost
         self.wait_cost = wait_cost
         self.serve_cost = serve_cost
-        self.submitted = []
+        self.submitted = []       # every request put on the wire, flat
+        self.group_submits = []   # the same, one list per group record
         self.fail_submit = False
         self.fail_wait = False
+        self.fail_group_wait = False
         self._next = 0
         self._pending = {}
-
-    def submit(self, request):
-        if self.fail_submit:
-            raise TransportError("submit lost")
-        self.submitted.append(request)
-        self.app_clock.advance(self.submit_cost)
-        handle = self._next
-        self._next += 1
-        self._pending[handle] = request
-        return handle
-
-    def wait(self, handle):
-        request = self._pending.pop(handle)
-        if self.fail_wait:
-            raise TransportError("reply lost")
-        self.shard_clocks[self.shard_of(request.tag)].advance(self.serve_cost)
-        self.app_clock.advance(self.wait_cost)
-        return ("response", request.tag)
-
-
-class GroupedFakeClient(FakeClient):
-    """Adds the plan_gets/submit_gets/wait_gets grouped surface."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.group_submits = []
-        self.fail_group_wait = False
 
     def plan_gets(self, requests):
         groups = {}
@@ -90,6 +66,7 @@ class GroupedFakeClient(FakeClient):
     def submit_gets(self, requests):
         if self.fail_submit:
             raise TransportError("submit lost")
+        self.submitted.extend(requests)
         self.group_submits.append(list(requests))
         self.app_clock.advance(self.submit_cost)
         handle = self._next
@@ -100,6 +77,8 @@ class GroupedFakeClient(FakeClient):
     def wait_gets(self, handle, n_items):
         requests = self._pending.pop(handle)
         assert len(requests) == n_items
+        if self.fail_wait:
+            raise TransportError("reply lost")
         if self.fail_group_wait:
             raise ChannelError("group reply lost")
         for request in requests:
@@ -126,10 +105,10 @@ def putreq(tag: bytes) -> PutRequest:
     )
 
 
-def make_engine(n_shards=1, shard_of=None, client_cls=FakeClient, **config):
+def make_engine(n_shards=1, shard_of=None, **config):
     app = FakeClock()
     shards = {f"shard-{i}": FakeClock() for i in range(n_shards)}
-    client = client_cls(app, shards, shard_of=shard_of)
+    client = GroupedFakeClient(app, shards, shard_of=shard_of)
     engine = PipelineEngine(
         client, app, shard_clocks=shards, config=EngineConfig(**config)
     )
@@ -210,7 +189,7 @@ class TestRounds:
     def test_colocated_store_forces_serial_accounting(self):
         # The "shard" clock IS the app clock: nothing can overlap.
         app = FakeClock()
-        client = FakeClient(app, {"local": app})
+        client = GroupedFakeClient(app, {"local": app})
         engine = PipelineEngine(
             client, app, shard_clocks={"local": app},
             config=EngineConfig(depth=8, workers=4),
@@ -263,7 +242,7 @@ class TestFailures:
 class TestGroupedRounds:
     def test_one_submit_per_shard_group(self):
         engine, client, _, _ = make_engine(
-            n_shards=2, depth=8, client_cls=GroupedFakeClient,
+            n_shards=2, depth=8,
             shard_of=lambda tag: f"shard-{tag[0] % 2}",
         )
         tags = [bytes([i]) for i in range(6)]
@@ -275,7 +254,7 @@ class TestGroupedRounds:
 
     def test_group_wait_failure_fails_every_item_of_the_group(self):
         engine, client, _, _ = make_engine(
-            n_shards=1, depth=8, client_cls=GroupedFakeClient
+            n_shards=1, depth=8
         )
         client.fail_group_wait = True
         batch = engine.run_gets([get(b"a"), get(b"b")])
@@ -286,7 +265,7 @@ class TestGroupedRounds:
 class TestGroupedPutRounds:
     def test_put_round_ships_one_record_per_shard_group(self):
         engine, client, _, _ = make_engine(
-            n_shards=2, depth=8, client_cls=GroupedFakeClient,
+            n_shards=2, depth=8,
             shard_of=lambda tag: f"shard-{tag[0] % 2}",
         )
         tags = [bytes([i]) for i in range(6)]
@@ -298,7 +277,7 @@ class TestGroupedPutRounds:
 
     def test_grouped_puts_are_never_coalesced(self):
         engine, client, _, _ = make_engine(
-            n_shards=1, depth=8, client_cls=GroupedFakeClient
+            n_shards=1, depth=8
         )
         batch = engine.run_puts([putreq(b"a"), putreq(b"a"), putreq(b"a")])
         submitted = sum(len(group) for group in client.group_submits)
@@ -310,7 +289,7 @@ class TestGroupedPutRounds:
         # Two shards each serving one group: the round's makespan is one
         # group's serve time, not two, plus the per-lane client work.
         engine, client, app, shards = make_engine(
-            n_shards=2, depth=8, workers=2, client_cls=GroupedFakeClient,
+            n_shards=2, depth=8, workers=2,
             shard_of=lambda tag: f"shard-{tag[0] % 2}",
         )
         t0 = app.cycles
@@ -321,7 +300,7 @@ class TestGroupedPutRounds:
 
     def test_put_group_wait_failure_fails_every_item_of_the_group(self):
         engine, client, _, _ = make_engine(
-            n_shards=1, depth=8, client_cls=GroupedFakeClient
+            n_shards=1, depth=8
         )
         client.fail_group_wait = True
         batch = engine.run_puts([putreq(b"a"), putreq(b"b")])
@@ -540,7 +519,7 @@ class TestAdaptiveEngine:
 
         app = FakeClock()
         shards = {"shard-0": FakeClock(), "shard-1": FakeClock()}
-        client = FakeClient(app, shards, shard_of=lambda tag: f"shard-{tag[0] % 2}")
+        client = GroupedFakeClient(app, shards, shard_of=lambda tag: f"shard-{tag[0] % 2}")
         tracer = Tracer()
         engine = PipelineEngine(
             client, app, shard_clocks=shards, tracer=tracer,
