@@ -95,9 +95,6 @@ _SHARD_FAILURES = (TransportError, ChannelError, ProtocolError)
 # spot, a pipelined slot settled by a later wait, or fire-and-forget.
 _SYNC, _PIPELINED, _ONEWAY = "sync", "pipelined", "oneway"
 
-# Returned by a guarded exchange the shard's breaker refused.
-_REFUSED = object()
-
 
 @dataclass
 class RouterStats:
@@ -157,11 +154,11 @@ class _GetGroup:
     mode: str
     # True for a slot opened by submit() and settled by wait().
     single: bool = False
-    # The primary the group was sent to; None when there was nobody to
-    # send to, in which case settling walks every owner from scratch.
+    # The primary the group was offered to; None when it has no owner.
     shard: str | None = None
     # What the send returned: the shard's responses (blocking send), its
-    # slot id (pipelined send), or None when the shard did not take it.
+    # slot id (pipelined send), or None when the shard did not take it
+    # (refused or failed: settling walks the remaining owners).
     sent: object = None
 
 
@@ -310,8 +307,9 @@ class ClusterRouter:
         ``gate`` asks the breaker first: a refusal costs one skip and no
         wire traffic.  ``answers`` says the exchange returns the shard's
         reply, which is what closes a breaker again.  Returns what the
-        exchange returned, ``_REFUSED``, or ``None`` when the shard
-        failed it.
+        exchange returned, or ``None`` when the shard did not serve it
+        (refused or failed): either way the caller moves on to the
+        next owner and never offers this send to the breaker again.
         """
         breaker = self._breaker(shard)
         tracer = self.tracer if span else NULL_TRACER
@@ -319,7 +317,7 @@ class ClusterRouter:
             if gate and breaker is not None and not breaker.allow():
                 self.stats.circuit_skips += 1
                 open_span.mark("circuit_open")
-                return _REFUSED
+                return None
             try:
                 result = exchange(self._clients[shard])
             except _SHARD_FAILURES:
@@ -373,11 +371,8 @@ class ClusterRouter:
         group = _GetGroup(requests=requests, mode=mode, single=single)
         owners = self._read_owners(requests[0].tag) if requests else []
         if owners:
-            sent = self._send(owners[0], "get", requests, mode)
-            if sent is _REFUSED and mode is _PIPELINED:
-                return group  # settle walks every owner, the primary included
             group.shard = owners[0]
-            group.sent = None if sent is _REFUSED else sent
+            group.sent = self._send(group.shard, "get", requests, mode)
         return group
 
     def _settle_get_group(self, group: _GetGroup) -> list[Message]:
@@ -415,9 +410,8 @@ class ClusterRouter:
                     shard, lambda client: client.call(request), answers=True,
                     span="router.shard_get",
                 )
-                if reply is None or reply is _REFUSED:
+                if reply is None:
                     self.stats.get_timeouts += 1
-                    reply = None
             if reply is None:
                 failed += 1
                 continue
@@ -456,7 +450,7 @@ class ClusterRouter:
             shard, lambda client: client.send_oneway(repair), answers=False,
             span="router.read_repair",
         )
-        if local_id is not None and local_id is not _REFUSED:
+        if local_id is not None:
             self._absorb_keys.add((shard, local_id))
             self.stats.read_repairs += 1
 
@@ -484,7 +478,7 @@ class ClusterRouter:
         for shard in (shares if len(requests) == 1 else sorted(shares)):
             positions = shares[shard]
             sent = self._send(shard, "put", [requests[p] for p in positions], mode)
-            if sent is None or sent is _REFUSED:
+            if sent is None:
                 self.stats.put_timeouts += 1
             elif mode is _ONEWAY:
                 self._oneway[(shard, sent)] = (group, positions)
