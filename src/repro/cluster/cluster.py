@@ -22,18 +22,14 @@ The ring can also grow and shrink live.  The streaming path
 ``Session.add_shard()``/``remove_shard()``) opens a dual-ownership
 window and hands tag ranges off in bounded batches over mutually
 attested store-to-store channels (:mod:`repro.cluster.migration`) while
-foreground traffic keeps flowing.  The old blocking entry points
-(:meth:`add_shard` / :meth:`remove_shard`) are deprecated shims over the
-same machinery.
+foreground traffic keeps flowing.
 """
 
 from __future__ import annotations
 
-import warnings
-
 from dataclasses import dataclass, field
 
-from .migration import MigrationConfig, MigrationReport, RangeMigrator
+from .migration import MigrationConfig, RangeMigrator
 from .ring import ShardRing, TopologyPlan
 from .router import ClusterRouter
 from ..errors import SpeedError
@@ -137,31 +133,6 @@ class StoreCluster:
             # dual-ownership transition opens (ring.begin_join).
             self.ring.add_shard(shard_id)
         return node
-
-    def add_shard(self, shard_id: str | None = None) -> tuple[ShardNode, MigrationReport]:
-        """Deprecated: use ``Session.add_shard()`` (or
-        :meth:`begin_add_shard` for step-wise control).  Runs the
-        streaming join to completion and returns the legacy
-        ``(node, report)`` pair."""
-        warnings.warn(
-            "StoreCluster.add_shard is deprecated; use Session.add_shard()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        migrator = self.begin_add_shard(shard_id)
-        report = migrator.run()
-        return self.shards[migrator.shard_id], report
-
-    def remove_shard(self, shard_id: str) -> MigrationReport:
-        """Deprecated: use ``Session.remove_shard()`` (or
-        :meth:`begin_remove_shard` for step-wise control).  Runs the
-        streaming drain to completion and returns the legacy report."""
-        warnings.warn(
-            "StoreCluster.remove_shard is deprecated; use Session.remove_shard()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.begin_remove_shard(shard_id).run()
 
     # -- streaming topology changes -------------------------------------------
     def next_migration_seq(self) -> int:

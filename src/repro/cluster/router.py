@@ -116,8 +116,8 @@ class RouterStats:
     # wire (failing fast instead of paying another timeout).
     circuit_skips: int = 0
 
-    #: Legacy keys with inconsistent spelling and their normalized
-    #: ``router.<metric>`` names (events are plural nouns).
+    #: Counters with inconsistent attribute spelling and their
+    #: normalized ``router.<metric>`` names (events are plural nouns).
     _RENAMES = {
         "gets_routed": "gets",
         "puts_routed": "puts",
@@ -127,8 +127,7 @@ class RouterStats:
     }
 
     def snapshot(self) -> dict:
-        """Canonical ``router.<metric>`` keys plus the historical
-        un-namespaced keys as aliases for one release."""
+        """The counters under canonical ``router.<metric>`` keys."""
         return namespaced("router", {
             "gets_routed": self.gets_routed,
             "puts_routed": self.puts_routed,
@@ -363,9 +362,7 @@ class ClusterRouter:
         )
 
     # -- GET: one group core -----------------------------------------------------
-    def _submit_get_group(
-        self, requests: list, mode: str, single: bool = False
-    ) -> _GetGroup:
+    def _submit_get_group(self, requests: list, mode: str, single: bool = False) -> _GetGroup:
         """Send a GET group to its primary (the first request's: callers
         group by :meth:`plan_gets`)."""
         group = _GetGroup(requests=requests, mode=mode, single=single)
@@ -399,19 +396,9 @@ class ClusterRouter:
     ) -> GetResponse:
         """Walk one GET over its owners, starting from what the group's
         primary ``asked`` replied (``None``: it did not answer)."""
-        owners = [s for s in self._read_owners(request.tag) if s != asked]
-        if asked is not None:
-            owners.insert(0, asked)
         missed_live: list[str] = []
         failed = 0
-        for shard in owners:
-            if shard != asked:
-                reply = self._guarded(
-                    shard, lambda client: client.call(request), answers=True,
-                    span="router.shard_get",
-                )
-                if reply is None:
-                    self.stats.get_timeouts += 1
+        for shard, reply in self._owner_replies(request, asked, reply):
             if reply is None:
                 failed += 1
                 continue
@@ -435,6 +422,22 @@ class ClusterRouter:
         self.stats.unavailable += 1
         return GetResponse(found=False, reason=NO_LIVE_OWNER)
 
+    def _owner_replies(self, request: GetRequest, asked: str | None, reply):
+        """``(owner, reply)`` in the order a GET consults its owners: the
+        group's primary with what it already replied, then each remaining
+        owner, called (blocking) only when the walk gets that far."""
+        if asked is not None:
+            yield asked, reply
+        for shard in self._read_owners(request.tag):
+            if shard != asked:
+                reply = self._guarded(
+                    shard, lambda client: client.call(request), answers=True,
+                    span="router.shard_get",
+                )
+                if reply is None:
+                    self.stats.get_timeouts += 1
+                yield shard, reply
+
     def _queue_read_repair(
         self, shard: str, request: GetRequest, hit: GetResponse
     ) -> None:
@@ -455,9 +458,7 @@ class ClusterRouter:
             self.stats.read_repairs += 1
 
     # -- PUT: one fan-out, one verdict merger --------------------------------------
-    def _submit_put_group(
-        self, requests: list, mode: str, single: bool = False
-    ) -> _PutGroup:
+    def _submit_put_group(self, requests: list, mode: str, single: bool = False) -> _PutGroup:
         """Fan a PUT group out: one record to every owner shard of its
         items, carrying the items that shard owns."""
         self.stats.puts_routed += len(requests)
@@ -616,7 +617,7 @@ class ClusterRouter:
                 return self._settle_group(self._submit_group(requests, _SYNC))
         results: list = [None] * len(requests)
         with self.tracer.span("router.batch_get", clock=self.clock, items=len(requests)):
-            for positions in self.plan_gets(requests):
+            for positions in self._plan(requests, self._read_owners):
                 group = self._submit_get_group([requests[p] for p in positions], _SYNC)
                 for p, reply in zip(positions, self._settle_get_group(group)):
                     results[p] = reply

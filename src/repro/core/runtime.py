@@ -988,13 +988,9 @@ class DedupRuntime:
         """The runtime's full observability export: every RuntimeStats
         counter plus the in-flight PUT state only the runtime can see."""
         snap = self.stats.snapshot()
-        snap["pending_puts"] = snap["runtime.pending_puts"] = self.pending_put_count
-        snap["puts_unacknowledged"] = snap["runtime.puts_unacknowledged"] = (
-            self.puts_unacknowledged
-        )
-        snap["puts_acked_unique"] = snap["runtime.puts_acked_unique"] = len(
-            self.acked_put_tags
-        )
+        snap["runtime.pending_puts"] = self.pending_put_count
+        snap["runtime.puts_unacknowledged"] = self.puts_unacknowledged
+        snap["runtime.puts_acked_unique"] = len(self.acked_put_tags)
         if self.l1_cache is not None:
-            snap["l1_entries"] = snap["runtime.l1_entries"] = len(self.l1_cache)
+            snap["runtime.l1_entries"] = len(self.l1_cache)
         return snap

@@ -99,7 +99,7 @@ class RuntimeStats:
     def total_sim_seconds(self) -> float:
         return sum(r.sim_seconds for r in self.records)
 
-    #: Legacy snapshot keys whose spelling was inconsistent (mixed
+    #: Counters whose attribute spelling is inconsistent (mixed
     #: tense/units) and their normalized ``runtime.<metric>`` names.
     _RENAMES = {
         "total_wall_seconds": "wall_seconds_total",
@@ -112,10 +112,9 @@ class RuntimeStats:
 
         This is the single structure observability consumers (the cluster
         bench, examples, the MetricsRegistry) read, instead of picking
-        attributes off the dataclass one by one.  Canonical keys are
-        ``runtime.<metric>``; the historical un-namespaced keys remain as
-        aliases for one release.  The per-call records list is
-        deliberately excluded — a snapshot is cheap and JSON-ready.
+        attributes off the dataclass one by one.  Keys are canonical
+        ``runtime.<metric>``.  The per-call records list is deliberately
+        excluded — a snapshot is cheap and JSON-ready.
         """
         return namespaced("runtime", {
             "calls": self.calls,

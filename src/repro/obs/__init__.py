@@ -19,7 +19,7 @@ from .exporters import (
     spans_to_jsonl,
     write_spans_jsonl,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, namespaced, strip_aliases
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry, namespaced
 from .tracer import (
     NULL_TRACER,
     NullTracer,
@@ -51,6 +51,5 @@ __all__ = [
     "namespaced",
     "phase_breakdown",
     "spans_to_jsonl",
-    "strip_aliases",
     "write_spans_jsonl",
 ]

@@ -16,9 +16,7 @@ one contract:
 
 Key normalization: canonical keys are ``<component>.<metric>`` in
 snake_case, plural nouns for event counters, ``*_seconds_total`` for
-accumulated time, ``*_rate`` for ratios.  Legacy un-namespaced keys
-remain available as aliases on the component snapshots for one release
-(see :func:`namespaced`).
+accumulated time, ``*_rate`` for ratios (see :func:`namespaced`).
 """
 
 from __future__ import annotations
@@ -120,23 +118,16 @@ class Histogram:
 
 def namespaced(component: str, metrics: Mapping[str, float],
                renames: Mapping[str, str] | None = None) -> dict:
-    """Fold a legacy flat snapshot into canonical ``component.metric``
-    keys *plus* the legacy keys as aliases (one-release migration path).
+    """Key a component's flat counters canonically, ``component.metric``.
 
-    ``renames`` maps legacy names to their normalized metric names where
-    the legacy spelling was inconsistent (mixed tense/units).
+    ``renames`` maps a counter's attribute name to its normalized metric
+    name where the two differ (mixed tense/units in the attribute).
     """
     renames = renames or {}
-    out: dict = {}
-    for key, value in metrics.items():
-        out[key] = value  # legacy alias
-        out[f"{component}.{renames.get(key, key)}"] = value
-    return out
-
-
-def strip_aliases(snapshot: Mapping[str, float]) -> dict:
-    """Keep only canonical dotted keys of a component snapshot."""
-    return {k: v for k, v in snapshot.items() if "." in k}
+    return {
+        f"{component}.{renames.get(key, key)}": value
+        for key, value in metrics.items()
+    }
 
 
 class MetricsRegistry:
@@ -179,8 +170,8 @@ class MetricsRegistry:
     ) -> None:
         """Attach a live component; ``source()`` must return a flat
         numeric dict.  Dotted keys are taken as already canonical;
-        un-dotted keys (legacy aliases) are folded in under
-        ``<component>.<key>`` only when no canonical twin exists."""
+        un-dotted keys are folded in under ``<component>.<key>`` (how a
+        per-shard source lands under ``store.<shard_id>.<metric>``)."""
         with self._lock:
             self._sources[component] = source
 

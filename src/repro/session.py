@@ -45,7 +45,7 @@ from .core.serialization import Parser
 from .deployment import Application, ClusterDeployment, Deployment
 from .errors import SpeedError
 from .obs.exporters import format_phase_breakdown, format_trace
-from .obs.metrics import MetricsRegistry, strip_aliases
+from .obs.metrics import MetricsRegistry
 from .obs.tracer import NULL_TRACER, SlowCall, Span, SpanNode, Tracer
 from .report import ReportMixin
 from .sgx.cost_model import CostParams
@@ -212,15 +212,15 @@ class Session:
 
     @staticmethod
     def _shard_source(shard_id: str, store) -> Callable[[], dict]:
-        """Per-shard metrics source: strip legacy aliases and the generic
-        ``store.`` prefix so the registry re-homes the counters under
+        """Per-shard metrics source: strip the generic ``store.`` prefix
+        so the registry re-homes the counters under
         ``store.<shard_id>.<metric>``.  The registry passes dotted keys
         through verbatim, which would collide across shards — so any key
         still dotted after the strip (``store.restore.*`` subgroups, the
         ``durable.*`` WAL counters) is re-homed explicitly."""
         def read() -> dict:
             out = {}
-            for key, value in strip_aliases(store.snapshot()).items():
+            for key, value in store.snapshot().items():
                 prefix, _, rest = key.partition(".")
                 if prefix == "store" and "." not in rest:
                     out[rest] = value

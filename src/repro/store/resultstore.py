@@ -118,8 +118,8 @@ class StoreStats:
     def hit_rate(self) -> float:
         return self.hits / self.gets if self.gets else 0.0
 
-    #: Legacy keys with inconsistent spelling and their normalized
-    #: ``store.<metric>`` names.
+    #: Counters with inconsistent attribute spelling and their
+    #: normalized ``store.<metric>`` names.
     _RENAMES = {
         "puts_duplicate": "puts_duplicated",
         "tamper_detected": "tampers_detected",
@@ -130,11 +130,8 @@ class StoreStats:
     }
 
     def snapshot(self) -> dict:
-        """Flat, JSON-ready counter export (mirrors RuntimeStats.snapshot).
-
-        Canonical keys are ``store.<metric>``; the historical
-        un-namespaced keys remain as aliases for one release.
-        """
+        """Flat, JSON-ready counter export (mirrors RuntimeStats.snapshot)
+        under canonical ``store.<metric>`` keys."""
         return namespaced("store", {
             "gets": self.gets,
             "hits": self.hits,

@@ -176,7 +176,7 @@ class TestIntrospection:
         cluster4.flush_all_puts()
         dedup(data)
         snap = app.runtime.snapshot()
-        assert snap["calls"] == 2
-        assert snap["hits"] == 1
-        assert snap["puts_accepted"] == 1
-        assert snap["pending_puts"] == 0
+        assert snap["runtime.calls"] == 2
+        assert snap["runtime.hits"] == 1
+        assert snap["runtime.puts_accepted"] == 1
+        assert snap["runtime.pending_puts"] == 0

@@ -7,6 +7,18 @@ from repro.errors import SpeedError
 from tests.cluster.conftest import make_cluster, make_get, make_put, raw_router
 
 
+def join(cluster, shard_id=None):
+    """Stream a shard in to completion: (its node, the migration report)."""
+    migrator = cluster.begin_add_shard(shard_id)
+    report = migrator.run()
+    return cluster.shards[migrator.shard_id], report
+
+
+def leave(cluster, shard_id):
+    """Stream a shard out to completion; returns the migration report."""
+    return cluster.begin_remove_shard(shard_id).run()
+
+
 def fill(deployment, router, n, prefix=b"mig"):
     puts = [make_put(i, prefix=prefix) for i in range(n)]
     for put in puts:
@@ -19,7 +31,7 @@ class TestJoin:
         d = make_cluster(n_shards=3, replication_factor=2, seed=b"join")
         router = raw_router(d)
         puts = fill(d, router, 40)
-        node, report = d.cluster.add_shard()
+        node, report = join(d.cluster)
         assert node.shard_id == "shard-3"
         assert node.shard_id in d.cluster.ring.shards
         assert report.moved > 0
@@ -33,7 +45,7 @@ class TestJoin:
         d = make_cluster(n_shards=3, replication_factor=2, seed=b"join-inv")
         router = raw_router(d)
         puts = fill(d, router, 40)
-        d.cluster.add_shard()
+        join(d.cluster)
         for put in puts:
             owners = d.cluster.owners_of(put.tag)
             assert d.cluster.holders_of(put.tag) == sorted(owners)
@@ -44,7 +56,7 @@ class TestJoin:
         n = 60
         fill(d, router, n)
         assert d.cluster.total_entries() == n
-        _, report = d.cluster.add_shard()
+        _, report = join(d.cluster)
         # RF 1: each entry lives on exactly one shard, so every moved
         # entry must have been dropped at its source.
         assert report.moved == report.dropped > 0
@@ -54,7 +66,7 @@ class TestJoin:
         d = make_cluster(n_shards=2, replication_factor=1, seed=b"join-route")
         router = raw_router(d)
         puts = fill(d, router, 40)
-        node, _ = d.cluster.add_shard()
+        node, _ = join(d.cluster)
         owned = [p for p in puts if d.cluster.ring.primary(p.tag) == node.shard_id]
         assert owned, "newcomer took no tags — raise the fill count"
         timeouts_before = router.stats.get_timeouts
@@ -65,7 +77,7 @@ class TestJoin:
     def test_duplicate_shard_id_rejected(self):
         d = make_cluster(n_shards=2, replication_factor=1, seed=b"join-dup")
         with pytest.raises(SpeedError):
-            d.cluster.add_shard("shard-0")
+            join(d.cluster, "shard-0")
 
 
 class TestLeave:
@@ -73,7 +85,7 @@ class TestLeave:
         d = make_cluster(n_shards=4, replication_factor=2, seed=b"leave")
         router = raw_router(d)
         puts = fill(d, router, 40)
-        report = d.cluster.remove_shard("shard-1")
+        report = leave(d.cluster, "shard-1")
         assert "shard-1" not in d.cluster.ring.shards
         assert "shard-1" not in d.cluster.shards
         assert report.transfers >= 1
@@ -89,7 +101,7 @@ class TestLeave:
         d = make_cluster(n_shards=4, replication_factor=1, seed=b"leave-own")
         router = raw_router(d)
         puts = fill(d, router, 60)
-        d.cluster.remove_shard("shard-2")
+        leave(d.cluster, "shard-2")
         for put in puts:
             owners = d.cluster.owners_of(put.tag)
             holders = d.cluster.holders_of(put.tag)
@@ -98,12 +110,12 @@ class TestLeave:
     def test_last_shard_cannot_leave(self):
         d = make_cluster(n_shards=1, replication_factor=1, seed=b"leave-last")
         with pytest.raises(SpeedError):
-            d.cluster.remove_shard("shard-0")
+            leave(d.cluster, "shard-0")
 
     def test_unknown_shard_rejected(self):
         d = make_cluster(n_shards=2, replication_factor=1, seed=b"leave-x")
         with pytest.raises(SpeedError):
-            d.cluster.remove_shard("ghost")
+            leave(d.cluster, "ghost")
 
 
 class TestMigrationIdempotence:
@@ -111,8 +123,8 @@ class TestMigrationIdempotence:
         d = make_cluster(n_shards=3, replication_factor=2, seed=b"round")
         router = raw_router(d)
         puts = fill(d, router, 30)
-        node, _ = d.cluster.add_shard()
-        d.cluster.remove_shard(node.shard_id)
+        node, _ = join(d.cluster)
+        leave(d.cluster, node.shard_id)
         for put in puts:
             assert router.call(make_get(put)).found
         for put in puts:

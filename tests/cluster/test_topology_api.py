@@ -1,10 +1,8 @@
 """Session topology API: add_shard/remove_shard/rebalance, structured
-TopologyReport, the report rendering convention, and the deprecation of
-the raw StoreCluster entry points."""
+TopologyReport, the report rendering convention, and the raw
+StoreCluster streaming entry points underneath."""
 
 import warnings
-
-import pytest
 
 from repro import TopologyReport, connect
 from repro.cluster import MigrationReport
@@ -114,17 +112,16 @@ class TestDeprecatedClusterEntryPoints:
         puts = [make_put(i, prefix=b"dep") for i in range(20)]
         for put in puts:
             assert router.call(put).accepted
-        with pytest.warns(DeprecationWarning, match="Session.add_shard"):
-            node, report = d.cluster.add_shard()
+        migrator = d.cluster.begin_add_shard()
+        report = migrator.run()
         assert isinstance(report, MigrationReport)
-        assert node.shard_id in d.cluster.ring.shards
+        assert migrator.shard_id in d.cluster.ring.shards
         for put in puts:
             assert router.call(make_get(put)).found
 
     def test_remove_shard_shim_warns_and_still_works(self):
         d = make_cluster(n_shards=4, replication_factor=2, seed=b"dep-rm")
-        with pytest.warns(DeprecationWarning, match="Session.remove_shard"):
-            report = d.cluster.remove_shard("shard-0")
+        report = d.cluster.begin_remove_shard("shard-0").run()
         assert isinstance(report, MigrationReport)
         assert "shard-0" not in d.cluster.shards
 

@@ -51,13 +51,13 @@ class TestSnapshot:
         stats.puts_accepted = 1
         stats.puts_rejected = 1
         snap = stats.snapshot()
-        assert snap["calls"] == 2
-        assert snap["hits"] == 1
-        assert snap["misses"] == 1
-        assert snap["hit_rate"] == 0.5
-        assert snap["puts_sent"] == 2
-        assert snap["puts_accepted"] == 1
-        assert snap["puts_rejected"] == 1
+        assert snap["runtime.calls"] == 2
+        assert snap["runtime.hits"] == 1
+        assert snap["runtime.misses"] == 1
+        assert snap["runtime.hit_rate"] == 0.5
+        assert snap["runtime.puts_sent"] == 2
+        assert snap["runtime.puts_accepted"] == 1
+        assert snap["runtime.puts_rejected"] == 1
         assert "records" not in snap  # flat counters only
         for value in snap.values():
             assert isinstance(value, (int, float))
@@ -65,13 +65,13 @@ class TestSnapshot:
     def test_snapshot_matches_counters_after_more_calls(self):
         stats = RuntimeStats()
         snap0 = stats.snapshot()
-        assert snap0["calls"] == 0 and snap0["hit_rate"] == 0.0
+        assert snap0["runtime.calls"] == 0 and snap0["runtime.hit_rate"] == 0.0
         for hit in (True, True, False):
             stats.record_call(record(hit))
         snap1 = stats.snapshot()
-        assert snap1["calls"] == 3
-        assert snap1["hit_rate"] == pytest.approx(2 / 3)
-        assert snap0["calls"] == 0  # snapshots are detached copies
+        assert snap1["runtime.calls"] == 3
+        assert snap1["runtime.hit_rate"] == pytest.approx(2 / 3)
+        assert snap0["runtime.calls"] == 0  # snapshots are detached copies
 
     def test_runtime_snapshot_adds_queue_depth(self, tmp_path):
         from repro import Deployment
@@ -82,9 +82,9 @@ class TestSnapshot:
         dedup = app.deduplicable(DOUBLE_DESC)
         dedup(b"payload")
         snap = app.runtime.snapshot()
-        assert snap["pending_puts"] == 1  # async PUT not yet flushed
+        assert snap["runtime.pending_puts"] == 1  # async PUT not yet flushed
         app.runtime.flush_puts()
         snap = app.runtime.snapshot()
-        assert snap["pending_puts"] == 0
-        assert snap["puts_accepted"] == 1
-        assert snap["puts_unacknowledged"] == 0
+        assert snap["runtime.pending_puts"] == 0
+        assert snap["runtime.puts_accepted"] == 1
+        assert snap["runtime.puts_unacknowledged"] == 0

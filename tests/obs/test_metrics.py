@@ -10,7 +10,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     namespaced,
-    strip_aliases,
 )
 
 
@@ -53,18 +52,10 @@ def test_empty_histogram_summary_is_all_zero():
     assert Histogram().quantile(0.5) == 0.0
 
 
-def test_namespaced_emits_canonical_and_alias_keys():
+def test_namespaced_emits_only_canonical_keys():
     out = namespaced("store", {"gets": 3, "puts_duplicate": 1},
                      renames={"puts_duplicate": "puts_duplicated"})
-    assert out["gets"] == 3                      # legacy alias
-    assert out["store.gets"] == 3                # canonical
-    assert out["store.puts_duplicated"] == 1     # canonical, renamed
-    assert out["puts_duplicate"] == 1            # alias keeps old spelling
-
-
-def test_strip_aliases_keeps_only_dotted_keys():
-    out = strip_aliases({"gets": 3, "store.gets": 3, "store.hit_rate": 0.5})
-    assert out == {"store.gets": 3, "store.hit_rate": 0.5}
+    assert out == {"store.gets": 3, "store.puts_duplicated": 1}
 
 
 def test_registry_instruments_appear_in_snapshot():

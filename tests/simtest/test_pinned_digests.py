@@ -28,12 +28,9 @@ MODES = {
 }
 
 # mode -> digest of seeds 1..5 at 25 steps, 3 shards.  Recorded at
-# 2c427d1 (the parent of the one-request-path collapse), which the
-# collapse reproduces byte for byte.  Seeds 1, 3 and 5 of "pipeline" and
-# "adaptive" were re-pinned with the fix that stops a pipelined GET from
-# offering a send its shard's breaker refused to the same breaker again:
-# those are the seeds whose trace opens a breaker (router.circuit_opens
-# > 0 at the parent), and their skip counts moved with the fix.
+# 2c427d1, except seeds 1, 3 and 5 of "pipeline" and "adaptive": recorded
+# at the fix that asks a shard's breaker once per refused send (their
+# traces open a breaker, so their skip counts moved with it).
 PINNED = {
     "default": ["3755d4583f43d3cb", "c1ca644b83b54196", "e46b99a4abed0641",
                 "434b299508bc44e3", "6e62880fd4b701a8"],
