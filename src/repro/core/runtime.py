@@ -859,6 +859,14 @@ class DedupRuntime:
                 verdicts = send(puts)
         except _STORE_FAILURES as exc:
             verdicts = [exc] * len(puts)
+        # A batch reports "no owner shard answered" in-band where a lone
+        # call raises: either way the store gave no verdict.
+        verdicts = [
+            NoLiveOwnerError(f"{verdict.reason} for tag {put.tag[:8].hex()}")
+            if getattr(verdict, "reason", "") == NoLiveOwnerError.code
+            else verdict
+            for put, verdict in zip(puts, verdicts)
+        ]
         if not self.config.degrade_on_store_failure:
             for verdict in verdicts:
                 if isinstance(verdict, Exception):
