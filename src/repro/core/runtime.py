@@ -18,8 +18,11 @@ control flow exactly:
    separated thread", §V-B); ``flush_puts`` drains it off the critical
    path.
 
-Two optimizations amortize the fixed per-call costs without touching the
-per-item semantics above:
+That is one staged pipeline (:meth:`DedupRuntime._run`) over a group of
+inputs; an entry point only chooses how the group crosses the enclave
+boundary (:class:`_Crossing`).  :meth:`DedupRuntime.execute` takes one
+input across as plain GET/PUT messages.  Two optimizations amortize the
+fixed per-call costs without touching the per-item semantics above:
 
 - :meth:`DedupRuntime.execute_many` runs a whole batch under **one**
   ECALL, ships all duplicate checks as one batched OCALL/channel record,
@@ -34,9 +37,9 @@ per-item semantics above:
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..cluster.router import ClusterRouter
@@ -49,6 +52,7 @@ from .serialization import AnyParser, Parser, ParserRegistry, default_registry
 from .stats import CallRecord, RuntimeStats
 from .tag import derive_tag
 from .verification import verify_and_recover
+from ..engine import EngineBatch
 from ..errors import (
     ChannelError,
     DedupError,
@@ -86,8 +90,8 @@ class DedupResult:
       (fresh execution, Algorithm 1) or ``"coalesced"`` (single-flight:
       an identical in-flight tag shared its leader's round trip and
       verification, and this follower observed the leader's result);
-    * ``span_id``/``trace_id`` — the call's root span when a tracer is
-      attached (``None`` under the default :data:`NULL_TRACER`).
+    * ``span_id``/``trace_id`` — the call's ``runtime.item`` span when a
+      tracer is attached (``None`` under the default :data:`NULL_TRACER`).
     """
 
     value: Any
@@ -139,37 +143,72 @@ class RuntimeConfig:
 
 @dataclass
 class _BatchItem:
-    """Per-input bookkeeping while a batch moves through the pipeline."""
+    """Per-input bookkeeping while a group moves through the pipeline."""
 
+    index: int
     input_value: Any
     input_bytes: bytes = b""
     tag: bytes = b""
     attempt_dedup: bool = False
-    hit: bool = False
-    l1_hit: bool = False
-    coalesced: bool = False
+    # How the value was obtained (:attr:`DedupResult.source`); anything
+    # but "computed" is a hit.
+    source: str = "computed"
     degraded: bool = False
     result_value: Any = None
     result_len: int = 0
     compute_sim: float = 0.0
-    # Costs attributable to this item alone; batch-shared costs (ECALL,
-    # batched OCALLs, channel records) are split evenly afterwards.
+    # Costs attributable to this item alone; group-shared costs (ECALL,
+    # OCALLs, channel records) are split evenly afterwards.
     direct_wall: float = 0.0
     direct_sim: float = 0.0
+    # The item's ``runtime.item`` span: closed after stage 1, told the
+    # item's ``source`` once the later stages have settled it.
+    span: Any = None
+
+    @property
+    def hit(self) -> bool:
+        return self.source != "computed"
+
+    def follow(self, leader: "_BatchItem") -> None:
+        """Single-flight: take the result ``leader`` got for the same tag."""
+        self.source = "coalesced"
+        self.result_len = leader.result_len
+        self.result_value = leader.result_value
 
 
-class _SerialRegion:
+class _SerialRegion(AbstractContextManager):
     """No-op stand-in for :meth:`PipelineEngine.parallel_region` used when
-    no engine is attached: tasks run (and are accounted) serially."""
+    no engine carries the group: tasks run (and are accounted) serially."""
 
-    def __enter__(self) -> "_SerialRegion":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
+    def __exit__(self, exc_type, exc, tb) -> None:
+        return None
 
     def task(self) -> "_SerialRegion":
         return self
+
+
+class _Crossing(NamedTuple):
+    """How one entry point's group crosses the enclave boundary — the
+    only thing an entry point tells the pipeline (:meth:`DedupRuntime._run`).
+
+    Both sends answer with an :class:`~repro.engine.EngineBatch`: a
+    response or an exception per position (plus, for GETs the engine
+    coalesced, who follows whom).  ``lanes`` opens the region the group's
+    per-item enclave work is accounted to.
+    """
+
+    root_span: str
+    ecall: str
+    get_ocall: str
+    put_ocall: str
+    send_gets: Callable[[list[GetRequest]], EngineBatch]
+    send_puts: Callable[[list[PutRequest]], EngineBatch]
+    lanes: Callable[[], Any]
+
+
+# What each entry point crosses under: root span, ECALL, GET OCALL, PUT OCALL.
+_LONE = ("runtime.execute", "dedup_execute", "get_request", "put_request")
+_BATCH = ("runtime.execute_batch", "dedup_execute_batch", "batch_get_request", "batch_put_request")
 
 
 class DedupRuntime:
@@ -234,7 +273,8 @@ class DedupRuntime:
         and asynchronous PUT drains are accounted as the engine's
         background lane.  Per-item results, clock charges, and counters
         stay identical to the serial path; only the schedule — and hence
-        the engine's makespan accounting — changes.
+        the engine's makespan accounting — changes.  A lone
+        :meth:`execute` always blocks; it never enters the engine.
         """
         self.engine = engine
 
@@ -284,121 +324,11 @@ class DedupRuntime:
     ) -> DedupResult:
         """Like :meth:`execute`, but returns the full per-call
         :class:`DedupResult` (value, hit/source, tag, span ids)."""
-        input_parser = input_parser or AnyParser(self.parsers)
-        result_parser = result_parser or AnyParser(self.parsers)
-        wall_start = time.perf_counter()
-        sim_start = self.clock.snapshot()
-
-        with self.tracer.span(
-            "runtime.execute", clock=self.clock, func=str(description)
-        ) as root:
-            with self.enclave.ecall("dedup_execute"):
-                func = self.libraries.lookup(description)
-                func_identity = self.libraries.function_identity(description)
-                with self.tracer.span("runtime.tag", clock=self.clock):
-                    input_bytes = input_parser.encode(input_value)
-                    tag = derive_tag(func_identity, input_bytes, self.clock)
-
-                result_value = None
-                hit = False
-                l1_hit = False
-                result_len = 0
-
-                attempt_dedup = self.config.dedup_enabled
-                adaptive = self.config.adaptive
-                if attempt_dedup and adaptive is not None:
-                    attempt_dedup = adaptive.should_attempt_dedup(func_identity)
-                compute_sim_seconds = 0.0
-
-                if attempt_dedup and self.l1_cache is not None:
-                    with self.tracer.span("runtime.l1_lookup", clock=self.clock) as l1s:
-                        cached = self.l1_cache.get(tag)
-                        l1s.set("hit", cached is not None)
-                    if cached is not None:
-                        hit = l1_hit = True
-                        result_len = len(cached)
-                        result_value = result_parser.decode(cached)
-
-                degraded = False
-                if attempt_dedup and not hit:
-                    try:
-                        response = self._get(tag, len(input_bytes))
-                    except _STORE_FAILURES:
-                        if not self.config.degrade_on_store_failure:
-                            raise
-                        degraded = True
-                        response = GetResponse(found=False)
-                    if (
-                        not response.found
-                        and response.reason == NoLiveOwnerError.code
-                        and self.config.degrade_on_store_failure
-                    ):
-                        # The router answered "unavailable, recompute":
-                        # same degradation, reported in-band.
-                        degraded = True
-                    if response.found:
-                        protected = ProtectedResult(
-                            challenge=response.challenge,
-                            wrapped_key=response.wrapped_key,
-                            sealed_result=response.sealed_result,
-                        )
-                        with self.tracer.span("runtime.verify", clock=self.clock) as vs:
-                            outcome = verify_and_recover(
-                                self.config.scheme, func_identity, input_bytes, tag,
-                                protected, self.clock,
-                            )
-                            vs.set("ok", outcome.ok)
-                        if outcome.ok:
-                            hit = True
-                            result_len = len(outcome.result_bytes)
-                            result_value = result_parser.decode(outcome.result_bytes)
-                            if self.l1_cache is not None:
-                                self.l1_cache.put(tag, outcome.result_bytes)
-                        else:
-                            self.stats.verification_failures += 1
-
-                if not hit:
-                    result_value, result_len, compute_sim_seconds = self._compute_and_put(
-                        func, description, func_identity, input_value, input_bytes,
-                        tag, result_parser, unpack_args, native_factor,
-                        store_result=attempt_dedup,
-                    )
-            source = "l1" if l1_hit else ("store" if hit else "computed")
-            root.set("source", source)
-            root_span_id = root.span_id
-            root_trace_id = self.tracer.current_trace_id
-
-        wall = time.perf_counter() - wall_start
-        sim = self.clock.since(sim_start) / self.clock.params.cpu_freq_hz
-        if adaptive is not None and self.config.dedup_enabled:
-            if hit:
-                adaptive.observe_hit(func_identity, sim)
-            elif attempt_dedup:
-                adaptive.observe_miss(func_identity, sim, compute_sim_seconds)
-            else:
-                adaptive.observe_plain_compute(func_identity, compute_sim_seconds)
-        self.stats.record_call(
-            CallRecord(
-                description=str(description),
-                hit=hit,
-                input_bytes=len(input_bytes),
-                result_bytes=result_len,
-                wall_seconds=wall,
-                sim_seconds=sim,
-                l1_hit=l1_hit,
-                degraded=degraded,
-            )
+        (result,) = self._run(
+            self._lone_crossing(), description, [input_value],
+            input_parser, result_parser, unpack_args, native_factor,
         )
-        return DedupResult(
-            value=result_value,
-            hit=hit,
-            l1_hit=l1_hit,
-            tag=tag,
-            source=source,
-            span_id=root_span_id,
-            trace_id=root_trace_id,
-            degraded=degraded,
-        )
+        return result
 
     def execute_many(
         self,
@@ -441,145 +371,152 @@ class DedupRuntime:
         inputs = list(inputs)
         if not inputs:
             return []
+        results = self._run(
+            self._batch_crossing(), description, inputs,
+            input_parser, result_parser, unpack_args, native_factor,
+        )
+        self.stats.batches += 1
+        return results
+
+    # -- the two ways across the enclave boundary ------------------------------
+    def _lone_crossing(self) -> _Crossing:
+        """A lone call travels as plain GET/PUT messages and always
+        blocks: it never enters the engine."""
+        call = self.client.call
+
+        def send(requests: list) -> EngineBatch:
+            return EngineBatch([call(request) for request in requests])
+
+        return _Crossing(*_LONE, send, send, _SerialRegion)
+
+    def _batch_crossing(self) -> _Crossing:
+        """A batch travels as one BATCH_GET/BATCH_PUT per shard group:
+        through the engine's pipelined rounds (and worker lanes) when one
+        is attached, as blocking ``call_batch`` exchanges otherwise."""
+        engine, call_batch = self.engine, self.client.call_batch
+        if engine is not None:
+            return _Crossing(*_BATCH, engine.run_gets, engine.run_puts, engine.parallel_region)
+
+        def send(requests: list) -> EngineBatch:
+            return EngineBatch(list(call_batch(requests)))
+
+        return _Crossing(*_BATCH, send, send, _SerialRegion)
+
+    # -- the pipeline (Algorithms 1 & 2 over a group) ----------------------------
+    def _run(
+        self,
+        crossing: _Crossing,
+        description: FunctionDescription,
+        inputs: list,
+        input_parser: Parser | None,
+        result_parser: Parser | None,
+        unpack_args: bool,
+        native_factor: float,
+    ) -> list[DedupResult]:
+        """Take ``inputs`` through the four stages under one ECALL: tag +
+        L1, duplicate check, compute, PUT.  Every input follows Algorithm
+        1 or 2 on its own and gets its own record and result; what the
+        group shares is the boundary ``crossing``."""
         input_parser = input_parser or AnyParser(self.parsers)
         result_parser = result_parser or AnyParser(self.parsers)
         n = len(inputs)
-        items = [_BatchItem(input_value=value) for value in inputs]
-        item_span_ids: list[int | None] = [None] * n
+        items = [_BatchItem(index, value) for index, value in enumerate(inputs)]
         adaptive = self.config.adaptive
         wall_start = time.perf_counter()
         sim_start = self.clock.snapshot()
 
         with self.tracer.span(
-            "runtime.execute_batch", clock=self.clock,
-            func=str(description), items=n,
-        ):
-            batch_trace_id = self.tracer.current_trace_id
-            with self.enclave.ecall("dedup_execute_batch"):
-                func = self.libraries.lookup(description)
-                func_identity = self.libraries.function_identity(description)
+            crossing.root_span, clock=self.clock, func=str(description), items=n,
+        ), self.enclave.ecall(crossing.ecall):
+            trace_id = self.tracer.current_trace_id
+            func = self.libraries.lookup(description)
+            func_identity = self.libraries.function_identity(description)
 
-                # Stage 1: derive every tag; serve what the L1 already holds.
-                # Per-item derivation is independent enclave work, so with
-                # the engine attached it rides the worker lanes exactly like
-                # stage-2 verification.
-                stage1_region = (
-                    self.engine.parallel_region()
-                    if self.engine is not None
-                    else _SerialRegion()
-                )
-                with stage1_region as region:
-                    for index, item in enumerate(items):
-                        with self.tracer.span(
-                            "runtime.item", clock=self.clock, index=index
-                        ) as item_span, self._item_meter(item), region.task():
-                            item.input_bytes = input_parser.encode(
-                                item.input_value
-                            )
-                            item.tag = derive_tag(
-                                func_identity, item.input_bytes, self.clock
-                            )
-                            attempt = self.config.dedup_enabled
-                            if attempt and adaptive is not None:
-                                attempt = adaptive.should_attempt_dedup(
-                                    func_identity
-                                )
-                            item.attempt_dedup = attempt
-                            if attempt and self.l1_cache is not None:
-                                cached = self.l1_cache.get(item.tag)
-                                if cached is not None:
-                                    item.hit = item.l1_hit = True
-                                    item.result_len = len(cached)
-                                    item.result_value = result_parser.decode(
-                                        cached
-                                    )
-                            item_span.set("l1_hit", item.l1_hit)
-                            item_span_ids[index] = item_span.span_id
-
-                # Stage 2: one multi-tag duplicate check for everything the
-                # L1 could not answer (Algorithm 2, lines 2-3, batched).
-                lookups = [
-                    (index, item)
-                    for index, item in enumerate(items)
-                    if item.attempt_dedup and not item.hit
-                ]
-                if lookups:
-                    requests = [
-                        GetRequest(tag=item.tag, app_id=self.config.app_id)
-                        for _, item in lookups
-                    ]
-                    payload = sum(len(item.tag) + 64 for _, item in lookups)
-                    if self.engine is not None:
-                        with self.enclave.ocall("batch_get_request", in_bytes=payload):
-                            batch = self.engine.run_gets(requests)
-                        self._absorb_engine_gets(
-                            lookups, batch, func_identity, result_parser
-                        )
-                    else:
-                        try:
-                            with self.enclave.ocall(
-                                "batch_get_request", in_bytes=payload
-                            ):
-                                responses = self.client.call_batch(requests)
-                        except _STORE_FAILURES:
-                            if not self.config.degrade_on_store_failure:
-                                raise
-                            # The whole duplicate check was lost: every
-                            # item degrades to local compute (stage 3).
-                            for _, item in lookups:
-                                item.degraded = True
-                            responses = []
-                            lookups = []
-                        for (index, item), response in zip(lookups, responses):
-                            self._absorb_get_response(
-                                index, item, response, func_identity, result_parser
-                            )
-
-                # Stage 3: compute the misses in input order (Algorithm 1).
-                # With the engine's single-flight mode on, later misses
-                # whose tag an earlier miss already computed this batch
-                # join that leader in-enclave: one compute, one PUT.
-                sync_puts: list[PutRequest] = []
-                coalesce = (
-                    self.engine is not None and self.engine.config.coalesce
-                )
-                computed_by_tag: dict[bytes, _BatchItem] = {}
+            # Stage 1: derive every tag; serve what the L1 already holds.
+            # Per-item derivation is independent enclave work, so with
+            # the engine attached it rides the worker lanes exactly like
+            # stage-2 verification.
+            with crossing.lanes() as region:
                 for item in items:
+                    with self.tracer.span(
+                        "runtime.item", clock=self.clock, index=item.index
+                    ) as item.span, self._item_meter(item), region.task():
+                        with self.tracer.span("runtime.tag", clock=self.clock):
+                            item.input_bytes = input_parser.encode(item.input_value)
+                            item.tag = derive_tag(func_identity, item.input_bytes, self.clock)
+                        item.attempt_dedup = self.config.dedup_enabled and (
+                            adaptive is None or adaptive.should_attempt_dedup(func_identity)
+                        )
+                        if item.attempt_dedup and self.l1_cache is not None:
+                            self._l1_lookup(item, result_parser)
+                        item.span.set("l1_hit", item.hit)
+
+            # Stage 2: one duplicate check for everything the L1 could
+            # not answer (Algorithm 2, lines 2-3).
+            lookups = [i for i in items if i.attempt_dedup and not i.hit]
+            if lookups:
+                batch = self._exchange(
+                    crossing.get_ocall,
+                    sum(len(item.tag) + 64 for item in lookups),
+                    crossing.send_gets,
+                    [GetRequest(tag=item.tag, app_id=self.config.app_id) for item in lookups],
+                )
+                self._absorb_gets(lookups, batch, crossing.lanes, func_identity, result_parser)
+
+            # Stage 3: compute the misses in input order (Algorithm 1).
+            # With the engine's single-flight mode on, later misses
+            # whose tag an earlier miss already computed this batch
+            # join that leader in-enclave: one compute, one PUT.
+            sync_puts: list[PutRequest] = []
+            coalesce = self.engine is not None and self.engine.config.coalesce
+            computed_by_tag: dict[bytes, _BatchItem] = {}
+            # Tags this group has put in the L1 since stage 1 probed it:
+            # only these can have turned a miss into a hit, so only these
+            # are probed again (the sequential-with-cache order, with
+            # every missing lookup counted once).
+            l1_fresh = {i.tag for i in items if i.source == "store"}
+            for item in items:
+                if item.hit:
+                    continue
+                leader = computed_by_tag.get(item.tag)
+                if leader is not None and item.attempt_dedup:
+                    item.follow(leader)
+                    continue
+                with self._item_meter(item):
+                    if self.l1_cache is not None and item.attempt_dedup and item.tag in l1_fresh:
+                        self._l1_lookup(item, result_parser)
                     if item.hit:
                         continue
-                    if coalesce and item.attempt_dedup:
-                        leader = computed_by_tag.get(item.tag)
-                        if leader is not None:
-                            item.hit = True
-                            item.coalesced = True
-                            item.degraded = False
-                            item.result_len = leader.result_len
-                            item.result_value = leader.result_value
-                            continue
-                    with self._item_meter(item):
-                        self._compute_batch_item(
-                            item, func, func_identity, result_parser,
-                            unpack_args, native_factor, sync_puts,
-                        )
-                    if coalesce and item.attempt_dedup and not item.l1_hit:
-                        computed_by_tag[item.tag] = item
-
-                # Stage 4: ship all synchronous PUTs as one record/OCALL.
-                if sync_puts:
-                    self._send_puts_sync(
-                        "batch_put_request", sync_puts, self._batch_put_verdicts
+                    put = self._compute_item(
+                        item, func, func_identity, result_parser, unpack_args, native_factor
                     )
+                    if put is None:
+                        continue
+                    l1_fresh.add(item.tag)
+                    if coalesce:
+                        computed_by_tag[item.tag] = item
+                    if self.config.async_put:
+                        self._enqueue_put(put)
+                    else:
+                        sync_puts.append(put)
 
-        total_wall = time.perf_counter() - wall_start
-        total_sim = self.clock.since(sim_start) / self.clock.params.cpu_freq_hz
-        shared_wall = max(0.0, total_wall - sum(i.direct_wall for i in items)) / n
-        shared_sim = max(0.0, total_sim - sum(i.direct_sim for i in items)) / n
+            # Stage 4: ship all synchronous PUTs under one OCALL.
+            if sync_puts:
+                self._send_puts_sync(crossing.put_ocall, sync_puts, crossing.send_puts)
 
-        self.stats.batches += 1
+        # A record is an equal share of the group's cost, shifted by how far
+        # the item's own metered cost sits from the group's mean: what no
+        # item owns (ECALL, OCALLs, channel records) is split evenly, and a
+        # lone call's record is exactly the call.
+        mean_wall = (time.perf_counter() - wall_start) / n
+        mean_sim = self.clock.since(sim_start) / self.clock.params.cpu_freq_hz / n
+        mean_direct_wall = sum(i.direct_wall for i in items) / n
+        mean_direct_sim = sum(i.direct_sim for i in items) / n
+
         results: list[DedupResult] = []
-        for index, item in enumerate(items):
-            sim = item.direct_sim + shared_sim
-            wall = item.direct_wall + shared_wall
+        for item in items:
+            sim = mean_sim + (item.direct_sim - mean_direct_sim)
+            wall = mean_wall + (item.direct_wall - mean_direct_wall)
             if adaptive is not None and self.config.dedup_enabled:
                 if item.hit:
                     adaptive.observe_hit(func_identity, sim)
@@ -587,6 +524,8 @@ class DedupRuntime:
                     adaptive.observe_miss(func_identity, sim, item.compute_sim)
                 else:
                     adaptive.observe_plain_compute(func_identity, item.compute_sim)
+            degraded = item.degraded and not item.hit
+            item.span.set("source", item.source)
             self.stats.record_call(
                 CallRecord(
                     description=str(description),
@@ -595,31 +534,27 @@ class DedupRuntime:
                     result_bytes=item.result_len,
                     wall_seconds=wall,
                     sim_seconds=sim,
-                    l1_hit=item.l1_hit,
+                    l1_hit=item.source == "l1",
                     batch_size=n,
-                    degraded=item.degraded and not item.hit,
-                    coalesced=item.coalesced,
+                    degraded=degraded,
+                    coalesced=item.source == "coalesced",
                 )
             )
             results.append(
                 DedupResult(
                     value=item.result_value,
                     hit=item.hit,
-                    l1_hit=item.l1_hit,
+                    l1_hit=item.source == "l1",
                     tag=item.tag,
-                    source="coalesced" if item.coalesced else (
-                        "l1" if item.l1_hit else (
-                            "store" if item.hit else "computed"
-                        )
-                    ),
-                    span_id=item_span_ids[index],
-                    trace_id=batch_trace_id,
-                    degraded=item.degraded and not item.hit,
+                    source=item.source,
+                    span_id=item.span.span_id,
+                    trace_id=trace_id,
+                    degraded=degraded,
                 )
             )
         return results
 
-    # -- batch helpers --------------------------------------------------------
+    # -- pipeline helpers -----------------------------------------------------
     @contextmanager
     def _item_meter(self, item: _BatchItem) -> Iterator[None]:
         """Accumulate one item's directly-attributable wall/sim costs."""
@@ -631,57 +566,54 @@ class DedupRuntime:
             item.direct_wall += time.perf_counter() - wall0
             item.direct_sim += self.clock.since(sim0) / self.clock.params.cpu_freq_hz
 
-    def _absorb_get_response(
+    def _exchange(
+        self, ocall: str, payload: int, send: Callable[[list], EngineBatch], requests: list
+    ) -> EngineBatch:
+        """``send(requests)``, one round trip, under one OCALL.  A round
+        trip lost whole is every request's failure."""
+        try:
+            with self.enclave.ocall(ocall, in_bytes=payload):
+                return send(requests)
+        except _STORE_FAILURES as exc:
+            return EngineBatch([exc] * len(requests))
+
+    def _l1_lookup(self, item: _BatchItem, result_parser: Parser) -> None:
+        with self.tracer.span("runtime.l1_lookup", clock=self.clock) as span:
+            cached = self.l1_cache.get(item.tag)
+            span.set("hit", cached is not None)
+        if cached is not None:
+            item.source = "l1"
+            item.result_len = len(cached)
+            item.result_value = result_parser.decode(cached)
+
+    def _absorb_gets(
         self,
-        index: int,
-        item: _BatchItem,
-        response: Message,
+        lookups: list[_BatchItem],
+        batch: EngineBatch,
+        lanes: Callable[[], Any],
         func_identity: bytes,
         result_parser: Parser,
     ) -> None:
-        """Fold one store GET response into its batch item (type check,
-        miss/degrade handling, Fig. 3 verification on a hit)."""
-        if not isinstance(response, GetResponse):
-            raise DedupError(
-                f"store answered GET with {type(response).__name__}"
-            )
-        if not response.found:
-            if (
-                response.reason == NoLiveOwnerError.code
-                and self.config.degrade_on_store_failure
-            ):
-                item.degraded = True
-            return
-        with self.tracer.span(
-            "runtime.verify", clock=self.clock, index=index
-        ) as vs, self._item_meter(item):
-            self._verify_batch_hit(item, response, func_identity, result_parser)
-            vs.set("ok", item.hit)
+        """Fold the duplicate check's answers in, in position order.
 
-    def _absorb_engine_gets(
-        self,
-        lookups: list,
-        batch,
-        func_identity: bytes,
-        result_parser: Parser,
-    ) -> None:
-        """Fold a pipelined :class:`~repro.engine.EngineBatch` of GETs in.
-
-        Leaders (one per distinct tag) are verified exactly like the
-        serial path; a per-op failure degrades just that item (or is
-        surfaced, matching the serial whole-batch raise policy).
-        Coalesced followers never touched the wire — they observe their
-        leader's outcome verbatim: the leader's verified bytes on a hit,
-        degradation on a degraded leader, or fall-through to stage-3
-        compute on a miss/failed verification.
+        An answered item is a miss, a hit to verify, or a failure that
+        degrades just that item (or is surfaced when the runtime does not
+        degrade).  An item the engine coalesced never touched the wire:
+        it observes its leader's outcome verbatim — the verified bytes on
+        a hit, degradation on a degraded leader, fall-through to stage-3
+        compute (where compute coalescing pairs them) otherwise.
         """
-        followers = batch.leader_of
         # Per-item verification is enclave-local work with no shared
         # state: the engine accounts it as spread over the worker lanes
         # (one verification per enclave worker thread at a time).
-        with self.engine.parallel_region() as region:
-            for pos, (index, item) in enumerate(lookups):
-                if pos in followers:
+        with lanes() as region:
+            for pos, item in enumerate(lookups):
+                if pos in batch.leader_of:
+                    leader = lookups[batch.leader_of[pos]]
+                    if leader.hit:
+                        item.follow(leader)
+                    elif leader.degraded:
+                        item.degraded = True
                     continue
                 response = batch.responses[pos]
                 if isinstance(response, Exception):
@@ -689,49 +621,51 @@ class DedupRuntime:
                         raise response
                     item.degraded = True
                     continue
+                if not isinstance(response, GetResponse):
+                    raise DedupError(f"store answered GET with {type(response).__name__}")
                 with region.task():
-                    self._absorb_get_response(
-                        index, item, response, func_identity, result_parser
-                    )
-        for pos, leader_pos in followers.items():
-            _, item = lookups[pos]
-            _, leader = lookups[leader_pos]
-            if leader.hit:
-                item.hit = True
-                item.coalesced = True
-                item.result_len = leader.result_len
-                item.result_value = leader.result_value
-            elif leader.degraded:
-                item.degraded = True
-            # Leader miss (or failed verification): the follower falls
-            # through to stage 3, where compute coalescing pairs them.
+                    if response.found:
+                        self._verify_hit(item, response, func_identity, result_parser)
+                    elif (
+                        response.reason == NoLiveOwnerError.code
+                        and self.config.degrade_on_store_failure
+                    ):
+                        # The router answered "unavailable, recompute".
+                        item.degraded = True
 
-    def _verify_batch_hit(
+    def _verify_hit(
         self,
         item: _BatchItem,
         response: GetResponse,
         func_identity: bytes,
         result_parser: Parser,
     ) -> None:
-        protected = ProtectedResult(
-            challenge=response.challenge,
-            wrapped_key=response.wrapped_key,
-            sealed_result=response.sealed_result,
-        )
-        outcome = verify_and_recover(
-            self.config.scheme, func_identity, item.input_bytes, item.tag,
-            protected, self.clock,
-        )
-        if outcome.ok:
-            item.hit = True
-            item.result_len = len(outcome.result_bytes)
-            item.result_value = result_parser.decode(outcome.result_bytes)
-            if self.l1_cache is not None:
-                self.l1_cache.put(item.tag, outcome.result_bytes)
-        else:
-            self.stats.verification_failures += 1
+        """Fig. 3: recover and check the stored result; only a verified
+        one is a hit (and remembered in the L1)."""
+        with self.tracer.span(
+            "runtime.verify", clock=self.clock, index=item.index
+        ) as vs, self._item_meter(item):
+            outcome = verify_and_recover(
+                self.config.scheme, func_identity, item.input_bytes, item.tag,
+                ProtectedResult(
+                    challenge=response.challenge,
+                    wrapped_key=response.wrapped_key,
+                    sealed_result=response.sealed_result,
+                ),
+                self.clock,
+            )
+            vs.set("ok", outcome.ok)
+            if outcome.ok:
+                item.source = "store"
+                item.result_len = len(outcome.result_bytes)
+                item.result_value = result_parser.decode(outcome.result_bytes)
+                if self.l1_cache is not None:
+                    self.l1_cache.put(item.tag, outcome.result_bytes)
+            else:
+                self.stats.verification_failures += 1
 
-    def _compute_batch_item(
+    # -- fresh computation + PUT (Algorithm 1, lines 4-10) --------------------
+    def _compute_item(
         self,
         item: _BatchItem,
         func: Callable,
@@ -739,42 +673,21 @@ class DedupRuntime:
         result_parser: Parser,
         unpack_args: bool,
         native_factor: float,
-        sync_puts: list[PutRequest],
-    ) -> None:
-        if item.attempt_dedup and self.l1_cache is not None:
-            # An earlier miss in this very batch may have computed the
-            # same tag already — mirror the sequential-with-cache order.
-            cached = self.l1_cache.get(item.tag)
-            if cached is not None:
-                item.hit = item.l1_hit = True
-                item.result_len = len(cached)
-                item.result_value = result_parser.decode(cached)
-                return
+    ) -> PutRequest | None:
+        """Run the function for one miss; returns the protected result to
+        PUT (also remembered in the L1), or ``None`` when deduplication
+        is off for this item."""
         item.result_value, item.compute_sim = self._compute_raw(
             func, item.input_value, unpack_args, native_factor
         )
         result_bytes = result_parser.encode(item.result_value)
         item.result_len = len(result_bytes)
-        if not (self.config.dedup_enabled and item.attempt_dedup):
-            return
+        if not item.attempt_dedup:
+            return None
         if self.l1_cache is not None:
             self.l1_cache.put(item.tag, result_bytes)
-        put = self._protect_put(func_identity, item.input_bytes, item.tag, result_bytes)
-        if self.config.async_put:
-            self._enqueue_put(put)
-        else:
-            sync_puts.append(put)
+        return self._protect_put(func_identity, item.input_bytes, item.tag, result_bytes)
 
-    # -- GET (Algorithm 2, lines 2-3) ----------------------------------------
-    def _get(self, tag: bytes, input_len: int) -> GetResponse:
-        request = GetRequest(tag=tag, app_id=self.config.app_id)
-        with self.enclave.ocall("get_request", in_bytes=len(tag) + 64):
-            response = self.client.call(request)
-        if not isinstance(response, GetResponse):
-            raise DedupError(f"store answered GET with {type(response).__name__}")
-        return response
-
-    # -- fresh computation + PUT (Algorithm 1, lines 4-10) --------------------
     def _compute_raw(
         self,
         func: Callable,
@@ -811,54 +724,15 @@ class DedupRuntime:
             app_id=self.config.app_id,
         )
 
-    def _compute_and_put(
-        self,
-        func: Callable,
-        description: FunctionDescription,
-        func_identity: bytes,
-        input_value: Any,
-        input_bytes: bytes,
-        tag: bytes,
-        result_parser: Parser,
-        unpack_args: bool,
-        native_factor: float,
-        store_result: bool = True,
-    ) -> tuple[Any, int, float]:
-        result_value, compute_sim = self._compute_raw(
-            func, input_value, unpack_args, native_factor
-        )
-        result_bytes = result_parser.encode(result_value)
-        if self.config.dedup_enabled and store_result:
-            if self.l1_cache is not None:
-                self.l1_cache.put(tag, result_bytes)
-            put = self._protect_put(func_identity, input_bytes, tag, result_bytes)
-            if self.config.async_put:
-                self._enqueue_put(put)
-            else:
-                self._send_puts_sync(
-                    "put_request", [put], lambda puts: [self.client.call(puts[0])]
-                )
-        return result_value, len(result_bytes), compute_sim
-
-    def _batch_put_verdicts(self, puts: list[PutRequest]) -> Sequence:
-        if self.engine is not None:
-            return self.engine.run_puts(puts).responses
-        return self.client.call_batch(puts)
-
     def _send_puts_sync(
-        self, ocall: str, puts: list[PutRequest], send: Callable[[list], Sequence]
+        self, ocall: str, puts: list[PutRequest], send: Callable[[list], EngineBatch]
     ) -> None:
-        """Run ``send(puts)``, the PUTs' round trip, under one OCALL and
-        account every PUT's verdict.  ``send`` returns one verdict per
-        PUT (an exception instance for an op the store did not serve); a
-        round trip lost whole is every PUT's failure.  Failures surface
-        unless the runtime degrades on store failure."""
+        """Send ``puts`` as one round trip under one OCALL and account
+        every PUT's verdict (an exception for an op the store did not
+        serve).  Failures surface unless the runtime degrades on store
+        failure."""
         payload = sum(len(p.sealed_result) + 128 for p in puts)
-        try:
-            with self.enclave.ocall(ocall, in_bytes=payload):
-                verdicts = send(puts)
-        except _STORE_FAILURES as exc:
-            verdicts = [exc] * len(puts)
+        verdicts = self._exchange(ocall, payload, send, puts).responses
         # A batch reports "no owner shard answered" in-band where a lone
         # call raises: either way the store gave no verdict.
         verdicts = [

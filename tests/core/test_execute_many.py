@@ -18,40 +18,6 @@ def batch_app(seed: bytes, **config_kwargs):
     return d, app
 
 
-class TestEquivalence:
-    def test_results_identical_to_sequential_execute(self):
-        d_seq, app_seq = batch_app(b"em-eq")
-        sequential = [app_seq.runtime.execute(DOUBLE_DESC, v) for v in INPUTS]
-
-        d_bat, app_bat = batch_app(b"em-eq")
-        batched = app_bat.runtime.execute_many(DOUBLE_DESC, INPUTS)
-        assert batched == sequential == [double_bytes(v) for v in INPUTS]
-
-    def test_results_identical_with_l1_cache(self):
-        d_seq, app_seq = batch_app(b"em-eq-l1")
-        sequential = [app_seq.runtime.execute(DOUBLE_DESC, v) for v in INPUTS]
-
-        d_bat, app_bat = batch_app(b"em-eq-l1", l1_cache_entries=8)
-        batched = app_bat.runtime.execute_many(DOUBLE_DESC, INPUTS)
-        assert batched == sequential
-        # The repeated inputs were served by the L1 inside the batch.
-        assert app_bat.runtime.stats.l1_hits == 2
-
-    def test_second_batch_hits_after_flush(self):
-        d, app = batch_app(b"em-hit")
-        app.runtime.execute_many(DOUBLE_DESC, [b"a", b"b"])
-        app.runtime.flush_puts()
-        out = app.runtime.execute_many(DOUBLE_DESC, [b"a", b"b"])
-        assert out == [double_bytes(b"a"), double_bytes(b"b")]
-        assert app.runtime.stats.hits == 2
-        assert app.runtime.stats.misses == 2
-
-    def test_empty_batch(self):
-        _, app = batch_app(b"em-empty")
-        assert app.runtime.execute_many(DOUBLE_DESC, []) == []
-        assert app.runtime.stats.calls == 0
-
-
 class TestAmortization:
     def test_one_ecall_one_ocall_per_batch(self):
         d, app = batch_app(b"em-trans")
