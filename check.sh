@@ -43,7 +43,7 @@ echo "tier-1 wall time: $(( $(date +%s) - tier1_start )) s"
 # of work and says what it forgives.  (`python -m pytest benchmarks/e2e`
 # is not wired in: its `--quick` window is a length of time, and on a
 # program this fast the reduced mix2k workload drifts out of its
-# store-hit band — a benchmark-side fix, tracked in ROADMAP item 2.)
+# store-hit band — a benchmark-side fix, tracked in ROADMAP item 1(b).)
 echo "== e2e benchmark repeat check (virtual clock + counts) =="
 python3 benchmarks/repeat_gate.py || status=1
 

@@ -422,11 +422,12 @@ class DedupRuntime:
         n = len(inputs)
         items = [_BatchItem(index, value) for index, value in enumerate(inputs)]
         adaptive = self.config.adaptive
+        label = str(description)
         wall_start = time.perf_counter()
         sim_start = self.clock.snapshot()
 
         with self.tracer.span(
-            crossing.root_span, clock=self.clock, func=str(description), items=n,
+            crossing.root_span, clock=self.clock, func=label, items=n,
         ), self.enclave.ecall(crossing.ecall):
             trace_id = self.tracer.current_trace_id
             func = self.libraries.lookup(description)
@@ -449,7 +450,7 @@ class DedupRuntime:
                         )
                         if item.attempt_dedup and self.l1_cache is not None:
                             self._l1_lookup(item, result_parser)
-                        item.span.set("l1_hit", item.hit)
+                        item.span.set("l1_hit", item.source == "l1")
 
             # Stage 2: one duplicate check for everything the L1 could
             # not answer (Algorithm 2, lines 2-3).
@@ -485,20 +486,17 @@ class DedupRuntime:
                 with self._item_meter(item):
                     if self.l1_cache is not None and item.attempt_dedup and item.tag in l1_fresh:
                         self._l1_lookup(item, result_parser)
-                    if item.hit:
-                        continue
-                    put = self._compute_item(
+                    put = None if item.hit else self._compute_item(
                         item, func, func_identity, result_parser, unpack_args, native_factor
                     )
-                    if put is None:
-                        continue
-                    l1_fresh.add(item.tag)
-                    if coalesce:
-                        computed_by_tag[item.tag] = item
-                    if self.config.async_put:
-                        self._enqueue_put(put)
-                    else:
-                        sync_puts.append(put)
+                    if put is not None:
+                        l1_fresh.add(item.tag)
+                        if coalesce:
+                            computed_by_tag[item.tag] = item
+                        if self.config.async_put:
+                            self._enqueue_put(put)
+                        else:
+                            sync_puts.append(put)
 
             # Stage 4: ship all synchronous PUTs under one OCALL.
             if sync_puts:
@@ -528,7 +526,7 @@ class DedupRuntime:
             item.span.set("source", item.source)
             self.stats.record_call(
                 CallRecord(
-                    description=str(description),
+                    description=label,
                     hit=item.hit,
                     input_bytes=len(item.input_bytes),
                     result_bytes=item.result_len,
