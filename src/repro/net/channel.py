@@ -63,6 +63,8 @@ class ChannelEndpoint:
         """Seal one record; output is ``seq(8) || tag(16) || ciphertext``."""
         with self.tracer.span("channel.encrypt", clock=self.trace_clock, bytes=len(payload)):
             seq = self._send_seq
+            if seq >> 64:  # the header and the IV carry 64 bits of it
+                raise ChannelError("sequence space exhausted")
             self._send_seq += 1
             self._clock.charge_aead_encrypt(len(payload))
             ct, tag = self._send.encrypt(

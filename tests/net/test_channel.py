@@ -83,6 +83,18 @@ class TestRecords:
         with pytest.raises(ChannelError):
             channel.server.unprotect(b"tiny")
 
+    def test_sequence_space_exhaustion_is_a_coded_error(self, channel, platform):
+        channel.client._send_seq = 2**64 - 1
+        last = channel.client.protect(b"last")
+        assert last[:8] == b"\xff" * 8
+        assert channel.server.unprotect(last) == b"last"
+        cycles = platform.clock.cycles
+        # Was a bare OverflowError, after bumping the counter and the clock.
+        with pytest.raises(ChannelError, match="sequence space exhausted"):
+            channel.client.protect(b"one too many")
+        assert channel.client.records_protected == 2**64
+        assert platform.clock.cycles == cycles
+
     def test_direction_keys_differ(self, channel):
         # A client record must not open as a server record (reflection).
         record = channel.client.protect(b"data")
