@@ -25,6 +25,7 @@ from repro.errors import CryptoError
 
 NARROW_BLOCKS = gcm._LANE_PASSES[-1][1]   # least blocks for one lane pass
 WIDE_BLOCKS = gcm._LANE_PASSES[0][1]      # least blocks for two
+BUILD_BLOCKS = gcm._LANE_BUILD_BLOCKS     # least blocks for a key's first lane pass
 
 
 def _iv(i: int) -> bytes:
@@ -159,10 +160,35 @@ def test_each_table_built_once_per_key_across_scalar_and_bulk_records():
     assert roundtrips(scalar, 5) + roundtrips(bulk, 5) + roundtrips(bulkier, 2) == 0
 
 
+@pytest.mark.parametrize("blocks, lane_tables", [
+    (NARROW_BLOCKS, 0), (BUILD_BLOCKS - 1, 0), (BUILD_BLOCKS, 1),
+])
+def test_a_one_record_key_builds_a_lane_table_only_for_a_long_record(blocks, lane_tables):
+    # A 64 KiB table (~100 us) to save under 64 scalar steps is a loss for
+    # a key that seals one result and is never seen again.
+    cipher = AesGcm(b"\x67" * 16)
+    before = gcm.table_builds
+    cipher.encrypt(_iv(1), b"r" * (16 * blocks))
+    assert gcm.table_builds - before == 1 + lane_tables   # the byte table, always
+    assert len(cipher._lane_tables) == lane_tables
+
+
+def test_a_keys_second_short_bulk_record_takes_the_lane_pass():
+    payload = b"r" * (16 * NARROW_BLOCKS)
+    scalar = AesGcm(b"\x68" * 16).encrypt(_iv(2), payload)   # a key's first: no lanes
+    cipher = AesGcm(b"\x68" * 16)
+    cipher.encrypt(_iv(1), payload)
+    before = gcm.table_builds
+    assert cipher.encrypt(_iv(2), payload) == scalar         # not a one-shot key after all
+    assert gcm.table_builds - before == 1 and len(cipher._lane_tables) == 1
+    cipher.encrypt(_iv(3), payload)
+    assert gcm.table_builds - before == 1
+
+
 def test_cipher_cache_stays_within_its_byte_bound_and_evicts_lru_first():
     gcm._CIPHER_CACHE.clear()
     keys = [i.to_bytes(16, "big") for i in range(gcm._CIPHER_CACHE_MAX + 40)]
-    bulk = b"x" * (16 * NARROW_BLOCKS)  # every cipher grows a lane table
+    bulk = b"x" * (16 * BUILD_BLOCKS)  # every cipher grows a lane table
     assert gcm._CIPHER_CACHE_MAX * gcm._CIPHER_FULL_BYTES > gcm._CIPHER_CACHE_BYTES, (
         "the byte bound must be the one that binds here"
     )

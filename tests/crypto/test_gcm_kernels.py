@@ -136,7 +136,8 @@ def _around(n_blocks: int) -> list[int]:
 WIDE, NARROW = gcm._LANE_PASSES
 SIZES = sorted({
     0, 1, 15, 16, 17,
-    *_around(NARROW[1]),                  # scalar GHASH <-> one lane pass
+    *_around(NARROW[1]),                  # scalar GHASH <-> one lane pass (a key's second record)
+    *_around(gcm._LANE_BUILD_BLOCKS),     # ... and for its first
     *_around(WIDE[1]),                    # one lane pass <-> two
     16 * (NARROW[1] + 5) + 3,             # not a multiple of the narrow width, ragged tail
     16 * (WIDE[1] + WIDE[0] // 2 + 5) + 7,  # nor of the wide one
