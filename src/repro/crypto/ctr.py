@@ -9,6 +9,27 @@ memory does not grow with the message.  Measured per AEAD call, stripes
 of 1 Ki / 2 Ki / 4 Ki / 8 Ki blocks / unstriped: 3.1 / 2.6 / 2.2 / 2.4 /
 2.4 ms on 64 KiB and 40 / 33 / 35 / 31 / 39 ms on 1 MiB; unstriped also
 raised the end-to-end benchmark's peak RSS on 64 KiB records by 13 MiB.
+
+Keystream lookahead.  A batch costs ~70 us before its first block and
+0.3 us per block after, so a short record pays mostly for the call.  A
+channel direction's IVs are a counter run (:func:`counter_iv`): the
+keystream of its *next* records depends on the key and a counter alone, so
+:class:`KeystreamAhead` encrypts rows ``iv(seq + i) || 1 .. stride`` for a
+window of records in one batch and each record is an XOR against its slot.
+Fixed by measurement, no option: ``stride`` = the largest record since the
+last refill, ``window = min(16, 1024 // stride)`` slots (16 KiB a direction,
+one ``bytes``).  Alternating end-to-end passes at 256 / 512 / 1 Ki / 2 Ki /
+4 Ki blocks: 1 KiB hits 1234 / 1280 / 1321 / 1349 / 1351 ops/s, p99 1.38 /
+1.40 / 1.61 / 1.57 / 1.53 ms (a 14 x 73 block refill is 0.37 ms, on both
+ends of one request); mixed-size cluster batches 1555 / 1526 / 1537 / 1463
+/ 1414 (unused slot tails).  A record larger than its slot, a window under
+2 (64 KiB records), a sequence number over a window past the last one asked
+for (a forged header must not move the window) or a window passing 2^64 - 1
+takes :func:`ctr_stream` as before.  Never-reuse: a slot holds exactly the
+blocks ``ctr_stream`` computes for that IV, so no (key, IV) is used that the
+caller did not ask for, and sealing is served only IVs above all it asked
+for before: no slot seals twice (opening may revisit one: forged record k,
+then the genuine k).
 """
 
 from __future__ import annotations
@@ -19,6 +40,10 @@ from .aes import AES128, BLOCK_SIZE
 from ..errors import CryptoError
 
 _STRIPE_BLOCKS = 4096
+
+# Lookahead: most blocks held per counter run, most records per window.
+_AHEAD_BLOCKS = 1024
+_AHEAD_WINDOW = 16
 
 # AES batches issued since import (one per stripe); the regression tests
 # assert a record that fits one stripe costs exactly one.
@@ -78,3 +103,51 @@ def ctr_transform(cipher: AES128, initial_counter: bytes, data: bytes) -> bytes:
     """Encrypt or decrypt ``data`` under the counter run starting at
     ``initial_counter``."""
     return ctr_stream(cipher, initial_counter, data)[1]
+
+
+def counter_iv(label: int, seq: int) -> bytes:
+    """IV of record ``seq`` of counter run ``label``; the layout lives here."""
+    return bytes((label, 0, 0, 0)) + seq.to_bytes(8, "big")
+
+
+class KeystreamAhead:
+    """GCM keystream for the next records of one counter run.  As secret
+    as those records: held here only, dropped at the next refill."""
+
+    def __init__(self, cipher: AES128, label: int):
+        self._cipher, self._label = cipher, label
+        self._first = self._window = self._stride = 0  # slot i covers seq _first + i
+        self._keystream = b""   # _window slots of _stride blocks: E(J0), E(J0 + 1), ...
+        self._next = 0          # one past the sequence number asked for last
+        self._largest = 0       # blocks of the largest record since the last refill
+
+    def stream(self, iv: bytes, data: bytes, once: bool) -> tuple[bytes, bytes] | None:
+        """``ctr_stream(cipher, iv || 1, data, lead_blocks=1)`` from the window,
+        or None: make that call.  ``once``: sealing, IVs only ever rise."""
+        global aes_batches
+        seq = int.from_bytes(iv[-8:], "big")
+        gap = seq - self._next
+        if iv != counter_iv(self._label, seq) or (once and gap < 0):
+            return None
+        self._next = seq + 1
+        need = 1 + -(-len(data) // BLOCK_SIZE)
+        self._largest = stride = max(self._largest, need)
+        slot = seq - self._first
+        if not 0 <= slot < self._window:
+            window = min(_AHEAD_WINDOW, _AHEAD_BLOCKS // stride)
+            if not 0 <= gap <= _AHEAD_WINDOW or window < 2 or seq + window > 1 << 64:
+                self._largest = 0
+                return None
+            rows = np.empty((window, stride, BLOCK_SIZE), dtype=np.uint8)
+            ivs = b"".join(counter_iv(self._label, s) for s in range(seq, seq + window))
+            rows[:, :, :12] = np.frombuffer(ivs, dtype=np.uint8).reshape(window, 1, 12)
+            rows[:, :, 12:] = np.arange(1, stride + 1, dtype=">u4").view(np.uint8).reshape(stride, 4)
+            aes_batches += 1
+            self._keystream = self._cipher.encrypt_blocks(rows.reshape(-1, BLOCK_SIZE)).tobytes()
+            self._first, self._window, self._stride, self._largest, slot = seq, window, stride, need, 0
+        elif need > self._stride:
+            return None
+        lo = (slot * self._stride + 1) * BLOCK_SIZE
+        pad = int.from_bytes(self._keystream[lo:lo + len(data)], "big")
+        out = (int.from_bytes(data, "big") ^ pad).to_bytes(len(data), "big")
+        return self._keystream[lo - BLOCK_SIZE:lo], out

@@ -5,7 +5,9 @@ from the SGX SDK crypto library.  This module reproduces that primitive:
 CTR for confidentiality (vectorised, :mod:`repro.crypto.ctr`) and GHASH
 over GF(2^128) for authenticity.  A record costs one AES batch: the
 counter run starts at ``J0`` itself, so the tag mask ``E(J0)`` is block 0
-of the same keystream that encrypts the data.
+of the same keystream that encrypts the data.  A channel's ciphers, told
+their IVs are a counter run, draw both from keystream made a window ahead
+(:class:`repro.crypto.ctr.KeystreamAhead`); every byte and check is equal.
 
 GHASH strategy.  RCE gives every result its own random key, so per-key
 set-up has to be affordable for a key that is used once:
@@ -44,7 +46,7 @@ import numpy as np
 
 from .aes import AES128, BLOCK_SIZE
 from .constant_time import bytes_eq
-from .ctr import ctr_stream
+from .ctr import KeystreamAhead, ctr_stream
 from ..errors import CryptoError, IntegrityError
 
 TAG_SIZE = 16
@@ -208,8 +210,10 @@ class AesGcm:
     _BYTE_TABLE_BYTES = 13 << 10
     _LANE_TABLE_BYTES = 64 << 10
 
-    def __init__(self, key: bytes):
+    def __init__(self, key: bytes, _counter_label: int | None = None):
+        """``_counter_label``: every IV will be ``ctr.counter_iv(label, seq)``."""
         self._aes = AES128(key)
+        self._ahead = None if _counter_label is None else KeystreamAhead(self._aes, _counter_label)
         self._h = int.from_bytes(self._aes.encrypt_block(bytes(BLOCK_SIZE)), "big")
         self._byte_table: list[int] | None = None      # built on first record
         self._lane_tables: dict[int, np.ndarray] = {}  # lanes -> table, built on first use
@@ -260,20 +264,23 @@ class AesGcm:
         lengths = (len(aad) * 8).to_bytes(8, "big") + (len(ciphertext) * 8).to_bytes(8, "big")
         return self._absorb(y, lengths)
 
-    def encrypt(self, iv: bytes, plaintext: bytes, aad: bytes = b"") -> tuple[bytes, bytes]:
-        """Return ``(ciphertext, tag)``."""
+    def _stream(self, iv: bytes, data: bytes, once: bool) -> tuple[bytes, bytes]:
+        """``(E(J0), data XOR keystream)``: a lookahead slot, else one AES batch."""
         if not iv:
             raise CryptoError("GCM requires a non-empty IV")
-        mask, ciphertext = ctr_stream(self._aes, self._j0(iv), plaintext, lead_blocks=1)
+        ahead = self._ahead and self._ahead.stream(iv, data, once)
+        return ahead or ctr_stream(self._aes, self._j0(iv), data, lead_blocks=1)
+
+    def encrypt(self, iv: bytes, plaintext: bytes, aad: bytes = b"") -> tuple[bytes, bytes]:
+        """Return ``(ciphertext, tag)``."""
+        mask, ciphertext = self._stream(iv, plaintext, once=True)
         tag = self._auth(aad, ciphertext) ^ int.from_bytes(mask, "big")
         return ciphertext, tag.to_bytes(TAG_SIZE, "big")
 
     def decrypt(self, iv: bytes, ciphertext: bytes, tag: bytes, aad: bytes = b"") -> bytes:
         """Verify ``tag`` and return the plaintext; raise IntegrityError on
         any mismatch (the ``⊥`` of the paper's Fig. 3)."""
-        if not iv:
-            raise CryptoError("GCM requires a non-empty IV")
-        mask, plaintext = ctr_stream(self._aes, self._j0(iv), ciphertext, lead_blocks=1)
+        mask, plaintext = self._stream(iv, ciphertext, once=False)
         expected = self._auth(aad, ciphertext) ^ int.from_bytes(mask, "big")
         if len(tag) != TAG_SIZE or not bytes_eq(expected.to_bytes(TAG_SIZE, "big"), tag):
             raise IntegrityError("GCM tag verification failed")

@@ -11,13 +11,17 @@ This module reproduces that construction:
   ``report_data`` of a local-attestation report targeted at the peer, so
   a man-in-the-middle cannot splice its own key into the exchange.
 * :class:`ChannelEndpoint` — sequenced AES-GCM records with replay and
-  reordering detection.
+  reordering detection.  A direction's IVs are ``counter_iv(label, seq)``,
+  ``seq`` strictly increasing, so no (key, IV) repeats; told so once, its
+  ciphers make keystream a window of records ahead (:mod:`repro.crypto.ctr`:
+  wall clock only; no record, tag check or ``SimClock`` charge moves).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..crypto.ctr import counter_iv
 from ..crypto.dh import derive_session_keys, generate_keypair
 from ..crypto.drbg import HmacDrbg
 from ..crypto.gcm import AesGcm
@@ -41,8 +45,8 @@ class ChannelEndpoint:
 
     def __init__(self, clock: SimClock, send_key: bytes, recv_key: bytes, label: int):
         self._clock = clock
-        self._send = AesGcm(send_key)
-        self._recv = AesGcm(recv_key)
+        self._send = AesGcm(send_key, _counter_label=label)
+        self._recv = AesGcm(recv_key, _counter_label=label ^ 1)
         self._label = label
         self._send_seq = 0
         self._recv_seq = 0
@@ -56,9 +60,6 @@ class ChannelEndpoint:
         """Number of records sealed on this endpoint so far."""
         return self._send_seq
 
-    def _iv(self, label: int, seq: int) -> bytes:
-        return bytes([label, 0, 0, 0]) + seq.to_bytes(8, "big")
-
     def protect(self, payload: bytes) -> bytes:
         """Seal one record; output is ``seq(8) || tag(16) || ciphertext``."""
         with self.tracer.span("channel.encrypt", clock=self.trace_clock, bytes=len(payload)):
@@ -68,7 +69,7 @@ class ChannelEndpoint:
             self._send_seq += 1
             self._clock.charge_aead_encrypt(len(payload))
             ct, tag = self._send.encrypt(
-                self._iv(self._label, seq), payload,
+                counter_iv(self._label, seq), payload,
                 aad=b"speed/record" + seq.to_bytes(8, "big"),
             )
             return seq.to_bytes(8, "big") + tag + ct
@@ -94,7 +95,7 @@ class ChannelEndpoint:
             self._clock.charge_aead_decrypt(len(ct))
             try:
                 payload = self._recv.decrypt(
-                    self._iv(self._label ^ 1, seq), ct, tag,
+                    counter_iv(self._label ^ 1, seq), ct, tag,
                     aad=b"speed/record" + seq.to_bytes(8, "big"),
                 )
             except IntegrityError as exc:
