@@ -2,92 +2,11 @@
 
 ``python -m repro.bench <experiment>`` prints the corresponding rows;
 see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
-recorded paper-vs-reproduction comparison.
+recorded paper-vs-reproduction comparison.  ``EXPERIMENTS`` is the one
+registry (CLI name -> declared experiment) the CLI and the tests iterate.
 """
 
-from .harness import (
-    AdaptiveRow,
-    AsyncPutRow,
-    DuplicationRow,
-    EpcRow,
-    Fig5Row,
-    Fig6Row,
-    IncrementalRow,
-    ObliviousRow,
-    QuotaRow,
-    SchemeRow,
-    SwitchlessRow,
-    Table1Row,
-    print_ablation_adaptive,
-    print_ablation_async_put,
-    print_ablation_epc,
-    print_ablation_oblivious,
-    print_ablation_quota,
-    print_ablation_schemes,
-    print_ablation_switchless,
-    print_fig5,
-    print_duplication_sweep,
-    print_fig6,
-    print_incremental,
-    print_table1,
-    run_ablation_adaptive,
-    run_ablation_async_put,
-    run_ablation_epc,
-    run_ablation_oblivious,
-    run_ablation_quota,
-    run_ablation_schemes,
-    run_ablation_switchless,
-    run_duplication_sweep,
-    run_fig5a_sift,
-    run_fig5b_compress,
-    run_fig5c_pattern,
-    run_fig5d_bow,
-    run_fig6,
-    run_incremental,
-    run_table1,
-)
-from .reporting import format_table, human_size
+from . import harness as _declarations  # noqa: F401 - fills the registry
+from .reporting import EXPERIMENTS, render
 
-__all__ = [
-    "AdaptiveRow",
-    "AsyncPutRow",
-    "DuplicationRow",
-    "EpcRow",
-    "Fig5Row",
-    "Fig6Row",
-    "IncrementalRow",
-    "ObliviousRow",
-    "QuotaRow",
-    "SchemeRow",
-    "SwitchlessRow",
-    "Table1Row",
-    "format_table",
-    "human_size",
-    "print_ablation_adaptive",
-    "print_ablation_async_put",
-    "print_ablation_epc",
-    "print_ablation_oblivious",
-    "print_ablation_quota",
-    "print_ablation_schemes",
-    "print_ablation_switchless",
-    "print_fig5",
-    "print_duplication_sweep",
-    "print_fig6",
-    "print_incremental",
-    "print_table1",
-    "run_ablation_adaptive",
-    "run_ablation_async_put",
-    "run_ablation_epc",
-    "run_ablation_oblivious",
-    "run_ablation_quota",
-    "run_ablation_schemes",
-    "run_ablation_switchless",
-    "run_duplication_sweep",
-    "run_fig5a_sift",
-    "run_fig5b_compress",
-    "run_fig5c_pattern",
-    "run_fig5d_bow",
-    "run_fig6",
-    "run_incremental",
-    "run_table1",
-]
+__all__ = ["EXPERIMENTS", "render"]

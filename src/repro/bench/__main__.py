@@ -1,4 +1,4 @@
-"""CLI entry point: ``python -m repro.bench <experiment> [--quick] [--csv DIR]``.
+"""CLI entry point: ``python -m repro.bench <experiment> [--quick] [--csv DIR] [--json PATH]``.
 
 Experiments: fig5a fig5b fig5c fig5d table1 fig6 a1 a2 a3 a4 a5 a6 a7 e9 e10
 batch cluster pipeline durable migrate adaptive reshard all
@@ -10,176 +10,8 @@ import argparse
 import pathlib
 import sys
 
-from . import harness
+from . import EXPERIMENTS, render
 from .export import write_csv, write_json
-
-
-def _runners(quick: bool) -> dict[str, tuple]:
-    """experiment -> (runner thunk, printer, optional title)."""
-    trials = 1 if quick else 3
-    return {
-        "fig5a": (
-            lambda: harness.run_fig5a_sift(
-                sizes=[64, 96] if quick else None, trials=trials
-            ),
-            harness.print_fig5, "Fig. 5(a): SIFT feature extraction",
-        ),
-        "fig5b": (
-            lambda: harness.run_fig5b_compress(
-                sizes=[16 * harness.KB, 64 * harness.KB] if quick else None,
-                trials=trials,
-            ),
-            harness.print_fig5, "Fig. 5(b): data compression",
-        ),
-        "fig5c": (
-            lambda: harness.run_fig5c_pattern(
-                payload_sizes=[256, 512] if quick else None,
-                n_rules=400 if quick else 3700, trials=trials,
-            ),
-            harness.print_fig5,
-            f"Fig. 5(c): pattern matching ({400 if quick else 3700} rules)",
-        ),
-        "fig5d": (
-            lambda: harness.run_fig5d_bow(
-                word_counts=[1000, 2000] if quick else None, trials=trials
-            ),
-            harness.print_fig5, "Fig. 5(d): BoW computation",
-        ),
-        "table1": (
-            lambda: harness.run_table1(
-                sizes=[harness.KB, 10 * harness.KB] if quick else None,
-                trials=1 if quick else 3,
-            ),
-            harness.print_table1, None,
-        ),
-        "fig6": (
-            lambda: harness.run_fig6(
-                sizes=[harness.KB, 10 * harness.KB] if quick else None,
-                ops=20 if quick else 100,
-            ),
-            harness.print_fig6, None,
-        ),
-        "a1": (
-            lambda: harness.run_ablation_schemes(
-                text_bytes=(16 if quick else 64) * harness.KB
-            ),
-            harness.print_ablation_schemes, None,
-        ),
-        "a2": (
-            lambda: harness.run_ablation_async_put(
-                text_bytes=(16 if quick else 64) * harness.KB
-            ),
-            harness.print_ablation_async_put, None,
-        ),
-        "a3": (
-            lambda: harness.run_ablation_epc(
-                **(dict(n_entries=128, result_bytes=64 * harness.KB) if quick else {})
-            ),
-            harness.print_ablation_epc, None,
-        ),
-        "a4": (
-            lambda: harness.run_ablation_quota(),
-            harness.print_ablation_quota, None,
-        ),
-        "a5": (
-            lambda: harness.run_ablation_adaptive(calls=20 if quick else 40),
-            harness.print_ablation_adaptive, None,
-        ),
-        "a6": (
-            lambda: harness.run_ablation_oblivious(
-                **(dict(n_entries=32, gets=64) if quick else {})
-            ),
-            harness.print_ablation_oblivious, None,
-        ),
-        "a7": (
-            lambda: harness.run_ablation_switchless(ops=20 if quick else 50),
-            harness.print_ablation_switchless, None,
-        ),
-        "e9": (
-            lambda: harness.run_incremental(epochs=3 if quick else 4),
-            harness.print_incremental, None,
-        ),
-        "e10": (
-            lambda: harness.run_duplication_sweep(
-                **(dict(fractions=[0.0, 0.5, 0.9], calls=12,
-                        text_bytes=8 * harness.KB) if quick else {})
-            ),
-            harness.print_duplication_sweep, None,
-        ),
-        "batch": (
-            lambda: harness.run_batch(
-                **(dict(batch_sizes=[1, 4, 16], ops=32, calls=8,
-                        text_bytes=4 * harness.KB) if quick else {})
-            ),
-            harness.print_batch, None,
-        ),
-        "cluster": (
-            lambda: harness.run_cluster(
-                **(dict(shard_counts=[1, 2, 4], ops=32) if quick else {})
-            ),
-            harness.print_cluster, None,
-        ),
-        "pipeline": (
-            lambda: harness.run_pipeline(
-                **(dict(depths=[1, 8], ops=24, duplicates=8) if quick else {})
-            ),
-            harness.print_pipeline, None,
-        ),
-        "durable": (
-            lambda: harness.run_durable(
-                **(dict(group_commits=[1, 8], log_lengths=[16, 64], ops=24)
-                   if quick else {})
-            ),
-            harness.print_durable, None,
-        ),
-        "migrate": (
-            lambda: harness.run_migrate(
-                **(dict(ops=24, rounds=12) if quick else {})
-            ),
-            harness.print_migrate, None,
-        ),
-        "adaptive": (
-            lambda: harness.run_adaptive(
-                **(dict(depths=[1, 8], ops=24, rounds=12) if quick else {})
-            ),
-            harness.print_adaptive, None,
-        ),
-        "reshard": (
-            lambda: harness.run_reshard(
-                **(dict(joins=2, ops=24, rounds=12) if quick else {})
-            ),
-            harness.print_reshard, None,
-        ),
-    }
-
-
-EXPERIMENTS = list(_runners(False))
-
-
-def run_experiment(
-    name: str,
-    quick: bool,
-    csv_dir: str | None = None,
-    json_path: str | None = None,
-) -> str:
-    registry = _runners(quick)
-    if name not in registry:
-        raise ValueError(f"unknown experiment {name!r}")
-    runner, printer, title = registry[name]
-    rows = runner()
-    if csv_dir is not None:
-        write_csv(rows, pathlib.Path(csv_dir) / f"{name}.csv")
-    if json_path is None and name in ("batch", "cluster", "pipeline",
-                                      "durable", "migrate", "adaptive",
-                                      "reshard"):
-        # These sweeps always leave a machine-readable artifact so their
-        # acceptance numbers can be checked without re-running.
-        json_path = f"BENCH_{name}.json"
-    if json_path is not None:
-        write_json(rows, json_path)
-    if title is not None:
-        return printer(title, rows)
-    return printer(rows)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -187,18 +19,24 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.bench",
         description="Regenerate the paper's tables and figures.",
     )
-    parser.add_argument("experiment", choices=EXPERIMENTS + ["all"])
+    parser.add_argument("experiment", choices=[*EXPERIMENTS, "all"])
     parser.add_argument("--quick", action="store_true", help="reduced sizes/trials")
     parser.add_argument("--csv", metavar="DIR", default=None,
                         help="also write <experiment>.csv files into DIR")
     parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also write rows as JSON to PATH (the batch "
-                             "experiment writes BENCH_batch.json by default)")
+                        help="also write one JSON document (provenance + "
+                             "every experiment's rows) to PATH")
     args = parser.parse_args(argv)
 
-    names = EXPERIMENTS if args.experiment == "all" else [args.experiment]
+    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    tables = {}
     for name in names:
-        print(run_experiment(name, args.quick, args.csv, args.json))
+        tables[name] = EXPERIMENTS[name].rows(quick=args.quick)
+        if args.csv is not None:
+            write_csv(tables[name], pathlib.Path(args.csv) / f"{name}.csv")
+        if args.json is not None:
+            write_json({name: tables[name]}, args.json, quick=args.quick)
+        print(render(EXPERIMENTS[name], tables[name], quick=args.quick))
         print()
     return 0
 

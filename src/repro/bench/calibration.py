@@ -14,23 +14,10 @@ Run it after changing any case-study implementation::
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
-from .reporting import format_table
+from .probe import timed
+from .reporting import Column, Experiment, render
 from ..apps import compress, mapreduce, pattern, sift
 from ..workloads import generate_rules, packet_trace, synthetic_image, synthetic_text, synthetic_webpage
-
-
-@dataclass(frozen=True)
-class CalibrationRow:
-    case: str
-    workload: str
-    python_seconds: float
-    python_ns_per_byte: float
-    assumed_native_ns_per_byte: float
-    suggested_factor: float
-    shipped_factor: float
 
 
 # Native per-byte costs on the paper's platform, from the paper's own
@@ -54,12 +41,10 @@ _NATIVE_NS_PER_BYTE = {
 
 def _measure(func, value) -> float:
     func(value)  # warm caches
-    start = time.perf_counter()
-    func(value)
-    return time.perf_counter() - start
+    return timed(lambda: func(value))[2]
 
 
-def run_calibration(seed: int = 7) -> list[CalibrationRow]:
+def run_calibration(seed: int = 7) -> list[dict]:
     """Measure all four case studies and suggest native factors."""
     rows = []
 
@@ -86,10 +71,10 @@ def run_calibration(seed: int = 7) -> list[CalibrationRow]:
 
 
 def _row(case: str, workload: str, seconds: float, n_bytes: int,
-         shipped: float) -> CalibrationRow:
+         shipped: float) -> dict:
     python_ns = seconds * 1e9 / max(1, n_bytes)
     native_ns = _NATIVE_NS_PER_BYTE[case]
-    return CalibrationRow(
+    return dict(
         case=case,
         workload=workload,
         python_seconds=seconds,
@@ -100,16 +85,20 @@ def _row(case: str, workload: str, seconds: float, n_bytes: int,
     )
 
 
-def print_calibration(rows: list[CalibrationRow]) -> str:
-    return format_table(
-        "Native-factor calibration",
-        ["case", "workload", "python (s)", "py ns/B", "native ns/B",
-         "suggested factor", "shipped factor"],
-        [[r.case, r.workload, r.python_seconds, r.python_ns_per_byte,
-          r.assumed_native_ns_per_byte, r.suggested_factor, r.shipped_factor]
-         for r in rows],
-    )
+#: Declared like the CLI's experiments, but its own entry point: it
+#: measures this host, so it has no place in ``python -m repro.bench all``.
+CALIBRATION = Experiment("calibration", run_calibration, [(
+    "Native-factor calibration", [
+        Column("case", "case"),
+        Column("workload", "workload"),
+        Column("python_seconds", "python (s)"),
+        Column("python_ns_per_byte", "py ns/B"),
+        Column("assumed_native_ns_per_byte", "native ns/B"),
+        Column("suggested_factor", "suggested factor"),
+        Column("shipped_factor", "shipped factor"),
+    ],
+)])
 
 
 if __name__ == "__main__":  # pragma: no cover - manual workflow
-    print(print_calibration(run_calibration()))
+    print(render(CALIBRATION, CALIBRATION.rows()))

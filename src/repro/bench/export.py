@@ -1,31 +1,22 @@
-"""CSV export for experiment results.
+"""CSV and JSON export of experiment rows.
 
-Every ``run_*`` function in :mod:`repro.bench.harness` returns a list of
-frozen dataclass rows; this module turns any such list into a CSV file
-so the paper's figures can be re-plotted with external tooling::
+Rows are the plain dicts :meth:`Experiment.rows` returns — every
+declared column, derived ones included — so the paper's figures can be
+re-plotted with external tooling::
 
-    python -m repro.bench fig6 --csv out/
-    # -> out/fig6.csv
-
-Derived properties declared on the row classes (``speedup``,
-``init_relative``, ...) are exported as additional columns.
+    python -m repro.bench fig6 --csv out/        # -> out/fig6.csv
+    python -m repro.bench all --json out.json    # one document, see write_json
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
+import json
 import pathlib
-from typing import Sequence
-
-
-def _property_names(row) -> list[str]:
-    cls = type(row)
-    return [
-        name for name in dir(cls)
-        if isinstance(getattr(cls, name, None), property)
-    ]
+import platform
+import subprocess
+from typing import Mapping, Sequence
 
 
 def _cell(value) -> object:
@@ -38,26 +29,19 @@ def _cell(value) -> object:
     return value
 
 
-def rows_to_csv(rows: Sequence) -> str:
-    """Render a list of dataclass rows as CSV text."""
+def rows_to_csv(rows: Sequence[dict]) -> str:
+    """Render rows as CSV text (dict cells flatten to ``k=v;...``)."""
     if not rows:
         return ""
-    first = rows[0]
-    if not dataclasses.is_dataclass(first):
-        raise TypeError(f"expected dataclass rows, got {type(first).__name__}")
-    field_names = [f.name for f in dataclasses.fields(first)]
-    extra = _property_names(first)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    writer.writerow(field_names + extra)
+    writer.writerow(rows[0])
     for row in rows:
-        values = [_cell(getattr(row, name)) for name in field_names]
-        values += [_cell(getattr(row, name)) for name in extra]
-        writer.writerow(values)
+        writer.writerow(_cell(value) for value in row.values())
     return buffer.getvalue()
 
 
-def write_csv(rows: Sequence, path: str | pathlib.Path) -> pathlib.Path:
+def write_csv(rows: Sequence[dict], path: str | pathlib.Path) -> pathlib.Path:
     """Write rows to ``path`` (parent directories created); returns it."""
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -75,23 +59,41 @@ def _json_cell(value) -> object:
     return value
 
 
-def rows_to_records(rows: Sequence) -> list[dict]:
-    """Render dataclass rows as JSON-ready dicts (fields + derived
-    properties).  Numbers stay numbers; bytes become hex strings."""
-    if not rows:
-        return []
-    first = rows[0]
-    if not dataclasses.is_dataclass(first):
-        raise TypeError(f"expected dataclass rows, got {type(first).__name__}")
-    names = [f.name for f in dataclasses.fields(first)] + _property_names(first)
-    return [{name: _json_cell(getattr(row, name)) for name in names} for row in rows]
+def provenance(quick: bool) -> dict:
+    """What produced a JSON document.  No date: the file should not
+    change when nothing did."""
+    import numpy
+
+    def git(*argv) -> str:
+        done = subprocess.run(
+            ["git", "-C", str(pathlib.Path(__file__).parent), *argv],
+            capture_output=True, text=True,
+        )
+        return done.stdout.strip() if done.returncode == 0 else "unknown"
+
+    status = git("status", "--porcelain")
+    return {
+        "git_commit": git("rev-parse", "HEAD"),
+        "git_dirty": status != "unknown" and bool(status),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "quick": quick,
+    }
 
 
-def write_json(rows: Sequence, path: str | pathlib.Path) -> pathlib.Path:
-    """Write rows to ``path`` as a JSON array of objects; returns it."""
-    import json
-
+def write_json(experiments: Mapping[str, Sequence[dict]], path: str | pathlib.Path,
+               quick: bool = False) -> pathlib.Path:
+    """Write one document, ``{"provenance": {...}, "experiments": {name:
+    rows}}``, to ``path``; returns it.  Numbers stay numbers; bytes
+    become hex strings."""
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(rows_to_records(rows), indent=2) + "\n")
+    document = {
+        "provenance": provenance(quick),
+        "experiments": {
+            name: [{key: _json_cell(value) for key, value in row.items()} for row in rows]
+            for name, rows in experiments.items()
+        },
+    }
+    path.write_text(json.dumps(document, indent=2) + "\n")
     return path

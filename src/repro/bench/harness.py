@@ -1,22 +1,27 @@
-"""Experiment harness: one runner per table/figure of the paper.
+"""The experiments: one declaration and one runner per table or figure.
 
-Each ``run_*`` function regenerates one artifact of the evaluation
-section (see DESIGN.md §4 for the experiment index) and returns
-structured rows; ``print_*`` wrappers render them like the paper's
-tables.  All runners are deterministic under their seeds.
-
-Timing convention: ``sim_*`` fields are seconds on the calibrated
-virtual clock (the series whose *shape* should match the paper);
-``wall_*`` fields are honest Python wall-clock seconds.
+Each runner regenerates one artifact of the evaluation section (see
+DESIGN.md §4 for the experiment index) and yields plain ``dict`` rows;
+the ``@experiment`` declaration above it says what the table is called,
+which columns it has and how each prints, and at which levels the full
+and ``--quick`` runs sweep.  All runners are deterministic under their
+seeds.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace as dataclass_replace
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
-from .reporting import format_table, human_size
+from .probe import Delta, Probe, put_stream, timed
+from .reporting import (
+    Column,
+    experiment,
+    human_size,
+    percent_cell,
+    size_cell,
+    times_cell,
+    yes_cell,
+)
 from ..apps.registry import (
     CaseStudy,
     bow_case_study,
@@ -29,21 +34,17 @@ from ..baselines.presets import (
     single_key_runtime_config,
 )
 from ..baselines.unic import UnicRuntime, UnicStore
+from ..core.description import TrustedLibraryRegistry
 from ..core.runtime import RuntimeConfig
-from ..core.scheme import CHALLENGE_SIZE, KEY_SIZE, CrossAppScheme
+from ..core.scheme import CHALLENGE_SIZE, KEY_SIZE
 from ..core.tag import derive_locking_hash, derive_tag
 from ..crypto import gcm
 from ..crypto.drbg import HmacDrbg
-from ..crypto.hashes import sha256
-from ..deployment import (
-    ClusterDeployment as _ClusterDeployment,
-    Deployment as _Deployment,
-)
+from ..deployment import ClusterDeployment, Deployment
 from ..errors import SpeedError
-from ..net.messages import GetRequest, PutRequest
-from ..obs.exporters import diff_breakdown
+from ..net.messages import GetRequest
 from ..obs.tracer import Tracer
-from ..sgx.cost_model import SimClock
+from ..sgx.cost_model import CostParams, SimClock
 from ..store.resultstore import StoreConfig
 from ..workloads import (
     generate_rules,
@@ -51,61 +52,80 @@ from ..workloads import (
     synthetic_image,
     synthetic_text,
     synthetic_webpage,
+    text_corpus,
 )
 
 KB = 1024
 MB = 1024 * 1024
 
-
-# The harness assembles topologies by hand on purpose — it measures the
-# exact components repro.connect() would wire together — so it opts out
-# of the user-facing "use repro.connect()" deprecation nudge.
-def Deployment(**kwargs):  # noqa: N802 - drop-in constructor shim
-    return _Deployment(_warn=False, **kwargs)
+INF = float("inf")
 
 
-def ClusterDeployment(**kwargs):  # noqa: N802 - drop-in constructor shim
-    return _ClusterDeployment(_warn=False, **kwargs)
+def _ratio(numerator: str, denominator: str, undefined: float = 0.0):
+    """Derived column ``row[numerator] / row[denominator]``; ``undefined``
+    where the denominator measured nothing."""
+    def formula(row: dict) -> float:
+        if row[denominator] <= 0:
+            return undefined
+        return row[numerator] / row[denominator]
+    return formula
+
+
+def _case_app(case: CaseStudy, deployment, name: str,
+              config: RuntimeConfig | None = None):
+    """An application linking only ``case``'s trusted library."""
+    libraries = TrustedLibraryRegistry()
+    case.register_into(libraries)
+    return deployment.create_application(name, libraries, config)
+
+
+def _store_client(deployment, name: str, sgx: bool = True):
+    """A raw store client in its own enclave (none when the store runs
+    without SGX): the Fig. 6 regime bypasses ``DedupRuntime``."""
+    enclave = (
+        deployment.platform.create_enclave(name, f"{name}-code".encode())
+        if sgx else None
+    )
+    return deployment.store.connect(f"{name}-addr", app_enclave=enclave), enclave
+
+
+def _gets(puts: list) -> list[GetRequest]:
+    return [GetRequest(tag=put.tag, app_id=put.app_id) for put in puts]
+
+
+def _get_all(client, gets: list) -> None:
+    for get in gets:
+        if not client.call(get).found:
+            raise SpeedError("a result stored by this run was not found")
 
 
 # ---------------------------------------------------------------------------
 # Fig. 5 — relative running time of the four applications
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class Fig5Row:
-    label: str
-    sim_baseline_s: float
-    sim_init_s: float
-    sim_subsq_s: float
-    wall_baseline_s: float
-    wall_init_s: float
-    wall_subsq_s: float
-
-    @property
-    def init_relative(self) -> float:
-        """Init. Comp. running time relative to baseline (Fig. 5 y-axis)."""
-        return 100.0 * self.sim_init_s / self.sim_baseline_s
-
-    @property
-    def subsq_relative(self) -> float:
-        return 100.0 * self.sim_subsq_s / self.sim_baseline_s
-
-    @property
-    def speedup(self) -> float:
-        return self.sim_baseline_s / self.sim_subsq_s if self.sim_subsq_s else float("inf")
+FIG5_COLUMNS = [
+    Column("label", "input"),
+    Column("sim_baseline_s", "base sim(s)"),
+    Column("sim_init_s", "init sim(s)"),
+    Column("sim_subsq_s", "subsq sim(s)"),
+    # Init. Comp. running time relative to baseline (Fig. 5 y-axis).
+    Column("init_relative", "init rel%",
+           derive=lambda r: 100.0 * r["sim_init_s"] / r["sim_baseline_s"]),
+    Column("subsq_relative", "subsq rel%",
+           derive=lambda r: 100.0 * r["sim_subsq_s"] / r["sim_baseline_s"]),
+    Column("speedup", "speedup", derive=_ratio("sim_baseline_s", "sim_subsq_s", INF)),
+    Column("wall_baseline_s", "base wall(s)"),
+    Column("wall_init_s"),
+    Column("wall_subsq_s", "subsq wall(s)"),
+]
 
 
-def _measure_case(
-    case: CaseStudy, input_value: Any, seed: bytes, trials: int
-) -> Fig5Row | None:
-    """Measure baseline / initial / subsequent for one input."""
+def _measure_case(case: CaseStudy, input_value: Any, seed: bytes, trials: int) -> dict:
+    """Mean baseline / initial / subsequent cost of one input."""
+    records: dict[str, list] = {"baseline": [], "init": [], "subsq": []}
 
-    def mean(values: list[float]) -> float:
-        return sum(values) / len(values)
-
-    sim_base, wall_base = [], []
-    sim_init, wall_init = [], []
-    sim_subsq, wall_subsq = [], []
+    def call(app):
+        case.deduplicable(app)(input_value)
+        return app.runtime.stats.records[-1]
 
     # Warm caches/JIT paths so wall-clock compute is comparable across
     # the baseline/init measurements (the compute term feeds the sim clock).
@@ -115,151 +135,110 @@ def _measure_case(
         trial_seed = seed + trial.to_bytes(2, "big")
 
         # Baseline: without SPEED.
-        from ..core.description import TrustedLibraryRegistry
-
-        libs = TrustedLibraryRegistry()
-        case.register_into(libs)
         d_base = Deployment(seed=trial_seed + b"/base")
-        app = d_base.create_application(
-            "baseline", libs, no_dedup_runtime_config("baseline")
-        )
-        case.deduplicable(app)(input_value)
-        record = app.runtime.stats.records[-1]
-        sim_base.append(record.sim_seconds)
-        wall_base.append(record.wall_seconds)
+        records["baseline"].append(call(_case_app(
+            case, d_base, "baseline", no_dedup_runtime_config("baseline")
+        )))
 
         # Initial computation: SPEED with an empty store, synchronous PUT
         # (the paper's Init. Comp. includes "the time for secure storing
         # [the] result").
-        libs2 = TrustedLibraryRegistry()
-        case.register_into(libs2)
         d = Deployment(seed=trial_seed + b"/speed")
-        app1 = d.create_application(
-            "app-initial", libs2, RuntimeConfig(app_id="app-initial", async_put=False)
-        )
-        case.deduplicable(app1)(input_value)
-        record = app1.runtime.stats.records[-1]
-        sim_init.append(record.sim_seconds)
-        wall_init.append(record.wall_seconds)
+        records["init"].append(call(_case_app(
+            case, d, "app-initial",
+            RuntimeConfig(app_id="app-initial", async_put=False),
+        )))
 
         # Subsequent computation: a second application, same computation.
-        libs3 = TrustedLibraryRegistry()
-        case.register_into(libs3)
-        app2 = d.create_application("app-subsq", libs3)
-        case.deduplicable(app2)(input_value)
-        record = app2.runtime.stats.records[-1]
+        record = call(_case_app(case, d, "app-subsq"))
         if not record.hit:
             raise SpeedError("subsequent computation unexpectedly missed the store")
-        sim_subsq.append(record.sim_seconds)
-        wall_subsq.append(record.wall_seconds)
+        records["subsq"].append(record)
 
-    return Fig5Row(
-        label="",
-        sim_baseline_s=mean(sim_base),
-        sim_init_s=mean(sim_init),
-        sim_subsq_s=mean(sim_subsq),
-        wall_baseline_s=mean(wall_base),
-        wall_init_s=mean(wall_init),
-        wall_subsq_s=mean(wall_subsq),
-    )
+    return {
+        f"{clock}_{phase}_s": sum(getattr(r, f"{clock}_seconds") for r in runs) / trials
+        for phase, runs in records.items()
+        for clock in ("sim", "wall")
+    }
 
 
-def _run_fig5(
-    case_factory: Callable[[], CaseStudy],
-    labeled_inputs: list[tuple[str, Any]],
-    trials: int,
-    seed: bytes,
-) -> list[Fig5Row]:
-    rows = []
+def _fig5_rows(case_factory: Callable[[], CaseStudy],
+               labeled_inputs: list[tuple[str, Any]],
+               trials: int, seed: bytes) -> Iterator[dict]:
     for label, value in labeled_inputs:
-        case = case_factory()
-        row = _measure_case(case, value, seed + label.encode(), trials)
-        rows.append(
-            Fig5Row(
-                label=label,
-                sim_baseline_s=row.sim_baseline_s,
-                sim_init_s=row.sim_init_s,
-                sim_subsq_s=row.sim_subsq_s,
-                wall_baseline_s=row.wall_baseline_s,
-                wall_init_s=row.wall_init_s,
-                wall_subsq_s=row.wall_subsq_s,
-            )
-        )
-    return rows
+        yield {"label": label,
+               **_measure_case(case_factory(), value, seed + label.encode(), trials)}
 
 
-def run_fig5a_sift(sizes: list[int] | None = None, trials: int = 1, seed: int = 7) -> list[Fig5Row]:
+@experiment("fig5a", "Fig. 5(a): SIFT feature extraction", FIG5_COLUMNS,
+            full=dict(sizes=[96, 128, 192, 256], trials=3),
+            quick=dict(sizes=[64, 96], trials=1))
+def run_fig5a_sift(sizes: list[int], trials: int, seed: int = 7):
     """Fig. 5(a): SIFT feature extraction under different image sizes."""
-    sizes = sizes or [96, 128, 192, 256]
     inputs = [(f"{s}px", synthetic_image(s, seed=seed)) for s in sizes]
-    return _run_fig5(sift_case_study, inputs, trials, b"fig5a")
+    return _fig5_rows(sift_case_study, inputs, trials, b"fig5a")
 
 
-def run_fig5b_compress(sizes: list[int] | None = None, trials: int = 1, seed: int = 7) -> list[Fig5Row]:
+@experiment("fig5b", "Fig. 5(b): data compression", FIG5_COLUMNS,
+            full=dict(sizes=[16 * KB, 64 * KB, 128 * KB, 256 * KB], trials=3),
+            quick=dict(sizes=[16 * KB, 64 * KB], trials=1))
+def run_fig5b_compress(sizes: list[int], trials: int, seed: int = 7):
     """Fig. 5(b): zlib-style compression under different text sizes."""
-    sizes = sizes or [16 * KB, 64 * KB, 128 * KB, 256 * KB]
     inputs = [(human_size(s), synthetic_text(s, seed=seed)) for s in sizes]
-    return _run_fig5(compress_case_study, inputs, trials, b"fig5b")
+    return _fig5_rows(compress_case_study, inputs, trials, b"fig5b")
 
 
-def run_fig5c_pattern(
-    payload_sizes: list[int] | None = None,
-    n_rules: int = 3700,
-    trials: int = 1,
-    seed: int = 7,
-) -> list[Fig5Row]:
+@experiment("fig5c", "Fig. 5(c): pattern matching ({n_rules} rules)", FIG5_COLUMNS,
+            full=dict(payload_sizes=[256, 512, 1024, 2048], n_rules=3700, trials=3),
+            quick=dict(payload_sizes=[256, 512], n_rules=400, trials=1))
+def run_fig5c_pattern(payload_sizes: list[int], n_rules: int, trials: int,
+                      seed: int = 7):
     """Fig. 5(c): packet scanning against the full ruleset."""
-    payload_sizes = payload_sizes or [256, 512, 1024, 2048]
     rules = generate_rules(n_rules, seed=seed)
     inputs = []
     for size in payload_sizes:
         payload = packet_trace(1, payload_size=size, duplicate_fraction=0.0, seed=seed + size)[0]
         inputs.append((human_size(len(payload)), payload))
-    return _run_fig5(lambda: pattern_case_study(rules), inputs, trials, b"fig5c")
+    return _fig5_rows(lambda: pattern_case_study(rules), inputs, trials, b"fig5c")
 
 
-def run_fig5d_bow(word_counts: list[int] | None = None, trials: int = 1, seed: int = 7) -> list[Fig5Row]:
+@experiment("fig5d", "Fig. 5(d): BoW computation", FIG5_COLUMNS,
+            full=dict(word_counts=[2000, 4000, 8000, 16000], trials=3),
+            quick=dict(word_counts=[1000, 2000], trials=1))
+def run_fig5d_bow(word_counts: list[int], trials: int, seed: int = 7):
     """Fig. 5(d): BoW computation under different page sizes."""
-    word_counts = word_counts or [2000, 4000, 8000, 16000]
     inputs = [(f"{n}w", synthetic_webpage(n, seed=seed)) for n in word_counts]
-    return _run_fig5(bow_case_study, inputs, trials, b"fig5d")
-
-
-def print_fig5(title: str, rows: list[Fig5Row]) -> str:
-    headers = [
-        "input", "base sim(s)", "init sim(s)", "subsq sim(s)",
-        "init rel%", "subsq rel%", "speedup", "base wall(s)", "subsq wall(s)",
-    ]
-    table = [
-        [
-            r.label, r.sim_baseline_s, r.sim_init_s, r.sim_subsq_s,
-            r.init_relative, r.subsq_relative, r.speedup,
-            r.wall_baseline_s, r.wall_subsq_s,
-        ]
-        for r in rows
-    ]
-    return format_table(title, headers, table)
+    return _fig5_rows(bow_case_study, inputs, trials, b"fig5d")
 
 
 # ---------------------------------------------------------------------------
 # Table I — cryptographic operations in DedupRuntime
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class Table1Row:
-    input_bytes: int
-    sim_ms: dict[str, float]
-    wall_ms: dict[str, float]
+TABLE1_OPS = {
+    "tag_gen": "Tag Gen.", "key_gen": "Key Gen.", "key_rec": "Key Rec.",
+    "result_enc": "Res Enc.", "result_dec": "Res Dec.",
+}
 
 
-TABLE1_OPS = ["tag_gen", "key_gen", "key_rec", "result_enc", "result_dec"]
+def _table1_columns(series: str) -> list[Column]:
+    """One printed column per operation out of the row's ``series`` dict
+    (exported whole: ``{op: ms}``)."""
+    return [
+        Column("input_bytes", "Input", cell=size_cell("input_bytes")),
+        *(Column(header=header, cell=lambda r, op=op: r[series][op])
+          for op, header in TABLE1_OPS.items()),
+        Column(series),
+    ]
 
 
-def run_table1(sizes: list[int] | None = None, trials: int = 3, seed: int = 11) -> list[Table1Row]:
+@experiment("table1", "Table I (simulated, ms)", _table1_columns("sim_ms"),
+            more_tables=[("Table I (measured wall, ms)", _table1_columns("wall_ms"))],
+            full=dict(sizes=[1 * KB, 10 * KB, 100 * KB, 1 * MB], trials=3),
+            quick=dict(sizes=[KB, 10 * KB], trials=1))
+def run_table1(sizes: list[int], trials: int, seed: int = 11):
     """Table I: Tag Gen / Key Gen / Key Rec / Result Enc / Result Dec."""
-    sizes = sizes or [1 * KB, 10 * KB, 100 * KB, 1 * MB]
     drbg = HmacDrbg(seed.to_bytes(4, "big"), b"table1")
     func_identity = drbg.generate(32)
-    rows = []
     for size in sizes:
         data = drbg.generate(16) * (size // 16 + 1)
         data = data[:size]
@@ -268,15 +247,13 @@ def run_table1(sizes: list[int] | None = None, trials: int = 3, seed: int = 11) 
         for _ in range(trials):
             clock = SimClock()
 
-            def timed(op: str, fn: Callable[[], Any]) -> Any:
-                start_wall = time.perf_counter()
-                start_sim = clock.snapshot()
-                out = fn()
-                wall_acc[op] += time.perf_counter() - start_wall
-                sim_acc[op] += clock.since(start_sim) / clock.params.cpu_freq_hz
+            def measure(name: str, fn: Callable[[], Any]) -> Any:
+                out, sim, wall = timed(fn, clock)
+                sim_acc[name] += sim
+                wall_acc[name] += wall
                 return out
 
-            tag = timed("tag_gen", lambda: derive_tag(func_identity, data, clock))
+            tag = measure("tag_gen", lambda: derive_tag(func_identity, data, clock))
 
             challenge = drbg.generate(CHALLENGE_SIZE)
             key = drbg.generate(KEY_SIZE)
@@ -287,271 +264,155 @@ def run_table1(sizes: list[int] | None = None, trials: int = 3, seed: int = 11) 
                 clock.charge_keygen()
                 return bytes(a ^ b for a, b in zip(key, locking[:KEY_SIZE]))
 
-            wrapped = timed("key_gen", key_gen)
+            wrapped = measure("key_gen", key_gen)
 
             def key_rec():
                 locking = derive_locking_hash(func_identity, data, challenge, clock)
                 return bytes(a ^ b for a, b in zip(wrapped, locking[:KEY_SIZE]))
 
-            recovered = timed("key_rec", key_rec)
-            assert recovered == key
+            if measure("key_rec", key_rec) != key:
+                raise SpeedError("key recovery did not invert key generation")
 
             def result_enc():
                 clock.charge_aead_encrypt(len(data))
                 return gcm.seal(key, iv, data, aad=tag)
 
-            sealed = timed("result_enc", result_enc)
+            sealed = measure("result_enc", result_enc)
 
             def result_dec():
                 clock.charge_aead_decrypt(len(sealed))
                 return gcm.open_(key, sealed, aad=tag)
 
-            plain = timed("result_dec", result_dec)
-            assert plain == data
-        rows.append(
-            Table1Row(
-                input_bytes=size,
-                sim_ms={op: sim_acc[op] / trials * 1000 for op in TABLE1_OPS},
-                wall_ms={op: wall_acc[op] / trials * 1000 for op in TABLE1_OPS},
-            )
+            if measure("result_dec", result_dec) != data:
+                raise SpeedError("result decryption did not invert encryption")
+        yield dict(
+            input_bytes=size,
+            sim_ms={op: sim_acc[op] / trials * 1000 for op in TABLE1_OPS},
+            wall_ms={op: wall_acc[op] / trials * 1000 for op in TABLE1_OPS},
         )
-    return rows
-
-
-def print_table1(rows: list[Table1Row]) -> str:
-    headers = ["Input", "Tag Gen.", "Key Gen.", "Key Rec.", "Res Enc.", "Res Dec."]
-    sim_rows = [
-        [human_size(r.input_bytes)] + [r.sim_ms[op] for op in TABLE1_OPS] for r in rows
-    ]
-    wall_rows = [
-        [human_size(r.input_bytes)] + [r.wall_ms[op] for op in TABLE1_OPS] for r in rows
-    ]
-    return (
-        format_table("Table I (simulated, ms)", headers, sim_rows)
-        + "\n\n"
-        + format_table("Table I (measured wall, ms)", headers, wall_rows)
-    )
 
 
 # ---------------------------------------------------------------------------
 # Fig. 6 — ResultStore throughput (with and without SGX)
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class Fig6Row:
-    size_bytes: int
-    use_sgx: bool
-    put_total_sim_s: float
-    get_total_sim_s: float
-    put_total_wall_s: float
-    get_total_wall_s: float
-    ops: int
-
-
-def run_fig6(
-    sizes: list[int] | None = None, ops: int = 100, seed: int = 13
-) -> list[Fig6Row]:
+@experiment("fig6", "Fig. 6: ResultStore throughput", [
+    Column("size_bytes", "size", cell=size_cell("size_bytes")),
+    Column("use_sgx", "SGX", cell=lambda r: "yes" if r["use_sgx"] else "no"),
+    Column("put_total_sim_s", "PUT total sim(s)", probe=lambda d: d["put"].app_s),
+    Column("get_total_sim_s", "GET total sim(s)", probe=lambda d: d["get"].app_s),
+    Column("put_total_wall_s", "PUT wall(s)", probe=lambda d: d["put"].wall_s),
+    Column("get_total_wall_s", "GET wall(s)", probe=lambda d: d["get"].wall_s),
+    Column("ops", "ops"),
+], full=dict(sizes=[1 * KB, 10 * KB, 100 * KB, 1 * MB], ops=100),
+   quick=dict(sizes=[KB, 10 * KB], ops=20))
+def run_fig6(sizes: list[int], ops: int, seed: int = 13):
     """Fig. 6: time to process ``ops`` PUTs and GETs of each size, with
     the store enclave enabled and disabled ("the incoming data are all
     different")."""
-    sizes = sizes or [1 * KB, 10 * KB, 100 * KB, 1 * MB]
-    rows = []
     for use_sgx in (True, False):
         for size in sizes:
+            label = bytes([use_sgx]) + size.to_bytes(4, "big")
             d = Deployment(
-                seed=b"fig6" + bytes([use_sgx]) + size.to_bytes(4, "big"),
-                store_config=StoreConfig(use_sgx=use_sgx),
+                seed=b"fig6" + label, store_config=StoreConfig(use_sgx=use_sgx),
             )
-            if use_sgx:
-                bench_enclave = d.platform.create_enclave("fig6-client", b"fig6-client-code")
-            else:
-                bench_enclave = None
-            client = d.store.connect("fig6-client-addr", app_enclave=bench_enclave)
+            client, enclave = _store_client(d, "fig6-client", sgx=use_sgx)
             drbg = HmacDrbg(seed.to_bytes(4, "big"), b"fig6")
-            base = drbg.generate(4096)
-            payloads = []
-            for i in range(ops):
-                tag = sha256(b"fig6-tag" + i.to_bytes(4, "big") + bytes([use_sgx]) + size.to_bytes(4, "big"))
-                body = (base * (size // len(base) + 1))[:size - 8] + i.to_bytes(8, "big")
-                payloads.append(
-                    PutRequest(
-                        tag=tag,
-                        challenge=drbg.generate(CHALLENGE_SIZE),
-                        wrapped_key=drbg.generate(KEY_SIZE),
-                        sealed_result=body,
-                        app_id="fig6",
-                    )
-                )
+            puts = put_stream(drbg, ops, size, b"fig6-tag" + label, "fig6")
 
-            clock = d.clock
-            wall0, sim0 = time.perf_counter(), clock.snapshot()
-            for put in payloads:
+            probe = Probe(d, client=client, enclave=enclave)
+            for put in puts:
                 client.call(put)
-            put_wall = time.perf_counter() - wall0
-            put_sim = clock.since(sim0) / clock.params.cpu_freq_hz
+            put_delta = probe.delta()
 
-            wall0, sim0 = time.perf_counter(), clock.snapshot()
-            for put in payloads:
-                response = client.call(GetRequest(tag=put.tag, app_id="fig6"))
-                assert response.found
-            get_wall = time.perf_counter() - wall0
-            get_sim = clock.since(sim0) / clock.params.cpu_freq_hz
-
-            rows.append(
-                Fig6Row(
-                    size_bytes=size,
-                    use_sgx=use_sgx,
-                    put_total_sim_s=put_sim,
-                    get_total_sim_s=get_sim,
-                    put_total_wall_s=put_wall,
-                    get_total_wall_s=get_wall,
-                    ops=ops,
-                )
-            )
-    return rows
-
-
-def print_fig6(rows: list[Fig6Row]) -> str:
-    headers = ["size", "SGX", "PUT total sim(s)", "GET total sim(s)",
-               "PUT wall(s)", "GET wall(s)", "ops"]
-    table = [
-        [
-            human_size(r.size_bytes), "yes" if r.use_sgx else "no",
-            r.put_total_sim_s, r.get_total_sim_s,
-            r.put_total_wall_s, r.get_total_wall_s, r.ops,
-        ]
-        for r in rows
-    ]
-    return format_table("Fig. 6: ResultStore throughput", headers, table)
+            probe = Probe(d, client=client, enclave=enclave)
+            _get_all(client, _gets(puts))
+            yield dict(size_bytes=size, use_sgx=use_sgx, ops=ops,
+                       probe={"put": put_delta, "get": probe.delta()})
 
 
 # ---------------------------------------------------------------------------
 # Ablation A1 — result-protection schemes
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class SchemeRow:
-    scheme: str
-    sim_init_s: float
-    sim_subsq_s: float
-    encrypted_at_rest: bool
-
-
-def run_ablation_schemes(text_bytes: int = 64 * KB, seed: int = 17) -> list[SchemeRow]:
+@experiment("a1", "Ablation A1: result-protection schemes", [
+    Column("scheme", "scheme"),
+    Column("sim_init_s", "init sim(s)"),
+    Column("sim_subsq_s", "subsq sim(s)"),
+    Column("encrypted_at_rest", "encrypted at rest", cell=yes_cell("encrypted_at_rest")),
+], full=dict(text_bytes=64 * KB), quick=dict(text_bytes=16 * KB))
+def run_ablation_schemes(text_bytes: int, seed: int = 17):
     """A1: cross-app RCE vs single-key (§III-B) vs UNIC plaintext."""
     from ..apps.compress import deflate
-    from ..core.description import TrustedLibraryRegistry
 
     data = synthetic_text(text_bytes, seed=seed)
-    rows = []
-    for name, config_factory, encrypted in (
-        ("cross-app (III-C)", lambda: RuntimeConfig(app_id="a", async_put=False), True),
-        ("single-key (III-B)", lambda: single_key_runtime_config("a"), True),
+    for name, config_factory in (
+        ("cross-app (III-C)", lambda: RuntimeConfig(app_id="a", async_put=False)),
+        ("single-key (III-B)", lambda: single_key_runtime_config("a")),
     ):
         case = compress_case_study()
-        libs = TrustedLibraryRegistry()
-        case.register_into(libs)
         d = Deployment(seed=b"a1" + name.encode())
-        cfg = config_factory()
-        cfg.async_put = False
-        app1 = d.create_application("a1-app1", libs, cfg)
-        case.deduplicable(app1)(data)
-        init = app1.runtime.stats.records[-1].sim_seconds
-
-        libs2 = TrustedLibraryRegistry()
-        case.register_into(libs2)
-        cfg2 = config_factory()
-        app2 = d.create_application("a1-app2", libs2, cfg2)
-        case.deduplicable(app2)(data)
-        subsq = app2.runtime.stats.records[-1].sim_seconds
-        rows.append(SchemeRow(name, init, subsq, encrypted))
+        sims = []
+        for app_name in ("a1-app1", "a1-app2"):
+            config = config_factory()
+            config.async_put = False  # the initial computation includes its PUT
+            app = _case_app(case, d, app_name, config)
+            case.deduplicable(app)(data)
+            sims.append(app.runtime.stats.records[-1].sim_seconds)
+        yield dict(scheme=name, sim_init_s=sims[0], sim_subsq_s=sims[1],
+                   encrypted_at_rest=True)
 
     # UNIC plaintext baseline.
     clock = SimClock()
-    store = UnicStore(mac_key=b"\x01" * 32)
     unic = UnicRuntime(
-        store, deflate, encode=lambda b: b, decode=lambda b: b,
+        UnicStore(mac_key=b"\x01" * 32), deflate,
+        encode=lambda b: b, decode=lambda b: b,
         clock=clock, native_factor=300.0,
     )
-    s0 = clock.snapshot()
-    unic.call(data, data)
-    init = clock.since(s0) / clock.params.cpu_freq_hz
-    s0 = clock.snapshot()
-    unic.call(data, data)
-    subsq = clock.since(s0) / clock.params.cpu_freq_hz
-    rows.append(SchemeRow("UNIC plaintext [16]", init, subsq, False))
-    return rows
-
-
-def print_ablation_schemes(rows: list[SchemeRow]) -> str:
-    headers = ["scheme", "init sim(s)", "subsq sim(s)", "encrypted at rest"]
-    return format_table(
-        "Ablation A1: result-protection schemes",
-        headers,
-        [[r.scheme, r.sim_init_s, r.sim_subsq_s, "yes" if r.encrypted_at_rest else "NO"] for r in rows],
-    )
+    _, init, _ = timed(lambda: unic.call(data, data), clock)
+    _, subsq, _ = timed(lambda: unic.call(data, data), clock)
+    yield dict(scheme="UNIC plaintext [16]", sim_init_s=init, sim_subsq_s=subsq,
+               encrypted_at_rest=False)
 
 
 # ---------------------------------------------------------------------------
 # Ablation A2 — synchronous vs asynchronous PUT
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class AsyncPutRow:
-    mode: str
-    sim_init_latency_s: float
-
-
-def run_ablation_async_put(text_bytes: int = 64 * KB, seed: int = 19) -> list[AsyncPutRow]:
+@experiment("a2", "Ablation A2: PUT on/off the critical path", [
+    Column("mode", "mode"),
+    Column("sim_init_latency_s", "init latency sim(s)"),
+], full=dict(text_bytes=64 * KB), quick=dict(text_bytes=16 * KB))
+def run_ablation_async_put(text_bytes: int, seed: int = 19):
     """A2: initial-computation latency with sync vs async PUT (§V-B)."""
-    from ..core.description import TrustedLibraryRegistry
-
     data = synthetic_text(text_bytes, seed=seed)
-    rows = []
     for mode, async_put in (("sync PUT", False), ("async PUT", True)):
         case = compress_case_study()
-        libs = TrustedLibraryRegistry()
-        case.register_into(libs)
-        d = Deployment(seed=b"a2" + mode.encode())
-        app = d.create_application(
-            "a2-app", libs, RuntimeConfig(app_id="a2-app", async_put=async_put)
+        app = _case_app(
+            case, Deployment(seed=b"a2" + mode.encode()), "a2-app",
+            RuntimeConfig(app_id="a2-app", async_put=async_put),
         )
         case.deduplicable(app)(data)
         latency = app.runtime.stats.records[-1].sim_seconds
         app.runtime.flush_puts()
-        rows.append(AsyncPutRow(mode, latency))
-    return rows
-
-
-def print_ablation_async_put(rows: list[AsyncPutRow]) -> str:
-    return format_table(
-        "Ablation A2: PUT on/off the critical path",
-        ["mode", "init latency sim(s)"],
-        [[r.mode, r.sim_init_latency_s] for r in rows],
-    )
+        yield dict(mode=mode, sim_init_latency_s=latency)
 
 
 # ---------------------------------------------------------------------------
 # Ablation A3 — metadata-outside vs results-inside EPC
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class EpcRow:
-    design: str
-    entries: int
-    result_bytes: int
-    page_faults: int
-    sim_total_s: float
-
-
-def run_ablation_epc(
-    n_entries: int = 256,
-    result_bytes: int = 64 * KB,
-    epc_usable: int = 4 * MB,
-    seed: int = 23,
-) -> list[EpcRow]:
+@experiment("a3", "Ablation A3: EPC pressure (GET sweep)", [
+    Column("design", "design"),
+    Column("entries", "entries"),
+    Column("result_bytes", "result size", cell=size_cell("result_bytes")),
+    Column("page_faults", "page faults", probe=lambda d: d.faults),
+    Column("sim_total_s", "GET total sim(s)", probe=lambda d: d.app_s),
+], full=dict(n_entries=256, result_bytes=64 * KB),
+   quick=dict(n_entries=128, result_bytes=64 * KB))
+def run_ablation_epc(n_entries: int, result_bytes: int, epc_usable: int = 4 * MB,
+                     seed: int = 23):
     """A3: why the paper stores ciphertexts outside the enclave.
 
     Fills a store whose EPC is deliberately small, then sweeps GETs; the
     blobs-in-EPC variant thrashes while the paper's design stays flat.
     """
-    rows = []
     for design, blobs_in_epc in (("metadata-only in EPC (paper)", False),
                                  ("results inside EPC", True)):
         d = Deployment(
@@ -559,61 +420,31 @@ def run_ablation_epc(
             store_config=StoreConfig(use_sgx=True, blobs_in_epc=blobs_in_epc),
             epc_usable_bytes=epc_usable,
         )
-        enclave = d.platform.create_enclave("a3-client", b"a3-client-code")
-        client = d.store.connect("a3-client-addr", app_enclave=enclave)
+        client, enclave = _store_client(d, "a3-client")
         drbg = HmacDrbg(seed.to_bytes(4, "big"), b"a3")
-        block = drbg.generate(1024)
-        tags = []
-        for i in range(n_entries):
-            tag = sha256(b"a3" + design.encode() + i.to_bytes(4, "big"))
-            tags.append(tag)
-            body = (block * (result_bytes // len(block) + 1))[:result_bytes - 8] + i.to_bytes(8, "big")
-            client.call(PutRequest(tag=tag, challenge=drbg.generate(32),
-                                   wrapped_key=drbg.generate(16),
-                                   sealed_result=body, app_id="a3"))
-        faults_before = d.platform.epc.fault_count
-        sim0 = d.clock.snapshot()
-        for tag in tags:
-            response = client.call(GetRequest(tag=tag, app_id="a3"))
-            assert response.found
-        sim_total = d.clock.since(sim0) / d.clock.params.cpu_freq_hz
-        rows.append(
-            EpcRow(
-                design=design,
-                entries=n_entries,
-                result_bytes=result_bytes,
-                page_faults=d.platform.epc.fault_count - faults_before,
-                sim_total_s=sim_total,
-            )
-        )
-    return rows
-
-
-def print_ablation_epc(rows: list[EpcRow]) -> str:
-    return format_table(
-        "Ablation A3: EPC pressure (GET sweep)",
-        ["design", "entries", "result size", "page faults", "GET total sim(s)"],
-        [[r.design, r.entries, human_size(r.result_bytes), r.page_faults, r.sim_total_s]
-         for r in rows],
-    )
+        puts = put_stream(drbg, n_entries, result_bytes, b"a3" + design.encode(),
+                          "a3", block_bytes=1024)
+        for put in puts:
+            client.call(put)
+        probe = Probe(d, client=client, enclave=enclave)
+        _get_all(client, _gets(puts))
+        yield dict(design=design, entries=n_entries, result_bytes=result_bytes,
+                   probe=probe.delta())
 
 
 # ---------------------------------------------------------------------------
 # Ablation A4 — DoS quota under a PUT flood
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class QuotaRow:
-    policy: str
-    flood_puts: int
-    accepted_from_attacker: int
-    honest_entries_surviving: int
-
-
-def run_ablation_quota(flood: int = 200, honest: int = 20, seed: int = 29) -> list[QuotaRow]:
+@experiment("a4", "Ablation A4: PUT-flood DoS vs quota", [
+    Column("policy", "policy"),
+    Column("flood_puts", "flood PUTs"),
+    Column("accepted_from_attacker", "accepted from attacker"),
+    Column("honest_entries_surviving", "honest entries surviving"),
+], full=dict(flood=200, honest=20))
+def run_ablation_quota(flood: int, honest: int, seed: int = 29):
     """A4: a malicious app floods PUTs; quotas cap the damage (§III-D)."""
     from ..store.quota import QuotaPolicy
 
-    rows = []
     for policy_name, quota in (
         ("no quota", None),
         ("quota: 32 entries/app", QuotaPolicy(max_entries_per_app=32)),
@@ -624,126 +455,83 @@ def run_ablation_quota(flood: int = 200, honest: int = 20, seed: int = 29) -> li
                 use_sgx=True, capacity_entries=128, eviction="lru", quota=quota
             ),
         )
-        honest_enclave = d.platform.create_enclave("a4-honest", b"a4-honest-code")
-        attacker_enclave = d.platform.create_enclave("a4-attacker", b"a4-attacker-code")
-        honest_client = d.store.connect("a4-honest-addr", app_enclave=honest_enclave)
-        attacker_client = d.store.connect("a4-attacker-addr", app_enclave=attacker_enclave)
+        honest_client, _ = _store_client(d, "a4-honest")
+        attacker_client, _ = _store_client(d, "a4-attacker")
         drbg = HmacDrbg(seed.to_bytes(4, "big"), b"a4")
-
-        honest_tags = []
-        for i in range(honest):
-            tag = sha256(b"a4-honest" + policy_name.encode() + i.to_bytes(4, "big"))
-            honest_tags.append(tag)
-            honest_client.call(PutRequest(tag=tag, challenge=drbg.generate(32),
-                                          wrapped_key=drbg.generate(16),
-                                          sealed_result=drbg.generate(256),
-                                          app_id="honest"))
-        accepted = 0
-        for i in range(flood):
-            tag = sha256(b"a4-flood" + policy_name.encode() + i.to_bytes(4, "big"))
-            put = PutRequest(tag=tag, challenge=drbg.generate(32),
-                             wrapped_key=drbg.generate(16),
-                             sealed_result=drbg.generate(256), app_id="attacker")
+        kept = put_stream(drbg, honest, 256, b"a4-honest" + policy_name.encode(),
+                          "honest")
+        for put in kept:
+            honest_client.call(put)
+        for put in put_stream(drbg, flood, 256, b"a4-flood" + policy_name.encode(),
+                              "attacker"):
             attacker_client.send_oneway(put)
-        for response in attacker_client.drain_responses():
-            if getattr(response, "accepted", False):
-                accepted += 1
-        surviving = sum(1 for t in honest_tags if d.store.contains(t))
-        rows.append(QuotaRow(policy_name, flood, accepted, surviving))
-    return rows
-
-
-def print_ablation_quota(rows: list[QuotaRow]) -> str:
-    return format_table(
-        "Ablation A4: PUT-flood DoS vs quota",
-        ["policy", "flood PUTs", "accepted from attacker", "honest entries surviving"],
-        [[r.policy, r.flood_puts, r.accepted_from_attacker, r.honest_entries_surviving]
-         for r in rows],
-    )
+        accepted = sum(
+            1 for response in attacker_client.drain_responses()
+            if getattr(response, "accepted", False)
+        )
+        yield dict(
+            policy=policy_name, flood_puts=flood, accepted_from_attacker=accepted,
+            honest_entries_surviving=sum(1 for p in kept if d.store.contains(p.tag)),
+        )
 
 
 # ---------------------------------------------------------------------------
 # Ablation A5 — adaptive deduplication strategy (paper §VII future work)
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class AdaptiveRow:
-    policy: str
-    workload: str
-    calls: int
-    store_gets: int
-    sim_total_s: float
-
-
-def run_ablation_adaptive(calls: int = 40, seed: int = 31) -> list[AdaptiveRow]:
+@experiment("a5", "Ablation A5: adaptive deduplication strategy", [
+    Column("policy", "policy"),
+    Column("workload", "workload"),
+    Column("calls", "calls"),
+    Column("store_gets", "store GETs", probe=lambda d: d.counters["store.gets"]),
+    Column("sim_total_s", "total sim(s)", probe=lambda d: d.app_s),
+], full=dict(calls=40), quick=dict(calls=20))
+def run_ablation_adaptive(calls: int, seed: int = 31):
     """A5: the adaptive policy suppresses lookups on workloads where
     deduplication does not pay, and leaves profitable workloads alone."""
-    from .. import RuntimeConfig
     from ..core.adaptive import AdaptiveDedupPolicy
-    from ..core.description import TrustedLibraryRegistry
 
-    rows = []
     workloads = {
         # A trivially fast function over all-unique inputs: dedup never pays.
         "cheap+unique": lambda i: synthetic_text(256, seed=seed + i),
         # An expensive function over a highly repetitive stream: dedup wins.
         "slow+repetitive": lambda i: synthetic_text(64 * KB, seed=seed + (i % 3)),
     }
-    for policy_name, make_policy_obj in (
+    for policy_name, make_policy in (
         ("always-on", lambda: None),
         ("adaptive", lambda: AdaptiveDedupPolicy(min_observations=6, probe_interval=20)),
     ):
         for workload_name, make_input in workloads.items():
             case = compress_case_study()
-            libs = TrustedLibraryRegistry()
-            case.register_into(libs)
             d = Deployment(seed=b"a5" + policy_name.encode() + workload_name.encode())
-            app = d.create_application(
-                "a5-app", libs,
-                RuntimeConfig(app_id="a5-app", adaptive=make_policy_obj()),
+            app = _case_app(
+                case, d, "a5-app",
+                RuntimeConfig(app_id="a5-app", adaptive=make_policy()),
             )
             dedup = case.deduplicable(app)
-            sim0 = d.clock.snapshot()
+            probe = Probe(d, runtime=app.runtime)
             for i in range(calls):
                 dedup(make_input(i))
                 app.runtime.flush_puts()
-            sim_total = d.clock.since(sim0) / d.clock.params.cpu_freq_hz
-            rows.append(AdaptiveRow(
-                policy=policy_name,
-                workload=workload_name,
-                calls=calls,
-                store_gets=d.store.stats.gets,
-                sim_total_s=sim_total,
-            ))
-    return rows
-
-
-def print_ablation_adaptive(rows: list[AdaptiveRow]) -> str:
-    return format_table(
-        "Ablation A5: adaptive deduplication strategy",
-        ["policy", "workload", "calls", "store GETs", "total sim(s)"],
-        [[r.policy, r.workload, r.calls, r.store_gets, r.sim_total_s] for r in rows],
-    )
+            yield dict(policy=policy_name, workload=workload_name, calls=calls,
+                       probe=probe.delta())
 
 
 # ---------------------------------------------------------------------------
 # Ablation A6 — oblivious metadata access (Path ORAM, paper §III-D)
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class ObliviousRow:
-    design: str
-    ops: int
-    sim_total_s: float
-    oram_accesses: int
-
-
-def run_ablation_oblivious(n_entries: int = 64, gets: int = 128, seed: int = 37) -> list[ObliviousRow]:
+@experiment("a6", "Ablation A6: oblivious metadata access", [
+    Column("design", "design"),
+    Column("ops", "GET ops"),
+    Column("sim_total_s", "total sim(s)", probe=lambda d: d.app_s),
+    Column("oram_accesses", "ORAM path accesses"),
+], full=dict(n_entries=64, gets=128), quick=dict(n_entries=32, gets=64))
+def run_ablation_oblivious(n_entries: int, gets: int, seed: int = 37):
     """A6: the overhead of hiding the metadata access pattern.
 
     Fills a store and replays a GET workload against the plain dictionary
     and the Path-ORAM dictionary; the difference is the "extra overhead"
     the paper anticipated when discussing oblivious memory access.
     """
-    rows = []
     for design, oblivious in (("plain dictionary (paper)", False),
                               ("Path ORAM metadata", True)):
         d = Deployment(
@@ -753,69 +541,77 @@ def run_ablation_oblivious(n_entries: int = 64, gets: int = 128, seed: int = 37)
                 oblivious_capacity=max(256, 2 * n_entries),
             ),
         )
-        enclave = d.platform.create_enclave("a6-client", b"a6-client-code")
-        client = d.store.connect("a6-client-addr", app_enclave=enclave)
+        client, enclave = _store_client(d, "a6-client")
         drbg = HmacDrbg(seed.to_bytes(4, "big"), b"a6")
-        tags = []
-        for i in range(n_entries):
-            tag = sha256(b"a6" + design.encode() + i.to_bytes(4, "big"))
-            tags.append(tag)
-            client.call(PutRequest(tag=tag, challenge=drbg.generate(32),
-                                   wrapped_key=drbg.generate(16),
-                                   sealed_result=drbg.generate(1024), app_id="a6"))
-        sim0 = d.clock.snapshot()
-        for i in range(gets):
-            response = client.call(GetRequest(tag=tags[i % n_entries], app_id="a6"))
-            assert response.found
-        sim_total = d.clock.since(sim0) / d.clock.params.cpu_freq_hz
-        accesses = d.store._dict.oram.accesses if oblivious else 0
-        rows.append(ObliviousRow(design=design, ops=gets,
-                                 sim_total_s=sim_total, oram_accesses=accesses))
-    return rows
+        puts = put_stream(drbg, n_entries, 1024, b"a6" + design.encode(), "a6")
+        for put in puts:
+            client.call(put)
+        probe = Probe(d, client=client, enclave=enclave)
+        _get_all(client, [_gets(puts)[i % n_entries] for i in range(gets)])
+        yield dict(design=design, ops=gets, probe=probe.delta(),
+                   oram_accesses=d.store._dict.oram.accesses if oblivious else 0)
 
 
-def print_ablation_oblivious(rows: list[ObliviousRow]) -> str:
-    return format_table(
-        "Ablation A6: oblivious metadata access",
-        ["design", "GET ops", "total sim(s)", "ORAM path accesses"],
-        [[r.design, r.ops, r.sim_total_s, r.oram_accesses] for r in rows],
-    )
+# ---------------------------------------------------------------------------
+# Ablation A7 — switchless (hot) calls vs classic transitions
+# ---------------------------------------------------------------------------
+@experiment("a7", "Ablation A7: switchless calls (HotCalls/Eleos mitigation)", [
+    Column("mode", "mode"),
+    Column("size_bytes", "size", cell=size_cell("size_bytes")),
+    Column("get_total_sim_s", "GET total sim(s)", probe=lambda d: d.app_s),
+    Column("ops", "ops"),
+], full=dict(ops=50), quick=dict(ops=20))
+def run_ablation_switchless(ops: int, sizes: tuple[int, ...] = (1 * KB, 10 * KB),
+                            seed: int = 47):
+    """A7: the SS V-B mitigation — replace ECALL/OCALL transitions with
+    HotCalls-style shared-buffer calls and re-measure the store's GET
+    path (the Fig. 6 regime where transition cost dominates)."""
+    for mode, switchless in (("classic ECALL/OCALL", False), ("switchless (HotCalls)", True)):
+        for size in sizes:
+            d = Deployment(
+                seed=b"a7" + mode.encode() + size.to_bytes(4, "big"),
+                cost_params=CostParams(switchless=switchless),
+            )
+            client, enclave = _store_client(d, "a7-client")
+            drbg = HmacDrbg(seed.to_bytes(4, "big"), b"a7")
+            # Stored results are whole 4 KiB blocks (the 10 KB level
+            # stores 8 KiB): the figures were recorded that way, and the
+            # transition saving under test does not depend on the size.
+            stored = min(size, 4096) * max(1, size // 4096)
+            puts = put_stream(
+                drbg, ops, stored,
+                b"a7" + bytes([switchless]) + size.to_bytes(4, "big"), "a7",
+            )
+            for put in puts:
+                client.call(put)
+            probe = Probe(d, client=client, enclave=enclave)
+            _get_all(client, _gets(puts))
+            yield dict(mode=mode, size_bytes=size, ops=ops, probe=probe.delta())
 
 
 # ---------------------------------------------------------------------------
 # E9 — incremental processing (the introduction's motivating workload)
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class IncrementalRow:
-    epoch: int
-    pages: int
-    new_pages: int
-    hit_rate: float
-    sim_epoch_s: float
-
-
-def run_incremental(
-    epochs: int = 4,
-    pages_per_epoch: int = 12,
-    churn: float = 0.25,
-    seed: int = 41,
-) -> list[IncrementalRow]:
+@experiment("e9", "E9: incremental re-crawl processing", [
+    Column("epoch", "epoch"),
+    Column("pages", "pages"),
+    Column("new_pages", "new pages"),
+    Column("hit_rate", "hit rate", cell=percent_cell("hit_rate")),
+    Column("sim_epoch_s", "epoch sim(s)", probe=lambda d: d.app_s),
+], full=dict(epochs=4), quick=dict(epochs=3))
+def run_incremental(epochs: int, pages_per_epoch: int = 12, churn: float = 0.25,
+                    seed: int = 41):
     """E9: "incrementally updated datasets are constantly being processed
     by the same or similar computing tasks" (§I).  Re-crawl a page set
     whose content churns by ``churn`` per epoch; the hit rate climbs to
     ``1 - churn`` and the per-epoch cost collapses accordingly."""
-    from ..core.description import TrustedLibraryRegistry
-
     case = bow_case_study()
-    libs = TrustedLibraryRegistry()
-    case.register_into(libs)
     d = Deployment(seed=b"e9-incremental")
-    app = d.create_application("crawler", libs)
+    app = _case_app(case, d, "crawler")
     dedup = case.deduplicable(app)
 
     corpus = [synthetic_webpage(600, seed=seed + i) for i in range(pages_per_epoch)]
     next_fresh = pages_per_epoch
-    rows = []
     for epoch in range(epochs):
         if epoch > 0:
             n_churn = max(1, int(churn * pages_per_epoch))
@@ -824,509 +620,204 @@ def run_incremental(
                     600, seed=seed + next_fresh
                 )
                 next_fresh += 1
-        hits_before = app.runtime.stats.hits
-        sim0 = d.clock.snapshot()
+        probe = Probe(d, runtime=app.runtime)
         for page in corpus:
             dedup(page)
             app.runtime.flush_puts()
-        sim_epoch = d.clock.since(sim0) / d.clock.params.cpu_freq_hz
-        epoch_hits = app.runtime.stats.hits - hits_before
-        rows.append(IncrementalRow(
-            epoch=epoch,
-            pages=pages_per_epoch,
-            new_pages=pages_per_epoch - epoch_hits,
-            hit_rate=epoch_hits / pages_per_epoch,
-            sim_epoch_s=sim_epoch,
-        ))
-    return rows
-
-
-def print_incremental(rows: list[IncrementalRow]) -> str:
-    return format_table(
-        "E9: incremental re-crawl processing",
-        ["epoch", "pages", "new pages", "hit rate", "epoch sim(s)"],
-        [[r.epoch, r.pages, r.new_pages, f"{r.hit_rate:.0%}", r.sim_epoch_s]
-         for r in rows],
-    )
+        delta = probe.delta()
+        hits = delta.counters["runtime.hits"]
+        yield dict(epoch=epoch, pages=pages_per_epoch,
+                   new_pages=pages_per_epoch - hits,
+                   hit_rate=hits / pages_per_epoch, probe=delta)
 
 
 # ---------------------------------------------------------------------------
 # E10 — speedup as a function of workload duplication ratio
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class DuplicationRow:
-    duplicate_fraction: float
-    calls: int
-    hit_rate: float
-    sim_total_s: float
-    sim_baseline_s: float
-
-    @property
-    def speedup(self) -> float:
-        return self.sim_baseline_s / self.sim_total_s if self.sim_total_s else float("inf")
-
-
-def run_duplication_sweep(
-    fractions: list[float] | None = None,
-    calls: int = 24,
-    text_bytes: int = 32 * KB,
-    seed: int = 43,
-) -> list[DuplicationRow]:
+@experiment("e10", "E10: speedup vs workload duplication ratio", [
+    Column("duplicate_fraction", "dup fraction", cell=percent_cell("duplicate_fraction")),
+    Column("calls", "calls"),
+    Column("hit_rate", "hit rate", cell=percent_cell("hit_rate")),
+    Column("sim_total_s", "SPEED sim(s)", probe=lambda d: d["speed"].app_s),
+    Column("sim_baseline_s", "baseline sim(s)", probe=lambda d: d["base"].app_s),
+    Column("speedup", "speedup", derive=_ratio("sim_baseline_s", "sim_total_s", INF)),
+], full=dict(fractions=[0.0, 0.25, 0.5, 0.75, 0.9], calls=24, text_bytes=32 * KB),
+   quick=dict(fractions=[0.0, 0.5, 0.9], calls=12, text_bytes=8 * KB))
+def run_duplication_sweep(fractions: list[float], calls: int, text_bytes: int,
+                          seed: int = 43):
     """E10: how much duplication a workload needs before SPEED pays.
 
     Generalises Fig. 5: instead of a guaranteed-hit second call, run a
     realistic stream whose duplicate fraction varies and report the
     end-to-end speedup over the no-SPEED baseline.
     """
-    from ..core.description import TrustedLibraryRegistry
-    from ..workloads import text_corpus
-
-    fractions = fractions if fractions is not None else [0.0, 0.25, 0.5, 0.75, 0.9]
-    rows = []
     for fraction in fractions:
         corpus = text_corpus(calls, text_bytes, duplicate_fraction=fraction,
                              seed=seed)
 
-        def run(config_factory) -> float:
+        def run(config: RuntimeConfig):
             case = compress_case_study()
-            libs = TrustedLibraryRegistry()
-            case.register_into(libs)
             d = Deployment(seed=b"e10-%d" % int(fraction * 100))
-            app = d.create_application("app", libs, config_factory())
+            app = _case_app(case, d, "app", config)
             dedup = case.deduplicable(app)
-            sim0 = d.clock.snapshot()
+            probe = Probe(d, runtime=app.runtime)
             for doc in corpus:
                 dedup(doc)
                 app.runtime.flush_puts()
-            return (
-                d.clock.since(sim0) / d.clock.params.cpu_freq_hz,
-                app.runtime.stats.hit_rate(),
-            )
+            return probe.delta(), app.runtime.stats.hit_rate()
 
-        sim_speed, hit_rate = run(lambda: RuntimeConfig(app_id="speed"))
-        sim_base, _ = run(lambda: no_dedup_runtime_config("base"))
-        rows.append(DuplicationRow(
-            duplicate_fraction=fraction,
-            calls=calls,
-            hit_rate=hit_rate,
-            sim_total_s=sim_speed,
-            sim_baseline_s=sim_base,
-        ))
-    return rows
-
-
-def print_duplication_sweep(rows: list[DuplicationRow]) -> str:
-    return format_table(
-        "E10: speedup vs workload duplication ratio",
-        ["dup fraction", "calls", "hit rate", "SPEED sim(s)",
-         "baseline sim(s)", "speedup"],
-        [[f"{r.duplicate_fraction:.0%}", r.calls, f"{r.hit_rate:.0%}",
-          r.sim_total_s, r.sim_baseline_s, r.speedup] for r in rows],
-    )
+        speed, hit_rate = run(RuntimeConfig(app_id="speed"))
+        base, _ = run(no_dedup_runtime_config("base"))
+        yield dict(duplicate_fraction=fraction, calls=calls, hit_rate=hit_rate,
+                   probe={"speed": speed, "base": base})
 
 
 # ---------------------------------------------------------------------------
 # Batch — amortizing transitions/records across calls (the batched pipeline)
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class BatchRow:
-    """One (phase, batch size) cell of the batching sweep.
-
-    ``transitions`` counts enclave boundary crossings entered across the
-    whole deployment (application + store enclaves); ``channel_records``
-    counts records the client sealed.  ``identical`` is True when the
-    phase's results matched the sequential reference bit-for-bit (always
-    True for the store-level phases, which assert their responses).
-    """
-
-    phase: str
-    batch_size: int
-    ops: int
-    size_bytes: int
-    transitions: int
-    channel_records: int
-    sim_total_s: float
-    wall_total_s: float
-    identical: bool = True
-    # Per-phase latency totals ({span name: {count, sim_s, wall_s}})
-    # attributed to this row's request loop by the session tracer.
-    phase_breakdown: dict = field(default_factory=dict)
-
-    @property
-    def transitions_per_call(self) -> float:
-        return self.transitions / self.ops
-
-    @property
-    def records_per_call(self) -> float:
-        return self.channel_records / self.ops
-
-    @property
-    def sim_ops_per_s(self) -> float:
-        return self.ops / self.sim_total_s if self.sim_total_s else float("inf")
-
-    @property
-    def wall_ops_per_s(self) -> float:
-        return self.ops / self.wall_total_s if self.wall_total_s else float("inf")
-
-
 def _chunks(seq: list, size: int) -> list[list]:
     return [seq[i:i + size] for i in range(0, len(seq), size)]
 
 
-def run_batch_store(
-    batch_sizes: list[int] | None = None,
-    ops: int = 128,
-    size_bytes: int = 1 * KB,
-    seed: int = 53,
-) -> list[BatchRow]:
-    """Fig. 6 regime, batched: ``ops`` PUTs then ``ops`` GETs against the
-    SGX-backed store, issued in batches of each sweep size.  Batch size 1
-    uses the plain per-item wire path, so it is the unbatched baseline."""
-    batch_sizes = batch_sizes or [1, 4, 16, 64, 128]
-    rows = []
+@experiment("batch", "Batch: amortized transitions and records", [
+    Column("phase", "phase"),
+    Column("batch_size", "batch"),
+    Column("ops", "ops"),
+    Column("size_bytes", "size", cell=size_cell("size_bytes")),
+    # Enclave crossings entered across the whole deployment (application
+    # + store enclaves), and records the client sealed.
+    Column("transitions", probe=lambda d: d.transitions),
+    Column("channel_records", probe=lambda d: d.records),
+    Column("sim_total_s", probe=lambda d: d.app_s),
+    Column("wall_total_s", probe=lambda d: d.wall_s),
+    Column("transitions_per_call", "trans/call", derive=_ratio("transitions", "ops")),
+    Column("records_per_call", "rec/call", derive=_ratio("channel_records", "ops")),
+    Column("sim_ops_per_s", "sim ops/s", derive=_ratio("ops", "sim_total_s", INF)),
+    Column("wall_ops_per_s", "wall ops/s", derive=_ratio("ops", "wall_total_s", INF)),
+    # True when the phase's results matched the sequential reference
+    # bit-for-bit (the store-level phases check their own responses).
+    Column("identical", "identical", cell=yes_cell("identical")),
+    # {span name: {count, sim_s, wall_s}} attributed to this row's
+    # request loop by the deployment's tracer.
+    Column("phase_breakdown", probe=lambda d: d.phases),
+], full=dict(batch_sizes=[1, 4, 16, 64, 128], ops=128,
+             execute_batch_sizes=[8], calls=24, text_bytes=8 * KB),
+   quick=dict(batch_sizes=[1, 4, 16], ops=32,
+              execute_batch_sizes=[4], calls=8, text_bytes=4 * KB))
+def run_batch(batch_sizes: list[int], ops: int, execute_batch_sizes: list[int],
+              calls: int, text_bytes: int, size_bytes: int = 1 * KB, seed: int = 53):
+    """The batching experiment: a store-level GET/PUT sweep in the
+    Fig. 6 regime, then a Fig. 5-style rerun through ``execute_many``."""
+    yield from run_batch_store(batch_sizes, ops, size_bytes, seed)
+    yield from run_batch_execute(execute_batch_sizes, calls, text_bytes, seed=seed + 6)
+
+
+def run_batch_store(batch_sizes: list[int], ops: int, size_bytes: int, seed: int):
+    """``ops`` PUTs then ``ops`` GETs against the SGX-backed store, issued
+    in batches of each sweep size.  Batch size 1 uses the plain per-item
+    wire path, so it is the unbatched baseline."""
     for batch in batch_sizes:
-        tracer = Tracer()
         d = Deployment(
             seed=b"batch-store" + batch.to_bytes(4, "big"),
             store_config=StoreConfig(use_sgx=True),
-            tracer=tracer,
+            tracer=Tracer(),
         )
-        enclave = d.platform.create_enclave("batch-client", b"batch-client-code")
-        client = d.store.connect("batch-client-addr", app_enclave=enclave)
+        client, enclave = _store_client(d, "batch-client")
         drbg = HmacDrbg(seed.to_bytes(4, "big"), b"batch")
-        base = drbg.generate(4096)
-        puts = []
-        for i in range(ops):
-            tag = sha256(b"batch-tag" + batch.to_bytes(4, "big") + i.to_bytes(4, "big"))
-            body = (base * (size_bytes // len(base) + 1))[:size_bytes - 8] + i.to_bytes(8, "big")
-            puts.append(PutRequest(
-                tag=tag,
-                challenge=drbg.generate(CHALLENGE_SIZE),
-                wrapped_key=drbg.generate(KEY_SIZE),
-                sealed_result=body,
-                app_id="batch",
-            ))
-
-        def transitions() -> int:
-            return enclave.transition_count + d.store.enclave.transition_count
-
-        def sweep(phase: str, requests: list, check) -> BatchRow:
-            trans0, rec0 = transitions(), client.records_sent
-            phases0 = tracer.phase_breakdown()
-            wall0, sim0 = time.perf_counter(), d.clock.snapshot()
+        puts = put_stream(drbg, ops, size_bytes,
+                          b"batch-tag" + batch.to_bytes(4, "big"), "batch")
+        for phase, requests in (("put", puts), ("get", _gets(puts))):
+            probe = Probe(d, client=client, enclave=enclave)
             for chunk in _chunks(requests, batch):
-                if len(chunk) == 1:
-                    check(client.call(chunk[0]))
-                else:
-                    for response in client.call_batch(chunk):
-                        check(response)
-            return BatchRow(
-                phase=phase,
-                batch_size=batch,
-                ops=len(requests),
-                size_bytes=size_bytes,
-                transitions=transitions() - trans0,
-                channel_records=client.records_sent - rec0,
-                sim_total_s=d.clock.since(sim0) / d.clock.params.cpu_freq_hz,
-                wall_total_s=time.perf_counter() - wall0,
-                phase_breakdown=diff_breakdown(phases0, tracer.phase_breakdown()),
-            )
-
-        rows.append(sweep("put", puts, lambda r: None))
-        gets = [GetRequest(tag=p.tag, app_id="batch") for p in puts]
-
-        def check_found(response) -> None:
-            assert response.found
-
-        rows.append(sweep("get", gets, check_found))
-    return rows
+                responses = (
+                    [client.call(chunk[0])] if len(chunk) == 1
+                    else client.call_batch(chunk)
+                )
+                if phase == "get" and not all(r.found for r in responses):
+                    raise SpeedError("a result stored by this run was not found")
+            yield dict(phase=phase, batch_size=batch, ops=ops, size_bytes=size_bytes,
+                       identical=True, probe=probe.delta())
 
 
-def run_batch_execute(
-    batch_sizes: list[int] | None = None,
-    calls: int = 24,
-    text_bytes: int = 8 * KB,
-    duplicate_fraction: float = 0.5,
-    seed: int = 59,
-) -> list[BatchRow]:
+def run_batch_execute(batch_sizes: list[int], calls: int, text_bytes: int,
+                      duplicate_fraction: float = 0.5, seed: int = 59):
     """Fig. 5-style rerun through :meth:`DedupRuntime.execute_many`.
 
     A sequential reference processes the corpus one :meth:`execute` at a
     time; the batched runs chunk the same corpus through ``execute_many``
-    (with the L1 cache serving intra-batch duplicates) and must produce
+    (with the L1 cache serving intra-batch duplicates, at each of
+    ``batch_sizes`` and at the whole corpus) and must produce
     bit-identical results."""
-    from ..core.description import TrustedLibraryRegistry
-    from ..workloads import text_corpus
-
-    batch_sizes = batch_sizes or [8, 24]
     corpus = text_corpus(calls, text_bytes, duplicate_fraction=duplicate_fraction,
                          seed=seed)
-
-    def fresh_app(tag: bytes, config: RuntimeConfig):
-        case = compress_case_study()
-        libs = TrustedLibraryRegistry()
-        case.register_into(libs)
-        d = Deployment(seed=b"batch-exec" + tag, tracer=Tracer())
-        return case, d, d.create_application("batch-app", libs, config)
-
-    def measure(app, d, body) -> tuple[BatchRow, list]:
-        trans0 = app.enclave.transition_count + d.store.enclave.transition_count
-        rec0 = app.runtime.client.records_sent
-        phases0 = d.tracer.phase_breakdown()
-        wall0, sim0 = time.perf_counter(), d.clock.snapshot()
-        results = body()
-        trans1 = app.enclave.transition_count + d.store.enclave.transition_count
-        return BatchRow(
-            phase="",
-            batch_size=0,
-            ops=len(corpus),
-            size_bytes=text_bytes,
-            transitions=trans1 - trans0,
-            channel_records=app.runtime.client.records_sent - rec0,
-            sim_total_s=d.clock.since(sim0) / d.clock.params.cpu_freq_hz,
-            wall_total_s=time.perf_counter() - wall0,
-            phase_breakdown=diff_breakdown(
-                phases0, d.tracer.phase_breakdown()
-            ),
-        ), results
-
-    # Sequential reference: one execute per document, flushing between.
-    case, d_seq, app_seq = fresh_app(b"/seq", RuntimeConfig(app_id="batch-app"))
-    dedup = case.deduplicable(app_seq)
-
-    def run_seq() -> list:
-        out = []
-        for doc in corpus:
-            out.append(dedup(doc))
-            app_seq.runtime.flush_puts()
-        return out
-
-    row, reference = measure(app_seq, d_seq, run_seq)
-    rows = [dataclass_replace(row, phase="execute-seq", batch_size=1)]
-
-    for batch in sorted({b for b in batch_sizes if 1 < b <= calls} | {calls}):
-        case_b, d_b, app_b = fresh_app(
-            b"/b" + batch.to_bytes(4, "big"),
-            RuntimeConfig(app_id="batch-app", l1_cache_entries=4 * calls),
-        )
-
-        def run_batched() -> list:
-            out = []
-            for chunk in _chunks(corpus, batch):
-                out.extend(app_b.runtime.execute_many(
-                    case_b.description, chunk,
-                    input_parser=case_b.input_parser,
-                    result_parser=case_b.result_parser,
-                    native_factor=case_b.native_factor,
-                ))
-                app_b.runtime.flush_puts()
-            return out
-
-        row, results = measure(app_b, d_b, run_batched)
-        rows.append(dataclass_replace(
-            row, phase="execute-batch", batch_size=batch,
-            identical=results == reference,
-        ))
-    return rows
-
-
-def run_batch(
-    batch_sizes: list[int] | None = None,
-    ops: int = 128,
-    size_bytes: int = 1 * KB,
-    calls: int = 24,
-    text_bytes: int = 8 * KB,
-    seed: int = 53,
-) -> list[BatchRow]:
-    """The full batching experiment: store-level GET/PUT sweep plus the
-    ``execute_many`` end-to-end rerun."""
-    rows = run_batch_store(batch_sizes=batch_sizes, ops=ops,
-                           size_bytes=size_bytes, seed=seed)
-    exec_sizes = None
-    if batch_sizes is not None:
-        exec_sizes = [b for b in batch_sizes if 1 < b <= calls]
-    rows += run_batch_execute(batch_sizes=exec_sizes, calls=calls,
-                              text_bytes=text_bytes, seed=seed + 6)
-    return rows
-
-
-def print_batch(rows: list[BatchRow]) -> str:
-    headers = ["phase", "batch", "ops", "size", "trans/call", "rec/call",
-               "sim ops/s", "wall ops/s", "identical"]
-    table = [
-        [
-            r.phase, r.batch_size, r.ops, human_size(r.size_bytes),
-            r.transitions_per_call, r.records_per_call,
-            r.sim_ops_per_s, r.wall_ops_per_s,
-            "yes" if r.identical else "NO",
-        ]
-        for r in rows
+    case = compress_case_study()
+    runs = [("execute-seq", 1, b"/seq", {})] + [
+        ("execute-batch", batch, b"/b" + batch.to_bytes(4, "big"),
+         {"l1_cache_entries": 4 * calls})
+        for batch in sorted({b for b in batch_sizes if 1 < b <= calls} | {calls})
     ]
-    return format_table("Batch: amortized transitions and records", headers, table)
-
-
-# ---------------------------------------------------------------------------
-# Ablation A7 — switchless (hot) calls vs classic transitions
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class SwitchlessRow:
-    mode: str
-    size_bytes: int
-    get_total_sim_s: float
-    ops: int
-
-
-def run_ablation_switchless(
-    sizes: list[int] | None = None, ops: int = 50, seed: int = 47
-) -> list[SwitchlessRow]:
-    """A7: the SS V-B mitigation — replace ECALL/OCALL transitions with
-    HotCalls-style shared-buffer calls and re-measure the store's GET
-    path (the Fig. 6 regime where transition cost dominates)."""
-    from ..sgx.cost_model import CostParams
-
-    sizes = sizes or [1 * KB, 10 * KB]
-    rows = []
-    for mode, switchless in (("classic ECALL/OCALL", False), ("switchless (HotCalls)", True)):
-        for size in sizes:
-            d = Deployment(
-                seed=b"a7" + mode.encode() + size.to_bytes(4, "big"),
-                cost_params=CostParams(switchless=switchless),
-            )
-            enclave = d.platform.create_enclave("a7-client", b"a7-client-code")
-            client = d.store.connect("a7-client-addr", app_enclave=enclave)
-            drbg = HmacDrbg(seed.to_bytes(4, "big"), b"a7")
-            tags = []
-            for i in range(ops):
-                tag = sha256(b"a7" + bytes([switchless]) + size.to_bytes(4, "big") + i.to_bytes(4, "big"))
-                tags.append(tag)
-                client.call(PutRequest(tag=tag, challenge=drbg.generate(32),
-                                       wrapped_key=drbg.generate(16),
-                                       sealed_result=drbg.generate(min(size, 4096)) * max(1, size // 4096),
-                                       app_id="a7"))
-            sim0 = d.clock.snapshot()
-            for tag in tags:
-                assert client.call(GetRequest(tag=tag, app_id="a7")).found
-            rows.append(SwitchlessRow(
-                mode=mode, size_bytes=size,
-                get_total_sim_s=d.clock.since(sim0) / d.clock.params.cpu_freq_hz,
-                ops=ops,
-            ))
-    return rows
-
-
-def print_ablation_switchless(rows: list[SwitchlessRow]) -> str:
-    return format_table(
-        "Ablation A7: switchless calls (HotCalls/Eleos mitigation)",
-        ["mode", "size", "GET total sim(s)", "ops"],
-        [[r.mode, human_size(r.size_bytes), r.get_total_sim_s, r.ops] for r in rows],
-    )
+    reference = None
+    for phase, batch, seed_tag, l1 in runs:
+        d = Deployment(seed=b"batch-exec" + seed_tag, tracer=Tracer())
+        app = _case_app(case, d, "batch-app", RuntimeConfig(app_id="batch-app", **l1))
+        dedup = case.deduplicable(app)
+        probe = Probe(d, runtime=app.runtime)
+        results = []
+        for chunk in _chunks(corpus, batch):
+            if batch == 1:  # the sequential reference: one execute per document
+                results.append(dedup(chunk[0]))
+            else:
+                results.extend(app.runtime.execute_many(
+                    case.description, chunk,
+                    input_parser=case.input_parser,
+                    result_parser=case.result_parser,
+                    native_factor=case.native_factor,
+                ))
+            app.runtime.flush_puts()
+        delta = probe.delta()
+        reference = reference or results
+        yield dict(phase=phase, batch_size=batch, ops=calls, size_bytes=text_bytes,
+                   identical=results == reference, probe=delta)
 
 
 # ---------------------------------------------------------------------------
 # Cluster — sharded ResultStore scaling and failover
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class ClusterRow:
-    phase: str            # put | get | failover-get | repair-get
-    n_shards: int
-    replication_factor: int
-    ops: int
-    size_bytes: int
-    bottleneck_sim_s: float   # busiest shard machine's clock advance
-    client_sim_s: float       # app machine's clock advance (sanity series)
-    wall_total_s: float
-    failovers: int            # router failovers during this phase
-    read_repairs: int         # read-repair PUTs queued during this phase
-    results_lost: int         # GETs that found nothing (should be 0)
-    baseline_sim_s: float = 0.0  # same-phase 1-shard bottleneck time
-    # Per-phase latency totals ({span name: {count, sim_s, wall_s}})
-    # attributed to this row's request loop by the cluster's tracer.
-    phase_breakdown: dict = field(default_factory=dict)
-
-    @property
-    def sim_ops_per_s(self) -> float:
-        if self.bottleneck_sim_s <= 0:
-            return float("inf")
-        return self.ops / self.bottleneck_sim_s
-
-    @property
-    def speedup(self) -> float:
-        """Throughput relative to the single-shard run of this phase."""
-        if self.baseline_sim_s <= 0 or self.bottleneck_sim_s <= 0:
-            return 0.0
-        return self.baseline_sim_s / self.bottleneck_sim_s
-
-
-def _cluster_payloads(ops: int, size_bytes: int, seed: int, label: bytes) -> list:
-    drbg = HmacDrbg(seed.to_bytes(4, "big"), b"cluster" + label)
-    base = drbg.generate(4096)
-    puts = []
-    for i in range(ops):
-        tag = sha256(b"cluster-tag" + label + i.to_bytes(4, "big"))
-        body = (base * (size_bytes // len(base) + 1))[:size_bytes - 8] + i.to_bytes(8, "big")
-        puts.append(PutRequest(
-            tag=tag,
-            challenge=drbg.generate(CHALLENGE_SIZE),
-            wrapped_key=drbg.generate(KEY_SIZE),
-            sealed_result=body,
-            app_id="cluster-bench",
-        ))
-    return puts
-
-
-def _cluster_phase(d, router, phase, requests, size_bytes, expect_found=False):
-    """Run one request phase and report the *store-side* bottleneck: the
-    largest clock advance across the shard machines.  Shards are
-    independent machines serving disjoint tag ranges, so the cluster
-    drains an open-loop Fig. 6 workload at the pace of its busiest
-    shard; the app machine's own advance is reported alongside (it is
-    workload-bound and flat across shard counts)."""
-    freq = d.clock.params.cpu_freq_hz
-    shard_clocks = {
-        sid: node.platform.clock for sid, node in d.cluster.shards.items()
-    }
-    shard0 = {sid: clock.snapshot() for sid, clock in shard_clocks.items()}
-    app0 = d.clock.snapshot()
-    fail0 = router.stats.failovers
-    repair0 = router.stats.read_repairs
-    tracer = d.cluster.tracer
-    phases0 = tracer.phase_breakdown() if tracer.enabled else {}
+def _cluster_phase(d, router, enclave, requests: list, expect_found: bool):
+    """Run one request phase; returns ``(delta, GETs that found nothing)``."""
+    probe = Probe(d, client=router, enclave=enclave)
     lost = 0
-    wall0 = time.perf_counter()
     for request in requests:
         response = router.call(request)
         if expect_found and not response.found:
             lost += 1
-    wall = time.perf_counter() - wall0
-    bottleneck = max(
-        clock.since(shard0[sid]) for sid, clock in shard_clocks.items()
-    )
-    return ClusterRow(
-        phase=phase,
-        n_shards=len(shard_clocks),
-        replication_factor=d.cluster.config.replication_factor,
-        ops=len(requests),
-        size_bytes=size_bytes,
-        bottleneck_sim_s=bottleneck / freq,
-        client_sim_s=d.clock.since(app0) / freq,
-        wall_total_s=wall,
-        failovers=router.stats.failovers - fail0,
-        read_repairs=router.stats.read_repairs - repair0,
-        results_lost=lost,
-        phase_breakdown=(
-            diff_breakdown(phases0, tracer.phase_breakdown())
-            if tracer.enabled else {}
-        ),
-    )
+    return probe.delta(), lost
 
 
-def run_cluster(
-    shard_counts: list[int] | None = None,
-    replication_factors: list[int] | None = None,
-    ops: int = 96,
-    size_bytes: int = 1 * KB,
-    seed: int = 61,
-) -> list[ClusterRow]:
+@experiment("cluster", "Cluster: sharded ResultStore throughput and failover", [
+    Column("phase", "phase"),  # put | get | failover-get | repair-get
+    Column("n_shards", "shards"),
+    Column("replication_factor", "RF"),
+    Column("ops", "ops"),
+    Column("size_bytes"),
+    # The store-side bottleneck is what the cluster's throughput is made
+    # of; the app machine's own advance is reported alongside (it is
+    # workload-bound and flat across shard counts).
+    Column("bottleneck_sim_s", "bottleneck sim(s)", probe=lambda d: d.bottleneck_s),
+    Column("client_sim_s", probe=lambda d: d.app_s),
+    Column("wall_total_s", probe=lambda d: d.wall_s),
+    Column("sim_ops_per_s", "sim ops/s", derive=_ratio("ops", "bottleneck_sim_s", INF)),
+    Column("baseline_sim_s"),  # same-phase 1-shard RF-1 bottleneck time
+    Column("speedup", "speedup", derive=_ratio("baseline_sim_s", "bottleneck_sim_s"),
+           cell=lambda r: f"{r['speedup']:.2f}x" if r["speedup"] else "-"),
+    Column("failovers", "failovers", probe=lambda d: d.counters["router.failovers"]),
+    Column("read_repairs", "repairs", probe=lambda d: d.counters["router.read_repairs"]),
+    Column("results_lost", "lost"),  # GETs that found nothing (should be 0)
+    Column("phase_breakdown", probe=lambda d: d.phases),
+], full=dict(shard_counts=[1, 2, 4, 8], ops=96), quick=dict(shard_counts=[1, 2, 4], ops=32))
+def run_cluster(shard_counts: list[int], ops: int,
+                replication_factors: tuple[int, ...] = (1, 2),
+                size_bytes: int = 1 * KB, seed: int = 61):
     """Cluster scaling sweep plus a failover run, Fig. 6 regime.
 
     The sweep drives ``ops`` PUTs then ``ops`` GETs of all-different
@@ -1337,10 +828,22 @@ def run_cluster(
     write stream and shows reads surviving on replicas with zero loss,
     and read-repair refilling the shard after it revives.
     """
-    shard_counts = shard_counts or [1, 2, 4, 8]
-    replication_factors = replication_factors or [1, 2]
-    rows: list[ClusterRow] = []
-    baselines: dict[str, float] = {}
+    def cluster(seed_tag: bytes, label: bytes, n: int, rf: int):
+        d = ClusterDeployment(
+            seed=seed_tag, n_shards=n, replication_factor=rf, tracer=Tracer(),
+        )
+        enclave = d.platform.create_enclave("cluster-bench", b"cluster-bench-code")
+        drbg = HmacDrbg(seed.to_bytes(4, "big"), b"cluster" + label)
+        puts = put_stream(drbg, ops, size_bytes, b"cluster-tag" + label,
+                          "cluster-bench")
+        return d, d.cluster.connect("cluster-bench", enclave), enclave, puts
+
+    def row(phase: str, d, delta, lost: int, baseline: float = 0.0) -> dict:
+        return dict(phase=phase, n_shards=len(d.cluster.shards),
+                    replication_factor=d.cluster.config.replication_factor,
+                    ops=ops, size_bytes=size_bytes, results_lost=lost,
+                    baseline_sim_s=baseline, probe=delta)
+
     configs = [
         (n, rf)
         for rf in sorted(replication_factors)
@@ -1351,102 +854,32 @@ def run_cluster(
         configs.remove((1, 1))
     configs.insert(0, (1, 1))
 
+    baselines: dict[str, float] = {}
     for n, rf in configs:
         label = bytes([n, rf])
-        d = ClusterDeployment(
-            seed=b"bench-cluster" + label,
-            n_shards=n,
-            replication_factor=rf,
-            tracer=Tracer(),
-        )
-        enclave = d.platform.create_enclave("cluster-bench", b"cluster-bench-code")
-        router = d.cluster.connect("cluster-bench", enclave)
-        puts = _cluster_payloads(ops, size_bytes, seed, label)
-        gets = [GetRequest(tag=p.tag, app_id="cluster-bench") for p in puts]
-        for phase, requests, expect in (("put", puts, False), ("get", gets, True)):
-            row = _cluster_phase(d, router, phase, requests, size_bytes,
-                                 expect_found=expect)
-            if n == 1 and rf == 1:
-                baselines[phase] = row.bottleneck_sim_s
-            rows.append(dataclass_replace(
-                row, baseline_sim_s=baselines.get(phase, 0.0)
-            ))
+        d, router, enclave, puts = cluster(b"bench-cluster" + label, label, n, rf)
+        for phase, requests in (("put", puts), ("get", _gets(puts))):
+            delta, lost = _cluster_phase(d, router, enclave, requests, phase == "get")
+            if (n, rf) == (1, 1):
+                baselines[phase] = delta.bottleneck_s
+            yield row(phase, d, delta, lost, baselines[phase])
 
     # Failover: 4 shards, RF 2; shard-0 dies after half the writes.
-    d = ClusterDeployment(
-        seed=b"bench-cluster-failover", n_shards=4, replication_factor=2,
-        tracer=Tracer(),
-    )
-    enclave = d.platform.create_enclave("cluster-bench", b"cluster-bench-code")
-    router = d.cluster.connect("cluster-bench", enclave)
-    puts = _cluster_payloads(ops, size_bytes, seed, b"failover")
-    gets = [GetRequest(tag=p.tag, app_id="cluster-bench") for p in puts]
+    d, router, enclave, puts = cluster(b"bench-cluster-failover", b"failover", 4, 2)
     for put in puts[: ops // 2]:
         router.call(put)
     d.cluster.kill_shard("shard-0")
     for put in puts[ops // 2:]:
         router.call(put)
-    rows.append(_cluster_phase(d, router, "failover-get", gets, size_bytes,
-                               expect_found=True))
+    yield row("failover-get", d, *_cluster_phase(d, router, enclave, _gets(puts), True))
     d.cluster.revive_shard("shard-0")
-    rows.append(_cluster_phase(d, router, "repair-get", gets, size_bytes,
-                               expect_found=True))
+    yield row("repair-get", d, *_cluster_phase(d, router, enclave, _gets(puts), True))
     router.drain_responses()  # absorb the read-repair acks
-    return rows
-
-
-def print_cluster(rows: list[ClusterRow]) -> str:
-    headers = ["phase", "shards", "RF", "ops", "bottleneck sim(s)",
-               "sim ops/s", "speedup", "failovers", "repairs", "lost"]
-    table = [
-        [
-            r.phase, r.n_shards, r.replication_factor, r.ops,
-            r.bottleneck_sim_s, r.sim_ops_per_s,
-            f"{r.speedup:.2f}x" if r.speedup else "-",
-            r.failovers, r.read_repairs, r.results_lost,
-        ]
-        for r in rows
-    ]
-    return format_table(
-        "Cluster: sharded ResultStore throughput and failover",
-        headers, table,
-    )
 
 
 # ---------------------------------------------------------------------------
 # Pipeline — concurrent pipelined execution engine (engine.py)
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class PipelineRow:
-    phase: str            # get-heavy | coalesce
-    n_shards: int
-    depth: int            # engine depth (0 = serial client, no engine)
-    workers: int
-    ops: int
-    elapsed_sim_s: float  # app + store machine time, engine overlap removed
-    serial_sim_s: float   # same workload through the serial client
-    wall_total_s: float
-    identical: bool       # results byte-identical to the serial run
-    hits: int
-    misses: int
-    degraded: int
-    coalesced: int        # calls served by single-flight coalescing
-    store_gets: int       # GET lookups the shard stores actually served
-
-    @property
-    def sim_ops_per_s(self) -> float:
-        if self.elapsed_sim_s <= 0:
-            return float("inf")
-        return self.ops / self.elapsed_sim_s
-
-    @property
-    def speedup(self) -> float:
-        """Throughput relative to the serial client on the same topology."""
-        if self.serial_sim_s <= 0 or self.elapsed_sim_s <= 0:
-            return 0.0
-        return self.serial_sim_s / self.elapsed_sim_s
-
-
 def _pipeline_inputs(ops: int, seed: int) -> list[bytes]:
     return [
         (seed * 100_000 + i).to_bytes(4, "big") * 64  # 256 B, all distinct
@@ -1454,197 +887,104 @@ def _pipeline_inputs(ops: int, seed: int) -> list[bytes]:
     ]
 
 
-def _pipeline_run(session, description, inputs, engine=None):
-    """Drive one batch through ``session`` and return
-    ``(elapsed_sim_s, wall_s, values, counters)`` where ``elapsed_sim_s``
-    charges the app machine plus every shard machine and then removes
-    the engine's overlap credit (serial sessions have none)."""
-    deployment = session.deployment
-    freq = session.clock.params.cpu_freq_hz
-    shard_clocks = {
-        shard_id: node.platform.clock
-        for shard_id, node in deployment.cluster.shards.items()
-    }
-    shard0 = {sid: clock.snapshot() for sid, clock in shard_clocks.items()}
-    app0 = session.clock.snapshot()
-    saved0 = engine.overlap_cycles_saved if engine is not None else 0.0
-    stats = session.runtime.stats
-    hits0, misses0 = stats.hits, stats.misses
-    degraded0, coalesced0 = stats.degraded, stats.coalesced_hits
-    gets0 = sum(
-        node.store.stats.gets
-        for node in deployment.cluster.shards.values()
-    )
-    wall0 = time.perf_counter()
+def _replay(session, description, inputs: list, engine=None):
+    """One batch through ``session``; returns ``(delta, result values)``."""
+    probe = Probe(session.deployment, runtime=session.runtime, engine=engine)
     results = session.execute_many_results(description, inputs)
-    wall = time.perf_counter() - wall0
-    elapsed = session.clock.since(app0) + sum(
-        clock.since(shard0[sid]) for sid, clock in shard_clocks.items()
-    )
-    if engine is not None:
-        elapsed -= engine.overlap_cycles_saved - saved0
-    counters = dict(
-        hits=stats.hits - hits0,
-        misses=stats.misses - misses0,
-        degraded=stats.degraded - degraded0,
-        coalesced=stats.coalesced_hits - coalesced0,
-        store_gets=sum(
-            node.store.stats.gets
-            for node in deployment.cluster.shards.values()
-        ) - gets0,
-    )
-    return elapsed / freq, wall, [r.value for r in results], counters
+    return probe.delta(), [r.value for r in results]
 
 
-def run_pipeline(
-    depths: list[int] | None = None,
-    shard_counts: list[int] | None = None,
-    ops: int = 48,
-    workers: int = 4,
-    duplicates: int = 16,
-    seed: int = 71,
-) -> list[PipelineRow]:
+_RUNTIME_COUNTERS = [
+    Column("hits", "hits", probe=lambda d: d.counters["runtime.hits"]),
+    Column("misses", "misses", probe=lambda d: d.counters["runtime.misses"]),
+    Column("degraded", "degraded", probe=lambda d: d.counters["runtime.degraded_calls"]),
+    # Calls served by single-flight coalescing, and the GET lookups the
+    # shard stores actually served.
+    Column("coalesced", "coalesced", probe=lambda d: d.counters["runtime.coalesced_hits"]),
+    Column("store_gets", "store gets", probe=lambda d: d.counters["store.gets"]),
+]
+
+
+@experiment("pipeline", "Pipeline: multi-slot engine speedup and single-flight coalescing", [
+    Column("phase", "phase"),  # get-heavy | coalesce
+    Column("n_shards", "shards"),
+    # Engine depth (0 = serial client, no engine).
+    Column("depth", "depth", cell=lambda r: r["depth"] or "-"),
+    Column("workers", "workers"),
+    Column("ops", "ops"),
+    Column("elapsed_sim_s", "elapsed sim(s)", probe=lambda d: d.machines_s),
+    Column("serial_sim_s"),  # same workload through the serial client
+    Column("wall_total_s", probe=lambda d: d.wall_s),
+    Column("sim_ops_per_s", "sim ops/s", derive=_ratio("ops", "elapsed_sim_s", INF)),
+    # Throughput relative to the serial client on the same topology.
+    Column("speedup", "speedup", derive=_ratio("serial_sim_s", "elapsed_sim_s"),
+           cell=lambda r: f"{r['speedup']:.2f}x" if r["depth"] else "-"),
+    # Results byte-identical to the serial run.
+    Column("identical", "identical", cell=yes_cell("identical")),
+    *_RUNTIME_COUNTERS,
+], full=dict(depths=[1, 4, 8, 16], ops=48, duplicates=16),
+   quick=dict(depths=[1, 8], ops=24, duplicates=8))
+def run_pipeline(depths: list[int], ops: int, duplicates: int,
+                 shard_counts: tuple[int, ...] = (1, 4), workers: int = 4,
+                 seed: int = 71):
     """Pipelined execution engine sweep (GET-heavy) plus a coalescing run.
 
     For each shard count a writer warms the cluster, then sibling
     applications replay the same all-distinct batch: once through the
     serial client (the ``depth=0`` row and the baseline for ``speedup``)
-    and once per engine depth with multi-slot pipelining on.  The
-    engine's critical-path accounting is what ``elapsed_sim_s`` reports;
-    results must stay byte-identical and the hit/miss/degraded totals
-    must not move.  The final ``coalesce`` rows replay one warm tag
+    and once per engine depth with multi-slot pipelining on.  Results
+    must stay byte-identical and the hit/miss/degraded totals must not
+    move.  The final ``coalesce`` rows replay one warm tag
     ``duplicates`` times in a single batch: the serial client pays one
     store GET per call while the engine's single-flight mode takes
     exactly one round trip and serves the rest as coalesced hits.
     """
     from ..session import connect
 
-    depths = depths or [1, 4, 8, 16]
-    shard_counts = shard_counts or [1, 4]
-    rows: list[PipelineRow] = []
-
-    for n_shards in sorted(shard_counts):
-        writer = connect(
-            shards=n_shards, replication_factor=1,
-            seed=b"bench-pipeline" + bytes([n_shards]), tracing=False,
-        )
-
-        @writer.mark(version="1.0")
-        def pipeline_kernel(data: bytes) -> bytes:
-            return bytes(b ^ 0x5A for b in data)
-
-        inputs = _pipeline_inputs(ops, seed)
-        pipeline_kernel.map(inputs)
-        writer.flush_puts()
-
-        serial = writer.sibling("serial-reader")
-        elapsed, wall, base_values, counters = _pipeline_run(
-            serial, pipeline_kernel.description, inputs
-        )
-        serial_s = elapsed
-        rows.append(PipelineRow(
-            phase="get-heavy", n_shards=n_shards, depth=0, workers=1,
-            ops=ops, elapsed_sim_s=elapsed, serial_sim_s=serial_s,
-            wall_total_s=wall, identical=True, **counters,
-        ))
-        for depth in sorted(depths):
-            reader = writer.sibling(f"reader-depth{depth}")
-            engine = reader.enable_pipeline(depth=depth, workers=workers)
-            elapsed, wall, values, counters = _pipeline_run(
-                reader, pipeline_kernel.description, inputs, engine
-            )
-            rows.append(PipelineRow(
-                phase="get-heavy", n_shards=n_shards, depth=depth,
-                workers=workers, ops=ops, elapsed_sim_s=elapsed,
-                serial_sim_s=serial_s, wall_total_s=wall,
-                identical=values == base_values, **counters,
-            ))
-
-    # Coalescing: one warm tag hit `duplicates` times in a single batch.
-    writer = connect(
-        shards=4, replication_factor=1,
-        seed=b"bench-pipeline-coalesce", tracing=False,
-    )
-
-    @writer.mark(version="1.0")
     def pipeline_kernel(data: bytes) -> bytes:
         return bytes(b ^ 0x5A for b in data)
 
+    def compare(phase: str, n_shards: int, seed_tag: bytes, warm: list, inputs: list,
+                readers: dict):
+        writer = connect(shards=n_shards, replication_factor=1, seed=seed_tag,
+                         tracing=False)
+        kernel = writer.mark(version="1.0")(pipeline_kernel)
+        kernel.map(warm)
+        writer.flush_puts()
+        serial_s = base_values = None
+        for depth, name in readers.items():
+            reader = writer.sibling(name)
+            engine = reader.enable_pipeline(depth=depth, workers=workers) if depth else None
+            delta, values = _replay(reader, kernel.description, inputs, engine)
+            if not depth:
+                serial_s, base_values = delta.machines_s, values
+            yield dict(phase=phase, n_shards=n_shards, depth=depth,
+                       workers=workers if depth else 1, ops=len(inputs),
+                       serial_sim_s=serial_s, identical=values == base_values,
+                       probe=delta)
+
+    inputs = _pipeline_inputs(ops, seed)
+    for n_shards in sorted(shard_counts):
+        yield from compare(
+            "get-heavy", n_shards, b"bench-pipeline" + bytes([n_shards]), inputs, inputs,
+            {0: "serial-reader", **{d: f"reader-depth{d}" for d in sorted(depths)}},
+        )
+    # Coalescing: one warm tag hit `duplicates` times in a single batch.
     burst = [_pipeline_inputs(1, seed + 1)[0]] * duplicates
-    pipeline_kernel.map(burst[:1])
-    writer.flush_puts()
-    serial = writer.sibling("coalesce-serial")
-    elapsed, wall, base_values, counters = _pipeline_run(
-        serial, pipeline_kernel.description, burst
-    )
-    serial_s = elapsed
-    rows.append(PipelineRow(
-        phase="coalesce", n_shards=4, depth=0, workers=1,
-        ops=duplicates, elapsed_sim_s=elapsed, serial_sim_s=serial_s,
-        wall_total_s=wall, identical=True, **counters,
-    ))
-    reader = writer.sibling("coalesce-reader")
-    engine = reader.enable_pipeline(depth=8, workers=workers)
-    elapsed, wall, values, counters = _pipeline_run(
-        reader, pipeline_kernel.description, burst, engine
-    )
-    rows.append(PipelineRow(
-        phase="coalesce", n_shards=4, depth=8, workers=workers,
-        ops=duplicates, elapsed_sim_s=elapsed, serial_sim_s=serial_s,
-        wall_total_s=wall, identical=values == base_values, **counters,
-    ))
-    return rows
-
-
-def print_pipeline(rows: list[PipelineRow]) -> str:
-    headers = ["phase", "shards", "depth", "workers", "ops",
-               "elapsed sim(s)", "sim ops/s", "speedup", "identical",
-               "hits", "misses", "degraded", "coalesced", "store gets"]
-    table = [
-        [
-            r.phase, r.n_shards, r.depth or "-", r.workers, r.ops,
-            r.elapsed_sim_s, r.sim_ops_per_s,
-            f"{r.speedup:.2f}x" if r.depth else "-",
-            "yes" if r.identical else "NO",
-            r.hits, r.misses, r.degraded, r.coalesced, r.store_gets,
-        ]
-        for r in rows
-    ]
-    return format_table(
-        "Pipeline: multi-slot engine speedup and single-flight coalescing",
-        headers, table,
-    )
+    yield from compare("coalesce", 4, b"bench-pipeline-coalesce", burst[:1], burst,
+                       {0: "coalesce-serial", 8: "coalesce-reader"})
 
 
 # ---------------------------------------------------------------------------
 # Durable — WAL logging overhead and power-fail recovery (repro.durable)
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class DurableRow:
-    phase: str             # overhead | recovery
-    group_commit: int      # WAL group-commit size (0 = durability off)
-    ops: int               # distinct PUT-path calls driven through the store
-    store_sim_s: float     # shard-machine (PUT-path) virtual-clock seconds
-    baseline_sim_s: float  # same workload with durability off
-    wal_records: int
-    wal_segments: int
-    log_bytes: int
-    recovery_sim_s: float  # shard seconds for power_fail + WAL recovery
-    records_replayed: int
-    entries_restored: int
-
-    @property
-    def overhead_pct(self) -> float:
-        """Logging overhead relative to the non-durable PUT path."""
-        if self.baseline_sim_s <= 0:
-            return 0.0
-        return 100.0 * (self.store_sim_s - self.baseline_sim_s) / self.baseline_sim_s
-
-    @property
-    def recovery_us_per_record(self) -> float:
-        if not self.records_replayed:
-            return 0.0
-        return 1e6 * self.recovery_sim_s / self.records_replayed
+def _by_phase(readings: dict):
+    """A probed column whose reading depends on the phase: the runner
+    hands ``{phase: delta}``, and phases not named here report 0.0."""
+    def read(deltas: dict) -> float:
+        (phase, delta), = deltas.items()
+        return readings[phase](delta) if phase in readings else 0.0
+    return read
 
 
 def _durable_session(group_commit: int, seed_tag: bytes, durable: bool = True):
@@ -1665,8 +1005,8 @@ def _durable_session(group_commit: int, seed_tag: bytes, durable: bool = True):
 
 
 def _durable_fill(session, ops: int, payload_bytes: int):
-    """Drive ``ops`` distinct-input calls through the PUT path and return
-    the shard machine's virtual-clock seconds they cost."""
+    """Drive ``ops`` distinct-input calls through the PUT path; returns
+    ``(delta, what the shard's WAL holds afterwards)``."""
 
     @session.mark(version="1.0")
     def durable_kernel(data: bytes) -> bytes:
@@ -1675,21 +1015,50 @@ def _durable_fill(session, ops: int, payload_bytes: int):
     inputs = [
         i.to_bytes(4, "big") * (payload_bytes // 4) for i in range(ops)
     ]
-    node = next(iter(session.cluster.shards.values()))
-    clock = node.platform.clock
-    s0 = clock.snapshot()
+    probe = Probe(session.deployment)
     durable_kernel.map(inputs)
     session.flush_puts()
-    return clock.since(s0) / clock.params.cpu_freq_hz, node
+    delta = probe.delta()
+    (node,) = session.cluster.shards.values()
+    log = node.store.durable
+    return delta, dict(
+        wal_records=log.records_logged if log else 0,
+        wal_segments=len(log.segments) if log else 0,
+        log_bytes=log.log_bytes if log else 0,
+    )
 
 
-def run_durable(
-    group_commits: list[int] | None = None,
-    log_lengths: list[int] | None = None,
-    ops: int = 48,
-    payload_bytes: int = KB,
-    seed: int = 83,
-) -> list[DurableRow]:
+@experiment("durable", "Durable: WAL logging overhead and power-fail recovery", [
+    Column("phase", "phase"),  # overhead | recovery
+    # WAL group-commit size (0 = durability off).
+    Column("group_commit", "group", cell=lambda r: r["group_commit"] or "-"),
+    Column("ops", "ops"),  # distinct PUT-path calls driven through the store
+    Column("store_sim_s", "store sim(s)",
+           probe=_by_phase({"overhead": lambda d: d.shards_s})),
+    Column("baseline_sim_s"),  # same workload with durability off
+    # Logging overhead relative to the non-durable PUT path.
+    Column("overhead_pct", "overhead",
+           derive=lambda r: 100.0 * (r["store_sim_s"] - r["baseline_sim_s"])
+           / r["baseline_sim_s"] if r["baseline_sim_s"] > 0 else 0.0,
+           cell=lambda r: f"{r['overhead_pct']:+.1f}%" if r["group_commit"] else "-"),
+    Column("wal_records", "records"),
+    Column("wal_segments", "segments"),
+    Column("log_bytes", "log bytes"),
+    # Shard seconds for power_fail + WAL recovery.
+    Column("recovery_sim_s", "recovery sim(s)",
+           probe=_by_phase({"recovery": lambda d: d.shards_s}),
+           cell=lambda r: r["recovery_sim_s"] if r["phase"] == "recovery" else "-"),
+    Column("records_replayed", "replayed"),
+    Column("entries_restored", "restored"),
+    Column("recovery_us_per_record", "us/record",
+           derive=lambda r: 1e6 * r["recovery_sim_s"] / r["records_replayed"]
+           if r["records_replayed"] else 0.0,
+           cell=lambda r: f"{r['recovery_us_per_record']:.1f}"
+           if r["phase"] == "recovery" else "-"),
+], full=dict(group_commits=[1, 4, 8, 16, 32], log_lengths=[16, 64, 256], ops=48),
+   quick=dict(group_commits=[1, 8], log_lengths=[16, 64], ops=24))
+def run_durable(group_commits: list[int], log_lengths: list[int], ops: int,
+                payload_bytes: int = KB, seed: int = 83):
     """Durability sweep (``repro.durable``), two phases.
 
     **overhead** — the same all-distinct PUT workload runs once with
@@ -1703,109 +1072,66 @@ def run_durable(
     its WAL alone; ``recovery_sim_s`` against ``records_replayed``
     shows replay scaling ~linearly in the log length.
     """
-    group_commits = group_commits or [1, 4, 8, 16, 32]
-    log_lengths = log_lengths or [16, 64, 256]
-    rows: list[DurableRow] = []
+    def row(phase: str, group: int, n: int, delta, wal: dict, baseline: float = 0.0,
+            report=None) -> dict:
+        return dict(
+            phase=phase, group_commit=group, ops=n, baseline_sim_s=baseline, **wal,
+            records_replayed=report.records_replayed if report else 0,
+            # With checkpointing disabled for the sweep every restored
+            # entry arrives via replay, not the checkpoint image.
+            entries_restored=(report.entries_restored + report.puts_replayed
+                              if report else 0),
+            probe={phase: delta},
+        )
 
     base_tag = b"bench-durable" + bytes([seed % 251])
-    baseline_s, _node = _durable_fill(
-        _durable_session(8, base_tag + b"/base", durable=False),
-        ops, payload_bytes,
+    delta, wal = _durable_fill(
+        _durable_session(8, base_tag + b"/base", durable=False), ops, payload_bytes,
     )
-    rows.append(DurableRow(
-        phase="overhead", group_commit=0, ops=ops,
-        store_sim_s=baseline_s, baseline_sim_s=baseline_s,
-        wal_records=0, wal_segments=0, log_bytes=0,
-        recovery_sim_s=0.0, records_replayed=0, entries_restored=0,
-    ))
+    baseline_s = delta.shards_s
+    yield row("overhead", 0, ops, delta, wal, baseline_s)
     for group in sorted(group_commits):
         session = _durable_session(group, base_tag + bytes([group % 251]))
-        elapsed, node = _durable_fill(session, ops, payload_bytes)
-        log = node.store.durable
-        rows.append(DurableRow(
-            phase="overhead", group_commit=group, ops=ops,
-            store_sim_s=elapsed, baseline_sim_s=baseline_s,
-            wal_records=log.records_logged, wal_segments=len(log.segments),
-            log_bytes=log.log_bytes,
-            recovery_sim_s=0.0, records_replayed=0, entries_restored=0,
-        ))
+        yield row("overhead", group, ops, *_durable_fill(session, ops, payload_bytes),
+                  baseline_s)
 
     for length in sorted(log_lengths):
         session = _durable_session(8, base_tag + b"/rec" + length.to_bytes(4, "big"))
-        _elapsed, node = _durable_fill(session, length, 256)
-        log = node.store.durable
-        records, segments, log_bytes = (
-            log.records_logged, len(log.segments), log.log_bytes,
-        )
-        shard_id = next(iter(session.cluster.shards))
-        clock = node.platform.clock
-        r0 = clock.snapshot()
+        _delta, wal = _durable_fill(session, length, 256)
+        (shard_id,) = session.cluster.shards
+        probe = Probe(session.deployment)
         report = session.power_fail_shard(shard_id)
-        recovery_s = clock.since(r0) / clock.params.cpu_freq_hz
-        rows.append(DurableRow(
-            phase="recovery", group_commit=8, ops=length,
-            store_sim_s=0.0, baseline_sim_s=0.0,
-            wal_records=records, wal_segments=segments, log_bytes=log_bytes,
-            recovery_sim_s=recovery_s,
-            records_replayed=report.records_replayed,
-            # With checkpointing disabled for the sweep every restored
-            # entry arrives via replay, not the checkpoint image.
-            entries_restored=report.entries_restored + report.puts_replayed,
-        ))
-    return rows
-
-
-def print_durable(rows: list[DurableRow]) -> str:
-    headers = ["phase", "group", "ops", "store sim(s)", "overhead",
-               "records", "segments", "log bytes", "recovery sim(s)",
-               "replayed", "restored", "us/record"]
-    table = [
-        [
-            r.phase, r.group_commit or "-", r.ops,
-            r.store_sim_s, f"{r.overhead_pct:+.1f}%" if r.group_commit else "-",
-            r.wal_records, r.wal_segments, r.log_bytes,
-            r.recovery_sim_s if r.phase == "recovery" else "-",
-            r.records_replayed, r.entries_restored,
-            f"{r.recovery_us_per_record:.1f}" if r.phase == "recovery" else "-",
-        ]
-        for r in rows
-    ]
-    return format_table(
-        "Durable: WAL logging overhead and power-fail recovery", headers, table,
-    )
+        yield row("recovery", 8, length, probe.delta(), wal, report=report)
 
 
 # ---------------------------------------------------------------------------
-# Migrate — foreground throughput while the ring reshards (repro.cluster)
+# The foreground-rounds driver behind E15 (migrate), E16's join phase
+# (adaptive) and E17 (reshard)
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class MigrateRow:
-    phase: str             # baseline | stop-the-world | streaming
-    n_shards: int          # shard count before the join
-    ops: int               # foreground GET-path calls served
-    rounds: int            # foreground batches driven
-    elapsed_sim_s: float   # total sim seconds (app + shards - overlap)
-    baseline_sim_s: float  # the no-migration phase's elapsed_sim_s
-    p50_round_s: float     # median per-round foreground sim latency
-    p99_round_s: float     # worst-case-ish per-round foreground latency
-    entries_moved: int
-    bytes_moved: int
-    batches: int           # migration batches shipped
-    foreground_stalls: int # migration batches that blocked the foreground
-    identical: bool        # results byte-identical to the baseline phase
+def _regenerated_as(qualname: str):
+    """A marked function's identity — hence every tag, hence ring
+    placement and every makespan below — hashes its module-qualified
+    name (``core/decorator.py``).  The three kernels keep the names the
+    recorded figures were regenerated under."""
+    def pin(func):
+        func.__qualname__ = qualname
+        return func
+    return pin
 
-    @property
-    def fg_ops_per_s(self) -> float:
-        return self.ops / self.elapsed_sim_s if self.elapsed_sim_s > 0 else 0.0
 
-    @property
-    def fg_throughput_ratio(self) -> float:
-        """Foreground throughput relative to the no-migration baseline
-        (1.0 = no slowdown; the acceptance bound is >= 0.70 for the
-        streaming phase)."""
-        if self.elapsed_sim_s <= 0:
-            return 0.0
-        return self.baseline_sim_s / self.elapsed_sim_s
+@_regenerated_as("_migrate_phase.<locals>.migrate_kernel")
+def migrate_kernel(data: bytes) -> bytes:
+    return bytes(b ^ 0x3C for b in data)
+
+
+@_regenerated_as("_reshard_phase.<locals>.reshard_kernel")
+def reshard_kernel(data: bytes) -> bytes:
+    return bytes(b ^ 0x5A for b in data)
+
+
+@_regenerated_as("run_adaptive.<locals>.join_phase.<locals>.join_kernel")
+def join_kernel(data: bytes) -> bytes:
+    return bytes(b ^ 0x2D for b in data)
 
 
 def _percentile(values: list[float], fraction: float) -> float:
@@ -1816,382 +1142,340 @@ def _percentile(values: list[float], fraction: float) -> float:
     return ordered[index]
 
 
-def _migrate_session(n_shards: int, seed_tag: bytes):
-    from ..session import connect
-
-    # Non-durable shards: this sweep measures foreground throughput, not
-    # crash-safety (simtest --migrate covers that), so the hand-off marks
-    # stay in-memory and the WAL's fsync costs don't mask the comparison.
-    return connect(
-        shards=n_shards, replication_factor=2, seed=seed_tag,
-        tracing=False, vnodes=4,
-    )
+def _join(config):
+    """Opens one streaming single-shard join window."""
+    return lambda cluster, engine: cluster.begin_add_shard(config=config, engine=engine)
 
 
-def _migrate_phase(
-    n_shards: int,
-    seed_tag: bytes,
-    inputs: list[bytes],
-    rounds: int,
-    batch: int,
-    migration: str,  # "none" | "blocking" | "streaming"
-    batch_entries: int,
-):
-    """Warm a cluster, then drive ``rounds`` foreground GET batches while
-    the requested migration mode runs.  Returns (per-round sim latencies,
-    total sim seconds, foreground values, migration counters).
+def _paced(migrator, rounds_left: int) -> None:
+    """Paced streaming: a slice of the hand-off advances between two
+    foreground rounds, sized so it drains across the remaining rounds
+    instead of piling up at the end."""
+    budget = max(1, -(-len(migrator.pending_ranges()) // rounds_left))
+    for _ in range(budget):
+        if not migrator.pending_ranges():
+            break
+        migrator.step()
+
+
+def _greedy(migrator, rounds_left: int) -> None:
+    """Greedy drain: demand says "everything now" and the engine's
+    background budget is the cap — one lane for a single join, one lane
+    per gaining shard for a plan."""
+    migrator.overlap_steps(1)
+
+
+def _idle_run() -> dict:
+    """What a driver run that drove nothing reports."""
+    return dict(windows=0, dual_rounds=0, entries_moved=0, bytes_moved=0, batches=0,
+                foreground_stalls=0, round_s=[], values=[], probe=Delta())
+
+
+def _foreground_rounds(session, kernel, inputs: list[bytes], rounds: int, *,
+                       reader: str, windows=(), advance=None,
+                       prime: bool = False, **engine_levels) -> dict:
+    """Warm a cluster through ``session``, give a sibling ``reader`` a
+    pipelined engine (``engine_levels``: the depth), then drive ``rounds``
+    foreground GET batches while the overlay reshapes the ring; drain,
+    settle, count.
+
+    The overlay is ``windows`` (openers of dual-ownership windows, each
+    taken at the start of the first round that finds none open — so N
+    windows serialize) and ``advance(migrator, rounds_left)``, run
+    between two rounds; a window closes the moment it has drained.
+    Windows still open or unopened after the last round finish serially
+    — the cost of paying N windows where one would do.
 
     Latency is the engine's critical-path makespan: migration batches
     that stream as its background lane overlap the foreground (bounded
     by the busiest machine — background work on a shard still serializes
-    with that shard's foreground requests), while the legacy blocking
-    copy and any un-overlapped remainder land on the critical path in
-    full."""
-    session = _migrate_session(n_shards, seed_tag)
-
-    @session.mark(version="1.0")
-    def migrate_kernel(data: bytes) -> bytes:
-        return bytes(b ^ 0x3C for b in data)
-
-    migrate_kernel.map(inputs)
+    with that shard's foreground requests), and any un-overlapped
+    remainder lands on the critical path in full.
+    """
+    marked = session.mark(version="1.0")(kernel)
+    marked.map(inputs)
     session.flush_puts()
-
-    reader = session.sibling("migrate-reader")
-    engine = reader.enable_pipeline(depth=8, workers=4)
+    reader = session.sibling(reader)
+    engine = reader.enable_pipeline(**engine_levels)
+    description = marked.description
+    if prime:  # the adaptive controller converges before the measured rounds
+        reader.execute_many_results(description, inputs)
     cluster = session.cluster
-    deployment = session.deployment
     freq = reader.clock.params.cpu_freq_hz
+    batch = max(1, len(inputs) // 2)
+    unopened = list(windows)
+    out = _idle_run()
 
-    def clocks():
-        return {
-            sid: node.platform.clock
-            for sid, node in deployment.cluster.shards.items()
-        }
+    def open_next():
+        out["windows"] += 1
+        return unopened.pop(0)(cluster, engine)
 
-    migrator = None
-    if migration == "streaming":
-        from ..cluster.migration import MigrationConfig
-
-        migrator = cluster.begin_add_shard(
-            config=MigrationConfig(batch_entries=batch_entries),
-            engine=engine,
-        )
-
-    description = migrate_kernel.description
-    round_latencies: list[float] = []
-    values: list[bytes] = []
-    makespan0 = engine.makespan_cycles
-    moved = bytes_moved = batches = stalls = 0
-    blocking_cycles = 0.0
-
-    for round_index in range(rounds):
-        offset = (round_index * batch) % len(inputs)
-        window = (inputs + inputs)[offset:offset + batch]
-        round_cycles = -engine.makespan_cycles
-        if migration == "blocking" and round_index == rounds // 2:
-            # The legacy stop-the-world path: the ring changes first,
-            # then every affected range is copied in one blocking sweep
-            # while this round's foreground requests wait — the whole
-            # copy lands on the critical path inside one round.
-            from ..cluster.migration import migrate_for_join
-
-            shard0 = {sid: c.snapshot() for sid, c in clocks().items()}
-            node = cluster._spawn_shard()
-            for app_name, enclave, router in cluster._routers:
-                client = node.store.connect(
-                    f"{app_name}->{node.shard_id}",
-                    app_enclave=enclave,
-                    attestation_service=cluster.attestation,
-                )
-                router.attach_shard(node.shard_id, client)
-            report = migrate_for_join(cluster, node.shard_id)
-            copy_cycles = sum(
-                c.since(shard0.get(sid, 0.0)) for sid, c in clocks().items()
-            )
-            round_cycles += copy_cycles
-            blocking_cycles += copy_cycles
-            moved += report.moved
-            bytes_moved += report.bytes_moved
-            batches += report.transfers
-            stalls += report.transfers
-        results = reader.execute_many_results(description, window)
-        values.extend(r.value for r in results)
-        round_cycles += engine.makespan_cycles
-        round_latencies.append(round_cycles / freq)
-        if migrator is not None and migrator.pending_ranges():
-            # Interleave: a slice of the hand-off advances between
-            # foreground rounds, overlapped as the engine's background
-            # lane and paced so the hand-off drains across the remaining
-            # rounds instead of piling up at the end.
-            rounds_left = max(1, rounds - 1 - round_index)
-            pending = len(migrator.pending_ranges())
-            budget = max(1, -(-pending // rounds_left))
-            for _ in range(budget):
-                if not migrator.pending_ranges():
-                    break
-                migrator.step()
-
-    if migrator is not None:
-        while migrator.pending_ranges():
-            migrator.step()
+    def close(migrator) -> None:
         migrator.finish()
-        moved += migrator.moved
-        bytes_moved += migrator.bytes_moved
-        batches += migrator.batches
-        stalls += migrator.stalled_batches
+        out["entries_moved"] += migrator.moved
+        out["bytes_moved"] += migrator.bytes_moved
+        out["batches"] += migrator.batches
+        out["foreground_stalls"] += migrator.stalled_batches
+
+    probe = Probe(reader.deployment, runtime=reader.runtime, engine=engine)
+    migrator = None
+    for round_index in range(rounds):
+        if migrator is None and unopened:
+            migrator = open_next()
+        if cluster.ring.in_transition:
+            out["dual_rounds"] += 1
+        offset = (round_index * batch) % len(inputs)
+        before = engine.makespan_cycles
+        results = reader.execute_many_results(
+            description, (inputs + inputs)[offset:offset + batch]
+        )
+        out["round_s"].append((engine.makespan_cycles - before) / freq)
+        out["values"].extend(r.value for r in results)
+        if migrator is not None:
+            if migrator.pending_ranges():
+                advance(migrator, max(1, rounds - 1 - round_index))
+            if not migrator.pending_ranges():
+                close(migrator)
+                migrator = None
+    while migrator is not None or unopened:
+        migrator = migrator or open_next()
+        while migrator.pending_ranges() and migrator.step():
+            pass
+        close(migrator)
+        migrator = None
     # Background work no foreground round overlapped folds in serially.
     engine.settle()
+    return dict(out, probe=probe.delta(), engine=engine)
 
-    # The engine's makespan delta covers every foreground round plus the
-    # folded/settled background lanes; the blocking copy ran outside the
-    # engine's rounds and its full cost is on the critical path.
-    total_cycles = (engine.makespan_cycles - makespan0) + blocking_cycles
-    counters = dict(
-        entries_moved=moved, bytes_moved=bytes_moved,
-        batches=batches, foreground_stalls=stalls,
+
+def _topology_session(n_shards: int, seed_tag: bytes, vnodes: int = 4):
+    from ..session import connect
+
+    # Non-durable shards: these sweeps measure foreground throughput, not
+    # crash-safety (simtest --migrate covers that), so the hand-off marks
+    # stay in-memory and the WAL's fsync costs don't mask the comparison.
+    return connect(
+        shards=n_shards, replication_factor=2, seed=seed_tag,
+        tracing=False, vnodes=vnodes,
     )
-    return round_latencies, total_cycles / freq, values, counters
 
 
-def run_migrate(
-    n_shards: int = 3,
-    ops: int = 48,
-    rounds: int = 16,
-    batch_entries: int = 8,
-    seed: int = 97,
-) -> list[MigrateRow]:
+#: Columns E15 and E17 share.  ``elapsed_sim_s`` is the critical-path
+#: makespan of the measured rounds; ``fg_throughput_ratio`` is foreground
+#: throughput relative to the phase that changed nothing (1.0 = no
+#: slowdown).
+def _topology_columns(*between: Column) -> list[Column]:
+    return [
+        Column("phase", "phase"),
+        Column("n_shards", "shards"),  # shard count before the change
+        *between,
+        Column("ops", "fg ops"),       # foreground GET-path calls served
+        Column("rounds"),              # foreground batches driven
+        Column("elapsed_sim_s", "elapsed sim(s)", probe=lambda d: d.makespan_s),
+        Column("baseline_sim_s"),      # the no-change phase's elapsed_sim_s
+    ]
+
+
+_MOVED_COLUMNS = [
+    Column("entries_moved", "moved"),
+    Column("bytes_moved", "bytes", cell=size_cell("bytes_moved")),
+    Column("batches", "batches"),            # migration batches shipped
+    Column("foreground_stalls", "stalls"),   # ... that blocked the foreground
+    # Results byte-identical to the phase that changed nothing.
+    Column("identical", "identical", cell=yes_cell("identical")),
+]
+
+
+def _topology_row(phase: str, n_shards: int, run: dict, base: dict, **stored) -> dict:
+    """One E15/E17 row out of a driver run and the baseline phase's."""
+    return dict(
+        phase=phase, n_shards=n_shards, ops=len(run["values"]),
+        rounds=len(run["round_s"]), baseline_sim_s=base["probe"].makespan_s,
+        p50_round_s=_percentile(run["round_s"], 0.50),
+        p99_round_s=_percentile(run["round_s"], 0.99),
+        identical=run["values"] == base["values"],
+        **{**run, **stored},
+    )
+
+
+# ---------------------------------------------------------------------------
+# Migrate — foreground throughput while the ring reshards (repro.cluster)
+# ---------------------------------------------------------------------------
+@experiment("migrate", "Migrate: foreground throughput during an online join", [
+    *_topology_columns(),
+    Column("fg_ops_per_s", "fg ops/s", derive=_ratio("ops", "elapsed_sim_s"),
+           cell=lambda r: f"{r['fg_ops_per_s']:.1f}"),
+    Column("fg_throughput_ratio", "vs baseline",
+           derive=_ratio("baseline_sim_s", "elapsed_sim_s"),
+           cell=times_cell("fg_throughput_ratio")),
+    # Median and worst-case-ish per-round foreground sim latency.
+    Column("p50_round_s", "p50 round(s)"),
+    Column("p99_round_s", "p99 round(s)"),
+    *_MOVED_COLUMNS,
+], full=dict(ops=48, rounds=16), quick=dict(ops=24, rounds=12))
+def run_migrate(ops: int, rounds: int, n_shards: int = 3, batch_entries: int = 8,
+                seed: int = 97):
     """Online resharding sweep: foreground throughput during a join.
 
-    Three phases over the same warm GET-heavy workload (``rounds``
+    Two phases over the same warm GET-heavy workload (``rounds``
     pipelined batches over ``ops`` distinct entries):
 
     * **baseline** — no topology change; sets the reference throughput.
-    * **stop-the-world** — the legacy blocking join lands mid-run: the
-      ring changes, then every affected range is copied in one sweep
-      while the foreground waits.
     * **streaming** — ``Session.add_shard``'s path: the dual-ownership
       window opens and ranges stream across in ``batch_entries``-sized
       batches between foreground rounds, overlapped as the pipeline
       engine's background lane.
 
-    The acceptance bound (checked by CI from ``BENCH_migrate.json``) is
-    ``fg_throughput_ratio >= 0.70`` for the streaming phase: foreground
-    throughput during the join stays at >= 70% of the no-migration
-    baseline, while the stop-the-world phase shows the stall the
-    streaming path removes.
+    The acceptance bounds (tier-1) are ``fg_throughput_ratio >= 0.70``,
+    zero stalled batches and ``p99_round_s`` within 3x of the baseline's
+    for the streaming phase.
     """
+    from ..cluster.migration import MigrationConfig
+
     base_tag = b"bench-migrate" + bytes([seed % 251])
     inputs = _pipeline_inputs(ops, seed)
-    batch = max(1, ops // 2)
-
-    rows: list[MigrateRow] = []
-    base_lat, base_total, base_values, _counters = _migrate_phase(
-        n_shards, base_tag + b"/base", inputs, rounds, batch, "none",
-        batch_entries,
-    )
-    fg_ops = rounds * batch
-    rows.append(MigrateRow(
-        phase="baseline", n_shards=n_shards, ops=fg_ops, rounds=rounds,
-        elapsed_sim_s=base_total, baseline_sim_s=base_total,
-        p50_round_s=_percentile(base_lat, 0.50),
-        p99_round_s=_percentile(base_lat, 0.99),
-        entries_moved=0, bytes_moved=0, batches=0, foreground_stalls=0,
-        identical=True,
-    ))
-    for phase, mode in (("stop-the-world", "blocking"), ("streaming", "streaming")):
-        lat, total, values, counters = _migrate_phase(
-            n_shards, base_tag + b"/" + mode.encode(), inputs, rounds, batch,
-            mode, batch_entries,
+    join = _join(MigrationConfig(batch_entries=batch_entries))
+    base = None
+    for phase, seed_tag, windows in (("baseline", b"/base", []),
+                                     ("streaming", b"/streaming", [join])):
+        run = _foreground_rounds(
+            _topology_session(n_shards, base_tag + seed_tag), migrate_kernel, inputs,
+            rounds, reader="migrate-reader", depth=8, workers=4,
+            windows=windows, advance=_paced,
         )
-        rows.append(MigrateRow(
-            phase=phase, n_shards=n_shards, ops=fg_ops, rounds=rounds,
-            elapsed_sim_s=total, baseline_sim_s=base_total,
-            p50_round_s=_percentile(lat, 0.50),
-            p99_round_s=_percentile(lat, 0.99),
-            identical=values == base_values,
-            **counters,
-        ))
-    return rows
+        base = base or run
+        yield _topology_row(phase, n_shards, run, base)
 
 
-def print_migrate(rows: list[MigrateRow]) -> str:
-    headers = ["phase", "shards", "fg ops", "elapsed sim(s)", "fg ops/s",
-               "vs baseline", "p50 round(s)", "p99 round(s)", "moved",
-               "bytes", "batches", "stalls", "identical"]
-    table = [
-        [
-            r.phase, r.n_shards, r.ops, r.elapsed_sim_s,
-            f"{r.fg_ops_per_s:.1f}", f"{r.fg_throughput_ratio:.2f}x",
-            r.p50_round_s, r.p99_round_s, r.entries_moved,
-            human_size(r.bytes_moved), r.batches, r.foreground_stalls,
-            "yes" if r.identical else "NO",
-        ]
-        for r in rows
-    ]
-    return format_table(
-        "Migrate: foreground throughput during an online join", headers, table,
+# ---------------------------------------------------------------------------
+# Adaptive — AIMD depth control vs the static sweep (engine.py)
+# ---------------------------------------------------------------------------
+def _controller_stats(engine) -> dict:
+    controller = getattr(engine, "controller", None)
+    if controller is None:
+        depth = engine.config.depth if engine is not None else 0
+        return dict(depth_final=depth, depth_changes=0, depth_shrinks=0,
+                    depth_caps=0)
+    return dict(
+        depth_final=controller.depth,
+        depth_changes=controller.changes,
+        depth_shrinks=controller.shrinks,
+        depth_caps=controller.migration_capped,
     )
+
+
+@experiment("adaptive", "Adaptive: AIMD depth control vs static depths", [
+    Column("phase", "phase"),  # get-heavy | join
+    Column("n_shards", "shards"),
+    Column("depth", "depth"),  # "0" (serial) | static depth | "auto"
+    Column("ops", "ops"),      # measured foreground ops
+    Column("rounds"),          # measured foreground batches
+    # The sweep's rows charge every machine less the engine's overlap;
+    # the join rows report the critical path, as E15 does.
+    Column("elapsed_sim_s", "elapsed sim(s)", probe=_by_phase({
+        "get-heavy": lambda d: d.machines_s, "join": lambda d: d.makespan_s,
+    })),
+    Column("baseline_sim_s"),  # serial client (sweep) / no-join auto (join)
+    Column("sim_ops_per_s", "sim ops/s", derive=_ratio("ops", "elapsed_sim_s", INF),
+           cell=lambda r: f"{r['sim_ops_per_s']:.1f}"),
+    # Throughput relative to this phase's baseline run.
+    Column("vs_baseline", "vs baseline", derive=_ratio("baseline_sim_s", "elapsed_sim_s"),
+           cell=times_cell("vs_baseline")),
+    # The controller's depth after the measured run, how often it moved
+    # and shrank, and the rounds the migration cap clamped.
+    Column("depth_final", "final depth", cell=lambda r: r["depth_final"] or "-"),
+    Column("depth_changes", "changes"),
+    Column("depth_shrinks", "shrinks"),
+    Column("depth_caps", "caps"),
+    Column("entries_moved", "moved"),
+    Column("foreground_stalls", "stalls"),
+    # Results byte-identical to the baseline run.
+    Column("identical", "identical", cell=yes_cell("identical")),
+], full=dict(depths=[1, 4, 8, 16], ops=48, rounds=12),
+   quick=dict(depths=[1, 8], ops=24, rounds=12))
+def run_adaptive(depths: list[int], ops: int, rounds: int, workers: int = 4,
+                 batch_entries: int = 8, seed: int = 83):
+    """Adaptive depth control sweep: static depths vs ``depth="auto"``.
+
+    **get-heavy** — on a warm 4-shard cluster, every reader first drives
+    one priming batch (the adaptive controller converges during it; the
+    static engines prime the same state for symmetry), then replays a
+    distinct measured batch.  The acceptance bound (tier-1): the auto
+    row lands within 10% of the best static depth and strictly beats the
+    depth-1 anti-sweet-spot.
+
+    **join** — the same auto engine drives ``rounds`` foreground GET
+    batches while a streaming shard join runs concurrently: the
+    controller caps its depth under the dual-ownership window and
+    yields the capped-off slots to the migrator
+    (:meth:`RangeMigrator.overlap_steps`), and the window closes the
+    moment the hand-off drains, so the cap lifts mid-run.  Bound:
+    foreground throughput stays >= 0.70x of the no-join auto baseline.
+    """
+    from ..cluster.migration import MigrationConfig
+    from ..session import connect
+
+    max_depth = max(16, max(depths))
+    auto = dict(workers=workers, min_depth=1, max_depth=max_depth)
+
+    # -- phase 1: static depths vs auto on a warm 4-shard cluster -----------
+    writer = connect(
+        shards=4, replication_factor=1,
+        seed=b"bench-adaptive" + bytes([seed % 251]), tracing=False,
+    )
+
+    @writer.mark(version="1.0")
+    def adaptive_kernel(data: bytes) -> bytes:
+        return bytes(b ^ 0x6B for b in data)
+
+    description = adaptive_kernel.description
+    warm_inputs = _pipeline_inputs(ops, seed)
+    measured = _pipeline_inputs(ops, seed + 1)
+    adaptive_kernel.map(warm_inputs + measured)
+    writer.flush_puts()
+
+    serial_s = base_values = None
+    for depth in [0, *sorted(depths), "auto"]:
+        reader = writer.sibling(f"adaptive-reader-{depth}")
+        engine = reader.enable_pipeline(depth=depth, **auto) if depth else None
+        reader.execute_many_results(description, warm_inputs)  # prime
+        delta, values = _replay(reader, description, measured, engine)
+        if not depth:
+            serial_s, base_values = delta.machines_s, values
+        yield dict(phase="get-heavy", n_shards=4, depth=str(depth), ops=ops,
+                   rounds=1, baseline_sim_s=serial_s, entries_moved=0,
+                   foreground_stalls=0, identical=values == base_values,
+                   probe={"get-heavy": delta}, **_controller_stats(engine))
+
+    # -- phase 2: the same auto engine with a concurrent streaming join -----
+    base = None
+    for windows in ([], [_join(MigrationConfig(batch_entries=batch_entries))]):
+        run = _foreground_rounds(
+            _topology_session(4, b"bench-adaptive-join" + bytes([seed % 251]), vnodes=2),
+            join_kernel, _pipeline_inputs(ops, seed + 2), rounds,
+            reader="adaptive-join-reader", depth="auto", **auto, prime=True,
+            windows=windows,
+            # The controller's yielded depth slots bound the migrator's
+            # between-rounds intrusion budget.
+            advance=lambda migrator, rounds_left: migrator.overlap_steps(rounds_left),
+        )
+        base = base or run
+        yield dict(phase="join", n_shards=4 + len(windows), depth="auto",
+                   ops=len(run["values"]), rounds=rounds,
+                   baseline_sim_s=base["probe"].makespan_s,
+                   entries_moved=run["entries_moved"],
+                   foreground_stalls=run["foreground_stalls"],
+                   identical=run["values"] == base["values"],
+                   probe={"join": run["probe"]}, **_controller_stats(run["engine"]))
 
 
 # ---------------------------------------------------------------------------
 # Reshard — one planned multi-shard window vs N serialized windows
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class ReshardRow:
-    phase: str             # baseline | serialized | planned | weighted-ring
-    n_shards: int          # shard count before the reshape
-    joins: int             # shards the reshape adds
-    ops: int               # foreground GET-path calls served
-    rounds: int            # foreground batches driven
-    elapsed_sim_s: float   # total sim seconds (critical-path makespan)
-    baseline_sim_s: float  # the no-reshape phase's elapsed_sim_s
-    p50_round_s: float
-    p99_round_s: float
-    windows: int           # dual-ownership windows opened
-    dual_rounds: int       # foreground rounds run inside an open window
-    entries_moved: int
-    bytes_moved: int
-    batches: int           # migration batches shipped
-    foreground_stalls: int # migration batches that blocked the foreground
-    identical: bool        # results byte-identical to the baseline phase
-    max_weight_err: float  # weighted-ring placement check (0.0 elsewhere)
-
-    @property
-    def fg_ops_per_s(self) -> float:
-        return self.ops / self.elapsed_sim_s if self.elapsed_sim_s > 0 else 0.0
-
-    @property
-    def fg_throughput_ratio(self) -> float:
-        """Foreground throughput relative to the no-reshape baseline.
-        The acceptance bound (CI, ``BENCH_reshard.json``) is planned >=
-        serialized: one batched window must not be slower than the N
-        serialized windows it replaces."""
-        if self.elapsed_sim_s <= 0:
-            return 0.0
-        return self.baseline_sim_s / self.elapsed_sim_s
-
-
-def _reshard_phase(
-    n_shards: int,
-    seed_tag: bytes,
-    inputs: list[bytes],
-    rounds: int,
-    batch: int,
-    mode: str,  # "none" | "serialized" | "planned"
-    joins: int,
-    batch_entries: int,
-):
-    """Warm a cluster, then drive ``rounds`` foreground GET batches while
-    the cluster grows by ``joins`` shards — either through ``joins``
-    serialized single-shard windows (each opened only after the previous
-    settles, the pre-plan reality of ``ShardRing._require_idle``) or
-    through **one** planned window batching every join
-    (:meth:`StoreCluster.begin_plan`).  Returns (per-round latencies,
-    total sim seconds, foreground values, counters).
-
-    Both modes drain greedily through
-    :meth:`RangeMigrator.overlap_steps` — the engine's background
-    budget is the pacing.  A serialized single-join window only ever
-    has one gaining shard, so it is bound to one background lane per
-    foreground gap; the planned window's budget widens to one lane per
-    gaining shard, so its transfers overlap each other as well as the
-    foreground and the single dual-ownership window closes sooner."""
-    from ..cluster.migration import MigrationConfig
-    from ..cluster.ring import TopologyPlan
-
-    session = _migrate_session(n_shards, seed_tag)
-
-    @session.mark(version="1.0")
-    def reshard_kernel(data: bytes) -> bytes:
-        return bytes(b ^ 0x5A for b in data)
-
-    reshard_kernel.map(inputs)
-    session.flush_puts()
-
-    reader = session.sibling("reshard-reader")
-    engine = reader.enable_pipeline(depth=8, workers=4)
-    cluster = session.cluster
-    config = MigrationConfig(batch_entries=batch_entries)
-    freq = reader.clock.params.cpu_freq_hz
-
-    migrator = None
-    opened = 0
-    windows = 0
-    if mode == "planned":
-        plan = TopologyPlan()
-        for _ in range(joins):
-            plan = plan.join()
-        migrator = cluster.begin_plan(plan, config=config, engine=engine)
-        opened = joins
-        windows = 1
-
-    description = reshard_kernel.description
-    round_latencies: list[float] = []
-    values: list[bytes] = []
-    makespan0 = engine.makespan_cycles
-    moved = bytes_moved = batches = stalls = dual_rounds = 0
-
-    for round_index in range(rounds):
-        if mode == "serialized" and migrator is None and opened < joins:
-            migrator = cluster.begin_add_shard(config=config, engine=engine)
-            opened += 1
-            windows += 1
-        if cluster.ring.in_transition:
-            dual_rounds += 1
-        offset = (round_index * batch) % len(inputs)
-        window = (inputs + inputs)[offset:offset + batch]
-        round_cycles = -engine.makespan_cycles
-        results = reader.execute_many_results(description, window)
-        values.extend(r.value for r in results)
-        round_cycles += engine.makespan_cycles
-        round_latencies.append(round_cycles / freq)
-        if migrator is not None:
-            # Greedy drain: demand says "everything now" and the
-            # engine's background budget is the cap — one lane for a
-            # serialized join, one lane per gaining shard for a plan.
-            migrator.overlap_steps(1)
-            if not migrator.pending_ranges():
-                migrator.finish()
-                moved += migrator.moved
-                bytes_moved += migrator.bytes_moved
-                batches += migrator.batches
-                stalls += migrator.stalled_batches
-                migrator = None
-
-    # Whatever did not drain inside the rounds finishes serially, and
-    # serialized windows that never got a round still have to run — the
-    # cost of paying N windows where one would do.
-    while True:
-        if migrator is not None:
-            while migrator.pending_ranges():
-                if not migrator.step():
-                    break
-            migrator.finish()
-            moved += migrator.moved
-            bytes_moved += migrator.bytes_moved
-            batches += migrator.batches
-            stalls += migrator.stalled_batches
-            migrator = None
-        if mode == "serialized" and opened < joins:
-            migrator = cluster.begin_add_shard(config=config, engine=engine)
-            opened += 1
-            windows += 1
-            continue
-        break
-    engine.settle()
-
-    total_cycles = engine.makespan_cycles - makespan0
-    counters = dict(
-        windows=windows, dual_rounds=dual_rounds, entries_moved=moved,
-        bytes_moved=bytes_moved, batches=batches, foreground_stalls=stalls,
-    )
-    return round_latencies, total_cycles / freq, values, counters
-
-
 #: Deterministic weighted membership for the placement-accuracy row:
 #: sha256 vnode placement is fixed, so these shards' ownership shares at
-#: ``vnodes=64`` are known to sit within the 10% CI bound of their
-#: weight fractions.
+#: ``vnodes=64`` are known to sit within the 10% bound of their weight
+#: fractions.
 _RESHARD_WEIGHTS = (
     ("cap-0", 1.0), ("cap-1", 2.0), ("cap-2", 2.0), ("cap-3", 1.0),
 )
@@ -2213,14 +1497,22 @@ def _weighted_placement_error(vnodes: int = 64) -> float:
     return worst
 
 
-def run_reshard(
-    n_shards: int = 4,
-    joins: int = 4,
-    ops: int = 48,
-    rounds: int = 16,
-    batch_entries: int = 8,
-    seed: int = 131,
-) -> list[ReshardRow]:
+@experiment("reshard", "Reshard: one planned window vs N serialized windows", [
+    *_topology_columns(Column("joins", "joins")),  # shards the reshape adds
+    Column("fg_ops_per_s", derive=_ratio("ops", "elapsed_sim_s")),
+    Column("fg_throughput_ratio", "vs baseline",
+           derive=_ratio("baseline_sim_s", "elapsed_sim_s"),
+           cell=times_cell("fg_throughput_ratio")),
+    Column("p50_round_s"),
+    Column("p99_round_s"),
+    Column("windows", "windows"),           # dual-ownership windows opened
+    Column("dual_rounds", "dual rounds"),   # foreground rounds run inside one
+    *_MOVED_COLUMNS,
+    # Weighted-ring placement check (0.0 elsewhere).
+    Column("max_weight_err", "weight err", cell=lambda r: f"{r['max_weight_err']:.3f}"),
+], full=dict(joins=4, ops=48, rounds=16), quick=dict(joins=2, ops=24, rounds=12))
+def run_reshard(joins: int, ops: int, rounds: int, n_shards: int = 4,
+                batch_entries: int = 8, seed: int = 131):
     """Planned topology transitions: one batched window vs N serialized.
 
     Three phases over the same warm GET-heavy workload:
@@ -2238,16 +1530,18 @@ def run_reshard(
       off exactly once, and transfers to distinct gaining shards
       overlapping each other via the engine's widened background budget.
 
-    A fourth **weighted-ring** row reports the placement-accuracy check:
+    Both drain greedily through :meth:`RangeMigrator.overlap_steps`.  A
+    fourth **weighted-ring** row reports the placement-accuracy check:
     the worst relative deviation of ``load_share`` from the weight
-    fraction over a deterministic weighted membership at ``vnodes=64``
-    (CI bound: within 10%).
+    fraction over a deterministic weighted membership at ``vnodes=64``.
 
-    CI asserts from ``BENCH_reshard.json``: planned
-    ``fg_throughput_ratio`` >= serialized, planned ``dual_rounds`` <=
-    serialized, zero ``foreground_stalls`` in both (the engine overlaps
-    every batch), and ``max_weight_err`` <= 0.10.
+    The acceptance bounds (tier-1): planned ``fg_throughput_ratio`` >=
+    serialized, planned ``dual_rounds`` <= serialized, one planned
+    window, zero ``foreground_stalls`` in both, ``max_weight_err`` <= 0.10.
     """
+    from ..cluster.migration import MigrationConfig
+    from ..cluster.ring import TopologyPlan
+
     base_tag = b"bench-reshard" + bytes([seed % 251])
     # 4 KiB payloads: hand-off cost is dominated by transfer bytes, so
     # the phases compare how much data they move, not per-range fixed
@@ -2255,284 +1549,26 @@ def run_reshard(
     inputs = [
         (seed * 100_000 + i).to_bytes(4, "big") * 1024 for i in range(ops)
     ]
-    batch = max(1, ops // 2)
-
-    rows: list[ReshardRow] = []
-    base_lat, base_total, base_values, _counters = _reshard_phase(
-        n_shards, base_tag + b"/base", inputs, rounds, batch, "none",
-        joins, batch_entries,
-    )
-    fg_ops = rounds * batch
-    rows.append(ReshardRow(
-        phase="baseline", n_shards=n_shards, joins=0, ops=fg_ops,
-        rounds=rounds, elapsed_sim_s=base_total, baseline_sim_s=base_total,
-        p50_round_s=_percentile(base_lat, 0.50),
-        p99_round_s=_percentile(base_lat, 0.99),
-        windows=0, dual_rounds=0, entries_moved=0, bytes_moved=0,
-        batches=0, foreground_stalls=0, identical=True, max_weight_err=0.0,
-    ))
-    for phase in ("serialized", "planned"):
-        lat, total, values, counters = _reshard_phase(
-            n_shards, base_tag + b"/" + phase.encode(), inputs, rounds,
-            batch, phase, joins, batch_entries,
+    config = MigrationConfig(batch_entries=batch_entries)
+    plan = TopologyPlan()
+    for _ in range(joins):
+        plan = plan.join()
+    base = None
+    for phase, seed_tag, joined, windows in (
+        ("baseline", b"/base", 0, []),
+        ("serialized", b"/serialized", joins, [_join(config)] * joins),
+        ("planned", b"/planned", joins, [
+            lambda cluster, engine: cluster.begin_plan(plan, config=config, engine=engine)
+        ]),
+    ):
+        run = _foreground_rounds(
+            _topology_session(n_shards, base_tag + seed_tag), reshard_kernel, inputs,
+            rounds, reader="reshard-reader", depth=8, workers=4,
+            windows=windows, advance=_greedy,
         )
-        rows.append(ReshardRow(
-            phase=phase, n_shards=n_shards, joins=joins, ops=fg_ops,
-            rounds=rounds, elapsed_sim_s=total, baseline_sim_s=base_total,
-            p50_round_s=_percentile(lat, 0.50),
-            p99_round_s=_percentile(lat, 0.99),
-            identical=values == base_values, max_weight_err=0.0,
-            **counters,
-        ))
-    rows.append(ReshardRow(
-        phase="weighted-ring", n_shards=len(_RESHARD_WEIGHTS), joins=0,
-        ops=0, rounds=0, elapsed_sim_s=0.0, baseline_sim_s=0.0,
-        p50_round_s=0.0, p99_round_s=0.0, windows=0, dual_rounds=0,
-        entries_moved=0, bytes_moved=0, batches=0, foreground_stalls=0,
-        identical=True, max_weight_err=_weighted_placement_error(),
-    ))
-    return rows
-
-
-def print_reshard(rows: list[ReshardRow]) -> str:
-    headers = ["phase", "shards", "joins", "fg ops", "elapsed sim(s)",
-               "vs baseline", "windows", "dual rounds", "moved", "bytes",
-               "batches", "stalls", "identical", "weight err"]
-    table = [
-        [
-            r.phase, r.n_shards, r.joins, r.ops, r.elapsed_sim_s,
-            f"{r.fg_throughput_ratio:.2f}x", r.windows, r.dual_rounds,
-            r.entries_moved, human_size(r.bytes_moved), r.batches,
-            r.foreground_stalls, "yes" if r.identical else "NO",
-            f"{r.max_weight_err:.3f}",
-        ]
-        for r in rows
-    ]
-    return format_table(
-        "Reshard: one planned window vs N serialized windows", headers, table,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Adaptive — AIMD depth control vs the static sweep (engine.py)
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class AdaptiveDepthRow:
-    phase: str            # get-heavy | join
-    n_shards: int
-    depth: str            # "0" (serial) | static depth | "auto"
-    ops: int              # measured foreground ops
-    rounds: int           # measured foreground batches (join phase)
-    elapsed_sim_s: float  # critical-path sim time of the measured ops
-    baseline_sim_s: float # serial client (sweep) / no-join auto (join)
-    depth_final: int      # controller depth after the measured run
-    depth_changes: int
-    depth_shrinks: int
-    depth_caps: int       # rounds clamped by the migration cap
-    entries_moved: int
-    foreground_stalls: int
-    identical: bool       # results byte-identical to the baseline run
-
-    @property
-    def sim_ops_per_s(self) -> float:
-        if self.elapsed_sim_s <= 0:
-            return float("inf")
-        return self.ops / self.elapsed_sim_s
-
-    @property
-    def vs_baseline(self) -> float:
-        """Throughput relative to this phase's baseline run."""
-        if self.baseline_sim_s <= 0 or self.elapsed_sim_s <= 0:
-            return 0.0
-        return self.baseline_sim_s / self.elapsed_sim_s
-
-
-def _adaptive_controller_stats(engine) -> dict:
-    controller = getattr(engine, "controller", None)
-    if controller is None:
-        depth = engine.config.depth if engine is not None else 0
-        return dict(depth_final=depth, depth_changes=0, depth_shrinks=0,
-                    depth_caps=0)
-    return dict(
-        depth_final=controller.depth,
-        depth_changes=controller.changes,
-        depth_shrinks=controller.shrinks,
-        depth_caps=controller.migration_capped,
-    )
-
-
-def run_adaptive(
-    depths: list[int] | None = None,
-    ops: int = 48,
-    rounds: int = 12,
-    workers: int = 4,
-    batch_entries: int = 8,
-    seed: int = 83,
-) -> list[AdaptiveDepthRow]:
-    """Adaptive depth control sweep: static depths vs ``depth="auto"``.
-
-    **get-heavy** — on a warm 4-shard cluster, every reader first drives
-    one priming batch (the adaptive controller converges during it; the
-    static engines prime the same state for symmetry), then replays a
-    distinct measured batch.  The acceptance bound (checked by CI from
-    ``BENCH_adaptive.json``): the auto row lands within 10% of the best
-    static depth and strictly beats the depth-1 anti-sweet-spot.
-
-    **join** — the same auto engine drives ``rounds`` foreground GET
-    batches while a streaming shard join runs concurrently: the
-    controller caps its depth under the dual-ownership window and
-    yields the capped-off slots to the migrator
-    (:meth:`RangeMigrator.overlap_steps`).  Bound: foreground
-    throughput stays >= 0.70x of the no-join auto baseline (the PR 8
-    streaming-migration bound, now under adaptive depth).
-    """
-    from ..session import connect
-
-    depths = depths or [1, 4, 8, 16]
-    max_depth = max(16, max(depths))
-    rows: list[AdaptiveDepthRow] = []
-
-    # -- phase 1: static depths vs auto on a warm 4-shard cluster -----------
-    writer = connect(
-        shards=4, replication_factor=1,
-        seed=b"bench-adaptive" + bytes([seed % 251]), tracing=False,
-    )
-
-    @writer.mark(version="1.0")
-    def adaptive_kernel(data: bytes) -> bytes:
-        return bytes(b ^ 0x6B for b in data)
-
-    description = adaptive_kernel.description
-    warm_inputs = _pipeline_inputs(ops, seed)
-    measured = _pipeline_inputs(ops, seed + 1)
-    adaptive_kernel.map(warm_inputs + measured)
-    writer.flush_puts()
-
-    def measure(depth_spec):
-        reader = writer.sibling(f"adaptive-reader-{depth_spec}")
-        engine = None
-        if depth_spec != 0:
-            engine = reader.enable_pipeline(
-                depth=depth_spec, workers=workers,
-                min_depth=1, max_depth=max_depth,
-            )
-        reader.execute_many_results(description, warm_inputs)  # prime
-        elapsed, _wall, values, _counters = _pipeline_run(
-            reader, description, measured, engine
-        )
-        return elapsed, values, engine
-
-    serial_s, base_values, _ = measure(0)
-    rows.append(AdaptiveDepthRow(
-        phase="get-heavy", n_shards=4, depth="0", ops=ops, rounds=1,
-        elapsed_sim_s=serial_s, baseline_sim_s=serial_s,
-        depth_final=0, depth_changes=0, depth_shrinks=0, depth_caps=0,
-        entries_moved=0, foreground_stalls=0, identical=True,
-    ))
-    for depth_spec in sorted(depths) + ["auto"]:
-        elapsed, values, engine = measure(depth_spec)
-        rows.append(AdaptiveDepthRow(
-            phase="get-heavy", n_shards=4, depth=str(depth_spec), ops=ops,
-            rounds=1, elapsed_sim_s=elapsed, baseline_sim_s=serial_s,
-            entries_moved=0, foreground_stalls=0,
-            identical=values == base_values,
-            **_adaptive_controller_stats(engine),
-        ))
-
-    # -- phase 2: the same auto engine with a concurrent streaming join -----
-    batch = max(1, ops // 2)
-
-    def join_phase(join: bool):
-        session = connect(
-            shards=4, replication_factor=2, vnodes=2,
-            seed=b"bench-adaptive-join" + bytes([seed % 251]),
-            tracing=False,
-        )
-
-        @session.mark(version="1.0")
-        def join_kernel(data: bytes) -> bytes:
-            return bytes(b ^ 0x2D for b in data)
-
-        join_inputs = _pipeline_inputs(ops, seed + 2)
-        join_kernel.map(join_inputs)
-        session.flush_puts()
-        reader = session.sibling("adaptive-join-reader")
-        engine = reader.enable_pipeline(
-            depth="auto", workers=workers, min_depth=1, max_depth=max_depth,
-        )
-        reader.execute_many_results(join_kernel.description, join_inputs)
-        migrator = None
-        if join:
-            from ..cluster.migration import MigrationConfig
-
-            migrator = session.cluster.begin_add_shard(
-                config=MigrationConfig(batch_entries=batch_entries),
-                engine=engine,
-            )
-        values: list[bytes] = []
-        moved = stalls = 0
-        makespan0 = engine.makespan_cycles
-        for round_index in range(rounds):
-            offset = (round_index * batch) % len(join_inputs)
-            window = (join_inputs + join_inputs)[offset:offset + batch]
-            results = reader.execute_many_results(
-                join_kernel.description, window
-            )
-            values.extend(r.value for r in results)
-            if migrator is not None:
-                if migrator.pending_ranges():
-                    # The controller's yielded depth slots bound the
-                    # migrator's between-rounds intrusion budget.
-                    migrator.overlap_steps(max(1, rounds - 1 - round_index))
-                if not migrator.pending_ranges():
-                    # Close the dual-ownership window the moment the
-                    # hand-off drains: the migration depth cap lifts and
-                    # the controller's full depth returns mid-run.
-                    migrator.finish()
-                    moved, stalls = migrator.moved, migrator.stalled_batches
-                    migrator = None
-        if migrator is not None:
-            while migrator.pending_ranges():
-                migrator.step()
-            migrator.finish()
-            moved, stalls = migrator.moved, migrator.stalled_batches
-        engine.settle()
-        total = (engine.makespan_cycles - makespan0) / \
-            reader.clock.params.cpu_freq_hz
-        return total, values, moved, stalls, engine
-
-    base_total, base_values, _, _, engine = join_phase(join=False)
-    rows.append(AdaptiveDepthRow(
-        phase="join", n_shards=4, depth="auto", ops=rounds * batch,
-        rounds=rounds, elapsed_sim_s=base_total, baseline_sim_s=base_total,
-        entries_moved=0, foreground_stalls=0, identical=True,
-        **_adaptive_controller_stats(engine),
-    ))
-    total, values, moved, stalls, engine = join_phase(join=True)
-    rows.append(AdaptiveDepthRow(
-        phase="join", n_shards=5, depth="auto", ops=rounds * batch,
-        rounds=rounds, elapsed_sim_s=total, baseline_sim_s=base_total,
-        entries_moved=moved, foreground_stalls=stalls,
-        identical=values == base_values,
-        **_adaptive_controller_stats(engine),
-    ))
-    return rows
-
-
-def print_adaptive(rows: list[AdaptiveDepthRow]) -> str:
-    headers = ["phase", "shards", "depth", "ops", "elapsed sim(s)",
-               "sim ops/s", "vs baseline", "final depth", "changes",
-               "shrinks", "caps", "moved", "stalls", "identical"]
-    table = [
-        [
-            r.phase, r.n_shards, r.depth, r.ops, r.elapsed_sim_s,
-            f"{r.sim_ops_per_s:.1f}", f"{r.vs_baseline:.2f}x",
-            r.depth_final or "-", r.depth_changes, r.depth_shrinks,
-            r.depth_caps, r.entries_moved, r.foreground_stalls,
-            "yes" if r.identical else "NO",
-        ]
-        for r in rows
-    ]
-    return format_table(
-        "Adaptive: AIMD depth control vs static depths", headers, table,
-    )
+        base = base or run
+        yield _topology_row(phase, n_shards, run, base, joins=joined,
+                            max_weight_err=0.0)
+    idle = _idle_run()
+    yield _topology_row("weighted-ring", len(_RESHARD_WEIGHTS), idle, idle,
+                        joins=0, max_weight_err=_weighted_placement_error())

@@ -44,16 +44,17 @@ class TestCalibration:
         from repro.bench.calibration import _row
 
         row = _row("compress", "w", seconds=0.5, n_bytes=1024, shipped=110.0)
-        assert row.suggested_factor > 0
-        assert row.python_ns_per_byte == 0.5e9 / 1024
+        assert row["suggested_factor"] > 0
+        assert row["python_ns_per_byte"] == 0.5e9 / 1024
 
     def test_full_calibration_run(self):
-        from repro.bench.calibration import print_calibration, run_calibration
+        from repro.bench.calibration import CALIBRATION
+        from repro.bench.reporting import render
 
-        rows = run_calibration(seed=7)
-        assert {r.case for r in rows} == {"sift", "compress", "pattern", "bow"}
+        rows = CALIBRATION.rows(seed=7)
+        assert {r["case"] for r in rows} == {"sift", "compress", "pattern", "bow"}
         for row in rows:
-            assert row.python_seconds > 0
-            assert row.suggested_factor > 0
-        text = print_calibration(rows)
+            assert row["python_seconds"] > 0
+            assert row["suggested_factor"] > 0
+        text = render(CALIBRATION, rows)
         assert "shipped factor" in text
