@@ -34,10 +34,10 @@ def main(argv: list[str] | None = None) -> int:
         tables[name] = EXPERIMENTS[name].rows(quick=args.quick)
         if args.csv is not None:
             write_csv(tables[name], pathlib.Path(args.csv) / f"{name}.csv")
-        if args.json is not None:
-            write_json({name: tables[name]}, args.json, quick=args.quick)
         print(render(EXPERIMENTS[name], tables[name], quick=args.quick))
         print()
+    if args.json is not None:
+        write_json(tables, args.json, quick=args.quick)
     return 0
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 
 from repro.bench import EXPERIMENTS
 from repro.bench.export import rows_to_csv, write_csv
@@ -40,3 +41,38 @@ class TestCsvExport:
         assert main(["e9", "--quick", "--csv", str(tmp_path)]) == 0
         assert (tmp_path / "e9.csv").exists()
         assert "incremental" in capsys.readouterr().out
+
+
+class TestJsonDocument:
+    def test_all_writes_one_document_with_every_experiment(self, tmp_path, monkeypatch):
+        from repro.bench import __main__ as cli
+
+        monkeypatch.setattr(
+            cli, "EXPERIMENTS", {name: EXPERIMENTS[name] for name in ("a4", "a6")}
+        )
+        path = tmp_path / "out" / "rows.json"
+        assert cli.main(["all", "--quick", "--json", str(path)]) == 0
+        document = json.loads(path.read_text())
+        assert set(document) == {"provenance", "experiments"}
+        assert set(document["provenance"]) == {
+            "git_commit", "git_dirty", "python", "numpy", "quick"}
+        assert document["provenance"]["quick"] is True
+        assert list(document["experiments"]) == ["a4", "a6"]
+        assert [row["policy"] for row in document["experiments"]["a4"]] == [
+            "no quota", "quota: 32 entries/app"]
+
+    def test_one_experiment_writes_the_same_document_shape(self, tmp_path):
+        from repro.bench.__main__ import main
+
+        path = tmp_path / "a4.json"
+        assert main(["a4", "--json", str(path)]) == 0
+        document = json.loads(path.read_text())
+        assert list(document["experiments"]) == ["a4"]
+        assert document["provenance"]["quick"] is False
+
+    def test_nothing_is_written_unasked(self, tmp_path, monkeypatch):
+        from repro.bench.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["migrate", "--quick"]) == 0
+        assert not list(tmp_path.iterdir())
