@@ -18,8 +18,6 @@ from .migration import (
     MigrationConfig,
     MigrationReport,
     RangeMigrator,
-    migrate_for_join,
-    migrate_for_leave,
     rebalance,
     transfer_entries,
 )
@@ -40,8 +38,6 @@ __all__ = [
     "ShardRing",
     "StoreCluster",
     "TopologyPlan",
-    "migrate_for_join",
-    "migrate_for_leave",
     "rebalance",
     "tag_point",
     "transfer_entries",

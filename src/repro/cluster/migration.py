@@ -10,27 +10,21 @@ its own enclave.  Nothing decryptable ever exists outside an enclave —
 migration moves *protected* results, so a compromised wire or host
 learns exactly what it learns from normal PUT traffic.
 
-Two migration modes exist:
-
-* **Streaming** (:class:`RangeMigrator`) — the online path behind
-  ``Session.add_shard()``/``remove_shard()``.  The pending ring is
-  computed up front (:meth:`~repro.cluster.ring.ShardRing.begin_join` /
-  ``begin_leave``), and entries move range by range in bounded batches
-  while a *dual-ownership window* keeps every tag readable from its old
-  owners (with GET failover to the new ones) and writable to its new
-  owners.  Each shard logs sealed ``MIGRATE_BEGIN`` /
-  ``MIGRATE_RANGE_COMMIT`` / ``MIGRATE_END`` marks into its durable WAL,
-  and every batch is durably ingested (commit-before-ack) at the
-  destination *before* the source logs its commit mark and discards —
-  so a power failure on either side mid-range recovers to a consistent
-  ownership map with no loss and no resurrection, and re-running a range
-  is idempotent (ingestion dedupes on tag).  With a
-  :class:`~repro.engine.PipelineEngine` attached, each batch transfer is
-  accounted as a background lane overlapping foreground GET/PUT rounds.
-
-* **Stop-the-world** (:func:`migrate_for_join` / :func:`migrate_for_leave`)
-  — the legacy blocking copy, kept as the benchmark baseline the
-  streaming path is measured against (``repro.bench migrate``).
+The online path behind ``Session.add_shard()``/``remove_shard()`` is
+:class:`RangeMigrator`.  The pending ring is computed up front
+(:meth:`~repro.cluster.ring.ShardRing.begin_join` / ``begin_leave``),
+and entries move range by range in bounded batches while a
+*dual-ownership window* keeps every tag readable from its old owners
+(with GET failover to the new ones) and writable to its new owners.
+Each shard logs sealed ``MIGRATE_BEGIN`` / ``MIGRATE_RANGE_COMMIT`` /
+``MIGRATE_END`` marks into its durable WAL, and every batch is durably
+ingested (commit-before-ack) at the destination *before* the source logs
+its commit mark and discards — so a power failure on either side
+mid-range recovers to a consistent ownership map with no loss and no
+resurrection, and re-running a range is idempotent (ingestion dedupes on
+tag).  With a :class:`~repro.engine.PipelineEngine` attached, each batch
+transfer is accounted as a background lane overlapping foreground
+GET/PUT rounds.
 """
 
 from __future__ import annotations
@@ -545,72 +539,5 @@ def rebalance(cluster: "StoreCluster") -> MigrationReport:
         dropped += node.store.discard_tags(stale)
     return MigrationReport(
         moved=moved, duplicates=duplicates, dropped=dropped,
-        transfers=transfers, bytes_moved=bytes_moved,
-    )
-
-
-def migrate_for_join(cluster: "StoreCluster", new_id: str) -> MigrationReport:
-    """Stop-the-world rebalance after ``new_id`` joined the ring (already
-    a member).  Kept as the blocking baseline ``repro.bench migrate``
-    compares the streaming path against.
-
-    Every incumbent sends the newcomer the entries whose owner set now
-    includes it, then discards entries it no longer owns at all.  The
-    drop runs *after* the copy, so ownership never dips below the
-    replication target mid-migration.
-    """
-    new_node = cluster.shards[new_id]
-    factor = cluster.config.replication_factor
-    moved = duplicates = dropped = transfers = bytes_moved = 0
-    for shard_id, node in sorted(cluster.shards.items()):
-        if shard_id == new_id:
-            continue
-        outgoing = node.store.collect_entries(
-            lambda tag: new_id in cluster.ring.owners(tag, factor)
-        )
-        if outgoing:
-            m, d, b = transfer_entries(cluster, node.store, new_node.store, outgoing)
-            moved += m
-            duplicates += d
-            bytes_moved += b
-            transfers += 1
-        stale = node.store.tags_matching(
-            lambda tag, sid=shard_id: sid not in cluster.ring.owners(tag, factor)
-        )
-        dropped += node.store.discard_tags(stale)
-    return MigrationReport(
-        moved=moved, duplicates=duplicates, dropped=dropped,
-        transfers=transfers, bytes_moved=bytes_moved,
-    )
-
-
-def migrate_for_leave(cluster: "StoreCluster", leaving_id: str) -> MigrationReport:
-    """Stop-the-world drain of ``leaving_id`` before removal (legacy
-    baseline; the streaming path is :class:`RangeMigrator`).
-
-    Ownership is computed on a copy of the ring *without* the leaver, so
-    every entry lands on the shards that will own it afterwards.  The
-    leaver's state is left in place — it goes dark immediately after, so
-    dropping is moot (and keeping it models a crash-after-drain safely).
-    """
-    leaving = cluster.shards[leaving_id]
-    future_ring = cluster.ring._clone()
-    future_ring.remove_shard(leaving_id)
-    factor = cluster.config.replication_factor
-    moved = duplicates = transfers = bytes_moved = 0
-    for dest_id in future_ring.shards:
-        dest = cluster.shards[dest_id]
-        outgoing = leaving.store.collect_entries(
-            lambda tag, d=dest_id: d in future_ring.owners(tag, factor)
-        )
-        if not outgoing:
-            continue
-        m, d, b = transfer_entries(cluster, leaving.store, dest.store, outgoing)
-        moved += m
-        duplicates += d
-        bytes_moved += b
-        transfers += 1
-    return MigrationReport(
-        moved=moved, duplicates=duplicates, dropped=0,
         transfers=transfers, bytes_moved=bytes_moved,
     )
