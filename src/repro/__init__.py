@@ -25,10 +25,11 @@ Ported trusted libraries register the same way as before, through
 :class:`TrustedLibrary` / :class:`FunctionDescription`, and execute via
 ``session.execute(description, *args)`` or ``session.deduplicable()``.
 
-The lower-level constructors (:class:`Deployment`,
-:class:`ClusterDeployment`, :class:`DedupRuntime`, ...) remain exported
-for existing code and tests, but direct construction of the deployment
-classes is deprecated in favour of :func:`connect`.
+:func:`connect` is built on the lower-level constructors
+(:class:`Deployment`, :class:`ClusterDeployment`, :class:`DedupRuntime`,
+...), which stay exported for code that assembles a topology by hand
+(the bench harness, tests); a session adds the tracer and the metrics
+registry on top of the same wiring.
 """
 
 from . import obs

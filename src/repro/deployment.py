@@ -12,7 +12,6 @@ scaled-out variant — one application machine talking to an N-shard
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .cluster import ClusterConfig, StoreCluster
@@ -54,29 +53,23 @@ class Application:
         )
 
 
-class Deployment:
-    """A simulated machine running one ResultStore and N applications."""
+class _Machine:
+    """What both topologies share: the application machine (its
+    simulated SGX platform and clock), the loopback network, and the
+    applications launched on it.  A subclass adds the store side and
+    says how a new application's enclave reaches it (:meth:`_connect`).
+    """
 
     def __init__(
         self,
-        seed: bytes = b"speed-deployment",
-        machine: str = "machine-0",
-        store_config: StoreConfig | None = None,
-        cost_params: CostParams | None = None,
-        epc_usable_bytes: int | None = None,
-        fault_injector: FaultInjector | None = None,
-        attestation_service: AttestationService | None = None,
-        tracer=NULL_TRACER,
-        _warn: bool = True,
+        seed: bytes,
+        machine: str,
+        cost_params: CostParams | None,
+        epc_usable_bytes: int | None,
+        fault_injector: FaultInjector | None,
+        attestation_service: AttestationService | None,
+        tracer,
     ):
-        if _warn:
-            warnings.warn(
-                "constructing Deployment directly is deprecated; use "
-                "repro.connect() — it wires the same topology plus the "
-                "session-wide tracer and metrics registry",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.attestation = attestation_service or AttestationService()
         self.tracer = NULL_TRACER if tracer is None else tracer
         platform_kwargs = {}
@@ -90,15 +83,11 @@ class Deployment:
             **platform_kwargs,
         )
         self.network = Network(fault_injector=fault_injector)
-        self.store = ResultStore(
-            self.platform, self.network, address=f"resultstore@{machine}",
-            config=store_config, seed=seed + b"/store",
-            tracer=self.tracer,
-        )
         self._apps: dict[str, Application] = {}
 
     @property
     def clock(self):
+        """The application machine's clock (cluster shards keep their own)."""
         return self.platform.clock
 
     def create_application(
@@ -107,15 +96,13 @@ class Deployment:
         libraries: TrustedLibraryRegistry,
         runtime_config: RuntimeConfig | None = None,
     ) -> Application:
-        """Launch an application enclave and connect it to the store."""
+        """Launch an application enclave and connect it to the store
+        (or, on a cluster, to the whole shard ring)."""
         if name in self._apps:
             raise SpeedError(f"application {name!r} already exists")
         code_identity = b"speed/app/" + name.encode() + b"/" + libraries.code_identity()
         enclave = self.platform.create_enclave(name, code_identity)
-        client = self.store.connect(
-            client_address=f"{name}@{self.platform.name}",
-            app_enclave=enclave if self.store.config.use_sgx else None,
-        )
+        client = self._connect(name, enclave)
         config = runtime_config or RuntimeConfig(app_id=name)
         runtime = DedupRuntime(
             enclave, client, libraries, config=config, tracer=self.tracer
@@ -132,7 +119,36 @@ class Deployment:
         return sum(app.runtime.flush_puts() for app in self._apps.values())
 
 
-class ClusterDeployment:
+class Deployment(_Machine):
+    """A simulated machine running one ResultStore and N applications."""
+
+    def __init__(
+        self,
+        seed: bytes = b"speed-deployment",
+        machine: str = "machine-0",
+        store_config: StoreConfig | None = None,
+        cost_params: CostParams | None = None,
+        epc_usable_bytes: int | None = None,
+        fault_injector: FaultInjector | None = None,
+        attestation_service: AttestationService | None = None,
+        tracer=NULL_TRACER,
+    ):
+        super().__init__(seed, machine, cost_params, epc_usable_bytes,
+                         fault_injector, attestation_service, tracer)
+        self.store = ResultStore(
+            self.platform, self.network, address=f"resultstore@{machine}",
+            config=store_config, seed=seed + b"/store",
+            tracer=self.tracer,
+        )
+
+    def _connect(self, name: str, enclave: Enclave):
+        return self.store.connect(
+            client_address=f"{name}@{self.platform.name}",
+            app_enclave=enclave if self.store.config.use_sgx else None,
+        )
+
+
+class ClusterDeployment(_Machine):
     """One application machine in front of an N-shard ResultStore cluster.
 
     The applications share a platform (they are co-located, as in the
@@ -155,29 +171,9 @@ class ClusterDeployment:
         fault_injector: FaultInjector | None = None,
         attestation_service: AttestationService | None = None,
         tracer=NULL_TRACER,
-        _warn: bool = True,
     ):
-        if _warn:
-            warnings.warn(
-                "constructing ClusterDeployment directly is deprecated; use "
-                "repro.connect(shards=...) — it wires the same topology plus "
-                "the session-wide tracer and metrics registry",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.attestation = attestation_service or AttestationService()
-        self.tracer = NULL_TRACER if tracer is None else tracer
-        platform_kwargs = {}
-        if epc_usable_bytes is not None:
-            platform_kwargs["epc_usable_bytes"] = epc_usable_bytes
-        self.platform = SgxPlatform(
-            seed=seed,
-            name=machine,
-            params=cost_params,
-            attestation_service=self.attestation,
-            **platform_kwargs,
-        )
-        self.network = Network(fault_injector=fault_injector)
+        super().__init__(seed, machine, cost_params, epc_usable_bytes,
+                         fault_injector, attestation_service, tracer)
         self.cluster = StoreCluster(
             self.network,
             self.attestation,
@@ -192,36 +188,6 @@ class ClusterDeployment:
             cost_params=cost_params,
             tracer=self.tracer,
         )
-        self._apps: dict[str, Application] = {}
 
-    @property
-    def clock(self):
-        """The application machine's clock (shards keep their own)."""
-        return self.platform.clock
-
-    def create_application(
-        self,
-        name: str,
-        libraries: TrustedLibraryRegistry,
-        runtime_config: RuntimeConfig | None = None,
-    ) -> Application:
-        """Launch an application enclave wired to the whole shard ring."""
-        if name in self._apps:
-            raise SpeedError(f"application {name!r} already exists")
-        code_identity = b"speed/app/" + name.encode() + b"/" + libraries.code_identity()
-        enclave = self.platform.create_enclave(name, code_identity)
-        router = self.cluster.connect(name, enclave)
-        config = runtime_config or RuntimeConfig(app_id=name)
-        runtime = DedupRuntime(
-            enclave, router, libraries, config=config, tracer=self.tracer
-        )
-        app = Application(name=name, enclave=enclave, runtime=runtime)
-        self._apps[name] = app
-        return app
-
-    def applications(self) -> list[Application]:
-        return list(self._apps.values())
-
-    def flush_all_puts(self) -> int:
-        """Drain every application's asynchronous PUT queue."""
-        return sum(app.runtime.flush_puts() for app in self._apps.values())
+    def _connect(self, name: str, enclave: Enclave):
+        return self.cluster.connect(name, enclave)

@@ -147,7 +147,6 @@ def connect(
             cost_params=cost_params,
             epc_usable_bytes=epc_usable_bytes,
             tracer=tracer,
-            _warn=False,
             **extra,
         )
     else:
@@ -161,7 +160,6 @@ def connect(
             epc_usable_bytes=epc_usable_bytes,
             shard_epc_usable_bytes=shard_epc_usable_bytes,
             tracer=tracer,
-            _warn=False,
             **extra,
         )
     app = deployment.create_application(app_name, libraries, runtime_config)

@@ -105,8 +105,8 @@ class TestTopologyReportRendering:
             assert name in text
 
 
-class TestDeprecatedClusterEntryPoints:
-    def test_add_shard_shim_warns_and_still_works(self):
+class TestStreamingEntryPoints:
+    def test_begin_add_shard_runs_and_serves(self):
         d = make_cluster(n_shards=3, replication_factor=2, seed=b"dep-add")
         router = raw_router(d)
         puts = [make_put(i, prefix=b"dep") for i in range(20)]
@@ -119,7 +119,7 @@ class TestDeprecatedClusterEntryPoints:
         for put in puts:
             assert router.call(make_get(put)).found
 
-    def test_remove_shard_shim_warns_and_still_works(self):
+    def test_begin_remove_shard_runs(self):
         d = make_cluster(n_shards=4, replication_factor=2, seed=b"dep-rm")
         report = d.cluster.begin_remove_shard("shard-0").run()
         assert isinstance(report, MigrationReport)

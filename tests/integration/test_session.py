@@ -6,9 +6,7 @@ import pytest
 
 import repro
 from repro import (
-    ClusterDeployment,
     DedupResult,
-    Deployment,
     QuotaExceededError,
     SpeedError,
     StoreConfig,
@@ -148,15 +146,7 @@ def test_cluster_snapshot_namespaces_dotted_subgroups_per_shard():
     assert "restore.power_fails" not in snap
 
 
-# -- deprecation + errors --------------------------------------------------
-def test_direct_deployment_construction_warns():
-    with pytest.warns(DeprecationWarning, match="repro.connect"):
-        Deployment(seed=b"t-warn")
-    with pytest.warns(DeprecationWarning, match="repro.connect"):
-        ClusterDeployment(seed=b"t-warn-cluster", n_shards=1,
-                          replication_factor=1)
-
-
+# -- errors ----------------------------------------------------------------
 def test_error_codes_registry():
     codes = error_codes()
     assert codes["quota_exceeded"] is QuotaExceededError
