@@ -404,8 +404,7 @@ def run_ablation_async_put(text_bytes: int, seed: int = 19):
     Column("result_bytes", "result size", cell=size_cell("result_bytes")),
     Column("page_faults", "page faults", probe=lambda d: d.faults),
     Column("sim_total_s", "GET total sim(s)", probe=lambda d: d.app_s),
-], full=dict(n_entries=256, result_bytes=64 * KB),
-   quick=dict(n_entries=128, result_bytes=64 * KB))
+], full=dict(n_entries=256, result_bytes=64 * KB), quick=dict(n_entries=128))
 def run_ablation_epc(n_entries: int, result_bytes: int, epc_usable: int = 4 * MB,
                      seed: int = 23):
     """A3: why the paper stores ciphertexts outside the enclave.
@@ -546,8 +545,9 @@ def run_ablation_oblivious(n_entries: int, gets: int, seed: int = 37):
         puts = put_stream(drbg, n_entries, 1024, b"a6" + design.encode(), "a6")
         for put in puts:
             client.call(put)
+        lookups = _gets(puts)
         probe = Probe(d, client=client, enclave=enclave)
-        _get_all(client, [_gets(puts)[i % n_entries] for i in range(gets)])
+        _get_all(client, [lookups[i % n_entries] for i in range(gets)])
         yield dict(design=design, ops=gets, probe=probe.delta(),
                    oram_accesses=d.store._dict.oram.accesses if oblivious else 0)
 
@@ -1292,6 +1292,8 @@ def _topology_row(phase: str, n_shards: int, run: dict, base: dict, **stored) ->
         p50_round_s=_percentile(run["round_s"], 0.50),
         p99_round_s=_percentile(run["round_s"], 0.99),
         identical=run["values"] == base["values"],
+        # The run's counters and its probe ride along (``rows`` keeps
+        # the declared keys); ``stored`` adds an experiment's own.
         **{**run, **stored},
     )
 
