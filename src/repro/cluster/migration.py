@@ -368,7 +368,7 @@ class RangeMigrator:
                 if sid not in cluster.shards or not cluster.shard_alive(sid):
                     continue
                 entries = self._store(sid).collect_entries(
-                    lambda tag, r=rng: r.contains(tag_point(tag))
+                    lambda entry, r=rng: r.contains(tag_point(entry.tag))
                 )
                 for item in entries:
                     collected.setdefault(item[0], (sid, item))
@@ -434,7 +434,7 @@ class RangeMigrator:
             collected: dict[bytes, tuple[str, tuple]] = {}
             for sid in live_sources:
                 entries = self._store(sid).collect_entries(
-                    lambda tag: rng.contains(tag_point(tag))
+                    lambda entry: rng.contains(tag_point(entry.tag))
                 )
                 for item in entries:
                     collected.setdefault(item[0], (sid, item))
@@ -521,9 +521,9 @@ def rebalance(cluster: "StoreCluster") -> MigrationReport:
                 continue
             dest = cluster.shards[dest_id]
             outgoing = node.store.collect_entries(
-                lambda tag, d=dest_id: (
-                    d in cluster.ring.owners(tag, factor)
-                    and not dest.store.contains(tag)
+                lambda entry, d=dest_id: (
+                    d in cluster.ring.owners(entry.tag, factor)
+                    and not dest.store.contains(entry.tag)
                 )
             )
             if not outgoing:

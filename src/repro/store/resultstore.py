@@ -42,8 +42,6 @@ from ..net.messages import (
     Message,
     PutRequest,
     PutResponse,
-    SyncRequest,
-    SyncResponse,
     decode_message,
     encode_message,
     with_request_id,
@@ -343,8 +341,6 @@ class ResultStore:
             return self._handle_batch_get(request)
         if isinstance(request, BatchPutRequest):
             return self._handle_batch_put(request)
-        if isinstance(request, SyncRequest):
-            return self._handle_sync(request)
         raise ProtocolError(f"unexpected message type {type(request).__name__}")
 
     # -- touch helper ----------------------------------------------------------
@@ -500,18 +496,7 @@ class ResultStore:
         if self.durable is not None and not self._durable_suspended:
             self.durable.append_remove(entry.tag, discard=discard)
 
-    # -- SYNC (master-store replication, §IV-B remark) -------------------------
-    def _handle_sync(self, request: SyncRequest) -> SyncResponse:
-        known = set(request.known_tags)
-        entries = []
-        for entry in self._dict.entries():
-            if entry.tag in known or entry.hits < request.min_hits:
-                continue
-            sealed = self._blobs.get(entry.blob_ref)
-            self.platform.clock.charge_marshal(len(sealed))
-            entries.append((entry.tag, entry.challenge, entry.wrapped_key, sealed))
-        return SyncResponse(entries=tuple(entries))
-
+    # -- hand-off (master-store sync of the §IV-B remark, resharding) ----------
     def ingest_entry(
         self, tag: bytes, challenge: bytes, wrapped_key: bytes, sealed_result: bytes
     ) -> bool:
@@ -542,20 +527,22 @@ class ResultStore:
             self.durable.commit()
         return True
 
-    # -- tag-range migration (cluster resharding) -----------------------------
     def collect_entries(self, predicate) -> list[tuple[bytes, bytes, bytes, bytes]]:
-        """Export ``(tag, r, [k], [res])`` tuples whose tag satisfies
-        ``predicate`` — the collection half of a tag-range migration.
+        """Export the ``(tag, r, [k], [res])`` tuples of the entries that
+        satisfy ``predicate`` — the collection half of every hand-off
+        (master sync, tag-range migration, anti-entropy).
 
         Runs as one ECALL; each exported ciphertext is charged as a copy
-        across the enclave boundary, exactly like a SYNC collection.
+        across the enclave boundary.  Only another attested ResultStore
+        enclave ever receives the result (:mod:`repro.store.sync`); no
+        wire message reaches this method.
         """
         if self.enclave is not None and not self.enclave.inside:
             with self.enclave.ecall("migrate_collect"):
                 return self.collect_entries(predicate)
         out = []
         for entry in self._dict.entries():
-            if not predicate(entry.tag):
+            if not predicate(entry):
                 continue
             sealed = self._blobs.get(entry.blob_ref)
             self.platform.clock.charge_marshal(len(sealed))

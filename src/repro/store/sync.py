@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .resultstore import ResultStore
 from ..errors import AttestationError, StoreError
 from ..net.channel import ChannelEndpoint, establish_remote
-from ..net.messages import SyncRequest
 from ..sgx.attestation import AttestationService
 
 
@@ -72,10 +71,8 @@ def replicate_popular(
     local_ep, master_ep = attested_store_channel(service, source, master)
 
     with source.enclave.ecall("sync_collect"):
-        batch = source._handle_sync(  # same code path as the wire handler
-            SyncRequest(known_tags=(), min_hits=min_hits)
-        )
-        payload = local_ep.protect(_encode_entries(batch.entries))
+        entries = source.collect_entries(lambda entry: entry.hits >= min_hits)
+        payload = local_ep.protect(_encode_entries(entries))
 
     source.platform.clock.charge_network(len(payload))
 
@@ -88,7 +85,7 @@ def replicate_popular(
                 transferred += 1
             else:
                 duplicates += 1
-    return SyncReport(offered=len(batch.entries), transferred=transferred, duplicates=duplicates)
+    return SyncReport(offered=len(entries), transferred=transferred, duplicates=duplicates)
 
 
 def _encode_entries(entries) -> bytes:

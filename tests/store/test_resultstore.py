@@ -3,6 +3,7 @@
 import pytest
 
 from repro.crypto.hashes import sha256
+from repro.errors import ProtocolError
 from repro.net.messages import GetRequest, PutRequest, SyncRequest
 from repro.net.transport import Network
 from repro.sgx.platform import SgxPlatform
@@ -190,16 +191,23 @@ class TestNoSgxVariant:
 
 class TestSyncHandler:
     def test_sync_filters_by_hits_and_known_tags(self):
+        # An application channel must not be able to bulk-export the
+        # dictionary: SYNC_REQUEST has no handler, whatever its filter
+        # (the min_hits filter itself is test_sync's
+        # test_unpopular_entries_stay).  Only another attested ResultStore
+        # enclave receives (tag, r, [k], [res]) tuples.
         store, client = make_store()
         client.call(put(TAG, b"one"))
         client.call(put(TAG2, b"two"))
         client.call(GetRequest(tag=TAG))  # TAG now has 1 hit
-        response = client.call(SyncRequest(known_tags=(), min_hits=1))
-        tags = [e[0] for e in response.entries]
-        assert tags == [TAG]
-        # Known tags are excluded.
-        response = client.call(SyncRequest(known_tags=(TAG,), min_hits=1))
-        assert response.entries == ()
+        for request in (
+            SyncRequest(known_tags=(), min_hits=1),
+            SyncRequest(known_tags=(), min_hits=0),
+            SyncRequest(known_tags=(TAG,), min_hits=1),
+        ):
+            with pytest.raises(ProtocolError, match="unexpected message type"):
+                client.call(request)
+        assert len(store) == 2  # refused, and nothing disturbed
 
     def test_ingest_entry_idempotent(self):
         store, _ = make_store()
