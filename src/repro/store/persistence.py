@@ -114,6 +114,7 @@ def apply_snapshot_entry(store: ResultStore, item: _SnapshotEntry) -> bool:
     Returns True iff the entry was inserted."""
     if store.contains(item.tag):
         return False
+    store._make_room(len(item.sealed_result))
     ref = store.blobstore.put(item.sealed_result)
     entry = MetadataEntry(
         tag=item.tag,

@@ -127,3 +127,24 @@ class TestQuotaAndEvictionRoundTrip:
         assert not fresh.store.contains(tags[2])
         assert fresh.store.contains(tags[1])
         assert fresh.store.contains(tags[3])
+
+    def test_restore_into_less_room_evicts_by_policy(self):
+        # A snapshot is one more route into the store and obeys the same
+        # capacity rule as a PUT: restoring ten entries into room for
+        # four evicts by policy on the way in, it does not overfill.
+        d, client = make_store(b"restore-shrink")
+        tags = [put(client, bytes([i])) for i in range(10)]
+        blob = snapshot_store(d.store)
+        small, _ = make_store(b"restore-shrink", capacity_entries=4, eviction="fifo")
+        report = restore_store(small.store, blob)
+        assert report.entries_restored == 10
+        assert len(small.store) == 4
+        assert small.store.stats.evictions == 6
+        # FIFO over the restored insertion order keeps the newest four.
+        assert small.store.stored_tags() == sorted(tags[6:])
+        assert small.store.blobstore.bytes_stored == 4 * 32
+
+        tight, _ = make_store(b"restore-shrink", capacity_bytes=100)
+        restore_store(tight.store, blob)
+        assert len(tight.store) == 3
+        assert tight.store.blobstore.bytes_stored == 96
