@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .metadata import MetadataEntry, blob_digest
-from .resultstore import ResultStore
+from .resultstore import HANDOFF_APP_ID, ResultStore
 from ..errors import StoreError
 from ..net.framing import FieldReader, FieldWriter
 from ..sgx.sealing import SealedBlob, SealPolicy
@@ -133,7 +133,7 @@ def apply_snapshot_entry(store: ResultStore, item: _SnapshotEntry) -> bool:
         restore_entry(entry, touch=store._touch)
     else:
         store._dict.put(entry, touch=store._touch)
-    if store._quota is not None:
+    if store._quota is not None and item.app_id != HANDOFF_APP_ID:
         store._quota.restore(item.app_id, entry.size)
     if store.durable is not None and not store._durable_suspended:
         # A durable store must also re-log what the snapshot put back in

@@ -55,6 +55,11 @@ STORE_CODE_IDENTITY = b"speed/resultstore/enclave-v1"
 STORE_SIGNER = b"speed-store"
 WRAPPED_KEY_SIZE = 16
 CHALLENGE_SIZE = 32
+#: Contributor id of an entry that arrived by hand-off (master sync,
+#: migration, anti-entropy).  The shipped tuple carries no app id, so such
+#: entries are unmetered on every path (see :mod:`.quota`); the id is
+#: reserved — a wire PUT may not claim it.
+HANDOFF_APP_ID = "sync"
 
 
 @dataclass(frozen=True)
@@ -410,6 +415,8 @@ class ResultStore:
                 raise ProtocolError(f"challenge must be empty or {CHALLENGE_SIZE} bytes")
             if len(request.wrapped_key) not in (0, WRAPPED_KEY_SIZE):
                 raise ProtocolError(f"wrapped key must be empty or {WRAPPED_KEY_SIZE} bytes")
+            if request.app_id == HANDOFF_APP_ID:
+                raise ProtocolError(f"app id {HANDOFF_APP_ID!r} is reserved for hand-off entries")
             with self.tracer.span("store.lookup", clock=self.platform.clock):
                 duplicate = request.tag in self._dict
             if duplicate:
@@ -491,7 +498,7 @@ class ResultStore:
     def _evict_entry(self, entry: MetadataEntry, discard: bool = False) -> None:
         self._dict.remove(entry.tag)
         self._blobs.delete(entry.blob_ref)
-        if self._quota is not None:
+        if self._quota is not None and entry.app_id != HANDOFF_APP_ID:
             self._quota.release(entry.app_id, entry.size)
         if self.durable is not None and not self._durable_suspended:
             self.durable.append_remove(entry.tag, discard=discard)
@@ -517,7 +524,7 @@ class ResultStore:
             blob_ref=ref,
             blob_digest=blob_digest(sealed_result),
             size=size,
-            app_id="sync",
+            app_id=HANDOFF_APP_ID,
         )
         self._dict.put(entry, touch=self._touch)
         if self.durable is not None and not self._durable_suspended:
@@ -758,7 +765,7 @@ class ResultStore:
             ),
             touch=self._touch,
         )
-        if self._quota is not None:
+        if self._quota is not None and record.app_id != HANDOFF_APP_ID:
             self._quota.restore(record.app_id, record.size)
         return True
 

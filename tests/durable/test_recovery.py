@@ -4,7 +4,8 @@ checkpoint compaction, quota re-admission."""
 import pytest
 
 from repro import Deployment
-from repro.errors import StoreError
+from repro.errors import ProtocolError, StoreError
+from repro.net.messages import BatchPutRequest
 from repro.sgx.sealing import SealedBlob
 from repro.store.quota import QuotaPolicy
 
@@ -206,6 +207,51 @@ class TestQuotaAcrossRecovery:
         still_rejected = client.call(make_put(b"d", size=64))
         assert not still_rejected.accepted
         assert "quota" in still_rejected.reason
+
+    def test_usage_per_app_is_crash_invariant_whichever_route(self):
+        # Wire PUTs are metered and come back metered; hand-off entries
+        # (sync / migration ingest) are unmetered live, so they must stay
+        # unmetered through eviction, WAL replay and checkpoint restore —
+        # no phantom "sync" tenant appears after a power failure.
+        d, client = durable_deployment(
+            b"rec-quota-routes", quota=QuotaPolicy(), capacity_entries=6,
+            checkpoint_interval=5,
+        )
+        store = d.store
+        usage = lambda: {
+            app: store._quota.usage_of(app) for app in ("alice", "bob", "sync")
+        }
+        for i in range(2):
+            put(client, b"a%d" % i, app_id="alice")
+        for i in range(3):
+            assert store.ingest_entry(
+                make_put(b"h%d" % i).tag, b"r" * 32, b"k" * 16, b"handed-off-%d" % i
+            )
+        for i in range(3):
+            put(client, b"b%d" % i, app_id="bob")  # evicts a0, a1 (LRU)
+        live = usage()
+        assert live == {"alice": (0, 0), "bob": (192, 3), "sync": (0, 0)}
+        assert store.durable.checkpoints >= 1  # both restore paths in play
+
+        store.power_fail()
+        report = store.recover()
+        assert report.entries_restored and report.puts_replayed
+        assert usage() == live
+        # ...and evicting a recovered hand-off entry releases nothing.
+        for i in range(3):
+            put(client, b"c%d" % i, app_id="alice")  # evicts h0..h2
+        assert usage() == {"alice": (192, 3), "bob": (192, 3), "sync": (0, 0)}
+
+    def test_hand_off_id_is_reserved_on_the_wire(self):
+        d, client = durable_deployment(b"rec-quota-reserved", quota=QuotaPolicy())
+        with pytest.raises(ProtocolError, match="reserved"):
+            client.call(make_put(b"x", app_id="sync"))
+        verdicts = client.call(BatchPutRequest(items=(
+            make_put(b"y", app_id="sync"), make_put(b"z", app_id="alice"),
+        ))).items
+        assert [v.accepted for v in verdicts] == [False, True]
+        assert d.store._quota.usage_of("sync") == (0, 0)
+        assert d.store.stored_tags() == [make_put(b"z").tag]
 
 
 class TestGuards:
