@@ -115,7 +115,7 @@ def apply_snapshot_entry(store: ResultStore, item: _SnapshotEntry) -> bool:
     if store.contains(item.tag):
         return False
     store._make_room(len(item.sealed_result))
-    ref = store.blobstore.put(item.sealed_result)
+    ref = store._write_blob(item.sealed_result)
     entry = MetadataEntry(
         tag=item.tag,
         challenge=item.challenge,

@@ -433,12 +433,8 @@ class ResultStore:
                 "store.blob_write", clock=self.platform.clock, bytes=size
             ):
                 self.platform.clock.charge_hash(size)  # blob digest
-                ref = self._blobs.put(request.sealed_result)
-                if self.config.blobs_in_epc:
-                    self._epc_blob_extents[ref] = (self._epc_blob_cursor, size)
-                    self._touch("store/blobs", self._epc_blob_cursor, size)
-                    self._epc_blob_cursor += size
-                else:
+                ref = self._write_blob(request.sealed_result)
+                if not self.config.blobs_in_epc:
                     # Ciphertext leaves the enclave.
                     self.platform.clock.charge_marshal(size)
             entry = MetadataEntry(
@@ -478,6 +474,18 @@ class ResultStore:
                 results.append(PutResponse(accepted=False, reason=f"{exc.code}: {exc}"))
         return BatchPutResponse(items=tuple(results))
 
+    def _write_blob(self, sealed_result: bytes) -> int:
+        """Place one ciphertext in the blob arena; with ``blobs_in_epc``
+        the arena is enclave heap, so the write records the blob's extent
+        and touches its pages."""
+        ref = self._blobs.put(sealed_result)
+        if self.config.blobs_in_epc:
+            size = len(sealed_result)
+            self._epc_blob_extents[ref] = (self._epc_blob_cursor, size)
+            self._touch("store/blobs", self._epc_blob_cursor, size)
+            self._epc_blob_cursor += size
+        return ref
+
     def _make_room(self, incoming: int) -> None:
         cfg = self.config
         while (
@@ -498,6 +506,7 @@ class ResultStore:
     def _evict_entry(self, entry: MetadataEntry, discard: bool = False) -> None:
         self._dict.remove(entry.tag)
         self._blobs.delete(entry.blob_ref)
+        self._epc_blob_extents.pop(entry.blob_ref, None)
         if self._quota is not None and entry.app_id != HANDOFF_APP_ID:
             self._quota.release(entry.app_id, entry.size)
         if self.durable is not None and not self._durable_suspended:
@@ -516,7 +525,7 @@ class ResultStore:
             return False
         size = len(sealed_result)
         self._make_room(size)
-        ref = self._blobs.put(sealed_result)
+        ref = self._write_blob(sealed_result)
         entry = MetadataEntry(
             tag=tag,
             challenge=challenge,
@@ -751,7 +760,7 @@ class ResultStore:
         if record.tag in self._dict:
             return False
         self._make_room(record.size)
-        ref = self._blobs.put(sealed_result)
+        ref = self._write_blob(sealed_result)
         self.platform.clock.charge_marshal(record.size)
         self._dict.put(
             MetadataEntry(

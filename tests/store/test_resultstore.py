@@ -213,3 +213,37 @@ class TestSyncHandler:
         store, _ = make_store()
         assert store.ingest_entry(TAG, b"r" * 32, b"k" * 16, b"blob")
         assert not store.ingest_entry(TAG, b"r" * 32, b"k" * 16, b"blob")
+
+
+class TestBlobsInEpc:
+    def test_every_route_records_the_extent_and_eviction_drops_it(self):
+        # Ablation A3's blob arena is enclave heap: whichever way an
+        # entry comes in, its blob has an extent there (so a later GET
+        # pays the EPC touch, not a marshal copy), and the extent goes
+        # when the entry does.
+        from repro.store.persistence import restore_store, snapshot_store
+
+        config = StoreConfig(blobs_in_epc=True, capacity_entries=3, durable=True)
+        store, client = make_store(config, seed=b"epc-routes")
+        extents = lambda: sorted(store._epc_blob_extents)
+        live_refs = lambda: sorted(store.blob_ref_of(t) for t in store.stored_tags())
+
+        client.call(put(TAG, b"w" * 5000))                        # wire PUT
+        faults = store.platform.epc.fault_count
+        assert store.ingest_entry(TAG2, b"r" * 32, b"k" * 16, b"h" * 9000)  # hand-off
+        assert store.platform.epc.fault_count - faults >= 2      # fresh heap pages touched
+        assert extents() == live_refs() and len(extents()) == 2
+
+        store.power_fail()
+        store.recover()                                           # WAL replay
+        assert extents() == live_refs() and len(extents()) == 2
+
+        blob = snapshot_store(store)
+        store.clear()
+        assert extents() == []
+        restore_store(store, blob)                                # snapshot restore
+        assert extents() == live_refs() and len(extents()) == 2
+
+        for i in range(3):                                        # evicts both
+            client.call(put(sha256(b"fill-%d" % i), b"f" * 100))
+        assert extents() == live_refs() and len(extents()) == 3
