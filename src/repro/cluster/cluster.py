@@ -283,9 +283,9 @@ class StoreCluster:
         snapshot of its state, wipe the in-memory dictionary and blob
         arena (the crash), restore from the sealed image inside the
         (reused) store enclave, and let traffic reach it again.  Unlike
-        :meth:`kill_shard`'s crash-pause, state round-trips through
-        :mod:`repro.store.persistence`, so restore bugs become losses the
-        simulation harness can observe.  Returns the
+        :meth:`kill_shard`'s crash-pause, state round-trips through a
+        sealed image and the store's insert path, so restore bugs become
+        losses the simulation harness can observe.  Returns the
         :class:`~repro.store.persistence.RestoreReport`.
         """
         from ..store.persistence import restore_store, snapshot_store

@@ -1,12 +1,12 @@
 """Tag-range migration between shards over attested channels.
 
 When the ring changes, ownership of contiguous tag ranges moves between
-shards.  The ciphertexts follow over the same mutually attested
-store-to-store channel the master-sync path uses
-(:func:`repro.store.sync.attested_store_channel`): the source collects
-the affected ``(tag, r, [k], [res])`` tuples inside its enclave, seals
-them into one channel payload, and the destination ingests them inside
-its own enclave.  Nothing decryptable ever exists outside an enclave —
+shards.  The ciphertexts follow through the same shipper the
+master-sync path uses (:func:`repro.store.sync.transfer_entries`, over a
+mutually attested store-to-store channel): the source collects the
+affected ``(tag, r, [k], [res])`` tuples inside its enclave, seals them
+into one channel payload, and the destination ingests them inside its
+own enclave.  Nothing decryptable ever exists outside an enclave —
 migration moves *protected* results, so a compromised wire or host
 learns exactly what it learns from normal PUT traffic.
 
@@ -40,10 +40,10 @@ from ..durable.wal import (
     REC_MIGRATE_COMMIT,
     REC_MIGRATE_END,
 )
-from ..errors import MigrationError, MigrationIngestError, MigrationStateError
+from ..errors import MigrationError, MigrationStateError
 from ..report import ReportMixin
 from ..store.resultstore import ResultStore
-from ..store.sync import _decode_entries, _encode_entries, attested_store_channel
+from ..store.sync import transfer_entries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cluster import StoreCluster
@@ -71,40 +71,15 @@ class MigrationReport(ReportMixin):
     batches: int = 0       # bounded streaming batches shipped
 
 
-def transfer_entries(
-    cluster: "StoreCluster",
-    source: ResultStore,
-    dest: ResultStore,
-    entries: list[tuple[bytes, bytes, bytes, bytes]],
-    enforce_capacity: bool = False,
-) -> tuple[int, int, int]:
-    """Ship ``entries`` from ``source`` to ``dest`` as one attested
-    payload; returns (ingested, duplicates, payload bytes).
-
-    With ``enforce_capacity`` the destination refuses (raises
-    :class:`~repro.errors.MigrationIngestError`) rather than evicting
-    foreground entries to make room — a full target shard must fail the
-    migration, not silently shed other tenants' results.
-    """
-    if not entries:
-        return 0, 0, 0
-    src_ep, dst_ep = attested_store_channel(cluster.attestation, source, dest)
-    with source.enclave.ecall("migrate_seal"):
-        payload = src_ep.protect(_encode_entries(entries))
-    source.platform.clock.charge_network(len(payload))
-    moved = duplicates = 0
-    with dest.enclave.ecall("migrate_ingest", in_bytes=len(payload)):
-        for tag, challenge, wrapped_key, sealed in _decode_entries(dst_ep.unprotect(payload)):
-            if enforce_capacity and tag not in dest._dict and not dest.can_accept(len(sealed)):
-                raise MigrationIngestError(
-                    f"target shard at {dest.address!r} is full; "
-                    f"refusing migrated batch"
-                )
-            if dest.ingest_entry(tag, challenge, wrapped_key, sealed):
-                moved += 1
-            else:
-                duplicates += 1
-    return moved, duplicates, len(payload)
+def _sweep_stale(cluster: "StoreCluster", shard_id: str) -> int:
+    """Drop every copy ``shard_id`` holds of a tag the ring says it does
+    not own; returns the number dropped."""
+    factor = cluster.config.replication_factor
+    store = cluster.shards[shard_id].store
+    stale = store.tags_matching(
+        lambda tag: shard_id not in cluster.ring.owners(tag, factor)
+    )
+    return store.discard_tags(stale)
 
 
 class RangeMigrator:
@@ -327,16 +302,10 @@ class RangeMigrator:
         # Stale sweep: any live shard that kept copies it no longer owns
         # (deferred discards from dead-at-commit sources, pre-existing
         # over-replication) drops them now, under the settled ring.
-        factor = self.factor
-        for sid, node in sorted(cluster.shards.items()):
-            if sid in self.leavers:
-                continue  # a leaver goes dark with its state in place
-            if not cluster.shard_alive(sid):
-                continue
-            stale = node.store.tags_matching(
-                lambda tag, s=sid: s not in cluster.ring.owners(tag, factor)
-            )
-            self.dropped += node.store.discard_tags(stale)
+        for sid in sorted(cluster.shards):
+            # A leaver goes dark with its state in place.
+            if sid not in self.leavers and cluster.shard_alive(sid):
+                self.dropped += _sweep_stale(cluster, sid)
         for sid in self._participants:
             if sid in cluster.shards and cluster.shard_alive(sid):
                 self._store(sid).note_migrate(
@@ -363,25 +332,16 @@ class RangeMigrator:
             back_home = [s for s in rng.sources if s not in rng.dests]
             if not back_home:
                 continue
-            collected: dict[bytes, tuple[str, tuple]] = {}
-            for sid in rng.dests:
-                if sid not in cluster.shards or not cluster.shard_alive(sid):
-                    continue
-                entries = self._store(sid).collect_entries(
-                    lambda entry, r=rng: r.contains(tag_point(entry.tag))
-                )
-                for item in entries:
-                    collected.setdefault(item[0], (sid, item))
-            per_source: dict[str, list[tuple]] = {}
-            for src, item in collected.values():
-                per_source.setdefault(src, []).append(item)
+            per_source = self._collect(rng, [
+                d for d in rng.dests
+                if d in cluster.shards and cluster.shard_alive(d)
+            ])
             for sid in back_home:
                 if not cluster.shard_alive(sid):
                     continue
-                dest_store = self._store(sid)
                 for src in sorted(per_source):
                     transfer_entries(
-                        cluster, self._store(src), dest_store,
+                        cluster.attestation, self._store(src), self._store(sid),
                         per_source[src],
                     )
         # finish() may have settled the ring before raising (e.g. the
@@ -390,16 +350,12 @@ class RangeMigrator:
         # ring would raise and mask the original error.
         if cluster.ring.in_transition:
             cluster.ring.abort_transition()
-        factor = self.factor
         for sid in self._participants:
             if sid not in cluster.shards or not cluster.shard_alive(sid):
                 continue
             if sid not in cluster.ring:
                 continue  # an aborted joiner is despawned by the cluster
-            stale = cluster.shards[sid].store.tags_matching(
-                lambda tag, s=sid: s not in cluster.ring.owners(tag, factor)
-            )
-            self.dropped += cluster.shards[sid].store.discard_tags(stale)
+            self.dropped += _sweep_stale(cluster, sid)
             self._store(sid).note_migrate(
                 REC_MIGRATE_END, self.migration_id, peer=self.shard_id
             )
@@ -429,17 +385,9 @@ class RangeMigrator:
             live_sources = [s for s in rng.sources if cluster.shard_alive(s)]
             if not live_sources:
                 return False
-            # Collect once per live source (replicas may hold different
-            # subsets after past faults); first copy of each tag wins.
-            collected: dict[bytes, tuple[str, tuple]] = {}
-            for sid in live_sources:
-                entries = self._store(sid).collect_entries(
-                    lambda entry: rng.contains(tag_point(entry.tag))
-                )
-                for item in entries:
-                    collected.setdefault(item[0], (sid, item))
+            per_source = self._collect(rng, live_sources)
             for dest in new_dests:
-                self._ship_all(rng, dest, collected)
+                self._ship_all(dest, per_source)
             for dest in new_dests:
                 self._store(dest).note_migrate(
                     REC_MIGRATE_COMMIT, self.migration_id,
@@ -464,40 +412,43 @@ class RangeMigrator:
         self._done.add(rng.index)
         return True
 
-    def _ship_all(
-        self, rng: MigrationRange, dest: str, collected: dict
-    ) -> None:
-        """Send one range's entries to one destination in bounded
-        batches, grouped per source shard (each batch is one attested
-        source→dest payload)."""
-        dest_store = self._store(dest)
+    def _collect(self, rng: MigrationRange, holders) -> dict[str, list[tuple]]:
+        """One range's entries, grouped by the holder that supplies each:
+        collected once per holder (replicas may hold different subsets
+        after past faults), the first copy of a tag wins."""
+        collected: dict[bytes, tuple[str, tuple]] = {}
+        for sid in holders:
+            entries = self._store(sid).collect_entries(
+                lambda entry: rng.contains(tag_point(entry.tag))
+            )
+            for item in entries:
+                collected.setdefault(item[0], (sid, item))
         per_source: dict[str, list[tuple]] = {}
         for sid, item in collected.values():
             per_source.setdefault(sid, []).append(item)
+        return per_source
+
+    def _ship_all(self, dest: str, per_source: dict[str, list[tuple]]) -> None:
+        """Send one range's entries to one destination in bounded
+        batches (each batch is one attested source→dest payload)."""
+        dest_store = self._store(dest)
         size = self.config.batch_entries
         for sid in sorted(per_source):
             items = per_source[sid]
-            source_store = self._store(sid)
             for start in range(0, len(items), size):
-                batch = items[start:start + size]
-                moved, duplicates, payload = self._ship(
-                    source_store, dest_store, batch
+                if self.engine is None:
+                    # No engine to overlap against: the batch runs on the
+                    # foreground's critical path.
+                    self.stalled_batches += 1
+                moved, duplicates, payload = transfer_entries(
+                    self.cluster.attestation, self._store(sid), dest_store,
+                    items[start:start + size], enforce_capacity=True,
                 )
                 self.moved += moved
                 self.duplicates += duplicates
                 self.bytes_moved += payload
                 self.transfers += 1
                 self.batches += 1
-
-    def _ship(self, source_store, dest_store, batch) -> tuple[int, int, int]:
-        if self.engine is None:
-            # No engine to overlap against: the batch runs on the
-            # foreground's critical path.
-            self.stalled_batches += 1
-        return transfer_entries(
-            self.cluster, source_store, dest_store, batch,
-            enforce_capacity=True,
-        )
 
     def _store(self, shard_id: str) -> ResultStore:
         return self.cluster.shards[shard_id].store
@@ -528,15 +479,14 @@ def rebalance(cluster: "StoreCluster") -> MigrationReport:
             )
             if not outgoing:
                 continue
-            m, d, b = transfer_entries(cluster, node.store, dest.store, outgoing)
+            m, d, b = transfer_entries(
+                cluster.attestation, node.store, dest.store, outgoing
+            )
             moved += m
             duplicates += d
             bytes_moved += b
             transfers += 1
-        stale = node.store.tags_matching(
-            lambda tag, s=sid: s not in cluster.ring.owners(tag, factor)
-        )
-        dropped += node.store.discard_tags(stale)
+        dropped += _sweep_stale(cluster, sid)
     return MigrationReport(
         moved=moved, duplicates=duplicates, dropped=dropped,
         transfers=transfers, bytes_moved=bytes_moved,

@@ -10,12 +10,15 @@ production enclave key-value stores:
   buffer; ``commit()`` seals the buffer as one segment (group commit —
   one seal AEAD pass amortized over the batch, charged to the virtual
   clock) and extends a hash chain that binds segment order.
-* :mod:`repro.durable.checkpoint` — periodically folds the log into a
-  sealed whole-store snapshot (reusing the :mod:`repro.store.persistence`
-  serialization) and truncates the covered segments.
+* :mod:`repro.durable.checkpoint` — defines the store *image* (every
+  entry with its ciphertext and eviction-policy state) and periodically
+  folds the log into one, sealed with its log anchor, truncating the
+  covered segments.  (:mod:`repro.store.persistence` seals the same image
+  without an anchor: a snapshot.)
 * :mod:`repro.durable.recovery` — restores the checkpoint, replays the
   chain-verified log tail, and reports what it found (torn tails, chain
-  breaks, missing blobs) as a structured :class:`RecoveryReport`.
+  breaks, missing blobs) as a structured :class:`RecoveryReport`.  Both
+  put entries back through the store's one insert path.
 
 The durable artifacts — sealed segments, the sealed checkpoint, and the
 logged ciphertexts — live on the untrusted host ("disk") and survive

@@ -26,12 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .checkpoint import checkpoint_counter_id, decode_checkpoint
+from .checkpoint import (
+    apply_image,
+    checkpoint_counter_id,
+    decode_checkpoint,
+    take_checkpoint,
+)
 from .wal import (
     GENESIS_CHAIN,
-    REC_MIGRATE_BEGIN,
-    REC_MIGRATE_COMMIT,
-    REC_MIGRATE_END,
     REC_PUT,
     REC_REMOVE,
     REC_TOUCH,
@@ -40,6 +42,7 @@ from .wal import (
 )
 from ..errors import RollbackError, SealingError, SerializationError, StoreError
 from ..report import ReportMixin
+from ..store.metadata import blob_digest
 
 
 @dataclass(frozen=True)
@@ -65,18 +68,10 @@ def recover_store(store) -> RecoveryReport:
     """Rebuild ``store`` from its durable log; returns the report."""
     if store.durable is None:
         raise StoreError("recovery requires a durable-mode store")
-    if store.enclave is not None and not store.enclave.inside:
-        with store.enclave.ecall("durable_recover"):
-            return recover_store(store)
-    from .checkpoint import take_checkpoint
-    from ..store.metadata import blob_digest
-    from ..store.persistence import apply_snapshot_payload
-
     log = store.durable
     clock = store.platform.clock
-    suspended = store._durable_suspended
-    store._durable_suspended = True  # replay must not re-log itself
-    try:
+    # Replay must not re-log itself.
+    with store.ecall("durable_recover"), store.unlogged():
         with store.tracer.span("durable.recover", clock=clock) as span:
             entries_restored = 0
             expected_seq = 1
@@ -85,7 +80,7 @@ def recover_store(store) -> RecoveryReport:
             rollback_detected = False
             if log.checkpoint is not None:
                 payload = store.enclave.unseal(log.checkpoint.sealed)
-                seq, chain, counter, snapshot_payload = decode_checkpoint(payload)
+                seq, chain, counter, image = decode_checkpoint(payload)
                 # Whole-state rollback check: each checkpoint seals the
                 # hardware monotonic-counter value it bumped to.  An
                 # embedded value behind the hardware counter means the
@@ -101,7 +96,7 @@ def recover_store(store) -> RecoveryReport:
                             f"checkpoint counter {counter} behind hardware "
                             f"counter {hardware}: stale sealed state presented"
                         )
-                entries_restored = apply_snapshot_payload(store, snapshot_payload)
+                entries_restored, _ = apply_image(store, image)
                 expected_seq = seq + 1
                 running = chain
                 checkpoint_seq = seq
@@ -137,17 +132,11 @@ def recover_store(store) -> RecoveryReport:
                         elif store.replay_insert(record, blob):
                             puts += 1
                     elif record.kind == REC_REMOVE:
-                        entry = store.metadata_entry(record.tag)
-                        if entry is not None:
-                            store._evict_entry(entry)
-                            removes += 1
+                        removes += store.replay_remove(record)
                     elif record.kind == REC_TOUCH:
-                        if store.replay_touch(record):
-                            touches += 1
-                    elif record.kind in (
-                        REC_MIGRATE_BEGIN, REC_MIGRATE_COMMIT, REC_MIGRATE_END
-                    ):
-                        store._note_migrate(record)
+                        touches += store.replay_touch(record)
+                    else:  # a MIGRATE_* mark (decode_segment admits no other kind)
+                        store.replay_migrate(record)
                         migrates += 1
                 expected_seq += len(records)
                 segments_ok += 1
@@ -186,9 +175,7 @@ def recover_store(store) -> RecoveryReport:
             # The fold dropped any MIGRATE_* marks for a still-open
             # hand-off; re-log them so a second crash before MIGRATE_END
             # still recovers the migration's progress.
-            store._relog_open_migrations()
-    finally:
-        store._durable_suspended = suspended
+            store.relog_open_migrations()
     store.stats.recoveries += 1
     store.stats.restored_entries += entries_restored + puts
     return report

@@ -110,29 +110,42 @@ class WalSegment:
     sealed: SealedBlob
 
 
-def _encode_records(writer: FieldWriter, records) -> None:
-    writer.u32(len(records))
-    for record in records:
-        writer.u8(record.kind)
-        writer.blob(record.tag)
-        if record.kind == REC_PUT:
-            writer.blob(record.challenge)
-            writer.blob(record.wrapped_key)
-            writer.blob(record.blob_digest)
-            writer.u64(record.size)
-            writer.text(record.app_id)
-        elif record.kind == REC_REMOVE:
-            writer.u8(record.subkind)
-        elif record.kind == REC_TOUCH:
-            writer.u64(record.hits)
-        elif record.kind in (REC_MIGRATE_BEGIN, REC_MIGRATE_COMMIT, REC_MIGRATE_END):
-            writer.text(record.migration_id)
-            writer.u64(record.range_lo)
-            writer.u64(record.range_hi)
-            writer.text(record.peer)
-            writer.u8(record.role)
-        else:
-            raise StoreError(f"unknown WAL record kind {record.kind}")
+_MIGRATE_FIELDS = (
+    ("migration_id", "text"), ("range_lo", "u64"), ("range_hi", "u64"),
+    ("peer", "text"), ("role", "u8"),
+)
+#: What each record kind carries after ``kind`` and ``tag``, as
+#: ``(WalRecord attribute, framing primitive)`` pairs — the one list both
+#: :func:`encode_segment` and :func:`decode_segment` walk.
+RECORD_FIELDS = {
+    REC_PUT: (
+        ("challenge", "blob"), ("wrapped_key", "blob"), ("blob_digest", "blob"),
+        ("size", "u64"), ("app_id", "text"),
+    ),
+    REC_REMOVE: (("subkind", "u8"),),
+    REC_MIGRATE_BEGIN: _MIGRATE_FIELDS,
+    REC_MIGRATE_COMMIT: _MIGRATE_FIELDS,
+    REC_MIGRATE_END: _MIGRATE_FIELDS,
+    REC_TOUCH: (("hits", "u64"),),
+}
+
+
+def write_fields(writer: FieldWriter, fields, values) -> None:
+    """Append ``values[name]`` for each declared ``(name, primitive)``."""
+    for name, primitive in fields:
+        getattr(writer, primitive)(values[name])
+
+
+def read_fields(reader: FieldReader, fields) -> dict:
+    """Consume one value per declared ``(name, primitive)``."""
+    return {name: getattr(reader, primitive)() for name, primitive in fields}
+
+
+def _fields_of(kind: int):
+    try:
+        return RECORD_FIELDS[kind]
+    except KeyError:
+        raise StoreError(f"unknown WAL record kind {kind}") from None
 
 
 def encode_segment(prev_chain: bytes, first_seq: int, records) -> bytes:
@@ -143,7 +156,11 @@ def encode_segment(prev_chain: bytes, first_seq: int, records) -> bytes:
     writer.u32(WAL_FORMAT_VERSION)
     writer.blob(prev_chain)
     writer.u64(first_seq)
-    _encode_records(writer, records)
+    writer.u32(len(records))
+    for record in records:
+        writer.u8(record.kind)
+        writer.blob(record.tag)
+        write_fields(writer, _fields_of(record.kind), vars(record))
     return writer.getvalue()
 
 
@@ -151,9 +168,7 @@ def decode_segment(payload: bytes) -> tuple[bytes, int, list[WalRecord]]:
     """Parse one unsealed segment payload back into records."""
     reader = FieldReader(payload)
     version = reader.u32()
-    # v1 segments (PUT/REMOVE only) decode identically; v2 added the
-    # migration and touch record kinds.
-    if version not in (1, WAL_FORMAT_VERSION):
+    if version != WAL_FORMAT_VERSION:
         raise StoreError(f"unsupported WAL segment version {version}")
     prev_chain = reader.blob()
     first_seq = reader.u64()
@@ -161,32 +176,7 @@ def decode_segment(payload: bytes) -> tuple[bytes, int, list[WalRecord]]:
     for _ in range(reader.u32()):
         kind = reader.u8()
         tag = reader.blob()
-        if kind == REC_PUT:
-            records.append(WalRecord(
-                kind=kind,
-                tag=tag,
-                challenge=reader.blob(),
-                wrapped_key=reader.blob(),
-                blob_digest=reader.blob(),
-                size=reader.u64(),
-                app_id=reader.text(),
-            ))
-        elif kind == REC_REMOVE:
-            records.append(WalRecord(kind=kind, tag=tag, subkind=reader.u8()))
-        elif kind == REC_TOUCH:
-            records.append(WalRecord(kind=kind, tag=tag, hits=reader.u64()))
-        elif kind in (REC_MIGRATE_BEGIN, REC_MIGRATE_COMMIT, REC_MIGRATE_END):
-            records.append(WalRecord(
-                kind=kind,
-                tag=tag,
-                migration_id=reader.text(),
-                range_lo=reader.u64(),
-                range_hi=reader.u64(),
-                peer=reader.text(),
-                role=reader.u8(),
-            ))
-        else:
-            raise StoreError(f"unknown WAL record kind {kind}")
+        records.append(WalRecord(kind, tag, **read_fields(reader, _fields_of(kind))))
     reader.expect_end()
     return prev_chain, first_seq, records
 
@@ -242,64 +232,36 @@ class DurableLog:
         """Log one accepted PUT and write its ciphertext through to the
         durable blob area (a host-side copy, like any blob leaving the
         enclave's control)."""
-        clock = self.enclave.platform.clock
-        with self.tracer.span(
-            "durable.wal_append", clock=clock, kind="put", bytes=len(sealed_result)
-        ):
-            clock.charge_marshal(len(sealed_result))
+        with self._appending("put", bytes=len(sealed_result)):
+            self.enclave.platform.clock.charge_marshal(len(sealed_result))
             self.blob_area[entry.blob_digest] = bytes(sealed_result)
-            self._append(WalRecord(
-                kind=REC_PUT,
-                tag=entry.tag,
-                challenge=entry.challenge,
-                wrapped_key=entry.wrapped_key,
-                blob_digest=entry.blob_digest,
-                size=entry.size,
-                app_id=entry.app_id,
-            ))
+            self._append(WalRecord(REC_PUT, entry.tag, **{
+                name: getattr(entry, name) for name, _ in RECORD_FIELDS[REC_PUT]
+            }))
 
     def append_remove(self, tag: bytes, discard: bool = False) -> None:
         """Log one eviction (or migration discard) by tag."""
-        with self.tracer.span(
-            "durable.wal_append", clock=self.enclave.platform.clock, kind="remove"
-        ):
-            self._append(WalRecord(
-                kind=REC_REMOVE,
-                tag=tag,
-                subkind=REMOVE_DISCARD if discard else REMOVE_EVICT,
-            ))
+        subkind = REMOVE_DISCARD if discard else REMOVE_EVICT
+        with self._appending("remove"):
+            self._append(WalRecord(REC_REMOVE, tag, subkind=subkind))
 
     def append_touch(self, tag: bytes, hits: int) -> None:
         """Log one coalesced GET-recency mark (every Nth hit on a tag)."""
-        with self.tracer.span(
-            "durable.wal_append", clock=self.enclave.platform.clock, kind="touch"
-        ):
-            self._append(WalRecord(kind=REC_TOUCH, tag=tag, hits=hits))
+        with self._appending("touch"):
+            self._append(WalRecord(REC_TOUCH, tag, hits=hits))
 
-    def append_migrate(
-        self,
-        kind: int,
-        migration_id: str,
-        range_lo: int = 0,
-        range_hi: int = 0,
-        peer: str = "",
-        role: int = MIGRATE_SOURCE,
-    ) -> None:
+    def append_migrate(self, record: WalRecord) -> None:
         """Log one migration hand-off mark (BEGIN / RANGE_COMMIT / END)."""
-        if kind not in (REC_MIGRATE_BEGIN, REC_MIGRATE_COMMIT, REC_MIGRATE_END):
-            raise StoreError(f"not a migration record kind: {kind}")
-        with self.tracer.span(
-            "durable.wal_append", clock=self.enclave.platform.clock, kind="migrate"
-        ):
-            self._append(WalRecord(
-                kind=kind,
-                tag=b"",
-                migration_id=migration_id,
-                range_lo=range_lo,
-                range_hi=range_hi,
-                peer=peer,
-                role=role,
-            ))
+        if RECORD_FIELDS.get(record.kind) is not _MIGRATE_FIELDS:
+            raise StoreError(f"not a migration record kind: {record.kind}")
+        with self._appending("migrate"):
+            self._append(record)
+
+    def _appending(self, kind: str, **attributes):
+        return self.tracer.span(
+            "durable.wal_append", clock=self.enclave.platform.clock,
+            kind=kind, **attributes,
+        )
 
     def _append(self, record: WalRecord) -> None:
         self._buffer.append(record)

@@ -4,7 +4,10 @@ Implements §IV-B of the paper: the enclave-protected metadata dictionary
 (:mod:`.metadata`), the outside-enclave ciphertext arena
 (:mod:`.blobstore`), eviction policies (:mod:`.eviction`), the DoS quota
 mechanism of §III-D (:mod:`.quota`), the service itself
-(:mod:`.resultstore`), and master-store replication (:mod:`.sync`).
+(:mod:`.resultstore` — one insert path behind the wire PUT, hand-off
+ingest, WAL replay and image restore), store-to-store hand-off incl.
+master-store replication (:mod:`.sync`), and sealed snapshots
+(:mod:`.persistence`).
 """
 
 from .authorization import AuthorizationError, AuthorizationPolicy

@@ -94,6 +94,12 @@ class MetadataDict:
         return entry
 
     def put(self, entry: MetadataEntry, touch=None) -> None:
+        """Insert ``entry``.  A new entry is stamped "inserted and last
+        used now"; one that carries its sequence numbers (it comes back
+        from a snapshot or checkpoint image) keeps them and its hit
+        count, so eviction policies pick the same victims after a
+        restart, and the internal counter advances past them to keep
+        later stamps monotonic."""
         if entry.tag in self._entries:
             raise StoreError("duplicate tag insert; use replace semantics explicitly")
         if self._free_slots:
@@ -101,25 +107,10 @@ class MetadataDict:
         else:
             entry.slot = self._next_slot
             self._next_slot += 1
-        entry.insert_seq = entry.last_access_seq = self._tick()
-        if touch is not None:
-            touch("store/metadata", entry.slot * ENTRY_SLOT_BYTES, ENTRY_SLOT_BYTES)
-        self._entries[entry.tag] = entry
-
-    def restore_entry(self, entry: MetadataEntry, touch=None) -> None:
-        """Insert a restored entry *preserving* its hit count and
-        insertion/recency sequence numbers (snapshot restore, WAL
-        recovery), so eviction policies keep picking the same victims
-        after a restart.  The internal sequence counter advances past the
-        restored values, keeping future ticks monotonic."""
-        if entry.tag in self._entries:
-            raise StoreError("duplicate tag insert; use replace semantics explicitly")
-        if self._free_slots:
-            entry.slot = self._free_slots.pop()
+        if entry.insert_seq:
+            self._seq = max(self._seq, entry.insert_seq, entry.last_access_seq)
         else:
-            entry.slot = self._next_slot
-            self._next_slot += 1
-        self._seq = max(self._seq, entry.insert_seq, entry.last_access_seq)
+            entry.insert_seq = entry.last_access_seq = self._tick()
         if touch is not None:
             touch("store/metadata", entry.slot * ENTRY_SLOT_BYTES, ENTRY_SLOT_BYTES)
         self._entries[entry.tag] = entry

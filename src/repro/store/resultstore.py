@@ -7,11 +7,22 @@ parsed, and the enclave-protected metadata dictionary accessed; the reply
 is protected before control returns to the host.  A ``use_sgx=False``
 variant runs the identical logic without an enclave — the "w/o SGX"
 series of the paper's Fig. 6.
+
+An entry has one lifecycle whichever way it arrives.  ``PUT_REQUEST``
+(lone or a ``BATCH_PUT`` item), hand-off ingest (:mod:`.sync`), WAL
+replay (:mod:`repro.durable.recovery`) and image restore (snapshots and
+checkpoints) each settle what is theirs — validation, first-write-wins,
+admission, charges, commit — and then call the one
+:meth:`ResultStore._insert`; every departure is :meth:`_evict_entry`.
+The other modules use the public surface only: ``ecall``, ``unlogged``,
+``stored``, ``collect_entries``, ``ingest_entry``, ``restore_entry``,
+``replay_*``, ``relog_open_migrations``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager, nullcontext
+from dataclasses import asdict, dataclass
 
 from .authorization import AuthorizationPolicy
 from .blobstore import BlobStore
@@ -21,7 +32,15 @@ from .oblivious import ObliviousMetadataDict
 from .quota import QuotaManager, QuotaPolicy
 from ..crypto.drbg import HmacDrbg
 from ..crypto.hashes import DIGEST_SIZE
-from ..durable.wal import DurableLog, WalConfig
+from ..durable.checkpoint import maybe_checkpoint
+from ..durable.wal import (
+    REC_MIGRATE_BEGIN,
+    REC_MIGRATE_COMMIT,
+    REC_MIGRATE_END,
+    DurableLog,
+    WalConfig,
+    WalRecord,
+)
 from ..errors import ProtocolError, QuotaExceededError, StoreError
 from ..obs.metrics import namespaced
 from ..obs.tracer import NULL_TRACER
@@ -135,20 +154,10 @@ class StoreStats:
     def snapshot(self) -> dict:
         """Flat, JSON-ready counter export (mirrors RuntimeStats.snapshot)
         under canonical ``store.<metric>`` keys."""
-        return namespaced("store", {
-            "gets": self.gets,
-            "hits": self.hits,
-            "puts": self.puts,
-            "puts_duplicate": self.puts_duplicate,
-            "puts_rejected": self.puts_rejected,
-            "evictions": self.evictions,
-            "tamper_detected": self.tamper_detected,
-            "restores": self.restores,
-            "restored_entries": self.restored_entries,
-            "recoveries": self.recoveries,
-            "power_fails": self.power_fails,
-            "hit_rate": self.hit_rate(),
-        }, renames=self._RENAMES)
+        return namespaced(
+            "store", {**asdict(self), "hit_rate": self.hit_rate()},
+            renames=self._RENAMES,
+        )
 
 
 def plain_channel_pair(clock, seed: bytes) -> tuple[ChannelEndpoint, ChannelEndpoint]:
@@ -192,19 +201,8 @@ class ResultStore:
                 f"resultstore@{address}", STORE_CODE_IDENTITY, signer=STORE_SIGNER
             )
             self.enclave.tracer = self.tracer
-        if self.config.oblivious_metadata:
-            self._dict: MetadataDict | ObliviousMetadataDict = ObliviousMetadataDict(
-                capacity=self.config.oblivious_capacity,
-                clock=platform.clock,
-                seed=seed + b"/oram",
-            )
-        else:
-            self._dict = MetadataDict()
-        self._blobs = BlobStore()
-        self._policy: EvictionPolicy = make_policy(self.config.eviction)
-        self._quota = (
-            QuotaManager(self.config.quota, platform.clock) if self.config.quota else None
-        )
+        self._seed = seed
+        self._reset_volatile_state()
         self.durable: DurableLog | None = None
         self._durable_suspended = False
         if self.config.durable:
@@ -223,17 +221,27 @@ class ResultStore:
                 tracer=self.tracer,
             )
         self._channels: dict[str, ChannelEndpoint] = {}
-        self._seed = seed
-        self._conn_counter = 0
+        self.stats = StoreStats()
+        network.set_reactor(address, self)
+
+    def _reset_volatile_state(self) -> None:
+        """Everything a power failure destroys, as a fresh store has it."""
+        cfg, clock = self.config, self.platform.clock
+        self._dict: MetadataDict | ObliviousMetadataDict = (
+            ObliviousMetadataDict(
+                capacity=cfg.oblivious_capacity, clock=clock, seed=self._seed + b"/oram"
+            )
+            if cfg.oblivious_metadata else MetadataDict()
+        )
+        self._blobs = BlobStore()
+        self._policy: EvictionPolicy = make_policy(cfg.eviction)
+        self._quota = QuotaManager(cfg.quota, clock) if cfg.quota else None
         # Migration hand-off marks: id -> {"peer", "role", "committed"
-        # (set of (lo, hi) ring ranges), "ended"}.  Volatile — a power
-        # failure wipes them and WAL replay rebuilds them.
+        # (set of (lo, hi) ring ranges), "ended"}; WAL replay rebuilds them.
         self._migrations: dict[str, dict] = {}
         # blobs_in_epc bookkeeping: blob_ref -> (enclave heap offset, size).
         self._epc_blob_extents: dict[int, tuple[int, int]] = {}
         self._epc_blob_cursor = 0
-        self.stats = StoreStats()
-        network.set_reactor(address, self)
 
     # -- connection management --------------------------------------------
     def connect(
@@ -259,7 +267,6 @@ class ResultStore:
             app_enclave.platform.clock if app_enclave is not None else self.platform.clock
         )
         endpoint = self.network.endpoint(client_address, client_clock)
-        self._conn_counter += 1
         if self.config.use_sgx:
             if app_enclave is None:
                 raise StoreError("SGX-mode connections require the application enclave")
@@ -312,8 +319,6 @@ class ResultStore:
                         # Group commit: everything this request logged
                         # becomes durable before the reply — the ack —
                         # leaves the machine.
-                        from ..durable.checkpoint import maybe_checkpoint
-
                         self.durable.commit()
                         maybe_checkpoint(self)
             else:
@@ -348,10 +353,35 @@ class ResultStore:
             return self._handle_batch_put(request)
         raise ProtocolError(f"unexpected message type {type(request).__name__}")
 
-    # -- touch helper ----------------------------------------------------------
+    # -- enclave boundary and log helpers -------------------------------------
     def _touch(self, region: str, offset: int, n_bytes: int) -> None:
         if self.enclave is not None:
             self.enclave.touch(region, offset, n_bytes)
+
+    def ecall(self, name: str, in_bytes: int = 0):
+        """Context for work that belongs inside the store enclave: one
+        ECALL, or nothing when the caller is already inside (or the store
+        runs without SGX)."""
+        if self.enclave is None or self.enclave.inside:
+            return nullcontext()
+        return self.enclave.ecall(name, in_bytes=in_bytes)
+
+    @property
+    def _wal(self) -> DurableLog | None:
+        """The log while mutations are to be logged: None on a volatile
+        store and inside :meth:`unlogged`."""
+        return None if self._durable_suspended else self.durable
+
+    @contextmanager
+    def unlogged(self):
+        """Mutations in this context are not logged: WAL replay must not
+        re-log itself, and :meth:`clear` models memory loss, not N
+        deliberate deletions."""
+        suspended, self._durable_suspended = self._durable_suspended, True
+        try:
+            yield
+        finally:
+            self._durable_suspended = suspended
 
     # -- GET -----------------------------------------------------------------
     def _handle_get(self, request: GetRequest) -> GetResponse:
@@ -368,9 +398,7 @@ class ResultStore:
                 sealed = self._blobs.get(entry.blob_ref)
                 read_span.set("bytes", len(sealed))
                 if self.config.blobs_in_epc:
-                    extent = self._epc_blob_extents.get(entry.blob_ref)
-                    if extent is not None:
-                        self._touch("store/blobs", extent[0], extent[1])
+                    self._touch("store/blobs", *self._epc_blob_extents[entry.blob_ref])
                 else:
                     # Copying the ciphertext across the enclave boundary.
                     self.platform.clock.charge_marshal(len(sealed))
@@ -387,14 +415,13 @@ class ResultStore:
                         return GetResponse(found=False)
             self.stats.hits += 1
             if (
-                self.durable is not None
-                and not self._durable_suspended
+                self._wal is not None
                 and self.config.recency_log_interval > 0
                 and entry.hits % self.config.recency_log_interval == 0
             ):
                 # Coalesced recency mark: one record per N hits keeps the
                 # log cheap while restored eviction order tracks reads.
-                self.durable.append_touch(entry.tag, entry.hits)
+                self._wal.append_touch(entry.tag, entry.hits)
             get_span.set("found", True)
             return GetResponse(
                 found=True,
@@ -428,29 +455,54 @@ class ResultStore:
             size = len(request.sealed_result)
             if self._quota is not None:
                 self._quota.admit_put(request.app_id, size)
-            self._make_room(size)
-            with self.tracer.span(
-                "store.blob_write", clock=self.platform.clock, bytes=size
-            ):
-                self.platform.clock.charge_hash(size)  # blob digest
-                ref = self._write_blob(request.sealed_result)
-                if not self.config.blobs_in_epc:
-                    # Ciphertext leaves the enclave.
-                    self.platform.clock.charge_marshal(size)
-            entry = MetadataEntry(
-                tag=request.tag,
-                challenge=request.challenge,
-                wrapped_key=request.wrapped_key,
-                blob_ref=ref,
-                blob_digest=blob_digest(request.sealed_result),
-                size=size,
-                app_id=request.app_id,
+            self._insert(
+                request.sealed_result, self._wire_blob_write(size),
+                tag=request.tag, challenge=request.challenge,
+                wrapped_key=request.wrapped_key, app_id=request.app_id,
             )
-            self._dict.put(entry, touch=self._touch)
-            if self.durable is not None and not self._durable_suspended:
-                self.durable.append_put(entry, request.sealed_result)
             put_span.set("outcome", "stored")
             return PutResponse(accepted=True)
+
+    @contextmanager
+    def _wire_blob_write(self, size: int):
+        """What a PUT off the wire adds around its blob write: the
+        ``store.blob_write`` span, the blob-digest hash and — unless the
+        arena is enclave heap — the copy out of the enclave."""
+        clock = self.platform.clock
+        with self.tracer.span("store.blob_write", clock=clock, bytes=size):
+            clock.charge_hash(size)
+            yield
+            if not self.config.blobs_in_epc:
+                clock.charge_marshal(size)
+
+    # -- the one way into the dictionary -----------------------------------------
+    def _insert(self, sealed_result: bytes, blob_write=nullcontext(), **fields) -> None:
+        """Make ``(tag, r, [k], [res])`` a dictionary entry — what a wire
+        PUT, a hand-off ingest, a replayed WAL record and a restored
+        image entry all do once their caller has settled first-write-wins
+        (the tag must be absent) and admission: make room by policy,
+        write the blob (with its extent when the arena is enclave heap),
+        enter the metadata and log the PUT when logging is live.
+
+        ``fields`` are the :class:`MetadataEntry`'s own — ``tag``,
+        ``challenge``, ``wrapped_key``, ``app_id`` and, when the caller
+        has them, ``hits`` and the two sequence numbers, which are then
+        kept.  ``blob_write`` is entered around the blob write so the
+        wire path can trace and meter it."""
+        size = len(sealed_result)
+        self._make_room(size)
+        with blob_write:
+            ref = self._blobs.put(sealed_result)
+            if self.config.blobs_in_epc:
+                self._epc_blob_extents[ref] = (self._epc_blob_cursor, size)
+                self._touch("store/blobs", self._epc_blob_cursor, size)
+                self._epc_blob_cursor += size
+        entry = MetadataEntry(
+            blob_ref=ref, blob_digest=blob_digest(sealed_result), size=size, **fields
+        )
+        self._dict.put(entry, touch=self._touch)
+        if self._wal is not None:
+            self._wal.append_put(entry, sealed_result)
 
     # -- batch handlers -------------------------------------------------------
     # The whole batch is served inside the single ECALL that pump() opened
@@ -474,26 +526,20 @@ class ResultStore:
                 results.append(PutResponse(accepted=False, reason=f"{exc.code}: {exc}"))
         return BatchPutResponse(items=tuple(results))
 
-    def _write_blob(self, sealed_result: bytes) -> int:
-        """Place one ciphertext in the blob arena; with ``blobs_in_epc``
-        the arena is enclave heap, so the write records the blob's extent
-        and touches its pages."""
-        ref = self._blobs.put(sealed_result)
-        if self.config.blobs_in_epc:
-            size = len(sealed_result)
-            self._epc_blob_extents[ref] = (self._epc_blob_cursor, size)
-            self._touch("store/blobs", self._epc_blob_cursor, size)
-            self._epc_blob_cursor += size
-        return ref
+    def can_accept(self, size: int) -> bool:
+        """Whether one more ``size``-byte entry fits without evicting.
+        Migration uses this to refuse a batch instead of silently
+        evicting foreground entries on a full target shard."""
+        cfg = self.config
+        if cfg.capacity_entries is not None and len(self._dict) >= cfg.capacity_entries:
+            return False
+        return (
+            cfg.capacity_bytes is None
+            or self._dict.total_bytes() + size <= cfg.capacity_bytes
+        )
 
     def _make_room(self, incoming: int) -> None:
-        cfg = self.config
-        while (
-            cfg.capacity_entries is not None and len(self._dict) >= cfg.capacity_entries
-        ) or (
-            cfg.capacity_bytes is not None
-            and self._dict.total_bytes() + incoming > cfg.capacity_bytes
-        ):
+        while not self.can_accept(incoming):
             entries = self._dict.entries()
             if not entries:
                 raise StoreError("capacity too small for a single entry")
@@ -509,39 +555,35 @@ class ResultStore:
         self._epc_blob_extents.pop(entry.blob_ref, None)
         if self._quota is not None and entry.app_id != HANDOFF_APP_ID:
             self._quota.release(entry.app_id, entry.size)
-        if self.durable is not None and not self._durable_suspended:
-            self.durable.append_remove(entry.tag, discard=discard)
+        if self._wal is not None:
+            self._wal.append_remove(entry.tag, discard=discard)
 
     # -- hand-off (master-store sync of the §IV-B remark, resharding) ----------
     def ingest_entry(
         self, tag: bytes, challenge: bytes, wrapped_key: bytes, sealed_result: bytes
     ) -> bool:
-        """Directly insert a replicated entry (sync path, already
-        authenticated by the sync channel); returns False on duplicate."""
-        if self.enclave is not None and not self.enclave.inside:
-            with self.enclave.ecall("ingest_entry", in_bytes=len(sealed_result)):
-                return self.ingest_entry(tag, challenge, wrapped_key, sealed_result)
-        if tag in self._dict:
-            return False
-        size = len(sealed_result)
-        self._make_room(size)
-        ref = self._write_blob(sealed_result)
-        entry = MetadataEntry(
-            tag=tag,
-            challenge=challenge,
-            wrapped_key=wrapped_key,
-            blob_ref=ref,
-            blob_digest=blob_digest(sealed_result),
-            size=size,
-            app_id=HANDOFF_APP_ID,
-        )
-        self._dict.put(entry, touch=self._touch)
-        if self.durable is not None and not self._durable_suspended:
-            # Hand-off log: replicated/migrated entries arrive outside the
-            # request loop, so they commit here rather than in pump().
-            self.durable.append_put(entry, sealed_result)
-            self.durable.commit()
-        return True
+        """Insert one shipped entry (already authenticated by the
+        store-to-store channel); returns False on duplicate — the first
+        stored version wins."""
+        with self.ecall("ingest_entry", in_bytes=len(sealed_result)):
+            if tag in self._dict:
+                return False
+            self._insert(
+                sealed_result, tag=tag, challenge=challenge,
+                wrapped_key=wrapped_key, app_id=HANDOFF_APP_ID,
+            )
+            if self._wal is not None:
+                # Hand-off log: shipped entries arrive outside the request
+                # loop, so they commit here rather than in pump().
+                self._wal.commit()
+            return True
+
+    def stored(self, predicate=lambda entry: True):
+        """``(entry, ciphertext)`` for every entry satisfying
+        ``predicate`` (call inside the enclave)."""
+        for entry in self._dict.entries():
+            if predicate(entry):
+                yield entry, self._blobs.get(entry.blob_ref)
 
     def collect_entries(self, predicate) -> list[tuple[bytes, bytes, bytes, bytes]]:
         """Export the ``(tag, r, [k], [res])`` tuples of the entries that
@@ -553,75 +595,40 @@ class ResultStore:
         enclave ever receives the result (:mod:`repro.store.sync`); no
         wire message reaches this method.
         """
-        if self.enclave is not None and not self.enclave.inside:
-            with self.enclave.ecall("migrate_collect"):
-                return self.collect_entries(predicate)
-        out = []
-        for entry in self._dict.entries():
-            if not predicate(entry):
-                continue
-            sealed = self._blobs.get(entry.blob_ref)
-            self.platform.clock.charge_marshal(len(sealed))
-            out.append((entry.tag, entry.challenge, entry.wrapped_key, sealed))
-        return out
+        with self.ecall("migrate_collect"):
+            out = []
+            for entry, sealed in self.stored(predicate):
+                self.platform.clock.charge_marshal(len(sealed))
+                out.append((entry.tag, entry.challenge, entry.wrapped_key, sealed))
+            return out
 
     def tags_matching(self, predicate) -> list[bytes]:
         """Tags whose value satisfies ``predicate`` — the cheap scan used
         to find entries a ring change re-homed (no ciphertexts leave)."""
-        if self.enclave is not None and not self.enclave.inside:
-            with self.enclave.ecall("migrate_scan"):
-                return self.tags_matching(predicate)
-        return [e.tag for e in self._dict.entries() if predicate(e.tag)]
+        with self.ecall("migrate_scan"):
+            return [e.tag for e in self._dict.entries() if predicate(e.tag)]
 
     def discard_tags(self, tags) -> int:
         """Drop entries this store no longer owns after a ring change;
         returns the number removed.  Quota held by the owning app is
         released, mirroring eviction."""
         removed = 0
-        if self.enclave is not None and not self.enclave.inside:
-            with self.enclave.ecall("migrate_discard"):
-                return self.discard_tags(tags)
-        for tag in tags:
-            entry = self._dict.peek(tag)
-            if entry is None:
-                continue
-            self._evict_entry(entry, discard=True)
-            removed += 1
-        if self.durable is not None and not self._durable_suspended:
-            self.durable.commit()  # hand-off log for the migration source
+        with self.ecall("migrate_discard"):
+            for tag in tags:
+                entry = self._dict.peek(tag)
+                if entry is None:
+                    continue
+                self._evict_entry(entry, discard=True)
+                removed += 1
+            if self._wal is not None:
+                self._wal.commit()  # hand-off log for the migration source
         return removed
-
-    def can_accept(self, size: int) -> bool:
-        """Whether one more ``size``-byte entry fits without evicting.
-        Migration uses this to refuse a batch instead of silently
-        evicting foreground entries on a full target shard."""
-        cfg = self.config
-        if cfg.capacity_entries is not None and len(self._dict) >= cfg.capacity_entries:
-            return False
-        if (
-            cfg.capacity_bytes is not None
-            and self._dict.total_bytes() + size > cfg.capacity_bytes
-        ):
-            return False
-        return True
 
     # -- migration hand-off marks ----------------------------------------------
     @property
     def migration_open(self) -> bool:
         """True while this shard participates in an unfinished hand-off."""
         return any(not m["ended"] for m in self._migrations.values())
-
-    def migration_marks(self, migration_id: str) -> dict | None:
-        """This shard's durable view of one migration (tests/resume)."""
-        mark = self._migrations.get(migration_id)
-        if mark is None:
-            return None
-        return {
-            "peer": mark["peer"],
-            "role": mark["role"],
-            "committed": set(mark["committed"]),
-            "ended": mark["ended"],
-        }
 
     def note_migrate(
         self,
@@ -636,33 +643,19 @@ class ResultStore:
         shard's participation, RANGE_COMMIT pins one handed-off range.
         Durable stores seal the mark into the WAL before returning, so
         the hand-off protocol survives a power failure on either side."""
-        if self.enclave is not None and not self.enclave.inside:
-            with self.enclave.ecall("migrate_mark"):
-                return self.note_migrate(
-                    kind, migration_id, range_lo, range_hi, peer, role
-                )
-        from ..durable.wal import WalRecord
+        record = WalRecord(
+            kind, b"", migration_id=migration_id,
+            range_lo=range_lo, range_hi=range_hi, peer=peer, role=role,
+        )
+        with self.ecall("migrate_mark"):
+            self.replay_migrate(record)
+            if self._wal is not None:
+                self._wal.append_migrate(record)
+                self._wal.commit()
 
-        self._note_migrate(WalRecord(
-            kind=kind,
-            tag=b"",
-            migration_id=migration_id,
-            range_lo=range_lo,
-            range_hi=range_hi,
-            peer=peer,
-            role=role,
-        ))
-        if self.durable is not None and not self._durable_suspended:
-            self.durable.append_migrate(
-                kind, migration_id, range_lo, range_hi, peer, role
-            )
-            self.durable.commit()
-
-    def _note_migrate(self, record) -> None:
+    def replay_migrate(self, record: WalRecord) -> None:
         """Apply one migration mark to the volatile view (live append and
         WAL replay share this)."""
-        from ..durable.wal import REC_MIGRATE_COMMIT, REC_MIGRATE_END
-
         mark = self._migrations.setdefault(record.migration_id, {
             "peer": record.peer,
             "role": record.role,
@@ -676,50 +669,31 @@ class ResultStore:
         elif record.kind == REC_MIGRATE_END:
             mark["ended"] = True
 
-    def _relog_open_migrations(self) -> None:
+    def relog_open_migrations(self) -> None:
         """Re-seal the marks of still-open migrations into the fresh log
         (recovery folds the old log into a checkpoint, which would
         otherwise drop them)."""
-        if self.durable is None or not self._migrations:
-            return
-        from ..durable.wal import (
-            REC_MIGRATE_BEGIN,
-            REC_MIGRATE_COMMIT,
-        )
-
-        logged = False
         for migration_id, mark in self._migrations.items():
             if mark["ended"]:
                 continue
-            self.durable.append_migrate(
-                REC_MIGRATE_BEGIN, migration_id, peer=mark["peer"], role=mark["role"]
-            )
-            for lo, hi in sorted(mark["committed"]):
-                self.durable.append_migrate(
-                    REC_MIGRATE_COMMIT, migration_id, lo, hi,
+            marks = [(REC_MIGRATE_BEGIN, 0, 0)] + [
+                (REC_MIGRATE_COMMIT, lo, hi) for lo, hi in sorted(mark["committed"])
+            ]
+            for kind, lo, hi in marks:
+                self.durable.append_migrate(WalRecord(
+                    kind, b"", migration_id=migration_id, range_lo=lo, range_hi=hi,
                     peer=mark["peer"], role=mark["role"],
-                )
-            logged = True
-        if logged:
-            self.durable.commit()
+                ))
+        self.durable.commit()
 
     def clear(self) -> int:
         """Drop every entry and blob (a crashed store process loses its
         in-memory state); quota held by contributing apps is released.
         Returns the number of entries dropped."""
-        if self.enclave is not None and not self.enclave.inside:
-            with self.enclave.ecall("clear"):
-                return self.clear()
-        entries = self._dict.entries()
-        # clear() models memory *loss*, not N deliberate deletions — the
-        # durable log must not record it as evictions.
-        suspended = self._durable_suspended
-        self._durable_suspended = True
-        try:
+        with self.ecall("clear"), self.unlogged():
+            entries = self._dict.entries()
             for entry in entries:
                 self._evict_entry(entry)
-        finally:
-            self._durable_suspended = suspended
         return len(entries)
 
     # -- power failure and recovery (repro.durable) ---------------------------
@@ -734,14 +708,7 @@ class ResultStore:
         if self.durable is None:
             raise StoreError("power_fail requires a durable-mode store")
         wiped = len(self._dict)
-        self._dict = MetadataDict()
-        self._blobs = BlobStore()
-        self._policy = make_policy(self.config.eviction)
-        if self.config.quota:
-            self._quota = QuotaManager(self.config.quota, self.platform.clock)
-        self._epc_blob_extents.clear()
-        self._epc_blob_cursor = 0
-        self._migrations = {}
+        self._reset_volatile_state()
         self.durable.power_fail()
         self.stats.power_fails += 1
         return wiped
@@ -753,32 +720,39 @@ class ResultStore:
 
         return recover_store(self)
 
-    def replay_insert(self, record, sealed_result: bytes) -> bool:
-        """Re-insert one logged PUT during WAL replay (recovery only).
-        Quota is re-admitted without rate-limiting — the entry was
-        admitted before the crash.  Returns False on duplicate."""
-        if record.tag in self._dict:
+    def restore_entry(self, sealed_result: bytes, **fields) -> bool:
+        """Put back one entry this store (or its predecessor) held before
+        a restart — from a snapshot, a checkpoint or the log; ``fields``
+        as for :meth:`_insert`.  Its contributor's usage is re-credited
+        without limit or rate check: the entry was admitted before the
+        restart.  Returns False on duplicate."""
+        if fields["tag"] in self._dict:
             return False
-        self._make_room(record.size)
-        ref = self._write_blob(sealed_result)
-        self.platform.clock.charge_marshal(record.size)
-        self._dict.put(
-            MetadataEntry(
-                tag=record.tag,
-                challenge=record.challenge,
-                wrapped_key=record.wrapped_key,
-                blob_ref=ref,
-                blob_digest=record.blob_digest,
-                size=record.size,
-                app_id=record.app_id,
-            ),
-            touch=self._touch,
-        )
-        if self._quota is not None and record.app_id != HANDOFF_APP_ID:
-            self._quota.restore(record.app_id, record.size)
+        self._insert(sealed_result, **fields)
+        if self._quota is not None and fields["app_id"] != HANDOFF_APP_ID:
+            self._quota.restore(fields["app_id"], len(sealed_result))
         return True
 
-    def replay_touch(self, record) -> bool:
+    def replay_insert(self, record: WalRecord, sealed_result: bytes) -> bool:
+        """Re-insert one logged PUT (``sealed_result`` already checked
+        against the record's digest); returns False on duplicate."""
+        if record.tag in self._dict:
+            return False
+        self.platform.clock.charge_marshal(record.size)
+        return self.restore_entry(
+            sealed_result, tag=record.tag, challenge=record.challenge,
+            wrapped_key=record.wrapped_key, app_id=record.app_id,
+        )
+
+    def replay_remove(self, record: WalRecord) -> bool:
+        """Re-apply one logged eviction or discard; False if the tag is
+        not held."""
+        entry = self._dict.peek(record.tag)
+        if entry is not None:
+            self._evict_entry(entry)
+        return entry is not None
+
+    def replay_touch(self, record: WalRecord) -> bool:
         """Re-apply one logged GET-recency mark during WAL replay."""
         return self._dict.touch_restore(record.tag, record.hits, touch=self._touch)
 
