@@ -5,29 +5,23 @@ where it was" is only checkable if two runs of one tree agree on them,
 which is what ``--check-repeat`` tests.  This wrapper runs it as a fixed
 amount of work (``--seconds 0``: each window is exactly the workload's
 ``sim_requests``, however fast the host or the program is) and forgives
-one thing the benchmark reports and the program cannot yet avoid: a
-derived float that differs in its last digits.  ``PipelineEngine`` takes
-its per-round cycle deltas from a ``SimClock`` that also accumulates
-host-timed compute, so ``(clock + x) - clock`` rounds differently from
-run to run and ``engine.overlap_share`` wobbles by ~1e-16 in about half
-of all pairs of runs, at the parent commit as well.  Anything larger, any
-count, any oracle failure still fails.
+nothing: any ``NOT REPEATABLE`` line, violation or oracle failure fails.
+(It used to forgive ``engine.overlap_share`` differing in its last
+digits; ``PipelineEngine`` now takes its cycle deltas from
+``SimClock.modelled_cycles``, which host-timed compute never touches, so
+the figure repeats exactly.)
 
-Delete this file once the benchmark compares derived floats with a
-tolerance itself (a benchmark-only change).
+Delete this file once fixed work is the benchmark's own default for its
+gates (a benchmark-only change, ROADMAP item 1(b)).
 """
 
 from __future__ import annotations
 
-import math
-import re
 import subprocess
 import sys
 from pathlib import Path
 
 RUN = Path(__file__).resolve().parent / "e2e" / "run.py"
-DIFFERENCE = re.compile(r"^NOT REPEATABLE (\S+) (\S+): (\S+) then (\S+)$")
-LAST_DIGITS = 1e-12
 
 
 def main() -> int:
@@ -37,20 +31,12 @@ def main() -> int:
     )
     lines = done.stdout.splitlines()
     verdict = lines[-1] if lines else "run.py printed nothing"
-    real, forgiven = [], []
-    for line in lines:
-        found = DIFFERENCE.match(line)
-        if found is None:
-            if line.startswith(("VIOLATION", "SEED IGNORED", "FAILED")):
-                real.append(line)
-            continue
-        # Counts differ by at least 1, far outside this tolerance.
-        close = math.isclose(float(found[3]), float(found[4]), rel_tol=LAST_DIGITS)
-        (forgiven if close else real).append(line)
+    real = [
+        line for line in lines
+        if line.startswith(("NOT REPEATABLE", "VIOLATION", "SEED IGNORED", "FAILED"))
+    ]
     if "oracle passed" not in verdict:
         real.append(verdict)
-    for line in forgiven:
-        print(f"forgiven (last digits only): {line}")
     for line in real:
         print(line)
     print(verdict)

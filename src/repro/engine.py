@@ -47,10 +47,11 @@ round's per-op critical-path latency keeps up with the best the window
 has seen, and shrinks multiplicatively on failure, circuit-breaker, or
 PUT back-pressure signals.  The controller only ever sees
 **replay-deterministic** observations: round makespans here are sums of
-modeled wire/crypto/store charges (``charge_compute``'s measured host
-time never lands inside an engine round), so the decision sequence is a
-pure function of the op stream — a property the simulation harness
-digests and replays.  While the shard ring holds a dual-ownership
+modeled wire/crypto/store charges — every round, region and background
+delta is read off ``SimClock.modelled_cycles``, the running total that
+leaves out ``charge_compute``'s measured host time, so not even its
+rounding reaches them — and the decision sequence is a pure function of
+the op stream, a property the simulation harness digests and replays.  While the shard ring holds a dual-ownership
 migration window the controller additionally caps depth and reports the
 capped-off slots via :meth:`PipelineEngine.background_budget`, which a
 :class:`~repro.cluster.migration.RangeMigrator` uses to widen its
@@ -530,7 +531,7 @@ class PipelineEngine:
         migration = self._migration_active()
         failures0 = self.failures
         lanes = self._lanes(remote)
-        round_start = {sid: c.snapshot() for sid, c in remote.items()}
+        round_start = {sid: c.modelled_cycles for sid, c in remote.items()}
         lane_busy = [0.0] * lanes
         chains: list[float] = []
         group_requests = [request for _, request in ops]
@@ -542,19 +543,19 @@ class PipelineEngine:
             pending: list = []
             for slot, positions in enumerate(groups):
                 sub = [group_requests[p] for p in positions]
-                app0 = self.clock.snapshot()
-                shard0 = {sid: c.snapshot() for sid, c in remote.items()}
+                app0 = self.clock.modelled_cycles
+                shard0 = {sid: c.modelled_cycles for sid, c in remote.items()}
                 handle = error = None
                 try:
                     handle = submit(sub)
                 except _ENGINE_FAILURES as exc:
                     error = exc
-                app_d = self.clock.since(app0)
-                shard_d = sum(c.since(shard0[sid]) for sid, c in remote.items())
+                app_d = self.clock.modelled_cycles - app0
+                shard_d = sum(c.modelled_cycles - shard0[sid] for sid, c in remote.items())
                 pending.append((slot, positions, handle, error, app_d, shard_d))
             for slot, positions, handle, error, app_d, shard_d in pending:
-                app0 = self.clock.snapshot()
-                shard0 = {sid: c.snapshot() for sid, c in remote.items()}
+                app0 = self.clock.modelled_cycles
+                shard0 = {sid: c.modelled_cycles for sid, c in remote.items()}
                 if error is None:
                     try:
                         replies: list = wait(handle, len(positions))
@@ -564,14 +565,14 @@ class PipelineEngine:
                 else:
                     replies = [error] * len(positions)
                     self.failures += len(positions)
-                app_d += self.clock.since(app0)
-                shard_d += sum(c.since(shard0[sid]) for sid, c in remote.items())
+                app_d += self.clock.modelled_cycles - app0
+                shard_d += sum(c.modelled_cycles - shard0[sid] for sid, c in remote.items())
                 lane_busy[slot % lanes] += app_d
                 chains.append(app_d + shard_d)
                 for position, reply in zip(positions, replies):
                     index, _ = ops[position]
                     responses[index] = reply
-            shard_fg = [c.since(round_start[sid]) for sid, c in remote.items()]
+            shard_fg = [c.modelled_cycles - round_start[sid] for sid, c in remote.items()]
             shard_busy = [
                 fg + self._bg_shard.pop(sid, 0.0)
                 for fg, sid in zip(shard_fg, remote)
@@ -728,12 +729,12 @@ class _RegionTask:
         self._region = region
 
     def __enter__(self) -> "_RegionTask":
-        self._app0 = self._region._engine.clock.snapshot()
+        self._app0 = self._region._engine.clock.modelled_cycles
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self._region._costs.append(
-            self._region._engine.clock.since(self._app0)
+            self._region._engine.clock.modelled_cycles - self._app0
         )
         return False
 
@@ -748,15 +749,15 @@ class _BackgroundSpan:
 
     def __enter__(self) -> "_BackgroundSpan":
         self._remote = self._engine._remote_clocks()
-        self._app0 = self._engine.clock.snapshot()
-        self._shard0 = {sid: c.snapshot() for sid, c in self._remote.items()}
+        self._app0 = self._engine.clock.modelled_cycles
+        self._shard0 = {sid: c.modelled_cycles for sid, c in self._remote.items()}
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         engine = self._engine
-        engine._bg_app += engine.clock.since(self._app0)
+        engine._bg_app += engine.clock.modelled_cycles - self._app0
         for sid, c in self._remote.items():
-            delta = c.since(self._shard0[sid])
+            delta = c.modelled_cycles - self._shard0[sid]
             if delta:
                 engine._bg_shard[sid] = engine._bg_shard.get(sid, 0.0) + delta
         return False

@@ -97,6 +97,7 @@ class SimClock:
     def __init__(self, params: CostParams | None = None):
         self.params = params or CostParams()
         self._cycles: float = 0.0
+        self._modelled: float = 0.0
         self._by_category: dict[str, float] = defaultdict(float)
 
     # -- raw charging ---------------------------------------------------
@@ -105,6 +106,8 @@ class SimClock:
             raise EnclaveError("cannot charge negative cycles")
         self._cycles += cycles
         self._by_category[category] += cycles
+        if category != "compute":
+            self._modelled += cycles
 
     def charge_seconds(self, seconds: float, category: str = "other") -> None:
         self.charge_cycles(seconds * self.params.cpu_freq_hz, category)
@@ -170,6 +173,15 @@ class SimClock:
     def cycles(self) -> float:
         return self._cycles
 
+    @property
+    def modelled_cycles(self) -> float:
+        """Cycles from modelled charges alone: every category but
+        ``compute``, the one charge that is measured host time.  A pure
+        function of the inputs, so a delta of it repeats to the last bit
+        (``cycles`` deltas inherit the rounding of whatever compute was
+        charged before them)."""
+        return self._modelled
+
     def elapsed_seconds(self) -> float:
         return self._cycles / self.params.cpu_freq_hz
 
@@ -185,7 +197,7 @@ class SimClock:
         return self._cycles - snapshot
 
     def reset(self) -> None:
-        self._cycles = 0.0
+        self._cycles = self._modelled = 0.0
         self._by_category.clear()
 
 

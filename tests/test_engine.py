@@ -27,6 +27,10 @@ class FakeClock:
     def since(self, snapshot):
         return self.cycles - snapshot
 
+    @property
+    def modelled_cycles(self):
+        return self.cycles  # the fake charges no host-timed compute
+
     def advance(self, cycles):
         self.cycles += cycles
 
@@ -361,6 +365,38 @@ class TestParallelRegion:
             pass
         assert engine.makespan_cycles == 0.0
         assert engine.serial_cycles == 0.0
+
+
+class TestDeltasIgnoreHostTimedCompute:
+    def test_accounting_is_exact_whatever_compute_was_charged_before(self):
+        # charge_compute charges *measured* host time, different on every
+        # run.  The engine's deltas must not inherit its rounding: they
+        # come off SimClock.modelled_cycles, so the same modelled work
+        # accounts to the same bits after any amount of compute.
+        from repro.sgx.cost_model import SimClock
+
+        def accounted(compute_seconds):
+            app, shard = SimClock(), SimClock()
+            engine = PipelineEngine(
+                GroupedFakeClient(app, {"shard-0": shard}), app, {"shard-0": shard},
+                config=EngineConfig(depth=8, workers=2),
+            )
+            totals = []
+            for step in range(50):
+                app.charge_compute(compute_seconds * (step + 1))
+                with engine.parallel_region() as region:
+                    for _ in range(3):
+                        with region.task():
+                            app.charge_aead_encrypt(1021)   # 4.7 cycles/byte
+                with engine.background():
+                    app.charge_network(333)                 # 1.2 cycles/byte
+                    shard.charge_aead_decrypt(777)          # 0.65 cycles/byte
+                engine.settle()
+                totals.append((engine.makespan_cycles, engine.serial_cycles))
+            assert app.cycles >= app.modelled_cycles > 0
+            return totals
+
+        assert accounted(1.234567e-3) == accounted(9.87654321e-2) == accounted(0.0)
 
 
 class TestSnapshot:
