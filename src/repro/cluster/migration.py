@@ -71,6 +71,11 @@ class MigrationReport(ReportMixin):
     batches: int = 0       # bounded streaming batches shipped
 
 
+def _gaining(rng: MigrationRange) -> list[str]:
+    """The shards that take ``rng`` on without having held it."""
+    return [d for d in rng.dests if d not in rng.sources]
+
+
 def _sweep_stale(cluster: "StoreCluster", shard_id: str) -> int:
     """Drop every copy ``shard_id`` holds of a tag the ring says it does
     not own; returns the number dropped."""
@@ -152,22 +157,18 @@ class RangeMigrator:
         self.stalled_batches = 0
 
     # -- lifecycle ------------------------------------------------------------
-    @property
-    def factor(self) -> int:
-        return self.cluster.config.replication_factor
-
     def start(self) -> tuple[MigrationRange, ...]:
         """Open the dual-ownership window; returns the moved ranges."""
         if self.started:
             raise MigrationStateError("migration already started")
-        self.ranges = self.cluster.ring.begin_plan(self.plan, self.factor)
+        self.ranges = self.cluster.ring.begin_plan(
+            self.plan, self.cluster.config.replication_factor
+        )
         self.started = True
         self._participants = tuple(sorted(
             {s for rng in self.ranges for s in (*rng.sources, *rng.dests)}
         ))
-        gaining = {
-            d for rng in self.ranges for d in rng.dests if d not in rng.sources
-        }
+        gaining = {d for rng in self.ranges for d in _gaining(rng)}
         for sid in self._participants:
             role = MIGRATE_DEST if sid in gaining else MIGRATE_SOURCE
             self._store(sid).note_migrate(
@@ -189,12 +190,7 @@ class RangeMigrator:
         """
         if not self.started or self.finished:
             raise MigrationStateError("migration is not streaming")
-        for rng in self.ranges:
-            if rng.index in self._done:
-                continue
-            if self._step_one(rng):
-                return True
-        return False
+        return any(self._step_one(rng) for rng in self.pending_ranges())
 
     def _step_one(self, rng: MigrationRange) -> bool:
         """Hand off one specific pending range (False when blocked)."""
@@ -236,10 +232,8 @@ class RangeMigrator:
         budget = max(1, -(-pending // max(1, rounds_left)))
         if self.engine is not None and hasattr(self.engine, "background_budget"):
             gaining = {
-                d
-                for rng in pending_ranges
-                for d in rng.dests
-                if d not in rng.sources and self.cluster.shard_alive(d)
+                d for rng in pending_ranges for d in _gaining(rng)
+                if self.cluster.shard_alive(d)
             }
             budget = min(
                 budget,
@@ -257,11 +251,7 @@ class RangeMigrator:
                 break
             ordered = sorted(
                 pending_now,
-                key=lambda rng: (
-                    len({d for d in rng.dests if d not in rng.sources}
-                        & used_dests),
-                    rng.index,
-                ),
+                key=lambda rng: (len(used_dests.intersection(_gaining(rng))), rng.index),
             )
             picked = None
             for rng in ordered:
@@ -270,9 +260,7 @@ class RangeMigrator:
                     break
             if picked is None:
                 break
-            used_dests.update(
-                d for d in picked.dests if d not in picked.sources
-            )
+            used_dests.update(_gaining(picked))
             committed += 1
         return committed
 
@@ -375,7 +363,7 @@ class RangeMigrator:
     # -- one range ------------------------------------------------------------
     def _try_range(self, rng: MigrationRange) -> bool:
         cluster = self.cluster
-        new_dests = [d for d in rng.dests if d not in rng.sources]
+        new_dests = _gaining(rng)
         # A dead destination blocks the range: its commit mark (and the
         # entries themselves) must be durable there before the sources
         # may discard.

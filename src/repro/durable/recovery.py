@@ -109,10 +109,8 @@ def recover_store(store) -> RecoveryReport:
                     payload = store.enclave.unseal(segment.sealed)
                     prev_chain, first_seq, records = decode_segment(payload)
                 except (SealingError, SerializationError, StoreError):
-                    if index == len(log.segments) - 1:
-                        torn_tail = True
-                    else:
-                        chain_broken = True
+                    torn_tail = index == len(log.segments) - 1
+                    chain_broken = not torn_tail
                     stop_index = index
                     break
                 if prev_chain != running or first_seq != expected_seq:

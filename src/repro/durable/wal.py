@@ -212,8 +212,8 @@ class DurableLog:
         self.checkpoint = None                    # CheckpointImage | None
         # -- volatile half (wiped by power_fail) --------------------------
         self._buffer: list[WalRecord] = []
-        self._chain = GENESIS_CHAIN
-        self._next_seq = 1
+        self.chain = GENESIS_CHAIN
+        self.next_seq = 1
         # -- counters -----------------------------------------------------
         self.appends = 0
         self.commits = 0
@@ -279,17 +279,17 @@ class DurableLog:
         with self.tracer.span(
             "durable.wal_commit", clock=clock, records=len(self._buffer)
         ):
-            payload = encode_segment(self._chain, self._next_seq, self._buffer)
+            payload = encode_segment(self.chain, self.next_seq, self._buffer)
             sealed = self.enclave.seal(payload, SealPolicy.MRSIGNER)
-            self._chain = chain_step(sealed.payload)
+            self.chain = chain_step(sealed.payload)
             committed = len(self._buffer)
             self.segments.append(WalSegment(
-                first_seq=self._next_seq,
+                first_seq=self.next_seq,
                 n_records=committed,
-                chain=self._chain,
+                chain=self.chain,
                 sealed=sealed,
             ))
-            self._next_seq += committed
+            self.next_seq += committed
             self._buffer.clear()
             self.commits += 1
             self.records_logged += committed
@@ -300,14 +300,6 @@ class DurableLog:
     @property
     def pending_records(self) -> int:
         return len(self._buffer)
-
-    @property
-    def next_seq(self) -> int:
-        return self._next_seq
-
-    @property
-    def chain(self) -> bytes:
-        return self._chain
 
     def records_in_log(self) -> int:
         return sum(segment.n_records for segment in self.segments)
@@ -321,8 +313,8 @@ class DurableLog:
         chain head.  The durable artifacts are untouched; recovery
         re-derives the chain from the checkpoint anchor."""
         self._buffer.clear()
-        self._chain = GENESIS_CHAIN
-        self._next_seq = 1
+        self.chain = GENESIS_CHAIN
+        self.next_seq = 1
         self.power_failures += 1
 
     def install_checkpoint(self, image) -> None:
@@ -339,8 +331,8 @@ class DurableLog:
     def resume_from(self, seq: int, chain: bytes) -> None:
         """Point the volatile half at the recovered position so normal
         logging continues the chain recovery verified."""
-        self._next_seq = seq
-        self._chain = chain
+        self.next_seq = seq
+        self.chain = chain
 
     # -- observability ----------------------------------------------------
     def snapshot(self) -> dict:

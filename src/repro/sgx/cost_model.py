@@ -175,11 +175,10 @@ class SimClock:
 
     @property
     def modelled_cycles(self) -> float:
-        """Cycles from modelled charges alone: every category but
-        ``compute``, the one charge that is measured host time.  A pure
-        function of the inputs, so a delta of it repeats to the last bit
-        (``cycles`` deltas inherit the rounding of whatever compute was
-        charged before them)."""
+        """Cycles from every category but ``compute``, the one charge
+        that is measured host time: a pure function of the inputs, so its
+        deltas repeat to the last bit (``cycles`` deltas inherit the
+        rounding of whatever compute preceded them)."""
         return self._modelled
 
     def elapsed_seconds(self) -> float:

@@ -10,15 +10,13 @@ rate on PUT operations (the bucket refills per simulated second on the
 platform clock, keeping the whole mechanism deterministic).
 
 What is metered is what an application PUT over the wire: admitted on
-arrival, released when the entry is evicted or discarded, re-credited
-when it comes back from a snapshot, a checkpoint or the write-ahead log —
-so an app id's usage is the same before and after a restart or a power
-failure.  Entries that arrive by *hand-off* (master sync, migration,
-anti-entropy) are unmetered on every one of those paths: the shipped
-``(tag, r, [k], [res])`` tuple carries no contributor, so the store
-files them under the reserved id ``"sync"`` and never admits, releases
-or restores usage for it (carrying the contributor's id with the tuple
-is the recorded follow-up — it lengthens every hand-off payload).
+arrival, released on eviction or discard, re-credited when the entry
+comes back from a snapshot, a checkpoint or the write-ahead log — so an
+app id's usage is the same before and after a restart or power failure.
+Entries that arrive by *hand-off* (master sync, migration, anti-entropy)
+are unmetered on every one of those paths: the shipped tuple carries no
+contributor, so the store files them under the reserved id ``"sync"``
+and never admits, releases or restores usage for it.
 """
 
 from __future__ import annotations

@@ -8,15 +8,13 @@ is protected before control returns to the host.  A ``use_sgx=False``
 variant runs the identical logic without an enclave — the "w/o SGX"
 series of the paper's Fig. 6.
 
-An entry has one lifecycle whichever way it arrives.  ``PUT_REQUEST``
-(lone or a ``BATCH_PUT`` item), hand-off ingest (:mod:`.sync`), WAL
-replay (:mod:`repro.durable.recovery`) and image restore (snapshots and
-checkpoints) each settle what is theirs — validation, first-write-wins,
-admission, charges, commit — and then call the one
-:meth:`ResultStore._insert`; every departure is :meth:`_evict_entry`.
-The other modules use the public surface only: ``ecall``, ``unlogged``,
-``stored``, ``collect_entries``, ``ingest_entry``, ``restore_entry``,
-``replay_*``, ``relog_open_migrations``.
+An entry has one lifecycle whichever way it arrives: a ``PUT_REQUEST``
+(lone or batched), a hand-off ingest (:mod:`.sync`), WAL replay and image
+restore (:mod:`repro.durable`) each settle what is theirs — validation,
+first-write-wins, admission, charges, commit — then call the one
+:meth:`ResultStore._insert`; every departure is ``_evict_entry``.  Other
+modules use the public surface only (``ecall``, ``unlogged``, ``stored``,
+``collect_entries``, ``ingest_entry``, ``restore_entry``, ``replay_*``).
 """
 
 from __future__ import annotations
@@ -74,10 +72,9 @@ STORE_CODE_IDENTITY = b"speed/resultstore/enclave-v1"
 STORE_SIGNER = b"speed-store"
 WRAPPED_KEY_SIZE = 16
 CHALLENGE_SIZE = 32
-#: Contributor id of an entry that arrived by hand-off (master sync,
-#: migration, anti-entropy).  The shipped tuple carries no app id, so such
-#: entries are unmetered on every path (see :mod:`.quota`); the id is
-#: reserved — a wire PUT may not claim it.
+#: Contributor id of an entry that arrived by hand-off: the shipped tuple
+#: carries no app id, so it is unmetered on every path (see :mod:`.quota`)
+#: and the id is reserved — a wire PUT may not claim it.
 HANDOFF_APP_ID = "sync"
 
 
@@ -312,17 +309,13 @@ class ResultStore:
             channel = self._channels.get(source)
             if channel is None:
                 raise StoreError(f"request from unconnected client {source!r}")
-            if self.enclave is not None:
-                with self.enclave.ecall("serve_request", in_bytes=len(record)):
-                    reply = self._process(channel, record)
-                    if self.durable is not None:
-                        # Group commit: everything this request logged
-                        # becomes durable before the reply — the ack —
-                        # leaves the machine.
-                        self.durable.commit()
-                        maybe_checkpoint(self)
-            else:
+            with self.ecall("serve_request", in_bytes=len(record)):
                 reply = self._process(channel, record)
+                if self.durable is not None:
+                    # Group commit: everything this request logged becomes
+                    # durable before the reply — the ack — leaves the machine.
+                    self.durable.commit()
+                    maybe_checkpoint(self)
             self.endpoint.send(source, reply)
 
     def _process(self, channel: ChannelEndpoint, record: bytes) -> bytes:
@@ -477,18 +470,15 @@ class ResultStore:
 
     # -- the one way into the dictionary -----------------------------------------
     def _insert(self, sealed_result: bytes, blob_write=nullcontext(), **fields) -> None:
-        """Make ``(tag, r, [k], [res])`` a dictionary entry — what a wire
-        PUT, a hand-off ingest, a replayed WAL record and a restored
-        image entry all do once their caller has settled first-write-wins
-        (the tag must be absent) and admission: make room by policy,
-        write the blob (with its extent when the arena is enclave heap),
-        enter the metadata and log the PUT when logging is live.
-
-        ``fields`` are the :class:`MetadataEntry`'s own — ``tag``,
-        ``challenge``, ``wrapped_key``, ``app_id`` and, when the caller
-        has them, ``hits`` and the two sequence numbers, which are then
-        kept.  ``blob_write`` is entered around the blob write so the
-        wire path can trace and meter it."""
+        """Make ``(tag, r, [k], [res])`` a dictionary entry — what every
+        route does once its caller has settled first-write-wins (the tag
+        must be absent) and admission: make room by policy, write the
+        blob (and its extent when the arena is enclave heap), enter the
+        metadata, log the PUT when logging is live.  ``fields`` are
+        :class:`MetadataEntry`'s own: ``tag``, ``challenge``,
+        ``wrapped_key``, ``app_id`` and, when the caller has them,
+        ``hits`` and the sequence numbers (then kept).  ``blob_write`` is
+        entered around the blob write so the wire path can trace it."""
         size = len(sealed_result)
         self._make_room(size)
         with blob_write:

@@ -14,11 +14,9 @@ verifies both sides before session keys are derived.
 
 This module is the one way ``(tag, r, [k], [res])`` tuples leave a store:
 :func:`transfer_entries` ships what ``ResultStore.collect_entries``
-exported to another attested ResultStore enclave, which ingests it
-through its one insert path.  :func:`replicate_popular` (this remark),
-the cluster's tag-range migration and its anti-entropy pass
-(:mod:`repro.cluster.migration`) all ship through it; no wire message an
-application can send reaches the collector.
+exported to another attested ResultStore enclave.  :func:`replicate_popular`
+and the cluster's migration and anti-entropy (:mod:`repro.cluster.migration`)
+all ship through it; no message an application can send reaches the collector.
 """
 
 from __future__ import annotations
@@ -71,14 +69,12 @@ def transfer_entries(
     entries,
     enforce_capacity: bool = False,
 ) -> tuple[int, int, int]:
-    """Ship ``entries`` from ``source`` to ``dest`` as one attested
-    payload; returns (ingested, duplicates, payload bytes).
-
-    ``entries`` is a list of collected ``(tag, r, [k], [res])`` tuples,
-    or a predicate on the entry for ``source`` to collect by under the
-    sealing ECALL.  The entries travel AEAD-protected; ``dest`` drops
-    tags it already holds, so repeated rounds and multiple sources never
-    create duplicate ciphertexts.
+    """Ship ``entries`` from ``source`` to ``dest`` as one attested,
+    AEAD-protected payload; returns (ingested, duplicates, payload
+    bytes).  ``entries`` is a list of collected ``(tag, r, [k], [res])``
+    tuples, or a predicate on the entry for ``source`` to collect by
+    under the sealing ECALL.  ``dest`` drops tags it already holds, so
+    repeated rounds and multiple sources never duplicate a ciphertext.
 
     With ``enforce_capacity`` the destination refuses (raises
     :class:`~repro.errors.MigrationIngestError`) rather than evicting
