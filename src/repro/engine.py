@@ -51,8 +51,9 @@ modeled wire/crypto/store charges — every round, region and background
 delta is read off ``SimClock.modelled_cycles``, the running total that
 leaves out ``charge_compute``'s measured host time, so not even its
 rounding reaches them — and the decision sequence is a pure function of
-the op stream, a property the simulation harness digests and replays.  While the shard ring holds a dual-ownership
-migration window the controller additionally caps depth and reports the
+the op stream, a property the simulation harness digests and replays.
+While the shard ring holds a dual-ownership migration window the
+controller additionally caps depth and reports the
 capped-off slots via :meth:`PipelineEngine.background_budget`, which a
 :class:`~repro.cluster.migration.RangeMigrator` uses to widen its
 between-rounds hand-off pacing — foreground latency stays bounded and

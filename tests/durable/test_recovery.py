@@ -218,9 +218,10 @@ class TestQuotaAcrossRecovery:
             checkpoint_interval=5,
         )
         store = d.store
-        usage = lambda: {
-            app: store._quota.usage_of(app) for app in ("alice", "bob", "sync")
-        }
+
+        def usage():
+            return {app: store._quota.usage_of(app) for app in ("alice", "bob", "sync")}
+
         for i in range(2):
             put(client, b"a%d" % i, app_id="alice")
         for i in range(3):

@@ -225,8 +225,12 @@ class TestBlobsInEpc:
 
         config = StoreConfig(blobs_in_epc=True, capacity_entries=3, durable=True)
         store, client = make_store(config, seed=b"epc-routes")
-        extents = lambda: sorted(store._epc_blob_extents)
-        live_refs = lambda: sorted(store.blob_ref_of(t) for t in store.stored_tags())
+
+        def extents():
+            return sorted(store._epc_blob_extents)
+
+        def live_refs():
+            return sorted(store.blob_ref_of(t) for t in store.stored_tags())
 
         client.call(put(TAG, b"w" * 5000))                        # wire PUT
         faults = store.platform.epc.fault_count
