@@ -196,10 +196,7 @@ class Session:
             router = self.runtime.client
             if isinstance(router, ClusterRouter):
                 self.metrics.register_source("router", router.snapshot)
-            for shard_id, node in sorted(deployment.cluster.shards.items()):
-                self.metrics.register_source(
-                    f"store.{shard_id}", self._shard_source(shard_id, node.store)
-                )
+            self.metrics.register_source("store", self._shard_metrics)
         else:
             self.metrics.register_source(
                 "rpc", self.runtime.client.snapshot
@@ -208,26 +205,16 @@ class Session:
                 "store", deployment.store.snapshot
             )
 
-    @staticmethod
-    def _shard_source(shard_id: str, store) -> Callable[[], dict]:
-        """Per-shard metrics source: strip the generic ``store.`` prefix
-        so the registry re-homes the counters under
-        ``store.<shard_id>.<metric>``.  The registry passes dotted keys
-        through verbatim, which would collide across shards — so any key
-        still dotted after the strip (``store.restore.*`` subgroups, the
-        ``durable.*`` WAL counters) is re-homed explicitly."""
-        def read() -> dict:
-            out = {}
-            for key, value in store.snapshot().items():
-                prefix, _, rest = key.partition(".")
-                if prefix == "store" and "." not in rest:
-                    out[rest] = value
-                elif prefix == "store":
-                    out[f"store.{shard_id}.{rest}"] = value
-                else:
-                    out[f"store.{shard_id}.{key}"] = value
-            return out
-        return read
+    def _shard_metrics(self) -> dict:
+        """Every shard's store counters under ``store.<shard_id>.<metric>``
+        (``store.<shard_id>.durable.*`` for its WAL's), read from the
+        cluster's membership at snapshot time — so every session on the
+        deployment reports the same shards, whoever changed the topology."""
+        out = {}
+        for shard_id, node in sorted(self.deployment.cluster.shards.items()):
+            for key, value in node.store.snapshot().items():
+                out[f"store.{shard_id}.{key.removeprefix('store.')}"] = value
+        return out
 
     def sibling(
         self,
@@ -471,13 +458,7 @@ class Session:
             engine=self.runtime.engine,
             weight=weight,
         )
-        report = self._drive(migrator, "add_shard")
-        node = cluster.shards[migrator.shard_id]
-        self.metrics.register_source(
-            f"store.{migrator.shard_id}",
-            self._shard_source(migrator.shard_id, node.store),
-        )
-        return report
+        return self._drive(migrator, "add_shard")
 
     def apply_topology(
         self, plan, batch_entries: int = 32
@@ -514,15 +495,7 @@ class Session:
             config=MigrationConfig(batch_entries=batch_entries),
             engine=self.runtime.engine,
         )
-        report = self._drive(migrator, "apply_topology")
-        for sid in sorted(migrator.joiners):
-            self.metrics.register_source(
-                f"store.{sid}",
-                self._shard_source(sid, cluster.shards[sid].store),
-            )
-        for sid in sorted(migrator.leavers):
-            self.metrics.unregister_source(f"store.{sid}")
-        return report
+        return self._drive(migrator, "apply_topology")
 
     def remove_shard(
         self, shard_id: str, batch_entries: int = 32
@@ -540,9 +513,7 @@ class Session:
             config=MigrationConfig(batch_entries=batch_entries),
             engine=self.runtime.engine,
         )
-        report = self._drive(migrator, "remove_shard")
-        self.metrics.unregister_source(f"store.{shard_id}")
-        return report
+        return self._drive(migrator, "remove_shard")
 
     def rebalance(self, weights: dict | None = None) -> TopologyReport:
         """Repair or reshape placement under the current membership.

@@ -40,9 +40,11 @@ class TestSessionAddShard:
 
     def test_add_shard_registers_metrics_source(self):
         session, *_ = warm_session(seed=b"topo-metrics")
+        sibling = session.sibling("topo-reader")
         report = session.add_shard()
-        keys = session.metrics.snapshot()
-        assert any(k.startswith(f"store.{report.shard_id}.") for k in keys)
+        for subject in (session, sibling):
+            keys = subject.metrics.snapshot()
+            assert any(k.startswith(f"store.{report.shard_id}.") for k in keys)
 
     def test_ownership_exact_after_add(self):
         session, kernel, inputs, _ = warm_session(seed=b"topo-own")
@@ -66,9 +68,11 @@ class TestSessionRemoveShard:
 
     def test_remove_shard_unregisters_metrics_source(self):
         session, *_ = warm_session(seed=b"topo-rm-metrics", shards=4)
+        sibling = session.sibling("topo-reader")
         session.remove_shard("shard-2")
-        keys = session.metrics.snapshot()
-        assert not any(k.startswith("store.shard-2.") for k in keys)
+        for subject in (session, sibling):
+            keys = subject.metrics.snapshot()
+            assert not any(k.startswith("store.shard-2.") for k in keys)
 
 
 class TestSessionRebalance:
