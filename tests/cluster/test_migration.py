@@ -109,13 +109,15 @@ class TestLeave:
 
     def test_last_shard_cannot_leave(self):
         d = make_cluster(n_shards=1, replication_factor=1, seed=b"leave-last")
-        with pytest.raises(SpeedError):
+        with pytest.raises(SpeedError) as excinfo:
             leave(d.cluster, "shard-0")
+        assert excinfo.value.code == "migration_state"
 
     def test_unknown_shard_rejected(self):
         d = make_cluster(n_shards=2, replication_factor=1, seed=b"leave-x")
-        with pytest.raises(SpeedError):
+        with pytest.raises(SpeedError, match="'ghost' not on the ring") as excinfo:
             leave(d.cluster, "ghost")
+        assert excinfo.value.code == "speed_error"
 
 
 class TestMigrationIdempotence:
