@@ -34,6 +34,7 @@ from ..baselines.presets import (
     single_key_runtime_config,
 )
 from ..baselines.unic import UnicRuntime, UnicStore
+from ..cluster.ring import ShardRing, TopologyPlan
 from ..core.description import TrustedLibraryRegistry
 from ..core.runtime import RuntimeConfig
 from ..core.scheme import CHALLENGE_SIZE, KEY_SIZE
@@ -1140,9 +1141,9 @@ def _percentile(values: list[float], fraction: float) -> float:
     return ordered[index]
 
 
-def _join(config):
-    """Opens one streaming single-shard join window."""
-    return lambda cluster, engine: cluster.begin_add_shard(config=config, engine=engine)
+def _window(plan, batch_entries: int):
+    """Opens one dual-ownership window applying ``plan``."""
+    return lambda cluster, engine: cluster.begin_plan(plan, batch_entries, engine)
 
 
 def _paced(migrator, rounds_left: int) -> None:
@@ -1330,11 +1331,9 @@ def run_migrate(ops: int, rounds: int, n_shards: int = 3, batch_entries: int = 8
     zero stalled batches and ``p99_round_s`` within 3x of the baseline's
     for the streaming phase.
     """
-    from ..cluster.migration import MigrationConfig
-
     base_tag = b"bench-migrate" + bytes([seed % 251])
     inputs = _pipeline_inputs(ops, seed)
-    join = _join(MigrationConfig(batch_entries=batch_entries))
+    join = _window(TopologyPlan().join(), batch_entries)
     base = None
     for phase, seed_tag, windows in (("baseline", b"/base", []),
                                      ("streaming", b"/streaming", [join])):
@@ -1412,7 +1411,6 @@ def run_adaptive(depths: list[int], ops: int, rounds: int, workers: int = 4,
     moment the hand-off drains, so the cap lifts mid-run.  Bound:
     foreground throughput stays >= 0.70x of the no-join auto baseline.
     """
-    from ..cluster.migration import MigrationConfig
     from ..session import connect
 
     max_depth = max(16, max(depths))
@@ -1449,7 +1447,7 @@ def run_adaptive(depths: list[int], ops: int, rounds: int, workers: int = 4,
 
     # -- phase 2: the same auto engine with a concurrent streaming join -----
     base = None
-    for windows in ([], [_join(MigrationConfig(batch_entries=batch_entries))]):
+    for windows in ([], [_window(TopologyPlan().join(), batch_entries)]):
         run = _foreground_rounds(
             _topology_session(4, b"bench-adaptive-join" + bytes([seed % 251]), vnodes=2),
             join_kernel, _pipeline_inputs(ops, seed + 2), rounds,
@@ -1484,8 +1482,6 @@ _RESHARD_WEIGHTS = (
 def _weighted_placement_error(vnodes: int = 64) -> float:
     """Worst relative deviation of ``load_share`` from the weight
     fraction over the :data:`_RESHARD_WEIGHTS` membership."""
-    from ..cluster.ring import ShardRing
-
     ring = ShardRing(vnodes=vnodes)
     for sid, weight in _RESHARD_WEIGHTS:
         ring.add_shard(sid, weight=weight)
@@ -1539,9 +1535,6 @@ def run_reshard(joins: int, ops: int, rounds: int, n_shards: int = 4,
     serialized, planned ``dual_rounds`` <= serialized, one planned
     window, zero ``foreground_stalls`` in both, ``max_weight_err`` <= 0.10.
     """
-    from ..cluster.migration import MigrationConfig
-    from ..cluster.ring import TopologyPlan
-
     base_tag = b"bench-reshard" + bytes([seed % 251])
     # 4 KiB payloads: hand-off cost is dominated by transfer bytes, so
     # the phases compare how much data they move, not per-range fixed
@@ -1549,17 +1542,15 @@ def run_reshard(joins: int, ops: int, rounds: int, n_shards: int = 4,
     inputs = [
         (seed * 100_000 + i).to_bytes(4, "big") * 1024 for i in range(ops)
     ]
-    config = MigrationConfig(batch_entries=batch_entries)
     plan = TopologyPlan()
     for _ in range(joins):
         plan = plan.join()
     base = None
     for phase, seed_tag, joined, windows in (
         ("baseline", b"/base", 0, []),
-        ("serialized", b"/serialized", joins, [_join(config)] * joins),
-        ("planned", b"/planned", joins, [
-            lambda cluster, engine: cluster.begin_plan(plan, config=config, engine=engine)
-        ]),
+        ("serialized", b"/serialized", joins,
+         [_window(TopologyPlan().join(), batch_entries)] * joins),
+        ("planned", b"/planned", joins, [_window(plan, batch_entries)]),
     ):
         run = _foreground_rounds(
             _topology_session(n_shards, base_tag + seed_tag), reshard_kernel, inputs,

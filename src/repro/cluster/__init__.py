@@ -15,7 +15,6 @@ to the paper per shard and what is an extension beyond it.
 
 from .cluster import ClusterConfig, ShardNode, StoreCluster
 from .migration import (
-    MigrationConfig,
     MigrationReport,
     RangeMigrator,
     rebalance,
@@ -27,7 +26,6 @@ from .router import NO_LIVE_OWNER, ClusterRouter, RouterStats
 __all__ = [
     "ClusterConfig",
     "ClusterRouter",
-    "MigrationConfig",
     "MigrationRange",
     "MigrationReport",
     "NO_LIVE_OWNER",

@@ -17,19 +17,20 @@ same observable behaviour as a crashed store process.  A revived shard
 keeps its pre-crash state (crash-pause model); entries it missed while
 dead flow back through read-repair.
 
-The ring can also grow and shrink live.  The streaming path
-(:meth:`begin_add_shard` / :meth:`begin_remove_shard`, driven by
-``Session.add_shard()``/``remove_shard()``) opens a dual-ownership
-window and hands tag ranges off in bounded batches over mutually
-attested store-to-store channels (:mod:`repro.cluster.migration`) while
-foreground traffic keeps flowing.
+The ring can also grow, shrink and reweight live.  Every change is a
+:class:`~repro.cluster.ring.TopologyPlan` through one opener,
+:meth:`StoreCluster.begin_plan` (driven by ``Session.apply_topology()``
+and its ``add_shard()``/``remove_shard()`` sugar): it opens a
+dual-ownership window and hands tag ranges off in bounded batches over
+mutually attested store-to-store channels
+(:mod:`repro.cluster.migration`) while foreground traffic keeps flowing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .migration import MigrationConfig, RangeMigrator
+from .migration import RangeMigrator
 from .ring import ShardRing, TopologyPlan
 from .router import ClusterRouter
 from ..errors import SpeedError
@@ -130,7 +131,7 @@ class StoreCluster:
         self.shards[shard_id] = node
         if register:
             # Streaming joins keep the shard off the ring until the
-            # dual-ownership transition opens (ring.begin_join).
+            # dual-ownership transition opens (ring.begin_plan).
             self.ring.add_shard(shard_id)
         return node
 
@@ -139,82 +140,46 @@ class StoreCluster:
         self._migration_seq += 1
         return self._migration_seq
 
-    def begin_add_shard(
-        self,
-        shard_id: str | None = None,
-        config: MigrationConfig | None = None,
-        engine=None,
-        weight: float = 1.0,
-    ) -> RangeMigrator:
-        """Spawn a shard and open a streaming join: the new machine is
-        connected to every registered router *before* the dual-ownership
-        window opens, so writes can land on it the moment it becomes a
-        pending owner.  ``weight`` sets the joiner's relative capacity
-        (vnode share).  Returns the started :class:`RangeMigrator`;
-        drive it with ``step()``/``finish()`` (or ``run()``)."""
-        node = self._attach_joiner(shard_id)
-        migrator = RangeMigrator(
-            self, "join", node.shard_id, config=config, engine=engine,
-            weight=weight,
-        )
-        try:
-            migrator.start()
-        except Exception:
-            self._despawn(node.shard_id)
-            raise
-        return migrator
-
     def begin_plan(
-        self,
-        plan: TopologyPlan,
-        config: MigrationConfig | None = None,
-        engine=None,
+        self, plan: TopologyPlan, batch_entries: int = 32, engine=None
     ) -> RangeMigrator:
         """Open **one** streaming window applying every change in
         ``plan`` — N joins, leaves, and reweights pay a single
-        dual-ownership window instead of N serialized ones.
+        dual-ownership window instead of N serialized ones; a lone join
+        or drain is a one-change plan.
 
         Joiner machines are spawned and attached to every registered
-        router up front (anonymous joins — ``join(None)`` — get
-        auto-assigned shard ids here); if the window fails to open, all
-        of them are despawned again.  Returns the started
-        :class:`RangeMigrator`; drive it with ``step()``/``finish()``
-        (or ``run()``), or back out with :meth:`abort_plan`."""
+        router *before* the window opens, so writes can land on them the
+        moment they become pending owners (anonymous joins —
+        ``join(None)`` — get auto-assigned shard ids here); if the window
+        fails to open, all of them are despawned again.  ``batch_entries``
+        bounds one attested hand-off payload.  Returns the
+        :class:`RangeMigrator` streaming the window; drive it with
+        ``step()``/``finish()`` (or ``run()``), or back out with
+        :meth:`abort_plan`."""
         plan.validate()
-        resolved_joins = []
         spawned: list[str] = []
         try:
-            for sid, weight in plan.joins:
-                node = self._attach_joiner(sid)
-                spawned.append(node.shard_id)
-                resolved_joins.append((node.shard_id, weight))
+            for sid, _weight in plan.joins:
+                spawned.append(self._attach_joiner(sid).shard_id)
+            plan = replace(plan, joins=tuple(
+                (sid, weight) for sid, (_, weight) in zip(spawned, plan.joins)
+            ))
+            self.ring.begin_plan(plan, self.config.replication_factor)
+            return RangeMigrator(self, plan, batch_entries, engine)
         except Exception:
             for sid in spawned:
-                self._despawn(sid)
+                self.despawn_shard(sid)
             raise
-        resolved = TopologyPlan(
-            joins=tuple(resolved_joins),
-            leaves=plan.leaves,
-            reweights=plan.reweights,
-        )
-        migrator = RangeMigrator(
-            self, "plan", "", config=config, engine=engine, plan=resolved
-        )
-        try:
-            migrator.start()
-        except Exception:
-            for sid in spawned:
-                self._despawn(sid)
-            raise
-        return migrator
 
     def abort_plan(self, migrator: RangeMigrator) -> None:
-        """Back out of a planned window: restore the old ownership map,
-        clean partially migrated copies, and despawn every joiner the
-        plan had spawned (leavers and reweighted shards stay)."""
+        """Back out of an open window (e.g. a joiner refused a batch for
+        capacity): restore the old ownership map, clean partially
+        migrated copies, and despawn every joiner the plan had spawned
+        (leavers and reweighted shards stay)."""
         migrator.abort()
         for sid in sorted(migrator.joiners):
-            self._despawn(sid)
+            self.despawn_shard(sid)
 
     def _attach_joiner(self, shard_id: str | None) -> ShardNode:
         """Spawn a joining shard off-ring and connect it to every
@@ -230,40 +195,16 @@ class StoreCluster:
             router.attach_shard(node.shard_id, client)
         return node
 
-    def begin_remove_shard(
-        self,
-        shard_id: str,
-        config: MigrationConfig | None = None,
-        engine=None,
-    ) -> RangeMigrator:
-        """Open a streaming drain of ``shard_id``.  The shard keeps
-        serving (it remains a read owner of its ranges until each
-        commits); :meth:`RangeMigrator.finish` detaches and kills it."""
-        migrator = RangeMigrator(
-            self, "leave", shard_id, config=config, engine=engine
-        )
-        migrator.start()
-        return migrator
-
-    def abort_add_shard(self, migrator: RangeMigrator) -> None:
-        """Back out of a streaming join (e.g. the target refused a batch
-        for capacity): restore the old ownership map, clean partially
-        migrated copies, and despawn the joiner."""
-        migrator.abort()
-        self._despawn(migrator.shard_id)
-
-    def _despawn(self, shard_id: str) -> None:
+    def despawn_shard(self, shard_id: str) -> None:
+        """Take a machine out of the deployment: every router forgets it
+        and it goes dark with its state in place.  The last step of a
+        drain (the ring has settled without it) and of an aborted join."""
         node = self.shards.pop(shard_id, None)
         if node is None:
             return
         for _name, _enclave, router in self._routers:
             router.detach_shard(shard_id)
         self.fault.kill(node.address)
-
-    def _complete_leave(self, shard_id: str) -> None:
-        """Final hand-off step of a streaming drain (ring already
-        settled without the leaver): detach and go dark."""
-        self._despawn(shard_id)
 
     # -- failure injection -----------------------------------------------------
     def kill_shard(self, shard_id: str) -> None:

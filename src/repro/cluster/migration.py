@@ -10,9 +10,11 @@ own enclave.  Nothing decryptable ever exists outside an enclave —
 migration moves *protected* results, so a compromised wire or host
 learns exactly what it learns from normal PUT traffic.
 
-The online path behind ``Session.add_shard()``/``remove_shard()`` is
+The online path behind ``Session.apply_topology()`` (and its
+``add_shard()``/``remove_shard()``/``rebalance(weights)`` sugar) is
 :class:`RangeMigrator`.  The pending ring is computed up front
-(:meth:`~repro.cluster.ring.ShardRing.begin_join` / ``begin_leave``),
+(:meth:`~repro.cluster.ring.ShardRing.begin_plan`, one
+:class:`~repro.cluster.ring.TopologyPlan` whatever the change),
 and entries move range by range in bounded batches while a
 *dual-ownership window* keeps every tag readable from its old owners
 (with GET failover to the new ones) and writable to its new owners.
@@ -50,15 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 @dataclass(frozen=True)
-class MigrationConfig:
-    """Streaming knobs for one resharding run."""
-
-    #: Entries shipped per attested batch payload.  Bounds the work (and
-    #: the foreground stall, when no engine overlaps it) of one step.
-    batch_entries: int = 32
-
-
-@dataclass(frozen=True)
 class MigrationReport(ReportMixin):
     """Outcome of one resharding round."""
 
@@ -88,63 +81,46 @@ def _sweep_stale(cluster: "StoreCluster", shard_id: str) -> int:
 
 
 class RangeMigrator:
-    """Streams one topology transition (join, leave, or a whole
-    :class:`~repro.cluster.ring.TopologyPlan`), range by range.
+    """Streams the topology transition :meth:`StoreCluster.begin_plan`
+    opened on the ring — whatever mix of joins, leaves and reweights its
+    :class:`~repro.cluster.ring.TopologyPlan` holds — range by range.
 
-    Lifecycle: :meth:`start` opens the dual-ownership window (and logs
-    ``MIGRATE_BEGIN`` on every participant), :meth:`step` hands off one
-    pending range (returns False when every pending range is blocked on
-    a dead shard — retry after healing), :meth:`finish` closes the
-    window once all ranges are committed.  :meth:`run` drives the whole
-    sequence.  :meth:`abort` restores the previous ownership map.
+    Lifecycle: construction takes over the open dual-ownership window
+    (and logs ``MIGRATE_BEGIN`` on every participant), :meth:`step` hands
+    off one pending range (returns False when every pending range is
+    blocked on a dead shard — retry after healing), :meth:`finish` closes
+    the window once all ranges are committed.  :meth:`run` drives the
+    whole sequence.  :meth:`abort` restores the previous ownership map
+    (:meth:`StoreCluster.abort_plan` also reclaims the joiner machines).
 
-    A join or leave is just a one-change plan internally; ``action ==
-    "plan"`` batches any mix of joins, leaves, and reweights into the
-    same single window, and every range hand-off (commit-before-discard,
-    per-participant ``REC_MIGRATE_*`` marks) is already generic over
-    ranges whose sources/dests span several changed shards.
+    A lone join or drain is a one-change plan: every range hand-off
+    (commit-before-discard, per-participant ``REC_MIGRATE_*`` marks) is
+    generic over ranges whose sources/dests span several changed shards.
     """
 
     def __init__(
         self,
         cluster: "StoreCluster",
-        action: str,
-        shard_id: str,
-        config: MigrationConfig | None = None,
+        plan: TopologyPlan,
+        batch_entries: int = 32,
         engine=None,
-        weight: float = 1.0,
-        plan: TopologyPlan | None = None,
     ):
-        if action not in ("join", "leave", "plan"):
-            raise MigrationError(f"unknown migration action {action!r}")
-        if action == "plan":
-            if plan is None:
-                raise MigrationError("plan migration needs a TopologyPlan")
-            plan.validate()
-            if any(sid is None for sid, _ in plan.joins):
-                raise MigrationError(
-                    "plan joins must have concrete shard ids by migration "
-                    "time (StoreCluster.begin_plan assigns them)"
-                )
-            shard_id = plan.label()
-        elif action == "join":
-            plan = TopologyPlan(joins=((shard_id, weight),))
-        else:
-            plan = TopologyPlan(leaves=(shard_id,))
         self.cluster = cluster
-        self.action = action
-        self.shard_id = shard_id
         self.plan = plan
         self.joiners = frozenset(sid for sid, _ in plan.joins)
         self.leavers = frozenset(plan.leaves)
-        self.config = config or MigrationConfig()
+        #: Entries shipped per attested batch payload.  Bounds the work (and
+        #: the foreground stall, when no engine overlaps it) of one step.
+        self.batch_entries = batch_entries
         self.engine = engine
-        self.migration_id = f"{action}/{shard_id}/{cluster.next_migration_seq()}"
-        self.ranges: tuple[MigrationRange, ...] = ()
-        self.started = False
+        self.label = plan.label()
+        self.migration_id = f"plan/{self.label}/{cluster.next_migration_seq()}"
+        self.ranges: tuple[MigrationRange, ...] = cluster.ring.pending_ranges()
         self.finished = False
         self._done: set[int] = set()
-        self._participants: tuple[str, ...] = ()
+        self.participants = tuple(sorted(
+            {s for rng in self.ranges for s in (*rng.sources, *rng.dests)}
+        ))
         # Counters folded into the final MigrationReport.
         self.moved = 0
         self.duplicates = 0
@@ -155,28 +131,14 @@ class RangeMigrator:
         #: Batches shipped without an engine background lane — each one
         #: is a foreground stall (the caller blocked for the transfer).
         self.stalled_batches = 0
-
-    # -- lifecycle ------------------------------------------------------------
-    def start(self) -> tuple[MigrationRange, ...]:
-        """Open the dual-ownership window; returns the moved ranges."""
-        if self.started:
-            raise MigrationStateError("migration already started")
-        self.ranges = self.cluster.ring.begin_plan(
-            self.plan, self.cluster.config.replication_factor
-        )
-        self.started = True
-        self._participants = tuple(sorted(
-            {s for rng in self.ranges for s in (*rng.sources, *rng.dests)}
-        ))
         gaining = {d for rng in self.ranges for d in _gaining(rng)}
-        for sid in self._participants:
+        for sid in self.participants:
             role = MIGRATE_DEST if sid in gaining else MIGRATE_SOURCE
             self._store(sid).note_migrate(
-                REC_MIGRATE_BEGIN, self.migration_id,
-                peer=self.shard_id, role=role,
+                REC_MIGRATE_BEGIN, self.migration_id, peer=self.label, role=role,
             )
-        return self.ranges
 
+    # -- lifecycle ------------------------------------------------------------
     def pending_ranges(self) -> tuple[MigrationRange, ...]:
         return tuple(r for r in self.ranges if r.index not in self._done)
 
@@ -188,7 +150,7 @@ class RangeMigrator:
         each is unreachable) — the window stays open and the step can be
         retried after the cluster heals.
         """
-        if not self.started or self.finished:
+        if self.finished:
             raise MigrationStateError("migration is not streaming")
         return any(self._step_one(rng) for rng in self.pending_ranges())
 
@@ -266,8 +228,6 @@ class RangeMigrator:
 
     def run(self) -> MigrationReport:
         """Stream every range and close the window."""
-        if not self.started:
-            self.start()
         while self.pending_ranges():
             if not self.step():
                 blocked = len(self.pending_ranges())
@@ -279,7 +239,7 @@ class RangeMigrator:
 
     def finish(self) -> MigrationReport:
         """Adopt the pending ring, sweep stale copies, log MIGRATE_END."""
-        if not self.started or self.finished:
+        if self.finished:
             raise MigrationStateError("migration is not streaming")
         if self.pending_ranges():
             raise MigrationStateError(
@@ -294,14 +254,14 @@ class RangeMigrator:
             # A leaver goes dark with its state in place.
             if sid not in self.leavers and cluster.shard_alive(sid):
                 self.dropped += _sweep_stale(cluster, sid)
-        for sid in self._participants:
+        for sid in self.participants:
             if sid in cluster.shards and cluster.shard_alive(sid):
                 self._store(sid).note_migrate(
-                    REC_MIGRATE_END, self.migration_id, peer=self.shard_id
+                    REC_MIGRATE_END, self.migration_id, peer=self.label
                 )
         self.finished = True
         for sid in sorted(self.leavers):
-            cluster._complete_leave(sid)
+            cluster.despawn_shard(sid)
         return self.report()
 
     def abort(self) -> None:
@@ -311,7 +271,7 @@ class RangeMigrator:
         discarded, so their entries are first re-homed from the live
         destinations back to the old owners — only then is the pending
         ring dropped and every copy the restored ring disowns swept."""
-        if not self.started or self.finished:
+        if self.finished:
             raise MigrationStateError("migration is not streaming")
         cluster = self.cluster
         for rng in self.ranges:
@@ -338,14 +298,14 @@ class RangeMigrator:
         # ring would raise and mask the original error.
         if cluster.ring.in_transition:
             cluster.ring.abort_transition()
-        for sid in self._participants:
+        for sid in self.participants:
             if sid not in cluster.shards or not cluster.shard_alive(sid):
                 continue
             if sid not in cluster.ring:
                 continue  # an aborted joiner is despawned by the cluster
             self.dropped += _sweep_stale(cluster, sid)
             self._store(sid).note_migrate(
-                REC_MIGRATE_END, self.migration_id, peer=self.shard_id
+                REC_MIGRATE_END, self.migration_id, peer=self.label
             )
         self.finished = True
 
@@ -379,7 +339,7 @@ class RangeMigrator:
             for dest in new_dests:
                 self._store(dest).note_migrate(
                     REC_MIGRATE_COMMIT, self.migration_id,
-                    rng.lo, rng.hi, peer=self.shard_id, role=MIGRATE_DEST,
+                    rng.lo, rng.hi, peer=self.label, role=MIGRATE_DEST,
                 )
         # Sources that lose ownership of this range discard their copies
         # — strictly after the destinations' durable commit marks, so a
@@ -392,7 +352,7 @@ class RangeMigrator:
             store = self._store(sid)
             store.note_migrate(
                 REC_MIGRATE_COMMIT, self.migration_id,
-                rng.lo, rng.hi, peer=self.shard_id, role=MIGRATE_SOURCE,
+                rng.lo, rng.hi, peer=self.label, role=MIGRATE_SOURCE,
             )
             stale = store.tags_matching(lambda tag: rng.contains(tag_point(tag)))
             self.dropped += store.discard_tags(stale)
@@ -420,7 +380,7 @@ class RangeMigrator:
         """Send one range's entries to one destination in bounded
         batches (each batch is one attested source→dest payload)."""
         dest_store = self._store(dest)
-        size = self.config.batch_entries
+        size = self.batch_entries
         for sid in sorted(per_source):
             items = per_source[sid]
             for start in range(0, len(items), size):

@@ -242,18 +242,6 @@ class ShardRing:
         """Shard membership of the pending ring (settled ring when idle)."""
         return self._next.shards if self._next is not None else self.shards
 
-    def begin_join(
-        self, shard_id: str, replication: int = 1, weight: float = 1.0
-    ) -> tuple[MigrationRange, ...]:
-        """Open a transition that adds ``shard_id``; returns the moved ranges."""
-        return self.begin_plan(
-            TopologyPlan(joins=((shard_id, weight),)), replication
-        )
-
-    def begin_leave(self, shard_id: str, replication: int = 1) -> tuple[MigrationRange, ...]:
-        """Open a transition that removes ``shard_id``; returns the moved ranges."""
-        return self.begin_plan(TopologyPlan(leaves=(shard_id,)), replication)
-
     def begin_plan(
         self, plan: TopologyPlan, replication: int = 1
     ) -> tuple[MigrationRange, ...]:

@@ -36,6 +36,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from .cluster.ring import TopologyPlan
 from .cluster.router import ClusterRouter
 from .core.decorator import deduplicable_marker
 from .core.deduplicable import Deduplicable
@@ -447,18 +448,17 @@ class Session:
         background lane; without one, each batch is a foreground stall.
         Crash-safe: both sides seal MIGRATE_* marks into their durable
         WALs (durable stores), so a power failure mid-migration recovers
-        consistently.  Returns a structured :class:`TopologyReport`.
+        consistently.  Sugar for a one-join plan through
+        :meth:`apply_topology`; the returned :class:`TopologyReport`
+        names the new shard.
         """
-        from .cluster.migration import MigrationConfig
-
-        cluster = self.cluster
-        migrator = cluster.begin_add_shard(
-            shard_id,
-            config=MigrationConfig(batch_entries=batch_entries),
-            engine=self.runtime.engine,
-            weight=weight,
+        report = self.apply_topology(
+            TopologyPlan().join(shard_id, weight), batch_entries
         )
-        return self._drive(migrator, "add_shard")
+        # A one-change plan's label is its sign and the shard id.
+        return dataclasses.replace(
+            report, action="add_shard", shard_id=report.shard_id[1:]
+        )
 
     def apply_topology(
         self, plan, batch_entries: int = 32
@@ -473,7 +473,7 @@ class Session:
         computes the single old→new range diff and hands every moved
         range off once::
 
-            from repro.cluster.ring import TopologyPlan
+            from repro import TopologyPlan
 
             plan = (TopologyPlan()
                     .join(weight=2.0)       # auto-named big machine
@@ -482,20 +482,30 @@ class Session:
                     .reweight("shard-1", 0.5))
             report = session.apply_topology(plan)
 
-        Same streaming, overlap, and crash-safety machinery as
-        :meth:`add_shard`; with a pipeline engine attached the window's
-        transfers overlap foreground rounds one lane per gaining shard.
-        Returns a :class:`TopologyReport` whose ``shard_id`` is the
-        plan's compact label (e.g. ``"+s4+s5-s0~s1"``)."""
-        from .cluster.migration import MigrationConfig
-
+        This is the one driver of a topology change — open the window,
+        stream it, back out through the cluster on failure —
+        :meth:`add_shard`, :meth:`remove_shard` and
+        :meth:`rebalance` ``(weights)`` build their plan and call it.
+        With a pipeline engine attached the window's transfers overlap
+        foreground rounds one lane per gaining shard.  Returns a
+        :class:`TopologyReport` whose ``shard_id`` is the plan's compact
+        label (e.g. ``"+s4+s5-s0~s1"``)."""
         cluster = self.cluster
-        migrator = cluster.begin_plan(
-            plan,
-            config=MigrationConfig(batch_entries=batch_entries),
-            engine=self.runtime.engine,
+        migrator = cluster.begin_plan(plan, batch_entries, self.runtime.engine)
+        before = self._machine_clock_marks()
+        try:
+            report = migrator.run()
+        except Exception:
+            if not migrator.finished:
+                # Through the cluster: plain migrator.abort() would
+                # restore the ring but leave the joiner machines attached
+                # to every router.
+                cluster.abort_plan(migrator)
+            raise
+        return self._report(
+            "apply_topology", migrator.label, report,
+            migrator.stalled_batches, before,
         )
-        return self._drive(migrator, "apply_topology")
 
     def remove_shard(
         self, shard_id: str, batch_entries: int = 32
@@ -505,15 +515,14 @@ class Session:
         The leaver keeps serving reads for each range until that range's
         hand-off commits; once all ranges are handed to the surviving
         owners the ring settles and the shard goes dark.  Same streaming
-        and crash-safety machinery as :meth:`add_shard`."""
-        from .cluster.migration import MigrationConfig
-
-        migrator = self.cluster.begin_remove_shard(
-            shard_id,
-            config=MigrationConfig(batch_entries=batch_entries),
-            engine=self.runtime.engine,
+        and crash-safety machinery as :meth:`add_shard`; sugar for a
+        one-leave plan through :meth:`apply_topology`."""
+        report = self.apply_topology(
+            TopologyPlan().leave(shard_id), batch_entries
         )
-        return self._drive(migrator, "remove_shard")
+        return dataclasses.replace(
+            report, action="remove_shard", shard_id=shard_id
+        )
 
     def rebalance(self, weights: dict | None = None) -> TopologyReport:
         """Repair or reshape placement under the current membership.
@@ -529,8 +538,7 @@ class Session:
         :class:`~repro.cluster.ring.TopologyPlan`) migrates entries so
         each shard's ownership share tracks its new weight fraction.
         Shards already at the requested weight are left alone."""
-        from .cluster.migration import rebalance
-        from .cluster.ring import TopologyPlan
+        from .cluster.migration import MigrationReport, rebalance
 
         cluster = self.cluster
         if weights:
@@ -539,50 +547,25 @@ class Session:
                 if cluster.ring.weight_of(sid) != weights[sid]:
                     plan = plan.reweight(sid, weights[sid])
             if plan.empty:
-                return TopologyReport(
-                    action="rebalance", shard_id="", ranges_moved=0,
-                    entries_moved=0, bytes_moved=0, duplicates=0,
-                    dropped=0, transfers=0, batches=0,
-                    foreground_stalls=0, duration_s=0.0,
+                return self._report(
+                    "rebalance", "", MigrationReport(), 0,
+                    self._machine_clock_marks(),
                 )
             report = self.apply_topology(plan)
             return dataclasses.replace(report, action="rebalance")
         before = self._machine_clock_marks()
         report = rebalance(cluster)
-        return TopologyReport(
-            action="rebalance",
-            shard_id="",
-            ranges_moved=report.ranges_moved,
-            entries_moved=report.moved,
-            bytes_moved=report.bytes_moved,
-            duplicates=report.duplicates,
-            dropped=report.dropped,
-            transfers=report.transfers,
-            batches=report.batches,
-            foreground_stalls=report.transfers,
-            duration_s=self._machine_clock_delta(before),
-        )
+        # Anti-entropy ships outside any engine lane: every transfer stalls.
+        return self._report("rebalance", "", report, report.transfers, before)
 
-    def _drive(self, migrator, action: str) -> TopologyReport:
-        cluster = self.cluster
-        before = self._machine_clock_marks()
-        try:
-            report = migrator.run()
-        except Exception:
-            if not migrator.finished:
-                # Joiner machines are the cluster's to reclaim — plain
-                # migrator.abort() would restore the ring but leave the
-                # spawned shards attached to every router.
-                if migrator.action == "join":
-                    cluster.abort_add_shard(migrator)
-                elif migrator.action == "plan":
-                    cluster.abort_plan(migrator)
-                else:
-                    migrator.abort()
-            raise
+    def _report(
+        self, action: str, shard_id: str, report, stalls: int, before: dict
+    ) -> TopologyReport:
+        """A :class:`~repro.cluster.migration.MigrationReport` under the
+        session's field names, timed from the clock marks ``before``."""
         return TopologyReport(
             action=action,
-            shard_id=migrator.shard_id,
+            shard_id=shard_id,
             ranges_moved=report.ranges_moved,
             entries_moved=report.moved,
             bytes_moved=report.bytes_moved,
@@ -590,7 +573,7 @@ class Session:
             dropped=report.dropped,
             transfers=report.transfers,
             batches=report.batches,
-            foreground_stalls=migrator.stalled_batches,
+            foreground_stalls=stalls,
             duration_s=self._machine_clock_delta(before),
         )
 

@@ -408,43 +408,43 @@ def run_scenario(config: SimConfig) -> ScenarioResult:
                 kind_draw = rng.random()
                 if open_already:
                     trace.append(f"step={step} op=mig_open skipped")
-                elif kind_draw < 0.25 and len(cluster.shards) > 2:
-                    # Planned multi-change window: two joins (one
-                    # weighted), one drain, one reweight — all in a
-                    # single dual-ownership window.  Every draw comes
-                    # from the schedule rng, so the plan is a pure
-                    # function of the seed.
-                    members = sorted(cluster.shards)
-                    leaver = rng.choice(members)
-                    reweighted = rng.choice([s for s in members if s != leaver])
-                    topo = (
-                        TopologyPlan()
-                        .join(weight=rng.choice((0.5, 1.0, 2.0)))
-                        .join()
-                        .leave(leaver)
-                        .reweight(reweighted, rng.choice((0.5, 1.5, 2.0)))
-                    )
+                else:
+                    # Every draw comes from the schedule rng, so the
+                    # window is a pure function of the seed; ``mig_kind``
+                    # and ``mig_subject`` are this trace's own words for
+                    # it (the migrator only knows the plan).
+                    if kind_draw < 0.25 and len(cluster.shards) > 2:
+                        # Planned multi-change window: two joins (one
+                        # weighted), one drain, one reweight — all in a
+                        # single dual-ownership window.
+                        members = sorted(cluster.shards)
+                        leaver = rng.choice(members)
+                        reweighted = rng.choice([s for s in members if s != leaver])
+                        mig_kind = "plan"
+                        topo = (
+                            TopologyPlan()
+                            .join(weight=rng.choice((0.5, 1.0, 2.0)))
+                            .join()
+                            .leave(leaver)
+                            .reweight(reweighted, rng.choice((0.5, 1.5, 2.0)))
+                        )
+                    elif kind_draw < 0.625 and len(cluster.shards) > 2:
+                        mig_kind = "leave"
+                        topo = TopologyPlan().leave(rng.choice(sorted(cluster.shards)))
+                    else:
+                        mig_kind = "join"
+                        topo = TopologyPlan().join()
                     migrator = cluster.begin_plan(topo)
                     refresh_topology()
+                    if mig_kind == "plan":
+                        mig_subject = migrator.label
+                        named = f"label={mig_subject}"
+                    else:
+                        (mig_subject,) = migrator.joiners | migrator.leavers
+                        named = f"shard={mig_subject}"
                     trace.append(
-                        f"step={step} op=mig_open kind=plan "
-                        f"label={migrator.shard_id} "
+                        f"step={step} op=mig_open kind={mig_kind} {named} "
                         f"ranges={len(migrator.ranges)}"
-                    )
-                elif kind_draw < 0.625 and len(cluster.shards) > 2:
-                    sid = rng.choice(sorted(cluster.shards))
-                    migrator = cluster.begin_remove_shard(sid)
-                    refresh_topology()
-                    trace.append(
-                        f"step={step} op=mig_open kind=leave shard={sid} "
-                        f"ranges={len(migrator.ranges)}"
-                    )
-                else:
-                    migrator = cluster.begin_add_shard()
-                    refresh_topology()
-                    trace.append(
-                        f"step={step} op=mig_open kind=join "
-                        f"shard={migrator.shard_id} ranges={len(migrator.ranges)}"
                     )
             elif op == "mig_step":
                 if migrator is None or migrator.finished:
@@ -466,7 +466,7 @@ def run_scenario(config: SimConfig) -> ScenarioResult:
                 participants = [
                     sid
                     for sid in (
-                        migrator._participants
+                        migrator.participants
                         if migrator is not None and not migrator.finished
                         else ()
                     )
@@ -494,12 +494,11 @@ def run_scenario(config: SimConfig) -> ScenarioResult:
                 elif migrator.pending_ranges():
                     trace.append(f"step={step} op=mig_finish deferred")
                 else:
-                    fin_kind, fin_sid = migrator.action, migrator.shard_id
                     migrator.finish()
                     refresh_topology()
                     trace.append(
-                        f"step={step} op=mig_finish kind={fin_kind} "
-                        f"shard={fin_sid} moved={migrator.moved} "
+                        f"step={step} op=mig_finish kind={mig_kind} "
+                        f"shard={mig_subject} moved={migrator.moved} "
                         f"dropped={migrator.dropped}"
                     )
             elif op == "partition":
@@ -589,7 +588,7 @@ def run_scenario(config: SimConfig) -> ScenarioResult:
             migrator.finish()
             refresh_topology()
             trace.append(
-                f"phase=settle migration={migrator.action} finished "
+                f"phase=settle migration={mig_kind} finished "
                 f"moved={migrator.moved}"
             )
     for _ in range(3):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import TopologyPlan
 from repro.errors import SpeedError
 
 from tests.cluster.conftest import make_cluster, make_get, make_put, raw_router
@@ -9,14 +10,15 @@ from tests.cluster.conftest import make_cluster, make_get, make_put, raw_router
 
 def join(cluster, shard_id=None):
     """Stream a shard in to completion: (its node, the migration report)."""
-    migrator = cluster.begin_add_shard(shard_id)
+    migrator = cluster.begin_plan(TopologyPlan().join(shard_id))
     report = migrator.run()
-    return cluster.shards[migrator.shard_id], report
+    (joiner,) = migrator.joiners
+    return cluster.shards[joiner], report
 
 
 def leave(cluster, shard_id):
     """Stream a shard out to completion; returns the migration report."""
-    return cluster.begin_remove_shard(shard_id).run()
+    return cluster.begin_plan(TopologyPlan().leave(shard_id)).run()
 
 
 def fill(deployment, router, n, prefix=b"mig"):

@@ -6,8 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.cluster.migration import MigrationConfig
-from repro.cluster.ring import ShardRing, tag_point
+from repro.cluster.ring import ShardRing, TopologyPlan, tag_point
 from repro.errors import (
     MigrationIngestError,
     MigrationInProgressError,
@@ -39,23 +38,23 @@ class TestRingTransition:
             ring.add_shard(f"shard-{i}")
         return ring
 
-    def test_begin_join_opens_window_with_ranges(self):
+    def test_begin_plan_join_opens_window_with_ranges(self):
         ring = self.ring()
-        ranges = ring.begin_join("shard-3", 2)
+        ranges = ring.begin_plan(TopologyPlan().join("shard-3"), 2)
         assert ring.in_transition
         assert ranges
         assert all("shard-3" in r.dests for r in ranges)
 
     def test_write_owners_point_at_pending_ring(self):
         ring = self.ring()
-        ring.begin_join("shard-3", 2)
+        ring.begin_plan(TopologyPlan().join("shard-3"), 2)
         settled = self.ring(4)
         tag = bytes(range(32))
         assert ring.write_owners(tag, 2) == settled.owners(tag, 2)
 
     def test_read_owners_keep_old_owners_until_commit(self):
         ring = self.ring()
-        ranges = ring.begin_join("shard-3", 2)
+        ranges = ring.begin_plan(TopologyPlan().join("shard-3"), 2)
         moved = next(
             r for r in ranges if "shard-3" in r.dests and r.sources
         )
@@ -72,7 +71,7 @@ class TestRingTransition:
 
     def test_commit_range_switches_reads_to_new_owners(self):
         ring = self.ring()
-        ranges = ring.begin_join("shard-3", 2)
+        ranges = ring.begin_plan(TopologyPlan().join("shard-3"), 2)
         for r in ranges:
             ring.commit_range(r.index)
         ring.finish()
@@ -82,20 +81,20 @@ class TestRingTransition:
     def test_abort_transition_restores_old_ring(self):
         ring = self.ring()
         before = ring.shards
-        ring.begin_join("shard-3", 2)
+        ring.begin_plan(TopologyPlan().join("shard-3"), 2)
         ring.abort_transition()
         assert not ring.in_transition
         assert ring.shards == before
 
     def test_second_transition_rejected_while_open(self):
         ring = self.ring()
-        ring.begin_join("shard-3", 2)
+        ring.begin_plan(TopologyPlan().join("shard-3"), 2)
         with pytest.raises(MigrationInProgressError):
-            ring.begin_join("shard-4", 2)
+            ring.begin_plan(TopologyPlan().join("shard-4"), 2)
 
     def test_commit_unknown_range_rejected(self):
         ring = self.ring()
-        ring.begin_join("shard-3", 2)
+        ring.begin_plan(TopologyPlan().join("shard-3"), 2)
         with pytest.raises(MigrationStateError):
             ring.commit_range(10_000)
 
@@ -105,7 +104,7 @@ class TestStreamingJoin:
         d = make_cluster(n_shards=3, replication_factor=2, seed=b"step-join")
         router = raw_router(d)
         puts = fill(router, 30)
-        migrator = d.cluster.begin_add_shard()
+        migrator = d.cluster.begin_plan(TopologyPlan().join())
         steps = 0
         while migrator.pending_ranges():
             assert migrator.step()
@@ -123,7 +122,7 @@ class TestStreamingJoin:
         d = make_cluster(n_shards=3, replication_factor=2, seed=b"window")
         router = raw_router(d)
         puts = fill(router, 20)
-        migrator = d.cluster.begin_add_shard()
+        migrator = d.cluster.begin_plan(TopologyPlan().join())
         # Half-way through the hand-off: every pre-existing entry is
         # still readable (failover covers uncommitted ranges) and new
         # writes land on the pending owners without being lost.
@@ -144,7 +143,7 @@ class TestStreamingJoin:
         d = make_cluster(n_shards=3, replication_factor=2, seed=b"rr-window")
         router = raw_router(d)
         puts = fill(router, 24)
-        migrator = d.cluster.begin_add_shard()
+        migrator = d.cluster.begin_plan(TopologyPlan().join())
         for _ in range(len(migrator.pending_ranges()) // 2):
             migrator.step()
         for put in puts:
@@ -162,7 +161,7 @@ class TestMigrationUnderFaults:
         puts = fill(router, 24)
         victim = d.cluster.shard_ids[0]
         d.cluster.kill_shard(victim)
-        migrator = d.cluster.begin_add_shard()
+        migrator = d.cluster.begin_plan(TopologyPlan().join())
         while migrator.pending_ranges():
             if not migrator.step():
                 break
@@ -176,11 +175,12 @@ class TestMigrationUnderFaults:
         d = make_cluster(n_shards=3, replication_factor=2, seed=b"dead-join")
         router = raw_router(d)
         puts = fill(router, 16)
-        migrator = d.cluster.begin_add_shard()
-        d.cluster.kill_shard(migrator.shard_id)
+        migrator = d.cluster.begin_plan(TopologyPlan().join())
+        (joiner,) = migrator.joiners
+        d.cluster.kill_shard(joiner)
         assert not migrator.step()          # blocked, not lost
         assert migrator.pending_ranges()
-        d.cluster.revive_shard(migrator.shard_id)
+        d.cluster.revive_shard(joiner)
         migrator.run()
         assert ownership_exact(d.cluster, puts)
 
@@ -191,7 +191,7 @@ class TestMigrationUnderFaults:
         )
         router = raw_router(d)
         puts = fill(router, 24)
-        migrator = d.cluster.begin_add_shard()
+        migrator = d.cluster.begin_plan(TopologyPlan().join())
         for _ in range(len(migrator.pending_ranges()) // 2):
             migrator.step()
         for sid in migrator.ranges[0].sources:
@@ -208,10 +208,11 @@ class TestMigrationUnderFaults:
         )
         router = raw_router(d)
         puts = fill(router, 24)
-        migrator = d.cluster.begin_add_shard()
+        migrator = d.cluster.begin_plan(TopologyPlan().join())
         for _ in range(len(migrator.pending_ranges()) // 2):
             migrator.step()
-        d.cluster.power_fail_shard(migrator.shard_id)
+        (joiner,) = migrator.joiners
+        d.cluster.power_fail_shard(joiner)
         migrator.run()
         assert ownership_exact(d.cluster, puts)
         for put in puts:
@@ -225,18 +226,17 @@ class TestQuotaFullTarget:
         puts = fill(router, 12)
         owners_before = {p.tag: d.cluster.owners_of(p.tag) for p in puts}
         shards_before = set(d.cluster.shards)
-        migrator = d.cluster.begin_add_shard(
-            config=MigrationConfig(batch_entries=4)
-        )
+        migrator = d.cluster.begin_plan(TopologyPlan().join(), batch_entries=4)
         # The target's quota fills before the first migrated batch: the
         # destination refuses the ingest instead of silently evicting
         # foreground entries to make room.
-        target = d.cluster.shards[migrator.shard_id].store
+        (joiner,) = migrator.joiners
+        target = d.cluster.shards[joiner].store
         target.config = dataclasses.replace(target.config, capacity_bytes=8)
         with pytest.raises(MigrationIngestError) as excinfo:
             migrator.run()
         assert excinfo.value.code == "migration_ingest"
-        d.cluster.abort_add_shard(migrator)
+        d.cluster.abort_plan(migrator)
         assert set(d.cluster.shards) == shards_before
         assert not d.cluster.ring.in_transition
         assert owners_before == {
@@ -253,7 +253,7 @@ class TestStreamingLeave:
         router = raw_router(d)
         puts = fill(router, 30)
         leaver = d.cluster.shard_ids[1]
-        migrator = d.cluster.begin_remove_shard(leaver)
+        migrator = d.cluster.begin_plan(TopologyPlan().leave(leaver))
         while migrator.pending_ranges():
             assert migrator.step()
         migrator.finish()
@@ -290,7 +290,7 @@ class TestOverlapPacing:
                          vnodes=vnodes)
         router = raw_router(d)
         fill(router, 24)
-        return d.cluster.begin_add_shard()
+        return d.cluster.begin_plan(TopologyPlan().join())
 
     def test_paces_demand_across_remaining_rounds(self):
         migrator = self.migrator_with_pending(b"pace-even")
@@ -334,6 +334,7 @@ class TestOverlapPacing:
 
     def test_stops_when_every_range_is_blocked(self):
         migrator = self.migrator_with_pending(b"pace-blocked")
-        migrator.cluster.kill_shard(migrator.shard_id)
+        (joiner,) = migrator.joiners
+        migrator.cluster.kill_shard(joiner)
         assert migrator.overlap_steps(1) == 0
         assert migrator.pending_ranges()

@@ -1,10 +1,10 @@
 """Session topology API: add_shard/remove_shard/rebalance, structured
 TopologyReport, the report rendering convention, and the raw
-StoreCluster streaming entry points underneath."""
+StoreCluster streaming entry point (``begin_plan``) underneath."""
 
 import warnings
 
-from repro import TopologyReport, connect
+from repro import TopologyPlan, TopologyReport, connect
 from repro.cluster import MigrationReport
 from repro.report import ReportMixin
 
@@ -110,22 +110,23 @@ class TestTopologyReportRendering:
 
 
 class TestStreamingEntryPoints:
-    def test_begin_add_shard_runs_and_serves(self):
+    def test_begin_plan_join_runs_and_serves(self):
         d = make_cluster(n_shards=3, replication_factor=2, seed=b"dep-add")
         router = raw_router(d)
         puts = [make_put(i, prefix=b"dep") for i in range(20)]
         for put in puts:
             assert router.call(put).accepted
-        migrator = d.cluster.begin_add_shard()
+        migrator = d.cluster.begin_plan(TopologyPlan().join())
         report = migrator.run()
         assert isinstance(report, MigrationReport)
-        assert migrator.shard_id in d.cluster.ring.shards
+        (joiner,) = migrator.joiners
+        assert joiner in d.cluster.ring.shards
         for put in puts:
             assert router.call(make_get(put)).found
 
-    def test_begin_remove_shard_runs(self):
+    def test_begin_plan_leave_runs(self):
         d = make_cluster(n_shards=4, replication_factor=2, seed=b"dep-rm")
-        report = d.cluster.begin_remove_shard("shard-0").run()
+        report = d.cluster.begin_plan(TopologyPlan().leave("shard-0")).run()
         assert isinstance(report, MigrationReport)
         assert "shard-0" not in d.cluster.shards
 
@@ -133,5 +134,5 @@ class TestStreamingEntryPoints:
         d = make_cluster(n_shards=3, replication_factor=2, seed=b"dep-clean")
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            migrator = d.cluster.begin_add_shard()
+            migrator = d.cluster.begin_plan(TopologyPlan().join())
             migrator.run()

@@ -95,7 +95,7 @@ class TestWeightedPlacement:
         ring = ShardRing(vnodes=8)
         ring.add_shard("a", weight=2.0)
         ring.add_shard("b")
-        for rng in ring.begin_join("c", 2, weight=0.5):
+        for rng in ring.begin_plan(TopologyPlan().join("c", 0.5), 2):
             ring.commit_range(rng.index)
         ring.finish()
         assert ring.weight_of("a") == 2.0
@@ -151,7 +151,7 @@ class TestBeginPlan:
         serial = self.members()
         serial_width = 0
         for i in range(4, 8):
-            for rng in serial.begin_join(f"shard-{i}", 2):
+            for rng in serial.begin_plan(TopologyPlan().join(f"shard-{i}"), 2):
                 serial_width += rng.width
                 serial.commit_range(rng.index)
             serial.finish()
@@ -201,7 +201,7 @@ class TestWrapMergePin:
         # Deterministic scenario (sha256 placement): joining "j21" to a
         # two-shard ring at vnodes=4 moves a slice that spans point 0.
         ring = ring_with("shard-0", "shard-1", vnodes=4)
-        ranges = ring.begin_join("j21", 2)
+        ranges = ring.begin_plan(TopologyPlan().join("j21"), 2)
         wraps = [r for r in ranges if r.lo > r.hi]
         assert len(wraps) == 1
         [wrap] = wraps
@@ -222,7 +222,7 @@ class TestWrapMergePin:
 
     def test_every_boundary_lands_in_at_most_one_range(self):
         ring = ring_with("shard-0", "shard-1", vnodes=4)
-        ranges = ring.begin_join("j21", 2)
+        ranges = ring.begin_plan(TopologyPlan().join("j21"), 2)
         boundaries = sorted(set(ring._points) | set(ring._next._points))
         for point in boundaries + [0, RING_SIZE - 1]:
             covering = [r for r in ranges if r.contains(point)]
@@ -242,7 +242,7 @@ class TestBoundarySemantics:
         # range's dests under the pending ring and its sources under the
         # old one; the exclusive start is outside the range.
         ring = ring_with("shard-0", "shard-1", "shard-2", vnodes=8)
-        ranges = ring.begin_join("shard-3", 2)
+        ranges = ring.begin_plan(TopologyPlan().join("shard-3"), 2)
         for rng in ranges:
             assert rng.contains(rng.hi)
             assert not rng.contains(rng.lo)
@@ -306,7 +306,7 @@ class TestAbortContract:
 
     def test_double_abort_raises(self):
         ring = ring_with("a", "b")
-        ring.begin_join("c", 2)
+        ring.begin_plan(TopologyPlan().join("c"), 2)
         ring.abort_transition()
         with pytest.raises(MigrationStateError, match="no transition"):
             ring.abort_transition()
@@ -319,8 +319,8 @@ class TestAbortContract:
         router = raw_router(d)
         for i in range(8):
             assert router.call(make_put(i, prefix=b"dbl")).accepted
-        migrator = d.cluster.begin_add_shard()
-        d.cluster.abort_add_shard(migrator)
+        migrator = d.cluster.begin_plan(TopologyPlan().join())
+        d.cluster.abort_plan(migrator)
         assert not d.cluster.ring.in_transition
         with pytest.raises(MigrationStateError):
             migrator.abort()
@@ -351,7 +351,7 @@ class TestClusterPlan:
             .leave("shard-0").reweight("shard-1", 0.5)
         )
         migrator = d.cluster.begin_plan(plan)
-        assert migrator.action == "plan"
+        assert migrator.label == "+shard-3+big-2-shard-0~shard-1"
         assert "big-2" in migrator.joiners and len(migrator.joiners) == 2
         assert migrator.leavers == frozenset({"shard-0"})
         migrator.run()

@@ -46,7 +46,7 @@ def valid_encodings() -> dict:
     tags = [put(client, bytes([i])) for i in range(4)]       # PUTs + one eviction
     assert client.call(GetRequest(tag=tags[3])).found        # a TOUCH mark
     for kind in (REC_MIGRATE_BEGIN, REC_MIGRATE_COMMIT, REC_MIGRATE_END):
-        store.note_migrate(kind, "join/s9/1", 5, 9, peer="s9", role=1)
+        store.note_migrate(kind, "plan/+s9/1", 5, 9, peer="+s9", role=1)
     with store.ecall("test-read"):
         segments = [store.enclave.unseal(s.sealed) for s in store.durable.segments]
         shipped = _encode_entries(store.collect_entries(lambda entry: True))
