@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from .migration import RangeMigrator
 from .ring import ShardRing, TopologyPlan
 from .router import ClusterRouter
-from ..errors import SpeedError
+from ..errors import MigrationError, SpeedError
 from ..net.transport import FaultInjector, Network
 from ..obs.tracer import NULL_TRACER
 from ..sgx.attestation import AttestationService
@@ -95,6 +95,8 @@ class StoreCluster:
         self.ring = ShardRing(vnodes=self.config.vnodes)
         self.shards: dict[str, ShardNode] = {}
         self._spawned = 0
+        # Ids of machines that left; a platform id is provisioned once.
+        self._retired: set[str] = set()
         self._migration_seq = 0
         # Routers to retro-fit when the ring grows: (app name, enclave, router).
         self._routers: list[tuple[str, Enclave, ClusterRouter]] = []
@@ -106,9 +108,6 @@ class StoreCluster:
         self, shard_id: str | None = None, register: bool = True
     ) -> ShardNode:
         shard_id = shard_id or f"shard-{self._spawned}"
-        if shard_id in self.shards:
-            raise SpeedError(f"shard {shard_id!r} already exists")
-        self._spawned += 1
         platform_kwargs = {}
         if self.config.epc_usable_bytes is not None:
             platform_kwargs["epc_usable_bytes"] = self.config.epc_usable_bytes
@@ -129,6 +128,7 @@ class StoreCluster:
         )
         node = ShardNode(shard_id=shard_id, platform=platform, store=store)
         self.shards[shard_id] = node
+        self._spawned += 1
         if register:
             # Streaming joins keep the shard off the ring until the
             # dual-ownership transition opens (ring.begin_plan).
@@ -148,27 +148,37 @@ class StoreCluster:
         dual-ownership window instead of N serialized ones; a lone join
         or drain is a one-change plan.
 
-        Joiner machines are spawned and attached to every registered
-        router *before* the window opens, so writes can land on them the
-        moment they become pending owners (anonymous joins —
-        ``join(None)`` — get auto-assigned shard ids here); if the window
-        fails to open, all of them are despawned again.  ``batch_entries``
-        bounds one attested hand-off payload.  Returns the
-        :class:`RangeMigrator` streaming the window; drive it with
+        Anonymous joins — ``join(None)`` — are named first (the
+        ``shard-<n>`` the cluster's spawn count gives them), then the
+        whole plan is checked once, before any machine exists: an id a
+        departed machine already used is refused here, everything else —
+        unknown leaver or reweight target, a joiner already on the ring,
+        the last shard, a window already open — by
+        :meth:`ShardRing.begin_plan`.  A refused open therefore leaves
+        nothing behind.  Only then are the joiner machines spawned and
+        attached to every registered router, so writes can land on them
+        the moment a caller routes by the pending ring.
+        ``batch_entries`` bounds one attested hand-off payload.  Returns
+        the :class:`RangeMigrator` streaming the window; drive it with
         ``step()``/``finish()`` (or ``run()``), or back out with
         :meth:`abort_plan`."""
-        plan.validate()
-        spawned: list[str] = []
+        plan = replace(plan, joins=tuple(
+            (sid or f"shard-{self._spawned + i}", weight)
+            for i, (sid, weight) in enumerate(plan.joins)
+        ))
+        for sid, _weight in plan.joins:
+            if sid in self._retired:
+                raise MigrationError(
+                    f"shard id {sid!r} was used by a machine that left this cluster"
+                )
+        self.ring.begin_plan(plan, self.config.replication_factor)
         try:
             for sid, _weight in plan.joins:
-                spawned.append(self._attach_joiner(sid).shard_id)
-            plan = replace(plan, joins=tuple(
-                (sid, weight) for sid, (_, weight) in zip(spawned, plan.joins)
-            ))
-            self.ring.begin_plan(plan, self.config.replication_factor)
+                self._attach_joiner(sid)
             return RangeMigrator(self, plan, batch_entries, engine)
         except Exception:
-            for sid in spawned:
+            self.ring.abort_transition()
+            for sid, _weight in plan.joins:
                 self.despawn_shard(sid)
             raise
 
@@ -181,7 +191,7 @@ class StoreCluster:
         for sid in sorted(migrator.joiners):
             self.despawn_shard(sid)
 
-    def _attach_joiner(self, shard_id: str | None) -> ShardNode:
+    def _attach_joiner(self, shard_id: str) -> ShardNode:
         """Spawn a joining shard off-ring and connect it to every
         registered router, so writes can land on it the moment the
         pending ring makes it an owner."""
@@ -202,6 +212,7 @@ class StoreCluster:
         node = self.shards.pop(shard_id, None)
         if node is None:
             return
+        self._retired.add(shard_id)
         for _name, _enclave, router in self._routers:
             router.detach_shard(shard_id)
         self.fault.kill(node.address)

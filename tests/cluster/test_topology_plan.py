@@ -7,6 +7,7 @@ import pytest
 from repro import TopologyPlan, TopologyReport, connect
 from repro.cluster.ring import RING_SIZE, MigrationRange, ShardRing, tag_point
 from repro.errors import (
+    MigrationError,
     MigrationInProgressError,
     MigrationStateError,
     SpeedError,
@@ -379,6 +380,59 @@ class TestClusterPlan:
         }
         for put in puts:
             assert router.call(make_get(put)).found
+
+
+class TestRefusedOpen:
+    """A refused open leaves no trace: the plan is named and checked
+    against cluster and ring before any joiner machine is spawned."""
+
+    def test_refusal_spawns_nothing_and_burns_no_name(self):
+        session = connect(shards=3, replication_factor=2, seed=b"refused",
+                          tracing=False)
+        cluster, router = session.cluster, session.runtime.client
+        session.remove_shard("shard-0")
+
+        def state():
+            return (sorted(cluster.shards), router.shard_ids,
+                    cluster.ring.shards, cluster.ring.in_transition)
+
+        settled = state()
+        assert settled[:3] == (["shard-1", "shard-2"],) + (("shard-1", "shard-2"),) * 2
+        for refused in (
+            TopologyPlan().join("shard-0"),                  # a departed id
+            TopologyPlan().join("fresh-a").join("shard-0"),  # ... after a fresh one
+            TopologyPlan().join("fresh-a").join().leave("ghost"),
+            TopologyPlan().join().reweight("ghost", 2.0),
+            TopologyPlan().join("fresh-a").join("shard-1"),  # a member's id
+        ):
+            with pytest.raises(SpeedError) as excinfo:
+                session.apply_topology(refused)
+            assert excinfo.value.code in ("migration_error", "speed_error")
+            assert state() == settled
+        with pytest.raises(MigrationError, match="'shard-0' was used"):
+            session.add_shard("shard-0")
+        # No refused attempt advanced the auto-name or burnt a name.
+        assert session.add_shard().shard_id == "shard-3"
+        assert session.add_shard("fresh-a").shard_id == "fresh-a"
+        assert session.add_shard().shard_id == "shard-5"
+
+    def test_refused_second_open_leaves_the_open_window_alone(self):
+        d = make_cluster(n_shards=3, replication_factor=2, seed=b"refused-open")
+        migrator = d.cluster.begin_plan(TopologyPlan().join())
+        before = (sorted(d.cluster.shards), d.cluster.ring.pending_shards)
+        with pytest.raises(MigrationInProgressError):
+            d.cluster.begin_plan(TopologyPlan().join("late"))
+        assert (sorted(d.cluster.shards), d.cluster.ring.pending_shards) == before
+        migrator.run()
+        (late,) = d.cluster.begin_plan(TopologyPlan().join("late")).joiners
+        assert late == "late"
+
+    def test_an_aborted_joiners_id_is_used_up(self):
+        d = make_cluster(n_shards=3, replication_factor=2, seed=b"refused-abort")
+        d.cluster.abort_plan(d.cluster.begin_plan(TopologyPlan().join("once")))
+        with pytest.raises(MigrationError, match="'once' was used"):
+            d.cluster.begin_plan(TopologyPlan().join("once"))
+        assert sorted(d.cluster.shards) == ["shard-0", "shard-1", "shard-2"]
 
 
 class TestSessionTopology:
