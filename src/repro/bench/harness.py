@@ -34,6 +34,7 @@ from ..baselines.presets import (
     single_key_runtime_config,
 )
 from ..baselines.unic import UnicRuntime, UnicStore
+from ..cluster.migration import RangeMigrator
 from ..cluster.ring import ShardRing, TopologyPlan
 from ..core.description import TrustedLibraryRegistry
 from ..core.runtime import RuntimeConfig
@@ -1146,17 +1147,6 @@ def _window(plan, batch_entries: int):
     return lambda cluster, engine: cluster.begin_plan(plan, batch_entries, engine)
 
 
-def _paced(migrator, rounds_left: int) -> None:
-    """Paced streaming: a slice of the hand-off advances between two
-    foreground rounds, sized so it drains across the remaining rounds
-    instead of piling up at the end."""
-    budget = max(1, -(-len(migrator.pending_ranges()) // rounds_left))
-    for _ in range(budget):
-        if not migrator.pending_ranges():
-            break
-        migrator.step()
-
-
 def _greedy(migrator, rounds_left: int) -> None:
     """Greedy drain: demand says "everything now" and the engine's
     background budget is the cap — one lane for a single join, one lane
@@ -1181,7 +1171,9 @@ def _foreground_rounds(session, kernel, inputs: list[bytes], rounds: int, *,
     The overlay is ``windows`` (openers of dual-ownership windows, each
     taken at the start of the first round that finds none open — so N
     windows serialize) and ``advance(migrator, rounds_left)``, run
-    between two rounds; a window closes the moment it has drained.
+    between two rounds — :meth:`RangeMigrator.overlap_steps` paces the
+    hand-off across the remaining rounds, :func:`_greedy` asks for all
+    of it now; a window closes the moment it has drained.
     Windows still open or unopened after the last round finish serially
     — the cost of paying N windows where one would do.
 
@@ -1340,7 +1332,7 @@ def run_migrate(ops: int, rounds: int, n_shards: int = 3, batch_entries: int = 8
         run = _foreground_rounds(
             _topology_session(n_shards, base_tag + seed_tag), migrate_kernel, inputs,
             rounds, reader="migrate-reader", depth=8, workers=4,
-            windows=windows, advance=_paced,
+            windows=windows, advance=RangeMigrator.overlap_steps,
         )
         base = base or run
         yield _topology_row(phase, n_shards, run, base)
@@ -1452,10 +1444,9 @@ def run_adaptive(depths: list[int], ops: int, rounds: int, workers: int = 4,
             _topology_session(4, b"bench-adaptive-join" + bytes([seed % 251]), vnodes=2),
             join_kernel, _pipeline_inputs(ops, seed + 2), rounds,
             reader="adaptive-join-reader", depth="auto", **auto, prime=True,
-            windows=windows,
             # The controller's yielded depth slots bound the migrator's
             # between-rounds intrusion budget.
-            advance=lambda migrator, rounds_left: migrator.overlap_steps(rounds_left),
+            windows=windows, advance=RangeMigrator.overlap_steps,
         )
         base = base or run
         yield dict(phase="join", n_shards=4 + len(windows), depth="auto",

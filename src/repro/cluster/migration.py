@@ -192,7 +192,7 @@ class RangeMigrator:
         if not pending:
             return 0
         budget = max(1, -(-pending // max(1, rounds_left)))
-        if self.engine is not None and hasattr(self.engine, "background_budget"):
+        if self.engine is not None:
             gaining = {
                 d for rng in pending_ranges for d in _gaining(rng)
                 if self.cluster.shard_alive(d)
