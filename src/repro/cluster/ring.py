@@ -324,9 +324,6 @@ class ShardRing:
     def pending_ranges(self) -> tuple[MigrationRange, ...]:
         return tuple(r for r in self._ranges if r.index not in self._committed)
 
-    def all_ranges(self) -> tuple[MigrationRange, ...]:
-        return self._ranges
-
     def transition_range(self, tag: bytes) -> MigrationRange | None:
         """The in-flight range covering ``tag`` (None when settled or the
         tag's owner set does not change in this transition)."""

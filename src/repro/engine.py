@@ -118,12 +118,6 @@ class EngineConfig:
     def adaptive(self) -> bool:
         return self.depth == AUTO_DEPTH
 
-    @property
-    def initial_depth(self) -> int:
-        """Depth of the first round: the floor in auto mode (the
-        controller slow-starts upward), the static value otherwise."""
-        return self.min_depth if self.adaptive else self.depth
-
 
 @dataclass(frozen=True)
 class DepthObservation:

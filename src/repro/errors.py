@@ -91,19 +91,6 @@ class RetryExhaustedError(TransportError):
     code = "retry_exhausted"
 
 
-class CircuitOpenError(TransportError):
-    """A per-shard circuit breaker refused the call without sending.
-
-    Raised by the cluster router when a shard's breaker is open: the
-    shard failed repeatedly in the recent past, so the router fails fast
-    instead of paying another timeout.  Also a :class:`TransportError`
-    subclass — to the routing layer an open circuit *is* an unreachable
-    shard.
-    """
-
-    code = "circuit_open"
-
-
 class ChannelError(SpeedError):
     """Secure-channel handshake or record protection failed."""
 

@@ -290,10 +290,6 @@ class Network:
             released += self._release_due()
         return released
 
-    @property
-    def delayed_count(self) -> int:
-        return len(self._delayed)
-
     def snapshot(self) -> dict:
         """Canonical ``net.<metric>`` counters for the metrics registry."""
         return {
@@ -312,7 +308,3 @@ class Network:
         if address not in self._endpoints:
             raise TransportError(f"cannot attach reactor to unknown address {address!r}")
         self._reactors[address] = reactor
-
-    def remove_reactor(self, address: str) -> None:
-        """Detach a reactor (a stopped service no longer drains its socket)."""
-        self._reactors.pop(address, None)

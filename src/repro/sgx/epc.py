@@ -93,6 +93,3 @@ class EpcManager:
     @property
     def resident_pages(self) -> int:
         return len(self._resident)
-
-    def resident_bytes(self) -> int:
-        return self.resident_pages * self.page_size

@@ -660,8 +660,3 @@ def replay_check(config: SimConfig) -> tuple[ScenarioResult, ScenarioResult, boo
     first = run_scenario(config)
     second = run_scenario(config)
     return first, second, first.digest == second.digest
-
-
-def with_steps(config: SimConfig, steps: int) -> SimConfig:
-    """A copy of ``config`` truncated to ``steps`` scenario steps."""
-    return replace(config, steps=steps)

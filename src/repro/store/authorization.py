@@ -54,9 +54,6 @@ class AuthorizationPolicy:
     def revoke_enclave(self, measurement: Measurement) -> None:
         self.allowed_mrenclaves.discard(measurement.mrenclave)
 
-    def revoke_signer(self, mrsigner: bytes) -> None:
-        self.allowed_mrsigners.discard(mrsigner)
-
     # -- admission ---------------------------------------------------------
     def admits(self, measurement: Measurement) -> bool:
         if self.open_admission:

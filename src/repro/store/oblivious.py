@@ -166,9 +166,6 @@ class PathOram:
         # membership probe; tests use it for verification only.
         return key in self._position
 
-    def stash_size(self) -> int:
-        return len(self._stash)
-
     def path_of(self, key: bytes) -> int | None:
         """Current leaf assignment (test instrumentation)."""
         return self._position.get(key)
