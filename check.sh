@@ -50,7 +50,7 @@ echo "tier-1 wall time: $(( $(date +%s) - tier1_start )) s"
 # benchmarks/repeat_gate.py runs `run.py --check-repeat` as fixed work.
 # (`python -m pytest benchmarks/e2e` is not wired in: its `--quick` window
 # is a length of time, and on a program this fast the reduced mix2k workload
-# drifts out of its store-hit band — ROADMAP item 1(b), a benchmark-side fix.)
+# drifts out of its store-hit band — ROADMAP item 3(b), a benchmark-side fix.)
 echo "== e2e benchmark repeat check (virtual clock + counts) =="
 python3 benchmarks/repeat_gate.py || status=1
 
