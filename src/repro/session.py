@@ -455,9 +455,9 @@ class Session:
         report = self.apply_topology(
             TopologyPlan().join(shard_id, weight), batch_entries
         )
-        # A one-change plan's label is its sign and the shard id.
+        # A one-join plan's label is "+" and the (possibly auto-assigned) id.
         return dataclasses.replace(
-            report, action="add_shard", shard_id=report.shard_id[1:]
+            report, action="add_shard", shard_id=report.shard_id.removeprefix("+")
         )
 
     def apply_topology(

@@ -404,6 +404,7 @@ class TestRefusedOpen:
             TopologyPlan().join("fresh-a").join().leave("ghost"),
             TopologyPlan().join().reweight("ghost", 2.0),
             TopologyPlan().join("fresh-a").join("shard-1"),  # a member's id
+            TopologyPlan().join("shard-4").join(),  # ... or the next auto-name
         ):
             with pytest.raises(SpeedError) as excinfo:
                 session.apply_topology(refused)
