@@ -21,10 +21,12 @@ from repro.durable.checkpoint import (
     take_checkpoint,
 )
 from repro.durable.wal import (
+    GENESIS_CHAIN,
     REC_MIGRATE_BEGIN,
     REC_MIGRATE_COMMIT,
     REC_MIGRATE_END,
     decode_segment,
+    encode_segment,
 )
 from repro.errors import SpeedError
 from repro.net.messages import GetRequest
@@ -36,8 +38,8 @@ from .conftest import durable_deployment, put
 @functools.cache
 def valid_encodings() -> dict:
     """One valid plaintext per decoder, written by the real encoders: a
-    segment holding every record kind, a checkpoint, its image, and a
-    shipped batch."""
+    segment holding every record kind (the logged records re-encoded as
+    one), a checkpoint, its image, and a shipped batch."""
     d, client = durable_deployment(
         b"decoders-total", capacity_entries=3, wal_group_commit=64,
         recency_log_interval=1,
@@ -51,9 +53,10 @@ def valid_encodings() -> dict:
         segments = [store.enclave.unseal(s.sealed) for s in store.durable.segments]
         shipped = _encode_entries(store.collect_entries(lambda entry: True))
         checkpoint = store.enclave.unseal(take_checkpoint(store).sealed)
-    kinds = {r.kind for s in segments for r in decode_segment(s)[2]}
-    assert kinds == {1, 2, 3, 4, 5, 6}
-    segment = max(segments, key=len)
+    segment = encode_segment(
+        GENESIS_CHAIN, 1, [r for s in segments for r in decode_segment(s)[2]]
+    )
+    assert {r.kind for r in decode_segment(segment)[2]} == {1, 2, 3, 4, 5, 6}
     image = decode_checkpoint(checkpoint)[3]
     assert len(decode_image(image)) == 3 and len(_decode_entries(shipped)) == 3
     return {

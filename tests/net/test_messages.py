@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.net.messages import (
+    BatchGetRequest,
+    BatchGetResponse,
+    BatchPutRequest,
+    BatchPutResponse,
     ErrorMessage,
     GetRequest,
     GetResponse,
     PutRequest,
     PutResponse,
-    SyncRequest,
-    SyncResponse,
     decode_message,
     encode_message,
 )
@@ -28,11 +30,18 @@ EXAMPLES = [
                sealed_result=b"x" * 100, app_id="app"),
     PutResponse(accepted=True),
     PutResponse(accepted=False, reason="quota exceeded"),
-    SyncRequest(known_tags=(b"\x03" * 32, b"\x04" * 32), min_hits=5),
-    SyncRequest(),
-    SyncResponse(entries=((b"t" * 32, b"r" * 32, b"k" * 16, b"blob"),)),
-    SyncResponse(),
+    PutResponse(accepted=True, request_id=2**64 - 1),
     ErrorMessage(code=500, detail="boom"),
+    BatchGetRequest(items=(GetRequest(tag=b"\x03" * 32, app_id="a"), GetRequest(tag=b""))),
+    BatchGetResponse(items=(GetResponse(found=False, reason="no live owner"),
+                            GetResponse(found=True, challenge=b"r", wrapped_key=b"k",
+                                        sealed_result=b"s"))),
+    BatchPutRequest(items=(PutRequest(tag=b"\x04" * 32, challenge=b"r" * 32,
+                                      wrapped_key=b"k" * 16, sealed_result=b"y" * 7,
+                                      app_id="b"),)),
+    BatchPutResponse(items=(PutResponse(accepted=True),
+                            PutResponse(accepted=False, reason="no"))),
+    BatchGetRequest(items=()),
 ]
 
 
