@@ -28,43 +28,41 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .wal import read_fields, write_fields
 from ..errors import StoreError
-from ..net.framing import FieldReader, FieldWriter
+from ..net.framing import Layout, Repeated, pack, unpack
 from ..sgx.sealing import SealedBlob, SealPolicy
 
 IMAGE_VERSION = 2
 #: One image entry: the keywords of ``ResultStore.restore_entry``.
-IMAGE_ENTRY_FIELDS = (
+IMAGE_ENTRY_FIELDS = Layout(
     ("tag", "blob"), ("challenge", "blob"), ("wrapped_key", "blob"),
     ("sealed_result", "blob"), ("app_id", "text"), ("hits", "u64"),
     ("insert_seq", "u64"), ("last_access_seq", "u64"),
 )
+IMAGE = Layout(("version", "u32"), ("entries", Repeated(IMAGE_ENTRY_FIELDS)))
 CHECKPOINT_VERSION = 2
+#: A checkpoint plaintext: the log anchor, the rollback counter, the image.
+CHECKPOINT = Layout(
+    ("version", "u32"), ("seq", "u64"), ("chain", "blob"), ("counter", "u64"),
+    ("image", "blob"),
+)
 
 
 def encode_image(store) -> bytes:
     """``store``'s whole state as one plaintext (call inside its enclave)."""
-    stored = list(store.stored())
-    writer = FieldWriter()
-    writer.u32(IMAGE_VERSION)
-    writer.u32(len(stored))
-    for entry, sealed_result in stored:
-        write_fields(
-            writer, IMAGE_ENTRY_FIELDS, {**vars(entry), "sealed_result": sealed_result}
-        )
-    return writer.getvalue()
+    entries = [
+        {**vars(entry), "sealed_result": sealed_result}
+        for entry, sealed_result in store.stored()
+    ]
+    return pack(IMAGE, {"version": IMAGE_VERSION, "entries": entries})
 
 
-def decode_image(payload: bytes) -> list[dict]:
+def decode_image(payload: bytes) -> tuple[dict, ...]:
     """Parse an image into one ``IMAGE_ENTRY_FIELDS`` dict per entry."""
-    reader = FieldReader(payload)
-    version = reader.u32()
-    if version != IMAGE_VERSION:
-        raise StoreError(f"unsupported snapshot version {version}")
-    items = [read_fields(reader, IMAGE_ENTRY_FIELDS) for _ in range(reader.u32())]
-    reader.expect_end()
-    return items
+    image = unpack(IMAGE, payload)
+    if image["version"] != IMAGE_VERSION:
+        raise StoreError(f"unsupported snapshot version {image['version']}")
+    return image["entries"]
 
 
 def apply_image(store, payload: bytes) -> tuple[int, int]:
@@ -90,26 +88,17 @@ class CheckpointImage:
 
 
 def encode_checkpoint(seq: int, chain: bytes, counter: int, image: bytes) -> bytes:
-    writer = FieldWriter()
-    writer.u32(CHECKPOINT_VERSION)
-    writer.u64(seq)
-    writer.blob(chain)
-    writer.u64(counter)
-    writer.blob(image)
-    return writer.getvalue()
+    return pack(CHECKPOINT, {
+        "version": CHECKPOINT_VERSION, "seq": seq, "chain": chain,
+        "counter": counter, "image": image,
+    })
 
 
 def decode_checkpoint(payload: bytes) -> tuple[int, bytes, int, bytes]:
-    reader = FieldReader(payload)
-    version = reader.u32()
-    if version != CHECKPOINT_VERSION:
-        raise StoreError(f"unsupported checkpoint version {version}")
-    seq = reader.u64()
-    chain = reader.blob()
-    counter = reader.u64()
-    image = reader.blob()
-    reader.expect_end()
-    return seq, chain, counter, image
+    fields = unpack(CHECKPOINT, payload)
+    if fields["version"] != CHECKPOINT_VERSION:
+        raise StoreError(f"unsupported checkpoint version {fields['version']}")
+    return fields["seq"], fields["chain"], fields["counter"], fields["image"]
 
 
 def take_checkpoint(store) -> CheckpointImage:

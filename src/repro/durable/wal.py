@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import StoreError
-from ..net.framing import FieldReader, FieldWriter
+from ..net.framing import FieldReader, FieldWriter, Layout, read_fields, write_fields
 from ..obs.tracer import NULL_TRACER
 from ..sgx.sealing import SealedBlob, SealPolicy
 
@@ -110,38 +110,32 @@ class WalSegment:
     sealed: SealedBlob
 
 
-_MIGRATE_FIELDS = (
+#: A segment plaintext: this header, then ``n_records`` records, each
+#: ``RECORD_HEAD`` followed by ``RECORD_FIELDS[kind]``.
+SEGMENT_HEADER = Layout(
+    ("version", "u32"), ("prev_chain", "blob"), ("first_seq", "u64"), ("n_records", "u32"),
+)
+RECORD_HEAD = Layout(("kind", "u8"), ("tag", "blob"))
+_MIGRATE_FIELDS = Layout(
     ("migration_id", "text"), ("range_lo", "u64"), ("range_hi", "u64"),
     ("peer", "text"), ("role", "u8"),
 )
-#: What each record kind carries after ``kind`` and ``tag``, as
-#: ``(WalRecord attribute, framing primitive)`` pairs — the one list both
-#: :func:`encode_segment` and :func:`decode_segment` walk.
+#: What each record kind carries after its head, as ``(WalRecord
+#: attribute, framing primitive)`` pairs.
 RECORD_FIELDS = {
-    REC_PUT: (
+    REC_PUT: Layout(
         ("challenge", "blob"), ("wrapped_key", "blob"), ("blob_digest", "blob"),
         ("size", "u64"), ("app_id", "text"),
     ),
-    REC_REMOVE: (("subkind", "u8"),),
+    REC_REMOVE: Layout(("subkind", "u8")),
     REC_MIGRATE_BEGIN: _MIGRATE_FIELDS,
     REC_MIGRATE_COMMIT: _MIGRATE_FIELDS,
     REC_MIGRATE_END: _MIGRATE_FIELDS,
-    REC_TOUCH: (("hits", "u64"),),
+    REC_TOUCH: Layout(("hits", "u64")),
 }
 
 
-def write_fields(writer: FieldWriter, fields, values) -> None:
-    """Append ``values[name]`` for each declared ``(name, primitive)``."""
-    for name, primitive in fields:
-        getattr(writer, primitive)(values[name])
-
-
-def read_fields(reader: FieldReader, fields) -> dict:
-    """Consume one value per declared ``(name, primitive)``."""
-    return {name: getattr(reader, primitive)() for name, primitive in fields}
-
-
-def _fields_of(kind: int):
+def _fields_of(kind: int) -> Layout:
     try:
         return RECORD_FIELDS[kind]
     except KeyError:
@@ -153,32 +147,29 @@ def encode_segment(prev_chain: bytes, first_seq: int, records) -> bytes:
     enclave).  The predecessor's chain value rides inside the sealed
     payload, so segment order is bound by the seal itself."""
     writer = FieldWriter()
-    writer.u32(WAL_FORMAT_VERSION)
-    writer.blob(prev_chain)
-    writer.u64(first_seq)
-    writer.u32(len(records))
+    write_fields(writer, SEGMENT_HEADER, {
+        "version": WAL_FORMAT_VERSION, "prev_chain": prev_chain,
+        "first_seq": first_seq, "n_records": len(records),
+    })
     for record in records:
-        writer.u8(record.kind)
-        writer.blob(record.tag)
-        write_fields(writer, _fields_of(record.kind), vars(record))
+        values = vars(record)
+        write_fields(writer, RECORD_HEAD, values)
+        write_fields(writer, _fields_of(record.kind), values)
     return writer.getvalue()
 
 
 def decode_segment(payload: bytes) -> tuple[bytes, int, list[WalRecord]]:
     """Parse one unsealed segment payload back into records."""
     reader = FieldReader(payload)
-    version = reader.u32()
-    if version != WAL_FORMAT_VERSION:
-        raise StoreError(f"unsupported WAL segment version {version}")
-    prev_chain = reader.blob()
-    first_seq = reader.u64()
+    header = read_fields(reader, SEGMENT_HEADER)
+    if header["version"] != WAL_FORMAT_VERSION:
+        raise StoreError(f"unsupported WAL segment version {header['version']}")
     records = []
-    for _ in range(reader.u32()):
-        kind = reader.u8()
-        tag = reader.blob()
-        records.append(WalRecord(kind, tag, **read_fields(reader, _fields_of(kind))))
+    for _ in range(header["n_records"]):
+        head = read_fields(reader, RECORD_HEAD)
+        records.append(WalRecord(**head, **read_fields(reader, _fields_of(head["kind"]))))
     reader.expect_end()
-    return prev_chain, first_seq, records
+    return header["prev_chain"], header["first_seq"], records
 
 
 #: The sealed payload layout is ``iv(12) || tag(16) || ct`` — the first
@@ -236,7 +227,7 @@ class DurableLog:
             self.enclave.platform.clock.charge_marshal(len(sealed_result))
             self.blob_area[entry.blob_digest] = bytes(sealed_result)
             self._append(WalRecord(REC_PUT, entry.tag, **{
-                name: getattr(entry, name) for name, _ in RECORD_FIELDS[REC_PUT]
+                name: getattr(entry, name) for name, _ in RECORD_FIELDS[REC_PUT].fields
             }))
 
     def append_remove(self, tag: bytes, discard: bool = False) -> None:

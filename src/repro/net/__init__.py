@@ -14,8 +14,6 @@ from .messages import (
     MessageType,
     PutRequest,
     PutResponse,
-    SyncRequest,
-    SyncResponse,
     decode_message,
     encode_message,
 )
@@ -39,8 +37,6 @@ __all__ = [
     "PutResponse",
     "RpcClient",
     "RpcServer",
-    "SyncRequest",
-    "SyncResponse",
     "attach_reactor",
     "decode_message",
     "encode_message",

@@ -8,11 +8,17 @@ an application deserialize arbitrary objects).
 
 Layout primitives: ``u8``, ``u32``/``u64`` big-endian, ``bool`` as one
 byte, and ``bytes`` with a ``u32`` length prefix.
+
+Every byte format — the wire messages, the WAL segment and its records,
+the store image, the checkpoint and the store-to-store hand-off — is one
+declared :class:`Layout` of ``(field, primitive)`` pairs, encoded and
+decoded by the one walker here (:func:`write_fields` /
+:func:`read_fields`).
 """
 
 from __future__ import annotations
 
-from ..errors import SerializationError
+from ..errors import ProtocolError, SerializationError
 
 _U32_MAX = (1 << 32) - 1
 _U64_MAX = (1 << 64) - 1
@@ -110,3 +116,82 @@ class FieldReader:
     @property
     def remaining(self) -> int:
         return len(self._data) - self._pos
+
+
+class Layout:
+    """One declared byte format: ``(field, primitive)`` pairs in wire order.
+
+    A primitive names a :class:`FieldWriter` / :class:`FieldReader`
+    method or is a :class:`Repeated`; each resolves to its pair of
+    functions once, when the layout is declared.
+    """
+
+    __slots__ = ("fields", "_writes", "_reads")
+
+    def __init__(self, *fields):
+        self.fields = fields
+        self._writes = tuple((name, _writer_of(kind)) for name, kind in fields)
+        self._reads = tuple((name, _reader_of(kind)) for name, kind in fields)
+
+
+class Repeated:
+    """A ``u32`` count, then that many items of ``layout``.
+
+    Items are instances of ``cls`` (built from their fields as keywords,
+    written from ``vars``) or, without one, plain field dicts.  A count
+    above ``limit`` is a :class:`~repro.errors.ProtocolError`.
+    """
+
+    __slots__ = ("layout", "cls", "limit")
+
+    def __init__(self, layout: Layout, cls=None, limit: int | None = None):
+        self.layout = layout
+        self.cls = cls
+        self.limit = limit
+
+    def write(self, writer: FieldWriter, items) -> None:
+        writer.u32(len(items))
+        for item in items:
+            write_fields(writer, self.layout, item if self.cls is None else vars(item))
+
+    def read(self, reader: FieldReader) -> tuple:
+        count = reader.u32()
+        if self.limit is not None and count > self.limit:
+            raise ProtocolError(f"batch of {count} items exceeds limit {self.limit}")
+        if self.cls is None:
+            return tuple(read_fields(reader, self.layout) for _ in range(count))
+        return tuple(self.cls(**read_fields(reader, self.layout)) for _ in range(count))
+
+
+def _writer_of(kind):
+    return kind.write if isinstance(kind, Repeated) else getattr(FieldWriter, kind)
+
+
+def _reader_of(kind):
+    return kind.read if isinstance(kind, Repeated) else getattr(FieldReader, kind)
+
+
+def write_fields(writer: FieldWriter, layout: Layout, values) -> None:
+    """Append ``values[field]`` for each of ``layout``'s fields."""
+    for name, write in layout._writes:
+        write(writer, values[name])
+
+
+def read_fields(reader: FieldReader, layout: Layout) -> dict:
+    """Consume one value per ``layout`` field, as ``{field: value}``."""
+    return {name: read(reader) for name, read in layout._reads}
+
+
+def pack(layout: Layout, values) -> bytes:
+    """A whole payload holding exactly ``layout``."""
+    writer = FieldWriter()
+    write_fields(writer, layout, values)
+    return writer.getvalue()
+
+
+def unpack(layout: Layout, data: bytes) -> dict:
+    """Parse a whole payload holding exactly ``layout`` (no trailing bytes)."""
+    reader = FieldReader(data)
+    values = read_fields(reader, layout)
+    reader.expect_end()
+    return values

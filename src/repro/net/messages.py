@@ -5,9 +5,6 @@ implemented "in a function-agnostic way with uniform serialization"
 (§II-C): tags, challenges, wrapped keys, and sealed results are opaque
 byte strings at this layer.
 
-``SYNC_*`` messages implement the master-ResultStore replication the
-paper sketches in the §IV-B remark.
-
 Every message carries a ``request_id`` in its header: servers echo the
 requester's id into the response so that a client multiplexing
 synchronous calls and one-way sends on one endpoint can match each
@@ -17,6 +14,10 @@ content — it is excluded from equality.
 ``BATCH_*`` messages carry many GET/PUT items under one header (and
 therefore one channel record and one server-side ECALL): the batched
 hot path that amortizes per-message overhead across items.
+
+Each message declares its body once, as a ``LAYOUT``
+(:class:`~repro.net.framing.Layout`); :func:`encode_message` and
+:func:`decode_message` are the whole codec.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import dataclasses
 import enum
 from dataclasses import dataclass, field
 
-from .framing import FieldReader, FieldWriter
+from .framing import FieldReader, FieldWriter, Layout, Repeated, read_fields, write_fields
 from ..errors import ProtocolError
 
 # Upper bound on items per batch message; a decoded count beyond this is
@@ -39,8 +40,9 @@ class MessageType(enum.IntEnum):
     GET_RESPONSE = 2
     PUT_REQUEST = 3
     PUT_RESPONSE = 4
-    SYNC_REQUEST = 5
-    SYNC_RESPONSE = 6
+    # 5 and 6 were SYNC_REQUEST / SYNC_RESPONSE, retired: store-to-store
+    # hand-offs travel only between attested store enclaves
+    # (repro.store.sync).  Never reuse them.
     ERROR = 7
     BATCH_GET_REQUEST = 8
     BATCH_GET_RESPONSE = 9
@@ -57,13 +59,7 @@ class GetRequest:
     request_id: int = field(default=0, compare=False)
 
     TYPE = MessageType.GET_REQUEST
-
-    def encode_body(self, w: FieldWriter) -> None:
-        w.blob(self.tag).text(self.app_id)
-
-    @classmethod
-    def decode_body(cls, r: FieldReader) -> "GetRequest":
-        return cls(tag=r.blob(), app_id=r.text())
+    LAYOUT = Layout(("tag", "blob"), ("app_id", "text"))
 
 
 @dataclass(frozen=True)
@@ -86,20 +82,10 @@ class GetResponse:
     request_id: int = field(default=0, compare=False)
 
     TYPE = MessageType.GET_RESPONSE
-
-    def encode_body(self, w: FieldWriter) -> None:
-        w.boolean(self.found).blob(self.challenge).blob(self.wrapped_key).blob(self.sealed_result)
-        w.text(self.reason)
-
-    @classmethod
-    def decode_body(cls, r: FieldReader) -> "GetResponse":
-        return cls(
-            found=r.boolean(),
-            challenge=r.blob(),
-            wrapped_key=r.blob(),
-            sealed_result=r.blob(),
-            reason=r.text(),
-        )
+    LAYOUT = Layout(
+        ("found", "boolean"), ("challenge", "blob"), ("wrapped_key", "blob"),
+        ("sealed_result", "blob"), ("reason", "text"),
+    )
 
 
 @dataclass(frozen=True)
@@ -115,20 +101,10 @@ class PutRequest:
     request_id: int = field(default=0, compare=False)
 
     TYPE = MessageType.PUT_REQUEST
-
-    def encode_body(self, w: FieldWriter) -> None:
-        w.blob(self.tag).blob(self.challenge).blob(self.wrapped_key)
-        w.blob(self.sealed_result).text(self.app_id)
-
-    @classmethod
-    def decode_body(cls, r: FieldReader) -> "PutRequest":
-        return cls(
-            tag=r.blob(),
-            challenge=r.blob(),
-            wrapped_key=r.blob(),
-            sealed_result=r.blob(),
-            app_id=r.text(),
-        )
+    LAYOUT = Layout(
+        ("tag", "blob"), ("challenge", "blob"), ("wrapped_key", "blob"),
+        ("sealed_result", "blob"), ("app_id", "text"),
+    )
 
 
 @dataclass(frozen=True)
@@ -138,67 +114,12 @@ class PutResponse:
     request_id: int = field(default=0, compare=False)
 
     TYPE = MessageType.PUT_RESPONSE
-
-    def encode_body(self, w: FieldWriter) -> None:
-        w.boolean(self.accepted).text(self.reason)
-
-    @classmethod
-    def decode_body(cls, r: FieldReader) -> "PutResponse":
-        return cls(accepted=r.boolean(), reason=r.text())
+    LAYOUT = Layout(("accepted", "boolean"), ("reason", "text"))
 
 
-@dataclass(frozen=True)
-class SyncRequest:
-    """Master-store pull: request entries hotter than ``min_hits`` that
-    the requester does not hold yet."""
-
-    known_tags: tuple[bytes, ...] = ()
-    min_hits: int = 1
-    request_id: int = field(default=0, compare=False)
-
-    TYPE = MessageType.SYNC_REQUEST
-
-    def encode_body(self, w: FieldWriter) -> None:
-        w.u32(len(self.known_tags))
-        for t in self.known_tags:
-            w.blob(t)
-        w.u32(self.min_hits)
-
-    @classmethod
-    def decode_body(cls, r: FieldReader) -> "SyncRequest":
-        count = r.u32()
-        tags = tuple(r.blob() for _ in range(count))
-        return cls(known_tags=tags, min_hits=r.u32())
-
-
-@dataclass(frozen=True)
-class SyncResponse:
-    """A batch of replicated entries: (tag, r, [k], [res]) tuples."""
-
-    entries: tuple[tuple[bytes, bytes, bytes, bytes], ...] = field(default=())
-    request_id: int = field(default=0, compare=False)
-
-    TYPE = MessageType.SYNC_RESPONSE
-
-    def encode_body(self, w: FieldWriter) -> None:
-        w.u32(len(self.entries))
-        for tag, challenge, wrapped_key, sealed in self.entries:
-            w.blob(tag).blob(challenge).blob(wrapped_key).blob(sealed)
-
-    @classmethod
-    def decode_body(cls, r: FieldReader) -> "SyncResponse":
-        count = r.u32()
-        entries = tuple(
-            (r.blob(), r.blob(), r.blob(), r.blob()) for _ in range(count)
-        )
-        return cls(entries=entries)
-
-
-def _read_batch_count(r: FieldReader) -> int:
-    count = r.u32()
-    if count > MAX_BATCH_ITEMS:
-        raise ProtocolError(f"batch of {count} items exceeds limit {MAX_BATCH_ITEMS}")
-    return count
+def _batch_of(item_cls) -> Layout:
+    """A ``BATCH_*`` body: up to ``MAX_BATCH_ITEMS`` ``item_cls`` bodies."""
+    return Layout(("items", Repeated(item_cls.LAYOUT, item_cls, MAX_BATCH_ITEMS)))
 
 
 @dataclass(frozen=True)
@@ -210,16 +131,7 @@ class BatchGetRequest:
     request_id: int = field(default=0, compare=False)
 
     TYPE = MessageType.BATCH_GET_REQUEST
-
-    def encode_body(self, w: FieldWriter) -> None:
-        w.u32(len(self.items))
-        for item in self.items:
-            item.encode_body(w)
-
-    @classmethod
-    def decode_body(cls, r: FieldReader) -> "BatchGetRequest":
-        count = _read_batch_count(r)
-        return cls(items=tuple(GetRequest.decode_body(r) for _ in range(count)))
+    LAYOUT = _batch_of(GetRequest)
 
 
 @dataclass(frozen=True)
@@ -230,16 +142,7 @@ class BatchGetResponse:
     request_id: int = field(default=0, compare=False)
 
     TYPE = MessageType.BATCH_GET_RESPONSE
-
-    def encode_body(self, w: FieldWriter) -> None:
-        w.u32(len(self.items))
-        for item in self.items:
-            item.encode_body(w)
-
-    @classmethod
-    def decode_body(cls, r: FieldReader) -> "BatchGetResponse":
-        count = _read_batch_count(r)
-        return cls(items=tuple(GetResponse.decode_body(r) for _ in range(count)))
+    LAYOUT = _batch_of(GetResponse)
 
 
 @dataclass(frozen=True)
@@ -250,16 +153,7 @@ class BatchPutRequest:
     request_id: int = field(default=0, compare=False)
 
     TYPE = MessageType.BATCH_PUT_REQUEST
-
-    def encode_body(self, w: FieldWriter) -> None:
-        w.u32(len(self.items))
-        for item in self.items:
-            item.encode_body(w)
-
-    @classmethod
-    def decode_body(cls, r: FieldReader) -> "BatchPutRequest":
-        count = _read_batch_count(r)
-        return cls(items=tuple(PutRequest.decode_body(r) for _ in range(count)))
+    LAYOUT = _batch_of(PutRequest)
 
 
 @dataclass(frozen=True)
@@ -270,16 +164,7 @@ class BatchPutResponse:
     request_id: int = field(default=0, compare=False)
 
     TYPE = MessageType.BATCH_PUT_RESPONSE
-
-    def encode_body(self, w: FieldWriter) -> None:
-        w.u32(len(self.items))
-        for item in self.items:
-            item.encode_body(w)
-
-    @classmethod
-    def decode_body(cls, r: FieldReader) -> "BatchPutResponse":
-        count = _read_batch_count(r)
-        return cls(items=tuple(PutResponse.decode_body(r) for _ in range(count)))
+    LAYOUT = _batch_of(PutResponse)
 
 
 @dataclass(frozen=True)
@@ -289,13 +174,7 @@ class ErrorMessage:
     request_id: int = field(default=0, compare=False)
 
     TYPE = MessageType.ERROR
-
-    def encode_body(self, w: FieldWriter) -> None:
-        w.u32(self.code).text(self.detail)
-
-    @classmethod
-    def decode_body(cls, r: FieldReader) -> "ErrorMessage":
-        return cls(code=r.u32(), detail=r.text())
+    LAYOUT = Layout(("code", "u32"), ("detail", "text"))
 
 
 _MESSAGE_CLASSES = {
@@ -305,8 +184,6 @@ _MESSAGE_CLASSES = {
         GetResponse,
         PutRequest,
         PutResponse,
-        SyncRequest,
-        SyncResponse,
         ErrorMessage,
         BatchGetRequest,
         BatchGetResponse,
@@ -320,8 +197,6 @@ Message = (
     | GetResponse
     | PutRequest
     | PutResponse
-    | SyncRequest
-    | SyncResponse
     | ErrorMessage
     | BatchGetRequest
     | BatchGetResponse
@@ -342,20 +217,19 @@ def encode_message(msg: Message) -> bytes:
     w = FieldWriter()
     w.u8(int(msg.TYPE))
     w.u64(msg.request_id)
-    msg.encode_body(w)
+    write_fields(w, msg.LAYOUT, vars(msg))
     return w.getvalue()
 
 
 def decode_message(data: bytes) -> Message:
-    """Parse a message; raises ProtocolError on unknown type or garbage."""
+    """Parse a message; raises ProtocolError on an unknown type or an
+    over-limit batch, SerializationError on malformed or trailing bytes."""
     r = FieldReader(data)
     try:
-        mtype = MessageType(r.u8())
+        cls = _MESSAGE_CLASSES[MessageType(r.u8())]
     except ValueError as exc:
         raise ProtocolError(f"unknown message type in {data[:8]!r}") from exc
     request_id = r.u64()
-    msg = _MESSAGE_CLASSES[mtype].decode_body(r)
+    msg = cls(**read_fields(r, cls.LAYOUT), request_id=request_id)
     r.expect_end()
-    if request_id:
-        msg = dataclasses.replace(msg, request_id=request_id)
     return msg

@@ -23,7 +23,7 @@ from .runner import SimConfig, run_scenario
 from .shrinking import shrink
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.simtest",
         description="Deterministic fault-simulation scenarios for SPEED.",
@@ -65,7 +65,11 @@ def main(argv=None) -> int:
                         help="print every trace event line")
     parser.add_argument("--shrink", action="store_true",
                         help="shrink failing configs before reporting")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
 
     if args.seed is not None:
         seeds = [args.seed]

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from .resultstore import ResultStore
 from ..errors import AttestationError, MigrationIngestError, StoreError
 from ..net.channel import ChannelEndpoint, establish_remote
-from ..net.framing import FieldReader, FieldWriter
-from ..net.messages import SyncResponse
+from ..net.framing import Layout, Repeated, pack, unpack
 from ..sgx.attestation import AttestationService
 
 
@@ -112,16 +111,19 @@ def replicate_popular(
     return SyncReport(transferred + duplicates, transferred, duplicates)
 
 
+#: The shipped payload: ``(tag, r, [k], [res])`` tuples — the one place
+#: the hand-off tuple's layout is written down.
+HANDOFF_ENTRY = Layout(
+    ("tag", "blob"), ("challenge", "blob"), ("wrapped_key", "blob"),
+    ("sealed_result", "blob"),
+)
+HANDOFF = Layout(("entries", Repeated(HANDOFF_ENTRY)))
+_ENTRY_NAMES = tuple(name for name, _ in HANDOFF_ENTRY.fields)
+
+
 def _encode_entries(entries) -> bytes:
-    """The shipped payload is a ``SYNC_RESPONSE`` body — the one place
-    the ``(tag, r, [k], [res])`` tuple's layout is written down."""
-    writer = FieldWriter()
-    SyncResponse(entries=tuple(entries)).encode_body(writer)
-    return writer.getvalue()
+    return pack(HANDOFF, {"entries": [dict(zip(_ENTRY_NAMES, e)) for e in entries]})
 
 
 def _decode_entries(data: bytes) -> list[tuple[bytes, bytes, bytes, bytes]]:
-    reader = FieldReader(data)
-    entries = SyncResponse.decode_body(reader).entries
-    reader.expect_end()
-    return list(entries)
+    return [tuple(e.values()) for e in unpack(HANDOFF, data)["entries"]]

@@ -1,12 +1,14 @@
-"""Every store-side decoder is total: bad bytes end in a coded error.
+"""Every decoder is total: bad bytes end in a coded error.
 
 The WAL segment, the checkpoint, the store image (snapshot or checkpoint
 body) and the shipped hand-off tuple are all read back from memory the
-untrusted host controls.  Whatever it presents — arbitrary bytes, or a
-valid encoding with one byte changed or cut short — a decoder either
-decodes cleanly or raises a coded :class:`~repro.errors.SpeedError`;
-never ``KeyError``, ``ValueError``, ``UnicodeDecodeError`` or the like.
-(The store-side half of ROADMAP 4(b)'s "every decoder total".)
+untrusted host controls, and every wire frame crosses it.  Whatever it
+presents — arbitrary bytes, or a valid encoding with one byte changed or
+cut short — a decoder either decodes cleanly or raises a coded
+:class:`~repro.errors.SpeedError`; never ``KeyError``, ``ValueError``,
+``UnicodeDecodeError`` or the like.  (ROADMAP 1(c)'s "every decoder
+total": the wire frames are the first example of each message type in
+``tests/net/test_messages.py``.)
 """
 
 import functools
@@ -29,17 +31,19 @@ from repro.durable.wal import (
     encode_segment,
 )
 from repro.errors import SpeedError
-from repro.net.messages import GetRequest
+from repro.net.messages import GetRequest, decode_message, encode_message
 from repro.store.sync import _decode_entries, _encode_entries
 
 from .conftest import durable_deployment, put
+from ..net.test_messages import EXAMPLES
 
 
 @functools.cache
 def valid_encodings() -> dict:
     """One valid plaintext per decoder, written by the real encoders: a
     segment holding every record kind (the logged records re-encoded as
-    one), a checkpoint, its image, and a shipped batch."""
+    one), a checkpoint, its image, a shipped batch, and one wire frame
+    per message type."""
     d, client = durable_deployment(
         b"decoders-total", capacity_entries=3, wal_group_commit=64,
         recency_log_interval=1,
@@ -64,6 +68,10 @@ def valid_encodings() -> dict:
         "checkpoint": (decode_checkpoint, checkpoint),
         "image": (decode_image, image),
         "shipped": (_decode_entries, shipped),
+        **{
+            f"wire/{type(msg).__name__}": (decode_message, encode_message(msg))
+            for msg in reversed(EXAMPLES)  # the first example of a type wins
+        },
     }
 
 
@@ -82,7 +90,7 @@ def hostile_payloads(draw):
 
 
 @given(hostile_payloads())
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=1000, deadline=None)
 def test_decoders_decode_cleanly_or_raise_a_coded_error(case):
     decoder, payload = case
     try:

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.crypto.hashes import sha256
-from repro.errors import ProtocolError
-from repro.net.messages import GetRequest, PutRequest, SyncRequest
+from repro.net.messages import ErrorMessage, GetRequest, PutRequest, decode_message
 from repro.net.transport import Network
 from repro.sgx.platform import SgxPlatform
 from repro.store.quota import QuotaPolicy
@@ -192,22 +191,24 @@ class TestNoSgxVariant:
 class TestSyncHandler:
     def test_sync_filters_by_hits_and_known_tags(self):
         # An application channel must not be able to bulk-export the
-        # dictionary: SYNC_REQUEST has no handler, whatever its filter
-        # (the min_hits filter itself is test_sync's
-        # test_unpopular_entries_stay).  Only another attested ResultStore
-        # enclave receives (tag, r, [k], [res]) tuples.
+        # dictionary: type byte 5 (the retired SYNC_REQUEST) is unknown to
+        # the codec, whatever body follows it (the min_hits filter itself
+        # is test_sync's test_unpopular_entries_stay).  Only another
+        # attested ResultStore enclave receives (tag, r, [k], [res]) tuples.
         store, client = make_store()
         client.call(put(TAG, b"one"))
         client.call(put(TAG2, b"two"))
         client.call(GetRequest(tag=TAG))  # TAG now has 1 hit
-        for request in (
-            SyncRequest(known_tags=(), min_hits=1),
-            SyncRequest(known_tags=(), min_hits=0),
-            SyncRequest(known_tags=(TAG,), min_hits=1),
-        ):
-            with pytest.raises(ProtocolError, match="unexpected message type"):
-                client.call(request)
-        assert len(store) == 2  # refused, and nothing disturbed
+        gets = store.stats.gets
+        for body in (b"", b"\x00\x00\x00\x00\x00\x00\x00\x01", b"\x00\x00\x00\x01" + TAG):
+            frame = b"\x05" + (9).to_bytes(8, "big") + body
+            client._endpoint.send(store.address, client._channel.protect(frame))
+            _, reply = client._endpoint.recv()
+            answer = decode_message(client._channel.unprotect(reply))
+            assert isinstance(answer, ErrorMessage)
+            assert answer.code == 400 and "unknown message type" in answer.detail
+        assert len(store) == 2 and store.stats.gets == gets  # refused, nothing disturbed
+        assert client.call(GetRequest(tag=TAG2)).found
 
     def test_ingest_entry_idempotent(self):
         store, _ = make_store()

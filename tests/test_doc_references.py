@@ -11,7 +11,11 @@ cannot leave a sentence behind:
 * ``repro.x.y`` — imports, or is an attribute of the module before it;
 * a relative path with a known suffix — exists under the repo root,
   ``src/``, ``src/repro/`` or ``tests/``; a bare file name (DESIGN's
-  module table lists them per package) is a file somewhere in the tree.
+  module table lists them per package) is a file somewhere in the tree;
+* ``python -m repro.bench <name>...`` — every name is an ``EXPERIMENTS``
+  key or ``all``; ``python -m repro.simtest --flag...`` — every flag is
+  one its argument parser accepts (``<...>`` placeholders and
+  ``[``/``|`` option syntax are skipped).
 
 Names the documents mention on purpose *because* they are gone (a
 deleted shim, an output file a command writes) carry a placeholder or
@@ -29,6 +33,8 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.bench import EXPERIMENTS
+from repro.simtest.__main__ import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCUMENTS = (
@@ -41,6 +47,7 @@ BACKTICKED = re.compile(r"`([^`\n]+)`")
 CLASS_ATTR = re.compile(r"^([A-Z]\w*)\.([A-Za-z_][\w*]*)(?:\(.*\))?$")
 DOTTED_MODULE = re.compile(r"^repro(?:\.\w+)+$")
 RELATIVE_PATH = re.compile(r"^[\w.-]+(?:/[\w.-]+)*$")
+COMMAND = re.compile(r"\bpython3? -m repro\.(bench|simtest)\b(.*)$")
 
 
 def _references():
@@ -114,4 +121,30 @@ def test_relative_paths_exist():
             continue
         if not any((root / text).exists() for root in PATH_ROOTS):
             stale.append(f"{document}:{number}: `{text}`")
+    assert not stale, "\n".join(stale)
+
+
+def _command_words(text: str) -> list[str]:
+    return [w for w in re.split(r"[\s\[\]|]+", text) if w and not w.startswith("<")]
+
+
+def test_commands_resolve():
+    flags = build_parser()._option_string_actions
+    stale = []
+    for document, number, text in _references():
+        match = COMMAND.search(text)
+        if match is None:
+            continue
+        words = _command_words(match[2])
+        if match[1] == "bench":
+            names = []
+            for word in words:
+                if word.startswith("-"):
+                    break
+                names.append(word)
+            bad = [name for name in names if name not in EXPERIMENTS and name != "all"]
+        else:
+            bad = [word for word in words if word.startswith("-") and word not in flags]
+        if bad:
+            stale.append(f"{document}:{number}: `{text}` ({', '.join(bad)})")
     assert not stale, "\n".join(stale)
