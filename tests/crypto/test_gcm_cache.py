@@ -14,6 +14,8 @@ once per key, the cipher cache least-recently-used and bounded in bytes.
 
 from __future__ import annotations
 
+import hashlib
+import random
 import time
 
 import pytest
@@ -225,3 +227,25 @@ def test_one_shot_helpers_reject_wrong_length_keys_with_a_coded_error(key_len):
     with pytest.raises(CryptoError):
         open_(bytearray(key_len), bytes(40))
     assert bytes(key_len) not in gcm._CIPHER_CACHE
+
+
+def test_cipher_cache_eviction_sequence_is_pinned():
+    """A fixed trace of seals and opens over 160 keys — one-block, 1 KiB
+    and lane-table-growing records, re-used keys — evicts exactly this
+    sequence of keys (pinned from summing every footprint per miss)."""
+    gcm._CIPHER_CACHE.clear()
+    rng = random.Random(2)
+    sizes = (16, 1024, 16 * BUILD_BLOCKS, 16 * WIDE_BLOCKS)
+    sealed: dict[bytes, bytes] = {}
+    evicted = []
+    for step in range(400):
+        key = rng.randrange(160).to_bytes(16, "big")
+        before = list(gcm._CIPHER_CACHE)
+        if key in sealed and rng.random() < 0.4:
+            open_(key, sealed[key])
+        else:
+            sealed[key] = seal(key, _iv(step), bytes(rng.choice(sizes)))
+        evicted += [k for k in before if k not in gcm._CIPHER_CACHE]
+    gcm._CIPHER_CACHE.clear()
+    trail = hashlib.sha256(b"".join(evicted)).hexdigest()[:24]
+    assert (len(evicted), trail) == (96, "ba8006f4fb2d4949917ab473")
