@@ -47,11 +47,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 from .adaptive import AdaptiveDedupPolicy
 from .cache import L1ResultCache
 from .description import FunctionDescription, TrustedLibraryRegistry
-from .scheme import CrossAppScheme, ProtectedResult, ResultScheme
+from .scheme import CrossAppScheme, ResultScheme, Sealing, seal_all
 from .serialization import AnyParser, Parser, ParserRegistry, default_registry
 from .stats import CallRecord, RuntimeStats
 from .tag import derive_tag
-from .verification import verify_and_recover
+from .verification import VerificationOutcome, verify_many
 from ..engine import EngineBatch
 from ..errors import (
     ChannelError,
@@ -70,6 +70,7 @@ from ..net.messages import (
 )
 from ..net.rpc import RpcClient
 from ..obs.tracer import NULL_TRACER
+from ..sgx.cost_model import ChargeLog
 from ..sgx.enclave import Enclave
 
 # Failures meaning "the store did not serve this request": the send or
@@ -467,8 +468,13 @@ class DedupRuntime:
             # Stage 3: compute the misses in input order (Algorithm 1).
             # With the engine's single-flight mode on, later misses
             # whose tag an earlier miss already computed this batch
-            # join that leader in-enclave: one compute, one PUT.
+            # join that leader in-enclave: one compute, one PUT.  Each
+            # result is protected in place (draws, hash, charges); the
+            # AEAD of them all runs in one pass when the loop ends, or
+            # earlier if a PUT has to leave first (a queue drain).
             sync_puts: list[PutRequest] = []
+            sealing: list[tuple[bytes, Sealing]] = []
+            bound = self.config.put_queue_entries
             coalesce = self.engine is not None and self.engine.config.coalesce
             computed_by_tag: dict[bytes, _BatchItem] = {}
             # Tags this group has put in the L1 since stage 1 probed it:
@@ -476,27 +482,32 @@ class DedupRuntime:
             # are probed again (the sequential-with-cache order, with
             # every missing lookup counted once).
             l1_fresh = {i.tag for i in items if i.source == "store"}
-            for item in items:
-                if item.hit:
-                    continue
-                leader = computed_by_tag.get(item.tag)
-                if leader is not None and item.attempt_dedup:
-                    item.follow(leader)
-                    continue
-                with self._item_meter(item):
-                    if self.l1_cache is not None and item.attempt_dedup and item.tag in l1_fresh:
-                        self._l1_lookup(item, result_parser)
-                    put = None if item.hit else self._compute_item(
-                        item, func, func_identity, result_parser, unpack_args, native_factor
-                    )
-                    if put is not None:
-                        l1_fresh.add(item.tag)
-                        if coalesce:
-                            computed_by_tag[item.tag] = item
-                        if self.config.async_put:
-                            self._enqueue_put(put)
-                        else:
-                            sync_puts.append(put)
+            try:
+                for item in items:
+                    if item.hit:
+                        continue
+                    leader = computed_by_tag.get(item.tag)
+                    if leader is not None and item.attempt_dedup:
+                        item.follow(leader)
+                        continue
+                    with self._item_meter(item):
+                        if self.l1_cache is not None and item.attempt_dedup and item.tag in l1_fresh:
+                            self._l1_lookup(item, result_parser)
+                        pending = None if item.hit else self._compute_item(
+                            item, func, func_identity, result_parser, unpack_args, native_factor
+                        )
+                        if pending is not None:
+                            l1_fresh.add(item.tag)
+                            if coalesce:
+                                computed_by_tag[item.tag] = item
+                            sealing.append((item.tag, pending))
+                            # A PUT that drains the queue (or is refused) leaves now.
+                            if self.config.async_put and (
+                                self._closed or 0 < bound <= len(self._pending_puts) + len(sealing)
+                            ):
+                                self._release_puts(sealing, sync_puts)
+            finally:
+                self._release_puts(sealing, sync_puts)
 
             # Stage 4: ship all synchronous PUTs under one OCALL.
             if sync_puts:
@@ -601,6 +612,16 @@ class DedupRuntime:
         a hit, degradation on a degraded leader, fall-through to stage-3
         compute (where compute coalescing pairs them) otherwise.
         """
+        # Fig. 3 for every found hit at once: key recovery per item, one
+        # AEAD pass over the group.  Nothing is charged here; each item's
+        # charges are replayed in its own task below.
+        found = [
+            pos for pos, response in enumerate(batch.responses)
+            if pos not in batch.leader_of and isinstance(response, GetResponse) and response.found
+        ]
+        verdicts = dict(zip(found, verify_many(self.config.scheme, func_identity, [
+            (lookups[pos].input_bytes, lookups[pos].tag, batch.responses[pos]) for pos in found
+        ])))
         # Per-item verification is enclave-local work with no shared
         # state: the engine accounts it as spread over the worker lanes
         # (one verification per enclave worker thread at a time).
@@ -623,7 +644,7 @@ class DedupRuntime:
                     raise DedupError(f"store answered GET with {type(response).__name__}")
                 with region.task():
                     if response.found:
-                        self._verify_hit(item, response, func_identity, result_parser)
+                        self._verify_hit(item, *verdicts[pos], result_parser)
                     elif (
                         response.reason == NoLiveOwnerError.code
                         and self.config.degrade_on_store_failure
@@ -634,24 +655,16 @@ class DedupRuntime:
     def _verify_hit(
         self,
         item: _BatchItem,
-        response: GetResponse,
-        func_identity: bytes,
+        outcome: VerificationOutcome,
+        charges: ChargeLog,
         result_parser: Parser,
     ) -> None:
-        """Fig. 3: recover and check the stored result; only a verified
-        one is a hit (and remembered in the L1)."""
+        """Fig. 3: account the item's key recovery and take the verdict;
+        only a verified result is a hit (and remembered in the L1)."""
         with self.tracer.span(
             "runtime.verify", clock=self.clock, index=item.index
         ) as vs, self._item_meter(item):
-            outcome = verify_and_recover(
-                self.config.scheme, func_identity, item.input_bytes, item.tag,
-                ProtectedResult(
-                    challenge=response.challenge,
-                    wrapped_key=response.wrapped_key,
-                    sealed_result=response.sealed_result,
-                ),
-                self.clock,
-            )
+            charges.replay(self.clock)
             vs.set("ok", outcome.ok)
             if outcome.ok:
                 item.source = "store"
@@ -671,10 +684,10 @@ class DedupRuntime:
         result_parser: Parser,
         unpack_args: bool,
         native_factor: float,
-    ) -> PutRequest | None:
-        """Run the function for one miss; returns the protected result to
-        PUT (also remembered in the L1), or ``None`` when deduplication
-        is off for this item."""
+    ) -> Sealing | None:
+        """Run the function for one miss; returns the result to PUT,
+        protected but not yet sealed (also remembered in the L1), or
+        ``None`` when deduplication is off for this item."""
         item.result_value, item.compute_sim = self._compute_raw(
             func, item.input_value, unpack_args, native_factor
         )
@@ -684,7 +697,10 @@ class DedupRuntime:
             return None
         if self.l1_cache is not None:
             self.l1_cache.put(item.tag, result_bytes)
-        return self._protect_put(func_identity, item.input_bytes, item.tag, result_bytes)
+        return self.config.scheme.prepare_protect(
+            func_identity, item.input_bytes, item.tag, result_bytes,
+            rand=self.enclave.read_rand, clock=self.clock,
+        )
 
     def _compute_raw(
         self,
@@ -703,24 +719,23 @@ class DedupRuntime:
             self.clock.charge_compute(compute_wall, native_factor)
         return result_value, compute_wall / native_factor
 
-    def _protect_put(
-        self,
-        func_identity: bytes,
-        input_bytes: bytes,
-        tag: bytes,
-        result_bytes: bytes,
-    ) -> PutRequest:
-        protected = self.config.scheme.protect(
-            func_identity, input_bytes, tag, result_bytes,
-            rand=self.enclave.read_rand, clock=self.clock,
-        )
-        return PutRequest(
-            tag=tag,
-            challenge=protected.challenge,
-            wrapped_key=protected.wrapped_key,
-            sealed_result=protected.sealed_result,
-            app_id=self.config.app_id,
-        )
+    def _release_puts(
+        self, sealing: list[tuple[bytes, Sealing]], sync_puts: list[PutRequest]
+    ) -> None:
+        """Seal every waiting result in one AEAD pass, then queue each
+        PUT (asynchronous mode) or hold it for stage 4, in order."""
+        tags = [tag for tag, _ in sealing]
+        protected = seal_all([pending for _, pending in sealing])
+        sealing.clear()
+        for tag, result in zip(tags, protected):
+            put = PutRequest(
+                tag=tag, challenge=result.challenge, wrapped_key=result.wrapped_key,
+                sealed_result=result.sealed_result, app_id=self.config.app_id,
+            )
+            if self.config.async_put:
+                self._enqueue_put(put)
+            else:
+                sync_puts.append(put)
 
     def _send_puts_sync(
         self, ocall: str, puts: list[PutRequest], send: Callable[[list], EngineBatch]

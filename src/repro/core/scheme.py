@@ -15,12 +15,19 @@ Two schemes share one interface:
 Both seal the result with AES-GCM-128 and bind the ciphertext to the tag
 via the AEAD associated data, which is what defeats cache poisoning: a
 ciphertext moved or forged under a different tag fails authentication.
+
+Each of ``protect`` / ``recover`` is a per-item half (``prepare_*``:
+draws, locking hash, clock charges) and the AEAD (:func:`seal_all` /
+:func:`open_all`), which takes any number of items in one pass: a batch's
+one-shot result keys share one AES batch and one GHASH.  No ``key``
+means no AEAD (the plaintext baseline).
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from .tag import derive_locking_hash
 from ..crypto import gcm
@@ -42,35 +49,77 @@ class ProtectedResult:
     sealed_result: bytes  # [res] = iv || gcm tag || ciphertext
 
 
+class Sealing(NamedTuple):
+    """A result before its AEAD, ``gcm.seal(key, iv, plaintext, aad)``."""
+
+    challenge: bytes
+    wrapped_key: bytes
+    key: bytes | None
+    iv: bytes
+    plaintext: bytes
+    aad: bytes
+
+
+class Opening(NamedTuple):
+    """A stored result before its AEAD, ``gcm.open_(key, sealed, aad)``."""
+
+    key: bytes | None
+    sealed: bytes
+    aad: bytes
+
+
+def seal_all(sealings: Sequence[Sealing]) -> list[ProtectedResult]:
+    """Complete ``sealings``, every AEAD in one :func:`~repro.crypto.gcm.seal_many`."""
+    blobs = iter(gcm.seal_many([s[2:] for s in sealings if s.key is not None]))
+    return [
+        ProtectedResult(s.challenge, s.wrapped_key, s.plaintext if s.key is None else next(blobs))
+        for s in sealings
+    ]
+
+
+def open_all(openings: Sequence[Opening]) -> list:
+    """Per opening its plaintext, or the :class:`~repro.errors.IntegrityError`
+    that rejected it; every AEAD in one :func:`~repro.crypto.gcm.open_many`."""
+    plains = iter(gcm.open_many([o for o in openings if o.key is not None]))
+    return [o.sealed if o.key is None else next(plains) for o in openings]
+
+
 class ResultScheme(abc.ABC):
     """Common interface over the two result-protection designs."""
 
     name: str = "abstract"
 
     @abc.abstractmethod
-    def protect(
-        self,
-        func_identity: bytes,
-        input_bytes: bytes,
-        tag: bytes,
-        result_bytes: bytes,
-        rand,
-        clock: SimClock | None = None,
-    ) -> ProtectedResult:
-        """Encrypt a freshly computed result (Algorithm 1, lines 5-9)."""
+    def prepare_protect(
+        self, func_identity: bytes, input_bytes: bytes, tag: bytes, result_bytes: bytes,
+        rand, clock: SimClock | None = None,
+    ) -> Sealing:
+        """:meth:`protect` but the AEAD: every draw and clock charge, in order."""
 
     @abc.abstractmethod
-    def recover(
-        self,
-        func_identity: bytes,
-        input_bytes: bytes,
-        tag: bytes,
-        protected: ProtectedResult,
-        clock: SimClock | None = None,
-    ) -> bytes:
+    def prepare_recover(
+        self, func_identity: bytes, input_bytes: bytes, tag: bytes,
+        protected: ProtectedResult, clock: SimClock | None = None,
+    ) -> Opening:
+        """:meth:`recover` but the AEAD: shape checks (raising
+        :class:`~repro.errors.CryptoError`), key recovery, clock charges."""
+
+    def protect(self, func_identity, input_bytes, tag, result_bytes, rand, clock=None):
+        """Encrypt a freshly computed result (Algorithm 1, lines 5-9)."""
+        return seal_all([self.prepare_protect(
+            func_identity, input_bytes, tag, result_bytes, rand, clock
+        )])[0]
+
+    def recover(self, func_identity, input_bytes, tag, protected, clock=None) -> bytes:
         """Recover a stored result (Algorithm 2, lines 4-6); raises
         :class:`~repro.errors.IntegrityError` if the caller does not own
         the computation or the ciphertext was tampered with."""
+        (result,) = open_all([
+            self.prepare_recover(func_identity, input_bytes, tag, protected, clock)
+        ])
+        if isinstance(result, IntegrityError):
+            raise result
+        return result
 
 
 def _xor16(a: bytes, b: bytes) -> bytes:
@@ -81,8 +130,12 @@ class CrossAppScheme(ResultScheme):
     """The paper's main design (§III-C): RCE locked to the computation."""
 
     name = "cross-app"
+    # Bound here as well as inherited: the end-to-end benchmark's tracer
+    # (benchmarks/e2e/tracing.py) wraps these two by class attribute.
+    protect = ResultScheme.protect
+    recover = ResultScheme.recover
 
-    def protect(self, func_identity, input_bytes, tag, result_bytes, rand, clock=None):
+    def prepare_protect(self, func_identity, input_bytes, tag, result_bytes, rand, clock=None):
         challenge = rand(CHALLENGE_SIZE)                       # line 5: r
         locking = derive_locking_hash(func_identity, input_bytes, challenge, clock)  # line 6: h
         if clock is not None:
@@ -91,11 +144,10 @@ class CrossAppScheme(ResultScheme):
         iv = rand(IV_SIZE)
         if clock is not None:
             clock.charge_aead_encrypt(len(result_bytes))
-        sealed = gcm.seal(key, iv, result_bytes, aad=tag)      # line 8: [res]
         wrapped = _xor16(key, locking[:KEY_SIZE])              # line 9: [k] = k ⊕ h
-        return ProtectedResult(challenge=challenge, wrapped_key=wrapped, sealed_result=sealed)
+        return Sealing(challenge, wrapped, key, iv, result_bytes, tag)  # line 8: [res]
 
-    def recover(self, func_identity, input_bytes, tag, protected, clock=None):
+    def prepare_recover(self, func_identity, input_bytes, tag, protected, clock=None):
         if len(protected.challenge) != CHALLENGE_SIZE:
             raise CryptoError("malformed challenge")
         if len(protected.wrapped_key) != KEY_SIZE:
@@ -104,7 +156,7 @@ class CrossAppScheme(ResultScheme):
         key = _xor16(protected.wrapped_key, locking[:KEY_SIZE])  # line 5: k = [k] ⊕ h
         if clock is not None:
             clock.charge_aead_decrypt(len(protected.sealed_result))
-        return gcm.open_(key, protected.sealed_result, aad=tag)  # line 6, ⊥ → raise
+        return Opening(key, protected.sealed_result, tag)        # line 6, ⊥ → raise
 
 
 class SingleKeyScheme(ResultScheme):
@@ -117,17 +169,16 @@ class SingleKeyScheme(ResultScheme):
             raise CryptoError(f"system key must be {KEY_SIZE} bytes")
         self._key = system_key
 
-    def protect(self, func_identity, input_bytes, tag, result_bytes, rand, clock=None):
+    def prepare_protect(self, func_identity, input_bytes, tag, result_bytes, rand, clock=None):
         iv = rand(IV_SIZE)
         if clock is not None:
             clock.charge_aead_encrypt(len(result_bytes))
-        sealed = gcm.seal(self._key, iv, result_bytes, aad=tag)
-        return ProtectedResult(challenge=b"", wrapped_key=b"", sealed_result=sealed)
+        return Sealing(b"", b"", self._key, iv, result_bytes, tag)
 
-    def recover(self, func_identity, input_bytes, tag, protected, clock=None):
+    def prepare_recover(self, func_identity, input_bytes, tag, protected, clock=None):
         if clock is not None:
             clock.charge_aead_decrypt(len(protected.sealed_result))
-        return gcm.open_(self._key, protected.sealed_result, aad=tag)
+        return Opening(self._key, protected.sealed_result, tag)
 
 
 class PlaintextScheme(ResultScheme):
@@ -137,11 +188,11 @@ class PlaintextScheme(ResultScheme):
 
     name = "plaintext"
 
-    def protect(self, func_identity, input_bytes, tag, result_bytes, rand, clock=None):
-        return ProtectedResult(challenge=b"", wrapped_key=b"", sealed_result=result_bytes)
+    def prepare_protect(self, func_identity, input_bytes, tag, result_bytes, rand, clock=None):
+        return Sealing(b"", b"", None, b"", result_bytes, b"")
 
-    def recover(self, func_identity, input_bytes, tag, protected, clock=None):
-        return protected.sealed_result
+    def prepare_recover(self, func_identity, input_bytes, tag, protected, clock=None):
+        return Opening(None, protected.sealed_result, b"")
 
 
 def challenge_matches(protected: ProtectedResult) -> bool:
@@ -157,14 +208,16 @@ __all__ = [
     "CrossAppScheme",
     "IV_SIZE",
     "KEY_SIZE",
+    "Opening",
     "PlaintextScheme",
     "ProtectedResult",
     "ResultScheme",
+    "Sealing",
     "SingleKeyScheme",
     "challenge_matches",
+    "open_all",
+    "seal_all",
 ]
 
 # Re-exported for tests that need to assert digest sizes line up.
 assert DIGEST_SIZE >= KEY_SIZE
-# IntegrityError is part of this module's contract (recover raises it).
-_ = IntegrityError

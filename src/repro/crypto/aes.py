@@ -20,7 +20,9 @@ import.  Two execution paths share those tables:
   run ~9 numpy calls per round over the state held as four column planes
   of ``N`` words each, which makes ShiftRows a choice of rows and the
   round key a broadcast along the contiguous axis (measured against an
-  ``(N, 4)`` word layout: equal at 65 blocks, 1.3x faster at 1024).
+  ``(N, 4)`` word layout: equal at 65 blocks, 1.3x faster at 1024).  That
+  kernel is :func:`encrypt_planes`, which also takes a key per row: one
+  batch then serves many keys (:func:`repro.crypto.gcm.seal_many`).
 
 Decryption (:meth:`AES128.decrypt_block` / :meth:`AES128.decrypt_blocks`)
 keeps the spec-literal inverse round; nothing on a request path uses it.
@@ -163,6 +165,43 @@ def _inv_mix_columns(state: np.ndarray) -> np.ndarray:
     return out.reshape(-1, 16)
 
 
+def round_key_columns(keys: list[bytes]) -> np.ndarray:
+    """``(11, 4, len(keys))``: column ``i`` is key ``i``'s schedule."""
+    return np.array([_expand_key(k) for k in keys], dtype=_U32).T.reshape(_NUM_ROUNDS + 1, 4, -1)
+
+
+def encrypt_planes(blocks: np.ndarray, round_keys: np.ndarray) -> np.ndarray:
+    """Encrypt an ``(N, 16)`` uint8 array under ``round_keys``, ``(11,
+    4, 1)`` for one key or ``(11, 4, N)`` for a key per row.
+
+    Four column planes of N words, plus planes 0-2 again as 4-6 so that
+    "row r of column c + r" is the plain slice [r:r + 4].  Every index is
+    a byte into a 256-entry table, so mode="wrap" never wraps; it only
+    spares take() the bounds pass and the buffered write that mode="raise"
+    forces on out= (1.2-1.4x at 1 Ki blocks).
+    """
+    n = len(blocks)
+    rk = round_keys
+    xor = np.bitwise_xor
+    cur = np.empty((7, n), dtype=_U32)
+    nxt = np.empty((7, n), dtype=_U32)
+    term = np.empty((4, n), dtype=_U32)
+    xor(blocks.view(_U32).T, rk[0], out=cur[:4])
+    cur[4:] = cur[:3]
+    for rnd in range(1, _NUM_ROUNDS + 1):
+        t0, t1, t2, t3 = _TE if rnd < _NUM_ROUNDS else _LAST
+        rows = cur.view(np.uint8).reshape(7, n, 4)
+        acc = nxt[:4]
+        t0.take(rows[0:4, :, 0], out=acc, mode="wrap")
+        xor(acc, t1.take(rows[1:5, :, 1], out=term, mode="wrap"), out=acc)
+        xor(acc, t2.take(rows[2:6, :, 2], out=term, mode="wrap"), out=acc)
+        xor(acc, t3.take(rows[3:7, :, 3], out=term, mode="wrap"), out=acc)
+        xor(acc, rk[rnd], out=acc)
+        nxt[4:] = acc[:3]
+        cur, nxt = nxt, cur
+    return np.ascontiguousarray(cur[:4].T).view(np.uint8)
+
+
 class AES128:
     """AES-128 with precomputed round keys.
 
@@ -216,30 +255,7 @@ class AES128:
                 for off in range(0, len(raw), BLOCK_SIZE)
             )
             return np.frombuffer(out, dtype=np.uint8).reshape(n, BLOCK_SIZE)
-        # Four column planes of N words, plus planes 0-2 again as 4-6 so
-        # that "row r of column c + r" is the plain slice [r:r + 4].  Every
-        # index is a byte into a 256-entry table, so mode="wrap" never
-        # wraps; it only spares take() the bounds pass and the buffered
-        # write that mode="raise" forces on out= (1.2-1.4x at 1 Ki blocks).
-        rk = self._round_keys
-        xor = np.bitwise_xor
-        cur = np.empty((7, n), dtype=_U32)
-        nxt = np.empty((7, n), dtype=_U32)
-        term = np.empty((4, n), dtype=_U32)
-        xor(blocks.view(_U32).T, rk[0], out=cur[:4])
-        cur[4:] = cur[:3]
-        for rnd in range(1, _NUM_ROUNDS + 1):
-            t0, t1, t2, t3 = _TE if rnd < _NUM_ROUNDS else _LAST
-            rows = cur.view(np.uint8).reshape(7, n, 4)
-            acc = nxt[:4]
-            t0.take(rows[0:4, :, 0], out=acc, mode="wrap")
-            xor(acc, t1.take(rows[1:5, :, 1], out=term, mode="wrap"), out=acc)
-            xor(acc, t2.take(rows[2:6, :, 2], out=term, mode="wrap"), out=acc)
-            xor(acc, t3.take(rows[3:7, :, 3], out=term, mode="wrap"), out=acc)
-            xor(acc, rk[rnd], out=acc)
-            nxt[4:] = acc[:3]
-            cur, nxt = nxt, cur
-        return np.ascontiguousarray(cur[:4].T).view(np.uint8)
+        return encrypt_planes(blocks, self._round_keys)
 
     def decrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """Decrypt an (N, 16) uint8 array of blocks; returns a new array."""

@@ -200,6 +200,23 @@ class SimClock:
         self._by_category.clear()
 
 
+class ChargeLog(list):
+    """Stands in for a :class:`SimClock` where work runs ahead of the
+    place its cost is accounted: it records each ``charge_*`` call, and
+    :meth:`replay` makes them on a real clock in order, so that clock
+    reads to the bit what charging in place would have left."""
+
+    def __getattr__(self, name: str):
+        if not name.startswith("charge_"):
+            raise AttributeError(name)
+        return lambda *args: self.append((name, args))
+
+    def replay(self, clock: SimClock | None) -> None:
+        if clock is not None:
+            for name, args in self:
+                getattr(clock, name)(*args)
+
+
 @dataclass
 class Stopwatch:
     """Pairs a wall-clock timer with a SimClock delta for dual reporting."""

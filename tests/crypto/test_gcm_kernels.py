@@ -12,8 +12,11 @@ size-class constants, so every path switch is crossed at -1 / 0 / +1.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import ctr, gcm
+from repro.crypto.constant_time import bytes_eq
 from repro.crypto.gcm import AesGcm
 from repro.errors import IntegrityError
 
@@ -231,3 +234,104 @@ class TestBulkTamper:
     def test_iv_bit(self, record):
         with pytest.raises(IntegrityError):
             AesGcm(self.KEY).decrypt(self._flip(self.IV, 90), *record, self.AAD)
+
+
+# -- many records under many keys: seal_many / open_many -----------------------
+N = gcm._GROUP_MIN_RECORDS
+BOUND = gcm._GROUP_MAX_BLOCKS   # AAD + payload blocks of a short record
+BIG = 1 << 16                   # never short: checked against the one-record path
+
+
+def _pool() -> list[tuple[bytes, bytes, bytes, bytes]]:
+    """``(key, iv, plaintext, aad)`` records: every payload length of
+    interest under every AAD length for the small ones, the 32-byte AAD a
+    result carries for the rest (just under and over the short bound)."""
+    rnd = random.Random("pool")
+    shapes = [(size, aad) for size in (0, 1, 15, 16, 17) for aad in (0, 32, 100)]
+    shapes += [(1024, 32), (16 * (BOUND - 2), 32), (16 * (BOUND - 2) + 1, 32), (BIG, 32)]
+    return [
+        (rnd.randbytes(16), rnd.randbytes(12), rnd.randbytes(size), rnd.randbytes(aad))
+        for size, aad in shapes
+    ]
+
+
+POOL = _pool()
+_SEALED: dict[int, bytes] = {}
+
+
+def _sealed(i: int) -> bytes:
+    """The reference ``iv || tag || ciphertext`` of pool record ``i``."""
+    if i not in _SEALED:
+        key, iv, plaintext, aad = POOL[i]
+        if len(plaintext) == BIG:  # 1 s of reference AES; its size class is checked above
+            _SEALED[i] = gcm.seal(key, iv, plaintext, aad)
+        else:
+            ct, tag = ref_gcm_encrypt(key, iv, plaintext, aad)
+            _SEALED[i] = iv + tag + ct
+    return _SEALED[i]
+
+
+groups = st.sampled_from([1, 2, N - 1, N, 32]).flatmap(
+    lambda n: st.lists(st.integers(0, len(POOL) - 1), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(picks=groups)
+def test_seal_many_and_open_many_match_the_reference(picks):
+    # A pool record picked twice is a key repeated within the group.
+    records = [POOL[i] for i in picks]
+    want = [_sealed(i) for i in picks]
+    assert gcm.seal_many(records) == want
+    opened = gcm.open_many([(key, blob, aad) for (key, _, _, aad), blob in zip(records, want)])
+    assert opened == [plaintext for _, _, plaintext, _ in records]
+
+
+def test_a_group_of_distinct_keys_takes_the_group_kernel(monkeypatch):
+    calls = []
+    real = gcm._group_pass
+    monkeypatch.setattr(gcm, "_group_pass", lambda *a, **k: calls.append(len(a[0])) or real(*a, **k))
+    short = [i for i, (_, _, p, a) in enumerate(POOL) if gcm._short(b"k" * 16, b"i" * 12, p, a)]
+    gcm.seal_many([POOL[i] for i in short[:N - 1]])
+    assert calls == []                       # too few to pay for the kernel
+    assert gcm.seal_many([POOL[i] for i in short + [len(POOL) - 1]])[:-1] == [
+        _sealed(i) for i in short
+    ]
+    assert calls == [len(short)]             # the long record went on its own
+
+
+def _flip(data: bytes, at: int) -> bytes:
+    out = bytearray(data)
+    out[at % len(out)] ^= 0x10
+    return bytes(out)
+
+
+TAMPERS = {
+    "ciphertext": lambda key, blob, aad: (key, _flip(blob, 28 + len(blob) // 2), aad),
+    "tag": lambda key, blob, aad: (key, _flip(blob, 12 + 7), aad),
+    "aad": lambda key, blob, aad: (key, blob, aad + b"!"),
+    "iv": lambda key, blob, aad: (key, _flip(blob, 3), aad),
+    "short_blob": lambda key, blob, aad: (key, blob[:27], aad),
+    "wrong_key": lambda key, blob, aad: (_flip(key, 0), blob, aad),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(TAMPERS))
+@pytest.mark.parametrize("size", [N, 32])
+def test_open_many_fails_only_the_tampered_slot(monkeypatch, tamper, size):
+    compared = []
+    monkeypatch.setattr(gcm, "bytes_eq", lambda a, b: compared.append(1) or bytes_eq(a, b))
+    rnd = random.Random(f"{tamper}{size}")
+    records = [(rnd.randbytes(16), rnd.randbytes(12), rnd.randbytes(rnd.choice([0, 40, 1024])),
+                rnd.randbytes(32)) for _ in range(size)]
+    blobs = gcm.seal_many(records)
+    victim = rnd.randrange(size)
+    opening = [(key, blob, aad) for (key, _, _, aad), blob in zip(records, blobs)]
+    opening[victim] = TAMPERS[tamper](*opening[victim])
+    opened = gcm.open_many(opening)
+    assert isinstance(opened[victim], IntegrityError)
+    assert all(
+        got == plaintext for i, (got, (_, _, plaintext, _)) in enumerate(zip(opened, records))
+        if i != victim
+    )
+    assert len(compared) >= size - 1         # every grouped tag went through bytes_eq

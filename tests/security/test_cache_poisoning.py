@@ -95,3 +95,34 @@ class TestCachePoisoning:
         ))
         assert dedup(b"data") == double_bytes(b"data")
         assert app.runtime.stats.verification_failures == 1
+
+    def test_entry_forged_under_another_key_fails_only_its_item_in_a_batch(self):
+        # The forged entry is well formed and sealed under *a* key, just not
+        # the one its locking hash unwraps: its item is rejected by the AEAD
+        # pass its whole batch shares, recomputed, and counted once; every
+        # other item of the batch is still a verified store hit.
+        from repro.crypto import gcm
+        from repro.net.messages import PutRequest
+
+        d = Deployment(seed=b"poison-5")
+        app = d.create_application("victim", make_libs())
+        genuine = [b"input-%02d" % i for i in range(2 * gcm._GROUP_MIN_RECORDS)]
+        app.runtime.execute_many(DOUBLE_DESC, genuine)
+        app.runtime.flush_puts()
+
+        func_identity = app.runtime.libraries.function_identity(DOUBLE_DESC)
+        tag = derive_tag(func_identity, AnyParser(default_registry()).encode(b"forged"))
+        attacker_enclave = d.platform.create_enclave("attacker", b"attacker-code")
+        attacker = d.store.connect("attacker-addr", app_enclave=attacker_enclave)
+        attacker.call(PutRequest(
+            tag=tag, challenge=b"r" * 32, wrapped_key=b"k" * 16,
+            sealed_result=gcm.seal(b"K" * 16, b"i" * 12, double_bytes(b"forged"), aad=tag),
+            app_id="attacker",
+        ))
+
+        reader = d.create_application("reader", make_libs())
+        batch = genuine[:3] + [b"forged"] + genuine[3:]
+        results = reader.runtime.execute_many_results(DOUBLE_DESC, batch)
+        assert [r.value for r in results] == [double_bytes(x) for x in batch]
+        assert [r.source for r in results] == ["store"] * 3 + ["computed"] + ["store"] * 5
+        assert reader.runtime.stats.verification_failures == 1

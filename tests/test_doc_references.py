@@ -15,7 +15,9 @@ cannot leave a sentence behind:
 * ``python -m repro.bench <name>...`` — every name is an ``EXPERIMENTS``
   key or ``all``; ``python -m repro.simtest --flag...`` — every flag is
   one its argument parser accepts (``<...>`` placeholders and
-  ``[``/``|`` option syntax are skipped).
+  ``[``/``|`` option syntax are skipped);
+* a backticked ``_NAME`` followed by ``= <integer>`` — a module-level constant of that name in
+  ``repro`` holds that integer (every module defining the name agrees).
 
 Names the documents mention on purpose *because* they are gone (a
 deleted shim, an output file a command writes) carry a placeholder or
@@ -48,6 +50,7 @@ CLASS_ATTR = re.compile(r"^([A-Z]\w*)\.([A-Za-z_][\w*]*)(?:\(.*\))?$")
 DOTTED_MODULE = re.compile(r"^repro(?:\.\w+)+$")
 RELATIVE_PATH = re.compile(r"^[\w.-]+(?:/[\w.-]+)*$")
 COMMAND = re.compile(r"\bpython3? -m repro\.(bench|simtest)\b(.*)$")
+QUOTED_CONSTANT = re.compile(r"`(_[A-Z][A-Z0-9_]*)` = (\d+)(?![\d.])")
 
 
 def _references():
@@ -70,6 +73,19 @@ def classes() -> dict[str, list[type]]:
         for name, cls in inspect.getmembers(module, inspect.isclass):
             if cls.__module__ == module.__name__:
                 found.setdefault(name, []).append(cls)
+    return found
+
+
+@pytest.fixture(scope="module")
+def constants() -> dict[str, list]:
+    """Private upper-case name -> every value a ``repro`` module gives it."""
+    found: dict[str, list] = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue
+        for name, value in vars(importlib.import_module(info.name)).items():
+            if QUOTED_CONSTANT.match(f"`{name}` = 0"):
+                found.setdefault(name, []).append(value)
     return found
 
 
@@ -147,4 +163,16 @@ def test_commands_resolve():
             bad = [word for word in words if word.startswith("-") and word not in flags]
         if bad:
             stale.append(f"{document}:{number}: `{text}` ({', '.join(bad)})")
+    assert not stale, "\n".join(stale)
+
+
+def test_quoted_constants_hold_their_values(constants):
+    stale = []
+    for name in DOCUMENTS:
+        for number, line in enumerate((ROOT / name).read_text().splitlines(), 1):
+            for constant, value in QUOTED_CONSTANT.findall(line):
+                held = constants.get(constant, [])
+                if not held or any(type(v) is not int or v != int(value) for v in held):
+                    stale.append(f"{name}:{number}: `{constant}` = {value} "
+                                 f"(the code has {held})")
     assert not stale, "\n".join(stale)
