@@ -395,8 +395,8 @@ _GROUP_MIN_RECORDS = 4
 _GROUP_MAX_BLOCKS = 256
 
 
-def _short(key, iv, payload, aad) -> bool:
-    blocks = -(-len(aad) // BLOCK_SIZE) + -(-len(payload) // BLOCK_SIZE)
+def _short(key, iv, size: int, aad) -> bool:
+    blocks = -(-len(aad) // BLOCK_SIZE) + -(-size // BLOCK_SIZE)
     return len(key) == 16 and len(iv) == IV_SIZE and blocks <= _GROUP_MAX_BLOCKS
 
 
@@ -471,7 +471,8 @@ def seal_many(records: Sequence[tuple[bytes, bytes, bytes, bytes]]) -> list[byte
         cts, tags = _group_pass(keys, ivs, plaintexts, aads, sealing=True)
         return [bytes(iv) + tag.tobytes() + ct for iv, tag, ct in zip(ivs, tags, cts)]
 
-    return _grouped(records, [_short(*r) for r in records], group, seal)
+    short = [_short(k, iv, len(p), a) for k, iv, p, a in records]
+    return _grouped(records, short, group, seal)
 
 
 def open_many(records: Sequence[tuple[bytes, bytes, bytes]]) -> list:
@@ -488,5 +489,5 @@ def open_many(records: Sequence[tuple[bytes, bytes, bytes]]) -> list:
         failed = "GCM tag verification failed"
         return [p if ok else IntegrityError(failed) for p, ok in zip(plaintexts, good)]
 
-    short = [len(b) >= head and _short(k, b[:IV_SIZE], b[head:], a) for k, b, a in records]
+    short = [len(b) >= head and _short(k, b[:IV_SIZE], len(b) - head, a) for k, b, a in records]
     return _grouped(records, short, group, open_)
