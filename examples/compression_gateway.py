@@ -4,10 +4,11 @@
 A network middlebox compresses documents before they leave the data
 center.  Incrementally re-synchronised datasets mean the same documents
 keep coming back; SPEED turns repeat compressions into store lookups.
-This example also shows the *failure* path: after an adversary tampers
-with the stored ciphertext, the application detects it (AEAD), falls
-back to fresh computation, and still returns the correct bytes — and the
-session trace shows the tampered blob read followed by the recompute.
+This example also shows the *failure* path: after the host adversary
+flips a byte in every stored ciphertext, the store detects it (blob
+digest), the application falls back to fresh computation and still
+returns the correct bytes — and the session trace shows the tampered
+blob read followed by the recompute.
 
 Run:  python examples/compression_gateway.py
 """
@@ -16,7 +17,7 @@ import repro
 from repro import TrustedLibraryRegistry
 from repro.apps.compress import inflate
 from repro.apps.registry import compress_case_study
-from repro.core.tag import derive_tag
+from repro.security import HostAdversary
 from repro.workloads import text_corpus
 
 
@@ -43,18 +44,19 @@ def main() -> None:
     print(f"cache hits           : {stats.hits} ({stats.hit_rate():.0%})")
     print(f"bandwidth saved      : {saved_bytes / 1024:.1f} KiB")
 
-    # --- adversarial episode: the host tampers with a stored result ------
+    # --- adversarial episode: the host tampers with the stored results ----
     victim = corpus[0]
-    func_identity = session.runtime.libraries.function_identity(case.description)
-    tag = derive_tag(func_identity, victim)
-    session.store.blobstore.tamper(session.store.blob_ref_of(tag))
+    store = session.store
+    adversary = HostAdversary(store.platform.host)
+    for name in store.platform.host.names(store.blobstore.prefix):
+        adversary.flip(name)
 
     before_failures = stats.verification_failures
     recovered = dedup_deflate(victim)  # store copy is poisoned
     assert inflate(recovered) == victim
     detected = (stats.verification_failures - before_failures > 0
                 or session.store.stats.tamper_detected > 0)
-    print("tamper episode       : store copy corrupted by host adversary")
+    print("tamper episode       : store copies corrupted by host adversary")
     print(f"  detected            : {detected}")
     print("  correct result      : recomputed transparently, output verified")
     print()

@@ -18,7 +18,7 @@ from .huffman import (
     read_lengths_header,
     write_lengths_header,
 )
-from .lz77 import MAX_MATCH, MIN_MATCH, Token, tokenize
+from .lz77 import MAX_MATCH, MIN_MATCH, tokenize
 from ...errors import SpeedError
 
 LIBRARY_FAMILY = "zlib"
@@ -169,8 +169,3 @@ def compression_ratio(data: bytes) -> float:
     if not data:
         return 1.0
     return len(deflate(data)) / len(data)
-
-
-def _tokens_roundtrip(data: bytes) -> list[Token]:
-    """Exposed for property tests on the LZ77 layer."""
-    return tokenize(bytes(data))

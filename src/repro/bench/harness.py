@@ -1023,7 +1023,7 @@ def _durable_fill(session, ops: int, payload_bytes: int):
     log = node.store.durable
     return delta, dict(
         wal_records=log.records_logged if log else 0,
-        wal_segments=len(log.segments) if log else 0,
+        wal_segments=len(log.segment_names()) if log else 0,
         log_bytes=log.log_bytes if log else 0,
     )
 

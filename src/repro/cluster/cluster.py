@@ -229,7 +229,7 @@ class StoreCluster:
     def restart_shard(self, shard_id: str):
         """Crash-*restart* a shard through the persistence path: seal a
         snapshot of its state, wipe the in-memory dictionary and blob
-        arena (the crash), restore from the sealed image inside the
+        arena (the crash), restore the image the host kept into the
         (reused) store enclave, and let traffic reach it again.  Unlike
         :meth:`kill_shard`'s crash-pause, state round-trips through a
         sealed image and the store's insert path, so restore bugs become
@@ -240,9 +240,9 @@ class StoreCluster:
 
         node = self._node(shard_id)
         self.fault.kill(node.address)
-        sealed = snapshot_store(node.store)
+        snapshot_store(node.store)
         node.store.clear()
-        report = restore_store(node.store, sealed)
+        report = restore_store(node.store)
         self.fault.revive(node.address)
         return report
 

@@ -21,23 +21,21 @@ production enclave key-value stores:
   put entries back through the store's one insert path.
 
 The durable artifacts — sealed segments, the sealed checkpoint, and the
-logged ciphertexts — live on the untrusted host ("disk") and survive
+logged ciphertexts — are names in the untrusted host's storage and survive
 :meth:`~repro.store.resultstore.ResultStore.power_fail`; everything else
 is wiped.  Because the store commits its log before a reply leaves the
 machine, every *acknowledged* PUT is durable by construction.
 """
 
-from .checkpoint import CheckpointImage, maybe_checkpoint, take_checkpoint
+from .checkpoint import maybe_checkpoint, take_checkpoint
 from .recovery import RecoveryReport, recover_store
-from .wal import DurableLog, WalConfig, WalRecord, WalSegment
+from .wal import DurableLog, WalConfig, WalRecord
 
 __all__ = [
-    "CheckpointImage",
     "DurableLog",
     "RecoveryReport",
     "WalConfig",
     "WalRecord",
-    "WalSegment",
     "maybe_checkpoint",
     "recover_store",
     "take_checkpoint",

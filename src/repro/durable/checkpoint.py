@@ -20,13 +20,12 @@ shortfall as a whole-state rollback (``durable.rollback_detected``,
 hard :class:`~repro.errors.RollbackError` under
 ``StoreConfig(strict_rollback=True)``).
 
-After sealing, the covered segments and their blob-area copies are
-dropped: checkpointing doubles as log compaction.
+The sealed checkpoint is one host name, ``<store>/checkpoint``.  After
+sealing, the covered segments and their blob-area copies are dropped:
+checkpointing doubles as log compaction.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ..errors import StoreError
 from ..net.framing import Layout, Repeated, pack, unpack
@@ -78,15 +77,6 @@ def checkpoint_counter_id(store) -> bytes:
     return b"speed/wal/" + store.address.encode()
 
 
-@dataclass(frozen=True)
-class CheckpointImage:
-    """One sealed checkpoint — host-durable, opaque to the host."""
-
-    seq: int            # last WAL record sequence folded in (0 = none)
-    chain: bytes        # chain head at that point (also sealed inside)
-    sealed: SealedBlob
-
-
 def encode_checkpoint(seq: int, chain: bytes, counter: int, image: bytes) -> bytes:
     return pack(CHECKPOINT, {
         "version": CHECKPOINT_VERSION, "seq": seq, "chain": chain,
@@ -101,9 +91,9 @@ def decode_checkpoint(payload: bytes) -> tuple[int, bytes, int, bytes]:
     return fields["seq"], fields["chain"], fields["counter"], fields["image"]
 
 
-def take_checkpoint(store) -> CheckpointImage:
+def take_checkpoint(store) -> SealedBlob:
     """Commit the log, seal the store's full state with the log anchor,
-    and truncate the folded segments.  Returns the new image."""
+    and truncate the folded segments.  Returns the sealed checkpoint."""
     if store.durable is None:
         raise StoreError("checkpointing requires a durable-mode store")
     log = store.durable
@@ -118,14 +108,13 @@ def take_checkpoint(store) -> CheckpointImage:
             counter = store.platform.monotonic_increment(checkpoint_counter_id(store))
             payload = encode_checkpoint(seq, chain, counter, encode_image(store))
             sealed = store.enclave.seal(payload, SealPolicy.MRSIGNER)
-            image = CheckpointImage(seq=seq, chain=chain, sealed=sealed)
-            log.install_checkpoint(image)
+            log.install_checkpoint(sealed.payload)
             span.set("seq", seq)
             span.set("bytes", len(sealed.payload))
-    return image
+    return sealed
 
 
-def maybe_checkpoint(store) -> CheckpointImage | None:
+def maybe_checkpoint(store) -> SealedBlob | None:
     """Checkpoint iff the log has grown past its configured interval.
 
     Deferred while a migration hand-off is open on this shard: folding

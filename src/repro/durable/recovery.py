@@ -1,11 +1,11 @@
 """Crash recovery: checkpoint restore plus chain-verified log replay.
 
 Recovery rebuilds a store's volatile state exclusively from the durable
-artifacts a power failure leaves behind:
+artifacts a power failure leaves behind (the host's names for the store):
 
 1. unseal the checkpoint (if any) and repopulate the dictionary, blob
    arena, quota usage, and eviction-policy state from it;
-2. walk the sealed segments in order, verifying that each one unseals,
+2. walk the sealed segments in name order, verifying that each one unseals,
    that its embedded predecessor-chain value matches the running chain,
    and that its first sequence number is the one expected;
 3. replay the records — re-inserting logged PUTs (their ciphertexts come
@@ -78,9 +78,8 @@ def recover_store(store) -> RecoveryReport:
             running = GENESIS_CHAIN
             checkpoint_seq = 0
             rollback_detected = False
-            if log.checkpoint is not None:
-                payload = store.enclave.unseal(log.checkpoint.sealed)
-                seq, chain, counter, image = decode_checkpoint(payload)
+            if log.host.get(log.checkpoint_name) is not None:
+                seq, chain, counter, image = decode_checkpoint(log.unseal(log.checkpoint_name))
                 # Whole-state rollback check: each checkpoint seals the
                 # hardware monotonic-counter value it bumped to.  An
                 # embedded value behind the hardware counter means the
@@ -103,13 +102,13 @@ def recover_store(store) -> RecoveryReport:
 
             puts = removes = touches = migrates = blobs_missing = segments_ok = 0
             torn_tail = chain_broken = False
-            stop_index = len(log.segments)
-            for index, segment in enumerate(log.segments):
+            names = log.segment_names()
+            stop_index = len(names)
+            for index, name in enumerate(names):
                 try:
-                    payload = store.enclave.unseal(segment.sealed)
-                    prev_chain, first_seq, records = decode_segment(payload)
+                    prev_chain, first_seq, records = decode_segment(log.unseal(name))
                 except (SealingError, SerializationError, StoreError):
-                    torn_tail = index == len(log.segments) - 1
+                    torn_tail = index == len(names) - 1
                     chain_broken = not torn_tail
                     stop_index = index
                     break
@@ -119,10 +118,10 @@ def recover_store(store) -> RecoveryReport:
                     break
                 # Chain verification is free: the unseal above already
                 # authenticated the embedded prev_chain token.
-                running = chain_step(segment.sealed.payload)
+                running = chain_step(log.host.get(name))
                 for record in records:
                     if record.kind == REC_PUT:
-                        blob = log.blob_area.get(record.blob_digest)
+                        blob = log.host.get(log.blob_name(record.blob_digest))
                         if blob is not None:
                             clock.charge_hash(len(blob))
                         if blob is None or blob_digest(blob) != record.blob_digest:
@@ -139,10 +138,9 @@ def recover_store(store) -> RecoveryReport:
                 expected_seq += len(records)
                 segments_ok += 1
 
-            records_dropped = sum(
-                segment.n_records for segment in log.segments[stop_index:]
-            )
-            log.resume_from(expected_seq, running)
+            # Reporting only: the count each dropped segment's name carries.
+            records_dropped = sum(int(name.rpartition("+")[2]) for name in names[stop_index:])
+            log.next_seq, log.chain = expected_seq, running  # logging resumes here
             log.recoveries += 1
             replayed = puts + removes + touches + migrates + blobs_missing
             log.records_replayed += replayed

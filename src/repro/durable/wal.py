@@ -6,6 +6,9 @@ One :class:`DurableLog` serves one ResultStore.  It has two halves:
   the running chain head — which a power failure destroys;
 * a **durable** half living on the untrusted host ("disk") — the sealed
   segments, the sealed checkpoint, and the blob area — which survives.
+  Its bytes are host-storage names: ``<store>/wal/<seq>+<n>`` per
+  segment (names sort in commit order; ``n`` is for reporting only),
+  ``<store>/blobs/<digest>`` and ``<store>/checkpoint``.
 
 Records describe metadata mutations only.  A PUT record carries the
 entry fields the enclave must protect (challenge ``r``, wrapped key
@@ -100,16 +103,6 @@ class WalRecord:
     role: int = MIGRATE_SOURCE
 
 
-@dataclass(frozen=True)
-class WalSegment:
-    """One committed segment — host-durable, opaque to the host."""
-
-    first_seq: int
-    n_records: int
-    chain: bytes        # chain head after folding this segment in
-    sealed: SealedBlob
-
-
 #: A segment plaintext: this header, then ``n_records`` records, each
 #: ``RECORD_HEAD`` followed by ``RECORD_FIELDS[kind]``.
 SEGMENT_HEADER = Layout(
@@ -193,18 +186,20 @@ def chain_step(sealed_payload: bytes) -> bytes:
 class DurableLog:
     """Write-ahead log + durable artifacts for one ResultStore."""
 
-    def __init__(self, enclave, config: WalConfig | None = None, tracer=NULL_TRACER):
+    def __init__(self, enclave, store: str, config: WalConfig | None = None, tracer=NULL_TRACER):
         self.enclave = enclave
         self.config = config or WalConfig()
         self.tracer = NULL_TRACER if tracer is None else tracer
-        # -- durable half (survives power_fail) ---------------------------
-        self.segments: list[WalSegment] = []
-        self.blob_area: dict[bytes, bytes] = {}   # blob digest -> ciphertext
-        self.checkpoint = None                    # CheckpointImage | None
+        # -- durable half (host names; survives power_fail) ---------------
+        self.host = enclave.platform.host
+        self.wal_prefix = f"{store}/wal/"
+        self.blob_prefix = f"{store}/blobs/"
+        self.checkpoint_name = f"{store}/checkpoint"
         # -- volatile half (wiped by power_fail) --------------------------
         self._buffer: list[WalRecord] = []
         self.chain = GENESIS_CHAIN
         self.next_seq = 1
+        self.records_since_checkpoint = 0  # the trigger; never read off the host
         # -- counters -----------------------------------------------------
         self.appends = 0
         self.commits = 0
@@ -225,7 +220,7 @@ class DurableLog:
         enclave's control)."""
         with self._appending("put", bytes=len(sealed_result)):
             self.enclave.platform.clock.charge_marshal(len(sealed_result))
-            self.blob_area[entry.blob_digest] = bytes(sealed_result)
+            self.host.put(self.blob_name(entry.blob_digest), bytes(sealed_result))
             self._append(WalRecord(REC_PUT, entry.tag, **{
                 name: getattr(entry, name) for name, _ in RECORD_FIELDS[REC_PUT].fields
             }))
@@ -274,13 +269,9 @@ class DurableLog:
             sealed = self.enclave.seal(payload, SealPolicy.MRSIGNER)
             self.chain = chain_step(sealed.payload)
             committed = len(self._buffer)
-            self.segments.append(WalSegment(
-                first_seq=self.next_seq,
-                n_records=committed,
-                chain=self.chain,
-                sealed=sealed,
-            ))
+            self.host.put(f"{self.wal_prefix}{self.next_seq:020d}+{committed}", sealed.payload)
             self.next_seq += committed
+            self.records_since_checkpoint += committed
             self._buffer.clear()
             self.commits += 1
             self.records_logged += committed
@@ -292,11 +283,20 @@ class DurableLog:
     def pending_records(self) -> int:
         return len(self._buffer)
 
-    def records_in_log(self) -> int:
-        return sum(segment.n_records for segment in self.segments)
-
     def needs_checkpoint(self) -> bool:
-        return self.records_in_log() >= self.config.checkpoint_interval_records
+        return self.records_since_checkpoint >= self.config.checkpoint_interval_records
+
+    def blob_name(self, digest: bytes) -> str:
+        """The host name of one written-through ciphertext."""
+        return self.blob_prefix + digest.hex()
+
+    def segment_names(self) -> list[str]:
+        """The committed segments the host presents, in name order."""
+        return self.host.names(self.wal_prefix)
+
+    def unseal(self, name: str) -> bytes:
+        """Unseal one host-held segment or checkpoint (inside the enclave)."""
+        return self.enclave.unseal(SealedBlob(SealPolicy.MRSIGNER, self.host.get(name)))
 
     # -- lifecycle --------------------------------------------------------
     def power_fail(self) -> None:
@@ -306,24 +306,20 @@ class DurableLog:
         self._buffer.clear()
         self.chain = GENESIS_CHAIN
         self.next_seq = 1
+        self.records_since_checkpoint = 0
         self.power_failures += 1
 
-    def install_checkpoint(self, image) -> None:
-        """Adopt a fresh checkpoint: it covers every committed record, so
-        the segments it folded in and the blob copies they referenced are
-        dropped (compaction)."""
+    def install_checkpoint(self, sealed_payload: bytes) -> None:
+        """Adopt a fresh sealed checkpoint: it covers every committed
+        record, so the segments it folded in and the blob copies they
+        referenced are dropped (compaction)."""
         if self._buffer:
             raise StoreError("checkpoint requires a committed (empty) buffer")
-        self.checkpoint = image
-        self.segments.clear()
-        self.blob_area.clear()
+        self.host.put(self.checkpoint_name, sealed_payload)
+        for name in self.segment_names() + self.host.names(self.blob_prefix):
+            self.host.delete(name)
+        self.records_since_checkpoint = 0
         self.checkpoints += 1
-
-    def resume_from(self, seq: int, chain: bytes) -> None:
-        """Point the volatile half at the recovered position so normal
-        logging continues the chain recovery verified."""
-        self.next_seq = seq
-        self.chain = chain
 
     # -- observability ----------------------------------------------------
     def snapshot(self) -> dict:
@@ -333,9 +329,10 @@ class DurableLog:
             "durable.commits": self.commits,
             "durable.records_logged": self.records_logged,
             "durable.log_bytes": self.log_bytes,
-            "durable.segments": len(self.segments),
+            "durable.wal_segments": len(self.segment_names()),
             "durable.pending_records": self.pending_records,
-            "durable.blob_area_bytes": sum(len(b) for b in self.blob_area.values()),
+            "durable.blob_area_bytes": sum(
+                len(self.host.get(name)) for name in self.host.names(self.blob_prefix)),
             "durable.checkpoints": self.checkpoints,
             "durable.recoveries": self.recoveries,
             "durable.records_replayed": self.records_replayed,

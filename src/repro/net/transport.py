@@ -123,18 +123,6 @@ class FaultInjector:
             return DELIVER
         return FaultDecision(corrupt=corrupt, duplicate=duplicate, delay=delay)
 
-    def apply(self, payload: bytes, source: str = "", dest: str = "") -> bytes | None:
-        """Compatibility shim over :meth:`decide` for drop/corrupt-only
-        callers: returns the (possibly corrupted) payload, or None to
-        drop.  Duplicate/delay decisions need the network's delivery
-        machinery and are ignored here."""
-        decision = self.decide(payload, source=source, dest=dest)
-        if decision.drop:
-            return None
-        if decision.corrupt and payload:
-            return corrupt_payload(payload)
-        return payload
-
 
 class Endpoint:
     """One addressable mailbox on a network."""

@@ -2,9 +2,8 @@
 
 from .adversary import (
     BruteForceAdversary,
-    CachePoisoningAdversary,
     ForgingAttempt,
-    PoisoningReport,
+    HostAdversary,
     QueryForgingAdversary,
     WireObservation,
     WireTapAdversary,
@@ -12,9 +11,8 @@ from .adversary import (
 
 __all__ = [
     "BruteForceAdversary",
-    "CachePoisoningAdversary",
     "ForgingAttempt",
-    "PoisoningReport",
+    "HostAdversary",
     "QueryForgingAdversary",
     "WireObservation",
     "WireTapAdversary",

@@ -1,12 +1,12 @@
 """Adversary simulations for the paper's §III-D security analysis.
 
 The threat model (§II-B): the adversary controls the full software stack
-outside the enclaves — it can read/modify the untrusted blob store,
-observe the wire, and run its own (non-attested) code — but cannot break
-the simulated hardware.  Each class below mounts one of the attacks the
-paper claims to defeat; the security test suite asserts every mount
-fails, and that the corresponding *relaxations* (e.g. UNIC's plaintext
-store) do fall.
+outside the enclaves — it can read/modify everything the host holds
+(:class:`HostAdversary`), observe the wire, and run its own
+(non-attested) code — but cannot break the simulated hardware.  Each
+class below mounts one of the attacks the paper claims to defeat; the
+security test suite asserts every mount fails, and that the
+corresponding *relaxations* (e.g. UNIC's plaintext store) do fall.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from ..core.scheme import CrossAppScheme, ProtectedResult
 from ..core.tag import derive_locking_hash
 from ..crypto import gcm
 from ..errors import IntegrityError
-from ..store.resultstore import ResultStore
 
 
 @dataclass
@@ -70,48 +69,65 @@ class QueryForgingAdversary:
         self._scheme = scheme or CrossAppScheme()
 
     def attack(
-        self,
-        tag: bytes,
-        stolen: ProtectedResult,
-        guesses: list[tuple[bytes, bytes]],
+        self, tag: bytes, stolen: ProtectedResult, guesses: list[tuple[bytes, bytes]]
     ) -> ForgingAttempt:
         for attempt, (func_identity, input_bytes) in enumerate(guesses, start=1):
             try:
                 recovered = self._scheme.recover(func_identity, input_bytes, tag, stolen)
-            except IntegrityError:
-                continue
             except Exception:
                 continue
             return ForgingAttempt(guesses_tried=attempt, succeeded=True, recovered=recovered)
         return ForgingAttempt(guesses_tried=len(guesses), succeeded=False)
 
 
-@dataclass
-class PoisoningReport:
-    tampered_blobs: int
-    served_poisoned: int      # poisoned bytes that reached an application
-    detected_by_store: int
-    detected_by_app: int
+class HostAdversary:
+    """The root-level adversary at one machine's host storage: it rewrites,
+    cuts, deletes, exchanges and rolls back the bytes behind any name —
+    result arena (§III-D "poison ResultStore"), WAL, checkpoint, snapshot."""
 
+    def __init__(self, host):
+        self.host = host
 
-class CachePoisoningAdversary:
-    """Root-level adversary that rewrites ciphertexts at rest (§III-D:
-    "an adversary attempts to poison ResultStore with bad results")."""
+    def flip(self, name: str, offset: int = 0, xor: int = 0xFF) -> None:
+        """Flip bits of one held byte (a negative offset counts from the end)."""
+        data = bytearray(self._held(name))
+        if not -len(data) <= offset < len(data):
+            raise ValueError(f"offset {offset} outside {name!r}")
+        data[offset] ^= xor
+        self.host.put(name, bytes(data))
 
-    def __init__(self, store: ResultStore):
-        self._store = store
+    def truncate(self, name: str, length: int) -> None:
+        """Keep only the first ``length`` bytes (a torn write)."""
+        self.host.put(name, self._held(name)[:length])
 
-    def tamper_all(self) -> int:
-        """Flip one byte in every stored blob; returns the count."""
-        count = 0
-        blobstore = self._store.blobstore
-        for ref in list(blobstore._blobs):
-            blobstore.tamper(ref, offset=len(blobstore.get(ref)) // 2)
-            count += 1
-        return count
+    def delete(self, name: str) -> None:
+        if self.host.delete(name) is None:
+            raise KeyError(f"the host holds no {name!r}")
 
-    def tamper_tag(self, tag: bytes) -> None:
-        self._store.blobstore.tamper(self._store.blob_ref_of(tag))
+    def exchange(self, first: str, second: str) -> None:
+        """Swap the bytes two names hold."""
+        a, b = self._held(first), self._held(second)
+        self.host.put(first, b)
+        self.host.put(second, a)
+
+    def save(self, prefix: str = "") -> dict[str, bytes]:
+        """A copy of every name under ``prefix``, to put back later."""
+        return {name: self._held(name) for name in self.host.names(prefix)}
+
+    def put_back(self, saved: dict[str, bytes], prefix: str | None = None) -> None:
+        """Present stale copies; with ``prefix``, first delete every name
+        under it, so the whole prefix rolls back to ``saved``."""
+        if prefix is not None:
+            for name in self.host.names(prefix):
+                self.host.delete(name)
+        for name, data in saved.items():
+            self.host.put(name, data)
+
+    def _held(self, name: str) -> bytes:
+        data = self.host.get(name)
+        if data is None:
+            raise KeyError(f"the host holds no {name!r}")
+        return data
 
 
 class BruteForceAdversary:
@@ -144,16 +160,13 @@ class BruteForceAdversary:
             fake_key = (candidate * 16)[:16] if candidate else b"\x00" * 16
             try:
                 recovered = gcm.open_(fake_key, sealed_result, aad=tag)
-            except (IntegrityError, Exception):
+            except Exception:
                 continue
             return ForgingAttempt(attempt, True, recovered)
         return ForgingAttempt(len(candidate_inputs), False)
 
     def attack_with_challenge(
-        self,
-        tag: bytes,
-        protected: ProtectedResult,
-        candidate_inputs: list[bytes],
+        self, tag: bytes, protected: ProtectedResult, candidate_inputs: list[bytes]
     ) -> ForgingAttempt:
         """With leaked ``r``: classic MLE dictionary attack."""
         for attempt, candidate in enumerate(candidate_inputs, start=1):

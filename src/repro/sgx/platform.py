@@ -18,6 +18,29 @@ from ..crypto.hashes import tagged_hash
 from ..errors import EnclaveError
 
 
+class HostStorage:
+    """Every byte the untrusted host holds for one machine (RAM and disk),
+    name -> bytes.  Only sealed or AEAD-protected bytes are put here, and
+    the host may rewrite any of them; nothing is charged on the clock."""
+
+    def __init__(self):
+        self._held: dict[str, bytes] = {}
+
+    def put(self, name: str, data: bytes) -> None:
+        self._held[name] = data
+
+    def get(self, name: str) -> bytes | None:
+        return self._held.get(name)
+
+    def delete(self, name: str) -> bytes | None:
+        """Drop ``name``; returns what it held (None if nothing)."""
+        return self._held.pop(name, None)
+
+    def names(self, prefix: str = "") -> list[str]:
+        """Every held name starting with ``prefix``, sorted."""
+        return sorted(name for name in self._held if name.startswith(prefix))
+
+
 class SgxPlatform:
     """One SGX-capable machine hosting any number of enclaves."""
 
@@ -48,6 +71,8 @@ class SgxPlatform:
         # teardown and power failure, so sealed state can be anchored
         # against whole-state rollback.
         self._monotonic: dict[bytes, int] = {}
+        # Survives power failure too, as far as owners leave it.
+        self.host = HostStorage()
 
     # -- monotonic counters --------------------------------------------------
     def monotonic_read(self, counter_id: bytes = b"default") -> int:

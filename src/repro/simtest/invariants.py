@@ -14,7 +14,7 @@ cluster must satisfy all four.  Each check returns a list of
    so a wrong value can only come from a protocol bug).
 3. **Confidentiality** — no plaintext input or result bytes ever appear
    in any message on the wire (the honest-but-curious adversary taps
-   every delivery).
+   every delivery) nor in anything a machine's host storage holds.
 4. **Conservation** — every call is exactly one of hit, miss, or
    degraded: ``hits + misses + degraded == calls``.
 
@@ -99,21 +99,25 @@ def check_durability(acked_tags, corrupted_tags, cluster, repro: str = "") -> li
     return violations
 
 
-def check_confidentiality(secrets, wire_payloads, repro: str = "") -> list:
-    """No plaintext secret bytes on the wire.
+def check_confidentiality(secrets, wire_payloads, repro: str = "", hosts=()) -> list:
+    """No plaintext secret bytes on the wire or at rest on a host.
 
     ``secrets`` maps a label (e.g. ``"result[3]"``) to plaintext bytes;
-    every tapped payload is scanned for every secret.  Secrets here are
+    every tapped payload and every value each of ``hosts`` (machines'
+    ``HostStorage``) holds is scanned for every secret.  Secrets here are
     32+ byte hash outputs, so substring matches cannot be coincidental.
     """
+    places = [("a wire message", payload) for payload in wire_payloads] + [
+        (f"host name {name!r}", host.get(name)) for host in hosts for name in host.names()
+    ]
     violations = []
     for label in sorted(secrets):
         secret = secrets[label]
-        for payload in wire_payloads:
+        for place, payload in places:
             if secret and secret in payload:
                 violations.append(Violation(
                     "confidentiality",
-                    f"plaintext of {label} observed in a wire message "
+                    f"plaintext of {label} observed in {place} "
                     f"({len(payload)} bytes)",
                     repro,
                 ))
@@ -189,10 +193,7 @@ def check_adaptive_identical(
 def store_image(store) -> dict:
     """A shard's observable contents — tag -> exact ciphertext bytes —
     captured before and after a power failure for :func:`check_recovery`."""
-    return {
-        tag: store.blobstore.get(store.blob_ref_of(tag))
-        for tag in store.stored_tags()
-    }
+    return {entry.tag: sealed for entry, sealed in store.stored()}
 
 
 def check_recovery(

@@ -6,10 +6,10 @@ public :func:`repro.connect` API with the hardened client path enabled
 seeded :class:`~repro.simtest.schedule.FaultPlan`, and drives a
 randomized workload interleaved with topology faults: shard crashes,
 crash-restarts through the sealing/persistence path, partitions, slow
-links, and deliberate corruption of untrusted memory and store
-metadata.  After the scenario it heals the cluster, lets everything
-settle, and checks the four global invariants
-(:mod:`repro.simtest.invariants`).
+links, and deliberate corruption of host-held ciphertexts (through
+:class:`~repro.security.adversary.HostAdversary`) and store metadata.
+After the scenario it heals the cluster, lets everything settle, and
+checks the four global invariants (:mod:`repro.simtest.invariants`).
 
 Everything observable is derived from ``SimConfig.seed``: the workload,
 the op sequence, every fault decision.  The run emits a trace of
@@ -47,6 +47,7 @@ from ..errors import SpeedError
 from ..net.circuit import BreakerConfig
 from ..net.rpc import RetryPolicy
 from ..net.transport import FaultInjector, corrupt_payload
+from ..security.adversary import HostAdversary
 from ..session import connect
 from ..store.resultstore import StoreConfig
 
@@ -526,7 +527,9 @@ def run_scenario(config: SimConfig) -> ScenarioResult:
                 tags = store.stored_tags()
                 if tags:
                     tag = tags[target_rng.randrange(len(tags))]
-                    store.blobstore.tamper(store.blob_ref_of(tag))
+                    HostAdversary(store.platform.host).flip(
+                        store.blobstore.name(store.metadata_entry(tag).blob_ref)
+                    )
                     corrupted_tags.add(tag)
                     trace.append(
                         f"step={step} op=corrupt_blob shard={sid} "
@@ -624,7 +627,8 @@ def run_scenario(config: SimConfig) -> ScenarioResult:
     violations.extend(check_durability(
         session.runtime.acked_put_tags, corrupted_tags, cluster, repro,
     ))
-    violations.extend(check_confidentiality(secrets, wire, repro))
+    hosts = [session.platform.host] + [node.platform.host for node in cluster.shards.values()]
+    violations.extend(check_confidentiality(secrets, wire, repro, hosts))
     violations.extend(check_conservation(session.stats, repro))
     if config.adaptive:
         # Invariant 8: replay the identical schedule with a fixed

@@ -18,9 +18,9 @@ and writes the anchored kind):
   eviction order, re-credits its contributor's quota and, on a durable
   store, is re-logged (or a later power failure would silently lose it).
 
-The sealed image is a single opaque blob the untrusted host may keep on
-disk; tampering is detected by the seal's AEAD, and a blob from a
-foreign signer fails to unseal at all.
+The sealed image is one opaque payload the host keeps on disk, under
+:func:`snapshot_name`; tampering is detected by the seal's AEAD, and a
+blob from a foreign signer fails to unseal at all.
 """
 
 from __future__ import annotations
@@ -41,24 +41,36 @@ class RestoreReport:
     entries_skipped: int  # duplicates already present
 
 
-def snapshot_store(store: ResultStore) -> SealedBlob:
-    """Seal the store's full state for persistence (MRSIGNER policy)."""
+def snapshot_name(store: ResultStore) -> str:
+    """The host name a store's snapshot is kept under."""
+    return f"{store.address}/snapshot"
+
+
+def snapshot_store(store: ResultStore) -> None:
+    """Seal the store's full state (MRSIGNER policy) and leave it with the
+    host under :func:`snapshot_name`."""
     if store.enclave is None:
         raise StoreError("persistence requires an SGX-mode store")
     with store.enclave.ecall("snapshot"):
-        return store.enclave.seal(encode_image(store), SealPolicy.MRSIGNER)
+        sealed = store.enclave.seal(encode_image(store), SealPolicy.MRSIGNER)
+    store.platform.host.put(snapshot_name(store), sealed.payload)
 
 
-def restore_store(store: ResultStore, blob: SealedBlob) -> RestoreReport:
-    """Unseal a snapshot into a (typically fresh) store.
+def restore_store(store: ResultStore) -> RestoreReport:
+    """Unseal the snapshot the host keeps under :func:`snapshot_name` into
+    a (typically fresh) store.
 
     Raises :class:`~repro.errors.SealingError` if the snapshot was sealed
     by a different vendor's enclave or was modified at rest.
     """
     if store.enclave is None:
         raise StoreError("persistence requires an SGX-mode store")
-    with store.enclave.ecall("restore", in_bytes=len(blob.payload)):
-        restored, skipped = apply_image(store, store.enclave.unseal(blob))
+    payload = store.platform.host.get(snapshot_name(store))
+    if payload is None:
+        raise StoreError(f"the host holds no snapshot for {store.address}")
+    with store.enclave.ecall("restore", in_bytes=len(payload)):
+        image = store.enclave.unseal(SealedBlob(SealPolicy.MRSIGNER, payload))
+        restored, skipped = apply_image(store, image)
         if store.durable is not None:
             store.durable.commit()
     store.stats.restores += 1

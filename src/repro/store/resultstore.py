@@ -1,8 +1,9 @@
 """The encrypted ResultStore service (paper §IV-B).
 
 The main body runs outside the enclave: it owns the network endpoint and
-the untrusted blob arena.  Each request is delegated to the store enclave
-(one ECALL per request), where the channel record is opened, the request
+the untrusted blob arena (``<address>/arena/`` names in the machine's
+host storage).  Each request is delegated to the store enclave (one
+ECALL per request), where the channel record is opened, the request
 parsed, and the enclave-protected metadata dictionary accessed; the reply
 is protected before control returns to the host.  A ``use_sgx=False``
 variant runs the identical logic without an enclave — the "w/o SGX"
@@ -209,14 +210,10 @@ class ResultStore:
                 raise StoreError(
                     "durable persistence does not support oblivious metadata yet"
                 )
-            self.durable = DurableLog(
-                self.enclave,
-                WalConfig(
-                    group_commit_records=self.config.wal_group_commit,
-                    checkpoint_interval_records=self.config.checkpoint_interval,
-                ),
-                tracer=self.tracer,
-            )
+            self.durable = DurableLog(self.enclave, address, WalConfig(
+                group_commit_records=self.config.wal_group_commit,
+                checkpoint_interval_records=self.config.checkpoint_interval,
+            ), tracer=self.tracer)
         self._channels: dict[str, ChannelEndpoint] = {}
         self.stats = StoreStats()
         network.set_reactor(address, self)
@@ -230,7 +227,7 @@ class ResultStore:
             )
             if cfg.oblivious_metadata else MetadataDict()
         )
-        self._blobs = BlobStore()
+        self.blobstore = BlobStore(self.platform.host, f"{self.address}/arena/")
         self._policy: EvictionPolicy = make_policy(cfg.eviction)
         self._quota = QuotaManager(cfg.quota, clock) if cfg.quota else None
         # Migration hand-off marks: id -> {"peer", "role", "committed"
@@ -388,7 +385,7 @@ class ResultStore:
                 get_span.set("found", False)
                 return GetResponse(found=False)
             with self.tracer.span("store.blob_read", clock=self.platform.clock) as read_span:
-                sealed = self._blobs.get(entry.blob_ref)
+                sealed = self.blobstore.get(entry.blob_ref)
                 read_span.set("bytes", len(sealed))
                 if self.config.blobs_in_epc:
                     self._touch("store/blobs", *self._epc_blob_extents[entry.blob_ref])
@@ -482,7 +479,7 @@ class ResultStore:
         size = len(sealed_result)
         self._make_room(size)
         with blob_write:
-            ref = self._blobs.put(sealed_result)
+            ref = self.blobstore.put(sealed_result)
             if self.config.blobs_in_epc:
                 self._epc_blob_extents[ref] = (self._epc_blob_cursor, size)
                 self._touch("store/blobs", self._epc_blob_cursor, size)
@@ -541,7 +538,7 @@ class ResultStore:
 
     def _evict_entry(self, entry: MetadataEntry, discard: bool = False) -> None:
         self._dict.remove(entry.tag)
-        self._blobs.delete(entry.blob_ref)
+        self.blobstore.delete(entry.blob_ref)
         self._epc_blob_extents.pop(entry.blob_ref, None)
         if self._quota is not None and entry.app_id != HANDOFF_APP_ID:
             self._quota.release(entry.app_id, entry.size)
@@ -573,7 +570,7 @@ class ResultStore:
         ``predicate`` (call inside the enclave)."""
         for entry in self._dict.entries():
             if predicate(entry):
-                yield entry, self._blobs.get(entry.blob_ref)
+                yield entry, self.blobstore.get(entry.blob_ref)
 
     def collect_entries(self, predicate) -> list[tuple[bytes, bytes, bytes, bytes]]:
         """Export the ``(tag, r, [k], [res])`` tuples of the entries that
@@ -689,7 +686,7 @@ class ResultStore:
     # -- power failure and recovery (repro.durable) ---------------------------
     def power_fail(self) -> int:
         """Simulate a power failure: every volatile structure — the
-        enclave's metadata dictionary, the untrusted blob arena, eviction
+        enclave's metadata dictionary, the blob arena (host RAM), eviction
         and quota state, and the WAL's in-enclave buffer — is lost in
         place.  Only the durable artifacts (sealed segments, the sealed
         checkpoint, logged ciphertexts) survive for :meth:`recover`.
@@ -698,6 +695,9 @@ class ResultStore:
         if self.durable is None:
             raise StoreError("power_fail requires a durable-mode store")
         wiped = len(self._dict)
+        host = self.platform.host
+        for name in host.names(self.blobstore.prefix):
+            host.delete(name)
         self._reset_volatile_state()
         self.durable.power_fail()
         self.stats.power_fails += 1
@@ -767,17 +767,6 @@ class ResultStore:
         tests mutate it to model a compromised metadata dictionary; the
         paper's Fig. 3 verification must reject anything they change."""
         return self._dict.peek(tag)
-
-    @property
-    def blobstore(self) -> BlobStore:
-        """Untrusted memory — exposed for adversarial tests."""
-        return self._blobs
-
-    def blob_ref_of(self, tag: bytes) -> int:
-        entry = self._dict.peek(tag)
-        if entry is None:
-            raise StoreError("unknown tag")
-        return entry.blob_ref
 
     def snapshot(self) -> dict:
         """Store counters plus, on durable stores, the ``durable.*``

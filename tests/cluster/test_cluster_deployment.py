@@ -4,10 +4,10 @@ the single-store deployment — same results, same security guarantees."""
 from repro import Deployment
 from repro.core.serialization import AnyParser, default_registry
 from repro.core.tag import derive_tag
-from repro.security import CachePoisoningAdversary
+from repro.security import HostAdversary
 from repro.store.resultstore import StoreConfig
 
-from tests.conftest import DOUBLE_DESC, double_bytes, make_libs
+from tests.conftest import DOUBLE_DESC, arena_name, double_bytes, make_libs
 from tests.cluster.conftest import make_cluster
 
 
@@ -120,7 +120,8 @@ class TestTamperedReplicaNeverServes:
         app.runtime.flush_puts()
         tag = tag_of(app, data)
         primary, replica = d.cluster.owners_of(tag)
-        CachePoisoningAdversary(d.cluster.shards[replica].store).tamper_tag(tag)
+        store = d.cluster.shards[replica].store
+        HostAdversary(store.platform.host).flip(arena_name(store, tag))
         d.cluster.kill_shard(primary)
         # The replica detects the bad digest, drops the entry, serves a
         # miss; the runtime recomputes the correct result.
@@ -144,7 +145,8 @@ class TestTamperedReplicaNeverServes:
         app.runtime.flush_puts()
         tag = tag_of(app, data)
         primary, replica = d.cluster.owners_of(tag)
-        CachePoisoningAdversary(d.cluster.shards[replica].store).tamper_tag(tag)
+        store = d.cluster.shards[replica].store
+        HostAdversary(store.platform.host).flip(arena_name(store, tag))
         d.cluster.kill_shard(primary)
         assert dedup(data) == double_bytes(data)
         assert app.runtime.stats.verification_failures == 1

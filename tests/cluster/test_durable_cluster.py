@@ -2,6 +2,7 @@
 recoveries, and read-repair reconvergence."""
 
 from repro.durable import take_checkpoint
+from repro.security import HostAdversary
 from repro.store.resultstore import StoreConfig
 
 from .conftest import make_cluster, make_get, make_put, raw_router
@@ -64,7 +65,9 @@ class TestStaleRecoveryReconverges:
         take_checkpoint(node.store)
         assert router.call(later).accepted
 
-        node.store.durable.segments.clear()   # host drops the log tail
+        adversary = HostAdversary(node.platform.host)
+        for name in node.store.durable.segment_names():
+            adversary.delete(name)            # host drops the log tail
         node.store.power_fail()
         report = node.store.recover()
         assert report.checkpoint_seq >= 1

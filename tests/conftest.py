@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Deployment, FunctionDescription, TrustedLibrary, TrustedLibraryRegistry
+from repro.store.persistence import snapshot_name
 
 
 def double_bytes(data: bytes) -> bytes:
@@ -21,6 +22,18 @@ def make_libs() -> TrustedLibraryRegistry:
 
 
 DOUBLE_DESC = FunctionDescription("testlib", "1.0", "bytes double(bytes)")
+
+
+def arena_name(store, tag: bytes) -> str:
+    """The host name holding the ciphertext ``store`` keeps for ``tag``."""
+    return store.blobstore.name(store.metadata_entry(tag).blob_ref)
+
+
+def carry_snapshot(source, target) -> None:
+    """Copy ``source``'s sealed snapshot to ``target``'s host, as an
+    operator copies the file to the restarted machine."""
+    sealed = source.platform.host.get(snapshot_name(source))
+    target.platform.host.put(snapshot_name(target), sealed)
 
 
 @pytest.fixture

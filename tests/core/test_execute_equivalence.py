@@ -24,8 +24,9 @@ from repro.core.serialization import AnyParser, default_registry
 from repro.core.tag import derive_tag
 from repro.errors import NoLiveOwnerError
 from repro.obs.tracer import find_spans
+from repro.security import HostAdversary
 from repro.store.resultstore import StoreConfig
-from tests.conftest import DOUBLE_DESC, double_bytes, make_libs
+from tests.conftest import DOUBLE_DESC, arena_name, double_bytes, make_libs
 
 DISTINCT = (b"alpha", b"beta", b"gamma", b"delta")
 REPEATS = (b"alpha", b"beta", b"gamma", b"alpha", b"delta", b"beta")
@@ -94,7 +95,7 @@ def poison_every_blob(session, inputs):
     store = session.deployment.store
     for x in inputs:
         tag = derive_tag(identity, AnyParser(default_registry()).encode(x))
-        store.blobstore.tamper(store.blob_ref_of(tag))
+        HostAdversary(store.platform.host).flip(arena_name(store, tag))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ import pytest
 from repro import Deployment, RuntimeConfig
 from repro.core.cache import ENTRY_OVERHEAD_BYTES, L1ResultCache
 from repro.errors import DedupError, EnclaveError
+from repro.security import HostAdversary
 from repro.sgx.platform import SgxPlatform
-from tests.conftest import DOUBLE_DESC, double_bytes, make_libs
+from tests.conftest import DOUBLE_DESC, arena_name, double_bytes, make_libs
 
 KB = 1024
 MB = 1024 * 1024
@@ -174,7 +175,7 @@ class TestRuntimeIntegration:
         func_identity = victim.runtime.libraries.function_identity(DOUBLE_DESC)
         input_bytes = AnyParser(default_registry()).encode(b"data")
         poisoned_tag = derive_tag(func_identity, input_bytes)
-        d.store.blobstore.tamper(d.store.blob_ref_of(poisoned_tag))
+        HostAdversary(d.platform.host).flip(arena_name(d.store, poisoned_tag))
 
         dedup = victim.deduplicable(DOUBLE_DESC)
         out = dedup(b"data")

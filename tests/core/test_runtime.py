@@ -5,7 +5,8 @@ import pytest
 from repro import Deployment, RuntimeConfig
 from repro.core.runtime import DedupRuntime
 from repro.core.tag import derive_tag
-from tests.conftest import DOUBLE_DESC, double_bytes, make_libs
+from repro.security import HostAdversary
+from tests.conftest import DOUBLE_DESC, arena_name, double_bytes, make_libs
 
 
 class TestMissThenHit:
@@ -133,7 +134,7 @@ class TestVerificationFallback:
 
         input_bytes = AnyParser(default_registry()).encode(b"data")
         tag = derive_tag(func_identity, input_bytes)
-        poisoned.store.blobstore.tamper(poisoned.store.blob_ref_of(tag))
+        HostAdversary(poisoned.platform.host).flip(arena_name(poisoned.store, tag))
         out = d(b"data")
         assert out == double_bytes(b"data")  # still correct
         assert app.runtime.stats.verification_failures == 1

@@ -54,9 +54,9 @@ def valid_encodings() -> dict:
     for kind in (REC_MIGRATE_BEGIN, REC_MIGRATE_COMMIT, REC_MIGRATE_END):
         store.note_migrate(kind, "plan/+s9/1", 5, 9, peer="+s9", role=1)
     with store.ecall("test-read"):
-        segments = [store.enclave.unseal(s.sealed) for s in store.durable.segments]
+        segments = [store.durable.unseal(name) for name in store.durable.segment_names()]
         shipped = _encode_entries(store.collect_entries(lambda entry: True))
-        checkpoint = store.enclave.unseal(take_checkpoint(store).sealed)
+        checkpoint = store.enclave.unseal(take_checkpoint(store))
     segment = encode_segment(
         GENESIS_CHAIN, 1, [r for s in segments for r in decode_segment(s)[2]]
     )

@@ -1,35 +1,24 @@
 """Power-fail recovery: round trips, torn tails, chain breaks,
-checkpoint compaction, quota re-admission."""
+checkpoint compaction, quota re-admission, and what the host can make
+an acked PUT lose."""
 
 import pytest
 
 from repro import Deployment
-from repro.errors import ProtocolError, StoreError
+from repro.errors import ProtocolError, RollbackError, StoreError
 from repro.net.messages import BatchPutRequest
-from repro.sgx.sealing import SealedBlob
+from repro.security import HostAdversary
+from repro.simtest.invariants import store_image as image
+from repro.store.persistence import restore_store, snapshot_name, snapshot_store
 from repro.store.quota import QuotaPolicy
 
 from .conftest import durable_deployment, get, make_put, put
 
 
-def image(store) -> dict:
-    """tag -> exact ciphertext bytes currently served."""
-    return {
-        tag: store.blobstore.get(store.blob_ref_of(tag))
-        for tag in store.stored_tags()
-    }
-
-
-def tampered(segment) -> object:
-    """The same segment with one flipped ciphertext byte."""
-    payload = segment.sealed.payload
-    broken = payload[:-1] + bytes([payload[-1] ^ 1])
-    return type(segment)(
-        first_seq=segment.first_seq,
-        n_records=segment.n_records,
-        chain=segment.chain,
-        sealed=SealedBlob(policy=segment.sealed.policy, payload=broken),
-    )
+def host_log(d):
+    """The host adversary and the names of the store's log segments."""
+    adversary = HostAdversary(d.platform.host)
+    return adversary, d.store.durable.segment_names()
 
 
 class TestRoundTrip:
@@ -95,8 +84,8 @@ class TestHostTampering:
     def test_torn_last_segment_is_dropped(self):
         d, client = durable_deployment(b"rec-torn")
         tags = [put(client, bytes([i])) for i in range(4)]
-        log = d.store.durable
-        log.segments[-1] = tampered(log.segments[-1])
+        adversary, segments = host_log(d)
+        adversary.flip(segments[-1], offset=-1, xor=1)
         d.store.power_fail()
         report = d.store.recover()
         assert report.torn_tail and not report.chain_broken
@@ -104,26 +93,26 @@ class TestHostTampering:
         assert report.puts_replayed == 3
         assert not d.store.contains(tags[-1])
         assert all(d.store.contains(t) for t in tags[:-1])
-        assert log.torn_segments == 1
+        assert d.store.durable.torn_segments == 1
 
     def test_corrupt_middle_segment_is_a_chain_break(self):
         d, client = durable_deployment(b"rec-break")
         tags = [put(client, bytes([i])) for i in range(4)]
-        log = d.store.durable
-        log.segments[1] = tampered(log.segments[1])
+        adversary, segments = host_log(d)
+        adversary.flip(segments[1], offset=-1, xor=1)
         d.store.power_fail()
         report = d.store.recover()
         assert report.chain_broken and not report.torn_tail
         assert report.records_dropped == 3  # the break and everything after
         assert d.store.contains(tags[0])
         assert all(not d.store.contains(t) for t in tags[1:])
-        assert log.chain_breaks == 1
+        assert d.store.durable.chain_breaks == 1
 
     def test_reordered_segments_are_a_chain_break(self):
         d, client = durable_deployment(b"rec-reorder")
         [put(client, bytes([i])) for i in range(4)]
-        log = d.store.durable
-        log.segments[1], log.segments[2] = log.segments[2], log.segments[1]
+        adversary, segments = host_log(d)
+        adversary.exchange(segments[1], segments[2])
         d.store.power_fail()
         report = d.store.recover()
         assert report.chain_broken
@@ -132,8 +121,8 @@ class TestHostTampering:
     def test_dropped_middle_segment_is_a_chain_break(self):
         d, client = durable_deployment(b"rec-drop")
         [put(client, bytes([i])) for i in range(4)]
-        log = d.store.durable
-        del log.segments[1]
+        adversary, segments = host_log(d)
+        adversary.delete(segments[1])
         d.store.power_fail()
         report = d.store.recover()
         assert report.chain_broken
@@ -143,7 +132,7 @@ class TestHostTampering:
         d, client = durable_deployment(b"rec-blob")
         tags = [put(client, bytes([i])) for i in range(3)]
         victim = d.store.metadata_entry(tags[1]).blob_digest
-        del d.store.durable.blob_area[victim]
+        HostAdversary(d.platform.host).delete(d.store.durable.blob_name(victim))
         d.store.power_fail()
         report = d.store.recover()
         assert report.blobs_missing == 1
@@ -158,8 +147,8 @@ class TestCheckpointing:
         [put(client, bytes([i])) for i in range(6)]
         log = d.store.durable
         assert log.checkpoints >= 1
-        assert log.checkpoint is not None
-        assert log.records_in_log() < 6  # folded segments were compacted
+        assert d.platform.host.get(log.checkpoint_name) is not None
+        assert len(log.segment_names()) < 6  # folded segments were compacted
 
     def test_recovery_from_checkpoint_plus_tail(self):
         d, client = durable_deployment(b"rec-ckpt2", checkpoint_interval=4)
@@ -173,6 +162,21 @@ class TestCheckpointing:
         assert report.entries_restored + report.puts_replayed == 6
         assert all(d.store.contains(t) for t in tags)
 
+    def test_trigger_counts_committed_records_not_host_segments(self):
+        # The host hides the first two segments; the enclave still knows
+        # it committed four records and folds all four into a checkpoint.
+        d, client = durable_deployment(b"rec-ckpt-trigger", checkpoint_interval=4)
+        tags = [put(client, bytes([i])) for i in range(2)]
+        adversary, segments = host_log(d)
+        for name in segments:
+            adversary.delete(name)
+        tags += [put(client, bytes([i])) for i in range(2, 4)]
+        assert d.store.durable.checkpoints == 1
+        d.store.power_fail()
+        report = d.store.recover()
+        assert not report.chain_broken
+        assert all(d.store.contains(t) for t in tags)
+
     def test_recovery_installs_a_fresh_anchor(self):
         # After recovery the rebuilt state is itself checkpointed, so a
         # second immediate failure replays nothing.
@@ -180,13 +184,61 @@ class TestCheckpointing:
         [put(client, bytes([i])) for i in range(3)]
         d.store.power_fail()
         d.store.recover()
-        assert d.store.durable.records_in_log() == 0
+        assert d.store.durable.segment_names() == []
         pre = image(d.store)
         d.store.power_fail()
         report = d.store.recover()
         assert report.records_replayed == 0
         assert report.entries_restored == 3
         assert image(d.store) == pre
+
+
+ROADMAP_7 = pytest.mark.xfail(strict=True, reason="ROADMAP 7")
+
+
+class TestAckedPutSurvivesTheHost:
+    """Five acked PUTs, one segment each: whatever the host does, all five
+    come back or recovery flags the loss (a torn tail does not count — it
+    means "never acked")."""
+
+    def recovered(self, seed, attack):
+        d, client = durable_deployment(seed)
+        tags = [put(client, bytes([i])) for i in range(5)]
+        adversary, segments = host_log(d)
+        assert len(segments) == 5
+        attack(adversary, segments[-1])
+        d.store.power_fail()
+        try:
+            report = d.store.recover()
+        except RollbackError:
+            return True
+        back = sum(d.store.contains(t) for t in tags)
+        return back == 5 or report.chain_broken or report.rollback_detected
+
+    @ROADMAP_7
+    def test_deleted_last_segment_is_flagged(self):
+        assert self.recovered(b"acked-delete", HostAdversary.delete)
+
+    @ROADMAP_7
+    def test_flipped_last_segment_is_flagged(self):
+        assert self.recovered(b"acked-flip", lambda adversary, name: adversary.flip(name))
+
+    @ROADMAP_7
+    def test_stale_snapshot_is_refused(self):
+        d, client = durable_deployment(b"acked-stale-snapshot")
+        tags = [put(client, bytes([i])) for i in range(3)]
+        snapshot_store(d.store)
+        adversary = HostAdversary(d.platform.host)
+        stale = adversary.save(snapshot_name(d.store))
+        tags += [put(client, bytes([i])) for i in range(3, 5)]
+        snapshot_store(d.store)
+        adversary.put_back(stale)
+        d.store.clear()
+        try:
+            restore_store(d.store)
+        except RollbackError:
+            return
+        assert all(d.store.contains(t) for t in tags)
 
 
 class TestQuotaAcrossRecovery:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.durable import take_checkpoint
 from repro.errors import RollbackError
+from repro.security import HostAdversary
 
 from .conftest import durable_deployment, get, put
 
@@ -14,14 +15,11 @@ class TestRollbackDetection:
         d, client = durable_deployment(seed, **config_kwargs)
         put(client, b"one")
         take_checkpoint(d.store)
-        log = d.store.durable
-        older = (log.checkpoint, list(log.segments), dict(log.blob_area))
+        adversary = HostAdversary(d.platform.host)
+        older = adversary.save(f"{d.store.address}/")
         put(client, b"two")
         take_checkpoint(d.store)                 # bumps the counter again
-        log.checkpoint, segments, blob_area = older[0], older[1], older[2]
-        log.segments[:] = segments
-        log.blob_area.clear()
-        log.blob_area.update(blob_area)
+        adversary.put_back(older, prefix=f"{d.store.address}/")
         d.store.power_fail()
         return d, client
 

@@ -19,11 +19,9 @@ from .conftest import batch_put, durable_deployment, put
 def decode_all_segments(store):
     """Unseal every committed segment; returns [(prev_chain, first_seq,
     records), ...] in log order."""
-    out = []
+    log = store.durable
     with store.enclave.ecall("test-decode"):
-        for segment in store.durable.segments:
-            out.append(decode_segment(store.enclave.unseal(segment.sealed)))
-    return out
+        return [decode_segment(log.unseal(name)) for name in log.segment_names()]
 
 
 class TestGroupCommit:
@@ -36,7 +34,7 @@ class TestGroupCommit:
         log = d.store.durable
         assert log.pending_records == 0
         assert log.records_logged == 3
-        assert len(log.segments) == 3
+        assert len(log.segment_names()) == 3
 
     def test_batch_request_fills_groups_mid_request(self):
         # A 10-record batch at group size 4 seals 4+4 mid-request and
@@ -45,8 +43,7 @@ class TestGroupCommit:
         batch_put(client, [bytes([i]) for i in range(10)])
         log = d.store.durable
         assert log.records_logged == 10
-        assert len(log.segments) == 3
-        assert [s.n_records for s in log.segments] == [4, 4, 2]
+        assert [name.rpartition("+")[2] for name in log.segment_names()] == ["4", "4", "2"]
         assert log.pending_records == 0
 
     def test_segments_chain_through_their_seal_headers(self):
@@ -57,13 +54,11 @@ class TestGroupCommit:
         decoded = decode_all_segments(d.store)
         running = GENESIS_CHAIN
         expected_seq = 1
-        for segment, (prev_chain, first_seq, records) in zip(
-            log.segments, decoded
-        ):
+        for name, (prev_chain, first_seq, records) in zip(log.segment_names(), decoded):
             assert prev_chain == running
             assert first_seq == expected_seq
-            running = chain_step(segment.sealed.payload)
-            assert segment.chain == running
+            assert name == f"{log.wal_prefix}{first_seq:020d}+{len(records)}"
+            running = chain_step(d.platform.host.get(name))
             expected_seq += len(records)
         assert log.chain == running
         assert log.next_seq == expected_seq
@@ -92,7 +87,7 @@ class TestGroupCommit:
         assert record.size == entry.size
         assert record.app_id == entry.app_id
         # The ciphertext was written through to the durable blob area.
-        assert d.store.durable.blob_area[record.blob_digest] == (
+        assert d.platform.host.get(d.store.durable.blob_name(record.blob_digest)) == (
             d.store.blobstore.get(entry.blob_ref)
         )
 
@@ -121,7 +116,7 @@ class TestObservability:
         assert snap["durable.appends"] == 1
         assert snap["durable.commits"] == 1
         assert snap["durable.records_logged"] == 1
-        assert snap["durable.segments"] == 1
+        assert snap["durable.wal_segments"] == 1
         assert snap["durable.pending_records"] == 0
         assert snap["durable.log_bytes"] > 0
         assert snap["store.puts"] == 1

@@ -12,6 +12,7 @@ from repro import Deployment
 from repro.core.tag import derive_tag
 from repro.crypto.hashes import sha256
 from repro.net.messages import GetRequest, PutRequest
+from repro.security import HostAdversary
 from tests.conftest import DOUBLE_DESC, make_libs
 
 
@@ -60,7 +61,7 @@ class TestDeterminism:
             from repro.core.serialization import AnyParser, default_registry
 
             tag = derive_tag(func_identity, AnyParser(default_registry()).encode(b"data"))
-            return d.store.blobstore.get(d.store.blob_ref_of(tag))
+            return d.store.blobstore.get(d.store.metadata_entry(tag).blob_ref)
 
         assert stored_blob(b"seed-one") != stored_blob(b"seed-two")
 
@@ -71,7 +72,7 @@ class TestDeterminism:
             dedup = app.deduplicable(DOUBLE_DESC)
             dedup(b"data")
             app.runtime.flush_puts()
-            return d.store.blobstore._blobs.copy()
+            return HostAdversary(d.platform.host).save()
 
         assert stored_bytes(b"same") == stored_bytes(b"same")
 

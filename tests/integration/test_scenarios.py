@@ -12,13 +12,13 @@ import pytest
 from repro import Deployment, QuotaPolicy, RuntimeConfig
 from repro.apps.registry import pattern_case_study
 from repro.core.description import TrustedLibraryRegistry
-from repro.security import CachePoisoningAdversary
+from repro.security import HostAdversary
 from repro.sgx.attestation import AttestationService
 from repro.store.persistence import restore_store, snapshot_store
 from repro.store.resultstore import StoreConfig
 from repro.store.sync import replicate_popular
 from repro.workloads import generate_rules, packet_trace
-from tests.conftest import DOUBLE_DESC, double_bytes, make_libs
+from tests.conftest import DOUBLE_DESC, carry_snapshot, double_bytes, make_libs
 
 
 class TestIdsScenario:
@@ -66,12 +66,13 @@ class TestIdsScenario:
         d = Deployment(seed=b"scenario-adv")
         app = d.create_application("victim", make_libs())
         dedup = app.deduplicable(DOUBLE_DESC)
-        adversary = CachePoisoningAdversary(d.store)
+        adversary = HostAdversary(d.platform.host)
         rng = np.random.default_rng(13)
         inputs = [b"doc-%d" % int(rng.integers(0, 6)) for _ in range(40)]
         for index, data in enumerate(inputs):
             if index % 10 == 9:
-                adversary.tamper_all()  # periodic corruption sweeps
+                for name in d.platform.host.names(d.store.blobstore.prefix):
+                    adversary.flip(name)  # periodic corruption sweeps
             assert dedup(data) == double_bytes(data)
             app.runtime.flush_puts()
         # Despite repeated poisoning, every answer was correct, and the
@@ -108,10 +109,11 @@ class TestFleetScenario:
         assert r2.transferred == 0 and r2.duplicates == 4  # no redundancy
 
         # Master restarts; its sealed snapshot survives.
-        blob = snapshot_store(master.store)
+        snapshot_store(master.store)
         master_restarted = Deployment(seed=b"fleet-m", machine="master",
                                       attestation_service=AttestationService())
-        report = restore_store(master_restarted.store, blob)
+        carry_snapshot(master.store, master_restarted.store)
+        report = restore_store(master_restarted.store)
         assert report.entries_restored == 4
 
         # A fresh app on the restarted master reuses everything.

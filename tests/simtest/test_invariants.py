@@ -1,6 +1,7 @@
 """The invariant oracles, unit-tested against synthetic states."""
 
 from repro.core.stats import RuntimeStats
+from repro.sgx.platform import HostStorage
 from repro.simtest.invariants import (
     check_confidentiality,
     check_conservation,
@@ -46,6 +47,19 @@ class TestConfidentiality:
         violations = check_confidentiality({"result[0]": secret}, payloads)
         assert len(violations) == 1
         assert violations[0].invariant == "confidentiality"
+
+    def test_secret_held_by_a_host_is_reported_once(self):
+        secret = b"\xaa" * 32
+        host, clean = HostStorage(), HostStorage()
+        host.put("store/arena/1", b"sealed" * 8)
+        host.put("store/blobs/ff", b"x" + secret)
+        clean.put("store/arena/1", b"sealed" * 8)
+        secrets = {"result[0]": secret}
+        assert check_confidentiality(secrets, [b"ciphertext" * 4], hosts=[clean]) == []
+        violations = check_confidentiality(secrets, [b"ciphertext" * 4], hosts=[clean, host])
+        assert len(violations) == 1
+        assert violations[0].invariant == "confidentiality"
+        assert "store/blobs/ff" in violations[0].detail
 
 
 class TestConservation:

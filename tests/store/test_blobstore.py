@@ -1,41 +1,49 @@
-"""Untrusted blob arena: refs, accounting, adversarial mutation."""
+"""Untrusted blob arena: refs, accounting, and where the bytes live.
+
+What the host can do to those bytes is ``tests/security/test_host_adversary.py``.
+"""
 
 import pytest
 
 from repro.errors import StoreError
+from repro.sgx.platform import HostStorage
 from repro.store.blobstore import BlobStore
+
+
+def arena() -> BlobStore:
+    return BlobStore(HostStorage(), "store/arena/")
 
 
 class TestBasics:
     def test_put_get(self):
-        store = BlobStore()
+        store = arena()
         ref = store.put(b"ciphertext")
         assert store.get(ref) == b"ciphertext"
 
     def test_refs_unique(self):
-        store = BlobStore()
+        store = arena()
         assert store.put(b"a") != store.put(b"a")
 
     def test_dangling_ref(self):
         with pytest.raises(StoreError):
-            BlobStore().get(42)
+            arena().get(42)
 
     def test_delete(self):
-        store = BlobStore()
+        store = arena()
         ref = store.put(b"abc")
         store.delete(ref)
         with pytest.raises(StoreError):
             store.get(ref)
 
     def test_double_free(self):
-        store = BlobStore()
+        store = arena()
         ref = store.put(b"abc")
         store.delete(ref)
         with pytest.raises(StoreError):
             store.delete(ref)
 
     def test_byte_accounting(self):
-        store = BlobStore()
+        store = arena()
         r1 = store.put(b"12345")
         store.put(b"123")
         assert store.bytes_stored == 8
@@ -43,23 +51,11 @@ class TestBasics:
         assert store.bytes_stored == 3
         assert len(store) == 1
 
-
-class TestAdversarialSurface:
-    def test_tamper_flips_byte(self):
-        store = BlobStore()
-        ref = store.put(b"\x00\x00\x00")
-        store.tamper(ref, offset=1)
-        assert store.get(ref) == b"\x00\xff\x00"
-
-    def test_tamper_out_of_range(self):
-        store = BlobStore()
-        ref = store.put(b"ab")
-        with pytest.raises(StoreError):
-            store.tamper(ref, offset=5)
-
-    def test_swap(self):
-        store = BlobStore()
-        r1, r2 = store.put(b"one"), store.put(b"two")
-        store.swap(r1, r2)
-        assert store.get(r1) == b"two"
-        assert store.get(r2) == b"one"
+    def test_blobs_are_host_names_under_the_prefix(self):
+        host = HostStorage()
+        store = BlobStore(host, "s/arena/")
+        refs = [store.put(b"one"), store.put(b"two")]
+        host.put("s/other", b"not the arena's")
+        assert host.names("s/arena/") == sorted(store.name(ref) for ref in refs)
+        assert [host.get(store.name(ref)) for ref in refs] == [b"one", b"two"]
+        assert len(store) == 2

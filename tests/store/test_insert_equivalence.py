@@ -30,12 +30,14 @@ from repro.crypto.hashes import sha256
 from repro.durable import take_checkpoint
 from repro.durable.wal import REC_PUT, REC_REMOVE, decode_segment
 from repro.net.messages import BatchPutRequest, GetRequest, PutRequest
+from repro.security import HostAdversary
 from repro.sgx.attestation import AttestationService
 from repro.simtest.invariants import store_image
 from repro.store.persistence import restore_store, snapshot_store
 from repro.store.quota import QuotaPolicy
 from repro.store.resultstore import StoreConfig
 from repro.store.sync import replicate_popular, transfer_entries
+from tests.conftest import carry_snapshot
 
 LIVE = ("lone_put", "batch_put", "migration_ingest", "replicate_popular")
 ROUTES = (*LIVE, "wal_replay", "snapshot_restore", "checkpoint_restore")
@@ -96,11 +98,12 @@ def machine(name: str, service=None, **config):
 
 
 def logged_records(store) -> list:
+    log = store.durable
     with store.ecall("test-read-log"):
         return [
             record
-            for segment in store.durable.segments
-            for record in decode_segment(store.enclave.unseal(segment.sealed))[2]
+            for name in log.segment_names()
+            for record in decode_segment(log.unseal(name))[2]
         ]
 
 
@@ -126,14 +129,18 @@ def deliver(route: str, incoming: PutRequest, service, target, client) -> None:
         donor, donor_client = machine("target", durable=True)
         assert donor_client.call(incoming).accepted
         if route == "snapshot_restore":
-            restore_store(target, snapshot_store(donor))
+            snapshot_store(donor)
+            carry_snapshot(donor, target)
+            restore_store(target)
         else:
+            # Same address too: the donor's durable names are the target's.
             log = target.durable
-            assert log.checkpoint is None
+            assert target.platform.host.get(log.checkpoint_name) is None
             if route == "checkpoint_restore":
-                log.checkpoint = take_checkpoint(donor)
-            log.segments = list(donor.durable.segments)
-            log.blob_area = dict(donor.durable.blob_area)
+                take_checkpoint(donor)
+            host, donor_host = (HostAdversary(s.platform.host) for s in (target, donor))
+            for prefix in (log.wal_prefix, log.blob_prefix, log.checkpoint_name):
+                host.put_back(donor_host.save(prefix), prefix=prefix)
             target.recover()
 
 
@@ -160,13 +167,14 @@ def run(row: Row, route: str) -> dict:
             app: quota.usage_of(app) for app in ("resident", "newcomer", "sync")
         },
         "extents_match_blobs": sorted(target._epc_blob_extents) == (
-            sorted(target.blob_ref_of(tag) for tag in target.stored_tags())
+            sorted(target.metadata_entry(tag).blob_ref for tag in target.stored_tags())
             if target.config.blobs_in_epc else []
         ),
     }
     if target.durable is not None:
         if route in RECOVERY:
-            assert target.durable.checkpoint is not None and not target.durable.segments
+            log = target.durable
+            assert target.platform.host.get(log.checkpoint_name) and not log.segment_names()
             out["logged"] = "folded into a checkpoint"
         else:
             out["logged"] = [

@@ -4,10 +4,10 @@ import pytest
 
 from repro import Deployment
 from repro.errors import SealingError, StoreError
-from repro.sgx.attestation import AttestationService
-from repro.store.persistence import restore_store, snapshot_store
+from repro.security import HostAdversary
+from repro.store.persistence import restore_store, snapshot_name, snapshot_store
 from repro.store.resultstore import StoreConfig
-from tests.conftest import DOUBLE_DESC, double_bytes, make_libs
+from tests.conftest import DOUBLE_DESC, carry_snapshot, double_bytes, make_libs
 
 
 def filled_deployment(seed=b"persist-a", n=4):
@@ -23,13 +23,14 @@ def filled_deployment(seed=b"persist-a", n=4):
 class TestSnapshotRestore:
     def test_roundtrip_on_same_platform(self):
         d, app, dedup = filled_deployment()
-        blob = snapshot_store(d.store)
+        snapshot_store(d.store)
 
         # "Restart": a second store instance on the *same physical
         # machine* (same seed + machine name -> same sealing fabric, as
         # on real hardware where seal keys are CPU-bound).
         fresh = Deployment(seed=b"persist-a")
-        report = restore_store(fresh.store, blob)
+        carry_snapshot(d.store, fresh.store)
+        report = restore_store(fresh.store)
         assert report.entries_restored == 4
         assert report.entries_skipped == 0
         assert len(fresh.store) == 4
@@ -43,26 +44,28 @@ class TestSnapshotRestore:
 
     def test_restore_is_idempotent(self):
         d, _, _ = filled_deployment(seed=b"persist-b")
-        blob = snapshot_store(d.store)
-        report = restore_store(d.store, blob)  # restore onto itself
+        snapshot_store(d.store)
+        report = restore_store(d.store)  # restore onto itself
         assert report.entries_restored == 0
         assert report.entries_skipped == 4
 
     def test_tampered_snapshot_rejected(self):
         d, _, _ = filled_deployment(seed=b"persist-c")
-        blob = snapshot_store(d.store)
-        tampered = type(blob)(
-            policy=blob.policy,
-            payload=blob.payload[:-1] + bytes([blob.payload[-1] ^ 1]),
-        )
+        snapshot_store(d.store)
+        HostAdversary(d.platform.host).flip(snapshot_name(d.store), offset=-1, xor=1)
         fresh = Deployment(seed=b"persist-c")
+        carry_snapshot(d.store, fresh.store)
         with pytest.raises(SealingError):
-            restore_store(fresh.store, tampered)
+            restore_store(fresh.store)
 
     def test_requires_sgx_store(self):
         d = Deployment(seed=b"persist-d", store_config=StoreConfig(use_sgx=False))
         with pytest.raises(StoreError):
             snapshot_store(d.store)
+
+    def test_restore_without_a_snapshot_is_a_store_error(self):
+        with pytest.raises(StoreError, match="no snapshot"):
+            restore_store(Deployment(seed=b"persist-none").store)
 
     def test_restored_results_still_cross_app_protected(self):
         # Restoration must not weaken the scheme: an app with different
@@ -70,9 +73,10 @@ class TestSnapshotRestore:
         from repro import FunctionDescription, TrustedLibrary, TrustedLibraryRegistry
 
         d, _, _ = filled_deployment(seed=b"persist-e")
-        blob = snapshot_store(d.store)
+        snapshot_store(d.store)
         fresh = Deployment(seed=b"persist-e")
-        restore_store(fresh.store, blob)
+        carry_snapshot(d.store, fresh.store)
+        restore_store(fresh.store)
 
         def impostor(data: bytes) -> bytes:
             return data * 3  # different code, same description

@@ -13,6 +13,7 @@ from repro.net.messages import GetRequest, PutRequest
 from repro.store.persistence import restore_store, snapshot_store
 from repro.store.quota import QuotaPolicy
 from repro.store.resultstore import StoreConfig
+from tests.conftest import carry_snapshot
 
 
 def make_store(seed: bytes, **config_kwargs):
@@ -41,9 +42,10 @@ def warm(client, tag: bytes, times: int = 1) -> None:
 
 def restored_copy(d, seed: bytes, **config_kwargs):
     """Snapshot ``d`` and restore into a fresh same-platform deployment."""
-    blob = snapshot_store(d.store)
+    snapshot_store(d.store)
     fresh, client = make_store(seed, **config_kwargs)
-    restore_store(fresh.store, blob)
+    carry_snapshot(d.store, fresh.store)
+    restore_store(fresh.store)
     return fresh, client
 
 
@@ -134,9 +136,10 @@ class TestQuotaAndEvictionRoundTrip:
         # four evicts by policy on the way in, it does not overfill.
         d, client = make_store(b"restore-shrink")
         tags = [put(client, bytes([i])) for i in range(10)]
-        blob = snapshot_store(d.store)
+        snapshot_store(d.store)
         small, _ = make_store(b"restore-shrink", capacity_entries=4, eviction="fifo")
-        report = restore_store(small.store, blob)
+        carry_snapshot(d.store, small.store)
+        report = restore_store(small.store)
         assert report.entries_restored == 10
         assert len(small.store) == 4
         assert small.store.stats.evictions == 6
@@ -145,6 +148,7 @@ class TestQuotaAndEvictionRoundTrip:
         assert small.store.blobstore.bytes_stored == 4 * 32
 
         tight, _ = make_store(b"restore-shrink", capacity_bytes=100)
-        restore_store(tight.store, blob)
+        carry_snapshot(d.store, tight.store)
+        restore_store(tight.store)
         assert len(tight.store) == 3
         assert tight.store.blobstore.bytes_stored == 96

@@ -5,9 +5,11 @@ import pytest
 from repro.crypto.hashes import sha256
 from repro.net.messages import ErrorMessage, GetRequest, PutRequest, decode_message
 from repro.net.transport import Network
+from repro.security import HostAdversary
 from repro.sgx.platform import SgxPlatform
 from repro.store.quota import QuotaPolicy
 from repro.store.resultstore import ResultStore, StoreConfig
+from tests.conftest import arena_name
 
 
 def make_store(config: StoreConfig | None = None, seed=b"store-tests"):
@@ -107,7 +109,7 @@ class TestTamperDetection:
     def test_tampered_blob_served_as_miss(self):
         store, client = make_store()
         client.call(put(TAG))
-        store.blobstore.tamper(store.blob_ref_of(TAG))
+        HostAdversary(store.platform.host).flip(arena_name(store, TAG))
         response = client.call(GetRequest(tag=TAG))
         assert not response.found
         assert store.stats.tamper_detected == 1
@@ -118,14 +120,16 @@ class TestTamperDetection:
         store, client = make_store()
         client.call(put(TAG, b"result-one"))
         client.call(put(TAG2, b"result-two"))
-        store.blobstore.swap(store.blob_ref_of(TAG), store.blob_ref_of(TAG2))
+        HostAdversary(store.platform.host).exchange(
+            arena_name(store, TAG), arena_name(store, TAG2)
+        )
         assert not client.call(GetRequest(tag=TAG)).found
         assert store.stats.tamper_detected >= 1
 
     def test_digest_check_can_be_disabled(self):
         store, client = make_store(StoreConfig(verify_blob_digest=False))
         client.call(put(TAG))
-        store.blobstore.tamper(store.blob_ref_of(TAG))
+        HostAdversary(store.platform.host).flip(arena_name(store, TAG))
         # Without the store-side digest the poisoned bytes are served —
         # the application's AEAD check is then the last line of defence.
         assert client.call(GetRequest(tag=TAG)).found
@@ -231,7 +235,7 @@ class TestBlobsInEpc:
             return sorted(store._epc_blob_extents)
 
         def live_refs():
-            return sorted(store.blob_ref_of(t) for t in store.stored_tags())
+            return sorted(store.metadata_entry(t).blob_ref for t in store.stored_tags())
 
         client.call(put(TAG, b"w" * 5000))                        # wire PUT
         faults = store.platform.epc.fault_count
@@ -243,10 +247,10 @@ class TestBlobsInEpc:
         store.recover()                                           # WAL replay
         assert extents() == live_refs() and len(extents()) == 2
 
-        blob = snapshot_store(store)
+        snapshot_store(store)
         store.clear()
         assert extents() == []
-        restore_store(store, blob)                                # snapshot restore
+        restore_store(store)                                      # snapshot restore
         assert extents() == live_refs() and len(extents()) == 2
 
         for i in range(3):                                        # evicts both
