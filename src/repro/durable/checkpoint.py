@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from ..errors import StoreError
 from ..net.framing import Layout, Repeated, pack, unpack
-from ..sgx.sealing import SealedBlob, SealPolicy
+from ..sgx.sealing import SealPolicy
 
 IMAGE_VERSION = 2
 #: One image entry: the keywords of ``ResultStore.restore_entry``.
@@ -91,9 +91,10 @@ def decode_checkpoint(payload: bytes) -> tuple[int, bytes, int, bytes]:
     return fields["seq"], fields["chain"], fields["counter"], fields["image"]
 
 
-def take_checkpoint(store) -> SealedBlob:
-    """Commit the log, seal the store's full state with the log anchor,
-    and truncate the folded segments.  Returns the sealed checkpoint."""
+def take_checkpoint(store) -> None:
+    """Commit the log, seal the store's full state with the log anchor
+    (kept by the host under the log's ``checkpoint_name``), and truncate
+    the folded segments."""
     if store.durable is None:
         raise StoreError("checkpointing requires a durable-mode store")
     log = store.durable
@@ -111,10 +112,9 @@ def take_checkpoint(store) -> SealedBlob:
             log.install_checkpoint(sealed.payload)
             span.set("seq", seq)
             span.set("bytes", len(sealed.payload))
-    return sealed
 
 
-def maybe_checkpoint(store) -> SealedBlob | None:
+def maybe_checkpoint(store) -> None:
     """Checkpoint iff the log has grown past its configured interval.
 
     Deferred while a migration hand-off is open on this shard: folding
@@ -124,5 +124,4 @@ def maybe_checkpoint(store) -> SealedBlob | None:
     """
     log = store.durable
     if log is not None and log.needs_checkpoint() and not store.migration_open:
-        return take_checkpoint(store)
-    return None
+        take_checkpoint(store)
