@@ -11,18 +11,25 @@ FIPS-197 vectors in the test suite.
 Encryption is the hot direction (CTR and GCM never decrypt a block), so
 its round is fused: SubBytes, ShiftRows and MixColumns collapse into four
 32-bit T-table lookups per state column, the tables again derived at
-import.  Two execution paths share those tables:
+import.  Three execution paths share those tables;
+:meth:`AES128.encrypt_blocks` picks one by batch size:
 
 * :meth:`AES128.encrypt_block` — one 16-byte block in pure Python ints
-  (~13 us; a one-row numpy batch costs ~55 us in per-call overhead).
-* :meth:`AES128.encrypt_blocks` — ``N`` blocks at once.  Up to
-  ``_SCALAR_MAX_BLOCKS`` rows go through the scalar path; larger batches
-  run ~9 numpy calls per round over the state held as four column planes
-  of ``N`` words each, which makes ShiftRows a choice of rows and the
-  round key a broadcast along the contiguous axis (measured against an
-  ``(N, 4)`` word layout: equal at 65 blocks, 1.3x faster at 1024).  That
-  kernel is :func:`encrypt_planes`, which also takes a key per row: one
-  batch then serves many keys (:func:`repro.crypto.gcm.seal_many`).
+  (~13 us), for batches of up to ``_SCALAR_MAX_BLOCKS`` rows.
+* :func:`encrypt_gather` — up to ``_GATHER_MAX_BLOCKS`` rows: a round is
+  one gather of every table term, each state byte in a 16-bit lane that
+  is its own index into the four tables concatenated, and one XOR-reduce.
+* :func:`encrypt_planes` — larger batches: ~9 numpy calls per round over
+  the state held as four column planes of ``N`` words each, which makes
+  ShiftRows a choice of rows and the round key a broadcast along the
+  contiguous axis (measured against an ``(N, 4)`` word layout: equal at
+  65 blocks, 1.3x faster at 1024); its calls grow less with ``N``.
+
+Microseconds per batch, scalar / gather / planes, alternated in one
+process: 1 row 13 / 29 / -, 2 rows 26 / 30 / -, 3 rows 40 / 30 / -,
+6 rows 80 / 31 / 75, 71 rows - / 62 / 93, 192 rows - / 115 / 119,
+224 rows - / 121 / 128, 256 rows - / 136 / 131.  Both numpy kernels take
+a key per row too (:func:`repro.crypto.gcm.seal_many`).
 
 Decryption (:meth:`AES128.decrypt_block` / :meth:`AES128.decrypt_blocks`)
 keeps the spec-literal inverse round; nothing on a request path uses it.
@@ -41,12 +48,14 @@ KEY_SIZE = 16
 _NUM_ROUNDS = 10
 
 # Batches of at most this many blocks are cheaper one block at a time in
-# pure ints than through numpy (measured: 13 us/block scalar against
-# ~70 us + 0.3 us/block vectorised; they cross between 5 and 6 blocks).
-_SCALAR_MAX_BLOCKS = 5
+# pure ints than through numpy, and up to _GATHER_MAX_BLOCKS through the
+# one-gather round than the column planes (module docstring).
+_SCALAR_MAX_BLOCKS = 2
+_GATHER_MAX_BLOCKS = 224
 
 # State columns are little-endian words: byte ``r`` of the word is row ``r``.
 _U32 = np.dtype("<u4")
+_U64 = np.dtype("<u8")
 _UNPACK_COLUMNS = struct.Struct("<4I").unpack
 
 
@@ -170,6 +179,65 @@ def round_key_columns(keys: list[bytes]) -> np.ndarray:
     return np.array([_expand_key(k) for k in keys], dtype=_U32).T.reshape(_NUM_ROUNDS + 1, 4, -1)
 
 
+def _widen(words: np.ndarray) -> np.ndarray:
+    """Column words as ``<u8`` words with each byte in a 16-bit lane."""
+    return np.ascontiguousarray(words, dtype=_U32).view(np.uint8).astype(np.uint16).view(_U64)
+
+
+# The gather kernel's state: each byte in a 16-bit lane whose high byte
+# is 256 x its row, so a lane *is* its index into the four tables
+# concatenated.  Row 0's table entries carry those offsets into every
+# output column (the other tables and the round keys leave high bytes
+# zero); the last round's entries are bare bytes.
+_ROW_OFFSETS = np.uint64(sum(256 * r << 16 * r for r in range(4)))
+_GATHER_ROUND = _widen(np.array(_TE_LIST)).reshape(-1)
+_GATHER_ROUND[:256] |= _ROW_OFFSETS
+_GATHER_LAST = _widen(np.array(_LAST_LIST)).reshape(-1)
+# Term r of block i's output column c reads the lane of row r, column
+# c + r (ShiftRows); a batch of n rows uses [:, :n].
+_ROW, _COL = np.arange(4).reshape(4, 1, 1), np.arange(4)
+_GATHER_INDEX = 16 * np.arange(_GATHER_MAX_BLOCKS).reshape(-1, 1) + 4 * ((_COL + _ROW) % 4) + _ROW
+
+
+def round_key_lanes(round_keys: np.ndarray) -> np.ndarray:
+    """:func:`round_key_columns` ``(11, 4, K)`` as ``(11, K, 4)`` lane
+    words for :func:`encrypt_gather`; round 0 also sets the row offsets."""
+    lanes = _widen(round_keys.transpose(0, 2, 1))
+    lanes[0] |= _ROW_OFFSETS
+    return lanes
+
+
+def encrypt_gather(blocks: np.ndarray, key_lanes: np.ndarray) -> np.ndarray:
+    """Encrypt an ``(N, 16)`` uint8 array, ``N <= _GATHER_MAX_BLOCKS``, under
+    :func:`round_key_lanes`: ``(11, 1, 4)`` for one key, ``(11, N, 4)`` for a key per row.
+
+    A round is one gather of all ``16 N`` table terms (the state lanes,
+    permuted by ``_GATHER_INDEX``) and one XOR-reduce of the four
+    terms of each column with the round key, laid in as a fifth term for
+    all rounds up front: ~3 numpy calls a round against ~9 for
+    :func:`encrypt_planes`, whose calls grow less with ``N``.
+    """
+    n = len(blocks)
+    state = blocks.astype(np.uint16)
+    words = state.view(_U64)
+    np.bitwise_xor(words, key_lanes[0], out=words)
+    terms = np.empty((_NUM_ROUNDS, 5, n, 4), dtype=_U64)
+    terms[:, 4] = key_lanes[1:]
+    index, flat = np.ascontiguousarray(_GATHER_INDEX[:, :n]), state.reshape(-1)
+    for rnd in range(_NUM_ROUNDS):
+        table = _GATHER_ROUND if rnd < _NUM_ROUNDS - 1 else _GATHER_LAST
+        table.take(flat.take(index), out=terms[rnd, :4], mode="wrap")
+        np.bitwise_xor.reduce(terms[rnd], axis=0, out=words)
+    return state.astype(np.uint8)
+
+
+def encrypt_rows(blocks: np.ndarray, round_keys: np.ndarray) -> np.ndarray:
+    """By batch size, :func:`encrypt_gather` or :func:`encrypt_planes` (its ``round_keys``)."""
+    if len(blocks) <= _GATHER_MAX_BLOCKS:
+        return encrypt_gather(blocks, round_key_lanes(round_keys))
+    return encrypt_planes(blocks, round_keys)
+
+
 def encrypt_planes(blocks: np.ndarray, round_keys: np.ndarray) -> np.ndarray:
     """Encrypt an ``(N, 16)`` uint8 array under ``round_keys``, ``(11,
     4, 1)`` for one key or ``(11, 4, N)`` for a key per row.
@@ -215,6 +283,7 @@ class AES128:
         self._words = _expand_key(bytes(key))
         # One (4, 1) column of words per round: broadcasts over the planes.
         self._round_keys = np.array(self._words, dtype=_U32).reshape(_NUM_ROUNDS + 1, 4, 1)
+        self._key_lanes = round_key_lanes(self._round_keys)
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt one 16-byte block."""
@@ -255,6 +324,8 @@ class AES128:
                 for off in range(0, len(raw), BLOCK_SIZE)
             )
             return np.frombuffer(out, dtype=np.uint8).reshape(n, BLOCK_SIZE)
+        if n <= _GATHER_MAX_BLOCKS:
+            return encrypt_gather(blocks, self._key_lanes)
         return encrypt_planes(blocks, self._round_keys)
 
     def decrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:

@@ -10,26 +10,26 @@ of 1 Ki / 2 Ki / 4 Ki / 8 Ki blocks / unstriped: 3.1 / 2.6 / 2.2 / 2.4 /
 2.4 ms on 64 KiB and 40 / 33 / 35 / 31 / 39 ms on 1 MiB; unstriped also
 raised the end-to-end benchmark's peak RSS on 64 KiB records by 13 MiB.
 
-Keystream lookahead.  A batch costs ~70 us before its first block and
-0.3 us per block after, so a short record pays mostly for the call.  A
-channel direction's IVs are a counter run (:func:`counter_iv`): the
-keystream of its *next* records depends on the key and a counter alone, so
-:class:`KeystreamAhead` encrypts rows ``iv(seq + i) || 1 .. stride`` for a
-window of records in one batch and each record is an XOR against its slot.
-Fixed by measurement, no option: ``stride`` = the largest record since the
-last refill, ``window = min(16, 1024 // stride)`` slots (16 KiB a direction,
-one ``bytes``).  Alternating end-to-end passes at 256 / 512 / 1 Ki / 2 Ki /
-4 Ki blocks: 1 KiB hits 1234 / 1280 / 1321 / 1349 / 1351 ops/s, p99 1.38 /
-1.40 / 1.61 / 1.57 / 1.53 ms (a 14 x 73 block refill is 0.37 ms, on both
-ends of one request); mixed-size cluster batches 1555 / 1526 / 1537 / 1463
-/ 1414 (unused slot tails).  A record larger than its slot, a window under
-2 (64 KiB records), a sequence number over a window past the last one asked
-for (a forged header must not move the window) or a window passing 2^64 - 1
-takes :func:`ctr_stream` as before.  Never-reuse: a slot holds exactly the
-blocks ``ctr_stream`` computes for that IV, so no (key, IV) is used that the
-caller did not ask for, and sealing is served only IVs above all it asked
-for before: no slot seals twice (opening may revisit one: forged record k,
-then the genuine k).
+Keystream lookahead.  A batch costs tens of microseconds before its first
+block and well under one per block after (:mod:`repro.crypto.aes`), so a
+short record pays mostly for the call.  A channel direction's IVs are a
+counter run (:func:`counter_iv`): the keystream of its *next* records
+depends on the key and a counter alone, so :class:`KeystreamAhead`
+encrypts rows ``iv(seq + i) || 1 .. stride`` for a window of records in
+one batch and each record is an XOR against its slot.  Fixed by
+measurement, no option: ``stride`` = the largest record since the last
+refill, ``window = min(16, 1024 // stride)`` slots (16 KiB a direction,
+one ``bytes``; 1 Ki blocks beat 256 / 512 / 2 Ki / 4 Ki end to end).  A
+record over ``_AHEAD_MAX_RECORD`` (1024 / 8) blocks never sets the
+stride, which would size the next window's slots for it (mixed-size
+cluster batches, alternating runs: 1,179 -> 1,323 ops/s with the rule).
+It, a record larger than its slot, a sequence number over a window past
+the last one asked for (a forged header must not move the window) or a
+window passing 2^64 - 1 takes :func:`ctr_stream`.  Never-reuse: a slot
+holds exactly the blocks ``ctr_stream`` computes for that IV, so no
+(key, IV) is used that the caller did not ask for, and sealing is served
+only IVs above all it asked for before: no slot seals twice (opening may
+revisit one: forged record k, then the genuine k).
 """
 
 from __future__ import annotations
@@ -41,9 +41,12 @@ from ..errors import CryptoError
 
 _STRIPE_BLOCKS = 4096
 
-# Lookahead: most blocks held per counter run, most records per window.
+# Lookahead: most blocks held per counter run, most records per window,
+# most blocks of a record served from a slot (a larger one never sets
+# the stride: the small records after it keep small slots).
 _AHEAD_BLOCKS = 1024
 _AHEAD_WINDOW = 16
+_AHEAD_MAX_RECORD = _AHEAD_BLOCKS // 8
 
 # AES batches issued since import (one per stripe); the regression tests
 # assert a record that fits one stripe costs exactly one.
@@ -67,33 +70,34 @@ def _counter_blocks(initial: bytes, count: int, first: int = 0) -> np.ndarray:
 
 
 def ctr_stream(
-    cipher: AES128, initial_counter: bytes, data: bytes, lead_blocks: int = 0
+    cipher: AES128, initial_counter: bytes, data: bytes, lead_blocks: int = 0,
+    prefix: bytes = b"",
 ) -> tuple[bytes, bytes]:
     """Encrypt or decrypt ``data`` (CTR is an involution), skipping the
     first ``lead_blocks`` keystream blocks; returns ``(those blocks, data
-    XOR the keystream that follows them)``.
+    XOR the keystream that follows them)``.  ``prefix`` (whole blocks) is
+    encrypted ahead of them in the first batch and returned before them.
 
     GCM passes ``lead_blocks=1`` with ``J0`` as the initial counter: the
     tag mask ``E(J0)`` and the record's keystream come out of the same
-    AES batch.
+    AES batch (and, for a cipher's first record, ``H = E(0)`` as prefix).
     """
     global aes_batches
-    lead_bytes = lead_blocks * BLOCK_SIZE
     n_blocks = lead_blocks + (len(data) + BLOCK_SIZE - 1) // BLOCK_SIZE
     src = np.frombuffer(data, dtype=np.uint8)
     out = np.empty(len(data), dtype=np.uint8)
     lead = b""
     for first in range(0, n_blocks, _STRIPE_BLOCKS):
         count = min(_STRIPE_BLOCKS, n_blocks - first)
+        rows = _counter_blocks(initial_counter, count, first)
+        if first == 0 and prefix:
+            rows = np.concatenate((np.frombuffer(prefix, np.uint8).reshape(-1, BLOCK_SIZE), rows))
         aes_batches += 1
-        keystream = cipher.encrypt_blocks(
-            _counter_blocks(initial_counter, count, first)
-        ).reshape(-1)
-        lo = first * BLOCK_SIZE - lead_bytes
-        if lo < 0:  # the first stripe; lead_blocks is far below a stripe
-            lead = keystream[:lead_bytes].tobytes()
-            keystream = keystream[lead_bytes:]
-            lo = 0
+        keystream = cipher.encrypt_blocks(rows).reshape(-1)
+        lo = (first - lead_blocks) * BLOCK_SIZE
+        if first == 0:  # lead_blocks and prefix are far below a stripe
+            skip = len(prefix) + lead_blocks * BLOCK_SIZE
+            lead, keystream, lo = keystream[:skip].tobytes(), keystream[skip:], 0
         hi = min(lo + len(keystream), len(data))
         np.bitwise_xor(src[lo:hi], keystream[:hi - lo], out=out[lo:hi])
     return lead, out.tobytes()
@@ -130,12 +134,14 @@ class KeystreamAhead:
         if iv != counter_iv(self._label, seq) or (once and gap < 0):
             return None
         self._next = seq + 1
-        need = 1 + -(-len(data) // BLOCK_SIZE)
+        need = 1 + -(-len(data) // BLOCK_SIZE)  # E(J0), then the record's own blocks
+        if need > 1 + _AHEAD_MAX_RECORD:
+            return None
         self._largest = stride = max(self._largest, need)
         slot = seq - self._first
         if not 0 <= slot < self._window:
             window = min(_AHEAD_WINDOW, _AHEAD_BLOCKS // stride)
-            if not 0 <= gap <= _AHEAD_WINDOW or window < 2 or seq + window > 1 << 64:
+            if not 0 <= gap <= _AHEAD_WINDOW or seq + window > 1 << 64:
                 self._largest = 0
                 return None
             rows = np.empty((window, stride, BLOCK_SIZE), dtype=np.uint8)

@@ -5,9 +5,11 @@ from the SGX SDK crypto library.  This module reproduces that primitive:
 CTR for confidentiality (vectorised, :mod:`repro.crypto.ctr`) and GHASH
 over GF(2^128) for authenticity.  A record costs one AES batch: the
 counter run starts at ``J0`` itself, so the tag mask ``E(J0)`` is block 0
-of the same keystream that encrypts the data.  A channel's ciphers, told
-their IVs are a counter run, draw both from keystream made a window ahead
-(:class:`repro.crypto.ctr.KeystreamAhead`); every byte and check is equal.
+of the same keystream that encrypts the data, and a cipher's first record
+(96-bit IV) adds the zero block whose image is ``H``.  A channel's
+ciphers, told their IVs are a counter run, draw both from keystream made
+a window ahead (:class:`repro.crypto.ctr.KeystreamAhead`); every byte
+and check is equal.
 
 GHASH strategy.  RCE gives every result its own random key, so per-key
 set-up has to be affordable for a key that is used once:
@@ -23,7 +25,7 @@ set-up has to be affordable for a key that is used once:
   position-by-byte table for ``H^L`` (~85 us to build) advances all
   lanes by a stripe, and the ``L`` lane values that remain are a shorter
   message with the same digest.  ``_LANE_PASSES`` runs 128 lanes from 512
-  blocks and 16 lanes from 64, then the scalar step folds the last 16.
+  blocks and 16 lanes from 64, then 16 scalar steps fold the last 16.
   A key's *first* input under 128 blocks stays scalar: a one-shot key
   skips a build (1 KiB hits 1281 -> 1341 ops/s, PUTs 1430 -> 1610).
   Measured with warm tables, scalar / 16 / 32 / 128 / 128-then-32 /
@@ -31,6 +33,13 @@ set-up has to be affordable for a key that is used once:
   2500 / - / 208 / 303 / 146 / 130 us, 4 Ki blocks (64 KiB) 9100 / - /
   650 / 497 / 339 / 325 us (the parent's 16-lookup loop: 13.3 ms).  The
   thresholds sit where a key used once still breaks even on the build.
+
+* A channel direction's lane-sized record takes no scalar step: AAD,
+  ciphertext (read in place) and lengths are one lane pass, and the 16
+  lane values fold against the direction's fold stack (:meth:`AesGcm._fold`,
+  32 KiB).  A 1,100 B record's GHASH, alternated against the scalar
+  fold: 55 -> 33 us; the fold 7 us against 28 us for 16 scalar steps (in
+  nibble rows, 128 KiB a direction, it took 5.4 us).
 
 All tables are built on first use and kept with the cipher: a channel
 endpoint keeps one :class:`AesGcm` per direction for its whole life, and
@@ -54,13 +63,14 @@ lane passes from 128 blocks; a group's chains step block by block).  16 x
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
 
 from . import ctr
-from .aes import AES128, BLOCK_SIZE, encrypt_planes, round_key_columns
+from .aes import AES128, BLOCK_SIZE, encrypt_rows, round_key_columns
 from .constant_time import bytes_eq
 from .ctr import KeystreamAhead, ctr_stream
 from ..errors import CryptoError, IntegrityError
@@ -94,9 +104,9 @@ def gf_mult(x: int, y: int) -> int:
     return z & _MASK128
 
 
-# Per-key GHASH table builds since import (byte tables and lane tables
-# alike); the regression tests assert caching keeps this flat while
-# record counts grow.
+# Per-key GHASH table builds since import (byte tables, lane tables and
+# fold stacks alike); the regression tests assert caching keeps this flat
+# while record counts grow.
 table_builds = 0
 
 
@@ -157,23 +167,30 @@ def _ghash_blocks(m: list[int], y: int, data: bytes) -> int:
     return y
 
 
-def _lane_tables(hs: Sequence[int]) -> np.ndarray:
-    """``table[4096 * k + 256 * i + b] = (b in byte position i) * hs[k]``:
-    one block of 4096 rows per ``h``, each row two ``uint64`` (the raw 16
-    bytes of the product; only ever XORed, so the word order is
-    immaterial).  Nibble tables by doubling; each high nibble's product,
-    repeated, is then XORed over the low-nibble row.  All ``hs`` at once:
-    numpy's calls are paid once, not once per ``h``."""
-    global table_builds
-    table_builds += len(hs)
+def _bit_rows(hs: Sequence[int]) -> np.ndarray:
+    """``rows[k, j] = x^j * hs[k]`` for each bit ``j`` of a block (the
+    lowest degree, byte 0's top bit, first): two ``uint64`` each, the raw
+    16 bytes of the product (only ever XORed, so the word order is
+    immaterial)."""
     powers = []
     for v in hs:
         for _ in range(128):
             powers.append(v.to_bytes(BLOCK_SIZE, "big"))
             v = _times_x(v)
+    return np.frombuffer(b"".join(powers), dtype=np.uint64).reshape(len(hs), 128, 2)
+
+
+def _lane_tables(hs: Sequence[int]) -> np.ndarray:
+    """``table[4096 * k + 256 * i + b] = (b in byte position i) * hs[k]``:
+    one block of 4096 rows per ``h``, each row as in :func:`_bit_rows`.
+    Nibble tables by doubling; each high nibble's product, repeated, is
+    then XORed over the low-nibble row.  All ``hs`` at once: numpy's
+    calls are paid once, not once per ``h``."""
+    global table_builds
+    table_builds += len(hs)
     k = len(hs)
     # basis[k, i, q, j] = x^(8i + 4q + j) * h: key, position, nibble, bit (MSB first).
-    basis = np.frombuffer(b"".join(powers), dtype=np.uint64).reshape(k, 16, 2, 4, 2)
+    basis = _bit_rows(hs).reshape(k, 16, 2, 4, 2)
     nibbles = np.zeros((k, 16, 2, 16, 2), dtype=np.uint64)
     for j in (3, 2, 1, 0):
         bit = 8 >> j
@@ -189,30 +206,42 @@ _LANE_TABLE_ROW = (np.arange(BLOCK_SIZE, dtype=np.intp) << 8).reshape(BLOCK_SIZE
 
 
 def _lane_pass(
-    table: np.ndarray, lanes: int, y: int, blocks: np.ndarray, rows: np.ndarray = _LANE_TABLE_ROW
+    table: np.ndarray, lanes: int, blocks: np.ndarray, lead: bytes = b"", trail: bytes = b"",
+    rows: np.ndarray = _LANE_TABLE_ROW,
 ) -> np.ndarray:
-    """Shrink a GHASH input to ``lanes`` blocks with the same digest.
+    """Shrink the GHASH input ``lead || blocks || trail`` to ``lanes``
+    blocks with the same digest.
 
-    ``blocks`` is an ``(n, 16)`` byte array with ``n >= lanes``, ``y`` the
-    state going in, ``table`` the :func:`_lane_tables` of ``H^lanes``.
-    Block ``i`` goes to lane ``(i + pad) % lanes``, where ``pad`` leading
-    zero blocks (which GHASH ignores) round the message up to whole
-    stripes and ``y`` rides in on the first real block.  Each lane is a
-    Horner chain in ``H^lanes``, advanced for all lanes at once by one
-    gather + XOR-reduce per stripe.  Hashing the returned lane values
-    from state 0 under ``H`` gives what hashing ``blocks`` from ``y``
-    would have.
+    ``blocks`` is an ``(n, 16)`` byte array, ``lead`` and ``trail`` whole
+    blocks as bytes, ``table`` the :func:`_lane_tables` of ``H^lanes``.
+    Block ``i`` of the input goes to lane ``(i + pad) % lanes``, where
+    ``pad`` leading zero blocks (which GHASH ignores) round it up to whole
+    stripes.  Each lane is a Horner chain in ``H^lanes``, advanced for all
+    lanes at once by one gather + XOR-reduce per stripe.  Hashing the
+    returned lane values from state 0 under ``H`` gives the input's digest.
+    ``blocks`` is read in place: only the stripes it shares with ``lead``
+    or ``trail`` are copied, which needs ``n >= 2 * lanes`` when either
+    is given and ``n >= lanes`` otherwise.
     ``rows`` (16, 1 or lanes): lane ``c`` gathers position ``i`` from
     row ``rows[i, c]`` on; a key per lane is how :func:`_group_pass` works.
     """
-    head = len(blocks) % lanes or lanes
+    a, t = len(lead) // BLOCK_SIZE, len(trail) // BLOCK_SIZE
+    head = (a + len(blocks) + t) % lanes or lanes
+    # blocks[:front] goes in with lead, blocks[back:] with trail.
+    front = head - a + -(-max(a - head, 0) // lanes) * lanes
+    back = len(blocks) - -t % lanes
+    first = np.frombuffer(lead + blocks[:front].tobytes(), dtype=np.uint8).reshape(-1, BLOCK_SIZE)
+    last = np.frombuffer(blocks[back:].tobytes() + trail, dtype=np.uint8)
     acc = np.zeros((lanes, BLOCK_SIZE), dtype=np.uint8)
-    acc[lanes - head:] = blocks[:head]
-    acc[lanes - head] ^= np.frombuffer(y.to_bytes(BLOCK_SIZE, "big"), dtype=np.uint8)
+    acc[lanes - head:] = first[:head]
     acc_words = acc.view(np.uint64)
     index = np.empty((BLOCK_SIZE, lanes), dtype=np.intp)
     products = np.empty((BLOCK_SIZE, lanes, 2), dtype=np.uint64)
-    for stripe in blocks[head:].reshape(-1, lanes, BLOCK_SIZE):
+    for stripe in itertools.chain(
+        first[head:].reshape(-1, lanes, BLOCK_SIZE),
+        blocks[front:back].reshape(-1, lanes, BLOCK_SIZE),
+        last.reshape(-1, lanes, BLOCK_SIZE),
+    ):
         np.add(acc.T, rows, out=index)
         # Every index is a row of ``table``: "wrap" never wraps, it
         # spares the bounds pass and the buffered write of "raise".
@@ -230,18 +259,21 @@ class AesGcm:
     """
 
     # Estimated bytes held: key schedule, byte table (256 boxed 128-bit
-    # ints), each lane table.  The cipher cache budgets with these.
+    # ints), each lane table, a channel's fold stack.  The cipher cache
+    # budgets with these.
     _BASE_BYTES = 3 << 10
     _BYTE_TABLE_BYTES = 13 << 10
     _LANE_TABLE_BYTES = 64 << 10
+    _FOLD_STACK_BYTES = 32 << 10
 
     def __init__(self, key: bytes, _counter_label: int | None = None):
         """``_counter_label``: every IV will be ``ctr.counter_iv(label, seq)``."""
         self._aes = AES128(key)
         self._ahead = None if _counter_label is None else KeystreamAhead(self._aes, _counter_label)
-        self._h = int.from_bytes(self._aes.encrypt_block(bytes(BLOCK_SIZE)), "big")
+        self._h: int | None = None                     # H = E(0), see _hash_key
         self._byte_table: list[int] | None = None      # built on first record
         self._lane_tables: dict[int, np.ndarray] = {}  # lanes -> table, built on first use
+        self._fold_stack: np.ndarray | None = None     # a channel's, see _fold
         self._bulk_before = False                      # has absorbed a lane-sized input
         self.footprint = self._BASE_BYTES              # approximate bytes kept alive
         self._cache: _CipherCache | None = None        # the cache holding it, if any
@@ -251,56 +283,96 @@ class AesGcm:
         if self._cache is not None:
             self._cache.held += n_bytes
 
+    def _hash_key(self) -> int:
+        """``H = E(0)``, if no AES batch has made it yet (:meth:`_stream`)."""
+        if self._h is None:
+            self._h = int.from_bytes(self._aes.encrypt_block(bytes(BLOCK_SIZE)), "big")
+        return self._h
+
+    def _scalar_table(self) -> list[int]:
+        m = self._byte_table
+        if m is None:
+            m = self._byte_table = _byte_table(self._hash_key())
+            self._grow(self._BYTE_TABLE_BYTES)
+        return m
+
     def _lane_table(self, lanes: int) -> np.ndarray:
         table = self._lane_tables.get(lanes)
         if table is None:
-            power = self._h
+            power = self._hash_key()
             for _ in range(lanes.bit_length() - 1):  # lanes is a power of two
                 power = _gf_square(power)
             table = self._lane_tables[lanes] = _lane_tables([power])
             self._grow(self._LANE_TABLE_BYTES)
         return table
 
-    def _absorb(self, y: int, data: bytes) -> int:
-        """GHASH state ``y`` after ``data`` zero-padded to whole blocks."""
-        m = self._byte_table
-        if m is None:
-            m = self._byte_table = _byte_table(self._h)
-            self._grow(self._BYTE_TABLE_BYTES)
-        full = len(data) - len(data) % BLOCK_SIZE
-        bulk = _LANE_MIN_BLOCKS if self._bulk_before else _LANE_BUILD_BLOCKS
-        self._bulk_before |= full >= _LANE_MIN_BLOCKS * BLOCK_SIZE
-        if full >= bulk * BLOCK_SIZE:
-            blocks = np.frombuffer(data, dtype=np.uint8, count=full).reshape(-1, BLOCK_SIZE)
-            for lanes, least in _LANE_PASSES:
-                if len(blocks) >= least:
-                    blocks = _lane_pass(self._lane_table(lanes), lanes, y, blocks)
-                    y = 0
-            y = _ghash_blocks(m, 0, blocks.tobytes())
-        else:
-            y = _ghash_blocks(m, y, data)
-        if full < len(data):
-            y = _ghash_blocks(m, y, bytes(data[full:]).ljust(BLOCK_SIZE, b"\x00"))
-        return y
+    def _fold(self, lanes: np.ndarray) -> int:
+        """Digest of the 16 lane values of the last lane pass: lane ``l``
+        times ``H^(16 - l)``.  A channel direction keeps a fold stack, the
+        :func:`_bit_rows` of ``H^16 .. H^1`` (32 KiB, built on its first
+        lane pass): each lane bit, 0 or 1, scales its row, and one
+        XOR-reduce sums what is left.  A one-shot key would not repay the
+        build, so any other cipher takes 16 scalar steps."""
+        global table_builds
+        if self._ahead is None:
+            return _ghash_blocks(self._scalar_table(), 0, lanes.tobytes())
+        if self._fold_stack is None:
+            table_builds += 1
+            powers = [self._hash_key()]
+            while len(powers) < len(lanes):
+                powers.append(_ghash_blocks(self._scalar_table(), powers[-1], bytes(BLOCK_SIZE)))
+            # Word-major, so the XOR-reduce runs along contiguous rows.
+            self._fold_stack = np.ascontiguousarray(_bit_rows(powers[::-1]).reshape(-1, 2).T)
+            self._grow(self._FOLD_STACK_BYTES)
+        words = np.bitwise_xor.reduce(self._fold_stack * np.unpackbits(lanes).reshape(-1), axis=1)
+        return int.from_bytes(words.tobytes(), "big")
+
+    def _ghash(self, lead: bytes, data: bytes, trail: bytes) -> int:
+        """GHASH of ``lead``, the whole blocks of ``data`` and ``trail``
+        (``lead`` and ``trail`` whole blocks).  Lane passes, reading
+        ``data`` in place, once it has ``_LANE_MIN_BLOCKS`` whole blocks
+        (``_LANE_BUILD_BLOCKS`` for a key's first such input); else the
+        scalar step."""
+        full = len(data) // BLOCK_SIZE
+        bulk = full >= (_LANE_MIN_BLOCKS if self._bulk_before else _LANE_BUILD_BLOCKS)
+        self._bulk_before |= full >= _LANE_MIN_BLOCKS
+        if not bulk:
+            m = self._scalar_table()
+            return _ghash_blocks(m, _ghash_blocks(m, _ghash_blocks(m, 0, lead), data), trail)
+        blocks = np.frombuffer(data, np.uint8, full * BLOCK_SIZE).reshape(-1, BLOCK_SIZE)
+        for lanes, least in _LANE_PASSES:
+            if len(blocks) >= least:
+                blocks = _lane_pass(self._lane_table(lanes), lanes, blocks, lead, trail)
+                lead = trail = b""
+        return self._fold(blocks)
 
     def _j0(self, iv: bytes) -> bytes:
         if len(iv) == IV_SIZE:
             return iv + b"\x00\x00\x00\x01"
-        y = self._absorb(self._absorb(0, iv), (len(iv) * 8).to_bytes(16, "big"))
-        return y.to_bytes(16, "big")
+        padded = bytes(iv) + bytes(-len(iv) % BLOCK_SIZE)
+        return self._ghash(b"", padded, (len(iv) * 8).to_bytes(16, "big")).to_bytes(16, "big")
 
     def _auth(self, aad: bytes, ciphertext: bytes) -> int:
         """GHASH of the record; the tag is this XOR ``E(J0)``."""
-        y = self._absorb(self._absorb(0, aad), ciphertext)
+        full = len(ciphertext) - len(ciphertext) % BLOCK_SIZE
+        trail = bytes(ciphertext[full:]) + bytes(-len(ciphertext) % BLOCK_SIZE)
         lengths = (len(aad) * 8).to_bytes(8, "big") + (len(ciphertext) * 8).to_bytes(8, "big")
-        return self._absorb(y, lengths)
+        return self._ghash(bytes(aad) + bytes(-len(aad) % BLOCK_SIZE), ciphertext, trail + lengths)
 
     def _stream(self, iv: bytes, data: bytes, once: bool) -> tuple[bytes, bytes]:
-        """``(E(J0), data XOR keystream)``: a lookahead slot, else one AES batch."""
+        """``(E(J0), data XOR keystream)``: a lookahead slot, else one AES
+        batch, which also makes ``H`` for a cipher's first 96-bit IV."""
         if not iv:
             raise CryptoError("GCM requires a non-empty IV")
         ahead = self._ahead and self._ahead.stream(iv, data, once)
-        return ahead or ctr_stream(self._aes, self._j0(iv), data, lead_blocks=1)
+        if ahead:
+            return ahead
+        if self._h is None and len(iv) == IV_SIZE:
+            zero = bytes(BLOCK_SIZE)  # its image is H
+            lead, out = ctr_stream(self._aes, self._j0(iv), data, lead_blocks=1, prefix=zero)
+            self._h = int.from_bytes(lead[:BLOCK_SIZE], "big")
+            return lead[BLOCK_SIZE:], out
+        return ctr_stream(self._aes, self._j0(iv), data, lead_blocks=1)
 
     def encrypt(self, iv: bytes, plaintext: bytes, aad: bytes = b"") -> tuple[bytes, bytes]:
         """Return ``(ciphertext, tag)``."""
@@ -428,7 +500,7 @@ def _group_pass(keys, ivs, payloads, aads, sealing: bool) -> tuple[list[bytes], 
     for lo in range(0, len(blocks), ctr._STRIPE_BLOCKS):
         hi = lo + ctr._STRIPE_BLOCKS
         ctr.aes_batches += 1
-        keystream[lo:hi] = encrypt_planes(blocks[lo:hi], round_keys[:, :, row_keys[lo:hi]])
+        keystream[lo:hi] = encrypt_rows(blocks[lo:hi], round_keys[:, :, row_keys[lo:hi]])
 
     padded = b"".join(bytes(p) + bytes(-len(p) % BLOCK_SIZE) for p in payloads)
     xored = (np.frombuffer(padded, dtype=np.uint8) ^ keystream[first:].reshape(-1)).tobytes()
@@ -443,7 +515,7 @@ def _group_pass(keys, ivs, payloads, aads, sealing: bool) -> tuple[list[bytes], 
     stripes = np.frombuffer(lanes, dtype=np.uint8).reshape(n, -1, BLOCK_SIZE).transpose(1, 0, 2)
     tables = _lane_tables([int.from_bytes(row.tobytes(), "big") for row in keystream[:n_keys]])
     digests = _lane_pass(
-        tables, n, 0, np.ascontiguousarray(stripes).reshape(-1, BLOCK_SIZE),
+        tables, n, np.ascontiguousarray(stripes).reshape(-1, BLOCK_SIZE),
         rows=_LANE_TABLE_ROW + 4096 * slots,
     )
     return outputs, digests ^ keystream[n_keys:first]

@@ -22,6 +22,7 @@ import pytest
 
 from repro.crypto import ctr, gcm
 from repro.crypto.aes import AES128
+from repro.crypto.ctr import counter_iv
 from repro.crypto.gcm import AesGcm, open_, seal
 from repro.errors import CryptoError
 
@@ -123,15 +124,14 @@ def aes_calls(monkeypatch):
 
 @pytest.mark.parametrize("size", [0, 1, 16, 64, 80, 1024, 16 * (ctr._STRIPE_BLOCKS - 1)])
 def test_one_aes_batch_per_record(aes_calls, monkeypatch, size):
-    cipher = AesGcm(b"\x55" * 16)
     # Small batches run block by block *inside* encrypt_blocks; count only
     # what the record itself asks of the cipher.
     monkeypatch.setattr("repro.crypto.aes._SCALAR_MAX_BLOCKS", 0)
-    aes_calls.update(encrypt_blocks=0, encrypt_block=0)  # drop the E(0) of set-up
+    cipher = AesGcm(b"\x55" * 16)
     before = ctr.aes_batches
 
     ct, tag = cipher.encrypt(_iv(1), b"r" * size, b"aad")
-    assert aes_calls == {"encrypt_blocks": 1, "encrypt_block": 0}  # E(J0) rides in the batch
+    assert aes_calls == {"encrypt_blocks": 1, "encrypt_block": 0}  # H and E(J0) ride in the batch
     assert cipher.decrypt(_iv(1), ct, tag, b"aad") == b"r" * size
     assert aes_calls == {"encrypt_blocks": 2, "encrypt_block": 0}
     assert ctr.aes_batches - before == 2
@@ -185,6 +185,64 @@ def test_a_keys_second_short_bulk_record_takes_the_lane_pass():
     assert gcm.table_builds - before == 1 and len(cipher._lane_tables) == 1
     cipher.encrypt(_iv(3), payload)
     assert gcm.table_builds - before == 1
+
+
+CHANNEL_AAD = b"speed/record" + bytes(8)   # 20 bytes, as a channel record's
+
+
+@pytest.fixture
+def scalar_steps(monkeypatch):
+    """Blocks hashed by the scalar GHASH step, call by call."""
+    steps = []
+    real = gcm._ghash_blocks
+    monkeypatch.setattr(
+        gcm, "_ghash_blocks", lambda m, y, data: steps.append(len(data) // 16) or real(m, y, data)
+    )
+    return steps
+
+
+def test_a_channel_record_on_the_fold_path_takes_no_scalar_ghash_step(scalar_steps):
+    cipher = AesGcm(b"\x69" * 16, _counter_label=0)
+    cipher.encrypt(counter_iv(0, 0), bytes(16 * BUILD_BLOCKS))   # builds its tables
+    scalar_steps.clear()
+    # AAD (2 blocks), the ragged tail and the lengths go through the lane
+    # pass with the ciphertext; the 16 lane values fold against the stack.
+    for seq, size in enumerate([16 * NARROW_BLOCKS, 1100, 16 * WIDE_BLOCKS + 7], 1):
+        ct, tag = cipher.encrypt(counter_iv(0, seq), b"r" * size, CHANNEL_AAD)
+        assert cipher.decrypt(counter_iv(0, seq), ct, tag, CHANNEL_AAD) == b"r" * size
+    assert sum(scalar_steps) == 0
+    # A plain cipher folds the same 16 lane values by 16 scalar steps.
+    plain = AesGcm(b"\x69" * 16)
+    plain.encrypt(_iv(0), bytes(16 * BUILD_BLOCKS))
+    scalar_steps.clear()
+    plain.encrypt(_iv(1), b"r" * 1100, CHANNEL_AAD)
+    assert sum(scalar_steps) == 16
+
+
+def test_each_channel_direction_builds_its_fold_stack_once_and_counts_it():
+    cipher = AesGcm(b"\x6a" * 16, _counter_label=0)
+    before = gcm.table_builds
+    for seq in range(24):
+        cipher.encrypt(counter_iv(0, seq), bytes(16 * BUILD_BLOCKS if seq % 3 else 1100), CHANNEL_AAD)
+    # The byte table, the 16-lane table and the fold stack, once each.
+    assert gcm.table_builds - before == 3
+    assert cipher.footprint == (
+        AesGcm._BASE_BYTES + AesGcm._BYTE_TABLE_BYTES + AesGcm._LANE_TABLE_BYTES
+        + AesGcm._FOLD_STACK_BYTES
+    )
+    assert cipher._fold_stack.nbytes == AesGcm._FOLD_STACK_BYTES
+
+
+def test_only_a_channel_direction_with_lane_sized_records_builds_a_fold_stack():
+    short = AesGcm(b"\x6b" * 16, _counter_label=1)
+    for seq in range(40):   # a direction of short records keeps the byte table alone
+        short.encrypt(counter_iv(1, seq), bytes(16 * NARROW_BLOCKS - 1), CHANNEL_AAD)
+    assert short._fold_stack is None and not short._lane_tables
+    assert short.footprint == AesGcm._BASE_BYTES + AesGcm._BYTE_TABLE_BYTES
+    one_shot = AesGcm(b"\x6b" * 16)   # never a fold stack, however large its records
+    for i in range(3):
+        one_shot.encrypt(_iv(i), bytes(16 * WIDE_BLOCKS))
+    assert one_shot._fold_stack is None
 
 
 def test_cipher_cache_stays_within_its_byte_bound_and_evicts_lru_first():

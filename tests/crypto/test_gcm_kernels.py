@@ -11,11 +11,12 @@ size-class constants, so every path switch is crossed at -1 / 0 / +1.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import ctr, gcm
+from repro.crypto import aes, ctr, gcm
 from repro.crypto.constant_time import bytes_eq
 from repro.crypto.gcm import AesGcm
 from repro.errors import IntegrityError
@@ -131,6 +132,46 @@ def test_reference_is_the_standard():
     assert tag.hex() == "ab6e47d42cec13bdf53a67b21257bddf"
 
 
+# -- the AES batch kernels at every batch size ---------------------------------
+AES_ROWS = 300   # past every tier: scalar, one gather, column planes
+_AES_RND = random.Random("aes-rows")
+AES_KEYS = [_AES_RND.randbytes(16) for _ in range(AES_ROWS)]
+AES_BLOCKS = np.frombuffer(_AES_RND.randbytes(16 * AES_ROWS), dtype=np.uint8).reshape(-1, 16)
+
+
+@pytest.fixture(scope="module")
+def aes_reference() -> dict[str, list[bytes]]:
+    """Row ``i`` of ``AES_BLOCKS`` under key 0 and under key ``i``."""
+    one = ref_expand_key(AES_KEYS[0])
+    return {
+        "one key": [ref_encrypt_block(one, row.tobytes()) for row in AES_BLOCKS],
+        "key per row": [
+            ref_encrypt_block(ref_expand_key(key), row.tobytes()) for key, row in zip(AES_KEYS, AES_BLOCKS)
+        ],
+    }
+
+
+@pytest.mark.parametrize("keys", ["one key", "key per row"])
+def test_every_aes_kernel_matches_the_reference_at_every_batch_size(aes_reference, keys):
+    # n = 1 .. 300 crosses each tier boundary (aes._SCALAR_MAX_BLOCKS,
+    # aes._GATHER_MAX_BLOCKS) at -1 / 0 / +1.
+    round_keys = aes.round_key_columns(AES_KEYS[:1] if keys == "one key" else AES_KEYS)
+    cipher = aes.AES128(AES_KEYS[0])
+    for n in range(1, AES_ROWS + 1):
+        want = b"".join(aes_reference[keys][:n])
+        blocks, rk = AES_BLOCKS[:n], round_keys[:, :, :n]
+        assert aes.encrypt_planes(blocks, rk).tobytes() == want, n
+        assert aes.encrypt_rows(blocks, rk).tobytes() == want, n
+        if n <= aes._GATHER_MAX_BLOCKS:
+            assert aes.encrypt_gather(blocks, aes.round_key_lanes(rk)).tobytes() == want, n
+        if keys == "one key":
+            assert cipher.encrypt_blocks(blocks).tobytes() == want, n
+
+
+def test_the_tier_boundaries_are_inside_the_swept_sizes():
+    assert 1 <= aes._SCALAR_MAX_BLOCKS < aes._GATHER_MAX_BLOCKS < AES_ROWS - 1
+
+
 # -- the sizes at which a kernel switches path -------------------------------
 def _around(n_blocks: int) -> list[int]:
     return [16 * (n_blocks - 1), 16 * n_blocks, 16 * (n_blocks + 1)]
@@ -234,6 +275,61 @@ class TestBulkTamper:
     def test_iv_bit(self, record):
         with pytest.raises(IntegrityError):
             AesGcm(self.KEY).decrypt(self._flip(self.IV, 90), *record, self.AAD)
+
+
+# -- a channel direction: AAD, ciphertext and lengths in one lane pass, then the fold
+def channel_cipher(key: bytes) -> AesGcm:
+    """A channel direction's cipher past its first lane-sized record, so
+    that every record from ``_LANE_MIN_BLOCKS`` blocks takes the lanes."""
+    cipher = AesGcm(key, _counter_label=0)
+    cipher.encrypt(ctr.counter_iv(0, 0), bytes(16 * gcm._LANE_BUILD_BLOCKS))
+    assert cipher._fold_stack is not None
+    return cipher
+
+
+def ref_auth(key: bytes, aad: bytes, ciphertext: bytes) -> int:
+    h = int.from_bytes(ref_encrypt_block(ref_expand_key(key), bytes(16)), "big")
+    lengths = (8 * len(aad)).to_bytes(8, "big") + (8 * len(ciphertext)).to_bytes(8, "big")
+    return ref_ghash(h, _pad16(aad) + _pad16(ciphertext) + lengths)
+
+
+FOLD_SIZES = sorted({
+    *_around(gcm._LANE_MIN_BLOCKS), 16 * gcm._LANE_MIN_BLOCKS + 5,
+    *_around(gcm._LANE_BUILD_BLOCKS), 16 * gcm._LANE_BUILD_BLOCKS + 11,
+    *_around(WIDE[1]), 16 * WIDE[1] + 1,
+})
+
+
+@pytest.mark.parametrize("aad_len", [0, 1, 15, 16, 17, 16 * WIDE[1] + 3])
+def test_channel_ghash_matches_reference(aad_len):
+    rnd = random.Random(aad_len)
+    key = rnd.randbytes(16)
+    cipher = channel_cipher(key)
+    for size in FOLD_SIZES:
+        aad, ciphertext = rnd.randbytes(aad_len), rnd.randbytes(size)
+        assert cipher._auth(aad, ciphertext) == ref_auth(key, aad, ciphertext), size
+
+
+@pytest.mark.parametrize("size, aad_len", [
+    (16 * gcm._LANE_MIN_BLOCKS + 5, 20),   # a channel record's AAD is 20 bytes
+    (16 * WIDE[1] + 9, 17),
+])
+def test_channel_records_match_reference_and_reject_any_flipped_bit(size, aad_len):
+    rnd = random.Random(size)
+    key, seq = rnd.randbytes(16), 1 + rnd.randrange(100)
+    iv, aad, plaintext = ctr.counter_iv(0, seq), rnd.randbytes(aad_len), rnd.randbytes(size)
+    cipher = channel_cipher(key)
+    ct, tag = cipher.encrypt(iv, plaintext, aad)
+    assert (ct, tag) == ref_gcm_encrypt(key, iv, plaintext, aad)
+    assert cipher.decrypt(iv, ct, tag, aad) == plaintext
+    for forged in (
+        (TestBulkTamper._flip(ct, 8 * (size // 2) + 3), tag, aad),
+        (TestBulkTamper._flip(ct, 8 * size - 1), tag, aad),
+        (ct, TestBulkTamper._flip(tag, 100), aad),
+        (ct, tag, TestBulkTamper._flip(aad, 8 * aad_len - 1)),
+    ):
+        with pytest.raises(IntegrityError):
+            cipher.decrypt(iv, *forged)
 
 
 # -- many records under many keys: seal_many / open_many -----------------------

@@ -127,6 +127,25 @@ def test_64_equal_records_cost_a_handful_of_aes_batches_on_each_end(aes_batch_si
     assert ctr.aes_batches - before == len(aes_batch_sizes)
 
 
+def test_a_large_record_leaves_the_small_records_after_it_small_slots(aes_batch_sizes):
+    client, server = pair()
+    small = pattern(80, 1)                                    # E(J0) + 5 blocks: a stride of 6
+    large = pattern(16 * ctr._AHEAD_MAX_RECORD + 1, 2)        # one block over the slot limit
+    records = [client.protect(small)]                        # fills slots for seq 0 .. 15
+    before, computed = ctr.aes_batches, len(aes_batch_sizes)
+    records.append(client.protect(large))
+    assert aes_batch_sizes[computed:] == [1 + ctr._AHEAD_MAX_RECORD + 1]   # ctr_stream, alone
+    records += [client.protect(small) for _ in range(46)]    # seq 2 .. 47
+    # Seq 2 .. 15 from the window filled before; 16 .. 47 in two refills
+    # of 16 slots still sized for 80 B (a 130-block stride: 5 refills of 7).
+    assert aes_batch_sizes[computed + 1:] == [16 * 6, 16 * 6]
+    assert ctr.aes_batches - before == 3
+    opened = len(aes_batch_sizes)
+    assert [server.unprotect(record) for record in records] == [small, large] + [small] * 46
+    assert aes_batch_sizes[opened:] == [16 * 6, 1 + ctr._AHEAD_MAX_RECORD + 1, 16 * 6, 16 * 6]
+    assert records[1] == reference_record(C2S, 0, 1, large)
+
+
 # -- (3) any schedule ----------------------------------------------------------------
 STEP = st.one_of(
     st.tuples(st.just("protect"), st.sampled_from([0, 1, 40, 80, 81, 300, 1100, 1300])),
