@@ -8,10 +8,11 @@
 # lint violations alone are enough to fail it.  Nothing here writes a
 # tracked file: on a clean tree `git status --porcelain` is still empty
 # afterwards.  The simulation smoke is a tier-1 test and is not run again
-# here: tests/simtest/test_pinned_digests.py runs seeds 1..5 in each of
-# the five modes (default, --pipeline, --pipeline --adaptive,
-# --power-fail, --migrate) at 25 steps and requires `ok` and the pinned
-# trace digest; CI's sim-sweep jobs run the 50-schedule sweeps.  (The
+# here: tests/simtest/test_pinned_digests.py runs seeds 1..15 at 25
+# steps (every fault class and all eight invariants in each; seed % 3
+# picks the engine, five seeds each) and requires `ok` and the pinned
+# trace digest; CI's sim-sweep jobs run the 200- and 800-schedule
+# sweeps.  (The
 # bench experiments' acceptance bars are tier-1 tests too; CI's
 # bench-smoke job runs `python -m repro.bench all --quick`.)
 set -u

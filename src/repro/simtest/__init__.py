@@ -15,18 +15,24 @@ Entry points::
 
     python -m repro.simtest --seed 7          # replay one scenario
     python -m repro.simtest --runs 50         # CI sweep
+    python -m repro.simtest --runs 50 --without crash,drop
 
-Every failure prints a one-line repro string; see
-:mod:`repro.simtest.invariants` for the oracle and DESIGN.md for the
-mapping between the fault model and the paper's §III threat model.
+Every run mixes every fault class and checks all eight invariants; the
+seed also picks the engine.  Every failure prints a one-line repro
+string; see :mod:`repro.simtest.invariants` for the oracle and DESIGN.md
+for the mapping between the fault model and the paper's §III threat
+model.
 """
 
 from .invariants import Violation
-from .runner import ScenarioResult, SimConfig, replay_check, run_scenario, run_seeds
+from .runner import (
+    FAULT_CLASSES, ScenarioResult, SimConfig, replay_check, run_scenario, run_seeds,
+)
 from .schedule import FaultPlan
 from .shrinking import shrink
 
 __all__ = [
+    "FAULT_CLASSES",
     "FaultPlan",
     "ScenarioResult",
     "SimConfig",

@@ -9,9 +9,12 @@ Sweep many seeds (CI / nightly)::
     python -m repro.simtest --runs 50
     python -m repro.simtest --runs 50 --start-seed 1000
 
-Exit status is non-zero iff any scenario violated an invariant; each
-failure prints its one-line repro string.  ``--shrink`` additionally
-searches for a smaller still-failing configuration before reporting.
+Every scenario mixes every fault class and checks all eight invariants;
+the seed also picks the engine (serial, static depth 8, or adaptive).
+``--without crash,drop`` leaves fault classes out.  Exit status is
+non-zero iff any scenario violated an invariant; each failure prints
+its one-line repro string.  ``--shrink`` additionally searches for a
+smaller still-failing configuration before reporting.
 """
 
 from __future__ import annotations
@@ -19,8 +22,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .runner import SimConfig, run_scenario
+from .runner import FAULT_CLASSES, SimConfig, fault_classes, run_scenario
 from .shrinking import shrink
+
+
+def _without(text: str) -> frozenset:
+    try:
+        return fault_classes(text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,29 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scenario steps per seed")
     parser.add_argument("--shards", type=int, default=3,
                         help="cluster shards per scenario")
-    parser.add_argument("--pipeline", action="store_true",
-                        help="drive the workload through the pipelined "
-                             "engine (depth 8, coalescing on) and check "
-                             "the coalescing invariant")
-    parser.add_argument("--pipeline-depth", type=int, default=8,
-                        help="engine submit window for --pipeline runs "
-                             "(the --adaptive invariant replays at 1)")
-    parser.add_argument("--adaptive", action="store_true",
-                        help="size every engine round with the AIMD "
-                             "adaptive depth controller (implies "
-                             "--pipeline) and check the adaptive-"
-                             "identity invariant against a depth-1 "
-                             "replay")
-    parser.add_argument("--power-fail", action="store_true",
-                        help="run durable (WAL-backed) shards and inject "
-                             "power failures with full state loss, "
-                             "checking the recovery invariant")
-    parser.add_argument("--migrate", action="store_true",
-                        help="stream live topology changes (joins/drains) "
-                             "through the scenario, crash migration "
-                             "participants mid-range, and check the "
-                             "single-owner invariant (implies durable "
-                             "shards)")
+    parser.add_argument("--without", type=_without, default=frozenset(),
+                        metavar="CLASS[,CLASS...]",
+                        help="fault classes to leave out of the schedule: "
+                             + ", ".join(FAULT_CLASSES))
     parser.add_argument("--trace", action="store_true",
                         help="print every trace event line")
     parser.add_argument("--shrink", action="store_true",
@@ -68,22 +59,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-
+def configs(args) -> list[SimConfig]:
+    """The scenarios one parsed command line names."""
     if args.seed is not None:
         seeds = [args.seed]
     else:
-        seeds = list(range(args.start_seed, args.start_seed + args.runs))
+        seeds = range(args.start_seed, args.start_seed + args.runs)
+    return [
+        SimConfig(seed=seed, steps=args.steps, shards=args.shards, without=args.without)
+        for seed in seeds
+    ]
 
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    scenarios = configs(args)
     failures = 0
-    for seed in seeds:
-        config = SimConfig(
-            seed=seed, steps=args.steps, shards=args.shards,
-            pipeline=args.pipeline, pipeline_depth=args.pipeline_depth,
-            adaptive=args.adaptive, power_fail=args.power_fail,
-            migrate=args.migrate,
-        )
+    for config in scenarios:
         result = run_scenario(config)
         print(result.summary())
         if args.trace:
@@ -101,9 +93,9 @@ def main(argv=None) -> int:
                     file=sys.stderr,
                 )
     if failures:
-        print(f"{failures}/{len(seeds)} scenario(s) FAILED", file=sys.stderr)
+        print(f"{failures}/{len(scenarios)} scenario(s) FAILED", file=sys.stderr)
         return 1
-    print(f"all {len(seeds)} scenario(s) passed")
+    print(f"all {len(scenarios)} scenario(s) passed")
     return 0
 
 

@@ -1,8 +1,9 @@
-"""The global invariants every simulated scenario must uphold.
+"""The eight invariants every simulated scenario must uphold.
 
 These are the harness's oracle: whatever the fault schedule did — drops,
-duplicates, reorderings, corruption, crashes, partitions — a healed
-cluster must satisfy all four.  Each check returns a list of
+duplicates, reorderings, corruption, crashes, power failures,
+partitions, topology changes — every run checks all eight, whichever
+engine its seed picked.  Each check returns a list of
 :class:`Violation`; an empty list means the invariant held.
 
 1. **Durability** — no acknowledged PUT is lost: every tag the store
@@ -17,45 +18,33 @@ cluster must satisfy all four.  Each check returns a list of
    every delivery) nor in anything a machine's host storage holds.
 4. **Conservation** — every call is exactly one of hit, miss, or
    degraded: ``hits + misses + degraded == calls``.
-
-With the pipelined engine enabled, a fifth invariant applies:
-
-5. **Coalescing** — every single-flight follower (a result whose
-   ``source`` is ``"coalesced"``) observes its leader's exact result:
-   within the same batch there is an earlier non-coalesced call with the
-   same tag, and the follower's value equals that leader's value.
-
-With ``--power-fail`` enabled (durable stores), a sixth applies at every
-power-failure point:
-
-6. **Recovery** — a shard recovered from its write-ahead log serves
-   exactly the entries it served before the failure: every pre-crash tag
-   is present with byte-identical ciphertext (tags whose blobs the
-   adversary tampered in untrusted memory are only required to be
-   *present* — recovery restores the original bytes from the durable
-   blob area, deliberately diverging from the tampered arena), and no
-   tag absent before the crash is resurrected by replay.
-
-With ``--migrate`` enabled (streaming topology changes racing the
-workload, crashes landing on migration sources and destinations
-mid-range), a seventh applies after healing:
-
+5. **Coalescing** — checked on every batch: every single-flight
+   follower (a result whose ``source`` is ``"coalesced"``) observes its
+   leader's exact result — within the same batch there is an earlier
+   non-coalesced call with the same tag, and the follower's value
+   equals that leader's value.  Only the pipelined engines coalesce.
+6. **Recovery** — checked at every power-failure point (any shard, or a
+   participant of an open migration): a shard recovered from its
+   write-ahead log serves exactly the entries it served before the
+   failure.  Every pre-crash tag is present with byte-identical
+   ciphertext (tags whose blobs the adversary tampered in untrusted
+   memory are only required to be *present* — recovery restores the
+   original bytes from the durable blob area, deliberately diverging
+   from the tampered arena), and no tag absent before the crash is
+   resurrected by replay.
 7. **Single owner** — once the scenario heals, finishes any open
    hand-off, and runs one anti-entropy pass, the ring is settled (no
    dual-ownership window survives) and every acknowledged PUT is held by
    exactly the owner set of its tag under the settled ring: no acked
    entry is stranded on a shard that no longer owns it, none is lost
    with its range, and no range is owned twice.
-
-With ``--adaptive`` enabled (the engine's AIMD depth controller sizing
-every round), an eighth applies:
-
-8. **Adaptive identity** — depth is a schedule knob, never a semantic
-   one: the adaptive run's per-call result bytes are identical to the
-   same scenario replayed with a fixed depth-1 engine, and the
-   controller's decision sequence is a pure function of seed + schedule
-   (its digest is part of the replayed trace, so ``replay_check`` pins
-   it byte-for-byte).
+8. **Adaptive identity** — checked on every run whose seed picked
+   ``depth="auto"``: depth is a schedule knob, never a semantic one.
+   The adaptive run's per-call result bytes are identical to the same
+   scenario replayed with a fixed depth-1 engine, and the controller's
+   decision sequence is a pure function of seed + schedule (its digest
+   is part of the replayed trace, so ``replay_check`` pins it
+   byte-for-byte).
 """
 
 from __future__ import annotations
@@ -165,7 +154,7 @@ def check_adaptive_identical(
     """Adaptive depth never changes results (invariant 8 above).
 
     ``adaptive_values`` is the ordered per-call result-bytes list of
-    the ``--adaptive`` run; ``reference_values`` the same scenario
+    the ``depth="auto"`` run; ``reference_values`` the same scenario
     replayed with a fixed depth-1 engine.  The controller may reshape
     every round, but the value each call returns must be
     byte-identical.

@@ -6,9 +6,8 @@ of interleaved chaos.  :func:`shrink` searches for a *smaller*
 still-failing configuration along two axes:
 
 * fewer steps (binary descent on ``steps``);
-* fewer fault classes (try disabling crash ops, partition ops,
-  corruption ops, and each message-fault rate, keeping any disable that
-  preserves the failure).
+* fewer fault classes (try adding each of ``FAULT_CLASSES`` to
+  ``without``, keeping any that preserves the failure).
 
 The result is the minimal configuration the search found, which replays
 deterministically via its own ``--seed`` repro string.  ``run`` is
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .runner import SimConfig, run_scenario
+from .runner import FAULT_CLASSES, SimConfig, run_scenario
 
 
 def _fails(config: SimConfig, run) -> bool:
@@ -47,18 +46,9 @@ def shrink(config: SimConfig, run=run_scenario, max_runs: int = 40):
 
     current = config
 
-    # Axis 1: drop whole fault classes (coarsest reduction first).
-    for disable in (
-        {"power_fail": False},
-        {"corruption_ops": False},
-        {"partition_ops": False},
-        {"crash_ops": False},
-        {"corrupt_rate": 0.0},
-        {"duplicate_rate": 0.0},
-        {"delay_rate": 0.0},
-        {"drop_rate": 0.0},
-    ):
-        candidate = replace(current, **disable)
+    # Axis 1: leave out whole fault classes (coarsest reduction first).
+    for fault in FAULT_CLASSES:
+        candidate = replace(current, without=current.without | {fault})
         if candidate != current and failing(candidate):
             current = candidate
 

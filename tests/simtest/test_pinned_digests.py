@@ -9,47 +9,76 @@ reason in its message.
 
 Regenerate one line (the summary prints ``digest=<the 16 hex digits>``)::
 
-    PYTHONPATH=src python -m repro.simtest --seed 3 --steps 25 --pipeline
+    PYTHONPATH=src python -m repro.simtest --seed 3 --steps 25
 
-with the mode's flag (none, ``--pipeline``, ``--adaptive``,
-``--power-fail``, ``--migrate``) and the seed of the line.
+The same pinned runs are the coverage guard that keeps "every fault
+class, all eight invariants, in every run" from going vacuous: over
+them every op of the table fires and invariants 5-8 are each evaluated.
 """
+
+import re
 
 import pytest
 
-from repro.simtest import SimConfig, run_scenario
+from repro.simtest import SimConfig
+from repro.simtest.runner import ENGINES, OPS
 
-MODES = {
-    "default": {},
-    "pipeline": {"pipeline": True},
-    "adaptive": {"adaptive": True},
-    "power-fail": {"power_fail": True},
-    "migrate": {"migrate": True},
-}
-
-# mode -> digest of seeds 1..5 at 25 steps, 3 shards.  Recorded at
-# 2c427d1, except seeds 1, 3 and 5 of "pipeline" and "adaptive": recorded
-# at the fix that asks a shard's breaker once per refused send (their
-# traces open a breaker, so their skip counts moved with it).
+# seed -> digest at 25 steps, 3 shards; seed % 3 picks the engine, so
+# each engine has five rows.  Recorded when the mode flags were folded
+# into one schedule (every run now draws every fault class, on durable
+# stores, and checks all eight invariants).
 PINNED = {
-    "default": ["3755d4583f43d3cb", "c1ca644b83b54196", "e46b99a4abed0641",
-                "434b299508bc44e3", "6e62880fd4b701a8"],
-    "pipeline": ["c35703694c6204dc", "cb31e113b379e8af", "231ef29920cedbcc",
-                 "c1ea131ecff49d95", "ddfb6bed43d38abf"],
-    "adaptive": ["399121446b2d3377", "752b674ef2343e3e", "2822af810259117a",
-                 "334b93e9936d8aa7", "2a07cdcff01ae9d8"],
-    "power-fail": ["3a03fc5baf92dae2", "94d20737df1a614c", "1a17fe1427b8e4e1",
-                   "754fb69254714371", "01bcf6cb5812fb96"],
-    "migrate": ["749884ee77e3bd0e", "525cac1f11288f7c", "ea3d4a9af4bed353",
-                "2c29db20e0bbd0d7", "26dd8dc783d02b03"],
+    1: "df32d829c9b95bbf",  # pipeline
+    2: "ab25914a0a479d80",  # adaptive
+    3: "910f0633fa81585d",  # serial
+    4: "5e952ffb759a92d2",  # pipeline
+    5: "f854ef1b79880f5c",  # adaptive
+    6: "d7b60e2b4eec726d",  # serial
+    7: "89f358f58ccb08eb",  # pipeline
+    8: "4d495231a087fa3d",  # adaptive
+    9: "9e0d54a5b5dd8b2d",  # serial
+    10: "464a7f25a10a2d4a",  # pipeline
+    11: "e03d52099d145045",  # adaptive
+    12: "a2bef7383834f323",  # serial
+    13: "d8478a15aff8ff6b",  # pipeline
+    14: "78505fc293e383c7",  # adaptive
+    15: "073af8a527c2f618",  # serial
 }
 
+#: An op line whose handler found nothing to do.
+IDLE = re.compile(r" (skipped|drained|blocked|deferred|error=\w+)$")
 
-@pytest.mark.parametrize("mode", MODES)
-def test_digests_match_the_pinned_table(mode):
-    got = []
-    for seed in range(1, 6):
-        result = run_scenario(SimConfig(seed=seed, steps=25, **MODES[mode]))
+
+@pytest.fixture(scope="module")
+def pinned(scenario):
+    return [scenario(SimConfig(seed=seed, steps=25)) for seed in PINNED]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_digests_match_the_pinned_table(engine, pinned):
+    runs = [result for result in pinned if result.config.engine == engine]
+    assert len(runs) == 5
+    for result in runs:
         assert result.ok, "\n".join(str(v) for v in result.violations)
-        got.append(result.digest[:16])
-    assert got == PINNED[mode]
+    got = {result.config.seed: result.digest[:16] for result in runs}
+    assert got == {seed: PINNED[seed] for seed in got}
+
+
+def test_every_op_fires(pinned):
+    fired = {
+        line.split(" op=")[1].split()[0]
+        for result in pinned
+        for line in result.trace
+        if " op=" in line and not IDLE.search(line)
+    }
+    assert [op.name for op in OPS if op.name not in fired] == []
+
+
+@pytest.mark.parametrize("invariant", [
+    "durability", "correctness", "confidentiality", "conservation",
+    "coalescing", "recovery", "single_owner", "adaptive_identity",
+])
+def test_invariant_is_evaluated(invariant, pinned):
+    # 5, 6 and 8 run only where the walk drew a batch, a power failure
+    # or an adaptive seed; none may drop out of the pinned runs.
+    assert sum(result.checked[invariant] for result in pinned) > 0

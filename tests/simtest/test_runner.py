@@ -1,173 +1,248 @@
-"""Scenario runner: replayability, invariants, CLI."""
+"""Scenario runner: replayability, invariants, fault classes, engines, CLI.
+
+Every run draws every fault class and checks all eight invariants; the
+seed picks the engine (``seed % 3``: serial, static depth 8, adaptive).
+The per-engine classes pick their seeds with :func:`seed_for`.
+"""
+
+import itertools
+import re
+import shlex
+from types import SimpleNamespace
 
 import pytest
 
-from repro.simtest import SimConfig, run_scenario
-from repro.simtest.__main__ import main
+from repro.simtest import FAULT_CLASSES, SimConfig, run_scenario, shrink
+from repro.simtest.__main__ import build_parser, configs, main
+from repro.simtest.runner import OPS
 
 # Small scenarios keep the tier-1 suite fast; the slow_sim sweep below
 # covers volume.
 FAST = dict(steps=25, shards=3)
 
 
+def seed_for(engine: str, start: int) -> int:
+    """The first seed at or after ``start`` that drives ``engine``."""
+    return next(s for s in itertools.count(start) if SimConfig(seed=s).engine == engine)
+
+
+def fired_ops(result) -> set:
+    """Names of the ops a run's trace shows."""
+    return set(re.findall(r"^step=\d+ op=(\w+)", "\n".join(result.trace), re.M))
+
+
+def failure_lines(result) -> str:
+    return "\n".join(str(v) for v in result.violations)
+
+
 class TestReplayability:
-    def test_same_seed_replays_byte_identical_trace(self):
-        config = SimConfig(seed=11, **FAST)
-        first = run_scenario(config)
+    def test_same_seed_replays_byte_identical_trace(self, scenario):
+        config = SimConfig(seed=seed_for("serial", 11), **FAST)
+        first = scenario(config)  # memoised: a run made earlier
         second = run_scenario(config)
         assert first.trace == second.trace
         assert first.digest == second.digest
         assert first.counters == second.counters
 
-    def test_different_seeds_diverge(self):
-        a = run_scenario(SimConfig(seed=1, **FAST))
-        b = run_scenario(SimConfig(seed=2, **FAST))
+    def test_different_seeds_diverge(self, scenario):
+        a = scenario(SimConfig(seed=1, **FAST))
+        b = scenario(SimConfig(seed=2, **FAST))
         assert a.digest != b.digest
 
     def test_repro_string_round_trips_through_config(self):
-        config = SimConfig(seed=42, steps=10, shards=2)
-        assert "--seed 42" in config.repro_string()
-        assert "--steps 10" in config.repro_string()
-        assert "--shards 2" in config.repro_string()
+        config = SimConfig(seed=42, steps=10, shards=2, without={"crash", "drop"})
+        line = config.repro_string()
+        assert "--seed 42" in line
+        assert "--steps 10" in line
+        assert "--shards 2" in line
+        assert "--without crash,drop" in line
+        (parsed,) = configs(build_parser().parse_args(shlex.split(line)[3:]))
+        assert parsed == config
+
+    def test_every_shrunk_config_replays_from_its_repro_string(self, capsys):
+        # Whatever shrink can return — any set of left-out classes, any
+        # step count — its printed line must rebuild an equal config, and
+        # the CLI must replay it to the same digest.
+        base = SimConfig(seed=4, steps=6)
+        shrunk = [base] + [
+            shrink(base, run=lambda c, kept=kept: SimpleNamespace(
+                ok=kept in c.without or c.steps < 3
+            ))[0]
+            for kept in FAULT_CLASSES
+        ]
+        assert {len(c.without) for c in shrunk} == {0, len(FAULT_CLASSES) - 1}
+        for config in shrunk:
+            argv = shlex.split(config.repro_string())[3:]
+            (parsed,) = configs(build_parser().parse_args(argv))
+            assert parsed == config
+            assert main(argv) == 0
+            printed = re.search(r"digest=(\w+)", capsys.readouterr().out).group(1)
+            assert printed == run_scenario(config).digest[:16]
 
 
 class TestInvariants:
     @pytest.mark.parametrize("seed", [3, 9, 17])
-    def test_fixed_seeds_uphold_all_invariants(self, seed):
-        result = run_scenario(SimConfig(seed=seed, **FAST))
-        assert result.ok, "\n".join(str(v) for v in result.violations)
+    def test_fixed_seeds_uphold_all_invariants(self, seed, scenario):
+        result = scenario(SimConfig(seed=seed, **FAST))
+        assert result.ok, failure_lines(result)
 
-    def test_conservation_counts_add_up(self):
-        result = run_scenario(SimConfig(seed=9, **FAST))
+    def test_conservation_counts_add_up(self, scenario):
+        result = scenario(SimConfig(seed=9, **FAST))
         c = result.counters
         assert (
             c["runtime.hits"] + c["runtime.misses"] + c["runtime.degraded_calls"]
             == c["runtime.calls"]
         )
 
-    def test_faults_actually_fired(self):
+    def test_faults_actually_fired(self, scenario):
         # Sanity: the schedule is live, not a no-op pass-through.
-        result = run_scenario(SimConfig(seed=9, **FAST))
+        result = scenario(SimConfig(seed=9, **FAST))
         c = result.counters
         assert c["net.dropped"] + c["net.corrupted"] + c["net.delayed"] > 0
 
     def test_corruption_ops_are_survivable(self):
         # A corruption-heavy walk: tampered blobs/metadata must be
         # rejected and recomputed, never returned.
-        config = SimConfig(seed=13, steps=30, shards=2,
-                           crash_ops=False, partition_ops=False)
+        config = SimConfig(seed=11, steps=30, shards=2, without={"crash", "partition"})
         result = run_scenario(config)
-        assert result.ok, "\n".join(str(v) for v in result.violations)
+        assert result.ok, failure_lines(result)
+        assert {"corrupt_blob", "corrupt_meta"} <= fired_ops(result)
+
+
+class TestFaultClasses:
+    """``without`` removes exactly what it names.  The two halves pair
+    each message fault with the op class that shares its counter
+    (partitions drop, slow links delay), so a zero counter is exact."""
+
+    HALVES = (
+        frozenset({"crash", "partition", "drop", "delay"}),
+        frozenset({"tamper", "migration", "duplicate", "corrupt"}),
+    )
+    COUNTER = {
+        "drop": "net.dropped", "delay": "net.delayed",
+        "duplicate": "net.duplicated", "corrupt": "net.corrupted",
+    }
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_no_op_or_message_fault_of_a_left_out_class_appears(self, seed, scenario):
+        without = self.HALVES[seed % 2]
+        result = scenario(SimConfig(seed=seed, without=without, **FAST))
+        assert result.ok, failure_lines(result)
+        left_out = {op.name for op in OPS if op.fault in without}
+        assert fired_ops(result).isdisjoint(left_out)
+        for fault in without & set(self.COUNTER):
+            assert result.counters.get(self.COUNTER[fault], 0) == 0, fault
+
+    def test_every_class_is_left_out_somewhere(self):
+        assert set().union(*self.HALVES) == set(FAULT_CLASSES)
+
+    def test_every_op_names_a_known_class(self):
+        assert {op.fault for op in OPS} - {None} == set(FAULT_CLASSES[:4])
+
+    def test_unknown_class_is_refused(self):
+        with pytest.raises(ValueError, match="unknown fault class"):
+            SimConfig(seed=1, without={"crashes"})
 
 
 class TestPipelined:
-    """The same chaos walk driven through the pipelined engine
-    (depth 8, coalescing on) — results, conservation, and the
-    coalescing invariant must hold under every fault schedule."""
+    """Seeds whose engine is the static depth-8 pipeline (coalescing
+    on) — results, conservation, and the coalescing invariant must hold
+    under every fault schedule."""
 
-    @pytest.mark.parametrize("seed", [3, 9, 17])
-    def test_fixed_seeds_uphold_all_invariants(self, seed):
-        result = run_scenario(SimConfig(seed=seed, pipeline=True, **FAST))
-        assert result.ok, "\n".join(str(v) for v in result.violations)
+    @pytest.mark.parametrize("start", [3, 9, 17])
+    def test_fixed_seeds_uphold_all_invariants(self, start, scenario):
+        result = scenario(SimConfig(seed=seed_for("pipeline", start), **FAST))
+        assert result.config.engine == "pipeline"
+        assert result.ok, failure_lines(result)
 
-    def test_pipelined_runs_replay_byte_identical(self):
-        config = SimConfig(seed=11, pipeline=True, **FAST)
-        first = run_scenario(config)
+    def test_pipelined_runs_replay_byte_identical(self, scenario):
+        config = SimConfig(seed=seed_for("pipeline", 11), **FAST)
+        first = scenario(config)
         second = run_scenario(config)
         assert first.digest == second.digest
 
-    def test_coalescing_actually_fires_somewhere(self):
+    def test_coalescing_actually_fires_somewhere(self, scenario):
         # The walk's small input pool makes in-batch duplicates likely;
-        # across a handful of seeds at least one batch must coalesce,
-        # otherwise the invariant never exercises its subject.
-        total = 0
-        for seed in range(6):
-            result = run_scenario(
-                SimConfig(seed=seed, pipeline=True, **FAST)
-            )
-            total += result.counters.get("runtime.coalesced_hits", 0)
-        assert total > 0
+        # across the pipelined seeds of 1..15 at least one batch must
+        # coalesce, otherwise the invariant never exercises its subject.
+        results = [
+            scenario(SimConfig(seed=seed, **FAST))
+            for seed in range(1, 16) if SimConfig(seed=seed).engine == "pipeline"
+        ]
+        assert sum(r.counters.get("runtime.coalesced_hits", 0) for r in results) > 0
 
-    def test_conservation_holds_with_coalesced_hits(self):
-        result = run_scenario(SimConfig(seed=9, pipeline=True, **FAST))
+    def test_conservation_holds_with_coalesced_hits(self, scenario):
+        result = scenario(SimConfig(seed=seed_for("pipeline", 4), **FAST))
         c = result.counters
+        assert c["runtime.coalesced_hits"] > 0
         assert (
             c["runtime.hits"] + c["runtime.misses"] + c["runtime.degraded_calls"]
             == c["runtime.calls"]
         )
 
-    def test_repro_string_carries_the_pipeline_flag(self):
-        config = SimConfig(seed=5, pipeline=True)
-        assert "--pipeline" in config.repro_string()
-
 
 class TestAdaptive:
-    """The chaos walk with the AIMD depth controller sizing the engine
-    window — invariant 8 (adaptive runs are byte-identical to a depth-1
-    replay) plus replayability of the controller's decision log."""
+    """Seeds whose engine is the AIMD depth controller — invariant 8
+    (adaptive runs are byte-identical to a depth-1 replay) plus
+    replayability of the controller's decision log."""
 
-    @pytest.mark.parametrize("seed", [3, 9, 17])
-    def test_fixed_seeds_uphold_all_invariants(self, seed):
-        result = run_scenario(SimConfig(seed=seed, adaptive=True, **FAST))
-        assert result.ok, "\n".join(str(v) for v in result.violations)
+    @pytest.mark.parametrize("start", [3, 9, 17])
+    def test_fixed_seeds_uphold_all_invariants(self, start, scenario):
+        result = scenario(SimConfig(seed=seed_for("adaptive", start), **FAST))
+        assert result.config.engine == "adaptive"
+        assert result.ok, failure_lines(result)
+        assert result.checked["adaptive_identity"] == 1
 
-    def test_adaptive_runs_replay_byte_identical(self):
+    def test_adaptive_runs_replay_byte_identical(self, scenario):
         # The digested trace includes the controller's decision log, so
         # a matching digest pins both results and depth decisions.
-        config = SimConfig(seed=11, adaptive=True, **FAST)
-        first = run_scenario(config)
+        config = SimConfig(seed=seed_for("adaptive", 11), **FAST)
+        first = scenario(config)
         second = run_scenario(config)
         assert first.digest == second.digest
         assert first.values == second.values
 
-    def test_controller_decisions_join_the_trace(self):
-        result = run_scenario(SimConfig(seed=9, adaptive=True, **FAST))
+    def test_controller_decisions_join_the_trace(self, scenario):
+        result = scenario(SimConfig(seed=seed_for("adaptive", 8), **FAST))
         adaptive_lines = [l for l in result.trace if l.startswith("phase=adaptive")]
         assert len(adaptive_lines) == 1
         assert "decisions=" in adaptive_lines[0]
         assert "log=" in adaptive_lines[0]
         assert result.counters.get("engine.depth_decisions", 0) > 0
 
-    def test_adaptive_values_match_depth_one_replay(self):
+    def test_adaptive_values_match_depth_one_replay(self, scenario):
         # Invariant 8, checked from the outside: the runner already
         # replays internally; here the depth-1 stream is rebuilt
         # independently and compared call-for-call.
-        config = SimConfig(seed=17, adaptive=True, **FAST)
-        adaptive = run_scenario(config)
-        reference = run_scenario(SimConfig(
-            seed=17, pipeline=True, pipeline_depth=1, **FAST
-        ))
+        config = SimConfig(seed=seed_for("adaptive", 17), **FAST)
+        adaptive = scenario(config)
+        reference = run_scenario(config, _replay_depth=1)
         assert adaptive.values == reference.values
+        assert not any(l.startswith("phase=adaptive") for l in reference.trace)
 
-    def test_adaptive_implies_pipeline_in_repro_string(self):
-        config = SimConfig(seed=5, adaptive=True)
-        assert "--adaptive" in config.repro_string()
-
-    def test_adaptive_composes_with_migration(self):
+    def test_adaptive_composes_with_migration(self, scenario):
         # Adaptive depth + an open dual-ownership window: invariant 8
         # and the placement invariants must hold together.  (The walk's
         # short rounds keep raw depth below the migration cap, so the
         # cap counter itself is pinned by the engine unit tests.)
-        for seed in (3, 9, 17):
-            result = run_scenario(SimConfig(
-                seed=seed, adaptive=True, migrate=True, steps=30, shards=3,
-            ))
-            assert result.ok, "\n".join(str(v) for v in result.violations)
+        for seed in (2, 20):
+            result = scenario(SimConfig(seed=seed, **FAST))
+            assert result.config.engine == "adaptive"
+            assert result.ok, failure_lines(result)
+            assert "mig_open" in fired_ops(result)
             assert result.counters.get("engine.depth_decisions", 0) > 0
 
 
 class TestPlannedMigration:
-    """The ``--migrate`` walk's planned-transition branch: one window
-    batching 2 joins + 1 leave + 1 reweight, opened mid-chaos."""
+    """The walk's planned-transition branch: one window batching
+    2 joins + 1 leave + 1 reweight, opened mid-chaos."""
 
-    def test_plan_branch_fires_and_holds_invariants(self):
-        # Seeds whose chaos walk opens a planned multi-change window;
-        # the settle phase drains it with every invariant green.
-        for seed in (7, 8, 9):
-            result = run_scenario(SimConfig(
-                seed=seed, migrate=True, steps=30, shards=3,
-            ))
-            assert result.ok, "\n".join(str(v) for v in result.violations)
+    def test_plan_branch_fires_and_holds_invariants(self, scenario):
+        # One seed per engine whose walk opens a planned multi-change
+        # window; the settle phase drains it with every invariant green.
+        for seed in (1, 9, 20):
+            result = scenario(SimConfig(seed=seed, **FAST))
+            assert result.ok, failure_lines(result)
             plan_lines = [
                 line for line in result.trace
                 if "op=mig_open kind=plan" in line
@@ -177,52 +252,49 @@ class TestPlannedMigration:
             assert "-shard-" in plan_lines[0]  # a leave rode along
             assert "~shard-" in plan_lines[0]  # and a reweight
 
-    def test_plan_survives_participant_power_fail(self):
-        # Seed 8 power-fails a joiner mid-plan, seed 9 the leaver; the
-        # window still drains and the single-owner invariant holds.
-        for seed in (8, 9):
-            result = run_scenario(SimConfig(
-                seed=seed, migrate=True, steps=30, shards=3,
-            ))
-            assert result.ok, "\n".join(str(v) for v in result.violations)
-            assert any("op=mig_powerfail" in line for line in result.trace)
+    def test_plan_survives_participant_power_fail(self, scenario):
+        # Seed 29 (adaptive) power-fails a joiner mid-plan, seed 99
+        # (serial) the leaver; the window still drains and the
+        # single-owner invariant holds.
+        for seed in (29, 99):
+            result = scenario(SimConfig(seed=seed, **FAST))
+            assert result.ok, failure_lines(result)
+            assert "mig_powerfail shard=" in "\n".join(result.trace)
             assert any(
-                "migration=plan finished" in line for line in result.trace
+                "migration=plan finished" in line
+                or "op=mig_finish kind=plan" in line
+                for line in result.trace
             )
+
+
+class TestFindings:
+    """Failures the schedule found that this tree records as DESIGN
+    deviations instead of fixing.  Each is a strict xfail: the change
+    that fixes it flips the test."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "DESIGN 'a range hand-off trusts any live source': a range commits "
+        "from live sources only, so an acked PUT whose one copy sits on a "
+        "dead source is lost when the window closes"
+    ))
+    def test_hand_off_keeps_an_acked_put_held_only_by_a_dead_source(self):
+        # A PUT acked by one replica while the other was down; that replica
+        # then dies and a plan drains it: its ranges commit from the live
+        # replica, which never had the entry.
+        result = run_scenario(SimConfig(
+            seed=198, steps=49, without={"drop", "delay", "corrupt"},
+        ))
+        assert result.ok, failure_lines(result)
 
 
 @pytest.mark.slow_sim
 class TestSweep:
-    def test_fifty_generated_schedules_pass(self):
-        failures = []
-        for seed in range(50):
-            result = run_scenario(SimConfig(seed=seed))
-            if not result.ok:
-                failures.append(result)
-        assert not failures, "\n".join(
-            violation_line
-            for result in failures
-            for violation_line in (result.repro, *map(str, result.violations))
-        )
-
-    def test_fifty_pipelined_schedules_pass(self):
-        failures = []
-        for seed in range(50):
-            result = run_scenario(SimConfig(seed=seed, pipeline=True))
-            if not result.ok:
-                failures.append(result)
-        assert not failures, "\n".join(
-            violation_line
-            for result in failures
-            for violation_line in (result.repro, *map(str, result.violations))
-        )
-
-    def test_fifty_adaptive_schedules_pass(self):
-        failures = []
-        for seed in range(50):
-            result = run_scenario(SimConfig(seed=seed, adaptive=True))
-            if not result.ok:
-                failures.append(result)
+    def test_generated_schedules_pass(self):
+        # 150 seeds: fifty per engine.
+        failures = [
+            result for seed in range(150)
+            if not (result := run_scenario(SimConfig(seed=seed))).ok
+        ]
         assert not failures, "\n".join(
             violation_line
             for result in failures
@@ -249,16 +321,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "op=" in out and "phase=settle" in out
 
-    def test_pipeline_flag_exits_zero(self, capsys):
-        code = main(["--seed", "3", "--steps", "12", "--shards", "2",
-                     "--pipeline"])
+    @pytest.mark.parametrize("engine", ["serial", "pipeline", "adaptive"])
+    def test_engine_seed_exits_zero_and_names_its_engine(self, engine, capsys):
+        code = main(["--seed", str(seed_for(engine, 3)), "--steps", "12",
+                     "--shards", "2"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "digest=" in out and "OK" in out
+        assert f"engine={engine}" in out and "OK" in out
 
-    def test_adaptive_flag_exits_zero(self, capsys):
-        code = main(["--seed", "3", "--steps", "12", "--shards", "2",
-                     "--adaptive"])
-        out = capsys.readouterr().out
+    def test_without_flag_exits_zero(self, capsys):
+        code = main(["--seed", "3", "--steps", "12", "--without", "crash,partition"])
         assert code == 0
-        assert "digest=" in out and "OK" in out
+        assert "OK" in capsys.readouterr().out
+
+    def test_unknown_without_class_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--seed", "3", "--without", "crash,bogus"])
+        assert exit_info.value.code == 2
+        assert "unknown fault class(es) bogus" in capsys.readouterr().err

@@ -3,7 +3,7 @@
 
 from types import SimpleNamespace
 
-from repro.simtest import SimConfig, shrink
+from repro.simtest import FAULT_CLASSES, SimConfig, shrink
 
 
 def oracle(predicate):
@@ -29,20 +29,18 @@ class TestShrink:
     def test_irrelevant_fault_classes_are_disabled(self):
         config = SimConfig(seed=1, steps=40)
         smaller, _ = shrink(
-            config, run=oracle(lambda c: c.steps >= 5 and c.drop_rate > 0)
+            config, run=oracle(lambda c: c.steps >= 5 and "drop" not in c.without)
         )
-        assert smaller.drop_rate > 0          # load-bearing: kept
-        assert smaller.corruption_ops is False  # irrelevant: dropped
-        assert smaller.partition_ops is False
-        assert smaller.crash_ops is False
+        # Load-bearing "drop" is kept; every other class is left out.
+        assert smaller.without == set(FAULT_CLASSES) - {"drop"}
         assert smaller.steps == 5
 
     def test_needed_fault_class_is_preserved(self):
         config = SimConfig(seed=1, steps=20)
         smaller, _ = shrink(
-            config, run=oracle(lambda c: c.corruption_ops and c.steps >= 3)
+            config, run=oracle(lambda c: "tamper" not in c.without and c.steps >= 3)
         )
-        assert smaller.corruption_ops is True
+        assert "tamper" not in smaller.without
         assert smaller.steps == 3
 
     def test_run_budget_is_respected(self):
