@@ -9,7 +9,7 @@ transitions plus a channel record), and the PUT on a miss.
 all duplicate checks as ONE batched message, and queues all PUTs
 together; the in-enclave L1 cache additionally serves repeats without
 any network traffic at all.  ``map_results`` exposes the per-item
-:class:`~repro.DedupResult`, so the example can say exactly where each
+:class:`~repro.core.runtime.DedupResult`, so the example can say exactly where each
 item came from.
 
 Run:  python examples/batch_pipeline.py

@@ -18,7 +18,6 @@ Run:  python examples/multi_tenant_policy.py
 import repro
 from repro import (
     FunctionDescription,
-    QuotaPolicy,
     RuntimeConfig,
     StoreConfig,
     TrustedLibrary,
@@ -27,6 +26,7 @@ from repro import (
 from repro.apps.compress import deflate
 from repro.core.adaptive import AdaptiveDedupPolicy
 from repro.sgx.measurement import measure_code
+from repro.store import QuotaPolicy
 from repro.store.authorization import AuthorizationError, AuthorizationPolicy
 from repro.workloads import synthetic_text
 

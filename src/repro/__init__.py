@@ -25,34 +25,25 @@ Ported trusted libraries register the same way as before, through
 :class:`TrustedLibrary` / :class:`FunctionDescription`, and execute via
 ``session.execute(description, *args)`` or ``session.deduplicable()``.
 
-:func:`connect` is built on the lower-level constructors
-(:class:`Deployment`, :class:`ClusterDeployment`, :class:`DedupRuntime`,
-...), which stay exported for code that assembles a topology by hand
-(the bench harness, tests); a session adds the tracer and the metrics
-registry on top of the same wiring.
+The package exports what that story needs and nothing more: :func:`connect`
+and its :class:`Session`, the registry and configs an application is
+given (:class:`TrustedLibraryRegistry`, :class:`RuntimeConfig`,
+:class:`StoreConfig`), the topology API (:class:`TopologyPlan`,
+:class:`TopologyReport`) and the error classes.  Everything
+:func:`connect` is built on — the
+``Deployment`` / ``ClusterDeployment`` wiring, ``DedupRuntime``, the
+store, the cluster, the engine, the tracer — is imported from its
+subpackage (``repro.deployment``, ``repro.core``, ``repro.store``,
+``repro.cluster``, ``repro.engine``, ``repro.obs``, ...).
 """
 
-from . import obs
-from .cluster import (
-    ClusterConfig,
-    ClusterRouter,
-    ShardRing,
-    StoreCluster,
-    TopologyPlan,
-)
-from .core import (
-    CrossAppScheme,
-    Deduplicable,
-    DedupResult,
-    DedupRuntime,
+from .cluster.ring import TopologyPlan
+from .core.description import (
     FunctionDescription,
-    PlaintextScheme,
-    RuntimeConfig,
-    SingleKeyScheme,
     TrustedLibrary,
     TrustedLibraryRegistry,
 )
-from .deployment import Application, ClusterDeployment, Deployment
+from .core.runtime import RuntimeConfig
 from .errors import (
     ChannelError,
     DedupError,
@@ -70,63 +61,34 @@ from .errors import (
     error_codes,
     error_for_code,
 )
-from .engine import EngineConfig, PipelineEngine
-from .obs import MetricsRegistry, Span, Tracer
-from .report import ReportMixin
 from .session import Session, TopologyReport, connect
-from .sgx import CostParams, SgxPlatform
-from .store import QuotaPolicy, ResultStore, StoreConfig
+from .store.resultstore import StoreConfig
 
 __version__ = "1.1.0"
 
 __all__ = [
-    "Application",
     "ChannelError",
-    "ClusterConfig",
-    "ClusterDeployment",
-    "ClusterRouter",
-    "CostParams",
-    "CrossAppScheme",
-    "Deduplicable",
     "DedupError",
-    "DedupResult",
-    "DedupRuntime",
-    "Deployment",
-    "EngineConfig",
     "FunctionDescription",
-    "MetricsRegistry",
     "MigrationError",
     "MigrationInProgressError",
     "MigrationIngestError",
     "MigrationStateError",
     "NoLiveOwnerError",
-    "PipelineEngine",
-    "PlaintextScheme",
     "QuotaExceededError",
-    "QuotaPolicy",
-    "ReportMixin",
-    "ResultStore",
     "RollbackError",
     "RuntimeConfig",
     "Session",
-    "SgxPlatform",
-    "ShardRing",
-    "SingleKeyScheme",
-    "Span",
     "SpeedError",
-    "StoreCluster",
     "StoreConfig",
     "StoreError",
     "TopologyPlan",
     "TopologyReport",
-    "Tracer",
     "TransportError",
     "TrustedLibrary",
     "TrustedLibraryRegistry",
     "VerificationError",
-    "__version__",
     "connect",
     "error_codes",
     "error_for_code",
-    "obs",
 ]

@@ -42,10 +42,9 @@ from ..core.scheme import CHALLENGE_SIZE, KEY_SIZE
 from ..core.tag import derive_locking_hash, derive_tag
 from ..crypto import gcm
 from ..crypto.drbg import HmacDrbg
-from ..deployment import ClusterDeployment, Deployment
 from ..errors import SpeedError
 from ..net.messages import GetRequest
-from ..obs.tracer import Tracer
+from ..session import connect
 from ..sgx.cost_model import CostParams, SimClock
 from ..store.resultstore import StoreConfig
 from ..workloads import (
@@ -73,22 +72,11 @@ def _ratio(numerator: str, denominator: str, undefined: float = 0.0):
     return formula
 
 
-def _case_app(case: CaseStudy, deployment, name: str,
-              config: RuntimeConfig | None = None):
-    """An application linking only ``case``'s trusted library."""
+def _libraries(case: CaseStudy) -> TrustedLibraryRegistry:
+    """A registry holding only ``case``'s trusted library."""
     libraries = TrustedLibraryRegistry()
     case.register_into(libraries)
-    return deployment.create_application(name, libraries, config)
-
-
-def _store_client(deployment, name: str, sgx: bool = True):
-    """A raw store client in its own enclave (none when the store runs
-    without SGX): the Fig. 6 regime bypasses ``DedupRuntime``."""
-    enclave = (
-        deployment.platform.create_enclave(name, f"{name}-code".encode())
-        if sgx else None
-    )
-    return deployment.store.connect(f"{name}-addr", app_enclave=enclave), enclave
+    return libraries
 
 
 def _gets(puts: list) -> list[GetRequest]:
@@ -137,22 +125,23 @@ def _measure_case(case: CaseStudy, input_value: Any, seed: bytes, trials: int) -
         trial_seed = seed + trial.to_bytes(2, "big")
 
         # Baseline: without SPEED.
-        d_base = Deployment(seed=trial_seed + b"/base")
-        records["baseline"].append(call(_case_app(
-            case, d_base, "baseline", no_dedup_runtime_config("baseline")
-        )))
+        records["baseline"].append(call(connect(
+            seed=trial_seed + b"/base", app_name="baseline", libraries=_libraries(case),
+            runtime_config=no_dedup_runtime_config("baseline"), tracing=False,
+        ).app))
 
         # Initial computation: SPEED with an empty store, synchronous PUT
         # (the paper's Init. Comp. includes "the time for secure storing
         # [the] result").
-        d = Deployment(seed=trial_seed + b"/speed")
-        records["init"].append(call(_case_app(
-            case, d, "app-initial",
-            RuntimeConfig(app_id="app-initial", async_put=False),
-        )))
+        session = connect(
+            seed=trial_seed + b"/speed", app_name="app-initial", libraries=_libraries(case),
+            runtime_config=RuntimeConfig(app_id="app-initial", async_put=False),
+            tracing=False,
+        )
+        records["init"].append(call(session.app))
 
         # Subsequent computation: a second application, same computation.
-        record = call(_case_app(case, d, "app-subsq"))
+        record = call(session.sibling("app-subsq").app)
         if not record.hit:
             raise SpeedError("subsequent computation unexpectedly missed the store")
         records["subsq"].append(record)
@@ -314,19 +303,20 @@ def run_fig6(sizes: list[int], ops: int, seed: int = 13):
     for use_sgx in (True, False):
         for size in sizes:
             label = bytes([use_sgx]) + size.to_bytes(4, "big")
-            d = Deployment(
-                seed=b"fig6" + label, store_config=StoreConfig(use_sgx=use_sgx),
+            session = connect(
+                seed=b"fig6" + label, app_name="fig6-client",
+                store_config=StoreConfig(use_sgx=use_sgx), tracing=False,
             )
-            client, enclave = _store_client(d, "fig6-client", sgx=use_sgx)
+            client = session.runtime.client
             drbg = HmacDrbg(seed.to_bytes(4, "big"), b"fig6")
             puts = put_stream(drbg, ops, size, b"fig6-tag" + label, "fig6")
 
-            probe = Probe(d, client=client, enclave=enclave)
+            probe = Probe(session)
             for put in puts:
                 client.call(put)
             put_delta = probe.delta()
 
-            probe = Probe(d, client=client, enclave=enclave)
+            probe = Probe(session)
             _get_all(client, _gets(puts))
             yield dict(size_bytes=size, use_sgx=use_sgx, ops=ops,
                        probe={"put": put_delta, "get": probe.delta()})
@@ -351,14 +341,20 @@ def run_ablation_schemes(text_bytes: int, seed: int = 17):
         ("single-key (III-B)", lambda: single_key_runtime_config("a")),
     ):
         case = compress_case_study()
-        d = Deployment(seed=b"a1" + name.encode())
+        session = None
         sims = []
         for app_name in ("a1-app1", "a1-app2"):
             config = config_factory()
             config.async_put = False  # the initial computation includes its PUT
-            app = _case_app(case, d, app_name, config)
-            case.deduplicable(app)(data)
-            sims.append(app.runtime.stats.records[-1].sim_seconds)
+            if session is None:
+                session = connect(
+                    seed=b"a1" + name.encode(), app_name=app_name,
+                    libraries=_libraries(case), runtime_config=config, tracing=False,
+                )
+            else:
+                session = session.sibling(app_name, runtime_config=config)
+            case.deduplicable(session.app)(data)
+            sims.append(session.stats.records[-1].sim_seconds)
         yield dict(scheme=name, sim_init_s=sims[0], sim_subsq_s=sims[1],
                    encrypted_at_rest=True)
 
@@ -387,13 +383,14 @@ def run_ablation_async_put(text_bytes: int, seed: int = 19):
     data = synthetic_text(text_bytes, seed=seed)
     for mode, async_put in (("sync PUT", False), ("async PUT", True)):
         case = compress_case_study()
-        app = _case_app(
-            case, Deployment(seed=b"a2" + mode.encode()), "a2-app",
-            RuntimeConfig(app_id="a2-app", async_put=async_put),
+        session = connect(
+            seed=b"a2" + mode.encode(), app_name="a2-app", libraries=_libraries(case),
+            runtime_config=RuntimeConfig(app_id="a2-app", async_put=async_put),
+            tracing=False,
         )
-        case.deduplicable(app)(data)
-        latency = app.runtime.stats.records[-1].sim_seconds
-        app.runtime.flush_puts()
+        case.deduplicable(session.app)(data)
+        latency = session.stats.records[-1].sim_seconds
+        session.flush_puts()
         yield dict(mode=mode, sim_init_latency_s=latency)
 
 
@@ -416,18 +413,18 @@ def run_ablation_epc(n_entries: int, result_bytes: int, epc_usable: int = 4 * MB
     """
     for design, blobs_in_epc in (("metadata-only in EPC (paper)", False),
                                  ("results inside EPC", True)):
-        d = Deployment(
-            seed=b"a3" + design.encode(),
+        session = connect(
+            seed=b"a3" + design.encode(), app_name="a3-client",
             store_config=StoreConfig(use_sgx=True, blobs_in_epc=blobs_in_epc),
-            epc_usable_bytes=epc_usable,
+            epc_usable_bytes=epc_usable, tracing=False,
         )
-        client, enclave = _store_client(d, "a3-client")
+        client = session.runtime.client
         drbg = HmacDrbg(seed.to_bytes(4, "big"), b"a3")
         puts = put_stream(drbg, n_entries, result_bytes, b"a3" + design.encode(),
                           "a3", block_bytes=1024)
         for put in puts:
             client.call(put)
-        probe = Probe(d, client=client, enclave=enclave)
+        probe = Probe(session)
         _get_all(client, _gets(puts))
         yield dict(design=design, entries=n_entries, result_bytes=result_bytes,
                    probe=probe.delta())
@@ -450,14 +447,15 @@ def run_ablation_quota(flood: int, honest: int, seed: int = 29):
         ("no quota", None),
         ("quota: 32 entries/app", QuotaPolicy(max_entries_per_app=32)),
     ):
-        d = Deployment(
-            seed=b"a4" + policy_name.encode(),
+        session = connect(
+            seed=b"a4" + policy_name.encode(), app_name="a4-honest",
             store_config=StoreConfig(
                 use_sgx=True, capacity_entries=128, eviction="lru", quota=quota
             ),
+            tracing=False,
         )
-        honest_client, _ = _store_client(d, "a4-honest")
-        attacker_client, _ = _store_client(d, "a4-attacker")
+        honest_client = session.runtime.client
+        attacker_client = session.sibling("a4-attacker").runtime.client
         drbg = HmacDrbg(seed.to_bytes(4, "big"), b"a4")
         kept = put_stream(drbg, honest, 256, b"a4-honest" + policy_name.encode(),
                           "honest")
@@ -472,7 +470,7 @@ def run_ablation_quota(flood: int, honest: int, seed: int = 29):
         )
         yield dict(
             policy=policy_name, flood_puts=flood, accepted_from_attacker=accepted,
-            honest_entries_surviving=sum(1 for p in kept if d.store.contains(p.tag)),
+            honest_entries_surviving=sum(1 for p in kept if session.store.contains(p.tag)),
         )
 
 
@@ -503,16 +501,17 @@ def run_ablation_adaptive(calls: int, seed: int = 31):
     ):
         for workload_name, make_input in workloads.items():
             case = compress_case_study()
-            d = Deployment(seed=b"a5" + policy_name.encode() + workload_name.encode())
-            app = _case_app(
-                case, d, "a5-app",
-                RuntimeConfig(app_id="a5-app", adaptive=make_policy()),
+            session = connect(
+                seed=b"a5" + policy_name.encode() + workload_name.encode(),
+                app_name="a5-app", libraries=_libraries(case),
+                runtime_config=RuntimeConfig(app_id="a5-app", adaptive=make_policy()),
+                tracing=False,
             )
-            dedup = case.deduplicable(app)
-            probe = Probe(d, runtime=app.runtime)
+            dedup = case.deduplicable(session.app)
+            probe = Probe(session)
             for i in range(calls):
                 dedup(make_input(i))
-                app.runtime.flush_puts()
+                session.flush_puts()
             yield dict(policy=policy_name, workload=workload_name, calls=calls,
                        probe=probe.delta())
 
@@ -535,23 +534,24 @@ def run_ablation_oblivious(n_entries: int, gets: int, seed: int = 37):
     """
     for design, oblivious in (("plain dictionary (paper)", False),
                               ("Path ORAM metadata", True)):
-        d = Deployment(
-            seed=b"a6" + design.encode(),
+        session = connect(
+            seed=b"a6" + design.encode(), app_name="a6-client",
             store_config=StoreConfig(
                 oblivious_metadata=oblivious,
                 oblivious_capacity=max(256, 2 * n_entries),
             ),
+            tracing=False,
         )
-        client, enclave = _store_client(d, "a6-client")
+        client = session.runtime.client
         drbg = HmacDrbg(seed.to_bytes(4, "big"), b"a6")
         puts = put_stream(drbg, n_entries, 1024, b"a6" + design.encode(), "a6")
         for put in puts:
             client.call(put)
         lookups = _gets(puts)
-        probe = Probe(d, client=client, enclave=enclave)
+        probe = Probe(session)
         _get_all(client, [lookups[i % n_entries] for i in range(gets)])
         yield dict(design=design, ops=gets, probe=probe.delta(),
-                   oram_accesses=d.store._dict.oram.accesses if oblivious else 0)
+                   oram_accesses=session.store._dict.oram.accesses if oblivious else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +570,12 @@ def run_ablation_switchless(ops: int, sizes: tuple[int, ...] = (1 * KB, 10 * KB)
     path (the Fig. 6 regime where transition cost dominates)."""
     for mode, switchless in (("classic ECALL/OCALL", False), ("switchless (HotCalls)", True)):
         for size in sizes:
-            d = Deployment(
+            session = connect(
                 seed=b"a7" + mode.encode() + size.to_bytes(4, "big"),
-                cost_params=CostParams(switchless=switchless),
+                app_name="a7-client", cost_params=CostParams(switchless=switchless),
+                tracing=False,
             )
-            client, enclave = _store_client(d, "a7-client")
+            client = session.runtime.client
             drbg = HmacDrbg(seed.to_bytes(4, "big"), b"a7")
             # Stored results are whole 4 KiB blocks (the 10 KB level
             # stores 8 KiB): the figures were recorded that way, and the
@@ -586,7 +587,7 @@ def run_ablation_switchless(ops: int, sizes: tuple[int, ...] = (1 * KB, 10 * KB)
             )
             for put in puts:
                 client.call(put)
-            probe = Probe(d, client=client, enclave=enclave)
+            probe = Probe(session)
             _get_all(client, _gets(puts))
             yield dict(mode=mode, size_bytes=size, ops=ops, probe=probe.delta())
 
@@ -608,9 +609,9 @@ def run_incremental(epochs: int, pages_per_epoch: int = 12, churn: float = 0.25,
     whose content churns by ``churn`` per epoch; the hit rate climbs to
     ``1 - churn`` and the per-epoch cost collapses accordingly."""
     case = bow_case_study()
-    d = Deployment(seed=b"e9-incremental")
-    app = _case_app(case, d, "crawler")
-    dedup = case.deduplicable(app)
+    session = connect(seed=b"e9-incremental", app_name="crawler",
+                      libraries=_libraries(case), tracing=False)
+    dedup = case.deduplicable(session.app)
 
     corpus = [synthetic_webpage(600, seed=seed + i) for i in range(pages_per_epoch)]
     next_fresh = pages_per_epoch
@@ -622,10 +623,10 @@ def run_incremental(epochs: int, pages_per_epoch: int = 12, churn: float = 0.25,
                     600, seed=seed + next_fresh
                 )
                 next_fresh += 1
-        probe = Probe(d, runtime=app.runtime)
+        probe = Probe(session)
         for page in corpus:
             dedup(page)
-            app.runtime.flush_puts()
+            session.flush_puts()
         delta = probe.delta()
         hits = delta.counters["runtime.hits"]
         yield dict(epoch=epoch, pages=pages_per_epoch,
@@ -659,14 +660,15 @@ def run_duplication_sweep(fractions: list[float], calls: int, text_bytes: int,
 
         def run(config: RuntimeConfig):
             case = compress_case_study()
-            d = Deployment(seed=b"e10-%d" % int(fraction * 100))
-            app = _case_app(case, d, "app", config)
-            dedup = case.deduplicable(app)
-            probe = Probe(d, runtime=app.runtime)
+            session = connect(seed=b"e10-%d" % int(fraction * 100),
+                              libraries=_libraries(case), runtime_config=config,
+                              tracing=False)
+            dedup = case.deduplicable(session.app)
+            probe = Probe(session)
             for doc in corpus:
                 dedup(doc)
-                app.runtime.flush_puts()
-            return probe.delta(), app.runtime.stats.hit_rate()
+                session.flush_puts()
+            return probe.delta(), session.stats.hit_rate()
 
         speed, hit_rate = run(RuntimeConfig(app_id="speed"))
         base, _ = run(no_dedup_runtime_config("base"))
@@ -719,17 +721,16 @@ def run_batch_store(batch_sizes: list[int], ops: int, size_bytes: int, seed: int
     in batches of each sweep size.  Batch size 1 uses the plain per-item
     wire path, so it is the unbatched baseline."""
     for batch in batch_sizes:
-        d = Deployment(
-            seed=b"batch-store" + batch.to_bytes(4, "big"),
+        session = connect(
+            seed=b"batch-store" + batch.to_bytes(4, "big"), app_name="batch-client",
             store_config=StoreConfig(use_sgx=True),
-            tracer=Tracer(),
         )
-        client, enclave = _store_client(d, "batch-client")
+        client = session.runtime.client
         drbg = HmacDrbg(seed.to_bytes(4, "big"), b"batch")
         puts = put_stream(drbg, ops, size_bytes,
                           b"batch-tag" + batch.to_bytes(4, "big"), "batch")
         for phase, requests in (("put", puts), ("get", _gets(puts))):
-            probe = Probe(d, client=client, enclave=enclave)
+            probe = Probe(session)
             for chunk in _chunks(requests, batch):
                 responses = (
                     [client.call(chunk[0])] if len(chunk) == 1
@@ -760,22 +761,19 @@ def run_batch_execute(batch_sizes: list[int], calls: int, text_bytes: int,
     ]
     reference = None
     for phase, batch, seed_tag, l1 in runs:
-        d = Deployment(seed=b"batch-exec" + seed_tag, tracer=Tracer())
-        app = _case_app(case, d, "batch-app", RuntimeConfig(app_id="batch-app", **l1))
-        dedup = case.deduplicable(app)
-        probe = Probe(d, runtime=app.runtime)
+        session = connect(
+            seed=b"batch-exec" + seed_tag, app_name="batch-app", libraries=_libraries(case),
+            runtime_config=RuntimeConfig(app_id="batch-app", **l1),
+        )
+        dedup = case.deduplicable(session.app)
+        probe = Probe(session)
         results = []
         for chunk in _chunks(corpus, batch):
             if batch == 1:  # the sequential reference: one execute per document
                 results.append(dedup(chunk[0]))
-            else:
-                results.extend(app.runtime.execute_many(
-                    case.description, chunk,
-                    input_parser=case.input_parser,
-                    result_parser=case.result_parser,
-                    native_factor=case.native_factor,
-                ))
-            app.runtime.flush_puts()
+            else:  # one execute_many per chunk
+                results.extend(dedup.map(chunk))
+            session.flush_puts()
         delta = probe.delta()
         reference = reference or results
         yield dict(phase=phase, batch_size=batch, ops=calls, size_bytes=text_bytes,
@@ -785,12 +783,13 @@ def run_batch_execute(batch_sizes: list[int], calls: int, text_bytes: int,
 # ---------------------------------------------------------------------------
 # Cluster — sharded ResultStore scaling and failover
 # ---------------------------------------------------------------------------
-def _cluster_phase(d, router, enclave, requests: list, expect_found: bool):
-    """Run one request phase; returns ``(delta, GETs that found nothing)``."""
-    probe = Probe(d, client=router, enclave=enclave)
+def _cluster_phase(session, requests: list, expect_found: bool):
+    """Run one request phase through the session's own router; returns
+    ``(delta, GETs that found nothing)``."""
+    probe = Probe(session)
     lost = 0
     for request in requests:
-        response = router.call(request)
+        response = session.runtime.client.call(request)
         if expect_found and not response.found:
             lost += 1
     return probe.delta(), lost
@@ -823,7 +822,7 @@ def run_cluster(shard_counts: list[int], ops: int,
     """Cluster scaling sweep plus a failover run, Fig. 6 regime.
 
     The sweep drives ``ops`` PUTs then ``ops`` GETs of all-different
-    items through a :class:`~repro.deployment.ClusterDeployment` at each
+    items through a cluster session (``connect(shards=n)``) at each
     (shard count, replication factor); the single-shard RF-1 run *is*
     the single-store baseline (same code path, one shard owning the
     whole ring).  The failover run then kills one of four shards mid
@@ -831,18 +830,16 @@ def run_cluster(shard_counts: list[int], ops: int,
     and read-repair refilling the shard after it revives.
     """
     def cluster(seed_tag: bytes, label: bytes, n: int, rf: int):
-        d = ClusterDeployment(
-            seed=seed_tag, n_shards=n, replication_factor=rf, tracer=Tracer(),
-        )
-        enclave = d.platform.create_enclave("cluster-bench", b"cluster-bench-code")
+        session = connect(shards=n, replication_factor=rf, seed=seed_tag,
+                          app_name="cluster-bench")
         drbg = HmacDrbg(seed.to_bytes(4, "big"), b"cluster" + label)
         puts = put_stream(drbg, ops, size_bytes, b"cluster-tag" + label,
                           "cluster-bench")
-        return d, d.cluster.connect("cluster-bench", enclave), enclave, puts
+        return session, puts
 
-    def row(phase: str, d, delta, lost: int, baseline: float = 0.0) -> dict:
-        return dict(phase=phase, n_shards=len(d.cluster.shards),
-                    replication_factor=d.cluster.config.replication_factor,
+    def row(phase: str, session, delta, lost: int, baseline: float = 0.0) -> dict:
+        return dict(phase=phase, n_shards=len(session.cluster.shards),
+                    replication_factor=session.cluster.config.replication_factor,
                     ops=ops, size_bytes=size_bytes, results_lost=lost,
                     baseline_sim_s=baseline, probe=delta)
 
@@ -859,23 +856,24 @@ def run_cluster(shard_counts: list[int], ops: int,
     baselines: dict[str, float] = {}
     for n, rf in configs:
         label = bytes([n, rf])
-        d, router, enclave, puts = cluster(b"bench-cluster" + label, label, n, rf)
+        session, puts = cluster(b"bench-cluster" + label, label, n, rf)
         for phase, requests in (("put", puts), ("get", _gets(puts))):
-            delta, lost = _cluster_phase(d, router, enclave, requests, phase == "get")
+            delta, lost = _cluster_phase(session, requests, phase == "get")
             if (n, rf) == (1, 1):
                 baselines[phase] = delta.bottleneck_s
-            yield row(phase, d, delta, lost, baselines[phase])
+            yield row(phase, session, delta, lost, baselines[phase])
 
     # Failover: 4 shards, RF 2; shard-0 dies after half the writes.
-    d, router, enclave, puts = cluster(b"bench-cluster-failover", b"failover", 4, 2)
+    session, puts = cluster(b"bench-cluster-failover", b"failover", 4, 2)
+    router = session.runtime.client
     for put in puts[: ops // 2]:
         router.call(put)
-    d.cluster.kill_shard("shard-0")
+    session.kill_shard("shard-0")
     for put in puts[ops // 2:]:
         router.call(put)
-    yield row("failover-get", d, *_cluster_phase(d, router, enclave, _gets(puts), True))
-    d.cluster.revive_shard("shard-0")
-    yield row("repair-get", d, *_cluster_phase(d, router, enclave, _gets(puts), True))
+    yield row("failover-get", session, *_cluster_phase(session, _gets(puts), True))
+    session.revive_shard("shard-0")
+    yield row("repair-get", session, *_cluster_phase(session, _gets(puts), True))
     router.drain_responses()  # absorb the read-repair acks
 
 
@@ -889,9 +887,9 @@ def _pipeline_inputs(ops: int, seed: int) -> list[bytes]:
     ]
 
 
-def _replay(session, description, inputs: list, engine=None):
+def _replay(session, description, inputs: list):
     """One batch through ``session``; returns ``(delta, result values)``."""
-    probe = Probe(session.deployment, runtime=session.runtime, engine=engine)
+    probe = Probe(session)
     results = session.execute_many_results(description, inputs)
     return probe.delta(), [r.value for r in results]
 
@@ -936,8 +934,6 @@ def run_pipeline(depths: list[int], ops: int, duplicates: int,
     store GET per call while the engine's single-flight mode takes
     exactly one round trip and serves the rest as coalesced hits.
     """
-    from ..session import connect
-
     # Defined here, not at module level: its qualified name is part of
     # every tag (see _regenerated_as below), and so of the placement the
     # recorded depth x shards figures were regenerated under.
@@ -954,8 +950,9 @@ def run_pipeline(depths: list[int], ops: int, duplicates: int,
         serial_s = base_values = None
         for depth, name in readers.items():
             reader = writer.sibling(name)
-            engine = reader.enable_pipeline(depth=depth, workers=workers) if depth else None
-            delta, values = _replay(reader, kernel.description, inputs, engine)
+            if depth:
+                reader.enable_pipeline(depth=depth, workers=workers)
+            delta, values = _replay(reader, kernel.description, inputs)
             if not depth:
                 serial_s, base_values = delta.machines_s, values
             yield dict(phase=phase, n_shards=n_shards, depth=depth,
@@ -992,8 +989,6 @@ def _durable_session(group_commit: int, seed_tag: bytes, durable: bool = True):
     the shard clock isolates the PUT-path cost) with an effectively
     infinite checkpoint interval: the sweep measures pure logging and
     pure replay, not checkpoint scheduling."""
-    from ..session import connect
-
     config = StoreConfig(
         durable=True, wal_group_commit=group_commit,
         checkpoint_interval=1 << 30,
@@ -1015,7 +1010,7 @@ def _durable_fill(session, ops: int, payload_bytes: int):
     inputs = [
         i.to_bytes(4, "big") * (payload_bytes // 4) for i in range(ops)
     ]
-    probe = Probe(session.deployment)
+    probe = Probe(session)
     durable_kernel.map(inputs)
     session.flush_puts()
     delta = probe.delta()
@@ -1099,7 +1094,7 @@ def run_durable(group_commits: list[int], log_lengths: list[int], ops: int,
         session = _durable_session(8, base_tag + b"/rec" + length.to_bytes(4, "big"))
         _delta, wal = _durable_fill(session, length, 256)
         (shard_id,) = session.cluster.shards
-        probe = Probe(session.deployment)
+        probe = Probe(session)
         report = session.power_fail_shard(shard_id)
         yield row("recovery", 8, length, probe.delta(), wal, report=report)
 
@@ -1208,7 +1203,7 @@ def _foreground_rounds(session, kernel, inputs: list[bytes], rounds: int, *,
         out["batches"] += migrator.batches
         out["foreground_stalls"] += migrator.stalled_batches
 
-    probe = Probe(reader.deployment, runtime=reader.runtime, engine=engine)
+    probe = Probe(reader)
     migrator = None
     for round_index in range(rounds):
         if migrator is None and unopened:
@@ -1240,11 +1235,10 @@ def _foreground_rounds(session, kernel, inputs: list[bytes], rounds: int, *,
 
 
 def _topology_session(n_shards: int, seed_tag: bytes, vnodes: int = 4):
-    from ..session import connect
-
     # Non-durable shards: these sweeps measure foreground throughput, not
-    # crash-safety (simtest --migrate covers that), so the hand-off marks
-    # stay in-memory and the WAL's fsync costs don't mask the comparison.
+    # crash-safety (every simtest run draws migration ops on durable
+    # stores), so the hand-off marks stay in-memory and the WAL's fsync
+    # costs don't mask the comparison.
     return connect(
         shards=n_shards, replication_factor=2, seed=seed_tag,
         tracing=False, vnodes=vnodes,
@@ -1403,8 +1397,6 @@ def run_adaptive(depths: list[int], ops: int, rounds: int, workers: int = 4,
     moment the hand-off drains, so the cap lifts mid-run.  Bound:
     foreground throughput stays >= 0.70x of the no-join auto baseline.
     """
-    from ..session import connect
-
     max_depth = max(16, max(depths))
     auto = dict(workers=workers, min_depth=1, max_depth=max_depth)
 
@@ -1429,7 +1421,7 @@ def run_adaptive(depths: list[int], ops: int, rounds: int, workers: int = 4,
         reader = writer.sibling(f"adaptive-reader-{depth}")
         engine = reader.enable_pipeline(depth=depth, **auto) if depth else None
         reader.execute_many_results(description, warm_inputs)  # prime
-        delta, values = _replay(reader, description, measured, engine)
+        delta, values = _replay(reader, description, measured)
         if not depth:
             serial_s, base_values = delta.machines_s, values
         yield dict(phase="get-heavy", n_shards=4, depth=str(depth), ops=ops,

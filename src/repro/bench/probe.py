@@ -36,7 +36,7 @@ class Delta:
 
     @property
     def app_s(self) -> float:
-        """One machine.  On a ``Deployment`` the store shares the
+        """One machine.  In a single-store session the store shares the
         application's machine, so this is the whole cost; on a cluster
         it is the client side only."""
         return self.app_cycles / self.freq_hz
@@ -71,38 +71,31 @@ class Delta:
 class Probe:
     """Snapshot on construction; :meth:`delta` subtracts.
 
-    ``deployment`` is a ``Deployment`` or ``ClusterDeployment``; the
-    requester is named by its ``runtime`` (an application's
-    ``DedupRuntime``) or, for raw store clients, by ``client`` and
-    ``enclave``.  ``engine`` adds the pipelined engine's accounting.
+    ``session`` (a :class:`~repro.session.Session`) names the requester:
+    its application's runtime, store client and enclave, the pipelined
+    engine attached to that runtime (if any), and every store of its
+    deployment — the one ``ResultStore``, or each shard with its machine
+    clock.
     """
 
-    def __init__(self, deployment, runtime=None, client=None, enclave=None,
-                 engine=None):
-        if runtime is not None:
-            client, enclave = runtime.client, runtime.enclave
-        cluster = getattr(deployment, "cluster", None)
-        stores = (
-            [node.store for node in cluster.shards.values()]
-            if cluster is not None else [deployment.store]
-        )
-        self._epc = deployment.platform.epc
-        self._tracer = deployment.tracer
-        self._engine = engine
-        self._client = client
+    def __init__(self, session):
+        runtime = session.runtime
+        shards = session.cluster.shards if session.is_cluster else {}
+        stores = [node.store for node in shards.values()] or [session.store]
+        self._epc = session.platform.epc
+        self._tracer = session.tracer
+        self._engine = runtime.engine
+        self._client = runtime.client
         self._enclaves = [
-            e for e in (enclave, *(store.enclave for store in stores))
+            e for e in (session.enclave, *(store.enclave for store in stores))
             if e is not None
         ]
-        self._sources = [store.stats.snapshot for store in stores]
-        if runtime is not None:
-            self._sources.append(runtime.stats.snapshot)
-        if client is not None:
-            self._sources.append(client.snapshot)
-        self._app_clock = deployment.clock
-        self._shard_clocks = {
-            sid: node.platform.clock for sid, node in cluster.shards.items()
-        } if cluster is not None else {}
+        self._sources = [
+            *(store.stats.snapshot for store in stores),
+            runtime.stats.snapshot, runtime.client.snapshot,
+        ]
+        self._app_clock = session.clock
+        self._shard_clocks = {sid: node.platform.clock for sid, node in shards.items()}
         self._app0 = self._app_clock.snapshot()
         self._shard0 = {sid: c.snapshot() for sid, c in self._shard_clocks.items()}
         self._marks = self._read()
@@ -115,7 +108,7 @@ class Probe:
             overlap_cycles=engine.overlap_cycles_saved if engine else 0.0,
             makespan_cycles=engine.makespan_cycles if engine else 0.0,
             transitions=sum(e.transition_count for e in self._enclaves),
-            records=self._client.records_sent if self._client else 0,
+            records=self._client.records_sent,
             faults=self._epc.fault_count,
         )
         counters: dict = {}

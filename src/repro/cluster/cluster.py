@@ -53,7 +53,6 @@ class ClusterConfig:
     # Template applied to every shard (it is frozen, so sharing is safe);
     # each shard still gets its own QuotaManager/eviction state from it.
     store_config: StoreConfig = field(default_factory=StoreConfig)
-    epc_usable_bytes: int | None = None
 
 
 @dataclass
@@ -108,15 +107,11 @@ class StoreCluster:
         self, shard_id: str | None = None, register: bool = True
     ) -> ShardNode:
         shard_id = shard_id or f"shard-{self._spawned}"
-        platform_kwargs = {}
-        if self.config.epc_usable_bytes is not None:
-            platform_kwargs["epc_usable_bytes"] = self.config.epc_usable_bytes
         platform = SgxPlatform(
             seed=self._seed + b"/" + shard_id.encode(),
             name=shard_id,
             params=self._cost_params,
             attestation_service=self.attestation,
-            **platform_kwargs,
         )
         store = ResultStore(
             platform,

@@ -1,13 +1,15 @@
-"""One-call wiring of a full SPEED deployment.
+"""The wiring under :func:`repro.connect`.
 
-Experiments, examples, and tests all need the same setup: a simulated
-SGX machine, a ResultStore reachable over the loopback network, and one
-or more SGX-enabled applications whose enclaves link trusted libraries
-and carry a DedupRuntime.  :class:`Deployment` assembles exactly that
-topology (Fig. 1 of the paper); :class:`ClusterDeployment` assembles the
+Every deployment is the same setup: a simulated SGX machine, a
+ResultStore reachable over the loopback network, and one or more
+SGX-enabled applications whose enclaves link trusted libraries and carry
+a DedupRuntime.  :class:`Deployment` assembles exactly that topology
+(Fig. 1 of the paper); :class:`ClusterDeployment` assembles the
 scaled-out variant — one application machine talking to an N-shard
 :class:`~repro.cluster.StoreCluster` through per-app
-:class:`~repro.cluster.ClusterRouter` instances.
+:class:`~repro.cluster.ClusterRouter` instances.  Examples, experiments
+and benchmarks build one through ``repro.connect()``; only the tests of
+this layer construct these classes directly.
 """
 
 from __future__ import annotations
@@ -167,7 +169,6 @@ class ClusterDeployment(_Machine):
         store_config: StoreConfig | None = None,
         cost_params: CostParams | None = None,
         epc_usable_bytes: int | None = None,
-        shard_epc_usable_bytes: int | None = None,
         fault_injector: FaultInjector | None = None,
         attestation_service: AttestationService | None = None,
         tracer=NULL_TRACER,
@@ -182,7 +183,6 @@ class ClusterDeployment(_Machine):
                 replication_factor=replication_factor,
                 vnodes=vnodes,
                 store_config=store_config or StoreConfig(),
-                epc_usable_bytes=shard_epc_usable_bytes,
             ),
             seed=seed + b"/cluster",
             cost_params=cost_params,

@@ -90,9 +90,7 @@ def connect(
     cost_params: CostParams | None = None,
     vnodes: int = 32,
     epc_usable_bytes: int | None = None,
-    shard_epc_usable_bytes: int | None = None,
     tracing: bool = True,
-    max_spans: int = 50_000,
     slow_sim_threshold_s: float | None = None,
     slow_wall_threshold_s: float | None = None,
     fault_injector: Any = None,
@@ -126,7 +124,6 @@ def connect(
     tracer: Tracer | Any
     if tracing:
         tracer = Tracer(
-            max_spans=max_spans,
             slow_sim_threshold_s=slow_sim_threshold_s,
             slow_wall_threshold_s=slow_wall_threshold_s,
         )
@@ -159,7 +156,6 @@ def connect(
             store_config=store_config,
             cost_params=cost_params,
             epc_usable_bytes=epc_usable_bytes,
-            shard_epc_usable_bytes=shard_epc_usable_bytes,
             tracer=tracer,
             **extra,
         )

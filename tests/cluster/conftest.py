@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ClusterDeployment
 from repro.crypto.hashes import sha256
+from repro.deployment import ClusterDeployment
 from repro.net.messages import GetRequest, PutRequest
 
 

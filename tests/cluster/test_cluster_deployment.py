@@ -1,9 +1,9 @@
 """End-to-end: DedupRuntime over a sharded cluster behaves exactly like
 the single-store deployment — same results, same security guarantees."""
 
-from repro import Deployment
 from repro.core.serialization import AnyParser, default_registry
 from repro.core.tag import derive_tag
+from repro.deployment import Deployment
 from repro.security import HostAdversary
 from repro.store.resultstore import StoreConfig
 

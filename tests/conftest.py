@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Deployment, FunctionDescription, TrustedLibrary, TrustedLibraryRegistry
+from repro import FunctionDescription, TrustedLibrary, TrustedLibraryRegistry
+from repro.deployment import Deployment
 from repro.store.persistence import snapshot_name
 
 

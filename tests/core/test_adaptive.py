@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro import Deployment, RuntimeConfig
+from repro import RuntimeConfig
 from repro.core.adaptive import AdaptiveDedupPolicy
+from repro.deployment import Deployment
 from tests.conftest import DOUBLE_DESC, make_libs
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Deployment, FunctionDescription, TrustedLibrary, TrustedLibraryRegistry
+from repro import FunctionDescription, TrustedLibrary, TrustedLibraryRegistry
 from repro.core.approximate import (
     ApproximateDeduplicable,
     band_values,
@@ -10,6 +10,7 @@ from repro.core.approximate import (
     shingle_features,
     simhash64,
 )
+from repro.deployment import Deployment
 from repro.errors import DedupError
 from repro.workloads import synthetic_text
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import Deployment
 from repro.core.decorator import deduplicable_marker
+from repro.deployment import Deployment
 from tests.conftest import make_libs
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import Deployment, FunctionDescription, TrustedLibrary, TrustedLibraryRegistry
+from repro import FunctionDescription, TrustedLibrary, TrustedLibraryRegistry
+from repro.deployment import Deployment
 from repro.errors import DedupError
 from tests.conftest import DOUBLE_DESC, double_bytes, make_libs
 

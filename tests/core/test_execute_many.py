@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import Deployment, RuntimeConfig
+from repro import RuntimeConfig
+from repro.deployment import Deployment
 from repro.net.messages import ErrorMessage, PutResponse
 from repro.net.transport import FaultInjector
 from tests.conftest import DOUBLE_DESC, double_bytes, make_libs

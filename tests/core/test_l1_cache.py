@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro import Deployment, RuntimeConfig
+from repro import RuntimeConfig
 from repro.core.cache import ENTRY_OVERHEAD_BYTES, L1ResultCache
+from repro.deployment import Deployment
 from repro.errors import DedupError, EnclaveError
 from repro.security import HostAdversary
 from repro.sgx.platform import SgxPlatform

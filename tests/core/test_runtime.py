@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro import Deployment, RuntimeConfig
+from repro import RuntimeConfig
 from repro.core.runtime import DedupRuntime
 from repro.core.tag import derive_tag
+from repro.deployment import Deployment
 from repro.security import HostAdversary
 from tests.conftest import DOUBLE_DESC, arena_name, double_bytes, make_libs
 

@@ -74,7 +74,7 @@ class TestSnapshot:
         assert snap0["runtime.calls"] == 0  # snapshots are detached copies
 
     def test_runtime_snapshot_adds_queue_depth(self, tmp_path):
-        from repro import Deployment
+        from repro.deployment import Deployment
         from tests.conftest import DOUBLE_DESC, make_libs
 
         d = Deployment(seed=b"snap")

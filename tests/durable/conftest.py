@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro import Deployment
 from repro.crypto.hashes import sha256
+from repro.deployment import Deployment
 from repro.net.messages import BatchPutRequest, GetRequest, PutRequest
 from repro.store.resultstore import StoreConfig
 

@@ -4,7 +4,7 @@ an acked PUT lose."""
 
 import pytest
 
-from repro import Deployment
+from repro.deployment import Deployment
 from repro.errors import ProtocolError, RollbackError, StoreError
 from repro.net.messages import BatchPutRequest
 from repro.security import HostAdversary

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Deployment
+from repro.deployment import Deployment
 from repro.durable.wal import (
     GENESIS_CHAIN,
     REC_PUT,

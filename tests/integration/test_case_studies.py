@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from repro import Deployment
+from repro.apps.compress import inflate
 from repro.apps.registry import (
     bow_case_study,
     compress_case_study,
     pattern_case_study,
     sift_case_study,
 )
-from repro.apps.compress import inflate
 from repro.core.description import TrustedLibraryRegistry
+from repro.deployment import Deployment
 from repro.workloads import (
     generate_rules,
     packet_trace,

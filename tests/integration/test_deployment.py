@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Deployment
+from repro.deployment import Deployment
 from repro.errors import SpeedError
 from tests.conftest import DOUBLE_DESC, make_libs
 

@@ -8,9 +8,9 @@ whose sim time is dominated by modelled costs, and by comparing
 store-side state rather than clock totals where compute is involved.)
 """
 
-from repro import Deployment
 from repro.core.tag import derive_tag
 from repro.crypto.hashes import sha256
+from repro.deployment import Deployment
 from repro.net.messages import GetRequest, PutRequest
 from repro.security import HostAdversary
 from tests.conftest import DOUBLE_DESC, make_libs

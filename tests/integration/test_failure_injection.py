@@ -11,7 +11,7 @@ on the store→app edge.
 
 import pytest
 
-from repro import Deployment
+from repro.deployment import Deployment
 from repro.errors import ProtocolError, TransportError
 from repro.net.transport import FaultInjector
 from tests.conftest import DOUBLE_DESC, double_bytes, make_libs

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Deployment
 from repro.apps.compress import inflate
+from repro.deployment import Deployment
 from repro.errors import SpeedError
 from repro.net.channel import NullChannelEndpoint
 from repro.net.messages import decode_message

@@ -9,7 +9,7 @@ hit/miss pattern (a call hits iff the tag's PUT was flushed earlier).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Deployment
+from repro.deployment import Deployment
 from tests.conftest import DOUBLE_DESC, double_bytes, make_libs
 
 # Each step: (app index, input index, flush after?)

@@ -9,11 +9,13 @@ checked throughout.
 import numpy as np
 import pytest
 
-from repro import Deployment, QuotaPolicy, RuntimeConfig
+from repro import RuntimeConfig
 from repro.apps.registry import pattern_case_study
 from repro.core.description import TrustedLibraryRegistry
+from repro.deployment import Deployment
 from repro.security import HostAdversary
 from repro.sgx.attestation import AttestationService
+from repro.store import QuotaPolicy
 from repro.store.persistence import restore_store, snapshot_store
 from repro.store.resultstore import StoreConfig
 from repro.store.sync import replicate_popular

@@ -6,7 +6,6 @@ import pytest
 
 import repro
 from repro import (
-    DedupResult,
     QuotaExceededError,
     SpeedError,
     StoreConfig,
@@ -14,6 +13,7 @@ from repro import (
     TrustedLibrary,
     TrustedLibraryRegistry,
 )
+from repro.core import DedupResult
 from repro.errors import NoLiveOwnerError, error_codes, error_for_code
 
 

@@ -1,9 +1,9 @@
 """§III-D: cache poisoning is detected; applications never consume
 poisoned results."""
 
-from repro import Deployment
-from repro.core.tag import derive_tag
 from repro.core.serialization import AnyParser, default_registry
+from repro.core.tag import derive_tag
+from repro.deployment import Deployment
 from repro.security import HostAdversary
 from repro.store.resultstore import StoreConfig
 from tests.conftest import DOUBLE_DESC, double_bytes, make_libs

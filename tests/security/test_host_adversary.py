@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Deployment
+from repro.deployment import Deployment
 from repro.durable import take_checkpoint
 from repro.security import HostAdversary
 from repro.sgx.platform import HostStorage

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Deployment
+from repro.deployment import Deployment
 from repro.errors import ChannelError, ProtocolError
 from tests.conftest import DOUBLE_DESC, double_bytes, make_libs
 

@@ -1,7 +1,7 @@
 """Confidentiality on the wire: the host adversary observing all traffic
 learns nothing about code, inputs, or results (§II-C design goal)."""
 
-from repro import Deployment
+from repro.deployment import Deployment
 from repro.security import WireTapAdversary
 from tests.conftest import DOUBLE_DESC, double_bytes, make_libs
 

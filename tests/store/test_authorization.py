@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Deployment
+from repro.deployment import Deployment
 from repro.sgx.measurement import measure_code
 from repro.store.authorization import AuthorizationError, AuthorizationPolicy
 from repro.store.resultstore import StoreConfig

@@ -1,8 +1,8 @@
 """ResultStore batch handlers: one ECALL serves the whole batch."""
 
-from repro import Deployment
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashes import sha256
+from repro.deployment import Deployment
 from repro.net.messages import GetRequest, PutRequest
 from repro.store.quota import QuotaPolicy
 from repro.store.resultstore import StoreConfig

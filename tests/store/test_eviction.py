@@ -55,7 +55,7 @@ class TestPoliciesThroughTheStore:
     """Same policies, driven end-to-end through ResultStore capacity."""
 
     def _store(self, eviction, capacity_entries=3):
-        from repro import Deployment
+        from repro.deployment import Deployment
         from repro.store.resultstore import StoreConfig
 
         d = Deployment(
@@ -115,7 +115,7 @@ class TestPoliciesThroughTheStore:
         assert d.store.contains(tags[1]) and d.store.contains(tags[2])
 
     def test_capacity_bytes_evicts_until_it_fits(self):
-        from repro import Deployment
+        from repro.deployment import Deployment
         from repro.crypto.hashes import sha256
         from repro.net.messages import PutRequest
         from repro.store.resultstore import StoreConfig
@@ -138,7 +138,7 @@ class TestPoliciesThroughTheStore:
     def test_single_entry_larger_than_capacity_rejected(self):
         import pytest as _pytest
 
-        from repro import Deployment
+        from repro.deployment import Deployment
         from repro.crypto.hashes import sha256
         from repro.errors import ProtocolError
         from repro.net.messages import PutRequest

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from repro import Deployment
 from repro.crypto.hashes import sha256
+from repro.deployment import Deployment
 from repro.durable import take_checkpoint
 from repro.durable.wal import REC_PUT, REC_REMOVE, decode_segment
 from repro.net.messages import BatchPutRequest, GetRequest, PutRequest

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Deployment
+from repro.deployment import Deployment
 from repro.errors import SealingError, StoreError
 from repro.security import HostAdversary
 from repro.store.persistence import restore_store, snapshot_name, snapshot_store

@@ -7,8 +7,8 @@ fix a restore silently reset every entry to "just inserted, never hit",
 so the first post-restart eviction could throw out the hottest entry.
 """
 
-from repro import Deployment
 from repro.crypto.hashes import sha256
+from repro.deployment import Deployment
 from repro.net.messages import GetRequest, PutRequest
 from repro.store.persistence import restore_store, snapshot_store
 from repro.store.quota import QuotaPolicy

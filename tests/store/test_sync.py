@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import Deployment
 from repro.crypto.hashes import sha256
+from repro.deployment import Deployment
 from repro.errors import StoreError
 from repro.net.messages import GetRequest, PutRequest
 from repro.sgx.attestation import AttestationService

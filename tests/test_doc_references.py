@@ -19,6 +19,11 @@ cannot leave a sentence behind:
 * a backticked ``_NAME`` followed by ``= <integer>`` — a module-level constant of that name in
   ``repro`` holds that integer (every module defining the name agrees).
 
+The public surface is guarded the same way: every name a README code
+block or an ``examples/*.py`` file takes from ``repro`` itself
+(``from repro import X`` or ``repro.X``; submodules aside) is in
+``repro.__all__``, and ``__all__`` holds at most 25 names.
+
 Names the documents mention on purpose *because* they are gone (a
 deleted shim, an output file a command writes) carry a placeholder or
 are not backticked as a reference; the test has no allow-list.
@@ -51,6 +56,10 @@ DOTTED_MODULE = re.compile(r"^repro(?:\.\w+)+$")
 RELATIVE_PATH = re.compile(r"^[\w.-]+(?:/[\w.-]+)*$")
 COMMAND = re.compile(r"\bpython3? -m repro\.(bench|simtest)\b(.*)$")
 QUOTED_CONSTANT = re.compile(r"`(_[A-Z][A-Z0-9_]*)` = (\d+)(?![\d.])")
+CODE_BLOCK = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
+FROM_REPRO = re.compile(r"^\s*from repro import (?:\(([^)]*)\)|([^\n]*))", re.M)
+REPRO_ATTR = re.compile(r"\brepro\.(\w+)\b(?!\.)")
+PUBLIC_LIMIT = 25
 
 
 def _references():
@@ -176,3 +185,27 @@ def test_quoted_constants_hold_their_values(constants):
                     stale.append(f"{name}:{number}: `{constant}` = {value} "
                                  f"(the code has {held})")
     assert not stale, "\n".join(stale)
+
+
+def _names_taken_from_repro():
+    """(source, name) for every name a README code block or an example
+    takes from the ``repro`` package itself."""
+    modules = {info.name for info in pkgutil.iter_modules(repro.__path__)}
+    readme = (ROOT / "README.md").read_text()
+    sources = [("README.md", block) for block in CODE_BLOCK.findall(readme)]
+    sources += [(f"examples/{path.name}", path.read_text())
+                for path in sorted((ROOT / "examples").glob("*.py"))]
+    for source, text in sources:
+        for match in FROM_REPRO.finditer(text):
+            for name in re.findall(r"\w+", match[1] or match[2]):
+                yield source, name
+        for name in REPRO_ATTR.findall(text):
+            if name not in modules:
+                yield source, name
+
+
+def test_public_surface_is_what_the_docs_use():
+    assert len(repro.__all__) <= PUBLIC_LIMIT, sorted(repro.__all__)
+    missing = sorted({f"{source}: {name}" for source, name in _names_taken_from_repro()
+                      if name not in repro.__all__})
+    assert not missing, "\n".join(missing)
