@@ -16,6 +16,8 @@ The registry resolves a parser by declared name or by value type.
 from __future__ import annotations
 
 import abc
+import math
+import re
 import struct
 from typing import Any
 
@@ -94,15 +96,18 @@ class FloatParser(Parser):
 
 
 class NdarrayParser(Parser):
-    """Canonical numpy array encoding: dtype, shape, C-order buffer."""
+    """Canonical numpy array encoding: dtype, shape, C-order buffer (fixed-size numeric kinds)."""
 
     name = "ndarray"
     _MAX_NDIM = 32
+    _DTYPE_TEXT = re.compile(r"[<>|][biufc][0-9]{1,2}")
 
     def encode(self, value: Any) -> bytes:
         if not isinstance(value, np.ndarray):
             raise SerializationError(f"ndarray parser got {type(value).__name__}")
         arr = np.ascontiguousarray(value)
+        if not self._DTYPE_TEXT.fullmatch(arr.dtype.str):
+            raise SerializationError(f"ndarray of dtype {arr.dtype} is not fixed-size numeric")
         w = FieldWriter()
         w.text(arr.dtype.str)
         w.u32(arr.ndim)
@@ -113,17 +118,25 @@ class NdarrayParser(Parser):
 
     def decode(self, data: bytes) -> np.ndarray:
         r = FieldReader(data)
-        dtype = np.dtype(r.text())
+        text = r.text()
+        try:  # only the text encode writes; numpy may lack a type of that size
+            dtype = np.dtype(text) if self._DTYPE_TEXT.fullmatch(text) else None
+        except TypeError:
+            dtype = None
+        if dtype is None or dtype.str != text:
+            raise SerializationError(f"ndarray dtype {text!r:.40} refused")
         ndim = r.u32()
         if ndim > self._MAX_NDIM:
             raise SerializationError(f"ndarray with {ndim} dims rejected")
         shape = tuple(r.u64() for _ in range(ndim))
         buf = r.blob()
         r.expect_end()
-        expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dtype.itemsize
-        if len(buf) != expected:
+        if len(buf) != dtype.itemsize * math.prod(shape):  # Python ints: no wrap
             raise SerializationError("ndarray buffer length mismatch")
-        return np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+        try:
+            return np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+        except ValueError as exc:  # an empty array with dims numpy cannot index
+            raise SerializationError(f"ndarray shape {shape} refused") from exc
 
 
 class TupleParser(Parser):

@@ -23,13 +23,29 @@ import.  Three execution paths share those tables;
   the state held as four column planes of ``N`` words each, which makes
   ShiftRows a choice of rows and the round key a broadcast along the
   contiguous axis (measured against an ``(N, 4)`` word layout: equal at
-  65 blocks, 1.3x faster at 1024); its calls grow less with ``N``.
+  65 blocks, 1.3x faster at 1024); its calls grow less with ``N``.  From
+  ``_PAIR_MIN_BLOCKS`` rows a round reads 65,536-word *pair tables*
+  ``T0[a] ^ T1[b]`` and ``T2[c] ^ T3[d]`` (the last round ``SBOX[a] |
+  SBOX[b] << 8``, a half word each; 640 KiB in all): two lookups per
+  column, not four.
+
+A counter run (:mod:`repro.crypto.ctr` from its crossover) takes
+:meth:`AES128.encrypt_counter_run`: its state after round 2 from tables
+built per run, then rounds 3-10 on the planes.
 
 Microseconds per batch, scalar / gather / planes, alternated in one
-process: 1 row 13 / 29 / -, 2 rows 26 / 30 / -, 3 rows 40 / 30 / -,
-6 rows 80 / 31 / 75, 71 rows - / 62 / 93, 192 rows - / 115 / 119,
-224 rows - / 121 / 128, 256 rows - / 136 / 131.  Both numpy kernels take
-a key per row too (:func:`repro.crypto.gcm.seal_many`).
+process (at 71941b1): 1 row 13 / 29 / -, 2 rows 26 / 30 / -, 3 rows
+40 / 30 / -, 6 rows 80 / 31 / 75, 71 rows - / 62 / 93, 192 rows - / 115 /
+119, 224 rows - / 121 / 128, 256 rows - / 136 / 131.  Both numpy kernels
+take a key per row too (:func:`repro.crypto.gcm.seal_many`).
+
+Planes, four lookups / pair tables, caches flushed before each call,
+alternated on a 2-vCPU Intel Xeon about half as fast: 225 rows 291 / 302,
+384 345 / 349, 512 386 / 373, 768 471 / 436, 1024 567 / 504, 2048 935 /
+771, 4097 1731 / 1378 us (warm: 256 rows 255 / 210, 512 348 / 276); 512
+is the first size that wins cold.  Counter runs there, counter blocks by
+:meth:`AES128.encrypt_blocks` / :meth:`AES128.encrypt_counter_run`, cold:
+512 rows 408 / 430, 1024 552 / 530, 2048 847 / 777, 4097 1454 / 1255 us.
 
 Decryption (:meth:`AES128.decrypt_block` / :meth:`AES128.decrypt_blocks`)
 keeps the spec-literal inverse round; nothing on a request path uses it.
@@ -48,10 +64,12 @@ KEY_SIZE = 16
 _NUM_ROUNDS = 10
 
 # Batches of at most this many blocks are cheaper one block at a time in
-# pure ints than through numpy, and up to _GATHER_MAX_BLOCKS through the
-# one-gather round than the column planes (module docstring).
+# pure ints than through numpy, up to _GATHER_MAX_BLOCKS through the
+# one-gather round than the column planes, and from _PAIR_MIN_BLOCKS the
+# planes round through the pair tables (module docstring).
 _SCALAR_MAX_BLOCKS = 2
 _GATHER_MAX_BLOCKS = 224
+_PAIR_MIN_BLOCKS = 512
 
 # State columns are little-endian words: byte ``r`` of the word is row ``r``.
 _U32 = np.dtype("<u4")
@@ -134,6 +152,21 @@ def _round_tables() -> tuple[list[list[int]], list[list[int]]]:
 _TE_LIST, _LAST_LIST = _round_tables()
 _TE = tuple(np.array(t, dtype=_U32) for t in _TE_LIST)
 _LAST = tuple(np.array(t, dtype=_U32) for t in _LAST_LIST)
+# Pair tables: ``_PAIRS[0][a | b << 8] = T0[a] ^ T1[b]``, ``_PAIRS[1][c |
+# d << 8] = T2[c] ^ T3[d]``; the last round's, a half of an output word.
+_PAIRS = tuple((_TE[r + 1][:, None] ^ _TE[r]).reshape(-1) for r in (0, 2))
+_SBOX_PAIRS = (SBOX[:, None].astype(np.uint16) << np.uint16(8) | SBOX).reshape(-1)
+
+# Counter-mode caching (:meth:`AES128.encrypt_counter_run`), as flat
+# indices into the four T-tables: round 1, column c's term from counter
+# byte 15 - c (table 3 - c); round 2, byte (j - d) % 4 of round-1 column
+# j (through that row's table) is its term in output column d.
+_TE_FLAT = np.concatenate(_TE)
+_ROUND1_INDEX = 256 * np.arange(3, -1, -1).reshape(4, 1) + np.arange(256)
+_J, _D, _V = np.ogrid[:4, :4, :256]
+_CACHE_BYTES = 1024 * _J + 4 * _V + (_J - _D) % 4
+_CACHE_ROWS = 256 * ((_J - _D) % 4)
+del _J, _D, _V
 
 # InvShiftRows as a flat permutation of the 16-byte state, derived by
 # inverting ShiftRows.  Byte i of a block holds state cell (row i % 4,
@@ -243,31 +276,55 @@ def encrypt_planes(blocks: np.ndarray, round_keys: np.ndarray) -> np.ndarray:
     4, 1)`` for one key or ``(11, 4, N)`` for a key per row.
 
     Four column planes of N words, plus planes 0-2 again as 4-6 so that
-    "row r of column c + r" is the plain slice [r:r + 4].  Every index is
-    a byte into a 256-entry table, so mode="wrap" never wraps; it only
-    spares take() the bounds pass and the buffered write that mode="raise"
-    forces on out= (1.2-1.4x at 1 Ki blocks).
+    "row r of column c + r" is the plain slice [r:r + 4].
     """
-    n = len(blocks)
-    rk = round_keys
+    cur = np.empty((7, len(blocks)), dtype=_U32)
+    np.bitwise_xor(blocks.view(_U32).T, round_keys[0], out=cur[:4])
+    cur = _planes_rounds(cur, round_keys, range(1, _NUM_ROUNDS + 1))
+    return np.ascontiguousarray(cur[:4].T).view(np.uint8)
+
+
+def _planes_rounds(cur: np.ndarray, rk: np.ndarray, rounds: range) -> np.ndarray:
+    """Run ``rounds`` over the planes ``cur`` (:func:`encrypt_planes`; rows
+    4-6 are filled here); return the planes holding the result.
+
+    A pair-table index is two state bytes in the low bytes of a zeroed
+    ``intp`` word: take() reads it without a cast.  mode="wrap" never wraps
+    (every index is in range); it spares take() the bounds pass and the
+    buffered write mode="raise" forces on out= (1.2-1.4x at 1 Ki blocks).
+    """
+    n = cur.shape[1]
     xor = np.bitwise_xor
-    cur = np.empty((7, n), dtype=_U32)
-    nxt = np.empty((7, n), dtype=_U32)
+    nxt = np.empty_like(cur)
     term = np.empty((4, n), dtype=_U32)
-    xor(blocks.view(_U32).T, rk[0], out=cur[:4])
+    pairs = n >= _PAIR_MIN_BLOCKS
+    if pairs:
+        index = np.zeros((2, 4, n), dtype=np.intp)
+        lanes = index.view(np.uint8).reshape(2, 4, n, -1)
     cur[4:] = cur[:3]
-    for rnd in range(1, _NUM_ROUNDS + 1):
-        t0, t1, t2, t3 = _TE if rnd < _NUM_ROUNDS else _LAST
+    for rnd in rounds:
         rows = cur.view(np.uint8).reshape(7, n, 4)
         acc = nxt[:4]
-        t0.take(rows[0:4, :, 0], out=acc, mode="wrap")
-        xor(acc, t1.take(rows[1:5, :, 1], out=term, mode="wrap"), out=acc)
-        xor(acc, t2.take(rows[2:6, :, 2], out=term, mode="wrap"), out=acc)
-        xor(acc, t3.take(rows[3:7, :, 3], out=term, mode="wrap"), out=acc)
+        if pairs:
+            for r in range(4):  # row r of column c + r: table r // 2, index byte r % 2
+                lanes[r // 2, :, :, r % 2] = rows[r:r + 4, :, r]
+            if rnd < _NUM_ROUNDS:
+                _PAIRS[0].take(index[0], out=acc, mode="wrap")
+                xor(acc, _PAIRS[1].take(index[1], out=term, mode="wrap"), out=acc)
+            else:
+                halves = acc.view(np.uint16).reshape(4, n, 2)
+                for half in (0, 1):
+                    _SBOX_PAIRS.take(index[half], out=halves[:, :, half], mode="wrap")
+        else:
+            t0, t1, t2, t3 = _TE if rnd < _NUM_ROUNDS else _LAST
+            t0.take(rows[0:4, :, 0], out=acc, mode="wrap")
+            xor(acc, t1.take(rows[1:5, :, 1], out=term, mode="wrap"), out=acc)
+            xor(acc, t2.take(rows[2:6, :, 2], out=term, mode="wrap"), out=acc)
+            xor(acc, t3.take(rows[3:7, :, 3], out=term, mode="wrap"), out=acc)
         xor(acc, rk[rnd], out=acc)
         nxt[4:] = acc[:3]
         cur, nxt = nxt, cur
-    return np.ascontiguousarray(cur[:4].T).view(np.uint8)
+    return cur
 
 
 class AES128:
@@ -310,6 +367,42 @@ class AES128:
             | (t0[w2 & 255] ^ t1[(w3 >> 8) & 255] ^ t2[(w0 >> 16) & 255] ^ t3[w1 >> 24] ^ k[42]) << 64
             | (t0[w3 & 255] ^ t1[(w0 >> 8) & 255] ^ t2[(w1 >> 16) & 255] ^ t3[w2 >> 24] ^ k[43]) << 96
         ).to_bytes(BLOCK_SIZE, "little")
+
+    def encrypt_counter_run(self, initial: bytes, first: int, count: int, prefix: bytes = b"") -> np.ndarray:
+        """The ``prefix`` blocks, then counter blocks ``first .. first +
+        count - 1`` after ``initial`` (inc32), encrypted as one batch.
+
+        Counter-mode caching (Bernstein and Schwabe, "New AES software
+        speed records", 2008): only bytes 12-15 vary, and after round 1
+        column ``c`` depends on byte ``15 - c`` alone, so after round 2 the
+        state is the XOR of four 256-row tables, one per counter byte.  A
+        run is a grid of 256-counter rows: byte 15's table along each row,
+        XORed with one word per row for the other three bytes.
+        """
+        rk, xor, k, t = self._round_keys, np.bitwise_xor, self._words, _TE_LIST
+        # Round 1 at counter 0 in ints; then each column's term from its
+        # counter byte (row 3 - c of column 3) is swapped for all 256 values.
+        w = [a ^ b for a, b in zip(_UNPACK_COLUMNS(initial[:12] + bytes(4)), k)]
+        r1 = np.array([t[0][w[c] & 255] ^ t[1][w[c - 3] >> 8 & 255] ^ t[2][w[c - 2] >> 16 & 255]
+                       ^ t[3][w[c - 1] >> 24] ^ k[4 + c] for c in range(4)], dtype=_U32)
+        key_bytes = np.array([k[3] >> 8 * (3 - c) & 255 for c in range(4)])
+        terms = _TE_FLAT.take(_ROUND1_INDEX ^ key_bytes[:, None])
+        col1 = terms ^ (terms[:, :1] ^ r1[:, None])
+        tables = _TE_FLAT.take(col1.view(np.uint8).reshape(-1).take(_CACHE_BYTES) + _CACHE_ROWS)
+        start = (int.from_bytes(initial[12:], "big") + first) % (1 << 32)
+        lo, rows = start & 255, np.arange(start >> 8, (start + count - 1 >> 8) + 1) & 0xFFFFFF
+        rowterm = (tables[1].take(rows & 255, axis=1) ^ tables[2].take(rows >> 8 & 255, axis=1)
+                   ^ tables[3].take(rows >> 16, axis=1) ^ rk[2])
+        grid = xor(tables[0][:, None, :], rowterm[:, :, None]).reshape(4, -1)
+        lead = len(prefix) // BLOCK_SIZE
+        cur = np.empty((7, lead + count), dtype=_U32)
+        cur[:4, lead:] = grid[:, lo:lo + count]
+        if lead:
+            head = np.empty((7, lead), dtype=_U32)
+            xor(np.frombuffer(prefix, dtype=_U32).reshape(lead, 4).T, rk[0], out=head[:4])
+            cur[:4, :lead] = _planes_rounds(head, rk, range(1, 3))[:4]
+        cur = _planes_rounds(cur, rk, range(3, _NUM_ROUNDS + 1))
+        return np.ascontiguousarray(cur[:4].T).view(np.uint8)
 
     def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """Encrypt an (N, 16) uint8 array of blocks; returns a new array."""

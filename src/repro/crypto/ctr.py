@@ -5,10 +5,15 @@ encrypting runs of counter blocks in numpy batches, which is what makes
 the megabyte-scale result ciphertexts of the paper's Fig. 6 sweep feasible
 in pure Python.  A batch is at most ``_STRIPE_BLOCKS`` blocks, so the
 cipher's temporaries (~110 bytes per block) stay cache-resident and peak
-memory does not grow with the message.  Measured per AEAD call, stripes
-of 1 Ki / 2 Ki / 4 Ki / 8 Ki blocks / unstriped: 3.1 / 2.6 / 2.2 / 2.4 /
-2.4 ms on 64 KiB and 40 / 33 / 35 / 31 / 39 ms on 1 MiB; unstriped also
-raised the end-to-end benchmark's peak RSS on 64 KiB records by 13 MiB.
+memory does not grow with the message.  Measured per AEAD call (2c427d1),
+stripes of 1 Ki / 2 Ki / 4 Ki / 8 Ki blocks / unstriped: 3.1 / 2.6 / 2.2 /
+2.4 / 2.4 ms on 64 KiB and 40 / 33 / 35 / 31 / 39 ms on 1 MiB; unstriped
+also raised the end-to-end benchmark's peak RSS on 64 KiB records 13 MiB.
+A tail under ``_TAIL_MIN_BLOCKS`` rides in the stripe before it (a 64 KiB
+record and its ``J0``: one batch, not two).  From ``_CACHED_MIN_BLOCKS``
+blocks a stripe takes :meth:`AES128.encrypt_counter_run`; its time over the
+row kernels', caches flushed, median of 150 alternations: 512 blocks 1.03,
+768 1.00, 1024 0.98, 1536 0.94 (warm 1.06 / 0.97 / 0.96 / 0.91).
 
 Keystream lookahead.  A batch costs tens of microseconds before its first
 block and well under one per block after (:mod:`repro.crypto.aes`), so a
@@ -40,6 +45,8 @@ from .aes import AES128, BLOCK_SIZE
 from ..errors import CryptoError
 
 _STRIPE_BLOCKS = 4096
+_TAIL_MIN_BLOCKS = 256
+_CACHED_MIN_BLOCKS = 1024
 
 # Lookahead: most blocks held per counter run, most records per window,
 # most blocks of a record served from a slot (a larger one never sets
@@ -86,20 +93,27 @@ def ctr_stream(
     n_blocks = lead_blocks + (len(data) + BLOCK_SIZE - 1) // BLOCK_SIZE
     src = np.frombuffer(data, dtype=np.uint8)
     out = np.empty(len(data), dtype=np.uint8)
-    lead = b""
-    for first in range(0, n_blocks, _STRIPE_BLOCKS):
-        count = min(_STRIPE_BLOCKS, n_blocks - first)
-        rows = _counter_blocks(initial_counter, count, first)
-        if first == 0 and prefix:
-            rows = np.concatenate((np.frombuffer(prefix, np.uint8).reshape(-1, BLOCK_SIZE), rows))
+    lead, first = b"", 0
+    while first < n_blocks:
+        count = n_blocks - first  # a tail under _TAIL_MIN_BLOCKS rides in the last stripe
+        count = _STRIPE_BLOCKS if count >= _STRIPE_BLOCKS + _TAIL_MIN_BLOCKS else count
+        head = prefix if first == 0 else b""
         aes_batches += 1
-        keystream = cipher.encrypt_blocks(rows).reshape(-1)
+        if count >= _CACHED_MIN_BLOCKS:
+            keystream = cipher.encrypt_counter_run(initial_counter, first, count, head)
+        else:
+            rows = _counter_blocks(initial_counter, count, first)
+            if head:
+                rows = np.concatenate((np.frombuffer(head, np.uint8).reshape(-1, BLOCK_SIZE), rows))
+            keystream = cipher.encrypt_blocks(rows)
+        keystream = keystream.reshape(-1)
         lo = (first - lead_blocks) * BLOCK_SIZE
         if first == 0:  # lead_blocks and prefix are far below a stripe
             skip = len(prefix) + lead_blocks * BLOCK_SIZE
             lead, keystream, lo = keystream[:skip].tobytes(), keystream[skip:], 0
         hi = min(lo + len(keystream), len(data))
         np.bitwise_xor(src[lo:hi], keystream[:hi - lo], out=out[lo:hi])
+        first += count
     return lead, out.tobytes()
 
 

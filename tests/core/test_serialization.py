@@ -19,6 +19,7 @@ from repro.core.serialization import (
     default_registry,
 )
 from repro.errors import SerializationError
+from repro.net.framing import FieldWriter
 
 
 class TestScalarParsers:
@@ -82,6 +83,29 @@ class TestNdarrayParser:
         data = p.encode(np.zeros((2, 2)))
         with pytest.raises(SerializationError):
             p.decode(data[:-8])
+
+
+    @pytest.mark.parametrize("dtype_text", [b"<\n8", b"|O8"])
+    def test_a_dtype_that_is_not_fixed_size_numeric_is_refused(self, dtype_text):
+        # An object array would read pointers out of the buffer; a dtype
+        # numpy cannot parse raised a bare TypeError.
+        p = AnyParser(default_registry())
+        data = p.encode(np.array([1.5, 2.5]))
+        assert data.count(b"<f8") == 1
+        with pytest.raises(SerializationError):
+            p.decode(data.replace(b"<f8", dtype_text))
+        with pytest.raises(SerializationError):
+            NdarrayParser().encode(np.array(["text"]))
+
+    @pytest.mark.parametrize("shape", [(2**63, 2), (0, 2**63), (2**40, 2**40, 0)])
+    def test_an_empty_buffer_with_huge_dims_is_refused(self, shape):
+        # np.prod over int64 wrapped (2**63 * 2 -> 0) and matched the empty
+        # buffer; reshape then raised a bare ValueError.
+        w = FieldWriter().text("|u1").u32(len(shape))
+        for dim in shape:
+            w.u64(dim)
+        with pytest.raises(SerializationError):
+            NdarrayParser().decode(w.blob(b"").getvalue())
 
 
 class TestCompositeParsers:

@@ -109,20 +109,30 @@ def test_microbench_cached_setup_beats_per_record_setup():
 # -- count-based regression tests for the kernel's perf properties -----------
 @pytest.fixture
 def aes_calls(monkeypatch):
-    """Counts every entry into the block cipher, batch or single block."""
-    calls = {"encrypt_blocks": 0, "encrypt_block": 0}
+    """Counts every entry into the block cipher: a batch of rows, a
+    counter run (one batch too) or a single block."""
+    calls = {"encrypt_blocks": 0, "encrypt_counter_run": 0, "encrypt_block": 0}
     for name in calls:
         real = getattr(AES128, name)
 
-        def spy(self, arg, _name=name, _real=real):
+        def spy(self, *args, _name=name, _real=real):
             calls[_name] += 1
-            return _real(self, arg)
+            return _real(self, *args)
 
         monkeypatch.setattr(AES128, name, spy)
     return calls
 
 
-@pytest.mark.parametrize("size", [0, 1, 16, 64, 80, 1024, 16 * (ctr._STRIPE_BLOCKS - 1)])
+def _batches(calls: dict[str, int]) -> int:
+    return calls["encrypt_blocks"] + calls["encrypt_counter_run"]
+
+
+@pytest.mark.parametrize("size", [
+    0, 1, 16, 64, 80, 1024,
+    16 * (ctr._CACHED_MIN_BLOCKS - 2), 16 * (ctr._CACHED_MIN_BLOCKS - 1),  # J0 + data: the crossover -1 / 0
+    16 * (ctr._STRIPE_BLOCKS - 1),
+    16 * (ctr._STRIPE_BLOCKS + ctr._TAIL_MIN_BLOCKS - 2),                   # the tail merges
+])
 def test_one_aes_batch_per_record(aes_calls, monkeypatch, size):
     # Small batches run block by block *inside* encrypt_blocks; count only
     # what the record itself asks of the cipher.
@@ -131,18 +141,23 @@ def test_one_aes_batch_per_record(aes_calls, monkeypatch, size):
     before = ctr.aes_batches
 
     ct, tag = cipher.encrypt(_iv(1), b"r" * size, b"aad")
-    assert aes_calls == {"encrypt_blocks": 1, "encrypt_block": 0}  # H and E(J0) ride in the batch
+    assert _batches(aes_calls) == 1 and aes_calls["encrypt_block"] == 0  # H and E(J0) ride in the batch
     assert cipher.decrypt(_iv(1), ct, tag, b"aad") == b"r" * size
-    assert aes_calls == {"encrypt_blocks": 2, "encrypt_block": 0}
+    assert _batches(aes_calls) == 2 and aes_calls["encrypt_block"] == 0
     assert ctr.aes_batches - before == 2
+    # A run from the crossover on takes the counter-run kernel, shorter ones the row kernels.
+    assert aes_calls["encrypt_counter_run"] == (2 if size >= 16 * (ctr._CACHED_MIN_BLOCKS - 1) else 0)
 
 
 def test_aes_batches_grow_only_with_stripes(aes_calls):
     cipher = AesGcm(b"\x56" * 16)
-    aes_calls.update(encrypt_blocks=0)
+    aes_calls.update(encrypt_blocks=0, encrypt_counter_run=0)
     # J0 + 2.5 stripes of data = 3 batches, however many bytes that is.
     cipher.encrypt(_iv(1), b"r" * (16 * (2 * ctr._STRIPE_BLOCKS + ctr._STRIPE_BLOCKS // 2)))
-    assert aes_calls["encrypt_blocks"] == 3
+    assert _batches(aes_calls) == 3
+    # ... and a tail under _TAIL_MIN_BLOCKS rides in the stripe before it.
+    cipher.encrypt(_iv(2), b"r" * (16 * (2 * ctr._STRIPE_BLOCKS + ctr._TAIL_MIN_BLOCKS - 2)))
+    assert _batches(aes_calls) == 5
 
 
 def test_each_table_built_once_per_key_across_scalar_and_bulk_records():

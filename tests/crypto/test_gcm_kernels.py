@@ -9,6 +9,7 @@ section 5.1), and its GHASH is the bit-at-a-time multiplication of SP
 size-class constants, so every path switch is crossed at -1 / 0 / +1.
 """
 
+import functools
 import random
 
 import numpy as np
@@ -133,7 +134,14 @@ def test_reference_is_the_standard():
 
 
 # -- the AES batch kernels at every batch size ---------------------------------
-AES_ROWS = 300   # past every tier: scalar, one gather, column planes
+def _around_rows(n: int) -> list[int]:
+    return [n - 1, n, n + 1]
+
+
+# Every size up to 300 (scalar, one gather, column planes) and around the
+# pair-table crossover.
+AES_SWEEP = [*range(1, 301), *_around_rows(aes._PAIR_MIN_BLOCKS)]
+AES_ROWS = max(AES_SWEEP)
 _AES_RND = random.Random("aes-rows")
 AES_KEYS = [_AES_RND.randbytes(16) for _ in range(AES_ROWS)]
 AES_BLOCKS = np.frombuffer(_AES_RND.randbytes(16 * AES_ROWS), dtype=np.uint8).reshape(-1, 16)
@@ -153,11 +161,11 @@ def aes_reference() -> dict[str, list[bytes]]:
 
 @pytest.mark.parametrize("keys", ["one key", "key per row"])
 def test_every_aes_kernel_matches_the_reference_at_every_batch_size(aes_reference, keys):
-    # n = 1 .. 300 crosses each tier boundary (aes._SCALAR_MAX_BLOCKS,
-    # aes._GATHER_MAX_BLOCKS) at -1 / 0 / +1.
+    # The sweep crosses each tier boundary (aes._SCALAR_MAX_BLOCKS,
+    # aes._GATHER_MAX_BLOCKS, aes._PAIR_MIN_BLOCKS) at -1 / 0 / +1.
     round_keys = aes.round_key_columns(AES_KEYS[:1] if keys == "one key" else AES_KEYS)
     cipher = aes.AES128(AES_KEYS[0])
-    for n in range(1, AES_ROWS + 1):
+    for n in AES_SWEEP:
         want = b"".join(aes_reference[keys][:n])
         blocks, rk = AES_BLOCKS[:n], round_keys[:, :, :n]
         assert aes.encrypt_planes(blocks, rk).tobytes() == want, n
@@ -168,8 +176,53 @@ def test_every_aes_kernel_matches_the_reference_at_every_batch_size(aes_referenc
             assert cipher.encrypt_blocks(blocks).tobytes() == want, n
 
 
+# -- a counter run: counter-mode caching from the crossover on ------------------
+# Rows in the run: the crossover -1 / 0, one stripe, and one stripe with a
+# tail that merges into it.
+COUNTER_RUNS = [
+    ctr._CACHED_MIN_BLOCKS - 1, ctr._CACHED_MIN_BLOCKS,
+    ctr._STRIPE_BLOCKS, ctr._STRIPE_BLOCKS + 65,
+]
+
+
+@functools.cache
+def counter_run_reference(bits: int) -> tuple[bytes, bytes, int, list[bytes]]:
+    """A random key and IV, a first counter ``k`` short of ``2^bits``, and
+    the reference keystream of the longest run: inc32 carries through
+    byte ``bits / 8`` of the counter word inside every run (at ``2^32``,
+    it wraps to 0)."""
+    rnd = random.Random(f"counter-run-{bits}")
+    key, iv, start = rnd.randbytes(16), rnd.randbytes(12), (1 << bits) - rnd.randrange(1, 70)
+    round_keys = ref_expand_key(key)
+    return key, iv, start, [
+        ref_encrypt_block(round_keys, iv + ((start + i) % (1 << 32)).to_bytes(4, "big"))
+        for i in range(max(COUNTER_RUNS))
+    ]
+
+
+@pytest.mark.parametrize("with_h", [False, True], ids=["bare", "H-prefix"])
+@pytest.mark.parametrize("bits", [8, 16, 24, 32])
+def test_counter_runs_match_the_reference(bits, with_h):
+    key, iv, start, want = counter_run_reference(bits)
+    cipher, initial = aes.AES128(key), iv + start.to_bytes(4, "big")
+    prefix = bytes(16) if with_h else b""
+    h = ref_encrypt_block(ref_expand_key(key), bytes(16)) if with_h else b""
+    for rows in COUNTER_RUNS:
+        expected = h + b"".join(want[:rows])
+        assert cipher.encrypt_counter_run(initial, 0, rows, prefix).tobytes() == expected, rows
+        lead, stream = ctr.ctr_stream(cipher, initial, bytes(16 * rows), prefix=prefix)
+        assert lead + stream == expected, rows
+    # A stripe after the first: the run starts ``first`` counters in.
+    skip = COUNTER_RUNS[-1] - ctr._STRIPE_BLOCKS
+    assert cipher.encrypt_counter_run(initial, skip, ctr._STRIPE_BLOCKS).tobytes() == b"".join(want[skip:])
+
+
 def test_the_tier_boundaries_are_inside_the_swept_sizes():
-    assert 1 <= aes._SCALAR_MAX_BLOCKS < aes._GATHER_MAX_BLOCKS < AES_ROWS - 1
+    assert 1 <= aes._SCALAR_MAX_BLOCKS < aes._GATHER_MAX_BLOCKS < aes._PAIR_MIN_BLOCKS
+    for boundary in (aes._SCALAR_MAX_BLOCKS, aes._GATHER_MAX_BLOCKS, aes._PAIR_MIN_BLOCKS):
+        assert set(_around_rows(boundary)) <= set(AES_SWEEP)
+    assert {ctr._CACHED_MIN_BLOCKS - 1, ctr._CACHED_MIN_BLOCKS} <= set(COUNTER_RUNS)
+    assert ctr._CACHED_MIN_BLOCKS < ctr._STRIPE_BLOCKS and 65 < ctr._TAIL_MIN_BLOCKS
 
 
 # -- the sizes at which a kernel switches path -------------------------------

@@ -13,10 +13,19 @@ total": the wire frames are the first example of each message type in
 
 import functools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.serialization import (
+    AnyParser,
+    IntParser,
+    ListParser,
+    MappingParser,
+    TupleParser,
+    default_registry,
+)
 from repro.durable.checkpoint import (
     decode_checkpoint,
     decode_image,
@@ -42,8 +51,9 @@ from ..net.test_messages import EXAMPLES
 def valid_encodings() -> dict:
     """One valid plaintext per decoder, written by the real encoders: a
     segment holding every record kind (the logged records re-encoded as
-    one), a checkpoint, its image, a shipped batch, and one wire frame
-    per message type."""
+    one), a checkpoint, its image, a shipped batch, one wire frame per
+    message type, and result serializations: one ``AnyParser`` encoding
+    per registered type and one tuple, list and mapping composite."""
     d, client = durable_deployment(
         b"decoders-total", capacity_entries=3, wal_group_commit=64,
         recency_log_interval=1,
@@ -73,6 +83,26 @@ def valid_encodings() -> dict:
             f"wire/{type(msg).__name__}": (decode_message, encode_message(msg))
             for msg in reversed(EXAMPLES)  # the first example of a type wins
         },
+        **serialization_encodings(),
+    }
+
+
+def serialization_encodings() -> dict:
+    registry = default_registry()
+    any_ = AnyParser(registry)
+    values = {
+        bytes: b"result bytes", str: "r\u00e9sultat", np.ndarray: np.array([1.5, 2.5]),
+        int: -(2 ** 40) + 3, float: 2.5,
+    }
+    assert {t for t, _ in registry._by_type} - {bytearray, memoryview} == set(values)
+    composites = {
+        "tuple": (TupleParser(any_, IntParser()), (np.arange(6, dtype="<i4").reshape(2, 3), 7)),
+        "list": (ListParser(any_), [b"a", "b", np.zeros(2, dtype=np.uint8)]),
+        "mapping": (MappingParser(any_), {"x": 1.0, "y": np.array([[1 + 2j]])}),
+    }
+    return {
+        **{f"result/any/{t.__name__}": (any_.decode, any_.encode(v)) for t, v in values.items()},
+        **{f"result/{name}": (p.decode, p.encode(v)) for name, (p, v) in composites.items()},
     }
 
 
