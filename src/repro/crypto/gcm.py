@@ -33,13 +33,24 @@ set-up has to be affordable for a key that is used once:
   2500 / - / 208 / 303 / 146 / 130 us, 4 Ki blocks (64 KiB) 9100 / - /
   650 / 497 / 339 / 325 us (the parent's 16-lookup loop: 13.3 ms).  The
   thresholds sit where a key used once still breaks even on the build.
-
-* A channel direction's lane-sized record takes no scalar step: AAD,
-  ciphertext (read in place) and lengths are one lane pass, and the 16
-  lane values fold against the direction's fold stack (:meth:`AesGcm._fold`,
-  32 KiB).  A 1,100 B record's GHASH, alternated against the scalar
-  fold: 55 -> 33 us; the fold 7 us against 28 us for 16 scalar steps (in
-  nibble rows, 128 KiB a direction, it took 5.4 us).
+* Tables are built without a per-bit loop: :func:`_bit_rows` makes the
+  rows ``x^j * h`` of all keys at once inside one Python int (SWAR).
+  Against 128 ``_times_x`` steps a key (f79c061): 16 keys 449 -> 122 us,
+  one key 31 -> 19 us; 16 lane tables 1.31 -> 0.71 ms.
+* A channel direction takes no scalar step.  Its first record builds the
+  fold stack (:meth:`AesGcm._fold`, the rows of ``H^16 .. H^1``, 32 KiB;
+  a byte table makes the powers and is dropped) and the 16-lane table.
+  ``_CHANNEL_PASSES``, by the blocks of AAD, ciphertext and lengths: up
+  to 16 the fold alone, then a 16-lane pass first, from 145 a 64-lane
+  pass before it, from 512 the 128-lane pass.  64 then 16 lanes against
+  16 alone, pairs won of 100, warm / caches flushed: 128 blocks 86 / 53,
+  144 63 / 45, 145 93 / 72, 192 98 / 94.  A record's GHASH at f79c061 ->
+  here, medians of 300 alternations on a 2-vCPU Xeon, by blocks: 7: 17.0
+  -> 9.1 us, 13: 28.8 -> 10.6, 41: 86.5 -> 32.8, 72: 37.2 -> 38.7, 191:
+  64.6 -> 54.2, 378: 118.0 -> 76.1, 497: 156.2 -> 92.7.  (At f79c061
+  only records of 64 blocks took the lanes and the fold: a 1,100 B record
+  55 -> 33 us, the fold 7 us against 28 us for 16 scalar steps; in nibble
+  rows, 128 KiB a direction, it took 5.4 us.)
 
 All tables are built on first use and kept with the cipher: a channel
 endpoint keeps one :class:`AesGcm` per direction for its whole life, and
@@ -58,7 +69,9 @@ x 2 / 3 / 4 / 8 / 16 / 32 records 1.04 / 1.40 / 1.68 / 2.29 / 2.74 /
 2.13x, 2 KiB x 2 / 4 / 16 1.16 / 1.79 / 3.15x, 4 KiB x 2 / 4 / 16 0.62 /
 1.02 / 1.99x, 8 KiB x 4 / 6 / 16 0.68 / 1.01 / 1.42x (one record takes
 lane passes from 128 blocks; a group's chains step block by block).  16 x
-1 KiB: 3.6 ms, of it tables 1.3, Horner 0.6, AES 0.4, key schedules 0.3.
+1 KiB: 3.6 ms, of it tables 1.3, Horner 0.6, AES 0.4, key schedules 0.3;
+with SWAR table builds (alternated against f79c061, 60 of 60 wins) 3.23
+-> 2.67 ms, tables 1.31 -> 0.71, key schedules 0.32.
 """
 
 from __future__ import annotations
@@ -87,6 +100,10 @@ _MASK120 = (1 << 120) - 1
 _LANE_PASSES = ((128, 512), (16, 64))
 _LANE_MIN_BLOCKS = _LANE_PASSES[-1][1]
 _LANE_BUILD_BLOCKS = 128  # least blocks for a key's first lane pass
+# A channel direction's (least blocks, lane passes) per record, by AAD,
+# ciphertext and length blocks, widest first; a record of at most 16
+# blocks goes straight to the fold.
+_CHANNEL_PASSES = ((512, (128, 16)), (145, (64, 16)), (17, (16,)), (0, ()))
 
 
 def gf_mult(x: int, y: int) -> int:
@@ -171,13 +188,32 @@ def _bit_rows(hs: Sequence[int]) -> np.ndarray:
     """``rows[k, j] = x^j * hs[k]`` for each bit ``j`` of a block (the
     lowest degree, byte 0's top bit, first): two ``uint64`` each, the raw
     16 bytes of the product (only ever XORed, so the word order is
-    immaterial)."""
-    powers = []
-    for v in hs:
-        for _ in range(128):
-            powers.append(v.to_bytes(BLOCK_SIZE, "big"))
-            v = _times_x(v)
-    return np.frombuffer(b"".join(powers), dtype=np.uint64).reshape(len(hs), 128, 2)
+    immaterial).
+
+    SWAR: every ``h`` is a 128-bit lane of one Python int.  Seven one-bit
+    steps make rows 0-7 of all keys (a lane's low bit scales ``R``, no
+    branch on ``h``); those eight rows, packed side by side, then take
+    fifteen ``x^8`` steps (the byte shifted out folds back by
+    ``x^128 = x^7 + x^2 + x + 1``, as in :func:`_ghash_blocks`)."""
+    k = len(hs)
+    ones = ((1 << 128 * k) - 1) // _MASK128  # bit 0 of every lane
+    keep = ones * (_MASK128 >> 1)
+    v = int.from_bytes(b"".join(h.to_bytes(BLOCK_SIZE, "big") for h in hs), "big")
+    base = [v]
+    for _ in range(7):
+        v = ((v >> 1) & keep) ^ (v & ones) * _R
+        base.append(v)
+    ones = ((1 << 1024 * k) - 1) // _MASK128  # now eight lanes a key
+    low, keep = ones * 0xFF, ones * _MASK120
+    v = int.from_bytes(b"".join(row.to_bytes(16 * k, "big") for row in base), "big")
+    steps = [v]
+    for _ in range(15):
+        d = (v & low) << 120
+        v = ((v >> 8) & keep) ^ d ^ d >> 1 ^ d >> 2 ^ d >> 7
+        steps.append(v)
+    words = np.frombuffer(b"".join(w.to_bytes(128 * k, "big") for w in steps), dtype=np.uint64)
+    # (x^8 step, one-bit step, key, word) -> (key, bit, word)
+    return words.reshape(16, 8, k, 2).transpose(2, 0, 1, 3).reshape(k, 128, 2)
 
 
 def _lane_tables(hs: Sequence[int]) -> np.ndarray:
@@ -306,44 +342,64 @@ class AesGcm:
             self._grow(self._LANE_TABLE_BYTES)
         return table
 
-    def _fold(self, lanes: np.ndarray) -> int:
-        """Digest of the 16 lane values of the last lane pass: lane ``l``
-        times ``H^(16 - l)``.  A channel direction keeps a fold stack, the
-        :func:`_bit_rows` of ``H^16 .. H^1`` (32 KiB, built on its first
-        lane pass): each lane bit, 0 or 1, scales its row, and one
-        XOR-reduce sums what is left.  A one-shot key would not repay the
-        build, so any other cipher takes 16 scalar steps."""
+    def _build_fold_stack(self) -> None:
+        """A channel direction's fold stack, the :func:`_bit_rows` of
+        ``H^16 .. H^1`` (32 KiB; the powers take 15 scalar steps, once),
+        and its 16-lane table."""
         global table_builds
+        table_builds += 1
+        m = _byte_table(self._hash_key())  # not kept: no channel record takes a scalar step
+        powers = [self._h]
+        while len(powers) < 16:
+            powers.append(_ghash_blocks(m, powers[-1], bytes(BLOCK_SIZE)))
+        # Word-major, so the XOR-reduce runs along contiguous rows.
+        self._fold_stack = np.ascontiguousarray(_bit_rows(powers[::-1]).reshape(-1, 2).T)
+        self._grow(self._FOLD_STACK_BYTES)
+        self._lane_table(16)
+
+    def _fold(self, blocks: np.ndarray) -> int:
+        """GHASH of at most 16 blocks: block ``l`` from the end times
+        ``H^(l + 1)``.  On a channel direction each bit, 0 or 1, scales
+        its row of the fold stack and one XOR-reduce sums what is left; a
+        one-shot key would not repay the stack, so any other cipher takes
+        scalar steps."""
         if self._ahead is None:
-            return _ghash_blocks(self._scalar_table(), 0, lanes.tobytes())
-        if self._fold_stack is None:
-            table_builds += 1
-            powers = [self._hash_key()]
-            while len(powers) < len(lanes):
-                powers.append(_ghash_blocks(self._scalar_table(), powers[-1], bytes(BLOCK_SIZE)))
-            # Word-major, so the XOR-reduce runs along contiguous rows.
-            self._fold_stack = np.ascontiguousarray(_bit_rows(powers[::-1]).reshape(-1, 2).T)
-            self._grow(self._FOLD_STACK_BYTES)
-        words = np.bitwise_xor.reduce(self._fold_stack * np.unpackbits(lanes).reshape(-1), axis=1)
+            return _ghash_blocks(self._scalar_table(), 0, bytes(blocks))
+        bits = np.unpackbits(blocks)
+        words = np.bitwise_xor.reduce(self._fold_stack[:, -len(bits):] * bits, axis=1)
         return int.from_bytes(words.tobytes(), "big")
 
     def _ghash(self, lead: bytes, data: bytes, trail: bytes) -> int:
         """GHASH of ``lead``, the whole blocks of ``data`` and ``trail``
-        (``lead`` and ``trail`` whole blocks).  Lane passes, reading
-        ``data`` in place, once it has ``_LANE_MIN_BLOCKS`` whole blocks
-        (``_LANE_BUILD_BLOCKS`` for a key's first such input); else the
-        scalar step."""
+        (``lead`` and ``trail`` whole blocks).  A channel direction takes
+        its ``_CHANNEL_PASSES`` tier by the blocks of all three.  Any other
+        cipher takes the scalar step below ``_LANE_MIN_BLOCKS`` whole
+        blocks of ``data`` (``_LANE_BUILD_BLOCKS`` for a key's first such
+        input), else ``_LANE_PASSES``.  Lane passes read ``data`` in place
+        unless it is too short to fill two stripes of the first pass; the
+        16 values they leave are folded (:meth:`_fold`)."""
         full = len(data) // BLOCK_SIZE
         bulk = full >= (_LANE_MIN_BLOCKS if self._bulk_before else _LANE_BUILD_BLOCKS)
         self._bulk_before |= full >= _LANE_MIN_BLOCKS
-        if not bulk:
+        if self._ahead is not None:
+            if self._fold_stack is None:
+                self._build_fold_stack()
+            total = (len(lead) + len(data) + len(trail)) // BLOCK_SIZE
+            passes = next(p for least, p in _CHANNEL_PASSES if total >= least)
+        elif bulk:
+            passes = tuple(lanes for lanes, least in _LANE_PASSES if full >= least)
+        else:
             m = self._scalar_table()
             return _ghash_blocks(m, _ghash_blocks(m, _ghash_blocks(m, 0, lead), data), trail)
+        if not passes or full < 2 * passes[0]:
+            data, lead, trail = lead + bytes(data[:full * BLOCK_SIZE]) + trail, b"", b""
+            full = len(data) // BLOCK_SIZE
+            if not passes:
+                return self._fold(np.frombuffer(data, dtype=np.uint8))
         blocks = np.frombuffer(data, np.uint8, full * BLOCK_SIZE).reshape(-1, BLOCK_SIZE)
-        for lanes, least in _LANE_PASSES:
-            if len(blocks) >= least:
-                blocks = _lane_pass(self._lane_table(lanes), lanes, blocks, lead, trail)
-                lead = trail = b""
+        for lanes in passes:
+            blocks = _lane_pass(self._lane_table(lanes), lanes, blocks, lead, trail)
+            lead = trail = b""
         return self._fold(blocks)
 
     def _j0(self, iv: bytes) -> bytes:

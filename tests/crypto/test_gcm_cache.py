@@ -216,13 +216,26 @@ def scalar_steps(monkeypatch):
     return steps
 
 
+# A channel record's GHASH blocks (AAD, ciphertext, lengths) -> payload bytes.
+def _channel_payload(ghash_blocks: int) -> int:
+    return 16 * (ghash_blocks - 3) - 5   # a ragged tail
+
+
+MID_BLOCKS = gcm._CHANNEL_PASSES[1][0]   # least blocks for the 64-lane pass
+CHANNEL_SIZES = [0, 1, 100, _channel_payload(16), _channel_payload(17), 1100,
+                 _channel_payload(MID_BLOCKS - 1), _channel_payload(MID_BLOCKS),
+                 16 * WIDE_BLOCKS + 7, 16 * 1000]
+
+
 def test_a_channel_record_on_the_fold_path_takes_no_scalar_ghash_step(scalar_steps):
     cipher = AesGcm(b"\x69" * 16, _counter_label=0)
-    cipher.encrypt(counter_iv(0, 0), bytes(16 * BUILD_BLOCKS))   # builds its tables
+    cipher.encrypt(counter_iv(0, 0), b"r")   # builds its tables: the powers of H, once
+    assert sum(scalar_steps) == 15
     scalar_steps.clear()
-    # AAD (2 blocks), the ragged tail and the lengths go through the lane
-    # pass with the ciphertext; the 16 lane values fold against the stack.
-    for seq, size in enumerate([16 * NARROW_BLOCKS, 1100, 16 * WIDE_BLOCKS + 7], 1):
+    # Up to 16 blocks fold directly; beyond, AAD (2 blocks), the ragged
+    # tail and the lengths go through the lane passes with the
+    # ciphertext, and the 16 lane values fold against the stack.
+    for seq, size in enumerate(CHANNEL_SIZES, 1):
         ct, tag = cipher.encrypt(counter_iv(0, seq), b"r" * size, CHANNEL_AAD)
         assert cipher.decrypt(counter_iv(0, seq), ct, tag, CHANNEL_AAD) == b"r" * size
     assert sum(scalar_steps) == 0
@@ -236,24 +249,49 @@ def test_a_channel_record_on_the_fold_path_takes_no_scalar_ghash_step(scalar_ste
 
 def test_each_channel_direction_builds_its_fold_stack_once_and_counts_it():
     cipher = AesGcm(b"\x6a" * 16, _counter_label=0)
-    before = gcm.table_builds
-    for seq in range(24):
-        cipher.encrypt(counter_iv(0, seq), bytes(16 * BUILD_BLOCKS if seq % 3 else 1100), CHANNEL_AAD)
-    # The byte table, the 16-lane table and the fold stack, once each.
-    assert gcm.table_builds - before == 3
-    assert cipher.footprint == (
-        AesGcm._BASE_BYTES + AesGcm._BYTE_TABLE_BYTES + AesGcm._LANE_TABLE_BYTES
-        + AesGcm._FOLD_STACK_BYTES
-    )
+    base = AesGcm._BASE_BYTES + AesGcm._LANE_TABLE_BYTES
+    rnd = random.Random(6)
+    seq = 0
+
+    def records(sizes, count):
+        nonlocal seq
+        before = gcm.table_builds
+        for _ in range(count):
+            seq += 1
+            cipher.encrypt(counter_iv(0, seq), bytes(rnd.choice(sizes)), CHANNEL_AAD)
+        return gcm.table_builds - before
+
+    # Its first record, however short: the byte table (for the powers of
+    # H, then dropped), the 16-lane table and the fold stack, once each.
+    assert records([1], 1) == 3
+    assert cipher._byte_table is None
+    assert cipher.footprint == base + AesGcm._FOLD_STACK_BYTES
     assert cipher._fold_stack.nbytes == AesGcm._FOLD_STACK_BYTES
+    assert sorted(cipher._lane_tables) == [16]
+    assert records(CHANNEL_SIZES[:7], 24) == 0
+    # Its first mid-size record adds the 64-lane table, its first
+    # 512-block record the 128-lane one; then nothing, at any size.
+    assert records([_channel_payload(MID_BLOCKS)], 3) == 1
+    assert records([16 * WIDE_BLOCKS + 7], 2) == 1
+    assert records(CHANNEL_SIZES, 24) == 0
+    assert sorted(cipher._lane_tables) == [16, 64, 128]
+    assert cipher.footprint == base + AesGcm._FOLD_STACK_BYTES + 2 * AesGcm._LANE_TABLE_BYTES
 
 
-def test_only_a_channel_direction_with_lane_sized_records_builds_a_fold_stack():
+def test_only_a_channel_direction_builds_a_fold_stack():
     short = AesGcm(b"\x6b" * 16, _counter_label=1)
-    for seq in range(40):   # a direction of short records keeps the byte table alone
+    for seq in range(40):   # a direction of short records builds its tables once
         short.encrypt(counter_iv(1, seq), bytes(16 * NARROW_BLOCKS - 1), CHANNEL_AAD)
-    assert short._fold_stack is None and not short._lane_tables
-    assert short.footprint == AesGcm._BASE_BYTES + AesGcm._BYTE_TABLE_BYTES
+    assert short._fold_stack is not None and sorted(short._lane_tables) == [16]
+    assert short._byte_table is None   # no record of its takes a scalar step
+    assert short.footprint == (
+        AesGcm._BASE_BYTES + AesGcm._LANE_TABLE_BYTES + AesGcm._FOLD_STACK_BYTES
+    )
+    lone = AesGcm(b"\x6b" * 16)      # a one-shot key's lone short record: the byte table alone
+    before = gcm.table_builds
+    lone.encrypt(_iv(0), bytes(16 * NARROW_BLOCKS - 1), CHANNEL_AAD)
+    assert gcm.table_builds - before == 1 and not lone._lane_tables and lone._fold_stack is None
+    assert lone.footprint == AesGcm._BASE_BYTES + AesGcm._BYTE_TABLE_BYTES
     one_shot = AesGcm(b"\x6b" * 16)   # never a fold stack, however large its records
     for i in range(3):
         one_shot.encrypt(_iv(i), bytes(16 * WIDE_BLOCKS))

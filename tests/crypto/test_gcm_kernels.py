@@ -385,6 +385,113 @@ def test_channel_records_match_reference_and_reject_any_flipped_bit(size, aad_le
             cipher.decrypt(iv, *forged)
 
 
+# -- the SWAR table build against the spec-literal x-chain -----------------------
+def ref_times_x(v: int) -> int:
+    """One multiplication by ``x`` (SP 800-38D algorithm 1's ``V`` step)."""
+    return (v >> 1) ^ (0xE1 << 120) if v & 1 else v >> 1
+
+
+def ref_bit_rows(hs: list[int]) -> np.ndarray:
+    """``x^j * h`` for ``j`` = 0 .. 127 by 127 branchy steps per key, in
+    :func:`gcm._bit_rows`' layout."""
+    rows = []
+    for v in hs:
+        for _ in range(128):
+            rows.append(v.to_bytes(16, "big"))
+            v = ref_times_x(v)
+    return np.frombuffer(b"".join(rows), dtype=np.uint64).reshape(len(hs), 128, 2)
+
+
+# Every reduction step taken (a low bit set), none taken, the top bit alone.
+EDGE_KEYS = [0, 1, 1 << 127, (1 << 128) - 1, 0xE1 << 120 | 1, 0x0101 * (1 << 112) | 0xFF]
+keys128 = st.one_of(
+    st.sampled_from(EDGE_KEYS),
+    st.integers(0, (1 << 128) - 1),
+    st.integers(0, (1 << 127) - 1).map(lambda v: v << 1 | 1),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hs=st.sampled_from([1, 2, 7, 16, 33]).flatmap(
+    lambda n: st.lists(keys128, min_size=n, max_size=n)
+))
+def test_swar_bit_rows_match_the_x_chain_row_by_row(hs):
+    rows, want = gcm._bit_rows(hs), ref_bit_rows(hs)
+    assert rows.shape == want.shape
+    for k, j in zip(*np.nonzero((rows != want).any(axis=2))):
+        raise AssertionError(f"key {k} (h = {hs[k]:#x}), row {j}")
+
+
+def test_swar_bit_rows_at_the_edge_keys_and_the_tables_built_on_them(monkeypatch):
+    hs = EDGE_KEYS + [random.Random("edge").getrandbits(128) for _ in range(10)]
+    assert np.array_equal(gcm._bit_rows(hs), ref_bit_rows(hs))
+    tables = gcm._lane_tables(hs)
+    monkeypatch.setattr(gcm, "_bit_rows", ref_bit_rows)
+    assert np.array_equal(tables, gcm._lane_tables(hs))
+
+
+def test_a_channel_fold_stack_and_lane_table_match_the_x_chain(monkeypatch):
+    key = random.Random("fold").randbytes(16)
+    cipher = AesGcm(key, _counter_label=0)
+    cipher.encrypt(ctr.counter_iv(0, 0), b"first record")
+    h = int.from_bytes(ref_encrypt_block(ref_expand_key(key), bytes(16)), "big")
+    powers = [h]
+    while len(powers) < 16:
+        powers.append(ref_gf128_mul(powers[-1], h))
+    assert np.array_equal(cipher._fold_stack, ref_bit_rows(powers[::-1]).reshape(-1, 2).T)
+    monkeypatch.setattr(gcm, "_bit_rows", ref_bit_rows)
+    assert np.array_equal(cipher._lane_tables[16], gcm._lane_tables(powers[-1:]))
+
+
+# -- a channel record of every size: fold, 16 lanes, 64 then 16, 128 then 16 ----
+CHANNEL_TIERS = [least for least, _ in gcm._CHANNEL_PASSES if least]
+
+
+def _payload_for(ghash_blocks: int, aad_len: int, ragged: int) -> int:
+    """A payload length whose record hashes ``ghash_blocks`` blocks (AAD,
+    ciphertext, lengths), its last block ``ragged`` bytes short."""
+    blocks = ghash_blocks - 1 - -(-aad_len // 16)
+    return max(16 * blocks - ragged, 0) if blocks > 0 else 0
+
+
+_SIZE_RND = random.Random("channel-sizes")
+CHANNEL_GHASH_BLOCKS = sorted({
+    *range(1, 20), *_SIZE_RND.sample(range(20, 601), 30),
+    *(edge + d for edge in CHANNEL_TIERS for d in (-1, 0, 1)),
+})
+
+
+@pytest.mark.parametrize("aad_len", [0, 20], ids=["no-aad", "aad"])
+def test_every_channel_record_size_matches_a_plain_cipher_and_the_reference(aad_len):
+    rnd = random.Random(f"channel-{aad_len}")
+    key = rnd.randbytes(16)
+    sender, receiver = AesGcm(key, _counter_label=1), AesGcm(key, _counter_label=1)
+    plain, round_keys = AesGcm(key), ref_expand_key(key)
+    for seq, blocks in enumerate(CHANNEL_GHASH_BLOCKS):
+        if blocks == 1 and aad_len:
+            continue                     # AAD and lengths alone are three blocks
+        aad = rnd.randbytes(aad_len)
+        plaintext = rnd.randbytes(_payload_for(blocks, aad_len, rnd.randrange(16)))
+        iv = ctr.counter_iv(1, seq)
+        sealed = sender.encrypt(iv, plaintext, aad)
+        assert sealed == plain.encrypt(iv, plaintext, aad), blocks
+        # The keystream is the plain cipher's, checked against the
+        # reference at every AES tier above; the tag is the reference's.
+        mask = int.from_bytes(ref_encrypt_block(round_keys, iv + b"\x00\x00\x00\x01"), "big")
+        assert sealed[1] == (ref_auth(key, aad, sealed[0]) ^ mask).to_bytes(16, "big"), blocks
+        assert receiver.decrypt(iv, *sealed, aad) == plaintext
+        with pytest.raises(IntegrityError):
+            receiver.decrypt(iv, sealed[0], TestBulkTamper._flip(sealed[1], blocks % 128), aad)
+
+
+def test_the_channel_tier_boundaries_are_inside_the_swept_sizes():
+    assert CHANNEL_TIERS == sorted(CHANNEL_TIERS, reverse=True) and CHANNEL_TIERS[-1] == 17
+    assert gcm._CHANNEL_PASSES[-1] == (0, ())      # up to 16 blocks: the fold alone
+    for edge in CHANNEL_TIERS:
+        assert {edge - 1, edge, edge + 1} <= set(CHANNEL_GHASH_BLOCKS)
+    assert max(CHANNEL_GHASH_BLOCKS) >= 512
+
+
 # -- many records under many keys: seal_many / open_many -----------------------
 N = gcm._GROUP_MIN_RECORDS
 BOUND = gcm._GROUP_MAX_BLOCKS   # AAD + payload blocks of a short record
