@@ -76,12 +76,17 @@ def ref_encrypt_block(round_keys: list[list[int]], block: bytes) -> bytes:
 
 
 # -- reference GHASH / GCM (SP 800-38D) --------------------------------------
+def ref_times_x(v: int) -> int:
+    """One multiplication by ``x`` (SP 800-38D algorithm 1's ``V`` step)."""
+    return (v >> 1) ^ (0xE1 << 120) if v & 1 else v >> 1
+
+
 def ref_gf128_mul(x: int, y: int) -> int:
     z, v = 0, y
     for i in range(127, -1, -1):
         if (x >> i) & 1:
             z ^= v
-        v = (v >> 1) ^ (0xE1 << 120) if v & 1 else v >> 1
+        v = ref_times_x(v)
     return z
 
 
@@ -386,11 +391,6 @@ def test_channel_records_match_reference_and_reject_any_flipped_bit(size, aad_le
 
 
 # -- the SWAR table build against the spec-literal x-chain -----------------------
-def ref_times_x(v: int) -> int:
-    """One multiplication by ``x`` (SP 800-38D algorithm 1's ``V`` step)."""
-    return (v >> 1) ^ (0xE1 << 120) if v & 1 else v >> 1
-
-
 def ref_bit_rows(hs: list[int]) -> np.ndarray:
     """``x^j * h`` for ``j`` = 0 .. 127 by 127 branchy steps per key, in
     :func:`gcm._bit_rows`' layout."""
