@@ -7,9 +7,10 @@ amount of work (``--seconds 0``: each window is exactly the workload's
 ``sim_requests``, however fast the host or the program is) and forgives
 nothing: any ``NOT REPEATABLE`` line, violation or oracle failure fails.
 (It used to forgive ``engine.overlap_share`` differing in its last
-digits; ``PipelineEngine`` now takes its cycle deltas from
-``SimClock.modelled_cycles``, which host-timed compute never touches, so
-the figure repeats exactly.)
+digits.  Every virtual-clock charge is now a pure function of the
+inputs, compute included: it is each function's declared ``native_cost``,
+never host time.  So ``PipelineEngine``'s cycle deltas, and the figure,
+repeat exactly.)
 
 Delete this file once fixed work is the benchmark's own default for its
 gates (a benchmark-only change, ROADMAP item 1(b)).

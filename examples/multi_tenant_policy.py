@@ -24,6 +24,7 @@ from repro import (
     TrustedLibraryRegistry,
 )
 from repro.apps.compress import deflate
+from repro.apps.registry import DEFLATE_SECONDS_PER_BYTE
 from repro.core.adaptive import AdaptiveDedupPolicy
 from repro.sgx.measurement import measure_code
 from repro.store import QuotaPolicy
@@ -33,7 +34,9 @@ from repro.workloads import synthetic_text
 
 def make_libs():
     libs = TrustedLibraryRegistry()
-    libs.register(TrustedLibrary("zlib", "1.2.11").add("bytes deflate(bytes)", deflate))
+    libs.register(TrustedLibrary("zlib", "1.2.11").add(
+        "bytes deflate(bytes)", deflate, lambda data: DEFLATE_SECONDS_PER_BYTE * len(data),
+    ))
     return libs
 
 

@@ -19,7 +19,11 @@ def main() -> None:
     session = repro.connect(app_name="quickstart-app", seed=b"quickstart")
 
     # --- the 2 lines the paper advertises --------------------------------
-    @session.mark(version="2.1", result_parser=MappingParser(IntParser()))
+    # (``native_cost`` is optional: what one call would take natively,
+    # here ~0.5 us per character; it is what a computed call charges the
+    # simulated clock.)
+    @session.mark(version="2.1", result_parser=MappingParser(IntParser()),
+                  native_cost=lambda text: 5e-7 * len(text))
     def word_histogram(text: str) -> dict:
         """A deterministic, moderately expensive computation."""
         counts: dict = {}

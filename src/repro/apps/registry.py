@@ -4,10 +4,11 @@ This module is the Python rendering of the paper's Fig. 4 — the four
 "Deduplicable versions" of the case-study functions.  Each
 :class:`CaseStudy` bundles the trusted library an application must link,
 the :class:`~repro.core.description.FunctionDescription` the developer
-writes, the parsers for input/result, and the *native factor* used by
-the simulated clock (how much faster the paper's C/C++ library runs than
-our pure-Python substitute; see DESIGN.md §2 — these are order-of-
-magnitude calibrations, recorded in EXPERIMENTS.md).
+writes, and the parsers for input/result.  Each library links its
+function with a declared ``native_cost(input) -> seconds`` — what one
+call takes on the paper's platform, a coefficient below times the work
+the input carries — which is what the virtual clock charges for a
+computed call (DESIGN.md §2, EXPERIMENTS.md Known deviation 2).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from . import mapreduce as _mapreduce
 from . import pattern as _pattern
 from . import sift as _sift
 from .pattern.ruleset import Rule
+from .sift.pyramid import octave_count
 from ..core.deduplicable import Deduplicable
 from ..core.description import FunctionDescription, TrustedLibrary, TrustedLibraryRegistry
 from ..core.serialization import (
@@ -34,6 +36,23 @@ from ..core.serialization import (
 from ..deployment import Application
 
 
+# Native seconds per unit of work, one coefficient per case study.  Each
+# was scaled once at its Fig. 5 reference input (the ``*`` rows of
+# ``python -m repro.bench.calibration``) to what Fig. 5 charged there
+# while compute was host-timed: the median Python seconds of the case's
+# function over 62 interleaved runs ÷ the native factor the case study
+# shipped with.  Provenance: commit 0811248; a 2-vCPU virtual machine
+# reporting "Intel(R) Xeon(R) Processor", CPython 3.11.7; 2026-10-17.
+#: SIFT, 192 px image (4 octaves): 0.05573 s ÷ 1.
+SIFT_SECONDS_PER_PIXEL_OCTAVE = 3.779e-7
+#: Deflate, 64 KB of prose: 0.6417 s ÷ 110.
+DEFLATE_SECONDS_PER_BYTE = 8.901e-8
+#: Pattern scan, the 1 KB-payload packet (1,485 B) against 3,700 rules: 0.8611 s ÷ 2.
+SCAN_SECONDS_PER_BYTE_RULE = 7.836e-8
+#: BoW, an 8,000-word page (34,299 B): 0.02345 s ÷ 6.
+BOW_SECONDS_PER_BYTE = 1.139e-7
+
+
 @dataclass(frozen=True)
 class CaseStudy:
     """Everything needed to mark one case-study function with SPEED."""
@@ -43,8 +62,12 @@ class CaseStudy:
     description: FunctionDescription
     input_parser: Parser
     result_parser: Parser
-    native_factor: float
     func: Callable
+
+    @property
+    def native_cost(self) -> Callable[..., float]:
+        """The cost ``func`` was linked with."""
+        return self.library.costs[self.description.signature]
 
     def register_into(self, registry: TrustedLibraryRegistry) -> None:
         registry.register(self.library)
@@ -55,14 +78,16 @@ class CaseStudy:
             self.description,
             input_parser=self.input_parser,
             result_parser=self.result_parser,
-            native_factor=self.native_factor,
         )
 
 
 def sift_case_study() -> CaseStudy:
     """Case 1: image feature extraction via libsiftpp."""
     library = TrustedLibrary(_sift.LIBRARY_FAMILY, _sift.LIBRARY_VERSION)
-    library.add(_sift.FUNCTION_SIGNATURE, _sift.sift)
+    library.add(
+        _sift.FUNCTION_SIGNATURE, _sift.sift,
+        lambda image: SIFT_SECONDS_PER_PIXEL_OCTAVE * image.size * octave_count(image.shape),
+    )
     return CaseStudy(
         name="feature-extraction",
         library=library,
@@ -71,9 +96,6 @@ def sift_case_study() -> CaseStudy:
         ),
         input_parser=NdarrayParser(),
         result_parser=NdarrayParser(),
-        # numpy-based SIFT is on par with the (notoriously slow)
-        # native libsiftpp; calibrated against Fig. 5(a)'s regime.
-        native_factor=1.0,
         func=_sift.sift,
     )
 
@@ -81,7 +103,8 @@ def sift_case_study() -> CaseStudy:
 def compress_case_study() -> CaseStudy:
     """Case 2: data compression via zlib's deflate."""
     library = TrustedLibrary(_compress.LIBRARY_FAMILY, _compress.LIBRARY_VERSION)
-    library.add(_compress.FUNCTION_SIGNATURE, _compress.deflate)
+    library.add(_compress.FUNCTION_SIGNATURE, _compress.deflate,
+                lambda data: DEFLATE_SECONDS_PER_BYTE * len(data))
     return CaseStudy(
         name="data-compression",
         library=library,
@@ -91,8 +114,6 @@ def compress_case_study() -> CaseStudy:
         ),
         input_parser=BytesParser(),
         result_parser=BytesParser(),
-        # Pure-Python LZ77+Huffman vs. C zlib (~0.17 vs ~18 MB/s).
-        native_factor=110.0,
         func=_compress.deflate,
     )
 
@@ -105,7 +126,9 @@ def pattern_case_study(rules: list[Rule]) -> CaseStudy:
     """
     scan, version = _pattern.make_scan_function(rules)
     library = TrustedLibrary(_pattern.LIBRARY_FAMILY, version)
-    library.add(_pattern.FUNCTION_SIGNATURE, scan)
+    # The paper's libpcre loop tries every rule on every payload byte.
+    library.add(_pattern.FUNCTION_SIGNATURE, scan,
+                lambda payload: SCAN_SECONDS_PER_BYTE_RULE * len(payload) * len(rules))
     return CaseStudy(
         name="pattern-matching",
         library=library,
@@ -114,9 +137,6 @@ def pattern_case_study(rules: list[Rule]) -> CaseStudy:
         ),
         input_parser=BytesParser(),
         result_parser=ListParser(IntParser()),
-        # Our Aho-Corasick prefilter beats the paper's per-rule pcre loop
-        # algorithmically; the factor folds both effects together.
-        native_factor=2.0,
         func=scan,
     )
 
@@ -124,7 +144,8 @@ def pattern_case_study(rules: list[Rule]) -> CaseStudy:
 def bow_case_study() -> CaseStudy:
     """Case 4: bag-of-words via the MapReduce framework."""
     library = TrustedLibrary(_mapreduce.LIBRARY_FAMILY, _mapreduce.LIBRARY_VERSION)
-    library.add(_mapreduce.FUNCTION_SIGNATURE, _mapreduce.bag_of_words)
+    library.add(_mapreduce.FUNCTION_SIGNATURE, _mapreduce.bag_of_words,
+                lambda text: BOW_SECONDS_PER_BYTE * len(text.encode()))
     return CaseStudy(
         name="bow-computation",
         library=library,
@@ -134,7 +155,5 @@ def bow_case_study() -> CaseStudy:
         ),
         input_parser=TextParser(),
         result_parser=MappingParser(IntParser()),
-        # Python dict shuffle vs. the C++ MapReduce library.
-        native_factor=6.0,
         func=_mapreduce.bag_of_words,
     )

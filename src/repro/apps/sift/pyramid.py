@@ -41,6 +41,14 @@ class ScaleSpace:
         return len(self.gaussians)
 
 
+def octave_count(shape: tuple[int, ...], config: PyramidConfig | None = None) -> int:
+    """Octaves the scale space plans for an image of ``shape``: halve
+    until the short side would drop below ``min_size``."""
+    config = config or PyramidConfig()
+    octaves = int(np.log2(min(shape) / config.min_size)) + 1
+    return max(min(config.max_octaves, octaves), 1)
+
+
 def build_scale_space(image: np.ndarray, config: PyramidConfig | None = None) -> ScaleSpace:
     """Build the Gaussian and DoG pyramids for a grayscale image in [0,1]."""
     config = config or PyramidConfig()
@@ -67,15 +75,9 @@ def build_scale_space(image: np.ndarray, config: PyramidConfig | None = None) ->
     initial = float(np.sqrt(max(config.base_sigma**2 - config.assumed_blur**2, 0.01)))
     current = gaussian_blur(base, initial)
 
-    n_octaves = min(
-        config.max_octaves,
-        int(np.log2(min(base.shape) / config.min_size)) + 1,
-    )
-    n_octaves = max(n_octaves, 1)
-
     gaussians: list[list[np.ndarray]] = []
     dogs: list[list[np.ndarray]] = []
-    for _octave in range(n_octaves):
+    for _octave in range(octave_count(base.shape, config)):
         stack = [current]
         for inc in increments[1:]:
             stack.append(gaussian_blur(stack[-1], inc))

@@ -12,7 +12,6 @@ application.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -68,14 +67,14 @@ class UnicRuntime:
         encode: Callable[[Any], bytes],
         decode: Callable[[bytes], Any],
         clock: SimClock | None = None,
-        native_factor: float = 1.0,
+        native_cost: Callable[[Any], float] | None = None,
     ):
         self._store = store
         self._func = func
         self._encode = encode
         self._decode = decode
         self._clock = clock
-        self._native_factor = native_factor
+        self._native_cost = native_cost
         self._func_id = tagged_hash(b"unic/func", repr(func).encode())
         self.stats = UnicStats()
 
@@ -89,9 +88,8 @@ class UnicRuntime:
             self.stats.hits += 1
             return self._decode(cached)
         self.stats.misses += 1
-        start = time.perf_counter()
         result = self._func(input_value)
-        if self._clock is not None:
-            self._clock.charge_compute(time.perf_counter() - start, self._native_factor)
+        if self._clock is not None and self._native_cost is not None:
+            self._clock.charge_compute(self._native_cost(input_value))
         self._store.put(tag, self._encode(result))
         return result

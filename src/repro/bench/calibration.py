@@ -1,11 +1,16 @@
-"""Calibration workflow for the native factors (DESIGN.md §2).
+"""Calibration of the case studies' declared native costs (DESIGN.md §2).
 
-Each case study carries a *native factor*: how much faster the paper's
-C/C++ library runs than our pure-Python substitute.  The factors shipped
-in :mod:`repro.apps.registry` were derived with this utility: measure
-the Python wall cost per byte on a reference workload, divide by the
-published/na(t)ive per-byte cost of the original library, and round to a
-defensible order of magnitude.
+Each case study links its function with a declared ``native_cost``
+(:mod:`repro.apps.registry`): what one call takes on the paper's
+platform, a coefficient times the work the input carries.  That
+model is what the virtual clock charges for a computed call, and this
+module is the one place that reads the host clock.  It runs each case
+over the Fig. 5 sweep of input sizes and prints, per input, this host's
+Python seconds, the model's seconds and their ratio: how many times
+slower the pure-Python substitute runs here than the modelled native
+library.  A ratio that holds across a case's sweep says the model's form
+fits.  The ``*`` row is the reference input each committed coefficient
+was scaled at (its provenance is in :mod:`repro.apps.registry`).
 
 Run it after changing any case-study implementation::
 
@@ -14,90 +19,74 @@ Run it after changing any case-study implementation::
 
 from __future__ import annotations
 
+import statistics
+
+from .harness import KB
 from .probe import timed
-from .reporting import Column, Experiment, render
-from ..apps import compress, mapreduce, pattern, sift
-from ..workloads import generate_rules, packet_trace, synthetic_image, synthetic_text, synthetic_webpage
+from .reporting import EXPERIMENTS, Column, Experiment, human_size, render
+from ..apps.registry import (
+    bow_case_study,
+    compress_case_study,
+    pattern_case_study,
+    sift_case_study,
+)
+from ..workloads import (
+    generate_rules,
+    packet_trace,
+    synthetic_image,
+    synthetic_text,
+    synthetic_webpage,
+)
 
 
-# Native per-byte costs on the paper's platform, from the paper's own
-# numbers where derivable and from library documentation otherwise.
-_NATIVE_NS_PER_BYTE = {
-    # siftpp is famously slow: seconds for sub-megapixel images.
-    "sift": 550.0,
-    # zlib on prose at default level: ~18 MB/s inside an enclave.
-    "compress": 55.0,
-    # No stable native per-byte cost exists here: the scan is ruleset-
-    # dominated, and the paper's per-packet cost is only known indirectly
-    # (Fig. 5(c): baseline ≈ 316-412x the ~0.1-0.3 ms hit path, i.e.
-    # tens of ms per packet).  Anchoring at the 256 B-1 KB band of our
-    # measured scan times yields this effective per-byte figure; the
-    # shipped factor 2.0 reproduces the paper's speedup range there.
-    "pattern": 190_000.0,
-    # a compact C++ MapReduce word count.
-    "bow": 70.0,
-}
+def _sweeps(seed: int):
+    """``(name, case, [(label, input, is reference)])`` per case study:
+    the full Fig. 5 sizes, drawn as the Fig. 5 runners draw them."""
+    fig5a, fig5b, fig5c, fig5d = (EXPERIMENTS[f"fig5{x}"].full for x in "abcd")
+    yield "sift", sift_case_study(), [
+        (f"{s}px", synthetic_image(s, seed=seed), s == 192) for s in fig5a["sizes"]
+    ]
+    yield "compress", compress_case_study(), [
+        (human_size(s), synthetic_text(s, seed=seed), s == 64 * KB) for s in fig5b["sizes"]
+    ]
+    n_rules = fig5c["n_rules"]
+    packets = [(packet_trace(1, payload_size=s, duplicate_fraction=0.0, seed=seed + s)[0],
+                s == 1024) for s in fig5c["payload_sizes"]]
+    yield "pattern", pattern_case_study(generate_rules(n_rules, seed=seed)), [
+        (f"{human_size(len(p))} x {n_rules} rules", p, reference) for p, reference in packets
+    ]
+    yield "bow", bow_case_study(), [
+        (f"{n}w", synthetic_webpage(n, seed=seed), n == 8000) for n in fig5d["word_counts"]
+    ]
 
 
-def _measure(func, value) -> float:
-    func(value)  # warm caches
-    return timed(lambda: func(value))[2]
+def _host_seconds(func, value, repeats: int) -> float:
+    """Median Python seconds of ``func(value)`` after one warm-up call."""
+    func(value)
+    return statistics.median(timed(lambda: func(value))[2] for _ in range(repeats))
 
 
-def run_calibration(seed: int = 7) -> list[dict]:
-    """Measure all four case studies and suggest native factors."""
-    rows = []
-
-    image = synthetic_image(192, seed=seed)
-    seconds = _measure(sift.sift, image)
-    rows.append(_row("sift", f"192px image ({image.nbytes}B)", seconds,
-                     image.nbytes, shipped=1.0))
-
-    text = synthetic_text(64 * 1024, seed=seed)
-    seconds = _measure(compress.deflate, text)
-    rows.append(_row("compress", "64KB prose", seconds, len(text), shipped=110.0))
-
-    rules = generate_rules(3700, seed=seed)
-    compiled = pattern.CompiledRuleset(rules)
-    packet = packet_trace(1, payload_size=1024, duplicate_fraction=0.0, seed=seed)[0]
-    seconds = _measure(compiled.scan, packet)
-    rows.append(_row("pattern", f"{len(packet)}B packet vs 3700 rules",
-                     seconds, len(packet), shipped=2.0))
-
-    page = synthetic_webpage(8000, seed=seed)
-    seconds = _measure(mapreduce.bag_of_words, page)
-    rows.append(_row("bow", f"{len(page)}B page", seconds, len(page), shipped=6.0))
-    return rows
-
-
-def _row(case: str, workload: str, seconds: float, n_bytes: int,
-         shipped: float) -> dict:
-    python_ns = seconds * 1e9 / max(1, n_bytes)
-    native_ns = _NATIVE_NS_PER_BYTE[case]
-    return dict(
-        case=case,
-        workload=workload,
-        python_seconds=seconds,
-        python_ns_per_byte=python_ns,
-        assumed_native_ns_per_byte=native_ns,
-        suggested_factor=python_ns / native_ns,
-        shipped_factor=shipped,
-    )
+def run_calibration(repeats: int, points: int, seed: int = 7):
+    """Time each case study's first ``points`` sweep inputs on this host
+    against its declared model."""
+    for name, case, inputs in _sweeps(seed):
+        for label, value, reference in inputs[:points]:
+            yield dict(case=name, input=label, host_s=_host_seconds(case.func, value, repeats),
+                       model_s=case.native_cost(value), reference=reference)
 
 
 #: Declared like the CLI's experiments, but its own entry point: it
 #: measures this host, so it has no place in ``python -m repro.bench all``.
 CALIBRATION = Experiment("calibration", run_calibration, [(
-    "Native-factor calibration", [
+    "Native-cost calibration (host Python vs the declared model)", [
         Column("case", "case"),
-        Column("workload", "workload"),
-        Column("python_seconds", "python (s)"),
-        Column("python_ns_per_byte", "py ns/B"),
-        Column("assumed_native_ns_per_byte", "native ns/B"),
-        Column("suggested_factor", "suggested factor"),
-        Column("shipped_factor", "shipped factor"),
+        Column("input", "input"),
+        Column("host_s", "host (s)"),
+        Column("model_s", "model (s)"),
+        Column("slowdown", "host/model", derive=lambda r: r["host_s"] / r["model_s"]),
+        Column("reference", "ref", cell=lambda r: "*" if r["reference"] else ""),
     ],
-)])
+)], full=dict(repeats=3, points=4))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual workflow

@@ -117,8 +117,8 @@ def _measure_case(case: CaseStudy, input_value: Any, seed: bytes, trials: int) -
         case.deduplicable(app)(input_value)
         return app.runtime.stats.records[-1]
 
-    # Warm caches/JIT paths so wall-clock compute is comparable across
-    # the baseline/init measurements (the compute term feeds the sim clock).
+    # Warm caches so wall-clock compute is comparable across the
+    # baseline/init measurements (the sim clock charges the declared cost).
     case.func(input_value)
 
     for trial in range(trials):
@@ -333,8 +333,6 @@ def run_fig6(sizes: list[int], ops: int, seed: int = 13):
 ], full=dict(text_bytes=64 * KB), quick=dict(text_bytes=16 * KB))
 def run_ablation_schemes(text_bytes: int, seed: int = 17):
     """A1: cross-app RCE vs single-key (§III-B) vs UNIC plaintext."""
-    from ..apps.compress import deflate
-
     data = synthetic_text(text_bytes, seed=seed)
     for name, config_factory in (
         ("cross-app (III-C)", lambda: RuntimeConfig(app_id="a", async_put=False)),
@@ -358,12 +356,13 @@ def run_ablation_schemes(text_bytes: int, seed: int = 17):
         yield dict(scheme=name, sim_init_s=sims[0], sim_subsq_s=sims[1],
                    encrypted_at_rest=True)
 
-    # UNIC plaintext baseline.
+    # UNIC plaintext baseline: the same deflate, charged the same model.
     clock = SimClock()
+    case = compress_case_study()
     unic = UnicRuntime(
-        UnicStore(mac_key=b"\x01" * 32), deflate,
+        UnicStore(mac_key=b"\x01" * 32), case.func,
         encode=lambda b: b, decode=lambda b: b,
-        clock=clock, native_factor=300.0,
+        clock=clock, native_cost=case.native_cost,
     )
     _, init, _ = timed(lambda: unic.call(data, data), clock)
     _, subsq, _ = timed(lambda: unic.call(data, data), clock)

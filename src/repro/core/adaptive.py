@@ -119,7 +119,9 @@ class AdaptiveDedupPolicy:
     def _reconsider(self, prof: FunctionProfile) -> None:
         if prof.calls < self.min_observations:
             return
-        if prof.ema_compute_cost <= 0.0:
+        if prof.calls == prof.hits:
+            # No computed call yet (a declared cost may be zero: a
+            # function that declares none is free to recompute).
             return
         rate = prof.hit_rate()
         hit_cost = prof.ema_hit_cost or prof.ema_compute_cost

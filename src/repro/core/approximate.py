@@ -35,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-import time
-
 from .scheme import CrossAppScheme, ProtectedResult
 from .serialization import AnyParser, Parser
 from .verification import verify_and_recover
@@ -113,7 +111,6 @@ class ApproximateDeduplicable:
     bands: int = 4
     input_parser: Parser | None = None
     result_parser: Parser | None = None
-    native_factor: float = 1.0
     scheme: CrossAppScheme = field(default_factory=CrossAppScheme)
     stats: ApproximateStats = field(default_factory=ApproximateStats)
 
@@ -137,6 +134,7 @@ class ApproximateDeduplicable:
 
         with runtime.enclave.ecall("approx_execute"):
             func = runtime.libraries.lookup(self.description)
+            native_cost = runtime.libraries.native_cost(self.description)
             func_identity = runtime.libraries.function_identity(self.description)
             input_bytes = input_parser.encode(input_value)
             clock.charge_hash(len(input_bytes))  # fingerprinting pass
@@ -170,9 +168,8 @@ class ApproximateDeduplicable:
 
             # Miss on all bands: compute and publish under every band.
             self.stats.misses += 1
-            start = time.perf_counter()
             result_value = func(input_value)
-            clock.charge_compute(time.perf_counter() - start, self.native_factor)
+            clock.charge_compute(native_cost(input_value))
             result_bytes = result_parser.encode(result_value)
             for index, value in enumerate(values):
                 band_id = self._band_identity(func_identity, index, value)

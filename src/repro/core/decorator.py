@@ -9,7 +9,7 @@ without hand-writing a TrustedLibrary::
     app = deployment.create_application("svc", libs)
     mark = deduplicable_marker(app)
 
-    @mark(version="1.0")
+    @mark(version="1.0", native_cost=lambda data: 2e-9 * len(data))
     def normalize(data: bytes) -> bytes:
         ...
 
@@ -20,6 +20,9 @@ Each decorated function is registered into a per-application synthetic
 trusted library (family ``"app:<name>"``), so all the identity and
 cross-application sharing machinery applies unchanged: two applications
 decorating byte-identical functions with the same version share results.
+``native_cost`` (optional, same arguments as the function, returning
+seconds on the paper's platform) is what a computed call charges the
+virtual clock; without it a call charges no compute.
 """
 
 from __future__ import annotations
@@ -43,19 +46,18 @@ def deduplicable_marker(app: Application):
         signature: str | None = None,
         input_parser: Parser | None = None,
         result_parser: Parser | None = None,
-        native_factor: float = 1.0,
+        native_cost: Callable[..., float] | None = None,
     ) -> Callable[[Callable], Callable]:
         def decorate(func: Callable) -> Callable:
             sig = signature or f"{func.__name__}(...)"
             family = f"{_FAMILY_PREFIX}:{func.__module__}.{func.__qualname__}"
-            library = TrustedLibrary(family, version).add(sig, func)
+            library = TrustedLibrary(family, version).add(sig, func, native_cost)
             app.runtime.libraries.register(library)
             description = FunctionDescription(family, version, sig)
             dedup = Deduplicable(
                 app.runtime, description,
                 input_parser=input_parser,
                 result_parser=result_parser,
-                native_factor=native_factor,
             )
 
             # The wrapper is a pure shim: every surface (plain call,

@@ -39,10 +39,9 @@ class Deduplicable:
         Optional explicit parsers; by default the self-describing
         :class:`~repro.core.serialization.AnyParser` resolves parsers
         from the runtime's registry by value type.
-    native_factor:
-        Calibration constant for the simulated clock: how many times
-        faster the paper's native library runs than our pure-Python
-        reimplementation (see DESIGN.md §2).
+
+    What a call costs the virtual clock is declared where the function
+    is linked (``TrustedLibrary.add(..., native_cost=...)``), not here.
     """
 
     def __init__(
@@ -51,13 +50,11 @@ class Deduplicable:
         description: FunctionDescription,
         input_parser: Parser | None = None,
         result_parser: Parser | None = None,
-        native_factor: float = 1.0,
     ):
         self.runtime = runtime
         self.description = description
         self._input_parser = input_parser
         self._result_parser = result_parser
-        self.native_factor = native_factor
         # Fail fast at creation time if the app does not own the code.
         with runtime.enclave.ecall("deduplicable_create"):
             runtime.libraries.lookup(description)
@@ -96,7 +93,6 @@ class Deduplicable:
             input_parser=input_parser,
             result_parser=self._result_parser,
             unpack_args=unpack,
-            native_factor=self.native_factor,
         )
 
     def map(self, inputs: Sequence[Any]) -> list[Any]:
@@ -112,7 +108,6 @@ class Deduplicable:
             list(inputs),
             input_parser=self._input_parser,
             result_parser=self._result_parser,
-            native_factor=self.native_factor,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -95,11 +95,23 @@ class TrustedLibrary:
     family: str
     version: str
     functions: dict[str, Callable] = field(default_factory=dict)
+    #: signature -> ``native_cost(*args) -> seconds``: what one call of
+    #: the function costs on the paper's platform, charged to the virtual
+    #: clock as compute.  Not part of the code identity.
+    costs: dict[str, Callable[..., float]] = field(default_factory=dict)
 
-    def add(self, signature: str, func: Callable) -> "TrustedLibrary":
+    def add(
+        self, signature: str, func: Callable,
+        native_cost: Callable[..., float] | None = None,
+    ) -> "TrustedLibrary":
+        """Link ``func`` under ``signature``.  ``native_cost`` receives
+        the arguments ``func`` receives; without one a call charges no
+        compute."""
         if signature in self.functions:
             raise DedupError(f"duplicate signature {signature!r} in {self.family}")
         self.functions[signature] = func
+        if native_cost is not None:
+            self.costs[signature] = native_cost
         return self
 
     def code_identity(self) -> bytes:
@@ -109,6 +121,10 @@ class TrustedLibrary:
             parts.append(signature.encode())
             parts.append(code_fingerprint(self.functions[signature]))
         return tagged_hash(b"speed/lib-identity", *parts)
+
+
+def _no_cost(*args) -> float:
+    return 0.0
 
 
 class TrustedLibraryRegistry:
@@ -123,21 +139,29 @@ class TrustedLibraryRegistry:
             raise DedupError(f"library {key} already registered")
         self._libraries[key] = library
 
-    def lookup(self, description: FunctionDescription) -> Callable:
-        """Return the actual function for a description, or raise."""
+    def _library(self, description: FunctionDescription) -> TrustedLibrary:
         library = self._libraries.get((description.family, description.version))
         if library is None:
             raise DedupError(
                 f"application does not link trusted library "
                 f"{description.family} {description.version}"
             )
-        func = library.functions.get(description.signature)
+        return library
+
+    def lookup(self, description: FunctionDescription) -> Callable:
+        """Return the actual function for a description, or raise."""
+        func = self._library(description).functions.get(description.signature)
         if func is None:
             raise DedupError(
                 f"trusted library {description.family} {description.version} "
                 f"has no function {description.signature!r}"
             )
         return func
+
+    def native_cost(self, description: FunctionDescription) -> Callable[..., float]:
+        """The cost the function declared when it was linked; one that
+        declared none charges no compute."""
+        return self._library(description).costs.get(description.signature, _no_cost)
 
     def function_identity(self, description: FunctionDescription) -> bytes:
         """The "universally unique value for function identification":

@@ -306,12 +306,11 @@ class DedupRuntime:
         input_parser: Parser | None = None,
         result_parser: Parser | None = None,
         unpack_args: bool = False,
-        native_factor: float = 1.0,
     ) -> Any:
         """Run one deduplicated computation and return its result."""
         return self.execute_result(
             description, input_value, input_parser, result_parser,
-            unpack_args, native_factor,
+            unpack_args,
         ).value
 
     def execute_result(
@@ -321,13 +320,12 @@ class DedupRuntime:
         input_parser: Parser | None = None,
         result_parser: Parser | None = None,
         unpack_args: bool = False,
-        native_factor: float = 1.0,
     ) -> DedupResult:
         """Like :meth:`execute`, but returns the full per-call
         :class:`DedupResult` (value, hit/source, tag, span ids)."""
         (result,) = self._run(
             self._lone_crossing(), description, [input_value],
-            input_parser, result_parser, unpack_args, native_factor,
+            input_parser, result_parser, unpack_args,
         )
         return result
 
@@ -338,7 +336,6 @@ class DedupRuntime:
         input_parser: Parser | None = None,
         result_parser: Parser | None = None,
         unpack_args: bool = False,
-        native_factor: float = 1.0,
     ) -> list[Any]:
         """Run a batch of deduplicated computations in one enclave entry.
 
@@ -353,8 +350,7 @@ class DedupRuntime:
         return [
             r.value
             for r in self.execute_many_results(
-                description, inputs, input_parser, result_parser,
-                unpack_args, native_factor,
+                description, inputs, input_parser, result_parser, unpack_args,
             )
         ]
 
@@ -365,7 +361,6 @@ class DedupRuntime:
         input_parser: Parser | None = None,
         result_parser: Parser | None = None,
         unpack_args: bool = False,
-        native_factor: float = 1.0,
     ) -> list[DedupResult]:
         """Like :meth:`execute_many`, but returns per-item
         :class:`DedupResult` wrappers instead of bare values."""
@@ -374,7 +369,7 @@ class DedupRuntime:
             return []
         results = self._run(
             self._batch_crossing(), description, inputs,
-            input_parser, result_parser, unpack_args, native_factor,
+            input_parser, result_parser, unpack_args,
         )
         self.stats.batches += 1
         return results
@@ -412,7 +407,6 @@ class DedupRuntime:
         input_parser: Parser | None,
         result_parser: Parser | None,
         unpack_args: bool,
-        native_factor: float,
     ) -> list[DedupResult]:
         """Take ``inputs`` through the four stages under one ECALL: tag +
         L1, duplicate check, compute, PUT.  Every input follows Algorithm
@@ -432,6 +426,7 @@ class DedupRuntime:
         ), self.enclave.ecall(crossing.ecall):
             trace_id = self.tracer.current_trace_id
             func = self.libraries.lookup(description)
+            native_cost = self.libraries.native_cost(description)
             func_identity = self.libraries.function_identity(description)
 
             # Stage 1: derive every tag; serve what the L1 already holds.
@@ -494,7 +489,7 @@ class DedupRuntime:
                         if self.l1_cache is not None and item.attempt_dedup and item.tag in l1_fresh:
                             self._l1_lookup(item, result_parser)
                         pending = None if item.hit else self._compute_item(
-                            item, func, func_identity, result_parser, unpack_args, native_factor
+                            item, func, native_cost, func_identity, result_parser, unpack_args
                         )
                         if pending is not None:
                             l1_fresh.add(item.tag)
@@ -680,17 +675,19 @@ class DedupRuntime:
         self,
         item: _BatchItem,
         func: Callable,
+        native_cost: Callable[..., float],
         func_identity: bytes,
         result_parser: Parser,
         unpack_args: bool,
-        native_factor: float,
     ) -> Sealing | None:
         """Run the function for one miss; returns the result to PUT,
         protected but not yet sealed (also remembered in the L1), or
         ``None`` when deduplication is off for this item."""
-        item.result_value, item.compute_sim = self._compute_raw(
-            func, item.input_value, unpack_args, native_factor
-        )
+        args = item.input_value if unpack_args else (item.input_value,)
+        with self.tracer.span("runtime.compute", clock=self.clock):
+            item.result_value = func(*args)
+            item.compute_sim = native_cost(*args)
+            self.clock.charge_compute(item.compute_sim)
         result_bytes = result_parser.encode(item.result_value)
         item.result_len = len(result_bytes)
         if not item.attempt_dedup:
@@ -701,23 +698,6 @@ class DedupRuntime:
             func_identity, item.input_bytes, item.tag, result_bytes,
             rand=self.enclave.read_rand, clock=self.clock,
         )
-
-    def _compute_raw(
-        self,
-        func: Callable,
-        input_value: Any,
-        unpack_args: bool,
-        native_factor: float,
-    ) -> tuple[Any, float]:
-        with self.tracer.span("runtime.compute", clock=self.clock):
-            compute_start = time.perf_counter()
-            if unpack_args:
-                result_value = func(*input_value)
-            else:
-                result_value = func(input_value)
-            compute_wall = time.perf_counter() - compute_start
-            self.clock.charge_compute(compute_wall, native_factor)
-        return result_value, compute_wall / native_factor
 
     def _release_puts(
         self, sealing: list[tuple[bytes, Sealing]], sync_puts: list[PutRequest]

@@ -44,14 +44,12 @@ class Application:
         description: FunctionDescription,
         input_parser: Parser | None = None,
         result_parser: Parser | None = None,
-        native_factor: float = 1.0,
     ) -> Deduplicable:
         """Create the Deduplicable version of a marked function."""
         return Deduplicable(
             self.runtime, description,
             input_parser=input_parser,
             result_parser=result_parser,
-            native_factor=native_factor,
         )
 
 

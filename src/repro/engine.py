@@ -47,11 +47,11 @@ round's per-op critical-path latency keeps up with the best the window
 has seen, and shrinks multiplicatively on failure, circuit-breaker, or
 PUT back-pressure signals.  The controller only ever sees
 **replay-deterministic** observations: round makespans here are sums of
-modeled wire/crypto/store charges — every round, region and background
-delta is read off ``SimClock.modelled_cycles``, the running total that
-leaves out ``charge_compute``'s measured host time, so not even its
-rounding reaches them — and the decision sequence is a pure function of
-the op stream, a property the simulation harness digests and replays.
+modelled wire/crypto/store/compute charges (compute is each function's
+declared ``native_cost``, never host time), so every round, region and
+background delta read off ``SimClock.cycles`` is a pure function of the
+op stream, and so is the decision sequence — a property the simulation
+harness digests and replays.
 While the shard ring holds a dual-ownership migration window the
 controller additionally caps depth and reports the
 capped-off slots via :meth:`PipelineEngine.background_budget`, which a
@@ -125,7 +125,7 @@ class DepthObservation:
     adaptive controller may consume.
 
     ``makespan_cycles`` is the round's critical-path advance — a sum of
-    modeled wire/crypto/store charges, never measured host compute — so
+    modelled wire/crypto/store/compute charges, never host time — so
     every field replays byte-identically for a fixed op stream.
     """
 
@@ -526,7 +526,7 @@ class PipelineEngine:
         migration = self._migration_active()
         failures0 = self.failures
         lanes = self._lanes(remote)
-        round_start = {sid: c.modelled_cycles for sid, c in remote.items()}
+        round_start = {sid: c.cycles for sid, c in remote.items()}
         lane_busy = [0.0] * lanes
         chains: list[float] = []
         group_requests = [request for _, request in ops]
@@ -538,19 +538,19 @@ class PipelineEngine:
             pending: list = []
             for slot, positions in enumerate(groups):
                 sub = [group_requests[p] for p in positions]
-                app0 = self.clock.modelled_cycles
-                shard0 = {sid: c.modelled_cycles for sid, c in remote.items()}
+                app0 = self.clock.cycles
+                shard0 = {sid: c.cycles for sid, c in remote.items()}
                 handle = error = None
                 try:
                     handle = submit(sub)
                 except _ENGINE_FAILURES as exc:
                     error = exc
-                app_d = self.clock.modelled_cycles - app0
-                shard_d = sum(c.modelled_cycles - shard0[sid] for sid, c in remote.items())
+                app_d = self.clock.cycles - app0
+                shard_d = sum(c.cycles - shard0[sid] for sid, c in remote.items())
                 pending.append((slot, positions, handle, error, app_d, shard_d))
             for slot, positions, handle, error, app_d, shard_d in pending:
-                app0 = self.clock.modelled_cycles
-                shard0 = {sid: c.modelled_cycles for sid, c in remote.items()}
+                app0 = self.clock.cycles
+                shard0 = {sid: c.cycles for sid, c in remote.items()}
                 if error is None:
                     try:
                         replies: list = wait(handle, len(positions))
@@ -560,14 +560,14 @@ class PipelineEngine:
                 else:
                     replies = [error] * len(positions)
                     self.failures += len(positions)
-                app_d += self.clock.modelled_cycles - app0
-                shard_d += sum(c.modelled_cycles - shard0[sid] for sid, c in remote.items())
+                app_d += self.clock.cycles - app0
+                shard_d += sum(c.cycles - shard0[sid] for sid, c in remote.items())
                 lane_busy[slot % lanes] += app_d
                 chains.append(app_d + shard_d)
                 for position, reply in zip(positions, replies):
                     index, _ = ops[position]
                     responses[index] = reply
-            shard_fg = [c.modelled_cycles - round_start[sid] for sid, c in remote.items()]
+            shard_fg = [c.cycles - round_start[sid] for sid, c in remote.items()]
             shard_busy = [
                 fg + self._bg_shard.pop(sid, 0.0)
                 for fg, sid in zip(shard_fg, remote)
@@ -724,12 +724,12 @@ class _RegionTask:
         self._region = region
 
     def __enter__(self) -> "_RegionTask":
-        self._app0 = self._region._engine.clock.modelled_cycles
+        self._app0 = self._region._engine.clock.cycles
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self._region._costs.append(
-            self._region._engine.clock.modelled_cycles - self._app0
+            self._region._engine.clock.cycles - self._app0
         )
         return False
 
@@ -744,15 +744,15 @@ class _BackgroundSpan:
 
     def __enter__(self) -> "_BackgroundSpan":
         self._remote = self._engine._remote_clocks()
-        self._app0 = self._engine.clock.modelled_cycles
-        self._shard0 = {sid: c.modelled_cycles for sid, c in self._remote.items()}
+        self._app0 = self._engine.clock.cycles
+        self._shard0 = {sid: c.cycles for sid, c in self._remote.items()}
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         engine = self._engine
-        engine._bg_app += engine.clock.modelled_cycles - self._app0
+        engine._bg_app += engine.clock.cycles - self._app0
         for sid, c in self._remote.items():
-            delta = c.modelled_cycles - self._shard0[sid]
+            delta = c.cycles - self._shard0[sid]
             if delta:
                 engine._bg_shard[sid] = engine._bg_shard.get(sid, 0.0) + delta
         return False

@@ -12,10 +12,10 @@ notions of "later":
 
 * ``reset_timeout_s`` — simulated seconds on the machine's
   :class:`~repro.sgx.cost_model.SimClock`;
-* ``reset_after_skips`` — a count of refused calls.  This variant is
-  fully deterministic even though the SimClock accumulates measured
-  wall time for compute, so the simulation harness uses it to keep
-  traces byte-identical across runs.
+* ``reset_after_skips`` — a count of refused calls.  This variant does
+  not depend on how much simulated time each call costs, so the
+  simulation harness uses it: its traces name events, never clock
+  readings.
 
 When both are set, whichever trips first admits the probe.
 """

@@ -245,17 +245,18 @@ class Session:
         signature: str | None = None,
         input_parser: Parser | None = None,
         result_parser: Parser | None = None,
-        native_factor: float = 1.0,
+        native_cost: Callable[..., float] | None = None,
     ) -> Callable[[Callable], Callable]:
         """Decorator marking a self-defined function as deduplicable
         (the :func:`~repro.core.decorator.deduplicable_marker` front end
-        bound to this session's application)."""
+        bound to this session's application); ``native_cost`` declares
+        what a computed call charges the virtual clock."""
         return self._mark(
             version=version,
             signature=signature,
             input_parser=input_parser,
             result_parser=result_parser,
-            native_factor=native_factor,
+            native_cost=native_cost,
         )
 
     def deduplicable(
@@ -263,22 +264,16 @@ class Session:
         description: FunctionDescription,
         input_parser: Parser | None = None,
         result_parser: Parser | None = None,
-        native_factor: float = 1.0,
     ) -> Deduplicable:
         """The Deduplicable version of a registered function (cached per
         description when no custom parsers are supplied)."""
-        custom = (
-            input_parser is not None
-            or result_parser is not None
-            or native_factor != 1.0
-        )
+        custom = input_parser is not None or result_parser is not None
         if not custom and description in self._deduplicables:
             return self._deduplicables[description]
         dedup = self.app.deduplicable(
             description,
             input_parser=input_parser,
             result_parser=result_parser,
-            native_factor=native_factor,
         )
         if not custom:
             self._deduplicables[description] = dedup

@@ -10,7 +10,7 @@ sealing (:mod:`.sealing`), and local/remote attestation
 """
 
 from .attestation import AttestationService, Quote, Report
-from .cost_model import CostParams, SimClock, Stopwatch
+from .cost_model import CostParams, SimClock
 from .enclave import Enclave
 from .epc import DEFAULT_EPC_TOTAL, DEFAULT_EPC_USABLE, EpcManager
 from .measurement import Measurement, measure_code
@@ -31,6 +31,5 @@ __all__ = [
     "SealedBlob",
     "SgxPlatform",
     "SimClock",
-    "Stopwatch",
     "measure_code",
 ]

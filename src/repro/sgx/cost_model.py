@@ -12,19 +12,22 @@ clock in CPU cycles:
 * in-enclave crypto — per-byte costs calibrated against the paper's
   Table I (SHA-256 tag generation, AES-GCM-128 encrypt/decrypt);
 * marshalling across the enclave boundary — per-byte copy cost;
-* application compute — measured Python wall time scaled by a per-app
-  *native factor* (how much slower our pure-Python reimplementation is
-  than the C library the paper used).
+* application compute — the cost each marked function declares for its
+  input on the paper's platform (``native_cost``, see
+  :mod:`repro.apps.registry`), never the host time our pure-Python
+  substitute happened to take.
 
-Reports therefore carry two numbers everywhere: the honest Python wall
-time and the simulated time, which is the one whose *shape* should match
-the paper.  See EXPERIMENTS.md.
+Every charge is therefore a pure function of the inputs, so equal seeds
+give equal clocks to the last bit.  Reports carry two numbers
+everywhere: the honest Python wall time and the simulated time, which is
+the one whose *shape* should match the paper.  See EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import EnclaveError
 
@@ -97,17 +100,14 @@ class SimClock:
     def __init__(self, params: CostParams | None = None):
         self.params = params or CostParams()
         self._cycles: float = 0.0
-        self._modelled: float = 0.0
         self._by_category: dict[str, float] = defaultdict(float)
 
     # -- raw charging ---------------------------------------------------
     def charge_cycles(self, cycles: float, category: str = "other") -> None:
-        if cycles < 0:
-            raise EnclaveError("cannot charge negative cycles")
+        if not 0.0 <= cycles < math.inf:
+            raise EnclaveError(f"cannot charge {cycles!r} cycles")
         self._cycles += cycles
         self._by_category[category] += cycles
-        if category != "compute":
-            self._modelled += cycles
 
     def charge_seconds(self, seconds: float, category: str = "other") -> None:
         self.charge_cycles(seconds * self.params.cpu_freq_hz, category)
@@ -156,30 +156,15 @@ class SimClock:
             "network",
         )
 
-    def charge_compute(self, wall_seconds: float, native_factor: float = 1.0) -> None:
-        """Charge application compute measured in Python wall time.
-
-        ``native_factor`` is the calibrated slowdown of our pure-Python
-        reimplementation versus the native library the paper used; the
-        simulated platform executes the work ``native_factor`` times
-        faster than we just did.
-        """
-        if native_factor <= 0:
-            raise EnclaveError("native_factor must be positive")
-        self.charge_seconds(wall_seconds / native_factor, "compute")
+    def charge_compute(self, seconds: float) -> None:
+        """Charge application compute: ``seconds`` on the paper's
+        platform, as the marked function's ``native_cost`` declares."""
+        self.charge_seconds(seconds, "compute")
 
     # -- reading --------------------------------------------------------
     @property
     def cycles(self) -> float:
         return self._cycles
-
-    @property
-    def modelled_cycles(self) -> float:
-        """Cycles from every category but ``compute``, the one charge
-        that is measured host time: a pure function of the inputs, so its
-        deltas repeat to the last bit (``cycles`` deltas inherit the
-        rounding of whatever compute preceded them)."""
-        return self._modelled
 
     def elapsed_seconds(self) -> float:
         return self._cycles / self.params.cpu_freq_hz
@@ -196,7 +181,7 @@ class SimClock:
         return self._cycles - snapshot
 
     def reset(self) -> None:
-        self._cycles = self._modelled = 0.0
+        self._cycles = 0.0
         self._by_category.clear()
 
 
@@ -216,26 +201,3 @@ class ChargeLog(list):
             for name, args in self:
                 getattr(clock, name)(*args)
 
-
-@dataclass
-class Stopwatch:
-    """Pairs a wall-clock timer with a SimClock delta for dual reporting."""
-
-    clock: SimClock
-    _wall_start: float = field(default=0.0, init=False)
-    _sim_start: float = field(default=0.0, init=False)
-    wall_seconds: float = field(default=0.0, init=False)
-    sim_seconds: float = field(default=0.0, init=False)
-
-    def __enter__(self) -> "Stopwatch":
-        import time
-
-        self._wall_start = time.perf_counter()
-        self._sim_start = self.clock.snapshot()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        import time
-
-        self.wall_seconds = time.perf_counter() - self._wall_start
-        self.sim_seconds = self.clock.since(self._sim_start) / self.clock.params.cpu_freq_hz

@@ -21,8 +21,8 @@ the property the ``--seed`` repro strings rely on, and which a
 regression test pins.
 
 Wall-clock and simulated-time figures are deliberately **excluded** from
-the trace: the simulated clock charges measured host time for in-enclave
-compute, so any value derived from it would break replay equality.
+the trace: it records what happened, not what it cost, so a change to
+the cost model leaves every digest where it is.
 """
 
 from __future__ import annotations
@@ -512,9 +512,8 @@ def run_scenario(config: SimConfig, _replay_depth: int | None = None) -> Scenari
         fault_injector=injector,
         store_config=StoreConfig(durable=True),
         retry_policy=RetryPolicy(max_attempts=4, retry_protocol_errors=True),
-        # Deterministic skip-count recovery: the simulated clock charges
-        # measured host time for compute, so a time-based breaker would
-        # not replay.
+        # Skip-count recovery: a breaker keyed to simulated seconds would
+        # tie the trace to the cost model.
         breaker_config=BreakerConfig(
             failure_threshold=3, reset_timeout_s=None, reset_after_skips=6
         ),

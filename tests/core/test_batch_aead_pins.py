@@ -13,7 +13,7 @@ For each, the digest of every queued ``PutRequest`` (tag, ``challenge``,
 are pinned.  They were recorded from the one-record-at-a-time AEAD: a
 change to how records are sealed or opened that moves a byte, a DRBG draw,
 a virtual-clock charge or the item a charge is attributed to fails here.
-Compute is charged a stated constant, so the host clock is out of it.
+``reverse`` declares a constant compute cost, ``COMPUTE_SECONDS``.
 """
 
 import hashlib
@@ -27,7 +27,6 @@ from repro.core.serialization import AnyParser, default_registry
 from repro.core.tag import derive_tag
 from repro.crypto import gcm
 from repro.net.messages import PutRequest
-from tests.conftest import pin_compute
 
 COMPUTE_SECONDS = 2e-5
 SOURCE_LETTER = {"computed": "c", "coalesced": "f", "l1": "l", "store": "s"}
@@ -39,7 +38,8 @@ def reverse(data: bytes) -> bytes:
 
 def _session(seed: bytes):
     session = repro.connect(shards=2, replication_factor=1, seed=seed, tracing=False)
-    return session, session.mark(version="1.0")(reverse).description
+    marked = session.mark(version="1.0", native_cost=lambda data: COMPUTE_SECONDS)(reverse)
+    return session, marked.description
 
 
 def _inputs(rng: random.Random, n: int) -> list[bytes]:
@@ -134,6 +134,5 @@ PINNED = {
 
 @pytest.mark.parametrize("engine", [False, True], ids=["serial", "engine"])
 @pytest.mark.parametrize("scenario", [novel16, mixed32], ids=lambda f: f.__name__)
-def test_batch_protection_is_pinned(monkeypatch, scenario, engine):
-    pin_compute(monkeypatch)(COMPUTE_SECONDS)
+def test_batch_protection_is_pinned(scenario, engine):
     assert observed(*scenario(engine)) == PINNED[(scenario.__name__, engine)]

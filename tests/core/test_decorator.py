@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.decorator import deduplicable_marker
 from repro.deployment import Deployment
+from repro.errors import EnclaveError
 from tests.conftest import make_libs
 
 
@@ -80,3 +81,49 @@ class TestDecorator:
         marked_app.runtime.flush_puts()
         repeat(b"xy", 3)
         assert marked_app.runtime.stats.hits == 1
+
+    def test_native_cost_is_charged_and_kept_out_of_identity(self, deployment):
+        app_a = deployment.create_application("cost-a", make_libs())
+        app_b = deployment.create_application("cost-b", make_libs())
+        seen = []
+
+        def cost(chunk: bytes, times: int) -> float:
+            seen.append((chunk, times))
+            return 1e-3 * times
+
+        def repeat(chunk: bytes, times: int) -> bytes:
+            return chunk * times
+
+        costed = deduplicable_marker(app_a)(version="1.0", native_cost=cost)(repeat)
+        plain = deduplicable_marker(app_b)(version="1.0")(repeat)
+        # The same tags, measurements and shared results as without a cost.
+        assert (app_a.runtime.libraries.function_identity(costed.description)
+                == app_b.runtime.libraries.function_identity(plain.description))
+        assert (app_a.runtime.libraries.code_identity()
+                == app_b.runtime.libraries.code_identity())
+
+        clock = app_a.runtime.clock
+
+        def compute_seconds(call) -> float:
+            before = clock.breakdown().get("compute", 0.0)
+            call()
+            return (clock.breakdown().get("compute", 0.0) - before) / clock.params.cpu_freq_hz
+
+        assert compute_seconds(lambda: costed(b"xy", 3)) == pytest.approx(3e-3)
+        assert seen == [(b"xy", 3)]            # the function's own arguments
+        app_a.runtime.flush_puts()
+        assert compute_seconds(lambda: plain(b"xy", 3)) == 0.0   # a hit
+        assert compute_seconds(lambda: plain(b"zz", 2)) == 0.0   # no declared cost
+        assert app_b.runtime.stats.hits == 1
+
+    def test_non_finite_native_cost_fails_the_call(self, marked_app):
+        mark = deduplicable_marker(marked_app)
+
+        @mark(version="1.0", native_cost=lambda data: float("nan"))
+        def echo(data: bytes) -> bytes:
+            return data
+
+        with pytest.raises(EnclaveError) as failure:
+            echo(b"x")
+        assert failure.value.code == "enclave_error"
+        assert marked_app.runtime.clock.breakdown().get("compute", 0.0) == 0.0

@@ -40,7 +40,10 @@ class TestMissThenHit:
             return out
 
         libs = TrustedLibraryRegistry()
-        libs.register(TrustedLibrary("slowlib", "1.0").add("digest(bytes)", slow_digest))
+        # What is slow is declared: 3,000 SHA-256 blocks at ~1 us each.
+        libs.register(TrustedLibrary("slowlib", "1.0").add(
+            "digest(bytes)", slow_digest, native_cost=lambda data: 3000 * 1e-6,
+        ))
         app = deployment.create_application("slow-app", libs)
         d = app.deduplicable(FunctionDescription("slowlib", "1.0", "digest(bytes)"))
         d(b"payload")

@@ -18,43 +18,37 @@ from repro.bench.export import rows_to_csv, write_json
 from repro.bench.harness import KB, MB, TABLE1_OPS
 from repro.sgx.cost_model import CostParams
 
-from tests.conftest import pin_compute
-
-FIRST = object()  # pin compute to what the run's first call measured
-
-#: experiment -> (levels, compute pin).  A pin is set wherever a bar
-#: compares two compute-bearing runs (FIRST) or reads an absolute
-#: threshold (the seconds one call costs at reference host speed).
+#: experiment -> the levels its one run uses.
 RUNS = {
-    "fig5a": (dict(sizes=[64], trials=1), None),
-    "fig5b": (dict(sizes=[32 * KB], trials=1), FIRST),
+    "fig5a": dict(sizes=[64], trials=1),
+    "fig5b": dict(sizes=[32 * KB], trials=1),
     # Even a reduced ruleset (300 of the paper's 3,700 rules) puts
     # pattern matching firmly in the win regime.
-    "fig5c": (dict(payload_sizes=[256], n_rules=300, trials=1), 4.0e-3),
+    "fig5c": dict(payload_sizes=[256], n_rules=300, trials=1),
     # 8000-word pages make the compute term dominate; the paper's
     # regime is ~3.7-4x there.
-    "fig5d": (dict(word_counts=[8000], trials=2), FIRST),
-    "table1": (dict(sizes=[KB, 64 * KB, MB], trials=1), None),
-    "fig6": (dict(sizes=[KB, 256 * KB], ops=10), None),
-    "a1": (dict(text_bytes=8 * KB), None),
-    "a2": (dict(text_bytes=8 * KB), FIRST),
-    "a3": (dict(n_entries=64, result_bytes=64 * KB, epc_usable=2 * MB), None),
+    "fig5d": dict(word_counts=[8000], trials=2),
+    "table1": dict(sizes=[KB, 64 * KB, MB], trials=1),
+    "fig6": dict(sizes=[KB, 256 * KB], ops=10),
+    "a1": dict(text_bytes=8 * KB),
+    "a2": dict(text_bytes=8 * KB),
+    "a3": dict(n_entries=64, result_bytes=64 * KB, epc_usable=2 * MB),
     # The flood must exceed the store's 128-entry capacity for the
     # no-quota variant to evict honest entries.
-    "a4": (dict(flood=200, honest=10), None),
-    "a5": (dict(calls=20), None),
-    "a6": (dict(n_entries=16, gets=32), None),
-    "a7": (dict(sizes=[KB], ops=10), None),
-    "e9": (dict(epochs=3, pages_per_epoch=8, churn=0.25), None),
-    "e10": (dict(fractions=[0.0, 0.9], calls=10, text_bytes=8 * KB), 48e-3),
-    "batch": (dict(batch_sizes=[1, 64], ops=64, execute_batch_sizes=[4], calls=8,
-                   text_bytes=4 * KB), None),
-    "cluster": (dict(shard_counts=[1, 4], ops=48), None),
-    "pipeline": (dict(depths=[1, 8], shard_counts=[4], ops=48, duplicates=16), None),
-    "durable": (dict(group_commits=[1, 8], log_lengths=[16, 64], ops=24), None),
-    "migrate": (dict(ops=24, rounds=12), None),
-    "adaptive": (dict(depths=[1, 8], ops=24, rounds=12), None),
-    "reshard": (dict(joins=2, ops=24, rounds=12), None),
+    "a4": dict(flood=200, honest=10),
+    "a5": dict(calls=20),
+    "a6": dict(n_entries=16, gets=32),
+    "a7": dict(sizes=[KB], ops=10),
+    "e9": dict(epochs=3, pages_per_epoch=8, churn=0.25),
+    "e10": dict(fractions=[0.0, 0.9], calls=10, text_bytes=8 * KB),
+    "batch": dict(batch_sizes=[1, 64], ops=64, execute_batch_sizes=[4], calls=8,
+                  text_bytes=4 * KB),
+    "cluster": dict(shard_counts=[1, 4], ops=48),
+    "pipeline": dict(depths=[1, 8], shard_counts=[4], ops=48, duplicates=16),
+    "durable": dict(group_commits=[1, 8], log_lengths=[16, 64], ops=24),
+    "migrate": dict(ops=24, rounds=12),
+    "adaptive": dict(depths=[1, 8], ops=24, rounds=12),
+    "reshard": dict(joins=2, ops=24, rounds=12),
 }
 
 
@@ -65,13 +59,7 @@ def table():
 
     def rows(name: str) -> list[dict]:
         if name not in cache:
-            levels, pin = RUNS[name]
-            with pytest.MonkeyPatch.context() as patch:
-                if pin is not None:
-                    charge = pin_compute(patch)
-                    if pin is not FIRST:
-                        charge(pin)
-                cache[name] = EXPERIMENTS[name].rows(**levels)
+            cache[name] = EXPERIMENTS[name].rows(**RUNS[name])
         return cache[name]
 
     return rows
@@ -125,18 +113,27 @@ def _without_wall(value):
 
 
 #: sha256 of each experiment's rows as the CSV export writes them (nine
-#: significant digits), wall cells stripped, for every experiment whose
-#: export repeats run to run; in the others measured compute moves
-#: virtual-clock cells, which then repeat only under ``pin_compute``.
-#: They pin "no bench number moved" across refactors of the harness, and
-#: are not re-pinned.
+#: significant digits), wall cells stripped.  Every virtual-clock charge,
+#: compute included, is a pure function of the inputs, so every
+#: experiment's export repeats run to run.  They pin "no bench number
+#: moved" across refactors of the harness, and are not re-pinned.
 ROW_DIGESTS = {
+    "fig5a": "78d212a33f859cb197fcfc8edd8f8cdc52232228407d157877dacba8ef3711aa",
+    "fig5b": "ff99129a80e4fad411a01d2c7c9b10b4a1be07104a754b180797d844a4c81411",
+    "fig5c": "411bdb126484394acf6d8ae3246c9585eb88a9ca9d81a306a9304226e5ede8d8",
+    "fig5d": "fb6811112c60d919ee9f2417802431ffeec05ba713ab63aebfb6223142f8dfa6",
     "fig6": "4ba0ccc73353aca26b89c8868a5b8940571f5c770eccfb13699a3048c9fea59c",
     "table1": "127b36bd575eb36198fd5c2623f2ff4682e8a58b303fe01ee0d9c39343a89201",
+    "a1": "0299cc88423129466a4929008b74bba6e3a601d30e4e0d8af0628e512e2b3bb4",
+    "a2": "857ca982191cc1f5befe843fc951fc08c8b4705c4bfc7b2fa1d0c2a3209cb4cf",
     "a3": "5e4a9fab69e91f1fdf9c3670356fed5e489aa0df3dea0da96d0a6669c4ed8dc5",
     "a4": "3e8227d804041e1be7ef707718970d028481ac9d9be5278f339381281425e74a",
+    "a5": "ae1e7b18b3992861556b8d98fefc4f3423a3a21c71a7aacdf07037700b8c074a",
     "a6": "1eab65e75874c573e42d6c89b17a813a995caa33eedfc00f7a4196660e6a1e7a",
     "a7": "1cd853188a0d0094d9434e761b37dfbb86a3397d836ebd20882e7dbee7909e90",
+    "e9": "33bce19131042ff53a4064010d0a5b7afbe42e6b58de89ed93429fb2774e86d6",
+    "e10": "03ebd9bf3555a83834518afb00418549417e9a08727c6c2b7de50b1f2c451c27",
+    "batch": "35f8ae0d7457aee96f88793981ca971a1693770f0015479022892490066ca2c2",
     "cluster": "c0c7786b7c06cd2cf4cb3735ef7b57d66929c0d927e779c9345993a84c16f55e",
     "pipeline": "1c639539586c4de0880f09724221aab06e7985b070574e95fa8e7ea0da29b0c1",
     "durable": "ebb12c57723f9f837c891e7c946f73f0b609ea76563524ae115cdbb28f5fb660",

@@ -1,11 +1,9 @@
 """Simulation reproducibility: same seed => bit-identical runs.
 
 Every randomised component draws from seeded DRBGs, and the virtual
-clock charges deterministic costs, so two runs of the same scenario must
-agree in every observable — a property the experiment harness depends
-on.  (Wall-clock-derived compute charges are excluded by using workloads
-whose sim time is dominated by modelled costs, and by comparing
-store-side state rather than clock totals where compute is involved.)
+clock charges deterministic costs (compute included: each function's
+declared ``native_cost``), so two runs of the same scenario must agree
+in every observable — a property the experiment harness depends on.
 """
 
 from repro.core.tag import derive_tag

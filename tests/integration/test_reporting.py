@@ -38,23 +38,29 @@ class TestHumanSize:
 
 class TestCalibration:
     def test_calibration_runs_and_reports(self):
-        # Keep it cheap: calibration itself uses fixed workloads; just
-        # validate the row structure on the two fast cases by reusing the
-        # private helpers.
-        from repro.bench.calibration import _row
+        # The model's side, without timing anything: each case sweeps its
+        # Fig. 5 inputs, one of them the reference its coefficient was
+        # scaled at, and every input is charged a positive cost.
+        from repro.apps.registry import DEFLATE_SECONDS_PER_BYTE, compress_case_study
+        from repro.bench.calibration import _sweeps
 
-        row = _row("compress", "w", seconds=0.5, n_bytes=1024, shipped=110.0)
-        assert row["suggested_factor"] > 0
-        assert row["python_ns_per_byte"] == 0.5e9 / 1024
+        sweeps = list(_sweeps(seed=7))
+        assert [name for name, _, _ in sweeps] == ["sift", "compress", "pattern", "bow"]
+        for _, case, inputs in sweeps:
+            assert [ref for _, _, ref in inputs].count(True) == 1
+            assert all(case.native_cost(value) > 0 for _, value, _ in inputs)
+        assert compress_case_study().native_cost(b"x" * 1024) == 1024 * DEFLATE_SECONDS_PER_BYTE
 
     def test_full_calibration_run(self):
         from repro.bench.calibration import CALIBRATION
         from repro.bench.reporting import render
 
-        rows = CALIBRATION.rows(seed=7)
-        assert {r["case"] for r in rows} == {"sift", "compress", "pattern", "bow"}
+        # Every case, at its two smallest sweep inputs, timed once.
+        rows = CALIBRATION.rows(repeats=1, points=2, seed=7)
+        assert [r["case"] for r in rows] == [
+            "sift", "sift", "compress", "compress", "pattern", "pattern", "bow", "bow"]
         for row in rows:
-            assert row["python_seconds"] > 0
-            assert row["suggested_factor"] > 0
+            assert row["host_s"] > 0 and row["model_s"] > 0
+            assert row["slowdown"] == row["host_s"] / row["model_s"]
         text = render(CALIBRATION, rows)
-        assert "shipped factor" in text
+        assert "host/model" in text

@@ -14,6 +14,7 @@ from repro import (
     TrustedLibraryRegistry,
 )
 from repro.core import DedupResult
+from repro.core.serialization import BytesParser
 from repro.errors import NoLiveOwnerError, error_codes, error_for_code
 
 
@@ -80,7 +81,7 @@ def test_mark_decorator_and_batch_map():
 def test_deduplicable_is_cached_per_description():
     session = repro.connect(libraries=make_libs(), seed=b"t-cache")
     assert session.deduplicable(DESC) is session.deduplicable(DESC)
-    custom = session.deduplicable(DESC, native_factor=2.0)
+    custom = session.deduplicable(DESC, input_parser=BytesParser())
     assert custom is not session.deduplicable(DESC)
 
 

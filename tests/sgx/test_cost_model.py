@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import EnclaveError
-from repro.sgx.cost_model import CostParams, SimClock, Stopwatch
+from repro.sgx.cost_model import CostParams, SimClock
 
 
 class TestCharging:
@@ -16,9 +16,14 @@ class TestCharging:
         clock.charge_cycles(250)
         assert clock.cycles == 350
 
-    def test_rejects_negative(self):
+    @pytest.mark.parametrize("cycles", [-1, float("nan"), float("inf")])
+    def test_rejects_negative(self, cycles):
+        clock = SimClock()
         with pytest.raises(EnclaveError):
-            SimClock().charge_cycles(-1)
+            clock.charge_cycles(cycles)
+        with pytest.raises(EnclaveError):
+            clock.charge_seconds(cycles, "compute")
+        assert clock.cycles == 0 and clock.breakdown() == {}
 
     def test_seconds_conversion(self):
         clock = SimClock(CostParams(cpu_freq_hz=1e9))
@@ -63,25 +68,14 @@ class TestCalibration:
         params = CostParams()
         assert params.ecall_cycles == params.ocall_cycles
 
-    def test_compute_native_factor(self):
+    def test_compute_charges_declared_seconds(self):
         clock = SimClock(CostParams(cpu_freq_hz=1e9))
-        clock.charge_compute(1.0, native_factor=10.0)
+        clock.charge_compute(0.1)
+        assert clock.breakdown() == {"compute": pytest.approx(1e8)}
         assert clock.elapsed_seconds() == pytest.approx(0.1)
-
-    def test_compute_rejects_bad_factor(self):
-        with pytest.raises(EnclaveError):
-            SimClock().charge_compute(1.0, native_factor=0)
 
     def test_page_fault_batch(self):
         clock = SimClock()
         clock.charge_page_fault(3)
         assert clock.cycles == 3 * clock.params.page_fault_cycles
 
-
-class TestStopwatch:
-    def test_captures_both_clocks(self):
-        clock = SimClock()
-        with Stopwatch(clock) as watch:
-            clock.charge_seconds(0.25)
-        assert watch.sim_seconds == pytest.approx(0.25)
-        assert watch.wall_seconds >= 0

@@ -27,10 +27,6 @@ class FakeClock:
     def since(self, snapshot):
         return self.cycles - snapshot
 
-    @property
-    def modelled_cycles(self):
-        return self.cycles  # the fake charges no host-timed compute
-
     def advance(self, cycles):
         self.cycles += cycles
 
@@ -367,12 +363,13 @@ class TestParallelRegion:
         assert engine.serial_cycles == 0.0
 
 
-class TestDeltasIgnoreHostTimedCompute:
-    def test_accounting_is_exact_whatever_compute_was_charged_before(self):
-        # charge_compute charges *measured* host time, different on every
-        # run.  The engine's deltas must not inherit its rounding: they
-        # come off SimClock.modelled_cycles, so the same modelled work
-        # accounts to the same bits after any amount of compute.
+class TestDeclaredComputeAccounting:
+    def test_declared_compute_accounts_to_the_same_bits(self):
+        # Compute is charged at the marked function's declared cost, a
+        # pure function of its input, so the engine reads one clock total
+        # and the same work accounts to the same bits on every run,
+        # wherever the charge lands: in a region task, in the background,
+        # or between rounds ahead of a settle.
         from repro.sgx.cost_model import SimClock
 
         def accounted(compute_seconds):
@@ -387,16 +384,20 @@ class TestDeltasIgnoreHostTimedCompute:
                 with engine.parallel_region() as region:
                     for _ in range(3):
                         with region.task():
+                            app.charge_compute(compute_seconds)
                             app.charge_aead_encrypt(1021)   # 4.7 cycles/byte
                 with engine.background():
+                    app.charge_compute(compute_seconds)
                     app.charge_network(333)                 # 1.2 cycles/byte
                     shard.charge_aead_decrypt(777)          # 0.65 cycles/byte
                 engine.settle()
                 totals.append((engine.makespan_cycles, engine.serial_cycles))
-            assert app.cycles >= app.modelled_cycles > 0
             return totals
 
-        assert accounted(1.234567e-3) == accounted(9.87654321e-2) == accounted(0.0)
+        declared = accounted(1.234567e-6)
+        assert declared == accounted(1.234567e-6)
+        # ... and it is on the clock: every round costs more than without it.
+        assert all(a > b for a, b in zip(declared, accounted(0.0)))
 
 
 class TestSnapshot:
