@@ -40,10 +40,26 @@ if [ "${1:-}" != "--no-lint" ]; then
     fi
 fi
 
+# Per-directory test time is summed from pytest's --durations=0 report
+# (setup + call + teardown of every test under each top-level tests/
+# directory); the report itself is kept out of the console.
 echo "== tier-1 tests =="
 tier1_start=$(date +%s)
-PYTHONPATH=src python -m pytest -x -q || status=1
+log=$(mktemp)
+failed=$(mktemp)
+{ PYTHONPATH=src python -m pytest -x -q --durations=0 --durations-min=0 \
+    || echo "pytest failed" >"$failed"; } 2>&1 \
+    | tee "$log" | grep -Ev '^[0-9.]+s (setup|call|teardown) '
+[ -s "$failed" ] && status=1
 echo "tier-1 wall time: $(( $(date +%s) - tier1_start )) s"
+echo "tier-1 test time per directory:"
+awk '$1 ~ /^[0-9.]+s$/ && $2 ~ /^(setup|call|teardown)$/ {
+        split($3, part, "/")
+        dir = (part[2] ~ /\.py/) ? "tests/*.py" : "tests/" part[2]
+        total[dir] += $1 + 0
+     }
+     END { for (dir in total) printf "  %-20s %7.1f s\n", dir, total[dir] }' "$log" | sort
+rm -f "$log" "$failed"
 
 # End-to-end benchmark determinism gate (benchmarks/e2e, see its README):
 # two runs at equal seed must agree on every virtual-clock and count

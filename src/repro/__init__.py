@@ -4,8 +4,11 @@ A faithful Python reproduction of the ICDCS 2019 system by Cui, Duan,
 Qin, Wang, and Zhou, built on a simulated SGX substrate (see DESIGN.md).
 
 Quickstart — :func:`connect` is the single entry point; it wires the
-whole topology (simulated SGX machines, ResultStore or shard cluster,
-attested channels) plus the session-wide tracer and metrics registry::
+whole topology (simulated SGX machines, the ResultStore shards, attested
+channels) plus the session-wide tracer and metrics registry.  The
+paper's Fig. 1 is the default: one shard on the app machine, reached
+through the same router as ``shards=4``'s shards on machines of their
+own::
 
     import repro
 
@@ -30,10 +33,9 @@ and its :class:`Session`, the registry and configs an application is
 given (:class:`TrustedLibraryRegistry`, :class:`RuntimeConfig`,
 :class:`StoreConfig`), the topology API (:class:`TopologyPlan`,
 :class:`TopologyReport`) and the error classes.  Everything
-:func:`connect` is built on — the
-``Deployment`` / ``ClusterDeployment`` wiring, ``DedupRuntime``, the
-store, the cluster, the engine, the tracer — is imported from its
-subpackage (``repro.deployment``, ``repro.core``, ``repro.store``,
+:func:`connect` is built on — the ``Deployment`` wiring,
+``DedupRuntime``, the store, the cluster, the engine, the tracer — is
+imported from its subpackage (``repro.deployment``, ``repro.core``, ``repro.store``,
 ``repro.cluster``, ``repro.engine``, ``repro.obs``, ...).
 """
 

@@ -24,7 +24,7 @@ class Delta:
 
     freq_hz: float = 1.0
     app_cycles: float = 0.0        # the application machine's clock advance
-    shard_cycles: dict = field(default_factory=dict)  # shard id -> its machine's
+    shard_cycles: dict = field(default_factory=dict)  # shard id -> its own machine's
     overlap_cycles: float = 0.0    # engine: machine time hidden by overlapped rounds
     makespan_cycles: float = 0.0   # engine: critical path of the rounds it scheduled
     wall_s: float = 0.0            # Python wall-clock seconds
@@ -36,9 +36,9 @@ class Delta:
 
     @property
     def app_s(self) -> float:
-        """One machine.  In a single-store session the store shares the
-        application's machine, so this is the whole cost; on a cluster
-        it is the client side only."""
+        """One machine.  When the one shard shares the application's
+        machine (Fig. 1) this is the whole cost; with shards on machines
+        of their own it is the client side only."""
         return self.app_cycles / self.freq_hz
 
     @property
@@ -72,16 +72,16 @@ class Probe:
     """Snapshot on construction; :meth:`delta` subtracts.
 
     ``session`` (a :class:`~repro.session.Session`) names the requester:
-    its application's runtime, store client and enclave, the pipelined
-    engine attached to that runtime (if any), and every store of its
-    deployment — the one ``ResultStore``, or each shard with its machine
-    clock.
+    its application's runtime, router and enclave, the pipelined engine
+    attached to that runtime (if any), and every shard of its deployment.
+    Clocks are summed over distinct machines: a shard on the app machine
+    adds its store's counters but no clock of its own.
     """
 
     def __init__(self, session):
         runtime = session.runtime
-        shards = session.cluster.shards if session.is_cluster else {}
-        stores = [node.store for node in shards.values()] or [session.store]
+        shards = session.cluster.shards
+        stores = [node.store for node in shards.values()]
         self._epc = session.platform.epc
         self._tracer = session.tracer
         self._engine = runtime.engine
@@ -95,7 +95,10 @@ class Probe:
             runtime.stats.snapshot, runtime.client.snapshot,
         ]
         self._app_clock = session.clock
-        self._shard_clocks = {sid: node.platform.clock for sid, node in shards.items()}
+        self._shard_clocks = {
+            sid: node.platform.clock for sid, node in shards.items()
+            if node.platform is not session.platform
+        }
         self._app0 = self._app_clock.snapshot()
         self._shard0 = {sid: c.snapshot() for sid, c in self._shard_clocks.items()}
         self._marks = self._read()

@@ -1,7 +1,8 @@
 """Sharded ResultStore cluster: consistent-hash routing, replication,
 and failover over the dedup tag space.
 
-The paper's ResultStore is one service (Fig. 1).  This package scales it
+The paper's ResultStore is one service (Fig. 1): here, a one-shard
+cluster whose shard sits on the app machine.  This package scales it
 out: a :class:`ShardRing` partitions the tag space across N independent
 :class:`~repro.store.resultstore.ResultStore` shards (each on its own
 simulated machine), a :class:`StoreCluster` runs them, and a

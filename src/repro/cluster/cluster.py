@@ -1,14 +1,16 @@
-"""The server side of a sharded ResultStore deployment.
+"""The server side of every ResultStore deployment.
 
-The paper runs one ResultStore per machine (Fig. 1).  A
-:class:`StoreCluster` runs N of them — each shard is a full
+A :class:`StoreCluster` runs N shards — each a full
 :class:`~repro.store.resultstore.ResultStore` on its **own** simulated
 machine (:class:`~repro.sgx.platform.SgxPlatform`), so every shard has
 its own store enclave, its own EPC budget and paging behaviour, its own
 quota pool, and its own clock.  What the shards share is the tag-space
 partition (the :class:`~repro.cluster.ring.ShardRing`) and the quoting
 infrastructure that lets applications and sibling shards attest them
-remotely.
+remotely.  The paper's Fig. 1 is the one-shard case with the shard
+placed on the application machine (``host``): applications there
+attest it locally, and only such a co-located shard may run a non-SGX
+store (Fig. 6's "w/o SGX" baseline).
 
 Failures are injected at the transport: killing a shard adds its address
 to the network :class:`~repro.net.transport.FaultInjector`'s dead set,
@@ -34,6 +36,7 @@ from .migration import RangeMigrator
 from .ring import ShardRing, TopologyPlan
 from .router import ClusterRouter
 from ..errors import MigrationError, SpeedError
+from ..net.rpc import RpcClient
 from ..net.transport import FaultInjector, Network
 from ..obs.tracer import NULL_TRACER
 from ..sgx.attestation import AttestationService
@@ -79,6 +82,7 @@ class StoreCluster:
         seed: bytes = b"speed-cluster",
         cost_params: CostParams | None = None,
         tracer=NULL_TRACER,
+        host: SgxPlatform | None = None,
     ):
         self.network = network
         self.attestation = attestation_service
@@ -86,8 +90,8 @@ class StoreCluster:
         self.tracer = NULL_TRACER if tracer is None else tracer
         if self.config.n_shards < 1:
             raise SpeedError("a cluster needs at least one shard")
-        if not self.config.store_config.use_sgx:
-            raise SpeedError("cluster shards require SGX-mode stores")
+        if host is not None and self.config.n_shards != 1:
+            raise SpeedError("only a one-shard cluster can be placed on a host machine")
         self._seed = seed
         self._cost_params = cost_params
         self.fault: FaultInjector = network.ensure_fault_injector()
@@ -100,23 +104,32 @@ class StoreCluster:
         # Routers to retro-fit when the ring grows: (app name, enclave, router).
         self._routers: list[tuple[str, Enclave, ClusterRouter]] = []
         for _ in range(self.config.n_shards):
-            self._spawn_shard()
+            self._spawn_shard(host=host)
 
     # -- shard lifecycle -------------------------------------------------------
     def _spawn_shard(
-        self, shard_id: str | None = None, register: bool = True
+        self, shard_id: str | None = None, register: bool = True,
+        host: SgxPlatform | None = None,
     ) -> ShardNode:
+        """Start one shard's store on ``host`` (co-located with the
+        applications there) or, by default, on a machine of its own."""
         shard_id = shard_id or f"shard-{self._spawned}"
-        platform = SgxPlatform(
-            seed=self._seed + b"/" + shard_id.encode(),
-            name=shard_id,
-            params=self._cost_params,
-            attestation_service=self.attestation,
-        )
+        platform = host
+        if platform is None:
+            if not self.config.store_config.use_sgx:
+                raise SpeedError(
+                    "only a shard co-located with its applications may run a non-SGX store"
+                )
+            platform = SgxPlatform(
+                seed=self._seed + b"/" + shard_id.encode(),
+                name=shard_id,
+                params=self._cost_params,
+                attestation_service=self.attestation,
+            )
         store = ResultStore(
             platform,
             self.network,
-            address=f"resultstore@{shard_id}",
+            address=f"resultstore@{platform.name}",
             config=self.config.store_config,
             seed=self._seed + b"/store/" + shard_id.encode(),
             tracer=self.tracer,
@@ -192,12 +205,7 @@ class StoreCluster:
         pending ring makes it an owner."""
         node = self._spawn_shard(shard_id, register=False)
         for app_name, enclave, router in self._routers:
-            client = node.store.connect(
-                f"{app_name}->{node.shard_id}",
-                app_enclave=enclave,
-                attestation_service=self.attestation,
-            )
-            router.attach_shard(node.shard_id, client)
+            router.attach_shard(node.shard_id, self._attest(node, app_name, enclave))
         return node
 
     def despawn_shard(self, shard_id: str) -> None:
@@ -267,16 +275,27 @@ class StoreCluster:
             raise SpeedError(f"unknown shard {shard_id!r}") from None
 
     # -- client wiring ---------------------------------------------------------
+    def _attest(self, node: ShardNode, app_name: str, app_enclave: Enclave) -> RpcClient:
+        """One application's channel to one shard.  A shard on the
+        application's machine is reached at ``<app>@<machine>`` through
+        local attestation (or, running a non-SGX store, a plain channel);
+        a shard on its own machine at ``<app>-><shard>`` through remote
+        attestation."""
+        co_located = node.platform is app_enclave.platform
+        return node.store.connect(
+            f"{app_name}@{node.platform.name}" if co_located
+            else f"{app_name}->{node.shard_id}",
+            app_enclave=app_enclave if node.store.config.use_sgx else None,
+            attestation_service=self.attestation,
+        )
+
     def connect(self, app_name: str, app_enclave: Enclave) -> ClusterRouter:
         """Attest ``app_enclave`` to every shard and return the router its
-        DedupRuntime will use in place of a single RpcClient."""
-        clients = {}
-        for shard_id, node in sorted(self.shards.items()):
-            clients[shard_id] = node.store.connect(
-                f"{app_name}->{shard_id}",
-                app_enclave=app_enclave,
-                attestation_service=self.attestation,
-            )
+        DedupRuntime uses as its store client."""
+        clients = {
+            shard_id: self._attest(node, app_name, app_enclave)
+            for shard_id, node in sorted(self.shards.items())
+        }
         router = ClusterRouter(
             self.ring, clients,
             replication_factor=self.config.replication_factor,

@@ -1,8 +1,10 @@
 """Client-side routing across a sharded ResultStore cluster.
 
-A :class:`ClusterRouter` stands where a :class:`~repro.net.rpc.RpcClient`
-would: a :class:`~repro.core.runtime.DedupRuntime` or a
-:class:`~repro.engine.PipelineEngine` links against either unchanged.
+A :class:`ClusterRouter` is every application's store client: its
+:class:`~repro.core.runtime.DedupRuntime` and
+:class:`~repro.engine.PipelineEngine` speak to the shards only through
+it, one per-shard :class:`~repro.net.rpc.RpcClient` underneath — also
+in the paper's Fig. 1, where the one shard sits on the app machine.
 Every request is routed by its tag's position on the
 :class:`~repro.cluster.ring.ShardRing`.
 
@@ -246,6 +248,11 @@ class ClusterRouter:
 
     # -- hardening knobs -------------------------------------------------------
     _retry_policy: "RetryPolicy | None" = None
+
+    @property
+    def retry_policy(self) -> RetryPolicy | None:
+        """The policy :meth:`set_retry_policy` gave every shard client."""
+        return self._retry_policy
 
     def set_retry_policy(self, policy: RetryPolicy | None) -> None:
         """Apply one retry policy to every per-shard client (including

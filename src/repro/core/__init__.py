@@ -9,13 +9,6 @@ the DedupRuntime (:mod:`.runtime`), and the 2-lines-of-code developer API
 """
 
 from .adaptive import AdaptiveDedupPolicy, FunctionProfile
-from .approximate import (
-    ApproximateDeduplicable,
-    band_values,
-    hamming_distance,
-    shingle_features,
-    simhash64,
-)
 from .decorator import deduplicable_marker
 from .deduplicable import Deduplicable
 from .description import (
@@ -52,7 +45,6 @@ from .verification import VerificationOutcome, verify_and_recover
 
 __all__ = [
     "AdaptiveDedupPolicy",
-    "ApproximateDeduplicable",
     "AnyParser",
     "BytesParser",
     "CallRecord",
@@ -86,9 +78,5 @@ __all__ = [
     "default_registry",
     "derive_locking_hash",
     "derive_tag",
-    "band_values",
-    "hamming_distance",
-    "shingle_features",
-    "simhash64",
     "verify_and_recover",
 ]

@@ -68,7 +68,6 @@ from ..net.messages import (
     PutRequest,
     PutResponse,
 )
-from ..net.rpc import RpcClient
 from ..obs.tracer import NULL_TRACER
 from ..sgx.cost_model import ChargeLog
 from ..sgx.enclave import Enclave
@@ -215,18 +214,18 @@ _BATCH = ("runtime.execute_batch", "dedup_execute_batch", "batch_get_request", "
 class DedupRuntime:
     """The trusted deduplication library linked against one app enclave.
 
-    ``client`` is anything that speaks the RpcClient surface — a plain
-    :class:`~repro.net.rpc.RpcClient` bound to one ResultStore, or a
-    :class:`~repro.cluster.router.ClusterRouter` fanning the same calls
-    out across a shard ring.  The runtime's per-item semantics
-    (Algorithms 1 & 2, Fig. 3 verification) are identical either way;
-    only where the bytes land differs.
+    ``client`` is the application's
+    :class:`~repro.cluster.router.ClusterRouter`, which fans the calls
+    out across the shard ring — one shard on the app machine in Fig. 1.
+    The runtime's per-item semantics (Algorithms 1 & 2, Fig. 3
+    verification) do not depend on where the shards run; only where the
+    bytes land differs.
     """
 
     def __init__(
         self,
         enclave: Enclave,
-        client: "RpcClient | ClusterRouter",
+        client: "ClusterRouter",
         libraries: TrustedLibraryRegistry,
         parsers: ParserRegistry | None = None,
         config: RuntimeConfig | None = None,
@@ -637,13 +636,14 @@ class DedupRuntime:
                     continue
                 if not isinstance(response, GetResponse):
                     raise DedupError(f"store answered GET with {type(response).__name__}")
+                unavailable = response.reason == NoLiveOwnerError.code
+                if unavailable and not self.config.degrade_on_store_failure:
+                    # No owner shard served the GET: a store failure, not a miss.
+                    raise NoLiveOwnerError(f"{response.reason} for tag {item.tag[:8].hex()}")
                 with region.task():
                     if response.found:
                         self._verify_hit(item, *verdicts[pos], result_parser)
-                    elif (
-                        response.reason == NoLiveOwnerError.code
-                        and self.config.degrade_on_store_failure
-                    ):
+                    elif unavailable:
                         # The router answered "unavailable, recompute".
                         item.degraded = True
 

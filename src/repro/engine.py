@@ -313,14 +313,14 @@ class EngineBatch:
 
 
 class PipelineEngine:
-    """Multi-slot pipelining + coalescing over an RpcClient-shaped peer.
+    """Multi-slot pipelining + coalescing over a router-shaped peer.
 
     Parameters
     ----------
     client:
-        An :class:`~repro.net.rpc.RpcClient` or a
-        :class:`~repro.cluster.router.ClusterRouter`: anything with
-        ``plan_gets``/``submit_gets``/``wait_gets`` and the PUT twins.
+        A :class:`~repro.cluster.router.ClusterRouter`, or anything with
+        its ``in_transition`` flag, ``plan_gets``/``submit_gets``/
+        ``wait_gets`` and the PUT twins.
     clock:
         The application machine's SimClock (client-side costs land here).
     shard_clocks:
@@ -379,8 +379,8 @@ class PipelineEngine:
 
     def _migration_active(self) -> bool:
         """True while the client's shard ring holds a dual-ownership
-        migration window (single-store clients never do)."""
-        return bool(getattr(self.client, "in_transition", False))
+        migration window."""
+        return self.client.in_transition
 
     def note_backpressure(self) -> None:
         """Record that a bounded PUT queue forced a foreground drain —

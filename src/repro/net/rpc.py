@@ -393,11 +393,6 @@ class RpcClient:
         return self._group_items(self._call(batch), len(requests), expected)
 
     # -- grouped pipelining (one record per submitted group) -----------------
-    def plan_gets(self, requests: Sequence[GetRequest]) -> list[list[int]]:
-        """Partition GET indices into groups that can share one wire
-        record.  One server, one connection: everything is one group."""
-        return [list(range(len(requests)))] if requests else []
-
     def submit_gets(self, requests: Sequence[GetRequest]) -> int:
         """Submit a GET group as a single channel record without waiting.
 
@@ -413,11 +408,6 @@ class RpcClient:
         return self._group_items(
             self._wait(handle), n_items, BatchGetResponse if n_items != 1 else None
         )
-
-    def plan_puts(self, requests: Sequence[PutRequest]) -> list[list[int]]:
-        """Partition PUT indices into groups that can share one wire
-        record.  One server, one connection: everything is one group."""
-        return [list(range(len(requests)))] if requests else []
 
     def submit_puts(self, requests: Sequence[PutRequest]) -> int:
         """Submit a PUT group as a single channel record without waiting

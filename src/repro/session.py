@@ -1,15 +1,14 @@
 """The unified public entry point: :func:`connect` / :class:`Session`.
 
 Historically every caller hand-assembled the topology — a platform, a
-network, a :class:`~repro.deployment.Deployment` or
-:class:`~repro.deployment.ClusterDeployment`, an application, parsers,
-and (since this release) a tracer and a metrics registry.  A
+network, a :class:`~repro.deployment.Deployment`, an application,
+parsers, and (since this release) a tracer and a metrics registry.  A
 :class:`Session` packages all of it behind one object::
 
     import repro
 
-    session = repro.connect()                       # single-store machine
-    session = repro.connect(shards=4, replication_factor=2)  # sharded
+    session = repro.connect()             # Fig. 1: one shard on the app machine
+    session = repro.connect(shards=4, replication_factor=2)  # shard machines
 
     @session.mark(version="1.0")
     def normalize(data: bytes) -> bytes:
@@ -19,9 +18,13 @@ and (since this release) a tracer and a metrics registry.  A
     print(session.trace_table())  # the call's connected span tree
     print(session.to_json())      # every component's counters, one dict
 
-The session owns one :class:`~repro.obs.Tracer` and threads it through
-the runtime, the application enclave, both channel endpoints, the router
-(in cluster mode), and every store shard — so a single
+Every session is the same deployment: the application's runtime talks
+to a :class:`~repro.cluster.StoreCluster` through a
+:class:`~repro.cluster.ClusterRouter`, and Fig. 1 differs from a
+cluster only in where its one shard is placed.  The session owns one
+:class:`~repro.obs.Tracer` and threads it through the runtime, the
+application enclave, both channel endpoints, the router, and every
+store shard — so a single
 :meth:`Session.execute` yields one connected span tree covering tag
 derivation, enclave transitions, channel crypto, RPC, shard routing, and
 store metadata/blob access.  It also owns one
@@ -37,14 +40,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .cluster.ring import TopologyPlan
-from .cluster.router import ClusterRouter
 from .core.decorator import deduplicable_marker
 from .core.deduplicable import Deduplicable
 from .core.description import FunctionDescription, TrustedLibrary, TrustedLibraryRegistry
 from .core.runtime import DedupResult, RuntimeConfig
 from .core.serialization import Parser
-from .deployment import Application, ClusterDeployment, Deployment
-from .errors import SpeedError
+from .deployment import Application, Deployment
 from .obs.exporters import format_phase_breakdown, format_trace
 from .obs.metrics import MetricsRegistry
 from .obs.tracer import NULL_TRACER, SlowCall, Span, SpanNode, Tracer
@@ -99,11 +100,14 @@ def connect(
 ) -> "Session":
     """Assemble a full SPEED deployment and return its :class:`Session`.
 
-    ``shards=0`` (the default) wires the paper's Fig. 1 single-machine
-    topology: one simulated SGX machine running the application and the
-    ResultStore.  ``shards >= 1`` wires the scaled-out topology instead:
-    one application machine in front of an N-shard cluster with
-    ``replication_factor`` copies of every entry.
+    Every session is one application machine whose runtime reaches a
+    shard cluster through a router.  ``shards=0`` (the default) is the
+    paper's Fig. 1: one shard on the app machine, so the application and
+    the ResultStore share one simulated SGX machine.  ``shards >= 1``
+    places that many shards on machines of their own, with
+    ``replication_factor`` copies of every entry.  Either way the
+    session has the cluster's operations (``add_shard``,
+    ``power_fail_shard``, ...).
 
     ``tracing=False`` swaps the tracer for the no-op
     :data:`~repro.obs.NULL_TRACER` (metrics sources stay live).
@@ -113,13 +117,13 @@ def connect(
     enclaves (the cross-machine replication story); both default to the
     deployment's own defaults when omitted.
 
-    The hardening knobs are optional and off by default:
-    ``fault_injector`` supplies a pre-configured
+    The hardening knobs are optional and off by default, and apply to
+    every session: ``fault_injector`` supplies a pre-configured
     :class:`~repro.net.transport.FaultInjector` (e.g. one carrying a
     simulation :class:`~repro.simtest.FaultPlan`); ``retry_policy``
-    applies an :class:`~repro.net.rpc.RetryPolicy` to every store
+    applies an :class:`~repro.net.rpc.RetryPolicy` to every shard
     client; ``breaker_config`` enables per-shard circuit breakers on the
-    cluster router (cluster sessions only).
+    router.
     """
     tracer: Tracer | Any
     if tracing:
@@ -138,36 +142,23 @@ def connect(
     if fault_injector is not None:
         extra["fault_injector"] = fault_injector
 
-    if shards <= 0:
-        deployment: Deployment | ClusterDeployment = Deployment(
-            seed=seed,
-            store_config=store_config,
-            cost_params=cost_params,
-            epc_usable_bytes=epc_usable_bytes,
-            tracer=tracer,
-            **extra,
-        )
-    else:
-        deployment = ClusterDeployment(
-            seed=seed,
-            n_shards=shards,
-            replication_factor=replication_factor,
-            vnodes=vnodes,
-            store_config=store_config,
-            cost_params=cost_params,
-            epc_usable_bytes=epc_usable_bytes,
-            tracer=tracer,
-            **extra,
-        )
+    deployment = Deployment(
+        seed=seed,
+        n_shards=max(shards, 0),
+        replication_factor=replication_factor,
+        vnodes=vnodes,
+        store_config=store_config,
+        cost_params=cost_params,
+        epc_usable_bytes=epc_usable_bytes,
+        tracer=tracer,
+        **extra,
+    )
     app = deployment.create_application(app_name, libraries, runtime_config)
-    client = app.runtime.client
-    if isinstance(client, ClusterRouter):
-        if retry_policy is not None:
-            client.set_retry_policy(retry_policy)
-        if breaker_config is not None:
-            client.enable_breakers(breaker_config)
-    elif retry_policy is not None:
-        client.retry_policy = retry_policy
+    router = app.runtime.client
+    if retry_policy is not None:
+        router.set_retry_policy(retry_policy)
+    if breaker_config is not None:
+        router.enable_breakers(breaker_config)
     return Session(deployment, app, tracer)
 
 
@@ -176,7 +167,7 @@ class Session:
 
     def __init__(
         self,
-        deployment: "Deployment | ClusterDeployment",
+        deployment: Deployment,
         app: Application,
         tracer: "Tracer | Any" = NULL_TRACER,
     ):
@@ -189,24 +180,18 @@ class Session:
         self._mark = deduplicable_marker(app)
         self.metrics.register_source("runtime", self.runtime.snapshot)
         self.metrics.register_source("net", deployment.network.snapshot)
-        if isinstance(deployment, ClusterDeployment):
-            router = self.runtime.client
-            if isinstance(router, ClusterRouter):
-                self.metrics.register_source("router", router.snapshot)
-            self.metrics.register_source("store", self._shard_metrics)
-        else:
-            self.metrics.register_source(
-                "rpc", self.runtime.client.snapshot
-            )
-            self.metrics.register_source(
-                "store", deployment.store.snapshot
-            )
+        self.metrics.register_source("router", self.runtime.client.snapshot)
+        self.metrics.register_source("store", self._shard_metrics)
 
     def _shard_metrics(self) -> dict:
         """Every shard's store counters under ``store.<shard_id>.<metric>``
         (``store.<shard_id>.durable.*`` for its WAL's), read from the
         cluster's membership at snapshot time — so every session on the
-        deployment reports the same shards, whoever changed the topology."""
+        deployment reports the same shards, whoever changed the topology.
+        A lone shard on the app machine reports under flat ``store.*``
+        keys (see :attr:`is_cluster`)."""
+        if not self.is_cluster:
+            return self.store.snapshot()
         out = {}
         for shard_id, node in sorted(self.deployment.cluster.shards.items()):
             for key, value in node.store.snapshot().items():
@@ -334,22 +319,17 @@ class Session:
         """
         from .engine import EngineConfig, PipelineEngine
 
-        if self.is_cluster:
-            deployment = self.deployment
+        cluster = self.cluster
 
-            def shard_clocks() -> dict:
-                # Read live so shards revived onto fresh platforms are
-                # still accounted against the right machine clock.
-                return {
-                    shard_id: node.platform.clock
-                    for shard_id, node in deployment.cluster.shards.items()
-                }
-        else:
-            # Fig. 1 single-machine topology: the store shares the app
-            # machine, so the engine sees no second clock and stays
-            # serial (one machine cannot overlap with itself).
-            def shard_clocks() -> dict:
-                return {"store": self.deployment.platform.clock}
+        def shard_clocks() -> dict:
+            # Read live so shards revived onto fresh platforms are still
+            # accounted against the right machine clock.  A shard on the
+            # app machine shares its clock, which the engine discounts:
+            # one machine cannot overlap with itself.
+            return {
+                shard_id: node.platform.clock
+                for shard_id, node in cluster.shards.items()
+            }
 
         engine = PipelineEngine(
             self.runtime.client,
@@ -373,20 +353,22 @@ class Session:
     # -- topology -------------------------------------------------------------
     @property
     def is_cluster(self) -> bool:
-        return isinstance(self.deployment, ClusterDeployment)
+        """False while the session's one shard sits on the app machine.
+
+        The one co-location check, kept for ``benchmarks/e2e/measure.py``:
+        on such a session it counts the app machine alone and reads the
+        store's counters under flat ``store.*`` keys."""
+        shards = list(self.cluster.shards.values())
+        return not (len(shards) == 1 and shards[0].platform is self.platform)
 
     @property
     def cluster(self):
-        """The shard cluster (cluster sessions only)."""
-        if not self.is_cluster:
-            raise SpeedError("this session runs a single store, not a cluster")
+        """The shard cluster behind this session's router."""
         return self.deployment.cluster
 
     @property
     def store(self):
-        """The single ResultStore (non-cluster sessions only)."""
-        if self.is_cluster:
-            raise SpeedError("this session runs a cluster; use .cluster")
+        """The ResultStore of a one-shard session (refused on more)."""
         return self.deployment.store
 
     @property
@@ -629,5 +611,4 @@ class Session:
         return list(self.tracer.slow_log) if self.tracer.enabled else []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "cluster" if self.is_cluster else "single-store"
-        return f"<Session app={self.app.name!r} {kind}>"
+        return f"<Session app={self.app.name!r} shards={self.cluster.shard_ids}>"

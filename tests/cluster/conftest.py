@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.hashes import sha256
-from repro.deployment import ClusterDeployment
+from repro.deployment import Deployment
 from repro.net.messages import GetRequest, PutRequest
 
 
 def make_cluster(n_shards=4, replication_factor=2, seed=b"test-cluster", **kwargs):
-    return ClusterDeployment(
+    return Deployment(
         seed=seed, n_shards=n_shards, replication_factor=replication_factor,
         **kwargs,
     )

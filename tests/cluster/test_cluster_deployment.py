@@ -1,9 +1,13 @@
 """End-to-end: DedupRuntime over a sharded cluster behaves exactly like
 the single-store deployment — same results, same security guarantees."""
 
+import pytest
+
+from repro.core.runtime import RuntimeConfig
 from repro.core.serialization import AnyParser, default_registry
 from repro.core.tag import derive_tag
 from repro.deployment import Deployment
+from repro.errors import NoLiveOwnerError
 from repro.security import HostAdversary
 from repro.store.resultstore import StoreConfig
 
@@ -75,16 +79,23 @@ class TestBitIdenticalWithSingleStore:
 class TestRuntimeSurvivesShardDeath:
     def test_execute_recomputes_when_unreplicated_entry_dies(self):
         d = make_cluster(n_shards=4, replication_factor=1, seed=b"die-rf1")
-        app = d.create_application("app", make_libs())
+        app = d.create_application(
+            "app", make_libs(),
+            RuntimeConfig(app_id="app", degrade_on_store_failure=True),
+        )
         dedup = app.deduplicable(DOUBLE_DESC)
         data = inputs(1)[0]
         assert dedup(data) == double_bytes(data)
         app.runtime.flush_puts()
         d.cluster.kill_shard(d.cluster.owners_of(tag_of(app, data))[0])
-        # RF 1 and the only holder is dead: the runtime treats the
-        # unavailability as a miss and recomputes — never an error.
+        # RF 1 and the only holder is dead: a degrading runtime
+        # recomputes; a fail-fast one surfaces the outage.
         assert dedup(data) == double_bytes(data)
-        assert app.runtime.stats.misses == 2
+        assert app.runtime.stats.misses == 1
+        assert app.runtime.stats.degraded == 1
+        strict = d.create_application("strict", make_libs())
+        with pytest.raises(NoLiveOwnerError):
+            strict.deduplicable(DOUBLE_DESC)(data)
 
     def test_execute_hits_replica_when_primary_dies(self):
         d = make_cluster(n_shards=4, replication_factor=2, seed=b"die-rf2")

@@ -92,7 +92,7 @@ def poison_every_blob(session, inputs):
     blob; the store's own digest check is off, so Fig. 3 must catch it."""
     warm_from_sibling(session, inputs)
     identity = session.runtime.libraries.function_identity(DOUBLE_DESC)
-    store = session.deployment.store
+    store = session.store
     for x in inputs:
         tag = derive_tag(identity, AnyParser(default_registry()).encode(x))
         HostAdversary(store.platform.host).flip(arena_name(store, tag))
@@ -219,21 +219,26 @@ def boundary_names(session):
 
 
 def test_a_lone_call_crosses_as_plain_get_and_put():
-    """The pipeline is shared; the wire is not: a lone call is a GET and a
-    PUT message under ``dedup_execute``, never a BATCH of one."""
-    session = repro.connect(
-        libraries=make_libs(), seed=b"equiv-wire", runtime_config=RuntimeConfig(async_put=False),
-    )
-    session.execute(DOUBLE_DESC, b"lone")
-    assert boundary_names(session) == (
-        ["dedup_execute"], ["get_request", "put_request"], ["GetRequest", "PutRequest"],
-    )
-    session.execute_many(DOUBLE_DESC, [b"one"])
-    assert boundary_names(session) == (
-        ["dedup_execute_batch"],
-        ["batch_get_request", "batch_put_request"],
-        ["BatchGetRequest", "BatchPutRequest"],
-    )
+    """The pipeline is shared; the enclave boundary is not: a lone call
+    crosses under ``dedup_execute``, a batch of one under
+    ``dedup_execute_batch``.  On the wire both are one plain GET and one
+    plain PUT per owner shard (a miss falls through to the next owner),
+    never a BATCH of one — on the app machine's one shard as on shard
+    machines."""
+    for shards, owners in ((0, 1), (1, 1), (3, 2)):
+        session = repro.connect(
+            libraries=make_libs(), seed=b"equiv-wire", shards=shards,
+            runtime_config=RuntimeConfig(async_put=False),
+        )
+        wire = ["GetRequest"] * owners + ["PutRequest"] * owners
+        session.execute(DOUBLE_DESC, b"lone")
+        assert boundary_names(session) == (
+            ["dedup_execute"], ["get_request", "put_request"], wire,
+        ), shards
+        session.execute_many(DOUBLE_DESC, [b"one"])
+        assert boundary_names(session) == (
+            ["dedup_execute_batch"], ["batch_get_request", "batch_put_request"], wire,
+        ), shards
 
 
 def test_both_entries_trace_one_span_shape():

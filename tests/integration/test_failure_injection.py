@@ -12,7 +12,7 @@ on the store→app edge.
 import pytest
 
 from repro.deployment import Deployment
-from repro.errors import ProtocolError, TransportError
+from repro.errors import NoLiveOwnerError, TransportError
 from repro.net.transport import FaultInjector
 from tests.conftest import DOUBLE_DESC, double_bytes, make_libs
 
@@ -37,9 +37,11 @@ class TestMessageLoss:
         app = d.create_application("app", make_libs())
         dedup = app.deduplicable(DOUBLE_DESC)
         # The store's channel detects the corruption and answers with a
-        # protocol error, which the client surfaces.
-        with pytest.raises(ProtocolError):
+        # protocol error; the router counts the shard as not serving the
+        # GET, and with no other owner the call fails fast.
+        with pytest.raises(NoLiveOwnerError):
             dedup(b"data")
+        assert app.runtime.client.stats.get_timeouts == 1
 
     def test_dropped_put_response_does_not_block_progress(self):
         # Store→app edge: 0 GET-response, 1 PUT-response (dropped).

@@ -56,12 +56,6 @@ def test_connect_cluster_topology():
         session.store  # single-store accessor must refuse on a cluster
 
 
-def test_single_session_refuses_cluster_accessors():
-    session = repro.connect(libraries=make_libs(), seed=b"t-single")
-    with pytest.raises(SpeedError):
-        session.cluster
-
-
 def test_mark_decorator_and_batch_map():
     session = repro.connect(seed=b"t-mark")
 
@@ -104,6 +98,48 @@ def test_connect_with_machine_name_and_tracing_off():
     assert session.trace_tree() == []
     assert session.phase_breakdown() == {}
     assert session.slow_calls() == []
+
+
+# -- Fig. 1 is a one-shard cluster ------------------------------------------
+FIG1_INPUTS = [b"fig1-%d" % i for i in range(24)]
+
+
+def test_every_session_has_a_cluster():
+    single = repro.connect(libraries=make_libs(), seed=b"t-fig1-shape")
+    (node,) = single.cluster.shards.values()
+    assert single.cluster.shard_ids == ("shard-0",)
+    assert node.platform is single.platform  # the store shares the app machine
+    assert single.store is node.store
+    sharded = repro.connect(shards=2, libraries=make_libs(), seed=b"t-fig1-shape")
+    assert all(n.platform is not sharded.platform for n in sharded.cluster.shards.values())
+
+
+def test_fig1_power_fail_recovers_every_acked_entry():
+    session = repro.connect(libraries=make_libs(), seed=b"t-fig1-durable",
+                            store_config=StoreConfig(durable=True))
+    session.execute_many(DESC, FIG1_INPUTS)
+    session.flush_puts()
+    acked = set(session.runtime.acked_put_tags)
+    assert len(acked) == len(FIG1_INPUTS)
+    report = session.power_fail_shard("shard-0")
+    assert report.entries_restored + report.records_replayed >= len(acked)
+    assert all(session.store.contains(tag) for tag in acked)
+    reader = session.sibling("reader")
+    assert all(r.hit for r in reader.execute_many_results(DESC, FIG1_INPUTS))
+
+
+def test_fig1_add_shard_hands_ranges_to_a_new_machine():
+    session = repro.connect(libraries=make_libs(), seed=b"t-fig1-grow")
+    session.execute_many(DESC, FIG1_INPUTS)
+    session.flush_puts()
+    report = session.add_shard()
+    assert report.shard_id == "shard-1"
+    assert report.ranges_moved > 0 and report.entries_moved > 0
+    joined = session.cluster.shards["shard-1"]
+    assert joined.platform is not session.platform
+    assert len(joined.store) == report.entries_moved
+    reader = session.sibling("reader")
+    assert all(r.hit for r in reader.execute_many_results(DESC, FIG1_INPUTS))
 
 
 # -- unified metrics -------------------------------------------------------

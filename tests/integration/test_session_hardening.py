@@ -6,8 +6,10 @@ land in ``Session.snapshot()`` under the canonical dotted key scheme —
 dashboards and the simulation trace both key off these names.
 """
 
+import pytest
+
 import repro
-from repro import TrustedLibrary, TrustedLibraryRegistry
+from repro import NoLiveOwnerError, TrustedLibrary, TrustedLibraryRegistry
 from repro.core.runtime import RuntimeConfig
 from repro.net.circuit import OPEN, BreakerConfig
 from repro.net.rpc import RetryPolicy
@@ -98,11 +100,13 @@ def test_single_store_retry_counters_have_canonical_keys():
         libraries=make_libs(), seed=b"t-rpc",
         retry_policy=RetryPolicy(max_attempts=3),
     )
-    client = session.runtime.client
-    assert client.retry_policy is not None
+    router = session.runtime.client
+    assert router.retry_policy is not None
+    (client,) = router._clients.values()
+    assert client.retry_policy is router.retry_policy
 
     # Drop the next request on the app->store edge: the retry must
-    # absorb it and the counters must surface under rpc.* keys.
+    # absorb it and the counters must surface under router.* keys.
     src = client._endpoint.address
     dst = client._server_address
     fault = session.fault
@@ -110,7 +114,32 @@ def test_single_store_retry_counters_have_canonical_keys():
     assert session.execute(DESC, b"retry") == b"retryretry"
 
     snap = session.snapshot()
-    assert snap["rpc.retries"] == 1
-    assert snap["rpc.backoff_seconds_total"] > 0
+    assert snap["router.retries"] == 1
+    assert snap["router.backoff_seconds_total"] > 0
     assert snap["net.dropped"] == 1
     assert snap["runtime.degraded_calls"] == 0
+
+
+@pytest.mark.parametrize("degrade", [True, False], ids=["degrade", "failfast"])
+def test_single_store_breaker_opens_on_a_killed_shard(degrade):
+    """``breaker_config`` reaches the router of a ``shards=0`` session:
+    its lone shard's breaker opens, and each call then degrades or
+    fails fast as the runtime is configured."""
+    session = repro.connect(
+        libraries=make_libs(), seed=b"t-fig1-breaker",
+        breaker_config=HARDENING["breaker_config"],
+        runtime_config=RuntimeConfig(degrade_on_store_failure=degrade),
+    )
+    session.kill_shard("shard-0")
+    for i in range(4):
+        payload = b"fig1-%d" % i
+        if degrade:
+            assert session.execute(DESC, payload) == payload * 2
+        else:
+            with pytest.raises(NoLiveOwnerError):
+                session.execute(DESC, payload)
+    snap = session.snapshot()
+    assert snap["router.breaker.shard-0.state"] == OPEN
+    assert snap["router.circuit_opens"] == 1
+    assert snap["router.circuit_skips"] == 2
+    assert snap["runtime.degraded_calls"] == (4 if degrade else 0)

@@ -104,12 +104,6 @@ def batch_echo_handler(msg):
 
 
 class TestGroupedGets:
-    def test_plan_gets_is_one_group_preserving_order(self):
-        client, _ = make_rpc(batch_echo_handler)
-        requests = [GetRequest(tag=bytes([i]) * 32) for i in range(5)]
-        assert client.plan_gets(requests) == [[0, 1, 2, 3, 4]]
-        assert client.plan_gets([]) == []
-
     def test_group_ships_one_record_and_unpacks_in_order(self):
         client, server = make_rpc(batch_echo_handler)
         tags = [bytes([i]) * 32 for i in range(6)]

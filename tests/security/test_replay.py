@@ -17,6 +17,12 @@ class _RecordingTap:
         self.records.append((source, dest, payload))
 
 
+def shard_channel(app):
+    """The client end of the app's channel to the deployment's one shard."""
+    (client,) = app.runtime.client._clients.values()
+    return client._channel
+
+
 class TestReplayAttacks:
     def test_replayed_request_is_rejected_by_the_store(self):
         d = Deployment(seed=b"replay-1")
@@ -56,7 +62,7 @@ class TestReplayAttacks:
             if source == d.store.address
         )
         # Replay the old response into the client channel directly.
-        client_channel = app.runtime.client._channel
+        client_channel = shard_channel(app)
         with pytest.raises(ChannelError):
             client_channel.unprotect(response_record)
 
@@ -71,7 +77,7 @@ class TestReplayAttacks:
         dedup_a = app_a.deduplicable(DOUBLE_DESC)
         dedup_a(b"data")
         record = next(p for s, dest, p in tap.records if dest == d.store.address)
-        channel_b = app_b.runtime.client._channel
+        channel_b = shard_channel(app_b)
         with pytest.raises(ChannelError):
             channel_b.unprotect(record)
 

@@ -54,6 +54,7 @@ class GroupedFakeClient:
         self.fail_submit = False
         self.fail_wait = False
         self.fail_group_wait = False
+        self.in_transition = False  # a migration window (the router's flag)
         self._next = 0
         self._pending = {}
 
