@@ -717,8 +717,8 @@ def run_batch(batch_sizes: list[int], ops: int, execute_batch_sizes: list[int],
 
 def run_batch_store(batch_sizes: list[int], ops: int, size_bytes: int, seed: int):
     """``ops`` PUTs then ``ops`` GETs against the SGX-backed store, issued
-    in batches of each sweep size.  Batch size 1 uses the plain per-item
-    wire path, so it is the unbatched baseline."""
+    in batches of each sweep size.  A batch of one travels as its plain
+    GET/PUT message, so batch size 1 is the unbatched baseline."""
     for batch in batch_sizes:
         session = connect(
             seed=b"batch-store" + batch.to_bytes(4, "big"), app_name="batch-client",
@@ -731,10 +731,7 @@ def run_batch_store(batch_sizes: list[int], ops: int, size_bytes: int, seed: int
         for phase, requests in (("put", puts), ("get", _gets(puts))):
             probe = Probe(session)
             for chunk in _chunks(requests, batch):
-                responses = (
-                    [client.call(chunk[0])] if len(chunk) == 1
-                    else client.call_batch(chunk)
-                )
+                responses = client.call_batch(chunk)
                 if phase == "get" and not all(r.found for r in responses):
                     raise SpeedError("a result stored by this run was not found")
             yield dict(phase=phase, batch_size=batch, ops=ops, size_bytes=size_bytes,

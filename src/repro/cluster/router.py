@@ -34,21 +34,26 @@ Routing exists once, as *submit a group, settle a group*:
   counters.  An item nobody answered is ``accepted=False`` with reason
   ``no_live_owner``.
 
-What differs between the public entry points is only how a shard send is
-made and when the group is settled:
+What differs between the group entry points is only how a shard send
+is made and when the group is settled:
 
-* ``call`` is a group of one, sent with a blocking shard call and
-  settled on the spot; ``call_batch`` does the same per shard group
-  (GETs, as :meth:`ClusterRouter.plan_gets` partitions them) or for the
-  whole batch at once (PUTs), and rejoins the answers in item order.
-* ``submit``/``wait`` and ``submit_gets``/``wait_gets``,
-  ``submit_puts``/``wait_puts`` send through the shard clients'
-  pipelined slots, so several groups are in flight together, and settle
-  when the caller waits.
-* ``send_oneway``/``send_oneway_batch`` send fire-and-forget; the
-  group is settled by :meth:`ClusterRouter.drain_responses` from
-  whatever acks have arrived, so a fully-dead owner set shows up as
-  *unacknowledged*, never as a silent success.
+* ``call_batch`` sends with blocking shard calls and settles on the
+  spot, one group per primary shard (GETs, as
+  :meth:`ClusterRouter.plan_gets` partitions them) or the whole batch at
+  once (PUTs), and rejoins the answers in item order.
+* ``submit_gets``/``wait_gets`` and ``submit_puts``/``wait_puts`` send
+  through the shard clients' pipelined slots, so several groups are in
+  flight together, and settle when the caller waits.
+* ``send_oneway_batch`` sends fire-and-forget; the group is settled by
+  :meth:`ClusterRouter.drain_responses` from whatever acks have arrived,
+  so a fully-dead owner set shows up as *unacknowledged*, never as a
+  silent success.
+
+A lone request is a group of one: ``call``, ``submit``/``wait`` and
+``send_oneway`` are those entry points over a list of one, and answer in
+band like them (a PUT no owner answered is ``accepted=False``,
+``no_live_owner``).  On the wire a lone item still travels as its plain
+message, not as a batch of one.
 
 Every shard exchange goes through one guarded helper, so a shard's
 circuit breaker is asked once per send and learns from every reply.
@@ -153,8 +158,6 @@ class _GetGroup:
 
     requests: list
     mode: str
-    # True for a slot opened by submit() and settled by wait().
-    single: bool = False
     # The primary the group was offered to; None when it has no owner.
     shard: str | None = None
     # What the send returned: the shard's responses (blocking send), its
@@ -169,7 +172,6 @@ class _PutGroup:
 
     requests: list
     mode: str
-    single: bool = False
     # Per item: its primary shard id, "" when it has no reachable owner.
     primaries: list = field(default_factory=list)
     # Per item: the verdict merged so far (None while nobody answered).
@@ -337,14 +339,12 @@ class ClusterRouter:
 
     def _send(self, shard: str, kind: str, sub: list, mode: str):
         """Put one shard's share of a group on the wire in the group's
-        send mode (a lone item travels as itself, not as a batch of one).
+        send mode (the shard client sends a lone item as itself).
         One-way sends are untraced: nothing waits on them."""
         def exchange(client):
             if mode is _PIPELINED:
                 return client.submit_gets(sub) if kind == "get" else client.submit_puts(sub)
-            if len(sub) > 1:
-                return client.call_batch(sub) if mode is _SYNC else client.send_oneway_batch(sub)
-            return [client.call(sub[0])] if mode is _SYNC else client.send_oneway(sub[0])
+            return client.call_batch(sub) if mode is _SYNC else client.send_oneway_batch(sub)
 
         return self._guarded(
             shard, exchange, answers=mode is _SYNC,
@@ -369,14 +369,12 @@ class ClusterRouter:
         )
 
     # -- GET: one group core -----------------------------------------------------
-    def _submit_get_group(self, requests: list, mode: str, single: bool = False) -> _GetGroup:
-        """Send a GET group to its primary (the first request's: callers
-        group by :meth:`plan_gets`)."""
-        group = _GetGroup(requests=requests, mode=mode, single=single)
-        owners = self._read_owners(requests[0].tag) if requests else []
-        if owners:
-            group.shard = owners[0]
-            group.sent = self._send(group.shard, "get", requests, mode)
+    def _submit_get_group(self, requests: list, mode: str, shard: str | None) -> _GetGroup:
+        """Send a GET group to its primary ``shard`` (``None``: it has no
+        reachable owner; callers group by :meth:`plan_gets`)."""
+        group = _GetGroup(requests=requests, mode=mode, shard=shard)
+        if shard is not None:
+            group.sent = self._send(shard, "get", requests, mode)
         return group
 
     def _settle_get_group(self, group: _GetGroup) -> list[Message]:
@@ -465,13 +463,18 @@ class ClusterRouter:
             self.stats.read_repairs += 1
 
     # -- PUT: one fan-out, one verdict merger --------------------------------------
-    def _submit_put_group(self, requests: list, mode: str, single: bool = False) -> _PutGroup:
+    def _submit_put_group(self, requests: list, mode: str) -> _PutGroup:
         """Fan a PUT group out: one record to every owner shard of its
         items, carrying the items that shard owns."""
+        if not all(isinstance(r, PutRequest) for r in requests):
+            raise ProtocolError(
+                "cluster router routes a uniform list of GETs or PUTs, not "
+                + ", ".join(sorted({type(r).__name__ for r in requests}))
+            )
         self.stats.puts_routed += len(requests)
         owners_per_item = [self._write_owners(r.tag) for r in requests]
         group = _PutGroup(
-            requests=requests, mode=mode, single=single,
+            requests=requests, mode=mode,
             primaries=[owners[0] if owners else "" for owners in owners_per_item],
             verdicts=[None] * len(requests),
         )
@@ -494,16 +497,20 @@ class ClusterRouter:
                 group.subs.append((shard, sent, positions))
         return group
 
-    def _settle_put_group(self, group: _PutGroup) -> list[Message | None]:
-        """Per-item verdicts of a blocking or pipelined PUT group
-        (``None``: no owner answered for that item)."""
+    def _settle_put_group(self, group: _PutGroup) -> list[Message]:
+        """Per-item verdicts of a blocking or pipelined PUT group; an item
+        no owner answered is ``accepted=False`` with ``no_live_owner``."""
         for shard, sent, positions in group.subs:
             acks = self._collect(shard, "put", sent, len(positions), group.mode)
             if acks is None:
                 self.stats.put_timeouts += 1
             else:
                 self._merge_put_acks(group, shard, positions, acks)
-        return group.verdicts
+        return [
+            verdict if verdict is not None
+            else PutResponse(accepted=False, reason=NO_LIVE_OWNER)
+            for verdict in group.verdicts
+        ]
 
     def _merge_put_acks(
         self, group: _PutGroup, shard: str, positions: list[int], acks: list
@@ -526,47 +533,18 @@ class ClusterRouter:
         else:
             self.stats.replica_put_rejects += 1
 
-    # -- compositions: submitting ------------------------------------------------
-    def _submit_group(self, requests: list, mode: str, single: bool = False):
-        if requests and all(isinstance(r, GetRequest) for r in requests):
-            return self._submit_get_group(requests, mode, single)
-        if requests and all(isinstance(r, PutRequest) for r in requests):
-            return self._submit_put_group(requests, mode, single)
-        raise ProtocolError(
-            "cluster router routes a uniform list of GETs or PUTs, not "
-            + ", ".join(sorted({type(r).__name__ for r in requests}))
-        )
-
-    def _settle_group(self, group) -> list[Message]:
-        if isinstance(group, _GetGroup):
-            return self._settle_get_group(group)
-        return [
-            verdict if verdict is not None
-            else PutResponse(accepted=False, reason=NO_LIVE_OWNER)
-            for verdict in self._settle_put_group(group)
-        ]
-
-    def _settle_single(self, group) -> Message:
-        """A group of one settled as a call: a PUT nobody answered is an
-        error here, not an in-band verdict."""
-        (reply,) = self._settle_group(group)
-        if isinstance(group, _PutGroup) and group.verdicts[0] is None:
-            raise NoLiveOwnerError(
-                f"{NO_LIVE_OWNER} for tag {group.requests[0].tag[:8].hex()}"
-            )
-        return reply
-
+    # -- compositions -------------------------------------------------------------
     def _park(self, group) -> int:
         """Keep a pipelined group for its waiter; returns its slot id."""
         router_id = self._fresh_router_id()
         self._pipeline[router_id] = group
         return router_id
 
-    def _claim(self, router_id: int, kinds, single: bool, n_items: int | None = None):
+    def _claim(self, router_id: int, kind: type, n_items: int | None):
         """Take a parked group out for settling.  A slot of another
-        shape, or a wrong item count, is refused and left in place."""
+        kind, or a wrong item count, is refused and left in place."""
         group = self._pipeline.get(router_id)
-        if not isinstance(group, kinds) or group.single != single:
+        if not isinstance(group, kind):
             raise ProtocolError(
                 f"router slot {router_id} was never submitted this way "
                 "(or already waited on)"
@@ -584,7 +562,9 @@ class ClusterRouter:
         self._next_router_id += 1
         return router_id
 
-    def _plan(self, requests: list, owners_of) -> list[list[int]]:
+    def _plan(self, requests: list, owners_of) -> list[tuple[str | None, list[int]]]:
+        """``(primary, positions)`` per group, in shard order; an item
+        with no reachable owner is a group of its own under ``None``."""
         groups: dict[str, list[int]] = {}
         orphans: list[int] = []
         for i, request in enumerate(requests):
@@ -593,24 +573,9 @@ class ClusterRouter:
                 groups.setdefault(owners[0], []).append(i)
             else:
                 orphans.append(i)
-        out = [indices for _, indices in sorted(groups.items())]
-        out.extend([i] for i in orphans)
-        return out
+        return sorted(groups.items()) + [(None, [i]) for i in orphans]
 
-    # -- synchronous calls -------------------------------------------------------
-    def call(self, request: Message) -> Message:
-        """Route one request and block on its answer: a group of one,
-        sent with a blocking shard call and settled on the spot."""
-        name = "router.get" if isinstance(request, GetRequest) else "router.put"
-        with self.tracer.span(name, clock=self.clock) as span:
-            reply = self._settle_single(self._submit_group([request], _SYNC, single=True))
-            if isinstance(reply, GetResponse):
-                if reply.reason == NO_LIVE_OWNER:
-                    span.mark("unavailable")
-                else:
-                    span.set("outcome", "hit" if reply.found else "miss")
-            return reply
-
+    # -- group entry points ------------------------------------------------------
     def call_batch(self, requests: list[Message]) -> list[Message]:
         """Route a uniform batch and block on every answer, rejoined in
         item order.  GETs go one blocking group per primary shard, so a
@@ -620,40 +585,16 @@ class ClusterRouter:
         if not requests:
             return []
         if not all(isinstance(r, GetRequest) for r in requests):
-            with self.tracer.span("router.batch_put", clock=self.clock, items=len(requests)):
-                return self._settle_group(self._submit_group(requests, _SYNC))
+            with self.tracer.span("router.put", clock=self.clock, items=len(requests)):
+                return self._settle_put_group(self._submit_put_group(requests, _SYNC))
         results: list = [None] * len(requests)
-        with self.tracer.span("router.batch_get", clock=self.clock, items=len(requests)):
-            for positions in self._plan(requests, self._read_owners):
-                group = self._submit_get_group([requests[p] for p in positions], _SYNC)
+        with self.tracer.span("router.get", clock=self.clock, items=len(requests)):
+            for shard, positions in self._plan(requests, self._read_owners):
+                group = self._submit_get_group([requests[p] for p in positions], _SYNC, shard)
                 for p, reply in zip(positions, self._settle_get_group(group)):
                     results[p] = reply
         return results
 
-    # -- pipelined calls -------------------------------------------------------
-    def submit(self, request: Message) -> int:
-        """Pipelined routing: put the request on the wire (GET to its
-        primary, PUT to every owner) and return a router slot id for
-        :meth:`wait`.  Distinct tags land on distinct shards, so N
-        submitted requests are served by the shards concurrently instead
-        of one blocking round trip at a time.
-        """
-        return self._park(self._submit_group([request], _PIPELINED, single=True))
-
-    def wait(self, router_id: int) -> Message:
-        """Settle one pipelined call; semantics match :meth:`call`.
-
-        A GET whose primary failed while in flight fails over through
-        the surviving replicas (read-repairing on a replica hit) and
-        only reports ``no live owner`` when every owner is gone; a PUT's
-        first live owner in ring order stays authoritative, the others'
-        verdicts are absorbed as replica acks.
-        """
-        return self._settle_single(
-            self._claim(router_id, (_GetGroup, _PutGroup), single=True)
-        )
-
-    # -- grouped pipelining (one record per shard sub-batch) -------------------
     def plan_gets(self, requests: list[GetRequest]) -> list[list[int]]:
         """Partition GET indices by primary owner shard.
 
@@ -662,13 +603,17 @@ class ClusterRouter:
         shards serve their sub-batches concurrently.  Items with no live
         owner form their own group (answered without touching the wire).
         """
-        return self._plan(requests, self._read_owners)
+        return [positions for _, positions in self._plan(requests, self._read_owners)]
 
     def submit_gets(self, requests: list[GetRequest]) -> int:
         """Submit one :meth:`plan_gets` group (a shared-primary GET
         sub-batch) as a single record; returns a router slot id for
         :meth:`wait_gets`."""
-        return self._park(self._submit_get_group(list(requests), _PIPELINED))
+        requests = list(requests)
+        owners = self._read_owners(requests[0].tag) if requests else []
+        return self._park(
+            self._submit_get_group(requests, _PIPELINED, owners[0] if owners else None)
+        )
 
     def wait_gets(self, router_id: int, n_items: int | None = None) -> list[Message]:
         """Settle one GET group; per-item semantics match ``call_batch``.
@@ -679,9 +624,7 @@ class ClusterRouter:
         on a replica hit.  Items with no live owner anywhere come back as
         ``found=False`` / ``no live owner``.
         """
-        return self._settle_get_group(
-            self._claim(router_id, _GetGroup, single=False, n_items=n_items)
-        )
+        return self._settle_get_group(self._claim(router_id, _GetGroup, n_items))
 
     def plan_puts(self, requests: list[PutRequest]) -> list[list[int]]:
         """Partition PUT indices by primary owner shard.
@@ -691,7 +634,7 @@ class ClusterRouter:
         round of N replicated PUTs costs O(shards) records.  Items with
         no live owner form their own group (answered without touching
         the wire)."""
-        return self._plan(requests, self._write_owners)
+        return [positions for _, positions in self._plan(requests, self._write_owners)]
 
     def submit_puts(self, requests: list[PutRequest]) -> int:
         """Submit one :meth:`plan_puts` group: one batch record to every
@@ -705,28 +648,44 @@ class ClusterRouter:
         is live, replica verdicts are absorbed into router counters, and
         items no live owner answered come back ``accepted=False`` with a
         ``no live owner`` reason."""
-        return self._settle_group(
-            self._claim(router_id, _PutGroup, single=False, n_items=n_items)
-        )
-
-    # -- one-way sends: settled by drain_responses -------------------------------
-    def send_oneway(self, request: Message) -> int:
-        """Fire-and-forget one PUT to every owner; returns the router
-        slot id its ack will carry out of :meth:`drain_responses`."""
-        if not isinstance(request, PutRequest):
-            raise ProtocolError("one-way sends carry PUT requests")
-        group = self._submit_put_group([request], _ONEWAY, single=True)
-        group.router_id = self._fresh_router_id()
-        return group.router_id
+        return self._settle_put_group(self._claim(router_id, _PutGroup, n_items))
 
     def send_oneway_batch(self, requests: list[PutRequest]) -> int:
         """Fire-and-forget a PUT batch, one record per owner shard; its
-        merged :class:`BatchPutResponse` comes out of
-        :meth:`drain_responses` under the returned slot id."""
+        merged verdicts come out of :meth:`drain_responses` under the
+        returned slot id."""
         group = self._submit_put_group(list(requests), _ONEWAY)
         group.router_id = self._fresh_router_id()
         return group.router_id
 
+    # -- lone entry points: a group of one -----------------------------------------
+    # Kept only because benchmarks/e2e/tracing.py wraps them by name
+    # (ROADMAP 2).  They run the group entry points under private names,
+    # so a wrapper patched over a public name sees each public call once.
+    _call_batch, _submit_gets, _wait_gets = call_batch, submit_gets, wait_gets
+    _submit_puts, _wait_puts, _send_oneway_batch = submit_puts, wait_puts, send_oneway_batch
+
+    def call(self, request: Message) -> Message:
+        """Route one request and block on its answer."""
+        (reply,) = self._call_batch([request])
+        return reply
+
+    def submit(self, request: Message) -> int:
+        """Put one request on the wire; returns a router slot id for :meth:`wait`."""
+        submit_group = self._submit_gets if isinstance(request, GetRequest) else self._submit_puts
+        return submit_group([request])
+
+    def wait(self, router_id: int) -> Message:
+        """Settle one :meth:`submit`-ted request as :meth:`call` would."""
+        slot = self._pipeline.get(router_id)
+        wait_group = self._wait_gets if isinstance(slot, _GetGroup) else self._wait_puts
+        return wait_group(router_id, 1)[0]
+
+    def send_oneway(self, request: Message) -> int:
+        """Fire-and-forget one PUT; its verdict comes out of :meth:`drain_responses`."""
+        return self._send_oneway_batch([request])
+
+    # -- one-way sends: settled by drain_responses -------------------------------
     def drain_responses(self) -> list[Message]:
         """Settle one-way groups from the acks that have arrived: drain
         every shard client, merge each ack into its group, and emit one
@@ -767,7 +726,7 @@ class ClusterRouter:
             if group.emitted or None in group.verdicts:
                 continue
             group.emitted = True
-            if group.single:
+            if len(group.requests) == 1:  # a group of one answers as itself
                 out.append(with_request_id(group.verdicts[0], router_id))
                 continue
             # A shard's error verdict for its item: rejected is the closest

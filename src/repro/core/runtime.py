@@ -19,10 +19,11 @@ control flow exactly:
    path.
 
 That is one staged pipeline (:meth:`DedupRuntime._run`) over a group of
-inputs; an entry point only chooses how the group crosses the enclave
-boundary (:class:`_Crossing`).  :meth:`DedupRuntime.execute` takes one
-input across as plain GET/PUT messages.  Two optimizations amortize the
-fixed per-call costs without touching the per-item semantics above:
+inputs, and a lone call is a group of one: every group crosses under
+one ``dedup_execute`` ECALL with one ``get_request`` and one
+``put_request`` OCALL, and the router sends a lone item as its plain
+GET/PUT message.  Two optimizations amortize the fixed per-call costs
+without touching the per-item semantics above:
 
 - :meth:`DedupRuntime.execute_many` runs a whole batch under **one**
   ECALL, ships all duplicate checks as one batched OCALL/channel record,
@@ -123,7 +124,6 @@ class RuntimeConfig:
     # cache trades EPC pressure for round-trips, which only pays off for
     # workloads with repeated tags).
     l1_cache_entries: int = 0
-    l1_cache_bytes: int | None = None
     # Graceful degradation: when the store is unreachable (transport
     # failure, exhausted retries, no live owner shard), compute locally
     # instead of surfacing the error — correctness is preserved because
@@ -188,8 +188,7 @@ class _SerialRegion(AbstractContextManager):
 
 
 class _Crossing(NamedTuple):
-    """How one entry point's group crosses the enclave boundary — the
-    only thing an entry point tells the pipeline (:meth:`DedupRuntime._run`).
+    """How a group's requests leave the enclave (:meth:`DedupRuntime._crossing`).
 
     Both sends answer with an :class:`~repro.engine.EngineBatch`: a
     response or an exception per position (plus, for GETs the engine
@@ -197,18 +196,9 @@ class _Crossing(NamedTuple):
     per-item enclave work is accounted to.
     """
 
-    root_span: str
-    ecall: str
-    get_ocall: str
-    put_ocall: str
     send_gets: Callable[[list[GetRequest]], EngineBatch]
     send_puts: Callable[[list[PutRequest]], EngineBatch]
     lanes: Callable[[], Any]
-
-
-# What each entry point crosses under: root span, ECALL, GET OCALL, PUT OCALL.
-_LONE = ("runtime.execute", "dedup_execute", "get_request", "put_request")
-_BATCH = ("runtime.execute_batch", "dedup_execute_batch", "batch_get_request", "batch_put_request")
 
 
 class DedupRuntime:
@@ -257,24 +247,21 @@ class DedupRuntime:
         self.acked_put_tags: set[bytes] = set()
         self.l1_cache: L1ResultCache | None = None
         if self.config.l1_cache_entries > 0:
-            self.l1_cache = L1ResultCache(
-                enclave,
-                max_entries=self.config.l1_cache_entries,
-                max_bytes=self.config.l1_cache_bytes,
-            )
+            self.l1_cache = L1ResultCache(enclave, max_entries=self.config.l1_cache_entries)
 
     # -- pipelined engine / lifecycle -----------------------------------------
     def attach_engine(self, engine) -> None:
         """Attach a :class:`~repro.engine.PipelineEngine`.
 
-        Once attached, :meth:`execute_many` fans its batched GETs and
+        Once attached, a group of two or more inputs fans its GETs and
         synchronous PUTs out through the engine's pipelined rounds of
-        shard groups (with single-flight tag coalescing),
-        and asynchronous PUT drains are accounted as the engine's
-        background lane.  Per-item results, clock charges, and counters
-        stay identical to the serial path; only the schedule — and hence
-        the engine's makespan accounting — changes.  A lone
-        :meth:`execute` always blocks; it never enters the engine.
+        shard groups (with single-flight tag coalescing), and
+        asynchronous PUT drains are accounted as the engine's background
+        lane.  Per-item results, clock charges, and counters stay
+        identical to the serial path; only the schedule — and hence the
+        engine's makespan accounting — changes.  A group of one —
+        :meth:`execute`, or :meth:`execute_many` of one input — has
+        nothing to overlap: it always blocks and never enters the engine.
         """
         self.engine = engine
 
@@ -323,8 +310,7 @@ class DedupRuntime:
         """Like :meth:`execute`, but returns the full per-call
         :class:`DedupResult` (value, hit/source, tag, span ids)."""
         (result,) = self._run(
-            self._lone_crossing(), description, [input_value],
-            input_parser, result_parser, unpack_args,
+            description, [input_value], input_parser, result_parser, unpack_args,
         )
         return result
 
@@ -367,40 +353,29 @@ class DedupRuntime:
         if not inputs:
             return []
         results = self._run(
-            self._batch_crossing(), description, inputs,
-            input_parser, result_parser, unpack_args,
+            description, inputs, input_parser, result_parser, unpack_args,
         )
         self.stats.batches += 1
         return results
 
-    # -- the two ways across the enclave boundary ------------------------------
-    def _lone_crossing(self) -> _Crossing:
-        """A lone call travels as plain GET/PUT messages and always
-        blocks: it never enters the engine."""
-        call = self.client.call
-
-        def send(requests: list) -> EngineBatch:
-            return EngineBatch([call(request) for request in requests])
-
-        return _Crossing(*_LONE, send, send, _SerialRegion)
-
-    def _batch_crossing(self) -> _Crossing:
-        """A batch travels as one BATCH_GET/BATCH_PUT per shard group:
+    # -- across the enclave boundary ---------------------------------------------
+    def _crossing(self, n: int) -> _Crossing:
+        """A group of ``n`` travels as one record per shard group:
         through the engine's pipelined rounds (and worker lanes) when one
-        is attached, as blocking ``call_batch`` exchanges otherwise."""
+        is attached and the group has something to overlap, as blocking
+        ``call_batch`` exchanges otherwise."""
         engine, call_batch = self.engine, self.client.call_batch
-        if engine is not None:
-            return _Crossing(*_BATCH, engine.run_gets, engine.run_puts, engine.parallel_region)
+        if engine is not None and n > 1:
+            return _Crossing(engine.run_gets, engine.run_puts, engine.parallel_region)
 
         def send(requests: list) -> EngineBatch:
-            return EngineBatch(list(call_batch(requests)))
+            return EngineBatch(call_batch(requests))
 
-        return _Crossing(*_BATCH, send, send, _SerialRegion)
+        return _Crossing(send, send, _SerialRegion)
 
     # -- the pipeline (Algorithms 1 & 2 over a group) ----------------------------
     def _run(
         self,
-        crossing: _Crossing,
         description: FunctionDescription,
         inputs: list,
         input_parser: Parser | None,
@@ -410,10 +385,11 @@ class DedupRuntime:
         """Take ``inputs`` through the four stages under one ECALL: tag +
         L1, duplicate check, compute, PUT.  Every input follows Algorithm
         1 or 2 on its own and gets its own record and result; what the
-        group shares is the boundary ``crossing``."""
+        group shares is the boundary crossing."""
         input_parser = input_parser or AnyParser(self.parsers)
         result_parser = result_parser or AnyParser(self.parsers)
         n = len(inputs)
+        crossing = self._crossing(n)
         items = [_BatchItem(index, value) for index, value in enumerate(inputs)]
         adaptive = self.config.adaptive
         label = str(description)
@@ -421,8 +397,8 @@ class DedupRuntime:
         sim_start = self.clock.snapshot()
 
         with self.tracer.span(
-            crossing.root_span, clock=self.clock, func=label, items=n,
-        ), self.enclave.ecall(crossing.ecall):
+            "runtime.execute", clock=self.clock, func=label, items=n,
+        ), self.enclave.ecall("dedup_execute"):
             trace_id = self.tracer.current_trace_id
             func = self.libraries.lookup(description)
             native_cost = self.libraries.native_cost(description)
@@ -452,7 +428,7 @@ class DedupRuntime:
             lookups = [i for i in items if i.attempt_dedup and not i.hit]
             if lookups:
                 batch = self._exchange(
-                    crossing.get_ocall,
+                    "get_request",
                     sum(len(item.tag) + 64 for item in lookups),
                     crossing.send_gets,
                     [GetRequest(tag=item.tag, app_id=self.config.app_id) for item in lookups],
@@ -505,7 +481,7 @@ class DedupRuntime:
 
             # Stage 4: ship all synchronous PUTs under one OCALL.
             if sync_puts:
-                self._send_puts_sync(crossing.put_ocall, sync_puts, crossing.send_puts)
+                self._send_puts_sync(sync_puts, crossing.send_puts)
 
         # A record is an equal share of the group's cost, shifted by how far
         # the item's own metered cost sits from the group's mean: what no
@@ -718,16 +694,16 @@ class DedupRuntime:
                 sync_puts.append(put)
 
     def _send_puts_sync(
-        self, ocall: str, puts: list[PutRequest], send: Callable[[list], EngineBatch]
+        self, puts: list[PutRequest], send: Callable[[list], EngineBatch]
     ) -> None:
         """Send ``puts`` as one round trip under one OCALL and account
         every PUT's verdict (an exception for an op the store did not
         serve).  Failures surface unless the runtime degrades on store
         failure."""
         payload = sum(len(p.sealed_result) + 128 for p in puts)
-        verdicts = self._exchange(ocall, payload, send, puts).responses
-        # A batch reports "no owner shard answered" in-band where a lone
-        # call raises: either way the store gave no verdict.
+        verdicts = self._exchange("put_request", payload, send, puts).responses
+        # "No owner shard answered" comes back in band: the store gave no
+        # verdict, so it is a store failure, not a rejection.
         verdicts = [
             NoLiveOwnerError(f"{verdict.reason} for tag {put.tag[:8].hex()}")
             if getattr(verdict, "reason", "") == NoLiveOwnerError.code
@@ -801,10 +777,7 @@ class DedupRuntime:
         return len(batch)
 
     def _send_put_batch_oneway(self, batch: list[PutRequest]) -> None:
-        if len(batch) == 1:
-            request_id = self.client.send_oneway(batch[0])
-        else:
-            request_id = self.client.send_oneway_batch(batch)
+        request_id = self.client.send_oneway_batch(batch)
         self._inflight_puts[request_id] = tuple(p.tag for p in batch)
         self.stats.puts_sent += len(batch)
 

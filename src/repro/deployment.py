@@ -28,7 +28,7 @@ from .sgx.attestation import AttestationService
 from .sgx.cost_model import CostParams
 from .sgx.enclave import Enclave
 from .sgx.platform import SgxPlatform
-from .store.resultstore import StoreConfig
+from .store.resultstore import HANDOFF_APP_ID, StoreConfig
 
 
 @dataclass
@@ -133,13 +133,20 @@ class Deployment:
         libraries: TrustedLibraryRegistry,
         runtime_config: RuntimeConfig | None = None,
     ) -> Application:
-        """Launch an application enclave and connect it to every shard."""
+        """Launch an application enclave and connect it to every shard.
+        Its ``app_id`` (by default its name) may not be the hand-off id,
+        under which the store refuses every PUT."""
         if name in self._apps:
             raise SpeedError(f"application {name!r} already exists")
+        config = runtime_config or RuntimeConfig(app_id=name)
+        if config.app_id == HANDOFF_APP_ID:
+            raise SpeedError(
+                f"app id {HANDOFF_APP_ID!r} is reserved for hand-off entries; "
+                "pick another app_name or RuntimeConfig.app_id"
+            )
         code_identity = b"speed/app/" + name.encode() + b"/" + libraries.code_identity()
         enclave = self.platform.create_enclave(name, code_identity)
         client = self.cluster.connect(name, enclave)
-        config = runtime_config or RuntimeConfig(app_id=name)
         runtime = DedupRuntime(
             enclave, client, libraries, config=config, tracer=self.tracer
         )

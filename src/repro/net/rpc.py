@@ -15,9 +15,11 @@ schedule).  :meth:`RpcClient.call` is start+settle in one step,
 ``call_batch`` and ``submit_gets``/``submit_puts`` do either with a
 uniform list shipped as one ``BATCH_*`` message: one channel record (one
 AEAD seal/open per direction) and one server-side ECALL instead of N of
-each.  A settle always receives *its own* response: replies to other
-started requests are parked for their waiters, replies to one-way sends
-are handed out by :meth:`RpcClient.drain_responses`.
+each.  A list of one travels as its plain message, so a lone item is
+the same bytes whichever entry point sent it.  A settle always receives
+*its own* response: replies to other started requests are parked for
+their waiters, replies to one-way sends are handed out by
+:meth:`RpcClient.drain_responses`.
 
 Fault tolerance: an optional :class:`RetryPolicy` makes a settle retry
 transient failures with exponential backoff (charged to the SimClock)
@@ -301,10 +303,10 @@ class RpcClient:
         return requests[0] if len(requests) == 1 else batch_type(items=requests)
 
     @staticmethod
-    def _group_items(response: Message, n_items: int, batch_type: type | None) -> list[Message]:
+    def _group_items(response: Message, n_items: int, batch_type: type) -> list[Message]:
         """Per-item responses of a group the store must answer with
-        ``batch_type`` (``None``: a lone item, answered as itself)."""
-        if batch_type is None:
+        ``batch_type`` (a lone item is answered as itself)."""
+        if n_items == 1:
             return [response]
         if not isinstance(response, batch_type):
             raise ProtocolError(f"store answered batch with {type(response).__name__}")
@@ -383,14 +385,14 @@ class RpcClient:
         if not requests:
             return []
         if all(isinstance(r, GetRequest) for r in requests):
-            batch: Message = BatchGetRequest(items=requests)
-            expected: type = BatchGetResponse
+            batch_type, expected = BatchGetRequest, BatchGetResponse
         elif all(isinstance(r, PutRequest) for r in requests):
-            batch = BatchPutRequest(items=requests)
-            expected = BatchPutResponse
+            batch_type, expected = BatchPutRequest, BatchPutResponse
         else:
             raise ProtocolError("call_batch needs a uniform list of GETs or PUTs")
-        return self._group_items(self._call(batch), len(requests), expected)
+        return self._group_items(
+            self._call(self._as_record(requests, batch_type)), len(requests), expected
+        )
 
     # -- grouped pipelining (one record per submitted group) -----------------
     def submit_gets(self, requests: Sequence[GetRequest]) -> int:
@@ -405,9 +407,7 @@ class RpcClient:
 
     def wait_gets(self, handle: int, n_items: int) -> list[Message]:
         """Settle a :meth:`submit_gets` slot into per-item responses."""
-        return self._group_items(
-            self._wait(handle), n_items, BatchGetResponse if n_items != 1 else None
-        )
+        return self._group_items(self._wait(handle), n_items, BatchGetResponse)
 
     def submit_puts(self, requests: Sequence[PutRequest]) -> int:
         """Submit a PUT group as a single channel record without waiting
@@ -416,9 +416,7 @@ class RpcClient:
 
     def wait_puts(self, handle: int, n_items: int) -> list[Message]:
         """Settle a :meth:`submit_puts` slot into per-item verdicts."""
-        return self._group_items(
-            self._wait(handle), n_items, BatchPutResponse if n_items != 1 else None
-        )
+        return self._group_items(self._wait(handle), n_items, BatchPutResponse)
 
     # -- fire-and-forget --------------------------------------------------------
     def _send_untracked(self, request: Message, **attrs) -> int:
@@ -436,7 +434,7 @@ class RpcClient:
     def send_oneway_batch(self, requests: Sequence[PutRequest]) -> int:
         """Fire-and-forget an entire PUT batch as one channel record."""
         return self._send_untracked(
-            BatchPutRequest(items=tuple(requests)), items=len(requests)
+            self._as_record(requests, BatchPutRequest), items=len(requests)
         )
 
     def drain_responses(self) -> list[Message]:

@@ -2,8 +2,9 @@
 
 The paper keeps the store "light-weight" (§III-D); when a capacity bound
 is configured, a policy chooses which reusable result to drop.  LRU is
-the default; LFU and FIFO exist for the eviction ablation
-(``benchmarks/bench_ablation_quota.py``).
+the default and the only policy an experiment runs (ablation A4 keeps
+it); LFU and FIFO are selectable through ``StoreConfig.eviction`` and
+only tests select them.
 """
 
 from __future__ import annotations

@@ -325,9 +325,6 @@ class ResultStore:
             request_id = request.request_id
             try:
                 response = self._dispatch(request)
-            except QuotaExceededError as exc:
-                # Machine-readable code first, human detail after.
-                response = PutResponse(accepted=False, reason=f"{exc.code}: {exc}")
             except Exception as exc:
                 response = ErrorMessage(code=500, detail=str(exc))
         return channel.protect(encode_message(with_request_id(response, request_id)))
@@ -336,7 +333,7 @@ class ResultStore:
         if isinstance(request, GetRequest):
             return self._handle_get(request)
         if isinstance(request, PutRequest):
-            return self._handle_put(request)
+            return self._put_verdict(request)
         if isinstance(request, BatchGetRequest):
             return self._handle_batch_get(request)
         if isinstance(request, BatchPutRequest):
@@ -421,6 +418,17 @@ class ResultStore:
             )
 
     # -- PUT -----------------------------------------------------------------
+    def _put_verdict(self, request: PutRequest) -> PutResponse:
+        """One PUT's verdict, lone or batched: a refused or malformed PUT
+        (over quota, reserved app id, bad field shape) is ``accepted=False``
+        with the error's machine-readable code first, human detail after,
+        so it never poisons a batch-mate and never reads as a failed
+        shard."""
+        try:
+            return self._handle_put(request)
+        except (QuotaExceededError, ProtocolError) as exc:
+            return PutResponse(accepted=False, reason=f"{exc.code}: {exc}")
+
     def _handle_put(self, request: PutRequest) -> PutResponse:
         with self.tracer.span("store.put", clock=self.platform.clock) as put_span:
             self.stats.puts += 1
@@ -501,17 +509,9 @@ class ResultStore:
         )
 
     def _handle_batch_put(self, request: BatchPutRequest) -> BatchPutResponse:
-        # Per-item verdicts: a rejected or malformed item (over quota, bad
-        # field shape) must not poison its batch-mates, exactly as N
-        # sequential PUTs would each get their own answer.  Eviction and
-        # quota accounting run per item through the same code path.
-        results = []
-        for item in request.items:
-            try:
-                results.append(self._handle_put(item))
-            except (QuotaExceededError, ProtocolError) as exc:
-                results.append(PutResponse(accepted=False, reason=f"{exc.code}: {exc}"))
-        return BatchPutResponse(items=tuple(results))
+        return BatchPutResponse(
+            items=tuple(self._put_verdict(item) for item in request.items)
+        )
 
     def can_accept(self, size: int) -> bool:
         """Whether one more ``size``-byte entry fits without evicting.

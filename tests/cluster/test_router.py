@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.router import NO_LIVE_OWNER
-from repro.errors import ProtocolError, TransportError
+from repro.errors import ProtocolError
 from repro.net.messages import BatchPutResponse, GetResponse, PutResponse
 
 from tests.cluster.conftest import (
@@ -71,12 +71,17 @@ class TestFailover:
         assert router.stats.unavailable == 1
 
     def test_put_with_all_owners_dead_times_out(self, cluster4):
+        """Every owner's send times out, and the PUT is answered in band,
+        as a batch item is: not accepted, ``no_live_owner``."""
         router = raw_router(cluster4)
         put = make_put(5)
-        for shard in cluster4.cluster.owners_of(put.tag):
+        owners = cluster4.cluster.owners_of(put.tag)
+        for shard in owners:
             cluster4.cluster.kill_shard(shard)
-        with pytest.raises(TransportError):
-            router.call(put)
+        response = router.call(put)
+        assert not response.accepted
+        assert response.reason == NO_LIVE_OWNER
+        assert router.stats.put_timeouts == len(owners)
 
     def test_put_during_outage_lands_on_live_replica(self, cluster4):
         router = raw_router(cluster4)

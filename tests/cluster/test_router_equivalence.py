@@ -3,7 +3,8 @@
 One scenario table, each row run once per dispatch style on a fresh,
 identically prepared cluster.  A row passes when every style returns the
 same outcome *and* moves :class:`RouterStats` by the same amounts, and
-both match what the row says they should be.
+both match what the row says they should be.  Every style answers in
+band: none raises, not even when every owner of a tag is dead.
 
 A fire-and-forget send never waits, so it cannot see a timeout: for the
 one-way style ``put_timeouts`` counts breaker refusals only, and "nobody
@@ -15,7 +16,6 @@ from dataclasses import asdict
 import pytest
 
 from repro.cluster.router import NO_LIVE_OWNER
-from repro.errors import NoLiveOwnerError
 from repro.net.circuit import OPEN, BreakerConfig
 from repro.store.quota import QuotaPolicy
 from repro.store.resultstore import StoreConfig
@@ -34,21 +34,9 @@ def dispatch(router, style, requests):
     one dispatch style; returns the per-item responses, ``None`` for an
     item nobody answered."""
     if style == "call":
-        out = []
-        for request in requests:
-            try:
-                out.append(router.call(request))
-            except NoLiveOwnerError:
-                out.append(None)
-        return out
+        return [router.call(request) for request in requests]
     if style == "submit_wait":
-        out = []
-        for handle in [router.submit(r) for r in requests]:
-            try:
-                out.append(router.wait(handle))
-            except NoLiveOwnerError:
-                out.append(None)
-        return out
+        return [router.wait(handle) for handle in [router.submit(r) for r in requests]]
     if style == "call_batch":
         return router.call_batch(requests)
     if style == "submit_gets":
@@ -91,7 +79,7 @@ def run(style, prepare, kind):
 # -- preparing a cluster ---------------------------------------------------------
 
 def prepared(rf=2, warm=True, kill=(), kill_before_warm=(), breaker_open_on=None,
-             n_items=1, store_config=None):
+             n_items=1, store_config=None, app_id="raw-client"):
     """A fresh cluster and router, ``n_items`` PUTs sharing one primary,
     and the owners (by ring position of the first PUT) treated as the
     row asks: killed before the warm-up write (so they miss it), killed
@@ -99,11 +87,11 @@ def prepared(rf=2, warm=True, kill=(), kill_before_warm=(), breaker_open_on=None
     d = make_cluster(n_shards=4, replication_factor=rf, store_config=store_config)
     router = raw_router(d)
     ring = d.cluster.ring
-    first = make_put(0, prefix=b"equiv")
+    first = make_put(0, prefix=b"equiv", app_id=app_id)
     primary = ring.primary(first.tag)
     puts, i = [first], 1
     while len(puts) < n_items:
-        put = make_put(i, prefix=b"equiv")
+        put = make_put(i, prefix=b"equiv", app_id=app_id)
         if d.cluster.owners_of(put.tag) == d.cluster.owners_of(first.tag):
             puts.append(put)
         i += 1
@@ -200,6 +188,11 @@ PUT_ROWS = {
         primary_full, ["rejected"],
         {"puts_routed": 1, "replica_puts": 1, "replica_put_acks": 1},
     ),
+    # A refusal is a verdict, not a failed shard: no timeout is counted.
+    "every owner refuses the hand-off id": (
+        lambda: prepared(warm=False, app_id="sync"), ["rejected"],
+        {"puts_routed": 1, "replica_puts": 1, "replica_put_rejects": 1},
+    ),
 }
 
 
@@ -246,6 +239,20 @@ def test_a_group_whose_primary_rejects_is_rejected_item_for_item(style):
     outcomes, delta = run(style, lambda: primary_full(n_items=3), "put")
     assert outcomes == ["rejected"] * 3
     assert delta["replica_put_acks"] == 1 and delta["replica_put_rejects"] == 2
+
+
+def test_a_refused_lone_put_is_a_coded_verdict_not_a_shard_failure():
+    """The store refuses a lone PUT under the hand-off id in band, with
+    its error's code; the router hands that verdict back and its breakers
+    learn nothing, even at a threshold of one failure."""
+    d, router, (put,) = prepared(warm=False, app_id="sync")
+    router.enable_breakers(BreakerConfig(failure_threshold=1))
+    response = router.call(put)
+    assert not response.accepted
+    assert response.reason.startswith("protocol_error: ")
+    assert router.stats.put_timeouts == 0
+    assert router.snapshot()["router.circuit_opens"] == 0
+    assert not d.cluster.holders_of(put.tag)
 
 
 # -- the breaker is asked once per refused send -----------------------------------

@@ -216,15 +216,17 @@ class TestGroupedPutPipeline:
         assert all(r.accepted for r in responses)
 
     def test_wait_and_wait_gets_refuse_each_others_slots(self):
+        """Slots differ only by kind and item count: ``wait`` refuses a
+        two-item slot, ``wait_gets`` a PUT slot, and both still settle."""
         d = make_cluster()
         router = raw_router(d)
         puts = warm(router, 2)
-        group_handle = router.submit_gets([make_get(puts[0])])
-        call_handle = router.submit(make_get(puts[1]))
+        group_handle = router.submit_gets([make_get(p) for p in puts])
+        put_handle = router.submit(make_put(9, prefix=b"pipe"))
         with pytest.raises(ProtocolError):
             router.wait(group_handle)
         with pytest.raises(ProtocolError):
-            router.wait_gets(call_handle)
-        # Both slots survived the type mismatch and still settle.
-        assert router.wait_gets(group_handle, 1)[0].found
-        assert router.wait(call_handle).found
+            router.wait_gets(put_handle)
+        # Both slots survived the mismatch and still settle.
+        assert all(r.found for r in router.wait_gets(group_handle, 2))
+        assert router.wait(put_handle).accepted

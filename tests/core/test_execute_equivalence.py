@@ -219,26 +219,24 @@ def boundary_names(session):
 
 
 def test_a_lone_call_crosses_as_plain_get_and_put():
-    """The pipeline is shared; the enclave boundary is not: a lone call
-    crosses under ``dedup_execute``, a batch of one under
-    ``dedup_execute_batch``.  On the wire both are one plain GET and one
-    plain PUT per owner shard (a miss falls through to the next owner),
-    never a BATCH of one — on the app machine's one shard as on shard
-    machines."""
+    """A lone call is a group of one: ``execute(x)`` and
+    ``execute_many([x])`` cross under the same ECALL and OCALL names, and
+    on the wire both are one plain GET and one plain PUT per owner shard
+    (a miss falls through to the next owner), never a BATCH of one — on
+    the app machine's one shard as on shard machines."""
     for shards, owners in ((0, 1), (1, 1), (3, 2)):
         session = repro.connect(
             libraries=make_libs(), seed=b"equiv-wire", shards=shards,
             runtime_config=RuntimeConfig(async_put=False),
         )
-        wire = ["GetRequest"] * owners + ["PutRequest"] * owners
+        crossing = (
+            ["dedup_execute"], ["get_request", "put_request"],
+            ["GetRequest"] * owners + ["PutRequest"] * owners,
+        )
         session.execute(DOUBLE_DESC, b"lone")
-        assert boundary_names(session) == (
-            ["dedup_execute"], ["get_request", "put_request"], wire,
-        ), shards
+        assert boundary_names(session) == crossing, shards
         session.execute_many(DOUBLE_DESC, [b"one"])
-        assert boundary_names(session) == (
-            ["dedup_execute_batch"], ["batch_get_request", "batch_put_request"], wire,
-        ), shards
+        assert boundary_names(session) == crossing, shards
 
 
 def test_both_entries_trace_one_span_shape():
@@ -267,5 +265,5 @@ def test_both_entries_trace_one_span_shape():
 
     session.execute_many(DOUBLE_DESC, [b"stored", b"fresh"])
     assert shape(session) == ([0, 1], [children] * 2, ["l1", "computed"], False, True)
-    assert session.trace_tree()[0].span.name == "runtime.execute_batch"
+    assert session.trace_tree()[0].span.name == "runtime.execute"
     assert session.phase_breakdown()["runtime.tag"]["count"] == 4  # sibling's one included

@@ -5,7 +5,7 @@ an acked PUT lose."""
 import pytest
 
 from repro.deployment import Deployment
-from repro.errors import ProtocolError, RollbackError, StoreError
+from repro.errors import RollbackError, StoreError
 from repro.net.messages import BatchPutRequest
 from repro.security import HostAdversary
 from repro.simtest.invariants import store_image as image
@@ -296,13 +296,17 @@ class TestQuotaAcrossRecovery:
         assert usage() == {"alice": (192, 3), "bob": (192, 3), "sync": (0, 0)}
 
     def test_hand_off_id_is_reserved_on_the_wire(self):
+        """A PUT claiming the hand-off id is refused in band with
+        ``protocol_error``, lone as beside a batch-mate."""
         d, client = durable_deployment(b"rec-quota-reserved", quota=QuotaPolicy())
-        with pytest.raises(ProtocolError, match="reserved"):
-            client.call(make_put(b"x", app_id="sync"))
+        lone = client.call(make_put(b"x", app_id="sync"))
         verdicts = client.call(BatchPutRequest(items=(
             make_put(b"y", app_id="sync"), make_put(b"z", app_id="alice"),
         ))).items
-        assert [v.accepted for v in verdicts] == [False, True]
+        assert [v.accepted for v in (lone, *verdicts)] == [False, False, True]
+        for refused in (lone, verdicts[0]):
+            assert refused.reason.startswith("protocol_error: ")
+            assert "reserved" in refused.reason
         assert d.store._quota.usage_of("sync") == (0, 0)
         assert d.store.stored_tags() == [make_put(b"z").tag]
 

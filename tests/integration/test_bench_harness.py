@@ -133,9 +133,13 @@ ROW_DIGESTS = {
     "a7": "1cd853188a0d0094d9434e761b37dfbb86a3397d836ebd20882e7dbee7909e90",
     "e9": "33bce19131042ff53a4064010d0a5b7afbe42e6b58de89ed93429fb2774e86d6",
     "e10": "03ebd9bf3555a83834518afb00418549417e9a08727c6c2b7de50b1f2c451c27",
-    # Re-pinned once when Fig. 1 gained its router: phase_breakdown carries
-    # router.* phases; without them the rows hash to 35f8ae0d...
-    "batch": "09a815c7ac6aa8432c3c49478cde8edfebad23d7db0d245366337fadd7ef5e33",
+    # Re-pinned when Fig. 1 gained its router: phase_breakdown carries
+    # router.* phases; without them the rows hash to 35f8ae0d...  Re-pinned
+    # again when a lone call became a group of one: every request roots in
+    # runtime.execute and call_batch traces router.get / router.put; with
+    # the batched rows' three keys named back (runtime.execute_batch,
+    # router.batch_get, router.batch_put) they hash to 09a815c7...
+    "batch": "27dd7d00b7e2c32e4dca24197bf00bc1c1b0c523e2103d70b16708f1664ae678",
     "cluster": "c0c7786b7c06cd2cf4cb3735ef7b57d66929c0d927e779c9345993a84c16f55e",
     "pipeline": "1c639539586c4de0880f09724221aab06e7985b070574e95fa8e7ea0da29b0c1",
     "durable": "ebb12c57723f9f837c891e7c946f73f0b609ea76563524ae115cdbb28f5fb660",

@@ -90,6 +90,22 @@ def test_sibling_shares_store_and_tracer():
     assert result.hit, "sibling applications share dedup results"
 
 
+def test_the_hand_off_app_id_is_refused_at_creation():
+    """The store refuses every PUT filed under the hand-off id, so no
+    application may be created with it, by name or by config."""
+    attempts = [
+        lambda: repro.connect(libraries=make_libs(), seed=b"t-sync", app_name="sync"),
+        lambda: repro.connect(
+            libraries=make_libs(), seed=b"t-sync",
+            runtime_config=repro.RuntimeConfig(app_id="sync"),
+        ),
+        lambda: repro.connect(libraries=make_libs(), seed=b"t-sync").sibling("sync"),
+    ]
+    for attempt in attempts:
+        with pytest.raises(SpeedError, match="'sync'"):
+            attempt()
+
+
 def test_connect_with_machine_name_and_tracing_off():
     session = repro.connect(machine="machine-x", seed=b"t-mach", tracing=False)
     assert session.platform.name == "machine-x"

@@ -114,7 +114,7 @@ def test_execute_many_yields_one_batch_span_with_item_children():
     roots = session.trace_tree()
     assert len(roots) == 1
     root = roots[0]
-    assert root.span.name == "runtime.execute_batch"
+    assert root.span.name == "runtime.execute"
     assert root.span.attrs["items"] == len(inputs)
 
     items = root.find("runtime.item")

@@ -136,6 +136,26 @@ class TestCallBatch:
         assert response.request_id == rid
         assert len(response.items) == 4
 
+    def test_a_group_of_one_is_its_plain_message(self):
+        """``call_batch([x])`` and ``send_oneway_batch([x])`` put ``x``
+        itself on the wire, never a BATCH of one."""
+        seen = []
+
+        def handler(msg):
+            seen.append(type(msg))
+            if isinstance(msg, GetRequest):
+                return GetResponse(found=False)
+            return PutResponse(accepted=True)
+
+        client, _ = make_rpc(handler)
+        get = GetRequest(tag=b"\x01" * 32)
+        assert client.call_batch([get]) == [GetResponse(found=False)]
+        assert client.call_batch([make_put()]) == [PutResponse(accepted=True)]
+        rid = client.send_oneway_batch([make_put(1)])
+        (response,) = client.drain_responses()
+        assert response == PutResponse(accepted=True, request_id=rid)
+        assert seen == [GetRequest, PutRequest, PutRequest]
+
 
 class TestBatchWireFormat:
     def test_batch_messages_roundtrip(self):

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.crypto.hashes import sha256
-from repro.net.messages import ErrorMessage, GetRequest, PutRequest, decode_message
+from repro.net.messages import (
+    BatchPutRequest,
+    ErrorMessage,
+    GetRequest,
+    PutRequest,
+    decode_message,
+)
 from repro.net.transport import Network
 from repro.security import HostAdversary
 from repro.sgx.platform import SgxPlatform
@@ -82,13 +88,19 @@ class TestValidation:
             client.call(GetRequest(tag=b"short"))
 
     def test_bad_challenge_length(self):
-        from repro.errors import ProtocolError
-
-        _, client = make_store()
+        """A malformed PUT is refused in band with ``protocol_error``,
+        lone as beside a batch-mate."""
+        store, client = make_store()
         bad = PutRequest(tag=TAG, challenge=b"short", wrapped_key=b"k" * 16,
                          sealed_result=b"x", app_id="a")
-        with pytest.raises(ProtocolError):
-            client.call(bad)
+        mate = put(sha256(b"batch-mate"))
+        lone = client.call(bad)
+        batched, mate_verdict = client.call(BatchPutRequest(items=(bad, mate))).items
+        for verdict in (lone, batched):
+            assert not verdict.accepted
+            assert verdict.reason.startswith("protocol_error: challenge")
+        assert mate_verdict.accepted
+        assert store.stored_tags() == [mate.tag]
 
     def test_empty_challenge_allowed_for_single_key_scheme(self):
         _, client = make_store()

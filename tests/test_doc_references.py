@@ -19,6 +19,10 @@ cannot leave a sentence behind:
 * a backticked ``_NAME`` followed by ``= <integer>`` — a module-level constant of that name in
   ``repro`` holds that integer (every module defining the name agrees).
 
+The source cites the tree too: every repo-relative path (one with a
+``/``) in a ``src/repro`` comment or docstring exists under the same
+roots.
+
 The public surface is guarded the same way: every name a README code
 block or an ``examples/*.py`` file takes from ``repro`` itself
 (``from repro import X`` or ``repro.X``; submodules aside) is in
@@ -29,12 +33,15 @@ deleted shim, an output file a command writes) carry a placeholder or
 are not backticked as a reference; the test has no allow-list.
 """
 
+import ast
 import dataclasses
 import fnmatch
 import importlib
 import inspect
+import io
 import pkgutil
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -55,6 +62,9 @@ CLASS_ATTR = re.compile(r"^([A-Z]\w*)\.([A-Za-z_][\w*]*)(?:\(.*\))?$")
 DOTTED_MODULE = re.compile(r"^repro(?:\.\w+)+$")
 RELATIVE_PATH = re.compile(r"^[\w.-]+(?:/[\w.-]+)*$")
 COMMAND = re.compile(r"\bpython3? -m repro\.(bench|simtest)\b(.*)$")
+CITED_PATH = re.compile(
+    r"(?<![\w/<>.-])((?:[\w.-]+/)+[\w.-]+\.(?:py|md|sh|json|yml|toml))(?![\w/])"
+)
 QUOTED_CONSTANT = re.compile(r"`(_[A-Z][A-Z0-9_]*)` = (\d+)(?![\d.])")
 CODE_BLOCK = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
 FROM_REPRO = re.compile(r"^\s*from repro import (?:\(([^)]*)\)|([^\n]*))", re.M)
@@ -146,6 +156,30 @@ def test_relative_paths_exist():
             continue
         if not any((root / text).exists() for root in PATH_ROOTS):
             stale.append(f"{document}:{number}: `{text}`")
+    assert not stale, "\n".join(stale)
+
+
+def _source_prose(path: Path):
+    """(line number, text) of every comment and docstring in ``path``."""
+    source = path.read_text()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT:
+            yield token.start[0], token.string
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            docstring = ast.get_docstring(node, clean=False)
+            if docstring is not None:
+                yield node.body[0].lineno, docstring
+
+
+def test_paths_cited_in_the_source_exist():
+    stale = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for line, text in _source_prose(path):
+            for match in CITED_PATH.finditer(text):
+                if not any((root / match[1]).exists() for root in PATH_ROOTS):
+                    number = line + text.count("\n", 0, match.start())
+                    stale.append(f"{path.relative_to(ROOT)}:{number}: {match[1]}")
     assert not stale, "\n".join(stale)
 
 
