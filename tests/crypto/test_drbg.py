@@ -75,3 +75,23 @@ class TestBounds:
         d1, d2 = HmacDrbg(b"s"), HmacDrbg(b"s")
         d2.reseed(b"fresh entropy")
         assert d1.generate(32) != d2.generate(32)
+
+
+class TestKnownAnswer:
+    def test_output_bytes_are_pinned(self):
+        # Instantiate with personalization, generate, reseed, generate,
+        # fork, then keep drawing from the parent: every byte of the
+        # stream is pinned, so an implementation change that reorders or
+        # re-keys anything fails here.
+        d = HmacDrbg(b"kat-seed", personalization=b"kat/personalization")
+        assert d.generate(40).hex() == (
+            "e63ccd82c180c26f1bcfe84e0d4cc20a16301648c25372e2e9b36e5d58a6b7a4182e1c55472f380c"
+        )
+        d.reseed(b"kat-entropy")
+        assert d.generate(33).hex() == (
+            "599505404905263bde710a5ce08675e77256e2db495630df82f25c4e0dd3ebb216"
+        )
+        assert d.fork(b"kat/child").generate(24).hex() == (
+            "4abacfb6c227359bb7bfe181f2e8995ada8a41e79f419bcb"
+        )
+        assert d.generate(16).hex() == "615d75295b4f49bb35a559882a00f8dc"
