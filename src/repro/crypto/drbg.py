@@ -8,7 +8,6 @@ Inside the simulated enclave this stands in for ``sgx_read_rand``.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 
 from ..errors import CryptoError
@@ -33,7 +32,7 @@ class HmacDrbg:
         self._reseed_counter = 1
 
     def _hmac(self, key: bytes, data: bytes) -> bytes:
-        return hmac.new(key, data, hashlib.sha256).digest()
+        return hmac.digest(key, data, "sha256")
 
     def _update(self, provided: bytes = b"") -> None:
         self._k = self._hmac(self._k, self._v + b"\x00" + provided)

@@ -37,9 +37,11 @@ set-up has to be affordable for a key that is used once:
   rows ``x^j * h`` of all keys at once inside one Python int (SWAR).
   Against 128 ``_times_x`` steps a key (f79c061): 16 keys 449 -> 122 us,
   one key 31 -> 19 us; 16 lane tables 1.31 -> 0.71 ms.
-* A channel direction takes no scalar step.  Its first record builds the
-  fold stack (:meth:`AesGcm._fold`, the rows of ``H^16 .. H^1``, 32 KiB;
-  a byte table makes the powers and is dropped) and the 16-lane table.
+* A kept cipher takes no scalar step: a channel direction or an
+  enclave's sealing cipher (a 1 KB WAL segment seal: 332 -> 183 us).
+  Its first record builds the fold stack (:meth:`AesGcm._fold`, the
+  rows of ``H^16 .. H^1``, 32 KiB; a byte table makes the powers and is
+  dropped) and the 16-lane table.
   ``_CHANNEL_PASSES``, by the blocks of AAD, ciphertext and lengths: up
   to 16 the fold alone, then a 16-lane pass first, from 145 a 64-lane
   pass before it, from 512 the 128-lane pass.  64 then 16 lanes against
@@ -53,9 +55,10 @@ set-up has to be affordable for a key that is used once:
   rows, 128 KiB a direction, it took 5.4 us.)
 
 All tables are built on first use and kept with the cipher: a channel
-endpoint keeps one :class:`AesGcm` per direction for its whole life, and
-the one-shot :func:`seal`/:func:`open_` helpers reuse a small
-least-recently-used cipher cache bounded in bytes.
+endpoint keeps one :class:`AesGcm` per direction for its whole life, an
+enclave one per sealing policy, and the one-shot :func:`seal` /
+:func:`open_` reuse a small least-recently-used cipher cache bounded in
+bytes.
 
 Many records under many keys.  :func:`seal_many` / :func:`open_many` are
 ``seal`` / ``open_`` over a batch's records, whose one-shot keys share
@@ -100,7 +103,7 @@ _MASK120 = (1 << 120) - 1
 _LANE_PASSES = ((128, 512), (16, 64))
 _LANE_MIN_BLOCKS = _LANE_PASSES[-1][1]
 _LANE_BUILD_BLOCKS = 128  # least blocks for a key's first lane pass
-# A channel direction's (least blocks, lane passes) per record, by AAD,
+# A kept cipher's (least blocks, lane passes) per record, by AAD,
 # ciphertext and length blocks, widest first; a record of at most 16
 # blocks goes straight to the fold.
 _CHANNEL_PASSES = ((512, (128, 16)), (145, (64, 16)), (17, (16,)), (0, ()))
@@ -295,21 +298,23 @@ class AesGcm:
     """
 
     # Estimated bytes held: key schedule, byte table (256 boxed 128-bit
-    # ints), each lane table, a channel's fold stack.  The cipher cache
+    # ints), each lane table, a kept cipher's fold stack.  The cipher cache
     # budgets with these.
     _BASE_BYTES = 3 << 10
     _BYTE_TABLE_BYTES = 13 << 10
     _LANE_TABLE_BYTES = 64 << 10
     _FOLD_STACK_BYTES = 32 << 10
 
-    def __init__(self, key: bytes, _counter_label: int | None = None):
-        """``_counter_label``: every IV will be ``ctr.counter_iv(label, seq)``."""
+    def __init__(self, key: bytes, _counter_label: int | None = None, kept: bool = False):
+        """``kept``: held for life, so the fold stack pays (:meth:`_fold`);
+        ``_counter_label``: every IV is ``ctr.counter_iv(label, seq)`` (kept)."""
         self._aes = AES128(key)
         self._ahead = None if _counter_label is None else KeystreamAhead(self._aes, _counter_label)
+        self._kept = kept or self._ahead is not None
         self._h: int | None = None                     # H = E(0), see _hash_key
         self._byte_table: list[int] | None = None      # built on first record
         self._lane_tables: dict[int, np.ndarray] = {}  # lanes -> table, built on first use
-        self._fold_stack: np.ndarray | None = None     # a channel's, see _fold
+        self._fold_stack: np.ndarray | None = None     # a kept cipher's, see _fold
         self._bulk_before = False                      # has absorbed a lane-sized input
         self.footprint = self._BASE_BYTES              # approximate bytes kept alive
         self._cache: _CipherCache | None = None        # the cache holding it, if any
@@ -343,12 +348,12 @@ class AesGcm:
         return table
 
     def _build_fold_stack(self) -> None:
-        """A channel direction's fold stack, the :func:`_bit_rows` of
+        """A kept cipher's fold stack, the :func:`_bit_rows` of
         ``H^16 .. H^1`` (32 KiB; the powers take 15 scalar steps, once),
         and its 16-lane table."""
         global table_builds
         table_builds += 1
-        m = _byte_table(self._hash_key())  # not kept: no channel record takes a scalar step
+        m = _byte_table(self._hash_key())  # not kept: a kept cipher takes no scalar step
         powers = [self._h]
         while len(powers) < 16:
             powers.append(_ghash_blocks(m, powers[-1], bytes(BLOCK_SIZE)))
@@ -359,11 +364,11 @@ class AesGcm:
 
     def _fold(self, blocks: np.ndarray) -> int:
         """GHASH of at most 16 blocks: block ``l`` from the end times
-        ``H^(l + 1)``.  On a channel direction each bit, 0 or 1, scales
-        its row of the fold stack and one XOR-reduce sums what is left; a
-        one-shot key would not repay the stack, so any other cipher takes
-        scalar steps."""
-        if self._ahead is None:
+        ``H^(l + 1)``.  On a kept cipher each bit, 0 or 1, scales its row
+        of the fold stack and one XOR-reduce sums what is left; a one-shot
+        key would not repay the stack, so any other cipher takes scalar
+        steps."""
+        if not self._kept:
             return _ghash_blocks(self._scalar_table(), 0, bytes(blocks))
         bits = np.unpackbits(blocks)
         words = np.bitwise_xor.reduce(self._fold_stack[:, -len(bits):] * bits, axis=1)
@@ -371,8 +376,8 @@ class AesGcm:
 
     def _ghash(self, lead: bytes, data: bytes, trail: bytes) -> int:
         """GHASH of ``lead``, the whole blocks of ``data`` and ``trail``
-        (``lead`` and ``trail`` whole blocks).  A channel direction takes
-        its ``_CHANNEL_PASSES`` tier by the blocks of all three.  Any other
+        (``lead`` and ``trail`` whole blocks).  A kept cipher takes its
+        ``_CHANNEL_PASSES`` tier by the blocks of all three.  Any other
         cipher takes the scalar step below ``_LANE_MIN_BLOCKS`` whole
         blocks of ``data`` (``_LANE_BUILD_BLOCKS`` for a key's first such
         input), else ``_LANE_PASSES``.  Lane passes read ``data`` in place
@@ -381,7 +386,7 @@ class AesGcm:
         full = len(data) // BLOCK_SIZE
         bulk = full >= (_LANE_MIN_BLOCKS if self._bulk_before else _LANE_BUILD_BLOCKS)
         self._bulk_before |= full >= _LANE_MIN_BLOCKS
-        if self._ahead is not None:
+        if self._kept:
             if self._fold_stack is None:
                 self._build_fold_stack()
             total = (len(lead) + len(data) + len(trail)) // BLOCK_SIZE
@@ -445,6 +450,18 @@ class AesGcm:
             raise IntegrityError("GCM tag verification failed")
         return plaintext
 
+    def seal(self, iv: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
+        """``iv || tag || ciphertext``, the paper's ``[res]`` notation."""
+        ct, tag = self.encrypt(iv, plaintext, aad)
+        return iv + tag + ct
+
+    def open(self, sealed: bytes, aad: bytes = b"") -> bytes:
+        """Inverse of :meth:`seal`; raises IntegrityError on tampering."""
+        if len(sealed) < IV_SIZE + TAG_SIZE:
+            raise IntegrityError("sealed blob too short")
+        iv, tag, ct = sealed[:IV_SIZE], sealed[IV_SIZE:IV_SIZE + TAG_SIZE], sealed[IV_SIZE + TAG_SIZE:]
+        return self.decrypt(iv, ct, tag, aad)
+
 
 class _CipherCache(OrderedDict):
     """Least recently used first, keeping ``held``: the summed footprint
@@ -503,18 +520,13 @@ def _cipher_for(key: bytes) -> AesGcm:
 
 
 def seal(key: bytes, iv: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-    """One-shot AEAD returning ``iv || tag || ciphertext`` as the paper's
-    ``[res]`` notation (ciphertext covering auth code and IV)."""
-    ct, tag = _cipher_for(key).encrypt(iv, plaintext, aad)
-    return iv + tag + ct
+    """One-shot :meth:`AesGcm.seal` (ciphertext covering auth code and IV)."""
+    return _cipher_for(key).seal(iv, plaintext, aad)
 
 
 def open_(key: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
     """Inverse of :func:`seal`; raises IntegrityError on tampering."""
-    if len(sealed) < IV_SIZE + TAG_SIZE:
-        raise IntegrityError("sealed blob too short")
-    iv, tag, ct = sealed[:IV_SIZE], sealed[IV_SIZE:IV_SIZE + TAG_SIZE], sealed[IV_SIZE + TAG_SIZE:]
-    return _cipher_for(key).decrypt(iv, ct, tag, aad)
+    return _cipher_for(key).open(sealed, aad)
 
 
 # -- many records under many keys ----------------------------------------------

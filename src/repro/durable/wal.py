@@ -128,6 +128,10 @@ RECORD_FIELDS = {
 }
 
 
+# A whole record, head and fields, per kind (what the encoder writes).
+_RECORDS = {kind: Layout(*RECORD_HEAD.fields, *f.fields) for kind, f in RECORD_FIELDS.items()}
+
+
 def _fields_of(kind: int) -> Layout:
     try:
         return RECORD_FIELDS[kind]
@@ -145,9 +149,7 @@ def encode_segment(prev_chain: bytes, first_seq: int, records) -> bytes:
         "first_seq": first_seq, "n_records": len(records),
     })
     for record in records:
-        values = vars(record)
-        write_fields(writer, RECORD_HEAD, values)
-        write_fields(writer, _fields_of(record.kind), values)
+        write_fields(writer, _RECORDS[record.kind], vars(record))
     return writer.getvalue()
 
 

@@ -119,7 +119,8 @@ class PutResponse:
 
 def _batch_of(item_cls) -> Layout:
     """A ``BATCH_*`` body: up to ``MAX_BATCH_ITEMS`` ``item_cls`` bodies."""
-    return Layout(("items", Repeated(item_cls.LAYOUT, item_cls, MAX_BATCH_ITEMS)))
+    item = Layout(*item_cls.LAYOUT.fields, cls=item_cls)
+    return Layout(("items", Repeated(item, MAX_BATCH_ITEMS)))
 
 
 @dataclass(frozen=True)
@@ -177,8 +178,9 @@ class ErrorMessage:
     LAYOUT = Layout(("code", "u32"), ("detail", "text"))
 
 
-_MESSAGE_CLASSES = {
-    cls.TYPE: cls
+# Each message type's frame after its type byte: the request id, then the body.
+_FRAMES = {
+    cls.TYPE: Layout(("request_id", "u64"), *cls.LAYOUT.fields, cls=cls)
     for cls in (
         GetRequest,
         GetResponse,
@@ -215,9 +217,8 @@ def with_request_id(msg: Message, request_id: int) -> Message:
 def encode_message(msg: Message) -> bytes:
     """Serialize a message to ``type_byte || request_id || body``."""
     w = FieldWriter()
-    w.u8(int(msg.TYPE))
-    w.u64(msg.request_id)
-    write_fields(w, msg.LAYOUT, vars(msg))
+    w.u8(msg.TYPE)
+    write_fields(w, _FRAMES[msg.TYPE], msg)
     return w.getvalue()
 
 
@@ -225,11 +226,9 @@ def decode_message(data: bytes) -> Message:
     """Parse a message; raises ProtocolError on an unknown type or an
     over-limit batch, SerializationError on malformed or trailing bytes."""
     r = FieldReader(data)
-    try:
-        cls = _MESSAGE_CLASSES[MessageType(r.u8())]
-    except ValueError as exc:
-        raise ProtocolError(f"unknown message type in {data[:8]!r}") from exc
-    request_id = r.u64()
-    msg = cls(**read_fields(r, cls.LAYOUT), request_id=request_id)
+    frame = _FRAMES.get(r.u8())
+    if frame is None:
+        raise ProtocolError(f"unknown message type in {data[:8]!r}")
+    msg = read_fields(r, frame)
     r.expect_end()
     return msg

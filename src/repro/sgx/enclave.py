@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from .attestation import Quote, Report, make_report, verify_report
 from .measurement import Measurement
-from .sealing import SealedBlob, SealPolicy, seal_data, unseal_data
+from .sealing import SealedBlob, SealPolicy, seal_cipher, seal_with, unseal_with
 from ..crypto.drbg import HmacDrbg
 from ..errors import EnclaveError
 from ..obs.tracer import NULL_TRACER
@@ -81,6 +81,9 @@ class Enclave:
         self._destroyed = False
         self.ecall_count = 0
         self.ocall_count = 0
+        # One sealing cipher per policy, kept for the enclave's life.
+        fabric = platform.seal_fabric_key
+        self._seal_ciphers = {p: seal_cipher(fabric, measurement, p) for p in SealPolicy}
         # Observability: a Session points this at its shared tracer so
         # boundary crossings surface as sgx.ecall/sgx.ocall spans.
         self.tracer = NULL_TRACER
@@ -163,14 +166,14 @@ class Enclave:
             raise EnclaveError("sealing keys are only available inside the enclave")
         iv = self._drbg.generate(12)
         self.platform.clock.charge_aead_encrypt(len(data))
-        return seal_data(self.platform.seal_fabric_key, self.measurement, data, policy, iv)
+        return seal_with(self._seal_ciphers[policy], data, policy, iv)
 
     def unseal(self, blob: SealedBlob) -> bytes:
         self._check_alive()
         if not self.inside:
             raise EnclaveError("unsealing is only possible inside the enclave")
         self.platform.clock.charge_aead_decrypt(len(blob.payload))
-        return unseal_data(self.platform.seal_fabric_key, self.measurement, blob)
+        return unseal_with(self._seal_ciphers[blob.policy], blob)
 
     # -- attestation -------------------------------------------------------
     def create_report(self, target: Measurement, report_data: bytes = b"") -> Report:

@@ -43,6 +43,30 @@ def derive_seal_key(
     return hmac_sha256(fabric_key, b"seal/" + policy.value.encode() + identity)[:16]
 
 
+def seal_cipher(fabric_key: bytes, measurement: Measurement, policy: SealPolicy) -> gcm.AesGcm:
+    """The AEAD under one policy's sealing key, built to be kept: an
+    enclave holds one per policy for life, as a channel endpoint holds its
+    directions, so every seal takes the fold stack, never a scalar step."""
+    return gcm.AesGcm(derive_seal_key(fabric_key, measurement, policy), kept=True)
+
+
+_AAD = {policy: b"speed/seal/" + policy.value.encode() for policy in SealPolicy}
+
+
+def seal_with(cipher: gcm.AesGcm, data: bytes, policy: SealPolicy, iv: bytes) -> SealedBlob:
+    """Seal ``data`` under ``cipher``, the :func:`seal_cipher` of ``policy``."""
+    return SealedBlob(policy=policy, payload=cipher.seal(iv, data, _AAD[policy]))
+
+
+def unseal_with(cipher: gcm.AesGcm, blob: SealedBlob) -> bytes:
+    """Unseal ``blob`` under its policy's :func:`seal_cipher`; raises
+    :class:`SealingError` on a wrong identity or an altered blob."""
+    try:
+        return cipher.open(blob.payload, _AAD[blob.policy])
+    except IntegrityError as exc:
+        raise SealingError("unsealing failed: wrong identity or corrupt blob") from exc
+
+
 def seal_data(
     fabric_key: bytes,
     measurement: Measurement,
@@ -50,18 +74,10 @@ def seal_data(
     policy: SealPolicy,
     iv: bytes,
 ) -> SealedBlob:
-    """Seal ``data`` to the given enclave identity."""
-    key = derive_seal_key(fabric_key, measurement, policy)
-    aad = b"speed/seal/" + policy.value.encode()
-    return SealedBlob(policy=policy, payload=gcm.seal(key, iv, data, aad))
+    """One-shot :func:`seal_with` to the given enclave identity."""
+    return seal_with(seal_cipher(fabric_key, measurement, policy), data, policy, iv)
 
 
 def unseal_data(fabric_key: bytes, measurement: Measurement, blob: SealedBlob) -> bytes:
-    """Unseal a blob; raises :class:`SealingError` if this enclave's
-    identity does not match the sealing identity or the blob was altered."""
-    key = derive_seal_key(fabric_key, measurement, blob.policy)
-    aad = b"speed/seal/" + blob.policy.value.encode()
-    try:
-        return gcm.open_(key, blob.payload, aad)
-    except IntegrityError as exc:
-        raise SealingError("unsealing failed: wrong identity or corrupt blob") from exc
+    """One-shot :func:`unseal_with` for the given enclave identity."""
+    return unseal_with(seal_cipher(fabric_key, measurement, blob.policy), blob)

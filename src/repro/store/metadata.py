@@ -14,7 +14,9 @@ the dictionary.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 from ..crypto.hashes import tagged_hash
 from ..errors import StoreError
@@ -57,10 +59,16 @@ class MetadataDict:
     ``touch`` integration: callers pass an accessor callback (usually
     ``enclave.touch``) so every lookup/update charges EPC traffic for the
     slot it lands on.
+
+    Beside the entries in insertion order (every scan and image's) it
+    keeps them by ascending ``last_access_seq``, so the LRU victim is a
+    head, not a scan (:meth:`least_recent`), and their bytes as a total.
     """
 
     def __init__(self):
         self._entries: dict[bytes, MetadataEntry] = {}
+        self._recency: OrderedDict[bytes, MetadataEntry] = OrderedDict()
+        self._total_bytes = 0
         self._free_slots: list[int] = []
         self._next_slot = 0
         self._seq = 0
@@ -91,6 +99,7 @@ class MetadataDict:
             touch("store/metadata", entry.slot * ENTRY_SLOT_BYTES, ENTRY_SLOT_BYTES)
         entry.hits += 1
         entry.last_access_seq = self._tick()
+        self._recency.move_to_end(tag)
         return entry
 
     def put(self, entry: MetadataEntry, touch=None) -> None:
@@ -111,9 +120,17 @@ class MetadataDict:
             self._seq = max(self._seq, entry.insert_seq, entry.last_access_seq)
         else:
             entry.insert_seq = entry.last_access_seq = self._tick()
+        # A restored entry's old stamp goes before every later-used entry
+        # (after equals: the reference scan ties by insertion order).
+        recency, seq = self._recency, entry.last_access_seq
+        later = list(takewhile(lambda t: recency[t].last_access_seq > seq, reversed(recency)))
+        recency[entry.tag] = entry
+        for tag in reversed(later):
+            recency.move_to_end(tag)
         if touch is not None:
             touch("store/metadata", entry.slot * ENTRY_SLOT_BYTES, ENTRY_SLOT_BYTES)
         self._entries[entry.tag] = entry
+        self._total_bytes += entry.size
 
     def touch_restore(self, tag: bytes, hits: int, touch=None) -> bool:
         """Re-apply a logged GET-recency mark (WAL replay): the entry's
@@ -127,18 +144,28 @@ class MetadataDict:
             touch("store/metadata", entry.slot * ENTRY_SLOT_BYTES, ENTRY_SLOT_BYTES)
         entry.hits = max(entry.hits, hits)
         entry.last_access_seq = self._tick()
+        self._recency.move_to_end(tag)
         return True
 
     def remove(self, tag: bytes) -> MetadataEntry:
         entry = self._entries.pop(tag, None)
         if entry is None:
             raise StoreError("cannot remove unknown tag")
+        del self._recency[tag]
+        self._total_bytes -= entry.size
         self._free_slots.append(entry.slot)
         return entry
 
     def entries(self) -> list[MetadataEntry]:
         return list(self._entries.values())
 
+    def least_recent(self) -> MetadataEntry:
+        """The LRU victim: the entry with the smallest ``last_access_seq``
+        (the first in insertion order among equals)."""
+        if not self._recency:
+            raise StoreError("eviction requested from an empty store")
+        return next(iter(self._recency.values()))
+
     def total_bytes(self) -> int:
         """Sum of tracked ciphertext sizes (outside-enclave footprint)."""
-        return sum(e.size for e in self._entries.values())
+        return self._total_bytes

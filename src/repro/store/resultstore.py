@@ -527,13 +527,13 @@ class ResultStore:
 
     def _make_room(self, incoming: int) -> None:
         while not self.can_accept(incoming):
-            entries = self._dict.entries()
-            if not entries:
+            if not len(self._dict):
                 raise StoreError("capacity too small for a single entry")
+            victim = self._policy.victim(self._dict)
             with self.tracer.span(
                 "store.evict", clock=self.platform.clock, policy=self.config.eviction
             ):
-                self._evict_entry(self._policy.select_victim(entries))
+                self._evict_entry(victim)
             self.stats.evictions += 1
 
     def _evict_entry(self, entry: MetadataEntry, discard: bool = False) -> None:
