@@ -12,16 +12,18 @@ One request path
 ----------------
 Routing exists once, as *submit a group, settle a group*:
 
-* A **GET group** shares a primary shard and travels to it as one
-  record.  Settling takes the primary's answers and finishes each item
-  on its own: a hit is returned; a live owner's *miss* falls through to
-  the tag's remaining owners in ring order; an owner that did not answer
-  (dead, garbled, or refused by its circuit breaker) is passed over.
-  The first hit wins, counts one **failover** when any owner before it
-  failed, and queues a one-way **read-repair** PUT to every live owner
-  that missed, so a shard that lost or never received an entry converges
-  back.  When no owner answered at all the item is *unavailable*
-  (``found=False``, reason ``no_live_owner``), never a plain miss.  The
+* A **GET group** shares the owner its items ask next — first their
+  primary — and travels to it as one record.  Each item is a
+  :class:`GetWalk` over its tag's owners in ring order: a hit is
+  returned; a live owner's *miss*, or an owner that did not answer
+  (dead, garbled, or refused by its circuit breaker), leaves it for the
+  next *step*, which sends one record per next owner for all such items
+  of the call.  The first hit wins, counts one **failover** when any
+  owner before it failed, and read-repairs every live owner that
+  missed (one one-way PUT batch per missed shard per step), so a shard
+  that lost or never received an entry converges back.  When no owner
+  answered at all the item is *unavailable* (``found=False``, reason
+  ``no_live_owner``), never a plain miss.  The
   repaired ciphertext is still the store-side ``(r, [k], [res])``
   triple: the router never sees plaintext, and a tampered replica is
   caught by the runtime's Fig. 3 MAC/tag verification exactly as a
@@ -38,12 +40,13 @@ What differs between the group entry points is only how a shard send
 is made and when the group is settled:
 
 * ``call_batch`` sends with blocking shard calls and settles on the
-  spot, one group per primary shard (GETs, as
-  :meth:`ClusterRouter.plan_gets` partitions them) or the whole batch at
-  once (PUTs), and rejoins the answers in item order.
+  spot, step by step for GETs (the first step one group per primary
+  shard, as :meth:`ClusterRouter.plan_gets` partitions them) or the
+  whole batch at once (PUTs), and rejoins the answers in item order.
 * ``submit_gets``/``wait_gets`` and ``submit_puts``/``wait_puts`` send
   through the shard clients' pipelined slots, so several groups are in
-  flight together, and settle when the caller waits.
+  flight together, and settle when the caller waits; the pipelined
+  engine submits :class:`GetWalk` items and runs the steps itself.
 * ``send_oneway_batch`` sends fire-and-forget; the group is settled by
   :meth:`ClusterRouter.drain_responses` from whatever acks have arrived,
   so a fully-dead owner set shows up as *unacknowledged*, never as a
@@ -56,7 +59,8 @@ band like them (a PUT no owner answered is ``accepted=False``,
 message, not as a batch of one.
 
 Every shard exchange goes through one guarded helper, so a shard's
-circuit breaker is asked once per send and learns from every reply.
+circuit breaker is asked once per send, a walk step's included, and
+learns from every reply; ``get_timeouts`` counts failed sends.
 The router speaks to N per-shard clients, each with its own request-id
 space, so it hands out router-level slot ids and maps shard-local ids
 back onto them.
@@ -122,6 +126,8 @@ class RouterStats:
     # Calls the per-shard circuit breaker refused without touching the
     # wire (failing fast instead of paying another timeout).
     circuit_skips: int = 0
+    # Records the walk's steps past the primaries put on the wire.
+    walk_records: int = 0
 
     #: Counters with inconsistent attribute spelling and their
     #: normalized ``router.<metric>`` names (events are plural nouns).
@@ -134,7 +140,9 @@ class RouterStats:
     }
 
     def snapshot(self) -> dict:
-        """The counters under canonical ``router.<metric>`` keys."""
+        """The counters under canonical ``router.<metric>`` keys.
+        ``get_timeouts`` / ``put_timeouts`` count failed sends (a walk
+        step's included), not items."""
         return namespaced("router", {
             "gets_routed": self.gets_routed,
             "puts_routed": self.puts_routed,
@@ -149,21 +157,42 @@ class RouterStats:
             "repair_acks": self.repair_acks,
             "repair_rejects": self.repair_rejects,
             "circuit_skips": self.circuit_skips,
+            "walk_records": self.walk_records,
         }, renames=self._RENAMES)
+
+
+class GetWalk:
+    """One GET item walking its tag's owners in ring order, one per step,
+    until a hit, a miss from every live owner, or no owner is left."""
+
+    __slots__ = ("request", "owners", "missed", "failed")
+
+    def __init__(self, request: GetRequest):
+        self.request = request
+        # The owners still to ask, next first; None until the primary answered.
+        self.owners: list[str] | None = None
+        self.missed: list[str] = []  # live owners that answered miss
+        self.failed = 0  # owners that did not answer
+
+    @property
+    def tag(self) -> bytes:
+        return self.request.tag
 
 
 @dataclass
 class _GetGroup:
-    """A submitted GET group: requests bound for one primary shard."""
+    """A submitted GET group: one step of walks bound for one owner."""
 
-    requests: list
+    requests: list  # its GETs, or walks under way
     mode: str
-    # The primary the group was offered to; None when it has no owner.
+    # The owner the group was offered to; None when it has no owner.
     shard: str | None = None
     # What the send returned: the shard's responses (blocking send), its
     # slot id (pipelined send), or None when the shard did not take it
-    # (refused or failed: settling walks the remaining owners).
+    # (refused or failed: the walks go on to their next owners).
     sent: object = None
+    # Submitted as plain requests: waiting walks them to the end.
+    finish: bool = True
 
 
 @dataclass
@@ -214,9 +243,11 @@ class ClusterRouter:
         # One-way sends awaiting their ack:
         # (shard, shard-local id) -> (group, item positions).
         self._oneway: dict[tuple[str, int], tuple[_PutGroup, list[int]]] = {}
-        # Fire-and-forget sends whose acks are router-internal (read
-        # repair): absorbed on drain, never surfaced to the runtime.
-        self._absorb_keys: set[tuple[str, int]] = set()
+        # Read repairs queued by the current step: shard -> PUTs; then
+        # the batches sent, (shard, shard-local id) -> item count, whose
+        # acks are absorbed on drain, never surfaced to the runtime.
+        self._repairs: dict[str, list[PutRequest]] = {}
+        self._absorb: dict[tuple[str, int], int] = {}
 
     # -- topology ------------------------------------------------------------
     @property
@@ -287,15 +318,20 @@ class ClusterRouter:
         owners = self.ring.owners(tag, self.replication_factor)
         return [s for s in owners if s in self._clients]
 
-    def _read_owners(self, tag: bytes) -> list[str]:
-        """Reachable shards to consult for a GET.  During a topology
+    def _read_owners(self, item) -> list[str]:
+        """Reachable shards a GET item has yet to consult, next first (a
+        :class:`GetWalk` under way: the owners it has left).  During a topology
         transition (dual-ownership window) this is the old owners first
         with the pending owners as failover, so a tag stays readable
         whether or not its range has been handed off yet.  Under a
         planned multi-shard window the union may span several changed
         shards (two joiners plus a leaver, say) — the ring computes it
         per range, the router just filters to connected clients."""
-        owners = self.ring.read_owners(tag, self.replication_factor)
+        if type(item) is GetWalk:
+            if item.owners is not None:
+                return item.owners
+            item = item.request
+        owners = self.ring.read_owners(item.tag, self.replication_factor)
         return [s for s in owners if s in self._clients]
 
     def _write_owners(self, tag: bytes) -> list[str]:
@@ -368,99 +404,113 @@ class ClusterRouter:
             span=f"router.shard_{kind}", items=n_items,
         )
 
-    # -- GET: one group core -----------------------------------------------------
-    def _submit_get_group(self, requests: list, mode: str, shard: str | None) -> _GetGroup:
-        """Send a GET group to its primary ``shard`` (``None``: it has no
-        reachable owner; callers group by :meth:`plan_gets`)."""
-        group = _GetGroup(requests=requests, mode=mode, shard=shard)
+    # -- GET: one walk, in steps -------------------------------------------------
+    def _submit_get_group(self, items: list, mode: str, shard: str | None) -> _GetGroup:
+        """Send one step of GETs or walks to the owner they ask next
+        (``None``: they have none; callers group by :meth:`plan_gets`)."""
+        group = _GetGroup(requests=items, mode=mode, shard=shard)
         if shard is not None:
-            group.sent = self._send(shard, "get", requests, mode)
+            walking = type(items[0]) is GetWalk
+            skips = self.stats.circuit_skips
+            group.sent = self._send(
+                shard, "get", [w.request for w in items] if walking else items, mode
+            )
+            if walking and items[0].owners is not None and self.stats.circuit_skips == skips:
+                self.stats.walk_records += 1
         return group
 
-    def _settle_get_group(self, group: _GetGroup) -> list[Message]:
-        """Per-item answers of a submitted GET group, in request order."""
-        requests, shard = group.requests, group.shard
-        self.stats.gets_routed += len(requests)
+    def _settle_get_group(self, group: _GetGroup) -> list:
+        """Per item, in order: its answer, or its walk if it goes on."""
+        items, shard = group.requests, group.shard
         replies = None
         if group.sent is not None:
-            replies = self._collect(shard, "get", group.sent, len(requests), group.mode)
+            replies = self._collect(shard, "get", group.sent, len(items), group.mode)
         if shard is not None and replies is None:
             self.stats.get_timeouts += 1
-        elif replies is not None and len(replies) != len(requests):
+        elif replies is not None and len(replies) != len(items):
             # Surface it rather than shift the caller's correlation.
             raise ProtocolError(
-                f"shard {shard!r} answered {len(replies)} of {len(requests)} GETs"
+                f"shard {shard!r} answered {len(replies)} of {len(items)} GETs"
             )
         return [
-            self._finish_get(request, shard, replies[i] if replies else None)
-            for i, request in enumerate(requests)
+            self._advance(item, shard, replies[i] if replies else None)
+            for i, item in enumerate(items)
         ]
 
-    def _finish_get(
-        self, request: GetRequest, asked: str | None, reply: Message | None
-    ) -> GetResponse:
-        """Walk one GET over its owners, starting from what the group's
-        primary ``asked`` replied (``None``: it did not answer)."""
-        missed_live: list[str] = []
-        failed = 0
-        for shard, reply in self._owner_replies(request, asked, reply):
+    def _advance(self, item, shard: str | None, reply: Message | None):
+        """Fold ``shard``'s reply (``None``: it did not answer) into a GET
+        or its walk; returns the item's answer, or its walk if it goes on."""
+        if reply is not None and not isinstance(reply, GetResponse):
+            raise ProtocolError(
+                f"shard {shard!r} answered GET with {type(reply).__name__}"
+            )
+        if type(item) is GetWalk and item.owners is not None:
+            walk = item
+            del walk.owners[0]
+        else:  # its primary answered: the rest of the walk is fixed now
+            self.stats.gets_routed += 1
+            if reply is not None and reply.found:
+                return reply
+            walk = item if type(item) is GetWalk else GetWalk(item)
+            walk.owners = [s for s in self._read_owners(walk.request) if s != shard]
+        if shard is not None:
             if reply is None:
-                failed += 1
-                continue
-            if not isinstance(reply, GetResponse):
-                raise ProtocolError(
-                    f"shard {shard!r} answered GET with {type(reply).__name__}"
-                )
-            if not reply.found:
-                missed_live.append(shard)
-                continue
-            if failed:
-                self.stats.failovers += 1
-                self.tracer.event("router.failover", clock=self.clock, timeouts=failed)
-            for missed in missed_live:
-                self._queue_read_repair(missed, request, reply)
-            return reply
-        if missed_live:
+                walk.failed += 1
+            elif reply.found:
+                if walk.failed:
+                    self.stats.failovers += 1
+                    self.tracer.event("router.failover", clock=self.clock, timeouts=walk.failed)
+                for missed in walk.missed:
+                    self._queue_read_repair(missed, walk.request, reply)
+                return reply
+            else:
+                walk.missed.append(shard)
+        if walk.owners:
+            return walk
+        if walk.missed:
             return GetResponse(found=False)
         # No owner answered: the item is unavailable, not absent.  Fail
         # safe: the caller recomputes, exactly like a miss.
         self.stats.unavailable += 1
         return GetResponse(found=False, reason=NO_LIVE_OWNER)
 
-    def _owner_replies(self, request: GetRequest, asked: str | None, reply):
-        """``(owner, reply)`` in the order a GET consults its owners: the
-        group's primary with what it already replied, then each remaining
-        owner, called (blocking) only when the walk gets that far."""
-        if asked is not None:
-            yield asked, reply
-        for shard in self._read_owners(request.tag):
-            if shard != asked:
-                reply = self._guarded(
-                    shard, lambda client: client.call(request), answers=True,
-                    span="router.shard_get",
-                )
-                if reply is None:
-                    self.stats.get_timeouts += 1
-                yield shard, reply
+    def _walk(self, results: list, pending) -> list:
+        """Answer the GETs or walks at ``pending`` positions of ``results``
+        in place by blocking steps, each with its read repairs."""
+        while pending:
+            items = [results[p] for p in pending]
+            for shard, positions in self._plan(items, self._read_owners):
+                group = self._submit_get_group([items[q] for q in positions], _SYNC, shard)
+                for q, outcome in zip(positions, self._settle_get_group(group)):
+                    results[pending[q]] = outcome
+            if self._repairs:
+                self._send_repairs()
+            pending = [p for p in pending if type(results[p]) is GetWalk]
+        return results
 
     def _queue_read_repair(
         self, shard: str, request: GetRequest, hit: GetResponse
     ) -> None:
-        """Re-PUT a hit to a live owner that answered miss (one-way)."""
-        repair = PutRequest(
+        """Queue a re-PUT of a hit for a live owner that answered miss."""
+        self._repairs.setdefault(shard, []).append(PutRequest(
             tag=request.tag,
             challenge=hit.challenge,
             wrapped_key=hit.wrapped_key,
             sealed_result=hit.sealed_result,
             app_id=request.app_id,
-        )
-        local_id = self._guarded(
-            shard, lambda client: client.send_oneway(repair), answers=False,
-            span="router.read_repair",
-        )
-        if local_id is not None:
-            self._absorb_keys.add((shard, local_id))
-            self.stats.read_repairs += 1
+        ))
+
+    def _send_repairs(self) -> None:
+        """One one-way PUT batch per missed shard; drain absorbs the acks."""
+        repairs, self._repairs = self._repairs, {}
+        for shard, puts in repairs.items():
+            local_id = self._guarded(
+                shard, lambda client: client.send_oneway_batch(puts), answers=False,
+                span="router.read_repair", items=len(puts),
+            )
+            if local_id is not None:
+                self._absorb[(shard, local_id)] = len(puts)
+                self.stats.read_repairs += len(puts)
 
     # -- PUT: one fan-out, one verdict merger --------------------------------------
     def _submit_put_group(self, requests: list, mode: str) -> _PutGroup:
@@ -562,13 +612,14 @@ class ClusterRouter:
         self._next_router_id += 1
         return router_id
 
-    def _plan(self, requests: list, owners_of) -> list[tuple[str | None, list[int]]]:
-        """``(primary, positions)`` per group, in shard order; an item
-        with no reachable owner is a group of its own under ``None``."""
+    def _plan(self, items: list, owners_of) -> list[tuple[str | None, list[int]]]:
+        """``(owner, positions)`` per group of items sharing the head of
+        ``owners_of(item)``, in shard order; an item with no reachable
+        owner is a group of its own under ``None``."""
         groups: dict[str, list[int]] = {}
         orphans: list[int] = []
-        for i, request in enumerate(requests):
-            owners = owners_of(request.tag)
+        for i, item in enumerate(items):
+            owners = owners_of(item)
             if owners:
                 groups.setdefault(owners[0], []).append(i)
             else:
@@ -578,25 +629,22 @@ class ClusterRouter:
     # -- group entry points ------------------------------------------------------
     def call_batch(self, requests: list[Message]) -> list[Message]:
         """Route a uniform batch and block on every answer, rejoined in
-        item order.  GETs go one blocking group per primary shard, so a
-        shard that fails its sub-batch does not poison the other shards'
-        items; PUTs fan out as one group, one record per owner shard."""
+        item order.  GETs walk their owners in blocking steps, each one
+        record per next owner (first the primaries), so a shard that
+        fails its sub-batch does not poison the other shards' items;
+        PUTs fan out as one group, one record per owner shard."""
         requests = list(requests)
         if not requests:
             return []
         if not all(isinstance(r, GetRequest) for r in requests):
             with self.tracer.span("router.put", clock=self.clock, items=len(requests)):
                 return self._settle_put_group(self._submit_put_group(requests, _SYNC))
-        results: list = [None] * len(requests)
         with self.tracer.span("router.get", clock=self.clock, items=len(requests)):
-            for shard, positions in self._plan(requests, self._read_owners):
-                group = self._submit_get_group([requests[p] for p in positions], _SYNC, shard)
-                for p, reply in zip(positions, self._settle_get_group(group)):
-                    results[p] = reply
-        return results
+            return self._walk(requests, range(len(requests)))
 
-    def plan_gets(self, requests: list[GetRequest]) -> list[list[int]]:
-        """Partition GET indices by primary owner shard.
+    def plan_gets(self, requests: list) -> list[list[int]]:
+        """Partition GET indices by the owner each asks next: its primary
+        shard, or for a :class:`GetWalk` under way its next owner.
 
         Each group can ship as one channel record to one shard, so a
         round of N GETs across S shards costs S records — and the S
@@ -605,26 +653,34 @@ class ClusterRouter:
         """
         return [positions for _, positions in self._plan(requests, self._read_owners)]
 
-    def submit_gets(self, requests: list[GetRequest]) -> int:
-        """Submit one :meth:`plan_gets` group (a shared-primary GET
-        sub-batch) as a single record; returns a router slot id for
-        :meth:`wait_gets`."""
+    def submit_gets(self, requests: list) -> int:
+        """Submit one :meth:`plan_gets` group (GETs, or walks, that ask
+        the same owner next) as a single record; returns a router slot
+        id for :meth:`wait_gets`."""
         requests = list(requests)
-        owners = self._read_owners(requests[0].tag) if requests else []
-        return self._park(
-            self._submit_get_group(requests, _PIPELINED, owners[0] if owners else None)
-        )
+        owners = self._read_owners(requests[0]) if requests else []
+        group = self._submit_get_group(requests, _PIPELINED, owners[0] if owners else None)
+        group.finish = not requests or type(requests[0]) is not GetWalk
+        return self._park(group)
 
-    def wait_gets(self, router_id: int, n_items: int | None = None) -> list[Message]:
+    def wait_gets(self, router_id: int, n_items: int | None = None) -> list:
         """Settle one GET group; per-item semantics match ``call_batch``.
 
-        A group whose shard failed (at submit or in flight) falls back to
-        per-item routing through the surviving replicas; a live primary's
-        per-item miss consults the replicas and read-repairs the primary
-        on a replica hit.  Items with no live owner anywhere come back as
-        ``found=False`` / ``no live owner``.
+        A group of plain GETs is answered in full: items its shard missed
+        or did not serve walk the remaining owners in blocking steps, and
+        items no owner answered come back ``found=False`` / ``no live
+        owner``.  A group of :class:`GetWalk` items is settled one step:
+        an unresolved item comes back as its walk, for the caller to
+        submit with the next step.  Read repairs go out once no GET group
+        is left in flight.
         """
-        return self._settle_get_group(self._claim(router_id, _GetGroup, n_items))
+        group = self._claim(router_id, _GetGroup, n_items)
+        results = self._settle_get_group(group)
+        if group.finish:
+            return self._walk(results, [p for p, r in enumerate(results) if type(r) is GetWalk])
+        if not any(type(g) is _GetGroup for g in self._pipeline.values()):
+            self._send_repairs()
+        return results
 
     def plan_puts(self, requests: list[PutRequest]) -> list[list[int]]:
         """Partition PUT indices by primary owner shard.
@@ -634,7 +690,10 @@ class ClusterRouter:
         round of N replicated PUTs costs O(shards) records.  Items with
         no live owner form their own group (answered without touching
         the wire)."""
-        return [positions for _, positions in self._plan(requests, self._write_owners)]
+        return [
+            positions
+            for _, positions in self._plan(requests, lambda r: self._write_owners(r.tag))
+        ]
 
     def submit_puts(self, requests: list[PutRequest]) -> int:
         """Submit one :meth:`plan_puts` group: one batch record to every
@@ -701,20 +760,22 @@ class ClusterRouter:
         for shard in sorted(self._clients):
             for response in self._clients[shard].drain_responses():
                 key = (shard, response.request_id)
-                if key in self._absorb_keys:
-                    self._absorb_keys.discard(key)
-                    if isinstance(response, PutResponse) and response.accepted:
-                        self.stats.repair_acks += 1
-                    else:
-                        self.stats.repair_rejects += 1
-                    continue
-                # Unknown id: a stale response from a revived shard, or a
-                # reply to a send the router already accounted.  Dropped.
-                group, positions = self._oneway.pop(key, (None, ()))
                 if isinstance(response, BatchPutResponse):
                     acks = list(response.items)
                 else:
                     acks = [response]
+                repairs = self._absorb.pop(key, 0)
+                if repairs:
+                    accepted = sum(
+                        isinstance(ack, PutResponse) and ack.accepted
+                        for ack in acks[:repairs]
+                    )
+                    self.stats.repair_acks += accepted
+                    self.stats.repair_rejects += repairs - accepted
+                    continue
+                # Unknown id: a stale response from a revived shard, or a
+                # reply to a send the router already accounted.  Dropped.
+                group, positions = self._oneway.pop(key, (None, ()))
                 if group is None or len(acks) != len(positions) or not all(
                     isinstance(ack, (PutResponse, ErrorMessage)) for ack in acks
                 ):

@@ -132,6 +132,7 @@ class TrustedLibraryRegistry:
 
     def __init__(self):
         self._libraries: dict[tuple[str, str], TrustedLibrary] = {}
+        self._identities: dict[tuple, bytes] = {}  # see function_identity
 
     def register(self, library: TrustedLibrary) -> None:
         key = (library.family, library.version)
@@ -165,13 +166,18 @@ class TrustedLibraryRegistry:
 
     def function_identity(self, description: FunctionDescription) -> bytes:
         """The "universally unique value for function identification":
-        description plus fingerprint of the code the app actually owns."""
+        description plus fingerprint of the code the app actually owns,
+        memoised per (description, function, ``__code__``)."""
         func = self.lookup(description)
-        return tagged_hash(
-            b"speed/func-identity",
-            description.canonical_bytes(),
-            code_fingerprint(func),
-        )
+        key = (description, func, getattr(func, "__code__", None))
+        identity = self._identities.get(key)
+        if identity is None:
+            identity = self._identities[key] = tagged_hash(
+                b"speed/func-identity",
+                description.canonical_bytes(),
+                code_fingerprint(func),
+            )
+        return identity
 
     def code_identity(self) -> bytes:
         """Aggregate identity of all linked libraries, fed into the

@@ -66,6 +66,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
 
+from .cluster.router import GetWalk
 from .errors import ChannelError, ProtocolError, TransportError
 from .net.messages import GetRequest, Message
 from .obs.tracer import NULL_TRACER
@@ -454,6 +455,12 @@ class PipelineEngine:
         fans out one sub-batch record per shard group the client plans
         (``plan_gets``), so the shards serve concurrently and the
         channel's AEAD cost stays amortized across the group.
+
+        Every GET travels as a :class:`~repro.cluster.router.GetWalk`;
+        the items a primary missed or did not serve, gathered over all
+        rounds, then walk their remaining owners in steps, each step one
+        more set of rounds (one record per next owner) over the same
+        plan, submit and wait.
         """
         requests = list(requests)
         responses: list = [None] * len(requests)
@@ -474,15 +481,18 @@ class PipelineEngine:
         else:
             wire = list(range(len(requests)))
         self.coalesced_total += len(leader_of)
-        start = 0
-        while start < len(wire):
-            depth = self.depth_current  # re-read: adaptive depth moves
-            round_indices = wire[start:start + depth]
-            start += depth
-            self._run_round(
-                [(i, requests[i]) for i in round_indices], responses,
-                self.client.plan_gets, self.client.submit_gets, self.client.wait_gets,
-            )
+        ops = [(i, requests[i]) for i in wire]
+        ops = [(i, GetWalk(r) if isinstance(r, GetRequest) else r) for i, r in ops]
+        while ops:
+            start = 0
+            while start < len(ops):
+                depth = self.depth_current  # re-read: adaptive depth moves
+                self._run_round(
+                    ops[start:start + depth], responses,
+                    self.client.plan_gets, self.client.submit_gets, self.client.wait_gets,
+                )
+                start += depth
+            ops = [(i, responses[i]) for i, _ in ops if type(responses[i]) is GetWalk]
         for follower, leader in leader_of.items():
             responses[follower] = responses[leader]
         return EngineBatch(responses=responses, leader_of=leader_of)

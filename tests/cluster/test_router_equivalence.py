@@ -140,26 +140,27 @@ GET_ROWS = {
     ),
     "primary dead": (
         lambda: prepared(kill=[0]), ["hit"],
-        {"gets_routed": 1, "get_timeouts": 1, "failovers": 1},
+        {"gets_routed": 1, "get_timeouts": 1, "failovers": 1, "walk_records": 1},
     ),
     "primary and first replica dead, rf 3": (
         lambda: prepared(rf=3, kill=[0, 1]), ["hit"],
-        {"gets_routed": 1, "get_timeouts": 2, "failovers": 1},
+        {"gets_routed": 1, "get_timeouts": 2, "failovers": 1, "walk_records": 2},
     ),
     "primary live-miss, replica hit": (
         lambda: prepared(kill_before_warm=[0]), ["hit"],
-        {"gets_routed": 1, "read_repairs": 1},
+        {"gets_routed": 1, "read_repairs": 1, "walk_records": 1},
     ),
     "every owner dead": (
         lambda: prepared(kill=[0, 1]), ["unavailable"],
-        {"gets_routed": 1, "get_timeouts": 2, "unavailable": 1},
+        {"gets_routed": 1, "get_timeouts": 2, "unavailable": 1, "walk_records": 1},
     ),
     "breaker open on the primary": (
         lambda: prepared(breaker_open_on=0), ["hit"],
-        {"gets_routed": 1, "get_timeouts": 1, "failovers": 1, "circuit_skips": 1},
+        {"gets_routed": 1, "get_timeouts": 1, "failovers": 1, "circuit_skips": 1,
+         "walk_records": 1},
     ),
     "miss everywhere": (
-        lambda: prepared(warm=False), ["miss"], {"gets_routed": 1},
+        lambda: prepared(warm=False), ["miss"], {"gets_routed": 1, "walk_records": 1},
     ),
 }
 

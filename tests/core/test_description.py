@@ -8,6 +8,7 @@ from repro.core.description import (
     TrustedLibraryRegistry,
     code_fingerprint,
 )
+from repro.crypto.hashes import tagged_hash
 from repro.errors import DedupError
 
 
@@ -107,6 +108,28 @@ class TestFunctionIdentity:
         id1 = libs.function_identity(FunctionDescription("libx", "1.0", "f(bytes)"))
         id2 = libs.function_identity(FunctionDescription("libx", "2.0", "f(bytes)"))
         assert id1 != id2
+
+    def test_the_memo_equals_the_unmemoised_derivation(self):
+        libs = make_registry()
+        derived = tagged_hash(
+            b"speed/func-identity", DESC.canonical_bytes(), code_fingerprint(func_a)
+        )
+        assert libs.function_identity(DESC) == derived
+        assert libs.function_identity(DESC) == derived  # served from the memo
+
+    def test_a_swapped_code_object_changes_the_identity(self):
+        def func(data: bytes) -> bytes:
+            return data + b"a"
+
+        libs = TrustedLibraryRegistry()
+        libs.register(TrustedLibrary("libx", "1.0").add("f(bytes)", func))
+        before = libs.function_identity(DESC)
+        func.__code__ = func_b.__code__
+        after = libs.function_identity(DESC)
+        assert after != before
+        assert after == tagged_hash(
+            b"speed/func-identity", DESC.canonical_bytes(), code_fingerprint(func_b)
+        )
 
     def test_code_identity_covers_all_libraries(self):
         libs1 = make_registry()

@@ -28,20 +28,20 @@ from repro.simtest.runner import ENGINES, OPS
 # into one schedule (every run now draws every fault class, on durable
 # stores, and checks all eight invariants).
 PINNED = {
-    1: "df32d829c9b95bbf",  # pipeline
-    2: "ab25914a0a479d80",  # adaptive
-    3: "910f0633fa81585d",  # serial
-    4: "5e952ffb759a92d2",  # pipeline
-    5: "f854ef1b79880f5c",  # adaptive
-    6: "d7b60e2b4eec726d",  # serial
-    7: "89f358f58ccb08eb",  # pipeline
-    8: "4d495231a087fa3d",  # adaptive
-    9: "9e0d54a5b5dd8b2d",  # serial
-    10: "464a7f25a10a2d4a",  # pipeline
+    1: "7c278988999eea8c",  # pipeline
+    2: "b45bf888bb82c5b7",  # adaptive
+    3: "17cf6b2a4c523d8c",  # serial
+    4: "de021d1a98d20928",  # pipeline
+    5: "c4e4633df6fff48a",  # adaptive
+    6: "f03fb42eda5dbaa4",  # serial
+    7: "c2b883a1601074c8",  # pipeline
+    8: "25ed5c23e68fffeb",  # adaptive
+    9: "76dada1efb420646",  # serial
+    10: "46e4d9742f4b2f0f",  # pipeline
     11: "e03d52099d145045",  # adaptive
-    12: "a2bef7383834f323",  # serial
+    12: "4311e4a2f12069eb",  # serial
     13: "d8478a15aff8ff6b",  # pipeline
-    14: "78505fc293e383c7",  # adaptive
+    14: "cdf2fa2396b3cf3e",  # adaptive
     15: "073af8a527c2f618",  # serial
 }
 
