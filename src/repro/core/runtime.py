@@ -442,6 +442,10 @@ class DedupRuntime:
             # result is protected in place (draws, hash, charges); the
             # AEAD of them all runs in one pass when the loop ends, or
             # earlier if a PUT has to leave first (a queue drain).
+            # Compute + protect is per-item enclave work, so it rides
+            # the worker lanes like stages 1 and 2; followers and L1
+            # re-probe hits take no task, and a drain runs outside every
+            # task (it is the background lane's, counted there once).
             sync_puts: list[PutRequest] = []
             sealing: list[tuple[bytes, Sealing]] = []
             bound = self.config.put_queue_entries
@@ -453,20 +457,27 @@ class DedupRuntime:
             # every missing lookup counted once).
             l1_fresh = {i.tag for i in items if i.source == "store"}
             try:
-                for item in items:
-                    if item.hit:
-                        continue
-                    leader = computed_by_tag.get(item.tag)
-                    if leader is not None and item.attempt_dedup:
-                        item.follow(leader)
-                        continue
-                    with self._item_meter(item):
-                        if self.l1_cache is not None and item.attempt_dedup and item.tag in l1_fresh:
-                            self._l1_lookup(item, result_parser)
-                        pending = None if item.hit else self._compute_item(
-                            item, func, native_cost, func_identity, result_parser, unpack_args
-                        )
-                        if pending is not None:
+                with crossing.lanes() as region:
+                    for item in items:
+                        if item.hit:
+                            continue
+                        leader = computed_by_tag.get(item.tag)
+                        if leader is not None and item.attempt_dedup:
+                            item.follow(leader)
+                            continue
+                        with self._item_meter(item):
+                            if (self.l1_cache is not None and item.attempt_dedup
+                                    and item.tag in l1_fresh):
+                                self._l1_lookup(item, result_parser)
+                                if item.hit:
+                                    continue
+                            with region.task():
+                                pending = self._compute_item(
+                                    item, func, native_cost, func_identity, result_parser,
+                                    unpack_args,
+                                )
+                            if pending is None:
+                                continue
                             l1_fresh.add(item.tag)
                             if coalesce:
                                 computed_by_tag[item.tag] = item

@@ -87,9 +87,10 @@ class EngineConfig:
     #: let an :class:`AdaptiveDepthController` size each round between
     #: ``min_depth`` and ``max_depth``.
     depth: Union[int, str] = 8
-    #: Client-side worker lanes the round's app cost is spread over.
-    #: Clamped to the depth bound: lanes beyond the submit window can
-    #: never hold an op (see :meth:`PipelineEngine._lanes`).
+    #: Client-side worker lanes the round's app cost, and a group's
+    #: per-item enclave work (tag, verification, compute + protect), is
+    #: spread over.  Clamped to the depth bound: lanes beyond the submit
+    #: window can never hold an op (see :meth:`PipelineEngine._lanes`).
     workers: int = 4
     #: Single-flight: identical in-flight tags share one round trip.
     coalesce: bool = True
@@ -624,7 +625,8 @@ class PipelineEngine:
         """Context manager accounting enclosed per-task app work as
         spread over the worker lanes.
 
-        The runtime uses it for per-item result verification: each
+        The runtime uses it for each per-item enclave stage (tag
+        derivation, result verification, compute + protect): each
         :meth:`_ParallelRegion.task` measures one item's app-clock cost,
         tasks are assigned round-robin to ``min(workers, n_tasks)``
         lanes (the enclave's worker threads, one per core), and on exit

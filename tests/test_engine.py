@@ -8,6 +8,8 @@ cover the real wire path.
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import EngineBatch, EngineConfig, PipelineEngine
 from repro.errors import ChannelError, ProtocolError, TransportError
@@ -362,6 +364,26 @@ class TestParallelRegion:
             pass
         assert engine.makespan_cycles == 0.0
         assert engine.serial_cycles == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        costs=st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
+        workers=st.integers(1, 8),
+    )
+    def test_makespan_is_the_busiest_round_robin_lane(self, costs, workers):
+        # Whole cycle counts keep every sum exact, so equality is exact.
+        engine, _, app, _ = make_engine(depth=8, workers=workers)
+        with engine.parallel_region() as region:
+            for cost in costs:
+                with region.task():
+                    app.advance(float(cost))
+        lanes = min(workers, len(costs))
+        busiest = max(sum(costs[lane::lanes]) for lane in range(lanes))
+        assert engine.makespan_cycles == busiest
+        assert max(costs) <= engine.makespan_cycles <= sum(costs)
+        assert engine.serial_cycles == sum(costs)
+        if workers == 1:
+            assert engine.makespan_cycles == sum(costs)
 
 
 class TestDeclaredComputeAccounting:
