@@ -38,7 +38,7 @@ without touching the per-item semantics above:
 from __future__ import annotations
 
 import time
-from contextlib import AbstractContextManager, contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
 
@@ -164,6 +164,9 @@ class _BatchItem:
     # The item's ``runtime.item`` span: closed after stage 1, told the
     # item's ``source`` once the later stages have settled it.
     span: Any = None
+    # The engine schedule's task the item's next stage waits for: its
+    # tag, then the receive its GET answer came with (None unscheduled).
+    ready: int | None = None
 
     @property
     def hit(self) -> bool:
@@ -180,11 +183,14 @@ class _SerialRegion(AbstractContextManager):
     """No-op stand-in for :meth:`PipelineEngine.parallel_region` used when
     no engine carries the group: tasks run (and are accounted) serially."""
 
+    def __init__(self, kind: str):
+        pass
+
     def __exit__(self, exc_type, exc, tb) -> None:
         return None
 
-    def task(self) -> "_SerialRegion":
-        return self
+    def task(self, after: int | None = None) -> AbstractContextManager:
+        return nullcontext()
 
 
 class _Crossing(NamedTuple):
@@ -192,13 +198,16 @@ class _Crossing(NamedTuple):
 
     Both sends answer with an :class:`~repro.engine.EngineBatch`: a
     response or an exception per position (plus, for GETs the engine
-    coalesced, who follows whom).  ``lanes`` opens the region the group's
-    per-item enclave work is accounted to.
+    coalesced, who follows whom).  ``lanes(kind)`` opens the region the
+    group's per-item enclave work of one stage is accounted to, and
+    ``batch`` spans the whole group, so that its stages and rounds are
+    accounted as one schedule.
     """
 
-    send_gets: Callable[[list[GetRequest]], EngineBatch]
+    send_gets: Callable[..., EngineBatch]
     send_puts: Callable[[list[PutRequest]], EngineBatch]
-    lanes: Callable[[], Any]
+    lanes: Callable[[str], Any]
+    batch: Callable[[], AbstractContextManager]
 
 
 class DedupRuntime:
@@ -233,6 +242,8 @@ class DedupRuntime:
             # The app enclave's transitions belong to this call's trace.
             self.enclave.tracer = self.tracer
         self._pending_puts: list[PutRequest] = []
+        # Each description's record label, built once.
+        self._labels: dict[FunctionDescription, str] = {}
         # Optional pipelined execution engine (see repro.engine); when
         # attached, stage-2 GETs and stage-4 PUTs of execute_many go
         # through its pipelined rounds of shard groups instead of the
@@ -366,12 +377,14 @@ class DedupRuntime:
         ``call_batch`` exchanges otherwise."""
         engine, call_batch = self.engine, self.client.call_batch
         if engine is not None and n > 1:
-            return _Crossing(engine.run_gets, engine.run_puts, engine.parallel_region)
+            return _Crossing(
+                engine.run_gets, engine.run_puts, engine.parallel_region, engine.batch
+            )
 
-        def send(requests: list) -> EngineBatch:
+        def send(requests: list, after: list | None = None) -> EngineBatch:
             return EngineBatch(call_batch(requests))
 
-        return _Crossing(send, send, _SerialRegion)
+        return _Crossing(send, send, _SerialRegion, nullcontext)
 
     # -- the pipeline (Algorithms 1 & 2 over a group) ----------------------------
     def _run(
@@ -392,11 +405,13 @@ class DedupRuntime:
         crossing = self._crossing(n)
         items = [_BatchItem(index, value) for index, value in enumerate(inputs)]
         adaptive = self.config.adaptive
-        label = str(description)
+        label = self._labels.get(description)
+        if label is None:
+            label = self._labels[description] = str(description)
         wall_start = time.perf_counter()
         sim_start = self.clock.snapshot()
 
-        with self.tracer.span(
+        with crossing.batch(), self.tracer.span(
             "runtime.execute", clock=self.clock, func=label, items=n,
         ), self.enclave.ecall("dedup_execute"):
             trace_id = self.tracer.current_trace_id
@@ -408,11 +423,11 @@ class DedupRuntime:
             # Per-item derivation is independent enclave work, so with
             # the engine attached it rides the worker lanes exactly like
             # stage-2 verification.
-            with crossing.lanes() as region:
+            with crossing.lanes("tag") as region:
                 for item in items:
                     with self.tracer.span(
                         "runtime.item", clock=self.clock, index=item.index
-                    ) as item.span, self._item_meter(item), region.task():
+                    ) as item.span, self._item_meter(item), region.task() as item.ready:
                         with self.tracer.span("runtime.tag", clock=self.clock):
                             item.input_bytes = input_parser.encode(item.input_value)
                             item.tag = derive_tag(func_identity, item.input_bytes, self.clock)
@@ -432,6 +447,7 @@ class DedupRuntime:
                     sum(len(item.tag) + 64 for item in lookups),
                     crossing.send_gets,
                     [GetRequest(tag=item.tag, app_id=self.config.app_id) for item in lookups],
+                    [item.ready for item in lookups],
                 )
                 self._absorb_gets(lookups, batch, crossing.lanes, func_identity, result_parser)
 
@@ -457,7 +473,7 @@ class DedupRuntime:
             # every missing lookup counted once).
             l1_fresh = {i.tag for i in items if i.source == "store"}
             try:
-                with crossing.lanes() as region:
+                with crossing.lanes("compute") as region:
                     for item in items:
                         if item.hit:
                             continue
@@ -471,7 +487,7 @@ class DedupRuntime:
                                 self._l1_lookup(item, result_parser)
                                 if item.hit:
                                     continue
-                            with region.task():
+                            with region.task(item.ready):
                                 pending = self._compute_item(
                                     item, func, native_cost, func_identity, result_parser,
                                     unpack_args,
@@ -557,13 +573,14 @@ class DedupRuntime:
             item.direct_sim += self.clock.since(sim0) / self.clock.params.cpu_freq_hz
 
     def _exchange(
-        self, ocall: str, payload: int, send: Callable[[list], EngineBatch], requests: list
+        self, ocall: str, payload: int, send: Callable[..., EngineBatch], requests: list,
+        *args,
     ) -> EngineBatch:
-        """``send(requests)``, one round trip, under one OCALL.  A round
-        trip lost whole is every request's failure."""
+        """``send(requests, *args)``, one round trip, under one OCALL.  A
+        round trip lost whole is every request's failure."""
         try:
             with self.enclave.ocall(ocall, in_bytes=payload):
-                return send(requests)
+                return send(requests, *args)
         except _STORE_FAILURES as exc:
             return EngineBatch([exc] * len(requests))
 
@@ -580,7 +597,7 @@ class DedupRuntime:
         self,
         lookups: list[_BatchItem],
         batch: EngineBatch,
-        lanes: Callable[[], Any],
+        lanes: Callable[[str], Any],
         func_identity: bytes,
         result_parser: Parser,
     ) -> None:
@@ -605,8 +622,13 @@ class DedupRuntime:
         ])))
         # Per-item verification is enclave-local work with no shared
         # state: the engine accounts it as spread over the worker lanes
-        # (one verification per enclave worker thread at a time).
-        with lanes() as region:
+        # (one verification per enclave worker thread at a time), each
+        # after the receive its answer came with; a miss or a failed
+        # verification computes after it.
+        if batch.ready is not None:
+            for item, ready in zip(lookups, batch.ready):
+                item.ready = ready
+        with lanes("verify") as region:
             for pos, item in enumerate(lookups):
                 if pos in batch.leader_of:
                     leader = lookups[batch.leader_of[pos]]
@@ -627,7 +649,7 @@ class DedupRuntime:
                 if unavailable and not self.config.degrade_on_store_failure:
                     # No owner shard served the GET: a store failure, not a miss.
                     raise NoLiveOwnerError(f"{response.reason} for tag {item.tag[:8].hex()}")
-                with region.task():
+                with region.task(item.ready) as item.ready:
                     if response.found:
                         self._verify_hit(item, *verdicts[pos], result_parser)
                     elif unavailable:

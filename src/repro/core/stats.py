@@ -12,6 +12,11 @@ from dataclasses import dataclass, field
 
 from ..obs.metrics import namespaced
 
+#: ``RuntimeStats.records`` keeps at least this many of the most recent
+#: calls (and at most twice as many), so a long-lived runtime holds the
+#: same memory after a million calls as after a thousand.
+RECORD_WINDOW = 1024
+
 
 @dataclass(frozen=True)
 class CallRecord:
@@ -74,7 +79,14 @@ class RuntimeStats:
     puts_accepted: int = 0
     puts_rejected: int = 0
     puts_failed: int = 0
+    #: The most recent calls, oldest first (see :data:`RECORD_WINDOW`).
     records: list[CallRecord] = field(default_factory=list)
+
+    def __post_init__(self):
+        # Totals over every call, added in call order (not fields: the
+        # counters are what ``asdict`` and ``==`` compare).
+        self._wall_total = 0.0
+        self._sim_total = 0.0
 
     def record_call(self, record: CallRecord) -> None:
         self.calls += 1
@@ -88,16 +100,21 @@ class RuntimeStats:
             self.l1_hits += 1
         if record.coalesced:
             self.coalesced_hits += 1
-        self.records.append(record)
+        self._wall_total += record.wall_seconds
+        self._sim_total += record.sim_seconds
+        records = self.records
+        records.append(record)
+        if len(records) >= 2 * RECORD_WINDOW:
+            del records[:-RECORD_WINDOW]
 
     def hit_rate(self) -> float:
         return self.hits / self.calls if self.calls else 0.0
 
     def total_wall_seconds(self) -> float:
-        return sum(r.wall_seconds for r in self.records)
+        return self._wall_total
 
     def total_sim_seconds(self) -> float:
-        return sum(r.sim_seconds for r in self.records)
+        return self._sim_total
 
     #: Counters whose attribute spelling is inconsistent (mixed
     #: tense/units) and their normalized ``runtime.<metric>`` names.

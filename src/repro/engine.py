@@ -17,26 +17,40 @@ operation charges the same per-machine SimClock cycles it would charge
 on the serial path (results, counters, and invariants are bit-identical
 by construction).  What changes is the *schedule*: overlapped spans
 advance per-machine sim time concurrently, not additively.  The engine
-therefore reports a round's elapsed simulated time as its **critical
-path**::
+therefore reports elapsed simulated time as the makespan of a **list
+schedule** over the measured tasks of one batch (one
+``DedupRuntime._run``, opened with :meth:`PipelineEngine.batch`):
 
-    makespan = max( max_i lane_busy[i],      # each of W client lanes
-                    max_s shard_busy[s],     # each shard machine
-                    max_op (app_op + shard_op) )  # any single op's chain
+- *tasks*: each item's tag + L1 probe, each shard group's send (app
+  cost of ``submit``), serve (each remote shard's cost, one task per
+  shard) and receive (app cost of ``wait``), each answered item's
+  verification and each computed miss's compute + protect;
+- *dependencies*: a send waits for its items' tags and for every
+  receive of the previous round (rounds stay lock-step, so ``depth``
+  keeps its meaning); a serve follows its send and a receive its
+  serves; an item's verification follows the receive of the last round
+  it walked in, and its compute follows that verification (a miss's
+  costs nothing); a batch's PUT rounds wait for everything before them
+  (the results are sealed in one pass);
+- *resources*: ``workers`` app lanes and one per remote shard, each
+  running one task at a time without preemption.  A free lane takes
+  the ready task first in the order receive, send, tag (input order),
+  verification, compute; a shard serves its ready groups in the order
+  they were sent.
 
-where ``lane_busy`` spreads the client-side (app machine) cost of the
-round's ops over ``workers`` lanes round-robin, ``shard_busy`` is each
-shard clock's advance during the round, and the last term keeps one
-operation's own send→serve→receive chain serial.  With ``depth=1,
-workers=1`` the expression degenerates to the exact serial sum, and a
-deployment whose store shares the application's machine (no second
-clock to overlap with) is forced to a single lane — one machine cannot
-overlap with itself.
+The makespan is bounded below by the longest dependency chain and by
+the app work over the lanes, and above by the plain sum
+``serial_cycles``.  With ``depth=1, workers=1`` a round degenerates to
+the exact serial sum, and a round whose store shares the application's
+machine (no second clock to overlap with) runs its groups one after
+another — one machine cannot overlap with itself.  A round or a region
+outside any batch is a schedule of its own.
 
 The asynchronous PUT flusher uses :meth:`PipelineEngine.background` to
 account its drains as one extra lane that overlaps the next round of
-foreground work; :meth:`settle` folds any un-overlapped remainder back
-in serially.
+foreground work (the schedule that round lands in is at least as long
+as the drain); :meth:`settle` folds any un-overlapped remainder back in
+serially.
 
 Adaptive depth
 --------------
@@ -63,6 +77,8 @@ the freed slots go to the migration instead.
 from __future__ import annotations
 
 import hashlib
+import heapq
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
 
@@ -78,6 +94,10 @@ _ENGINE_FAILURES = (TransportError, ChannelError, ProtocolError)
 #: ``EngineConfig.depth`` sentinel selecting the adaptive controller.
 AUTO_DEPTH = "auto"
 
+#: Task kinds, in the order a free lane prefers them (a serve runs on
+#: its shard, never on a lane).
+_PRIORITY = {"receive": 0, "send": 1, "tag": 2, "verify": 3, "compute": 4, "serve": 5}
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -87,10 +107,9 @@ class EngineConfig:
     #: let an :class:`AdaptiveDepthController` size each round between
     #: ``min_depth`` and ``max_depth``.
     depth: Union[int, str] = 8
-    #: Client-side worker lanes the round's app cost, and a group's
-    #: per-item enclave work (tag, verification, compute + protect), is
-    #: spread over.  Clamped to the depth bound: lanes beyond the submit
-    #: window can never hold an op (see :meth:`PipelineEngine._lanes`).
+    #: Enclave worker lanes a batch's app tasks (tags, sends, receives,
+    #: verifications, compute + protect) are list-scheduled on.  Clamped
+    #: to the depth bound: a round never has more groups than that.
     workers: int = 4
     #: Single-flight: identical in-flight tags share one round trip.
     coalesce: bool = True
@@ -308,6 +327,10 @@ class EngineBatch:
 
     responses: list
     leader_of: dict[int, int] = field(default_factory=dict)
+    #: Per position, the schedule task after which its response is in
+    #: hand (the receive of the last round it walked in); ``None``
+    #: outside a batch.
+    ready: list | None = None
 
     @property
     def coalesced(self) -> int:
@@ -370,6 +393,8 @@ class PipelineEngine:
         # Set by the runtime when a bounded PUT queue forces a drain;
         # consumed (and cleared) by the next round's depth observation.
         self._backpressure_pending = False
+        # The open batch's task graph (see :meth:`batch`), else None.
+        self._schedule: _Schedule | None = None
 
     # -- adaptive depth ------------------------------------------------------
     @property
@@ -447,7 +472,24 @@ class PipelineEngine:
         return max(1, min(self.config.workers, depth))
 
     # -- fan-out -------------------------------------------------------------
-    def run_gets(self, requests: Sequence[Message]) -> EngineBatch:
+    @contextmanager
+    def batch(self):
+        """Account every round and region opened inside as one list
+        schedule (module docstring), solved when the batch ends; a batch
+        opened inside another joins it."""
+        if self._schedule is not None:
+            yield
+            return
+        self._schedule = schedule = _Schedule()
+        try:
+            yield
+        finally:
+            self._schedule = None
+            self.makespan_cycles += schedule.makespan(self.config.workers)
+
+    def run_gets(
+        self, requests: Sequence[Message], after: Sequence[int | None] | None = None
+    ) -> EngineBatch:
         """Pipeline a list of GETs; coalesce duplicate in-flight tags.
 
         Exactly one store round trip is performed per distinct tag; the
@@ -462,9 +504,18 @@ class PipelineEngine:
         rounds, then walk their remaining owners in steps, each step one
         more set of rounds (one record per next owner) over the same
         plan, submit and wait.
+
+        Inside a :meth:`batch`, ``after[i]`` names the task request ``i``
+        waits for (its tag), and the answer's ``ready`` the receive each
+        response arrives with.
         """
         requests = list(requests)
         responses: list = [None] * len(requests)
+        ready = None
+        if self._schedule is None:
+            after = None  # each round is a schedule of its own
+        else:
+            ready = [None] * len(requests)
         leader_of: dict[int, int] = {}
         wire: list[int] = []
         if self.config.coalesce:
@@ -491,21 +542,28 @@ class PipelineEngine:
                 self._run_round(
                     ops[start:start + depth], responses,
                     self.client.plan_gets, self.client.submit_gets, self.client.wait_gets,
+                    after, ready,
                 )
                 start += depth
             ops = [(i, responses[i]) for i, _ in ops if type(responses[i]) is GetWalk]
         for follower, leader in leader_of.items():
             responses[follower] = responses[leader]
-        return EngineBatch(responses=responses, leader_of=leader_of)
+            if ready is not None:
+                ready[follower] = ready[leader]
+        return EngineBatch(responses=responses, leader_of=leader_of, ready=ready)
 
     def run_puts(self, requests: Sequence[Message]) -> EngineBatch:
         """Pipeline a list of PUTs (never coalesced: every PUT wants its
         own durability verdict, and the store dedups identical tags).
         Each round ships one grouped sub-batch record per owner shard of
         the groups the client plans (``plan_puts``) instead of per-item
-        PUTs, so the shards absorb their copies concurrently."""
+        PUTs, so the shards absorb their copies concurrently.  Inside a
+        :meth:`batch` the first round waits for every task before it:
+        the batch's results leave sealed in one pass."""
         requests = list(requests)
         responses: list = [None] * len(requests)
+        if self._schedule is not None:
+            self._schedule.barrier = list(range(len(self._schedule.costs)))
         start = 0
         while start < len(requests):
             depth = self.depth_current  # re-read: adaptive depth moves
@@ -521,17 +579,19 @@ class PipelineEngine:
         return EngineBatch(responses=responses)
 
     def _run_round(
-        self, ops: list, responses: list, plan, submit, wait
+        self, ops: list, responses: list, plan, submit, wait,
+        after: Sequence[int | None] | None = None, ready: list | None = None,
     ) -> None:
         """One pipelined round over the client's shard groups.
 
         The round's ops are partitioned by the client (one group per
-        primary shard); each group ships as a single record, is served by
-        its shard concurrently with the other groups, and its app-side
-        send/receive cost occupies one worker lane (replicated PUT copies
-        are the client's concern and stay inside their group's slot).
-        Clock charges stay identical to the serial per-shard sub-batch
-        path; only the makespan accounting interprets them as overlapped.
+        primary shard); each group ships as a single record and becomes
+        a send, a serve per remote shard it touched and a receive in the
+        open batch's schedule, or in a schedule of its own outside one
+        (replicated PUT copies are the client's concern and stay inside
+        their group).  Clock charges stay identical to the serial
+        per-shard sub-batch path; only the makespan accounting interprets
+        them as overlapped.
         """
         remote = self._remote_clocks()
         migration = self._migration_active()
@@ -540,6 +600,8 @@ class PipelineEngine:
         round_start = {sid: c.cycles for sid, c in remote.items()}
         lane_busy = [0.0] * lanes
         chains: list[float] = []
+        tasks: list = []  # per group: (deps, send, serve per shard, receive)
+        members: list[list[int]] = []  # per group: its request indices
         group_requests = [request for _, request in ops]
         groups = plan(group_requests)
         with self.tracer.span(
@@ -556,10 +618,10 @@ class PipelineEngine:
                     handle = submit(sub)
                 except _ENGINE_FAILURES as exc:
                     error = exc
-                app_d = self.clock.cycles - app0
-                shard_d = sum(c.cycles - shard0[sid] for sid, c in remote.items())
-                pending.append((slot, positions, handle, error, app_d, shard_d))
-            for slot, positions, handle, error, app_d, shard_d in pending:
+                send = self.clock.cycles - app0
+                serve = {sid: c.cycles - shard0[sid] for sid, c in remote.items()}
+                pending.append((slot, positions, handle, error, send, serve))
+            for slot, positions, handle, error, send, serve in pending:
                 app0 = self.clock.cycles
                 shard0 = {sid: c.cycles for sid, c in remote.items()}
                 if error is None:
@@ -571,70 +633,86 @@ class PipelineEngine:
                 else:
                     replies = [error] * len(positions)
                     self.failures += len(positions)
-                app_d += self.clock.cycles - app0
-                shard_d += sum(c.cycles - shard0[sid] for sid, c in remote.items())
+                receive = self.clock.cycles - app0
+                served = {sid: c.cycles - shard0[sid] for sid, c in remote.items()}
+                app_d = send + receive
                 lane_busy[slot % lanes] += app_d
-                chains.append(app_d + shard_d)
-                for position, reply in zip(positions, replies):
-                    index, _ = ops[position]
+                chains.append(app_d + (sum(serve.values()) + sum(served.values())))
+                indices = [ops[position][0] for position in positions]
+                deps = [] if after is None else [
+                    after[i] for i in indices if after[i] is not None
+                ]
+                tasks.append((deps, send, {
+                    sid: serve[sid] + served[sid] for sid in remote
+                }, receive))
+                members.append(indices)
+                for index, reply in zip(indices, replies):
                     responses[index] = reply
             shard_fg = [c.cycles - round_start[sid] for sid, c in remote.items()]
-            shard_busy = [
-                fg + self._bg_shard.pop(sid, 0.0)
-                for fg, sid in zip(shard_fg, remote)
-            ]
+            background = [self._bg_shard.pop(sid, 0.0) for sid in remote]
+            shard_busy = [fg + bg for fg, bg in zip(shard_fg, background)]
             bg_app = self._bg_app
             self._bg_app = 0.0
-            makespan = max(
-                max(lane_busy),
-                max(shard_busy, default=0.0),
-                max(chains, default=0.0),
-                bg_app,
-            )
-            # The depth governor judges the *foreground* critical path:
-            # background (flusher/migration) work folded into this round
-            # is not evidence that the submit window is too deep.
+            serial = sum(lane_busy) + sum(shard_busy) + bg_app
+            span.set("serial_cycles", serial)
+        schedule = self._schedule
+        alone = schedule is None
+        if alone:
+            schedule = _Schedule()
+        receives = schedule.add_round(tasks, chained=not remote)
+        if ready is not None:
+            for receive, indices in zip(receives, members):
+                for index in indices:
+                    ready[index] = receive
+        if bg_app or any(background):
+            # Background work is one extra lane the schedule it lands in
+            # overlaps: that schedule lasts at least as long as it does.
+            schedule.floor = max(schedule.floor, bg_app, max(shard_busy, default=0.0))
+        if alone:
+            self.makespan_cycles += schedule.makespan(self.config.workers)
+        self.serial_cycles += serial
+        self.rounds += 1
+        self.ops += len(ops)
+        if self.controller is not None:
+            # The depth governor judges each round's own *foreground*
+            # critical path (busiest round-robin lane, busiest shard,
+            # longest single-op chain): background work folded into this
+            # round is not evidence that the window is too deep.
             fg_makespan = max(
                 max(lane_busy),
                 max(shard_fg, default=0.0),
                 max(chains, default=0.0),
             )
-            serial = sum(lane_busy) + sum(shard_busy) + bg_app
-            span.set("makespan_cycles", makespan)
-            span.set("serial_cycles", serial)
-        self.makespan_cycles += makespan
-        self.serial_cycles += serial
-        self.rounds += 1
-        self.ops += len(ops)
-        self._observe_round(
-            len(ops), fg_makespan, self.failures - failures0, migration
-        )
+            self._observe_round(
+                len(ops), fg_makespan, self.failures - failures0, migration
+            )
 
     # -- background (flusher) lane -------------------------------------------
     def background(self):
         """Context manager accounting enclosed work as a background lane.
 
         The enclosed work (an async PUT drain) charges the clocks
-        normally; its cost is credited to the *next* round's makespan as
-        one extra lane — it overlaps the foreground, bounded below by
-        itself.  Call :meth:`settle` to fold any remainder in serially.
+        normally; its cost is credited to the schedule the *next* round
+        lands in as one extra lane — it overlaps the foreground, bounded
+        below by itself.  Call :meth:`settle` to fold any remainder in
+        serially.
         """
         return _BackgroundSpan(self)
 
-    def parallel_region(self) -> "_ParallelRegion":
-        """Context manager accounting enclosed per-task app work as
-        spread over the worker lanes.
+    def parallel_region(self, kind: str = "compute") -> "_ParallelRegion":
+        """Context manager accounting enclosed per-item app work as tasks
+        on the worker lanes.
 
-        The runtime uses it for each per-item enclave stage (tag
-        derivation, result verification, compute + protect): each
-        :meth:`_ParallelRegion.task` measures one item's app-clock cost,
-        tasks are assigned round-robin to ``min(workers, n_tasks)``
-        lanes (the enclave's worker threads, one per core), and on exit
-        the region contributes its busiest lane to the makespan and the
-        plain sum to the serial total.  With ``workers=1`` it degenerates
-        to the exact serial sum.
+        The runtime uses it for each per-item enclave stage (``kind`` is
+        ``"tag"``, ``"verify"`` or ``"compute"``): each
+        :meth:`_ParallelRegion.task` measures one item's app-clock cost
+        as one task of the open batch's schedule, after the task its
+        ``after`` names.  Outside a batch the region is a schedule of
+        its own: a free lane takes the next task, so the region lasts
+        as long as its busiest lane.  Either way the plain sum goes to
+        the serial total, and ``workers=1`` is the exact serial sum.
         """
-        return _ParallelRegion(self)
+        return _ParallelRegion(self, kind)
 
     def settle(self) -> None:
         """Fold background work no later round overlapped into the
@@ -699,30 +777,31 @@ class PipelineEngine:
 
 
 class _ParallelRegion:
-    """Accounts a run of same-shaped app tasks as worker-lane work."""
+    """Accounts a run of same-kind app tasks as worker-lane work."""
 
-    __slots__ = ("_engine", "_costs")
+    __slots__ = ("_engine", "_kind", "_schedule", "_alone", "_costs")
 
-    def __init__(self, engine: PipelineEngine):
+    def __init__(self, engine: PipelineEngine, kind: str):
         self._engine = engine
+        self._kind = kind
+        self._alone = engine._schedule is None
+        self._schedule = _Schedule() if self._alone else engine._schedule
         self._costs: list[float] = []
 
     def __enter__(self) -> "_ParallelRegion":
         return self
 
-    def task(self) -> "_ParallelRegion":
-        """Context manager measuring one task's app-clock delta."""
-        return _RegionTask(self)
+    def task(self, after: int | None = None) -> "_RegionTask":
+        """Context manager measuring one task's app-clock delta; it
+        enters as the task's id in the schedule."""
+        return _RegionTask(self, after)
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if not self._costs:
             return False
         engine = self._engine
-        lanes = max(1, min(engine.config.workers, len(self._costs)))
-        lane_busy = [0.0] * lanes
-        for i, cost in enumerate(self._costs):
-            lane_busy[i % lanes] += cost
-        engine.makespan_cycles += max(lane_busy)
+        if self._alone:
+            engine.makespan_cycles += self._schedule.makespan(engine.config.workers)
         engine.serial_cycles += sum(self._costs)
         return False
 
@@ -730,20 +809,142 @@ class _ParallelRegion:
 class _RegionTask:
     """Measures one task's app-clock delta for its region."""
 
-    __slots__ = ("_region", "_app0")
+    __slots__ = ("_region", "_after", "_task", "_app0")
 
-    def __init__(self, region: _ParallelRegion):
+    def __init__(self, region: _ParallelRegion, after: int | None):
         self._region = region
+        self._after = after
 
-    def __enter__(self) -> "_RegionTask":
-        self._app0 = self._region._engine.clock.cycles
-        return self
+    def __enter__(self) -> int:
+        region = self._region
+        # A region alone is its own schedule: no other task is in it.
+        after = () if self._after is None or region._alone else (self._after,)
+        self._task = region._schedule.add(0.0, region._kind, after)
+        self._app0 = region._engine.clock.cycles
+        return self._task
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self._region._costs.append(
-            self._region._engine.clock.cycles - self._app0
-        )
+        region = self._region
+        cost = region._engine.clock.cycles - self._app0
+        region._costs.append(cost)
+        region._schedule.costs[self._task] = cost
         return False
+
+
+class _Schedule:
+    """One batch's task graph (module docstring): tasks in the order
+    they ran, each with its cost, kind, shard (``None`` for a lane
+    task) and the tasks it waits for.  Solved once, when its batch
+    ends; nothing of it outlives the batch."""
+
+    __slots__ = ("costs", "kinds", "shards", "deps", "barrier", "floor")
+
+    def __init__(self):
+        self.costs: list[float] = []
+        self.kinds: list[int] = []
+        self.shards: list[str | None] = []
+        self.deps: list[Sequence[int]] = []
+        #: The receives of the last round: the next round's sends wait
+        #: for all of them (rounds are lock-step).
+        self.barrier: list[int] = []
+        #: Background work folded in: the makespan is at least this.
+        self.floor = 0.0
+
+    def add(self, cost: float, kind: str, deps: Sequence[int] = (), shard=None) -> int:
+        self.costs.append(cost)
+        self.kinds.append(_PRIORITY[kind])
+        self.shards.append(shard)
+        self.deps.append(deps)
+        return len(self.costs) - 1
+
+    def add_round(self, groups: list, chained: bool) -> list[int]:
+        """Add one round's groups, each ``(deps, send, serve per shard,
+        receive)``; returns each group's receive.  ``chained`` runs the
+        groups one after another (a store on the app's own machine)."""
+        receives: list[int] = []
+        for deps, send, serves, receive in groups:
+            deps = [*self.barrier, *deps]
+            if chained and receives:
+                deps.append(receives[-1])
+            sent = self.add(send, "send", deps)
+            served = [
+                self.add(cost, "serve", (sent,), shard)
+                for shard, cost in serves.items() if cost
+            ]
+            receives.append(self.add(receive, "receive", served or (sent,)))
+        if receives:
+            self.barrier = receives
+        return receives
+
+    def makespan(self, lanes: int) -> float:
+        starts = list_schedule(self.costs, self.kinds, self.shards, self.deps, lanes)
+        end = max((start + cost for start, cost in zip(starts, self.costs)), default=0.0)
+        return max(end, self.floor)
+
+
+def list_schedule(
+    costs: Sequence[float],
+    priorities: Sequence[int],
+    shards: Sequence[str | None],
+    deps: Sequence[Sequence[int]],
+    lanes: int,
+) -> list[float]:
+    """Start time of every task of a non-preemptive list schedule.
+
+    A task is ready once every task in its ``deps`` has finished.  Lane
+    tasks (``shards[i] is None``) run on ``lanes`` identical lanes: a
+    free lane takes the ready task of lowest ``(priority, index)``.  A
+    shard task runs on its shard, one at a time, lowest index first.
+    """
+    count = len(costs)
+    waiting = [len(before) for before in deps]
+    dependents: list[list[int]] = [[] for _ in range(count)]
+    for task, before in enumerate(deps):
+        for earlier in before:
+            dependents[earlier].append(task)
+    starts = [0.0] * count
+    ready_lanes: list[tuple[int, int]] = []
+    ready_shards: dict[str, list[int]] = {}
+    busy: set[str] = set()
+    running: list[tuple[float, int]] = []
+    free = lanes
+    now = 0.0
+
+    def release(task: int) -> None:
+        shard = shards[task]
+        if shard is None:
+            heapq.heappush(ready_lanes, (priorities[task], task))
+        else:
+            heapq.heappush(ready_shards.setdefault(shard, []), task)
+
+    for task in range(count):
+        if not waiting[task]:
+            release(task)
+    while True:
+        while free and ready_lanes:
+            _, task = heapq.heappop(ready_lanes)
+            starts[task] = now
+            heapq.heappush(running, (now + costs[task], task))
+            free -= 1
+        for shard, queue in ready_shards.items():
+            if queue and shard not in busy:
+                task = heapq.heappop(queue)
+                starts[task] = now
+                heapq.heappush(running, (now + costs[task], task))
+                busy.add(shard)
+        if not running:
+            return starts
+        now = running[0][0]
+        while running and running[0][0] <= now:
+            _, task = heapq.heappop(running)
+            if shards[task] is None:
+                free += 1
+            else:
+                busy.discard(shards[task])
+            for later in dependents[task]:
+                waiting[later] -= 1
+                if not waiting[later]:
+                    release(later)
 
 
 class _BackgroundSpan:

@@ -5,8 +5,9 @@ duplicate of a miss — runs behind the pipelined engine at ``workers=1``
 and at ``workers=4``.  The duplicate is a coalesced follower with
 single-flight on and an L1 re-probe hit with it off; neither takes a
 stage-3 task.  Only the engine's critical-path accounting may move:
-every clock charge is the same, and the makespan drops by exactly what
-the lanes save, region by region.
+every clock charge and every task is the same, and the makespan is
+exactly the reference list schedule of the batch's task graph
+(``tests/schedule_reference.py``) at either width.
 """
 
 import math
@@ -17,6 +18,7 @@ import pytest
 
 import repro
 from repro import RuntimeConfig
+from tests.schedule_reference import capture, violations
 
 COMPUTE_SECONDS = 3e-5
 INPUT_BYTES = 2048
@@ -38,9 +40,9 @@ class Recorder:
         open_region, open_background = engine.parallel_region, engine.background
 
         @contextmanager
-        def region():
+        def region(*kind):
             self.events.append("open")
-            with open_region() as lanes:
+            with open_region(*kind) as lanes:
                 yield lanes
             self.regions.append(list(lanes._costs))
             self.events.append("close")
@@ -57,8 +59,15 @@ class Recorder:
         monkeypatch.setattr(engine, "background", background)
 
 
-def run_batch(monkeypatch, workers, coalesce=True, shards=1, replicas=1, **runtime):
-    """One batch on a fresh deployment; returns what the tests read."""
+def mixed(warm, novel):
+    """Hits and misses interleaved, and one in-batch duplicate of a miss."""
+    return warm[:3] + novel[:2] + warm[3:] + novel[2:] + novel[:1]
+
+
+def run_batch(monkeypatch, workers, coalesce=True, shards=1, replicas=1, arrange=mixed,
+              schedule=True, **runtime):
+    """One batch on a fresh deployment; returns what the tests read
+    (with ``schedule``, the graphs the engine solved)."""
     session = repro.connect(
         shards=shards, replication_factor=replicas, seed=b"stage3-lanes", tracing=False,
     )
@@ -73,11 +82,12 @@ def run_batch(monkeypatch, workers, coalesce=True, shards=1, replicas=1, **runti
     ))
     engine = reader.enable_pipeline(depth=8, workers=workers, coalesce=coalesce)
     recorder = Recorder(engine, monkeypatch)
+    solved = capture(monkeypatch).solved if schedule else []
     clocks = {"app": reader.clock} | {
         sid: node.platform.clock for sid, node in session.cluster.shards.items()
     }
     before = {name: clock.cycles for name, clock in clocks.items()}
-    batch = warm[:3] + novel[:2] + warm[3:] + novel[2:] + novel[:1]
+    batch = arrange(warm, novel)
     results = reader.execute_many_results(kernel.description, batch)
     bg_app = engine._bg_app
     engine.settle()
@@ -91,13 +101,18 @@ def run_batch(monkeypatch, workers, coalesce=True, shards=1, replicas=1, **runti
         "engine": engine,
         "bg_app": bg_app,
         "recorder": recorder,
+        "solved": list(solved),  # a later run's graphs land here too
     }
 
 
-def saved(costs, workers):
-    """What ``workers`` round-robin lanes save over running ``costs`` serially."""
-    lanes = max(1, min(workers, len(costs)))
-    return sum(costs) - max(sum(costs[lane::lanes]) for lane in range(lanes))
+def the_schedule(run):
+    """The batch's one solved graph: the engine's makespan is exactly the
+    reference's, and its start times break nothing in the model."""
+    ((graph, starts),) = run["solved"]
+    engine = run["engine"]
+    assert engine.makespan_cycles == graph.makespan
+    assert violations(graph, starts, engine.serial_cycles) == []
+    return graph
 
 
 @pytest.mark.parametrize("coalesce, duplicate", [(True, "coalesced"), (False, "l1")])
@@ -118,15 +133,16 @@ def test_stage3_lanes_move_no_charge_and_save_exactly_their_lanes(monkeypatch, c
     stage3 = regions[2]
     assert len(stage3) == N_NOVEL
     assert stage3 == pytest.approx([stage3[0]] * N_NOVEL) and stage3[0] > 0
-    # With one shard every round is one group on one lane, so the rounds
-    # cost the same at either width: the whole drop is the regions'.
-    drop = serial["engine"].makespan_cycles - lanes["engine"].makespan_cycles
-    stage3_saved = saved(stage3, 4)
-    assert stage3_saved == pytest.approx((N_NOVEL - math.ceil(N_NOVEL / 4)) * stage3[0], abs=1e-6)
-    assert drop - saved(regions[0], 4) - saved(regions[1], 4) == pytest.approx(
-        stage3_saved, abs=1e-6
+    # One graph at either width: tasks, costs and dependencies; only the
+    # lanes differ, and the makespan is the reference schedule's.
+    wide, narrow = the_schedule(lanes), the_schedule(serial)
+    assert (wide.costs, wide.kinds, wide.shards, wide.deps) == (
+        narrow.costs, narrow.kinds, narrow.shards, narrow.deps
     )
-    assert serial["engine"].serial_cycles == pytest.approx(lanes["engine"].serial_cycles)
+    assert (wide.lanes, narrow.lanes) == (4, 1)
+    assert wide.kinds.count("compute") == N_NOVEL
+    assert lanes["engine"].makespan_cycles < serial["engine"].makespan_cycles
+    assert serial["engine"].serial_cycles == lanes["engine"].serial_cycles
 
 
 def test_stage3_lanes_move_no_charge_on_a_replicated_cluster(monkeypatch):
@@ -135,7 +151,36 @@ def test_stage3_lanes_move_no_charge_on_a_replicated_cluster(monkeypatch):
     assert len(lanes["clocks"]) == 5
     assert lanes["clocks"] == serial["clocks"]
     assert lanes["sources"] == serial["sources"]
+    the_schedule(serial)
+    the_schedule(lanes)
     assert lanes["engine"].makespan_cycles < serial["engine"].makespan_cycles
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_a_miss_stage2_task_does_not_make_two_verifications_share_a_lane(monkeypatch, workers):
+    # Found items and misses interleaved in one batch: one round, one
+    # group, so the batch is its tags, the round's chain, the
+    # verifications and the computes one after another.  A miss's
+    # stage-2 task costs nothing and must not put two verifications on
+    # one lane: they finish in ceil(found / workers) verification costs.
+    def interleaved(warm, novel):
+        return [x for pair in zip(warm[:4], novel[:4]) for x in pair]
+
+    serial = run_batch(monkeypatch, workers=1, arrange=interleaved, schedule=False)
+    lanes = run_batch(monkeypatch, workers=workers, arrange=interleaved, schedule=False)
+    assert lanes["sources"] == ["store", "computed"] * 4
+    tags, verify, compute = lanes["recorder"].regions
+    found = verify[0::2]
+    assert tags == pytest.approx([tags[0]] * 8)
+    assert found == pytest.approx([found[0]] * 4) and found[0] > 0
+    assert verify[1::2] == [0.0] * 4
+    assert compute == pytest.approx([compute[0]] * 4)
+    chain = serial["engine"].makespan_cycles - sum(tags) - sum(verify) - sum(compute)
+    waves = math.ceil(4 / workers)
+    assert lanes["engine"].makespan_cycles == pytest.approx(
+        math.ceil(8 / workers) * tags[0] + chain + waves * found[0] + waves * compute[0],
+        abs=1e-6,
+    )
 
 
 def test_fails_if_a_drain_sits_inside_a_lane_task(monkeypatch):

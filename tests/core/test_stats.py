@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.stats import CallRecord, RuntimeStats
+from repro.core.stats import RECORD_WINDOW, CallRecord, RuntimeStats
 
 
 def record(hit: bool, wall=0.1, sim=0.01) -> CallRecord:
@@ -40,6 +40,20 @@ class TestRuntimeStats:
         stats.record_call(record(False))
         stats.record_call(record(True))
         assert [r.hit for r in stats.records] == [False, True]
+
+    def test_records_keep_a_recent_window_and_totals_keep_every_call(self):
+        stats = RuntimeStats()
+        sims = [(i % 7) * 1e-4 + 1e-9 * i for i in range(5 * RECORD_WINDOW + 3)]
+        for i, sim in enumerate(sims):
+            stats.record_call(record(i % 3 == 0, wall=sim * 10, sim=sim))
+            assert RECORD_WINDOW <= len(stats.records) or len(stats.records) == i + 1
+            assert len(stats.records) < 2 * RECORD_WINDOW
+        assert [r.sim_seconds for r in stats.records] == sims[-len(stats.records):]
+        assert stats.calls == len(sims)
+        assert stats.hits == len(range(0, len(sims), 3))
+        # Bit for bit what summing every record in call order gives.
+        assert stats.total_sim_seconds() == sum(sims)
+        assert stats.total_wall_seconds() == sum(sim * 10 for sim in sims)
 
 
 class TestSnapshot:

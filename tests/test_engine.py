@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import EngineBatch, EngineConfig, PipelineEngine
+from repro.engine import EngineConfig, PipelineEngine
 from repro.errors import ChannelError, ProtocolError, TransportError
 from repro.net.messages import GetRequest, PutRequest
+from tests.schedule_reference import Graph, capture, reference_starts, violations
 
 
 class FakeClock:
@@ -370,20 +371,242 @@ class TestParallelRegion:
         costs=st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
         workers=st.integers(1, 8),
     )
-    def test_makespan_is_the_busiest_round_robin_lane(self, costs, workers):
-        # Whole cycle counts keep every sum exact, so equality is exact.
+    def test_makespan_is_the_busiest_list_scheduled_lane(self, costs, workers):
+        # A region outside any batch is a schedule of its own: a free
+        # lane takes the next task, so each task lands on the lane that
+        # frees first.  Whole cycle counts keep every sum exact.
         engine, _, app, _ = make_engine(depth=8, workers=workers)
         with engine.parallel_region() as region:
             for cost in costs:
                 with region.task():
                     app.advance(float(cost))
-        lanes = min(workers, len(costs))
-        busiest = max(sum(costs[lane::lanes]) for lane in range(lanes))
-        assert engine.makespan_cycles == busiest
+        lanes = [0] * min(workers, len(costs))
+        for cost in costs:
+            lanes[lanes.index(min(lanes))] += cost
+        assert engine.makespan_cycles == max(lanes)
+        n = len(costs)
+        reference = Graph(costs, ["compute"] * n, [None] * n, [[]] * n, workers)
+        assert engine.makespan_cycles == reference.makespan
         assert max(costs) <= engine.makespan_cycles <= sum(costs)
         assert engine.serial_cycles == sum(costs)
         if workers == 1:
             assert engine.makespan_cycles == sum(costs)
+
+    def test_a_zero_cost_task_takes_no_lane_from_a_later_one(self):
+        # Found items and misses interleaved: a miss's verification costs
+        # nothing and must not push two verifications onto one lane.
+        engine, _, app, _ = make_engine(depth=8, workers=2)
+        with engine.parallel_region("verify") as region:
+            for cost in [10.0, 0.0] * 4:
+                with region.task():
+                    app.advance(cost)
+        assert engine.makespan_cycles == 20.0
+
+
+class WalkClient:
+    """A grouped GET peer whose items walk a generated list of owners.
+
+    ``walks[i]`` lists the shards item ``i`` asks, one per step (its
+    tag's first byte is ``i``).  A group's send charges the app clock,
+    its serve that shard's clock and its receive the app clock, each
+    the next of ``costs`` (cycled).  ``rounds`` logs one list per round
+    (``plan_gets`` call) of ``(items, shard, send, serve, receive)``.
+    """
+
+    in_transition = False
+
+    def __init__(self, app_clock, shard_clocks, walks, costs):
+        self.app_clock = app_clock
+        self.shard_clocks = shard_clocks
+        self.walks = walks
+        self.costs = costs
+        self.step = [0] * len(walks)
+        self.rounds: list[list] = []
+        self._drawn = 0
+        self._pending = {}
+
+    def _cost(self) -> float:
+        self._drawn += 1
+        return float(self.costs[(self._drawn - 1) % len(self.costs)])
+
+    def _owner(self, walk) -> str:
+        item = walk.tag[0]
+        return self.walks[item][self.step[item]]
+
+    def plan_gets(self, walks):
+        groups = {}
+        for position, walk in enumerate(walks):
+            groups.setdefault(self._owner(walk), []).append(position)
+        self.rounds.append([])
+        return list(groups.values())
+
+    def submit_gets(self, walks):
+        shard = self._owner(walks[0])
+        send, serve, receive = self._cost(), self._cost(), self._cost()
+        self.app_clock.advance(send)
+        self.rounds[-1].append(([w.tag[0] for w in walks], shard, send, serve, receive))
+        self._pending[len(self._pending)] = (walks, shard, serve, receive)
+        return len(self._pending) - 1
+
+    def wait_gets(self, handle, n_items):
+        walks, shard, serve, receive = self._pending[handle]
+        self.shard_clocks[shard].advance(serve)
+        self.app_clock.advance(receive)
+        replies = []
+        for walk in walks:
+            item = walk.tag[0]
+            self.step[item] += 1
+            replies.append(walk if self.step[item] < len(self.walks[item]) else ("answer", item))
+        return replies
+
+
+def expected_graph(client, tag_costs, verify, compute, workers) -> Graph:
+    """The batch's task graph as the model states it, from the
+    generated costs and the rounds the client saw."""
+    graph = Graph([], [], [], [], workers)
+
+    def add(cost, kind, deps, shard=None):
+        for column, value in zip(
+            (graph.costs, graph.kinds, graph.shards, graph.deps),
+            (float(cost), kind, shard, sorted(set(deps))),
+        ):
+            column.append(value)
+        return len(graph.costs) - 1
+
+    tags = [add(cost, "tag", []) for cost in tag_costs]
+    answered, barrier = {}, []
+    for groups in client.rounds:
+        receives = []
+        for items, shard, send, serve, receive in groups:
+            sent = add(send, "send", barrier + [tags[i] for i in items])
+            served = [add(serve, "serve", [sent], shard)] if serve else [sent]
+            receives.append(add(receive, "receive", served))
+            answered.update((i, receives[-1]) for i in items)
+        barrier = receives
+    for kind, costs in (("verify", verify), ("compute", compute)):
+        for item, cost in enumerate(costs):
+            if cost is not None:
+                add(cost, kind, [answered[item]])
+    return graph
+
+
+class TestBatchSchedule:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_a_batch_schedule_holds_the_model(self, data):
+        workers = data.draw(st.integers(1, 8), label="workers")
+        depth = data.draw(st.integers(workers, 8), label="depth")
+        n = data.draw(st.integers(1, 10), label="items")
+        n_shards = data.draw(st.integers(1, 3), label="shards")
+        shard_ids = [f"s{k}" for k in range(n_shards)]
+        items = st.lists(st.integers(0, 60), min_size=n, max_size=n)
+        optional = st.lists(st.none() | st.integers(0, 60), min_size=n, max_size=n)
+        walks = data.draw(st.lists(
+            st.lists(st.sampled_from(shard_ids), min_size=1, max_size=3),
+            min_size=n, max_size=n,
+        ), label="walks")
+        tag_costs = data.draw(items, label="tags")
+        wire = data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=12), label="wire")
+        verify = data.draw(optional, label="verify")
+        compute = data.draw(optional, label="compute")
+
+        app = FakeClock()
+        shards = {sid: FakeClock() for sid in shard_ids}
+        client = WalkClient(app, shards, walks, wire)
+        engine = PipelineEngine(
+            client, app, shard_clocks=shards,
+            config=EngineConfig(depth=depth, workers=workers),
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            solved = capture(patch).solved
+            with engine.batch():
+                with engine.parallel_region("tag") as region:
+                    tags = []
+                    for cost in tag_costs:
+                        with region.task() as task:
+                            app.advance(float(cost))
+                        tags.append(task)
+                answer = engine.run_gets([get(bytes([i])) for i in range(n)], after=tags)
+                for kind, costs in (("verify", verify), ("compute", compute)):
+                    with engine.parallel_region(kind) as region:
+                        for item, cost in enumerate(costs):
+                            if cost is not None:
+                                with region.task(answer.ready[item]):
+                                    app.advance(float(cost))
+        assert engine._schedule is None  # nothing outlives the batch
+        ((graph, starts),) = solved
+        expected = expected_graph(client, tag_costs, verify, compute, workers)
+        assert (graph.costs, graph.kinds, graph.shards) == (
+            expected.costs, expected.kinds, expected.shards
+        )
+        assert [sorted(set(d)) for d in graph.deps] == expected.deps
+        assert violations(expected, starts, engine.serial_cycles) == []
+        assert starts == reference_starts(expected)
+        assert engine.makespan_cycles == expected.makespan
+
+    def test_a_round_on_the_wire_overlaps_the_next_items_tags(self):
+        # Four 20-cycle tags on two lanes, two rounds of two items on one
+        # shard (send 10, serve 2 x 30, receive 5).  Round 1 may leave at
+        # 20, and its send goes before tag 3: send 20-30, tags 20-40 and
+        # 30-50 beside serve 30-90, receive 90-95; round 2 waits for round
+        # 1: send 95-105, serve 105-165, receive 165-170.
+        engine, _, app, _ = make_engine(depth=2, workers=2)
+        with engine.batch():
+            with engine.parallel_region("tag") as region:
+                tags = []
+                for _ in range(4):
+                    with region.task() as task:
+                        app.advance(20.0)
+                    tags.append(task)
+            engine.run_gets([get(bytes([i])) for i in range(4)], after=tags)
+        assert engine.makespan_cycles == 170.0
+        assert engine.serial_cycles == 80.0 + 2 * 75.0
+
+    def test_a_colocated_store_keeps_a_round_serial_inside_a_batch(self):
+        app = FakeClock()
+        client = GroupedFakeClient(
+            app, {"a": app, "b": app}, shard_of=lambda tag: "ab"[tag[0] % 2]
+        )
+        engine = PipelineEngine(
+            client, app, shard_clocks={"a": app, "b": app},
+            config=EngineConfig(depth=8, workers=4),
+        )
+        with engine.batch():
+            engine.run_gets([get(bytes([i])) for i in range(6)])
+        assert engine.makespan_cycles == engine.serial_cycles == 2 * 15.0 + 6 * 30.0
+        # A drain on the one machine is a floor under the next round.
+        with engine.background():
+            app.advance(500.0)
+        engine.run_gets([get(b"x")])
+        assert engine.makespan_cycles == 210.0 + 500.0
+
+    def test_a_put_round_waits_for_every_task_before_it(self):
+        engine, _, app, _ = make_engine(depth=8, workers=4)
+        with engine.batch():
+            with engine.parallel_region("compute") as region:
+                with region.task():
+                    app.advance(100.0)
+            engine.run_puts([putreq(b"a")])
+        assert engine.makespan_cycles == 100.0 + 45.0
+
+    def test_outside_a_batch_each_round_is_a_schedule_of_its_own(self):
+        engine, _, _, _ = make_engine(depth=1, workers=1)
+        answer = engine.run_gets([get(b"a"), get(b"b")], after=[7, 9])
+        assert answer.ready is None
+        assert engine.makespan_cycles == engine.serial_cycles == 2 * 45.0
+
+    def test_a_batch_inside_a_batch_joins_it(self):
+        engine, _, app, _ = make_engine(depth=8, workers=2)
+        with engine.batch():
+            with engine.batch():
+                with engine.parallel_region() as region:
+                    with region.task():
+                        app.advance(10.0)
+            assert engine.makespan_cycles == 0.0  # solved once, at the end
+            with engine.parallel_region() as region:
+                with region.task():
+                    app.advance(10.0)
+        assert engine.makespan_cycles == 10.0
 
 
 class TestDeclaredComputeAccounting:
