@@ -24,19 +24,20 @@ schedule** over the measured tasks of one batch (one
 - *tasks*: each item's tag + L1 probe, each shard group's send (app
   cost of ``submit``), serve (each remote shard's cost, one task per
   shard) and receive (app cost of ``wait``), each answered item's
-  verification and each computed miss's compute + protect;
+  verification, each computed miss's compute + protect, and each
+  background drain (below);
 - *dependencies*: a send waits for its items' tags and for every
-  receive of the previous round (rounds stay lock-step, so ``depth``
-  keeps its meaning); a serve follows its send and a receive its
+  receive and drain of the previous round (rounds stay lock-step, so
+  ``depth`` keeps its meaning); a serve follows its send and a receive its
   serves; an item's verification follows the receive of the last round
   it walked in, and its compute follows that verification (a miss's
   costs nothing); a batch's PUT rounds wait for everything before them
   (the results are sealed in one pass);
-- *resources*: ``workers`` app lanes and one per remote shard, each
-  running one task at a time without preemption.  A free lane takes
-  the ready task first in the order receive, send, tag (input order),
-  verification, compute; a shard serves its ready groups in the order
-  they were sent.
+- *resources*: ``workers`` app lanes, one per remote shard and the
+  background lane (below), each running one task at a time without
+  preemption.  A free lane takes the ready task first in the order
+  receive, send, tag (input order), verification, compute; a shard
+  serves its ready tasks in the order they were added.
 
 The makespan is bounded below by the longest dependency chain and by
 the app work over the lanes, and above by the plain sum
@@ -47,10 +48,13 @@ another — one machine cannot overlap with itself.  A round or a region
 outside any batch is a schedule of its own.
 
 The asynchronous PUT flusher uses :meth:`PipelineEngine.background` to
-account its drains as one extra lane that overlaps the next round of
-foreground work (the schedule that round lands in is at least as long
-as the drain); :meth:`settle` folds any un-overlapped remainder back in
-serially.
+account its drains as tasks of the schedule the next round lands in:
+the app cycles on the one background lane, each shard's cycles on that
+shard ahead of the round's serves, all ready when the round may start
+and waited for by the round after it.  A drain thus overlaps the one
+round it lands in (and the lane work beside it) but not another drain,
+nor its shard's serves; :meth:`settle` folds any un-overlapped
+remainder back in serially.
 
 Adaptive depth
 --------------
@@ -95,8 +99,14 @@ _ENGINE_FAILURES = (TransportError, ChannelError, ProtocolError)
 AUTO_DEPTH = "auto"
 
 #: Task kinds, in the order a free lane prefers them (a serve runs on
-#: its shard, never on a lane).
-_PRIORITY = {"receive": 0, "send": 1, "tag": 2, "verify": 3, "compute": 4, "serve": 5}
+#: its shard and a drain on its shard or the background lane, never on
+#: a worker lane).
+_PRIORITY = {
+    "receive": 0, "send": 1, "tag": 2, "verify": 3, "compute": 4, "serve": 5, "drain": 6,
+}
+
+#: The resource a drain's app cycles run on: one lane, §V-B's flusher.
+_BACKGROUND = "background lane"
 
 
 @dataclass(frozen=True)
@@ -649,9 +659,9 @@ class PipelineEngine:
                 for index, reply in zip(indices, replies):
                     responses[index] = reply
             shard_fg = [c.cycles - round_start[sid] for sid, c in remote.items()]
-            background = [self._bg_shard.pop(sid, 0.0) for sid in remote]
-            shard_busy = [fg + bg for fg, bg in zip(shard_fg, background)]
-            bg_app = self._bg_app
+            background = {sid: self._bg_shard.pop(sid, 0.0) for sid in remote}
+            shard_busy = [fg + bg for fg, bg in zip(shard_fg, background.values())]
+            bg_app = background[_BACKGROUND] = self._bg_app
             self._bg_app = 0.0
             serial = sum(lane_busy) + sum(shard_busy) + bg_app
             span.set("serial_cycles", serial)
@@ -659,15 +669,11 @@ class PipelineEngine:
         alone = schedule is None
         if alone:
             schedule = _Schedule()
-        receives = schedule.add_round(tasks, chained=not remote)
+        receives = schedule.add_round(tasks, background, chained=not remote)
         if ready is not None:
             for receive, indices in zip(receives, members):
                 for index in indices:
                     ready[index] = receive
-        if bg_app or any(background):
-            # Background work is one extra lane the schedule it lands in
-            # overlaps: that schedule lasts at least as long as it does.
-            schedule.floor = max(schedule.floor, bg_app, max(shard_busy, default=0.0))
         if alone:
             self.makespan_cycles += schedule.makespan(self.config.workers)
         self.serial_cycles += serial
@@ -692,10 +698,12 @@ class PipelineEngine:
         """Context manager accounting enclosed work as a background lane.
 
         The enclosed work (an async PUT drain) charges the clocks
-        normally; its cost is credited to the schedule the *next* round
-        lands in as one extra lane — it overlaps the foreground, bounded
-        below by itself.  Call :meth:`settle` to fold any remainder in
-        serially.
+        normally; the *next* round adds its app cycles as a task on the
+        one background lane and each shard's cycles as a task on that
+        shard, ahead of the round's serves, and the round after waits for
+        them — a drain overlaps the round it lands in, never another
+        drain or its shard's own serves.  Call :meth:`settle` to fold any
+        remainder in serially.
         """
         return _BackgroundSpan(self)
 
@@ -779,14 +787,14 @@ class PipelineEngine:
 class _ParallelRegion:
     """Accounts a run of same-kind app tasks as worker-lane work."""
 
-    __slots__ = ("_engine", "_kind", "_schedule", "_alone", "_costs")
+    __slots__ = ("_engine", "_kind", "_schedule", "_alone", "_serial")
 
     def __init__(self, engine: PipelineEngine, kind: str):
         self._engine = engine
         self._kind = kind
         self._alone = engine._schedule is None
         self._schedule = _Schedule() if self._alone else engine._schedule
-        self._costs: list[float] = []
+        self._serial = 0.0
 
     def __enter__(self) -> "_ParallelRegion":
         return self
@@ -797,12 +805,10 @@ class _ParallelRegion:
         return _RegionTask(self, after)
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if not self._costs:
-            return False
         engine = self._engine
-        if self._alone:
+        if self._alone and self._schedule.costs:
             engine.makespan_cycles += self._schedule.makespan(engine.config.workers)
-        engine.serial_cycles += sum(self._costs)
+        engine.serial_cycles += self._serial
         return False
 
 
@@ -826,7 +832,7 @@ class _RegionTask:
     def __exit__(self, exc_type, exc, tb) -> bool:
         region = self._region
         cost = region._engine.clock.cycles - self._app0
-        region._costs.append(cost)
+        region._serial += cost
         region._schedule.costs[self._task] = cost
         return False
 
@@ -834,21 +840,20 @@ class _RegionTask:
 class _Schedule:
     """One batch's task graph (module docstring): tasks in the order
     they ran, each with its cost, kind, shard (``None`` for a lane
-    task) and the tasks it waits for.  Solved once, when its batch
-    ends; nothing of it outlives the batch."""
+    task, else the shard or the background lane it runs on) and the
+    tasks it waits for.  Solved once, when its batch ends; nothing of
+    it outlives the batch."""
 
-    __slots__ = ("costs", "kinds", "shards", "deps", "barrier", "floor")
+    __slots__ = ("costs", "kinds", "shards", "deps", "barrier")
 
     def __init__(self):
         self.costs: list[float] = []
         self.kinds: list[int] = []
         self.shards: list[str | None] = []
         self.deps: list[Sequence[int]] = []
-        #: The receives of the last round: the next round's sends wait
-        #: for all of them (rounds are lock-step).
+        #: The receives and drains of the last round: the next round's
+        #: sends wait for all of them (rounds are lock-step).
         self.barrier: list[int] = []
-        #: Background work folded in: the makespan is at least this.
-        self.floor = 0.0
 
     def add(self, cost: float, kind: str, deps: Sequence[int] = (), shard=None) -> int:
         self.costs.append(cost)
@@ -857,10 +862,20 @@ class _Schedule:
         self.deps.append(deps)
         return len(self.costs) - 1
 
-    def add_round(self, groups: list, chained: bool) -> list[int]:
+    def add_round(
+        self, groups: list, background: Mapping[str, float], chained: bool
+    ) -> list[int]:
         """Add one round's groups, each ``(deps, send, serve per shard,
-        receive)``; returns each group's receive.  ``chained`` runs the
-        groups one after another (a store on the app's own machine)."""
+        receive)``; returns each group's receive.  ``background`` maps a
+        shard, or the background lane, to the drain work landing in this
+        round: one task there, ready when the round may start, ahead of
+        its serves, and waited for by the next round like its receives.
+        ``chained`` runs the groups one after another (a store on the
+        app's own machine)."""
+        drains = [
+            self.add(cost, "drain", self.barrier, resource)
+            for resource, cost in background.items() if cost
+        ]
         receives: list[int] = []
         for deps, send, serves, receive in groups:
             deps = [*self.barrier, *deps]
@@ -873,13 +888,12 @@ class _Schedule:
             ]
             receives.append(self.add(receive, "receive", served or (sent,)))
         if receives:
-            self.barrier = receives
+            self.barrier = receives + drains
         return receives
 
     def makespan(self, lanes: int) -> float:
         starts = list_schedule(self.costs, self.kinds, self.shards, self.deps, lanes)
-        end = max((start + cost for start, cost in zip(starts, self.costs)), default=0.0)
-        return max(end, self.floor)
+        return max((start + cost for start, cost in zip(starts, self.costs)), default=0.0)
 
 
 def list_schedule(
@@ -893,8 +907,9 @@ def list_schedule(
 
     A task is ready once every task in its ``deps`` has finished.  Lane
     tasks (``shards[i] is None``) run on ``lanes`` identical lanes: a
-    free lane takes the ready task of lowest ``(priority, index)``.  A
-    shard task runs on its shard, one at a time, lowest index first.
+    free lane takes the ready task of lowest ``(priority, index)``.  Any
+    other task runs on the resource ``shards[i]`` names, one at a time,
+    lowest index first.
     """
     count = len(costs)
     waiting = [len(before) for before in deps]

@@ -43,8 +43,9 @@ class Recorder:
         def region(*kind):
             self.events.append("open")
             with open_region(*kind) as lanes:
+                first = len(lanes._schedule.costs)  # a region's tasks are consecutive
                 yield lanes
-            self.regions.append(list(lanes._costs))
+            self.regions.append(lanes._schedule.costs[first:])
             self.events.append("close")
 
         @contextmanager

@@ -146,13 +146,13 @@ ROW_DIGESTS = {
     # engine's makespan moved (elapsed_sim_s, sim_ops_per_s, speedup,
     # baseline_sim_s, vs_baseline, fg_ops_per_s, fg_throughput_ratio,
     # p50_round_s, p99_round_s).  With those dropped, the rows hash to
-    # d3075d35..., f97fbec3..., acbab21d... and 5534583e... before and
-    # after.
+    # d3075d35... (pipeline), acbab21d... (migrate), f97fbec3...
+    # (adaptive) and 5534583e... (reshard) before and after.
     "pipeline": "30cbce5676207ba1e7c9fdae044ecefe0d28aee5754c39503b6f26062cb367ed",
     "durable": "ebb12c57723f9f837c891e7c946f73f0b609ea76563524ae115cdbb28f5fb660",
-    "migrate": "d50314264eb7327ae4fb342b9d9690472603f918ff79ef565dabe5fc99c43965",
-    "adaptive": "1856520c8848ec4cd1bd2032a8e2de857200d794570c5b50b92ce96fa18fa220",
-    "reshard": "ed3124ccb973a7e0104e1af1681947fa5d92a6a6cf22d85b12fb78eb5fbd5ed2",
+    "migrate": "28b1592db19a8562035439993f89b072cd148176c1fa418e5b53783f58c8e55d",
+    "adaptive": "dcbf031edcce2702d47b9790291d20cf37ef2b0e290ee1fa088351a99495a5f7",
+    "reshard": "1e573ce3bfd1e005039afbdcf36bc4d3d1f0cc639f5aa18a9dec58ae2f13c434",
 }
 
 

@@ -6,8 +6,9 @@ method: at each decision time it rescans every task.  ``violations``
 checks any start times against a task graph without scheduling
 anything.  Both take a graph as four parallel lists: ``costs``,
 ``kinds`` (``"receive"``, ``"send"``, ``"tag"``, ``"verify"``,
-``"compute"`` for a lane task, ``"serve"`` for a shard task),
-``shards`` (``None`` for a lane task) and ``deps``.
+``"compute"`` for a lane task, ``"serve"`` or ``"drain"`` for a task
+on a shard or the background lane), ``shards`` (``None`` for a lane
+task, else the resource it runs on) and ``deps``.
 
 ``capture`` records every graph the engine solves, so a test can hold
 the engine's makespan to the reference exactly.

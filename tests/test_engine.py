@@ -340,6 +340,40 @@ class TestBackground:
         engine.settle()  # idempotent
         assert engine.serial_cycles == pytest.approx(10.0)
 
+    def test_a_shard_drain_runs_on_its_shard_before_the_batch_serves(self):
+        # 1,000 cycles of drain on shard-0, then a batch of two rounds
+        # served there: the shard does both serves after the drain.
+        engine, client, app, shards = make_engine(depth=1, workers=1)
+        with engine.background():
+            shards["shard-0"].advance(1000.0)
+        with pytest.MonkeyPatch.context() as patch:
+            solved = capture(patch).solved
+            with engine.batch():
+                engine.run_gets([get(b"a"), get(b"b")])
+        ((graph, starts),) = solved
+        assert graph.kinds[0] == "drain" and graph.shards[0] == "shard-0"
+        assert violations(graph, starts, engine.serial_cycles) == []
+        assert engine.makespan_cycles >= 1000.0 + 2 * client.serve_cost
+        # drain 0-1000 beside send 0-10; serve 1000-1030, receive -1035;
+        # round 2 after both: send -1045, serve -1075, receive -1080.
+        assert engine.makespan_cycles == graph.makespan == 1080.0
+        assert engine.serial_cycles == 1000.0 + 2 * 45.0
+
+    def test_two_drains_in_one_batch_take_turns_on_the_background_lane(self):
+        engine, _, app, _ = make_engine(depth=1, workers=1)
+        with engine.batch():
+            with engine.background():
+                app.advance(500.0)
+            engine.run_gets([get(b"a")])
+            with engine.background():
+                app.advance(500.0)
+            engine.run_gets([get(b"b")])
+        # Round 2 and its drain wait for round 1's receive (45) and
+        # drain (500): the drains take turns, round 2 runs beside the
+        # second one.
+        assert engine.makespan_cycles == 1000.0
+        assert engine.serial_cycles == 1000.0 + 2 * 45.0
+
 
 class TestParallelRegion:
     def test_tasks_spread_over_worker_lanes(self):
@@ -411,15 +445,19 @@ class WalkClient:
     its serve that shard's clock and its receive the app clock, each
     the next of ``costs`` (cycled).  ``rounds`` logs one list per round
     (``plan_gets`` call) of ``(items, shard, send, serve, receive)``.
+    ``drains[r]``, when given, is ``(app, per shard)`` cycles charged in
+    ``engine.background()`` as round ``r`` is planned.
     """
 
     in_transition = False
 
-    def __init__(self, app_clock, shard_clocks, walks, costs):
+    def __init__(self, app_clock, shard_clocks, walks, costs, drains=()):
         self.app_clock = app_clock
         self.shard_clocks = shard_clocks
         self.walks = walks
         self.costs = costs
+        self.drains = drains
+        self.engine = None
         self.step = [0] * len(walks)
         self.rounds: list[list] = []
         self._drawn = 0
@@ -437,6 +475,12 @@ class WalkClient:
         groups = {}
         for position, walk in enumerate(walks):
             groups.setdefault(self._owner(walk), []).append(position)
+        if len(self.rounds) < len(self.drains) and self.drains[len(self.rounds)]:
+            app, per_shard = self.drains[len(self.rounds)]
+            with self.engine.background():
+                self.app_clock.advance(float(app))
+                for clock, cost in zip(self.shard_clocks.values(), per_shard):
+                    clock.advance(float(cost))
         self.rounds.append([])
         return list(groups.values())
 
@@ -475,14 +519,20 @@ def expected_graph(client, tag_costs, verify, compute, workers) -> Graph:
 
     tags = [add(cost, "tag", []) for cost in tag_costs]
     answered, barrier = {}, []
-    for groups in client.rounds:
+    for number, groups in enumerate(client.rounds):
+        drains = []
+        if number < len(client.drains) and client.drains[number]:
+            app, per_shard = client.drains[number]
+            for shard, cost in [*zip(client.shard_clocks, per_shard), ("background lane", app)]:
+                if cost:
+                    drains.append(add(cost, "drain", barrier, shard))
         receives = []
         for items, shard, send, serve, receive in groups:
             sent = add(send, "send", barrier + [tags[i] for i in items])
             served = [add(serve, "serve", [sent], shard)] if serve else [sent]
             receives.append(add(receive, "receive", served))
             answered.update((i, receives[-1]) for i in items)
-        barrier = receives
+        barrier = receives + drains
     for kind, costs in (("verify", verify), ("compute", compute)):
         for item, cost in enumerate(costs):
             if cost is not None:
@@ -509,11 +559,15 @@ class TestBatchSchedule:
         wire = data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=12), label="wire")
         verify = data.draw(optional, label="verify")
         compute = data.draw(optional, label="compute")
+        drains = data.draw(st.lists(st.none() | st.tuples(
+            st.integers(0, 200),
+            st.lists(st.integers(0, 200), min_size=n_shards, max_size=n_shards),
+        ), max_size=4), label="drains")
 
         app = FakeClock()
         shards = {sid: FakeClock() for sid in shard_ids}
-        client = WalkClient(app, shards, walks, wire)
-        engine = PipelineEngine(
+        client = WalkClient(app, shards, walks, wire, drains)
+        engine = client.engine = PipelineEngine(
             client, app, shard_clocks=shards,
             config=EngineConfig(depth=depth, workers=workers),
         )
@@ -574,7 +628,8 @@ class TestBatchSchedule:
         with engine.batch():
             engine.run_gets([get(bytes([i])) for i in range(6)])
         assert engine.makespan_cycles == engine.serial_cycles == 2 * 15.0 + 6 * 30.0
-        # A drain on the one machine is a floor under the next round.
+        # A drain takes the background lane beside the next round, on
+        # the one machine too: the round fits under it.
         with engine.background():
             app.advance(500.0)
         engine.run_gets([get(b"x")])
