@@ -946,13 +946,12 @@ def run_pipeline(depths: list[int], ops: int, duplicates: int,
         serial_s = base_values = None
         for depth, name in readers.items():
             reader = writer.sibling(name)
-            if depth:
-                reader.enable_pipeline(depth=depth, workers=workers)
+            engine = reader.enable_pipeline(depth=depth, workers=workers) if depth else None
             delta, values = _replay(reader, kernel.description, inputs)
             if not depth:
                 serial_s, base_values = delta.machines_s, values
             yield dict(phase=phase, n_shards=n_shards, depth=depth,
-                       workers=workers if depth else 1, ops=len(inputs),
+                       workers=engine.config.workers if engine else 1, ops=len(inputs),
                        serial_sim_s=serial_s, identical=values == base_values,
                        probe=delta)
 

@@ -19,7 +19,9 @@ by construction).  What changes is the *schedule*: overlapped spans
 advance per-machine sim time concurrently, not additively.  The engine
 therefore reports elapsed simulated time as the makespan of a **list
 schedule** over the measured tasks of one batch (one
-``DedupRuntime._run``, opened with :meth:`PipelineEngine.batch`):
+``DedupRuntime._run``, opened with :meth:`PipelineEngine.batch`; a
+round, a region or a settle entered outside one opens a batch of its
+own):
 
 - *tasks*: each item's tag + L1 probe, each shard group's send (app
   cost of ``submit``), serve (each remote shard's cost, one task per
@@ -40,12 +42,11 @@ schedule** over the measured tasks of one batch (one
   serves its ready tasks in the order they were added.
 
 The makespan is bounded below by the longest dependency chain and by
-the app work over the lanes, and above by the plain sum
-``serial_cycles``.  With ``depth=1, workers=1`` a round degenerates to
-the exact serial sum, and a round whose store shares the application's
-machine (no second clock to overlap with) runs its groups one after
-another — one machine cannot overlap with itself.  A round or a region
-outside any batch is a schedule of its own.
+the app work over the lanes, and above by the plain sum of the task
+costs, ``serial_cycles``.  With ``depth=1, workers=1`` a round
+degenerates to the exact serial sum, and a round whose store shares the
+application's machine (no second clock to overlap with) runs its groups
+one after another — one machine cannot overlap with itself.
 
 The asynchronous PUT flusher uses :meth:`PipelineEngine.background` to
 account its drains as tasks of the schedule the next round lands in:
@@ -53,17 +54,18 @@ the app cycles on the one background lane, each shard's cycles on that
 shard ahead of the round's serves, all ready when the round may start
 and waited for by the round after it.  A drain thus overlaps the one
 round it lands in (and the lane work beside it) but not another drain,
-nor its shard's serves; :meth:`settle` folds any un-overlapped
-remainder back in serially.
+nor its shard's serves; :meth:`settle` solves the drains no round took
+as one schedule of their own.
 
 Adaptive depth
 --------------
 ``EngineConfig(depth="auto")`` replaces the static submit window with an
 :class:`AdaptiveDepthController` — AIMD over the engine's virtual-clock
 rounds: depth grows (slow-start doubling, then additively) while each
-round's per-op critical-path latency keeps up with the best the window
-has seen, and shrinks multiplicatively on failure, circuit-breaker, or
-PUT back-pressure signals.  The controller only ever sees
+round's per-op latency (the list-schedule makespan of its own groups,
+solved alone) keeps up with the best the window has seen, and shrinks
+multiplicatively on failure, circuit-breaker, or PUT back-pressure
+signals.  The controller only ever sees
 **replay-deterministic** observations: round makespans here are sums of
 modelled wire/crypto/store/compute charges (compute is each function's
 declared ``native_cost``, never host time), so every round, region and
@@ -155,9 +157,10 @@ class DepthObservation:
     """One engine round reduced to the deterministic signals the
     adaptive controller may consume.
 
-    ``makespan_cycles`` is the round's critical-path advance — a sum of
-    modelled wire/crypto/store/compute charges, never host time — so
-    every field replays byte-identically for a fixed op stream.
+    ``makespan_cycles`` is the list-schedule makespan of the round's
+    own groups solved alone — over modelled wire/crypto/store charges,
+    never host time — so every field replays byte-identically for a
+    fixed op stream.
     """
 
     ops: int
@@ -338,8 +341,8 @@ class EngineBatch:
     responses: list
     leader_of: dict[int, int] = field(default_factory=dict)
     #: Per position, the schedule task after which its response is in
-    #: hand (the receive of the last round it walked in); ``None``
-    #: outside a batch.
+    #: hand (the receive of the last round it walked in); ``None`` when
+    #: no engine carried the group.
     ready: list | None = None
 
     @property
@@ -382,17 +385,17 @@ class PipelineEngine:
         )
         self.config = config or EngineConfig()
         self.tracer = NULL_TRACER if tracer is None else tracer
-        # Accounting (cycles).  makespan is the critical-path schedule
-        # bound; serial is the plain sum a serial client would take.
+        # Accounting (cycles), grown only as a batch ends: makespan is
+        # its schedule's; serial the plain sum a serial client would take.
         self.makespan_cycles = 0.0
         self.serial_cycles = 0.0
         self.rounds = 0
         self.ops = 0
         self.failures = 0
         self.coalesced_total = 0
-        # Background (flusher) work carried into the next round.
-        self._bg_app = 0.0
-        self._bg_shard: dict[str, float] = {}
+        # Background (flusher) work carried into the next round, per
+        # shard id or the background lane.
+        self._drains: dict[str, float] = {}
         #: The AIMD depth governor (``depth="auto"`` only).
         self.controller: AdaptiveDepthController | None = None
         if self.config.adaptive:
@@ -412,12 +415,8 @@ class PipelineEngine:
         """The submit window the next round will use."""
         if self.controller is None:
             return self.config.depth
-        return self.controller.round_depth(self._migration_active())
-
-    def _migration_active(self) -> bool:
-        """True while the client's shard ring holds a dual-ownership
-        migration window."""
-        return self.client.in_transition
+        # The cap holds while the shard ring has a dual-ownership window.
+        return self.controller.round_depth(self.client.in_transition)
 
     def note_backpressure(self) -> None:
         """Record that a bounded PUT queue forced a foreground drain —
@@ -442,16 +441,19 @@ class PipelineEngine:
         return base + self.controller.yielded_slots
 
     def _observe_round(
-        self, ops: int, makespan: float, failures: int, migration: bool
+        self, ops: int, groups: list, chained: bool, failures: int, migration: bool
     ) -> None:
-        if self.controller is None:
-            return
+        # The governor judges the round's own groups, solved alone: the
+        # batch's other tasks and the drains landing in the round are
+        # no evidence that the window is too deep.
+        own = _Schedule()
+        own.add_round([((), *group[1:]) for group in groups], {}, chained)
         backpressure = self._backpressure_pending
         self._backpressure_pending = False
         previous = self.controller.depth
         depth = self.controller.observe(DepthObservation(
             ops=ops,
-            makespan_cycles=makespan,
+            makespan_cycles=own.makespan(self.config.workers),
             failures=failures,
             backpressure=backpressure,
             migration_active=migration,
@@ -472,21 +474,13 @@ class PipelineEngine:
             sid: c for sid, c in self._shard_clocks().items() if c is not self.clock
         }
 
-    def _lanes(self, remote: Mapping[str, object], depth: int | None = None) -> int:
-        # Without a remote machine there is nothing to overlap with:
-        # every charge lands on the one clock, so the round is serial.
-        if not remote:
-            return 1
-        if depth is None:
-            depth = self.depth_current
-        return max(1, min(self.config.workers, depth))
-
     # -- fan-out -------------------------------------------------------------
     @contextmanager
     def batch(self):
         """Account every round and region opened inside as one list
         schedule (module docstring), solved when the batch ends; a batch
-        opened inside another joins it."""
+        opened inside another joins it.  The one place both totals grow:
+        by the schedule's makespan, and by the plain sum of its costs."""
         if self._schedule is not None:
             yield
             return
@@ -496,6 +490,7 @@ class PipelineEngine:
         finally:
             self._schedule = None
             self.makespan_cycles += schedule.makespan(self.config.workers)
+            self.serial_cycles += sum(schedule.costs)
 
     def run_gets(
         self, requests: Sequence[Message], after: Sequence[int | None] | None = None
@@ -515,17 +510,14 @@ class PipelineEngine:
         more set of rounds (one record per next owner) over the same
         plan, submit and wait.
 
-        Inside a :meth:`batch`, ``after[i]`` names the task request ``i``
-        waits for (its tag), and the answer's ``ready`` the receive each
-        response arrives with.
+        The rounds join the open :meth:`batch`, or one of their own:
+        ``after[i]`` names the task of that batch request ``i`` waits for
+        (its tag), and the answer's ``ready`` the receive each response
+        arrives with.
         """
         requests = list(requests)
         responses: list = [None] * len(requests)
-        ready = None
-        if self._schedule is None:
-            after = None  # each round is a schedule of its own
-        else:
-            ready = [None] * len(requests)
+        ready: list = [None] * len(requests)
         leader_of: dict[int, int] = {}
         wire: list[int] = []
         if self.config.coalesce:
@@ -545,21 +537,21 @@ class PipelineEngine:
         self.coalesced_total += len(leader_of)
         ops = [(i, requests[i]) for i in wire]
         ops = [(i, GetWalk(r) if isinstance(r, GetRequest) else r) for i, r in ops]
-        while ops:
-            start = 0
-            while start < len(ops):
-                depth = self.depth_current  # re-read: adaptive depth moves
-                self._run_round(
-                    ops[start:start + depth], responses,
-                    self.client.plan_gets, self.client.submit_gets, self.client.wait_gets,
-                    after, ready,
-                )
-                start += depth
-            ops = [(i, responses[i]) for i, _ in ops if type(responses[i]) is GetWalk]
+        with self.batch():
+            while ops:
+                start = 0
+                while start < len(ops):
+                    depth = self.depth_current  # re-read: adaptive depth moves
+                    self._run_round(
+                        ops[start:start + depth], responses, ready,
+                        self.client.plan_gets, self.client.submit_gets, self.client.wait_gets,
+                        after,
+                    )
+                    start += depth
+                ops = [(i, responses[i]) for i, _ in ops if type(responses[i]) is GetWalk]
         for follower, leader in leader_of.items():
             responses[follower] = responses[leader]
-            if ready is not None:
-                ready[follower] = ready[leader]
+            ready[follower] = ready[leader]
         return EngineBatch(responses=responses, leader_of=leader_of, ready=ready)
 
     def run_puts(self, requests: Sequence[Message]) -> EngineBatch:
@@ -567,59 +559,51 @@ class PipelineEngine:
         own durability verdict, and the store dedups identical tags).
         Each round ships one grouped sub-batch record per owner shard of
         the groups the client plans (``plan_puts``) instead of per-item
-        PUTs, so the shards absorb their copies concurrently.  Inside a
-        :meth:`batch` the first round waits for every task before it:
-        the batch's results leave sealed in one pass."""
-        requests = list(requests)
-        responses: list = [None] * len(requests)
-        if self._schedule is not None:
+        PUTs, so the shards absorb their copies concurrently.  The rounds
+        join the open :meth:`batch`, or one of their own, and the first
+        waits for every task before it: the batch's results leave sealed
+        in one pass."""
+        ops = list(enumerate(requests))
+        responses: list = [None] * len(ops)
+        ready: list = [None] * len(ops)
+        with self.batch():
             self._schedule.barrier = list(range(len(self._schedule.costs)))
-        start = 0
-        while start < len(requests):
-            depth = self.depth_current  # re-read: adaptive depth moves
-            ops = [
-                (i, requests[i])
-                for i in range(start, min(start + depth, len(requests)))
-            ]
-            start += depth
-            self._run_round(
-                ops, responses,
-                self.client.plan_puts, self.client.submit_puts, self.client.wait_puts,
-            )
-        return EngineBatch(responses=responses)
+            start = 0
+            while start < len(ops):
+                depth = self.depth_current  # re-read: adaptive depth moves
+                self._run_round(
+                    ops[start:start + depth], responses, ready,
+                    self.client.plan_puts, self.client.submit_puts, self.client.wait_puts,
+                )
+                start += depth
+        return EngineBatch(responses=responses, ready=ready)
 
     def _run_round(
-        self, ops: list, responses: list, plan, submit, wait,
-        after: Sequence[int | None] | None = None, ready: list | None = None,
+        self, ops: list, responses: list, ready: list, plan, submit, wait,
+        after: Sequence[int | None] | None = None,
     ) -> None:
         """One pipelined round over the client's shard groups.
 
         The round's ops are partitioned by the client (one group per
         primary shard); each group ships as a single record and becomes
         a send, a serve per remote shard it touched and a receive in the
-        open batch's schedule, or in a schedule of its own outside one
-        (replicated PUT copies are the client's concern and stay inside
-        their group).  Clock charges stay identical to the serial
-        per-shard sub-batch path; only the makespan accounting interprets
-        them as overlapped.
+        open batch's schedule (replicated PUT copies are the client's
+        concern and stay inside their group).  Clock charges stay
+        identical to the serial per-shard sub-batch path; only the
+        makespan accounting interprets them as overlapped.
         """
         remote = self._remote_clocks()
-        migration = self._migration_active()
+        migration = self.client.in_transition
         failures0 = self.failures
-        lanes = self._lanes(remote)
-        round_start = {sid: c.cycles for sid, c in remote.items()}
-        lane_busy = [0.0] * lanes
-        chains: list[float] = []
         tasks: list = []  # per group: (deps, send, serve per shard, receive)
         members: list[list[int]] = []  # per group: its request indices
         group_requests = [request for _, request in ops]
         groups = plan(group_requests)
         with self.tracer.span(
-            "engine.round", clock=self.clock, ops=len(ops),
-            groups=len(groups), lanes=lanes,
-        ) as span:
+            "engine.round", clock=self.clock, ops=len(ops), groups=len(groups),
+        ):
             pending: list = []
-            for slot, positions in enumerate(groups):
+            for positions in groups:
                 sub = [group_requests[p] for p in positions]
                 app0 = self.clock.cycles
                 shard0 = {sid: c.cycles for sid, c in remote.items()}
@@ -630,8 +614,8 @@ class PipelineEngine:
                     error = exc
                 send = self.clock.cycles - app0
                 serve = {sid: c.cycles - shard0[sid] for sid, c in remote.items()}
-                pending.append((slot, positions, handle, error, send, serve))
-            for slot, positions, handle, error, send, serve in pending:
+                pending.append((positions, handle, error, send, serve))
+            for positions, handle, error, send, serve in pending:
                 app0 = self.clock.cycles
                 shard0 = {sid: c.cycles for sid, c in remote.items()}
                 if error is None:
@@ -645,9 +629,6 @@ class PipelineEngine:
                     self.failures += len(positions)
                 receive = self.clock.cycles - app0
                 served = {sid: c.cycles - shard0[sid] for sid, c in remote.items()}
-                app_d = send + receive
-                lane_busy[slot % lanes] += app_d
-                chains.append(app_d + (sum(serve.values()) + sum(served.values())))
                 indices = [ops[position][0] for position in positions]
                 deps = [] if after is None else [
                     after[i] for i in indices if after[i] is not None
@@ -658,39 +639,17 @@ class PipelineEngine:
                 members.append(indices)
                 for index, reply in zip(indices, replies):
                     responses[index] = reply
-            shard_fg = [c.cycles - round_start[sid] for sid, c in remote.items()]
-            background = {sid: self._bg_shard.pop(sid, 0.0) for sid in remote}
-            shard_busy = [fg + bg for fg, bg in zip(shard_fg, background.values())]
-            bg_app = background[_BACKGROUND] = self._bg_app
-            self._bg_app = 0.0
-            serial = sum(lane_busy) + sum(shard_busy) + bg_app
-            span.set("serial_cycles", serial)
-        schedule = self._schedule
-        alone = schedule is None
-        if alone:
-            schedule = _Schedule()
-        receives = schedule.add_round(tasks, background, chained=not remote)
-        if ready is not None:
-            for receive, indices in zip(receives, members):
-                for index in indices:
-                    ready[index] = receive
-        if alone:
-            self.makespan_cycles += schedule.makespan(self.config.workers)
-        self.serial_cycles += serial
+        background = {sid: self._drains.pop(sid, 0.0) for sid in remote}
+        background[_BACKGROUND] = self._drains.pop(_BACKGROUND, 0.0)
+        receives = self._schedule.add_round(tasks, background, chained=not remote)
+        for receive, indices in zip(receives, members):
+            for index in indices:
+                ready[index] = receive
         self.rounds += 1
         self.ops += len(ops)
         if self.controller is not None:
-            # The depth governor judges each round's own *foreground*
-            # critical path (busiest round-robin lane, busiest shard,
-            # longest single-op chain): background work folded into this
-            # round is not evidence that the window is too deep.
-            fg_makespan = max(
-                max(lane_busy),
-                max(shard_fg, default=0.0),
-                max(chains, default=0.0),
-            )
             self._observe_round(
-                len(ops), fg_makespan, self.failures - failures0, migration
+                len(ops), tasks, not remote, self.failures - failures0, migration
             )
 
     # -- background (flusher) lane -------------------------------------------
@@ -702,35 +661,34 @@ class PipelineEngine:
         one background lane and each shard's cycles as a task on that
         shard, ahead of the round's serves, and the round after waits for
         them — a drain overlaps the round it lands in, never another
-        drain or its shard's own serves.  Call :meth:`settle` to fold any
-        remainder in serially.
+        drain or its shard's own serves.  Call :meth:`settle` to solve
+        what no round took.
         """
         return _BackgroundSpan(self)
 
-    def parallel_region(self, kind: str = "compute") -> "_ParallelRegion":
+    @contextmanager
+    def parallel_region(self, kind: str = "compute"):
         """Context manager accounting enclosed per-item app work as tasks
         on the worker lanes.
 
         The runtime uses it for each per-item enclave stage (``kind`` is
         ``"tag"``, ``"verify"`` or ``"compute"``): each
         :meth:`_ParallelRegion.task` measures one item's app-clock cost
-        as one task of the open batch's schedule, after the task its
-        ``after`` names.  Outside a batch the region is a schedule of
-        its own: a free lane takes the next task, so the region lasts
-        as long as its busiest lane.  Either way the plain sum goes to
-        the serial total, and ``workers=1`` is the exact serial sum.
+        as one task of the open batch's schedule, or of a batch of the
+        region's own, after the task its ``after`` names.  ``workers=1``
+        is the exact serial sum.
         """
-        return _ParallelRegion(self, kind)
+        with self.batch():
+            yield _ParallelRegion(self, kind)
 
     def settle(self) -> None:
-        """Fold background work no later round overlapped into the
-        makespan serially (nothing ran concurrently with it)."""
-        extra_shard = max(self._bg_shard.values(), default=0.0)
-        if self._bg_app or self._bg_shard:
-            self.makespan_cycles += max(self._bg_app, extra_shard)
-            self.serial_cycles += self._bg_app + sum(self._bg_shard.values())
-            self._bg_app = 0.0
-            self._bg_shard.clear()
+        """Solve the drains no later round took as a batch of their own:
+        each on its shard or the background lane, all ready at once, so
+        the batch lasts as long as its busiest resource."""
+        drains, self._drains = self._drains, {}
+        if drains:
+            with self.batch():
+                self._schedule.add_round([], drains, chained=False)
 
     # -- reading ---------------------------------------------------------------
     @property
@@ -785,31 +743,19 @@ class PipelineEngine:
 
 
 class _ParallelRegion:
-    """Accounts a run of same-kind app tasks as worker-lane work."""
+    """Adds a run of same-kind app tasks to the open batch's schedule."""
 
-    __slots__ = ("_engine", "_kind", "_schedule", "_alone", "_serial")
+    __slots__ = ("_clock", "_kind", "_schedule")
 
     def __init__(self, engine: PipelineEngine, kind: str):
-        self._engine = engine
+        self._clock = engine.clock
         self._kind = kind
-        self._alone = engine._schedule is None
-        self._schedule = _Schedule() if self._alone else engine._schedule
-        self._serial = 0.0
-
-    def __enter__(self) -> "_ParallelRegion":
-        return self
+        self._schedule = engine._schedule
 
     def task(self, after: int | None = None) -> "_RegionTask":
         """Context manager measuring one task's app-clock delta; it
         enters as the task's id in the schedule."""
         return _RegionTask(self, after)
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        engine = self._engine
-        if self._alone and self._schedule.costs:
-            engine.makespan_cycles += self._schedule.makespan(engine.config.workers)
-        engine.serial_cycles += self._serial
-        return False
 
 
 class _RegionTask:
@@ -823,17 +769,14 @@ class _RegionTask:
 
     def __enter__(self) -> int:
         region = self._region
-        # A region alone is its own schedule: no other task is in it.
-        after = () if self._after is None or region._alone else (self._after,)
+        after = () if self._after is None else (self._after,)
         self._task = region._schedule.add(0.0, region._kind, after)
-        self._app0 = region._engine.clock.cycles
+        self._app0 = region._clock.cycles
         return self._task
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         region = self._region
-        cost = region._engine.clock.cycles - self._app0
-        region._serial += cost
-        region._schedule.costs[self._task] = cost
+        region._schedule.costs[self._task] = region._clock.cycles - self._app0
         return False
 
 
@@ -978,9 +921,9 @@ class _BackgroundSpan:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         engine = self._engine
-        engine._bg_app += engine.clock.cycles - self._app0
-        for sid, c in self._remote.items():
-            delta = c.cycles - self._shard0[sid]
+        deltas = {sid: c.cycles - self._shard0[sid] for sid, c in self._remote.items()}
+        deltas[_BACKGROUND] = engine.clock.cycles - self._app0
+        for resource, delta in deltas.items():
             if delta:
-                engine._bg_shard[sid] = engine._bg_shard.get(sid, 0.0) + delta
+                engine._drains[resource] = engine._drains.get(resource, 0.0) + delta
         return False

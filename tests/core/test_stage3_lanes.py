@@ -18,6 +18,7 @@ import pytest
 
 import repro
 from repro import RuntimeConfig
+from repro.engine import _BACKGROUND
 from tests.schedule_reference import capture, violations
 
 COMPUTE_SECONDS = 3e-5
@@ -90,7 +91,7 @@ def run_batch(monkeypatch, workers, coalesce=True, shards=1, replicas=1, arrange
     before = {name: clock.cycles for name, clock in clocks.items()}
     batch = arrange(warm, novel)
     results = reader.execute_many_results(kernel.description, batch)
-    bg_app = engine._bg_app
+    bg_app = engine._drains.get(_BACKGROUND, 0.0)
     engine.settle()
     return {
         "sources": [r.source for r in results],

@@ -147,8 +147,12 @@ ROW_DIGESTS = {
     # baseline_sim_s, vs_baseline, fg_ops_per_s, fg_throughput_ratio,
     # p50_round_s, p99_round_s).  With those dropped, the rows hash to
     # d3075d35... (pipeline), acbab21d... (migrate), f97fbec3...
-    # (adaptive) and 5534583e... (reshard) before and after.
-    "pipeline": "30cbce5676207ba1e7c9fdae044ecefe0d28aee5754c39503b6f26062cb367ed",
+    # (adaptive) and 5534583e... (reshard) before and after.  pipeline
+    # was re-pinned again when its workers cell began printing the
+    # attached engine's clamped lanes: only the depth-1 row moved (4 -> 1),
+    # and with the workers column dropped the rows hash to 744a2cde...
+    # before and after.
+    "pipeline": "c0596d82c55a34aba93d243b2fe7f67fe0ecc35db17621069886a32c7e4f3984",
     "durable": "ebb12c57723f9f837c891e7c946f73f0b609ea76563524ae115cdbb28f5fb660",
     "migrate": "28b1592db19a8562035439993f89b072cd148176c1fa418e5b53783f58c8e55d",
     "adaptive": "dcbf031edcce2702d47b9790291d20cf37ef2b0e290ee1fa088351a99495a5f7",

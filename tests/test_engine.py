@@ -5,6 +5,7 @@ chosen by the test — the integration suites (cluster, core, simtest)
 cover the real wire path.
 """
 
+from contextlib import nullcontext
 from types import SimpleNamespace
 
 import pytest
@@ -563,6 +564,10 @@ class TestBatchSchedule:
             st.integers(0, 200),
             st.lists(st.integers(0, 200), min_size=n_shards, max_size=n_shards),
         ), max_size=4), label="drains")
+        trailing = data.draw(st.tuples(
+            st.integers(0, 200),
+            st.lists(st.integers(0, 200), min_size=n_shards, max_size=n_shards),
+        ), label="trailing drains")
 
         app = FakeClock()
         shards = {sid: FakeClock() for sid in shard_ids}
@@ -597,6 +602,28 @@ class TestBatchSchedule:
         assert violations(expected, starts, engine.serial_cycles) == []
         assert starts == reference_starts(expected)
         assert engine.makespan_cycles == expected.makespan
+        assert engine.serial_cycles == sum(expected.costs)
+
+        # Drains no round takes: settle solves them as a graph of their
+        # own, each on its resource and none waiting, and both totals
+        # grow by that graph alone.
+        with engine.background():
+            app.advance(float(trailing[0]))
+            for clock, cost in zip(shards.values(), trailing[1]):
+                clock.advance(float(cost))
+        drains = [
+            (float(cost), resource)
+            for resource, cost in [*zip(shard_ids, trailing[1]), ("background lane", trailing[0])]
+            if cost
+        ]
+        settled = Graph(
+            [cost for cost, _ in drains], ["drain"] * len(drains),
+            [resource for _, resource in drains], [[] for _ in drains],
+        )
+        before = engine.makespan_cycles, engine.serial_cycles
+        engine.settle()
+        assert engine.makespan_cycles == before[0] + settled.makespan
+        assert engine.serial_cycles == before[1] + sum(settled.costs)
 
     def test_a_round_on_the_wire_overlaps_the_next_items_tags(self):
         # Four 20-cycle tags on two lanes, two rounds of two items on one
@@ -644,11 +671,34 @@ class TestBatchSchedule:
             engine.run_puts([putreq(b"a")])
         assert engine.makespan_cycles == 100.0 + 45.0
 
-    def test_outside_a_batch_each_round_is_a_schedule_of_its_own(self):
-        engine, _, _, _ = make_engine(depth=1, workers=1)
-        answer = engine.run_gets([get(b"a"), get(b"b")], after=[7, 9])
-        assert answer.ready is None
-        assert engine.makespan_cycles == engine.serial_cycles == 2 * 45.0
+    def test_a_call_outside_a_batch_accounts_as_the_same_call_inside_one(self):
+        # Every entry is a batch: one called on its own opens a batch of
+        # one, so it solves the same schedule (drain included) and fills
+        # the same ready tasks as inside engine.batch().
+        def run(entry, batched):
+            engine, _, app, _ = make_engine(
+                n_shards=2, depth=2, workers=2, shard_of=lambda tag: f"shard-{tag[0] % 2}",
+            )
+            with engine.background():
+                app.advance(7.0)
+            with engine.batch() if batched else nullcontext():
+                if entry == "gets":
+                    ready = engine.run_gets([get(bytes([i % 4])) for i in range(6)]).ready
+                elif entry == "puts":
+                    ready = engine.run_puts([putreq(bytes([i])) for i in range(5)]).ready
+                else:
+                    ready = []
+                    with engine.parallel_region() as region:
+                        for cost in (10.0, 20.0, 30.0):
+                            with region.task() as task:
+                                app.advance(cost)
+                            ready.append(task)
+            return engine.makespan_cycles, engine.serial_cycles, ready
+
+        for entry in ("gets", "puts", "region"):
+            outside = run(entry, batched=False)
+            assert outside == run(entry, batched=True)
+            assert outside[0] > 0.0 and None not in outside[2]
 
     def test_a_batch_inside_a_batch_joins_it(self):
         engine, _, app, _ = make_engine(depth=8, workers=2)
@@ -725,8 +775,8 @@ class TestSnapshot:
 class TestWorkerClamp:
     def test_workers_clamped_to_static_depth(self):
         # Lanes beyond the submit window can never hold an op; the
-        # config normalizes workers down so accounting (engine.py
-        # _lanes) never divides over idle lanes.
+        # config normalizes workers down so the batch schedule never
+        # counts lanes no round can fill.
         config = EngineConfig(depth=2, workers=8)
         assert config.workers == 2
 
@@ -736,15 +786,6 @@ class TestWorkerClamp:
 
     def test_workers_within_depth_untouched(self):
         assert EngineConfig(depth=8, workers=3).workers == 3
-
-    def test_lane_count_pins_clamped_workers(self):
-        engine, _, _, shards = make_engine(n_shards=2, depth=2, workers=8)
-        remote = {sid: c for sid, c in shards.items()}
-        assert engine._lanes(remote) == 2
-        # An explicit narrower round narrows the lanes with it.
-        assert engine._lanes(remote, depth=1) == 1
-        # No remote machine: nothing to overlap with, one serial lane.
-        assert engine._lanes({}) == 1
 
 
 class TestAdaptiveEngine:
@@ -870,6 +911,33 @@ class TestAdaptiveEngine:
         assert first["prev"] == 1 and first["depth"] == 2
         assert first["reason"] == "grow"
         assert {"ops", "failures", "backpressure", "migration"} <= set(first)
+
+    def test_the_governor_observes_the_round_solved_as_its_own_schedule(self, monkeypatch):
+        # Three items on three shards: three groups (send 10, serve 30,
+        # receive 5) on two lanes.  The busiest round-robin lane, shard or
+        # chain reads 45; the list schedule runs the third send after the
+        # first two (10-20), so its receive ends at 55.  A drain on
+        # shard-0 lands in the same round: it delays the batch, not the
+        # round the governor judges.
+        engine, _, _, shards = make_engine(
+            n_shards=3, depth="auto", min_depth=3, max_depth=3, workers=2,
+            shard_of=lambda tag: f"shard-{tag[0]}",
+        )
+        seen = []
+        observe = engine.controller.observe
+        monkeypatch.setattr(engine.controller, "observe", lambda obs: seen.append(obs) or observe(obs))
+        with engine.background():
+            shards["shard-0"].advance(1000.0)
+        engine.run_gets([get(bytes([i])) for i in range(3)])
+        (obs,) = seen
+        alone = Graph(
+            [10.0, 30.0, 5.0] * 3, ["send", "serve", "receive"] * 3,
+            [None, "shard-0", None, None, "shard-1", None, None, "shard-2", None],
+            [[], [0], [1], [], [3], [4], [], [6], [7]], lanes=2,
+        )
+        assert obs.ops == 3 and obs.makespan_cycles == alone.makespan == 55.0
+        # The batch itself: serve 0 waits for the drain, 1000-1030.
+        assert engine.makespan_cycles == 1035.0
 
     def test_adaptive_identity_run_gets(self):
         # Depth is a schedule knob, never a semantic one: the adaptive
