@@ -28,13 +28,19 @@ own):
   shard) and receive (app cost of ``wait``), each answered item's
   verification, each computed miss's compute + protect, and each
   background drain (below);
-- *dependencies*: a send waits for its items' tags and for every
-  receive and drain of the previous round (rounds stay lock-step, so
-  ``depth`` keeps its meaning); a serve follows its send and a receive its
-  serves; an item's verification follows the receive of the last round
-  it walked in, and its compute follows that verification (a miss's
-  costs nothing); a batch's PUT rounds wait for everything before them
-  (the results are sealed in one pass);
+- *dependencies*: ``depth`` bounds the items in flight, not a round.
+  A shard group takes one window slot per item; when too few are free,
+  the oldest groups' receives free theirs.  Its send waits for the last
+  holder of each slot it takes (the never-held ones first, then the
+  last freed), for its items' tags (a walking item's: the receive that
+  sent it on) and for the previous round's drains.  A serve follows its
+  send and its shard's previous serve (a shard serves in wire order),
+  and a receive its serves.  An item's verification follows the receive
+  of the last round it walked in, and its compute that verification (a
+  miss's costs nothing); a batch's PUT rounds wait for everything
+  before them (the results are sealed in one pass).  The enclave work
+  of later items thus overlaps the store I/O still outstanding, as the
+  paper's asynchronous PUT thread does (§V-B);
 - *resources*: ``workers`` app lanes, one per remote shard and the
   background lane (below), each running one task at a time without
   preemption.  A free lane takes the ready task first in the order
@@ -51,11 +57,11 @@ one after another — one machine cannot overlap with itself.
 The asynchronous PUT flusher uses :meth:`PipelineEngine.background` to
 account its drains as tasks of the schedule the next round lands in:
 the app cycles on the one background lane, each shard's cycles on that
-shard ahead of the round's serves, all ready when the round may start
-and waited for by the round after it.  A drain thus overlaps the one
-round it lands in (and the lane work beside it) but not another drain,
-nor its shard's serves; :meth:`settle` solves the drains no round took
-as one schedule of their own.
+shard ahead of the round's serves, all ready once the round before is
+done and waited for by the round after it.  A drain thus overlaps the
+one round it lands in (and the lane work beside it) but not another
+drain, nor its shard's serves; :meth:`settle` solves the drains no
+round took as one schedule of their own.
 
 Adaptive depth
 --------------
@@ -265,28 +271,19 @@ class AdaptiveDepthController:
         previous = self.depth
         per_op = obs.per_op_cycles
         raw = self._raw_depth
-        if obs.failures > 0 or obs.backpressure:
-            reason = "failures" if obs.failures > 0 else "backpressure"
-            self._ssthresh = max(self.min_depth, raw // 2)
-            raw = self._ssthresh
-            # The latency floor was learned under conditions that no
-            # longer hold; relearn it instead of shrinking forever.
-            self._best_per_op = float("inf")
-            self._window_best = float("inf")
+        reason = "failures" if obs.failures > 0 else "backpressure" if obs.backpressure else None
+        if reason is None and obs.full and per_op > self.slow_factor * self._best_per_op:
+            reason = "slow-round"
+        if reason is not None:
+            self._ssthresh = raw = max(self.min_depth, raw // 2)
+            # Relearn the latency floor with the depth: one learned under
+            # other conditions, or at a deeper window, is unreachable now
+            # and would wedge the governor at min_depth (every round
+            # after the shrink would look "slow").
+            self._best_per_op = self._window_best = float("inf")
             self._window_rounds = 0
         elif not obs.full:
             reason = "partial"
-        elif per_op > self.slow_factor * self._best_per_op:
-            reason = "slow-round"
-            self._ssthresh = max(self.min_depth, raw // 2)
-            raw = self._ssthresh
-            # Reset the floor with the depth: a floor learned at a
-            # deeper window is unreachable at the shrunk one, and
-            # keeping it would wedge the governor at min_depth (every
-            # post-shrink round looks "slow" forever).
-            self._best_per_op = float("inf")
-            self._window_best = float("inf")
-            self._window_rounds = 0
         else:
             self._best_per_op = min(self._best_per_op, per_op)
             self._window_best = min(self._window_best, per_op)
@@ -378,31 +375,21 @@ class PipelineEngine:
     ):
         self.client = client
         self.clock = clock
-        if shard_clocks is None:
-            shard_clocks = {}
-        self._shard_clocks = (
-            shard_clocks if callable(shard_clocks) else (lambda: shard_clocks)
-        )
+        shard_clocks = shard_clocks or {}
+        self._shard_clocks = shard_clocks if callable(shard_clocks) else (lambda: shard_clocks)
         self.config = config or EngineConfig()
         self.tracer = NULL_TRACER if tracer is None else tracer
         # Accounting (cycles), grown only as a batch ends: makespan is
         # its schedule's; serial the plain sum a serial client would take.
-        self.makespan_cycles = 0.0
-        self.serial_cycles = 0.0
-        self.rounds = 0
-        self.ops = 0
-        self.failures = 0
-        self.coalesced_total = 0
+        self.makespan_cycles = self.serial_cycles = 0.0
+        self.rounds = self.ops = self.failures = self.coalesced_total = 0
         # Background (flusher) work carried into the next round, per
         # shard id or the background lane.
         self._drains: dict[str, float] = {}
         #: The AIMD depth governor (``depth="auto"`` only).
-        self.controller: AdaptiveDepthController | None = None
-        if self.config.adaptive:
-            self.controller = AdaptiveDepthController(
-                min_depth=self.config.min_depth,
-                max_depth=self.config.max_depth,
-            )
+        self.controller: AdaptiveDepthController | None = AdaptiveDepthController(
+            min_depth=self.config.min_depth, max_depth=self.config.max_depth,
+        ) if self.config.adaptive else None
         # Set by the runtime when a bounded PUT queue forces a drain;
         # consumed (and cleared) by the next round's depth observation.
         self._backpressure_pending = False
@@ -435,10 +422,7 @@ class PipelineEngine:
         foreground round (distinct destination machines ingest
         concurrently), where a single-shard window gets the classic one
         baseline slot."""
-        base = max(1, parallelism)
-        if self.controller is None:
-            return base
-        return base + self.controller.yielded_slots
+        return max(1, parallelism) + getattr(self.controller, "yielded_slots", 0)
 
     def _observe_round(
         self, ops: int, groups: list, chained: bool, failures: int, migration: bool
@@ -447,16 +431,13 @@ class PipelineEngine:
         # batch's other tasks and the drains landing in the round are
         # no evidence that the window is too deep.
         own = _Schedule()
-        own.add_round([((), *group[1:]) for group in groups], {}, chained)
+        own.add_round([((), *group[1:]) for group in groups], {}, chained, ops)
         backpressure = self._backpressure_pending
         self._backpressure_pending = False
         previous = self.controller.depth
         depth = self.controller.observe(DepthObservation(
-            ops=ops,
-            makespan_cycles=own.makespan(self.config.workers),
-            failures=failures,
-            backpressure=backpressure,
-            migration_active=migration,
+            ops=ops, makespan_cycles=own.makespan(self.config.workers), failures=failures,
+            backpressure=backpressure, migration_active=migration,
             full=ops >= self.controller.round_depth(migration),
         ))
         _, _, reason = self.controller.log[-1]
@@ -470,9 +451,7 @@ class PipelineEngine:
     # -- clock plumbing ------------------------------------------------------
     def _remote_clocks(self) -> dict[str, object]:
         """Shard clocks that are genuinely other machines."""
-        return {
-            sid: c for sid, c in self._shard_clocks().items() if c is not self.clock
-        }
+        return {sid: c for sid, c in self._shard_clocks().items() if c is not self.clock}
 
     # -- fan-out -------------------------------------------------------------
     @contextmanager
@@ -543,12 +522,13 @@ class PipelineEngine:
                 while start < len(ops):
                     depth = self.depth_current  # re-read: adaptive depth moves
                     self._run_round(
-                        ops[start:start + depth], responses, ready,
+                        ops[start:start + depth], depth, responses, ready,
                         self.client.plan_gets, self.client.submit_gets, self.client.wait_gets,
                         after,
                     )
                     start += depth
                 ops = [(i, responses[i]) for i, _ in ops if type(responses[i]) is GetWalk]
+                after = list(ready)  # a walk's next step leaves once its answer is in
         for follower, leader in leader_of.items():
             responses[follower] = responses[leader]
             ready[follower] = ready[leader]
@@ -567,19 +547,19 @@ class PipelineEngine:
         responses: list = [None] * len(ops)
         ready: list = [None] * len(ops)
         with self.batch():
-            self._schedule.barrier = list(range(len(self._schedule.costs)))
+            self._schedule.fence()
             start = 0
             while start < len(ops):
                 depth = self.depth_current  # re-read: adaptive depth moves
                 self._run_round(
-                    ops[start:start + depth], responses, ready,
+                    ops[start:start + depth], depth, responses, ready,
                     self.client.plan_puts, self.client.submit_puts, self.client.wait_puts,
                 )
                 start += depth
         return EngineBatch(responses=responses, ready=ready)
 
     def _run_round(
-        self, ops: list, responses: list, ready: list, plan, submit, wait,
+        self, ops: list, depth: int, responses: list, ready: list, plan, submit, wait,
         after: Sequence[int | None] | None = None,
     ) -> None:
         """One pipelined round over the client's shard groups.
@@ -595,7 +575,7 @@ class PipelineEngine:
         remote = self._remote_clocks()
         migration = self.client.in_transition
         failures0 = self.failures
-        tasks: list = []  # per group: (deps, send, serve per shard, receive)
+        tasks: list = []  # per group: (deps, send, serve per shard, receive, items)
         members: list[list[int]] = []  # per group: its request indices
         group_requests = [request for _, request in ops]
         groups = plan(group_requests)
@@ -635,13 +615,13 @@ class PipelineEngine:
                 ]
                 tasks.append((deps, send, {
                     sid: serve[sid] + served[sid] for sid in remote
-                }, receive))
+                }, receive, len(positions)))
                 members.append(indices)
                 for index, reply in zip(indices, replies):
                     responses[index] = reply
         background = {sid: self._drains.pop(sid, 0.0) for sid in remote}
         background[_BACKGROUND] = self._drains.pop(_BACKGROUND, 0.0)
-        receives = self._schedule.add_round(tasks, background, chained=not remote)
+        receives = self._schedule.add_round(tasks, background, not remote, depth)
         for receive, indices in zip(receives, members):
             for index in indices:
                 ready[index] = receive
@@ -653,6 +633,7 @@ class PipelineEngine:
             )
 
     # -- background (flusher) lane -------------------------------------------
+    @contextmanager
     def background(self):
         """Context manager accounting enclosed work as a background lane.
 
@@ -664,7 +645,16 @@ class PipelineEngine:
         drain or its shard's own serves.  Call :meth:`settle` to solve
         what no round took.
         """
-        return _BackgroundSpan(self)
+        remote = self._remote_clocks()
+        app0, shard0 = self.clock.cycles, {sid: c.cycles for sid, c in remote.items()}
+        try:
+            yield
+        finally:
+            deltas = {sid: c.cycles - shard0[sid] for sid, c in remote.items()}
+            deltas[_BACKGROUND] = self.clock.cycles - app0
+            for resource, delta in deltas.items():
+                if delta:
+                    self._drains[resource] = self._drains.get(resource, 0.0) + delta
 
     @contextmanager
     def parallel_region(self, kind: str = "compute"):
@@ -688,7 +678,7 @@ class PipelineEngine:
         drains, self._drains = self._drains, {}
         if drains:
             with self.batch():
-                self._schedule.add_round([], drains, chained=False)
+                self._schedule.add_round([], drains, False, 0)
 
     # -- reading ---------------------------------------------------------------
     @property
@@ -707,12 +697,8 @@ class PipelineEngine:
 
     def reset_accounting(self) -> None:
         self.settle()
-        self.makespan_cycles = 0.0
-        self.serial_cycles = 0.0
-        self.rounds = 0
-        self.ops = 0
-        self.failures = 0
-        self.coalesced_total = 0
+        self.makespan_cycles = self.serial_cycles = 0.0
+        self.rounds = self.ops = self.failures = self.coalesced_total = 0
 
     def snapshot(self) -> dict:
         """Canonical ``engine.<metric>`` counters for the registry."""
@@ -727,18 +713,11 @@ class PipelineEngine:
             "engine.sim_seconds_total": self.sim_seconds,
             "engine.serial_sim_seconds_total": self.serial_sim_seconds,
         }
-        if self.controller is not None:
-            snap["engine.depth_decisions"] = self.controller.decisions
-            snap["engine.depth_changes"] = self.controller.changes
-            snap["engine.depth_grows"] = self.controller.grows
-            snap["engine.depth_shrinks"] = self.controller.shrinks
-            snap["engine.depth_migration_caps"] = self.controller.migration_capped
-        else:
-            snap["engine.depth_decisions"] = 0
-            snap["engine.depth_changes"] = 0
-            snap["engine.depth_grows"] = 0
-            snap["engine.depth_shrinks"] = 0
-            snap["engine.depth_migration_caps"] = 0
+        for key, counter in (
+            ("decisions", "decisions"), ("changes", "changes"), ("grows", "grows"),
+            ("shrinks", "shrinks"), ("migration_caps", "migration_capped"),
+        ):
+            snap[f"engine.depth_{key}"] = getattr(self.controller, counter, 0)
         return snap
 
 
@@ -787,16 +766,33 @@ class _Schedule:
     tasks it waits for.  Solved once, when its batch ends; nothing of
     it outlives the batch."""
 
-    __slots__ = ("costs", "kinds", "shards", "deps", "barrier")
+    __slots__ = (
+        "costs", "kinds", "shards", "deps", "barrier", "last", "groups", "oldest", "free",
+        "unused", "serving",
+    )
 
     def __init__(self):
         self.costs: list[float] = []
         self.kinds: list[int] = []
         self.shards: list[str | None] = []
         self.deps: list[Sequence[int]] = []
-        #: The receives and drains of the last round: the next round's
-        #: sends wait for all of them (rounds are lock-step).
+        #: Every send of the next round waits for these: the last
+        #: round's drains, or every task before a :meth:`fence`.
         self.barrier: list[int] = []
+        #: The last round's receives: the next round's drains wait for
+        #: them and the barrier.
+        self.last: list[int] = []
+        #: Every group in wire order, ``(send, receive, items)``; those
+        #: from ``oldest`` on hold window slots.
+        self.groups: list[tuple[int, int, int]] = []
+        self.oldest = 0
+        #: The window's free slots: each freed one, in the order they were
+        #: freed, as the receive of the group that held it last, and a
+        #: count of those never held.
+        self.free: list[int] = []
+        self.unused = 0
+        #: Each shard's last serve, as a 1-tuple: a shard serves in wire order.
+        self.serving: dict[str, tuple[int]] = {}
 
     def add(self, cost: float, kind: str, deps: Sequence[int] = (), shard=None) -> int:
         self.costs.append(cost)
@@ -805,33 +801,60 @@ class _Schedule:
         self.deps.append(deps)
         return len(self.costs) - 1
 
+    def fence(self) -> None:
+        """Every task added from now on waits for every task so far."""
+        self.barrier, self.last = list(range(len(self.costs))), []
+        self.unused, self.free = self.unused + self.held + len(self.free), []
+        self.oldest = len(self.groups)
+
+    @property
+    def held(self) -> int:
+        """Items in the window: sent, and their slots not yet freed."""
+        return sum(items for _, _, items in self.groups[self.oldest:])
+
     def add_round(
-        self, groups: list, background: Mapping[str, float], chained: bool
+        self, groups: list, background: Mapping[str, float], chained: bool, depth: int
     ) -> list[int]:
         """Add one round's groups, each ``(deps, send, serve per shard,
-        receive)``; returns each group's receive.  ``background`` maps a
-        shard, or the background lane, to the drain work landing in this
-        round: one task there, ready when the round may start, ahead of
-        its serves, and waited for by the next round like its receives.
-        ``chained`` runs the groups one after another (a store on the
-        app's own machine)."""
+        receive, items)``; returns each group's receive.  A group takes
+        one window slot per item, freeing the oldest groups' slots until
+        at most ``depth`` items are in flight with it, and its send waits
+        for ``deps``, the barrier and the last holder of each slot it
+        takes.  ``background`` maps a shard, or the background lane, to
+        the drain work landing in this round: one task there, ready when
+        the last round is done, ahead of its serves, and waited for by
+        the next round.  ``chained`` runs the groups one after another (a
+        store on the app's own machine)."""
         drains = [
-            self.add(cost, "drain", self.barrier, resource)
+            self.add(cost, "drain", [*self.barrier, *self.last], resource)
             for resource, cost in background.items() if cost
         ]
         receives: list[int] = []
-        for deps, send, serves, receive in groups:
-            deps = [*self.barrier, *deps]
-            if chained and receives:
-                deps.append(receives[-1])
+        for deps, send, serves, receive, items in groups:
+            held = self.held
+            self.unused += max(0, depth - held - len(self.free) - self.unused)  # grows only
+            while held + items > depth:
+                _, freed, count = self.groups[self.oldest]
+                self.oldest += 1
+                self.free += [freed] * count
+                held -= count
+            fresh = min(self.unused, items)  # never-held slots first, then the last freed
+            self.unused -= fresh
+            cut = len(self.free) - items + fresh
+            taken, self.free = set(self.free[cut:]), self.free[:cut]
+            deps = [*self.barrier, *deps, *sorted(taken)]
+            if chained and self.groups:
+                deps.append(self.groups[-1][1])
             sent = self.add(send, "send", deps)
             served = [
-                self.add(cost, "serve", (sent,), shard)
+                self.add(cost, "serve", (sent, *self.serving.get(shard, ())), shard)
                 for shard, cost in serves.items() if cost
             ]
+            self.serving.update((self.shards[serve], (serve,)) for serve in served)
             receives.append(self.add(receive, "receive", served or (sent,)))
+            self.groups.append((sent, receives[-1], items))
         if receives:
-            self.barrier = receives + drains
+            self.barrier, self.last = drains, receives
         return receives
 
     def makespan(self, lanes: int) -> float:
@@ -903,27 +926,3 @@ def list_schedule(
                 waiting[later] -= 1
                 if not waiting[later]:
                     release(later)
-
-
-class _BackgroundSpan:
-    """Measures one background drain's per-machine clock deltas."""
-
-    __slots__ = ("_engine", "_app0", "_shard0", "_remote")
-
-    def __init__(self, engine: PipelineEngine):
-        self._engine = engine
-
-    def __enter__(self) -> "_BackgroundSpan":
-        self._remote = self._engine._remote_clocks()
-        self._app0 = self._engine.clock.cycles
-        self._shard0 = {sid: c.cycles for sid, c in self._remote.items()}
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        engine = self._engine
-        deltas = {sid: c.cycles - self._shard0[sid] for sid, c in self._remote.items()}
-        deltas[_BACKGROUND] = engine.clock.cycles - self._app0
-        for resource, delta in deltas.items():
-            if delta:
-                engine._drains[resource] = engine._drains.get(resource, 0.0) + delta
-        return False

@@ -17,6 +17,7 @@ from repro.bench import EXPERIMENTS, render
 from repro.bench.export import rows_to_csv, write_json
 from repro.bench.harness import KB, MB, TABLE1_OPS
 from repro.sgx.cost_model import CostParams
+from tests.schedule_reference import capture, violations
 
 #: experiment -> the levels its one run uses.
 RUNS = {
@@ -54,14 +55,18 @@ RUNS = {
 
 @pytest.fixture(scope="module")
 def table():
-    """``table(name)`` -> the experiment's rows, run on first use."""
+    """``table(name)`` -> the experiment's rows, run on first use;
+    ``table.solved[name]`` -> every engine graph that run solved."""
     cache = {}
 
     def rows(name: str) -> list[dict]:
         if name not in cache:
-            cache[name] = EXPERIMENTS[name].rows(**RUNS[name])
+            with pytest.MonkeyPatch.context() as patch:
+                rows.solved[name] = capture(patch).solved
+                cache[name] = EXPERIMENTS[name].rows(**RUNS[name])
         return cache[name]
 
+    rows.solved = {}
     return rows
 
 
@@ -151,12 +156,15 @@ ROW_DIGESTS = {
     # was re-pinned again when its workers cell began printing the
     # attached engine's clamped lanes: only the depth-1 row moved (4 -> 1),
     # and with the workers column dropped the rows hash to 744a2cde...
-    # before and after.
-    "pipeline": "c0596d82c55a34aba93d243b2fe7f67fe0ecc35db17621069886a32c7e4f3984",
+    # before and after.  All four were re-pinned when `depth` became a
+    # window of items in flight instead of a lock-step round: with the
+    # makespan columns above dropped they hash to b512f296... (pipeline),
+    # acbab21d..., f97fbec3... and 5534583e... before and after.
+    "pipeline": "c5836aa73c0f91663000357b7e0c743b80fc3a97839d9c619717160b70bbb384",
     "durable": "ebb12c57723f9f837c891e7c946f73f0b609ea76563524ae115cdbb28f5fb660",
-    "migrate": "28b1592db19a8562035439993f89b072cd148176c1fa418e5b53783f58c8e55d",
-    "adaptive": "dcbf031edcce2702d47b9790291d20cf37ef2b0e290ee1fa088351a99495a5f7",
-    "reshard": "1e573ce3bfd1e005039afbdcf36bc4d3d1f0cc639f5aa18a9dec58ae2f13c434",
+    "migrate": "65f7b93e41fd5f49a109e528e7f3d8ea4b6fa1e00d8aa0222d8b63bd2e95cd65",
+    "adaptive": "c3064b3cd66dbff027adb65ebc583dfd60e8ad363576c498c5ad655406a7c2cd",
+    "reshard": "9be28ed431562581207d27ecca484f568e025b9ca404ce9b805b61e1d8d91ab9",
 }
 
 
@@ -164,6 +172,17 @@ ROW_DIGESTS = {
 def test_rows_are_pinned(table, name):
     exported = rows_to_csv(_without_wall(table(name)))
     assert hashlib.sha256(exported.encode()).hexdigest() == ROW_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["pipeline", "migrate", "adaptive", "reshard"])
+def test_every_engine_graph_holds_the_model(table, name):
+    # Auto depth, drains, joins and migration windows: each batch the
+    # engine solved is a valid schedule of its graph
+    # (tests/schedule_reference.py).
+    table(name)
+    assert any(graph.groups for graph, _ in table.solved[name])
+    for graph, starts in table.solved[name]:
+        assert violations(graph, starts, sum(graph.costs)) == []
 
 
 class TestFig5Runners:

@@ -8,7 +8,9 @@ anything.  Both take a graph as four parallel lists: ``costs``,
 ``kinds`` (``"receive"``, ``"send"``, ``"tag"``, ``"verify"``,
 ``"compute"`` for a lane task, ``"serve"`` or ``"drain"`` for a task
 on a shard or the background lane), ``shards`` (``None`` for a lane
-task, else the resource it runs on) and ``deps``.
+task, else the resource it runs on) and ``deps``; ``violations`` also
+reads the shard groups, ``(send, receive, items)`` in wire order, and
+the window ``depth`` that bounds their items in flight.
 
 ``capture`` records every graph the engine solves, so a test can hold
 the engine's makespan to the reference exactly.
@@ -16,7 +18,7 @@ the engine's makespan to the reference exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import repro.engine
 
@@ -31,6 +33,8 @@ class Graph:
     shards: list
     deps: list
     lanes: int = 1
+    groups: list = field(default_factory=list)
+    depth: int = 0
 
     @property
     def makespan(self) -> float:
@@ -109,6 +113,15 @@ def violations(graph: Graph, starts: list[float], serial: float) -> list[str]:
         for (_, end), (begin, _) in zip(serves, serves[1:]):
             if begin < end:
                 found.append(f"shard {shard} serves two groups at {begin}")
+        order = [t for t in range(n) if graph.shards[t] == shard and graph.kinds[t] == "serve"]
+        for before, after in zip(order, order[1:]):
+            if starts[after] < starts[before]:
+                found.append(f"shard {shard} starts serve {after} before serve {before}")
+    flights = [(starts[send], ends[receive], items) for send, receive, items in graph.groups]
+    for at, _, _ in flights:
+        held = sum(items for begin, end, items in flights if begin <= at < end)
+        if held > graph.depth:
+            found.append(f"{held} items in flight at {at} over a window of {graph.depth}")
     makespan = max(ends, default=0.0)
     chain = [0.0] * n
     for task in range(n):  # deps always name earlier tasks
@@ -130,16 +143,24 @@ class capture:
 
     def __init__(self, monkeypatch):
         self.solved: list[tuple[Graph, list[float]]] = []
-        solve = repro.engine.list_schedule
+        solve, makespan = repro.engine.list_schedule, repro.engine._Schedule.makespan
         kinds = {rank: kind for kind, rank in repro.engine._PRIORITY.items()}
+        solving = []
+
+        def opening(schedule, lanes):
+            solving.append(schedule)
+            return makespan(schedule, lanes)
 
         def recording(costs, priorities, shards, deps, lanes):
             starts = solve(costs, priorities, shards, deps, lanes)
+            schedule = solving.pop()
             graph = Graph(
                 list(costs), [kinds[p] for p in priorities], list(shards),
                 [list(d) for d in deps], lanes,
+                list(schedule.groups), schedule.held + len(schedule.free) + schedule.unused,
             )
             self.solved.append((graph, starts))
             return starts
 
+        monkeypatch.setattr(repro.engine._Schedule, "makespan", opening)
         monkeypatch.setattr(repro.engine, "list_schedule", recording)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.engine import EngineConfig, PipelineEngine
 from repro.errors import ChannelError, ProtocolError, TransportError
 from repro.net.messages import GetRequest, PutRequest
+from repro.simtest import SimConfig, run_scenario
 from tests.schedule_reference import Graph, capture, reference_starts, violations
 
 
@@ -505,10 +506,18 @@ class WalkClient:
         return replies
 
 
-def expected_graph(client, tag_costs, verify, compute, workers) -> Graph:
+def expected_graph(client, tag_costs, verify, compute, workers, depth) -> Graph:
     """The batch's task graph as the model states it, from the
-    generated costs and the rounds the client saw."""
-    graph = Graph([], [], [], [], workers)
+    generated costs and the rounds the client saw.
+
+    The window is ``depth`` slots, each remembering the receive of the
+    group that held it last and when it was freed.  A group of ``k``
+    items frees the oldest holding groups' slots until ``k`` are free,
+    takes the never-held ones first and then the ones freed last, and
+    its send waits for their last holders, the last round's drains and
+    each item's tag (or, walking on, the receive that sent it on).  A
+    shard serves in wire order; a drain waits for the last round."""
+    graph = Graph([], [], [], [], workers, [], depth)
 
     def add(cost, kind, deps, shard=None):
         for column, value in zip(
@@ -519,7 +528,10 @@ def expected_graph(client, tag_costs, verify, compute, workers) -> Graph:
         return len(graph.costs) - 1
 
     tags = [add(cost, "tag", []) for cost in tag_costs]
-    answered, barrier = {}, []
+    slots = [{"holder": None, "freed": 0} for _ in range(depth)]  # "freed": None while held
+    holding = []  # (the group's slots), oldest first
+    freed = 0
+    answered, barrier, drained, serving = {}, [], [], {}
     for number, groups in enumerate(client.rounds):
         drains = []
         if number < len(client.drains) and client.drains[number]:
@@ -529,11 +541,25 @@ def expected_graph(client, tag_costs, verify, compute, workers) -> Graph:
                     drains.append(add(cost, "drain", barrier, shard))
         receives = []
         for items, shard, send, serve, receive in groups:
-            sent = add(send, "send", barrier + [tags[i] for i in items])
-            served = [add(serve, "serve", [sent], shard)] if serve else [sent]
+            while sum(slot["freed"] is not None for slot in slots) < len(items):
+                freed += 1
+                for slot in holding.pop(0):
+                    slot["freed"] = freed
+            free = [slot for slot in slots if slot["freed"] is not None]
+            free.sort(key=lambda slot: (slot["holder"] is not None, -slot["freed"]))
+            mine = free[:len(items)]
+            waits = [slot["holder"] for slot in mine if slot["holder"] is not None]
+            sent = add(send, "send", drained + waits + [answered.get(i, tags[i]) for i in items])
+            served = [sent]
+            if serve:
+                served = serving[shard] = [add(serve, "serve", [sent, *serving.get(shard, [])], shard)]
             receives.append(add(receive, "receive", served))
+            graph.groups.append((sent, receives[-1], len(items)))
+            for slot in mine:
+                slot.update(holder=receives[-1], freed=None)
+            holding.append(mine)
             answered.update((i, receives[-1]) for i in items)
-        barrier = receives + drains
+        barrier, drained = receives + drains, drains
     for kind, costs in (("verify", verify), ("compute", compute)):
         for item, cost in enumerate(costs):
             if cost is not None:
@@ -594,9 +620,9 @@ class TestBatchSchedule:
                                     app.advance(float(cost))
         assert engine._schedule is None  # nothing outlives the batch
         ((graph, starts),) = solved
-        expected = expected_graph(client, tag_costs, verify, compute, workers)
-        assert (graph.costs, graph.kinds, graph.shards) == (
-            expected.costs, expected.kinds, expected.shards
+        expected = expected_graph(client, tag_costs, verify, compute, workers, depth)
+        assert (graph.costs, graph.kinds, graph.shards, graph.groups, graph.depth) == (
+            expected.costs, expected.kinds, expected.shards, expected.groups, expected.depth
         )
         assert [sorted(set(d)) for d in graph.deps] == expected.deps
         assert violations(expected, starts, engine.serial_cycles) == []
@@ -642,6 +668,24 @@ class TestBatchSchedule:
             engine.run_gets([get(bytes([i])) for i in range(4)], after=tags)
         assert engine.makespan_cycles == 170.0
         assert engine.serial_cycles == 80.0 + 2 * 75.0
+
+    def test_a_group_waits_only_for_the_receives_that_free_its_slots(self):
+        # Depth 2 on two shards, two rounds of one item per shard; each
+        # group is (send, serve, receive).  Round 1: s0 10 / 100 / 5 and
+        # s1 10 / 10 / 5; round 2: s0 10 / 10 / 5 and s1 10 / 100 / 5.
+        # Round 2's s1 group takes the slot s1's first receive frees at
+        # 25: send 25-35, serve 35-135, receive 135-140.  Its s0 group
+        # waits for s0's first receive at 115: done at 140.  Lock-step,
+        # both would wait for 115, and s1's serve would end at 225.
+        app, shards = FakeClock(), {"s0": FakeClock(), "s1": FakeClock()}
+        costs = [10, 100, 5, 10, 10, 5, 10, 10, 5, 10, 100, 5]
+        client = WalkClient(app, shards, [["s0"], ["s1"], ["s0"], ["s1"]], costs)
+        engine = client.engine = PipelineEngine(
+            client, app, shard_clocks=shards, config=EngineConfig(depth=2, workers=2),
+        )
+        engine.run_gets([get(bytes([i])) for i in range(4)])
+        assert engine.makespan_cycles == 140.0
+        assert engine.serial_cycles == sum(costs)
 
     def test_a_colocated_store_keeps_a_round_serial_inside_a_batch(self):
         app = FakeClock()
@@ -712,6 +756,23 @@ class TestBatchSchedule:
                 with region.task():
                     app.advance(10.0)
         assert engine.makespan_cycles == 10.0
+
+
+class TestSolvedGraphs:
+    def test_the_pipelined_simtest_seeds_solve_valid_graphs(self, monkeypatch):
+        # The pinned seeds whose engine is depth 8 or auto (seed % 3 != 0):
+        # kills, timeouts, replica walks and migration windows.  Each
+        # batch the engine solved is a valid schedule of its graph.
+        solved = capture(monkeypatch).solved
+        for seed in (1, 2, 4, 5, 7, 8, 10, 11, 13, 14):
+            first = len(solved)
+            result = run_scenario(SimConfig(seed=seed, steps=25))
+            assert result.ok
+            bound = 8 if result.config.engine == "pipeline" else 16  # auto: its max_depth
+            assert all(graph.depth <= bound for graph, _ in solved[first:])
+        assert any(graph.groups for graph, _ in solved)
+        for graph, starts in solved:
+            assert violations(graph, starts, sum(graph.costs)) == []
 
 
 class TestDeclaredComputeAccounting:
