@@ -17,10 +17,11 @@ whichever side is faster), in how many pairs B was the better, the wider
 of the two sides' inter-quartile spreads against the metric's bound in
 ``BENCHMARK.json``, and a verdict:
 
-* ``better`` / ``worse`` — B (resp. A) won at least nine pairs in ten,
-  ties counting for neither, and the medians differ by more than the
-  other side's own inter-quartile spread; or B's median is worse than
-  A's by more than the bound (``worse``).
+* ``better`` / ``worse`` — over ten pairs or more, B (resp. A) won at
+  least nine pairs in ten, ties counting for neither, and the medians
+  differ by more than the other side's own inter-quartile spread; or,
+  over any number of pairs, B's median is worse than A's by more than
+  the bound (``worse``).  Two of two pairs is no win share.
 * ``unresolved`` — neither, and the spread exceeds the bound: the runs
   cannot tell.  Not the same as unchanged.
 * ``same`` — neither, and the spread is inside the bound.
@@ -46,6 +47,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 WORKTREE = "WORKTREE"
 WIN_SHARE = 0.9
+#: Pairs the win-share rule needs before it may read better or worse.
+MIN_PAIRS = 10
 
 
 class Row(NamedTuple):
@@ -76,7 +79,7 @@ def summarize(a: list[float], b: list[float], better: str, bound: float) -> Row:
     b_better = sum(sign * (y - x) > 0 for x, y in zip(a, b))
     a_better = sum(sign * (y - x) < 0 for x, y in zip(a, b))
     spread_a, spread_b = spread_of(a), spread_of(b)
-    needed = WIN_SHARE * len(a)
+    needed = WIN_SHARE * len(a) if len(a) >= MIN_PAIRS else float("inf")
     if b_better >= needed and gain > spread_a:
         verdict = "better"
     elif (a_better >= needed and -gain > spread_b) or -gain > bound * scale:

@@ -196,16 +196,17 @@ class _SerialRegion(AbstractContextManager):
 class _Crossing(NamedTuple):
     """How a group's requests leave the enclave (:meth:`DedupRuntime._crossing`).
 
-    Both sends answer with an :class:`~repro.engine.EngineBatch`: a
-    response or an exception per position (plus, for GETs the engine
-    coalesced, who follows whom).  ``lanes(kind)`` opens the region the
-    group's per-item enclave work of one stage is accounted to, and
-    ``batch`` spans the whole group, so that its stages and rounds are
-    accounted as one schedule.
+    Both sends enter the OCALL they are handed as ``ocall`` and answer
+    with an :class:`~repro.engine.EngineBatch`: a response or an
+    exception per position (plus, for GETs the engine coalesced, who
+    follows whom).  ``lanes(kind)`` opens the region the group's
+    per-item enclave work of one stage is accounted to, and ``batch``
+    spans the whole group, so that its stages and rounds are accounted
+    as one schedule.
     """
 
     send_gets: Callable[..., EngineBatch]
-    send_puts: Callable[[list[PutRequest]], EngineBatch]
+    send_puts: Callable[..., EngineBatch]
     lanes: Callable[[str], Any]
     batch: Callable[[], AbstractContextManager]
 
@@ -381,8 +382,9 @@ class DedupRuntime:
                 engine.run_gets, engine.run_puts, engine.parallel_region, engine.batch
             )
 
-        def send(requests: list, after: list | None = None) -> EngineBatch:
-            return EngineBatch(call_batch(requests))
+        def send(requests: list, after: list | None = None, *, ocall) -> EngineBatch:
+            with ocall:
+                return EngineBatch(call_batch(requests))
 
         return _Crossing(send, send, _SerialRegion, nullcontext)
 
@@ -576,11 +578,11 @@ class DedupRuntime:
         self, ocall: str, payload: int, send: Callable[..., EngineBatch], requests: list,
         *args,
     ) -> EngineBatch:
-        """``send(requests, *args)``, one round trip, under one OCALL.  A
-        round trip lost whole is every request's failure."""
+        """``send(requests, *args)``, one round trip, under one OCALL that
+        ``send`` enters (an engine accounts it on its lanes).  A round trip
+        lost whole is every request's failure."""
         try:
-            with self.enclave.ocall(ocall, in_bytes=payload):
-                return send(requests, *args)
+            return send(requests, *args, ocall=self.enclave.ocall(ocall, in_bytes=payload))
         except _STORE_FAILURES as exc:
             return EngineBatch([exc] * len(requests))
 
@@ -792,27 +794,22 @@ class DedupRuntime:
 
         This is the background flusher's unit of work: bounded, cheap,
         callable between foreground requests.  When an engine is
-        attached the drain's clock charges are accounted as the
-        engine's background lane — they overlap the next round of
-        foreground work instead of adding to the critical path.
+        attached the drain's clock charges, the send and the acks' alike,
+        are accounted as the engine's background lane — they overlap the
+        next round of foreground work instead of adding to the critical
+        path.
         """
         if max_items is None:
             max_items = self.config.put_flush_batch or len(self._pending_puts)
         batch = self._pending_puts[:max_items]
         del self._pending_puts[:max_items]
-        if batch:
-            if self.engine is not None:
-                with self.engine.background():
-                    self._send_put_batch_oneway(batch)
-            else:
-                self._send_put_batch_oneway(batch)
-        self._account_put_responses(self.client.drain_responses())
+        with nullcontext() if self.engine is None else self.engine.background():
+            if batch:
+                request_id = self.client.send_oneway_batch(batch)
+                self._inflight_puts[request_id] = tuple(p.tag for p in batch)
+                self.stats.puts_sent += len(batch)
+            self._account_put_responses(self.client.drain_responses())
         return len(batch)
-
-    def _send_put_batch_oneway(self, batch: list[PutRequest]) -> None:
-        request_id = self.client.send_oneway_batch(batch)
-        self._inflight_puts[request_id] = tuple(p.tag for p in batch)
-        self.stats.puts_sent += len(batch)
 
     def flush_puts(self) -> int:
         """Send all queued PUTs (the "separated thread" of §V-B) and
@@ -832,12 +829,7 @@ class DedupRuntime:
         or errors the server could not correlate — stay visible in
         :attr:`puts_unacknowledged` instead of being miscounted.
         """
-        flushed = 0
-        while self._pending_puts:
-            flushed += self.drain_put_batch(max_items=len(self._pending_puts))
-        if not flushed:
-            self._account_put_responses(self.client.drain_responses())
-        return flushed
+        return self.drain_put_batch(max_items=len(self._pending_puts))
 
     def _account_put_responses(self, responses: Sequence[Message]) -> None:
         for response in responses:

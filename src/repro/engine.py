@@ -23,29 +23,33 @@ schedule** over the measured tasks of one batch (one
 round, a region or a settle entered outside one opens a batch of its
 own):
 
-- *tasks*: each item's tag + L1 probe, each shard group's send (app
-  cost of ``submit``), serve (each remote shard's cost, one task per
-  shard) and receive (app cost of ``wait``), each answered item's
-  verification, each computed miss's compute + protect, and each
-  background drain (below);
+- *tasks*: each item's tag + L1 probe, each exchange's OCALL enter and
+  exit, each shard group's send (app cost of ``submit``), serve (each
+  remote shard's cost, one task per shard) and receive (app cost of
+  ``wait``), each answered item's verification, each computed miss's
+  compute + protect, and each background drain (below).  Only the
+  application's ECALL enter and exit stay outside every task;
 - *dependencies*: ``depth`` bounds the items in flight, not a round.
   A shard group takes one window slot per item; when too few are free,
   the oldest groups' receives free theirs.  Its send waits for the last
   holder of each slot it takes (the never-held ones first, then the
   last freed), for its items' tags (a walking item's: the receive that
-  sent it on) and for the previous round's drains.  A serve follows its
-  send and its shard's previous serve (a shard serves in wire order),
-  and a receive its serves.  An item's verification follows the receive
-  of the last round it walked in, and its compute that verification (a
-  miss's costs nothing); a batch's PUT rounds wait for everything
-  before them (the results are sealed in one pass).  The enclave work
-  of later items thus overlaps the store I/O still outstanding, as the
-  paper's asynchronous PUT thread does (§V-B);
+  sent it on; it rides the next round, beside first steps still to go),
+  for its exchange's OCALL enter and for the previous round's drains.
+  A serve follows its send and its shard's previous serve (a shard
+  serves in wire order), and a receive its serves; an OCALL's exit
+  follows every receive of its exchange, and only the batch's end waits
+  for it.  An item's verification follows the receive of the last round
+  it walked in, and its compute that verification (a miss's costs
+  nothing); a batch's PUT exchange waits for everything before it (the
+  results are sealed in one pass).  The enclave work of later items
+  thus overlaps the store I/O still outstanding, as the paper's
+  asynchronous PUT thread does (§V-B);
 - *resources*: ``workers`` app lanes, one per remote shard and the
   background lane (below), each running one task at a time without
   preemption.  A free lane takes the ready task first in the order
-  receive, send, tag (input order), verification, compute; a shard
-  serves its ready tasks in the order they were added.
+  receive, OCALL, send, tag (input order), verification, compute; a
+  shard serves its ready tasks in the order they were added.
 
 The makespan is bounded below by the longest dependency chain and by
 the app work over the lanes, and above by the plain sum of the task
@@ -55,13 +59,14 @@ application's machine (no second clock to overlap with) runs its groups
 one after another — one machine cannot overlap with itself.
 
 The asynchronous PUT flusher uses :meth:`PipelineEngine.background` to
-account its drains as tasks of the schedule the next round lands in:
-the app cycles on the one background lane, each shard's cycles on that
-shard ahead of the round's serves, all ready once the round before is
-done and waited for by the round after it.  A drain thus overlaps the
-one round it lands in (and the lane work beside it) but not another
-drain, nor its shard's serves; :meth:`settle` solves the drains no
-round took as one schedule of their own.
+account its drains, the one-way send and the ack decrypts alike, as
+tasks of the schedule the next round lands in: the app cycles on the
+one background lane, each shard's cycles on that shard ahead of the
+round's serves, all ready once the round before is done and waited for
+by the round after it.  A drain thus overlaps the one round it lands in
+(and the lane work beside it) but not another drain, nor its shard's
+serves; :meth:`settle` solves the drains no round took as one schedule
+of their own, the acks beside the shards' ingest.
 
 Adaptive depth
 --------------
@@ -108,9 +113,10 @@ AUTO_DEPTH = "auto"
 
 #: Task kinds, in the order a free lane prefers them (a serve runs on
 #: its shard and a drain on its shard or the background lane, never on
-#: a worker lane).
+#: a worker lane; an OCALL's enter or exit is a lane task).
 _PRIORITY = {
-    "receive": 0, "send": 1, "tag": 2, "verify": 3, "compute": 4, "serve": 5, "drain": 6,
+    "receive": 0, "ocall": 1, "send": 2, "tag": 3, "verify": 4, "compute": 5, "serve": 6,
+    "drain": 7,
 }
 
 #: The resource a drain's app cycles run on: one lane, §V-B's flusher.
@@ -472,7 +478,8 @@ class PipelineEngine:
             self.serial_cycles += sum(schedule.costs)
 
     def run_gets(
-        self, requests: Sequence[Message], after: Sequence[int | None] | None = None
+        self, requests: Sequence[Message], after: Sequence[int | None] | None = None,
+        ocall=None,
     ) -> EngineBatch:
         """Pipeline a list of GETs; coalesce duplicate in-flight tags.
 
@@ -483,80 +490,96 @@ class PipelineEngine:
         (``plan_gets``), so the shards serve concurrently and the
         channel's AEAD cost stays amortized across the group.
 
-        Every GET travels as a :class:`~repro.cluster.router.GetWalk`;
-        the items a primary missed or did not serve, gathered over all
-        rounds, then walk their remaining owners in steps, each step one
-        more set of rounds (one record per next owner) over the same
-        plan, submit and wait.
+        Every GET travels as a :class:`~repro.cluster.router.GetWalk`
+        through one queue, ``depth`` items a round: an item a primary
+        missed or did not serve goes back on the end of the queue to ask
+        its next owner (one record per next owner, over the same plan,
+        submit and wait), once the receive that sent it on is done.
 
         The rounds join the open :meth:`batch`, or one of their own:
         ``after[i]`` names the task of that batch request ``i`` waits for
         (its tag), and the answer's ``ready`` the receive each response
-        arrives with.
+        arrives with.  ``ocall``, the enclave transition the GETs leave
+        under, is accounted as two lane tasks (:meth:`_crossing`).
         """
         requests = list(requests)
         responses: list = [None] * len(requests)
         ready: list = [None] * len(requests)
         leader_of: dict[int, int] = {}
-        wire: list[int] = []
-        if self.config.coalesce:
-            leaders: dict[bytes, int] = {}
-            for i, request in enumerate(requests):
-                tag = request.tag if isinstance(request, GetRequest) else None
-                if tag is None:
-                    wire.append(i)
-                    continue
-                leader = leaders.setdefault(tag, i)
-                if leader == i:
-                    wire.append(i)
-                else:
+        leaders: dict[bytes, int] = {}
+        ops = []  # (request index, what goes on the wire), the queue
+        for i, request in enumerate(requests):
+            if isinstance(request, GetRequest):
+                leader = leaders.setdefault(request.tag, i) if self.config.coalesce else i
+                if leader != i:
                     leader_of[i] = leader
-        else:
-            wire = list(range(len(requests)))
+                    continue
+                request = GetWalk(request)
+            ops.append((i, request))
         self.coalesced_total += len(leader_of)
-        ops = [(i, requests[i]) for i in wire]
-        ops = [(i, GetWalk(r) if isinstance(r, GetRequest) else r) for i, r in ops]
-        with self.batch():
-            while ops:
-                start = 0
-                while start < len(ops):
-                    depth = self.depth_current  # re-read: adaptive depth moves
-                    self._run_round(
-                        ops[start:start + depth], depth, responses, ready,
-                        self.client.plan_gets, self.client.submit_gets, self.client.wait_gets,
-                        after,
-                    )
-                    start += depth
-                ops = [(i, responses[i]) for i, _ in ops if type(responses[i]) is GetWalk]
-                after = list(ready)  # a walk's next step leaves once its answer is in
+        after = list(after or [None] * len(requests))
+        with self.batch(), self._crossing(ocall):
+            start = 0
+            while start < len(ops):
+                depth = self.depth_current  # re-read: adaptive depth moves
+                sent = ops[start:start + depth]
+                self._run_round(
+                    sent, depth, responses, ready,
+                    self.client.plan_gets, self.client.submit_gets, self.client.wait_gets, after,
+                )
+                start += len(sent)
+                for i, _ in sent:  # a walk's next step leaves once its answer is in
+                    if type(responses[i]) is GetWalk:
+                        ops.append((i, responses[i]))
+                        after[i] = ready[i]
         for follower, leader in leader_of.items():
             responses[follower] = responses[leader]
             ready[follower] = ready[leader]
         return EngineBatch(responses=responses, leader_of=leader_of, ready=ready)
 
-    def run_puts(self, requests: Sequence[Message]) -> EngineBatch:
+    def run_puts(self, requests: Sequence[Message], ocall=None) -> EngineBatch:
         """Pipeline a list of PUTs (never coalesced: every PUT wants its
         own durability verdict, and the store dedups identical tags).
         Each round ships one grouped sub-batch record per owner shard of
         the groups the client plans (``plan_puts``) instead of per-item
         PUTs, so the shards absorb their copies concurrently.  The rounds
         join the open :meth:`batch`, or one of their own, and the first
-        waits for every task before it: the batch's results leave sealed
-        in one pass."""
+        (or ``ocall``'s enter, as in :meth:`run_gets`) waits for every
+        task before it: the batch's results leave sealed in one pass."""
         ops = list(enumerate(requests))
         responses: list = [None] * len(ops)
         ready: list = [None] * len(ops)
         with self.batch():
             self._schedule.fence()
-            start = 0
-            while start < len(ops):
-                depth = self.depth_current  # re-read: adaptive depth moves
-                self._run_round(
-                    ops[start:start + depth], depth, responses, ready,
-                    self.client.plan_puts, self.client.submit_puts, self.client.wait_puts,
-                )
-                start += depth
+            with self._crossing(ocall):
+                start = 0
+                while start < len(ops):
+                    depth = self.depth_current  # re-read: adaptive depth moves
+                    self._run_round(
+                        ops[start:start + depth], depth, responses, ready,
+                        self.client.plan_puts, self.client.submit_puts, self.client.wait_puts,
+                    )
+                    start += depth
         return EngineBatch(responses=responses, ready=ready)
+
+    @contextmanager
+    def _crossing(self, ocall):
+        """Account the enclave transition ``ocall`` (``None``: none) the
+        rounds inside leave under as two lane tasks of the open batch:
+        its enter, after the barrier, which every send inside waits for,
+        and its exit, after every receive inside, which only the batch's
+        end waits for."""
+        if ocall is None:
+            yield
+            return
+        schedule, app0 = self._schedule, self.clock.cycles
+        with ocall:
+            schedule.barrier = [schedule.add(self.clock.cycles - app0, "ocall", schedule.barrier)]
+            first = len(schedule.groups)
+            yield
+            app0 = self.clock.cycles
+        receives = [receive for _, receive, _ in schedule.groups[first:]]
+        schedule.add(self.clock.cycles - app0, "ocall", receives)
 
     def _run_round(
         self, ops: list, depth: int, responses: list, ready: list, plan, submit, wait,
@@ -724,39 +747,19 @@ class PipelineEngine:
 class _ParallelRegion:
     """Adds a run of same-kind app tasks to the open batch's schedule."""
 
-    __slots__ = ("_clock", "_kind", "_schedule")
-
     def __init__(self, engine: PipelineEngine, kind: str):
-        self._clock = engine.clock
-        self._kind = kind
-        self._schedule = engine._schedule
+        self._clock, self._kind, self._schedule = engine.clock, kind, engine._schedule
 
-    def task(self, after: int | None = None) -> "_RegionTask":
-        """Context manager measuring one task's app-clock delta; it
-        enters as the task's id in the schedule."""
-        return _RegionTask(self, after)
-
-
-class _RegionTask:
-    """Measures one task's app-clock delta for its region."""
-
-    __slots__ = ("_region", "_after", "_task", "_app0")
-
-    def __init__(self, region: _ParallelRegion, after: int | None):
-        self._region = region
-        self._after = after
-
-    def __enter__(self) -> int:
-        region = self._region
-        after = () if self._after is None else (self._after,)
-        self._task = region._schedule.add(0.0, region._kind, after)
-        self._app0 = region._clock.cycles
-        return self._task
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        region = self._region
-        region._schedule.costs[self._task] = region._clock.cycles - self._app0
-        return False
+    @contextmanager
+    def task(self, after: int | None = None):
+        """Measures one task's app-clock delta; it enters as the task's
+        id in the schedule."""
+        task = self._schedule.add(0.0, self._kind, () if after is None else (after,))
+        app0 = self._clock.cycles
+        try:
+            yield task
+        finally:
+            self._schedule.costs[task] = self._clock.cycles - app0
 
 
 class _Schedule:

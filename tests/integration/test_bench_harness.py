@@ -159,12 +159,15 @@ ROW_DIGESTS = {
     # before and after.  All four were re-pinned when `depth` became a
     # window of items in flight instead of a lock-step round: with the
     # makespan columns above dropped they hash to b512f296... (pipeline),
-    # acbab21d..., f97fbec3... and 5534583e... before and after.
-    "pipeline": "c5836aa73c0f91663000357b7e0c743b80fc3a97839d9c619717160b70bbb384",
+    # acbab21d..., f97fbec3... and 5534583e... before and after.  All
+    # four again when the flusher's acks, an exchange's OCALL and a
+    # walk's next step joined the schedule: the same four hashes before
+    # and after with those columns dropped.
+    "pipeline": "6fccc3b3fca83e88726d23cd28bb996d5be1c11b200d0bdc0f3f60b7baadc641",
     "durable": "ebb12c57723f9f837c891e7c946f73f0b609ea76563524ae115cdbb28f5fb660",
-    "migrate": "65f7b93e41fd5f49a109e528e7f3d8ea4b6fa1e00d8aa0222d8b63bd2e95cd65",
-    "adaptive": "c3064b3cd66dbff027adb65ebc583dfd60e8ad363576c498c5ad655406a7c2cd",
-    "reshard": "9be28ed431562581207d27ecca484f568e025b9ca404ce9b805b61e1d8d91ab9",
+    "migrate": "483453fadd44644ad8c007c36d1f17b408ea64adb8aa8b179fa6b0a3d3de3a15",
+    "adaptive": "952198cb0468f51d60a1cdabab3bbf4a6b4c99c6785f23e6bcb9c74a0aae6e6c",
+    "reshard": "90102ec34e027773dbb3a700ecd3594191c32d8a7d454decf9d1e749d073280f",
 }
 
 

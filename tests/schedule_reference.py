@@ -5,12 +5,14 @@
 method: at each decision time it rescans every task.  ``violations``
 checks any start times against a task graph without scheduling
 anything.  Both take a graph as four parallel lists: ``costs``,
-``kinds`` (``"receive"``, ``"send"``, ``"tag"``, ``"verify"``,
-``"compute"`` for a lane task, ``"serve"`` or ``"drain"`` for a task
-on a shard or the background lane), ``shards`` (``None`` for a lane
-task, else the resource it runs on) and ``deps``; ``violations`` also
-reads the shard groups, ``(send, receive, items)`` in wire order, and
-the window ``depth`` that bounds their items in flight.
+``kinds`` (``"receive"``, ``"ocall"``, ``"send"``, ``"tag"``,
+``"verify"``, ``"compute"`` for a lane task, ``"serve"`` or ``"drain"``
+for a task on a shard or the background lane), ``shards`` (``None`` for
+a lane task, else the resource it runs on) and ``deps``; ``violations``
+also reads the shard groups, ``(send, receive, items)`` in wire order,
+and the window ``depth`` that bounds their items in flight.  An OCALL's
+enter and exit are lane tasks, never part of a group: they hold no
+window slot.
 
 ``capture`` records every graph the engine solves, so a test can hold
 the engine's makespan to the reference exactly.
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import repro.engine
 
 #: A free lane takes the ready task of the earliest kind in this list.
-LANE_ORDER = ("receive", "send", "tag", "verify", "compute")
+LANE_ORDER = ("receive", "ocall", "send", "tag", "verify", "compute")
 
 
 @dataclass

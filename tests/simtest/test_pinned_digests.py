@@ -26,22 +26,26 @@ from repro.simtest.runner import ENGINES, OPS
 # seed -> digest at 25 steps, 3 shards; seed % 3 picks the engine, so
 # each engine has five rows.  Recorded when the mode flags were folded
 # into one schedule (every run now draws every fault class, on durable
-# stores, and checks all eight invariants).
+# stores, and checks all eight invariants).  Adaptive seeds 2, 5, 8 and
+# 14 were re-pinned when a walking GET began to ride the engine's next
+# round beside first steps: the governor sees other rounds, so only the
+# adaptive decision log's digest moved (same decisions and changes
+# counts; every other trace line is unchanged).
 PINNED = {
     1: "7c278988999eea8c",  # pipeline
-    2: "b45bf888bb82c5b7",  # adaptive
+    2: "3f70247da1582da8",  # adaptive
     3: "17cf6b2a4c523d8c",  # serial
     4: "de021d1a98d20928",  # pipeline
-    5: "c4e4633df6fff48a",  # adaptive
+    5: "6a709abf08fb3144",  # adaptive
     6: "f03fb42eda5dbaa4",  # serial
     7: "c2b883a1601074c8",  # pipeline
-    8: "25ed5c23e68fffeb",  # adaptive
+    8: "b9a52007cb73a851",  # adaptive
     9: "76dada1efb420646",  # serial
     10: "46e4d9742f4b2f0f",  # pipeline
     11: "e03d52099d145045",  # adaptive
     12: "4311e4a2f12069eb",  # serial
     13: "d8478a15aff8ff6b",  # pipeline
-    14: "cdf2fa2396b3cf3e",  # adaptive
+    14: "9e39daba1770362b",  # adaptive
     15: "073af8a527c2f618",  # serial
 }
 

@@ -35,9 +35,9 @@ def test_a_clear_gain_reads_better_with_delta_relative_to_the_pair_mean():
 
 
 def test_lower_is_better_flips_what_a_win_is():
-    a, b = [1.83, 1.85, 1.80, 1.84, 1.82], [1.26, 1.27, 1.25, 1.28, 1.26]
+    a, b = [1.83, 1.85, 1.80, 1.84, 1.82] * 2, [1.26, 1.27, 1.25, 1.28, 1.26] * 2
     row = compare.summarize(a, b, better="lower", bound=0.15)
-    assert (row.b_better, row.verdict) == (5, "better") and row.delta < 0
+    assert (row.b_better, row.verdict) == (10, "better") and row.delta < 0
     assert compare.summarize(a, b, better="higher", bound=0.15).verdict == "worse"
 
 
@@ -55,6 +55,18 @@ def test_a_gain_inside_the_parents_own_spread_is_not_resolved():
     b = [value + 10 for value in noisy_a]                   # wins every pair, by less than A's IQR
     row = compare.summarize(noisy_a, b, "higher", 0.15)
     assert (row.b_better, row.verdict) == (10, "same")
+
+
+def test_under_ten_pairs_the_win_share_reads_neither_better_nor_worse():
+    # Two of two pairs lost by 12 % is no verdict against a 25 % bound:
+    # a set-up time drifting with the host reads this way.
+    a, b = [0.30, 0.29], [0.336, 0.325]
+    row = compare.summarize(a, b, "lower", bound=0.25)
+    assert (row.a_better, row.verdict) == (2, "same")
+    assert compare.summarize(b, a, "lower", bound=0.25).verdict == "same"
+    # Nine pairs lost every time is still short of the ten the rule needs.
+    nine = compare.summarize(TEN_A[:9], [v - 50 for v in TEN_A[:9]], "higher", 0.15)
+    assert (nine.a_better, nine.verdict) == (9, "same")
 
 
 def test_a_median_worse_than_the_bound_reads_worse_whatever_the_pairs_say():

@@ -5,13 +5,16 @@ chosen by the test — the integration suites (cluster, core, simtest)
 cover the real wire path.
 """
 
-from contextlib import nullcontext
+import random
+from contextlib import contextmanager, nullcontext
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro import RuntimeConfig
 from repro.engine import EngineConfig, PipelineEngine
 from repro.errors import ChannelError, ProtocolError, TransportError
 from repro.net.messages import GetRequest, PutRequest
@@ -98,6 +101,10 @@ class GroupedFakeClient:
     plan_puts = plan_gets
     submit_puts = submit_gets
     wait_puts = wait_gets
+
+
+def reverse(data: bytes) -> bytes:
+    return data[::-1]
 
 
 def get(tag: bytes) -> GetRequest:
@@ -687,6 +694,67 @@ class TestBatchSchedule:
         assert engine.makespan_cycles == 140.0
         assert engine.serial_cycles == sum(costs)
 
+    def test_walkers_fill_the_last_partial_round_of_first_steps(self, monkeypatch):
+        # Depth 4, six items: 0-3 ask s0 and then s1, 4 and 5 only s0.
+        # The first steps fill a round of four and leave one of two;
+        # walkers 0 and 1 fill that round, and 2 and 3 take a third.
+        app, shards = FakeClock(), {"s0": FakeClock(), "s1": FakeClock()}
+        client = WalkClient(app, shards, [["s0", "s1"]] * 4 + [["s0"]] * 2, [10, 30, 5])
+        engine = client.engine = PipelineEngine(
+            client, app, shard_clocks=shards, config=EngineConfig(depth=4, workers=2),
+        )
+        solved = capture(monkeypatch).solved
+        batch = engine.run_gets([get(bytes([i])) for i in range(6)])
+        assert batch.responses == [("answer", i) for i in range(6)]
+        assert [sorted(i for items, *_ in groups for i in items) for groups in client.rounds] == [
+            [0, 1, 2, 3], [0, 1, 4, 5], [2, 3],
+        ]
+        # Each walker's send waits for the receive that sent it on.
+        ((graph, _),) = solved
+        wire = [items for groups in client.rounds for items, *_ in groups]
+        sent_on: dict[int, int] = {}
+        for (send, receive, _), items in zip(graph.groups, wire, strict=True):
+            for item in items:
+                if item in sent_on:
+                    assert sent_on[item] in graph.deps[send]
+                sent_on[item] = receive
+        assert batch.ready == [sent_on[i] for i in range(6)]
+
+    def test_an_exchange_ocall_is_two_lane_tasks_around_its_rounds(self, monkeypatch):
+        # The enter (7 cycles) goes before every send; the exit (3) after
+        # every receive, and only the batch's end waits for it.  A PUT
+        # exchange's enter waits for every task before it.
+        engine, _, app, _ = make_engine(
+            n_shards=2, depth=2, workers=2, shard_of=lambda tag: f"shard-{tag[0] % 2}",
+        )
+        solved = capture(monkeypatch).solved
+
+        @contextmanager
+        def ocall():
+            app.advance(7.0)
+            yield
+            app.advance(3.0)
+
+        with engine.batch():
+            engine.run_gets([get(bytes([i])) for i in range(4)], ocall=ocall())
+            engine.run_puts([putreq(bytes([i])) for i in range(2)], ocall=ocall())
+        ((graph, starts),) = solved
+        gets_in, gets_out, puts_in, puts_out = [
+            task for task, kind in enumerate(graph.kinds) if kind == "ocall"
+        ]
+        assert [graph.costs[t] for t in (gets_in, gets_out, puts_in, puts_out)] == [7, 3, 7, 3]
+        assert graph.shards[gets_in] is graph.shards[gets_out] is None
+        get_groups = [group for group in graph.groups if group[0] < gets_out]
+        assert len(get_groups) == 4
+        assert all(starts[send] >= starts[gets_in] + 7.0 for send, _, _ in get_groups)
+        assert sorted(graph.deps[gets_out]) == sorted(receive for _, receive, _ in get_groups)
+        assert sorted(graph.deps[puts_in]) == list(range(puts_in))
+        waiting = [t for t, deps in enumerate(graph.deps) if {gets_out, puts_out} & set(deps)]
+        assert waiting == [puts_in]  # the fence, and nothing else
+        assert violations(graph, starts, engine.serial_cycles) == []
+        assert engine.makespan_cycles == graph.makespan
+        assert engine.serial_cycles == 2 * 10.0 + 6 * 45.0
+
     def test_a_colocated_store_keeps_a_round_serial_inside_a_batch(self):
         app = FakeClock()
         client = GroupedFakeClient(
@@ -773,6 +841,42 @@ class TestSolvedGraphs:
         assert any(graph.groups for graph, _ in solved)
         for graph, starts in solved:
             assert violations(graph, starts, sum(graph.costs)) == []
+
+
+class TestNothingSerialButTheEcall:
+    @pytest.mark.parametrize("async_put", [True, False])
+    def test_every_cycle_but_the_ecall_is_a_schedule_task(self, async_put):
+        # A pipelined 4-shard, 2-replica session: a batch of hits and
+        # misses (the misses walk to their second owner), its PUTs sent
+        # in the batch or queued and flushed, the drains settled.  Every
+        # cycle any machine charged is a task of some schedule but the
+        # ECALL's enter and exit: each exchange's OCALL is two lane
+        # tasks, and the flusher's send and acks are the background
+        # lane's.
+        session = repro.connect(
+            shards=4, replication_factor=2, seed=b"serial-remainder", tracing=False,
+        )
+        kernel = session.mark(version="1.0", native_cost=lambda data: 3e-5)(reverse)
+        rng = random.Random(5)
+        warm = [rng.randbytes(1024) for _ in range(12)]
+        session.execute_many(kernel.description, warm)
+        session.flush_puts()
+        reader = session.sibling("reader", runtime_config=RuntimeConfig(
+            app_id="reader", async_put=async_put,
+        ))
+        engine = reader.enable_pipeline(depth=8, workers=4)
+        reader.deduplicable(kernel.description)  # its one-off ECALL, before the count
+        clocks = [reader.clock, *(n.platform.clock for n in session.cluster.shards.values())]
+        cycles0, serial0 = sum(c.cycles for c in clocks), engine.serial_cycles
+        results = reader.execute_many_results(
+            kernel.description, warm[:10] + [rng.randbytes(1024) for _ in range(6)],
+        )
+        assert [r.source for r in results].count("computed") == 6
+        assert reader.flush_puts() == (6 if async_put else 0)
+        engine.settle()
+        assert reader.runtime.stats.puts_accepted == 6  # the acks were drained
+        outside = sum(c.cycles for c in clocks) - cycles0 - (engine.serial_cycles - serial0)
+        assert outside == pytest.approx(2 * reader.clock.params.ecall_cycles, abs=1e-6)
 
 
 class TestDeclaredComputeAccounting:
