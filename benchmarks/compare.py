@@ -4,12 +4,14 @@
     python3 benchmarks/compare.py REV_A REV_B [--workload W]... \\
         --pairs N --seconds S --seed-base K
 
-Each revision is exported (``git archive``) into a temporary directory —
-``WORKTREE`` stands for this checkout as it is, uncommitted edits and
-all — and ``benchmarks/e2e/run.py --trace 0`` runs there, once per side
-per pair: pair ``i`` uses seed ``K + i`` on both sides and alternates
-which side goes first, so host drift falls on both alike.  Runs are
-sequential; nothing else should be running.
+Each side is exported into a temporary directory of its own: a revision
+with ``git archive``, and ``WORKTREE`` (this checkout as it is) as its
+tracked files with their uncommitted edits plus its untracked files that
+are not ignored, so both sides run from a fresh copy alike.
+``benchmarks/e2e/run.py --trace 0`` runs there, once per side per pair:
+pair ``i`` uses seed ``K + i`` on both sides and alternates which side
+goes first, so host drift falls on both alike.  Runs are sequential;
+nothing else should be running.
 
 One row per workload x end-to-end metric: the median of each side, the
 difference as a share of the two medians' mean (so it reads the same
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -108,10 +111,21 @@ def render(table: dict[str, dict[str, Row]], metrics: list[dict], pairs: int, si
 
 
 def check_out(rev: str, into: Path) -> Path:
-    """Directory holding ``rev``'s committed files (this checkout for WORKTREE)."""
-    if rev == WORKTREE:
-        return ROOT
+    """``into``, holding ``rev``'s committed files, or for ``WORKTREE``
+    this checkout's files as they are (tracked ones with their edits, and
+    untracked ones that are not ignored)."""
     into.mkdir()
+    if rev == WORKTREE:
+        listed = subprocess.run(
+            ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+             "--exclude-standard"], check=True, stdout=subprocess.PIPE,
+        ).stdout
+        for name in sorted(set(filter(None, listed.decode().split("\0")))):
+            source = ROOT / name
+            if source.is_file():  # a tracked file deleted in the checkout is left out
+                (into / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(source, into / name)
+        return into
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True,
                              stdout=subprocess.PIPE).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)

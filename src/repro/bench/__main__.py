@@ -1,7 +1,7 @@
 """CLI entry point: ``python -m repro.bench <experiment> [--quick] [--csv DIR] [--json PATH]``.
 
 Experiments: fig5a fig5b fig5c fig5d table1 fig6 a1 a2 a3 a4 a5 a6 a7 e9 e10
-batch cluster pipeline durable migrate adaptive reshard all
+batch cluster pipeline durable migrate reshard all
 """
 
 from __future__ import annotations

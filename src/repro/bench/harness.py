@@ -1095,13 +1095,12 @@ def run_durable(group_commits: list[int], log_lengths: list[int], ops: int,
 
 
 # ---------------------------------------------------------------------------
-# The foreground-rounds driver behind E15 (migrate), E16's join phase
-# (adaptive) and E17 (reshard)
+# The foreground-rounds driver behind E15 (migrate) and E17 (reshard)
 # ---------------------------------------------------------------------------
 def _regenerated_as(qualname: str):
     """A marked function's identity — hence every tag, hence ring
     placement and every makespan below — hashes its module-qualified
-    name (``core/decorator.py``).  The three kernels keep the names the
+    name (``core/decorator.py``).  The two kernels keep the names the
     recorded figures were regenerated under."""
     def pin(func):
         func.__qualname__ = qualname
@@ -1119,11 +1118,6 @@ def reshard_kernel(data: bytes) -> bytes:
     return bytes(b ^ 0x5A for b in data)
 
 
-@_regenerated_as("run_adaptive.<locals>.join_phase.<locals>.join_kernel")
-def join_kernel(data: bytes) -> bytes:
-    return bytes(b ^ 0x2D for b in data)
-
-
 def _percentile(values: list[float], fraction: float) -> float:
     if not values:
         return 0.0
@@ -1138,9 +1132,8 @@ def _window(plan, batch_entries: int):
 
 
 def _greedy(migrator, rounds_left: int) -> None:
-    """Greedy drain: demand says "everything now" and the engine's
-    background budget is the cap — one lane for a single join, one lane
-    per gaining shard for a plan."""
+    """Greedy drain: demand says "everything now" and the migrator's
+    pacing rule is the cap — one range per live gaining shard per gap."""
     migrator.overlap_steps(1)
 
 
@@ -1152,7 +1145,7 @@ def _idle_run() -> dict:
 
 def _foreground_rounds(session, kernel, inputs: list[bytes], rounds: int, *,
                        reader: str, windows=(), advance=None,
-                       prime: bool = False, **engine_levels) -> dict:
+                       **engine_levels) -> dict:
     """Warm a cluster through ``session``, give a sibling ``reader`` a
     pipelined engine (``engine_levels``: the depth), then drive ``rounds``
     foreground GET batches while the overlay reshapes the ring; drain,
@@ -1179,8 +1172,6 @@ def _foreground_rounds(session, kernel, inputs: list[bytes], rounds: int, *,
     reader = session.sibling(reader)
     engine = reader.enable_pipeline(**engine_levels)
     description = marked.description
-    if prime:  # the adaptive controller converges before the measured rounds
-        reader.execute_many_results(description, inputs)
     cluster = session.cluster
     freq = reader.clock.params.cpu_freq_hz
     batch = max(1, len(inputs) // 2)
@@ -1226,7 +1217,7 @@ def _foreground_rounds(session, kernel, inputs: list[bytes], rounds: int, *,
         migrator = None
     # Background work no foreground round overlapped folds in serially.
     engine.settle()
-    return dict(out, probe=probe.delta(), engine=engine)
+    return dict(out, probe=probe.delta())
 
 
 def _topology_session(n_shards: int, seed_tag: bytes, vnodes: int = 4):
@@ -1328,124 +1319,6 @@ def run_migrate(ops: int, rounds: int, n_shards: int = 3, batch_entries: int = 8
 
 
 # ---------------------------------------------------------------------------
-# Adaptive — AIMD depth control vs the static sweep (engine.py)
-# ---------------------------------------------------------------------------
-def _controller_stats(engine) -> dict:
-    controller = getattr(engine, "controller", None)
-    if controller is None:
-        depth = engine.config.depth if engine is not None else 0
-        return dict(depth_final=depth, depth_changes=0, depth_shrinks=0,
-                    depth_caps=0)
-    return dict(
-        depth_final=controller.depth,
-        depth_changes=controller.changes,
-        depth_shrinks=controller.shrinks,
-        depth_caps=controller.migration_capped,
-    )
-
-
-@experiment("adaptive", "Adaptive: AIMD depth control vs static depths", [
-    Column("phase", "phase"),  # get-heavy | join
-    Column("n_shards", "shards"),
-    Column("depth", "depth"),  # "0" (serial) | static depth | "auto"
-    Column("ops", "ops"),      # measured foreground ops
-    Column("rounds"),          # measured foreground batches
-    # The sweep's rows charge every machine less the engine's overlap;
-    # the join rows report the critical path, as E15 does.
-    Column("elapsed_sim_s", "elapsed sim(s)", probe=_by_phase({
-        "get-heavy": lambda d: d.machines_s, "join": lambda d: d.makespan_s,
-    })),
-    Column("baseline_sim_s"),  # serial client (sweep) / no-join auto (join)
-    Column("sim_ops_per_s", "sim ops/s", derive=_ratio("ops", "elapsed_sim_s", INF),
-           cell=lambda r: f"{r['sim_ops_per_s']:.1f}"),
-    # Throughput relative to this phase's baseline run.
-    Column("vs_baseline", "vs baseline", derive=_ratio("baseline_sim_s", "elapsed_sim_s"),
-           cell=times_cell("vs_baseline")),
-    # The controller's depth after the measured run, how often it moved
-    # and shrank, and the rounds the migration cap clamped.
-    Column("depth_final", "final depth", cell=lambda r: r["depth_final"] or "-"),
-    Column("depth_changes", "changes"),
-    Column("depth_shrinks", "shrinks"),
-    Column("depth_caps", "caps"),
-    Column("entries_moved", "moved"),
-    Column("foreground_stalls", "stalls"),
-    # Results byte-identical to the baseline run.
-    Column("identical", "identical", cell=yes_cell("identical")),
-], full=dict(depths=[1, 4, 8, 16], ops=48, rounds=12),
-   quick=dict(depths=[1, 8], ops=24, rounds=12))
-def run_adaptive(depths: list[int], ops: int, rounds: int, workers: int = 4,
-                 batch_entries: int = 8, seed: int = 83):
-    """Adaptive depth control sweep: static depths vs ``depth="auto"``.
-
-    **get-heavy** — on a warm 4-shard cluster, every reader first drives
-    one priming batch (the adaptive controller converges during it; the
-    static engines prime the same state for symmetry), then replays a
-    distinct measured batch.  The acceptance bound (tier-1): the auto
-    row lands within 10% of the best static depth and strictly beats the
-    depth-1 anti-sweet-spot.
-
-    **join** — the same auto engine drives ``rounds`` foreground GET
-    batches while a streaming shard join runs concurrently: the
-    controller caps its depth under the dual-ownership window and
-    yields the capped-off slots to the migrator
-    (:meth:`RangeMigrator.overlap_steps`), and the window closes the
-    moment the hand-off drains, so the cap lifts mid-run.  Bound:
-    foreground throughput stays >= 0.70x of the no-join auto baseline.
-    """
-    max_depth = max(16, max(depths))
-    auto = dict(workers=workers, min_depth=1, max_depth=max_depth)
-
-    # -- phase 1: static depths vs auto on a warm 4-shard cluster -----------
-    writer = connect(
-        shards=4, replication_factor=1,
-        seed=b"bench-adaptive" + bytes([seed % 251]), tracing=False,
-    )
-
-    @writer.mark(version="1.0")
-    def adaptive_kernel(data: bytes) -> bytes:
-        return bytes(b ^ 0x6B for b in data)
-
-    description = adaptive_kernel.description
-    warm_inputs = _pipeline_inputs(ops, seed)
-    measured = _pipeline_inputs(ops, seed + 1)
-    adaptive_kernel.map(warm_inputs + measured)
-    writer.flush_puts()
-
-    serial_s = base_values = None
-    for depth in [0, *sorted(depths), "auto"]:
-        reader = writer.sibling(f"adaptive-reader-{depth}")
-        engine = reader.enable_pipeline(depth=depth, **auto) if depth else None
-        reader.execute_many_results(description, warm_inputs)  # prime
-        delta, values = _replay(reader, description, measured)
-        if not depth:
-            serial_s, base_values = delta.machines_s, values
-        yield dict(phase="get-heavy", n_shards=4, depth=str(depth), ops=ops,
-                   rounds=1, baseline_sim_s=serial_s, entries_moved=0,
-                   foreground_stalls=0, identical=values == base_values,
-                   probe={"get-heavy": delta}, **_controller_stats(engine))
-
-    # -- phase 2: the same auto engine with a concurrent streaming join -----
-    base = None
-    for windows in ([], [_window(TopologyPlan().join(), batch_entries)]):
-        run = _foreground_rounds(
-            _topology_session(4, b"bench-adaptive-join" + bytes([seed % 251]), vnodes=2),
-            join_kernel, _pipeline_inputs(ops, seed + 2), rounds,
-            reader="adaptive-join-reader", depth="auto", **auto, prime=True,
-            # The controller's yielded depth slots bound the migrator's
-            # between-rounds intrusion budget.
-            windows=windows, advance=RangeMigrator.overlap_steps,
-        )
-        base = base or run
-        yield dict(phase="join", n_shards=4 + len(windows), depth="auto",
-                   ops=len(run["values"]), rounds=rounds,
-                   baseline_sim_s=base["probe"].makespan_s,
-                   entries_moved=run["entries_moved"],
-                   foreground_stalls=run["foreground_stalls"],
-                   identical=run["values"] == base["values"],
-                   probe={"join": run["probe"]}, **_controller_stats(run["engine"]))
-
-
-# ---------------------------------------------------------------------------
 # Reshard — one planned multi-shard window vs N serialized windows
 # ---------------------------------------------------------------------------
 #: Deterministic weighted membership for the placement-accuracy row:
@@ -1502,7 +1375,7 @@ def run_reshard(joins: int, ops: int, rounds: int, n_shards: int = 4,
       :class:`~repro.cluster.ring.TopologyPlan` window: a single range
       diff from the old ring to the final ring, every moved range handed
       off exactly once, and transfers to distinct gaining shards
-      overlapping each other via the engine's widened background budget.
+      overlapping each other (one range per gaining shard per gap).
 
     Both drain greedily through :meth:`RangeMigrator.overlap_steps`.  A
     fourth **weighted-ring** row reports the placement-accuracy check:

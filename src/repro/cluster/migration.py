@@ -172,20 +172,15 @@ class RangeMigrator:
         remaining foreground rounds so the window drains steadily
         instead of piling up at the end (a pile-up cannot overlap the
         foreground: background work is bounded below by itself, so a
-        front-loaded hand-off lands on the critical path in full).  The
-        per-gap intrusion is capped by the attached engine's background
-        budget (:meth:`PipelineEngine.background_budget`): one slot by
-        default, widened by every depth slot the adaptive controller
-        capped off and yielded to this hand-off — the foreground rounds
-        got smaller under the migration cap, and the freed slots belong
-        here.  A planned window spanning several gaining shards gets a
-        proportionally wider base budget (one slot per distinct live
-        destination among the pending ranges — transfers to distinct
-        machines overlap each other, not just the foreground).  Demand
-        above the cap is deferred (``finish`` drains it serially),
-        keeping the foreground bound intact.  Returns the number of
-        ranges committed; stops early when every pending range is
-        blocked on a dead shard.
+        front-loaded hand-off lands on the critical path in full).  With
+        an engine attached, one gap commits at most one range per
+        distinct live gaining shard among the pending ranges (at least
+        one): transfers to distinct machines overlap each other and the
+        foreground round, while a second range to the same shard would
+        queue behind the first on its clock.  Demand above the cap is
+        deferred (``finish`` drains it serially), keeping the foreground
+        bound intact.  Returns the number of ranges committed; stops
+        early when every pending range is blocked on a dead shard.
         """
         pending_ranges = self.pending_ranges()
         pending = len(pending_ranges)
@@ -197,10 +192,7 @@ class RangeMigrator:
                 d for rng in pending_ranges for d in _gaining(rng)
                 if self.cluster.shard_alive(d)
             }
-            budget = min(
-                budget,
-                max(1, self.engine.background_budget(max(1, len(gaining)))),
-            )
+            budget = min(budget, max(1, len(gaining)))
         # Spread this gap's picks across distinct gaining shards: the
         # per-gap intrusion then lands on several (mostly idle) joiner
         # clocks instead of piling onto one, so the engine can fold it

@@ -259,11 +259,7 @@ class ClusterRouter:
         """True while the ring holds a dual-ownership migration window —
         a single join/drain or a planned multi-shard window
         (:class:`~repro.cluster.ring.TopologyPlan`); either way there is
-        exactly one window at a time.
-
-        The pipelined engine's adaptive depth controller reads this to
-        cap its submit window and yield slots to the streaming migrator
-        while the window is in flight."""
+        exactly one window at a time."""
         return self.ring.in_transition
 
     def attach_shard(self, shard_id: str, client: RpcClient) -> None:

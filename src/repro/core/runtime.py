@@ -781,11 +781,6 @@ class DedupRuntime:
         self._pending_puts.append(put)
         bound = self.config.put_queue_entries
         if bound > 0 and len(self._pending_puts) >= bound:
-            if self.engine is not None:
-                # Forced drains are the engine's PUT back-pressure
-                # signal: the adaptive depth controller shrinks its
-                # window instead of piling more work on a full queue.
-                self.engine.note_backpressure()
             self.drain_put_batch()
 
     def drain_put_batch(self, max_items: int | None = None) -> int:

@@ -67,37 +67,14 @@ by the round after it.  A drain thus overlaps the one round it lands in
 (and the lane work beside it) but not another drain, nor its shard's
 serves; :meth:`settle` solves the drains no round took as one schedule
 of their own, the acks beside the shards' ingest.
-
-Adaptive depth
---------------
-``EngineConfig(depth="auto")`` replaces the static submit window with an
-:class:`AdaptiveDepthController` — AIMD over the engine's virtual-clock
-rounds: depth grows (slow-start doubling, then additively) while each
-round's per-op latency (the list-schedule makespan of its own groups,
-solved alone) keeps up with the best the window has seen, and shrinks
-multiplicatively on failure, circuit-breaker, or PUT back-pressure
-signals.  The controller only ever sees
-**replay-deterministic** observations: round makespans here are sums of
-modelled wire/crypto/store/compute charges (compute is each function's
-declared ``native_cost``, never host time), so every round, region and
-background delta read off ``SimClock.cycles`` is a pure function of the
-op stream, and so is the decision sequence — a property the simulation
-harness digests and replays.
-While the shard ring holds a dual-ownership migration window the
-controller additionally caps depth and reports the
-capped-off slots via :meth:`PipelineEngine.background_budget`, which a
-:class:`~repro.cluster.migration.RangeMigrator` uses to widen its
-between-rounds hand-off pacing — foreground latency stays bounded and
-the freed slots go to the migration instead.
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence
 
 from .cluster.router import GetWalk
 from .errors import ChannelError, ProtocolError, TransportError
@@ -107,9 +84,6 @@ from .obs.tracer import NULL_TRACER
 # Failures that mean "the store did not serve this op" — the runtime
 # degrades (or surfaces) them per item, exactly like the serial path.
 _ENGINE_FAILURES = (TransportError, ChannelError, ProtocolError)
-
-#: ``EngineConfig.depth`` sentinel selecting the adaptive controller.
-AUTO_DEPTH = "auto"
 
 #: Task kinds, in the order a free lane prefers them (a serve runs on
 #: its shard and a drain on its shard or the background lane, never on
@@ -127,208 +101,21 @@ _BACKGROUND = "background lane"
 class EngineConfig:
     """Tuning knobs for the pipelined engine."""
 
-    #: Outstanding requests per round (submit window), or ``"auto"`` to
-    #: let an :class:`AdaptiveDepthController` size each round between
-    #: ``min_depth`` and ``max_depth``.
-    depth: Union[int, str] = 8
+    #: Items in flight at once (the submit window).
+    depth: int = 8
     #: Enclave worker lanes a batch's app tasks (tags, sends, receives,
     #: verifications, compute + protect) are list-scheduled on.  Clamped
     #: to the depth bound: a round never has more groups than that.
     workers: int = 4
     #: Single-flight: identical in-flight tags share one round trip.
     coalesce: bool = True
-    #: Adaptive-mode depth bounds (ignored for a static ``depth``).
-    min_depth: int = 1
-    max_depth: int = 32
 
     def __post_init__(self):
-        if isinstance(self.depth, str):
-            if self.depth != AUTO_DEPTH:
-                raise ProtocolError(
-                    f"engine depth must be an int >= 1 or {AUTO_DEPTH!r}"
-                )
-        elif self.depth < 1:
-            raise ProtocolError("engine depth must be >= 1")
-        if self.workers < 1:
-            raise ProtocolError("engine workers must be >= 1")
-        if self.min_depth < 1:
-            raise ProtocolError("engine min_depth must be >= 1")
-        if self.max_depth < self.min_depth:
-            raise ProtocolError("engine max_depth must be >= min_depth")
-        bound = self.max_depth if self.adaptive else self.depth
-        if self.workers > bound:
-            object.__setattr__(self, "workers", bound)
-
-    @property
-    def adaptive(self) -> bool:
-        return self.depth == AUTO_DEPTH
-
-
-@dataclass(frozen=True)
-class DepthObservation:
-    """One engine round reduced to the deterministic signals the
-    adaptive controller may consume.
-
-    ``makespan_cycles`` is the list-schedule makespan of the round's
-    own groups solved alone — over modelled wire/crypto/store charges,
-    never host time — so every field replays byte-identically for a
-    fixed op stream.
-    """
-
-    ops: int
-    makespan_cycles: float
-    failures: int = 0
-    backpressure: bool = False
-    migration_active: bool = False
-    #: False for a tail round that carried fewer ops than the submit
-    #: window allowed: its per-op latency cannot amortize the fixed
-    #: round costs, so it is no evidence for growing or shrinking.
-    full: bool = True
-
-    @property
-    def per_op_cycles(self) -> float:
-        return self.makespan_cycles / max(1, self.ops)
-
-
-class AdaptiveDepthController:
-    """AIMD governor for the engine's per-round submit window.
-
-    The state machine is deliberately pure: no randomness, no wall
-    clock — :meth:`observe` maps the previous state plus one
-    :class:`DepthObservation` to the next depth, so identical
-    observation streams always replay the identical decision sequence
-    (pinned by property tests and the simulation harness's trace
-    digest).
-
-    Decision rule, in precedence order:
-
-    1. **Shrink** multiplicatively (halve, floored at ``min_depth``)
-       when the round carried failures (circuit-breaker opens, failover
-       retries surface here) or PUT back-pressure — precedence over any
-       grow signal, and the learned latency floor resets because the
-       conditions it was learned under are gone.
-    2. **Shrink** the same way when the round's per-op latency exceeds
-       ``slow_factor`` × the best the current window has seen.
-    3. **Grow** while per-op latency keeps up with the window's best
-       (within ``grow_tolerance``): doubling below the slow-start
-       threshold left by the last shrink, additively above it.
-    4. Otherwise **hold**.
-
-    A **migration cap** rides on top: while the shard ring holds a
-    dual-ownership window, the returned depth is clamped to
-    ``migration_cap`` and the clamped-off slots are published as
-    :attr:`yielded_slots` — the engine's :meth:`background_budget`
-    hands them to the streaming migrator.
-    """
-
-    def __init__(
-        self,
-        min_depth: int = 1,
-        max_depth: int = 32,
-        migration_cap: int | None = None,
-        slow_factor: float = 1.25,
-        grow_tolerance: float = 1.05,
-        window: int = 8,
-    ):
-        if min_depth < 1:
-            raise ProtocolError("min_depth must be >= 1")
-        if max_depth < min_depth:
-            raise ProtocolError("max_depth must be >= min_depth")
-        if migration_cap is None:
-            migration_cap = max(min_depth, min(max_depth, 8))
-        if not (min_depth <= migration_cap <= max_depth):
-            raise ProtocolError("migration_cap must lie in [min, max]")
-        self.min_depth = min_depth
-        self.max_depth = max_depth
-        self.migration_cap = migration_cap
-        self.slow_factor = slow_factor
-        self.grow_tolerance = grow_tolerance
-        self.window = max(1, window)
-        # AIMD state.  ``_raw_depth`` evolves uncapped; the published
-        # ``depth`` is the raw value clamped under an active migration.
-        self._raw_depth = min_depth
-        self.depth = min_depth
-        self._ssthresh = max_depth  # slow-start until the first shrink
-        self._best_per_op = float("inf")
-        self._window_best = float("inf")
-        self._window_rounds = 0
-        #: Depth slots the migration cap clamped off this round (the
-        #: engine grants them to the migrator as background budget).
-        self.yielded_slots = 0
-        # Counters (all deterministic ints).
-        self.decisions = 0
-        self.changes = 0
-        self.grows = 0
-        self.shrinks = 0
-        self.migration_capped = 0
-        #: Decision log: ``(decision #, depth, reason)`` — digestible.
-        self.log: list[tuple[int, int, str]] = []
-
-    def round_depth(self, migration_active: bool = False) -> int:
-        """Depth the next round should use (cap applied statelessly, so
-        a window that opened mid-batch takes effect immediately)."""
-        if migration_active:
-            return min(self._raw_depth, self.migration_cap)
-        return self._raw_depth
-
-    def observe(self, obs: DepthObservation) -> int:
-        """Fold one round's observation in; returns the next depth."""
-        self.decisions += 1
-        previous = self.depth
-        per_op = obs.per_op_cycles
-        raw = self._raw_depth
-        reason = "failures" if obs.failures > 0 else "backpressure" if obs.backpressure else None
-        if reason is None and obs.full and per_op > self.slow_factor * self._best_per_op:
-            reason = "slow-round"
-        if reason is not None:
-            self._ssthresh = raw = max(self.min_depth, raw // 2)
-            # Relearn the latency floor with the depth: one learned under
-            # other conditions, or at a deeper window, is unreachable now
-            # and would wedge the governor at min_depth (every round
-            # after the shrink would look "slow").
-            self._best_per_op = self._window_best = float("inf")
-            self._window_rounds = 0
-        elif not obs.full:
-            reason = "partial"
-        else:
-            self._best_per_op = min(self._best_per_op, per_op)
-            self._window_best = min(self._window_best, per_op)
-            self._window_rounds += 1
-            if self._window_rounds >= self.window:
-                # Window decay: the floor relaxes to the recent best so
-                # a stale unreachable optimum cannot wedge the governor.
-                self._best_per_op = self._window_best
-                self._window_best = float("inf")
-                self._window_rounds = 0
-            if per_op <= self.grow_tolerance * self._best_per_op:
-                reason = "grow"
-                raw = raw * 2 if raw < self._ssthresh else raw + 1
-            else:
-                reason = "hold"
-        raw = max(self.min_depth, min(self.max_depth, raw))
-        self._raw_depth = raw
-        if obs.migration_active and raw > self.migration_cap:
-            self.depth = self.migration_cap
-            self.yielded_slots = raw - self.migration_cap
-            self.migration_capped += 1
-            reason += "+migration-cap"
-        else:
-            self.depth = raw
-            self.yielded_slots = 0
-        if self.depth != previous:
-            self.changes += 1
-            if self.depth > previous:
-                self.grows += 1
-            else:
-                self.shrinks += 1
-        self.log.append((self.decisions, self.depth, reason))
-        return self.depth
-
-    def log_digest(self) -> str:
-        """SHA-256 over the decision log — byte-identical across
-        replays of the same observation stream."""
-        joined = "\n".join(f"{n}:{d}:{r}" for n, d, r in self.log)
-        return hashlib.sha256(joined.encode()).hexdigest()
+        for name in ("depth", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ProtocolError(f"engine {name} must be an int >= 1, not {value!r}")
+        object.__setattr__(self, "workers", min(self.workers, self.depth))
 
 
 @dataclass
@@ -360,8 +147,7 @@ class PipelineEngine:
     ----------
     client:
         A :class:`~repro.cluster.router.ClusterRouter`, or anything with
-        its ``in_transition`` flag, ``plan_gets``/``submit_gets``/
-        ``wait_gets`` and the PUT twins.
+        its ``plan_gets``/``submit_gets``/``wait_gets`` and the PUT twins.
     clock:
         The application machine's SimClock (client-side costs land here).
     shard_clocks:
@@ -392,67 +178,8 @@ class PipelineEngine:
         # Background (flusher) work carried into the next round, per
         # shard id or the background lane.
         self._drains: dict[str, float] = {}
-        #: The AIMD depth governor (``depth="auto"`` only).
-        self.controller: AdaptiveDepthController | None = AdaptiveDepthController(
-            min_depth=self.config.min_depth, max_depth=self.config.max_depth,
-        ) if self.config.adaptive else None
-        # Set by the runtime when a bounded PUT queue forces a drain;
-        # consumed (and cleared) by the next round's depth observation.
-        self._backpressure_pending = False
         # The open batch's task graph (see :meth:`batch`), else None.
         self._schedule: _Schedule | None = None
-
-    # -- adaptive depth ------------------------------------------------------
-    @property
-    def depth_current(self) -> int:
-        """The submit window the next round will use."""
-        if self.controller is None:
-            return self.config.depth
-        # The cap holds while the shard ring has a dual-ownership window.
-        return self.controller.round_depth(self.client.in_transition)
-
-    def note_backpressure(self) -> None:
-        """Record that a bounded PUT queue forced a foreground drain —
-        the adaptive controller treats the next round as congested."""
-        self._backpressure_pending = True
-
-    def background_budget(self, parallelism: int = 1) -> int:
-        """Migration batches worth overlapping before the next
-        foreground round: one baseline background-lane slot per unit of
-        ``parallelism``, plus every depth slot the adaptive controller
-        yielded while capped under a migration window.
-
-        ``parallelism`` is the caller's count of independent transfer
-        targets — a planned multi-shard window shipping ranges to N
-        distinct gaining shards overlaps N transfers against one
-        foreground round (distinct destination machines ingest
-        concurrently), where a single-shard window gets the classic one
-        baseline slot."""
-        return max(1, parallelism) + getattr(self.controller, "yielded_slots", 0)
-
-    def _observe_round(
-        self, ops: int, groups: list, chained: bool, failures: int, migration: bool
-    ) -> None:
-        # The governor judges the round's own groups, solved alone: the
-        # batch's other tasks and the drains landing in the round are
-        # no evidence that the window is too deep.
-        own = _Schedule()
-        own.add_round([((), *group[1:]) for group in groups], {}, chained, ops)
-        backpressure = self._backpressure_pending
-        self._backpressure_pending = False
-        previous = self.controller.depth
-        depth = self.controller.observe(DepthObservation(
-            ops=ops, makespan_cycles=own.makespan(self.config.workers), failures=failures,
-            backpressure=backpressure, migration_active=migration,
-            full=ops >= self.controller.round_depth(migration),
-        ))
-        _, _, reason = self.controller.log[-1]
-        self.tracer.event(
-            "engine.depth_decision", clock=self.clock,
-            prev=previous, depth=depth, reason=reason,
-            ops=ops, failures=failures,
-            backpressure=int(backpressure), migration=int(migration),
-        )
 
     # -- clock plumbing ------------------------------------------------------
     def _remote_clocks(self) -> dict[str, object]:
@@ -518,10 +245,10 @@ class PipelineEngine:
             ops.append((i, request))
         self.coalesced_total += len(leader_of)
         after = list(after or [None] * len(requests))
+        depth = self.config.depth
         with self.batch(), self._crossing(ocall):
             start = 0
             while start < len(ops):
-                depth = self.depth_current  # re-read: adaptive depth moves
                 sent = ops[start:start + depth]
                 self._run_round(
                     sent, depth, responses, ready,
@@ -549,12 +276,12 @@ class PipelineEngine:
         ops = list(enumerate(requests))
         responses: list = [None] * len(ops)
         ready: list = [None] * len(ops)
+        depth = self.config.depth
         with self.batch():
             self._schedule.fence()
             with self._crossing(ocall):
                 start = 0
                 while start < len(ops):
-                    depth = self.depth_current  # re-read: adaptive depth moves
                     self._run_round(
                         ops[start:start + depth], depth, responses, ready,
                         self.client.plan_puts, self.client.submit_puts, self.client.wait_puts,
@@ -596,8 +323,6 @@ class PipelineEngine:
         makespan accounting interprets them as overlapped.
         """
         remote = self._remote_clocks()
-        migration = self.client.in_transition
-        failures0 = self.failures
         tasks: list = []  # per group: (deps, send, serve per shard, receive, items)
         members: list[list[int]] = []  # per group: its request indices
         group_requests = [request for _, request in ops]
@@ -650,10 +375,6 @@ class PipelineEngine:
                 ready[index] = receive
         self.rounds += 1
         self.ops += len(ops)
-        if self.controller is not None:
-            self._observe_round(
-                len(ops), tasks, not remote, self.failures - failures0, migration
-            )
 
     # -- background (flusher) lane -------------------------------------------
     @contextmanager
@@ -725,9 +446,9 @@ class PipelineEngine:
 
     def snapshot(self) -> dict:
         """Canonical ``engine.<metric>`` counters for the registry."""
-        snap = {
+        return {
             "engine.depth": self.config.depth,
-            "engine.depth_current": self.depth_current,
+            "engine.depth_current": self.config.depth,
             "engine.workers": self.config.workers,
             "engine.rounds": self.rounds,
             "engine.ops": self.ops,
@@ -736,12 +457,6 @@ class PipelineEngine:
             "engine.sim_seconds_total": self.sim_seconds,
             "engine.serial_sim_seconds_total": self.serial_sim_seconds,
         }
-        for key, counter in (
-            ("decisions", "decisions"), ("changes", "changes"), ("grows", "grows"),
-            ("shrinks", "shrinks"), ("migration_caps", "migration_capped"),
-        ):
-            snap[f"engine.depth_{key}"] = getattr(self.controller, counter, 0)
-        return snap
 
 
 class _ParallelRegion:

@@ -294,11 +294,9 @@ class Session:
 
     def enable_pipeline(
         self,
-        depth: int | str = 8,
+        depth: int = 8,
         workers: int = 4,
         coalesce: bool = True,
-        min_depth: int = 1,
-        max_depth: int = 32,
     ):
         """Attach a pipelined execution engine to this session's runtime.
 
@@ -308,14 +306,7 @@ class Session:
         accounted as its background lane.  Results and counters are
         byte-identical to the serial path; the engine additionally
         reports the overlapped schedule's critical-path simulated time.
-
-        ``depth="auto"`` swaps the static submit window for the AIMD
-        :class:`~repro.engine.AdaptiveDepthController`: each round's
-        depth moves inside ``[min_depth, max_depth]`` with observed
-        round latency, failures, PUT back-pressure, and open migration
-        windows (``min_depth``/``max_depth`` are ignored for a static
-        ``depth``).  Returns the attached
-        :class:`~repro.engine.PipelineEngine`.
+        Returns the attached :class:`~repro.engine.PipelineEngine`.
         """
         from .engine import EngineConfig, PipelineEngine
 
@@ -335,10 +326,7 @@ class Session:
             self.runtime.client,
             self.clock,
             shard_clocks=shard_clocks,
-            config=EngineConfig(
-                depth=depth, workers=workers, coalesce=coalesce,
-                min_depth=min_depth, max_depth=max_depth,
-            ),
+            config=EngineConfig(depth=depth, workers=workers, coalesce=coalesce),
             tracer=self.tracer,
         )
         self.runtime.attach_engine(engine)

@@ -10,7 +10,7 @@ Sweep many seeds (CI / nightly)::
     python -m repro.simtest --runs 50 --start-seed 1000
 
 Every scenario mixes every fault class and checks all eight invariants;
-the seed also picks the engine (serial, static depth 8, or adaptive).
+the seed also picks the engine (serial, depth 8, or depth 16).
 ``--without crash,drop`` leaves fault classes out.  Exit status is
 non-zero iff any scenario violated an invariant; each failure prints
 its one-line repro string.  ``--shrink`` additionally searches for a

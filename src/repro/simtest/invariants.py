@@ -38,13 +38,10 @@ engine its seed picked.  Each check returns a list of
    exactly the owner set of its tag under the settled ring: no acked
    entry is stranded on a shard that no longer owns it, none is lost
    with its range, and no range is owned twice.
-8. **Adaptive identity** — checked on every run whose seed picked
-   ``depth="auto"``: depth is a schedule knob, never a semantic one.
-   The adaptive run's per-call result bytes are identical to the same
-   scenario replayed with a fixed depth-1 engine, and the controller's
-   decision sequence is a pure function of seed + schedule (its digest
-   is part of the replayed trace, so ``replay_check`` pins it
-   byte-for-byte).
+8. **Depth identity** — checked on every run whose seed picked the
+   depth-16 engine: depth is a schedule knob, never a semantic one.
+   The deep run's per-call result bytes are identical to the same
+   scenario replayed with a depth-1 engine.
 """
 
 from __future__ import annotations
@@ -148,30 +145,27 @@ def check_coalesced(results, repro: str = "") -> list:
     return violations
 
 
-def check_adaptive_identical(
-    adaptive_values, reference_values, repro: str = ""
-) -> list:
-    """Adaptive depth never changes results (invariant 8 above).
+def check_depth_identical(deep_values, reference_values, repro: str = "") -> list:
+    """Depth never changes results (invariant 8 above).
 
-    ``adaptive_values`` is the ordered per-call result-bytes list of
-    the ``depth="auto"`` run; ``reference_values`` the same scenario
-    replayed with a fixed depth-1 engine.  The controller may reshape
-    every round, but the value each call returns must be
-    byte-identical.
+    ``deep_values`` is the ordered per-call result-bytes list of the
+    depth-16 run; ``reference_values`` the same scenario replayed with a
+    depth-1 engine.  The window reshapes every round, but the value each
+    call returns must be byte-identical.
     """
-    if len(adaptive_values) != len(reference_values):
+    if len(deep_values) != len(reference_values):
         return [Violation(
-            "adaptive_identity",
-            f"adaptive run produced {len(adaptive_values)} results, "
+            "depth_identity",
+            f"deep run produced {len(deep_values)} results, "
             f"depth-1 replay produced {len(reference_values)}",
             repro,
         )]
     violations = []
-    for index, (got, want) in enumerate(zip(adaptive_values, reference_values)):
+    for index, (got, want) in enumerate(zip(deep_values, reference_values)):
         if got != want:
             violations.append(Violation(
-                "adaptive_identity",
-                f"result[{index}] diverged between the adaptive run and "
+                "depth_identity",
+                f"result[{index}] diverged between the deep run and "
                 f"the depth-1 replay",
                 repro,
             ))

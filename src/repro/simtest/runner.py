@@ -35,10 +35,10 @@ from typing import Callable
 
 from .invariants import (
     Violation,
-    check_adaptive_identical,
     check_coalesced,
     check_confidentiality,
     check_conservation,
+    check_depth_identical,
     check_durability,
     check_recovery,
     check_single_owner,
@@ -71,9 +71,9 @@ _REPLICATION_FACTOR = 2
 _INPUTS = 6
 
 #: The engine ``seed % 3`` picks, and the submit window it enables:
-#: the serial client path, a static depth-8 pipelined engine, or the
-#: AIMD controller (checked against a depth-1 replay by invariant 8).
-ENGINES = {"serial": None, "pipeline": 8, "adaptive": "auto"}
+#: the serial client path, a depth-8 pipelined engine, or a depth-16
+#: one (checked against a depth-1 replay by invariant 8).
+ENGINES = {"serial": None, "pipeline": 8, "deep": 16}
 
 
 def fault_classes(names) -> frozenset:
@@ -128,7 +128,7 @@ class ScenarioResult:
     violations: list = field(default_factory=list)
     counters: dict = field(default_factory=dict)
     #: Ordered per-call result bytes (calls and batch items alike) —
-    #: what the adaptive-identity invariant compares across depths.
+    #: what the depth-identity invariant compares across depths.
     values: list = field(default_factory=list)
     #: Invariant name -> how many times this run evaluated it.
     checked: Counter = field(default_factory=Counter)
@@ -185,14 +185,7 @@ _TRACE_COUNTERS = (
     "router.duplicate_responses_dropped",
     "router.circuit_opens",
     "router.circuit_skips",
-    # Adaptive engine decisions are deterministic ints: putting them in
-    # the digested trace makes replay_check pin the controller's whole
-    # decision sequence (invariant 8's pure-function clause).
     "engine.depth_current",
-    "engine.depth_decisions",
-    "engine.depth_changes",
-    "engine.depth_shrinks",
-    "engine.depth_migration_caps",
 )
 
 
@@ -520,9 +513,7 @@ def run_scenario(config: SimConfig, _replay_depth: int | None = None) -> Scenari
         runtime_config=RuntimeConfig(degrade_on_store_failure=True),
     )
     if depth is not None:
-        session.enable_pipeline(
-            depth=depth, workers=4, coalesce=True, min_depth=1, max_depth=16,
-        )
+        session.enable_pipeline(depth=depth, workers=4, coalesce=True)
 
     @session.mark(version="1.0")
     def sim_workload(data: bytes) -> bytes:
@@ -559,7 +550,7 @@ def run_scenario(config: SimConfig, _replay_depth: int | None = None) -> Scenari
                 repro,
             ))
             trace.append(f"step={step} op={op.name} error={type(exc).__name__}")
-            # Keep the value streams of the adaptive and depth-1 runs
+            # Keep the value streams of the deep and depth-1 runs
             # aligned even when a call surfaced an error: every planned
             # call of this op gets a sentinel slot.
             owed = walk.owed - (len(walk.values) - values_before)
@@ -588,17 +579,6 @@ def run_scenario(config: SimConfig, _replay_depth: int | None = None) -> Scenari
         session.flush_puts()
         session.network.flush_delayed()
     trace.append("phase=settle")
-    engine = session.runtime.engine
-    if engine is not None and engine.controller is not None:
-        # The controller's decision log joins the digested trace, so a
-        # replay whose decisions diverge anywhere is a digest mismatch.
-        controller = engine.controller
-        trace.append(
-            f"phase=adaptive decisions={controller.decisions} "
-            f"changes={controller.changes} shrinks={controller.shrinks} "
-            f"caps={controller.migration_capped} "
-            f"log={controller.log_digest()[:16]}"
-        )
 
     # -- invariants ------------------------------------------------------------
     if not cluster.ring.in_transition:
@@ -619,12 +599,12 @@ def run_scenario(config: SimConfig, _replay_depth: int | None = None) -> Scenari
     hosts = [session.platform.host] + [node.platform.host for node in cluster.shards.values()]
     walk.check("confidentiality", check_confidentiality(secrets, wire, repro, hosts))
     walk.check("conservation", check_conservation(session.stats, repro))
-    if depth == "auto":
-        # Invariant 8: replay the identical schedule with a fixed
-        # depth-1 engine — per-call result bytes must match exactly
-        # (depth is a schedule knob, never a semantic one).
+    if config.engine == "deep" and _replay_depth is None:
+        # Invariant 8: replay the identical schedule with a depth-1
+        # engine — per-call result bytes must match exactly (depth is a
+        # schedule knob, never a semantic one).
         reference = run_scenario(config, _replay_depth=1)
-        walk.check("adaptive_identity", check_adaptive_identical(
+        walk.check("depth_identity", check_depth_identical(
             walk.values, reference.values, repro,
         ))
 

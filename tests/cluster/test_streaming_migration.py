@@ -265,14 +265,8 @@ class TestStreamingLeave:
 
 
 class FakeEngine:
-    """Minimal engine stand-in: a background budget plus the
-    ``background()`` charging context the step path enters."""
-
-    def __init__(self, budget):
-        self._budget = budget
-
-    def background_budget(self, parallelism=1):
-        return self._budget
+    """Minimal engine stand-in: the ``background()`` charging context
+    the step path enters."""
 
     @contextlib.contextmanager
     def background(self):
@@ -281,16 +275,19 @@ class FakeEngine:
 
 class TestOverlapPacing:
     """``overlap_steps`` demand pacing: spread pending ranges evenly
-    across the remaining foreground gaps, never exceed the engine's
-    background budget, and defer the excess instead of front-loading it
-    onto the critical path."""
+    across the remaining foreground gaps, commit at most one range per
+    live gaining shard in a gap while an engine is attached, and defer
+    the excess instead of front-loading it onto the critical path."""
 
-    def migrator_with_pending(self, seed, vnodes=16):
+    def migrator_with_pending(self, seed, vnodes=16, joins=1):
         d = make_cluster(n_shards=3, replication_factor=2, seed=seed,
                          vnodes=vnodes)
         router = raw_router(d)
         fill(router, 24)
-        return d.cluster.begin_plan(TopologyPlan().join())
+        plan = TopologyPlan()
+        for _ in range(joins):
+            plan = plan.join()
+        return d.cluster.begin_plan(plan)
 
     def test_paces_demand_across_remaining_rounds(self):
         migrator = self.migrator_with_pending(b"pace-even")
@@ -309,22 +306,22 @@ class TestOverlapPacing:
         assert committed == pending
         assert not migrator.pending_ranges()
 
-    def test_background_budget_caps_the_intrusion(self):
-        migrator = self.migrator_with_pending(b"pace-cap")
-        migrator.engine = FakeEngine(budget=2)
+    @pytest.mark.parametrize("joins", [1, 2])
+    def test_an_engine_caps_a_gap_at_one_range_per_gaining_shard(self, joins):
+        migrator = self.migrator_with_pending(b"pace-cap", joins=joins)
+        migrator.engine = FakeEngine()
         pending = len(migrator.pending_ranges())
-        assert pending > 2
-        # Demand says "drain all now"; the engine budget says two slots.
-        committed = migrator.overlap_steps(1)
-        assert committed == 2
-        assert len(migrator.pending_ranges()) == pending - 2
+        assert pending > joins
+        # Demand says "drain all now"; each joiner takes one range.
+        assert migrator.overlap_steps(1) == joins
+        assert len(migrator.pending_ranges()) == pending - joins
 
-    def test_yielded_slots_widen_the_cap(self):
-        migrator = self.migrator_with_pending(b"pace-widen")
-        pending = len(migrator.pending_ranges())
-        migrator.engine = FakeEngine(budget=pending)
-        committed = migrator.overlap_steps(1)
-        assert committed == pending
+    def test_a_dead_gaining_shard_takes_no_slot(self):
+        migrator = self.migrator_with_pending(b"pace-dead", joins=2)
+        migrator.engine = FakeEngine()
+        dead, _ = sorted(migrator.joiners)
+        migrator.cluster.kill_shard(dead)
+        assert migrator.overlap_steps(1) == 1
 
     def test_returns_zero_when_nothing_pending(self):
         migrator = self.migrator_with_pending(b"pace-done")

@@ -48,7 +48,6 @@ RUNS = {
     "pipeline": dict(depths=[1, 8], shard_counts=[4], ops=48, duplicates=16),
     "durable": dict(group_commits=[1, 8], log_lengths=[16, 64], ops=24),
     "migrate": dict(ops=24, rounds=12),
-    "adaptive": dict(depths=[1, 8], ops=24, rounds=12),
     "reshard": dict(joins=2, ops=24, rounds=12),
 }
 
@@ -166,7 +165,6 @@ ROW_DIGESTS = {
     "pipeline": "6fccc3b3fca83e88726d23cd28bb996d5be1c11b200d0bdc0f3f60b7baadc641",
     "durable": "ebb12c57723f9f837c891e7c946f73f0b609ea76563524ae115cdbb28f5fb660",
     "migrate": "483453fadd44644ad8c007c36d1f17b408ea64adb8aa8b179fa6b0a3d3de3a15",
-    "adaptive": "952198cb0468f51d60a1cdabab3bbf4a6b4c99c6785f23e6bcb9c74a0aae6e6c",
     "reshard": "90102ec34e027773dbb3a700ecd3594191c32d8a7d454decf9d1e749d073280f",
 }
 
@@ -177,9 +175,9 @@ def test_rows_are_pinned(table, name):
     assert hashlib.sha256(exported.encode()).hexdigest() == ROW_DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", ["pipeline", "migrate", "adaptive", "reshard"])
+@pytest.mark.parametrize("name", ["pipeline", "migrate", "reshard"])
 def test_every_engine_graph_holds_the_model(table, name):
-    # Auto depth, drains, joins and migration windows: each batch the
+    # Depths, drains, joins and migration windows: each batch the
     # engine solved is a valid schedule of its graph
     # (tests/schedule_reference.py).
     table(name)
@@ -464,40 +462,3 @@ class TestReshard:
         assert planned["dual_rounds"] <= serialized["dual_rounds"]
         assert serialized["foreground_stalls"] == 0 == planned["foreground_stalls"]
         assert pick(rows, phase="weighted-ring")["max_weight_err"] <= 0.10
-
-
-class TestAdaptive:
-    def test_adaptive_sweep_meets_acceptance_targets(self, table):
-        # The acceptance bar: the auto row lands within 10% of the best
-        # static depth, strictly beats the depth-1 anti-sweet-spot, and
-        # stays byte-identical to the depth-1 replay throughout.
-        rows = table("adaptive")
-        sweep = [r for r in rows if r["phase"] == "get-heavy"]
-        auto = pick(sweep, depth="auto")
-        static = {r["depth"]: r for r in sweep if r["depth"] not in ("0", "auto")}
-        best = min(r["elapsed_sim_s"] for r in static.values())
-        assert auto["elapsed_sim_s"] <= 1.10 * best
-        assert auto["elapsed_sim_s"] < static["1"]["elapsed_sim_s"]
-        assert auto["depth_changes"] > 0
-        assert all(r["identical"] for r in rows)
-
-    def test_join_phase_holds_the_foreground_bound(self, table):
-        # The streaming-migration bound under adaptive depth:
-        # foreground throughput >= 0.70x of the no-join auto run, with
-        # the migration window capping the depth and zero stalls.
-        (join,) = [r for r in table("adaptive")
-                   if r["phase"] == "join" and r["entries_moved"] > 0]
-        assert join["vs_baseline"] >= 0.70
-        assert join["foreground_stalls"] == 0
-        assert join["depth_caps"] > 0
-        assert join["identical"]
-
-    def test_adaptive_rows_export_to_json(self, table):
-        assert {"phase", "n_shards", "depth", "elapsed_sim_s",
-                "vs_baseline", "depth_final", "depth_changes",
-                "depth_caps", "entries_moved", "foreground_stalls",
-                "identical"} <= set(table("adaptive")[0])
-
-    def test_print_adaptive_renders(self, table):
-        text = render(EXPERIMENTS["adaptive"], table("adaptive"))
-        assert "vs baseline" in text and "caps" in text

@@ -26,26 +26,27 @@ from repro.simtest.runner import ENGINES, OPS
 # seed -> digest at 25 steps, 3 shards; seed % 3 picks the engine, so
 # each engine has five rows.  Recorded when the mode flags were folded
 # into one schedule (every run now draws every fault class, on durable
-# stores, and checks all eight invariants).  Adaptive seeds 2, 5, 8 and
-# 14 were re-pinned when a walking GET began to ride the engine's next
-# round beside first steps: the governor sees other rounds, so only the
-# adaptive decision log's digest moved (same decisions and changes
-# counts; every other trace line is unchanged).
+# stores, and checks all eight invariants).  The pipeline and deep rows
+# were re-pinned when the adaptive depth governor was deleted: a
+# pipeline trace lost only its four ``counter engine.depth_*=0`` lines
+# (decisions, changes, shrinks, migration_caps); the third engine became
+# a static depth-16 window, so its runs take other rounds (message,
+# retry and rebalance counts move) and print no decision-log line.
 PINNED = {
-    1: "7c278988999eea8c",  # pipeline
-    2: "3f70247da1582da8",  # adaptive
+    1: "f46a4983c8b41a55",  # pipeline
+    2: "8eb3b6b5f8507e02",  # deep
     3: "17cf6b2a4c523d8c",  # serial
-    4: "de021d1a98d20928",  # pipeline
-    5: "6a709abf08fb3144",  # adaptive
+    4: "b67eac855488b986",  # pipeline
+    5: "a9d26fe8d0156958",  # deep
     6: "f03fb42eda5dbaa4",  # serial
-    7: "c2b883a1601074c8",  # pipeline
-    8: "b9a52007cb73a851",  # adaptive
+    7: "c0ce1d2dbc63a9bd",  # pipeline
+    8: "968551bcc2cae701",  # deep
     9: "76dada1efb420646",  # serial
-    10: "46e4d9742f4b2f0f",  # pipeline
-    11: "e03d52099d145045",  # adaptive
+    10: "5fdf6b493d95336e",  # pipeline
+    11: "c818eddc5fc4dba1",  # deep
     12: "4311e4a2f12069eb",  # serial
-    13: "d8478a15aff8ff6b",  # pipeline
-    14: "9e39daba1770362b",  # adaptive
+    13: "66c5620fbf30a526",  # pipeline
+    14: "46a04648f45f7e15",  # deep
     15: "073af8a527c2f618",  # serial
 }
 
@@ -80,9 +81,9 @@ def test_every_op_fires(pinned):
 
 @pytest.mark.parametrize("invariant", [
     "durability", "correctness", "confidentiality", "conservation",
-    "coalescing", "recovery", "single_owner", "adaptive_identity",
+    "coalescing", "recovery", "single_owner", "depth_identity",
 ])
 def test_invariant_is_evaluated(invariant, pinned):
     # 5, 6 and 8 run only where the walk drew a batch, a power failure
-    # or an adaptive seed; none may drop out of the pinned runs.
+    # or a deep seed; none may drop out of the pinned runs.
     assert sum(result.checked[invariant] for result in pinned) > 0

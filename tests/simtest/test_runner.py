@@ -1,7 +1,7 @@
 """Scenario runner: replayability, invariants, fault classes, engines, CLI.
 
 Every run draws every fault class and checks all eight invariants; the
-seed picks the engine (``seed % 3``: serial, static depth 8, adaptive).
+seed picks the engine (``seed % 3``: serial, depth 8, depth 16).
 The per-engine classes pick their seeds with :func:`seed_for`.
 """
 
@@ -181,56 +181,48 @@ class TestPipelined:
         )
 
 
-class TestAdaptive:
-    """Seeds whose engine is the AIMD depth controller — invariant 8
-    (adaptive runs are byte-identical to a depth-1 replay) plus
-    replayability of the controller's decision log."""
+class TestDepthIdentity:
+    """Seeds whose engine is the depth-16 window — invariant 8 (deep
+    runs are byte-identical to a depth-1 replay)."""
 
     @pytest.mark.parametrize("start", [3, 9, 17])
     def test_fixed_seeds_uphold_all_invariants(self, start, scenario):
-        result = scenario(SimConfig(seed=seed_for("adaptive", start), **FAST))
-        assert result.config.engine == "adaptive"
+        result = scenario(SimConfig(seed=seed_for("deep", start), **FAST))
+        assert result.config.engine == "deep"
         assert result.ok, failure_lines(result)
-        assert result.checked["adaptive_identity"] == 1
+        assert result.checked["depth_identity"] == 1
 
-    def test_adaptive_runs_replay_byte_identical(self, scenario):
-        # The digested trace includes the controller's decision log, so
-        # a matching digest pins both results and depth decisions.
-        config = SimConfig(seed=seed_for("adaptive", 11), **FAST)
+    def test_deep_runs_replay_byte_identical(self, scenario):
+        config = SimConfig(seed=seed_for("deep", 11), **FAST)
         first = scenario(config)
         second = run_scenario(config)
         assert first.digest == second.digest
         assert first.values == second.values
 
-    def test_controller_decisions_join_the_trace(self, scenario):
-        result = scenario(SimConfig(seed=seed_for("adaptive", 8), **FAST))
-        adaptive_lines = [l for l in result.trace if l.startswith("phase=adaptive")]
-        assert len(adaptive_lines) == 1
-        assert "decisions=" in adaptive_lines[0]
-        assert "log=" in adaptive_lines[0]
-        assert result.counters.get("engine.depth_decisions", 0) > 0
+    def test_deep_runs_trace_their_window(self, scenario):
+        result = scenario(SimConfig(seed=seed_for("deep", 8), **FAST))
+        assert "counter engine.depth_current=16" in result.trace
 
-    def test_adaptive_values_match_depth_one_replay(self, scenario):
+    def test_deep_values_match_depth_one_replay(self, scenario):
         # Invariant 8, checked from the outside: the runner already
         # replays internally; here the depth-1 stream is rebuilt
         # independently and compared call-for-call.
-        config = SimConfig(seed=seed_for("adaptive", 17), **FAST)
-        adaptive = scenario(config)
+        config = SimConfig(seed=seed_for("deep", 17), **FAST)
+        deep = scenario(config)
         reference = run_scenario(config, _replay_depth=1)
-        assert adaptive.values == reference.values
-        assert not any(l.startswith("phase=adaptive") for l in reference.trace)
+        assert deep.values == reference.values
+        assert reference.counters["engine.depth_current"] == 1
+        assert reference.checked["depth_identity"] == 0
 
-    def test_adaptive_composes_with_migration(self, scenario):
-        # Adaptive depth + an open dual-ownership window: invariant 8
-        # and the placement invariants must hold together.  (The walk's
-        # short rounds keep raw depth below the migration cap, so the
-        # cap counter itself is pinned by the engine unit tests.)
+    def test_deep_composes_with_migration(self, scenario):
+        # Depth 16 + an open dual-ownership window: invariant 8 and the
+        # placement invariants must hold together.
         for seed in (2, 20):
             result = scenario(SimConfig(seed=seed, **FAST))
-            assert result.config.engine == "adaptive"
+            assert result.config.engine == "deep"
             assert result.ok, failure_lines(result)
             assert "mig_open" in fired_ops(result)
-            assert result.counters.get("engine.depth_decisions", 0) > 0
+            assert result.checked["depth_identity"] == 1
 
 
 class TestPlannedMigration:
@@ -253,7 +245,7 @@ class TestPlannedMigration:
             assert "~shard-" in plan_lines[0]  # and a reweight
 
     def test_plan_survives_participant_power_fail(self, scenario):
-        # Seed 29 (adaptive) power-fails a joiner mid-plan, seed 99
+        # Seed 29 (deep) power-fails a joiner mid-plan, seed 99
         # (serial) the leaver; the window still drains and the
         # single-owner invariant holds.
         for seed in (29, 99):
@@ -321,7 +313,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "op=" in out and "phase=settle" in out
 
-    @pytest.mark.parametrize("engine", ["serial", "pipeline", "adaptive"])
+    @pytest.mark.parametrize("engine", ["serial", "pipeline", "deep"])
     def test_engine_seed_exits_zero_and_names_its_engine(self, engine, capsys):
         code = main(["--seed", str(seed_for(engine, 3)), "--steps", "12",
                      "--shards", "2"])

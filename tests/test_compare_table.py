@@ -3,6 +3,7 @@ counts as a win, which spread is set against which bound, and when a row
 reads better / worse / same / unresolved."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -103,3 +104,35 @@ def test_render_is_one_row_per_workload_and_metric():
         "hit1k_call", "wall_ops_per_s", "534.5", "734.5", "+31.5%", "10/10", "0.7%", "15%", "better"
     ]
     assert lines[3].split()[-4:] == ["0/10", "0.0%", "10%", "same"]
+
+
+def test_the_worktree_side_is_exported_like_a_revision(tmp_path, monkeypatch):
+    # Both sides run from a fresh directory: the working tree's tracked
+    # files with their edits and its untracked files that are not
+    # ignored, never the checkout itself.
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "pkg" / "kept.py").write_text("committed\n")
+    (repo / "gone.py").write_text("committed\n")
+    git("add", "-A")
+    git("-c", "user.name=t", "-c", "user.email=t@example.com", "commit", "-qm", "base")
+    (repo / "pkg" / "kept.py").write_text("edited\n")
+    (repo / "gone.py").unlink()
+    (repo / "pkg" / "new.py").write_text("untracked\n")
+    (repo / "run.log").write_text("ignored\n")
+    monkeypatch.setattr(compare, "ROOT", repo)
+
+    tree = compare.check_out(compare.WORKTREE, tmp_path / "b")
+    assert tree == tmp_path / "b"
+    assert {p.relative_to(tree).as_posix() for p in tree.rglob("*") if p.is_file()} == {
+        ".gitignore", "pkg/kept.py", "pkg/new.py"}
+    assert (tree / "pkg" / "kept.py").read_text() == "edited\n"
+    head = compare.check_out("HEAD", tmp_path / "a")
+    assert (head / "pkg" / "kept.py").read_text() == "committed\n"
+    assert (head / "gone.py").exists() and not (head / "pkg" / "new.py").exists()

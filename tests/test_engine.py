@@ -19,6 +19,7 @@ from repro.engine import EngineConfig, PipelineEngine
 from repro.errors import ChannelError, ProtocolError, TransportError
 from repro.net.messages import GetRequest, PutRequest
 from repro.simtest import SimConfig, run_scenario
+from repro.simtest.runner import ENGINES
 from tests.schedule_reference import Graph, capture, reference_starts, violations
 
 
@@ -62,7 +63,6 @@ class GroupedFakeClient:
         self.fail_submit = False
         self.fail_wait = False
         self.fail_group_wait = False
-        self.in_transition = False  # a migration window (the router's flag)
         self._next = 0
         self._pending = {}
 
@@ -133,6 +133,12 @@ class TestConfig:
         with pytest.raises(ProtocolError):
             EngineConfig(depth=0)
 
+    @pytest.mark.parametrize("depth", ["auto", 0, -1, 8.0, 2.5, None])
+    def test_a_depth_that_is_not_an_int_of_one_or_more_is_a_coded_error(self, depth):
+        with pytest.raises(ProtocolError) as raised:
+            EngineConfig(depth=depth)
+        assert raised.value.code == "protocol_error"
+
     def test_workers_must_be_positive(self):
         with pytest.raises(ProtocolError):
             EngineConfig(workers=0)
@@ -192,6 +198,17 @@ class TestRounds:
                                       shard_of=lambda tag: f"shard-{tag[0] % 3}")
         engine.run_gets([get(bytes([i])) for i in range(12)])
         assert engine.makespan_cycles <= engine.serial_cycles
+
+    def test_depth_never_changes_what_run_gets_returns(self):
+        # Depth is a schedule knob, never a semantic one: a depth-8
+        # engine (coalesced duplicates, two shards) returns exactly what
+        # a depth-1 engine returns.
+        requests = [get(bytes([i % 5])) for i in range(17)]
+        deep, _, _, _ = make_engine(n_shards=2, depth=8, shard_of=lambda tag: f"shard-{tag[0] % 2}")
+        one, _, _, _ = make_engine(n_shards=2, depth=1, shard_of=lambda tag: f"shard-{tag[0] % 2}")
+        got = deep.run_gets(list(requests))
+        assert got.responses == one.run_gets(list(requests)).responses
+        assert deep.rounds < one.rounds
 
     def test_depth1_workers1_degenerates_to_serial(self):
         engine, _, _, _ = make_engine(depth=1, workers=1)
@@ -457,8 +474,6 @@ class WalkClient:
     ``drains[r]``, when given, is ``(app, per shard)`` cycles charged in
     ``engine.background()`` as round ``r`` is planned.
     """
-
-    in_transition = False
 
     def __init__(self, app_clock, shard_clocks, walks, costs, drains=()):
         self.app_clock = app_clock
@@ -828,7 +843,7 @@ class TestBatchSchedule:
 
 class TestSolvedGraphs:
     def test_the_pipelined_simtest_seeds_solve_valid_graphs(self, monkeypatch):
-        # The pinned seeds whose engine is depth 8 or auto (seed % 3 != 0):
+        # The pinned seeds whose engine is depth 8 or 16 (seed % 3 != 0):
         # kills, timeouts, replica walks and migration windows.  Each
         # batch the engine solved is a valid schedule of its graph.
         solved = capture(monkeypatch).solved
@@ -836,7 +851,7 @@ class TestSolvedGraphs:
             first = len(solved)
             result = run_scenario(SimConfig(seed=seed, steps=25))
             assert result.ok
-            bound = 8 if result.config.engine == "pipeline" else 16  # auto: its max_depth
+            bound = ENGINES[result.config.engine]
             assert all(graph.depth <= bound for graph, _ in solved[first:])
         assert any(graph.groups for graph, _ in solved)
         for graph, starts in solved:
@@ -945,177 +960,5 @@ class TestWorkerClamp:
         config = EngineConfig(depth=2, workers=8)
         assert config.workers == 2
 
-    def test_workers_clamped_to_max_depth_when_adaptive(self):
-        config = EngineConfig(depth="auto", workers=64, max_depth=16)
-        assert config.workers == 16
-
     def test_workers_within_depth_untouched(self):
         assert EngineConfig(depth=8, workers=3).workers == 3
-
-
-class TestAdaptiveEngine:
-    def test_auto_depth_starts_at_min_and_grows(self):
-        engine, client, _, _ = make_engine(
-            n_shards=2, depth="auto", min_depth=1, max_depth=8,
-            shard_of=lambda tag: f"shard-{tag[0] % 2}",
-        )
-        assert engine.depth_current == 1
-        tags = [get(bytes([i])) for i in range(16)]
-        engine.run_gets(tags)
-        # Slow-start over full rounds: 1 -> 2 -> 4 -> 8 within one batch.
-        assert engine.depth_current > 1
-        assert engine.controller.grows >= 2
-
-    def test_adaptive_rounds_reread_depth_mid_batch(self):
-        engine, client, _, _ = make_engine(
-            n_shards=2, depth="auto", min_depth=1, max_depth=4,
-            shard_of=lambda tag: f"shard-{tag[0] % 2}",
-        )
-        engine.run_gets([get(bytes([i])) for i in range(8)])
-        # Rounds were sized 1, 2, 4, 1(tail): more rounds than a static
-        # depth-4 engine (2), fewer than depth-1 (8).
-        assert 2 < engine.rounds < 8
-
-    def test_backpressure_shrinks_next_round(self):
-        engine, client, _, _ = make_engine(
-            n_shards=2, depth="auto", min_depth=1, max_depth=8,
-            shard_of=lambda tag: f"shard-{tag[0] % 2}",
-        )
-        engine.run_gets([get(bytes([i])) for i in range(15)])  # grow to 8
-        depth_before = engine.controller.depth
-        engine.note_backpressure()
-        engine.run_gets([get(bytes([i])) for i in range(depth_before)])
-        assert engine.controller.log[-1][2] == "backpressure"
-        assert engine.controller.depth == max(1, depth_before // 2)
-
-    def test_migration_caps_depth_and_yields_slots(self):
-        engine, client, _, _ = make_engine(
-            n_shards=2, depth="auto", min_depth=1, max_depth=32,
-            shard_of=lambda tag: f"shard-{tag[0] % 2}",
-        )
-        engine.run_gets([get(bytes([i])) for i in range(64)])  # grow past 8
-        assert engine.controller.round_depth(False) > 8
-        assert engine.background_budget() == 1
-        client.in_transition = True  # dual-ownership window opens
-        cap = engine.controller.migration_cap
-        assert engine.depth_current == cap
-        engine.run_gets([get(bytes([i])) for i in range(2 * cap)])
-        assert engine.controller.migration_capped > 0
-        assert engine.background_budget() == 1 + engine.controller.yielded_slots
-        assert engine.controller.yielded_slots > 0
-        client.in_transition = False  # window closes: full depth returns
-        assert engine.depth_current > cap
-
-    def test_background_budget_widens_with_destination_parallelism(self):
-        # A planned window streaming to N distinct gaining shards gets N
-        # background lanes — transfers to distinct machines overlap each
-        # other, not just the foreground.
-        engine, client, _, _ = make_engine(
-            n_shards=2, depth="auto", min_depth=1, max_depth=32,
-            shard_of=lambda tag: f"shard-{tag[0] % 2}",
-        )
-        assert engine.background_budget() == 1
-        assert engine.background_budget(parallelism=4) == 4
-        assert engine.background_budget(parallelism=0) == 1  # floored
-        client.in_transition = True
-        cap = engine.controller.migration_cap
-        engine.run_gets([get(bytes([i])) for i in range(2 * cap)])
-        yielded = engine.controller.yielded_slots
-        assert engine.background_budget(parallelism=4) == 4 + yielded
-
-    def test_failed_round_shrinks(self):
-        engine, client, _, _ = make_engine(
-            n_shards=2, depth="auto", min_depth=1, max_depth=8,
-            shard_of=lambda tag: f"shard-{tag[0] % 2}",
-        )
-        engine.run_gets([get(bytes([i])) for i in range(15)])
-        depth_before = engine.controller.depth
-        client.fail_wait = True
-        engine.run_gets([get(bytes([i])) for i in range(depth_before)])
-        client.fail_wait = False
-        assert engine.controller.log[-1][2] == "failures"
-        assert engine.controller.depth == max(1, depth_before // 2)
-
-    def test_snapshot_reports_adaptive_metrics(self):
-        engine, _, _, _ = make_engine(
-            n_shards=2, depth="auto", min_depth=1, max_depth=8,
-            shard_of=lambda tag: f"shard-{tag[0] % 2}",
-        )
-        engine.run_gets([get(bytes([i])) for i in range(8)])
-        snap = engine.snapshot()
-        assert snap["engine.depth"] == "auto"
-        assert snap["engine.depth_current"] == engine.controller.depth
-        assert snap["engine.depth_decisions"] == engine.controller.decisions
-        assert snap["engine.depth_changes"] == engine.controller.changes
-        assert snap["engine.depth_grows"] == engine.controller.grows
-        assert snap["engine.depth_shrinks"] == engine.controller.shrinks
-        assert snap["engine.depth_migration_caps"] == 0
-
-    def test_static_engine_snapshot_zeroes_adaptive_metrics(self):
-        engine, _, _, _ = make_engine(depth=4)
-        engine.run_gets([get(b"a")])
-        snap = engine.snapshot()
-        assert snap["engine.depth_decisions"] == 0
-        assert snap["engine.depth_changes"] == 0
-
-    def test_depth_decision_events_traced(self):
-        from repro.obs.tracer import Tracer, find_spans
-
-        app = FakeClock()
-        shards = {"shard-0": FakeClock(), "shard-1": FakeClock()}
-        client = GroupedFakeClient(app, shards, shard_of=lambda tag: f"shard-{tag[0] % 2}")
-        tracer = Tracer()
-        engine = PipelineEngine(
-            client, app, shard_clocks=shards, tracer=tracer,
-            config=EngineConfig(depth="auto", min_depth=1, max_depth=4),
-        )
-        engine.run_gets([get(bytes([i])) for i in range(6)])
-        events = find_spans(tracer.spans(), "engine.depth_decision")
-        assert len(events) == engine.controller.decisions
-        first = events[0].attrs
-        assert first["prev"] == 1 and first["depth"] == 2
-        assert first["reason"] == "grow"
-        assert {"ops", "failures", "backpressure", "migration"} <= set(first)
-
-    def test_the_governor_observes_the_round_solved_as_its_own_schedule(self, monkeypatch):
-        # Three items on three shards: three groups (send 10, serve 30,
-        # receive 5) on two lanes.  The busiest round-robin lane, shard or
-        # chain reads 45; the list schedule runs the third send after the
-        # first two (10-20), so its receive ends at 55.  A drain on
-        # shard-0 lands in the same round: it delays the batch, not the
-        # round the governor judges.
-        engine, _, _, shards = make_engine(
-            n_shards=3, depth="auto", min_depth=3, max_depth=3, workers=2,
-            shard_of=lambda tag: f"shard-{tag[0]}",
-        )
-        seen = []
-        observe = engine.controller.observe
-        monkeypatch.setattr(engine.controller, "observe", lambda obs: seen.append(obs) or observe(obs))
-        with engine.background():
-            shards["shard-0"].advance(1000.0)
-        engine.run_gets([get(bytes([i])) for i in range(3)])
-        (obs,) = seen
-        alone = Graph(
-            [10.0, 30.0, 5.0] * 3, ["send", "serve", "receive"] * 3,
-            [None, "shard-0", None, None, "shard-1", None, None, "shard-2", None],
-            [[], [0], [1], [], [3], [4], [], [6], [7]], lanes=2,
-        )
-        assert obs.ops == 3 and obs.makespan_cycles == alone.makespan == 55.0
-        # The batch itself: serve 0 waits for the drain, 1000-1030.
-        assert engine.makespan_cycles == 1035.0
-
-    def test_adaptive_identity_run_gets(self):
-        # Depth is a schedule knob, never a semantic one: the adaptive
-        # engine returns exactly what a depth-1 engine returns.
-        requests = [get(bytes([i % 5])) for i in range(17)]
-        auto, _, _, _ = make_engine(
-            n_shards=2, depth="auto", min_depth=1, max_depth=8,
-            shard_of=lambda tag: f"shard-{tag[0] % 2}",
-        )
-        one, _, _, _ = make_engine(
-            n_shards=2, depth=1,
-            shard_of=lambda tag: f"shard-{tag[0] % 2}",
-        )
-        got = auto.run_gets(list(requests))
-        want = one.run_gets(list(requests))
-        assert got.responses == want.responses
