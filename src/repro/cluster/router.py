@@ -12,22 +12,23 @@ One request path
 ----------------
 Routing exists once, as *submit a group, settle a group*:
 
-* A **GET group** shares the owner its items ask next — first their
-  primary — and travels to it as one record.  Each item is a
-  :class:`GetWalk` over its tag's owners in ring order: a hit is
-  returned; a live owner's *miss*, or an owner that did not answer
-  (dead, garbled, or refused by its circuit breaker), leaves it for the
-  next *step*, which sends one record per next owner for all such items
-  of the call.  The first hit wins, counts one **failover** when any
-  owner before it failed, and read-repairs every live owner that
-  missed (one one-way PUT batch per missed shard per step), so a shard
-  that lost or never received an entry converges back.  When no owner
-  answered at all the item is *unavailable* (``found=False``, reason
-  ``no_live_owner``), never a plain miss.  The
-  repaired ciphertext is still the store-side ``(r, [k], [res])``
-  triple: the router never sees plaintext, and a tampered replica is
-  caught by the runtime's Fig. 3 MAC/tag verification exactly as a
-  tampered single store would be.
+* A **GET group** shares the owner its items ask next and travels to
+  it as one record.  Each item is a :class:`GetWalk` over its tag's
+  owners: first the one the plan picks from its current replica set
+  (the less-loaded copy, :meth:`ClusterRouter._plan`), then the others
+  in ring order.  A hit is returned; a live owner's *miss*, or an owner
+  that did not answer (dead, garbled, or refused by its circuit
+  breaker), leaves it for the next *step*, which sends one record per
+  next owner for all such items of the call.  The first hit wins,
+  counts one **failover** when any owner before it failed, and
+  read-repairs every live owner that missed (one one-way PUT batch per
+  missed shard per step), so a shard that lost or never received an
+  entry converges back.  When no owner answered at all the item is
+  *unavailable* (``found=False``, reason ``no_live_owner``), never a
+  plain miss.  The repaired ciphertext is still the store-side
+  ``(r, [k], [res])`` triple: the router never sees plaintext, and a
+  tampered replica is caught by the runtime's Fig. 3 MAC/tag
+  verification exactly as a tampered single store would be.
 * A **PUT group** is fanned out as one record per owner shard (every
   item goes to its primary and its ``replication_factor - 1`` distinct
   successors).  Settling merges the shards' acks by one rule: an item's
@@ -40,8 +41,8 @@ What differs between the group entry points is only how a shard send
 is made and when the group is settled:
 
 * ``call_batch`` sends with blocking shard calls and settles on the
-  spot, step by step for GETs (the first step one group per primary
-  shard, as :meth:`ClusterRouter.plan_gets` partitions them) or the
+  spot, step by step for GETs (the first step planned over the whole
+  call, as :meth:`ClusterRouter.plan_gets` partitions them) or the
   whole batch at once (PUTs), and rejoins the answers in item order.
 * ``submit_gets``/``wait_gets`` and ``submit_puts``/``wait_puts`` send
   through the shard clients' pipelined slots, so several groups are in
@@ -68,6 +69,7 @@ back onto them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .ring import ShardRing
@@ -162,14 +164,18 @@ class RouterStats:
 
 
 class GetWalk:
-    """One GET item walking its tag's owners in ring order, one per step,
-    until a hit, a miss from every live owner, or no owner is left."""
+    """One GET item walking its tag's owners, one per step, until a hit,
+    a miss from every live owner, or no owner is left.  Its first ask
+    goes to the owner the router's plan picks from the tag's current
+    replica set; the other owners follow in ring order."""
 
-    __slots__ = ("request", "owners", "missed", "failed")
+    __slots__ = ("request", "ring", "owners", "missed", "failed")
 
     def __init__(self, request: GetRequest):
         self.request = request
-        # The owners still to ask, next first; None until the primary answered.
+        # The tag's reachable owners in ring order, looked up once.
+        self.ring: list[str] | None = None
+        # The owners still to ask, next first; None until planned.
         self.owners: list[str] | None = None
         self.missed: list[str] = []  # live owners that answered miss
         self.failed = 0  # owners that did not answer
@@ -177,6 +183,12 @@ class GetWalk:
     @property
     def tag(self) -> bytes:
         return self.request.tag
+
+    @property
+    def under_way(self) -> bool:
+        """An owner was asked and the walk went on (it missed or did not
+        answer); the plan no longer moves its next ask."""
+        return bool(self.missed) or self.failed > 0
 
 
 @dataclass
@@ -211,6 +223,19 @@ class _PutGroup:
     # One-way sends: the slot id the merged ack is emitted under, once.
     router_id: int = 0
     emitted: bool = False
+
+
+def _group(heads: list) -> list[tuple[str | None, list[int]]]:
+    """``(owner, positions)`` per distinct owner in ``heads``, in shard
+    order, then each position whose owner is ``None`` on its own."""
+    groups: dict[str, list[int]] = {}
+    orphans: list[int] = []
+    for i, head in enumerate(heads):
+        if head is None:
+            orphans.append(i)
+        else:
+            groups.setdefault(head, []).append(i)
+    return sorted(groups.items()) + [(None, [i]) for i in orphans]
 
 
 class ClusterRouter:
@@ -314,21 +339,27 @@ class ClusterRouter:
         owners = self.ring.owners(tag, self.replication_factor)
         return [s for s in owners if s in self._clients]
 
-    def _read_owners(self, item) -> list[str]:
-        """Reachable shards a GET item has yet to consult, next first (a
-        :class:`GetWalk` under way: the owners it has left).  During a topology
-        transition (dual-ownership window) this is the old owners first
-        with the pending owners as failover, so a tag stays readable
-        whether or not its range has been handed off yet.  Under a
-        planned multi-shard window the union may span several changed
-        shards (two joiners plus a leaver, say) — the ring computes it
-        per range, the router just filters to connected clients."""
-        if type(item) is GetWalk:
-            if item.owners is not None:
-                return item.owners
-            item = item.request
-        owners = self.ring.read_owners(item.tag, self.replication_factor)
+    def _read_owners(self, tag: bytes) -> list[str]:
+        """Reachable shards a GET of ``tag`` may consult, in ring order.
+        During a topology transition (dual-ownership window) this is the
+        old owners first with the pending owners as failover, so a tag
+        stays readable whether or not its range has been handed off yet.
+        Under a planned multi-shard window the union may span several
+        changed shards (two joiners plus a leaver, say) — the ring
+        computes it per range, the router just filters to connected
+        clients."""
+        owners = self.ring.read_owners(tag, self.replication_factor)
         return [s for s in owners if s in self._clients]
+
+    def _owners_of(self, item) -> list[str]:
+        """The owners a GET item has yet to ask, next first: a plain GET's
+        in ring order, a walk's as planned (in ring order if never planned)."""
+        if type(item) is not GetWalk:
+            return self._read_owners(item.tag)
+        if item.owners is None:
+            item.ring = self._read_owners(item.tag)
+            item.owners = list(item.ring)
+        return item.owners
 
     def _write_owners(self, tag: bytes) -> list[str]:
         """Reachable shards a PUT must land on.  During a transition
@@ -411,7 +442,7 @@ class ClusterRouter:
             group.sent = self._send(
                 shard, "get", [w.request for w in items] if walking else items, mode
             )
-            if walking and items[0].owners is not None and self.stats.circuit_skips == skips:
+            if walking and items[0].under_way and self.stats.circuit_skips == skips:
                 self.stats.walk_records += 1
         return group
 
@@ -440,15 +471,15 @@ class ClusterRouter:
             raise ProtocolError(
                 f"shard {shard!r} answered GET with {type(reply).__name__}"
             )
-        if type(item) is GetWalk and item.owners is not None:
-            walk = item
-            del walk.owners[0]
-        else:  # its primary answered: the rest of the walk is fixed now
+        walk = item if type(item) is GetWalk else None
+        if walk is None or not walk.under_way:  # its first ask
             self.stats.gets_routed += 1
             if reply is not None and reply.found:
                 return reply
-            walk = item if type(item) is GetWalk else GetWalk(item)
-            walk.owners = [s for s in self._read_owners(walk.request) if s != shard]
+            walk = walk or GetWalk(item)
+        owners = self._owners_of(walk)
+        if shard in owners:
+            owners.remove(shard)
         if shard is not None:
             if reply is None:
                 walk.failed += 1
@@ -461,7 +492,7 @@ class ClusterRouter:
                 return reply
             else:
                 walk.missed.append(shard)
-        if walk.owners:
+        if owners:
             return walk
         if walk.missed:
             return GetResponse(found=False)
@@ -475,7 +506,7 @@ class ClusterRouter:
         in place by blocking steps, each with its read repairs."""
         while pending:
             items = [results[p] for p in pending]
-            for shard, positions in self._plan(items, self._read_owners):
+            for shard, positions in self._plan(items):
                 group = self._submit_get_group([items[q] for q in positions], _SYNC, shard)
                 for q, outcome in zip(positions, self._settle_get_group(group)):
                     results[pending[q]] = outcome
@@ -608,25 +639,58 @@ class ClusterRouter:
         self._next_router_id += 1
         return router_id
 
-    def _plan(self, items: list, owners_of) -> list[tuple[str | None, list[int]]]:
-        """``(owner, positions)`` per group of items sharing the head of
-        ``owners_of(item)``, in shard order; an item with no reachable
-        owner is a group of its own under ``None``."""
-        groups: dict[str, list[int]] = {}
-        orphans: list[int] = []
+    def _plan(self, items: list) -> list[tuple[str | None, list[int]]]:
+        """``(owner, positions)`` per group of GET items asking the same
+        owner first, in shard order; an item with no reachable owner is a
+        group of its own under ``None``.
+
+        A walk under way asks its next owner, a plain GET its primary.  A
+        fresh walk starts at its primary; scanning in item order until
+        nothing moves, it moves to the least-loaded other owner of its
+        current replica set (the first ``replication_factor`` of its
+        ring-order owners; in a window, the old owners), the earliest in
+        ring order on a tie, whenever that owner would then hold fewer
+        items than the one it leaves, and never onto an open breaker while
+        a replica's is not open.  It leaves with its owners to ask: the
+        planned one, then the rest in ring order."""
+        heads: list[str | None] = []
+        loads: Counter = Counter()
+        fresh: list[int] = []
         for i, item in enumerate(items):
-            owners = owners_of(item)
-            if owners:
-                groups.setdefault(owners[0], []).append(i)
+            if type(item) is GetWalk and not item.under_way:
+                if item.ring is None:
+                    item.ring = self._read_owners(item.tag)
+                owners = item.ring
+                fresh.append(i)
             else:
-                orphans.append(i)
-        return sorted(groups.items()) + [(None, [i]) for i in orphans]
+                owners = self._owners_of(item)
+            heads.append(owners[0] if owners else None)
+            loads[heads[-1]] += 1
+        opened = {shard for shard, b in self._breakers.items() if b.state == OPEN}
+        choices = [
+            (i, [s for s in replicas if s not in opened] or replicas)
+            for i in fresh
+            if len(replicas := items[i].ring[:self.replication_factor]) > 1
+        ]
+        moved = bool(choices)
+        while moved:
+            moved = False
+            for i, owners in choices:
+                here, there = heads[i], min(owners, key=loads.__getitem__)
+                if loads[there] + 1 < loads[here]:
+                    loads[here] -= 1
+                    loads[there] += 1
+                    heads[i], moved = there, True
+        for i in fresh:
+            walk, head = items[i], heads[i]
+            walk.owners = [head, *(s for s in walk.ring if s != head)] if head else []
+        return _group(heads)
 
     # -- group entry points ------------------------------------------------------
     def call_batch(self, requests: list[Message]) -> list[Message]:
         """Route a uniform batch and block on every answer, rejoined in
         item order.  GETs walk their owners in blocking steps, each one
-        record per next owner (first the primaries), so a shard that
+        record per next owner (first the planned copies), so a shard that
         fails its sub-batch does not poison the other shards' items;
         PUTs fan out as one group, one record per owner shard."""
         requests = list(requests)
@@ -636,25 +700,27 @@ class ClusterRouter:
             with self.tracer.span("router.put", clock=self.clock, items=len(requests)):
                 return self._settle_put_group(self._submit_put_group(requests, _SYNC))
         with self.tracer.span("router.get", clock=self.clock, items=len(requests)):
-            return self._walk(requests, range(len(requests)))
+            return self._walk([GetWalk(r) for r in requests], range(len(requests)))
 
     def plan_gets(self, requests: list) -> list[list[int]]:
-        """Partition GET indices by the owner each asks next: its primary
-        shard, or for a :class:`GetWalk` under way its next owner.
+        """Partition GET indices by the owner each asks next: for a fresh
+        :class:`GetWalk` the copy :meth:`_plan` picks (its primary unless
+        another replica evens out the groups), for a walk under way its
+        next owner, for a plain GET its primary.
 
         Each group can ship as one channel record to one shard, so a
         round of N GETs across S shards costs S records — and the S
         shards serve their sub-batches concurrently.  Items with no live
         owner form their own group (answered without touching the wire).
         """
-        return [positions for _, positions in self._plan(requests, self._read_owners)]
+        return [positions for _, positions in self._plan(requests)]
 
     def submit_gets(self, requests: list) -> int:
         """Submit one :meth:`plan_gets` group (GETs, or walks, that ask
         the same owner next) as a single record; returns a router slot
         id for :meth:`wait_gets`."""
         requests = list(requests)
-        owners = self._read_owners(requests[0]) if requests else []
+        owners = self._owners_of(requests[0]) if requests else []
         group = self._submit_get_group(requests, _PIPELINED, owners[0] if owners else None)
         group.finish = not requests or type(requests[0]) is not GetWalk
         return self._park(group)
@@ -686,10 +752,8 @@ class ClusterRouter:
         round of N replicated PUTs costs O(shards) records.  Items with
         no live owner form their own group (answered without touching
         the wire)."""
-        return [
-            positions
-            for _, positions in self._plan(requests, lambda r: self._write_owners(r.tag))
-        ]
+        heads = [(self._write_owners(r.tag) or [None])[0] for r in requests]
+        return [positions for _, positions in _group(heads)]
 
     def submit_puts(self, requests: list[PutRequest]) -> int:
         """Submit one :meth:`plan_puts` group: one batch record to every

@@ -5,12 +5,14 @@ and holding the entry, live and missing it, dead, behind an open circuit
 breaker, or pending in a planned topology window.  Run through
 ``call_batch`` and through the pipelined engine, every item's answer and
 every router counter equal what :func:`reference_walk` gives — each item
-asks its tag's owners one by one in ring order, the first hit wins, a
-hit after a failed owner is a failover, and every live owner that missed
+asks first the owner the plan's rule (:func:`reference_plan`) picks for
+it, then the others one by one in ring order; the first hit wins, a hit
+after a failed owner is a failover, and every live owner that missed
 before the hit is read-repaired.  Only the counters of sends are per
 record rather than per item (``get_timeouts``, ``circuit_skips`` and
 ``walk_records``), and each step sends exactly one record per distinct
-next owner.
+next owner.  Who serves may change with the plan, what is served may
+not: every answer equals the ring-order walk's.
 """
 
 import pytest
@@ -23,6 +25,7 @@ from repro.engine import EngineConfig, PipelineEngine
 from repro.net.circuit import OPEN, BreakerConfig
 
 from .conftest import make_cluster, make_get, make_put, raw_router
+from .test_router_plan import reference_plan
 
 # Opens after three failures and stays open for six refused sends.
 BREAKER = BreakerConfig(failure_threshold=3, reset_timeout_s=None, reset_after_skips=6)
@@ -75,23 +78,39 @@ def prepare(rf, n_items=8, dead=(), missed=(), breaker_open=(), unwritten=(), wi
             for _ in range(BREAKER.failure_threshold):
                 router._breaker(shard).record_failure()
             assert router._breaker(shard).state == OPEN
-    return d, router, [make_get(put) for put in puts]
+    return d, router, puts
 
 
-def reference_walk(d, router, gets, breaker_open):
+def ring_owners(d, router, put):
+    rf = router.replication_factor
+    return [s for s in d.cluster.ring.read_owners(put.tag, rf) if s in router.shard_ids]
+
+
+def planned_firsts(owner_lists, rf, breaker_open, per_plan):
+    """Each item's first owner, planned ``per_plan`` items at a time
+    (``call_batch`` plans the whole batch, the engine each round)."""
+    first = []
+    for start in range(0, len(owner_lists), per_plan):
+        first += reference_plan(owner_lists[start:start + per_plan], rf, set(breaker_open))
+    return first
+
+
+def reference_walk(d, router, puts, breaker_open, first=None):
     """Answers and counters by the per-item rule, plus the records each
     step must send: ``{(step, owner): [item, ...]}`` for owners that were
-    asked and not refused by their breaker."""
-    rf = router.replication_factor
+    asked and not refused by their breaker.  Item ``i`` asks ``first[i]``
+    first (default: its primary), then its other owners in ring order."""
     answers, asks = [], {}
     counters = dict.fromkeys(
         ("gets_routed", "failovers", "read_repairs", "unavailable"), 0
     )
     failed_sends, refused_sends = set(), set()
-    for item, get in enumerate(gets):
+    for item, put in enumerate(puts):
         counters["gets_routed"] += 1
-        owners = [s for s in d.cluster.ring.read_owners(get.tag, rf) if s in router.shard_ids]
-        holders = d.cluster.holders_of(get.tag)
+        owners = ring_owners(d, router, put)
+        if first is not None and first[item] is not None:
+            owners = [first[item], *(s for s in owners if s != first[item])]
+        holders = d.cluster.holders_of(put.tag)
         failed, missed, answer = 0, [], None
         for step, shard in enumerate(owners):
             if shard in breaker_open:
@@ -105,7 +124,7 @@ def reference_walk(d, router, gets, breaker_open):
             elif shard in holders:
                 counters["failovers"] += failed > 0
                 counters["read_repairs"] += len(missed)
-                answer = "hit"
+                answer = ("hit", put.sealed_result)
                 break
             else:
                 missed.append(shard)
@@ -119,6 +138,9 @@ def reference_walk(d, router, gets, breaker_open):
     return answers, {k: v for k, v in counters.items() if v}, asks
 
 
+DEPTH = 8
+
+
 def through_call_batch(d, router, gets):
     return router.call_batch(gets)
 
@@ -126,15 +148,19 @@ def through_call_batch(d, router, gets):
 def through_engine(d, router, gets):
     shard_clocks = {sid: node.platform.clock for sid, node in d.cluster.shards.items()}
     engine = PipelineEngine(
-        router, d.platform.clock, shard_clocks=shard_clocks, config=EngineConfig(depth=8),
+        router, d.platform.clock, shard_clocks=shard_clocks, config=EngineConfig(depth=DEPTH),
     )
     return engine.run_gets(gets).responses
+
+
+# Items each entry point plans at once: the whole batch, or one round.
+PER_PLAN = {through_call_batch: None, through_engine: DEPTH}
 
 
 def outcome(response):
     if not response.found:
         return "unavailable" if response.reason == NO_LIVE_OWNER else "miss"
-    return "hit"
+    return ("hit", response.sealed_result)
 
 
 def spy_on_get_records(router, gets):
@@ -154,9 +180,17 @@ def spy_on_get_records(router, gets):
 @pytest.mark.parametrize("entry", [through_call_batch, through_engine])
 @pytest.mark.parametrize("row", ROWS)
 def test_a_step_walk_answers_and_counts_like_a_per_item_walk(row, entry):
-    d, router, gets = prepare(**ROWS[row])
+    d, router, puts = prepare(**ROWS[row])
+    gets = [make_get(put) for put in puts]
     breaker_open = ROWS[row].get("breaker_open", ())
-    answers, counters, asks = reference_walk(d, router, gets, breaker_open)
+    first = planned_firsts(
+        [ring_owners(d, router, put) for put in puts], router.replication_factor,
+        breaker_open, PER_PLAN[entry] or len(puts),
+    )
+    primaries = [ring_owners(d, router, put)[0] for put in puts]
+    assert (first != primaries) == (router.replication_factor > 1)  # the plan bites
+    answers, counters, asks = reference_walk(d, router, puts, breaker_open, first)
+    assert answers == reference_walk(d, router, puts, breaker_open)[0]
     if ROWS[row].get("window"):
         assert any(shard == JOINER for _, shard in asks), "no walk reaches a pending owner"
     before = vars(router.stats).copy()
@@ -181,7 +215,8 @@ def test_a_step_walk_answers_and_counts_like_a_per_item_walk(row, entry):
 
 def test_a_step_repairs_each_missed_shard_with_one_batch():
     # RF 2: every item the revived shard-1 missed as primary hits at step 1.
-    d, router, gets = prepare(rf=2, n_items=16, missed=["shard-1"])
+    d, router, puts = prepare(rf=2, n_items=16, missed=["shard-1"])
+    gets = [make_get(put) for put in puts]
     repaired = [get for get in gets if d.cluster.owners_of(get.tag)[0] == "shard-1"]
     batches = []
     for shard, client in router._clients.items():

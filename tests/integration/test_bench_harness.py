@@ -161,11 +161,14 @@ ROW_DIGESTS = {
     # acbab21d..., f97fbec3... and 5534583e... before and after.  All
     # four again when the flusher's acks, an exchange's OCALL and a
     # walk's next step joined the schedule: the same four hashes before
-    # and after with those columns dropped.
+    # and after with those columns dropped.  migrate and reshard again
+    # when each fresh GET began asking the less-loaded copy of its
+    # replica set first: acbab21d... and 5534583e... before and after
+    # with those columns dropped (pipeline runs at RF 1 and did not move).
     "pipeline": "6fccc3b3fca83e88726d23cd28bb996d5be1c11b200d0bdc0f3f60b7baadc641",
     "durable": "ebb12c57723f9f837c891e7c946f73f0b609ea76563524ae115cdbb28f5fb660",
-    "migrate": "483453fadd44644ad8c007c36d1f17b408ea64adb8aa8b179fa6b0a3d3de3a15",
-    "reshard": "90102ec34e027773dbb3a700ecd3594191c32d8a7d454decf9d1e749d073280f",
+    "migrate": "388bea00c00b9d6e59062bd99d31e420ed6a7e734829112fff0271fbc04d796d",
+    "reshard": "4d6598dc5a055fa6df9a47e3b8c9e3b0bc66c01c6813ec4bc565b503e71c6f0e",
 }
 
 

@@ -14,7 +14,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Physical lines (newlines, as ``wc -l`` counts them) of every
 #: ``src/repro/**/*.py``.
-LINE_CEILING = 19_984
+LINE_CEILING = 20_048
 
 
 def test_src_repro_stays_under_its_line_ceiling():
