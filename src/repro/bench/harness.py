@@ -448,9 +448,7 @@ def run_ablation_quota(flood: int, honest: int, seed: int = 29):
     ):
         session = connect(
             seed=b"a4" + policy_name.encode(), app_name="a4-honest",
-            store_config=StoreConfig(
-                use_sgx=True, capacity_entries=128, eviction="lru", quota=quota
-            ),
+            store_config=StoreConfig(use_sgx=True, capacity_entries=128, quota=quota),
             tracing=False,
         )
         honest_client = session.runtime.client

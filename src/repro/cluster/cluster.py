@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .migration import RangeMigrator
-from .ring import ShardRing, TopologyPlan
+from .ring import VNODES, ShardRing, TopologyPlan
 from .router import ClusterRouter
 from ..errors import MigrationError, SpeedError
 from ..net.rpc import RpcClient
@@ -52,7 +52,7 @@ class ClusterConfig:
 
     n_shards: int = 4
     replication_factor: int = 2
-    vnodes: int = 32
+    vnodes: int = VNODES
     # Template applied to every shard (it is frozen, so sharing is safe);
     # each shard still gets its own QuotaManager/eviction state from it.
     store_config: StoreConfig = field(default_factory=StoreConfig)

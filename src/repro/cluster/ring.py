@@ -24,6 +24,8 @@ from ..errors import MigrationInProgressError, MigrationStateError, SpeedError
 
 RING_BITS = 64
 RING_SIZE = 1 << RING_BITS
+#: Virtual nodes per shard of weight 1 in every deployment's ring.
+VNODES = 32
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ def _vnode_point(shard_id: str, index: int) -> int:
 class ShardRing:
     """Consistent-hash ring mapping tag points to shard ids."""
 
-    def __init__(self, vnodes: int = 64):
+    def __init__(self, vnodes: int):
         if vnodes < 1:
             raise SpeedError("a shard needs at least one virtual node")
         self.vnodes = vnodes

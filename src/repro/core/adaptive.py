@@ -29,6 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: Smoothing factor of the cost averages.
+EMA_ALPHA = 0.25
+#: Advantage (fractional) required before a decision flips, so it does
+#: not oscillate around the break-even point.
+MARGIN = 0.1
+
 
 @dataclass
 class FunctionProfile:
@@ -55,20 +61,16 @@ class AdaptiveDedupPolicy:
     ----------
     min_observations:
         Calls to observe before any suppression decision is made.
-    ema_alpha:
-        Smoothing factor for the cost averages.
     probe_interval:
         While suppressed, one in every ``probe_interval`` calls still
         attempts the lookup so improving workloads are rediscovered.
-    margin:
-        Required advantage (fractional) before flipping a decision, to
-        avoid oscillation around the break-even point.
+
+    The cost averages' smoothing and the decision's hysteresis are the
+    module constants :data:`EMA_ALPHA` and :data:`MARGIN`.
     """
 
     min_observations: int = 8
-    ema_alpha: float = 0.25
     probe_interval: int = 16
-    margin: float = 0.1
     _profiles: dict[bytes, FunctionProfile] = field(default_factory=dict)
 
     def profile(self, func_identity: bytes) -> FunctionProfile:
@@ -92,7 +94,7 @@ class AdaptiveDedupPolicy:
     def _ema(self, old: float, sample: float) -> float:
         if old == 0.0:
             return sample
-        return (1 - self.ema_alpha) * old + self.ema_alpha * sample
+        return (1 - EMA_ALPHA) * old + EMA_ALPHA * sample
 
     def observe_hit(self, func_identity: bytes, sim_seconds: float) -> None:
         prof = self.profile(func_identity)
@@ -129,11 +131,11 @@ class AdaptiveDedupPolicy:
         expected_with_dedup = rate * hit_cost + (1 - rate) * miss_cost
         if prof.dedup_enabled:
             # Disable only with a clear margin against plain compute.
-            if expected_with_dedup > prof.ema_compute_cost * (1 + self.margin):
+            if expected_with_dedup > prof.ema_compute_cost * (1 + MARGIN):
                 prof.dedup_enabled = False
                 prof.suppressed_calls = 0
         else:
-            if expected_with_dedup < prof.ema_compute_cost * (1 - self.margin):
+            if expected_with_dedup < prof.ema_compute_cost * (1 - MARGIN):
                 prof.dedup_enabled = True
 
     # -- reporting ---------------------------------------------------------------

@@ -130,15 +130,6 @@ class RuntimeConfig:
     # the miss path (Algorithm 1) recomputes anyway; only deduplication
     # is lost.  Off by default: fail-fast keeps store outages visible.
     degrade_on_store_failure: bool = False
-    # Async PUT flusher bounds.  ``put_queue_entries`` caps the pending
-    # queue: when an enqueue would leave it at the cap, the oldest batch
-    # is drained first (back-pressure — the caller absorbs the send cost
-    # instead of the queue growing without bound).  0 keeps the legacy
-    # unbounded queue drained only by explicit ``flush_puts`` calls.
-    put_queue_entries: int = 0
-    # PUTs shipped per background drain (one channel record each);
-    # 0 drains the whole queue in a single batch.
-    put_flush_batch: int = 0
 
 
 @dataclass
@@ -454,20 +445,18 @@ class DedupRuntime:
                 self._absorb_gets(lookups, batch, crossing.lanes, func_identity, result_parser)
 
             # Stage 3: compute the misses in input order (Algorithm 1).
-            # With the engine's single-flight mode on, later misses
-            # whose tag an earlier miss already computed this batch
-            # join that leader in-enclave: one compute, one PUT.  Each
-            # result is protected in place (draws, hash, charges); the
-            # AEAD of them all runs in one pass when the loop ends, or
-            # earlier if a PUT has to leave first (a queue drain).
-            # Compute + protect is per-item enclave work, so it rides
-            # the worker lanes like stages 1 and 2; followers and L1
-            # re-probe hits take no task, and a drain runs outside every
-            # task (it is the background lane's, counted there once).
+            # Behind the engine (single-flight), later misses whose tag
+            # an earlier miss already computed this batch join that
+            # leader in-enclave: one compute, one PUT.  Each result is
+            # protected in place (draws, hash, charges); the AEAD of
+            # them all runs in one pass when the loop ends, or earlier
+            # if a PUT is refused first (the runtime closed).  Compute +
+            # protect is per-item enclave work, so it rides the worker
+            # lanes like stages 1 and 2; followers and L1 re-probe hits
+            # take no task.
             sync_puts: list[PutRequest] = []
             sealing: list[tuple[bytes, Sealing]] = []
-            bound = self.config.put_queue_entries
-            coalesce = self.engine is not None and self.engine.config.coalesce
+            coalesce = self.engine is not None
             computed_by_tag: dict[bytes, _BatchItem] = {}
             # Tags this group has put in the L1 since stage 1 probed it:
             # only these can have turned a miss into a hit, so only these
@@ -500,11 +489,8 @@ class DedupRuntime:
                             if coalesce:
                                 computed_by_tag[item.tag] = item
                             sealing.append((item.tag, pending))
-                            # A PUT that drains the queue (or is refused) leaves now.
-                            if self.config.async_put and (
-                                self._closed or 0 < bound <= len(self._pending_puts) + len(sealing)
-                            ):
-                                self._release_puts(sealing, sync_puts)
+                            if self.config.async_put and self._closed:
+                                self._release_puts(sealing, sync_puts)  # refused now
             finally:
                 self._release_puts(sealing, sync_puts)
 
@@ -724,7 +710,9 @@ class DedupRuntime:
                 sealed_result=result.sealed_result, app_id=self.config.app_id,
             )
             if self.config.async_put:
-                self._enqueue_put(put)
+                if self._closed:
+                    raise DedupError("runtime is closed; no further PUTs accepted")
+                self._pending_puts.append(put)
             else:
                 sync_puts.append(put)
 
@@ -767,37 +755,18 @@ class DedupRuntime:
             self.stats.puts_rejected += 1
 
     # -- asynchronous PUT draining ---------------------------------------------
-    def _enqueue_put(self, put: PutRequest) -> None:
-        """Queue an async PUT, applying the configured back-pressure.
-
-        With ``put_queue_entries > 0`` the queue is bounded: once the
-        enqueue reaches the cap, the oldest ``put_flush_batch`` entries
-        are drained immediately — the computing caller absorbs the send
-        cost rather than the queue growing without limit (the engine's
-        background lane overlaps it with foreground work when attached).
-        """
-        if self._closed:
-            raise DedupError("runtime is closed; no further PUTs accepted")
-        self._pending_puts.append(put)
-        bound = self.config.put_queue_entries
-        if bound > 0 and len(self._pending_puts) >= bound:
-            self.drain_put_batch()
-
-    def drain_put_batch(self, max_items: int | None = None) -> int:
-        """Send the oldest queued PUT batch one-way and account any
+    def drain_put_batch(self) -> int:
+        """Send the queued PUTs one-way as one batch and account any
         responses already available; returns the number sent.
 
-        This is the background flusher's unit of work: bounded, cheap,
-        callable between foreground requests.  When an engine is
-        attached the drain's clock charges, the send and the acks' alike,
-        are accounted as the engine's background lane — they overlap the
-        next round of foreground work instead of adding to the critical
-        path.
+        This is the background flusher's unit of work, callable between
+        foreground requests.  When an engine is attached the drain's
+        clock charges, the send and the acks' alike, are accounted as
+        the engine's background lane — they overlap the next round of
+        foreground work instead of adding to the critical path.
         """
-        if max_items is None:
-            max_items = self.config.put_flush_batch or len(self._pending_puts)
-        batch = self._pending_puts[:max_items]
-        del self._pending_puts[:max_items]
+        batch = self._pending_puts
+        self._pending_puts = []
         with nullcontext() if self.engine is None else self.engine.background():
             if batch:
                 request_id = self.client.send_oneway_batch(batch)
@@ -824,7 +793,7 @@ class DedupRuntime:
         or errors the server could not correlate — stay visible in
         :attr:`puts_unacknowledged` instead of being miscounted.
         """
-        return self.drain_put_batch(max_items=len(self._pending_puts))
+        return self.drain_put_batch()
 
     def _account_put_responses(self, responses: Sequence[Message]) -> None:
         for response in responses:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cluster import ClusterConfig, StoreCluster
+from .cluster.ring import VNODES
 from .core.deduplicable import Deduplicable
 from .core.description import FunctionDescription, TrustedLibraryRegistry
 from .core.runtime import DedupRuntime, RuntimeConfig
@@ -71,7 +72,7 @@ class Deployment:
         machine: str | None = None,
         n_shards: int = 0,
         replication_factor: int = 2,
-        vnodes: int = 32,
+        vnodes: int = VNODES,
         store_config: StoreConfig | None = None,
         cost_params: CostParams | None = None,
         epc_usable_bytes: int | None = None,

@@ -11,7 +11,7 @@ production enclave key-value stores:
   one seal AEAD pass amortized over the batch, charged to the virtual
   clock) and extends a hash chain that binds segment order.
 * :mod:`repro.durable.checkpoint` — defines the store *image* (every
-  entry with its ciphertext and eviction-policy state) and periodically
+  entry with its ciphertext and eviction state) and periodically
   folds the log into one, sealed with its log anchor, truncating the
   covered segments.  (:mod:`repro.store.persistence` seals the same image
   without an anchor: a snapshot.)
@@ -29,12 +29,11 @@ machine, every *acknowledged* PUT is durable by construction.
 
 from .checkpoint import maybe_checkpoint, take_checkpoint
 from .recovery import RecoveryReport, recover_store
-from .wal import DurableLog, WalConfig, WalRecord
+from .wal import DurableLog, WalRecord
 
 __all__ = [
     "DurableLog",
     "RecoveryReport",
-    "WalConfig",
     "WalRecord",
     "maybe_checkpoint",
     "recover_store",

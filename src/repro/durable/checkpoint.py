@@ -2,7 +2,7 @@
 
 An *image* is the plaintext of a store's whole state — every entry with
 its ciphertext, contributor, hit count and insertion/recency sequence
-numbers, so a restored store's eviction policies keep picking the same
+numbers, so a restored store's LRU eviction keeps picking the same
 victims.  Sealed bare under MRSIGNER it is a **snapshot**
 (:mod:`repro.store.persistence`: a graceful restart, §II-D); sealed
 together with the log position it folds in — the last covered WAL

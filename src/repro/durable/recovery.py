@@ -4,7 +4,7 @@ Recovery rebuilds a store's volatile state exclusively from the durable
 artifacts a power failure leaves behind (the host's names for the store):
 
 1. unseal the checkpoint (if any) and repopulate the dictionary, blob
-   arena, quota usage, and eviction-policy state from it;
+   arena, quota usage, and eviction order from it;
 2. walk the sealed segments in name order, verifying that each one unseals,
    that its embedded predecessor-chain value matches the running chain,
    and that its first sequence number is the one expected;

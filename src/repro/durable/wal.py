@@ -55,7 +55,7 @@ REC_MIGRATE_BEGIN = 3
 REC_MIGRATE_COMMIT = 4
 REC_MIGRATE_END = 5
 #: Coalesced GET-recency mark: the entry's hit counter at log time, so
-#: restored LRU/LFU order also reflects reads served after the last
+#: restored LRU order also reflects reads served after the last
 #: checkpoint (logged every ``recency_log_interval`` hits).
 REC_TOUCH = 6
 
@@ -66,19 +66,6 @@ REMOVE_DISCARD = 1
 #: Migration roles.
 MIGRATE_SOURCE = 0
 MIGRATE_DEST = 1
-
-
-@dataclass(frozen=True)
-class WalConfig:
-    """Durability knobs for one store's log."""
-
-    #: Seal the buffer whenever it reaches this many records even
-    #: mid-request; the store always commits at the end of each served
-    #: request anyway, so acks stay durable at any setting.
-    group_commit_records: int = 8
-    #: Fold the log into a sealed checkpoint once this many committed
-    #: records accumulate.
-    checkpoint_interval_records: int = 256
 
 
 @dataclass(frozen=True)
@@ -186,11 +173,23 @@ def chain_step(sealed_payload: bytes) -> bytes:
 
 
 class DurableLog:
-    """Write-ahead log + durable artifacts for one ResultStore."""
+    """Write-ahead log + durable artifacts for one ResultStore.
 
-    def __init__(self, enclave, store: str, config: WalConfig | None = None, tracer=NULL_TRACER):
+    ``group_commit_records``: seal the buffer whenever it reaches this
+    many records even mid-request; the store always commits at the end
+    of each served request anyway, so acks stay durable at any setting.
+    ``checkpoint_interval_records``: fold the log into a sealed
+    checkpoint once this many committed records accumulate.  The store
+    passes its ``StoreConfig.wal_group_commit`` and ``checkpoint_interval``.
+    """
+
+    def __init__(
+        self, enclave, store: str, group_commit_records: int,
+        checkpoint_interval_records: int, tracer=NULL_TRACER,
+    ):
         self.enclave = enclave
-        self.config = config or WalConfig()
+        self.group_commit_records = group_commit_records
+        self.checkpoint_interval_records = checkpoint_interval_records
         self.tracer = NULL_TRACER if tracer is None else tracer
         # -- durable half (host names; survives power_fail) ---------------
         self.host = enclave.platform.host
@@ -254,7 +253,7 @@ class DurableLog:
     def _append(self, record: WalRecord) -> None:
         self._buffer.append(record)
         self.appends += 1
-        if len(self._buffer) >= self.config.group_commit_records:
+        if len(self._buffer) >= self.group_commit_records:
             self.commit()
 
     def commit(self) -> int:
@@ -286,7 +285,7 @@ class DurableLog:
         return len(self._buffer)
 
     def needs_checkpoint(self) -> bool:
-        return self.records_since_checkpoint >= self.config.checkpoint_interval_records
+        return self.records_since_checkpoint >= self.checkpoint_interval_records
 
     def blob_name(self, digest: bytes) -> str:
         """The host name of one written-through ciphertext."""

@@ -107,8 +107,6 @@ class EngineConfig:
     #: verifications, compute + protect) are list-scheduled on.  Clamped
     #: to the depth bound: a round never has more groups than that.
     workers: int = 4
-    #: Single-flight: identical in-flight tags share one round trip.
-    coalesce: bool = True
 
     def __post_init__(self):
         for name in ("depth", "workers"):
@@ -237,7 +235,7 @@ class PipelineEngine:
         ops = []  # (request index, what goes on the wire), the queue
         for i, request in enumerate(requests):
             if isinstance(request, GetRequest):
-                leader = leaders.setdefault(request.tag, i) if self.config.coalesce else i
+                leader = leaders.setdefault(request.tag, i)
                 if leader != i:
                     leader_of[i] = leader
                     continue

@@ -57,23 +57,27 @@ from ..errors import ChannelError, ProtocolError, RetryExhaustedError, Transport
 from ..obs.tracer import NULL_TRACER
 
 
+#: Backoff before retry ``k`` (k >= 1): ``BACKOFF_BASE_S * 2**(k-1)``,
+#: capped at ``BACKOFF_MAX_S``, less up to ``BACKOFF_JITTER`` of it.
+BACKOFF_BASE_S = 200e-6
+BACKOFF_MAX_S = 20e-3
+BACKOFF_JITTER = 0.5
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Backoff schedule for synchronous calls.
 
     ``max_attempts=1`` (the default) disables retries entirely, keeping
     the historical fail-fast behaviour.  The delay before attempt ``k``
-    (k >= 1 retries) is ``base_delay_s * multiplier**(k-1)`` capped at
-    ``max_delay_s``, reduced by up to ``jitter`` (a 0..1 fraction) using
-    a hash of (server, correlation id, attempt) — deterministic, so
-    simulated runs replay identically, yet decorrelated across callers.
+    (k >= 1 retries) is ``BACKOFF_BASE_S * 2**(k-1)`` capped at
+    ``BACKOFF_MAX_S``, reduced by up to ``BACKOFF_JITTER`` (a 0..1
+    fraction) using a hash of (server, correlation id, attempt) —
+    deterministic, so simulated runs replay identically, yet
+    decorrelated across callers.
     """
 
     max_attempts: int = 1
-    base_delay_s: float = 200e-6
-    multiplier: float = 2.0
-    max_delay_s: float = 20e-3
-    jitter: float = 0.5
     # A correlated ErrorMessage (server code 500) or an uncorrelated 400
     # (the server could not parse a corrupted record) is deterministic
     # for a fixed request *unless* the wire mangled it — under active
@@ -81,12 +85,10 @@ class RetryPolicy:
     retry_protocol_errors: bool = False
 
     def delay_for(self, retry_index: int, salt: bytes) -> float:
-        raw = min(self.max_delay_s, self.base_delay_s * self.multiplier**retry_index)
-        if not self.jitter:
-            return raw
+        raw = min(BACKOFF_MAX_S, BACKOFF_BASE_S * 2.0**retry_index)
         digest = tagged_hash(b"rpc/backoff", salt, retry_index.to_bytes(4, "big"))
         fraction = int.from_bytes(digest[:8], "big") / 2**64
-        return raw * (1.0 - self.jitter * fraction)
+        return raw * (1.0 - BACKOFF_JITTER * fraction)
 
 
 class RpcServer:

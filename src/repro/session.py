@@ -39,7 +39,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .cluster.ring import TopologyPlan
+from .cluster.ring import VNODES, TopologyPlan
 from .core.decorator import deduplicable_marker
 from .core.deduplicable import Deduplicable
 from .core.description import FunctionDescription, TrustedLibrary, TrustedLibraryRegistry
@@ -89,11 +89,9 @@ def connect(
     store_config: StoreConfig | None = None,
     runtime_config: RuntimeConfig | None = None,
     cost_params: CostParams | None = None,
-    vnodes: int = 32,
+    vnodes: int = VNODES,
     epc_usable_bytes: int | None = None,
     tracing: bool = True,
-    slow_sim_threshold_s: float | None = None,
-    slow_wall_threshold_s: float | None = None,
     fault_injector: Any = None,
     retry_policy: Any = None,
     breaker_config: Any = None,
@@ -125,14 +123,7 @@ def connect(
     client; ``breaker_config`` enables per-shard circuit breakers on the
     router.
     """
-    tracer: Tracer | Any
-    if tracing:
-        tracer = Tracer(
-            slow_sim_threshold_s=slow_sim_threshold_s,
-            slow_wall_threshold_s=slow_wall_threshold_s,
-        )
-    else:
-        tracer = NULL_TRACER
+    tracer = Tracer() if tracing else NULL_TRACER
     libraries = libraries or TrustedLibraryRegistry()
     extra: dict[str, Any] = {}
     if machine is not None:
@@ -292,12 +283,7 @@ class Session:
         """Drain the asynchronous PUT queue off the critical path."""
         return self.runtime.flush_puts()
 
-    def enable_pipeline(
-        self,
-        depth: int = 8,
-        workers: int = 4,
-        coalesce: bool = True,
-    ):
+    def enable_pipeline(self, depth: int = 8, workers: int = 4):
         """Attach a pipelined execution engine to this session's runtime.
 
         Batched store GETs/PUTs then travel through the engine's
@@ -326,7 +312,7 @@ class Session:
             self.runtime.client,
             self.clock,
             shard_clocks=shard_clocks,
-            config=EngineConfig(depth=depth, workers=workers, coalesce=coalesce),
+            config=EngineConfig(depth=depth, workers=workers),
             tracer=self.tracer,
         )
         self.runtime.attach_engine(engine)

@@ -513,7 +513,7 @@ def run_scenario(config: SimConfig, _replay_depth: int | None = None) -> Scenari
         runtime_config=RuntimeConfig(degrade_on_store_failure=True),
     )
     if depth is not None:
-        session.enable_pipeline(depth=depth, workers=4, coalesce=True)
+        session.enable_pipeline(depth=depth, workers=4)
 
     @session.mark(version="1.0")
     def sim_workload(data: bytes) -> bytes:

@@ -1,8 +1,8 @@
 """The encrypted ResultStore and its management machinery.
 
 Implements §IV-B of the paper: the enclave-protected metadata dictionary
-(:mod:`.metadata`), the outside-enclave ciphertext arena
-(:mod:`.blobstore`), eviction policies (:mod:`.eviction`), the DoS quota
+(:mod:`.metadata`, which keeps the LRU eviction order), the
+outside-enclave ciphertext arena (:mod:`.blobstore`), the DoS quota
 mechanism of §III-D (:mod:`.quota`), the service itself
 (:mod:`.resultstore` — one insert path behind the wire PUT, hand-off
 ingest, WAL replay and image restore), store-to-store hand-off incl.
@@ -12,7 +12,6 @@ master-store replication (:mod:`.sync`), and sealed snapshots
 
 from .authorization import AuthorizationError, AuthorizationPolicy
 from .blobstore import BlobStore
-from .eviction import FifoPolicy, LfuPolicy, LruPolicy, make_policy
 from .metadata import ENTRY_SLOT_BYTES, MetadataDict, MetadataEntry, blob_digest
 from .quota import QuotaManager, QuotaPolicy
 from .resultstore import ResultStore, StoreConfig, StoreStats, plain_channel_pair
@@ -23,9 +22,6 @@ __all__ = [
     "AuthorizationPolicy",
     "BlobStore",
     "ENTRY_SLOT_BYTES",
-    "FifoPolicy",
-    "LfuPolicy",
-    "LruPolicy",
     "MetadataDict",
     "MetadataEntry",
     "QuotaManager",
@@ -35,7 +31,6 @@ __all__ = [
     "StoreStats",
     "SyncReport",
     "blob_digest",
-    "make_policy",
     "plain_channel_pair",
     "replicate_popular",
 ]

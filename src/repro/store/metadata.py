@@ -35,7 +35,7 @@ class MetadataEntry:
     wrapped_key: bytes     # [k] — k ⊕ Hash(func, m, r)
     blob_ref: int          # pointer into the untrusted blob store
     blob_digest: bytes     # binds the pointer to the exact ciphertext bytes
-    size: int              # ciphertext size (for quotas / eviction)
+    size: int              # ciphertext size (for quotas)
     app_id: str            # contributor (for quota accounting)
     hits: int = 0
     insert_seq: int = 0
@@ -106,9 +106,9 @@ class MetadataDict:
         """Insert ``entry``.  A new entry is stamped "inserted and last
         used now"; one that carries its sequence numbers (it comes back
         from a snapshot or checkpoint image) keeps them and its hit
-        count, so eviction policies pick the same victims after a
-        restart, and the internal counter advances past them to keep
-        later stamps monotonic."""
+        count, so eviction picks the same victims after a restart, and
+        the internal counter advances past them to keep later stamps
+        monotonic."""
         if entry.tag in self._entries:
             raise StoreError("duplicate tag insert; use replace semantics explicitly")
         if self._free_slots:
@@ -135,7 +135,7 @@ class MetadataDict:
     def touch_restore(self, tag: bytes, hits: int, touch=None) -> bool:
         """Re-apply a logged GET-recency mark (WAL replay): the entry's
         hit counter jumps to the logged value and its recency advances in
-        log order, so LRU/LFU victims match the pre-crash access pattern.
+        log order, so LRU victims match the pre-crash access pattern.
         Returns False if the tag is unknown (evicted later in the log)."""
         entry = self._entries.get(tag)
         if entry is None:

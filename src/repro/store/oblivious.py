@@ -21,7 +21,7 @@ paper anticipated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..crypto.drbg import HmacDrbg
 from ..errors import StoreError
@@ -182,9 +182,10 @@ class ObliviousMetadataDict:
 
     Request-path operations (``get``/``put``/``remove``) cost exactly one
     ORAM path access each, hiding *which* entry a request touched.
-    Maintenance operations (``entries`` — used only when eviction
-    triggers or during replication) perform a full oblivious scan, which
-    is the honest price of combining ORAM with capacity management.
+    Maintenance operations (``entries`` and ``least_recent`` — used only
+    when eviction triggers or during replication) perform a full
+    oblivious scan, which is the honest price of combining ORAM with
+    capacity management.
     ``total_bytes`` is served from a running counter (a single scalar
     that leaks nothing about individual accesses).
     """
@@ -241,6 +242,14 @@ class ObliviousMetadataDict:
     def entries(self) -> list:
         """Full oblivious scan (maintenance only)."""
         return [self._oram.get(tag) for tag in self._oram.keys()]
+
+    def least_recent(self):
+        """The LRU victim, by a full scan: the entry with the smallest
+        ``last_access_seq`` (the dictionary keeps no recency order)."""
+        entries = self.entries()
+        if not entries:
+            raise StoreError("eviction requested from an empty store")
+        return min(entries, key=lambda e: e.last_access_seq)
 
     def total_bytes(self) -> int:
         return self._total_bytes

@@ -14,7 +14,7 @@ and writes the anchored kind):
   restore it.
 * :func:`restore_store` — unseal inside the (possibly new) store enclave
   and put every entry back through the store's one insert path: each
-  makes room by policy like any other arrival, keeps its place in the
+  makes room (LRU eviction) like any other arrival, keeps its place in the
   eviction order, re-credits its contributor's quota and, on a durable
   store, is re-logged (or a later power failure would silently lose it).
 

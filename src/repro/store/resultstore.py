@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass
 
 from .authorization import AuthorizationPolicy
 from .blobstore import BlobStore
-from .eviction import EvictionPolicy, make_policy
 from .metadata import MetadataDict, MetadataEntry, blob_digest
 from .oblivious import ObliviousMetadataDict
 from .quota import QuotaManager, QuotaPolicy
@@ -37,7 +36,6 @@ from ..durable.wal import (
     REC_MIGRATE_COMMIT,
     REC_MIGRATE_END,
     DurableLog,
-    WalConfig,
     WalRecord,
 )
 from ..errors import ProtocolError, QuotaExceededError, StoreError
@@ -83,9 +81,8 @@ HANDOFF_APP_ID = "sync"
 class StoreConfig:
     """Deployment knobs for one ResultStore instance."""
 
-    capacity_bytes: int | None = None
+    # Entry bound (None: unbounded); a full store evicts the least recently used.
     capacity_entries: int | None = None
-    eviction: str = "lru"
     quota: QuotaPolicy | None = None
     use_sgx: bool = True
     verify_blob_digest: bool = True
@@ -109,7 +106,7 @@ class StoreConfig:
     wal_group_commit: int = 8
     checkpoint_interval: int = 256
     # GET-recency WAL marks: when > 0, every Nth hit on an entry logs a
-    # coalesced REC_TOUCH record so restored LRU/LFU eviction order also
+    # coalesced REC_TOUCH record so restored LRU eviction order also
     # reflects reads served after the last checkpoint.  0 disables the
     # marks (recency then restores only up to the checkpoint).
     recency_log_interval: int = 0
@@ -210,10 +207,10 @@ class ResultStore:
                 raise StoreError(
                     "durable persistence does not support oblivious metadata yet"
                 )
-            self.durable = DurableLog(self.enclave, address, WalConfig(
-                group_commit_records=self.config.wal_group_commit,
-                checkpoint_interval_records=self.config.checkpoint_interval,
-            ), tracer=self.tracer)
+            self.durable = DurableLog(
+                self.enclave, address, self.config.wal_group_commit,
+                self.config.checkpoint_interval, tracer=self.tracer,
+            )
         self._channels: dict[str, ChannelEndpoint] = {}
         self.stats = StoreStats()
         network.set_reactor(address, self)
@@ -228,7 +225,6 @@ class ResultStore:
             if cfg.oblivious_metadata else MetadataDict()
         )
         self.blobstore = BlobStore(self.platform.host, f"{self.address}/arena/")
-        self._policy: EvictionPolicy = make_policy(cfg.eviction)
         self._quota = QuotaManager(cfg.quota, clock) if cfg.quota else None
         # Migration hand-off marks: id -> {"peer", "role", "committed"
         # (set of (lo, hi) ring ranges), "ended"}; WAL replay rebuilds them.
@@ -477,7 +473,7 @@ class ResultStore:
     def _insert(self, sealed_result: bytes, blob_write=nullcontext(), **fields) -> None:
         """Make ``(tag, r, [k], [res])`` a dictionary entry — what every
         route does once its caller has settled first-write-wins (the tag
-        must be absent) and admission: make room by policy, write the
+        must be absent) and admission: make room (LRU eviction), write the
         blob (and its extent when the arena is enclave heap), enter the
         metadata, log the PUT when logging is live.  ``fields`` are
         :class:`MetadataEntry`'s own: ``tag``, ``challenge``,
@@ -485,7 +481,7 @@ class ResultStore:
         ``hits`` and the sequence numbers (then kept).  ``blob_write`` is
         entered around the blob write so the wire path can trace it."""
         size = len(sealed_result)
-        self._make_room(size)
+        self._make_room()
         with blob_write:
             ref = self.blobstore.put(sealed_result)
             if self.config.blobs_in_epc:
@@ -513,26 +509,19 @@ class ResultStore:
             items=tuple(self._put_verdict(item) for item in request.items)
         )
 
-    def can_accept(self, size: int) -> bool:
-        """Whether one more ``size``-byte entry fits without evicting.
-        Migration uses this to refuse a batch instead of silently
-        evicting foreground entries on a full target shard."""
-        cfg = self.config
-        if cfg.capacity_entries is not None and len(self._dict) >= cfg.capacity_entries:
-            return False
-        return (
-            cfg.capacity_bytes is None
-            or self._dict.total_bytes() + size <= cfg.capacity_bytes
-        )
+    def can_accept(self) -> bool:
+        """Whether one more entry fits without evicting.  Migration uses
+        this to refuse a batch instead of silently evicting foreground
+        entries on a full target shard."""
+        capacity = self.config.capacity_entries
+        return capacity is None or len(self._dict) < capacity
 
-    def _make_room(self, incoming: int) -> None:
-        while not self.can_accept(incoming):
+    def _make_room(self) -> None:
+        while not self.can_accept():
             if not len(self._dict):
                 raise StoreError("capacity too small for a single entry")
-            victim = self._policy.victim(self._dict)
-            with self.tracer.span(
-                "store.evict", clock=self.platform.clock, policy=self.config.eviction
-            ):
+            victim = self._dict.least_recent()
+            with self.tracer.span("store.evict", clock=self.platform.clock):
                 self._evict_entry(victim)
             self.stats.evictions += 1
 

@@ -89,7 +89,7 @@ def transfer_entries(
     moved = 0
     with dest.ecall("migrate_ingest", in_bytes=len(payload)):
         for tag, challenge, wrapped_key, sealed in _decode_entries(dst_ep.unprotect(payload)):
-            if enforce_capacity and not dest.contains(tag) and not dest.can_accept(len(sealed)):
+            if enforce_capacity and not dest.contains(tag) and not dest.can_accept():
                 raise MigrationIngestError(
                     f"target shard at {dest.address!r} is full; "
                     f"refusing migrated batch"

@@ -48,7 +48,7 @@ class TestMembership:
 
     def test_empty_ring_has_no_owners(self):
         with pytest.raises(SpeedError):
-            ShardRing().owners(tags(1)[0])
+            ShardRing(vnodes=64).owners(tags(1)[0])
 
 
 class TestOwnership:

@@ -232,7 +232,7 @@ class TestQuotaFullTarget:
         # foreground entries to make room.
         (joiner,) = migrator.joiners
         target = d.cluster.shards[joiner].store
-        target.config = dataclasses.replace(target.config, capacity_bytes=8)
+        target.config = dataclasses.replace(target.config, capacity_entries=len(target))
         with pytest.raises(MigrationIngestError) as excinfo:
             migrator.run()
         assert excinfo.value.code == "migration_ingest"

@@ -65,7 +65,7 @@ def fill_joiner_after_a_commit():
     def hook(cluster, shard, kind, role):
         if kind == REC_MIGRATE_COMMIT and role == MIGRATE_DEST:
             store = cluster.shards[shard].store
-            store.config = dataclasses.replace(store.config, capacity_bytes=8)
+            store.config = dataclasses.replace(store.config, capacity_entries=len(store))
     return hook
 
 

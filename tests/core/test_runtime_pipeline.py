@@ -119,27 +119,6 @@ class TestCoalescing:
         reader.flush_puts()
         assert reader.runtime.stats.puts_sent == 1
 
-    def test_coalesce_off_takes_one_trip_per_call(self):
-        session = make_session(seed=b"t-coalesce-off")
-        kernel = mark_kernel(session)
-        burst = [b"\x11\x22\x33\x44" * 32] * 5
-        kernel.map(burst[:1])
-        session.flush_puts()
-        reader = session.sibling("reader")
-        reader.enable_pipeline(depth=8, workers=4, coalesce=False)
-        gets0 = sum(
-            node.store.stats.gets
-            for node in session.deployment.cluster.shards.values()
-        )
-        results = reader.execute_many_results(kernel.description, burst)
-        gets = sum(
-            node.store.stats.gets
-            for node in session.deployment.cluster.shards.values()
-        ) - gets0
-        assert gets == 5
-        assert all(r.source == "store" for r in results)
-        assert reader.runtime.stats.coalesced_hits == 0
-
 
 class TestDegradedPath:
     def test_dead_cluster_degrades_every_item_identically(self):
@@ -185,20 +164,6 @@ class TestFlushAndClose:
         session.close()
         results = kernel.map_results(inputs)
         assert all(r.hit for r in results)
-
-    def test_bounded_queue_applies_backpressure(self):
-        session = make_session(
-            seed=b"t-backpressure",
-            runtime_config=RuntimeConfig(
-                put_queue_entries=4, put_flush_batch=2
-            ),
-        )
-        kernel = mark_kernel(session)
-        session.enable_pipeline(depth=8, workers=4)
-        for i, data in enumerate(distinct_inputs(16, stride=3)):
-            kernel(data)
-            assert session.runtime.pending_put_count < 4 + 1
-        assert session.runtime.stats.puts_sent > 0  # drains actually fired
 
 
 class TestSessionSurface:

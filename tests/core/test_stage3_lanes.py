@@ -2,9 +2,8 @@
 
 A mix2k-shaped batch — store hits, equal-size misses and one in-batch
 duplicate of a miss — runs behind the pipelined engine at ``workers=1``
-and at ``workers=4``.  The duplicate is a coalesced follower with
-single-flight on and an L1 re-probe hit with it off; neither takes a
-stage-3 task.  Only the engine's critical-path accounting may move:
+and at ``workers=4``.  The duplicate is a coalesced follower and takes
+no stage-3 task.  Only the engine's critical-path accounting may move:
 every clock charge and every task is the same, and the makespan is
 exactly the reference list schedule of the batch's task graph
 (``tests/schedule_reference.py``) at either width.
@@ -18,7 +17,6 @@ import pytest
 
 import repro
 from repro import RuntimeConfig
-from repro.engine import _BACKGROUND
 from tests.schedule_reference import capture, violations
 
 COMPUTE_SECONDS = 3e-5
@@ -31,34 +29,20 @@ def reverse(data: bytes) -> bytes:
 
 
 class Recorder:
-    """Records each lane region's task costs and each background drain's
-    app-clock cycles, and the order they happened in."""
+    """Records each lane region's task costs."""
 
     def __init__(self, engine, monkeypatch):
         self.regions: list[list[float]] = []
-        self.events: list[str] = []
-        self.drain_cycles = 0.0
-        open_region, open_background = engine.parallel_region, engine.background
+        open_region = engine.parallel_region
 
         @contextmanager
         def region(*kind):
-            self.events.append("open")
             with open_region(*kind) as lanes:
                 first = len(lanes._schedule.costs)  # a region's tasks are consecutive
                 yield lanes
             self.regions.append(lanes._schedule.costs[first:])
-            self.events.append("close")
-
-        @contextmanager
-        def background():
-            self.events.append("drain")
-            app0 = engine.clock.cycles
-            with open_background():
-                yield
-            self.drain_cycles += engine.clock.cycles - app0
 
         monkeypatch.setattr(engine, "parallel_region", region)
-        monkeypatch.setattr(engine, "background", background)
 
 
 def mixed(warm, novel):
@@ -66,8 +50,7 @@ def mixed(warm, novel):
     return warm[:3] + novel[:2] + warm[3:] + novel[2:] + novel[:1]
 
 
-def run_batch(monkeypatch, workers, coalesce=True, shards=1, replicas=1, arrange=mixed,
-              schedule=True, **runtime):
+def run_batch(monkeypatch, workers, shards=1, replicas=1, arrange=mixed, schedule=True):
     """One batch on a fresh deployment; returns what the tests read
     (with ``schedule``, the graphs the engine solved)."""
     session = repro.connect(
@@ -80,18 +63,16 @@ def run_batch(monkeypatch, workers, coalesce=True, shards=1, replicas=1, arrange
     session.execute_many(kernel.description, warm)
     session.flush_puts()
     reader = session.sibling("reader", runtime_config=RuntimeConfig(
-        app_id="reader", l1_cache_entries=16, **runtime,
+        app_id="reader", l1_cache_entries=16,
     ))
-    engine = reader.enable_pipeline(depth=8, workers=workers, coalesce=coalesce)
+    engine = reader.enable_pipeline(depth=8, workers=workers)
     recorder = Recorder(engine, monkeypatch)
     solved = capture(monkeypatch).solved if schedule else []
     clocks = {"app": reader.clock} | {
         sid: node.platform.clock for sid, node in session.cluster.shards.items()
     }
-    before = {name: clock.cycles for name, clock in clocks.items()}
     batch = arrange(warm, novel)
     results = reader.execute_many_results(kernel.description, batch)
-    bg_app = engine._drains.get(_BACKGROUND, 0.0)
     engine.settle()
     return {
         "sources": [r.source for r in results],
@@ -99,9 +80,7 @@ def run_batch(monkeypatch, workers, coalesce=True, shards=1, replicas=1, arrange
         "clocks": {
             name: (repr(clock.cycles), clock.breakdown()) for name, clock in clocks.items()
         },
-        "deltas": {name: clock.cycles - before[name] for name, clock in clocks.items()},
         "engine": engine,
-        "bg_app": bg_app,
         "recorder": recorder,
         "solved": list(solved),  # a later run's graphs land here too
     }
@@ -117,11 +96,10 @@ def the_schedule(run):
     return graph
 
 
-@pytest.mark.parametrize("coalesce, duplicate", [(True, "coalesced"), (False, "l1")])
-def test_stage3_lanes_move_no_charge_and_save_exactly_their_lanes(monkeypatch, coalesce, duplicate):
-    serial = run_batch(monkeypatch, workers=1, coalesce=coalesce)
-    lanes = run_batch(monkeypatch, workers=4, coalesce=coalesce)
-    assert lanes["sources"][-1] == duplicate
+def test_stage3_lanes_move_no_charge_and_save_exactly_their_lanes(monkeypatch):
+    serial = run_batch(monkeypatch, workers=1)
+    lanes = run_batch(monkeypatch, workers=4)
+    assert lanes["sources"][-1] == "coalesced"
     assert lanes["sources"].count("computed") == N_NOVEL
     assert lanes["sources"] == serial["sources"] and lanes["values"] == serial["values"]
     assert lanes["clocks"] == serial["clocks"]
@@ -184,21 +162,3 @@ def test_a_miss_stage2_task_does_not_make_two_verifications_share_a_lane(monkeyp
         abs=1e-6,
     )
 
-
-def test_fails_if_a_drain_sits_inside_a_lane_task(monkeypatch):
-    # A two-entry queue drained one PUT at a time: every miss after the
-    # first forces a drain in the middle of stage 3.
-    bounded = dict(put_queue_entries=2, put_flush_batch=1)
-    run = run_batch(monkeypatch, workers=4, **bounded)
-    recorder, engine = run["recorder"], run["engine"]
-    opens, closes = ([i for i, e in enumerate(recorder.events) if e == kind]
-                     for kind in ("open", "close"))
-    assert "drain" in recorder.events[opens[2]:closes[2]]
-    # Every cycle is counted at most once: a drain inside a task would be
-    # in that task's cost and in the background lane.
-    assert engine.serial_cycles <= sum(run["deltas"].values())
-    # The drains' app cycles are the background lane's and no task's:
-    # each task costs what it costs with nothing drained.
-    assert run["bg_app"] == pytest.approx(recorder.drain_cycles) and recorder.drain_cycles > 0
-    undrained = run_batch(monkeypatch, workers=4)
-    assert recorder.regions == undrained["recorder"].regions

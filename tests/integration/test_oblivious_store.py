@@ -43,7 +43,7 @@ class TestObliviousStore:
             seed=b"oblivious-evict",
             store_config=StoreConfig(
                 oblivious_metadata=True, oblivious_capacity=128,
-                capacity_entries=3, eviction="lru",
+                capacity_entries=3,
             ),
         )
         app = d.create_application("app", make_libs())

@@ -7,9 +7,7 @@ checked throughout.
 """
 
 import numpy as np
-import pytest
 
-from repro import RuntimeConfig
 from repro.apps.registry import pattern_case_study
 from repro.core.description import TrustedLibraryRegistry
 from repro.deployment import Deployment
@@ -33,7 +31,7 @@ class TestIdsScenario:
         d = Deployment(
             seed=b"scenario-ids",
             store_config=StoreConfig(
-                capacity_entries=32, eviction="lru",
+                capacity_entries=32,
                 quota=QuotaPolicy(max_entries_per_app=24),
             ),
         )

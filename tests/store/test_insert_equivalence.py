@@ -21,6 +21,7 @@ replay / checkpoint restore do not log — recovery folds what it rebuilt
 into a fresh checkpoint instead.
 """
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import pytest
@@ -53,12 +54,13 @@ class Row:
     incoming_size: int = 100
     duplicate_of: int | None = None  # arrive under this resident's tag instead
     evicted: tuple = ()        # resident indices the arrival must evict
+    shrink_to: int | None = None  # the target's capacity_entries once residents are in
 
 
 # Three 100-byte residents r0, r1, r2 (inserted in that order by app
 # "resident") are in the store when the entry arrives from app "newcomer".
-# WARM makes the three policies disagree: r2 is the least recently used,
-# r1 the least frequently hit, r0 the first in.
+# WARM makes recency disagree with insertion order: r2 is the least
+# recently used, r0 the first in.
 WARM = (2, 2, 2, 0, 0, 1)
 DURABLE = dict(durable=True, checkpoint_interval=10_000)
 SCENARIOS = [
@@ -68,17 +70,12 @@ SCENARIOS = [
     Row("duplicate_durable_at_capacity", dict(DURABLE, capacity_entries=3), duplicate_of=1),
     Row("at_capacity_entries", dict(capacity_entries=3), evicted=(0,)),
     Row("at_capacity_entries_durable", dict(DURABLE, capacity_entries=3), evicted=(0,)),
-    Row("at_capacity_bytes_durable", dict(DURABLE, capacity_bytes=300),
+    Row("shrunk_capacity_durable", dict(DURABLE, capacity_entries=3), shrink_to=2,
         incoming_size=150, evicted=(0, 1)),
     Row("quota_durable", dict(DURABLE, capacity_entries=3, quota=QuotaPolicy()), evicted=(0,)),
     Row("blobs_in_epc_durable", dict(DURABLE, capacity_entries=3, blobs_in_epc=True),
         evicted=(0,)),
-    Row("lru_prior_hits", dict(DURABLE, capacity_entries=3, eviction="lru"),
-        warm=WARM, evicted=(2,)),
-    Row("lfu_prior_hits", dict(DURABLE, capacity_entries=3, eviction="lfu"),
-        warm=WARM, evicted=(1,)),
-    Row("fifo_prior_hits", dict(DURABLE, capacity_entries=3, eviction="fifo"),
-        warm=WARM, evicted=(0,)),
+    Row("lru_prior_hits", dict(DURABLE, capacity_entries=3), warm=WARM, evicted=(2,)),
 ]
 
 
@@ -152,6 +149,8 @@ def run(row: Row, route: str) -> dict:
         assert client.call(resident).accepted
     for index in row.warm:
         assert client.call(GetRequest(tag=residents[index].tag)).found
+    if row.shrink_to is not None:
+        target.config = dataclasses.replace(target.config, capacity_entries=row.shrink_to)
     label = b"incoming" if row.duplicate_of is None else b"r%d" % row.duplicate_of
     incoming = request(label, b"from-newcomer", "newcomer", row.incoming_size)
     evictions0 = target.stats.evictions

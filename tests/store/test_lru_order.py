@@ -1,9 +1,9 @@
 """The LRU victim is the head of the dictionary's recency order.
 
 ``MetadataDict`` keeps its entries in recency order, so LRU eviction
-reads a head instead of scanning.  The reference is the scan it replaced,
-``LruPolicy.select_victim``: ``min`` over the entries by
-``last_access_seq``, the first in insertion order among equals.  Every
+reads a head instead of scanning.  The reference is the scan it replaced
+(and the one the oblivious dictionary still does): ``min`` over the
+entries by ``last_access_seq``, the first in insertion order among equals.  Every
 route that moves an entry's recency is exercised against it: GET, PUT,
 eviction, discard, ``touch_restore`` (WAL replay of a recency mark),
 snapshot restore (entries carrying old sequence numbers), and power
@@ -19,15 +19,15 @@ from hypothesis import strategies as st
 from repro.crypto.hashes import sha256
 from repro.durable.wal import REC_TOUCH, WalRecord
 from repro.net.messages import GetRequest
-from repro.store.eviction import LruPolicy
 from repro.store.metadata import MetadataDict, MetadataEntry
+from repro.store.oblivious import ObliviousMetadataDict
 from repro.store.persistence import restore_store, snapshot_store
 
 from ..durable.conftest import durable_deployment, make_put
 
 
 def _reference(metadata):
-    return LruPolicy().select_victim(metadata.entries())
+    return min(metadata.entries(), key=lambda e: e.last_access_seq)
 
 
 def _entry(tag: bytes, **seqs) -> MetadataEntry:
@@ -75,8 +75,9 @@ def test_the_head_is_the_reference_victim_after_every_operation(ops):
 def test_an_empty_dictionary_has_no_victim():
     from repro.errors import StoreError
 
-    with pytest.raises(StoreError):
-        MetadataDict().least_recent()
+    for d in (MetadataDict(), ObliviousMetadataDict(capacity=8)):
+        with pytest.raises(StoreError):
+            d.least_recent()
 
 
 def test_a_get_only_run_holds_no_more_memory():
@@ -117,14 +118,15 @@ def _victims(ops) -> list[bytes]:
     every step.  Returns the victims' tags in order."""
     victims = []
 
-    def checked(self, metadata):
-        got = metadata.least_recent()
+    real = MetadataDict.least_recent
+
+    def checked(metadata):
+        got = real(metadata)
         assert got is _reference(metadata)
         victims.append(got.tag)
         return got
 
-    real = LruPolicy.victim
-    LruPolicy.victim = checked
+    MetadataDict.least_recent = checked
     try:
         d, client = durable_deployment(
             b"lru-order", capacity_entries=4, wal_group_commit=2, checkpoint_interval=7,
@@ -154,9 +156,9 @@ def _victims(ops) -> list[bytes]:
                 store.recover()
             with store.ecall("test-check"):
                 if len(store):
-                    assert store._dict.least_recent() is _reference(store._dict)
+                    assert real(store._dict) is _reference(store._dict)
     finally:
-        LruPolicy.victim = real
+        MetadataDict.least_recent = real
     return victims
 
 

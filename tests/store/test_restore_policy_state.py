@@ -1,10 +1,10 @@
-"""Snapshot/restore preserves eviction-policy state.
+"""Snapshot/restore preserves eviction state.
 
 A restored store must make the same eviction decisions the original
-would have: LRU needs each entry's recency, LFU its hit count, FIFO its
-insertion order — all carried by the v2 snapshot format.  Before that
-fix a restore silently reset every entry to "just inserted, never hit",
-so the first post-restart eviction could throw out the hottest entry.
+would have: LRU needs each entry's recency, carried (with its hit count
+and insertion order) by the v2 snapshot format.  Before that fix a
+restore silently reset every entry to "just inserted, never hit", so the
+first post-restart eviction could throw out the hottest entry.
 """
 
 from repro.crypto.hashes import sha256
@@ -51,7 +51,7 @@ def restored_copy(d, seed: bytes, **config_kwargs):
 
 class TestPolicyStateSurvivesRestore:
     def test_lru_recency_survives(self):
-        config = dict(capacity_entries=3, eviction="lru")
+        config = dict(capacity_entries=3)
         d, client = make_store(b"restore-lru", **config)
         tags = [put(client, bytes([i])) for i in range(3)]
         warm(client, tags[0])
@@ -61,31 +61,6 @@ class TestPolicyStateSurvivesRestore:
         put(client2, b"overflow")
         assert not fresh.store.contains(tags[1])
         assert fresh.store.contains(tags[0])
-        assert fresh.store.contains(tags[2])
-
-    def test_lfu_hit_counts_survive(self):
-        config = dict(capacity_entries=3, eviction="lfu")
-        d, client = make_store(b"restore-lfu", **config)
-        tags = [put(client, bytes([i])) for i in range(3)]
-        warm(client, tags[0], times=3)
-        warm(client, tags[1], times=1)  # tags[2] never read
-
-        fresh, client2 = restored_copy(d, b"restore-lfu", **config)
-        put(client2, b"overflow")
-        assert not fresh.store.contains(tags[2])
-        assert fresh.store.contains(tags[0])
-        assert fresh.store.contains(tags[1])
-
-    def test_fifo_insert_order_survives(self):
-        config = dict(capacity_entries=3, eviction="fifo")
-        d, client = make_store(b"restore-fifo", **config)
-        tags = [put(client, bytes([i])) for i in range(3)]
-        warm(client, tags[0], times=5)  # heat must not save the oldest
-
-        fresh, client2 = restored_copy(d, b"restore-fifo", **config)
-        put(client2, b"overflow")
-        assert not fresh.store.contains(tags[0])
-        assert fresh.store.contains(tags[1])
         assert fresh.store.contains(tags[2])
 
     def test_per_entry_hit_counters_survive(self):
@@ -115,7 +90,7 @@ class TestQuotaAndEvictionRoundTrip:
         # Snapshot a store that has already evicted under pressure; the
         # restored copy holds exactly the survivors and keeps evicting
         # from the same recency order.
-        config = dict(capacity_entries=3, eviction="lru")
+        config = dict(capacity_entries=3)
         d, client = make_store(b"restore-midevict", **config)
         tags = [put(client, bytes([i])) for i in range(4)]  # evicts tags[0]
         assert d.store.stats.evictions == 1
@@ -133,21 +108,21 @@ class TestQuotaAndEvictionRoundTrip:
     def test_restore_into_less_room_evicts_by_policy(self):
         # A snapshot is one more route into the store and obeys the same
         # capacity rule as a PUT: restoring ten entries into room for
-        # four evicts by policy on the way in, it does not overfill.
+        # four evicts by LRU on the way in, it does not overfill.
         d, client = make_store(b"restore-shrink")
         tags = [put(client, bytes([i])) for i in range(10)]
         snapshot_store(d.store)
-        small, _ = make_store(b"restore-shrink", capacity_entries=4, eviction="fifo")
+        small, _ = make_store(b"restore-shrink", capacity_entries=4)
         carry_snapshot(d.store, small.store)
         report = restore_store(small.store)
         assert report.entries_restored == 10
         assert len(small.store) == 4
         assert small.store.stats.evictions == 6
-        # FIFO over the restored insertion order keeps the newest four.
+        # None was read: LRU over the restored order keeps the newest four.
         assert small.store.stored_tags() == sorted(tags[6:])
         assert small.store.blobstore.bytes_stored == 4 * 32
 
-        tight, _ = make_store(b"restore-shrink", capacity_bytes=100)
+        tight, _ = make_store(b"restore-shrink", capacity_entries=3)
         carry_snapshot(d.store, tight.store)
         restore_store(tight.store)
         assert len(tight.store) == 3

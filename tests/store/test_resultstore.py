@@ -149,7 +149,7 @@ class TestTamperDetection:
 
 class TestCapacity:
     def test_entry_capacity_evicts_lru(self):
-        store, client = make_store(StoreConfig(capacity_entries=2, eviction="lru"))
+        store, client = make_store(StoreConfig(capacity_entries=2))
         t = [sha256(bytes([i])) for i in range(3)]
         client.call(put(t[0]))
         client.call(put(t[1]))
@@ -159,10 +159,10 @@ class TestCapacity:
         assert not store.contains(t[1])
         assert store.stats.evictions == 1
 
-    def test_byte_capacity(self):
-        store, client = make_store(StoreConfig(capacity_bytes=250))
+    def test_single_entry_capacity(self):
+        store, client = make_store(StoreConfig(capacity_entries=1))
         client.call(put(TAG, b"x" * 100))
-        client.call(put(TAG2, b"y" * 200))  # 300 bytes total > 250
+        client.call(put(TAG2, b"y" * 200))  # two entries > 1
         assert not store.contains(TAG)
         assert store.contains(TAG2)
 

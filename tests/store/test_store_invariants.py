@@ -1,7 +1,8 @@
 """Property-based invariants of the ResultStore under random workloads.
 
 Whatever sequence of PUTs/GETs arrives (including duplicates and
-capacity pressure), these must always hold:
+capacity pressure), on the plain or the oblivious metadata dictionary,
+these must always hold:
 
 * entry count never exceeds the configured capacity;
 * the blob arena holds exactly one blob per dictionary entry;
@@ -9,7 +10,6 @@ capacity pressure), these must always hold:
 * every GET for a stored tag returns the exact original ciphertext.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,12 +20,14 @@ from repro.sgx.platform import SgxPlatform
 from repro.store.resultstore import ResultStore, StoreConfig
 
 
-def build_store(capacity_entries, eviction):
+def build_store(capacity_entries, oblivious_metadata=False):
     platform = SgxPlatform(seed=b"inv")
     network = Network()
     store = ResultStore(
         platform, network,
-        config=StoreConfig(capacity_entries=capacity_entries, eviction=eviction),
+        config=StoreConfig(
+            capacity_entries=capacity_entries, oblivious_metadata=oblivious_metadata,
+        ),
         seed=b"inv",
     )
     enclave = platform.create_enclave("client", b"client-code")
@@ -43,11 +45,11 @@ class TestStoreInvariants:
     @given(
         ops=st.lists(operation, max_size=40),
         capacity=st.integers(min_value=1, max_value=6),
-        eviction=st.sampled_from(["lru", "lfu", "fifo"]),
+        oblivious=st.booleans(),   # both dictionaries' least_recent()
     )
     @settings(max_examples=25, deadline=None)
-    def test_random_workload_invariants(self, ops, capacity, eviction):
-        store, client = build_store(capacity, eviction)
+    def test_random_workload_invariants(self, ops, capacity, oblivious):
+        store, client = build_store(capacity, oblivious)
         reference: dict[bytes, bytes] = {}   # what SHOULD be retrievable if present
         for op, tag_index in ops:
             tag = sha256(b"inv" + bytes([tag_index]))
@@ -72,7 +74,7 @@ class TestStoreInvariants:
     @given(ops=st.lists(operation, max_size=30))
     @settings(max_examples=15, deadline=None)
     def test_unbounded_store_never_evicts(self, ops):
-        store, client = build_store(None, "lru")
+        store, client = build_store(None)
         puts = set()
         for op, tag_index in ops:
             tag = sha256(b"unb" + bytes([tag_index]))

@@ -165,12 +165,6 @@ class TestCoalescing:
         assert app2.cycles == single_app
         assert shards2["shard-0"].cycles == single_shard
 
-    def test_coalesce_off_sends_every_request(self):
-        engine, client, _, _ = make_engine(depth=8, coalesce=False)
-        batch = engine.run_gets([get(b"a")] * 3)
-        assert len(client.submitted) == 3
-        assert batch.leader_of == {}
-
     def test_non_get_messages_are_never_coalesced(self):
         engine, client, _, _ = make_engine(depth=8)
         message = SimpleNamespace(tag=b"x" * 32)  # not a GetRequest

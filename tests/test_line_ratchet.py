@@ -14,11 +14,16 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Physical lines (newlines, as ``wc -l`` counts them) of every
 #: ``src/repro/**/*.py``.
-LINE_CEILING = 20_048
+LINE_CEILING = 19_910
+
+
+def line_count() -> int:
+    """``src/repro``'s physical line count, the figure the ceiling bounds."""
+    return sum(path.read_bytes().count(b"\n") for path in SRC.rglob("*.py"))
 
 
 def test_src_repro_stays_under_its_line_ceiling():
-    count = sum(path.read_bytes().count(b"\n") for path in SRC.rglob("*.py"))
+    count = line_count()
     assert count <= LINE_CEILING, (
         f"src/repro is {count} lines, {count - LINE_CEILING} over its ceiling of "
         f"{LINE_CEILING} (LINE_CEILING in tests/test_line_ratchet.py).  Delete lines, "
