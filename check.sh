@@ -61,11 +61,13 @@ awk '$1 ~ /^[0-9.]+s$/ && $2 ~ /^(setup|call|teardown)$/ {
      END { for (dir in total) printf "  %-20s %7.1f s\n", dir, total[dir] }' "$log" | sort
 rm -f "$log" "$failed"
 
-# The two size ratchets, as their test modules count them.  Printed
+# The size and call ratchets, as their test modules count them.  Printed
 # only: the tier-1 tests above are their gates.
 echo "== ratchets =="
 python3 -c 'from tests.test_line_ratchet import LINE_CEILING, line_count
 print(f"src/repro: {line_count()} lines, ceiling {LINE_CEILING}")' || true
+PYTHONPATH=src python3 -c 'from tests.test_call_ratchet import LONE_HIT_CALL_CEILING, lone_hit_calls
+print(f"lone hit: {lone_hit_calls():.1f} calls into src/repro, ceiling {LONE_HIT_CALL_CEILING}")' || true
 python3 -c 'from tests.test_config_census import summary; print(summary())' || true
 
 # End-to-end benchmark determinism gate (benchmarks/e2e, see its README):

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .migration import RangeMigrator
-from .ring import VNODES, ShardRing, TopologyPlan
+from .ring import REPLICATION_FACTOR, VNODES, ShardRing, TopologyPlan
 from .router import ClusterRouter
 from ..errors import MigrationError, SpeedError
 from ..net.rpc import RpcClient
@@ -51,7 +51,7 @@ class ClusterConfig:
     """Topology knobs for one StoreCluster."""
 
     n_shards: int = 4
-    replication_factor: int = 2
+    replication_factor: int = REPLICATION_FACTOR
     vnodes: int = VNODES
     # Template applied to every shard (it is frozen, so sharing is safe);
     # each shard still gets its own QuotaManager/eviction state from it.

@@ -26,6 +26,8 @@ RING_BITS = 64
 RING_SIZE = 1 << RING_BITS
 #: Virtual nodes per shard of weight 1 in every deployment's ring.
 VNODES = 32
+#: Copies of every entry a deployment keeps unless told otherwise.
+REPLICATION_FACTOR = 2
 
 
 @dataclass(frozen=True)

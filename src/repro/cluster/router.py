@@ -69,7 +69,7 @@ back onto them.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .ring import ShardRing
@@ -107,6 +107,13 @@ _SHARD_FAILURES = (TransportError, ChannelError, ProtocolError)
 # How a group's shard sends are made: a blocking call answered on the
 # spot, a pipelined slot settled by a later wait, or fire-and-forget.
 _SYNC, _PIPELINED, _ONEWAY = "sync", "pipelined", "oneway"
+# The shard client's method a (mode, kind) send and a pipelined wait call.
+_SENDS = {
+    (_SYNC, "get"): "call_batch", (_SYNC, "put"): "call_batch",
+    (_PIPELINED, "get"): "submit_gets", (_PIPELINED, "put"): "submit_puts",
+    (_ONEWAY, "put"): "send_oneway_batch",
+}
+_WAITS = {"get": "wait_gets", "put": "wait_puts"}
 
 
 @dataclass
@@ -245,7 +252,7 @@ class ClusterRouter:
         self,
         ring: ShardRing,
         clients: dict[str, RpcClient],
-        replication_factor: int = 2,
+        replication_factor: int,
         tracer=NULL_TRACER,
         clock=None,
         breaker_config: BreakerConfig | None = None,
@@ -371,9 +378,9 @@ class ClusterRouter:
         return [s for s in owners if s in self._clients]
 
     # -- the one guarded shard exchange ----------------------------------------
-    def _guarded(self, shard: str, exchange, answers: bool, gate: bool = True,
+    def _guarded(self, shard: str, method: str, args: tuple, answers: bool, gate: bool = True,
                  span: str | None = None, **attrs):
-        """Run ``exchange(client)`` against one shard behind its breaker.
+        """Call the shard client's ``method(*args)`` behind its breaker.
 
         ``gate`` asks the breaker first: a refusal costs one skip and no
         wire traffic.  ``answers`` says the exchange returns the shard's
@@ -382,7 +389,7 @@ class ClusterRouter:
         (refused or failed): either way the caller moves on to the
         next owner and never offers this send to the breaker again.
         """
-        breaker = self._breaker(shard)
+        breaker = None if self.breaker_config is None else self._breaker(shard)
         tracer = self.tracer if span else NULL_TRACER
         with tracer.span(span, clock=self.clock, shard=shard, **attrs) as open_span:
             if gate and breaker is not None and not breaker.allow():
@@ -390,7 +397,7 @@ class ClusterRouter:
                 open_span.mark("circuit_open")
                 return None
             try:
-                result = exchange(self._clients[shard])
+                result = getattr(self._clients[shard], method)(*args)
             except _SHARD_FAILURES:
                 if breaker is not None:
                     breaker.record_failure()
@@ -404,13 +411,8 @@ class ClusterRouter:
         """Put one shard's share of a group on the wire in the group's
         send mode (the shard client sends a lone item as itself).
         One-way sends are untraced: nothing waits on them."""
-        def exchange(client):
-            if mode is _PIPELINED:
-                return client.submit_gets(sub) if kind == "get" else client.submit_puts(sub)
-            return client.call_batch(sub) if mode is _SYNC else client.send_oneway_batch(sub)
-
         return self._guarded(
-            shard, exchange, answers=mode is _SYNC,
+            shard, _SENDS[mode, kind], (sub,), answers=mode is _SYNC,
             span=None if mode is _ONEWAY else f"router.shard_{kind}", items=len(sub),
         )
 
@@ -420,14 +422,8 @@ class ClusterRouter:
         not its gate: the request is already out) after a pipelined one."""
         if mode is _SYNC:
             return sent
-
-        def exchange(client):
-            if kind == "get":
-                return client.wait_gets(sent, n_items)
-            return client.wait_puts(sent, n_items)
-
         return self._guarded(
-            shard, exchange, answers=True, gate=False,
+            shard, _WAITS[kind], (sent, n_items), answers=True, gate=False,
             span=f"router.shard_{kind}", items=n_items,
         )
 
@@ -532,7 +528,7 @@ class ClusterRouter:
         repairs, self._repairs = self._repairs, {}
         for shard, puts in repairs.items():
             local_id = self._guarded(
-                shard, lambda client: client.send_oneway_batch(puts), answers=False,
+                shard, "send_oneway_batch", (puts,), answers=False,
                 span="router.read_repair", items=len(puts),
             )
             if local_id is not None:
@@ -654,24 +650,24 @@ class ClusterRouter:
         a replica's is not open.  It leaves with its owners to ask: the
         planned one, then the rest in ring order."""
         heads: list[str | None] = []
-        loads: Counter = Counter()
+        loads: defaultdict = defaultdict(int)
         fresh: list[int] = []
         for i, item in enumerate(items):
             if type(item) is GetWalk and not item.under_way:
                 if item.ring is None:
-                    item.ring = self._read_owners(item.tag)
+                    item.ring = self._read_owners(item.request.tag)
                 owners = item.ring
                 fresh.append(i)
             else:
                 owners = self._owners_of(item)
             heads.append(owners[0] if owners else None)
             loads[heads[-1]] += 1
-        opened = {shard for shard, b in self._breakers.items() if b.state == OPEN}
-        choices = [
-            (i, [s for s in replicas if s not in opened] or replicas)
-            for i in fresh
-            if len(replicas := items[i].ring[:self.replication_factor]) > 1
-        ]
+        choices = [(i, replicas) for i in fresh
+                   if len(replicas := items[i].ring[:self.replication_factor]) > 1]
+        if choices and self._breakers:
+            opened = {shard for shard, b in self._breakers.items() if b.state == OPEN}
+            choices = [(i, [s for s in replicas if s not in opened] or replicas)
+                       for i, replicas in choices]
         moved = bool(choices)
         while moved:
             moved = False
@@ -683,7 +679,7 @@ class ClusterRouter:
                     heads[i], moved = there, True
         for i in fresh:
             walk, head = items[i], heads[i]
-            walk.owners = [head, *(s for s in walk.ring if s != head)] if head else []
+            walk.owners = [head] + [s for s in walk.ring if s != head] if head else []
         return _group(heads)
 
     # -- group entry points ------------------------------------------------------
@@ -696,7 +692,7 @@ class ClusterRouter:
         requests = list(requests)
         if not requests:
             return []
-        if not all(isinstance(r, GetRequest) for r in requests):
+        if set(map(type, requests)) != {GetRequest}:
             with self.tracer.span("router.put", clock=self.clock, items=len(requests)):
                 return self._settle_put_group(self._submit_put_group(requests, _SYNC))
         with self.tracer.span("router.get", clock=self.clock, items=len(requests)):

@@ -151,24 +151,21 @@ class TrustedLibraryRegistry:
 
     def lookup(self, description: FunctionDescription) -> Callable:
         """Return the actual function for a description, or raise."""
-        func = self._library(description).functions.get(description.signature)
+        return self.resolve(description)[0]
+
+    def resolve(
+        self, description: FunctionDescription
+    ) -> tuple[Callable, Callable[..., float], bytes]:
+        """What a call of ``description`` needs: the function, the cost it
+        declared when it was linked (one that declared none charges no
+        compute) and its :meth:`function_identity`, or raise."""
+        library = self._library(description)
+        func = library.functions.get(description.signature)
         if func is None:
             raise DedupError(
                 f"trusted library {description.family} {description.version} "
                 f"has no function {description.signature!r}"
             )
-        return func
-
-    def native_cost(self, description: FunctionDescription) -> Callable[..., float]:
-        """The cost the function declared when it was linked; one that
-        declared none charges no compute."""
-        return self._library(description).costs.get(description.signature, _no_cost)
-
-    def function_identity(self, description: FunctionDescription) -> bytes:
-        """The "universally unique value for function identification":
-        description plus fingerprint of the code the app actually owns,
-        memoised per (description, function, ``__code__``)."""
-        func = self.lookup(description)
         key = (description, func, getattr(func, "__code__", None))
         identity = self._identities.get(key)
         if identity is None:
@@ -177,7 +174,13 @@ class TrustedLibraryRegistry:
                 description.canonical_bytes(),
                 code_fingerprint(func),
             )
-        return identity
+        return func, library.costs.get(description.signature, _no_cost), identity
+
+    def function_identity(self, description: FunctionDescription) -> bytes:
+        """The "universally unique value for function identification":
+        description plus fingerprint of the code the app actually owns,
+        memoised per (description, function, ``__code__``)."""
+        return self.resolve(description)[2]
 
     def code_identity(self) -> bytes:
         """Aggregate identity of all linked libraries, fed into the

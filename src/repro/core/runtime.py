@@ -38,9 +38,9 @@ without touching the per-item semantics above:
 from __future__ import annotations
 
 import time
-from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..cluster.router import ClusterRouter
@@ -78,9 +78,9 @@ from ..sgx.enclave import Enclave
 _STORE_FAILURES = (TransportError, ChannelError, ProtocolError)
 
 
-@dataclass(frozen=True)
-class DedupResult:
-    """Per-item outcome of a deduplicated call.
+class DedupResult(NamedTuple):
+    """Per-item outcome of a deduplicated call (a tuple: one is made per
+    item of every call, in a fraction of a frozen dataclass's time).
 
     ``execute``/``execute_many`` return plain values; the ``*_result``
     variants return this wrapper so callers can see *how* each value was
@@ -132,12 +132,14 @@ class RuntimeConfig:
     degrade_on_store_failure: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class _BatchItem:
-    """Per-input bookkeeping while a group moves through the pipeline."""
+    """Per-input bookkeeping while a group moves through the pipeline;
+    ``with item:`` meters what it encloses as the item's own cost."""
 
     index: int
     input_value: Any
+    clock: Any
     input_bytes: bytes = b""
     tag: bytes = b""
     attempt_dedup: bool = False
@@ -158,10 +160,19 @@ class _BatchItem:
     # The engine schedule's task the item's next stage waits for: its
     # tag, then the receive its GET answer came with (None unscheduled).
     ready: int | None = None
+    _meter: tuple = ()
 
     @property
     def hit(self) -> bool:
         return self.source != "computed"
+
+    def __enter__(self) -> None:
+        self._meter = (time.perf_counter(), self.clock.snapshot())
+
+    def __exit__(self, *exc) -> None:
+        wall0, sim0 = self._meter
+        self.direct_wall += time.perf_counter() - wall0
+        self.direct_sim += self.clock.since(sim0) / self.clock.params.cpu_freq_hz
 
     def follow(self, leader: "_BatchItem") -> None:
         """Single-flight: take the result ``leader`` got for the same tag."""
@@ -170,18 +181,40 @@ class _BatchItem:
         self.result_value = leader.result_value
 
 
-class _SerialRegion(AbstractContextManager):
-    """No-op stand-in for :meth:`PipelineEngine.parallel_region` used when
-    no engine carries the group: tasks run (and are accounted) serially."""
+class _SerialTask:
+    """A task no engine schedules: it has no schedule id."""
 
-    def __init__(self, kind: str):
-        pass
+    __slots__ = ()
 
-    def __exit__(self, exc_type, exc, tb) -> None:
+    def __enter__(self) -> None:
         return None
 
-    def task(self, after: int | None = None) -> AbstractContextManager:
-        return nullcontext()
+    def __exit__(self, *exc) -> None:
+        return None
+
+
+_SERIAL_TASK = _SerialTask()
+
+
+class _Serial(_SerialTask):
+    """What stands in for the engine's batch and each stage's region when
+    no engine carries the group: one reusable no-op, whose tasks run (and
+    are accounted) serially."""
+
+    __slots__ = ()
+
+    def __call__(self, *args) -> "_Serial":  # batch(), lanes(kind)
+        return self
+
+    def __enter__(self) -> "_Serial":
+        return self
+
+    def task(self, after: int | None = None) -> _SerialTask:
+        return _SERIAL_TASK
+
+
+_SERIAL = _Serial()
+_DIRECT_WALL, _DIRECT_SIM = attrgetter("direct_wall"), attrgetter("direct_sim")
 
 
 class _Crossing(NamedTuple):
@@ -199,7 +232,7 @@ class _Crossing(NamedTuple):
     send_gets: Callable[..., EngineBatch]
     send_puts: Callable[..., EngineBatch]
     lanes: Callable[[str], Any]
-    batch: Callable[[], AbstractContextManager]
+    batch: Callable[[], Any]
 
 
 class DedupRuntime:
@@ -226,6 +259,7 @@ class DedupRuntime:
         self.client = client
         self.libraries = libraries
         self.parsers = parsers or default_registry()
+        self._any_parser = AnyParser(self.parsers)
         self.config = config or RuntimeConfig()
         self.clock = enclave.platform.clock
         self.stats = RuntimeStats()
@@ -236,6 +270,8 @@ class DedupRuntime:
         self._pending_puts: list[PutRequest] = []
         # Each description's record label, built once.
         self._labels: dict[FunctionDescription, str] = {}
+        # A group no engine carries crosses by blocking call_batch exchanges.
+        self._serial = _Crossing(self._send_blocking, self._send_blocking, _SERIAL, _SERIAL)
         # Optional pipelined execution engine (see repro.engine); when
         # attached, stage-2 GETs and stage-4 PUTs of execute_many go
         # through its pipelined rounds of shard groups instead of the
@@ -367,17 +403,16 @@ class DedupRuntime:
         through the engine's pipelined rounds (and worker lanes) when one
         is attached and the group has something to overlap, as blocking
         ``call_batch`` exchanges otherwise."""
-        engine, call_batch = self.engine, self.client.call_batch
+        engine = self.engine
         if engine is not None and n > 1:
             return _Crossing(
                 engine.run_gets, engine.run_puts, engine.parallel_region, engine.batch
             )
+        return self._serial
 
-        def send(requests: list, after: list | None = None, *, ocall) -> EngineBatch:
-            with ocall:
-                return EngineBatch(call_batch(requests))
-
-        return _Crossing(send, send, _SerialRegion, nullcontext)
+    def _send_blocking(self, requests: list, after: list | None = None, *, ocall) -> EngineBatch:
+        with ocall:
+            return EngineBatch(self.client.call_batch(requests))
 
     # -- the pipeline (Algorithms 1 & 2 over a group) ----------------------------
     def _run(
@@ -392,11 +427,11 @@ class DedupRuntime:
         L1, duplicate check, compute, PUT.  Every input follows Algorithm
         1 or 2 on its own and gets its own record and result; what the
         group shares is the boundary crossing."""
-        input_parser = input_parser or AnyParser(self.parsers)
-        result_parser = result_parser or AnyParser(self.parsers)
+        input_parser = input_parser or self._any_parser
+        result_parser = result_parser or self._any_parser
         n = len(inputs)
         crossing = self._crossing(n)
-        items = [_BatchItem(index, value) for index, value in enumerate(inputs)]
+        items = [_BatchItem(index, value, self.clock) for index, value in enumerate(inputs)]
         adaptive = self.config.adaptive
         label = self._labels.get(description)
         if label is None:
@@ -408,9 +443,7 @@ class DedupRuntime:
             "runtime.execute", clock=self.clock, func=label, items=n,
         ), self.enclave.ecall("dedup_execute"):
             trace_id = self.tracer.current_trace_id
-            func = self.libraries.lookup(description)
-            native_cost = self.libraries.native_cost(description)
-            func_identity = self.libraries.function_identity(description)
+            func, native_cost, func_identity = self.libraries.resolve(description)
 
             # Stage 1: derive every tag; serve what the L1 already holds.
             # Per-item derivation is independent enclave work, so with
@@ -420,7 +453,7 @@ class DedupRuntime:
                 for item in items:
                     with self.tracer.span(
                         "runtime.item", clock=self.clock, index=item.index
-                    ) as item.span, self._item_meter(item), region.task() as item.ready:
+                    ) as item.span, item, region.task() as item.ready:
                         with self.tracer.span("runtime.tag", clock=self.clock):
                             item.input_bytes = input_parser.encode(item.input_value)
                             item.tag = derive_tag(func_identity, item.input_bytes, self.clock)
@@ -437,7 +470,7 @@ class DedupRuntime:
             if lookups:
                 batch = self._exchange(
                     "get_request",
-                    sum(len(item.tag) + 64 for item in lookups),
+                    sum([len(item.tag) + 64 for item in lookups]),
                     crossing.send_gets,
                     [GetRequest(tag=item.tag, app_id=self.config.app_id) for item in lookups],
                     [item.ready for item in lookups],
@@ -462,17 +495,19 @@ class DedupRuntime:
             # only these can have turned a miss into a hit, so only these
             # are probed again (the sequential-with-cache order, with
             # every missing lookup counted once).
-            l1_fresh = {i.tag for i in items if i.source == "store"}
+            l1_fresh = (
+                {i.tag for i in items if i.source == "store"}
+                if self.l1_cache is not None else set()
+            )
+            misses = [item for item in items if not item.hit]
             try:
-                with crossing.lanes("compute") as region:
-                    for item in items:
-                        if item.hit:
-                            continue
+                with crossing.lanes("compute") if misses else _SERIAL as region:
+                    for item in misses:
                         leader = computed_by_tag.get(item.tag)
                         if leader is not None and item.attempt_dedup:
                             item.follow(leader)
                             continue
-                        with self._item_meter(item):
+                        with item:
                             if (self.l1_cache is not None and item.attempt_dedup
                                     and item.tag in l1_fresh):
                                 self._l1_lookup(item, result_parser)
@@ -492,7 +527,8 @@ class DedupRuntime:
                             if self.config.async_put and self._closed:
                                 self._release_puts(sealing, sync_puts)  # refused now
             finally:
-                self._release_puts(sealing, sync_puts)
+                if sealing:
+                    self._release_puts(sealing, sync_puts)
 
             # Stage 4: ship all synchronous PUTs under one OCALL.
             if sync_puts:
@@ -504,62 +540,35 @@ class DedupRuntime:
         # lone call's record is exactly the call.
         mean_wall = (time.perf_counter() - wall_start) / n
         mean_sim = self.clock.since(sim_start) / self.clock.params.cpu_freq_hz / n
-        mean_direct_wall = sum(i.direct_wall for i in items) / n
-        mean_direct_sim = sum(i.direct_sim for i in items) / n
+        mean_direct_wall = sum(map(_DIRECT_WALL, items)) / n
+        mean_direct_sim = sum(map(_DIRECT_SIM, items)) / n
 
         results: list[DedupResult] = []
         for item in items:
             sim = mean_sim + (item.direct_sim - mean_direct_sim)
             wall = mean_wall + (item.direct_wall - mean_direct_wall)
+            source, hit = item.source, item.hit
             if adaptive is not None and self.config.dedup_enabled:
-                if item.hit:
+                if hit:
                     adaptive.observe_hit(func_identity, sim)
                 elif item.attempt_dedup:
                     adaptive.observe_miss(func_identity, sim, item.compute_sim)
                 else:
                     adaptive.observe_plain_compute(func_identity, item.compute_sim)
-            degraded = item.degraded and not item.hit
-            item.span.set("source", item.source)
-            self.stats.record_call(
-                CallRecord(
-                    description=label,
-                    hit=item.hit,
-                    input_bytes=len(item.input_bytes),
-                    result_bytes=item.result_len,
-                    wall_seconds=wall,
-                    sim_seconds=sim,
-                    l1_hit=item.source == "l1",
-                    batch_size=n,
-                    degraded=degraded,
-                    coalesced=item.source == "coalesced",
-                )
-            )
-            results.append(
-                DedupResult(
-                    value=item.result_value,
-                    hit=item.hit,
-                    l1_hit=item.source == "l1",
-                    tag=item.tag,
-                    source=item.source,
-                    span_id=item.span.span_id,
-                    trace_id=trace_id,
-                    degraded=degraded,
-                )
-            )
+            degraded = item.degraded and not hit
+            item.span.set("source", source)
+            self.stats.record_call(CallRecord(
+                label, hit, len(item.input_bytes), item.result_len, wall, sim,
+                l1_hit=source == "l1", batch_size=n, degraded=degraded,
+                coalesced=source == "coalesced",
+            ))
+            results.append(DedupResult(
+                item.result_value, hit, source == "l1", item.tag, source,
+                item.span.span_id, trace_id, degraded,
+            ))
         return results
 
     # -- pipeline helpers -----------------------------------------------------
-    @contextmanager
-    def _item_meter(self, item: _BatchItem) -> Iterator[None]:
-        """Accumulate one item's directly-attributable wall/sim costs."""
-        wall0 = time.perf_counter()
-        sim0 = self.clock.snapshot()
-        try:
-            yield
-        finally:
-            item.direct_wall += time.perf_counter() - wall0
-            item.direct_sim += self.clock.since(sim0) / self.clock.params.cpu_freq_hz
-
     def _exchange(
         self, ocall: str, payload: int, send: Callable[..., EngineBatch], requests: list,
         *args,
@@ -655,7 +664,7 @@ class DedupRuntime:
         only a verified result is a hit (and remembered in the L1)."""
         with self.tracer.span(
             "runtime.verify", clock=self.clock, index=item.index
-        ) as vs, self._item_meter(item):
+        ) as vs, item:
             charges.replay(self.clock)
             vs.set("ok", outcome.ok)
             if outcome.ok:
@@ -767,7 +776,7 @@ class DedupRuntime:
         """
         batch = self._pending_puts
         self._pending_puts = []
-        with nullcontext() if self.engine is None else self.engine.background():
+        with _SERIAL if self.engine is None else self.engine.background():
             if batch:
                 request_id = self.client.send_oneway_batch(batch)
                 self._inflight_puts[request_id] = tuple(p.tag for p in batch)

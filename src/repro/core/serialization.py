@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from ..errors import SerializationError
-from ..net.framing import FieldReader, FieldWriter
+from ..net.framing import FieldReader, FieldWriter, Layout, pack, unpack
 
 
 class Parser(abc.ABC):
@@ -229,23 +229,18 @@ class AnyParser(Parser):
     """
 
     name = "any"
+    _LAYOUT = Layout(("parser", "text"), ("value", "blob"))
 
     def __init__(self, registry: "ParserRegistry"):
         self._registry = registry
 
     def encode(self, value: Any) -> bytes:
         parser = self._registry.for_value(value)
-        w = FieldWriter()
-        w.text(parser.name)
-        w.blob(parser.encode(value))
-        return w.getvalue()
+        return pack(self._LAYOUT, {"parser": parser.name, "value": parser.encode(value)})
 
     def decode(self, data: bytes) -> Any:
-        r = FieldReader(data)
-        parser = self._registry.by_name(r.text())
-        value = parser.decode(r.blob())
-        r.expect_end()
-        return value
+        fields = unpack(self._LAYOUT, data)
+        return self._registry.by_name(fields["parser"]).decode(fields["value"])
 
 
 class ParserRegistry:

@@ -9,6 +9,7 @@ both units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..obs.metrics import namespaced
 
@@ -18,9 +19,9 @@ from ..obs.metrics import namespaced
 RECORD_WINDOW = 1024
 
 
-@dataclass(frozen=True)
-class CallRecord:
-    """One deduplicated function call.
+class CallRecord(NamedTuple):
+    """One deduplicated function call (a tuple, as cheap to make as the
+    runtime needs: one per item of every call).
 
     For calls executed through :meth:`DedupRuntime.execute_many`, costs
     shared by the whole batch (the single ECALL, the batched OCALL, the

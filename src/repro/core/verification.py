@@ -11,15 +11,14 @@ the caller falls back to fresh computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scheme import Opening, ProtectedResult, ResultScheme, open_all
 from ..errors import IntegrityError
 from ..sgx.cost_model import ChargeLog, SimClock
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
+class VerificationOutcome(NamedTuple):
     """Result of running the protocol on one GET response."""
 
     ok: bool

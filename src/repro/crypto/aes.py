@@ -120,6 +120,9 @@ def _build_tables():
 
 
 _SBOX_LIST, _INV_SBOX_LIST, _MUL = _build_tables()
+_RCON = [1]  # the key schedule's round constants: x^(i - 1) in GF(2^8)
+while len(_RCON) < _NUM_ROUNDS:
+    _RCON.append(_xtime(_RCON[-1]))
 
 SBOX = np.array(_SBOX_LIST, dtype=np.uint8)
 INV_SBOX = np.array(_INV_SBOX_LIST, dtype=np.uint8)
@@ -182,13 +185,11 @@ def _expand_key(key: bytes) -> list[int]:
     """FIPS-197 key expansion for AES-128: 44 column words, 4 per round."""
     words = list(_UNPACK_COLUMNS(key))
     sbox = _SBOX_LIST
-    rcon = 1
-    for i in range(4, 4 * (_NUM_ROUNDS + 1), 4):
+    for i, rcon in zip(range(4, 4 * (_NUM_ROUNDS + 1), 4), _RCON):
         t = words[i - 1]
         # RotWord then SubWord, on a little-endian column word.
         t = (sbox[(t >> 8) & 0xFF] | sbox[(t >> 16) & 0xFF] << 8
              | sbox[t >> 24] << 16 | sbox[t & 0xFF] << 24) ^ rcon
-        rcon = _xtime(rcon)
         for j in range(i, i + 4):
             t ^= words[j - 4]
             words.append(t)

@@ -60,16 +60,19 @@ _AHEAD_MAX_RECORD = _AHEAD_BLOCKS // 8
 aes_batches = 0
 
 
-def _counter_blocks(initial: bytes, count: int, first: int = 0) -> np.ndarray:
-    """Counter blocks ``first .. first + count - 1`` after ``initial``,
-    with GCM's inc32 on the last 4 bytes."""
+def _counter_blocks(initial: bytes, count: int, first: int = 0, head: bytes = b"") -> np.ndarray:
+    """The whole blocks ``head``, then counter blocks ``first .. first +
+    count - 1`` after ``initial``, with GCM's inc32 on the last 4 bytes."""
     if len(initial) != BLOCK_SIZE:
         raise CryptoError("initial counter block must be 16 bytes")
     start = (int.from_bytes(initial[12:], "big") + first) % (1 << 32)
-    blocks = np.empty((count, BLOCK_SIZE), dtype=np.uint8)
-    blocks[:, :12] = np.frombuffer(initial, dtype=np.uint8, count=12)
+    lead = len(head) // BLOCK_SIZE
+    blocks = np.empty((lead + count, BLOCK_SIZE), dtype=np.uint8)
+    if lead:
+        blocks[:lead] = np.frombuffer(head, dtype=np.uint8).reshape(lead, BLOCK_SIZE)
+    blocks[lead:, :12] = np.frombuffer(initial, dtype=np.uint8, count=12)
     # The narrowing cast wraps modulo 2^32; big-endian in the last 4 bytes.
-    blocks[:, 12:] = (
+    blocks[lead:, 12:] = (
         np.arange(start, start + count, dtype=np.uint64).astype(">u4")
         .view(np.uint8).reshape(count, 4)
     )
@@ -102,10 +105,7 @@ def ctr_stream(
         if count >= _CACHED_MIN_BLOCKS:
             keystream = cipher.encrypt_counter_run(initial_counter, first, count, head)
         else:
-            rows = _counter_blocks(initial_counter, count, first)
-            if head:
-                rows = np.concatenate((np.frombuffer(head, np.uint8).reshape(-1, BLOCK_SIZE), rows))
-            keystream = cipher.encrypt_blocks(rows)
+            keystream = cipher.encrypt_blocks(_counter_blocks(initial_counter, count, first, head))
         keystream = keystream.reshape(-1)
         lo = (first - lead_blocks) * BLOCK_SIZE
         if first == 0:  # lead_blocks and prefix are far below a stripe
@@ -124,8 +124,14 @@ def ctr_transform(cipher: AES128, initial_counter: bytes, data: bytes) -> bytes:
 
 
 def counter_iv(label: int, seq: int) -> bytes:
-    """IV of record ``seq`` of counter run ``label``; the layout lives here."""
-    return bytes((label, 0, 0, 0)) + seq.to_bytes(8, "big")
+    """IV of record ``seq`` of counter run ``label``; the layout lives here:
+    the run's :func:`counter_prefix`, then ``seq`` in 8 bytes."""
+    return counter_prefix(label) + seq.to_bytes(8, "big")
+
+
+def counter_prefix(label: int) -> bytes:
+    """The 4 bytes every IV of counter run ``label`` starts with."""
+    return bytes((label, 0, 0, 0))
 
 
 class KeystreamAhead:
@@ -133,9 +139,10 @@ class KeystreamAhead:
     as those records: held here only, dropped at the next refill."""
 
     def __init__(self, cipher: AES128, label: int):
-        self._cipher, self._label = cipher, label
+        self._cipher, self._prefix = cipher, counter_prefix(label)
         self._first = self._window = self._stride = 0  # slot i covers seq _first + i
-        self._keystream = b""   # _window slots of _stride blocks: E(J0), E(J0 + 1), ...
+        # _window slots of _stride blocks, E(J0), E(J0 + 1), ..., as one flat byte array.
+        self._keystream = np.empty(0, dtype=np.uint8)
         self._next = 0          # one past the sequence number asked for last
         self._largest = 0       # blocks of the largest record since the last refill
 
@@ -145,7 +152,7 @@ class KeystreamAhead:
         global aes_batches
         seq = int.from_bytes(iv[-8:], "big")
         gap = seq - self._next
-        if iv != counter_iv(self._label, seq) or (once and gap < 0):
+        if iv[:-8] != self._prefix or (once and gap < 0):
             return None
         self._next = seq + 1
         need = 1 + -(-len(data) // BLOCK_SIZE)  # E(J0), then the record's own blocks
@@ -159,15 +166,14 @@ class KeystreamAhead:
                 self._largest = 0
                 return None
             rows = np.empty((window, stride, BLOCK_SIZE), dtype=np.uint8)
-            ivs = b"".join(counter_iv(self._label, s) for s in range(seq, seq + window))
+            ivs = b"".join(self._prefix + s.to_bytes(8, "big") for s in range(seq, seq + window))
             rows[:, :, :12] = np.frombuffer(ivs, dtype=np.uint8).reshape(window, 1, 12)
             rows[:, :, 12:] = np.arange(1, stride + 1, dtype=">u4").view(np.uint8).reshape(stride, 4)
             aes_batches += 1
-            self._keystream = self._cipher.encrypt_blocks(rows.reshape(-1, BLOCK_SIZE)).tobytes()
+            self._keystream = self._cipher.encrypt_blocks(rows.reshape(-1, BLOCK_SIZE)).reshape(-1)
             self._first, self._window, self._stride, self._largest, slot = seq, window, stride, need, 0
         elif need > self._stride:
             return None
         lo = (slot * self._stride + 1) * BLOCK_SIZE
-        pad = int.from_bytes(self._keystream[lo:lo + len(data)], "big")
-        out = (int.from_bytes(data, "big") ^ pad).to_bytes(len(data), "big")
-        return self._keystream[lo - BLOCK_SIZE:lo], out
+        out = np.frombuffer(data, dtype=np.uint8) ^ self._keystream[lo:lo + len(data)]
+        return self._keystream[lo - BLOCK_SIZE:lo].tobytes(), out.tobytes()

@@ -35,7 +35,7 @@ set-up has to be affordable for a key that is used once:
   thresholds sit where a key used once still breaks even on the build.
 * Tables are built without a per-bit loop: :func:`_bit_rows` makes the
   rows ``x^j * h`` of all keys at once inside one Python int (SWAR).
-  Against 128 ``_times_x`` steps a key (f79c061): 16 keys 449 -> 122 us,
+  Against 128 one-bit steps a key (f79c061): 16 keys 449 -> 122 us,
   one key 31 -> 19 us; 16 lane tables 1.31 -> 0.71 ms.
 * A kept cipher takes no scalar step: a channel direction or an
   enclave's sealing cipher (a 1 KB WAL segment seal: 332 -> 183 us).
@@ -130,10 +130,6 @@ def gf_mult(x: int, y: int) -> int:
 table_builds = 0
 
 
-def _times_x(v: int) -> int:
-    return (v >> 1) ^ _R if v & 1 else v >> 1
-
-
 def _gf_square(a: int) -> int:
     """``a * a``.  Squaring only spreads the bits apart (parsing the binary
     digits as base 4 does exactly that), leaving a 255-bit product to
@@ -155,7 +151,7 @@ def _byte_table(h: int) -> list[int]:
     v = h
     for bit in (128, 64, 32, 16, 8, 4, 2, 1):
         table[bit] = v
-        v = _times_x(v)
+        v = (v >> 1) ^ _R if v & 1 else v >> 1  # times x
     for bit in (2, 4, 8, 16, 32, 64, 128):
         v = table[bit]
         for low in range(1, bit):
@@ -390,12 +386,14 @@ class AesGcm:
             if self._fold_stack is None:
                 self._build_fold_stack()
             total = (len(lead) + len(data) + len(trail)) // BLOCK_SIZE
-            passes = next(p for least, p in _CHANNEL_PASSES if total >= least)
+            for least, passes in _CHANNEL_PASSES:
+                if total >= least:
+                    break
         elif bulk:
             passes = tuple(lanes for lanes, least in _LANE_PASSES if full >= least)
         else:
-            m = self._scalar_table()
-            return _ghash_blocks(m, _ghash_blocks(m, _ghash_blocks(m, 0, lead), data), trail)
+            data = lead + bytes(data[:full * BLOCK_SIZE]) + trail
+            return _ghash_blocks(self._scalar_table(), 0, data)
         if not passes or full < 2 * passes[0]:
             data, lead, trail = lead + bytes(data[:full * BLOCK_SIZE]) + trail, b"", b""
             full = len(data) // BLOCK_SIZE
@@ -589,11 +587,14 @@ def _group_pass(keys, ivs, payloads, aads, sealing: bool) -> tuple[list[bytes], 
     return outputs, digests ^ keystream[n_keys:first]
 
 
-def _grouped(records, short: list[bool], group, one) -> list:
-    """``group`` over the short records if there are enough, ``one`` over
-    each of the rest (its IntegrityError as the result); in record order."""
-    chosen = [i for i, ok in enumerate(short) if ok]
-    chosen = chosen if len(chosen) >= _GROUP_MIN_RECORDS else []
+def _grouped(records, short, group, one) -> list:
+    """``group`` over the records ``short(*record)`` picks if there are
+    enough, ``one`` over each of the rest (its IntegrityError as the
+    result); in record order."""
+    chosen = []
+    if len(records) >= _GROUP_MIN_RECORDS:
+        chosen = [i for i, record in enumerate(records) if short(*record)]
+        chosen = chosen if len(chosen) >= _GROUP_MIN_RECORDS else []
     done = dict(zip(chosen, group([records[i] for i in chosen]) if chosen else ()))
     out = []
     for i, record in enumerate(records):
@@ -611,8 +612,7 @@ def seal_many(records: Sequence[tuple[bytes, bytes, bytes, bytes]]) -> list[byte
         cts, tags = _group_pass(keys, ivs, plaintexts, aads, sealing=True)
         return [bytes(iv) + tag.tobytes() + ct for iv, tag, ct in zip(ivs, tags, cts)]
 
-    short = [_short(k, iv, len(p), a) for k, iv, p, a in records]
-    return _grouped(records, short, group, seal)
+    return _grouped(records, lambda k, iv, p, a: _short(k, iv, len(p), a), group, seal)
 
 
 def open_many(records: Sequence[tuple[bytes, bytes, bytes]]) -> list:
@@ -629,5 +629,7 @@ def open_many(records: Sequence[tuple[bytes, bytes, bytes]]) -> list:
         failed = "GCM tag verification failed"
         return [p if ok else IntegrityError(failed) for p, ok in zip(plaintexts, good)]
 
-    short = [len(b) >= head and _short(k, b[:IV_SIZE], len(b) - head, a) for k, b, a in records]
+    def short(k, b, a):
+        return len(b) >= head and _short(k, b[:IV_SIZE], len(b) - head, a)
+
     return _grouped(records, short, group, open_)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cluster import ClusterConfig, StoreCluster
-from .cluster.ring import VNODES
+from .cluster.ring import REPLICATION_FACTOR, VNODES
 from .core.deduplicable import Deduplicable
 from .core.description import FunctionDescription, TrustedLibraryRegistry
 from .core.runtime import DedupRuntime, RuntimeConfig
@@ -71,7 +71,7 @@ class Deployment:
         seed: bytes = b"speed-deployment",
         machine: str | None = None,
         n_shards: int = 0,
-        replication_factor: int = 2,
+        replication_factor: int = REPLICATION_FACTOR,
         vnodes: int = VNODES,
         store_config: StoreConfig | None = None,
         cost_params: CostParams | None = None,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto.ctr import counter_iv
+from ..crypto.ctr import counter_prefix
 from ..crypto.dh import derive_session_keys, generate_keypair
 from ..crypto.drbg import HmacDrbg
 from ..crypto.gcm import AesGcm
@@ -47,7 +47,8 @@ class ChannelEndpoint:
         self._clock = clock
         self._send = AesGcm(send_key, _counter_label=label)
         self._recv = AesGcm(recv_key, _counter_label=label ^ 1)
-        self._label = label
+        # Each direction's IVs: its counter_iv(label, seq) is prefix + header.
+        self._send_prefix, self._recv_prefix = counter_prefix(label), counter_prefix(label ^ 1)
         self._send_seq = 0
         self._recv_seq = 0
         # Observability: a Session points this at its shared tracer so
@@ -68,11 +69,11 @@ class ChannelEndpoint:
                 raise ChannelError("sequence space exhausted")
             self._send_seq += 1
             self._clock.charge_aead_encrypt(len(payload))
+            header = seq.to_bytes(8, "big")
             ct, tag = self._send.encrypt(
-                counter_iv(self._label, seq), payload,
-                aad=b"speed/record" + seq.to_bytes(8, "big"),
+                self._send_prefix + header, payload, aad=b"speed/record" + header,
             )
-            return seq.to_bytes(8, "big") + tag + ct
+            return header + tag + ct
 
     def unprotect(self, record: bytes) -> bytes:
         """Open one record, enforcing monotonic sequencing.
@@ -86,7 +87,8 @@ class ChannelEndpoint:
         with self.tracer.span("channel.decrypt", clock=self.trace_clock, bytes=len(record)):
             if len(record) < 24:
                 raise ChannelError("record too short")
-            seq = int.from_bytes(record[:8], "big")
+            header = record[:8]
+            seq = int.from_bytes(header, "big")
             if seq < self._recv_seq:
                 raise ChannelError(
                     f"record replayed or stale: got {seq}, want >= {self._recv_seq}"
@@ -95,8 +97,7 @@ class ChannelEndpoint:
             self._clock.charge_aead_decrypt(len(ct))
             try:
                 payload = self._recv.decrypt(
-                    counter_iv(self._label ^ 1, seq), ct, tag,
-                    aad=b"speed/record" + seq.to_bytes(8, "big"),
+                    self._recv_prefix + header, ct, tag, aad=b"speed/record" + header,
                 )
             except IntegrityError as exc:
                 raise ChannelError("record authentication failed") from exc

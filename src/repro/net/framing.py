@@ -88,10 +88,7 @@ class FieldReader:
         return self._field("text")
 
     def expect_end(self) -> None:
-        if self._pos != len(self._data):
-            raise SerializationError(
-                f"{len(self._data) - self._pos} trailing bytes after message"
-            )
+        unpack(_EMPTY, self._data, self._pos)
 
     @property
     def remaining(self) -> int:
@@ -242,6 +239,7 @@ def _compile(layout: Layout, write: bool = False):
 
 
 _PRIMITIVES = {kind: Layout(("value", kind)) for kind in [*_CODES, "blob", "text"]}
+_EMPTY = Layout()
 
 
 def write_fields(writer: FieldWriter, layout: Layout, values) -> None:
@@ -259,14 +257,14 @@ def read_fields(reader: FieldReader, layout: Layout):
 
 def pack(layout: Layout, values) -> bytes:
     """A whole payload holding exactly ``layout``."""
-    writer = FieldWriter()
-    write_fields(writer, layout, values)
-    return writer.getvalue()
+    out: list[bytes] = []
+    layout._write(out, values)
+    return b"".join(out)
 
 
-def unpack(layout: Layout, data: bytes):
-    """Parse a whole payload holding exactly ``layout`` (no trailing bytes)."""
-    reader = FieldReader(data)
-    values = read_fields(reader, layout)
-    reader.expect_end()
+def unpack(layout: Layout, data: bytes, start: int = 0):
+    """Parse ``data[start:]``, which holds exactly ``layout`` (no trailing bytes)."""
+    values, pos = layout._read(data, start)
+    if pos != len(data):
+        raise SerializationError(f"{len(data) - pos} trailing bytes after message")
     return values

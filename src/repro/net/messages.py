@@ -22,12 +22,11 @@ Each message declares its body once, as a ``LAYOUT``
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass, field
 
-from .framing import FieldReader, FieldWriter, Layout, Repeated, read_fields, write_fields
-from ..errors import ProtocolError
+from .framing import Layout, Repeated, unpack
+from ..errors import ProtocolError, SerializationError
 
 # Upper bound on items per batch message; a decoded count beyond this is
 # a protocol violation (defends the store against resource-exhaustion
@@ -178,21 +177,22 @@ class ErrorMessage:
     LAYOUT = Layout(("code", "u32"), ("detail", "text"))
 
 
-# Each message type's frame after its type byte: the request id, then the body.
-_FRAMES = {
-    cls.TYPE: Layout(("request_id", "u64"), *cls.LAYOUT.fields, cls=cls)
-    for cls in (
-        GetRequest,
-        GetResponse,
-        PutRequest,
-        PutResponse,
-        ErrorMessage,
-        BatchGetRequest,
-        BatchGetResponse,
-        BatchPutRequest,
-        BatchPutResponse,
-    )
-}
+_TYPES = (
+    GetRequest,
+    GetResponse,
+    PutRequest,
+    PutResponse,
+    ErrorMessage,
+    BatchGetRequest,
+    BatchGetResponse,
+    BatchPutRequest,
+    BatchPutResponse,
+)
+# Each message type's frame after its type byte: the request id, then the
+# body.  It is written as the header, then the body from the message.
+_FRAMES = {cls.TYPE: Layout(("request_id", "u64"), *cls.LAYOUT.fields, cls=cls) for cls in _TYPES}
+_HEADER = Layout(("type", "u8"), ("request_id", "u64"))
+_BODIES = {cls.TYPE: Layout(*cls.LAYOUT.fields, cls=cls) for cls in _TYPES}
 
 Message = (
     GetRequest
@@ -208,27 +208,33 @@ Message = (
 
 
 def with_request_id(msg: Message, request_id: int) -> Message:
-    """Return ``msg`` carrying ``request_id`` (no copy if already set)."""
+    """Return ``msg`` carrying ``request_id`` (no copy if already set):
+    a copy of its fields, as ``dataclasses.replace`` would make, without
+    running ``__init__`` again."""
     if msg.request_id == request_id:
         return msg
-    return dataclasses.replace(msg, request_id=request_id)
+    copy = object.__new__(type(msg))
+    object.__setattr__(copy, "__dict__", {**msg.__dict__, "request_id": request_id})
+    return copy
 
 
-def encode_message(msg: Message) -> bytes:
-    """Serialize a message to ``type_byte || request_id || body``."""
-    w = FieldWriter()
-    w.u8(msg.TYPE)
-    write_fields(w, _FRAMES[msg.TYPE], msg)
-    return w.getvalue()
+def encode_message(msg: Message, request_id: int | None = None) -> bytes:
+    """Serialize a message to ``type_byte || request_id || body``, under
+    ``request_id`` when given (as :func:`with_request_id` would), else its own."""
+    out: list[bytes] = []
+    _HEADER._write(out, {
+        "type": msg.TYPE, "request_id": msg.request_id if request_id is None else request_id,
+    })
+    _BODIES[msg.TYPE]._write(out, msg)
+    return b"".join(out)
 
 
 def decode_message(data: bytes) -> Message:
     """Parse a message; raises ProtocolError on an unknown type or an
     over-limit batch, SerializationError on malformed or trailing bytes."""
-    r = FieldReader(data)
-    frame = _FRAMES.get(r.u8())
+    if not data:
+        raise SerializationError("truncated message: 1 bytes wanted at 0 of 0")
+    frame = _FRAMES.get(data[0])
     if frame is None:
         raise ProtocolError(f"unknown message type in {data[:8]!r}")
-    msg = read_fields(r, frame)
-    r.expect_end()
-    return msg
+    return unpack(frame, data, 1)

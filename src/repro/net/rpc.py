@@ -49,13 +49,18 @@ from .messages import (
     PutRequest,
     decode_message,
     encode_message,
-    with_request_id,
 )
 from .transport import Endpoint
 from ..crypto.hashes import tagged_hash
 from ..errors import ChannelError, ProtocolError, RetryExhaustedError, TransportError
 from ..obs.tracer import NULL_TRACER
 
+
+#: The batch request and response types of a group of GETs or of PUTs.
+_BATCH_TYPES = {
+    GetRequest: (BatchGetRequest, BatchGetResponse),
+    PutRequest: (BatchPutRequest, BatchPutResponse),
+}
 
 #: Backoff before retry ``k`` (k >= 1): ``BACKOFF_BASE_S * 2**(k-1)``,
 #: capped at ``BACKOFF_MAX_S``, less up to ``BACKOFF_JITTER`` of it.
@@ -123,7 +128,7 @@ class RpcServer:
                 response = self._handler(request)
             except Exception as exc:
                 response = ErrorMessage(code=500, detail=str(exc))
-        return self._channel.protect(encode_message(with_request_id(response, request_id)))
+        return self._channel.protect(encode_message(response, request_id))
 
     def pump(self) -> int:
         """Serve every pending request; returns the number served."""
@@ -192,14 +197,9 @@ class RpcClient:
         records-per-call numerator)."""
         return self._channel.records_protected
 
-    def _fresh_request_id(self) -> int:
-        request_id = self._next_request_id
-        self._next_request_id += 1
-        return request_id
-
-    def _send(self, request: Message) -> None:
+    def _send(self, request: Message, request_id: int) -> None:
         self._endpoint.send(
-            self._server_address, self._channel.protect(encode_message(request))
+            self._server_address, self._channel.protect(encode_message(request, request_id))
         )
 
     def _recv_one(self) -> Message:
@@ -211,11 +211,11 @@ class RpcClient:
         """Assign a correlation id, remember the request whole (so
         :meth:`_settle` can resend it under the same id) and send it.  A
         send that fails outright is left to the settle's retry schedule."""
-        request_id = self._fresh_request_id()
-        request = with_request_id(request, request_id)
+        request_id = self._next_request_id
+        self._next_request_id += 1
         self._pipeline[request_id] = request
         try:
-            self._send(request)
+            self._send(request, request_id)
         except TransportError:
             pass  # _settle retries (or surfaces) under the same id
         return request_id
@@ -236,7 +236,7 @@ class RpcClient:
                     if attempt:
                         self.retries += 1
                         self._charge_backoff(policy, attempt - 1, request_id)
-                        self._send(request)
+                        self._send(request, request_id)
                     return self._take_response(request_id)
                 except TransportError as exc:
                     last_error = exc
@@ -386,12 +386,10 @@ class RpcClient:
         requests = tuple(requests)
         if not requests:
             return []
-        if all(isinstance(r, GetRequest) for r in requests):
-            batch_type, expected = BatchGetRequest, BatchGetResponse
-        elif all(isinstance(r, PutRequest) for r in requests):
-            batch_type, expected = BatchPutRequest, BatchPutResponse
-        else:
+        kinds = set(map(type, requests))
+        if len(kinds) != 1 or kinds.isdisjoint(_BATCH_TYPES):
             raise ProtocolError("call_batch needs a uniform list of GETs or PUTs")
+        batch_type, expected = _BATCH_TYPES[kinds.pop()]
         return self._group_items(
             self._call(self._as_record(requests, batch_type)), len(requests), expected
         )
@@ -423,8 +421,9 @@ class RpcClient:
     # -- fire-and-forget --------------------------------------------------------
     def _send_untracked(self, request: Message, **attrs) -> int:
         with self._span("rpc.send", request, **attrs):
-            request_id = self._fresh_request_id()
-            self._send(with_request_id(request, request_id))
+            request_id = self._next_request_id
+            self._next_request_id += 1
+            self._send(request, request_id)
             return request_id
 
     def send_oneway(self, request: Message) -> int:

@@ -98,17 +98,16 @@ class FaultInjector:
         on that edge gets this index)."""
         return self._edge_counters.get((source, dest), 0)
 
-    def _index_matches(self, rules: set, source: str, dest: str, index: int) -> bool:
-        return index in rules or (source, dest, index) in rules
-
     def decide(self, payload: bytes, source: str = "", dest: str = "") -> FaultDecision:
         """Consume one edge index and decide this message's fate."""
-        index = self._edge_counters.get((source, dest), 0)
-        self._edge_counters[(source, dest)] = index + 1
+        edge = (source, dest)
+        index = self._edge_counters.get(edge, 0)
+        self._edge_counters[edge] = index + 1
         if dest in self.dead_addresses or source in self.dead_addresses:
             return FaultDecision(drop=True)
-        drop = self._index_matches(self.drop_indices, source, dest, index)
-        corrupt = self._index_matches(self.corrupt_indices, source, dest, index)
+        edge_index = (source, dest, index)
+        drop = index in self.drop_indices or edge_index in self.drop_indices
+        corrupt = index in self.corrupt_indices or edge_index in self.corrupt_indices
         duplicate = 0
         delay = 0
         if self.plan is not None:
@@ -145,9 +144,6 @@ class Endpoint:
 
     def pending(self) -> int:
         return len(self._inbox)
-
-    def _push(self, source: str, payload: bytes) -> None:
-        self._inbox.append((source, payload))
 
 
 class Network:
@@ -210,7 +206,8 @@ class Network:
             decision = self._fault_injector.decide(payload, source=source, dest=dest)
         if decision.drop:
             self.messages_dropped += 1
-            self._release_due()
+            if self._delayed:
+                self._release_due()
             return
         if decision.corrupt:
             self.messages_corrupted += 1
@@ -223,13 +220,14 @@ class Network:
         for _ in range(decision.duplicate):
             self.messages_duplicated += 1
             self._push_and_pump(source, dest, payload)
-        self._release_due()
+        if self._delayed:
+            self._release_due()
 
     def _push_and_pump(self, source: str, dest: str, payload: bytes) -> None:
         receiver = self._endpoints.get(dest)
         if receiver is None:
             return  # endpoint withdrawn while the message was in flight
-        receiver._push(source, payload)
+        receiver._inbox.append((source, payload))
         reactor = self._reactors.get(dest)
         if reactor is not None:
             reactor.pump()

@@ -23,7 +23,6 @@ from .metrics import Counter, Gauge, Histogram, MetricsRegistry, namespaced
 from .tracer import (
     NULL_TRACER,
     NullTracer,
-    SlowCall,
     Span,
     SpanNode,
     Tracer,
@@ -38,7 +37,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
-    "SlowCall",
     "Span",
     "SpanNode",
     "Tracer",

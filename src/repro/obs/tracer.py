@@ -172,18 +172,6 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
-@dataclass(frozen=True)
-class SlowCall:
-    """One slow-call-log entry (a finished span over the threshold)."""
-
-    name: str
-    trace_id: int
-    span_id: int
-    wall_seconds: float
-    sim_seconds: float
-    attrs: dict
-
-
 class Tracer:
     """Collects spans into bounded buffers and aggregates phase totals.
 
@@ -192,25 +180,16 @@ class Tracer:
     max_spans:
         Ring-buffer capacity for finished spans; older spans fall off
         but their contribution to :meth:`phase_breakdown` is retained.
-    slow_sim_threshold_s / slow_wall_threshold_s:
-        A finished span whose simulated (resp. wall) duration exceeds
-        the threshold lands in :attr:`slow_log` (also bounded).
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        max_spans: int = 50_000,
-        slow_sim_threshold_s: float | None = None,
-        slow_wall_threshold_s: float | None = None,
-        slow_log_entries: int = 256,
-    ):
+    def __init__(self, max_spans: int = 50_000):
         self._spans: deque[Span] = deque(maxlen=max_spans)
         # Each thread gets its own span stack: context propagation stays
         # a stack discipline per thread, and concurrent spans never see
         # each other as parents.  Shared buffers (ring buffer, phase
-        # totals, id allocation, slow log) are guarded by one lock.
+        # totals, id allocation) are guarded by one lock.
         self._local = threading.local()
         self._lock = threading.Lock()
         self._next_span_id = 1
@@ -218,9 +197,6 @@ class Tracer:
         self._last_trace_id: int | None = None
         # phase name -> [count, wall_seconds, sim_seconds, errors]
         self._phase_totals: dict[str, list] = {}
-        self._slow_sim = slow_sim_threshold_s
-        self._slow_wall = slow_wall_threshold_s
-        self.slow_log: deque[SlowCall] = deque(maxlen=slow_log_entries)
 
     @property
     def _stack(self) -> list:
@@ -290,9 +266,6 @@ class Tracer:
         if open_span._clock is not None and open_span._sim0 is not None:
             clock = open_span._clock
             span.sim_seconds = clock.since(open_span._sim0) / clock.params.cpu_freq_hz
-        slow = (self._slow_sim is not None and span.sim_seconds > self._slow_sim) or (
-            self._slow_wall is not None and span.wall_seconds > self._slow_wall
-        )
         with self._lock:
             self._spans.append(span)
             totals = self._phase_totals.setdefault(span.name, [0, 0.0, 0.0, 0])
@@ -301,17 +274,6 @@ class Tracer:
             totals[2] += span.sim_seconds
             if span.status != "ok":
                 totals[3] += 1
-            if slow:
-                self.slow_log.append(
-                    SlowCall(
-                        name=span.name,
-                        trace_id=span.trace_id,
-                        span_id=span.span_id,
-                        wall_seconds=span.wall_seconds,
-                        sim_seconds=span.sim_seconds,
-                        attrs=dict(span.attrs),
-                    )
-                )
 
     # -- context -------------------------------------------------------------
     @property
@@ -374,11 +336,10 @@ class Tracer:
         }
 
     def reset(self) -> None:
-        """Drop finished spans, totals, and the slow log (open spans stay)."""
+        """Drop finished spans and totals (open spans stay)."""
         with self._lock:
             self._spans.clear()
             self._phase_totals.clear()
-            self.slow_log.clear()
 
     def __len__(self) -> int:
         return len(self._spans)

@@ -39,16 +39,17 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .cluster.ring import VNODES, TopologyPlan
+from .cluster.ring import REPLICATION_FACTOR, VNODES, TopologyPlan
 from .core.decorator import deduplicable_marker
 from .core.deduplicable import Deduplicable
 from .core.description import FunctionDescription, TrustedLibrary, TrustedLibraryRegistry
 from .core.runtime import DedupResult, RuntimeConfig
 from .core.serialization import Parser
 from .deployment import Application, Deployment
+from .engine import EngineConfig, PipelineEngine
 from .obs.exporters import format_phase_breakdown, format_trace
 from .obs.metrics import MetricsRegistry
-from .obs.tracer import NULL_TRACER, SlowCall, Span, SpanNode, Tracer
+from .obs.tracer import NULL_TRACER, Span, SpanNode, Tracer
 from .report import ReportMixin
 from .sgx.cost_model import CostParams
 from .store.resultstore import StoreConfig
@@ -80,7 +81,7 @@ class TopologyReport(ReportMixin):
 def connect(
     *,
     shards: int = 0,
-    replication_factor: int = 2,
+    replication_factor: int = REPLICATION_FACTOR,
     app_name: str = "app",
     machine: str | None = None,
     libraries: TrustedLibraryRegistry | None = None,
@@ -244,8 +245,8 @@ class Session:
         """The Deduplicable version of a registered function (cached per
         description when no custom parsers are supplied)."""
         custom = input_parser is not None or result_parser is not None
-        if not custom and description in self._deduplicables:
-            return self._deduplicables[description]
+        if not custom and (dedup := self._deduplicables.get(description)) is not None:
+            return dedup
         dedup = self.app.deduplicable(
             description,
             input_parser=input_parser,
@@ -283,7 +284,9 @@ class Session:
         """Drain the asynchronous PUT queue off the critical path."""
         return self.runtime.flush_puts()
 
-    def enable_pipeline(self, depth: int = 8, workers: int = 4):
+    def enable_pipeline(
+        self, depth: int = EngineConfig.depth, workers: int = EngineConfig.workers
+    ):
         """Attach a pipelined execution engine to this session's runtime.
 
         Batched store GETs/PUTs then travel through the engine's
@@ -294,8 +297,6 @@ class Session:
         reports the overlapped schedule's critical-path simulated time.
         Returns the attached :class:`~repro.engine.PipelineEngine`.
         """
-        from .engine import EngineConfig, PipelineEngine
-
         cluster = self.cluster
 
         def shard_clocks() -> dict:
@@ -579,10 +580,6 @@ class Session:
 
     def phase_table(self, title: str | None = None) -> str:
         return format_phase_breakdown(self.phase_breakdown(), title=title)
-
-    def slow_calls(self) -> list[SlowCall]:
-        """The slow-call log (spans over the configured thresholds)."""
-        return list(self.tracer.slow_log) if self.tracer.enabled else []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Session app={self.app.name!r} shards={self.cluster.shard_ids}>"

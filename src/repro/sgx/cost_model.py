@@ -113,48 +113,51 @@ class SimClock:
         self.charge_cycles(seconds * self.params.cpu_freq_hz, category)
 
     # -- calibrated primitives ------------------------------------------
+    # Each adds its amount in place, as charge_cycles would: these run on
+    # every request, and amounts made from the parameters and byte counts
+    # need not be checked for a negative or infinite value.
     def charge_ecall(self) -> None:
         cost = self.params.hotcall_cycles if self.params.switchless else self.params.ecall_cycles
-        self.charge_cycles(cost, "transition")
+        self._cycles += cost
+        self._by_category["transition"] += cost
 
     def charge_ocall(self) -> None:
         cost = self.params.hotcall_cycles if self.params.switchless else self.params.ocall_cycles
-        self.charge_cycles(cost, "transition")
+        self._cycles += cost
+        self._by_category["transition"] += cost
 
     def charge_marshal(self, n_bytes: int) -> None:
-        self.charge_cycles(n_bytes * self.params.marshal_cycles_per_byte, "marshal")
+        cost = n_bytes * self.params.marshal_cycles_per_byte
+        self._cycles += cost
+        self._by_category["marshal"] += cost
 
     def charge_page_fault(self, n_pages: int = 1) -> None:
         self.charge_cycles(n_pages * self.params.page_fault_cycles, "paging")
 
     def charge_hash(self, n_bytes: int) -> None:
-        self.charge_cycles(
-            self.params.hash_fixed_cycles + n_bytes * self.params.hash_cycles_per_byte,
-            "crypto",
-        )
+        cost = self.params.hash_fixed_cycles + n_bytes * self.params.hash_cycles_per_byte
+        self._cycles += cost
+        self._by_category["crypto"] += cost
 
     def charge_aead_encrypt(self, n_bytes: int) -> None:
-        self.charge_cycles(
-            self.params.aead_enc_fixed_cycles
-            + n_bytes * self.params.aead_enc_cycles_per_byte,
-            "crypto",
-        )
+        p = self.params
+        cost = p.aead_enc_fixed_cycles + n_bytes * p.aead_enc_cycles_per_byte
+        self._cycles += cost
+        self._by_category["crypto"] += cost
 
     def charge_aead_decrypt(self, n_bytes: int) -> None:
-        self.charge_cycles(
-            self.params.aead_dec_fixed_cycles
-            + n_bytes * self.params.aead_dec_cycles_per_byte,
-            "crypto",
-        )
+        p = self.params
+        cost = p.aead_dec_fixed_cycles + n_bytes * p.aead_dec_cycles_per_byte
+        self._cycles += cost
+        self._by_category["crypto"] += cost
 
     def charge_keygen(self) -> None:
         self.charge_cycles(self.params.keygen_fixed_cycles, "crypto")
 
     def charge_network(self, n_bytes: int) -> None:
-        self.charge_cycles(
-            self.params.net_fixed_cycles + n_bytes * self.params.net_cycles_per_byte,
-            "network",
-        )
+        cost = self.params.net_fixed_cycles + n_bytes * self.params.net_cycles_per_byte
+        self._cycles += cost
+        self._by_category["network"] += cost
 
     def charge_compute(self, seconds: float) -> None:
         """Charge application compute: ``seconds`` on the paper's
@@ -191,13 +194,21 @@ class ChargeLog(list):
     :meth:`replay` makes them on a real clock in order, so that clock
     reads to the bit what charging in place would have left."""
 
-    def __getattr__(self, name: str):
-        if not name.startswith("charge_"):
-            raise AttributeError(name)
-        return lambda *args: self.append((name, args))
-
     def replay(self, clock: SimClock | None) -> None:
         if clock is not None:
             for name, args in self:
                 getattr(clock, name)(*args)
+
+
+def _recorder(name: str):
+    def record(self: ChargeLog, *args) -> None:
+        self.append((name, args))
+    return record
+
+
+# A method per SimClock charge, not __getattr__, which runs only after the
+# normal lookup has failed, at the price of an AttributeError per charge.
+for _name in [name for name in vars(SimClock) if name.startswith("charge_")]:
+    setattr(ChargeLog, _name, _recorder(_name))
+del _name
 

@@ -32,6 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class _Transition:
     """Context manager for one boundary crossing (ECALL or OCALL)."""
 
+    __slots__ = ("_enclave", "_kind", "_name", "_in_bytes", "_out_bytes", "_span")
+
     def __init__(self, enclave: "Enclave", kind: str, name: str, in_bytes: int, out_bytes: int):
         self._enclave = enclave
         self._kind = kind
@@ -41,20 +43,44 @@ class _Transition:
         self._span = None
 
     def __enter__(self):
-        tracer = self._enclave.tracer
-        if tracer.enabled:
-            self._span = tracer.span(
-                f"sgx.{self._kind}",
-                clock=self._enclave.platform.clock,
-                op=self._name,
-                enclave=self._enclave.name,
+        enclave, kind = self._enclave, self._kind
+        if enclave.tracer.enabled:
+            self._span = enclave.tracer.span(
+                f"sgx.{kind}", clock=enclave.platform.clock, op=self._name, enclave=enclave.name,
             )
             self._span.__enter__()
-        self._enclave._enter_transition(self._kind, self._name, self._in_bytes)
+        enclave._check_alive()
+        clock, stack = enclave.platform.clock, enclave._call_stack
+        if kind == "ecall":
+            if len(stack) % 2:
+                raise EnclaveError(
+                    f"nested ECALL {self._name!r} from inside enclave {enclave.name!r}"
+                )
+            clock.charge_ecall()
+            enclave.ecall_count += 1
+        else:
+            if not len(stack) % 2:
+                raise EnclaveError(
+                    f"OCALL {self._name!r} attempted outside enclave {enclave.name!r}"
+                )
+            clock.charge_ocall()
+            enclave.ocall_count += 1
+        clock.charge_marshal(self._in_bytes)
+        stack.append(kind)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self._enclave._exit_transition(self._kind, self._out_bytes)
+        enclave, kind = self._enclave, self._kind
+        stack, clock = enclave._call_stack, enclave.platform.clock
+        if not stack or stack[-1] != kind:
+            raise EnclaveError("mismatched enclave transition nesting")
+        stack.pop()
+        clock.charge_marshal(self._out_bytes)
+        # Returning crosses the boundary once more.
+        if kind == "ecall":
+            clock.charge_ecall()
+        else:
+            clock.charge_ocall()
         if self._span is not None:
             self._span.__exit__(exc_type, exc, tb)
             self._span = None
@@ -117,37 +143,11 @@ class Enclave:
         """Leave the enclave to run untrusted host code."""
         return _Transition(self, "ocall", name, in_bytes, out_bytes)
 
-    def _enter_transition(self, kind: str, name: str, in_bytes: int) -> None:
-        self._check_alive()
-        if kind == "ecall":
-            if self.inside:
-                raise EnclaveError(f"nested ECALL {name!r} from inside enclave {self.name!r}")
-            self.platform.clock.charge_ecall()
-            self.ecall_count += 1
-        else:
-            if not self.inside:
-                raise EnclaveError(f"OCALL {name!r} attempted outside enclave {self.name!r}")
-            self.platform.clock.charge_ocall()
-            self.ocall_count += 1
-        self.platform.clock.charge_marshal(in_bytes)
-        self._call_stack.append(kind)
-
-    def _exit_transition(self, kind: str, out_bytes: int) -> None:
-        if not self._call_stack or self._call_stack[-1] != kind:
-            raise EnclaveError("mismatched enclave transition nesting")
-        self._call_stack.pop()
-        self.platform.clock.charge_marshal(out_bytes)
-        # Returning crosses the boundary once more.
-        if kind == "ecall":
-            self.platform.clock.charge_ecall()
-        else:
-            self.platform.clock.charge_ocall()
-
     # -- memory ----------------------------------------------------------
     def touch(self, region: str, offset: int, n_bytes: int) -> int:
         """Access enclave heap memory; returns the page faults incurred."""
         self._check_alive()
-        if not self.inside:
+        if not len(self._call_stack) % 2:
             raise EnclaveError("enclave memory is not accessible from outside (EPC isolation)")
         return self.platform.epc.access(self.enclave_id, region, offset, n_bytes)
 
@@ -155,7 +155,7 @@ class Enclave:
     def read_rand(self, n_bytes: int) -> bytes:
         """Draw enclave-local randomness (deterministic under the seed)."""
         self._check_alive()
-        if not self.inside:
+        if not len(self._call_stack) % 2:
             raise EnclaveError("sgx_read_rand must be called from inside the enclave")
         return self._drbg.generate(n_bytes)
 

@@ -62,13 +62,12 @@ class MetadataDict:
 
     Beside the entries in insertion order (every scan and image's) it
     keeps them by ascending ``last_access_seq``, so the LRU victim is a
-    head, not a scan (:meth:`least_recent`), and their bytes as a total.
+    head, not a scan (:meth:`least_recent`).
     """
 
     def __init__(self):
         self._entries: dict[bytes, MetadataEntry] = {}
         self._recency: OrderedDict[bytes, MetadataEntry] = OrderedDict()
-        self._total_bytes = 0
         self._free_slots: list[int] = []
         self._next_slot = 0
         self._seq = 0
@@ -130,7 +129,6 @@ class MetadataDict:
         if touch is not None:
             touch("store/metadata", entry.slot * ENTRY_SLOT_BYTES, ENTRY_SLOT_BYTES)
         self._entries[entry.tag] = entry
-        self._total_bytes += entry.size
 
     def touch_restore(self, tag: bytes, hits: int, touch=None) -> bool:
         """Re-apply a logged GET-recency mark (WAL replay): the entry's
@@ -152,7 +150,6 @@ class MetadataDict:
         if entry is None:
             raise StoreError("cannot remove unknown tag")
         del self._recency[tag]
-        self._total_bytes -= entry.size
         self._free_slots.append(entry.slot)
         return entry
 
@@ -165,7 +162,3 @@ class MetadataDict:
         if not self._recency:
             raise StoreError("eviction requested from an empty store")
         return next(iter(self._recency.values()))
-
-    def total_bytes(self) -> int:
-        """Sum of tracked ciphertext sizes (outside-enclave footprint)."""
-        return self._total_bytes

@@ -186,8 +186,6 @@ class ObliviousMetadataDict:
     when eviction triggers or during replication) perform a full
     oblivious scan, which is the honest price of combining ORAM with
     capacity management.
-    ``total_bytes`` is served from a running counter (a single scalar
-    that leaks nothing about individual accesses).
     """
 
     def __init__(
@@ -200,7 +198,6 @@ class ObliviousMetadataDict:
         self._oram = PathOram(
             capacity=capacity, block_bytes=block_bytes, seed=seed, clock=clock
         )
-        self._total_bytes = 0
         self._seq = 0
 
     def __len__(self) -> int:
@@ -226,13 +223,11 @@ class ObliviousMetadataDict:
             raise StoreError("duplicate tag insert; use replace semantics explicitly")
         entry.insert_seq = entry.last_access_seq = self._tick()
         self._oram.put(entry.tag, entry)
-        self._total_bytes += entry.size
 
     def remove(self, tag: bytes):
         entry = self._oram.remove(tag)
         if entry is None:
             raise StoreError("cannot remove unknown tag")
-        self._total_bytes -= entry.size
         return entry
 
     def peek(self, tag: bytes):
@@ -250,9 +245,6 @@ class ObliviousMetadataDict:
         if not entries:
             raise StoreError("eviction requested from an empty store")
         return min(entries, key=lambda e: e.last_access_seq)
-
-    def total_bytes(self) -> int:
-        return self._total_bytes
 
     def slot_extent_bytes(self) -> int:
         # The ORAM tree lives encrypted in untrusted memory; the enclave

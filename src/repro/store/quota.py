@@ -21,7 +21,7 @@ and never admits, releases or restores usage for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import QuotaExceededError
 from ..sgx.cost_model import SimClock

@@ -60,7 +60,6 @@ from ..net.messages import (
     PutResponse,
     decode_message,
     encode_message,
-    with_request_id,
 )
 from ..net.rpc import RpcClient
 from ..net.transport import Network
@@ -323,7 +322,7 @@ class ResultStore:
                 response = self._dispatch(request)
             except Exception as exc:
                 response = ErrorMessage(code=500, detail=str(exc))
-        return channel.protect(encode_message(with_request_id(response, request_id)))
+        return channel.protect(encode_message(response, request_id))
 
     def _dispatch(self, request: Message) -> Message:
         if isinstance(request, GetRequest):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.apps.compress import (
     MAX_MATCH,
     MIN_MATCH,
-    Token,
     compression_ratio,
     deflate,
     inflate,

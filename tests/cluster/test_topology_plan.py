@@ -5,7 +5,7 @@ the Session.apply_topology / rebalance(weights=...) surface."""
 import pytest
 
 from repro import TopologyPlan, TopologyReport, connect
-from repro.cluster.ring import RING_SIZE, MigrationRange, ShardRing, tag_point
+from repro.cluster.ring import RING_SIZE, MigrationRange, ShardRing
 from repro.errors import (
     MigrationError,
     MigrationInProgressError,

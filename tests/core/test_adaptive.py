@@ -1,7 +1,5 @@
 """Adaptive deduplication strategy (the paper's §VII future work)."""
 
-import pytest
-
 from repro import RuntimeConfig
 from repro.core.adaptive import AdaptiveDedupPolicy
 from repro.deployment import Deployment

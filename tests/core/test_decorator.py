@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.decorator import deduplicable_marker
-from repro.deployment import Deployment
 from repro.errors import EnclaveError
 from tests.conftest import make_libs
 

@@ -5,7 +5,7 @@ import pytest
 from repro import FunctionDescription, TrustedLibrary, TrustedLibraryRegistry
 from repro.deployment import Deployment
 from repro.errors import DedupError
-from tests.conftest import DOUBLE_DESC, double_bytes, make_libs
+from tests.conftest import DOUBLE_DESC, double_bytes
 
 
 class TestTwoLineAdoption:

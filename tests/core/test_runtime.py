@@ -3,7 +3,6 @@
 import pytest
 
 from repro import RuntimeConfig
-from repro.core.runtime import DedupRuntime
 from repro.core.tag import derive_tag
 from repro.deployment import Deployment
 from repro.security import HostAdversary

@@ -1,7 +1,5 @@
 """Tag and locking-hash derivation."""
 
-import pytest
-
 from repro.core.tag import TAG_SIZE, derive_locking_hash, derive_tag
 from repro.sgx.cost_model import SimClock
 

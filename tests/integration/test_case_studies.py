@@ -1,7 +1,6 @@
 """End-to-end runs of all four paper case studies through SPEED."""
 
 import numpy as np
-import pytest
 
 from repro.apps.compress import inflate
 from repro.apps.registry import (

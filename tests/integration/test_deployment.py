@@ -30,7 +30,7 @@ class TestDeployment:
         assert len(d.store) == 2
 
     def test_application_enclaves_are_measured_by_their_libraries(self):
-        from repro import FunctionDescription, TrustedLibrary, TrustedLibraryRegistry
+        from repro import TrustedLibrary, TrustedLibraryRegistry
 
         d = Deployment(seed=b"dep-4")
         app1 = d.create_application("one", make_libs())

@@ -47,8 +47,6 @@ class TestDeterminism:
         assert d1.clock.breakdown() == d2.clock.breakdown()
 
     def test_different_seeds_different_ciphertexts(self):
-        from tests.conftest import double_bytes
-
         def stored_blob(seed):
             d = Deployment(seed=seed)
             app = d.create_application("app", make_libs())

@@ -3,7 +3,6 @@ surface must raise clean library errors (or be answered with protocol
 errors), never crash or hang the trusted components."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +21,6 @@ from repro.errors import SerializationError, SpeedError
 from repro.net.channel import NullChannelEndpoint
 from repro.net.messages import decode_message
 from repro.store.resultstore import StoreConfig
-from tests.conftest import make_libs
 
 
 class TestWireFuzzing:

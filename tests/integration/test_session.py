@@ -113,7 +113,6 @@ def test_connect_with_machine_name_and_tracing_off():
     assert session.last_trace() == []
     assert session.trace_tree() == []
     assert session.phase_breakdown() == {}
-    assert session.slow_calls() == []
 
 
 # -- Fig. 1 is a one-shard cluster ------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import AttestationError, ChannelError
+from repro.errors import ChannelError
 from repro.net.channel import NullChannelEndpoint, establish
 from repro.sgx.platform import SgxPlatform
 

@@ -121,17 +121,6 @@ def test_phase_breakdown_counts_errors():
     )
 
 
-def test_slow_log_catches_spans_over_sim_threshold():
-    tracer = Tracer(slow_sim_threshold_s=0.001)
-    clock = FakeClock()
-    with tracer.span("fast", clock=clock):
-        clock.advance(10)
-    with tracer.span("slow", clock=clock):
-        clock.advance(5_000)
-    assert [entry.name for entry in tracer.slow_log] == ["slow"]
-    assert tracer.slow_log[0].sim_seconds == pytest.approx(0.005)
-
-
 def test_tree_and_find():
     tracer = Tracer()
     with tracer.span("root"):
@@ -162,14 +151,13 @@ def test_build_tree_orphan_spans_become_roots():
     assert [c.span.name for c in roots[0].children] == ["leaf"]
 
 
-def test_reset_clears_spans_totals_and_slow_log():
-    tracer = Tracer(slow_wall_threshold_s=0.0)
+def test_reset_clears_spans_and_totals():
+    tracer = Tracer()
     with tracer.span("x"):
         pass
     tracer.reset()
     assert len(tracer) == 0
     assert tracer.phase_breakdown() == {}
-    assert not tracer.slow_log
 
 
 def test_fresh_tracer_is_falsy_so_identity_checks_are_required():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.deployment import Deployment
-from repro.errors import ChannelError, ProtocolError
+from repro.errors import ChannelError
 from tests.conftest import DOUBLE_DESC, double_bytes, make_libs
 
 

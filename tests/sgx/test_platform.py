@@ -1,7 +1,5 @@
 """Platform-level behaviour: identity, registry, configuration."""
 
-import pytest
-
 from repro.sgx.attestation import AttestationService
 from repro.sgx.cost_model import CostParams
 from repro.sgx.platform import SgxPlatform

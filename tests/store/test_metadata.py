@@ -44,12 +44,6 @@ class TestBasics:
         with pytest.raises(StoreError):
             MetadataDict().remove(b"ghost")
 
-    def test_total_bytes(self):
-        d = MetadataDict()
-        d.put(entry(b"a", size=100))
-        d.put(entry(b"b", size=250))
-        assert d.total_bytes() == 350
-
 
 class TestAccessTracking:
     def test_hits_increment(self):

@@ -153,16 +153,6 @@ class TestObliviousMetadataDict:
         assert removed.tag == b"tag-0001"
         assert len(d) == 0
 
-    def test_total_bytes_counter(self):
-        from repro.store.oblivious import ObliviousMetadataDict
-
-        d = ObliviousMetadataDict(capacity=16)
-        d.put(self._entry(1, size=100))
-        d.put(self._entry(2, size=250))
-        assert d.total_bytes() == 350
-        d.remove(b"tag-0001")
-        assert d.total_bytes() == 250
-
     def test_entries_scan(self):
         from repro.store.oblivious import ObliviousMetadataDict
 

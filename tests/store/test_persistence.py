@@ -70,7 +70,7 @@ class TestSnapshotRestore:
     def test_restored_results_still_cross_app_protected(self):
         # Restoration must not weaken the scheme: an app with different
         # code still cannot use the restored entries.
-        from repro import FunctionDescription, TrustedLibrary, TrustedLibraryRegistry
+        from repro import TrustedLibrary, TrustedLibraryRegistry
 
         d, _, _ = filled_deployment(seed=b"persist-e")
         snapshot_store(d.store)

@@ -69,7 +69,7 @@ class TestStoreInvariants:
             # Global invariants after every operation.
             assert len(store) <= capacity
             assert len(store.blobstore) == len(store)
-            assert store.blobstore.bytes_stored == store._dict.total_bytes()
+            assert store.blobstore.bytes_stored == sum(e.size for e in store._dict.entries())
 
     @given(ops=st.lists(operation, max_size=30))
     @settings(max_examples=15, deadline=None)
