@@ -215,15 +215,15 @@ class ShardRing:
     def _owners_at(self, point: int, n: int) -> list[str]:
         if not self._shards:
             raise SpeedError("ring has no shards")
-        n = max(1, min(n, len(self._shards)))
-        start = bisect.bisect_left(self._points, point)
-        out: list[str] = []
-        for step in range(len(self._points)):
-            owner = self._owners[(start + step) % len(self._points)]
+        n = min(n, len(self._shards))
+        owners = self._owners
+        at = bisect.bisect_left(self._points, point)
+        out = [owners[at % len(owners)]]
+        while len(out) < n:  # each shard has a vnode, so the walk ends
+            at += 1
+            owner = owners[at % len(owners)]
             if owner not in out:
                 out.append(owner)
-                if len(out) == n:
-                    break
         return out
 
     def primary(self, tag: bytes) -> str:
@@ -344,7 +344,7 @@ class ShardRing:
         the data until the range commits), then the pending owners as
         failover targets.  Committed ranges read from the new owners only."""
         if self._next is None:
-            return self.owners(tag, n)
+            return self._owners_at(tag_point(tag), n)
         rng = self.transition_range(tag)
         if rng is None:
             return self.owners(tag, n)
@@ -359,7 +359,7 @@ class ShardRing:
         """Owners a PUT must land on: always the pending topology, so no
         update written during the window is lost when the range commits."""
         if self._next is None:
-            return self.owners(tag, n)
+            return self._owners_at(tag_point(tag), n)
         rng = self.transition_range(tag)
         if rng is None:
             return self.owners(tag, n)

@@ -70,7 +70,7 @@ back onto them.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .ring import ShardRing
 from ..errors import (
@@ -114,6 +114,8 @@ _SENDS = {
     (_ONEWAY, "put"): "send_oneway_batch",
 }
 _WAITS = {"get": "wait_gets", "put": "wait_puts"}
+# A GET every live owner missed (messages are immutable).
+_MISS = GetResponse(found=False)
 
 
 @dataclass
@@ -152,22 +154,7 @@ class RouterStats:
         """The counters under canonical ``router.<metric>`` keys.
         ``get_timeouts`` / ``put_timeouts`` count failed sends (a walk
         step's included), not items."""
-        return namespaced("router", {
-            "gets_routed": self.gets_routed,
-            "puts_routed": self.puts_routed,
-            "get_timeouts": self.get_timeouts,
-            "put_timeouts": self.put_timeouts,
-            "failovers": self.failovers,
-            "read_repairs": self.read_repairs,
-            "unavailable": self.unavailable,
-            "replica_puts": self.replica_puts,
-            "replica_put_acks": self.replica_put_acks,
-            "replica_put_rejects": self.replica_put_rejects,
-            "repair_acks": self.repair_acks,
-            "repair_rejects": self.repair_rejects,
-            "circuit_skips": self.circuit_skips,
-            "walk_records": self.walk_records,
-        }, renames=self._RENAMES)
+        return namespaced("router", asdict(self), renames=self._RENAMES)
 
 
 class GetWalk:
@@ -341,11 +328,6 @@ class ClusterRouter:
     def records_sent(self) -> int:
         return sum(c.records_sent for c in self._clients.values())
 
-    def _owners(self, tag: bytes) -> list[str]:
-        """The tag's owner shards this router can actually reach."""
-        owners = self.ring.owners(tag, self.replication_factor)
-        return [s for s in owners if s in self._clients]
-
     def _read_owners(self, tag: bytes) -> list[str]:
         """Reachable shards a GET of ``tag`` may consult, in ring order.
         During a topology transition (dual-ownership window) this is the
@@ -356,7 +338,7 @@ class ClusterRouter:
         computes it per range, the router just filters to connected
         clients."""
         owners = self.ring.read_owners(tag, self.replication_factor)
-        return [s for s in owners if s in self._clients]
+        return list(filter(self._clients.__contains__, owners))
 
     def _owners_of(self, item) -> list[str]:
         """The owners a GET item has yet to ask, next first: a plain GET's
@@ -375,7 +357,7 @@ class ClusterRouter:
         so no update accepted inside the window is lost when its range
         commits."""
         owners = self.ring.write_owners(tag, self.replication_factor)
-        return [s for s in owners if s in self._clients]
+        return list(filter(self._clients.__contains__, owners))
 
     # -- the one guarded shard exchange ----------------------------------------
     def _guarded(self, shard: str, method: str, args: tuple, answers: bool, gate: bool = True,
@@ -491,7 +473,7 @@ class ClusterRouter:
         if owners:
             return walk
         if walk.missed:
-            return GetResponse(found=False)
+            return _MISS
         # No owner answered: the item is unavailable, not absent.  Fail
         # safe: the caller recomputes, exactly like a miss.
         self.stats.unavailable += 1
@@ -539,7 +521,7 @@ class ClusterRouter:
     def _submit_put_group(self, requests: list, mode: str) -> _PutGroup:
         """Fan a PUT group out: one record to every owner shard of its
         items, carrying the items that shard owns."""
-        if not all(isinstance(r, PutRequest) for r in requests):
+        if not all([isinstance(r, PutRequest) for r in requests]):
             raise ProtocolError(
                 "cluster router routes a uniform list of GETs or PUTs, not "
                 + ", ".join(sorted({type(r).__name__ for r in requests}))
@@ -679,7 +661,7 @@ class ClusterRouter:
                     heads[i], moved = there, True
         for i in fresh:
             walk, head = items[i], heads[i]
-            walk.owners = [head] + [s for s in walk.ring if s != head] if head else []
+            walk.owners = [head, *filter(head.__ne__, walk.ring)] if head else []
         return _group(heads)
 
     # -- group entry points ------------------------------------------------------
@@ -833,14 +815,14 @@ class ClusterRouter:
                 # reply to a send the router already accounted.  Dropped.
                 group, positions = self._oneway.pop(key, (None, ()))
                 if group is None or len(acks) != len(positions) or not all(
-                    isinstance(ack, (PutResponse, ErrorMessage)) for ack in acks
+                    [isinstance(ack, (PutResponse, ErrorMessage)) for ack in acks]
                 ):
                     continue  # malformed: those items stay unacknowledged
                 self._merge_put_acks(group, shard, positions, acks)
                 touched[group.router_id] = group
         out: list[Message] = []
         for router_id, group in touched.items():
-            if group.emitted or None in group.verdicts:
+            if group.emitted or any([v is None for v in group.verdicts]):
                 continue
             group.emitted = True
             if len(group.requests) == 1:  # a group of one answers as itself
@@ -851,11 +833,11 @@ class ClusterRouter:
             # stays machine-readable: errors.StoreError's code plus the
             # numeric wire code.
             out.append(BatchPutResponse(
-                items=tuple(
+                items=tuple([
                     PutResponse(accepted=False, reason=f"store_error:{v.code}")
                     if isinstance(v, ErrorMessage) else v
                     for v in group.verdicts
-                ),
+                ]),
                 request_id=router_id,
             ))
         return out
@@ -867,24 +849,13 @@ class ClusterRouter:
         ``router.<metric>`` keys (``router.breaker.<shard>.state`` per
         breaker)."""
         snap = self.stats.snapshot()
-        snap["router.retries"] = sum(
-            c.retries for c in self._clients.values()
-        )
-        snap["router.backoff_seconds_total"] = sum(
-            c.backoff_seconds_total for c in self._clients.values()
-        )
-        snap["router.records_rejected"] = sum(
-            c.records_rejected for c in self._clients.values()
-        )
-        snap["router.duplicate_responses_dropped"] = sum(
-            c.duplicates_dropped for c in self._clients.values()
-        )
-        snap["router.pipelined_submits"] = sum(
-            c.submits for c in self._clients.values()
-        )
-        snap["router.pipeline_max_inflight"] = sum(
-            c.max_inflight for c in self._clients.values()
-        )
+        for key, counter in (
+            ("retries", "retries"), ("backoff_seconds_total", "backoff_seconds_total"),
+            ("records_rejected", "records_rejected"),
+            ("duplicate_responses_dropped", "duplicates_dropped"),
+            ("pipelined_submits", "submits"), ("pipeline_max_inflight", "max_inflight"),
+        ):
+            snap[f"router.{key}"] = sum(getattr(c, counter) for c in self._clients.values())
         snap["router.in_transition"] = int(self.in_transition)
         snap["router.circuit_opens"] = sum(
             b.opens for b in self._breakers.values()

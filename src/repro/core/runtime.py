@@ -466,7 +466,7 @@ class DedupRuntime:
 
             # Stage 2: one duplicate check for everything the L1 could
             # not answer (Algorithm 2, lines 2-3).
-            lookups = [i for i in items if i.attempt_dedup and not i.hit]
+            lookups = [i for i in items if i.attempt_dedup and i.source == "computed"]
             if lookups:
                 batch = self._exchange(
                     "get_request",
@@ -499,7 +499,7 @@ class DedupRuntime:
                 {i.tag for i in items if i.source == "store"}
                 if self.l1_cache is not None else set()
             )
-            misses = [item for item in items if not item.hit]
+            misses = [item for item in items if item.source == "computed"]
             try:
                 with crossing.lanes("compute") if misses else _SERIAL as region:
                     for item in misses:
@@ -547,7 +547,8 @@ class DedupRuntime:
         for item in items:
             sim = mean_sim + (item.direct_sim - mean_direct_sim)
             wall = mean_wall + (item.direct_wall - mean_direct_wall)
-            source, hit = item.source, item.hit
+            source = item.source
+            hit = source != "computed"
             if adaptive is not None and self.config.dedup_enabled:
                 if hit:
                     adaptive.observe_hit(func_identity, sim)
@@ -779,7 +780,7 @@ class DedupRuntime:
         with _SERIAL if self.engine is None else self.engine.background():
             if batch:
                 request_id = self.client.send_oneway_batch(batch)
-                self._inflight_puts[request_id] = tuple(p.tag for p in batch)
+                self._inflight_puts[request_id] = tuple([p.tag for p in batch])
                 self.stats.puts_sent += len(batch)
             self._account_put_responses(self.client.drain_responses())
         return len(batch)

@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from ..errors import SerializationError
-from ..net.framing import FieldReader, FieldWriter, Layout, pack, unpack
+from ..net.framing import FieldReader, FieldWriter, Layout, unpack
 
 
 class Parser(abc.ABC):
@@ -236,7 +236,9 @@ class AnyParser(Parser):
 
     def encode(self, value: Any) -> bytes:
         parser = self._registry.for_value(value)
-        return pack(self._LAYOUT, {"parser": parser.name, "value": parser.encode(value)})
+        out: list[bytes] = []
+        self._LAYOUT._write(out, {"parser": parser.name, "value": parser.encode(value)})
+        return b"".join(out)
 
     def decode(self, data: bytes) -> Any:
         fields = unpack(self._LAYOUT, data)

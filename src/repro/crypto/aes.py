@@ -184,15 +184,16 @@ _INV_SHIFT_ROWS[_SHIFT_ROWS] = np.arange(16, dtype=np.intp)
 def _expand_key(key: bytes) -> list[int]:
     """FIPS-197 key expansion for AES-128: 44 column words, 4 per round."""
     words = list(_UNPACK_COLUMNS(key))
+    w0, w1, w2, w3 = words
     sbox = _SBOX_LIST
-    for i, rcon in zip(range(4, 4 * (_NUM_ROUNDS + 1), 4), _RCON):
-        t = words[i - 1]
+    for rcon in _RCON:
         # RotWord then SubWord, on a little-endian column word.
-        t = (sbox[(t >> 8) & 0xFF] | sbox[(t >> 16) & 0xFF] << 8
-             | sbox[t >> 24] << 16 | sbox[t & 0xFF] << 24) ^ rcon
-        for j in range(i, i + 4):
-            t ^= words[j - 4]
-            words.append(t)
+        w0 ^= (sbox[(w3 >> 8) & 0xFF] | sbox[(w3 >> 16) & 0xFF] << 8
+               | sbox[w3 >> 24] << 16 | sbox[w3 & 0xFF] << 24) ^ rcon
+        w1 ^= w0
+        w2 ^= w1
+        w3 ^= w2
+        words += (w0, w1, w2, w3)
     return words
 
 

@@ -31,15 +31,12 @@ class HmacDrbg:
         self._update(seed + personalization)
         self._reseed_counter = 1
 
-    def _hmac(self, key: bytes, data: bytes) -> bytes:
-        return hmac.digest(key, data, "sha256")
-
     def _update(self, provided: bytes = b"") -> None:
-        self._k = self._hmac(self._k, self._v + b"\x00" + provided)
-        self._v = self._hmac(self._k, self._v)
+        self._k = hmac.digest(self._k, self._v + b"\x00" + provided, "sha256")
+        self._v = hmac.digest(self._k, self._v, "sha256")
         if provided:
-            self._k = self._hmac(self._k, self._v + b"\x01" + provided)
-            self._v = self._hmac(self._k, self._v)
+            self._k = hmac.digest(self._k, self._v + b"\x01" + provided, "sha256")
+            self._v = hmac.digest(self._k, self._v, "sha256")
 
     def reseed(self, entropy: bytes) -> None:
         """Mix fresh entropy into the state."""
@@ -54,7 +51,7 @@ class HmacDrbg:
             raise CryptoError(f"request exceeds MAX_REQUEST ({self.MAX_REQUEST})")
         out = b""
         while len(out) < n_bytes:
-            self._v = self._hmac(self._k, self._v)
+            self._v = hmac.digest(self._k, self._v, "sha256")
             out += self._v
         self._update()
         self._reseed_counter += 1

@@ -197,20 +197,20 @@ def _bit_rows(hs: Sequence[int]) -> np.ndarray:
     k = len(hs)
     ones = ((1 << 128 * k) - 1) // _MASK128  # bit 0 of every lane
     keep = ones * (_MASK128 >> 1)
-    v = int.from_bytes(b"".join(h.to_bytes(BLOCK_SIZE, "big") for h in hs), "big")
+    v = int.from_bytes(b"".join([h.to_bytes(BLOCK_SIZE, "big") for h in hs]), "big")
     base = [v]
     for _ in range(7):
         v = ((v >> 1) & keep) ^ (v & ones) * _R
         base.append(v)
     ones = ((1 << 1024 * k) - 1) // _MASK128  # now eight lanes a key
     low, keep = ones * 0xFF, ones * _MASK120
-    v = int.from_bytes(b"".join(row.to_bytes(16 * k, "big") for row in base), "big")
+    v = int.from_bytes(b"".join([row.to_bytes(16 * k, "big") for row in base]), "big")
     steps = [v]
     for _ in range(15):
         d = (v & low) << 120
         v = ((v >> 8) & keep) ^ d ^ d >> 1 ^ d >> 2 ^ d >> 7
         steps.append(v)
-    words = np.frombuffer(b"".join(w.to_bytes(128 * k, "big") for w in steps), dtype=np.uint64)
+    words = np.frombuffer(b"".join([w.to_bytes(128 * k, "big") for w in steps]), dtype=np.uint64)
     # (x^8 step, one-bit step, key, word) -> (key, bit, word)
     return words.reshape(16, 8, k, 2).transpose(2, 0, 1, 3).reshape(k, 128, 2)
 
@@ -568,7 +568,7 @@ def _group_pass(keys, ivs, payloads, aads, sealing: bool) -> tuple[list[bytes], 
         ctr.aes_batches += 1
         keystream[lo:hi] = encrypt_rows(blocks[lo:hi], round_keys[:, :, row_keys[lo:hi]])
 
-    padded = b"".join(bytes(p) + bytes(-len(p) % BLOCK_SIZE) for p in payloads)
+    padded = b"".join([bytes(p) + bytes(-len(p) % BLOCK_SIZE) for p in payloads])
     xored = (np.frombuffer(padded, dtype=np.uint8) ^ keystream[first:].reshape(-1)).tobytes()
     outputs = [xored[16 * s:16 * s + len(p)] for s, p in zip(starts.tolist(), payloads)]
     messages = [
@@ -577,7 +577,7 @@ def _group_pass(keys, ivs, payloads, aads, sealing: bool) -> tuple[list[bytes], 
         for a, c in zip(aads, outputs if sealing else payloads)
     ]
     width = max(map(len, messages)) + BLOCK_SIZE
-    lanes = b"".join(bytes(width - BLOCK_SIZE - len(m)) + m + bytes(BLOCK_SIZE) for m in messages)
+    lanes = b"".join([bytes(width - BLOCK_SIZE - len(m)) + m + bytes(BLOCK_SIZE) for m in messages])
     stripes = np.frombuffer(lanes, dtype=np.uint8).reshape(n, -1, BLOCK_SIZE).transpose(1, 0, 2)
     tables = _lane_tables([int.from_bytes(row.tobytes(), "big") for row in keystream[:n_keys]])
     digests = _lane_pass(

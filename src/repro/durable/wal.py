@@ -2,8 +2,8 @@
 
 One :class:`DurableLog` serves one ResultStore.  It has two halves:
 
-* a **volatile** half living in enclave memory — the record buffer and
-  the running chain head — which a power failure destroys;
+* a **volatile** half living in enclave memory — the buffer of encoded
+  records and the running chain head — which a power failure destroys;
 * a **durable** half living on the untrusted host ("disk") — the sealed
   segments, the sealed checkpoint, and the blob area — which survives.
   Its bytes are host-storage names: ``<store>/wal/<seq>+<n>`` per
@@ -18,23 +18,25 @@ application's key and lives outside the enclave by design (§IV-B), so
 the log writes it through to the durable blob area as-is and the sealed
 digest detects any at-rest tampering during recovery.
 
-Group commit: appends only buffer; :meth:`DurableLog.commit` seals the
-whole buffer as a single segment, paying one seal AEAD pass for the
-batch.  Each segment embeds the chain token of its predecessor — the
-predecessor's 28-byte seal header (``iv || tag``), which the seal's own
-AEAD tag already authenticates, so chaining costs no hash beyond the
-seal itself — and a host that drops, reorders, or substitutes a
-committed middle segment is caught at recovery as a chain break.  A corrupted or half-written *last*
-segment is indistinguishable from a crash mid-commit and is dropped as a
-torn tail — exactly the un-acked-write ambiguity real logs have.
+Group commit: an append only encodes its record into the buffer;
+:meth:`DurableLog.commit` seals the whole buffer as a single segment,
+paying one seal AEAD pass for the batch.  Each segment embeds the chain
+token of its predecessor — the predecessor's 28-byte seal header
+(``iv || tag``), which the seal's own AEAD tag already authenticates, so
+chaining costs no hash beyond the seal itself — and a host that drops,
+reorders, or substitutes a committed middle segment is caught at
+recovery as a chain break.  A corrupted or half-written *last* segment
+is indistinguishable from a crash mid-commit and is dropped as a torn
+tail — exactly the un-acked-write ambiguity real logs have.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import StoreError
-from ..net.framing import FieldReader, FieldWriter, Layout, read_fields, write_fields
+from ..net.framing import FieldReader, Layout, read_fields
 from ..obs.tracer import NULL_TRACER
 from ..sgx.sealing import SealedBlob, SealPolicy
 
@@ -115,41 +117,59 @@ RECORD_FIELDS = {
 }
 
 
-# A whole record, head and fields, per kind (what the encoder writes).
-_RECORDS = {kind: Layout(*RECORD_HEAD.fields, *f.fields) for kind, f in RECORD_FIELDS.items()}
+# A whole record per kind, read as the WalRecord it is; and the same
+# bytes after the kind byte, written from the attributes of any object
+# that has them: a WalRecord, or the MetadataEntry a PUT logs.
+_RECORDS = {
+    kind: Layout(*RECORD_HEAD.fields, *f.fields, cls=WalRecord) for kind, f in RECORD_FIELDS.items()
+}
+_BODIES = {kind: Layout(*r.fields[1:], cls=WalRecord) for kind, r in _RECORDS.items()}
+_KIND_BYTES = {kind: bytes((kind,)) for kind in RECORD_FIELDS}
 
 
-def _fields_of(kind: int) -> Layout:
-    try:
-        return RECORD_FIELDS[kind]
-    except KeyError:
-        raise StoreError(f"unknown WAL record kind {kind}") from None
+class _Removal(NamedTuple):
+    """The fields a REMOVE record is written from."""
+
+    tag: bytes
+    subkind: int
+
+
+def _segment(prev_chain: bytes, first_seq: int, n_records: int, records: list) -> bytes:
+    """A segment plaintext from its ``n_records`` encoded records."""
+    out: list[bytes] = []
+    SEGMENT_HEADER._write(out, {
+        "version": WAL_FORMAT_VERSION, "prev_chain": prev_chain,
+        "first_seq": first_seq, "n_records": n_records,
+    })
+    return b"".join(out + records)
 
 
 def encode_segment(prev_chain: bytes, first_seq: int, records) -> bytes:
     """Serialize one segment's plaintext (sealed before leaving the
     enclave).  The predecessor's chain value rides inside the sealed
     payload, so segment order is bound by the seal itself."""
-    writer = FieldWriter()
-    write_fields(writer, SEGMENT_HEADER, {
-        "version": WAL_FORMAT_VERSION, "prev_chain": prev_chain,
-        "first_seq": first_seq, "n_records": len(records),
-    })
+    out: list[bytes] = []
     for record in records:
-        write_fields(writer, _RECORDS[record.kind], vars(record))
-    return writer.getvalue()
+        out.append(_KIND_BYTES[record.kind])
+        _BODIES[record.kind]._write(out, record)
+    return _segment(prev_chain, first_seq, len(records), out)
 
 
 def decode_segment(payload: bytes) -> tuple[bytes, int, list[WalRecord]]:
-    """Parse one unsealed segment payload back into records."""
+    """Parse one unsealed segment payload back into records, each built
+    by its kind's layout in one step."""
     reader = FieldReader(payload)
     header = read_fields(reader, SEGMENT_HEADER)
     if header["version"] != WAL_FORMAT_VERSION:
         raise StoreError(f"unsupported WAL segment version {header['version']}")
     records = []
     for _ in range(header["n_records"]):
-        head = read_fields(reader, RECORD_HEAD)
-        records.append(WalRecord(**head, **read_fields(reader, _fields_of(head["kind"]))))
+        # The next record's kind byte picks its layout.
+        layout = _RECORDS.get(payload[-reader.remaining]) if reader.remaining else None
+        if layout is None:  # truncated, or a kind no layout declares
+            kind = read_fields(reader, RECORD_HEAD)["kind"]
+            raise StoreError(f"unknown WAL record kind {kind}")
+        records.append(read_fields(reader, layout))
     reader.expect_end()
     return header["prev_chain"], header["first_seq"], records
 
@@ -197,7 +217,8 @@ class DurableLog:
         self.blob_prefix = f"{store}/blobs/"
         self.checkpoint_name = f"{store}/checkpoint"
         # -- volatile half (wiped by power_fail) --------------------------
-        self._buffer: list[WalRecord] = []
+        self._buffer: list[bytes] = []  # the encoded records not yet sealed
+        self._pending = 0  # how many records that is
         self.chain = GENESIS_CHAIN
         self.next_seq = 1
         self.records_since_checkpoint = 0  # the trigger; never read off the host
@@ -215,65 +236,56 @@ class DurableLog:
         self.rollback_detected = 0
 
     # -- appending (inside the store enclave) -----------------------------
+    # A record is encoded as it is appended, so the buffer holds its bytes
+    # and the entry it was read off may change afterwards.
     def append_put(self, entry, sealed_result: bytes) -> None:
         """Log one accepted PUT and write its ciphertext through to the
         durable blob area (a host-side copy, like any blob leaving the
         enclave's control)."""
-        with self._appending("put", bytes=len(sealed_result)):
-            self.enclave.platform.clock.charge_marshal(len(sealed_result))
-            self.host.put(self.blob_name(entry.blob_digest), bytes(sealed_result))
-            self._append(WalRecord(REC_PUT, entry.tag, **{
-                name: getattr(entry, name) for name, _ in RECORD_FIELDS[REC_PUT].fields
-            }))
+        self.enclave.platform.clock.charge_marshal(len(sealed_result))
+        self.host.put(self.blob_name(entry.blob_digest), bytes(sealed_result))
+        self._append(REC_PUT, entry)
 
     def append_remove(self, tag: bytes, discard: bool = False) -> None:
         """Log one eviction (or migration discard) by tag."""
-        subkind = REMOVE_DISCARD if discard else REMOVE_EVICT
-        with self._appending("remove"):
-            self._append(WalRecord(REC_REMOVE, tag, subkind=subkind))
+        self._append(REC_REMOVE, _Removal(tag, REMOVE_DISCARD if discard else REMOVE_EVICT))
 
     def append_touch(self, tag: bytes, hits: int) -> None:
         """Log one coalesced GET-recency mark (every Nth hit on a tag)."""
-        with self._appending("touch"):
-            self._append(WalRecord(REC_TOUCH, tag, hits=hits))
+        self._append(REC_TOUCH, WalRecord(REC_TOUCH, tag, hits=hits))
 
     def append_migrate(self, record: WalRecord) -> None:
         """Log one migration hand-off mark (BEGIN / RANGE_COMMIT / END)."""
         if RECORD_FIELDS.get(record.kind) is not _MIGRATE_FIELDS:
             raise StoreError(f"not a migration record kind: {record.kind}")
-        with self._appending("migrate"):
-            self._append(record)
+        self._append(record.kind, record)
 
-    def _appending(self, kind: str, **attributes):
-        return self.tracer.span(
-            "durable.wal_append", clock=self.enclave.platform.clock,
-            kind=kind, **attributes,
-        )
-
-    def _append(self, record: WalRecord) -> None:
-        self._buffer.append(record)
+    def _append(self, kind: int, source) -> None:
+        """Encode one ``kind`` record, its fields read off ``source``."""
+        self._buffer.append(_KIND_BYTES[kind])
+        _BODIES[kind]._write(self._buffer, source)
+        self._pending += 1
         self.appends += 1
-        if len(self._buffer) >= self.group_commit_records:
+        if self._pending >= self.group_commit_records:
             self.commit()
 
     def commit(self) -> int:
         """Seal the buffered records as one segment; returns how many
         became durable.  Must run inside the store enclave (the seal key
         is only available there)."""
-        if not self._buffer:
+        committed = self._pending
+        if not committed:
             return 0
         clock = self.enclave.platform.clock
-        with self.tracer.span(
-            "durable.wal_commit", clock=clock, records=len(self._buffer)
-        ):
-            payload = encode_segment(self.chain, self.next_seq, self._buffer)
+        with self.tracer.span("durable.wal_commit", clock=clock, records=committed):
+            payload = _segment(self.chain, self.next_seq, committed, self._buffer)
             sealed = self.enclave.seal(payload, SealPolicy.MRSIGNER)
             self.chain = chain_step(sealed.payload)
-            committed = len(self._buffer)
             self.host.put(f"{self.wal_prefix}{self.next_seq:020d}+{committed}", sealed.payload)
             self.next_seq += committed
             self.records_since_checkpoint += committed
             self._buffer.clear()
+            self._pending = 0
             self.commits += 1
             self.records_logged += committed
             self.log_bytes += len(sealed.payload)
@@ -282,7 +294,7 @@ class DurableLog:
     # -- state ------------------------------------------------------------
     @property
     def pending_records(self) -> int:
-        return len(self._buffer)
+        return self._pending
 
     def needs_checkpoint(self) -> bool:
         return self.records_since_checkpoint >= self.checkpoint_interval_records
@@ -305,6 +317,7 @@ class DurableLog:
         chain head.  The durable artifacts are untouched; recovery
         re-derives the chain from the checkpoint anchor."""
         self._buffer.clear()
+        self._pending = 0
         self.chain = GENESIS_CHAIN
         self.next_seq = 1
         self.records_since_checkpoint = 0
@@ -314,7 +327,7 @@ class DurableLog:
         """Adopt a fresh sealed checkpoint: it covers every committed
         record, so the segments it folded in and the blob copies they
         referenced are dropped (compaction)."""
-        if self._buffer:
+        if self._pending:
             raise StoreError("checkpoint requires a committed (empty) buffer")
         self.host.put(self.checkpoint_name, sealed_payload)
         for name in self.segment_names() + self.host.names(self.blob_prefix):

@@ -13,7 +13,7 @@ UTF-8 blob).
 Every byte format — the wire messages, the WAL segment and its records,
 the store image, the checkpoint and the store-to-store hand-off — is one
 declared :class:`Layout` of ``(field, primitive)`` pairs, compiled once
-into the encoder and decoder behind :func:`write_fields` /
+into the encoder and decoder behind :func:`pack` / :func:`unpack` and
 :func:`read_fields`; a :class:`FieldWriter` / :class:`FieldReader` call
 is a one-field layout, so there is one codec.
 """
@@ -134,8 +134,8 @@ def _truncated(data, pos: int, wanted: int):
 
 
 def _compile(layout: Layout, write: bool = False):
-    """``layout``'s encoder ``write(out, values)``, which appends chunks to
-    ``out``, or its decoder ``read(data, pos) -> (value, pos)``: Python
+    """``layout``'s encoder ``write(out, values)``, which adds its chunks to
+    the list ``out`` in one step per repeated item, or its decoder ``read(data, pos) -> (value, pos)``: Python
     source made once and run through ``exec``.  A run of fixed-width
     fields, with the ``u32`` length or count that ends it, is one
     ``struct.Struct``; blobs are sliced inline; a repeated item's code is
@@ -156,7 +156,13 @@ def _compile(layout: Layout, write: bool = False):
         return (lambda f: f"{held}.{f}") if layout.cls else (lambda f: f"{held}[{f!r}]")
 
     def writes(layout, get, pad):
-        fmt, args = "", []
+        fmt, args, chunks = "", [], []
+
+        def flush():  # the chunks so far, added to ``out`` in one step
+            if chunks:
+                lines.append(f"{pad}out += ({', '.join(chunks)},)")
+                chunks.clear()
+
         for field, kind in layout.fields:
             if kind in _CODES:
                 fmt, args = fmt + _CODES[kind], args + [get(field)]
@@ -164,17 +170,18 @@ def _compile(layout: Layout, write: bool = False):
             held = name("v")
             lines.append(f"{pad}{held} = {get(field)}" + (".encode()" if kind == "text" else ""))
             packer = name("s", struct.Struct(">" + fmt + "I"))
-            lines.append(f"{pad}out.append({packer}.pack({', '.join(args + [f'len({held})'])}))")
+            chunks.append(f"{packer}.pack({', '.join(args + [f'len({held})'])})")
             fmt, args = "", []
             if not isinstance(kind, Repeated):
-                lines.append(f"{pad}out.append({held})")
+                chunks.append(held)
                 continue
+            flush()
             item = name("item")
             lines.append(f"{pad}for {item} in {held}:")
             writes(kind.layout, getter(kind.layout, item), pad + "    ")
         if fmt:
-            packer = name("s", struct.Struct(">" + fmt))
-            lines.append(f"{pad}out.append({packer}.pack({', '.join(args)}))")
+            chunks.append(f"{name('s', struct.Struct('>' + fmt))}.pack({', '.join(args)})")
+        flush()
 
     def reads(layout, pad):
         fmt, run, fields = "", [], []
@@ -240,12 +247,6 @@ def _compile(layout: Layout, write: bool = False):
 
 _PRIMITIVES = {kind: Layout(("value", kind)) for kind in [*_CODES, "blob", "text"]}
 _EMPTY = Layout()
-
-
-def write_fields(writer: FieldWriter, layout: Layout, values) -> None:
-    """Append ``values[field]`` (``values.field`` for a layout of a
-    class) for each of ``layout``'s fields."""
-    layout._write(writer._chunks, values)
 
 
 def read_fields(reader: FieldReader, layout: Layout):

@@ -169,10 +169,12 @@ class RpcClient:
         # call was scanning the inbox; surfaced by drain_responses().
         self._stray_responses: list[Message] = []
         self._stray_ids: set[int] = set()
-        # Correlation ids already answered: a later response with the same
-        # id is a duplicate (wire-level or replayed) and must never reach
-        # another waiter.
-        self._seen_response_ids: set[int] = set()
+        # Correlation ids handed out and not yet answered.  Ids are issued
+        # in increasing order, so every other id below the next one was
+        # answered: a later response with that id is a duplicate
+        # (wire-level or replayed) and must never reach another waiter.
+        # What is kept is bounded by the requests in flight.
+        self._unanswered: set[int] = set()
         # Multi-slot pipelining: requests submitted but not yet waited on
         # (kept whole so wait() can retry under the same correlation id),
         # and responses that arrived while another waiter was scanning.
@@ -206,6 +208,10 @@ class RpcClient:
         _source, record = self._endpoint.recv()
         return decode_message(self._channel.unprotect(record))
 
+    def _answered(self, request_id: int) -> bool:
+        """Whether a response to ``request_id`` was already taken."""
+        return 0 < request_id < self._next_request_id and request_id not in self._unanswered
+
     # -- the one request path: start, then settle ------------------------------
     def _start(self, request: Message) -> int:
         """Assign a correlation id, remember the request whole (so
@@ -213,6 +219,7 @@ class RpcClient:
         send that fails outright is left to the settle's retry schedule."""
         request_id = self._next_request_id
         self._next_request_id += 1
+        self._unanswered.add(request_id)
         self._pipeline[request_id] = request
         try:
             self._send(request, request_id)
@@ -284,7 +291,7 @@ class RpcClient:
                 # The server could not even parse the offending request,
                 # so it could not echo an id: surfaced to this caller.
                 raise ProtocolError(f"server error {candidate.code}: {candidate.detail}")
-            elif rid in self._seen_response_ids or rid in self._stray_ids or rid in self._completed:
+            elif self._answered(rid) or rid in self._stray_ids or rid in self._completed:
                 self.duplicates_dropped += 1
             elif rid in self._pipeline:
                 # Another started request's response: park it for its waiter.
@@ -293,7 +300,7 @@ class RpcClient:
                 # A reply to an earlier one-way send: for drain_responses().
                 self._stray_ids.add(rid)
                 self._stray_responses.append(candidate)
-        self._seen_response_ids.add(request_id)
+        self._unanswered.discard(request_id)
         if isinstance(response, ErrorMessage):
             raise ProtocolError(f"server error {response.code}: {response.detail}")
         return response
@@ -423,6 +430,7 @@ class RpcClient:
         with self._span("rpc.send", request, **attrs):
             request_id = self._next_request_id
             self._next_request_id += 1
+            self._unanswered.add(request_id)
             self._send(request, request_id)
             return request_id
 
@@ -458,7 +466,7 @@ class RpcClient:
         out: list[Message] = []
         for response in pending:
             rid = response.request_id
-            if rid != 0 and (rid in self._seen_response_ids or rid in self._completed):
+            if self._answered(rid) or rid in self._completed:
                 self.duplicates_dropped += 1
                 continue
             if rid in self._pipeline:
@@ -466,8 +474,7 @@ class RpcClient:
                 # hand a pipelined response out as a stray.
                 self._completed[rid] = response
                 continue
-            if rid != 0:
-                self._seen_response_ids.add(rid)
+            self._unanswered.discard(rid)
             out.append(response)
         return out
 

@@ -15,7 +15,7 @@ residency is bounded by the usable EPC size.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cost_model import SimClock
 from ..errors import EnclaveMemoryError
@@ -24,8 +24,7 @@ DEFAULT_EPC_TOTAL = 128 * 1024 * 1024
 DEFAULT_EPC_USABLE = 90 * 1024 * 1024
 
 
-@dataclass(frozen=True)
-class PageKey:
+class PageKey(NamedTuple):
     """Identity of one EPC page: (enclave, region, page index)."""
 
     enclave_id: int

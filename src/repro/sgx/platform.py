@@ -38,7 +38,7 @@ class HostStorage:
 
     def names(self, prefix: str = "") -> list[str]:
         """Every held name starting with ``prefix``, sorted."""
-        return sorted(name for name in self._held if name.startswith(prefix))
+        return sorted([name for name in self._held if name.startswith(prefix)])
 
 
 class SgxPlatform:

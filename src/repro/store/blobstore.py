@@ -23,24 +23,25 @@ class BlobStore:
         self.bytes_stored = 0
 
     def name(self, ref: int) -> str:
-        """The host name holding blob ``ref``."""
+        """The host name holding blob ``ref`` (spelled out below: these
+        run once or twice per PUT)."""
         return f"{self.prefix}{ref}"
 
     def put(self, data: bytes) -> int:
         ref = self._next_ref
         self._next_ref += 1
-        self._host.put(self.name(ref), bytes(data))
+        self._host.put(f"{self.prefix}{ref}", bytes(data))
         self.bytes_stored += len(data)
         return ref
 
     def get(self, ref: int) -> bytes:
-        blob = self._host.get(self.name(ref))
+        blob = self._host.get(f"{self.prefix}{ref}")
         if blob is None:
             raise StoreError(f"dangling blob reference {ref}")
         return blob
 
     def delete(self, ref: int) -> None:
-        blob = self._host.delete(self.name(ref))
+        blob = self._host.delete(f"{self.prefix}{ref}")
         if blob is None:
             raise StoreError(f"double free of blob reference {ref}")
         self.bytes_stored -= len(blob)

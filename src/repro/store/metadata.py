@@ -115,17 +115,19 @@ class MetadataDict:
         else:
             entry.slot = self._next_slot
             self._next_slot += 1
+        recency = self._recency
         if entry.insert_seq:
             self._seq = max(self._seq, entry.insert_seq, entry.last_access_seq)
-        else:
+            # A restored entry's old stamp goes before every later-used
+            # entry (after equals: the reference scan ties by insertion order).
+            seq = entry.last_access_seq
+            later = list(takewhile(lambda t: recency[t].last_access_seq > seq, reversed(recency)))
+            recency[entry.tag] = entry
+            for tag in reversed(later):
+                recency.move_to_end(tag)
+        else:  # a fresh stamp is the newest
             entry.insert_seq = entry.last_access_seq = self._tick()
-        # A restored entry's old stamp goes before every later-used entry
-        # (after equals: the reference scan ties by insertion order).
-        recency, seq = self._recency, entry.last_access_seq
-        later = list(takewhile(lambda t: recency[t].last_access_seq > seq, reversed(recency)))
-        recency[entry.tag] = entry
-        for tag in reversed(later):
-            recency.move_to_end(tag)
+            recency[entry.tag] = entry
         if touch is not None:
             touch("store/metadata", entry.slot * ENTRY_SLOT_BYTES, ENTRY_SLOT_BYTES)
         self._entries[entry.tag] = entry

@@ -75,6 +75,13 @@ CHALLENGE_SIZE = 32
 #: and the id is reserved — a wire PUT may not claim it.
 HANDOFF_APP_ID = "sync"
 
+# Replies that carry nothing of their own (messages are immutable).
+_MISS = GetResponse(found=False)
+_STORED = PutResponse(accepted=True)
+_ALREADY_STORED = PutResponse(accepted=True, reason="already stored")
+# A reusable no-op context: no ECALL, or no span around an untraced step.
+_NO_CONTEXT = nullcontext()
+
 
 @dataclass(frozen=True)
 class StoreConfig:
@@ -195,10 +202,12 @@ class ResultStore:
                 f"resultstore@{address}", STORE_CODE_IDENTITY, signer=STORE_SIGNER
             )
             self.enclave.tracer = self.tracer
+        # Enclave heap accesses, charged through the EPC model (without
+        # SGX there is no enclave memory to touch).
+        self._touch = self.enclave.touch if self.enclave else lambda *access: None
         self._seed = seed
         self._reset_volatile_state()
         self.durable: DurableLog | None = None
-        self._durable_suspended = False
         if self.config.durable:
             if self.enclave is None:
                 raise StoreError("durable persistence requires an SGX-mode store")
@@ -210,6 +219,9 @@ class ResultStore:
                 self.enclave, address, self.config.wal_group_commit,
                 self.config.checkpoint_interval, tracer=self.tracer,
             )
+        # The log while mutations are to be logged: None on a volatile
+        # store and inside unlogged().
+        self._wal = self.durable
         self._channels: dict[str, ChannelEndpoint] = {}
         self.stats = StoreStats()
         network.set_reactor(address, self)
@@ -328,7 +340,7 @@ class ResultStore:
         if isinstance(request, GetRequest):
             return self._handle_get(request)
         if isinstance(request, PutRequest):
-            return self._put_verdict(request)
+            return self._handle_put(request)
         if isinstance(request, BatchGetRequest):
             return self._handle_batch_get(request)
         if isinstance(request, BatchPutRequest):
@@ -336,34 +348,24 @@ class ResultStore:
         raise ProtocolError(f"unexpected message type {type(request).__name__}")
 
     # -- enclave boundary and log helpers -------------------------------------
-    def _touch(self, region: str, offset: int, n_bytes: int) -> None:
-        if self.enclave is not None:
-            self.enclave.touch(region, offset, n_bytes)
-
     def ecall(self, name: str, in_bytes: int = 0):
         """Context for work that belongs inside the store enclave: one
         ECALL, or nothing when the caller is already inside (or the store
         runs without SGX)."""
         if self.enclave is None or self.enclave.inside:
-            return nullcontext()
+            return _NO_CONTEXT
         return self.enclave.ecall(name, in_bytes=in_bytes)
-
-    @property
-    def _wal(self) -> DurableLog | None:
-        """The log while mutations are to be logged: None on a volatile
-        store and inside :meth:`unlogged`."""
-        return None if self._durable_suspended else self.durable
 
     @contextmanager
     def unlogged(self):
         """Mutations in this context are not logged: WAL replay must not
         re-log itself, and :meth:`clear` models memory loss, not N
         deliberate deletions."""
-        suspended, self._durable_suspended = self._durable_suspended, True
+        wal, self._wal = self._wal, None
         try:
             yield
         finally:
-            self._durable_suspended = suspended
+            self._wal = wal
 
     # -- GET -----------------------------------------------------------------
     def _handle_get(self, request: GetRequest) -> GetResponse:
@@ -375,7 +377,7 @@ class ResultStore:
                 entry = self._dict.get(request.tag, touch=self._touch)
             if entry is None:
                 get_span.set("found", False)
-                return GetResponse(found=False)
+                return _MISS
             with self.tracer.span("store.blob_read", clock=self.platform.clock) as read_span:
                 sealed = self.blobstore.get(entry.blob_ref)
                 read_span.set("bytes", len(sealed))
@@ -394,7 +396,7 @@ class ResultStore:
                         self._evict_entry(entry)
                         read_span.mark("tampered")
                         get_span.set("found", False)
-                        return GetResponse(found=False)
+                        return _MISS
             self.stats.hits += 1
             if (
                 self._wal is not None
@@ -413,63 +415,51 @@ class ResultStore:
             )
 
     # -- PUT -----------------------------------------------------------------
-    def _put_verdict(self, request: PutRequest) -> PutResponse:
+    def _handle_put(self, request: PutRequest) -> PutResponse:
         """One PUT's verdict, lone or batched: a refused or malformed PUT
         (over quota, reserved app id, bad field shape) is ``accepted=False``
         with the error's machine-readable code first, human detail after,
         so it never poisons a batch-mate and never reads as a failed
         shard."""
+        clock = self.platform.clock
         try:
-            return self._handle_put(request)
+            with self.tracer.span("store.put", clock=clock) as put_span:
+                self.stats.puts += 1
+                tag = request.tag
+                if len(tag) != DIGEST_SIZE:
+                    raise ProtocolError(f"tag must be {DIGEST_SIZE} bytes")
+                # Empty challenge/wrapped key = the single-key scheme of §III-B;
+                # the cross-application scheme always sends both.
+                if len(request.challenge) not in (0, CHALLENGE_SIZE):
+                    raise ProtocolError(f"challenge must be empty or {CHALLENGE_SIZE} bytes")
+                if len(request.wrapped_key) not in (0, WRAPPED_KEY_SIZE):
+                    raise ProtocolError(f"wrapped key must be empty or {WRAPPED_KEY_SIZE} bytes")
+                if request.app_id == HANDOFF_APP_ID:
+                    raise ProtocolError(
+                        f"app id {HANDOFF_APP_ID!r} is reserved for hand-off entries"
+                    )
+                with self.tracer.span("store.lookup", clock=clock):
+                    duplicate = tag in self._dict
+                if duplicate:
+                    # Deterministic tags mean one ciphertext version suffices
+                    # (§IV-B remark); the first stored version wins.
+                    self.stats.puts_duplicate += 1
+                    put_span.set("outcome", "duplicate")
+                    return _ALREADY_STORED
+                sealed_result = request.sealed_result
+                if self._quota is not None:
+                    self._quota.admit_put(request.app_id, len(sealed_result))
+                self._insert(
+                    sealed_result, wire=True, tag=tag, challenge=request.challenge,
+                    wrapped_key=request.wrapped_key, app_id=request.app_id,
+                )
+                put_span.set("outcome", "stored")
+                return _STORED
         except (QuotaExceededError, ProtocolError) as exc:
             return PutResponse(accepted=False, reason=f"{exc.code}: {exc}")
 
-    def _handle_put(self, request: PutRequest) -> PutResponse:
-        with self.tracer.span("store.put", clock=self.platform.clock) as put_span:
-            self.stats.puts += 1
-            if len(request.tag) != DIGEST_SIZE:
-                raise ProtocolError(f"tag must be {DIGEST_SIZE} bytes")
-            # Empty challenge/wrapped key = the single-key scheme of §III-B;
-            # the cross-application scheme always sends both.
-            if len(request.challenge) not in (0, CHALLENGE_SIZE):
-                raise ProtocolError(f"challenge must be empty or {CHALLENGE_SIZE} bytes")
-            if len(request.wrapped_key) not in (0, WRAPPED_KEY_SIZE):
-                raise ProtocolError(f"wrapped key must be empty or {WRAPPED_KEY_SIZE} bytes")
-            if request.app_id == HANDOFF_APP_ID:
-                raise ProtocolError(f"app id {HANDOFF_APP_ID!r} is reserved for hand-off entries")
-            with self.tracer.span("store.lookup", clock=self.platform.clock):
-                duplicate = request.tag in self._dict
-            if duplicate:
-                # Deterministic tags mean one ciphertext version suffices
-                # (§IV-B remark); the first stored version wins.
-                self.stats.puts_duplicate += 1
-                put_span.set("outcome", "duplicate")
-                return PutResponse(accepted=True, reason="already stored")
-            size = len(request.sealed_result)
-            if self._quota is not None:
-                self._quota.admit_put(request.app_id, size)
-            self._insert(
-                request.sealed_result, self._wire_blob_write(size),
-                tag=request.tag, challenge=request.challenge,
-                wrapped_key=request.wrapped_key, app_id=request.app_id,
-            )
-            put_span.set("outcome", "stored")
-            return PutResponse(accepted=True)
-
-    @contextmanager
-    def _wire_blob_write(self, size: int):
-        """What a PUT off the wire adds around its blob write: the
-        ``store.blob_write`` span, the blob-digest hash and — unless the
-        arena is enclave heap — the copy out of the enclave."""
-        clock = self.platform.clock
-        with self.tracer.span("store.blob_write", clock=clock, bytes=size):
-            clock.charge_hash(size)
-            yield
-            if not self.config.blobs_in_epc:
-                clock.charge_marshal(size)
-
     # -- the one way into the dictionary -----------------------------------------
-    def _insert(self, sealed_result: bytes, blob_write=nullcontext(), **fields) -> None:
+    def _insert(self, sealed_result: bytes, wire: bool = False, **fields) -> None:
         """Make ``(tag, r, [k], [res])`` a dictionary entry — what every
         route does once its caller has settled first-write-wins (the tag
         must be absent) and admission: make room (LRU eviction), write the
@@ -477,16 +467,23 @@ class ResultStore:
         metadata, log the PUT when logging is live.  ``fields`` are
         :class:`MetadataEntry`'s own: ``tag``, ``challenge``,
         ``wrapped_key``, ``app_id`` and, when the caller has them,
-        ``hits`` and the sequence numbers (then kept).  ``blob_write`` is
-        entered around the blob write so the wire path can trace it."""
+        ``hits`` and the sequence numbers (then kept).  A PUT off the
+        ``wire`` adds the ``store.blob_write`` span around its blob write,
+        the blob-digest hash and — unless the arena is enclave heap — the
+        copy out of the enclave."""
         size = len(sealed_result)
         self._make_room()
-        with blob_write:
+        clock = self.platform.clock
+        with self.tracer.span("store.blob_write", clock=clock, bytes=size) if wire else _NO_CONTEXT:
+            if wire:
+                clock.charge_hash(size)
             ref = self.blobstore.put(sealed_result)
             if self.config.blobs_in_epc:
                 self._epc_blob_extents[ref] = (self._epc_blob_cursor, size)
                 self._touch("store/blobs", self._epc_blob_cursor, size)
                 self._epc_blob_cursor += size
+            elif wire:
+                clock.charge_marshal(size)
         entry = MetadataEntry(
             blob_ref=ref, blob_digest=blob_digest(sealed_result), size=size, **fields
         )
@@ -499,14 +496,10 @@ class ResultStore:
     # for its channel record: one transition charge and one record's worth
     # of channel crypto amortized over N dictionary probes.
     def _handle_batch_get(self, request: BatchGetRequest) -> BatchGetResponse:
-        return BatchGetResponse(
-            items=tuple(self._handle_get(item) for item in request.items)
-        )
+        return BatchGetResponse(items=tuple([self._handle_get(item) for item in request.items]))
 
     def _handle_batch_put(self, request: BatchPutRequest) -> BatchPutResponse:
-        return BatchPutResponse(
-            items=tuple(self._put_verdict(item) for item in request.items)
-        )
+        return BatchPutResponse(items=tuple([self._handle_put(item) for item in request.items]))
 
     def can_accept(self) -> bool:
         """Whether one more entry fits without evicting.  Migration uses
@@ -516,10 +509,15 @@ class ResultStore:
         return capacity is None or len(self._dict) < capacity
 
     def _make_room(self) -> None:
-        while not self.can_accept():
-            if not len(self._dict):
+        """Evict least recently used entries until one more fits."""
+        capacity, entries = self.config.capacity_entries, self._dict
+        while capacity is not None:
+            held = len(entries)
+            if held < capacity:
+                return
+            if not held:
                 raise StoreError("capacity too small for a single entry")
-            victim = self._dict.least_recent()
+            victim = entries.least_recent()
             with self.tracer.span("store.evict", clock=self.platform.clock):
                 self._evict_entry(victim)
             self.stats.evictions += 1
@@ -553,12 +551,14 @@ class ResultStore:
                 self._wal.commit()
             return True
 
-    def stored(self, predicate=lambda entry: True):
-        """``(entry, ciphertext)`` for every entry satisfying
-        ``predicate`` (call inside the enclave)."""
-        for entry in self._dict.entries():
-            if predicate(entry):
-                yield entry, self.blobstore.get(entry.blob_ref)
+    def stored(self, predicate=None) -> list[tuple[MetadataEntry, bytes]]:
+        """``(entry, ciphertext)`` for every entry, or every entry
+        satisfying ``predicate`` (call inside the enclave)."""
+        get = self.blobstore.get
+        return [
+            (entry, get(entry.blob_ref)) for entry in self._dict.entries()
+            if predicate is None or predicate(entry)
+        ]
 
     def collect_entries(self, predicate) -> list[tuple[bytes, bytes, bytes, bytes]]:
         """Export the ``(tag, r, [k], [res])`` tuples of the entries that
