@@ -67,9 +67,12 @@ echo "== ratchets =="
 python3 -c 'from tests.test_line_ratchet import LINE_CEILING, line_count
 print(f"src/repro: {line_count()} lines, ceiling {LINE_CEILING}")' || true
 PYTHONPATH=src python3 -c 'from tests.test_call_ratchet import (
-    BATCH_PUT_CALL_CEILING, LONE_HIT_CALL_CEILING, batch_put_calls, lone_hit_calls)
+    BATCH_PUT_CALL_CEILING, LONE_HIT_CALL_CEILING, PIPELINED_BATCH_CALL_CEILING,
+    batch_put_calls, lone_hit_calls, pipelined_batch_calls)
 print(f"lone hit: {lone_hit_calls():.1f} calls into src/repro, ceiling {LONE_HIT_CALL_CEILING}")
-print(f"batch PUT: {batch_put_calls():.1f} calls into src/repro, ceiling {BATCH_PUT_CALL_CEILING}")' || true
+print(f"batch PUT: {batch_put_calls():.1f} calls into src/repro, ceiling {BATCH_PUT_CALL_CEILING}")
+print(f"pipelined batch op: {pipelined_batch_calls():.1f} calls into src/repro, "
+      f"ceiling {PIPELINED_BATCH_CALL_CEILING}")' || true
 python3 -c 'from tests.test_config_census import summary; print(summary())' || true
 
 # End-to-end benchmark determinism gate (benchmarks/e2e, see its README):

@@ -71,6 +71,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 
 from .ring import ShardRing
 from ..errors import (
@@ -372,8 +373,9 @@ class ClusterRouter:
         next owner and never offers this send to the breaker again.
         """
         breaker = None if self.breaker_config is None else self._breaker(shard)
-        tracer = self.tracer if span else NULL_TRACER
-        with tracer.span(span, clock=self.clock, shard=shard, **attrs) as open_span:
+        with (self.tracer if span else NULL_TRACER).span(
+            span, clock=self.clock, shard=shard, **attrs
+        ) as open_span:
             if gate and breaker is not None and not breaker.allow():
                 self.stats.circuit_skips += 1
                 open_span.mark("circuit_open")
@@ -420,7 +422,8 @@ class ClusterRouter:
             group.sent = self._send(
                 shard, "get", [w.request for w in items] if walking else items, mode
             )
-            if walking and items[0].under_way and self.stats.circuit_skips == skips:
+            first = items[0]
+            if walking and (first.missed or first.failed) and self.stats.circuit_skips == skips:
                 self.stats.walk_records += 1
         return group
 
@@ -437,10 +440,9 @@ class ClusterRouter:
             raise ProtocolError(
                 f"shard {shard!r} answered {len(replies)} of {len(items)} GETs"
             )
-        return [
-            self._advance(item, shard, replies[i] if replies else None)
-            for i, item in enumerate(items)
-        ]
+        if replies is None:
+            return [self._advance(item, shard, None) for item in items]
+        return list(map(self._advance, items, repeat(shard), replies))
 
     def _advance(self, item, shard: str | None, reply: Message | None):
         """Fold ``shard``'s reply (``None``: it did not answer) into a GET
@@ -450,7 +452,7 @@ class ClusterRouter:
                 f"shard {shard!r} answered GET with {type(reply).__name__}"
             )
         walk = item if type(item) is GetWalk else None
-        if walk is None or not walk.under_way:  # its first ask
+        if walk is None or not (walk.missed or walk.failed):  # its first ask
             self.stats.gets_routed += 1
             if reply is not None and reply.found:
                 return reply
@@ -591,7 +593,8 @@ class ClusterRouter:
     # -- compositions -------------------------------------------------------------
     def _park(self, group) -> int:
         """Keep a pipelined group for its waiter; returns its slot id."""
-        router_id = self._fresh_router_id()
+        router_id = self._next_router_id
+        self._next_router_id += 1
         self._pipeline[router_id] = group
         return router_id
 
@@ -612,11 +615,6 @@ class ClusterRouter:
         del self._pipeline[router_id]
         return group
 
-    def _fresh_router_id(self) -> int:
-        router_id = self._next_router_id
-        self._next_router_id += 1
-        return router_id
-
     def _plan(self, items: list) -> list[tuple[str | None, list[int]]]:
         """``(owner, positions)`` per group of GET items asking the same
         owner first, in shard order; an item with no reachable owner is a
@@ -635,7 +633,7 @@ class ClusterRouter:
         loads: defaultdict = defaultdict(int)
         fresh: list[int] = []
         for i, item in enumerate(items):
-            if type(item) is GetWalk and not item.under_way:
+            if type(item) is GetWalk and not (item.missed or item.failed):
                 if item.ring is None:
                     item.ring = self._read_owners(item.request.tag)
                 owners = item.ring
@@ -718,7 +716,7 @@ class ClusterRouter:
         results = self._settle_get_group(group)
         if group.finish:
             return self._walk(results, [p for p, r in enumerate(results) if type(r) is GetWalk])
-        if not any(type(g) is _GetGroup for g in self._pipeline.values()):
+        if self._repairs and not any(type(g) is _GetGroup for g in self._pipeline.values()):
             self._send_repairs()
         return results
 
@@ -752,7 +750,8 @@ class ClusterRouter:
         merged verdicts come out of :meth:`drain_responses` under the
         returned slot id."""
         group = self._submit_put_group(list(requests), _ONEWAY)
-        group.router_id = self._fresh_router_id()
+        group.router_id = self._next_router_id
+        self._next_router_id += 1
         return group.router_id
 
     # -- lone entry points: a group of one -----------------------------------------

@@ -54,11 +54,8 @@ class _Arena:
         self._cursor = 0
         self._free: dict[int, list[int]] = {}
 
-    def _pages(self, n_bytes: int) -> int:
-        return max(1, -(-n_bytes // self._page_size))
-
     def allocate(self, n_bytes: int) -> int:
-        pages = self._pages(n_bytes)
+        pages = max(1, -(-n_bytes // self._page_size))
         bucket = self._free.get(pages)
         if bucket:
             return bucket.pop()
@@ -67,7 +64,7 @@ class _Arena:
         return offset
 
     def release(self, offset: int, n_bytes: int) -> None:
-        self._free.setdefault(self._pages(n_bytes), []).append(offset)
+        self._free.setdefault(max(1, -(-n_bytes // self._page_size)), []).append(offset)
 
 
 class L1ResultCache:
@@ -113,10 +110,6 @@ class L1ResultCache:
     def __contains__(self, tag: bytes) -> bool:
         return tag in self._entries
 
-    @staticmethod
-    def _footprint(result_bytes: bytes) -> int:
-        return len(result_bytes) + ENTRY_OVERHEAD_BYTES
-
     def get(self, tag: bytes) -> bytes | None:
         """Look up a tag; a hit touches the entry's pages and refreshes
         its LRU position."""
@@ -136,7 +129,7 @@ class L1ResultCache:
         if tag in self._entries:
             self._entries.move_to_end(tag)
             return False
-        footprint = self._footprint(result_bytes)
+        footprint = len(result_bytes) + ENTRY_OVERHEAD_BYTES
         if self.max_bytes is not None and footprint > self.max_bytes:
             return False
         while len(self._entries) >= self.max_entries or (

@@ -37,7 +37,7 @@ without touching the per-item semantics above:
 
 from __future__ import annotations
 
-import time
+from time import perf_counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
@@ -167,12 +167,13 @@ class _BatchItem:
         return self.source != "computed"
 
     def __enter__(self) -> None:
-        self._meter = (time.perf_counter(), self.clock.snapshot())
+        self._meter = (perf_counter(), self.clock.cycles)
 
     def __exit__(self, *exc) -> None:
         wall0, sim0 = self._meter
-        self.direct_wall += time.perf_counter() - wall0
-        self.direct_sim += self.clock.since(sim0) / self.clock.params.cpu_freq_hz
+        clock = self.clock
+        self.direct_wall += perf_counter() - wall0
+        self.direct_sim += (clock.cycles - sim0) / clock.params.cpu_freq_hz
 
     def follow(self, leader: "_BatchItem") -> None:
         """Single-flight: take the result ``leader`` got for the same tag."""
@@ -181,36 +182,21 @@ class _BatchItem:
         self.result_value = leader.result_value
 
 
-class _SerialTask:
-    """A task no engine schedules: it has no schedule id."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-_SERIAL_TASK = _SerialTask()
-
-
-class _Serial(_SerialTask):
+class _Serial:
     """What stands in for the engine's batch and each stage's region when
-    no engine carries the group: one reusable no-op, whose tasks run (and
-    are accounted) serially."""
+    no engine carries the group: one reusable no-op, which opens as
+    ``None``, so its items add no task."""
 
     __slots__ = ()
 
     def __call__(self, *args) -> "_Serial":  # batch(), lanes(kind)
         return self
 
-    def __enter__(self) -> "_Serial":
-        return self
+    def __enter__(self) -> None:
+        return None
 
-    def task(self, after: int | None = None) -> _SerialTask:
-        return _SERIAL_TASK
+    def __exit__(self, *exc) -> None:
+        return None
 
 
 _SERIAL = _Serial()
@@ -224,7 +210,8 @@ class _Crossing(NamedTuple):
     with an :class:`~repro.engine.EngineBatch`: a response or an
     exception per position (plus, for GETs the engine coalesced, who
     follows whom).  ``lanes(kind)`` opens the region the group's
-    per-item enclave work of one stage is accounted to, and ``batch``
+    per-item enclave work of one stage is accounted to (``None`` when no
+    engine carries the group: that work takes no task), and ``batch``
     spans the whole group, so that its stages and rounds are accounted
     as one schedule.
     """
@@ -436,11 +423,12 @@ class DedupRuntime:
         label = self._labels.get(description)
         if label is None:
             label = self._labels[description] = str(description)
-        wall_start = time.perf_counter()
-        sim_start = self.clock.snapshot()
+        clock = self.clock
+        wall_start = perf_counter()
+        sim_start = clock.cycles
 
         with crossing.batch(), self.tracer.span(
-            "runtime.execute", clock=self.clock, func=label, items=n,
+            "runtime.execute", clock=clock, func=label, items=n,
         ), self.enclave.ecall("dedup_execute"):
             trace_id = self.tracer.current_trace_id
             func, native_cost, func_identity = self.libraries.resolve(description)
@@ -449,20 +437,22 @@ class DedupRuntime:
             # Per-item derivation is independent enclave work, so with
             # the engine attached it rides the worker lanes exactly like
             # stage-2 verification.
+            span, dedup, l1 = self.tracer.span, self.config.dedup_enabled, self.l1_cache
             with crossing.lanes("tag") as region:
                 for item in items:
-                    with self.tracer.span(
-                        "runtime.item", clock=self.clock, index=item.index
-                    ) as item.span, item, region.task() as item.ready:
-                        with self.tracer.span("runtime.tag", clock=self.clock):
+                    start = clock.cycles
+                    with span("runtime.item", clock=clock, index=item.index) as item.span, item:
+                        with span("runtime.tag", clock=clock):
                             item.input_bytes = input_parser.encode(item.input_value)
-                            item.tag = derive_tag(func_identity, item.input_bytes, self.clock)
-                        item.attempt_dedup = self.config.dedup_enabled and (
+                            item.tag = derive_tag(func_identity, item.input_bytes, clock)
+                        item.attempt_dedup = dedup and (
                             adaptive is None or adaptive.should_attempt_dedup(func_identity)
                         )
-                        if item.attempt_dedup and self.l1_cache is not None:
+                        if item.attempt_dedup and l1 is not None:
                             self._l1_lookup(item, result_parser)
                         item.span.set("l1_hit", item.source == "l1")
+                    if region is not None:
+                        item.ready = region.add(start)
 
             # Stage 2: one duplicate check for everything the L1 could
             # not answer (Algorithm 2, lines 2-3).
@@ -513,11 +503,13 @@ class DedupRuntime:
                                 self._l1_lookup(item, result_parser)
                                 if item.hit:
                                     continue
-                            with region.task(item.ready):
-                                pending = self._compute_item(
-                                    item, func, native_cost, func_identity, result_parser,
-                                    unpack_args,
-                                )
+                            start = clock.cycles
+                            pending = self._compute_item(
+                                item, func, native_cost, func_identity, result_parser,
+                                unpack_args,
+                            )
+                            if region is not None:
+                                region.add(start, item.ready)
                             if pending is None:
                                 continue
                             l1_fresh.add(item.tag)
@@ -538,8 +530,8 @@ class DedupRuntime:
         # the item's own metered cost sits from the group's mean: what no
         # item owns (ECALL, OCALLs, channel records) is split evenly, and a
         # lone call's record is exactly the call.
-        mean_wall = (time.perf_counter() - wall_start) / n
-        mean_sim = self.clock.since(sim_start) / self.clock.params.cpu_freq_hz / n
+        mean_wall = (perf_counter() - wall_start) / n
+        mean_sim = (clock.cycles - sim_start) / clock.params.cpu_freq_hz / n
         mean_direct_wall = sum(map(_DIRECT_WALL, items)) / n
         mean_direct_sim = sum(map(_DIRECT_SIM, items)) / n
 
@@ -560,8 +552,7 @@ class DedupRuntime:
             item.span.set("source", source)
             self.stats.record_call(CallRecord(
                 label, hit, len(item.input_bytes), item.result_len, wall, sim,
-                l1_hit=source == "l1", batch_size=n, degraded=degraded,
-                coalesced=source == "coalesced",
+                source == "l1", n, degraded, source == "coalesced",
             ))
             results.append(DedupResult(
                 item.result_value, hit, source == "l1", item.tag, source,
@@ -647,12 +638,14 @@ class DedupRuntime:
                 if unavailable and not self.config.degrade_on_store_failure:
                     # No owner shard served the GET: a store failure, not a miss.
                     raise NoLiveOwnerError(f"{response.reason} for tag {item.tag[:8].hex()}")
-                with region.task(item.ready) as item.ready:
-                    if response.found:
-                        self._verify_hit(item, *verdicts[pos], result_parser)
-                    elif unavailable:
-                        # The router answered "unavailable, recompute".
-                        item.degraded = True
+                start = self.clock.cycles
+                if response.found:
+                    self._verify_hit(item, *verdicts[pos], result_parser)
+                elif unavailable:
+                    # The router answered "unavailable, recompute".
+                    item.degraded = True
+                if region is not None:
+                    item.ready = region.add(start, item.ready)
 
     def _verify_hit(
         self,

@@ -67,16 +67,13 @@ def _counter_blocks(initial: bytes, count: int, first: int = 0, head: bytes = b"
         raise CryptoError("initial counter block must be 16 bytes")
     start = (int.from_bytes(initial[12:], "big") + first) % (1 << 32)
     lead = len(head) // BLOCK_SIZE
-    blocks = np.empty((lead + count, BLOCK_SIZE), dtype=np.uint8)
+    words = np.empty((lead + count, 4), dtype=np.uint32)  # a block's bytes as 4 words
     if lead:
-        blocks[:lead] = np.frombuffer(head, dtype=np.uint8).reshape(lead, BLOCK_SIZE)
-    blocks[lead:, :12] = np.frombuffer(initial, dtype=np.uint8, count=12)
-    # The narrowing cast wraps modulo 2^32; big-endian in the last 4 bytes.
-    blocks[lead:, 12:] = (
-        np.arange(start, start + count, dtype=np.uint64).astype(">u4")
-        .view(np.uint8).reshape(count, 4)
-    )
-    return blocks
+        words[:lead] = np.frombuffer(head, dtype=np.uint32).reshape(lead, 4)
+    words[lead:, :3] = np.frombuffer(initial, dtype=np.uint32, count=3)
+    # The narrowing cast wraps modulo 2^32; big-endian in the last word.
+    words[lead:, 3] = np.arange(start, start + count, dtype=np.uint64).astype(">u4").view(np.uint32)
+    return words.view(np.uint8)
 
 
 def ctr_stream(
@@ -166,7 +163,7 @@ class KeystreamAhead:
                 self._largest = 0
                 return None
             rows = np.empty((window, stride, BLOCK_SIZE), dtype=np.uint8)
-            ivs = b"".join(self._prefix + s.to_bytes(8, "big") for s in range(seq, seq + window))
+            ivs = b"".join([self._prefix + s.to_bytes(8, "big") for s in range(seq, seq + window)])
             rows[:, :, :12] = np.frombuffer(ivs, dtype=np.uint8).reshape(window, 1, 12)
             rows[:, :, 12:] = np.arange(1, stride + 1, dtype=">u4").view(np.uint8).reshape(stride, 4)
             aes_batches += 1

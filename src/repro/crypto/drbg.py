@@ -49,11 +49,14 @@ class HmacDrbg:
             raise CryptoError("cannot generate a negative number of bytes")
         if n_bytes > self.MAX_REQUEST:
             raise CryptoError(f"request exceeds MAX_REQUEST ({self.MAX_REQUEST})")
+        k, v = self._k, self._v
         out = b""
         while len(out) < n_bytes:
-            self._v = hmac.digest(self._k, self._v, "sha256")
-            out += self._v
-        self._update()
+            v = hmac.digest(k, v, "sha256")
+            out += v
+        # update() with nothing provided: re-key, then step V once.
+        self._k = k = hmac.digest(k, v + b"\x00", "sha256")
+        self._v = hmac.digest(k, v, "sha256")
         self._reseed_counter += 1
         return out[:n_bytes]
 

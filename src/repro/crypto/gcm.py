@@ -26,8 +26,10 @@ set-up has to be affordable for a key that is used once:
   lanes by a stripe, and the ``L`` lane values that remain are a shorter
   message with the same digest.  ``_LANE_PASSES`` runs 128 lanes from 512
   blocks and 16 lanes from 64, then 16 scalar steps fold the last 16.
-  A key's *first* input under 128 blocks stays scalar: a one-shot key
-  skips a build (1 KiB hits 1281 -> 1341 ops/s, PUTs 1430 -> 1610).
+  An input under 128 blocks stays scalar however often its key is used: a
+  one-shot key skips a build (1 KiB hits 1281 -> 1341 ops/s, PUTs 1430 ->
+  1610), and a result key served again from the cipher cache does too
+  (lane tables per 1 KiB hit 0.104 -> 0, 2.4 % less wall time a hit).
   Measured with warm tables, scalar / 16 / 32 / 128 / 128-then-32 /
   128-then-16 lanes: 64 blocks 150 / 50 / 73 / - / - / - us, 1 Ki blocks
   2500 / - / 208 / 303 / 146 / 130 us, 4 Ki blocks (64 KiB) 9100 / - /
@@ -99,10 +101,11 @@ _MASK128 = (1 << 128) - 1
 _MASK120 = (1 << 120) - 1
 
 # (lanes, least whole blocks) per lane pass, widest first; lane counts are
-# powers of two.  Measurements in the module docstring.
+# powers of two.  A one-shot cipher takes none below _LANE_BUILD_BLOCKS,
+# where one record repays a table.  Measurements in the module docstring.
 _LANE_PASSES = ((128, 512), (16, 64))
 _LANE_MIN_BLOCKS = _LANE_PASSES[-1][1]
-_LANE_BUILD_BLOCKS = 128  # least blocks for a key's first lane pass
+_LANE_BUILD_BLOCKS = 128
 # A kept cipher's (least blocks, lane passes) per record, by AAD,
 # ciphertext and length blocks, widest first; a record of at most 16
 # blocks goes straight to the fold.
@@ -311,7 +314,6 @@ class AesGcm:
         self._byte_table: list[int] | None = None      # built on first record
         self._lane_tables: dict[int, np.ndarray] = {}  # lanes -> table, built on first use
         self._fold_stack: np.ndarray | None = None     # a kept cipher's, see _fold
-        self._bulk_before = False                      # has absorbed a lane-sized input
         self.footprint = self._BASE_BYTES              # approximate bytes kept alive
         self._cache: _CipherCache | None = None        # the cache holding it, if any
 
@@ -374,14 +376,12 @@ class AesGcm:
         """GHASH of ``lead``, the whole blocks of ``data`` and ``trail``
         (``lead`` and ``trail`` whole blocks).  A kept cipher takes its
         ``_CHANNEL_PASSES`` tier by the blocks of all three.  Any other
-        cipher takes the scalar step below ``_LANE_MIN_BLOCKS`` whole
-        blocks of ``data`` (``_LANE_BUILD_BLOCKS`` for a key's first such
-        input), else ``_LANE_PASSES``.  Lane passes read ``data`` in place
-        unless it is too short to fill two stripes of the first pass; the
-        16 values they leave are folded (:meth:`_fold`)."""
+        cipher takes the scalar step below ``_LANE_BUILD_BLOCKS`` whole
+        blocks of ``data``, whatever it hashed before, else
+        ``_LANE_PASSES``.  Lane passes read ``data`` in place unless it is
+        too short to fill two stripes of the first pass; the 16 values
+        they leave are folded (:meth:`_fold`)."""
         full = len(data) // BLOCK_SIZE
-        bulk = full >= (_LANE_MIN_BLOCKS if self._bulk_before else _LANE_BUILD_BLOCKS)
-        self._bulk_before |= full >= _LANE_MIN_BLOCKS
         if self._kept:
             if self._fold_stack is None:
                 self._build_fold_stack()
@@ -389,7 +389,7 @@ class AesGcm:
             for least, passes in _CHANNEL_PASSES:
                 if total >= least:
                     break
-        elif bulk:
+        elif full >= _LANE_BUILD_BLOCKS:
             passes = tuple(lanes for lanes, least in _LANE_PASSES if full >= least)
         else:
             data = lead + bytes(data[:full * BLOCK_SIZE]) + trail
@@ -553,13 +553,14 @@ def _group_pass(keys, ivs, payloads, aads, sealing: bool) -> tuple[list[bytes], 
     n_keys, n = len(slot_of), len(keys)
     counts = np.array([-(-len(p) // BLOCK_SIZE) for p in payloads], dtype=np.intp)
     starts = np.cumsum(counts) - counts
-    first = n_keys + n
-    blocks = np.zeros((first + int(counts.sum()), BLOCK_SIZE), dtype=np.uint8)
-    iv_rows = np.frombuffer(b"".join(map(bytes, ivs)), dtype=np.uint8).reshape(n, IV_SIZE)
-    blocks[n_keys:first, :IV_SIZE], blocks[n_keys:first, -1] = iv_rows, 1
-    blocks[first:, :IV_SIZE] = np.repeat(iv_rows, counts, axis=0)
-    counter = np.arange(2, len(blocks) - first + 2) - np.repeat(starts, counts)
-    blocks[first:, IV_SIZE:] = counter.astype(">u4").view(np.uint8).reshape(-1, 4)
+    first, blocks_in = n_keys + n, int(counts.sum())
+    blocks = np.zeros((first + blocks_in, BLOCK_SIZE), dtype=np.uint8)
+    words = blocks.view(np.uint32)  # each row as 4 words, the last its inc32 counter
+    j0 = b"".join([bytes(iv) + b"\x00\x00\x00\x01" for iv in ivs])
+    words[n_keys:first] = np.frombuffer(j0, dtype=np.uint32).reshape(n, 4)
+    words[first:] = np.repeat(words[n_keys:first], counts, axis=0)
+    counter = np.arange(2, blocks_in + 2, dtype=np.uint32) - np.repeat(starts.astype(np.uint32), counts)
+    words[first:, 3] = counter.astype(">u4").view(np.uint32)
     row_keys = np.concatenate([np.arange(n_keys), slots, np.repeat(slots, counts)])
     round_keys = round_key_columns(list(slot_of))
     keystream = np.empty_like(blocks)
@@ -568,16 +569,19 @@ def _group_pass(keys, ivs, payloads, aads, sealing: bool) -> tuple[list[bytes], 
         ctr.aes_batches += 1
         keystream[lo:hi] = encrypt_rows(blocks[lo:hi], round_keys[:, :, row_keys[lo:hi]])
 
-    padded = b"".join([bytes(p) + bytes(-len(p) % BLOCK_SIZE) for p in payloads])
+    padded = b"".join([part for p in payloads for part in (p, bytes(-len(p) % BLOCK_SIZE))])
     xored = (np.frombuffer(padded, dtype=np.uint8) ^ keystream[first:].reshape(-1)).tobytes()
     outputs = [xored[16 * s:16 * s + len(p)] for s, p in zip(starts.tolist(), payloads)]
-    messages = [
-        bytes(a) + bytes(-len(a) % BLOCK_SIZE) + bytes(c) + bytes(-len(c) % BLOCK_SIZE)
-        + (8 * len(a)).to_bytes(8, "big") + (8 * len(c)).to_bytes(8, "big")
-        for a, c in zip(aads, outputs if sealing else payloads)
-    ]
-    width = max(map(len, messages)) + BLOCK_SIZE
-    lanes = b"".join([bytes(width - BLOCK_SIZE - len(m)) + m + bytes(BLOCK_SIZE) for m in messages])
+    # Each lane: zero blocks, the AAD and the ciphertext padded, the
+    # lengths block, then a zero block; all as wide as the longest.
+    hashed = outputs if sealing else payloads
+    sizes = [-(-len(a) // BLOCK_SIZE) + -(-len(c) // BLOCK_SIZE) for a, c in zip(aads, hashed)]
+    width = max(sizes)
+    lanes = b"".join([part for a, c, size in zip(aads, hashed, sizes) for part in (
+        bytes(BLOCK_SIZE * (width - size)), a, bytes(-len(a) % BLOCK_SIZE),
+        c, bytes(-len(c) % BLOCK_SIZE),
+        (8 * len(a)).to_bytes(8, "big"), (8 * len(c)).to_bytes(8, "big"), bytes(BLOCK_SIZE),
+    )])
     stripes = np.frombuffer(lanes, dtype=np.uint8).reshape(n, -1, BLOCK_SIZE).transpose(1, 0, 2)
     tables = _lane_tables([int.from_bytes(row.tobytes(), "big") for row in keystream[:n_keys]])
     digests = _lane_pass(

@@ -49,7 +49,12 @@ own):
   background lane (below), each running one task at a time without
   preemption.  A free lane takes the ready task first in the order
   receive, OCALL, send, tag (input order), verification, compute; a
-  shard serves its ready tasks in the order they were added.
+  shard serves its ready tasks in the order they were added;
+- *measurement*: a task costs the cycles its clock advanced while its
+  work ran.  A round reads the remote shards' clocks around each group's
+  submit and wait; a stage's item hands the app-clock reading taken as
+  its work started to :meth:`_ParallelRegion.add`, which adds the task
+  as the work ends (a group no engine carries adds none).
 
 The makespan is bounded below by the longest dependency chain and by
 the app work over the lanes, and above by the plain sum of the task
@@ -71,9 +76,10 @@ of their own, the acks beside the shards' ingest.
 
 from __future__ import annotations
 
-import heapq
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from operator import add, attrgetter, sub
 from typing import Callable, Mapping, Sequence
 
 from .cluster.router import GetWalk
@@ -95,6 +101,8 @@ _PRIORITY = {
 
 #: The resource a drain's app cycles run on: one lane, §V-B's flusher.
 _BACKGROUND = "background lane"
+
+_CYCLES = attrgetter("cycles")
 
 
 @dataclass(frozen=True)
@@ -180,9 +188,11 @@ class PipelineEngine:
         self._schedule: _Schedule | None = None
 
     # -- clock plumbing ------------------------------------------------------
-    def _remote_clocks(self) -> dict[str, object]:
-        """Shard clocks that are genuinely other machines."""
-        return {sid: c for sid, c in self._shard_clocks().items() if c is not self.clock}
+    def _remote_clocks(self) -> tuple[list[str], list]:
+        """The shards that are genuinely other machines: their ids, and
+        their clocks in the same order."""
+        remote = {sid: c for sid, c in self._shard_clocks().items() if c is not self.clock}
+        return list(remote), list(remote.values())
 
     # -- fan-out -------------------------------------------------------------
     @contextmanager
@@ -320,30 +330,28 @@ class PipelineEngine:
         identical to the serial per-shard sub-batch path; only the
         makespan accounting interprets them as overlapped.
         """
-        remote = self._remote_clocks()
-        tasks: list = []  # per group: (deps, send, serve per shard, receive, items)
+        clock = self.clock
+        ids, clocks = self._remote_clocks()
+        tasks: list = []  # per group: (deps, send, (shard, serve) pairs, receive, items)
         members: list[list[int]] = []  # per group: its request indices
-        group_requests = [request for _, request in ops]
+        indices_of, group_requests = map(list, zip(*ops))
         groups = plan(group_requests)
         with self.tracer.span(
-            "engine.round", clock=self.clock, ops=len(ops), groups=len(groups),
+            "engine.round", clock=clock, ops=len(ops), groups=len(groups),
         ):
+            # A group's end reading is the next one's start: nothing charges between.
             pending: list = []
+            app0, shard0 = clock.cycles, list(map(_CYCLES, clocks))
             for positions in groups:
-                sub = [group_requests[p] for p in positions]
-                app0 = self.clock.cycles
-                shard0 = {sid: c.cycles for sid, c in remote.items()}
                 handle = error = None
                 try:
-                    handle = submit(sub)
+                    handle = submit(list(map(group_requests.__getitem__, positions)))
                 except _ENGINE_FAILURES as exc:
                     error = exc
-                send = self.clock.cycles - app0
-                serve = {sid: c.cycles - shard0[sid] for sid, c in remote.items()}
-                pending.append((positions, handle, error, send, serve))
+                app1, shard1 = clock.cycles, list(map(_CYCLES, clocks))
+                pending.append((positions, handle, error, app1 - app0, list(map(sub, shard1, shard0))))
+                app0, shard0 = app1, shard1
             for positions, handle, error, send, serve in pending:
-                app0 = self.clock.cycles
-                shard0 = {sid: c.cycles for sid, c in remote.items()}
                 if error is None:
                     try:
                         replies: list = wait(handle, len(positions))
@@ -353,21 +361,18 @@ class PipelineEngine:
                 else:
                     replies = [error] * len(positions)
                     self.failures += len(positions)
-                receive = self.clock.cycles - app0
-                served = {sid: c.cycles - shard0[sid] for sid, c in remote.items()}
-                indices = [ops[position][0] for position in positions]
-                deps = [] if after is None else [
-                    after[i] for i in indices if after[i] is not None
-                ]
-                tasks.append((deps, send, {
-                    sid: serve[sid] + served[sid] for sid in remote
-                }, receive, len(positions)))
+                app1, shard1 = clock.cycles, list(map(_CYCLES, clocks))
+                serves = list(zip(ids, map(add, serve, map(sub, shard1, shard0))))
+                indices = list(map(indices_of.__getitem__, positions))
+                deps = [] if after is None else [after[i] for i in indices if after[i] is not None]
+                tasks.append((deps, send, serves, app1 - app0, len(positions)))
+                app0, shard0 = app1, shard1
                 members.append(indices)
                 for index, reply in zip(indices, replies):
                     responses[index] = reply
-        background = {sid: self._drains.pop(sid, 0.0) for sid in remote}
+        background = {sid: self._drains.pop(sid, 0.0) for sid in ids}
         background[_BACKGROUND] = self._drains.pop(_BACKGROUND, 0.0)
-        receives = self._schedule.add_round(tasks, background, not remote, depth)
+        receives = self._schedule.add_round(tasks, background, not ids, depth)
         for receive, indices in zip(receives, members):
             for index in indices:
                 ready[index] = receive
@@ -387,12 +392,12 @@ class PipelineEngine:
         drain or its shard's own serves.  Call :meth:`settle` to solve
         what no round took.
         """
-        remote = self._remote_clocks()
-        app0, shard0 = self.clock.cycles, {sid: c.cycles for sid, c in remote.items()}
+        ids, clocks = self._remote_clocks()
+        app0, shard0 = self.clock.cycles, list(map(_CYCLES, clocks))
         try:
             yield
         finally:
-            deltas = {sid: c.cycles - shard0[sid] for sid, c in remote.items()}
+            deltas = dict(zip(ids, map(sub, map(_CYCLES, clocks), shard0)))
             deltas[_BACKGROUND] = self.clock.cycles - app0
             for resource, delta in deltas.items():
                 if delta:
@@ -404,11 +409,12 @@ class PipelineEngine:
         on the worker lanes.
 
         The runtime uses it for each per-item enclave stage (``kind`` is
-        ``"tag"``, ``"verify"`` or ``"compute"``): each
-        :meth:`_ParallelRegion.task` measures one item's app-clock cost
-        as one task of the open batch's schedule, or of a batch of the
-        region's own, after the task its ``after`` names.  ``workers=1``
-        is the exact serial sum.
+        ``"tag"``, ``"verify"`` or ``"compute"``): it reads the app clock
+        as an item's work starts and hands the reading to
+        :meth:`_ParallelRegion.add` as the work ends, which adds one task
+        of that cost to the open batch's schedule (or to a batch of the
+        region's own), after the task ``after`` names.  ``workers=1`` is
+        the exact serial sum.
         """
         with self.batch():
             yield _ParallelRegion(self, kind)
@@ -427,11 +433,6 @@ class PipelineEngine:
     def sim_seconds(self) -> float:
         """Critical-path (pipelined) simulated seconds across all rounds."""
         return self.makespan_cycles / self.clock.params.cpu_freq_hz
-
-    @property
-    def serial_sim_seconds(self) -> float:
-        """What the same ops cost the serial client (plain cycle sum)."""
-        return self.serial_cycles / self.clock.params.cpu_freq_hz
 
     @property
     def overlap_cycles_saved(self) -> float:
@@ -453,7 +454,8 @@ class PipelineEngine:
             "engine.failures": self.failures,
             "engine.coalesced_gets": self.coalesced_total,
             "engine.sim_seconds_total": self.sim_seconds,
-            "engine.serial_sim_seconds_total": self.serial_sim_seconds,
+            # What the same ops cost the serial client (plain cycle sum).
+            "engine.serial_sim_seconds_total": self.serial_cycles / self.clock.params.cpu_freq_hz,
         }
 
 
@@ -461,18 +463,17 @@ class _ParallelRegion:
     """Adds a run of same-kind app tasks to the open batch's schedule."""
 
     def __init__(self, engine: PipelineEngine, kind: str):
-        self._clock, self._kind, self._schedule = engine.clock, kind, engine._schedule
+        self._clock, self._kind, self._schedule = engine.clock, _PRIORITY[kind], engine._schedule
 
-    @contextmanager
-    def task(self, after: int | None = None):
-        """Measures one task's app-clock delta; it enters as the task's
-        id in the schedule."""
-        task = self._schedule.add(0.0, self._kind, () if after is None else (after,))
-        app0 = self._clock.cycles
-        try:
-            yield task
-        finally:
-            self._schedule.costs[task] = self._clock.cycles - app0
+    def add(self, start: float, after: int | None = None) -> int:
+        """Add the task the app clock ran since it read ``start`` (nothing
+        joined the schedule meanwhile), after the task ``after`` names."""
+        schedule = self._schedule
+        schedule.costs.append(self._clock.cycles - start)
+        schedule.kinds.append(self._kind)
+        schedule.shards.append(None)
+        schedule.deps.append(() if after is None else (after,))
+        return len(schedule.costs) - 1
 
 
 class _Schedule:
@@ -483,8 +484,8 @@ class _Schedule:
     it outlives the batch."""
 
     __slots__ = (
-        "costs", "kinds", "shards", "deps", "barrier", "last", "groups", "oldest", "free",
-        "unused", "serving",
+        "costs", "kinds", "shards", "deps", "barrier", "last", "groups", "oldest", "held",
+        "free", "unused", "serving",
     )
 
     def __init__(self):
@@ -499,9 +500,9 @@ class _Schedule:
         #: them and the barrier.
         self.last: list[int] = []
         #: Every group in wire order, ``(send, receive, items)``; those
-        #: from ``oldest`` on hold window slots.
+        #: from ``oldest`` on hold window slots, ``held`` items in all.
         self.groups: list[tuple[int, int, int]] = []
-        self.oldest = 0
+        self.oldest = self.held = 0
         #: The window's free slots: each freed one, in the order they were
         #: freed, as the receive of the group that held it last, and a
         #: count of those never held.
@@ -521,22 +522,17 @@ class _Schedule:
         """Every task added from now on waits for every task so far."""
         self.barrier, self.last = list(range(len(self.costs))), []
         self.unused, self.free = self.unused + self.held + len(self.free), []
-        self.oldest = len(self.groups)
-
-    @property
-    def held(self) -> int:
-        """Items in the window: sent, and their slots not yet freed."""
-        return sum(items for _, _, items in self.groups[self.oldest:])
+        self.oldest, self.held = len(self.groups), 0
 
     def add_round(
         self, groups: list, background: Mapping[str, float], chained: bool, depth: int
     ) -> list[int]:
-        """Add one round's groups, each ``(deps, send, serve per shard,
-        receive, items)``; returns each group's receive.  A group takes
-        one window slot per item, freeing the oldest groups' slots until
-        at most ``depth`` items are in flight with it, and its send waits
-        for ``deps``, the barrier and the last holder of each slot it
-        takes.  ``background`` maps a shard, or the background lane, to
+        """Add one round's groups, each ``(deps, send, (shard, serve)
+        pairs, receive, items)``; returns each group's receive.  A group
+        takes one window slot per item, freeing the oldest groups' slots
+        until at most ``depth`` items are in flight with it, and its send
+        waits for ``deps``, the barrier and the last holder of each slot
+        it takes.  ``background`` maps a shard, or the background lane, to
         the drain work landing in this round: one task there, ready when
         the last round is done, ahead of its serves, and waited for by
         the next round.  ``chained`` runs the groups one after another (a
@@ -554,6 +550,7 @@ class _Schedule:
                 self.oldest += 1
                 self.free += [freed] * count
                 held -= count
+            self.held = held + items
             fresh = min(self.unused, items)  # never-held slots first, then the last freed
             self.unused -= fresh
             cut = len(self.free) - items + fresh
@@ -562,11 +559,11 @@ class _Schedule:
             if chained and self.groups:
                 deps.append(self.groups[-1][1])
             sent = self.add(send, "send", deps)
-            served = [
-                self.add(cost, "serve", (sent, *self.serving.get(shard, ())), shard)
-                for shard, cost in serves.items() if cost
-            ]
-            self.serving.update((self.shards[serve], (serve,)) for serve in served)
+            served = []
+            for shard, cost in serves:
+                if cost:
+                    served.append(self.add(cost, "serve", (sent, *self.serving.get(shard, ())), shard))
+                    self.serving[shard] = (served[-1],)
             receives.append(self.add(receive, "receive", served or (sent,)))
             self.groups.append((sent, receives[-1], items))
         if receives:
@@ -575,7 +572,7 @@ class _Schedule:
 
     def makespan(self, lanes: int) -> float:
         starts = list_schedule(self.costs, self.kinds, self.shards, self.deps, lanes)
-        return max((start + cost for start, cost in zip(starts, self.costs)), default=0.0)
+        return max(map(add, starts, self.costs), default=0.0)
 
 
 def list_schedule(
@@ -594,51 +591,59 @@ def list_schedule(
     lowest index first.
     """
     count = len(costs)
-    waiting = [len(before) for before in deps]
+    waiting = list(map(len, deps))
     dependents: list[list[int]] = [[] for _ in range(count)]
     for task, before in enumerate(deps):
         for earlier in before:
             dependents[earlier].append(task)
     starts = [0.0] * count
     ready_lanes: list[tuple[int, int]] = []
-    ready_shards: dict[str, list[int]] = {}
+    queues: dict[str, list[int]] = {}  # shard -> its ready tasks (a heap), while it has any
+    idle: set[str] = set()  # shards with a ready task and none running
     busy: set[str] = set()
     running: list[tuple[float, int]] = []
     free = lanes
     now = 0.0
-
-    def release(task: int) -> None:
-        shard = shards[task]
-        if shard is None:
-            heapq.heappush(ready_lanes, (priorities[task], task))
-        else:
-            heapq.heappush(ready_shards.setdefault(shard, []), task)
-
-    for task in range(count):
-        if not waiting[task]:
-            release(task)
+    released = [task for task in range(count) if not waiting[task]]
     while True:
+        for task in released:
+            shard = shards[task]
+            if shard is None:
+                heappush(ready_lanes, (priorities[task], task))
+                continue
+            if shard in queues:
+                heappush(queues[shard], task)
+            else:
+                queues[shard] = [task]
+            if shard not in busy:
+                idle.add(shard)
         while free and ready_lanes:
-            _, task = heapq.heappop(ready_lanes)
+            task = heappop(ready_lanes)[1]
             starts[task] = now
-            heapq.heappush(running, (now + costs[task], task))
+            heappush(running, (now + costs[task], task))
             free -= 1
-        for shard, queue in ready_shards.items():
-            if queue and shard not in busy:
-                task = heapq.heappop(queue)
-                starts[task] = now
-                heapq.heappush(running, (now + costs[task], task))
-                busy.add(shard)
+        for shard in idle:  # the order they start in is immaterial
+            queue = queues[shard]
+            task = heappop(queue)
+            if not queue:
+                del queues[shard]
+            starts[task] = now
+            heappush(running, (now + costs[task], task))
+            busy.add(shard)
+        idle.clear()
         if not running:
             return starts
-        now = running[0][0]
+        now, released = running[0][0], []
         while running and running[0][0] <= now:
-            _, task = heapq.heappop(running)
-            if shards[task] is None:
+            task = heappop(running)[1]
+            shard = shards[task]
+            if shard is None:
                 free += 1
             else:
-                busy.discard(shards[task])
+                busy.discard(shard)
+                if shard in queues:
+                    idle.add(shard)
             for later in dependents[task]:
                 waiting[later] -= 1
                 if not waiting[later]:
-                    release(later)
+                    released.append(later)

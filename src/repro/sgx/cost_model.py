@@ -97,16 +97,19 @@ class SimClock:
     ``elapsed_seconds`` converts at the platform frequency.
     """
 
+    #: Cycles charged so far: read it, charge through the methods.
+    cycles: float = 0.0
+
     def __init__(self, params: CostParams | None = None):
         self.params = params or CostParams()
-        self._cycles: float = 0.0
+        self.cycles = 0.0
         self._by_category: dict[str, float] = defaultdict(float)
 
     # -- raw charging ---------------------------------------------------
     def charge_cycles(self, cycles: float, category: str = "other") -> None:
         if not 0.0 <= cycles < math.inf:
             raise EnclaveError(f"cannot charge {cycles!r} cycles")
-        self._cycles += cycles
+        self.cycles += cycles
         self._by_category[category] += cycles
 
     def charge_seconds(self, seconds: float, category: str = "other") -> None:
@@ -118,17 +121,17 @@ class SimClock:
     # need not be checked for a negative or infinite value.
     def charge_ecall(self) -> None:
         cost = self.params.hotcall_cycles if self.params.switchless else self.params.ecall_cycles
-        self._cycles += cost
+        self.cycles += cost
         self._by_category["transition"] += cost
 
     def charge_ocall(self) -> None:
         cost = self.params.hotcall_cycles if self.params.switchless else self.params.ocall_cycles
-        self._cycles += cost
+        self.cycles += cost
         self._by_category["transition"] += cost
 
     def charge_marshal(self, n_bytes: int) -> None:
         cost = n_bytes * self.params.marshal_cycles_per_byte
-        self._cycles += cost
+        self.cycles += cost
         self._by_category["marshal"] += cost
 
     def charge_page_fault(self, n_pages: int = 1) -> None:
@@ -136,19 +139,19 @@ class SimClock:
 
     def charge_hash(self, n_bytes: int) -> None:
         cost = self.params.hash_fixed_cycles + n_bytes * self.params.hash_cycles_per_byte
-        self._cycles += cost
+        self.cycles += cost
         self._by_category["crypto"] += cost
 
     def charge_aead_encrypt(self, n_bytes: int) -> None:
         p = self.params
         cost = p.aead_enc_fixed_cycles + n_bytes * p.aead_enc_cycles_per_byte
-        self._cycles += cost
+        self.cycles += cost
         self._by_category["crypto"] += cost
 
     def charge_aead_decrypt(self, n_bytes: int) -> None:
         p = self.params
         cost = p.aead_dec_fixed_cycles + n_bytes * p.aead_dec_cycles_per_byte
-        self._cycles += cost
+        self.cycles += cost
         self._by_category["crypto"] += cost
 
     def charge_keygen(self) -> None:
@@ -156,7 +159,7 @@ class SimClock:
 
     def charge_network(self, n_bytes: int) -> None:
         cost = self.params.net_fixed_cycles + n_bytes * self.params.net_cycles_per_byte
-        self._cycles += cost
+        self.cycles += cost
         self._by_category["network"] += cost
 
     def charge_compute(self, seconds: float) -> None:
@@ -165,12 +168,8 @@ class SimClock:
         self.charge_seconds(seconds, "compute")
 
     # -- reading --------------------------------------------------------
-    @property
-    def cycles(self) -> float:
-        return self._cycles
-
     def elapsed_seconds(self) -> float:
-        return self._cycles / self.params.cpu_freq_hz
+        return self.cycles / self.params.cpu_freq_hz
 
     def breakdown(self) -> dict[str, float]:
         """Cycles charged per category (copy)."""
@@ -178,13 +177,13 @@ class SimClock:
 
     def snapshot(self) -> float:
         """Current cycle count, for measuring deltas around an operation."""
-        return self._cycles
+        return self.cycles
 
     def since(self, snapshot: float) -> float:
-        return self._cycles - snapshot
+        return self.cycles - snapshot
 
     def reset(self) -> None:
-        self._cycles = 0.0
+        self.cycles = 0.0
         self._by_category.clear()
 
 

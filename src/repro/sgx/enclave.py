@@ -49,7 +49,8 @@ class _Transition:
                 f"sgx.{kind}", clock=enclave.platform.clock, op=self._name, enclave=enclave.name,
             )
             self._span.__enter__()
-        enclave._check_alive()
+        if enclave._destroyed:
+            enclave._check_alive()
         clock, stack = enclave.platform.clock, enclave._call_stack
         if kind == "ecall":
             if len(stack) % 2:
@@ -146,7 +147,8 @@ class Enclave:
     # -- memory ----------------------------------------------------------
     def touch(self, region: str, offset: int, n_bytes: int) -> int:
         """Access enclave heap memory; returns the page faults incurred."""
-        self._check_alive()
+        if self._destroyed:
+            self._check_alive()
         if not len(self._call_stack) % 2:
             raise EnclaveError("enclave memory is not accessible from outside (EPC isolation)")
         return self.platform.epc.access(self.enclave_id, region, offset, n_bytes)
@@ -154,7 +156,8 @@ class Enclave:
     # -- randomness (sgx_read_rand) ---------------------------------------
     def read_rand(self, n_bytes: int) -> bytes:
         """Draw enclave-local randomness (deterministic under the seed)."""
-        self._check_alive()
+        if self._destroyed:
+            self._check_alive()
         if not len(self._call_stack) % 2:
             raise EnclaveError("sgx_read_rand must be called from inside the enclave")
         return self._drbg.generate(n_bytes)

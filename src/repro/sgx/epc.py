@@ -15,21 +15,12 @@ residency is bounded by the usable EPC size.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import NamedTuple
 
 from .cost_model import SimClock
 from ..errors import EnclaveMemoryError
 
 DEFAULT_EPC_TOTAL = 128 * 1024 * 1024
 DEFAULT_EPC_USABLE = 90 * 1024 * 1024
-
-
-class PageKey(NamedTuple):
-    """Identity of one EPC page: (enclave, region, page index)."""
-
-    enclave_id: int
-    region: str
-    index: int
 
 
 class EpcManager:
@@ -47,36 +38,33 @@ class EpcManager:
         self.page_size = clock.params.page_size
         self.capacity_pages = usable_bytes // self.page_size
         self.allow_paging = allow_paging
-        self._resident: OrderedDict[PageKey, None] = OrderedDict()
+        self._resident: OrderedDict[tuple[int, str, int], None] = OrderedDict()
         self.fault_count = 0
         self.eviction_count = 0
 
     # -- core ------------------------------------------------------------
-    def _pages_for(self, offset: int, n_bytes: int) -> range:
-        if n_bytes <= 0:
-            return range(0)
-        first = offset // self.page_size
-        last = (offset + n_bytes - 1) // self.page_size
-        return range(first, last + 1)
-
     def access(self, enclave_id: int, region: str, offset: int, n_bytes: int) -> int:
-        """Touch a byte range; returns the number of page faults charged."""
+        """Touch a byte range; returns the number of page faults charged.
+        A page is keyed ``(enclave_id, region, index)``."""
+        if n_bytes <= 0:
+            return 0
+        resident, page = self._resident, self.page_size
         faults = 0
-        for index in self._pages_for(offset, n_bytes):
-            key = PageKey(enclave_id, region, index)
-            if key in self._resident:
-                self._resident.move_to_end(key)
+        for index in range(offset // page, (offset + n_bytes - 1) // page + 1):
+            key = (enclave_id, region, index)
+            if key in resident:
+                resident.move_to_end(key)
                 continue
             faults += 1
-            if len(self._resident) >= self.capacity_pages:
+            if len(resident) >= self.capacity_pages:
                 if not self.allow_paging:
                     raise EnclaveMemoryError(
                         "EPC exhausted and paging disabled "
                         f"({self.capacity_pages} pages resident)"
                     )
-                self._resident.popitem(last=False)
+                resident.popitem(last=False)
                 self.eviction_count += 1
-            self._resident[key] = None
+            resident[key] = None
         if faults:
             self.fault_count += faults
             self._clock.charge_page_fault(faults)
@@ -85,7 +73,7 @@ class EpcManager:
     def release_enclave(self, enclave_id: int) -> None:
         """Drop all pages of a destroyed enclave (no cost: EREMOVE is cheap
         relative to the swaps we model)."""
-        stale = [k for k in self._resident if k.enclave_id == enclave_id]
+        stale = [k for k in self._resident if k[0] == enclave_id]
         for key in stale:
             del self._resident[key]
 

@@ -21,24 +21,37 @@ from ..errors import EnclaveError
 class HostStorage:
     """Every byte the untrusted host holds for one machine (RAM and disk),
     name -> bytes.  Only sealed or AEAD-protected bytes are put here, and
-    the host may rewrite any of them; nothing is charged on the clock."""
+    the host may rewrite any of them; nothing is charged on the clock.
+
+    Names are also kept by folder (up to their last ``/``), so listing a
+    folder — a log's segments, say — looks only at the folders under it,
+    never at the store's arena beside it."""
 
     def __init__(self):
         self._held: dict[str, bytes] = {}
+        self._folders: dict[str, set[str]] = {}
 
     def put(self, name: str, data: bytes) -> None:
         self._held[name] = data
+        self._folders.setdefault(name[:name.rfind("/") + 1], set()).add(name)
 
     def get(self, name: str) -> bytes | None:
         return self._held.get(name)
 
     def delete(self, name: str) -> bytes | None:
         """Drop ``name``; returns what it held (None if nothing)."""
-        return self._held.pop(name, None)
+        data = self._held.pop(name, None)
+        if data is not None:
+            self._folders[name[:name.rfind("/") + 1]].discard(name)
+        return data
 
     def names(self, prefix: str = "") -> list[str]:
         """Every held name starting with ``prefix``, sorted."""
-        return sorted([name for name in self._held if name.startswith(prefix)])
+        home = prefix[:prefix.rfind("/") + 1]  # the folder ``prefix`` ends in
+        return sorted([
+            name for folder, held in self._folders.items() if folder.startswith(home)
+            for name in held if name.startswith(prefix)
+        ])
 
 
 class SgxPlatform:

@@ -97,7 +97,8 @@ class MetadataDict:
         if touch is not None:
             touch("store/metadata", entry.slot * ENTRY_SLOT_BYTES, ENTRY_SLOT_BYTES)
         entry.hits += 1
-        entry.last_access_seq = self._tick()
+        self._seq += 1
+        entry.last_access_seq = self._seq
         self._recency.move_to_end(tag)
         return entry
 

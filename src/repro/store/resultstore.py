@@ -369,25 +369,26 @@ class ResultStore:
 
     # -- GET -----------------------------------------------------------------
     def _handle_get(self, request: GetRequest) -> GetResponse:
-        with self.tracer.span("store.get", clock=self.platform.clock) as get_span:
+        clock, span, config = self.platform.clock, self.tracer.span, self.config
+        with span("store.get", clock=clock) as get_span:
             self.stats.gets += 1
             if len(request.tag) != DIGEST_SIZE:
                 raise ProtocolError(f"tag must be {DIGEST_SIZE} bytes")
-            with self.tracer.span("store.lookup", clock=self.platform.clock):
+            with span("store.lookup", clock=clock):
                 entry = self._dict.get(request.tag, touch=self._touch)
             if entry is None:
                 get_span.set("found", False)
                 return _MISS
-            with self.tracer.span("store.blob_read", clock=self.platform.clock) as read_span:
+            with span("store.blob_read", clock=clock) as read_span:
                 sealed = self.blobstore.get(entry.blob_ref)
                 read_span.set("bytes", len(sealed))
-                if self.config.blobs_in_epc:
+                if config.blobs_in_epc:
                     self._touch("store/blobs", *self._epc_blob_extents[entry.blob_ref])
                 else:
                     # Copying the ciphertext across the enclave boundary.
-                    self.platform.clock.charge_marshal(len(sealed))
-                if self.config.verify_blob_digest:
-                    self.platform.clock.charge_hash(len(sealed))
+                    clock.charge_marshal(len(sealed))
+                if config.verify_blob_digest:
+                    clock.charge_hash(len(sealed))
                     if blob_digest(sealed) != entry.blob_digest:
                         # Untrusted memory was modified: drop the poisoned
                         # entry and let the application recompute
@@ -400,8 +401,8 @@ class ResultStore:
             self.stats.hits += 1
             if (
                 self._wal is not None
-                and self.config.recency_log_interval > 0
-                and entry.hits % self.config.recency_log_interval == 0
+                and config.recency_log_interval > 0
+                and entry.hits % config.recency_log_interval == 0
             ):
                 # Coalesced recency mark: one record per N hits keeps the
                 # log cheap while restored eviction order tracks reads.
@@ -496,10 +497,10 @@ class ResultStore:
     # for its channel record: one transition charge and one record's worth
     # of channel crypto amortized over N dictionary probes.
     def _handle_batch_get(self, request: BatchGetRequest) -> BatchGetResponse:
-        return BatchGetResponse(items=tuple([self._handle_get(item) for item in request.items]))
+        return BatchGetResponse(items=tuple(map(self._handle_get, request.items)))
 
     def _handle_batch_put(self, request: BatchPutRequest) -> BatchPutResponse:
-        return BatchPutResponse(items=tuple([self._handle_put(item) for item in request.items]))
+        return BatchPutResponse(items=tuple(map(self._handle_put, request.items)))
 
     def can_accept(self) -> bool:
         """Whether one more entry fits without evicting.  Migration uses

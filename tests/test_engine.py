@@ -400,8 +400,9 @@ class TestParallelRegion:
         engine, _, app, _ = make_engine(depth=8, workers=4)
         with engine.parallel_region() as region:
             for _ in range(4):
-                with region.task():
-                    app.advance(10.0)
+                start = app.cycles
+                app.advance(10.0)
+                region.add(start)
         assert engine.makespan_cycles == pytest.approx(10.0)
         assert engine.serial_cycles == pytest.approx(40.0)
 
@@ -409,8 +410,9 @@ class TestParallelRegion:
         engine, _, app, _ = make_engine(depth=8, workers=1)
         with engine.parallel_region() as region:
             for _ in range(4):
-                with region.task():
-                    app.advance(10.0)
+                start = app.cycles
+                app.advance(10.0)
+                region.add(start)
         assert engine.makespan_cycles == pytest.approx(40.0)
 
     def test_empty_region_charges_nothing(self):
@@ -432,8 +434,9 @@ class TestParallelRegion:
         engine, _, app, _ = make_engine(depth=8, workers=workers)
         with engine.parallel_region() as region:
             for cost in costs:
-                with region.task():
-                    app.advance(float(cost))
+                start = app.cycles
+                app.advance(float(cost))
+                region.add(start)
         lanes = [0] * min(workers, len(costs))
         for cost in costs:
             lanes[lanes.index(min(lanes))] += cost
@@ -452,8 +455,9 @@ class TestParallelRegion:
         engine, _, app, _ = make_engine(depth=8, workers=2)
         with engine.parallel_region("verify") as region:
             for cost in [10.0, 0.0] * 4:
-                with region.task():
-                    app.advance(cost)
+                start = app.cycles
+                app.advance(cost)
+                region.add(start)
         assert engine.makespan_cycles == 20.0
 
 
@@ -624,16 +628,17 @@ class TestBatchSchedule:
                 with engine.parallel_region("tag") as region:
                     tags = []
                     for cost in tag_costs:
-                        with region.task() as task:
-                            app.advance(float(cost))
-                        tags.append(task)
+                        start = app.cycles
+                        app.advance(float(cost))
+                        tags.append(region.add(start))
                 answer = engine.run_gets([get(bytes([i])) for i in range(n)], after=tags)
                 for kind, costs in (("verify", verify), ("compute", compute)):
                     with engine.parallel_region(kind) as region:
                         for item, cost in enumerate(costs):
                             if cost is not None:
-                                with region.task(answer.ready[item]):
-                                    app.advance(float(cost))
+                                start = app.cycles
+                                app.advance(float(cost))
+                                region.add(start, answer.ready[item])
         assert engine._schedule is None  # nothing outlives the batch
         ((graph, starts),) = solved
         expected = expected_graph(client, tag_costs, verify, compute, workers, depth)
@@ -678,9 +683,9 @@ class TestBatchSchedule:
             with engine.parallel_region("tag") as region:
                 tags = []
                 for _ in range(4):
-                    with region.task() as task:
-                        app.advance(20.0)
-                    tags.append(task)
+                    start = app.cycles
+                    app.advance(20.0)
+                    tags.append(region.add(start))
             engine.run_gets([get(bytes([i])) for i in range(4)], after=tags)
         assert engine.makespan_cycles == 170.0
         assert engine.serial_cycles == 80.0 + 2 * 75.0
@@ -787,8 +792,9 @@ class TestBatchSchedule:
         engine, _, app, _ = make_engine(depth=8, workers=4)
         with engine.batch():
             with engine.parallel_region("compute") as region:
-                with region.task():
-                    app.advance(100.0)
+                start = app.cycles
+                app.advance(100.0)
+                region.add(start)
             engine.run_puts([putreq(b"a")])
         assert engine.makespan_cycles == 100.0 + 45.0
 
@@ -811,9 +817,9 @@ class TestBatchSchedule:
                     ready = []
                     with engine.parallel_region() as region:
                         for cost in (10.0, 20.0, 30.0):
-                            with region.task() as task:
-                                app.advance(cost)
-                            ready.append(task)
+                            start = app.cycles
+                            app.advance(cost)
+                            ready.append(region.add(start))
             return engine.makespan_cycles, engine.serial_cycles, ready
 
         for entry in ("gets", "puts", "region"):
@@ -826,12 +832,14 @@ class TestBatchSchedule:
         with engine.batch():
             with engine.batch():
                 with engine.parallel_region() as region:
-                    with region.task():
-                        app.advance(10.0)
+                    start = app.cycles
+                    app.advance(10.0)
+                    region.add(start)
             assert engine.makespan_cycles == 0.0  # solved once, at the end
             with engine.parallel_region() as region:
-                with region.task():
-                    app.advance(10.0)
+                start = app.cycles
+                app.advance(10.0)
+                region.add(start)
         assert engine.makespan_cycles == 10.0
 
 
@@ -908,9 +916,10 @@ class TestDeclaredComputeAccounting:
                 app.charge_compute(compute_seconds * (step + 1))
                 with engine.parallel_region() as region:
                     for _ in range(3):
-                        with region.task():
-                            app.charge_compute(compute_seconds)
-                            app.charge_aead_encrypt(1021)   # 4.7 cycles/byte
+                        start = app.cycles
+                        app.charge_compute(compute_seconds)
+                        app.charge_aead_encrypt(1021)   # 4.7 cycles/byte
+                        region.add(start)
                 with engine.background():
                     app.charge_compute(compute_seconds)
                     app.charge_network(333)                 # 1.2 cycles/byte
