@@ -61,8 +61,8 @@ awk '$1 ~ /^[0-9.]+s$/ && $2 ~ /^(setup|call|teardown)$/ {
      END { for (dir in total) printf "  %-20s %7.1f s\n", dir, total[dir] }' "$log" | sort
 rm -f "$log" "$failed"
 
-# The size and call ratchets, as their test modules count them.  Printed
-# only: the tier-1 tests above are their gates.
+# The size and call ratchets and the two censuses, as their test modules
+# count them.  Printed only: the tier-1 tests above are their gates.
 echo "== ratchets =="
 python3 -c 'from tests.test_line_ratchet import LINE_CEILING, line_count
 print(f"src/repro: {line_count()} lines, ceiling {LINE_CEILING}")' || true
@@ -74,6 +74,7 @@ print(f"batch PUT: {batch_put_calls():.1f} calls into src/repro, ceiling {BATCH_
 print(f"pipelined batch op: {pipelined_batch_calls():.1f} calls into src/repro, "
       f"ceiling {PIPELINED_BATCH_CALL_CEILING}")' || true
 python3 -c 'from tests.test_config_census import summary; print(summary())' || true
+python3 -c 'from tests.test_definition_census import summary; print(summary())' || true
 
 # End-to-end benchmark determinism gate (benchmarks/e2e, see its README):
 # two runs at equal seed must agree on every virtual-clock and count

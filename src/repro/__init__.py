@@ -22,7 +22,7 @@ own::
     deflate(payload)                   # second call is a secure cache hit
 
     print(session.trace_table())       # the call's connected span tree
-    print(session.to_json(indent=2))   # every component counter, one dict
+    print(session.snapshot())          # every component counter, one dict
 
 Ported trusted libraries register the same way as before, through
 :class:`TrustedLibrary` / :class:`FunctionDescription`, and execute via
@@ -59,9 +59,6 @@ from .errors import (
     SpeedError,
     StoreError,
     TransportError,
-    VerificationError,
-    error_codes,
-    error_for_code,
 )
 from .session import Session, TopologyReport, connect
 from .store.resultstore import StoreConfig
@@ -89,8 +86,5 @@ __all__ = [
     "TransportError",
     "TrustedLibrary",
     "TrustedLibraryRegistry",
-    "VerificationError",
     "connect",
-    "error_codes",
-    "error_for_code",
 ]

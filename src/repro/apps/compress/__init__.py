@@ -10,13 +10,12 @@ from .deflate import (
     FUNCTION_SIGNATURE,
     LIBRARY_FAMILY,
     LIBRARY_VERSION,
-    compression_ratio,
     deflate,
     inflate,
 )
 from .huffman import HuffmanDecoder, HuffmanEncoder, code_lengths_from_frequencies
-from .stream import DeflateStream, deflate_stream, inflate_stream
-from .lz77 import MAX_MATCH, MIN_MATCH, WINDOW_SIZE, Token, reconstruct, tokenize
+from .stream import DeflateStream, inflate_stream
+from .lz77 import MAX_MATCH, MIN_MATCH, WINDOW_SIZE, Token, tokenize
 
 __all__ = [
     "FUNCTION_SIGNATURE",
@@ -29,13 +28,10 @@ __all__ = [
     "Token",
     "WINDOW_SIZE",
     "code_lengths_from_frequencies",
-    "compression_ratio",
     "crc32",
     "deflate",
     "DeflateStream",
-    "deflate_stream",
     "inflate_stream",
     "inflate",
-    "reconstruct",
     "tokenize",
 ]

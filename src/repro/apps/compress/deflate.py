@@ -162,10 +162,3 @@ def inflate(blob: bytes) -> bytes:
     if crc32(bytes(out)) != expected_crc:
         raise SpeedError("CRC-32 mismatch: decompressed data is corrupt")
     return bytes(out)
-
-
-def compression_ratio(data: bytes) -> float:
-    """Convenience metric for examples and workload reports."""
-    if not data:
-        return 1.0
-    return len(deflate(data)) / len(data)

@@ -83,16 +83,3 @@ def tokenize(data: bytes) -> list[Token]:
             insert(pos)
             pos += 1
     return tokens
-
-
-def reconstruct(tokens: list[Token]) -> bytes:
-    """Inverse of :func:`tokenize` (used directly by tests)."""
-    out = bytearray()
-    for token in tokens:
-        if token.is_match:
-            start = len(out) - token.distance
-            for k in range(token.length):
-                out.append(out[start + k])
-        else:
-            out.append(token.literal)
-    return bytes(out)

@@ -66,13 +66,6 @@ class DeflateStream:
         return self._emit(piece)
 
 
-def deflate_stream(data: bytes, chunk_size: int = DEFAULT_CHUNK) -> bytes:
-    """One-shot convenience over :class:`DeflateStream`."""
-    stream = DeflateStream(chunk_size)
-    out = stream.write(data)
-    return out + stream.finish()
-
-
 def inflate_stream(blob: bytes) -> bytes:
     """Decode a concatenation of stream members back to the input."""
     out = bytearray()

@@ -6,7 +6,6 @@ from .bow import (
     LIBRARY_VERSION,
     bag_of_words,
     bow_mapper,
-    corpus_vocabulary,
     strip_markup,
     tokenize_words,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "MapReduceJob",
     "bag_of_words",
     "bow_mapper",
-    "corpus_vocabulary",
     "strip_markup",
     "tokenize_words",
 ]

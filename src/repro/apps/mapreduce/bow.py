@@ -59,12 +59,3 @@ def bag_of_words(document: str) -> dict[str, int]:
         return {}
     counts = job.run(lines)
     return dict(sorted(counts.items()))
-
-
-def corpus_vocabulary(bows: list[dict[str, int]]) -> dict[str, int]:
-    """Merge per-document BoWs into corpus-level counts (example helper)."""
-    merged: dict[str, int] = {}
-    for bow in bows:
-        for word, count in bow.items():
-            merged[word] = merged.get(word, 0) + count
-    return merged

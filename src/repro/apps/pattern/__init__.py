@@ -11,10 +11,9 @@ from .matcher import (
     LIBRARY_FAMILY,
     LIBRARY_VERSION,
     make_scan_function,
-    scan_trace,
 )
-from .regex import Regex, pcre_exec
-from .ruleset import CompiledRuleset, Rule, ScanReport
+from .regex import Regex
+from .ruleset import CompiledRuleset, Rule
 
 __all__ = [
     "AhoCorasick",
@@ -24,8 +23,5 @@ __all__ = [
     "LIBRARY_VERSION",
     "Regex",
     "Rule",
-    "ScanReport",
     "make_scan_function",
-    "pcre_exec",
-    "scan_trace",
 ]

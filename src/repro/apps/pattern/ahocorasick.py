@@ -57,29 +57,10 @@ class AhoCorasick:
                     self._fail[nxt] = 0
                 self._output[nxt] = self._output[nxt] + self._output[self._fail[nxt]]
 
-    @property
-    def n_states(self) -> int:
-        return len(self._goto)
-
     def _step(self, state: int, byte: int) -> int:
         while state and byte not in self._goto[state]:
             state = self._fail[state]
         return self._goto[state].get(byte, 0)
-
-    def finditer(self, text: bytes):
-        """Yield ``(end_offset, pattern_index)`` for every occurrence."""
-        state = 0
-        for offset, byte in enumerate(text):
-            state = self._step(state, byte)
-            for index in self._output[state]:
-                yield offset + 1, index
-
-    def search_all(self, text: bytes) -> dict[int, list[int]]:
-        """Map pattern index -> list of end offsets."""
-        hits: dict[int, list[int]] = {}
-        for end, index in self.finditer(text):
-            hits.setdefault(index, []).append(end)
-        return hits
 
     def contains_which(self, text: bytes) -> set[int]:
         """Set of pattern indices occurring at least once (early-merged)."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .ruleset import CompiledRuleset, Rule, ScanReport
+from .ruleset import CompiledRuleset, Rule
 
 LIBRARY_FAMILY = "libpcre"
 LIBRARY_VERSION = "8.40"
@@ -38,11 +38,3 @@ def make_scan_function(rules: list[Rule]) -> tuple[Callable[[bytes], list[int]],
 
     version = f"{LIBRARY_VERSION}+rules-{fingerprint.hex()[:16]}"
     return scan, version
-
-
-def scan_trace(compiled: CompiledRuleset, packets: list[bytes]) -> ScanReport:
-    """Scan a whole trace without deduplication (baseline path)."""
-    report = ScanReport()
-    for payload in packets:
-        report.add(compiled.scan(payload))
-    return report

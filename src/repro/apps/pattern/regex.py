@@ -335,8 +335,3 @@ class Regex:
             if self._accept in current:
                 return True
         return False
-
-
-def pcre_exec(pattern: str, payload: bytes) -> bool:
-    """The ``pcre_exec(·)``-shaped convenience entry point."""
-    return Regex(pattern).search(payload)

@@ -9,7 +9,7 @@ all appeared.  We reproduce that two-stage structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ahocorasick import AhoCorasick
 from .regex import Regex
@@ -91,18 +91,3 @@ class CompiledRuleset:
                 matched.append(self.rules[rule_index].rule_id)
         matched.sort()
         return matched
-
-
-@dataclass
-class ScanReport:
-    """Aggregate of scanning a packet trace."""
-
-    packets: int = 0
-    alerts: int = 0
-    per_rule: dict[int, int] = field(default_factory=dict)
-
-    def add(self, matches: list[int]) -> None:
-        self.packets += 1
-        self.alerts += len(matches)
-        for rule_id in matches:
-            self.per_rule[rule_id] = self.per_rule.get(rule_id, 0) + 1

@@ -36,10 +36,6 @@ class ScaleSpace:
     sigmas: list[float]                  # per interval within an octave
     config: PyramidConfig
 
-    @property
-    def n_octaves(self) -> int:
-        return len(self.gaussians)
-
 
 def octave_count(shape: tuple[int, ...], config: PyramidConfig | None = None) -> int:
     """Octaves the scale space plans for an image of ``shape``: halve

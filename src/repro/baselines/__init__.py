@@ -3,7 +3,6 @@ single-key / no-dedup runtime presets (DESIGN.md experiment index A1)."""
 
 from .presets import (
     SYSTEM_WIDE_KEY,
-    cross_app_runtime_config,
     no_dedup_runtime_config,
     single_key_runtime_config,
 )
@@ -14,7 +13,6 @@ __all__ = [
     "UnicRuntime",
     "UnicStats",
     "UnicStore",
-    "cross_app_runtime_config",
     "no_dedup_runtime_config",
     "single_key_runtime_config",
 ]

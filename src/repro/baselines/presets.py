@@ -4,14 +4,15 @@
   the marked function simply executes (no GET/PUT, no crypto).
 * ``single_key_runtime_config`` — the basic design of §III-B: one
   system-wide key, still enclave-protected.
-* ``cross_app_runtime_config`` — the main design of §III-C (the default
-  elsewhere); provided here for symmetric spelling in experiments.
+
+The main design of §III-C needs no preset: it is ``RuntimeConfig``'s
+default scheme.
 """
 
 from __future__ import annotations
 
 from ..core.runtime import RuntimeConfig
-from ..core.scheme import CrossAppScheme, SingleKeyScheme
+from ..core.scheme import SingleKeyScheme
 
 SYSTEM_WIDE_KEY = b"speed-system-key"[:16]
 
@@ -24,8 +25,3 @@ def no_dedup_runtime_config(app_id: str) -> RuntimeConfig:
 def single_key_runtime_config(app_id: str, key: bytes = SYSTEM_WIDE_KEY) -> RuntimeConfig:
     """The basic single-key design of §III-B."""
     return RuntimeConfig(app_id=app_id, scheme=SingleKeyScheme(key))
-
-
-def cross_app_runtime_config(app_id: str) -> RuntimeConfig:
-    """The cross-application design of §III-C (SPEED's default)."""
-    return RuntimeConfig(app_id=app_id, scheme=CrossAppScheme())

@@ -226,9 +226,6 @@ class ShardRing:
                 out.append(owner)
         return out
 
-    def primary(self, tag: bytes) -> str:
-        return self.owners(tag, 1)[0]
-
     # -- dual-ownership transitions -------------------------------------------
     #
     # A topology change opens a *transition*: the pending ring is computed
@@ -240,11 +237,6 @@ class ShardRing:
     @property
     def in_transition(self) -> bool:
         return self._next is not None
-
-    @property
-    def pending_shards(self) -> tuple[str, ...]:
-        """Shard membership of the pending ring (settled ring when idle)."""
-        return self._next.shards if self._next is not None else self.shards
 
     def begin_plan(
         self, plan: TopologyPlan, replication: int = 1

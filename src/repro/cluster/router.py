@@ -179,12 +179,6 @@ class GetWalk:
     def tag(self) -> bytes:
         return self.request.tag
 
-    @property
-    def under_way(self) -> bool:
-        """An owner was asked and the walk went on (it missed or did not
-        answer); the plan no longer moves its next ask."""
-        return bool(self.missed) or self.failed > 0
-
 
 @dataclass
 class _GetGroup:

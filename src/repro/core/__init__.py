@@ -20,7 +20,6 @@ from .description import (
 from .runtime import DedupResult, DedupRuntime, RuntimeConfig
 from .scheme import (
     CrossAppScheme,
-    PlaintextScheme,
     ProtectedResult,
     ResultScheme,
     SingleKeyScheme,
@@ -41,7 +40,7 @@ from .serialization import (
 )
 from .stats import CallRecord, RuntimeStats
 from .tag import TAG_SIZE, derive_locking_hash, derive_tag
-from .verification import VerificationOutcome, verify_and_recover
+from .verification import VerificationOutcome
 
 __all__ = [
     "AdaptiveDedupPolicy",
@@ -61,7 +60,6 @@ __all__ = [
     "NdarrayParser",
     "Parser",
     "ParserRegistry",
-    "PlaintextScheme",
     "ProtectedResult",
     "ResultScheme",
     "RuntimeConfig",
@@ -78,5 +76,4 @@ __all__ = [
     "default_registry",
     "derive_locking_hash",
     "derive_tag",
-    "verify_and_recover",
 ]

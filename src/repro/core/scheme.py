@@ -181,40 +181,16 @@ class SingleKeyScheme(ResultScheme):
         return Opening(self._key, protected.sealed_result, tag)
 
 
-class PlaintextScheme(ResultScheme):
-    """No protection at all — the UNIC [16] baseline regime, where cached
-    results live in plaintext.  Exists for the baseline comparisons only;
-    never use outside benchmarks."""
-
-    name = "plaintext"
-
-    def prepare_protect(self, func_identity, input_bytes, tag, result_bytes, rand, clock=None):
-        return Sealing(b"", b"", None, b"", result_bytes, b"")
-
-    def prepare_recover(self, func_identity, input_bytes, tag, protected, clock=None):
-        return Opening(None, protected.sealed_result, b"")
-
-
-def challenge_matches(protected: ProtectedResult) -> bool:
-    """Shape check used by store-side validation."""
-    return (
-        len(protected.challenge) in (0, CHALLENGE_SIZE)
-        and len(protected.wrapped_key) in (0, KEY_SIZE)
-    )
-
-
 __all__ = [
     "CHALLENGE_SIZE",
     "CrossAppScheme",
     "IV_SIZE",
     "KEY_SIZE",
     "Opening",
-    "PlaintextScheme",
     "ProtectedResult",
     "ResultScheme",
     "Sealing",
     "SingleKeyScheme",
-    "challenge_matches",
     "open_all",
     "seal_all",
 ]

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .scheme import Opening, ProtectedResult, ResultScheme, open_all
 from ..errors import IntegrityError
-from ..sgx.cost_model import ChargeLog, SimClock
+from ..sgx.cost_model import ChargeLog
 
 
 class VerificationOutcome(NamedTuple):
@@ -56,17 +56,3 @@ def _verdict(result) -> VerificationOutcome:
     if isinstance(result, IntegrityError):
         return VerificationOutcome(ok=False, reason=f"decryption rejected: {result}")
     return VerificationOutcome(ok=True, result_bytes=result)
-
-
-def verify_and_recover(
-    scheme: ResultScheme,
-    func_identity: bytes,
-    input_bytes: bytes,
-    tag: bytes,
-    protected: ProtectedResult,
-    clock: SimClock | None = None,
-) -> VerificationOutcome:
-    """Run Fig. 3 on one GET answer: returns ``(true, res)`` or ``(false, ·)``."""
-    ((outcome, charges),) = verify_many(scheme, func_identity, [(input_bytes, tag, protected)])
-    charges.replay(clock)
-    return outcome

@@ -1,22 +1,22 @@
 """Cryptographic substrate for the SPEED reproduction.
 
 Everything the paper's prototype takes from the Intel SGX SDK crypto
-library is implemented here from scratch: AES-128 (:mod:`.aes`), counter
-mode (:mod:`.ctr`), AES-GCM AEAD (:mod:`.gcm`), SHA-256 helpers
-(:mod:`.hashes`), HKDF (:mod:`.hkdf`), an HMAC-DRBG (:mod:`.drbg`),
-finite-field Diffie-Hellman (:mod:`.dh`), and the MLE/RCE schemes the
-cross-application design builds on (:mod:`.mle`).
+library is implemented here from scratch: AES-128 encryption
+(:mod:`.aes`), counter mode (:mod:`.ctr`), AES-GCM AEAD (:mod:`.gcm`),
+HKDF (:mod:`.hkdf`), an HMAC-DRBG (:mod:`.drbg`) and finite-field
+Diffie-Hellman (:mod:`.dh`); SHA-256 and HMAC come from :mod:`hashlib`
+(:mod:`.hashes`).  :mod:`.mle` holds the generic MLE schemes (CE, RCE)
+that the cross-application design builds on; the variant it protects
+results with is :mod:`repro.core.scheme`.
 """
 
 from .aes import AES128, BLOCK_SIZE, KEY_SIZE
 from .constant_time import bytes_eq
-from .ctr import ctr_transform
 from .dh import DhKeyPair, derive_session_keys, generate_keypair, shared_secret
 from .drbg import HmacDrbg
 from .gcm import AesGcm, IV_SIZE, TAG_SIZE, open_, seal
 from .hashes import DIGEST_SIZE, hmac_sha256, sha256, tagged_hash
 from .hkdf import hkdf, hkdf_expand, hkdf_extract
-from .sha256 import sha256_pure
 from .mle import (
     ConvergentEncryption,
     MleCiphertext,
@@ -37,7 +37,6 @@ __all__ = [
     "RandomizedConvergentEncryption",
     "TAG_SIZE",
     "bytes_eq",
-    "ctr_transform",
     "derive_session_keys",
     "generate_keypair",
     "hkdf",
@@ -47,7 +46,6 @@ __all__ = [
     "open_",
     "seal",
     "sha256",
-    "sha256_pure",
     "shared_secret",
     "tagged_hash",
 ]

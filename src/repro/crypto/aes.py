@@ -2,20 +2,19 @@
 
 The paper's prototype uses the AES implementation shipped with the Intel
 SGX SDK.  We have no native crypto available in this environment, so this
-module provides a self-contained AES-128 whose tables (S-box, inverse
-S-box, GF(2^8) multiplication tables) are *derived at import time* from the
-field definition rather than transcribed, which keeps the implementation
+module provides a self-contained AES-128 whose tables (S-box, GF(2^8)
+multiplication tables) are *derived at import time* from the field
+definition rather than transcribed, which keeps the implementation
 auditable and removes transcription risk.  Correctness is pinned to the
 FIPS-197 vectors in the test suite.
 
-Encryption is the hot direction (CTR and GCM never decrypt a block), so
-its round is fused: SubBytes, ShiftRows and MixColumns collapse into four
+Only encryption is implemented: CTR and GCM never decrypt a block.  Its
+round is fused: SubBytes, ShiftRows and MixColumns collapse into four
 32-bit T-table lookups per state column, the tables again derived at
-import.  Three execution paths share those tables;
-:meth:`AES128.encrypt_blocks` picks one by batch size:
+import.  :meth:`AES128.encrypt_block` runs one 16-byte block in pure
+Python ints (~13 us; GCM's ``H = E(0)``); two numpy paths share the
+tables, and :meth:`AES128.encrypt_blocks` picks one by batch size:
 
-* :meth:`AES128.encrypt_block` — one 16-byte block in pure Python ints
-  (~13 us), for batches of up to ``_SCALAR_MAX_BLOCKS`` rows.
 * :func:`encrypt_gather` — up to ``_GATHER_MAX_BLOCKS`` rows: a round is
   one gather of every table term, each state byte in a 16-bit lane that
   is its own index into the four tables concatenated, and one XOR-reduce.
@@ -33,11 +32,14 @@ A counter run (:mod:`repro.crypto.ctr` from its crossover) takes
 :meth:`AES128.encrypt_counter_run`: its state after round 2 from tables
 built per run, then rounds 3-10 on the planes.
 
-Microseconds per batch, scalar / gather / planes, alternated in one
-process (at 71941b1): 1 row 13 / 29 / -, 2 rows 26 / 30 / -, 3 rows
+Microseconds per batch, one block at a time / gather / planes, alternated
+in one process (at 71941b1): 1 row 13 / 29 / -, 2 rows 26 / 30 / -, 3 rows
 40 / 30 / -, 6 rows 80 / 31 / 75, 71 rows - / 62 / 93, 192 rows - / 115 /
-119, 224 rows - / 121 / 128, 256 rows - / 136 / 131.  Both numpy kernels
-take a key per row too (:func:`repro.crypto.gcm.seal_many`).
+119, 224 rows - / 121 / 128, 256 rows - / 136 / 131.  Batches of one or
+two rows are rare (none on the four end-to-end workloads, 2 of 2,963
+batches across ``python -m repro.bench all --quick``), so they take the
+gather too.  Both numpy kernels take a key per row too
+(:func:`repro.crypto.gcm.seal_many`).
 
 Planes, four lookups / pair tables, caches flushed before each call,
 alternated on a 2-vCPU Intel Xeon about half as fast: 225 rows 291 / 302,
@@ -46,9 +48,6 @@ alternated on a 2-vCPU Intel Xeon about half as fast: 225 rows 291 / 302,
 is the first size that wins cold.  Counter runs there, counter blocks by
 :meth:`AES128.encrypt_blocks` / :meth:`AES128.encrypt_counter_run`, cold:
 512 rows 408 / 430, 1024 552 / 530, 2048 847 / 777, 4097 1454 / 1255 us.
-
-Decryption (:meth:`AES128.decrypt_block` / :meth:`AES128.decrypt_blocks`)
-keeps the spec-literal inverse round; nothing on a request path uses it.
 """
 
 from __future__ import annotations
@@ -63,11 +62,9 @@ BLOCK_SIZE = 16
 KEY_SIZE = 16
 _NUM_ROUNDS = 10
 
-# Batches of at most this many blocks are cheaper one block at a time in
-# pure ints than through numpy, up to _GATHER_MAX_BLOCKS through the
-# one-gather round than the column planes, and from _PAIR_MIN_BLOCKS the
-# planes round through the pair tables (module docstring).
-_SCALAR_MAX_BLOCKS = 2
+# Batches of up to _GATHER_MAX_BLOCKS are cheaper through the one-gather
+# round than the column planes, and from _PAIR_MIN_BLOCKS the planes round
+# through the pair tables (module docstring).
 _GATHER_MAX_BLOCKS = 224
 _PAIR_MIN_BLOCKS = 512
 
@@ -111,25 +108,16 @@ def _build_tables():
             s ^= ((inv << shift) | (inv >> (8 - shift))) & 0xFF
         sbox[i] = s ^ 0x63
 
-    inv_sbox = [0] * 256
-    for i, s in enumerate(sbox):
-        inv_sbox[s] = i
-
-    mul = {c: [gf_mul(i, c) for i in range(256)] for c in (2, 3, 9, 11, 13, 14)}
-    return sbox, inv_sbox, mul
+    mul = {c: [gf_mul(i, c) for i in range(256)] for c in (2, 3)}
+    return sbox, mul
 
 
-_SBOX_LIST, _INV_SBOX_LIST, _MUL = _build_tables()
+_SBOX_LIST, _MUL = _build_tables()
 _RCON = [1]  # the key schedule's round constants: x^(i - 1) in GF(2^8)
 while len(_RCON) < _NUM_ROUNDS:
     _RCON.append(_xtime(_RCON[-1]))
 
 SBOX = np.array(_SBOX_LIST, dtype=np.uint8)
-INV_SBOX = np.array(_INV_SBOX_LIST, dtype=np.uint8)
-_M9 = np.array(_MUL[9], dtype=np.uint8)
-_M11 = np.array(_MUL[11], dtype=np.uint8)
-_M13 = np.array(_MUL[13], dtype=np.uint8)
-_M14 = np.array(_MUL[14], dtype=np.uint8)
 
 
 def _round_tables() -> tuple[list[list[int]], list[list[int]]]:
@@ -171,15 +159,6 @@ _CACHE_BYTES = 1024 * _J + 4 * _V + (_J - _D) % 4
 _CACHE_ROWS = 256 * ((_J - _D) % 4)
 del _J, _D, _V
 
-# InvShiftRows as a flat permutation of the 16-byte state, derived by
-# inverting ShiftRows.  Byte i of a block holds state cell (row i % 4,
-# column i // 4); ShiftRows rotates row r left by r.
-_SHIFT_ROWS = np.array(
-    [(i % 4) + 4 * (((i // 4) + (i % 4)) % 4) for i in range(16)], dtype=np.intp
-)
-_INV_SHIFT_ROWS = np.empty(16, dtype=np.intp)
-_INV_SHIFT_ROWS[_SHIFT_ROWS] = np.arange(16, dtype=np.intp)
-
 
 def _expand_key(key: bytes) -> list[int]:
     """FIPS-197 key expansion for AES-128: 44 column words, 4 per round."""
@@ -195,18 +174,6 @@ def _expand_key(key: bytes) -> list[int]:
         w3 ^= w2
         words += (w0, w1, w2, w3)
     return words
-
-
-def _inv_mix_columns(state: np.ndarray) -> np.ndarray:
-    """InvMixColumns over an (N, 16) state array."""
-    v = state.reshape(-1, 4, 4)
-    b0, b1, b2, b3 = v[:, :, 0], v[:, :, 1], v[:, :, 2], v[:, :, 3]
-    out = np.empty_like(v)
-    out[:, :, 0] = _M14[b0] ^ _M11[b1] ^ _M13[b2] ^ _M9[b3]
-    out[:, :, 1] = _M9[b0] ^ _M14[b1] ^ _M11[b2] ^ _M13[b3]
-    out[:, :, 2] = _M13[b0] ^ _M9[b1] ^ _M14[b2] ^ _M11[b3]
-    out[:, :, 3] = _M11[b0] ^ _M13[b1] ^ _M9[b2] ^ _M14[b3]
-    return out.reshape(-1, 16)
 
 
 def round_key_columns(keys: list[bytes]) -> np.ndarray:
@@ -411,38 +378,6 @@ class AES128:
         if blocks.ndim != 2 or blocks.shape[1] != BLOCK_SIZE:
             raise CryptoError("encrypt_blocks expects an (N, 16) array")
         blocks = np.ascontiguousarray(blocks, dtype=np.uint8)
-        n = len(blocks)
-        if n <= _SCALAR_MAX_BLOCKS:
-            raw = blocks.tobytes()
-            out = bytearray().join(
-                self.encrypt_block(raw[off:off + BLOCK_SIZE])
-                for off in range(0, len(raw), BLOCK_SIZE)
-            )
-            return np.frombuffer(out, dtype=np.uint8).reshape(n, BLOCK_SIZE)
-        if n <= _GATHER_MAX_BLOCKS:
+        if len(blocks) <= _GATHER_MAX_BLOCKS:
             return encrypt_gather(blocks, self._key_lanes)
         return encrypt_planes(blocks, self._round_keys)
-
-    def decrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """Decrypt an (N, 16) uint8 array of blocks; returns a new array."""
-        if blocks.ndim != 2 or blocks.shape[1] != BLOCK_SIZE:
-            raise CryptoError("decrypt_blocks expects an (N, 16) array")
-        rk = self._round_keys.view(np.uint8).reshape(_NUM_ROUNDS + 1, BLOCK_SIZE)
-        state = blocks.astype(np.uint8, copy=True)
-        state ^= rk[_NUM_ROUNDS]
-        state = state[:, _INV_SHIFT_ROWS]
-        state = INV_SBOX[state]
-        for rnd in range(_NUM_ROUNDS - 1, 0, -1):
-            state ^= rk[rnd]
-            state = _inv_mix_columns(state)
-            state = state[:, _INV_SHIFT_ROWS]
-            state = INV_SBOX[state]
-        state ^= rk[0]
-        return state
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt one 16-byte block."""
-        if len(block) != BLOCK_SIZE:
-            raise CryptoError("block must be 16 bytes")
-        arr = np.frombuffer(block, dtype=np.uint8).reshape(1, BLOCK_SIZE)
-        return self.decrypt_blocks(arr).tobytes()

@@ -17,11 +17,3 @@ def bytes_eq(a: bytes, b: bytes) -> bool:
         raise TypeError("bytes_eq() expects bytes-like arguments")
     return hmac.compare_digest(bytes(a), bytes(b))
 
-
-def select(flag: bool, when_true: bytes, when_false: bytes) -> bytes:
-    """Branch-free-style selection between two equal-length byte strings."""
-    if len(when_true) != len(when_false):
-        raise ValueError("select() requires equal-length alternatives")
-    mask = 0xFF if flag else 0x00
-    inv = mask ^ 0xFF
-    return bytes((t & mask) | (f & inv) for t, f in zip(when_true, when_false))

@@ -18,8 +18,9 @@ row kernels', caches flushed, median of 150 alternations: 512 blocks 1.03,
 Keystream lookahead.  A batch costs tens of microseconds before its first
 block and well under one per block after (:mod:`repro.crypto.aes`), so a
 short record pays mostly for the call.  A channel direction's IVs are a
-counter run (:func:`counter_iv`): the keystream of its *next* records
-depends on the key and a counter alone, so :class:`KeystreamAhead`
+counter run (:func:`counter_prefix`, then the record's 8-byte sequence
+number): the keystream of its *next* records depends on the key and a
+counter alone, so :class:`KeystreamAhead`
 encrypts rows ``iv(seq + i) || 1 .. stride`` for a window of records in
 one batch and each record is an XOR against its slot.  Fixed by
 measurement, no option: ``stride`` = the largest record since the last
@@ -114,20 +115,9 @@ def ctr_stream(
     return lead, out.tobytes()
 
 
-def ctr_transform(cipher: AES128, initial_counter: bytes, data: bytes) -> bytes:
-    """Encrypt or decrypt ``data`` under the counter run starting at
-    ``initial_counter``."""
-    return ctr_stream(cipher, initial_counter, data)[1]
-
-
-def counter_iv(label: int, seq: int) -> bytes:
-    """IV of record ``seq`` of counter run ``label``; the layout lives here:
-    the run's :func:`counter_prefix`, then ``seq`` in 8 bytes."""
-    return counter_prefix(label) + seq.to_bytes(8, "big")
-
-
 def counter_prefix(label: int) -> bytes:
-    """The 4 bytes every IV of counter run ``label`` starts with."""
+    """The 4 bytes every IV of counter run ``label`` starts with; record
+    ``seq``'s IV continues with ``seq`` in 8 bytes, big-endian."""
     return bytes((label, 0, 0, 0))
 
 

@@ -14,7 +14,7 @@ from ..errors import CryptoError
 
 
 class HmacDrbg:
-    """HMAC-SHA-256 DRBG without prediction-resistance reseeding.
+    """HMAC-SHA-256 DRBG, seeded once and never reseeded.
 
     The construction follows SP 800-90A section 10.1.2: the internal state
     is ``(K, V)``; ``generate`` chains ``V = HMAC(K, V)`` and re-keys via
@@ -29,7 +29,6 @@ class HmacDrbg:
         self._k = b"\x00" * 32
         self._v = b"\x01" * 32
         self._update(seed + personalization)
-        self._reseed_counter = 1
 
     def _update(self, provided: bytes = b"") -> None:
         self._k = hmac.digest(self._k, self._v + b"\x00" + provided, "sha256")
@@ -37,11 +36,6 @@ class HmacDrbg:
         if provided:
             self._k = hmac.digest(self._k, self._v + b"\x01" + provided, "sha256")
             self._v = hmac.digest(self._k, self._v, "sha256")
-
-    def reseed(self, entropy: bytes) -> None:
-        """Mix fresh entropy into the state."""
-        self._update(entropy)
-        self._reseed_counter = 1
 
     def generate(self, n_bytes: int) -> bytes:
         """Produce ``n_bytes`` of pseudorandom output."""
@@ -57,7 +51,6 @@ class HmacDrbg:
         # update() with nothing provided: re-key, then step V once.
         self._k = k = hmac.digest(k, v + b"\x00", "sha256")
         self._v = hmac.digest(k, v, "sha256")
-        self._reseed_counter += 1
         return out[:n_bytes]
 
     def randint_below(self, bound: int) -> int:

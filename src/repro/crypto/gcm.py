@@ -104,27 +104,11 @@ _MASK120 = (1 << 120) - 1
 # powers of two.  A one-shot cipher takes none below _LANE_BUILD_BLOCKS,
 # where one record repays a table.  Measurements in the module docstring.
 _LANE_PASSES = ((128, 512), (16, 64))
-_LANE_MIN_BLOCKS = _LANE_PASSES[-1][1]
 _LANE_BUILD_BLOCKS = 128
 # A kept cipher's (least blocks, lane passes) per record, by AAD,
 # ciphertext and length blocks, widest first; a record of at most 16
 # blocks goes straight to the fold.
 _CHANNEL_PASSES = ((512, (128, 16)), (145, (64, 16)), (17, (16,)), (0, ()))
-
-
-def gf_mult(x: int, y: int) -> int:
-    """Bitwise GF(2^128) multiplication (NIST algorithm); used for tests
-    and for table construction sanity checks."""
-    z = 0
-    v = x
-    for i in range(127, -1, -1):
-        if (y >> i) & 1:
-            z ^= v
-        if v & 1:
-            v = (v >> 1) ^ _R
-        else:
-            v >>= 1
-    return z & _MASK128
 
 
 # Per-key GHASH table builds since import (byte tables, lane tables and
@@ -306,7 +290,8 @@ class AesGcm:
 
     def __init__(self, key: bytes, _counter_label: int | None = None, kept: bool = False):
         """``kept``: held for life, so the fold stack pays (:meth:`_fold`);
-        ``_counter_label``: every IV is ``ctr.counter_iv(label, seq)`` (kept)."""
+        ``_counter_label``: every IV is ``ctr.counter_prefix(label)`` then a
+        rising 8-byte sequence number (kept)."""
         self._aes = AES128(key)
         self._ahead = None if _counter_label is None else KeystreamAhead(self._aes, _counter_label)
         self._kept = kept or self._ahead is not None

@@ -154,10 +154,3 @@ class Deployment:
         app = Application(name=name, enclave=enclave, runtime=runtime)
         self._apps[name] = app
         return app
-
-    def applications(self) -> list[Application]:
-        return list(self._apps.values())
-
-    def flush_all_puts(self) -> int:
-        """Drain every application's asynchronous PUT queue."""
-        return sum(app.runtime.flush_puts() for app in self._apps.values())

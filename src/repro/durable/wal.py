@@ -144,17 +144,6 @@ def _segment(prev_chain: bytes, first_seq: int, n_records: int, records: list) -
     return b"".join(out + records)
 
 
-def encode_segment(prev_chain: bytes, first_seq: int, records) -> bytes:
-    """Serialize one segment's plaintext (sealed before leaving the
-    enclave).  The predecessor's chain value rides inside the sealed
-    payload, so segment order is bound by the seal itself."""
-    out: list[bytes] = []
-    for record in records:
-        out.append(_KIND_BYTES[record.kind])
-        _BODIES[record.kind]._write(out, record)
-    return _segment(prev_chain, first_seq, len(records), out)
-
-
 def decode_segment(payload: bytes) -> tuple[bytes, int, list[WalRecord]]:
     """Parse one unsealed segment payload back into records, each built
     by its kind's layout in one step."""

@@ -438,11 +438,6 @@ class PipelineEngine:
     def overlap_cycles_saved(self) -> float:
         return self.serial_cycles - self.makespan_cycles
 
-    def reset_accounting(self) -> None:
-        self.settle()
-        self.makespan_cycles = self.serial_cycles = 0.0
-        self.rounds = self.ops = self.failures = self.coalesced_total = 0
-
     def snapshot(self) -> dict:
         """Canonical ``engine.<metric>`` counters for the registry."""
         return {

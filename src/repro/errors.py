@@ -10,7 +10,7 @@ unique across the hierarchy).  Wire-level failure annotations — the
 ``reason`` field of :class:`~repro.net.messages.GetResponse` /
 :class:`~repro.net.messages.PutResponse` — carry these codes instead of
 free-form prose, so a client can switch on the failure kind without
-string matching.  :func:`error_for_code` maps a code back to its class.
+string matching.
 """
 
 from __future__ import annotations
@@ -171,29 +171,3 @@ class DedupError(SpeedError):
     """The DedupRuntime could not complete a deduplicated call."""
 
     code = "dedup_error"
-
-
-class VerificationError(DedupError):
-    """The Fig. 3 verification protocol rejected a stored result."""
-
-    code = "verification_failed"
-
-
-def _collect_codes(cls: type[SpeedError], into: dict[str, type[SpeedError]]) -> None:
-    into.setdefault(cls.code, cls)
-    for sub in cls.__subclasses__():
-        _collect_codes(sub, into)
-
-
-def error_codes() -> dict[str, type[SpeedError]]:
-    """Map every registered ``code`` to its exception class."""
-    codes: dict[str, type[SpeedError]] = {}
-    _collect_codes(SpeedError, codes)
-    return codes
-
-
-def error_for_code(code: str) -> type[SpeedError]:
-    """The exception class registered for ``code`` (:class:`SpeedError`
-    itself for an unknown code, so callers can always raise *something*
-    of the right family)."""
-    return error_codes().get(code, SpeedError)

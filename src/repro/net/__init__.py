@@ -17,7 +17,7 @@ from .messages import (
     decode_message,
     encode_message,
 )
-from .rpc import RpcClient, RpcServer, attach_reactor
+from .rpc import RpcClient, RpcServer
 from .transport import Endpoint, FaultInjector, Network
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "PutResponse",
     "RpcClient",
     "RpcServer",
-    "attach_reactor",
     "decode_message",
     "encode_message",
     "establish",

@@ -11,10 +11,11 @@ This module reproduces that construction:
   ``report_data`` of a local-attestation report targeted at the peer, so
   a man-in-the-middle cannot splice its own key into the exchange.
 * :class:`ChannelEndpoint` — sequenced AES-GCM records with replay and
-  reordering detection.  A direction's IVs are ``counter_iv(label, seq)``,
-  ``seq`` strictly increasing, so no (key, IV) repeats; told so once, its
-  ciphers make keystream a window of records ahead (:mod:`repro.crypto.ctr`:
-  wall clock only; no record, tag check or ``SimClock`` charge moves).
+  reordering detection.  A direction's IVs are its ``counter_prefix(label)``
+  then ``seq`` in 8 bytes, ``seq`` strictly increasing, so no (key, IV)
+  repeats; told so once, its ciphers make keystream a window of records
+  ahead (:mod:`repro.crypto.ctr`: wall clock only; no record, tag check or
+  ``SimClock`` charge moves).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class ChannelEndpoint:
         self._clock = clock
         self._send = AesGcm(send_key, _counter_label=label)
         self._recv = AesGcm(recv_key, _counter_label=label ^ 1)
-        # Each direction's IVs: its counter_iv(label, seq) is prefix + header.
+        # Each direction's IVs: its counter prefix, then the header's sequence number.
         self._send_prefix, self._recv_prefix = counter_prefix(label), counter_prefix(label ^ 1)
         self._send_seq = 0
         self._recv_seq = 0

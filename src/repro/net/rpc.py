@@ -489,8 +489,3 @@ class RpcClient:
             "rpc.pipelined_submits": self.submits,
             "rpc.pipeline_max_inflight": self.max_inflight,
         }
-
-
-def attach_reactor(network, address: str, server: RpcServer) -> None:
-    """Wire a server so it drains its inbox whenever a message lands."""
-    network.set_reactor(address, server)

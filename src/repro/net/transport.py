@@ -93,11 +93,6 @@ class FaultInjector:
     def is_dead(self, address: str) -> bool:
         return address in self.dead_addresses
 
-    def edge_count(self, source: str, dest: str) -> int:
-        """Messages seen so far on one directed edge (the next message
-        on that edge gets this index)."""
-        return self._edge_counters.get((source, dest), 0)
-
     def decide(self, payload: bytes, source: str = "", dest: str = "") -> FaultDecision:
         """Consume one edge index and decide this message's fate."""
         edge = (source, dest)

@@ -27,7 +27,6 @@ from .tracer import (
     SpanNode,
     Tracer,
     build_tree,
-    find_spans,
 )
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "Tracer",
     "build_tree",
     "diff_breakdown",
-    "find_spans",
     "format_metrics",
     "format_phase_breakdown",
     "format_trace",

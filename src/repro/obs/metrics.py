@@ -12,7 +12,7 @@ one contract:
   :meth:`MetricsRegistry.register_source`; their snapshots are folded in
   under ``<component>.<metric>`` keys at read time, so the registry
   always reflects current counters without copying on every increment;
-* one :meth:`snapshot` / :meth:`to_json` for everything.
+* one :meth:`snapshot`, JSON-ready, for everything.
 
 Key normalization: canonical keys are ``<component>.<metric>`` in
 snake_case, plural nouns for event counters, ``*_seconds_total`` for
@@ -21,7 +21,6 @@ accumulated time, ``*_rate`` for ratios (see :func:`namespaced`).
 
 from __future__ import annotations
 
-import json
 import threading
 from typing import Callable, Mapping
 
@@ -175,10 +174,6 @@ class MetricsRegistry:
         with self._lock:
             self._sources[component] = source
 
-    def unregister_source(self, component: str) -> None:
-        with self._lock:
-            self._sources.pop(component, None)
-
     # -- reading -------------------------------------------------------------
     def snapshot(self) -> dict:
         """One flat, JSON-ready dict over all instruments and sources,
@@ -210,6 +205,3 @@ class MetricsRegistry:
                 if "." not in key:
                     out.setdefault(f"{component}.{key}", value)
         return out
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.snapshot(), sort_keys=True, indent=indent)

@@ -67,13 +67,6 @@ class SpanNode:
     span: Span
     children: list["SpanNode"] = field(default_factory=list)
 
-    def find(self, name: str) -> list["SpanNode"]:
-        """Every descendant (including self) whose span has ``name``."""
-        found = [self] if self.span.name == name else []
-        for child in self.children:
-            found.extend(child.find(name))
-        return found
-
 
 class _OpenSpan:
     """Handle for a span in progress; finished by the tracer."""
@@ -158,10 +151,6 @@ class NullTracer:
         return _NULL_SPAN
 
     def event(self, name: str, clock=None, **attrs) -> None:
-        return None
-
-    @property
-    def current_span_id(self) -> int | None:
         return None
 
     @property
@@ -277,17 +266,8 @@ class Tracer:
 
     # -- context -------------------------------------------------------------
     @property
-    def current_span_id(self) -> int | None:
-        return self._stack[-1].span.span_id if self._stack else None
-
-    @property
     def current_trace_id(self) -> int | None:
         return self._stack[-1].span.trace_id if self._stack else None
-
-    @property
-    def last_trace_id(self) -> int | None:
-        """Trace id of the most recently *started* root span."""
-        return self._last_trace_id
 
     # -- reading -------------------------------------------------------------
     def spans(self, trace_id: int | None = None) -> list[Span]:
@@ -303,12 +283,6 @@ class Tracer:
         if self._last_trace_id is None:
             return []
         return self.spans(self._last_trace_id)
-
-    def trace_ids(self) -> list[int]:
-        seen: dict[int, None] = {}
-        for span in self.spans():
-            seen.setdefault(span.trace_id, None)
-        return list(seen)
 
     def tree(self, trace_id: int | None = None) -> list[SpanNode]:
         """Parent/child-linked roots for one trace (default: the last)."""
@@ -360,8 +334,3 @@ def build_tree(spans: list[Span]) -> list[SpanNode]:
         else:
             parent.children.append(node)
     return roots
-
-
-def find_spans(spans: list[Span], name: str) -> list[Span]:
-    """All spans named ``name`` (convenience for tests and tooling)."""
-    return [s for s in spans if s.name == name]

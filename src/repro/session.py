@@ -16,7 +16,7 @@ parsers, and (since this release) a tracer and a metrics registry.  A
 
     normalize(payload)            # deduplicated call, as normal
     print(session.trace_table())  # the call's connected span tree
-    print(session.to_json())      # every component's counters, one dict
+    print(session.snapshot())     # every component's counters, one dict
 
 Every session is the same deployment: the application's runtime talks
 to a :class:`~repro.cluster.StoreCluster` through a
@@ -30,7 +30,7 @@ derivation, enclave transitions, channel crypto, RPC, shard routing, and
 store metadata/blob access.  It also owns one
 :class:`~repro.obs.MetricsRegistry` with every component's stats
 registered as live sources, unifying the historical per-component
-``snapshot()`` shapes behind one ``snapshot()``/``to_json()`` contract.
+``snapshot()`` shapes behind one JSON-ready ``snapshot()``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .deployment import Application, Deployment
 from .engine import EngineConfig, PipelineEngine
 from .obs.exporters import format_phase_breakdown, format_trace
 from .obs.metrics import MetricsRegistry
-from .obs.tracer import NULL_TRACER, Span, SpanNode, Tracer
+from .obs.tracer import NULL_TRACER, Span, Tracer
 from .report import ReportMixin
 from .sgx.cost_model import CostParams
 from .store.resultstore import StoreConfig
@@ -559,16 +559,10 @@ class Session:
         """Every component's counters, one flat canonical dict."""
         return self.metrics.snapshot()
 
-    def to_json(self, indent: int | None = None) -> str:
-        return self.metrics.to_json(indent=indent)
-
     def last_trace(self) -> list[Span]:
         """All spans of the most recent traced request."""
         return self.tracer.last_trace() if self.tracer.enabled else []
 
-    def trace_tree(self) -> list[SpanNode]:
-        """Parent/child-linked roots of the most recent trace."""
-        return self.tracer.tree() if self.tracer.enabled else []
 
     def trace_table(self, title: str | None = None) -> str:
         """The most recent trace as an indented human-readable table."""

@@ -12,7 +12,7 @@ sealing (:mod:`.sealing`), and local/remote attestation
 from .attestation import AttestationService, Quote, Report
 from .cost_model import CostParams, SimClock
 from .enclave import Enclave
-from .epc import DEFAULT_EPC_TOTAL, DEFAULT_EPC_USABLE, EpcManager
+from .epc import DEFAULT_EPC_USABLE, EpcManager
 from .measurement import Measurement, measure_code
 from .platform import SgxPlatform
 from .sealing import SealedBlob, SealPolicy
@@ -20,7 +20,6 @@ from .sealing import SealedBlob, SealPolicy
 __all__ = [
     "AttestationService",
     "CostParams",
-    "DEFAULT_EPC_TOTAL",
     "DEFAULT_EPC_USABLE",
     "Enclave",
     "EpcManager",

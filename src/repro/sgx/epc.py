@@ -19,7 +19,6 @@ from collections import OrderedDict
 from .cost_model import SimClock
 from ..errors import EnclaveMemoryError
 
-DEFAULT_EPC_TOTAL = 128 * 1024 * 1024
 DEFAULT_EPC_USABLE = 90 * 1024 * 1024
 
 
@@ -76,7 +75,3 @@ class EpcManager:
         stale = [k for k in self._resident if k[0] == enclave_id]
         for key in stale:
             del self._resident[key]
-
-    @property
-    def resident_pages(self) -> int:
-        return len(self._resident)

@@ -65,19 +65,3 @@ def unseal_with(cipher: gcm.AesGcm, blob: SealedBlob) -> bytes:
         return cipher.open(blob.payload, _AAD[blob.policy])
     except IntegrityError as exc:
         raise SealingError("unsealing failed: wrong identity or corrupt blob") from exc
-
-
-def seal_data(
-    fabric_key: bytes,
-    measurement: Measurement,
-    data: bytes,
-    policy: SealPolicy,
-    iv: bytes,
-) -> SealedBlob:
-    """One-shot :func:`seal_with` to the given enclave identity."""
-    return seal_with(seal_cipher(fabric_key, measurement, policy), data, policy, iv)
-
-
-def unseal_data(fabric_key: bytes, measurement: Measurement, blob: SealedBlob) -> bytes:
-    """One-shot :func:`unseal_with` for the given enclave identity."""
-    return unseal_with(seal_cipher(fabric_key, measurement, blob.policy), blob)

@@ -26,7 +26,7 @@ model.
 
 from .invariants import Violation
 from .runner import (
-    FAULT_CLASSES, ScenarioResult, SimConfig, replay_check, run_scenario, run_seeds,
+    FAULT_CLASSES, ScenarioResult, SimConfig, run_scenario,
 )
 from .schedule import FaultPlan
 from .shrinking import shrink
@@ -37,8 +37,6 @@ __all__ = [
     "ScenarioResult",
     "SimConfig",
     "Violation",
-    "replay_check",
     "run_scenario",
-    "run_seeds",
     "shrink",
 ]

@@ -619,15 +619,3 @@ def run_scenario(config: SimConfig, _replay_depth: int | None = None) -> Scenari
         config=config, trace=trace, violations=walk.violations,
         counters=counters, values=walk.values, checked=walk.checked,
     )
-
-
-def run_seeds(seeds, **overrides) -> list[ScenarioResult]:
-    """Run one scenario per seed (the CI sweep entry point)."""
-    return [run_scenario(SimConfig(seed=seed, **overrides)) for seed in seeds]
-
-
-def replay_check(config: SimConfig) -> tuple[ScenarioResult, ScenarioResult, bool]:
-    """Run a config twice; True iff the traces are byte-identical."""
-    first = run_scenario(config)
-    second = run_scenario(config)
-    return first, second, first.digest == second.digest

@@ -51,12 +51,6 @@ class FaultPlan:
         """Partition one directed edge: everything on it is dropped."""
         self.blocked.add((source, dest))
 
-    def block_address(self, address: str, peers) -> None:
-        """Partition ``address`` from every peer, both directions."""
-        for peer in peers:
-            self.blocked.add((address, peer))
-            self.blocked.add((peer, address))
-
     def set_slow(self, address: str, ticks: int) -> None:
         """Hold every message touching ``address`` back ``ticks`` events."""
         if ticks <= 0:

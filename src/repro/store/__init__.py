@@ -14,7 +14,7 @@ from .authorization import AuthorizationError, AuthorizationPolicy
 from .blobstore import BlobStore
 from .metadata import ENTRY_SLOT_BYTES, MetadataDict, MetadataEntry, blob_digest
 from .quota import QuotaManager, QuotaPolicy
-from .resultstore import ResultStore, StoreConfig, StoreStats, plain_channel_pair
+from .resultstore import ResultStore, StoreConfig, StoreStats
 from .sync import SyncReport, replicate_popular
 
 __all__ = [
@@ -31,6 +31,5 @@ __all__ = [
     "StoreStats",
     "SyncReport",
     "blob_digest",
-    "plain_channel_pair",
     "replicate_popular",
 ]

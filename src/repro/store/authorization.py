@@ -41,18 +41,10 @@ class AuthorizationPolicy:
     denials: int = field(default=0, init=False)
 
     # -- enrolment --------------------------------------------------------
-    def allow_enclave(self, measurement: Measurement) -> "AuthorizationPolicy":
-        """Pin one exact enclave build."""
-        self.allowed_mrenclaves.add(measurement.mrenclave)
-        return self
-
     def allow_signer(self, mrsigner: bytes) -> "AuthorizationPolicy":
         """Admit every enclave from one signer (vendor-level trust)."""
         self.allowed_mrsigners.add(mrsigner)
         return self
-
-    def revoke_enclave(self, measurement: Measurement) -> None:
-        self.allowed_mrenclaves.discard(measurement.mrenclave)
 
     # -- admission ---------------------------------------------------------
     def admits(self, measurement: Measurement) -> bool:

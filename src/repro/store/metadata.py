@@ -82,10 +82,6 @@ class MetadataDict:
         self._seq += 1
         return self._seq
 
-    def slot_extent_bytes(self) -> int:
-        """Total enclave heap span of the slot array (for EPC modelling)."""
-        return self._next_slot * ENTRY_SLOT_BYTES
-
     def peek(self, tag: bytes) -> MetadataEntry | None:
         """Non-mutating lookup (introspection/tests; no hit accounting)."""
         return self._entries.get(tag)

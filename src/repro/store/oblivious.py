@@ -166,10 +166,6 @@ class PathOram:
         # membership probe; tests use it for verification only.
         return key in self._position
 
-    def path_of(self, key: bytes) -> int | None:
-        """Current leaf assignment (test instrumentation)."""
-        return self._position.get(key)
-
     def keys(self) -> list[bytes]:
         """Current key set (position-map metadata; leaks only membership,
         which the store's dedup responses reveal anyway)."""
@@ -245,11 +241,6 @@ class ObliviousMetadataDict:
         if not entries:
             raise StoreError("eviction requested from an empty store")
         return min(entries, key=lambda e: e.last_access_seq)
-
-    def slot_extent_bytes(self) -> int:
-        # The ORAM tree lives encrypted in untrusted memory; the enclave
-        # holds only position map + stash.
-        return 0
 
     @property
     def oram(self) -> PathOram:

@@ -107,7 +107,3 @@ class QuotaManager:
         usage = self._get(app_id)
         usage.bytes_used = max(0, usage.bytes_used - n_bytes)
         usage.entries = max(0, usage.entries - 1)
-
-    def usage_of(self, app_id: str) -> tuple[int, int]:
-        usage = self._get(app_id)
-        return usage.bytes_used, usage.entries

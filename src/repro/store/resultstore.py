@@ -28,7 +28,6 @@ from .blobstore import BlobStore
 from .metadata import MetadataDict, MetadataEntry, blob_digest
 from .oblivious import ObliviousMetadataDict
 from .quota import QuotaManager, QuotaPolicy
-from ..crypto.drbg import HmacDrbg
 from ..crypto.hashes import DIGEST_SIZE
 from ..durable.checkpoint import maybe_checkpoint
 from ..durable.wal import (
@@ -159,15 +158,6 @@ class StoreStats:
             "store", {**asdict(self), "hit_rate": self.hit_rate()},
             renames=self._RENAMES,
         )
-
-
-def plain_channel_pair(clock, seed: bytes) -> tuple[ChannelEndpoint, ChannelEndpoint]:
-    """Session-key channel without attestation (tests and tooling)."""
-    drbg = HmacDrbg(seed, b"store/plain-channel")
-    k_c2s, k_s2c = drbg.generate(16), drbg.generate(16)
-    client = ChannelEndpoint(clock, send_key=k_c2s, recv_key=k_s2c, label=0)
-    server = ChannelEndpoint(clock, send_key=k_s2c, recv_key=k_c2s, label=1)
-    return client, server
 
 
 def null_channel_pair() -> tuple[NullChannelEndpoint, NullChannelEndpoint]:
@@ -741,10 +731,6 @@ class ResultStore:
 
     def contains(self, tag: bytes) -> bool:
         return tag in self._dict
-
-    def entry_hits(self, tag: bytes) -> int:
-        entry = self._dict.peek(tag)
-        return entry.hits if entry else 0
 
     def stored_tags(self) -> list[bytes]:
         """Every tag currently held, sorted (tests/diagnostics only —

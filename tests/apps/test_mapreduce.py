@@ -7,7 +7,6 @@ from repro.apps.mapreduce import (
     MapReduceJob,
     bag_of_words,
     bow_mapper,
-    corpus_vocabulary,
     strip_markup,
     tokenize_words,
 )
@@ -100,7 +99,3 @@ class TestBagOfWords:
     def test_empty_document(self):
         assert bag_of_words("") == {}
         assert bag_of_words("\n \n") == {}
-
-    def test_corpus_vocabulary_merges(self):
-        merged = corpus_vocabulary([{"a": 1, "b": 2}, {"b": 3, "c": 1}])
-        assert merged == {"a": 1, "b": 5, "c": 1}

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.apps.pattern.regex import Regex, pcre_exec
+from repro.apps.pattern.regex import Regex
+
+from .test_pattern import pcre_exec
 
 
 class TestEscapeClasses:

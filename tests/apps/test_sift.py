@@ -64,7 +64,7 @@ class TestGaussian:
 class TestScaleSpace:
     def test_octave_count_bounded_by_size(self, image):
         space = build_scale_space(image)
-        assert 1 <= space.n_octaves <= PyramidConfig().max_octaves
+        assert 1 <= len(space.gaussians) <= PyramidConfig().max_octaves
         for octave in space.gaussians:
             assert min(octave[0].shape) >= PyramidConfig().min_size // 2
 
@@ -76,7 +76,7 @@ class TestScaleSpace:
 
     def test_octaves_halve(self, image):
         space = build_scale_space(image)
-        if space.n_octaves >= 2:
+        if len(space.gaussians) >= 2:
             h0 = space.gaussians[0][0].shape[0]
             h1 = space.gaussians[1][0].shape[0]
             assert h1 == (h0 + 1) // 2

@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.compress.stream import (
-    DeflateStream,
-    deflate_stream,
-    inflate_stream,
-)
+from repro.apps.compress.stream import DEFAULT_CHUNK, DeflateStream, inflate_stream
 from repro.errors import SpeedError
 from repro.workloads import synthetic_text
+
+
+def deflate_stream(data: bytes, chunk_size: int = DEFAULT_CHUNK) -> bytes:
+    """``data`` through one stream: one write, then the finish."""
+    stream = DeflateStream(chunk_size)
+    return stream.write(data) + stream.finish()
 
 
 class TestStream:

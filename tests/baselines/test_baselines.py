@@ -5,10 +5,10 @@ import pytest
 from repro.baselines import (
     UnicRuntime,
     UnicStore,
-    cross_app_runtime_config,
     no_dedup_runtime_config,
     single_key_runtime_config,
 )
+from repro.core.runtime import RuntimeConfig
 from repro.core.scheme import CrossAppScheme, SingleKeyScheme
 from repro.crypto.hashes import hmac_sha256
 from repro.errors import IntegrityError
@@ -78,7 +78,7 @@ class TestPresets:
         assert config.dedup_enabled
 
     def test_cross_app(self):
-        config = cross_app_runtime_config("app")
+        config = RuntimeConfig(app_id="app")  # the cross-application design is the default
         assert isinstance(config.scheme, CrossAppScheme)
 
     def test_app_id_threaded(self):

@@ -16,6 +16,11 @@ def make_cluster(n_shards=4, replication_factor=2, seed=b"test-cluster", **kwarg
     )
 
 
+def pending_shards(ring) -> tuple[str, ...]:
+    """The shards of the ring a transition moves to (the ring's own when idle)."""
+    return ring._next.shards if ring._next is not None else ring.shards
+
+
 def raw_router(deployment, name="raw-client"):
     """A ClusterRouter for a bench-style client enclave (no runtime)."""
     enclave = deployment.platform.create_enclave(name, name.encode() + b"-code")
@@ -45,7 +50,7 @@ def puts_spanning_all_shards(deployment, per_shard=2, prefix=b"span"):
     i = 0
     while any(v > 0 for v in needed.values()):
         put = make_put(i, prefix=prefix)
-        primary = ring.primary(put.tag)
+        primary = ring.owners(put.tag)[0]
         if needed[primary] > 0:
             needed[primary] -= 1
             puts.append(put)

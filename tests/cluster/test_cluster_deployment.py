@@ -37,8 +37,8 @@ class TestBitIdenticalWithSingleStore:
         corpus = inputs(12) + inputs(12)  # second half repeats: hits
         out_single = [dedup_s(d) for d in corpus]
         out_cluster = [dedup_c(d) for d in corpus]
-        single.flush_all_puts()
-        clustered.flush_all_puts()
+        app_s.runtime.flush_puts()
+        app_c.runtime.flush_puts()
         assert out_cluster == out_single == [double_bytes(d) for d in corpus]
         assert app_c.runtime.stats.hits == app_s.runtime.stats.hits
         assert app_c.runtime.stats.misses == app_s.runtime.stats.misses
@@ -53,8 +53,8 @@ class TestBitIdenticalWithSingleStore:
         corpus = inputs(10) + inputs(6)  # intra-batch duplicates
         out_single = app_s.runtime.execute_many(DOUBLE_DESC, corpus)
         out_cluster = app_c.runtime.execute_many(DOUBLE_DESC, corpus)
-        single.flush_all_puts()
-        clustered.flush_all_puts()
+        app_s.runtime.flush_puts()
+        app_c.runtime.flush_puts()
         assert out_cluster == out_single == [double_bytes(d) for d in corpus]
         # Rerunning the batch hits the cluster for every item.
         rerun = app_c.runtime.execute_many(DOUBLE_DESC, corpus)
@@ -69,7 +69,7 @@ class TestBitIdenticalWithSingleStore:
         dedup_b = app_b.deduplicable(DOUBLE_DESC)
         corpus = inputs(8)
         out_a = [dedup_a(x) for x in corpus]
-        d.flush_all_puts()
+        app_a.runtime.flush_puts()
         out_b = [dedup_b(x) for x in corpus]
         assert out_b == out_a
         assert app_b.runtime.stats.hits == len(corpus)
@@ -169,7 +169,7 @@ class TestIntrospection:
         dedup = app.deduplicable(DOUBLE_DESC)
         for data in inputs(6):
             dedup(data)
-        cluster4.flush_all_puts()
+        app.runtime.flush_puts()
         snap = cluster4.cluster.snapshot()
         assert snap["replication_factor"] == 2
         assert set(snap["shards"]) == set(cluster4.cluster.shard_ids)
@@ -186,7 +186,7 @@ class TestIntrospection:
         dedup = app.deduplicable(DOUBLE_DESC)
         data = inputs(1)[0]
         dedup(data)
-        cluster4.flush_all_puts()
+        app.runtime.flush_puts()
         dedup(data)
         snap = app.runtime.snapshot()
         assert snap["runtime.calls"] == 2

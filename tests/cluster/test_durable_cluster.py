@@ -55,10 +55,10 @@ class TestStaleRecoveryReconverges:
         # recovery comes back one write behind its replica.
         ring = d.cluster.ring
         first = make_put(0, prefix=b"stale")
-        primary = ring.primary(first.tag)
+        primary = ring.owners(first.tag)[0]
         later = next(
             put for put in (make_put(i, prefix=b"stale") for i in range(1, 200))
-            if ring.primary(put.tag) == primary
+            if ring.owners(put.tag)[0] == primary
         )
         assert router.call(first).accepted
         node = d.cluster.shards[primary]

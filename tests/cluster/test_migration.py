@@ -69,7 +69,7 @@ class TestJoin:
         router = raw_router(d)
         puts = fill(d, router, 40)
         node, _ = join(d.cluster)
-        owned = [p for p in puts if d.cluster.ring.primary(p.tag) == node.shard_id]
+        owned = [p for p in puts if d.cluster.ring.owners(p.tag)[0] == node.shard_id]
         assert owned, "newcomer took no tags — raise the fill count"
         timeouts_before = router.stats.get_timeouts
         for put in owned:

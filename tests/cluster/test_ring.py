@@ -63,7 +63,7 @@ class TestOwnership:
         for tag in tags(64):
             owners = ring.owners(tag, 3)
             assert len(owners) == len(set(owners)) == 3
-            assert owners[0] == ring.primary(tag)
+            assert owners[0] == ring.owners(tag)[0]
 
     def test_replication_clamped_to_shard_count(self):
         ring = ring_with("a", "b")
@@ -88,7 +88,7 @@ class TestBalanceAndDisruption:
         corpus = tags(2000)
         counts = {s: 0 for s in ring.shards}
         for tag in corpus:
-            counts[ring.primary(tag)] += 1
+            counts[ring.owners(tag)[0]] += 1
         for count in counts.values():
             # Perfect balance is 500; vnodes keep skew well bounded.
             assert 250 <= count <= 750
@@ -96,22 +96,22 @@ class TestBalanceAndDisruption:
     def test_removal_only_moves_the_removed_shards_tags(self):
         ring = ring_with("a", "b", "c", "d")
         corpus = tags(500)
-        before = {tag: ring.primary(tag) for tag in corpus}
+        before = {tag: ring.owners(tag)[0] for tag in corpus}
         ring.remove_shard("d")
         for tag in corpus:
             if before[tag] != "d":
-                assert ring.primary(tag) == before[tag]
+                assert ring.owners(tag)[0] == before[tag]
             else:
-                assert ring.primary(tag) != "d"
+                assert ring.owners(tag)[0] != "d"
 
     def test_join_steals_only_what_it_now_owns(self):
         ring = ring_with("a", "b", "c")
         corpus = tags(500)
-        before = {tag: ring.primary(tag) for tag in corpus}
+        before = {tag: ring.owners(tag)[0] for tag in corpus}
         ring.add_shard("d")
         moved = 0
         for tag in corpus:
-            primary = ring.primary(tag)
+            primary = ring.owners(tag)[0]
             if primary != before[tag]:
                 assert primary == "d"  # only the newcomer gains tags
                 moved += 1

@@ -231,10 +231,10 @@ class TestBatchGetPartialShardTimeout:
         puts = puts_spanning_all_shards(d, per_shard=3)
         for put in puts:
             router.call(put)
-        victim = d.cluster.ring.primary(puts[0].tag)
+        victim = d.cluster.ring.owners(puts[0].tag)[0]
         victim_indices = {
             i for i, p in enumerate(puts)
-            if d.cluster.ring.primary(p.tag) == victim
+            if d.cluster.ring.owners(p.tag)[0] == victim
         }
         assert 0 < len(victim_indices) < len(puts)
         d.cluster.kill_shard(victim)

@@ -88,7 +88,7 @@ def prepared(rf=2, warm=True, kill=(), kill_before_warm=(), breaker_open_on=None
     router = raw_router(d)
     ring = d.cluster.ring
     first = make_put(0, prefix=b"equiv", app_id=app_id)
-    primary = ring.primary(first.tag)
+    primary = ring.owners(first.tag)[0]
     puts, i = [first], 1
     while len(puts) < n_items:
         put = make_put(i, prefix=b"equiv", app_id=app_id)

@@ -46,7 +46,7 @@ class TestPerOpPipeline:
         router = raw_router(d)
         puts = warm(router, 8)
         target = puts[0]
-        primary = d.cluster.ring.primary(target.tag)
+        primary = d.cluster.ring.owners(target.tag)[0]
         d.cluster.kill_shard(primary)  # submit cannot reach the primary
         failovers0 = router.stats.failovers
         handle = router.submit(make_get(target))
@@ -73,7 +73,7 @@ class TestGroupedPipeline:
         assert covered == list(range(len(gets)))
         ring = d.cluster.ring
         for group in plan:
-            primaries = {ring.primary(gets[i].tag) for i in group}
+            primaries = {ring.owners(gets[i].tag)[0] for i in group}
             assert len(primaries) == 1
 
     def test_grouped_wait_matches_call_batch(self):
@@ -101,7 +101,7 @@ class TestGroupedPipeline:
         gets = [make_get(p) for p in puts]
         plan = router.plan_gets(gets)
         group = max(plan, key=len)
-        primary = d.cluster.ring.primary(gets[group[0]].tag)
+        primary = d.cluster.ring.owners(gets[group[0]].tag)[0]
         d.cluster.kill_shard(primary)  # the whole group's record is lost
         failovers0 = router.stats.failovers
         handle = router.submit_gets([gets[i] for i in group])
@@ -114,7 +114,7 @@ class TestGroupedPipeline:
         d = make_cluster(n_shards=4, replication_factor=2)
         router = raw_router(d)
         put = make_put(0, prefix=b"repair")
-        primary = d.cluster.ring.primary(put.tag)
+        primary = d.cluster.ring.owners(put.tag)[0]
         d.cluster.kill_shard(primary)      # write lands on the replica only
         assert router.call(put).accepted
         d.cluster.revive_shard(primary)    # primary back, but empty
@@ -162,7 +162,7 @@ class TestGroupedPutPipeline:
         assert covered == list(range(len(puts)))
         ring = d.cluster.ring
         for group in plan:
-            primaries = {ring.primary(puts[i].tag) for i in group}
+            primaries = {ring.owners(puts[i].tag)[0] for i in group}
             assert len(primaries) == 1
 
     def test_grouped_put_matches_synchronous_calls(self):
@@ -199,7 +199,7 @@ class TestGroupedPutPipeline:
                 responses[i] = response
         ring = d.cluster.ring
         for put, response in zip(puts, responses):
-            if ring.primary(put.tag) == dead:
+            if ring.owners(put.tag)[0] == dead:
                 assert not response.accepted
                 assert "no_live_owner" in response.reason
             else:

@@ -23,6 +23,7 @@ from repro.cluster.router import ClusterRouter, GetWalk
 from repro.crypto.hashes import sha256
 from repro.net.circuit import OPEN, BreakerConfig
 from repro.net.messages import GetRequest
+from tests.cluster.conftest import pending_shards
 
 BREAKER = BreakerConfig(failure_threshold=1, reset_timeout_s=None, reset_after_skips=6)
 JOINER = "shard-j"
@@ -71,7 +72,7 @@ def build(case):
         ring.add_shard(f"shard-{s}")
     if case["window"]:
         ring.begin_plan(TopologyPlan().join(JOINER), case["rf"])
-    clients = {sid: None for sid in {*ring.shards, *ring.pending_shards}}
+    clients = {sid: None for sid in {*ring.shards, *pending_shards(ring)}}
     router = ClusterRouter(ring, clients, replication_factor=case["rf"])
     router.enable_breakers(BREAKER)
     for s in sorted(case["open"]):
@@ -93,7 +94,7 @@ def test_a_plan_evens_its_groups_within_each_items_replica_set(case):
     router, walks = build(case)
     rf = case["rf"]
     ring_owners = [router._read_owners(w.tag) for w in walks]
-    fresh = [not w.under_way for w in walks]
+    fresh = [not (w.missed or w.failed) for w in walks]
     # Per item, its owners to ask from, next first: a fresh walk's in
     # ring order, a walk under way's as they are.
     asks = [

@@ -44,7 +44,7 @@ from repro.errors import (
 )
 from repro.store.resultstore import ResultStore, StoreConfig
 
-from tests.cluster.conftest import make_get, make_put
+from tests.cluster.conftest import make_get, make_put, pending_shards
 
 ROUTES = ("sugar", "apply", "stepped")
 N_PUTS = 12
@@ -227,7 +227,7 @@ def run_route(row, route, monkeypatch):
 
     monkeypatch.setattr(ResultStore, "note_migrate", spy)
     early = row.prepare(session) if row.prepare else None
-    before = (sorted(cluster.shards), router.shard_ids, cluster.ring.pending_shards)
+    before = (sorted(cluster.shards), router.shard_ids, pending_shards(cluster.ring))
 
     counters = report = error = None
     try:
@@ -243,7 +243,7 @@ def run_route(row, route, monkeypatch):
         error = (type(exc), exc.code, str(exc))
         # A refused or backed-out change leaves the cluster as it found it.
         assert (sorted(cluster.shards), router.shard_ids,
-                cluster.ring.pending_shards) == before
+                pending_shards(cluster.ring)) == before
     if early is not None:
         early.run()
     monkeypatch.setattr(ResultStore, "note_migrate", original)

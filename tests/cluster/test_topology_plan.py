@@ -13,7 +13,7 @@ from repro.errors import (
     SpeedError,
 )
 
-from tests.cluster.conftest import make_cluster, make_get, make_put, raw_router
+from tests.cluster.conftest import make_cluster, make_get, make_put, pending_shards, raw_router
 from tests.proptest import for_all, integers, lists_of
 
 
@@ -128,8 +128,8 @@ class TestBeginPlan:
         assert ranges
         touched = {s for r in ranges for s in (*r.sources, *r.dests)}
         assert {"shard-4", "shard-5"} <= touched
-        assert "shard-0" not in ring.pending_shards
-        assert set(ring.pending_shards) == {
+        assert "shard-0" not in pending_shards(ring)
+        assert set(pending_shards(ring)) == {
             "shard-1", "shard-2", "shard-3", "shard-4", "shard-5"
         }
         for rng in ranges:
@@ -157,7 +157,7 @@ class TestBeginPlan:
                 serial.commit_range(rng.index)
             serial.finish()
         assert planned_width <= serial_width
-        assert planned.pending_shards == serial.shards
+        assert pending_shards(planned) == serial.shards
 
     def test_second_plan_rejected_while_open(self):
         ring = self.members()
@@ -236,7 +236,7 @@ class TestBoundarySemantics:
         # that vnode's shard (the interval is (prev, point]).
         ring = ring_with("a", "b", "c", vnodes=8)
         for idx, point in enumerate(ring._points):
-            assert ring.primary(point_tag(point)) == ring._owners[idx]
+            assert ring.owners(point_tag(point))[0] == ring._owners[idx]
 
     def test_range_ends_agree_with_owner_lookup(self):
         # MigrationRange is (lo, hi]: the inclusive end resolves to the
@@ -257,8 +257,8 @@ class TestBoundarySemantics:
         # A tag past the last vnode point wraps to the first point's
         # owner — the same owner owned_width charges the wrap interval to.
         ring = ring_with("a", "b", vnodes=8)
-        assert ring.primary(point_tag(RING_SIZE - 1)) == ring._owners[0]
-        assert ring.primary(point_tag(0)) == ring._owners[0]
+        assert ring.owners(point_tag(RING_SIZE - 1))[0] == ring._owners[0]
+        assert ring.owners(point_tag(0))[0] == ring._owners[0]
 
     def test_owned_widths_are_exact_and_partition_the_ring(self):
         ring = ring_with("a", "b", "c", vnodes=8)
@@ -420,10 +420,10 @@ class TestRefusedOpen:
     def test_refused_second_open_leaves_the_open_window_alone(self):
         d = make_cluster(n_shards=3, replication_factor=2, seed=b"refused-open")
         migrator = d.cluster.begin_plan(TopologyPlan().join())
-        before = (sorted(d.cluster.shards), d.cluster.ring.pending_shards)
+        before = (sorted(d.cluster.shards), pending_shards(d.cluster.ring))
         with pytest.raises(MigrationInProgressError):
             d.cluster.begin_plan(TopologyPlan().join("late"))
-        assert (sorted(d.cluster.shards), d.cluster.ring.pending_shards) == before
+        assert (sorted(d.cluster.shards), pending_shards(d.cluster.ring)) == before
         migrator.run()
         (late,) = d.cluster.begin_plan(TopologyPlan().join("late")).joiners
         assert late == "late"

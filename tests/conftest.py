@@ -30,6 +30,25 @@ def arena_name(store, tag: bytes) -> str:
     return store.blobstore.name(store.metadata_entry(tag).blob_ref)
 
 
+def quota_usage(quota, app_id: str) -> tuple[int, int]:
+    """``(bytes, entries)`` one application holds against its quota."""
+    usage = quota._get(app_id)
+    return usage.bytes_used, usage.entries
+
+
+def find_spans(spans, name: str) -> list:
+    """The spans named ``name``, in order."""
+    return [span for span in spans if span.name == name]
+
+
+def find_nodes(node, name: str) -> list:
+    """Every node of a span tree (``node`` included) whose span is named ``name``."""
+    found = [node] if node.span.name == name else []
+    for child in node.children:
+        found += find_nodes(child, name)
+    return found
+
+
 def carry_snapshot(source, target) -> None:
     """Copy ``source``'s sealed snapshot to ``target``'s host, as an
     operator copies the file to the restarted machine."""

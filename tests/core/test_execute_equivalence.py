@@ -23,10 +23,9 @@ from repro import RuntimeConfig
 from repro.core.serialization import AnyParser, default_registry
 from repro.core.tag import derive_tag
 from repro.errors import NoLiveOwnerError
-from repro.obs.tracer import find_spans
 from repro.security import HostAdversary
 from repro.store.resultstore import StoreConfig
-from tests.conftest import DOUBLE_DESC, arena_name, double_bytes, make_libs
+from tests.conftest import DOUBLE_DESC, arena_name, double_bytes, find_nodes, find_spans, make_libs
 
 DISTINCT = (b"alpha", b"beta", b"gamma", b"delta")
 REPEATS = (b"alpha", b"beta", b"gamma", b"alpha", b"delta", b"beta")
@@ -244,13 +243,13 @@ def test_both_entries_trace_one_span_shape():
     then ``runtime.verify`` / ``runtime.compute``; each item span says
     where its value came from."""
     def shape(session):
-        (root,) = session.trace_tree()
-        items = root.find("runtime.item")
+        (root,) = session.tracer.tree()
+        items = find_nodes(root, "runtime.item")
         return (
             [node.span.attrs["index"] for node in items],
             [[child.span.name for child in node.children] for node in items],
             [node.span.attrs["source"] for node in items],
-            bool(root.find("runtime.verify")), bool(root.find("runtime.compute")),
+            bool(find_nodes(root, "runtime.verify")), bool(find_nodes(root, "runtime.compute")),
         )
 
     session = repro.connect(
@@ -261,9 +260,9 @@ def test_both_entries_trace_one_span_shape():
 
     session.execute(DOUBLE_DESC, b"stored")
     assert shape(session) == ([0], [children], ["store"], True, False)
-    assert session.trace_tree()[0].span.name == "runtime.execute"
+    assert session.tracer.tree()[0].span.name == "runtime.execute"
 
     session.execute_many(DOUBLE_DESC, [b"stored", b"fresh"])
     assert shape(session) == ([0, 1], [children] * 2, ["l1", "computed"], False, True)
-    assert session.trace_tree()[0].span.name == "runtime.execute"
+    assert session.tracer.tree()[0].span.name == "runtime.execute"
     assert session.phase_breakdown()["runtime.tag"]["count"] == 4  # sibling's one included

@@ -8,7 +8,6 @@ from repro.core.scheme import (
     CHALLENGE_SIZE,
     KEY_SIZE,
     CrossAppScheme,
-    PlaintextScheme,
     SingleKeyScheme,
 )
 from repro.core.tag import derive_tag
@@ -137,9 +136,3 @@ class TestSingleKeyScheme:
     def test_bad_key_size(self):
         with pytest.raises(CryptoError):
             SingleKeyScheme(b"short")
-
-
-class TestPlaintextScheme:
-    def test_stores_in_clear(self):
-        protected = PlaintextScheme().protect(FUNC, INPUT, tag_for(), RESULT, rand())
-        assert protected.sealed_result == RESULT  # the UNIC regime

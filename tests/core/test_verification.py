@@ -2,12 +2,18 @@
 
 from repro.core.scheme import CrossAppScheme, ProtectedResult
 from repro.core.tag import derive_tag
-from repro.core.verification import verify_and_recover
+from repro.core.verification import verify_many
 from repro.crypto.drbg import HmacDrbg
 
 FUNC = b"\x01" * 32
 INPUT = b"input m"
 RESULT = b"result res"
+
+
+def verify_and_recover(scheme, func, input_bytes, tag, protected):
+    """Fig. 3 on one GET answer: its verdict from :func:`verify_many`."""
+    ((outcome, _charges),) = verify_many(scheme, func, [(input_bytes, tag, protected)])
+    return outcome
 
 
 def protected_for(func=FUNC, inp=INPUT):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.constant_time import bytes_eq, select
+from repro.crypto.constant_time import bytes_eq
 
 
 class TestBytesEq:
@@ -31,14 +31,3 @@ class TestBytesEq:
         with pytest.raises(TypeError):
             bytes_eq("abc", b"abc")
 
-
-class TestSelect:
-    def test_true_branch(self):
-        assert select(True, b"AAAA", b"BBBB") == b"AAAA"
-
-    def test_false_branch(self):
-        assert select(False, b"AAAA", b"BBBB") == b"BBBB"
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            select(True, b"short", b"longer")

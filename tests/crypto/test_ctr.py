@@ -5,11 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.aes import AES128
-from repro.crypto.ctr import ctr_transform, _counter_blocks
+from repro.crypto.ctr import ctr_stream, _counter_blocks
 from repro.errors import CryptoError
 
 KEY = b"0123456789abcdef"
 CTR0 = b"\x00" * 12 + (2).to_bytes(4, "big")
+
+
+def ctr_transform(cipher: AES128, initial_counter: bytes, data: bytes) -> bytes:
+    """``data`` XOR the counter run from ``initial_counter`` on."""
+    return ctr_stream(cipher, initial_counter, data)[1]
 
 
 class TestCtr:

@@ -22,9 +22,10 @@ import pytest
 
 from repro.crypto import ctr, gcm
 from repro.crypto.aes import AES128
-from repro.crypto.ctr import counter_iv
 from repro.crypto.gcm import AesGcm, open_, seal
 from repro.errors import CryptoError
+
+from .test_gcm_kernels import counter_iv
 
 NARROW_BLOCKS = gcm._LANE_PASSES[-1][1]   # least blocks for one lane pass
 WIDE_BLOCKS = gcm._LANE_PASSES[0][1]      # least blocks for two
@@ -133,10 +134,7 @@ def _batches(calls: dict[str, int]) -> int:
     16 * (ctr._STRIPE_BLOCKS - 1),
     16 * (ctr._STRIPE_BLOCKS + ctr._TAIL_MIN_BLOCKS - 2),                   # the tail merges
 ])
-def test_one_aes_batch_per_record(aes_calls, monkeypatch, size):
-    # Small batches run block by block *inside* encrypt_blocks; count only
-    # what the record itself asks of the cipher.
-    monkeypatch.setattr("repro.crypto.aes._SCALAR_MAX_BLOCKS", 0)
+def test_one_aes_batch_per_record(aes_calls, size):
     cipher = AesGcm(b"\x55" * 16)
     before = ctr.aes_batches
 

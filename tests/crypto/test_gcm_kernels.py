@@ -138,12 +138,17 @@ def test_reference_is_the_standard():
     assert tag.hex() == "ab6e47d42cec13bdf53a67b21257bddf"
 
 
+def counter_iv(label: int, seq: int) -> bytes:
+    """Record ``seq``'s IV in counter run ``label``: the run's prefix, then ``seq``."""
+    return ctr.counter_prefix(label) + seq.to_bytes(8, "big")
+
+
 # -- the AES batch kernels at every batch size ---------------------------------
 def _around_rows(n: int) -> list[int]:
     return [n - 1, n, n + 1]
 
 
-# Every size up to 300 (scalar, one gather, column planes) and around the
+# Every size up to 300 (one gather, column planes) and around the
 # pair-table crossover.
 AES_SWEEP = [*range(1, 301), *_around_rows(aes._PAIR_MIN_BLOCKS)]
 AES_ROWS = max(AES_SWEEP)
@@ -166,8 +171,8 @@ def aes_reference() -> dict[str, list[bytes]]:
 
 @pytest.mark.parametrize("keys", ["one key", "key per row"])
 def test_every_aes_kernel_matches_the_reference_at_every_batch_size(aes_reference, keys):
-    # The sweep crosses each tier boundary (aes._SCALAR_MAX_BLOCKS,
-    # aes._GATHER_MAX_BLOCKS, aes._PAIR_MIN_BLOCKS) at -1 / 0 / +1.
+    # The sweep crosses each tier boundary (aes._GATHER_MAX_BLOCKS,
+    # aes._PAIR_MIN_BLOCKS) at -1 / 0 / +1.
     round_keys = aes.round_key_columns(AES_KEYS[:1] if keys == "one key" else AES_KEYS)
     cipher = aes.AES128(AES_KEYS[0])
     for n in AES_SWEEP:
@@ -223,8 +228,8 @@ def test_counter_runs_match_the_reference(bits, with_h):
 
 
 def test_the_tier_boundaries_are_inside_the_swept_sizes():
-    assert 1 <= aes._SCALAR_MAX_BLOCKS < aes._GATHER_MAX_BLOCKS < aes._PAIR_MIN_BLOCKS
-    for boundary in (aes._SCALAR_MAX_BLOCKS, aes._GATHER_MAX_BLOCKS, aes._PAIR_MIN_BLOCKS):
+    assert aes._GATHER_MAX_BLOCKS < aes._PAIR_MIN_BLOCKS
+    for boundary in (aes._GATHER_MAX_BLOCKS, aes._PAIR_MIN_BLOCKS):
         assert set(_around_rows(boundary)) <= set(AES_SWEEP)
     assert {ctr._CACHED_MIN_BLOCKS - 1, ctr._CACHED_MIN_BLOCKS} <= set(COUNTER_RUNS)
     assert ctr._CACHED_MIN_BLOCKS < ctr._STRIPE_BLOCKS and 65 < ctr._TAIL_MIN_BLOCKS
@@ -338,9 +343,9 @@ class TestBulkTamper:
 # -- a channel direction: AAD, ciphertext and lengths in one lane pass, then the fold
 def channel_cipher(key: bytes) -> AesGcm:
     """A channel direction's cipher past its first lane-sized record, so
-    that every record from ``_LANE_MIN_BLOCKS`` blocks takes the lanes."""
+    that every record from the narrow lane pass's blocks takes the lanes."""
     cipher = AesGcm(key, _counter_label=0)
-    cipher.encrypt(ctr.counter_iv(0, 0), bytes(16 * gcm._LANE_BUILD_BLOCKS))
+    cipher.encrypt(counter_iv(0, 0), bytes(16 * gcm._LANE_BUILD_BLOCKS))
     assert cipher._fold_stack is not None
     return cipher
 
@@ -352,7 +357,7 @@ def ref_auth(key: bytes, aad: bytes, ciphertext: bytes) -> int:
 
 
 FOLD_SIZES = sorted({
-    *_around(gcm._LANE_MIN_BLOCKS), 16 * gcm._LANE_MIN_BLOCKS + 5,
+    *_around(NARROW[1]), 16 * NARROW[1] + 5,
     *_around(gcm._LANE_BUILD_BLOCKS), 16 * gcm._LANE_BUILD_BLOCKS + 11,
     *_around(WIDE[1]), 16 * WIDE[1] + 1,
 })
@@ -369,13 +374,13 @@ def test_channel_ghash_matches_reference(aad_len):
 
 
 @pytest.mark.parametrize("size, aad_len", [
-    (16 * gcm._LANE_MIN_BLOCKS + 5, 20),   # a channel record's AAD is 20 bytes
+    (16 * NARROW[1] + 5, 20),   # a channel record's AAD is 20 bytes
     (16 * WIDE[1] + 9, 17),
 ])
 def test_channel_records_match_reference_and_reject_any_flipped_bit(size, aad_len):
     rnd = random.Random(size)
     key, seq = rnd.randbytes(16), 1 + rnd.randrange(100)
-    iv, aad, plaintext = ctr.counter_iv(0, seq), rnd.randbytes(aad_len), rnd.randbytes(size)
+    iv, aad, plaintext = counter_iv(0, seq), rnd.randbytes(aad_len), rnd.randbytes(size)
     cipher = channel_cipher(key)
     ct, tag = cipher.encrypt(iv, plaintext, aad)
     assert (ct, tag) == ref_gcm_encrypt(key, iv, plaintext, aad)
@@ -433,7 +438,7 @@ def test_swar_bit_rows_at_the_edge_keys_and_the_tables_built_on_them(monkeypatch
 def test_a_channel_fold_stack_and_lane_table_match_the_x_chain(monkeypatch):
     key = random.Random("fold").randbytes(16)
     cipher = AesGcm(key, _counter_label=0)
-    cipher.encrypt(ctr.counter_iv(0, 0), b"first record")
+    cipher.encrypt(counter_iv(0, 0), b"first record")
     h = int.from_bytes(ref_encrypt_block(ref_expand_key(key), bytes(16)), "big")
     powers = [h]
     while len(powers) < 16:
@@ -472,7 +477,7 @@ def test_every_channel_record_size_matches_a_plain_cipher_and_the_reference(aad_
             continue                     # AAD and lengths alone are three blocks
         aad = rnd.randbytes(aad_len)
         plaintext = rnd.randbytes(_payload_for(blocks, aad_len, rnd.randrange(16)))
-        iv = ctr.counter_iv(1, seq)
+        iv = counter_iv(1, seq)
         sealed = sender.encrypt(iv, plaintext, aad)
         assert sealed == plain.encrypt(iv, plaintext, aad), blocks
         # The keystream is the plain cipher's, checked against the

@@ -36,8 +36,10 @@ from repro.durable.wal import (
     REC_MIGRATE_BEGIN,
     REC_MIGRATE_COMMIT,
     REC_MIGRATE_END,
+    _BODIES,
+    _KIND_BYTES,
     decode_segment,
-    encode_segment,
+    _segment,
 )
 from repro.errors import SpeedError
 from repro.net.messages import GetRequest, decode_message, encode_message
@@ -68,9 +70,12 @@ def valid_encodings() -> dict:
         shipped = _encode_entries(store.collect_entries(lambda entry: True))
         take_checkpoint(store)
         checkpoint = store.durable.unseal(store.durable.checkpoint_name)
-    segment = encode_segment(
-        GENESIS_CHAIN, 1, [r for s in segments for r in decode_segment(s)[2]]
-    )
+    records = [r for s in segments for r in decode_segment(s)[2]]
+    body: list[bytes] = []
+    for record in records:  # one segment holding every record kind, as a commit writes it
+        body.append(_KIND_BYTES[record.kind])
+        _BODIES[record.kind]._write(body, record)
+    segment = _segment(GENESIS_CHAIN, 1, len(records), body)
     assert {r.kind for r in decode_segment(segment)[2]} == {1, 2, 3, 4, 5, 6}
     image = decode_checkpoint(checkpoint)[3]
     assert len(decode_image(image)) == 3 and len(_decode_entries(shipped)) == 3

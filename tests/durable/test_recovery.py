@@ -11,6 +11,7 @@ from repro.security import HostAdversary
 from repro.simtest.invariants import store_image as image
 from repro.store.persistence import restore_store, snapshot_name, snapshot_store
 from repro.store.quota import QuotaPolicy
+from tests.conftest import quota_usage
 
 from .conftest import durable_deployment, get, make_put, put
 
@@ -272,7 +273,7 @@ class TestQuotaAcrossRecovery:
         store = d.store
 
         def usage():
-            return {app: store._quota.usage_of(app) for app in ("alice", "bob", "sync")}
+            return {app: quota_usage(store._quota, app) for app in ("alice", "bob", "sync")}
 
         for i in range(2):
             put(client, b"a%d" % i, app_id="alice")
@@ -307,7 +308,7 @@ class TestQuotaAcrossRecovery:
         for refused in (lone, verdicts[0]):
             assert refused.reason.startswith("protocol_error: ")
             assert "reserved" in refused.reason
-        assert d.store._quota.usage_of("sync") == (0, 0)
+        assert quota_usage(d.store._quota, "sync") == (0, 0)
         assert d.store.stored_tags() == [make_put(b"z").tag]
 
 

@@ -35,8 +35,8 @@ class TestWireFuzzing:
     @given(st.binary(max_size=200))
     @settings(max_examples=60, deadline=None)
     def test_channel_unprotect_never_crashes(self, record):
-        from repro.store.resultstore import plain_channel_pair
         from repro.sgx.cost_model import SimClock
+        from tests.net.conftest import plain_channel_pair
 
         _, server = plain_channel_pair(SimClock(), b"fuzz")
         try:

@@ -110,7 +110,7 @@ def test_single_store_retry_counters_have_canonical_keys():
     src = client._endpoint.address
     dst = client._server_address
     fault = session.fault
-    fault.drop_indices.add((src, dst, fault.edge_count(src, dst)))
+    fault.drop_indices.add((src, dst, fault._edge_counters.get((src, dst), 0)))
     assert session.execute(DESC, b"retry") == b"retryretry"
 
     snap = session.snapshot()

@@ -5,7 +5,7 @@ import pytest
 
 import repro
 from repro import TrustedLibrary, TrustedLibraryRegistry
-from repro.obs.tracer import find_spans
+from tests.conftest import find_nodes, find_spans
 
 
 def double_bytes(data: bytes) -> bytes:
@@ -36,7 +36,7 @@ def test_single_execute_produces_connected_tree_over_all_layers(cluster_session)
     session.execute(DESC, b"payload")  # the traced request: a cluster hit
 
     spans = session.last_trace()
-    roots = session.trace_tree()
+    roots = session.tracer.tree()
     assert len(roots) == 1, "one request must yield one connected tree"
     root = roots[0]
     assert root.span.name == "runtime.execute"
@@ -60,9 +60,9 @@ def test_single_execute_produces_connected_tree_over_all_layers(cluster_session)
 
     # And the nesting is the paper's call path: runtime -> router ->
     # rpc -> store, all under the root ECALL.
-    assert root.find("router.get"), "router span must descend from the root"
-    router_get = root.find("router.get")[0]
-    assert router_get.find("store.get"), "store span must descend from routing"
+    assert find_nodes(root, "router.get"), "router span must descend from the root"
+    router_get = find_nodes(root, "router.get")[0]
+    assert find_nodes(router_get, "store.get"), "store span must descend from routing"
 
 
 def test_failover_and_read_repair_show_up_in_span_trees(cluster_session):
@@ -81,9 +81,9 @@ def test_failover_and_read_repair_show_up_in_span_trees(cluster_session):
     assert failovers, "no failover was traced — seed no longer exercises it?"
     tree = session.tracer.tree(failovers[0].trace_id)
     assert len(tree) == 1 and tree[0].span.name == "runtime.execute"
-    assert tree[0].find("router.failover")
+    assert find_nodes(tree[0], "router.failover")
     # The failed shard_get and the replica retry share the same parent GET.
-    shard_gets = tree[0].find("router.get")[0].find("router.shard_get")
+    shard_gets = find_nodes(find_nodes(tree[0], "router.get")[0], "router.shard_get")
     assert len(shard_gets) >= 2
 
     # Fresh work while the shard is down lands only on the survivors, so
@@ -101,7 +101,7 @@ def test_failover_and_read_repair_show_up_in_span_trees(cluster_session):
     assert repairs, "read-repair must be traced after the shard revives"
     repair_tree = session.tracer.tree(repairs[0].trace_id)
     assert len(repair_tree) == 1 and repair_tree[0].span.name == "runtime.execute"
-    assert repair_tree[0].find("router.read_repair")
+    assert find_nodes(repair_tree[0], "router.read_repair")
     session.flush_puts()
 
 
@@ -111,13 +111,13 @@ def test_execute_many_yields_one_batch_span_with_item_children():
     results = session.execute_many_results(DESC, inputs)
     assert [r.value for r in results] == [i + i for i in inputs]
 
-    roots = session.trace_tree()
+    roots = session.tracer.tree()
     assert len(roots) == 1
     root = roots[0]
     assert root.span.name == "runtime.execute"
     assert root.span.attrs["items"] == len(inputs)
 
-    items = root.find("runtime.item")
+    items = find_nodes(root, "runtime.item")
     assert len(items) == len(inputs)
     assert sorted(node.span.attrs["index"] for node in items) == list(range(len(inputs)))
 

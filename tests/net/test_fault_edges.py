@@ -21,9 +21,9 @@ class TestEdgeScopedCounters:
         a.send("b", b"x")
         a.send("b", b"x")
         a.send("c", b"x")
-        assert injector.edge_count("a", "b") == 2
-        assert injector.edge_count("a", "c") == 1
-        assert injector.edge_count("b", "a") == 0  # direction matters
+        assert injector._edge_counters.get(("a", "b"), 0) == 2
+        assert injector._edge_counters.get(("a", "c"), 0) == 1
+        assert injector._edge_counters.get(("b", "a"), 0) == 0  # direction matters
 
     def test_plain_int_rule_matches_nth_message_on_every_edge(self):
         injector = FaultInjector(drop_indices={0})

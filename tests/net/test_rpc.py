@@ -13,7 +13,8 @@ from repro.net.messages import (
 from repro.net.rpc import RpcClient, RpcServer
 from repro.net.transport import FaultInjector, Network
 from repro.sgx.cost_model import SimClock
-from repro.store.resultstore import plain_channel_pair
+
+from .conftest import plain_channel_pair
 
 
 def make_rpc(handler, fault_injector=None):
@@ -98,14 +99,12 @@ class TestEnclaveWrapped:
 
 class TestAttachReactor:
     def test_attach_reactor_helper(self):
-        from repro.net.rpc import attach_reactor
-
         clock = SimClock()
         net = Network()
         client_ep = net.endpoint("c", clock)
         server_ep = net.endpoint("s", clock)
         client_chan, server_chan = plain_channel_pair(clock, b"attach")
         server = RpcServer(server_ep, server_chan, lambda msg: GetResponse(found=False))
-        attach_reactor(net, "s", server)
+        net.set_reactor("s", server)  # it drains its inbox whenever a message lands
         client = RpcClient(client_ep, client_chan, "s")
         assert client.call(GetRequest(tag=b"")) == GetResponse(found=False)

@@ -13,7 +13,8 @@ from repro.net.messages import (
 from repro.net.rpc import RetryPolicy, RpcClient, RpcServer
 from repro.net.transport import FaultInjector, Network
 from repro.sgx.cost_model import SimClock
-from repro.store.resultstore import plain_channel_pair
+
+from .conftest import plain_channel_pair
 
 TAG = b"\x01" * 32
 

@@ -15,7 +15,8 @@ from repro.net.messages import (
 from repro.net.rpc import RetryPolicy, RpcClient, RpcServer
 from repro.net.transport import FaultInjector, Network
 from repro.sgx.cost_model import SimClock
-from repro.store.resultstore import plain_channel_pair
+
+from .conftest import plain_channel_pair
 
 
 def make_rpc(handler, fault_injector=None, retry_policy=None):

@@ -130,8 +130,8 @@ def test_tracer_stacks_are_per_thread():
         with tracer.span("root") as root:
             barrier.wait()  # every thread holds a root span open at once
             with tracer.span("child"):
-                parent_ids[index] = tracer.current_span_id
-            assert tracer.current_span_id == root.span_id
+                parent_ids[index] = tracer._stack[-1].span.span_id
+            assert tracer._stack[-1].span.span_id == root.span_id
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
     for t in threads:
@@ -163,7 +163,7 @@ def test_tracer_reads_during_concurrent_appends():
             try:
                 list(tracer)
                 tracer.phase_breakdown()
-                tracer.trace_ids()
+                tracer.spans()
             except BaseException as exc:  # pragma: no cover - the regression
                 errors.append(exc)
                 return

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.obs.tracer import (
-    NULL_TRACER,
-    Tracer,
-    build_tree,
-    find_spans,
-)
+from repro.obs.tracer import NULL_TRACER, Tracer, build_tree
+from tests.conftest import find_nodes, find_spans
 
 
 class FakeClock:
@@ -50,7 +46,6 @@ def test_sibling_roots_get_distinct_trace_ids():
         pass
     first, second = tracer.spans()
     assert first.trace_id != second.trace_id
-    assert tracer.last_trace_id == second.trace_id
     assert [s.name for s in tracer.last_trace()] == ["second"]
 
 
@@ -133,7 +128,7 @@ def test_tree_and_find():
     assert len(roots) == 1
     assert roots[0].span.name == "root"
     assert [c.span.name for c in roots[0].children] == ["a", "b"]
-    assert [n.span.name for n in roots[0].find("leaf")] == ["leaf"]
+    assert [n.span.name for n in find_nodes(roots[0], "leaf")] == ["leaf"]
     assert find_spans(tracer.spans(), "b")[0].name == "b"
 
 
@@ -174,6 +169,5 @@ def test_null_tracer_is_inert():
         span.set("k", "v")
         span.mark("error")
     assert span.span_id is None
-    assert NULL_TRACER.current_span_id is None
     assert NULL_TRACER.current_trace_id is None
     assert NULL_TRACER.event("x") is None

@@ -18,7 +18,7 @@ class TestFaulting:
     def test_first_touch_faults(self):
         epc, _ = make_epc(8)
         assert epc.access(1, "heap", 0, 100) == 1
-        assert epc.resident_pages == 1
+        assert len(epc._resident) == 1
 
     def test_second_touch_hits(self):
         epc, _ = make_epc(8)
@@ -73,7 +73,7 @@ class TestEviction:
         epc, _ = make_epc(3)
         for i in range(10):
             epc.access(1, "heap", i * PAGE, 1)
-        assert epc.resident_pages == 3
+        assert len(epc._resident) == 3
 
     def test_paging_disabled_raises(self):
         epc, _ = make_epc(1, allow_paging=False)
@@ -88,7 +88,7 @@ class TestRelease:
         epc.access(1, "heap", 0, 2 * PAGE)
         epc.access(2, "heap", 0, PAGE)
         epc.release_enclave(1)
-        assert epc.resident_pages == 1
+        assert len(epc._resident) == 1
 
     def test_invalid_size_rejected(self):
         with pytest.raises(EnclaveMemoryError):

@@ -9,8 +9,9 @@ from repro.sgx.platform import SgxPlatform
 from repro.sgx.sealing import (
     SealPolicy,
     derive_seal_key,
-    seal_data,
-    unseal_data,
+    seal_cipher,
+    seal_with,
+    unseal_with,
 )
 
 from ..durable.conftest import durable_deployment, put
@@ -18,6 +19,14 @@ from ..durable.conftest import durable_deployment, put
 FABRIC = b"\x42" * 32
 MEAS = measure_code(b"enclave-code", signer=b"vendor")
 IV = b"\x07" * 12
+
+
+def seal_data(fabric_key, measurement, data, policy, iv):
+    return seal_with(seal_cipher(fabric_key, measurement, policy), data, policy, iv)
+
+
+def unseal_data(fabric_key, measurement, blob):
+    return unseal_with(seal_cipher(fabric_key, measurement, blob.policy), blob)
 
 
 class TestKeyDerivation:

@@ -51,13 +51,6 @@ class TestTopologyFaults:
         assert plan.decide("a", "b", 0, 1).drop
         assert not plan.decide("b", "a", 0, 1).drop  # directional
 
-    def test_block_address_is_bidirectional(self):
-        plan = FaultPlan(seed=1)
-        plan.block_address("s", ["a", "b"])
-        for source, dest in (("s", "a"), ("a", "s"), ("s", "b"), ("b", "s")):
-            assert plan.decide(source, dest, 0, 1).drop
-        assert not plan.decide("a", "b", 0, 1).drop
-
     def test_slow_address_delays_both_directions(self):
         plan = FaultPlan(seed=1)
         plan.set_slow("s", 2)

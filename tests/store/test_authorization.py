@@ -24,7 +24,7 @@ class TestPolicyObject:
 
     def test_allow_exact_enclave(self):
         meas = measure_code(b"app-code")
-        policy = AuthorizationPolicy().allow_enclave(meas)
+        policy = AuthorizationPolicy(allowed_mrenclaves={meas.mrenclave})
         assert policy.admits(meas)
         assert not policy.admits(measure_code(b"other-code"))
 
@@ -38,8 +38,8 @@ class TestPolicyObject:
 
     def test_revocation(self):
         meas = measure_code(b"app")
-        policy = AuthorizationPolicy().allow_enclave(meas)
-        policy.revoke_enclave(meas)
+        policy = AuthorizationPolicy(allowed_mrenclaves={meas.mrenclave})
+        policy.allowed_mrenclaves.discard(meas.mrenclave)
         assert not policy.admits(meas)
 
     def test_check_counts_denials(self):

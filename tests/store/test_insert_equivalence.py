@@ -38,7 +38,7 @@ from repro.store.persistence import restore_store, snapshot_store
 from repro.store.quota import QuotaPolicy
 from repro.store.resultstore import StoreConfig
 from repro.store.sync import replicate_popular, transfer_entries
-from tests.conftest import carry_snapshot
+from tests.conftest import carry_snapshot, quota_usage
 
 LIVE = ("lone_put", "batch_put", "migration_ingest", "replicate_popular")
 ROUTES = (*LIVE, "wal_replay", "snapshot_restore", "checkpoint_restore")
@@ -163,7 +163,7 @@ def run(row: Row, route: str) -> dict:
         "image": store_image(target),
         "evictions": target.stats.evictions - evictions0,
         "usage": quota and {
-            app: quota.usage_of(app) for app in ("resident", "newcomer", "sync")
+            app: quota_usage(quota, app) for app in ("resident", "newcomer", "sync")
         },
         "extents_match_blobs": sorted(target._epc_blob_extents) == (
             sorted(target.metadata_entry(tag).blob_ref for tag in target.stored_tags())
@@ -184,7 +184,7 @@ def run(row: Row, route: str) -> dict:
         target.recover()
         out["image_after_power_failure"] = store_image(target)
         out["usage_after_power_failure"] = quota and {
-            app: target._quota.usage_of(app) for app in ("resident", "newcomer", "sync")
+            app: quota_usage(target._quota, app) for app in ("resident", "newcomer", "sync")
         }
     return out
 

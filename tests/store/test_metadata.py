@@ -75,7 +75,7 @@ class TestSlots:
         d = MetadataDict()
         for i in range(5):
             d.put(entry(bytes([i]) * 4))
-        assert d.slot_extent_bytes() == 5 * ENTRY_SLOT_BYTES
+        assert d._next_slot == 5  # five fresh slots, none reused
 
     def test_touch_callback_receives_slot_extent(self):
         touches = []

@@ -96,7 +96,7 @@ class TestObliviousness:
         leaves = set()
         for _ in range(16):
             oram.get(key(1))
-            leaves.add(oram.path_of(key(1)))
+            leaves.add(oram._position.get(key(1)))
         assert len(leaves) > 4
 
     def test_miss_and_hit_both_cost_one_path(self):
@@ -185,6 +185,8 @@ class TestObliviousMetadataDict:
     def test_no_enclave_heap_extent(self):
         from repro.store.oblivious import ObliviousMetadataDict
 
+        touches = []
         d = ObliviousMetadataDict(capacity=4)
-        d.put(self._entry(1))
-        assert d.slot_extent_bytes() == 0  # tree lives outside the EPC
+        d.put(self._entry(1), touch=lambda *page: touches.append(page))
+        d.get(self._entry(1).tag, touch=lambda *page: touches.append(page))
+        assert touches == []  # the tree lives outside the EPC

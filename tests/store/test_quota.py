@@ -5,6 +5,7 @@ import pytest
 from repro.errors import QuotaExceededError
 from repro.sgx.cost_model import CostParams, SimClock
 from repro.store.quota import QuotaManager, QuotaPolicy
+from tests.conftest import quota_usage
 
 
 @pytest.fixture
@@ -41,7 +42,7 @@ class TestByteAndEntryLimits:
     def test_usage_reporting(self, clock):
         mgr = QuotaManager(QuotaPolicy(), clock)
         mgr.admit_put("a", 42)
-        assert mgr.usage_of("a") == (42, 1)
+        assert quota_usage(mgr, "a") == (42, 1)
 
 
 class TestRateLimit:

@@ -67,10 +67,10 @@ class TestPolicyStateSurvivesRestore:
         d, client = make_store(b"restore-hits")
         tag = put(client, b"counted")
         warm(client, tag, times=4)
-        assert d.store.entry_hits(tag) == 4
+        assert d.store._dict.peek(tag).hits == 4
 
         fresh, _client2 = restored_copy(d, b"restore-hits")
-        assert fresh.store.entry_hits(tag) == 4
+        assert fresh.store._dict.peek(tag).hits == 4
 
 
 class TestQuotaAndEvictionRoundTrip:

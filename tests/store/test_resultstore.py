@@ -76,7 +76,7 @@ class TestGetPut:
         client.call(put(TAG))
         client.call(GetRequest(tag=TAG))
         client.call(GetRequest(tag=TAG))
-        assert store.entry_hits(TAG) == 2
+        assert store._dict.peek(TAG).hits == 2
 
 
 class TestValidation:

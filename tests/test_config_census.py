@@ -27,8 +27,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
+#: The program files outside the package (tests excluded).
+PROGRAM_ROOTS = (ROOT / "examples", ROOT / "benchmarks")
 #: Where a value's callers may live (tests excluded).
-CALLER_ROOTS = (SRC, ROOT / "examples", ROOT / "benchmarks")
+CALLER_ROOTS = (SRC, *PROGRAM_ROOTS)
 #: The dataclasses counted are named ``*Config``, ``*Policy`` or ``*Params``.
 SUFFIXES = ("Config", "Policy", "Params")
 #: The functions whose keyword parameters are counted: name -> (module, class).
@@ -59,8 +61,9 @@ ALLOWLIST = {
 }
 
 
-def _program_files():
-    for root in CALLER_ROOTS:
+def _program_files(roots=CALLER_ROOTS):
+    """Every ``.py`` file under ``roots`` that is not a test."""
+    for root in roots:
         for path in sorted(root.rglob("*.py")):
             if "tests" not in path.parts and not path.name.startswith("test_"):
                 yield path

@@ -946,14 +946,6 @@ class TestSnapshot:
         assert snap["engine.coalesced_gets"] == 1
         assert snap["engine.sim_seconds_total"] > 0.0
 
-    def test_reset_accounting_clears_counters(self):
-        engine, _, _, _ = make_engine()
-        engine.run_gets([get(b"a")])
-        engine.reset_accounting()
-        assert engine.makespan_cycles == 0.0
-        assert engine.rounds == 0
-        assert engine.ops == 0
-
 
 class TestWorkerClamp:
     def test_workers_clamped_to_static_depth(self):

@@ -14,7 +14,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Physical lines (newlines, as ``wc -l`` counts them) of every
 #: ``src/repro/**/*.py``.
-LINE_CEILING = 19_871
+LINE_CEILING = 19_323
 
 
 def line_count() -> int:
